@@ -17,13 +17,12 @@
 
 use mvio_bench::experiments::{self as ex, Scale};
 
-const IDS: [&str; 27] = [
+const IDS: [&str; 26] = [
     "pipeline",
     "decomp",
     "exchange",
     "io",
     "serve",
-    "refine",
     "rebalance",
     "table1",
     "table2",
@@ -54,7 +53,6 @@ fn dispatch(id: &str, scale: Scale, quick: bool) -> Option<String> {
         "exchange" => ex::exchange::run(scale, quick),
         "io" => ex::io::run(scale, quick),
         "serve" => ex::serve::run(scale, quick),
-        "refine" => ex::refine::run(scale, quick),
         "rebalance" => ex::rebalance::run(scale, quick),
         "table1" => ex::table1::run(scale, quick),
         "table2" => ex::table2::run(scale, quick),

@@ -4,7 +4,7 @@
 //! CI runs this (`repro -- gate`) as a dedicated job: it writes the
 //! measured ratios to `BENCH_gate.json` (uploaded as an artifact next
 //! to the full trajectories the
-//! `decomp`/`exchange`/`io`/`serve`/`refine`/`rebalance` experiments
+//! `decomp`/`exchange`/`io`/`serve`/`rebalance` experiments
 //! regenerate)
 //! and exits nonzero on a regression, so a PR that silently
 //! loses one of the asserted wins fails before review. The gate's
@@ -16,7 +16,7 @@
 //! trajectory files. All quantities are deterministic virtual times, so
 //! there is no run-to-run noise to filter.
 
-use super::{decomp, exchange, io, rebalance, refine, serve, Scale};
+use super::{decomp, exchange, io, rebalance, serve, Scale};
 use crate::report::Table;
 
 /// One tracked ratio with its floor.
@@ -125,16 +125,6 @@ pub fn checks() -> Vec<Check> {
         floor: serve::BATCHED_SERVE_SPEEDUP_FLOOR,
     });
 
-    // Read/refine: the zero-copy frame path must beat the owned
-    // deserializing read in end-to-end snapshot-join time at 64 ranks
-    // (best input shape; same parameters as the unit-test floor).
-    let rows = refine::measure(Scale { denominator: 1000 }, &[64]);
-    out.push(Check {
-        name: "refine: owned/zerocopy snapshot-join time @64 ranks",
-        value: refine::best_speedup(&rows, 64),
-        floor: refine::BATCHED_REFINE_SPEEDUP_FLOOR,
-    });
-
     // Rebalancing: under the moving hotspot, the frozen static
     // decomposition must end the stream at least the floor times more
     // imbalanced than the threshold-rebalanced engine at 16 ranks
@@ -175,7 +165,7 @@ pub fn run() -> (String, bool) {
         ]);
     }
     match std::fs::write("BENCH_gate.json", to_json(&checks)) {
-        Ok(()) => t.note("gate measurements written to BENCH_gate.json (pinned floor configurations; the full trajectories are written by the decomp/exchange/io/serve/refine/rebalance experiments)"),
+        Ok(()) => t.note("gate measurements written to BENCH_gate.json (pinned floor configurations; the full trajectories are written by the decomp/exchange/io/serve/rebalance experiments)"),
         Err(e) => {
             // Failing here keeps CI from uploading a stale checked-in
             // copy as if it were this run's measurements.

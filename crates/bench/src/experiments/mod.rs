@@ -21,7 +21,6 @@ pub mod gate;
 pub mod io;
 pub mod pipeline;
 pub mod rebalance;
-pub mod refine;
 pub mod serve;
 pub mod table1;
 pub mod table2;

@@ -53,7 +53,9 @@ pub fn ingest_times(
         let (batch, _) = partition_chunked(comm, &*sd, &feats, &popts).unwrap();
         drop(feats);
         let t3 = comm.now();
-        let (_, stats) = mvio_core::exchange::exchange_serialized(comm, batch).unwrap();
+        let (_, stats) =
+            mvio_core::exchange::exchange_serialized_with(comm, batch, &Default::default())
+                .unwrap();
         let t4 = comm.now();
         (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t4, stats)
     });

@@ -201,7 +201,6 @@ fn measure_one(scale: Scale, ranks: usize, mode: &'static str, policy: Rebalance
             chunk: ExchangeChunk::Bytes(CHUNK),
             cache: ServeCache::Off,
             rebalance: policy,
-            ..Default::default()
         };
         let mut eng = QueryEngine::from_parts(comm, sd, owned, &opts);
         let mut samples = Vec::with_capacity(spec.steps);

@@ -28,6 +28,13 @@
 //! result is still bit-identical (per-source streams are reassembled in
 //! source-rank order); only the time moves.
 //!
+//! There is one protocol entry, [`ExchangePlan::run`]: it hands each
+//! completed round's raw received buffers to the caller's sink, which
+//! decodes them with one of two helpers — [`decode_records`] (owned
+//! `(cell, Feature)` pairs, for state that stays resident) or
+//! [`validate_round`] (frames validated once and then borrowed in place
+//! through [`record_frames`] / [`FrameStore`], for join and serve).
+//!
 //! Routing is decomposition-agnostic: pairs go to whichever rank the
 //! [`SpatialDecomposition`] assigns their cell to, whether that is the
 //! paper's round-robin uniform grid or one of the skew-aware policies in
@@ -118,60 +125,6 @@ impl ExchangeChunk {
             }
             ExchangeChunk::Unlimited => None,
             ExchangeChunk::Bytes(n) => Some(n.max(1)),
-        }
-    }
-}
-
-/// Environment variable consulted when [`ZeroCopy::Auto`] resolves: `on`
-/// / `1` / `true` selects the zero-copy read path (the default when
-/// unset), `off` / `0` / `false` the owned per-record deserialization.
-pub const ZEROCOPY_ENV: &str = "MVIO_ZEROCOPY";
-
-/// Read-path selector for the exchange/snapshot/serve consumers: borrow
-/// received wire frames in place (zero-copy) or materialize owned
-/// [`Feature`]s per record. Results are bit-identical either way; only
-/// the allocation behavior and the charged deserialization time differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ZeroCopy {
-    /// Resolve through [`ZEROCOPY_ENV`] (the default); unset means on.
-    #[default]
-    Auto,
-    /// Force the zero-copy path regardless of the environment.
-    On,
-    /// Force the owned path regardless of the environment.
-    Off,
-}
-
-impl ZeroCopy {
-    /// `true` when the zero-copy path is selected.
-    ///
-    /// # Panics
-    ///
-    /// `Auto` panics on an unrecognized [`ZEROCOPY_ENV`] value: silently
-    /// picking a default would make every run under a typo'd knob measure
-    /// the wrong configuration.
-    pub fn resolve(self) -> bool {
-        match self {
-            ZeroCopy::Auto => match std::env::var(ZEROCOPY_ENV) {
-                Err(_) => true,
-                Ok(v) => {
-                    let t = v.trim();
-                    if t == "1" || t.eq_ignore_ascii_case("on") || t.eq_ignore_ascii_case("true") {
-                        true
-                    } else if t == "0"
-                        || t.eq_ignore_ascii_case("off")
-                        || t.eq_ignore_ascii_case("false")
-                    {
-                        false
-                    } else {
-                        panic!(
-                            "invalid {ZEROCOPY_ENV} value {v:?}: expected on/1/true or off/0/false"
-                        )
-                    }
-                }
-            },
-            ZeroCopy::On => true,
-            ZeroCopy::Off => false,
         }
     }
 }
@@ -429,18 +382,6 @@ pub fn record_frames(buf: &[u8]) -> FrameIter<'_> {
     FrameIter { buf, pos: 0 }
 }
 
-/// Counts the record frames in a buffer by walking its length headers
-/// (no per-record decoding — the frames were already validated).
-fn count_frames(buf: &[u8]) -> Result<u64> {
-    let mut pos = 0usize;
-    let mut n = 0u64;
-    while pos < buf.len() {
-        pos += record_len_at(buf, pos)?;
-        n += 1;
-    }
-    Ok(n)
-}
-
 /// Iterator over the borrowed [`RecordFrame`]s of one validated buffer.
 #[derive(Debug, Clone)]
 pub struct FrameIter<'a> {
@@ -518,11 +459,6 @@ impl FrameStore {
         self.records
     }
 
-    /// Total wire bytes held.
-    pub fn bytes(&self) -> u64 {
-        self.per_src.iter().map(|b| b.len() as u64).sum()
-    }
-
     /// Iterates every record frame in source-rank order — the exact
     /// record order of the owned path's collected output.
     pub fn frames(&self) -> impl Iterator<Item = RecordFrame<'_>> {
@@ -554,71 +490,24 @@ pub fn exchange_features<D: SpatialDecomposition + ?Sized>(
     let mut collector = PerSourceCollector::new(p);
     let mut received: Vec<(u32, Feature)> = Vec::new();
     let mut current_window = 0usize;
-    let stats = exchange_features_inner(
-        comm,
-        pairs,
-        decomp,
-        opts,
-        &mut WindowSink::Records(&mut |window, _, per_src| {
-            if window != current_window {
-                collector.drain_into(&mut received);
-                current_window = window;
-            }
-            collector.collect(per_src);
-            Ok(())
-        }),
-    )?;
+    let stats = exchange_windows(comm, pairs, decomp, opts, &mut |c, window, bufs| {
+        if window != current_window {
+            collector.drain_into(&mut received);
+            current_window = window;
+        }
+        Ok(collector.collect(decode_records(c, &bufs)?))
+    })?;
     collector.drain_into(&mut received);
     Ok((received, stats))
 }
 
-/// Like [`exchange_features`], but hands the received pairs back as one
-/// batch per sliding window instead of one concatenated vector, so batch
-/// consumers ([`crate::framework::FilterRefine::run_refine_batched`])
-/// can take them without a concatenation pass. Each window's batch is
-/// reassembled in source-rank order, so the batches — and therefore any
-/// order-sensitive consumer — are **bit-identical for every chunk
-/// policy**; the rounds within a window still deserialize incrementally
-/// while later rounds are in flight.
-/// Collective: every rank must call it with the same window count.
-pub fn exchange_features_windows<D: SpatialDecomposition + ?Sized>(
-    comm: &mut Comm,
-    pairs: Vec<(u32, Feature)>,
-    decomp: &D,
-    opts: &ExchangeOptions,
-) -> Result<(Vec<Vec<(u32, Feature)>>, ExchangeStats)> {
-    let p = comm.size();
-    let mut collector = PerSourceCollector::new(p);
-    let mut batches: Vec<Vec<(u32, Feature)>> = Vec::new();
-    let mut current_window = 0usize;
-    let stats = exchange_features_inner(
-        comm,
-        pairs,
-        decomp,
-        opts,
-        &mut WindowSink::Records(&mut |window, _, per_src| {
-            if window != current_window {
-                let mut batch = Vec::new();
-                collector.drain_into(&mut batch);
-                batches.push(batch);
-                current_window = window;
-            }
-            collector.collect(per_src);
-            Ok(())
-        }),
-    )?;
-    let mut batch = Vec::new();
-    collector.drain_into(&mut batch);
-    batches.push(batch);
-    Ok((batches, stats))
-}
-
-/// The zero-copy counterpart of [`exchange_features_windows`]: one
-/// [`FrameStore`] of validated wire buffers per sliding window, never
+/// Like [`exchange_features`], but the received records stay as validated
+/// wire buffers: one [`FrameStore`] per sliding window, never
 /// materializing owned [`Feature`]s on the receive side. Record order
-/// under [`FrameStore::frames`] matches the owned batches exactly, for
-/// every chunk policy; only the validation scan ([`Work::CopyBytes`]) is
-/// charged where the owned path pays per-record deserialization.
+/// under [`FrameStore::frames`], windows concatenated, matches
+/// [`exchange_features`]' output exactly, for every chunk policy; only the
+/// validation scan ([`Work::CopyBytes`]) is charged where the owned
+/// variant pays per-record deserialization.
 /// Collective: every rank must call it with its own pairs.
 pub fn exchange_features_frames_windows<D: SpatialDecomposition + ?Sized>(
     comm: &mut Comm,
@@ -628,33 +517,21 @@ pub fn exchange_features_frames_windows<D: SpatialDecomposition + ?Sized>(
 ) -> Result<(Vec<FrameStore>, ExchangeStats)> {
     let p = comm.size();
     let mut stores: Vec<FrameStore> = Vec::new();
-    let mut current = FrameStore::new(p);
-    let mut current_window = 0usize;
-    let stats = exchange_features_inner(
-        comm,
-        pairs,
-        decomp,
-        opts,
-        &mut WindowSink::Frames(&mut |window, _, bufs| {
-            if window != current_window {
-                stores.push(std::mem::replace(&mut current, FrameStore::new(p)));
-                current_window = window;
-            }
-            let records = bufs
-                .iter()
-                .try_fold(0u64, |n, b| Ok::<u64, CoreError>(n + count_frames(b)?))?;
-            current.collect(bufs, records);
-            Ok(())
-        }),
-    )?;
-    stores.push(current);
+    let stats = exchange_windows(comm, pairs, decomp, opts, &mut |c, window, bufs| {
+        let records = validate_round(c, &bufs)?;
+        if stores.len() <= window {
+            stores.resize_with(window + 1, || FrameStore::new(p));
+        }
+        stores[window].collect(bufs, records);
+        Ok(records)
+    })?;
     Ok((stores, stats))
 }
 
 /// Accumulates per-round, per-source record batches and drains them in
 /// source-rank order — the reassembly rule that keeps every chunk policy
 /// bit-identical to the single-round blocking protocol. Shared by
-/// [`exchange_features`], [`ExchangePlan::run_batch`] and the fused
+/// [`exchange_features`], [`exchange_serialized_with`] and the fused
 /// pipeline stage.
 #[derive(Debug)]
 pub(crate) struct PerSourceCollector {
@@ -668,12 +545,17 @@ impl PerSourceCollector {
         }
     }
 
-    /// Folds one round's received records (indexed by source rank) in.
-    pub(crate) fn collect(&mut self, round: Vec<Vec<(u32, Feature)>>) {
+    /// Folds one round's received records (indexed by source rank) in and
+    /// returns how many there were — what an [`ExchangePlan::run`] sink
+    /// reports back.
+    pub(crate) fn collect(&mut self, round: Vec<Vec<(u32, Feature)>>) -> u64 {
         debug_assert_eq!(round.len(), self.per_src.len());
+        let mut records = 0u64;
         for (src, mut recs) in round.into_iter().enumerate() {
+            records += recs.len() as u64;
             self.per_src[src].append(&mut recs);
         }
+        records
     }
 
     /// Appends everything collected so far to `out` in source-rank order
@@ -685,27 +567,16 @@ impl PerSourceCollector {
     }
 }
 
-/// The per-window consumers of [`exchange_features_inner`]: owned
-/// per-source records, or validated raw wire buffers. Both receive
-/// `(window, round, payload)` for every completed round, in
-/// window-then-round order.
-enum WindowSink<'s> {
-    /// Owned materialization per record.
-    Records(&'s mut dyn FnMut(usize, usize, Vec<Vec<(u32, Feature)>>) -> Result<()>),
-    /// Validated raw buffers, borrowed in place by the consumer.
-    Frames(&'s mut dyn FnMut(usize, usize, Vec<Vec<u8>>) -> Result<()>),
-}
-
-/// Window loop shared by [`exchange_features`],
-/// [`exchange_features_windows`] and
+/// Window loop shared by [`exchange_features`] and
 /// [`exchange_features_frames_windows`]; `sink` receives every completed
-/// round in window-then-round order.
-fn exchange_features_inner<D: SpatialDecomposition + ?Sized>(
+/// round's raw buffers with its window index, in window-then-round order,
+/// and returns the record count it decoded (see [`ExchangePlan::run`]).
+fn exchange_windows<D: SpatialDecomposition + ?Sized>(
     comm: &mut Comm,
     pairs: Vec<(u32, Feature)>,
     decomp: &D,
     opts: &ExchangeOptions,
-    sink: &mut WindowSink<'_>,
+    sink: &mut dyn FnMut(&mut Comm, usize, Vec<Vec<u8>>) -> Result<u64>,
 ) -> Result<ExchangeStats> {
     let p = comm.size();
     debug_assert_eq!(
@@ -760,28 +631,16 @@ fn exchange_features_inner<D: SpatialDecomposition + ?Sized>(
             }
         }
 
-        // The window's staged protocol + receive side (run_batch_sink
-        // itself winds its rounds down on error, so its collectives are
-        // always matched).
+        // The window's staged protocol + receive side (the plan itself
+        // winds its rounds down on error, so its collectives are always
+        // matched).
         let failed = deferred.is_some();
-        let result = match sink {
-            WindowSink::Records(sink) => {
-                plan.run_batch_rounds(comm, batch, &mut |round, per_src| {
-                    if failed {
-                        return Ok(()); // discard receives after a failure
-                    }
-                    sink(window, round, per_src)
-                })
+        let result = plan.run(comm, &mut batch.into_feed(&plan), &mut |c, bufs| {
+            if failed {
+                return Ok(0); // discard receives after a failure
             }
-            WindowSink::Frames(sink) => {
-                plan.run_batch_rounds_frames(comm, batch, &mut |_, round, bufs| {
-                    if failed {
-                        return Ok(()); // discard receives after a failure
-                    }
-                    sink(window, round, bufs)
-                })
-            }
-        };
+            sink(c, window, bufs)
+        });
         match result {
             Ok(w) => stats.absorb(w),
             Err(e) => deferred = deferred.or(Some(e)),
@@ -827,10 +686,30 @@ impl SerializedBatch {
         }
         Ok(())
     }
+
+    /// Turns the whole batch into an [`ExchangePlan::run`] feed under
+    /// `plan`'s chunk policy: record-aligned pieces of at most
+    /// [`ExchangePlan::chunk_bytes`] per destination, or — unlimited —
+    /// the degenerate feed whose one round is the batch itself (moved,
+    /// never copied or walked: the blocking protocol). A batch shaped
+    /// for a different world size, or one the splitter cannot walk, is a
+    /// feed error: the plan still participates (empty rounds), then
+    /// returns the typed error on this rank.
+    pub fn into_feed(
+        self,
+        plan: &ExchangePlan,
+    ) -> impl FnMut(&mut Comm) -> Result<Option<ExchangeRound>> {
+        let mut splitter = BatchSplitter {
+            batch: self,
+            offsets: Vec::new(),
+            cap: plan.chunk,
+            p: plan.p,
+        };
+        move |_| splitter.next_round()
+    }
 }
 
-/// One staged round supplied to [`ExchangePlan::run_streamed`] by an
-/// upstream producer.
+/// One staged round supplied to [`ExchangePlan::run`] by its feed.
 #[derive(Debug)]
 pub struct ExchangeRound {
     /// Per-destination payloads of this round (`bufs.len()` = world size).
@@ -846,19 +725,11 @@ pub struct ExchangeRound {
 
 /// The staged, chunked, overlapped all-to-all exchange.
 ///
-/// Built from an [`ExchangeOptions`]; executed either over a fully
-/// serialized [`SerializedBatch`] ([`ExchangePlan::run_batch`] /
-/// [`ExchangePlan::run_batch_rounds`], which split each destination's
-/// payload into record-aligned chunks) or over a lazy round producer
-/// ([`ExchangePlan::run_streamed`], used by the ingest pipeline to
-/// serialize round `r+1` while round `r` is in flight).
-///
-/// Round protocol: `ialltoall_u64` of this round's byte counts (with a
-/// continuation flag in the high bit) → `ialltoallv` of the payloads →
-/// while that transfer is in flight, produce the next round and
-/// deserialize/drain the previous one → `wait`. Termination is agreed
-/// collectively through the flags, so ranks may contribute different
-/// round counts (drained ranks post empty rounds).
+/// Built from an [`ExchangeOptions`]; executed by [`ExchangePlan::run`]
+/// over a round feed — a fully serialized [`SerializedBatch`] cut into
+/// record-aligned chunks ([`SerializedBatch::into_feed`]), or a lazy
+/// producer (the ingest pipeline serializes round `r+1` while round `r`
+/// is in flight).
 #[derive(Debug, Clone, Copy)]
 pub struct ExchangePlan {
     p: usize,
@@ -879,159 +750,46 @@ impl ExchangePlan {
         self.chunk
     }
 
-    /// Ships a pre-serialized batch and collects the received pairs in
-    /// source-rank order — bit-identical to the single-round blocking
-    /// protocol for **any** chunk policy.
-    /// Collective: every rank must call it with its own batch.
-    pub fn run_batch(
-        &self,
-        comm: &mut Comm,
-        batch: SerializedBatch,
-    ) -> Result<(Vec<(u32, Feature)>, ExchangeStats)> {
-        let mut collector = PerSourceCollector::new(self.p);
-        let stats = self.run_batch_rounds(comm, batch, &mut |_, round| {
-            collector.collect(round);
-            Ok(())
-        })?;
-        let mut received = Vec::new();
-        collector.drain_into(&mut received);
-        Ok((received, stats))
-    }
-
-    /// Ships a pre-serialized batch, handing each completed round's
-    /// received records (indexed by source rank) to `sink` while later
-    /// rounds are still in flight.
-    /// Collective: every rank must call it with its own batch.
-    pub fn run_batch_rounds(
-        &self,
-        comm: &mut Comm,
-        batch: SerializedBatch,
-        sink: &mut dyn FnMut(usize, Vec<Vec<(u32, Feature)>>) -> Result<()>,
-    ) -> Result<ExchangeStats> {
-        self.run_batch_rounds_ctx(comm, batch, &mut |_, idx, per_src| sink(idx, per_src))
-    }
-
-    /// [`ExchangePlan::run_batch_rounds`] with communicator access in the
-    /// sink: each completed round arrives together with `&mut Comm`, so
-    /// the sink can charge its own virtual compute — overlapped with the
-    /// rounds still in flight — or serialize follow-up records. The
-    /// serving layer uses this to walk local R-trees while queries are
-    /// still being shipped.
-    /// Collective: every rank must call it with its own batch.
-    pub fn run_batch_rounds_ctx(
-        &self,
-        comm: &mut Comm,
-        batch: SerializedBatch,
-        sink: &mut dyn FnMut(&mut Comm, usize, Vec<Vec<(u32, Feature)>>) -> Result<()>,
-    ) -> Result<ExchangeStats> {
-        self.run_batch_sink(comm, batch, &mut RoundSink::Records(sink))
-    }
-
-    /// The zero-copy variant of [`ExchangePlan::run_batch_rounds_ctx`]:
-    /// each completed round's received buffers arrive **validated but not
-    /// deserialized**, indexed by source rank — walk them with
-    /// [`record_frames`] or fold them into a [`FrameStore`]. The receive
-    /// side charges only the validation scan ([`Work::CopyBytes`]), not
-    /// the per-record materialization the owned path pays. Same protocol,
-    /// same rounds, same collective labels as the owned variant.
-    /// Collective: every rank must call it with its own batch.
-    pub fn run_batch_rounds_frames(
-        &self,
-        comm: &mut Comm,
-        batch: SerializedBatch,
-        sink: &mut dyn FnMut(&mut Comm, usize, Vec<Vec<u8>>) -> Result<()>,
-    ) -> Result<ExchangeStats> {
-        self.run_batch_sink(comm, batch, &mut RoundSink::Frames(sink))
-    }
-
-    /// Shared body of the two `run_batch_rounds_*` flavors.
-    fn run_batch_sink(
-        &self,
-        comm: &mut Comm,
-        batch: SerializedBatch,
-        sink: &mut RoundSink<'_>,
-    ) -> Result<ExchangeStats> {
-        if let Err(e) = batch.validate(self.p) {
-            // Still participate (one empty round) so a rank with a
-            // malformed batch cannot strand its peers mid-collective,
-            // then report the typed error.
-            self.run_streamed_sink(comm, &mut |_| Ok(None), sink)?;
-            return Err(e);
-        }
-        match self.chunk {
-            None => {
-                // Degenerate single round: the blocking protocol.
-                let mut whole = Some(batch);
-                self.run_streamed_sink(
-                    comm,
-                    &mut |_| {
-                        Ok(whole.take().map(|batch| ExchangeRound {
-                            batch,
-                            lanes: Vec::new(),
-                            more: false,
-                        }))
-                    },
-                    sink,
-                )
-            }
-            Some(cap) => {
-                let mut splitter = BatchSplitter::new(batch, cap);
-                self.run_streamed_sink(comm, &mut |_| splitter.next_round(), sink)
-            }
-        }
-    }
-
-    /// Runs the full pipelined protocol over a lazy producer.
+    /// Runs the full pipelined protocol over a round feed.
     ///
-    /// Round sequencing keeps the paper's sizes-before-payload dependency
-    /// (real `MPI_Alltoallv` needs the receive counts first) while taking
+    /// Per round: `ialltoall_u64` of the byte counts (continuation flag
+    /// in the high bit) → `ialltoallv` of the payloads. Round sequencing
+    /// keeps the paper's sizes-before-payload dependency (real
+    /// `MPI_Alltoallv` needs the receive counts first) while taking
     /// everything off the critical path that can come off it: round
     /// `r+1`'s production (`feed`) and its size exchange are posted while
-    /// round `r`'s payload is in flight, and round `r-1`'s drain
-    /// (deserialize + `sink`) runs before either wait completes. `feed`
-    /// reports its compute through [`ExchangeRound::lanes`], which the
-    /// plan folds in overlapped; returning `None` (or a round with
-    /// `more = false`) ends this rank's contribution, and the plan keeps
-    /// posting empty rounds until the continuation flags say every rank
-    /// is done. `sink` receives each round's deserialized records indexed
-    /// by source rank. Collective: every rank must call it.
+    /// round `r`'s payload is in flight, and round `r-1`'s drain (`sink`)
+    /// runs before either wait completes. `feed` reports its compute
+    /// through [`ExchangeRound::lanes`], which the plan folds in
+    /// overlapped; returning `None` (or a round with `more = false`) ends
+    /// this rank's contribution, and the plan keeps posting empty rounds
+    /// until the continuation flags say every rank is done.
     ///
-    /// A per-rank error (from `feed`, `sink`, or a corrupt payload) does
-    /// **not** abandon the protocol mid-flight — that would strand the
-    /// peer ranks at their next collective. The failing rank keeps
-    /// participating with empty rounds (draining and discarding its
-    /// receives) until the flags terminate the exchange globally, then
-    /// returns the original error.
-    pub fn run_streamed(
+    /// `sink` receives each completed round's **raw received buffers**,
+    /// indexed by source rank, and returns how many records they held
+    /// (for [`ExchangeStats::records_received`]). It decodes them with
+    /// [`decode_records`] or [`validate_round`], which charge the
+    /// receive-side cost; whatever else it charges through the passed
+    /// `&mut Comm` (an R-tree walk, a follow-up serialization) overlaps
+    /// the rounds still in flight exactly like the decode does. To stay
+    /// bit-identical across chunk policies, reassemble per-source streams
+    /// in source-rank order ([`FrameStore`] and the owned wrappers do).
+    ///
+    /// Collective: every rank must call it, with any feed — ranks may
+    /// contribute different round counts, including none.
+    ///
+    /// A per-rank error (from `feed` or `sink`, e.g. a corrupt payload
+    /// the decode rejects) does **not** abandon the protocol mid-flight —
+    /// that would strand the peer ranks at their next collective. The
+    /// failing rank keeps participating with empty rounds (receiving and
+    /// discarding, `sink` no longer called) until the flags terminate the
+    /// exchange globally, then returns the original error; every other
+    /// rank completes normally.
+    pub fn run(
         &self,
         comm: &mut Comm,
         feed: &mut dyn FnMut(&mut Comm) -> Result<Option<ExchangeRound>>,
-        sink: &mut dyn FnMut(usize, Vec<Vec<(u32, Feature)>>) -> Result<()>,
-    ) -> Result<ExchangeStats> {
-        self.run_streamed_ctx(comm, feed, &mut |_, idx, per_src| sink(idx, per_src))
-    }
-
-    /// [`ExchangePlan::run_streamed`] with communicator access in the
-    /// sink (see [`ExchangePlan::run_batch_rounds_ctx`]). Sink compute
-    /// charged through the passed `&mut Comm` overlaps any round still in
-    /// flight exactly like deserialization does.
-    /// Collective: every rank must call it (the full contract is on
-    /// [`ExchangePlan::run_streamed`]).
-    pub fn run_streamed_ctx(
-        &self,
-        comm: &mut Comm,
-        feed: &mut dyn FnMut(&mut Comm) -> Result<Option<ExchangeRound>>,
-        sink: &mut dyn FnMut(&mut Comm, usize, Vec<Vec<(u32, Feature)>>) -> Result<()>,
-    ) -> Result<ExchangeStats> {
-        self.run_streamed_sink(comm, feed, &mut RoundSink::Records(sink))
-    }
-
-    /// Shared protocol loop behind the owned and frames sink flavors.
-    fn run_streamed_sink(
-        &self,
-        comm: &mut Comm,
-        feed: &mut dyn FnMut(&mut Comm) -> Result<Option<ExchangeRound>>,
-        sink: &mut RoundSink<'_>,
+        sink: &mut dyn FnMut(&mut Comm, Vec<Vec<u8>>) -> Result<u64>,
     ) -> Result<ExchangeStats> {
         let p = self.p;
         assert_eq!(comm.size(), p, "plan built for a different world size");
@@ -1092,44 +850,32 @@ impl ExchangePlan {
 
             // Drain round r-1 while round r (and r+1's sizes) fly.
             if let Some((idx, req, expected)) = pending.take() {
-                self.drain_round(
+                let bufs = engine.drive(comm, req);
+                drain_round(comm, idx, bufs, &expected, &mut stats, sink, &mut deferred);
+            }
+
+            let Some(req) = sreq_next else {
+                let bufs = engine.drive(comm, preq);
+                drain_round(
                     comm,
-                    &mut engine,
-                    idx,
-                    req,
-                    &expected,
+                    round,
+                    bufs,
+                    &expected_sizes,
                     &mut stats,
                     sink,
                     &mut deferred,
                 );
-            }
-
-            match sreq_next {
-                Some(req) => {
-                    let incoming = engine.drive(comm, req);
-                    any_more = incoming.iter().any(|&v| v & MORE_BIT != 0);
-                    let next_sizes = incoming.iter().map(|v| v & !MORE_BIT).collect();
-                    pending = Some((
-                        round,
-                        preq,
-                        std::mem::replace(&mut expected_sizes, next_sizes),
-                    ));
-                    round += 1;
-                }
-                None => {
-                    self.drain_round(
-                        comm,
-                        &mut engine,
-                        round,
-                        preq,
-                        &expected_sizes,
-                        &mut stats,
-                        sink,
-                        &mut deferred,
-                    );
-                    break;
-                }
-            }
+                break;
+            };
+            let incoming = engine.drive(comm, req);
+            any_more = incoming.iter().any(|&v| v & MORE_BIT != 0);
+            let next_sizes = incoming.iter().map(|v| v & !MORE_BIT).collect();
+            pending = Some((
+                round,
+                preq,
+                std::mem::replace(&mut expected_sizes, next_sizes),
+            ));
+            round += 1;
         }
         if let Some(err) = deferred {
             return Err(err);
@@ -1138,99 +884,85 @@ impl ExchangePlan {
         stats.exposed_wait_s = engine.exposed_wait();
         Ok(stats)
     }
+}
 
-    /// Completes one round's payload request, checks/deserializes per
-    /// source (charged to the clock — overlapped with any round still in
-    /// flight), updates counters and hands the round to the sink.
-    /// `expected_sizes` are the byte counts the size exchange advertised
-    /// for this round — the receive-side cross-check of the two-round
-    /// protocol. Errors (corrupt payload, sink failure) are parked in
-    /// `deferred` rather than returned, so the caller's protocol loop
-    /// keeps the collectives matched across ranks; once `deferred` is
-    /// set, later rounds are received and discarded.
-    ///
-    /// The two sink flavors are the owned/zero-copy fork of the read
-    /// path: a [`RoundSink::Records`] consumer pays the per-record
-    /// materialization ([`Work::SerializeGeoms`] — one fixed cost per
-    /// record plus the byte copy), a [`RoundSink::Frames`] consumer only
-    /// pays the validation scan over the received bytes
-    /// ([`Work::CopyBytes`]) and borrows the frames in place.
-    #[allow(clippy::too_many_arguments)]
-    fn drain_round(
-        &self,
-        comm: &mut Comm,
-        engine: &mut ProgressEngine,
-        idx: usize,
-        req: mvio_msim::Request<Vec<Vec<u8>>>,
-        expected_sizes: &[u64],
-        stats: &mut ExchangeStats,
-        sink: &mut RoundSink<'_>,
-        deferred: &mut Option<CoreError>,
-    ) {
-        let bufs = engine.drive(comm, req);
-        if deferred.is_some() {
-            return; // already failed: receive and discard
+/// Hands one completed round's received buffers to the sink (whose decode
+/// is charged to the clock — overlapped with any round still in flight)
+/// and folds the byte and record counts into the stats. `expected_sizes`
+/// are the byte counts the size exchange advertised for this round — the
+/// receive-side cross-check of the two-round protocol. A sink error
+/// (corrupt payload, consumer failure) is parked in `deferred` rather
+/// than returned, so the caller's protocol loop keeps the collectives
+/// matched across ranks; once `deferred` is set, later rounds are
+/// received and discarded.
+fn drain_round(
+    comm: &mut Comm,
+    idx: usize,
+    bufs: Vec<Vec<u8>>,
+    expected_sizes: &[u64],
+    stats: &mut ExchangeStats,
+    sink: &mut dyn FnMut(&mut Comm, Vec<Vec<u8>>) -> Result<u64>,
+    deferred: &mut Option<CoreError>,
+) {
+    if deferred.is_some() {
+        return; // already failed: receive and discard
+    }
+    let mut bytes = 0u64;
+    for (src, buf) in bufs.iter().enumerate() {
+        debug_assert_eq!(
+            buf.len() as u64,
+            expected_sizes[src],
+            "payload from rank {src} disagrees with its advertised size"
+        );
+        bytes += buf.len() as u64;
+    }
+    match sink(comm, bufs) {
+        Ok(records) => {
+            stats.records_received += records;
+            stats.bytes_received += bytes;
+            let slot = &mut stats.per_round[idx];
+            slot.records_received = records;
+            slot.bytes_received = bytes;
         }
-        let run = |sink: &mut RoundSink<'_>| -> Result<()> {
-            match sink {
-                RoundSink::Records(sink) => {
-                    let mut per_src = Vec::with_capacity(bufs.len());
-                    let (mut records, mut bytes) = (0u64, 0u64);
-                    for (src, buf) in bufs.into_iter().enumerate() {
-                        debug_assert_eq!(
-                            buf.len() as u64,
-                            expected_sizes[src],
-                            "payload from rank {src} disagrees with its advertised size"
-                        );
-                        let recs = deserialize_records(&buf)?;
-                        records += recs.len() as u64;
-                        bytes += buf.len() as u64;
-                        per_src.push(recs);
-                    }
-                    comm.charge(Work::SerializeGeoms { n: records, bytes });
-                    update_received(stats, idx, records, bytes);
-                    sink(comm, idx, per_src)
-                }
-                RoundSink::Frames(sink) => {
-                    let (mut records, mut bytes) = (0u64, 0u64);
-                    for (src, buf) in bufs.iter().enumerate() {
-                        debug_assert_eq!(
-                            buf.len() as u64,
-                            expected_sizes[src],
-                            "payload from rank {src} disagrees with its advertised size"
-                        );
-                        records += validate_frames(buf)?;
-                        bytes += buf.len() as u64;
-                    }
-                    comm.charge(Work::CopyBytes { n: bytes });
-                    update_received(stats, idx, records, bytes);
-                    sink(comm, idx, bufs)
-                }
-            }
-        };
-        if let Err(e) = run(sink) {
-            *deferred = Some(e);
-        }
+        Err(e) => *deferred = Some(e),
     }
 }
 
-/// The two receive-side consumers of a completed round: deserialized
-/// per-source records (the owned path) or raw validated wire buffers (the
-/// zero-copy path).
-enum RoundSink<'s> {
-    /// Owned materialization per record.
-    Records(&'s mut dyn FnMut(&mut Comm, usize, Vec<Vec<(u32, Feature)>>) -> Result<()>),
-    /// Validated raw buffers, borrowed in place by the consumer.
-    Frames(&'s mut dyn FnMut(&mut Comm, usize, Vec<Vec<u8>>) -> Result<()>),
+/// The owned receive flavour of an [`ExchangePlan::run`] sink:
+/// deserializes one completed round's buffers into `(cell, Feature)`
+/// pairs per source rank and charges the per-record materialization
+/// ([`Work::SerializeGeoms`] — one fixed cost per record plus the byte
+/// copy). What the resident consumers use (ingest, snapshot reload,
+/// update routing, migration): their state is owned by design.
+/// Not collective — the communicator only charges the decode.
+pub fn decode_records(comm: &mut Comm, bufs: &[Vec<u8>]) -> Result<Vec<Vec<(u32, Feature)>>> {
+    let mut per_src = Vec::with_capacity(bufs.len());
+    let (mut records, mut bytes) = (0u64, 0u64);
+    for buf in bufs {
+        let recs = deserialize_records(buf)?;
+        records += recs.len() as u64;
+        bytes += buf.len() as u64;
+        per_src.push(recs);
+    }
+    comm.charge(Work::SerializeGeoms { n: records, bytes });
+    Ok(per_src)
 }
 
-/// Folds one round's received counters into the exchange stats.
-fn update_received(stats: &mut ExchangeStats, idx: usize, records: u64, bytes: u64) {
-    stats.records_received += records;
-    stats.bytes_received += bytes;
-    let slot = &mut stats.per_round[idx];
-    slot.records_received = records;
-    slot.bytes_received = bytes;
+/// The zero-copy receive flavour of an [`ExchangePlan::run`] sink:
+/// [`validate_frames`] over every source's buffer of one completed round,
+/// charging only the validation scan over the received bytes
+/// ([`Work::CopyBytes`]). Returns the round's record count; afterwards
+/// the buffers can be walked with [`record_frames`] or folded into a
+/// [`FrameStore`]. What join and serve use.
+/// Not collective — the communicator only charges the scan.
+pub fn validate_round(comm: &mut Comm, bufs: &[Vec<u8>]) -> Result<u64> {
+    let (mut records, mut bytes) = (0u64, 0u64);
+    for buf in bufs {
+        records += validate_frames(buf)?;
+        bytes += buf.len() as u64;
+    }
+    comm.charge(Work::CopyBytes { n: bytes });
+    Ok(records)
 }
 
 /// Pulls one round from the feed (empty once this rank is drained or has
@@ -1289,25 +1021,30 @@ fn flagged_sizes(batch: &SerializedBatch, more: bool) -> Vec<u64> {
 /// Cuts a fully serialized batch into record-aligned per-destination
 /// pieces of at most `cap` bytes (a single oversized record still ships
 /// whole). Destinations drain independently; the feed ends when every
-/// destination is exhausted.
+/// destination is exhausted. With no cap the batch is its own single
+/// round.
 struct BatchSplitter {
     batch: SerializedBatch,
+    /// Per-destination read position (sized on the first capped round).
     offsets: Vec<usize>,
-    cap: u64,
+    cap: Option<u64>,
+    p: usize,
 }
 
 impl BatchSplitter {
-    fn new(batch: SerializedBatch, cap: u64) -> Self {
-        let p = batch.bufs.len();
-        BatchSplitter {
-            batch,
-            offsets: vec![0; p],
-            cap,
-        }
-    }
-
     fn next_round(&mut self) -> Result<Option<ExchangeRound>> {
-        let p = self.batch.bufs.len();
+        let p = self.p;
+        self.batch.validate(p)?;
+        let Some(cap) = self.cap else {
+            // Moved out allocation-free; `more: false` ends the feed, so
+            // the shapeless batch left behind is never polled.
+            return Ok(Some(ExchangeRound {
+                batch: std::mem::take(&mut self.batch),
+                lanes: Vec::new(),
+                more: false,
+            }));
+        };
+        self.offsets.resize(p, 0);
         let mut piece = SerializedBatch::empty(p);
         let mut any = false;
         for d in 0..p {
@@ -1321,7 +1058,7 @@ impl BatchSplitter {
             let mut records = 0u64;
             while pos < buf.len() {
                 let len = record_len_at(buf, pos)?;
-                if records > 0 && (pos - start + len) as u64 > self.cap {
+                if records > 0 && (pos - start + len) as u64 > cap {
                     break;
                 }
                 pos += len;
@@ -1349,27 +1086,26 @@ impl BatchSplitter {
 
 /// Single-window exchange of pre-serialized per-destination buffers: the
 /// staged `Alltoall` + `Alltoallv` protocol of [`exchange_features`]
-/// without the serialization pass, which the caller (the ingest pipeline)
-/// already performed — and already charged to the clock — on its worker
-/// threads. Only the receive-side deserialization is charged here. The
-/// chunk policy resolves through [`CHUNK_ENV`]; use
-/// [`exchange_serialized_with`] to pin it explicitly.
-/// Collective: every rank must call it with its own batch.
-pub fn exchange_serialized(
-    comm: &mut Comm,
-    batch: SerializedBatch,
-) -> Result<(Vec<(u32, Feature)>, ExchangeStats)> {
-    exchange_serialized_with(comm, batch, &ExchangeOptions::default())
-}
-
-/// [`exchange_serialized`] with an explicit chunk policy.
+/// without the serialization pass, which the caller (the ingest pipeline,
+/// the snapshot reader, the migration) already performed — and already
+/// charged to the clock. Only the receive-side deserialization is charged
+/// here. The received pairs come back in source-rank order —
+/// bit-identical to the single-round blocking protocol for **any** chunk
+/// policy.
 /// Collective: every rank must call it with its own batch.
 pub fn exchange_serialized_with(
     comm: &mut Comm,
     batch: SerializedBatch,
     opts: &ExchangeOptions,
 ) -> Result<(Vec<(u32, Feature)>, ExchangeStats)> {
-    ExchangePlan::new(comm, opts).run_batch(comm, batch)
+    let plan = ExchangePlan::new(comm, opts);
+    let mut collector = PerSourceCollector::new(comm.size());
+    let stats = plan.run(comm, &mut batch.into_feed(&plan), &mut |c, bufs| {
+        Ok(collector.collect(decode_records(c, &bufs)?))
+    })?;
+    let mut received = Vec::new();
+    collector.drain_into(&mut received);
+    Ok((received, stats))
 }
 
 /// The zero-copy counterpart of [`exchange_serialized_with`]: same staged
@@ -1377,24 +1113,21 @@ pub fn exchange_serialized_with(
 /// stay as validated wire buffers in a [`FrameStore`] instead of being
 /// materialized into owned [`Feature`]s. The receive side charges only
 /// the validation scan ([`Work::CopyBytes`]); record order under
-/// [`FrameStore::frames`] is bit-identical to the owned path's output for
-/// every chunk policy.
+/// [`FrameStore::frames`] is bit-identical to the owned variant's output
+/// for every chunk policy.
 /// Collective: every rank must call it with its own batch.
 pub fn exchange_serialized_frames_with(
     comm: &mut Comm,
     batch: SerializedBatch,
     opts: &ExchangeOptions,
 ) -> Result<(FrameStore, ExchangeStats)> {
-    let p = comm.size();
-    let mut store = FrameStore::new(p);
-    let stats =
-        ExchangePlan::new(comm, opts).run_batch_rounds_frames(comm, batch, &mut |_, _, bufs| {
-            let records = bufs
-                .iter()
-                .try_fold(0u64, |n, b| Ok::<u64, CoreError>(n + count_frames(b)?))?;
-            store.collect(bufs, records);
-            Ok(())
-        })?;
+    let plan = ExchangePlan::new(comm, opts);
+    let mut store = FrameStore::new(comm.size());
+    let stats = plan.run(comm, &mut batch.into_feed(&plan), &mut |c, bufs| {
+        let records = validate_round(c, &bufs)?;
+        store.collect(bufs, records);
+        Ok(records)
+    })?;
     Ok((store, stats))
 }
 
@@ -1421,6 +1154,34 @@ mod tests {
             },
         );
         UniformDecomposition::new(grid, map, ranks)
+    }
+
+    /// Owned copies of borrowed frames, for comparing against the owned
+    /// decode of the same bytes.
+    fn materialize<'a>(frames: impl Iterator<Item = RecordFrame<'a>>) -> Vec<(u32, Feature)> {
+        frames
+            .map(|fr| {
+                let (g, used) = mvio_geom::wkb::decode_ref(fr.wkb).unwrap();
+                assert_eq!(used, fr.wkb.len());
+                (
+                    fr.cell,
+                    Feature::with_userdata(g.to_geometry(), fr.userdata),
+                )
+            })
+            .collect()
+    }
+
+    /// Ships `batch` through [`ExchangePlan::run`] under `chunk`, counting
+    /// what arrives with the frame validator.
+    fn run_plan(
+        comm: &mut Comm,
+        chunk: ExchangeChunk,
+        batch: SerializedBatch,
+    ) -> Result<ExchangeStats> {
+        let plan = ExchangePlan::new(comm, &ExchangeOptions::with_chunk(chunk));
+        plan.run(comm, &mut batch.into_feed(&plan), &mut |c, bufs| {
+            validate_round(c, &bufs)
+        })
     }
 
     /// Corrupt frames must surface as typed [`CoreError::Frame`] errors
@@ -1637,7 +1398,7 @@ mod tests {
         let out = World::run(WorldConfig::new(Topology::single_node(2)), |comm| {
             // Batch sized for a 3-rank world on a 2-rank communicator.
             let bad = SerializedBatch::empty(3);
-            match exchange_serialized(comm, bad) {
+            match run_plan(comm, ExchangeChunk::Unlimited, bad) {
                 Err(CoreError::BatchShape {
                     comm_size, bufs, ..
                 }) => (comm_size, bufs),
@@ -1652,7 +1413,7 @@ mod tests {
                 records: vec![0, 0],
             };
             matches!(
-                exchange_serialized(comm, bad),
+                run_plan(comm, ExchangeChunk::Bytes(8), bad),
                 Err(CoreError::BatchShape { .. })
             )
         });
@@ -1693,7 +1454,7 @@ mod tests {
                         Err(CoreError::Partition("injected feed failure".into()))
                     }
                 };
-                let res = plan.run_streamed(comm, &mut feed, &mut |_, _| Ok(()));
+                let res = plan.run(comm, &mut feed, &mut |c, bufs| validate_round(c, &bufs));
                 matches!(res, Err(CoreError::Partition(m)) if m.contains("injected")) as usize
             } else {
                 // Rank 1 sends three full rounds; it must complete cleanly.
@@ -1736,8 +1497,7 @@ mod tests {
                 .unwrap();
                 batch.records[1] = 1;
             }
-            let opts = ExchangeOptions::with_chunk(ExchangeChunk::Bytes(16));
-            exchange_serialized_with(comm, batch, &opts).is_err()
+            run_plan(comm, ExchangeChunk::Bytes(16), batch).is_err()
         });
         // Rank 0's splitter rejects the corrupt buffer; rank 1 receives
         // only well-formed data and succeeds.
@@ -1843,41 +1603,6 @@ mod tests {
         assert_eq!(out[2], vec![8, 9, 10, 11]);
     }
 
-    /// The batched variant must hand back one batch per window whose
-    /// concatenation equals [`exchange_features`]'s vector exactly — for
-    /// blocking and chunked policies alike (the chunked rounds are
-    /// reassembled in source order before the batch is emitted).
-    #[test]
-    fn window_batches_concatenate_to_the_flat_exchange() {
-        let num_cells = 6;
-        for chunk in [ExchangeChunk::Unlimited, ExchangeChunk::Bytes(48)] {
-            for windows in [1u32, 3] {
-                let out = World::run(WorldConfig::new(Topology::single_node(2)), move |comm| {
-                    let mk_pairs = |rank: usize| -> Vec<(u32, Feature)> {
-                        (0..num_cells)
-                            .map(|c| (c, feature(c as f64, rank as f64, "0123456789abcdef")))
-                            .collect()
-                    };
-                    let decomp = strip(num_cells, CellMap::RoundRobin, comm.size());
-                    let opts = ExchangeOptions { windows, chunk };
-                    let (batches, stats) =
-                        exchange_features_windows(comm, mk_pairs(comm.rank()), &decomp, &opts)
-                            .unwrap();
-                    let (flat, _) =
-                        exchange_features(comm, mk_pairs(comm.rank()), &decomp, &opts).unwrap();
-                    (batches, flat, stats.rounds)
-                });
-                for (batches, flat, rounds) in &out {
-                    assert_eq!(batches.len(), windows as usize, "{chunk:?}");
-                    assert_eq!(&batches.concat(), flat, "{chunk:?} windows={windows}");
-                    if chunk != ExchangeChunk::Unlimited {
-                        assert!(*rounds > 1, "48-byte cap must multi-round");
-                    }
-                }
-            }
-        }
-    }
-
     /// Satellite oracle: walking a buffer with [`record_frames`] and
     /// materializing each frame must reproduce `deserialize_records`
     /// exactly — cells, geometries (all shape classes) and userdata.
@@ -1898,17 +1623,7 @@ mod tests {
         }
         assert_eq!(validate_frames(&buf).unwrap(), wkts.len() as u64);
         let owned = deserialize_records(&buf).unwrap();
-        let borrowed: Vec<(u32, Feature)> = record_frames(&buf)
-            .map(|fr| {
-                let (g, used) = mvio_geom::wkb::decode_ref(fr.wkb).unwrap();
-                assert_eq!(used, fr.wkb.len());
-                (
-                    fr.cell,
-                    Feature::with_userdata(g.to_geometry(), fr.userdata),
-                )
-            })
-            .collect();
-        assert_eq!(owned, borrowed);
+        assert_eq!(owned, materialize(record_frames(&buf)));
     }
 
     /// Corruption anywhere in a buffer must fail [`validate_frames`] with
@@ -1969,32 +1684,24 @@ mod tests {
                         &opts,
                     )
                     .unwrap();
-                    let (batches, ostats) =
-                        exchange_features_windows(comm, mk_pairs(comm.rank()), &decomp, &opts)
-                            .unwrap();
-                    (stores, batches, fstats, ostats)
+                    let (owned, ostats) =
+                        exchange_features(comm, mk_pairs(comm.rank()), &decomp, &opts).unwrap();
+                    (stores, owned, fstats, ostats)
                 });
-                for (stores, batches, fstats, ostats) in out {
-                    assert_eq!(stores.len(), batches.len(), "{chunk:?}");
-                    for (store, batch) in stores.iter().zip(&batches) {
-                        assert_eq!(store.records(), batch.len() as u64);
-                        let materialized: Vec<(u32, Feature)> = store
-                            .frames()
-                            .map(|fr| {
-                                let (g, _) = mvio_geom::wkb::decode_ref(fr.wkb).unwrap();
-                                (
-                                    fr.cell,
-                                    Feature::with_userdata(g.to_geometry(), fr.userdata),
-                                )
-                            })
-                            .collect();
-                        assert_eq!(&materialized, batch, "{chunk:?} windows={windows}");
-                    }
+                for (stores, owned, fstats, ostats) in out {
+                    assert_eq!(stores.len(), windows as usize, "{chunk:?}");
+                    let held: u64 = stores.iter().map(FrameStore::records).sum();
+                    assert_eq!(held, owned.len() as u64);
+                    let materialized = materialize(stores.iter().flat_map(FrameStore::frames));
+                    assert_eq!(materialized, owned, "{chunk:?} windows={windows}");
                     // Same wire traffic, same rounds; only the receive-side
                     // compute model differs.
                     assert_eq!(fstats.bytes_received, ostats.bytes_received);
                     assert_eq!(fstats.records_received, ostats.records_received);
                     assert_eq!(fstats.rounds, ostats.rounds);
+                    if chunk != ExchangeChunk::Unlimited {
+                        assert!(fstats.rounds > 1, "48-byte cap must multi-round");
+                    }
                 }
             }
         }
@@ -2025,40 +1732,11 @@ mod tests {
                     exchange_serialized_frames_with(comm, mk_batch(comm.rank(), p), &opts).unwrap();
                 let (owned, _) =
                     exchange_serialized_with(comm, mk_batch(comm.rank(), p), &opts).unwrap();
-                let materialized: Vec<(u32, Feature)> = store
-                    .frames()
-                    .map(|fr| {
-                        let (g, _) = mvio_geom::wkb::decode_ref(fr.wkb).unwrap();
-                        (
-                            fr.cell,
-                            Feature::with_userdata(g.to_geometry(), fr.userdata),
-                        )
-                    })
-                    .collect();
-                (materialized, owned)
+                (materialize(store.frames()), owned)
             });
             for (materialized, owned) in out {
                 assert_eq!(materialized, owned, "{chunk:?}");
             }
         }
-    }
-
-    /// The [`ZeroCopy`] knob resolves like the other exchange knobs:
-    /// explicit settings never consult the environment, `Auto` defers to
-    /// [`ZEROCOPY_ENV`], and an unset environment means **on**.
-    #[test]
-    fn zerocopy_knob_resolution() {
-        assert!(ZeroCopy::On.resolve());
-        assert!(!ZeroCopy::Off.resolve());
-        // `Auto` must agree with whatever the ambient environment says
-        // (CI matrix rows pin it; locally it is usually unset → on).
-        let expect = match std::env::var(ZEROCOPY_ENV) {
-            Err(_) => true,
-            Ok(v) => !matches!(
-                v.trim().to_ascii_lowercase().as_str(),
-                "0" | "off" | "false"
-            ),
-        };
-        assert_eq!(ZeroCopy::Auto.resolve(), expect);
     }
 }

@@ -1,101 +1,14 @@
-//! The distributed filter-and-refine framework (paper §4.3, Figure 7).
+//! Duplicate avoidance for the distributed filter-and-refine framework
+//! (paper §4.3, Figure 7).
 //!
-//! "For partitioned data, spatial computation can be carried out by
-//! extending refine interface that receives two collection of geometries
-//! in a cell." This module is that interface: after the grid exchange,
-//! every rank owns complete cells; [`FilterRefine::run_refine`] groups the exchanged
-//! pairs by cell and hands each cell's two collections to the
-//! user-supplied refine closure. `mvio-sjoin` supplies the spatial-join
-//! refine; a batch spatial query would supply a different one.
+//! After the grid exchange every rank owns complete cells, and a geometry
+//! spanning several cells is replicated into each of them. "Duplicate
+//! avoidance is carried out later in the refinement phase" (§4): the
+//! reference-point rule here decides which one cell reports a candidate
+//! pair. `mvio-sjoin`'s join and serving layers apply it per cell.
 
 use crate::decomp::SpatialDecomposition;
-use crate::Feature;
 use mvio_geom::Rect;
-use mvio_msim::Comm;
-use std::collections::BTreeMap;
-
-/// One cell-local unit of refine work: the paper's "abstract type to
-/// represent a unit task in our system".
-#[derive(Debug)]
-pub struct RefineTask<'a> {
-    /// Cell id.
-    pub cell: u32,
-    /// The cell's rectangle (used for duplicate avoidance).
-    pub cell_rect: Rect,
-    /// Geometries of the left layer mapped to this cell.
-    pub left: Vec<&'a Feature>,
-    /// Geometries of the right layer mapped to this cell.
-    pub right: Vec<&'a Feature>,
-}
-
-/// Marker struct bundling the framework entry points.
-pub struct FilterRefine;
-
-impl FilterRefine {
-    /// Groups two exchanged layers by cell and invokes `refine` once per
-    /// cell this rank owns that is populated on the left layer. Results
-    /// are concatenated in ascending cell order (deterministic).
-    ///
-    /// `refine` receives the communicator so it can charge its actual
-    /// compute work to the virtual clock.
-    /// Not collective — refinement is cell-local; the communicator only
-    /// charges compute.
-    pub fn run_refine<'a, R>(
-        comm: &mut Comm,
-        decomp: &dyn SpatialDecomposition,
-        left: &'a [(u32, Feature)],
-        right: &'a [(u32, Feature)],
-        refine: impl FnMut(&mut Comm, RefineTask<'a>) -> Vec<R>,
-    ) -> Vec<R> {
-        Self::run_refine_batched(comm, decomp, [left], [right], refine)
-    }
-
-    /// Streamed-batch variant of [`FilterRefine::run_refine`]: accepts the
-    /// exchanged pairs as any number of batches per side (e.g. one batch
-    /// per sliding-window phase of the exchange, or per pipeline chunk)
-    /// without requiring the caller to concatenate them into one snapshot
-    /// vector first. Grouping is by cell id, so the batch boundaries do
-    /// not affect the result; within a cell, features keep
-    /// batch-then-offset order, matching the concatenated sequential path
-    /// bit for bit.
-    /// Not collective — refinement is cell-local; the communicator only
-    /// charges compute.
-    pub fn run_refine_batched<'a, R>(
-        comm: &mut Comm,
-        decomp: &dyn SpatialDecomposition,
-        left_batches: impl IntoIterator<Item = &'a [(u32, Feature)]>,
-        right_batches: impl IntoIterator<Item = &'a [(u32, Feature)]>,
-        mut refine: impl FnMut(&mut Comm, RefineTask<'a>) -> Vec<R>,
-    ) -> Vec<R> {
-        let rank = comm.rank();
-
-        let mut by_cell: BTreeMap<u32, (Vec<&'a Feature>, Vec<&'a Feature>)> = BTreeMap::new();
-        for batch in left_batches {
-            for (cell, f) in batch {
-                debug_assert_eq!(decomp.cell_to_rank(*cell), rank, "left pair misrouted");
-                by_cell.entry(*cell).or_default().0.push(f);
-            }
-        }
-        for batch in right_batches {
-            for (cell, f) in batch {
-                debug_assert_eq!(decomp.cell_to_rank(*cell), rank, "right pair misrouted");
-                by_cell.entry(*cell).or_default().1.push(f);
-            }
-        }
-
-        let mut out = Vec::new();
-        for (cell, (l, r)) in by_cell {
-            let task = RefineTask {
-                cell,
-                cell_rect: decomp.cell_rect(cell),
-                left: l,
-                right: r,
-            };
-            out.extend(refine(comm, task));
-        }
-        out
-    }
-}
 
 /// Duplicate avoidance by the reference-point method: a candidate pair is
 /// reported only by the cell containing the min corner of the
@@ -140,40 +53,6 @@ mod tests {
     use super::*;
     use crate::decomp::UniformDecomposition;
     use crate::grid::{CellMap, GridSpec, UniformGrid};
-    use mvio_geom::{Geometry, Point};
-    use mvio_msim::{Topology, World, WorldConfig};
-
-    fn pt(x: f64, y: f64) -> Feature {
-        Feature::new(Geometry::Point(Point::new(x, y)))
-    }
-
-    fn decomp2() -> UniformDecomposition {
-        UniformDecomposition::new(
-            UniformGrid::new(Rect::new(0.0, 0.0, 4.0, 4.0), GridSpec::square(2)),
-            CellMap::RoundRobin,
-            2,
-        )
-    }
-
-    #[test]
-    fn refine_runs_once_per_populated_cell() {
-        let out = World::run(WorldConfig::new(Topology::single_node(2)), |comm| {
-            let decomp = decomp2();
-            // Rank r owns cells with c % 2 == r.
-            let my_cells: Vec<u32> = decomp.cells_of_rank(comm.rank());
-            let left: Vec<(u32, Feature)> =
-                my_cells.iter().map(|&c| (c, pt(c as f64, 0.0))).collect();
-            let right: Vec<(u32, Feature)> =
-                my_cells.iter().map(|&c| (c, pt(c as f64, 1.0))).collect();
-            let mut seen = Vec::new();
-            FilterRefine::run_refine(comm, &decomp, &left, &right, |_, task| {
-                seen.push((task.cell, task.left.len(), task.right.len()));
-                vec![task.cell]
-            })
-        });
-        assert_eq!(out[0], vec![0, 2]);
-        assert_eq!(out[1], vec![1, 3]);
-    }
 
     #[test]
     fn claims_reference_closes_only_the_outer_max_edges() {

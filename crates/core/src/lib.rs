@@ -59,9 +59,8 @@ pub use decomp::{
 };
 pub use exchange::{
     ExchangeChunk, ExchangeOptions, ExchangePlan, ExchangeRound, ExchangeStats, FrameStore,
-    RecordFrame, SerializedBatch, ZeroCopy,
+    RecordFrame, SerializedBatch,
 };
-pub use framework::{FilterRefine, RefineTask};
 pub use grid::{CellMap, GridSpec, UniformGrid};
 pub use partition::{BoundaryStrategy, ReadOptions};
 pub use pipeline::{IngestOutput, PipelineOptions, PipelineStats};

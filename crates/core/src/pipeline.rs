@@ -15,7 +15,7 @@
 //!    serializes the replicas straight into per-destination wire buffers
 //!    ([`partition_chunked`]) — features stream into the exchange format
 //!    without an intermediate `Vec<(u32, Feature)>` snapshot;
-//! 4. [`crate::exchange::exchange_serialized`] ships the buffers with the
+//! 4. [`crate::exchange::exchange_serialized_with`] ships the buffers with the
 //!    usual two-round `Alltoall` + `Alltoallv` protocol — or, when a
 //!    finite `MVIO_EXCHANGE_CHUNK` is in force, the partition and
 //!    exchange stages fuse into [`partition_exchange_overlapped`] and
@@ -97,8 +97,8 @@ use crate::decomp::{self, DecompConfig, SpatialDecomposition};
 // the result, `read_partitioned` it back on any later run (bit-identically
 // under the same world size and decomposition).
 use crate::exchange::{
-    exchange_serialized_with, serialize_record, ExchangeOptions, ExchangePlan, ExchangeRound,
-    ExchangeStats, SerializedBatch,
+    decode_records, exchange_serialized_with, serialize_record, ExchangeOptions, ExchangePlan,
+    ExchangeRound, ExchangeStats, SerializedBatch,
 };
 use crate::partition::{read_partition_text, ReadOptions};
 use crate::reader::{parse_records_into, GeometryParser};
@@ -535,7 +535,7 @@ pub fn partition_chunked<D: SpatialDecomposition + ?Sized>(
 /// [`partition_chunked`]'s (same chunk boundaries, same order), and the
 /// collected result is reassembled in source-rank order, so the owned
 /// pairs are **bit-identical** to the unfused
-/// `partition_chunked` → `exchange_serialized` path — only the virtual
+/// `partition_chunked` → `exchange_serialized_with` path — only the virtual
 /// time moves, because serialization lanes (per-chunk [`WorkTally`]
 /// totals under the same `chunk % workers` rule) are folded in overlapped
 /// with the in-flight rounds. Collective: every rank must call it.
@@ -618,9 +618,8 @@ pub fn partition_exchange_overlapped<D: SpatialDecomposition + ?Sized>(
         &ExchangeOptions::with_chunk(crate::exchange::ExchangeChunk::Bytes(chunk_bytes)),
     );
     let mut collector = crate::exchange::PerSourceCollector::new(p);
-    let ex_stats = plan.run_streamed(comm, &mut feed, &mut |_, round| {
-        collector.collect(round);
-        Ok(())
+    let ex_stats = plan.run(comm, &mut feed, &mut |c, bufs| {
+        Ok(collector.collect(decode_records(c, &bufs)?))
     })?;
     let mut owned = Vec::new();
     collector.drain_into(&mut owned);

@@ -34,7 +34,8 @@
 
 use crate::decomp::{imbalance_ratio, AdaptiveBisection, SpatialDecomposition};
 use crate::exchange::{
-    serialize_record, ExchangeChunk, ExchangeOptions, ExchangePlan, ExchangeStats,
+    decode_records, exchange_serialized_with, serialize_record, ExchangeChunk, ExchangeOptions,
+    ExchangePlan, ExchangeStats,
 };
 use crate::grid::UniformGrid;
 use crate::{CoreError, Feature, Result};
@@ -310,38 +311,38 @@ pub fn apply_updates(
 
     // Trip 1: inserts land as fresh replicas.
     stats.insert_exchange = comm.labeled("rebalance.inserts", |c| {
-        plan.run_batch_rounds_ctx(c, inserts, &mut |_, _round, per_src| {
-            for records in per_src {
-                for (cell, f) in records {
-                    if let Some(t) = tracker.as_deref_mut() {
-                        t.record(sd, cell, &f, 1);
-                    }
-                    owned.push((cell, f));
-                    stats.inserted_replicas += 1;
+        plan.run(c, &mut inserts.into_feed(&plan), &mut |c, bufs| {
+            let mut records = 0u64;
+            for (cell, f) in decode_records(c, &bufs)?.into_iter().flatten() {
+                records += 1;
+                if let Some(t) = tracker.as_deref_mut() {
+                    t.record(sd, cell, &f, 1);
                 }
+                owned.push((cell, f));
             }
-            Ok(())
+            stats.inserted_replicas += records;
+            Ok(records)
         })
     })?;
 
     // Trip 2: each delete record removes one matching resident replica.
     stats.delete_exchange = comm.labeled("rebalance.deletes", |c| {
-        plan.run_batch_rounds_ctx(c, deletes, &mut |_, _round, per_src| {
-            for records in per_src {
-                for (cell, f) in records {
-                    match owned.iter().position(|(oc, of)| *oc == cell && *of == f) {
-                        Some(at) => {
-                            owned.swap_remove(at);
-                            if let Some(t) = tracker.as_deref_mut() {
-                                t.record(sd, cell, &f, -1);
-                            }
-                            stats.deleted_replicas += 1;
+        plan.run(c, &mut deletes.into_feed(&plan), &mut |c, bufs| {
+            let mut records = 0u64;
+            for (cell, f) in decode_records(c, &bufs)?.into_iter().flatten() {
+                records += 1;
+                match owned.iter().position(|(oc, of)| *oc == cell && *of == f) {
+                    Some(at) => {
+                        owned.swap_remove(at);
+                        if let Some(t) = tracker.as_deref_mut() {
+                            t.record(sd, cell, &f, -1);
                         }
-                        None => stats.missing_deletes += 1,
+                        stats.deleted_replicas += 1;
                     }
+                    None => stats.missing_deletes += 1,
                 }
             }
-            Ok(())
+            Ok(records)
         })
     })?;
     Ok(stats)
@@ -430,8 +431,10 @@ pub fn migrate_cells(
         bytes: stats.shipped_bytes,
     });
 
-    let plan = ExchangePlan::new(comm, &ExchangeOptions::with_chunk(chunk));
-    let (received, xstats) = comm.labeled("rebalance.migrate", |c| plan.run_batch(c, batch))?;
+    let ex_opts = ExchangeOptions::with_chunk(chunk);
+    let (received, xstats) = comm.labeled("rebalance.migrate", |c| {
+        exchange_serialized_with(c, batch, &ex_opts)
+    })?;
     owned.extend(received);
     stats.exchange = xstats;
     Ok(stats)

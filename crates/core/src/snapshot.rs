@@ -678,39 +678,7 @@ pub fn read_partitioned(
     decomp: &dyn SpatialDecomposition,
     opts: &SnapshotReadOptions,
 ) -> Result<(Vec<(u32, Feature)>, SnapshotReadReport)> {
-    let RoutedRead {
-        batch,
-        deferred,
-        sections,
-        bytes_read,
-        records_scanned,
-        t0,
-    } = read_and_route(comm, fs, path, decomp, opts)?;
-
-    // The routing exchange. Under the writer's world size and matching
-    // decomposition every record routes back to its own rank, so this
-    // degenerates to a local pass-through (zero cross-rank bytes) and
-    // the output order is exactly the written order.
-    let ex_opts = ExchangeOptions::with_chunk(opts.chunk);
-    let (owned, exchange) = match comm.labeled("snapshot.read.route", |c| {
-        exchange_serialized_with(c, batch, &ex_opts)
-    }) {
-        Ok(out) => out,
-        Err(e) => return Err(deferred.unwrap_or(e)),
-    };
-    if let Some(e) = deferred {
-        return Err(e);
-    }
-    Ok((
-        owned,
-        SnapshotReadReport {
-            sections,
-            bytes_read,
-            records_scanned,
-            read_seconds: comm.now() - t0,
-            exchange,
-        },
-    ))
+    read_routed(comm, fs, path, decomp, opts, exchange_serialized_with)
 }
 
 /// The zero-copy counterpart of [`read_partitioned`]: identical header
@@ -727,60 +695,31 @@ pub fn read_partitioned_frames(
     decomp: &dyn SpatialDecomposition,
     opts: &SnapshotReadOptions,
 ) -> Result<(FrameStore, SnapshotReadReport)> {
-    let RoutedRead {
-        batch,
-        deferred,
-        sections,
-        bytes_read,
-        records_scanned,
-        t0,
-    } = read_and_route(comm, fs, path, decomp, opts)?;
-    let ex_opts = ExchangeOptions::with_chunk(opts.chunk);
-    let (store, exchange) = match comm.labeled("snapshot.read.route", |c| {
-        exchange_serialized_frames_with(c, batch, &ex_opts)
-    }) {
-        Ok(out) => out,
-        Err(e) => return Err(deferred.unwrap_or(e)),
-    };
-    if let Some(e) = deferred {
-        return Err(e);
-    }
-    Ok((
-        store,
-        SnapshotReadReport {
-            sections,
-            bytes_read,
-            records_scanned,
-            read_seconds: comm.now() - t0,
-            exchange,
-        },
-    ))
+    read_routed(
+        comm,
+        fs,
+        path,
+        decomp,
+        opts,
+        exchange_serialized_frames_with,
+    )
 }
 
-/// Everything the two `read_partitioned*` flavors share, up to (but not
-/// including) the routing exchange: validated header + table, the staged
-/// collective payload read, and the per-record routing scan into a
-/// per-destination batch. A routing error is parked in `deferred` (with
-/// an emptied batch) so the caller's exchange stays matched across ranks.
-struct RoutedRead {
-    batch: SerializedBatch,
-    deferred: Option<CoreError>,
-    sections: (usize, usize),
-    bytes_read: u64,
-    records_scanned: u64,
-    t0: f64,
-}
-
-/// Shared first half of [`read_partitioned`] /
-/// [`read_partitioned_frames`]. Collective: every rank must call it (it
-/// issues the `snapshot.read.payload` staged read).
-fn read_and_route(
+/// The body both `read_partitioned*` flavors share: validated header +
+/// table, the staged collective payload read, the per-record routing
+/// scan into a per-destination batch, and the routing exchange —
+/// `exchange` being the one step they differ in (owned records or
+/// frames out). Collective: every rank must call it (it issues the
+/// `snapshot.read.payload` staged read and the `snapshot.read.route`
+/// exchange).
+fn read_routed<T>(
     comm: &mut Comm,
     fs: &Arc<SimFs>,
     path: &str,
     decomp: &dyn SpatialDecomposition,
     opts: &SnapshotReadOptions,
-) -> Result<RoutedRead> {
+    exchange: fn(&mut Comm, SerializedBatch, &ExchangeOptions) -> Result<(T, ExchangeStats)>,
+) -> Result<(T, SnapshotReadReport)> {
     let p = comm.size();
     debug_assert_eq!(
         decomp.num_ranks(),
@@ -838,8 +777,9 @@ fn read_and_route(
     })?;
 
     // Route: walk each section's records, steering the raw wire bytes to
-    // their owner rank under `decomp`. Errors are parked so the routing
-    // exchange below stays matched; the failing rank ships nothing.
+    // their owner rank under `decomp`. A routing error is parked (with an
+    // emptied batch) so the routing exchange below stays matched across
+    // ranks; the failing rank ships nothing.
     let mut deferred: Option<CoreError> = None;
     let mut batch = SerializedBatch::empty(p);
     let mut bytes_read = 0u64;
@@ -903,15 +843,31 @@ fn read_and_route(
         batch = SerializedBatch::empty(p);
     }
     comm.charge(Work::CopyBytes { n: bytes_read });
+    drop(payload); // routed into `batch`; don't hold both through the exchange
 
-    Ok(RoutedRead {
-        batch,
-        deferred,
-        sections: (s_lo, s_hi),
-        bytes_read,
-        records_scanned,
-        t0,
-    })
+    // The routing exchange. Under the writer's world size and matching
+    // decomposition every record routes back to its own rank, so this
+    // degenerates to a local pass-through (zero cross-rank bytes) and
+    // the output order is exactly the written order.
+    let ex_opts = ExchangeOptions::with_chunk(opts.chunk);
+    let (routed, exchange) =
+        match comm.labeled("snapshot.read.route", |c| exchange(c, batch, &ex_opts)) {
+            Ok(out) => out,
+            Err(e) => return Err(deferred.unwrap_or(e)),
+        };
+    if let Some(e) = deferred {
+        return Err(e);
+    }
+    Ok((
+        routed,
+        SnapshotReadReport {
+            sections: (s_lo, s_hi),
+            bytes_read,
+            records_scanned,
+            read_seconds: comm.now() - t0,
+            exchange,
+        },
+    ))
 }
 
 #[cfg(test)]

@@ -1,11 +1,9 @@
 //! Spatial index structures: the *filter* phase accelerators.
 //!
-//! GEOS provides a Quadtree and an R-tree (paper §2); MPI-Vector-IO builds
-//! an R-tree over grid-cell boundaries to map geometry MBRs to overlapping
-//! cells, and per-cell R-trees for the local join filter.
+//! GEOS provides an R-tree among its indexes (paper §2); MPI-Vector-IO
+//! builds one over grid-cell boundaries to map geometry MBRs to
+//! overlapping cells, and per-cell R-trees for the local join filter.
 
-pub mod quadtree;
 pub mod rtree;
 
-pub use quadtree::QuadTree;
 pub use rtree::RTree;

@@ -16,8 +16,8 @@
 //! * computational-geometry predicates ([`algo`]): orientation, segment
 //!   intersection, point-in-polygon and exact `intersects`, which implement
 //!   the *refine* half of the filter-and-refine strategy;
-//! * spatial indexes ([`index`]): an STR bulk-loaded R-tree and a region
-//!   quadtree, used for the *filter* half and for grid-cell lookup;
+//! * the spatial index ([`index`]): an STR bulk-loaded R-tree, used for
+//!   the *filter* half and for grid-cell lookup;
 //! * zero-copy borrowed geometry views ([`wkb::GeomRef`], decoded by
 //!   [`wkb::decode_ref`] straight over wire buffers) and the batched
 //!   filter/refine kernels that run over them ([`refkernel`]).

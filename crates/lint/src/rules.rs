@@ -205,7 +205,6 @@ fn is_decode_marker(line: &str) -> bool {
         "decode_ref(",
         "record_frames(",
         "validate_frames(",
-        "count_frames(",
     ];
     MARKERS.iter().any(|p| line.contains(p))
 }
@@ -411,7 +410,6 @@ mod tests {
             "decode_ref(buf)",
             "record_frames(buf)",
             "validate_frames(buf)",
-            "count_frames(buf)",
         ] {
             let src = format!(
                 "fn walk(buf: &[u8], w: u64) -> u32 {{\n    let v = {call};\n    w as u32\n}}\n"

@@ -108,8 +108,8 @@ use mvio_core::decomp::{
     DecompPolicy, HilbertDecomposition, SpatialDecomposition, UniformDecomposition,
 };
 use mvio_core::exchange::{
-    record_frames, serialize_record, ExchangeChunk, ExchangeOptions, ExchangePlan, ExchangeStats,
-    RecordFrame, SerializedBatch, ZeroCopy,
+    record_frames, serialize_record, validate_round, ExchangeChunk, ExchangeOptions, ExchangePlan,
+    ExchangeStats, RecordFrame, SerializedBatch,
 };
 use mvio_core::grid::UniformGrid;
 use mvio_core::pipeline::IngestOutput;
@@ -242,12 +242,6 @@ pub struct EngineOptions {
     pub chunk: ExchangeChunk,
     /// Hot-query result cache policy.
     pub cache: ServeCache,
-    /// Zero-copy read path selection for both serve trips, resolved once
-    /// at construction (defaults to the `MVIO_ZEROCOPY` knob, on unless
-    /// overridden). With it on, received query and result records are
-    /// decoded as borrowed wire frames — answers are bit-identical
-    /// either way.
-    pub zerocopy: ZeroCopy,
     /// Online-rebalance policy for [`QueryEngine::maybe_rebalance`]
     /// (defaults to the `MVIO_REBALANCE` knob, off unless overridden).
     /// Must be identical on every rank — the rebalance decision is
@@ -262,7 +256,6 @@ impl EngineOptions {
         EngineOptions {
             chunk: ExchangeChunk::Unlimited,
             cache: ServeCache::Off,
-            zerocopy: ZeroCopy::Auto,
             rebalance: RebalancePolicy::Off,
         }
     }
@@ -591,59 +584,14 @@ impl ResidentIndex {
             .collect()
     }
 
-    /// Answers one query record received off the wire, serializing each
-    /// result as a record tagged with the issuer's query index. kNN
-    /// queries ride as a `Point` with `k=<n>` userdata; range and point
-    /// queries as the diagonal of their rect (whose envelope recovers it
-    /// exactly). Result records carry the distance in the point's `x`.
+    /// Answers one query frame straight off the received wire buffer —
+    /// the query geometry is decoded as a borrowed view, never
+    /// materialized — serializing each result as a record tagged with the
+    /// issuer's query index. kNN queries ride as a `Point` with `k=<n>`
+    /// userdata; range and point queries as the diagonal of their rect
+    /// (whose envelope recovers it exactly). Result records carry the
+    /// distance in the point's `x`.
     fn serve_one(
-        &self,
-        comm: &mut Comm,
-        qid: u32,
-        qf: &Feature,
-        scratch: &mut Vec<u8>,
-        out: &mut Vec<u8>,
-        produced: &mut u64,
-    ) -> Result<()> {
-        if let Some(kstr) = qf.userdata.strip_prefix("k=") {
-            let k: usize = kstr.parse().map_err(|_| {
-                CoreError::Partition(format!(
-                    "serve protocol: malformed knn payload {:?}",
-                    qf.userdata
-                ))
-            })?;
-            let at = match &qf.geometry {
-                Geometry::Point(p) => *p,
-                g => {
-                    return Err(CoreError::Partition(format!(
-                        "serve protocol: knn query carries a {:?} geometry",
-                        g.geometry_type()
-                    )))
-                }
-            };
-            for (distance, userdata) in self.knn_local(comm, &at, k) {
-                let rec =
-                    Feature::with_userdata(Geometry::Point(Point::new(distance, 0.0)), userdata);
-                serialize_record(qid, &rec, scratch, out)?;
-                *produced += 1;
-            }
-        } else {
-            let rect = qf.geometry.envelope();
-            for userdata in self.rect_matches(comm, &rect) {
-                let rec = Feature::with_userdata(Geometry::Point(Point::new(0.0, 0.0)), userdata);
-                serialize_record(qid, &rec, scratch, out)?;
-                *produced += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// The zero-copy twin of [`ResidentIndex::serve_one`]: answers one
-    /// query frame straight off the received wire buffer — the query
-    /// geometry is decoded as a borrowed view, never materialized.
-    /// Answers, result records and protocol errors are bit-identical to
-    /// the owned variant.
-    fn serve_one_frame(
         &self,
         comm: &mut Comm,
         fr: &RecordFrame<'_>,
@@ -652,7 +600,7 @@ impl ResidentIndex {
         produced: &mut u64,
     ) -> Result<()> {
         let qid = fr.cell;
-        // audit: the exchange validated every frame before the sink ran.
+        // audit: the sink validated the round before walking its frames.
         let (g, _) = mvio_geom::wkb::decode_ref(fr.wkb).expect("validated frame");
         if let Some(kstr) = fr.userdata.strip_prefix("k=") {
             let k: usize = kstr.parse().map_err(|_| {
@@ -711,9 +659,6 @@ pub struct QueryEngine {
     index: ResidentIndex,
     chunk: ExchangeChunk,
     cache: Option<ResultCache>,
-    /// [`EngineOptions::zerocopy`] resolved once at construction, so a
-    /// resident engine never flips read paths between serve calls.
-    zerocopy: bool,
     /// The online-rebalance driver (`None` when the policy resolves to
     /// off); its drift tracker absorbs every applied update.
     rebalancer: Option<Rebalancer>,
@@ -743,7 +688,6 @@ impl QueryEngine {
             index,
             chunk: opts.chunk,
             cache: opts.cache.resolve().map(ResultCache::new),
-            zerocopy: opts.zerocopy.resolve(),
             rebalancer,
         }
     }
@@ -971,55 +915,30 @@ impl QueryEngine {
         let mut rbatch = SerializedBatch::empty(p);
         let mut rscratch = Vec::new();
         let index = &self.index;
-        let zerocopy = self.zerocopy;
         let mut deferred: Option<CoreError> = None;
         match comm.labeled("serve.queries", |c| {
-            if zerocopy {
-                plan.run_batch_rounds_frames(c, qbatch, &mut |comm, _round, bufs| {
-                    for (src, buf) in bufs.iter().enumerate() {
-                        let before = rbatch.bufs[src].len() as u64;
-                        let mut produced = 0u64;
-                        for fr in record_frames(buf) {
-                            index.serve_one_frame(
-                                comm,
-                                &fr,
-                                &mut rscratch,
-                                &mut rbatch.bufs[src],
-                                &mut produced,
-                            )?;
-                        }
-                        rbatch.records[src] += produced;
-                        comm.charge(Work::SerializeGeoms {
-                            n: produced,
-                            bytes: rbatch.bufs[src].len() as u64 - before,
-                        });
+            plan.run(c, &mut qbatch.into_feed(&plan), &mut |comm, bufs| {
+                let received = validate_round(comm, &bufs)?;
+                for (src, buf) in bufs.iter().enumerate() {
+                    let before = rbatch.bufs[src].len() as u64;
+                    let mut produced = 0u64;
+                    for fr in record_frames(buf) {
+                        index.serve_one(
+                            comm,
+                            &fr,
+                            &mut rscratch,
+                            &mut rbatch.bufs[src],
+                            &mut produced,
+                        )?;
                     }
-                    Ok(())
-                })
-            } else {
-                plan.run_batch_rounds_ctx(c, qbatch, &mut |comm, _round, per_src| {
-                    for (src, records) in per_src.into_iter().enumerate() {
-                        let before = rbatch.bufs[src].len() as u64;
-                        let mut produced = 0u64;
-                        for (qid, qf) in records {
-                            index.serve_one(
-                                comm,
-                                qid,
-                                &qf,
-                                &mut rscratch,
-                                &mut rbatch.bufs[src],
-                                &mut produced,
-                            )?;
-                        }
-                        rbatch.records[src] += produced;
-                        comm.charge(Work::SerializeGeoms {
-                            n: produced,
-                            bytes: rbatch.bufs[src].len() as u64 - before,
-                        });
-                    }
-                    Ok(())
-                })
-            }
+                    rbatch.records[src] += produced;
+                    comm.charge(Work::SerializeGeoms {
+                        n: produced,
+                        bytes: rbatch.bufs[src].len() as u64 - before,
+                    });
+                }
+                Ok(received)
+            })
         }) {
             Ok(s) => stats.query_exchange = s,
             Err(e) => {
@@ -1031,48 +950,26 @@ impl QueryEngine {
         // 5. Ship results back to the issuing ranks.
         let mut collected: Vec<Vec<(f64, String)>> = vec![Vec::new(); queries.len()];
         match comm.labeled("serve.results", |c| {
-            if zerocopy {
-                plan.run_batch_rounds_frames(c, rbatch, &mut |_, _round, bufs| {
-                    for buf in &bufs {
-                        for fr in record_frames(buf) {
-                            let qid = fr.cell;
-                            // audit: u32 → usize is lossless; get_mut rejects out-of-range ids.
-                            let slot = collected.get_mut(qid as usize).ok_or_else(|| {
-                                CoreError::Partition(format!(
-                                    "serve protocol: result for unknown query index {qid}"
-                                ))
-                            })?;
-                            let (g, _) =
-                                mvio_geom::wkb::decode_ref(fr.wkb).expect("validated frame"); // audit: the exchange validated every frame.
-                            let distance = match &g {
-                                mvio_geom::wkb::GeomRef::Point(pt) => pt.x(),
-                                _ => 0.0,
-                            };
-                            slot.push((distance, fr.userdata.to_string()));
-                        }
-                    }
-                    Ok(())
-                })
-            } else {
-                plan.run_batch_rounds_ctx(c, rbatch, &mut |_, _round, per_src| {
-                    for records in per_src {
-                        for (qid, f) in records {
-                            // audit: u32 → usize is lossless; get_mut rejects out-of-range ids.
-                            let slot = collected.get_mut(qid as usize).ok_or_else(|| {
-                                CoreError::Partition(format!(
-                                    "serve protocol: result for unknown query index {qid}"
-                                ))
-                            })?;
-                            let distance = match &f.geometry {
-                                Geometry::Point(pt) => pt.x,
-                                _ => 0.0,
-                            };
-                            slot.push((distance, f.userdata));
-                        }
-                    }
-                    Ok(())
-                })
-            }
+            plan.run(c, &mut rbatch.into_feed(&plan), &mut |comm, bufs| {
+                let received = validate_round(comm, &bufs)?;
+                for fr in bufs.iter().flat_map(|buf| record_frames(buf)) {
+                    let qid = fr.cell;
+                    // audit: u32 → usize is lossless; get_mut rejects out-of-range ids.
+                    let slot = collected.get_mut(qid as usize).ok_or_else(|| {
+                        CoreError::Partition(format!(
+                            "serve protocol: result for unknown query index {qid}"
+                        ))
+                    })?;
+                    // audit: validate_round accepted every frame of this round.
+                    let (g, _) = mvio_geom::wkb::decode_ref(fr.wkb).expect("validated frame");
+                    let distance = match &g {
+                        mvio_geom::wkb::GeomRef::Point(pt) => pt.x(),
+                        _ => 0.0,
+                    };
+                    slot.push((distance, fr.userdata.to_string()));
+                }
+                Ok(received)
+            })
         }) {
             Ok(s) => stats.result_exchange = s,
             Err(e) => {

@@ -6,10 +6,9 @@ use mvio_core::decomp::{
     UniformDecomposition,
 };
 use mvio_core::exchange::{
-    exchange_features_frames_windows, exchange_features_windows, ExchangeChunk, ExchangeOptions,
-    FrameStore, ZeroCopy,
+    exchange_features_frames_windows, ExchangeChunk, ExchangeOptions, FrameStore,
 };
-use mvio_core::framework::{claims_reference, FilterRefine};
+use mvio_core::framework::claims_reference;
 use mvio_core::grid::{GridSpec, UniformGrid};
 use mvio_core::partition::{read_partition_text, ReadOptions};
 use mvio_core::pipeline::{parse_chunked, PipelineOptions};
@@ -55,13 +54,6 @@ pub struct JoinOptions {
     /// `pipeline: PipelineOptions::default().with_workers(n)` (or `0`
     /// for env/host resolution).
     pub pipeline: PipelineOptions,
-    /// Zero-copy read path selection. Defaults to [`ZeroCopy::Auto`]
-    /// (the `MVIO_ZEROCOPY` knob, on unless overridden): the exchange
-    /// hands the refine phase validated wire frames that are decoded in
-    /// place — no per-record materialization on the receive side. The
-    /// join *answer* is bit-identical either way; only the virtual-time
-    /// breakdown and resident allocations move.
-    pub zerocopy: ZeroCopy,
 }
 
 impl Default for JoinOptions {
@@ -73,7 +65,6 @@ impl Default for JoinOptions {
             windows: 1,
             chunk: ExchangeChunk::Auto,
             pipeline: PipelineOptions::default().with_workers(1),
-            zerocopy: ZeroCopy::Auto,
         }
     }
 }
@@ -90,10 +81,9 @@ pub struct JoinReport {
     /// Exact-geometry tests performed (post-dedup).
     pub refine_tests: u64,
     /// Peak geometry-payload heap allocations resident on this rank
-    /// during the join phase. The owned path materializes every received
-    /// record up front (one-plus allocations each, resident for the whole
-    /// phase); the zero-copy path keeps records as borrowed wire frames
-    /// and only counts the refine arena's peak of live scratch buffers.
+    /// during the join phase: received records stay borrowed wire frames,
+    /// so this is the refine arena's peak of live scratch buffers — a
+    /// handful, independent of the record count.
     pub max_resident_allocs: u64,
     /// Global max-over-ranks phase breakdown (identical on every rank).
     pub breakdown: PhaseBreakdown,
@@ -140,62 +130,29 @@ pub fn spatial_join(
     timer.end_partition(comm);
 
     // --- Communication phase: global spatial partitioning. ---------------
-    // The staged exchange deserializes each chunked round while later
-    // rounds are in flight and hands back one source-ordered batch per
-    // sliding window; the batches feed the refine phase without a
-    // concatenation pass, and are bit-identical for every chunk policy,
-    // so the join result never depends on the MVIO_EXCHANGE_CHUNK knob.
+    // The received rounds stay as validated wire frames, one
+    // source-ordered store per sliding window — bit-identical for every
+    // chunk policy, so the join result never depends on the
+    // MVIO_EXCHANGE_CHUNK knob.
     let ex_opts = ExchangeOptions {
         windows: opts.windows,
         chunk: opts.chunk,
     };
+    let (left_stores, _) = exchange_features_frames_windows(comm, left_pairs, &*sd, &ex_opts)?;
+    let (right_stores, _) = exchange_features_frames_windows(comm, right_pairs, &*sd, &ex_opts)?;
+    timer.end_communication(comm);
+
+    // --- Join phase: batched filter + arena refine over frames. ----------
     let mut filter_candidates = 0u64;
     let mut refine_tests = 0u64;
-    let (pairs, max_resident_allocs) = if opts.zerocopy.resolve() {
-        // Zero-copy: the received rounds stay as validated wire frames;
-        // the refine phase decodes borrowed views in place and only
-        // materializes the pairs that survive the batched MBR filter.
-        let (left_stores, _) = exchange_features_frames_windows(comm, left_pairs, &*sd, &ex_opts)?;
-        let (right_stores, _) =
-            exchange_features_frames_windows(comm, right_pairs, &*sd, &ex_opts)?;
-        timer.end_communication(comm);
-
-        // --- Join phase: batched filter + arena refine over frames. ------
-        run_refine_frames(
-            comm,
-            &*sd,
-            &left_stores,
-            &right_stores,
-            &mut filter_candidates,
-            &mut refine_tests,
-        )
-    } else {
-        let (left_batches, _) = exchange_features_windows(comm, left_pairs, &*sd, &ex_opts)?;
-        let (right_batches, _) = exchange_features_windows(comm, right_pairs, &*sd, &ex_opts)?;
-        timer.end_communication(comm);
-
-        // --- Join phase: per-cell index, filter, dedup, refine. ----------
-        let resident = (left_batches.iter().map(Vec::len).sum::<usize>()
-            + right_batches.iter().map(Vec::len).sum::<usize>()) as u64;
-        let pairs = FilterRefine::run_refine_batched(
-            comm,
-            &*sd,
-            left_batches.iter().map(|b| b.as_slice()),
-            right_batches.iter().map(|b| b.as_slice()),
-            |comm, task| {
-                join_cell(
-                    comm,
-                    &*sd,
-                    task.cell,
-                    &task.left,
-                    &task.right,
-                    &mut filter_candidates,
-                    &mut refine_tests,
-                )
-            },
-        );
-        (pairs, resident)
-    };
+    let (pairs, max_resident_allocs) = run_refine_frames(
+        comm,
+        &*sd,
+        &left_stores,
+        &right_stores,
+        &mut filter_candidates,
+        &mut refine_tests,
+    );
     timer.end_compute(comm);
 
     let local = timer.finish(comm);
@@ -219,10 +176,6 @@ pub struct SnapshotJoinOptions {
     pub decomp: DecompPolicy,
     /// Collective-read + routing-exchange configuration.
     pub read: SnapshotReadOptions,
-    /// Zero-copy read path selection, as in [`JoinOptions::zerocopy`]:
-    /// with it on, the collective reads leave the routed records as
-    /// validated wire frames and the refine phase decodes them in place.
-    pub zerocopy: ZeroCopy,
 }
 
 impl Default for SnapshotJoinOptions {
@@ -230,7 +183,6 @@ impl Default for SnapshotJoinOptions {
         SnapshotJoinOptions {
             decomp: DecompPolicy::Uniform(mvio_core::grid::CellMap::RoundRobin),
             read: SnapshotReadOptions::default(),
-            zerocopy: ZeroCopy::Auto,
         }
     }
 }
@@ -288,48 +240,22 @@ pub fn spatial_join_snapshots(
     timer.end_partition(comm);
 
     // --- Communication phase: collective reads + routing exchanges. ------
+    // The routed records stay as validated wire frames.
+    let (left, _) = snapshot::read_partitioned_frames(comm, fs, left_path, &*sd, &opts.read)?;
+    let (right, _) = snapshot::read_partitioned_frames(comm, fs, right_path, &*sd, &opts.read)?;
+    timer.end_communication(comm);
+
+    // --- Join phase: identical to the text path. --------------------------
     let mut filter_candidates = 0u64;
     let mut refine_tests = 0u64;
-    let (pairs, max_resident_allocs) = if opts.zerocopy.resolve() {
-        let (left, _) = snapshot::read_partitioned_frames(comm, fs, left_path, &*sd, &opts.read)?;
-        let (right, _) = snapshot::read_partitioned_frames(comm, fs, right_path, &*sd, &opts.read)?;
-        timer.end_communication(comm);
-
-        // --- Join phase: batched filter + arena refine over frames. ------
-        run_refine_frames(
-            comm,
-            &*sd,
-            std::slice::from_ref(&left),
-            std::slice::from_ref(&right),
-            &mut filter_candidates,
-            &mut refine_tests,
-        )
-    } else {
-        let (left, _) = snapshot::read_partitioned(comm, fs, left_path, &*sd, &opts.read)?;
-        let (right, _) = snapshot::read_partitioned(comm, fs, right_path, &*sd, &opts.read)?;
-        timer.end_communication(comm);
-
-        // --- Join phase: identical to the text path. ----------------------
-        let resident = (left.len() + right.len()) as u64;
-        let pairs = FilterRefine::run_refine_batched(
-            comm,
-            &*sd,
-            std::iter::once(left.as_slice()),
-            std::iter::once(right.as_slice()),
-            |comm, task| {
-                join_cell(
-                    comm,
-                    &*sd,
-                    task.cell,
-                    &task.left,
-                    &task.right,
-                    &mut filter_candidates,
-                    &mut refine_tests,
-                )
-            },
-        );
-        (pairs, resident)
-    };
+    let (pairs, max_resident_allocs) = run_refine_frames(
+        comm,
+        &*sd,
+        std::slice::from_ref(&left),
+        std::slice::from_ref(&right),
+        &mut filter_candidates,
+        &mut refine_tests,
+    );
     timer.end_compute(comm);
 
     let local = timer.finish(comm);
@@ -357,72 +283,13 @@ fn project_owned(
         .collect()
 }
 
-/// Joins one cell: R-tree over the left layer, MBR probes from the right,
-/// reference-point dedup, then exact refine.
-#[allow(clippy::too_many_arguments)]
-fn join_cell(
-    comm: &mut Comm,
-    sd: &dyn SpatialDecomposition,
-    cell: u32,
-    left: &[&Feature],
-    right: &[&Feature],
-    filter_candidates: &mut u64,
-    refine_tests: &mut u64,
-) -> Vec<(String, String)> {
-    if left.is_empty() || right.is_empty() {
-        return Vec::new();
-    }
-    // Envelopes once per batch — the inner candidate loop below reuses
-    // them by index instead of recomputing per hit (an O(candidates ×
-    // vertices) rescan on polygon-heavy cells).
-    let left_mbrs: Vec<Rect> = left.iter().map(|f| f.geometry.envelope()).collect();
-    // Filter index: bulk R-tree over left MBRs (the paper uses GEOS's
-    // STRtree the same way).
-    let items: Vec<(Rect, usize)> = left_mbrs.iter().copied().zip(0..left.len()).collect();
-    comm.charge(Work::RtreeInserts {
-        n: left.len() as u64,
-    });
-    let index = RTree::bulk_load(items);
-
-    let mut results = Vec::new();
-    let mut total_hits = 0u64;
-    for r in right {
-        let r_mbr = r.geometry.envelope();
-        let hits = index.query(&r_mbr);
-        total_hits += hits.len() as u64;
-        for &li in hits {
-            let l = left[li];
-            *filter_candidates += 1;
-            // Duplicate avoidance: only the reference cell reports this
-            // candidate (geometries are replicated across cells).
-            if !claims_reference(sd, cell, &left_mbrs[li], &r_mbr) {
-                continue;
-            }
-            *refine_tests += 1;
-            comm.charge(Work::RefinePair {
-                verts_a: l.geometry.num_points() as u64,
-                verts_b: r.geometry.num_points() as u64,
-            });
-            if algo::intersects(&l.geometry, &r.geometry) {
-                results.push((l.userdata.clone(), r.userdata.clone()));
-            }
-        }
-    }
-    comm.charge(Work::RtreeQueries {
-        n: right.len() as u64,
-        results: total_hits,
-    });
-    results
-}
-
-/// The zero-copy join phase: groups two sides of received wire frames by
-/// cell, filters candidate pairs in batch over precomputed MBRs
-/// ([`envelope_batch`] + [`filter_pairs_batch`] with the reference-cell
-/// claim), and only then materializes the surviving pairs into a reusable
-/// [`RefineArena`] for the exact intersection tests. Results, counters
-/// and charged refine work are bit-identical to
-/// [`FilterRefine::run_refine_batched`] + [`join_cell`] over the owned
-/// records; per-record heap allocation on the receive side is zero by
+/// The join phase: groups two sides of received wire frames by cell,
+/// builds a bulk R-tree over the left MBRs of each cell (the paper uses
+/// GEOS's STRtree the same way), filters candidate pairs in batch over
+/// precomputed MBRs ([`envelope_batch`] + [`filter_pairs_batch`] with the
+/// reference-cell claim), and only then materializes the surviving pairs
+/// into a reusable [`RefineArena`] for the exact intersection tests.
+/// Per-record heap allocation on the receive side is zero by
 /// construction. Returns the pairs plus the arena's peak of live scratch
 /// buffers (the `max_resident_allocs` metric).
 /// Not collective — refinement is cell-local; the communicator only
@@ -436,8 +303,8 @@ fn run_refine_frames(
     refine_tests: &mut u64,
 ) -> (Vec<(String, String)>, u64) {
     let rank = comm.rank();
-    // Flatten batch-then-source order — exactly the owned path's record
-    // order — and decode each frame's borrowed view once.
+    // Flatten in window-then-source order — the exchange's record order —
+    // and decode each frame's borrowed view once.
     let left: Vec<_> = left_stores.iter().flat_map(FrameStore::frames).collect();
     let right: Vec<_> = right_stores.iter().flat_map(FrameStore::frames).collect();
     fn view(wkb: &[u8]) -> GeomRef<'_> {
@@ -450,8 +317,8 @@ fn run_refine_frames(
     envelope_batch(&left_refs, &mut left_mbrs);
     envelope_batch(&right_refs, &mut right_mbrs);
 
-    // Group by cell (ascending — the owned path's BTreeMap order); within
-    // a cell, indices keep flattened record order.
+    // Group by cell (ascending); within a cell, indices keep flattened
+    // record order.
     let mut by_cell: BTreeMap<u32, (Vec<usize>, Vec<usize>)> = BTreeMap::new();
     for (i, fr) in left.iter().enumerate() {
         debug_assert_eq!(sd.cell_to_rank(fr.cell), rank, "left frame misrouted");
@@ -474,8 +341,8 @@ fn run_refine_frames(
         comm.charge(Work::RtreeInserts { n: ls.len() as u64 });
         let index = RTree::bulk_load(items);
 
-        // Candidate enumeration in (right outer, hit inner) order — the
-        // owned inner loop's order, so survivors refine identically.
+        // Candidate enumeration in (right outer, hit inner) order, so the
+        // per-rank output order is deterministic.
         candidates.clear();
         let mut total_hits = 0u64;
         for &ri in &rs {
@@ -620,72 +487,30 @@ mod tests {
         // window's batch is reassembled in source order before refine —
         // so the per-rank output must be identical *unsorted*, not just
         // as a set, to the blocking configuration.
-        let run_raw = |chunk: ExchangeChunk| -> Vec<Vec<(String, String)>> {
+        let run_raw = |chunk: ExchangeChunk| {
             let fs = SimFs::new(FsConfig::gpfs_roger());
             build_layers(&fs);
             let mut opts = JoinOptions {
                 chunk,
-                grid: GridSpec::square(8),
-                ..Default::default()
-            };
-            opts.read.block_size = Some(512);
-            World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {
-                spatial_join(comm, &fs, "left.wkt", "right.wkt", &opts)
-                    .unwrap()
-                    .pairs
-            })
-        };
-        let blocking = run_raw(ExchangeChunk::Unlimited);
-        for chunk in [ExchangeChunk::Bytes(64), ExchangeChunk::Bytes(4096)] {
-            assert_eq!(run_raw(chunk), blocking, "{chunk:?}");
-        }
-        let mut all: Vec<(String, String)> = blocking.into_iter().flatten().collect();
-        all.sort();
-        assert_eq!(all, expected());
-    }
-
-    /// The tentpole oracle at join scale: per-rank outputs (unsorted) and
-    /// the filter/refine counters must be identical with the zero-copy
-    /// read path on and off, across grid sizes, chunking and windows.
-    /// Only `max_resident_allocs` may differ — and the zero-copy side
-    /// must stay bounded by the arena pool, not the record count.
-    #[test]
-    fn join_answer_is_bit_identical_zerocopy_on_and_off() {
-        let run_raw = |zerocopy: ZeroCopy, chunk: ExchangeChunk, windows: u32| {
-            let fs = SimFs::new(FsConfig::gpfs_roger());
-            build_layers(&fs);
-            let mut opts = JoinOptions {
-                zerocopy,
-                chunk,
-                windows,
                 grid: GridSpec::square(8),
                 ..Default::default()
             };
             opts.read.block_size = Some(512);
             World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {
                 let r = spatial_join(comm, &fs, "left.wkt", "right.wkt", &opts).unwrap();
-                (
-                    r.pairs,
-                    r.filter_candidates,
-                    r.refine_tests,
-                    r.max_resident_allocs,
-                )
+                // Received records stay borrowed frames: the only resident
+                // geometry allocations are the arena's scratch pool.
+                assert!(r.max_resident_allocs <= 8, "{}", r.max_resident_allocs);
+                (r.pairs, r.filter_candidates, r.refine_tests)
             })
         };
-        for chunk in [ExchangeChunk::Unlimited, ExchangeChunk::Bytes(64)] {
-            for windows in [1u32, 3] {
-                let on = run_raw(ZeroCopy::On, chunk, windows);
-                let off = run_raw(ZeroCopy::Off, chunk, windows);
-                for (rank, (r_on, r_off)) in on.iter().zip(&off).enumerate() {
-                    assert_eq!(r_on.0, r_off.0, "pairs rank {rank} {chunk:?} w={windows}");
-                    assert_eq!(r_on.1, r_off.1, "filter_candidates rank {rank}");
-                    assert_eq!(r_on.2, r_off.2, "refine_tests rank {rank}");
-                    // Owned residency scales with records; the arena's
-                    // peak stays at a handful of scratch buffers.
-                    assert!(r_on.3 <= 8, "arena peak {} should stay pool-sized", r_on.3);
-                }
-            }
+        let blocking = run_raw(ExchangeChunk::Unlimited);
+        for chunk in [ExchangeChunk::Bytes(64), ExchangeChunk::Bytes(4096)] {
+            assert_eq!(run_raw(chunk), blocking, "{chunk:?}");
         }
+        let mut all: Vec<(String, String)> = blocking.into_iter().flat_map(|r| r.0).collect();
+        all.sort();
+        assert_eq!(all, expected());
     }
 
     #[test]

@@ -56,7 +56,6 @@ pub mod prelude {
     pub use mvio_core::exchange::{
         exchange_features, ExchangeChunk, ExchangeOptions, ExchangePlan,
     };
-    pub use mvio_core::framework::FilterRefine;
     pub use mvio_core::grid::{CellMap, GridSpec, UniformGrid};
     pub use mvio_core::partition::{
         read_features, read_partition_text, BoundaryStrategy, ReadOptions,

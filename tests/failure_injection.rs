@@ -2,7 +2,11 @@
 //! clean errors (or a clean job abort) — never hangs, never silent
 //! corruption.
 
+use mpi_vector_io::core::exchange::{
+    decode_records, serialize_record, validate_round, ExchangeRound, SerializedBatch,
+};
 use mpi_vector_io::core::CoreError;
+use mpi_vector_io::msim::CheckMode;
 use mpi_vector_io::prelude::*;
 use std::sync::Arc;
 
@@ -257,5 +261,67 @@ fn malformed_queries_are_rejected_symmetrically_and_engine_survives() {
             &vec!["p1_1", "p1_2", "p2_1", "p2_2"],
             "rank {rank}: engine unusable after rejected batches"
         );
+    }
+}
+
+/// A sink error raised while decoding round 1 on rank 0 (rank 1 ships
+/// it a torn payload there) comes back on rank 0 only: the peers keep
+/// every record of both rounds, and the strict verifier sees matched
+/// collectives throughout — for both receive helpers.
+#[test]
+fn sink_decode_error_stays_on_its_rank() {
+    for owned in [true, false] {
+        let cfg = WorldConfig::new(Topology::single_node(3)).with_check(CheckMode::Strict);
+        let out = World::run(cfg, move |comm| {
+            let (rank, p) = (comm.rank(), comm.size());
+            let mut round = 0u32;
+            let mut feed = |_: &mut Comm| {
+                let mut batch = SerializedBatch::empty(p);
+                for dst in 0..p {
+                    if (rank, round, dst) == (1, 1, 0) {
+                        batch.bufs[dst] = vec![0xFF; 7];
+                    } else {
+                        let f = Feature::with_userdata(
+                            Geometry::Point(Point::new(rank as f64, round as f64)),
+                            "payload",
+                        );
+                        serialize_record(round, &f, &mut Vec::new(), &mut batch.bufs[dst]).unwrap();
+                    }
+                    batch.records[dst] = 1;
+                }
+                round += 1;
+                Ok(Some(ExchangeRound {
+                    batch,
+                    lanes: Vec::new(),
+                    more: round < 2,
+                }))
+            };
+            let mut received = 0u64;
+            let plan =
+                ExchangePlan::new(comm, &ExchangeOptions::with_chunk(ExchangeChunk::Unlimited));
+            let result = plan.run(comm, &mut feed, &mut |c, bufs| {
+                let n = if owned {
+                    decode_records(c, &bufs)?
+                        .iter()
+                        .map(|r| r.len() as u64)
+                        .sum()
+                } else {
+                    validate_round(c, &bufs)?
+                };
+                received += n;
+                Ok(n)
+            });
+            (result.map(|s| (s.rounds, s.records_received)), received)
+        });
+        match &out[0] {
+            (Err(CoreError::Frame(_)), 3) => {} // round 0 arrived, round 1 failed
+            other => panic!("rank 0 (owned={owned}): {other:?}"),
+        }
+        for (rank, peer) in out.iter().enumerate().skip(1) {
+            match peer {
+                (Ok((2, 6)), 6) => {}
+                other => panic!("rank {rank} (owned={owned}): {other:?}"),
+            }
+        }
     }
 }

@@ -2,7 +2,7 @@
 //! trips, rectangle algebra, and index-vs-brute-force equivalence.
 
 use mpi_vector_io::geom::algo::{point_in_polygon, segments_intersect, PointLocation};
-use mpi_vector_io::geom::index::{QuadTree, RTree};
+use mpi_vector_io::geom::index::RTree;
 use mpi_vector_io::geom::{wkb, wkt, Geometry, LineString, Point, Polygon, Rect};
 use proptest::prelude::*;
 
@@ -328,30 +328,6 @@ proptest! {
         a.sort_unstable();
         b.sort_unstable();
         prop_assert_eq!(a, b);
-    }
-
-    #[test]
-    fn quadtree_matches_brute_force(
-        items in proptest::collection::vec(arb_rect(), 1..100),
-        probe in arb_rect(),
-    ) {
-        let bounds = items.iter().fold(Rect::EMPTY, |a, r| a.union(r));
-        prop_assume!(!bounds.is_empty());
-        let bounds = bounds.buffered(1.0);
-        let mut qt = QuadTree::new(bounds);
-        for (i, r) in items.iter().enumerate() {
-            qt.insert(*r, i);
-        }
-        let mut expect: Vec<usize> = items
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.intersects(&probe))
-            .map(|(i, _)| i)
-            .collect();
-        let mut got: Vec<usize> = qt.query(&probe).into_iter().copied().collect();
-        expect.sort_unstable();
-        got.sort_unstable();
-        prop_assert_eq!(got, expect);
     }
 
     #[test]

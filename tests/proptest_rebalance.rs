@@ -296,7 +296,6 @@ proptest! {
                     } else {
                         RebalancePolicy::Off
                     },
-                    ..Default::default()
                 };
                 let mut eng = QueryEngine::from_parts(comm, sd, owned, &opts);
                 let mut ghosts = 0u64;

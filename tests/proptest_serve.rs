@@ -6,7 +6,7 @@
 use mpi_vector_io::core::decomp::{
     AdaptiveBisection, HilbertDecomposition, SpatialDecomposition, UniformDecomposition,
 };
-use mpi_vector_io::core::exchange::{ExchangeChunk, ZeroCopy};
+use mpi_vector_io::core::exchange::ExchangeChunk;
 use mpi_vector_io::geom::algo::{point_geometry_distance, rect_intersects_geometry};
 use mpi_vector_io::prelude::*;
 use mpi_vector_io::sjoin::{EngineOptions, Query, QueryAnswer, QueryEngine, ServeCache};
@@ -233,75 +233,6 @@ proptest! {
             } else {
                 prop_assert_eq!(*cache_hits, 0u64);
             }
-        }
-    }
-
-    /// `MVIO_ZEROCOPY` is a pure read-path switch: for every rank
-    /// count, decomposition policy and chunk size, the served answers
-    /// and exchange counters are bit-identical with the borrowed frame
-    /// path forced on and forced off.
-    #[test]
-    fn serve_is_bit_identical_zerocopy_on_and_off(
-        ranks_idx in 0usize..3,
-        side in 1u32..5,
-        policy in 0u8..5,
-        chunk_idx in 0usize..3,
-        coords in proptest::collection::vec((0.0..WORLD, 0.0..WORLD), 0..24),
-        qseeds in proptest::collection::vec(
-            (0u8..6, 0.0..WORLD, 0.0..WORLD, 0.05f64..4.0),
-            1..6
-        ),
-    ) {
-        let ranks = [2usize, 3, 8][ranks_idx];
-        let chunk = [
-            ExchangeChunk::Unlimited,
-            ExchangeChunk::Bytes(96),
-            ExchangeChunk::Bytes(1024),
-        ][chunk_idx];
-        let coords = Arc::new(coords);
-        let qseeds = Arc::new(qseeds);
-        let run = |zerocopy: ZeroCopy| {
-            let coords = Arc::clone(&coords);
-            let qseeds = Arc::clone(&qseeds);
-            World::run(
-                WorldConfig::new(Topology::single_node(ranks)),
-                move |comm| {
-                    let sd = mk_decomp(policy, side, comm.size());
-                    let features = mk_features(&coords);
-                    let mut owned: Vec<(u32, Feature)> = Vec::new();
-                    for f in &features {
-                        for cell in sd.cells_for_rect_vec(&f.geometry.envelope()) {
-                            if sd.cell_to_rank(cell) == comm.rank() {
-                                owned.push((cell, f.clone()));
-                            }
-                        }
-                    }
-                    let opts = EngineOptions {
-                        chunk,
-                        cache: ServeCache::Off,
-                        zerocopy,
-                        ..Default::default()
-                    };
-                    let mut eng = QueryEngine::from_parts(comm, sd, owned, &opts);
-                    let rep = eng.serve(comm, &mk_queries(&qseeds)).unwrap();
-                    (
-                        rep.answers,
-                        rep.stats.shipped_records,
-                        rep.stats.result_records,
-                        rep.stats.query_exchange.bytes_received,
-                        rep.stats.result_exchange.bytes_received,
-                    )
-                },
-            )
-        };
-        let on = run(ZeroCopy::On);
-        let off = run(ZeroCopy::Off);
-        for (rank, (a, b)) in on.iter().zip(off.iter()).enumerate() {
-            prop_assert_eq!(
-                a, b,
-                "zerocopy on/off diverged on rank {}/{} (policy {}, side {}, chunk {:?})",
-                rank, ranks, policy, side, chunk
-            );
         }
     }
 

@@ -7,11 +7,11 @@
 //! cell's owner.
 
 use mpi_vector_io::core::decomp::{DecompConfig, DecompPolicy, UniformDecomposition};
-use mpi_vector_io::core::exchange::{ExchangeChunk, ZeroCopy};
+use mpi_vector_io::core::exchange::ExchangeChunk;
 use mpi_vector_io::core::grid::CellMap;
 use mpi_vector_io::core::pipeline::{self, PipelineOptions};
 use mpi_vector_io::core::snapshot::{self, SnapshotReadOptions, SnapshotWriteOptions};
-use mpi_vector_io::geom::{wkb, wkt};
+use mpi_vector_io::geom::{algo, wkb, wkt};
 use mpi_vector_io::prelude::*;
 use mpi_vector_io::sjoin::{spatial_join_snapshots, SnapshotJoinOptions};
 use proptest::prelude::*;
@@ -196,12 +196,12 @@ proptest! {
         round_trip_case(records, salt, write_ranks, read_ranks, policy, chunk_bytes);
     }
 
-    /// The snapshot-backed join answers identically with the zero-copy
-    /// frame path forced on and forced off — same pairs in the same
-    /// order, same filter/refine counters — for every writer/reader
-    /// world size, rebuild policy and exchange chunk cap.
+    /// The snapshot-backed join reports exactly the serial brute-force
+    /// pair set — every intersecting (left, right) pair once, nothing
+    /// else — for every writer/reader world size, rebuild policy and
+    /// exchange chunk cap.
     #[test]
-    fn snapshot_join_is_bit_identical_zerocopy_on_and_off(
+    fn snapshot_join_matches_brute_force(
         lrecords in 1usize..40,
         rrecords in 1usize..40,
         salt in 0u64..1_000,
@@ -248,7 +248,7 @@ proptest! {
                 },
             );
         }
-        let run = |zerocopy: ZeroCopy| {
+        let joined = {
             let fs = Arc::clone(&fs);
             World::run(
                 WorldConfig::new(Topology::single_node(join_ranks)),
@@ -260,23 +260,30 @@ proptest! {
                             DecompPolicy::Uniform(CellMap::RoundRobin)
                         },
                         read: SnapshotReadOptions::default().with_chunk(chunk),
-                        zerocopy,
                     };
-                    let rep =
-                        spatial_join_snapshots(comm, &fs, "l.bin", "r.bin", &opts).unwrap();
-                    (rep.pairs, rep.filter_candidates, rep.refine_tests)
+                    spatial_join_snapshots(comm, &fs, "l.bin", "r.bin", &opts)
+                        .unwrap()
+                        .pairs
                 },
             )
         };
-        let on = run(ZeroCopy::On);
-        let off = run(ZeroCopy::Off);
-        for (rank, (a, b)) in on.iter().zip(off.iter()).enumerate() {
-            prop_assert_eq!(
-                a, b,
-                "zerocopy on/off diverged on rank {}/{} (hilbert {}, chunk {:?})",
-                rank, join_ranks, hilbert, chunk
-            );
+        let mut got: Vec<(String, String)> = joined.into_iter().flatten().collect();
+        got.sort();
+        let right = join_layer(rrecords, salt ^ 0xDEAD);
+        let mut expect: Vec<(String, String)> = Vec::new();
+        for l in join_layer(lrecords, salt) {
+            for r in &right {
+                if algo::intersects(&l.geometry, &r.geometry) {
+                    expect.push((l.userdata.clone(), r.userdata.clone()));
+                }
+            }
         }
+        expect.sort();
+        prop_assert_eq!(
+            got, expect,
+            "join diverged from brute force ({} ranks, hilbert {}, chunk {:?})",
+            join_ranks, hilbert, chunk
+        );
     }
 }
 
