@@ -255,50 +255,49 @@ pub fn run(scale: Scale, quick: bool) -> String {
 mod tests {
     use super::*;
 
-    /// The chunked overlapped exchange must hide communication the
-    /// blocking single-round protocol leaves exposed, at 16 and 64 ranks,
-    /// and at 16 ranks that must show as a lower max-over-ranks virtual
-    /// ingest time.
+    /// The PR's acceptance criterion: the chunked overlapped exchange
+    /// must reduce max-over-ranks virtual ingest time versus the
+    /// blocking single-round protocol at 16 and 64 ranks.
     ///
-    /// The ingest-time comparison is not made at 64 ranks: the read phase
-    /// both runs share moves ±3 % there with the order host threads reach
-    /// the simulated file servers (blocking 0.005827–0.006257, chunked
-    /// 0.005652–0.005909 over repeated runs), as much as the overlap
-    /// margin, so the strict `<` failed about one full-suite run in
-    /// fifteen. The exposed wait is exchange-only and repeats exactly
-    /// (0.000625 → 0.000001); the 16-rank times repeat to 1e-6.
+    /// The 16-rank times repeat to 1e-6. At 64 ranks the read phase both
+    /// policies share moves ±3 % with the order host threads reach the
+    /// simulated file servers (blocking 0.005827–0.006259, chunked
+    /// 0.005479–0.005909 over 40 runs; an open pfs defect), which is as
+    /// much as the overlap margin, so that comparison is between the
+    /// medians of five repetitions (0.006002 vs 0.005652).
     #[test]
-    fn overlap_reduces_exposed_wait_and_virtual_ingest_time() {
+    fn overlap_reduces_virtual_ingest_time_at_16_and_64_ranks() {
         let scale = Scale { denominator: 1000 };
-        let rows = measure(scale, 320, &[16, 64]);
-        for ranks in [16usize, 64] {
-            let find = |chunk_is_unlimited: bool| -> &Row {
-                rows.iter()
-                    .find(|r| r.ranks == ranks && (r.chunk == "unlimited") == chunk_is_unlimited)
-                    .unwrap()
-            };
-            let blocking = find(true);
-            let chunked = find(false);
-            assert!(chunked.rounds > 1, "{ranks} ranks: cap must multi-round");
+        let median = |mut v: Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2]
+        };
+        for (ranks, reps) in [(16usize, 1), (64, 5)] {
+            // Each run is `[blocking, chunked]`.
+            let runs: Vec<Vec<Row>> = (0..reps).map(|_| measure(scale, 320, &[ranks])).collect();
+            for run in &runs {
+                assert!(run[1].rounds > 1, "{ranks} ranks: cap must multi-round");
+                assert!(
+                    run[1].exposed_wait_s < run[0].exposed_wait_s,
+                    "{ranks} ranks: exposed communication must shrink"
+                );
+            }
+            let blocking_s = median(runs.iter().map(|r| r[0].ingest_s).collect());
+            let chunked_s = median(runs.iter().map(|r| r[1].ingest_s).collect());
             assert!(
-                chunked.exposed_wait_s < blocking.exposed_wait_s,
-                "{ranks} ranks: exposed communication must shrink"
+                chunked_s < blocking_s,
+                "{ranks} ranks: overlap must reduce ingest time \
+                 ({blocking_s:.6} -> {chunked_s:.6})"
             );
+            // And at 16 ranks the win must be a measurable margin, not noise.
+            if ranks == 16 {
+                let speedup = blocking_s / chunked_s;
+                assert!(
+                    speedup >= CHUNKED_INGEST_SPEEDUP_FLOOR,
+                    "16 ranks: speedup {speedup:.3}x must be >= {CHUNKED_INGEST_SPEEDUP_FLOOR}x"
+                );
+            }
         }
-        // At 16 ranks the win must be a measurable margin, not noise.
-        let b16 = rows
-            .iter()
-            .find(|r| r.ranks == 16 && r.chunk == "unlimited")
-            .unwrap();
-        let c16 = rows
-            .iter()
-            .find(|r| r.ranks == 16 && r.chunk != "unlimited")
-            .unwrap();
-        let speedup = b16.ingest_s / c16.ingest_s;
-        assert!(
-            speedup >= CHUNKED_INGEST_SPEEDUP_FLOOR,
-            "16 ranks: speedup {speedup:.3}x must be >= {CHUNKED_INGEST_SPEEDUP_FLOOR}x"
-        );
     }
 
     #[test]

@@ -918,6 +918,10 @@ fn drain_round(
     }
     match sink(comm, bufs) {
         Ok(records) => {
+            debug_assert!(
+                records == 0 || bytes > 0,
+                "sink counted {records} records in an empty round"
+            );
             stats.records_received += records;
             stats.bytes_received += bytes;
             let slot = &mut stats.per_round[idx];
