@@ -3,20 +3,21 @@
 
 use super::{cost_scaled, gpfs_scaled, install_dataset, spec, Scale};
 use crate::report::Table;
+use mvio_core::decomp::imbalance_ratio;
 use mvio_core::grid::{CellMap, GridSpec};
 use mvio_core::partition::ReadOptions;
 use mvio_msim::{Topology, World, WorldConfig};
 use mvio_pfs::SimFs;
-use mvio_sjoin::{spatial_join, JoinOptions, PhaseBreakdown};
+use mvio_sjoin::{spatial_join, JoinOptions, JoinReport, PhaseBreakdown};
 
-/// Runs one distributed join and returns `(breakdown, result pairs)`.
-pub fn join_run(
+/// Runs one distributed join and returns the per-rank reports.
+pub fn join_reports(
     scale: Scale,
     left: &str,
     right: &str,
     procs: usize,
     cells_per_side: u32,
-) -> (PhaseBreakdown, u64) {
+) -> Vec<JoinReport> {
     let fs = SimFs::new(gpfs_scaled(scale));
     let nodes = procs.div_ceil(20).max(1);
     let topo = Topology::new(nodes, procs.div_ceil(nodes));
@@ -33,12 +34,34 @@ pub fn join_run(
         ..Default::default()
     };
     let cfg = WorldConfig::new(topo).with_cost(cost_scaled(scale));
-    let out = World::run(cfg, move |comm| {
-        let rep = spatial_join(comm, &fs, "left.wkt", "right.wkt", &opts).unwrap();
-        (rep.breakdown, rep.pairs.len() as u64)
-    });
-    let pairs: u64 = out.iter().map(|(_, n)| n).sum();
-    (out[0].0, pairs)
+    World::run(cfg, move |comm| {
+        spatial_join(comm, &fs, "left.wkt", "right.wkt", &opts).unwrap()
+    })
+}
+
+/// Runs one distributed join and returns `(breakdown, result pairs)`.
+pub fn join_run(
+    scale: Scale,
+    left: &str,
+    right: &str,
+    procs: usize,
+    cells_per_side: u32,
+) -> (PhaseBreakdown, u64) {
+    let out = join_reports(scale, left, right, procs, cells_per_side);
+    let pairs = out.iter().map(|r| r.pairs.len() as u64).sum();
+    (out[0].breakdown, pairs)
+}
+
+/// Max/mean over ranks of one per-rank load counter of a join.
+pub fn load_imbalance(reports: &[JoinReport], load: fn(&JoinReport) -> u64) -> f64 {
+    let loads: Vec<u64> = reports.iter().map(load).collect();
+    imbalance_ratio(&loads)
+}
+
+/// Max/mean over ranks of the refine tests the decomposition assigned
+/// (before the join's balance step).
+fn owned_imbalance(reports: &[JoinReport]) -> f64 {
+    load_imbalance(reports, |r| r.owned_refine_tests)
 }
 
 /// Runs the Figure 17 sweep and renders the table.
@@ -54,21 +77,33 @@ pub fn run(scale: Scale, quick: bool) -> String {
             "Figure 17: join breakdown vs grid cells, Lakes ⋈ Cemetery, {procs} procs (scaled 1/{})",
             scale.denominator
         ),
-        &["cells", "partition (s)", "comm (s)", "join (s)", "total (s)", "pairs"],
+        &[
+            "cells",
+            "partition (s)",
+            "comm (s)",
+            "join (s)",
+            "total (s)",
+            "owned imb.",
+            "pairs",
+        ],
     );
     let d = scale.denominator as f64;
     for side in cells_sweep {
-        let (b, pairs) = join_run(scale, "Lakes", "Cemetery", procs, side);
+        let reports = join_reports(scale, "Lakes", "Cemetery", procs, side);
+        let b = reports[0].breakdown;
+        let pairs: usize = reports.iter().map(|r| r.pairs.len()).sum();
         t.row(vec![
             (side * side).to_string(),
             format!("{:.2}", b.partition * d),
             format!("{:.2}", b.communication * d),
             format!("{:.2}", b.compute * d),
             format!("{:.2}", b.total * d),
+            format!("{:.2}", owned_imbalance(&reports)),
             pairs.to_string(),
         ]);
     }
     t.note("paper: overall execution time decreases as grid cells increase (finer tasks balance better); communication varies with the cell-to-process mapping");
+    t.note("owned imb. = max/mean refine tests per rank as the grid assigns them — the paper's effect; the join re-balances survivors after the filter when a rank is 256+ tests over its share, so total time no longer follows it");
     t.note("times are full-scale-equivalent virtual seconds; phases are max-over-ranks so they can sum above total");
     t.render()
 }
@@ -78,16 +113,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn finer_grids_reduce_total_time() {
+    fn finer_grids_balance_the_assigned_refine_load() {
+        // Figure 17's mechanism: finer cells spread the refine tests
+        // over the ranks more evenly. It shows in what the grid assigns
+        // (4 cells cannot feed 8 ranks); the total time no longer
+        // depends on it, because the join ships the coarse grid's
+        // surplus to the idle ranks after the filter.
         let scale = Scale { denominator: 2_000 };
-        let (coarse, p1) = join_run(scale, "Lakes", "Cemetery", 8, 2);
-        let (fine, p2) = join_run(scale, "Lakes", "Cemetery", 8, 12);
-        assert_eq!(p1, p2, "grid resolution must not change the join result");
-        assert!(
-            fine.total < coarse.total,
-            "finer grid {:.4}s must beat coarse {:.4}s (Figure 17)",
-            fine.total,
-            coarse.total
+        let coarse = join_reports(scale, "Lakes", "Cemetery", 8, 2);
+        let fine = join_reports(scale, "Lakes", "Cemetery", 8, 12);
+        let pairs = |r: &[JoinReport]| r.iter().map(|r| r.pairs.len()).sum::<usize>();
+        assert_eq!(
+            pairs(&coarse),
+            pairs(&fine),
+            "grid resolution must not change the join result"
         );
+        let (ci, fi) = (owned_imbalance(&coarse), owned_imbalance(&fine));
+        assert!(ci >= 2.0, "4 cells over 8 ranks: owned imbalance {ci:.2}");
+        assert!(
+            fi < ci,
+            "finer grid {fi:.2} must beat coarse {ci:.2} (Figure 17)"
+        );
+        let balanced = load_imbalance(&coarse, |r| r.refine_tests);
+        assert!(balanced < 1.2, "coarse grid after balancing: {balanced:.2}");
     }
 }

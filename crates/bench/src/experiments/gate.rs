@@ -16,8 +16,65 @@
 //! trajectory files. All quantities are deterministic virtual times, so
 //! there is no run-to-run noise to filter.
 
+use super::fig17::load_imbalance;
 use super::{decomp, exchange, io, rebalance, serve, Scale};
 use crate::report::Table;
+use mvio_core::decomp::DecompPolicy;
+use mvio_core::grid::{CellMap, GridSpec};
+use mvio_datagen::{write_wkt_dataset_with_centers, ShapeGen, ShapeKind, SpatialDistribution};
+use mvio_geom::Rect;
+use mvio_msim::{Topology, World, WorldConfig};
+use mvio_pfs::{FsConfig, SimFs};
+use mvio_sjoin::{spatial_join, JoinOptions};
+
+/// Tracked floor: on a clustered join at 16 ranks under the default
+/// round-robin map, balancing after the filter must cut the max/mean
+/// per-rank refine load at least this factor below what the map alone
+/// gives (`owned_refine_tests` vs `refine_tests`).
+pub const JOIN_BALANCE_FLOOR: f64 = 3.0;
+
+/// Max/mean of `owned_refine_tests` ÷ max/mean of `refine_tests` for one
+/// clustered lakes ⋈ roads join at 16 ranks: both layers on the same 12
+/// Zipf-weighted hotspots, 32² cells, round-robin map.
+pub fn join_balance_gain() -> f64 {
+    let fs = SimFs::new(FsConfig::gpfs_roger());
+    let dist = SpatialDistribution::Clustered {
+        clusters: 12,
+        skew: 1.1,
+        spread: 0.03,
+    };
+    let world = Rect::new(0.0, 0.0, 100.0, 100.0);
+    for (path, kind, gen, count, seed) in [
+        (
+            "lakes.wkt",
+            ShapeKind::Polygon,
+            ShapeGen::lake_polygons(),
+            5_000,
+            1,
+        ),
+        (
+            "roads.wkt",
+            ShapeKind::Line,
+            ShapeGen::road_edges(),
+            10_000,
+            2,
+        ),
+    ] {
+        write_wkt_dataset_with_centers(&fs, path, kind, gen, &dist, world, count, 0x6A7E, seed);
+    }
+    let topo = Topology::new(1, 16);
+    fs.set_active_ranks(topo.ranks());
+    let opts = JoinOptions {
+        grid: GridSpec::square(32),
+        decomp: DecompPolicy::Uniform(CellMap::RoundRobin),
+        ..Default::default()
+    };
+    let reports = World::run(WorldConfig::new(topo), move |comm| {
+        spatial_join(comm, &fs, "lakes.wkt", "roads.wkt", &opts).expect("gate join")
+    });
+    load_imbalance(&reports, |r| r.owned_refine_tests)
+        / load_imbalance(&reports, |r| r.refine_tests)
+}
 
 /// One tracked ratio with its floor.
 #[derive(Debug, Clone)]
@@ -143,6 +200,12 @@ pub fn checks() -> Vec<Check> {
         floor: rebalance::STATIC_DEGRADATION_FLOOR,
     });
 
+    out.push(Check {
+        name: "join: owned/balanced refine imbalance @16 ranks",
+        value: join_balance_gain(),
+        floor: JOIN_BALANCE_FLOOR,
+    });
+
     out
 }
 
@@ -197,5 +260,11 @@ mod tests {
             floor: 2.0,
         };
         assert!(!c.passes());
+    }
+
+    #[test]
+    fn join_balance_clears_its_floor() {
+        let gain = join_balance_gain();
+        assert!(gain >= JOIN_BALANCE_FLOOR, "gain {gain:.3}");
     }
 }

@@ -61,6 +61,10 @@ use mvio_msim::{Comm, ProgressEngine, Work};
 /// single-round blocking protocol.
 pub const CHUNK_ENV: &str = "MVIO_EXCHANGE_CHUNK";
 
+/// Fixed bytes of one wire record: the cell word and the two length
+/// fields around the geometry and userdata payloads.
+const RECORD_OVERHEAD: usize = 16;
+
 /// High bit of a size-exchange value: "this rank will post at least one
 /// more round after this one".
 const MORE_BIT: u64 = 1 << 63;
@@ -225,21 +229,33 @@ pub fn serialize_record(
     scratch: &mut Vec<u8>,
     out: &mut Vec<u8>,
 ) -> Result<()> {
+    wkb::encode_into_scratch(&feature.geometry, scratch);
+    emit_record(cell, scratch, &feature.userdata, out)
+}
+
+/// Re-emits a borrowed frame as the wire record it was cut from — the
+/// send side of forwarding received records to a third rank (the join's
+/// balance step) without decoding them: the geometry bytes are copied
+/// verbatim. Size `out` with [`RecordFrame::wire_len`] first.
+pub fn serialize_frame(frame: &RecordFrame<'_>, out: &mut Vec<u8>) -> Result<()> {
+    emit_record(frame.cell, frame.wkb, frame.userdata, out)
+}
+
+/// Appends one wire record whose geometry is already WKB-encoded.
+fn emit_record(cell: u32, wkb: &[u8], userdata: &str, out: &mut Vec<u8>) -> Result<()> {
     let too_big = |what: &str, len: usize| {
         CoreError::Partition(format!(
             "exchange serialization: {what} of {len} bytes exceeds the u32 wire-format limit"
         ))
     };
-    wkb::encode_into_scratch(&feature.geometry, scratch);
-    let glen = u32::try_from(scratch.len()).map_err(|_| too_big("geometry", scratch.len()))?;
-    let ulen = u32::try_from(feature.userdata.len())
-        .map_err(|_| too_big("userdata", feature.userdata.len()))?;
-    out.reserve(16 + scratch.len() + feature.userdata.len());
+    let glen = u32::try_from(wkb.len()).map_err(|_| too_big("geometry", wkb.len()))?;
+    let ulen = u32::try_from(userdata.len()).map_err(|_| too_big("userdata", userdata.len()))?;
+    out.reserve(RECORD_OVERHEAD + wkb.len() + userdata.len());
     out.extend_from_slice(&(cell as u64).to_le_bytes());
     out.extend_from_slice(&glen.to_le_bytes());
-    out.extend_from_slice(scratch);
+    out.extend_from_slice(wkb);
     out.extend_from_slice(&ulen.to_le_bytes());
-    out.extend_from_slice(feature.userdata.as_bytes());
+    out.extend_from_slice(userdata.as_bytes());
     Ok(())
 }
 
@@ -341,6 +357,14 @@ pub struct RecordFrame<'a> {
     pub wkb: &'a [u8],
     /// The record's userdata payload (already validated UTF-8).
     pub userdata: &'a str,
+}
+
+impl RecordFrame<'_> {
+    /// Bytes this frame occupies on the wire (what [`serialize_frame`]
+    /// appends).
+    pub fn wire_len(&self) -> usize {
+        RECORD_OVERHEAD + self.wkb.len() + self.userdata.len()
+    }
 }
 
 /// Validates one received wire buffer without materializing anything:
@@ -612,6 +636,16 @@ fn exchange_windows<D: SpatialDecomposition + ?Sized>(
         // "buffer management overhead in serialization").
         let mut batch = SerializedBatch::empty(p);
         if deferred.is_none() {
+            // Size pre-pass: each destination buffer is allocated once
+            // at its exact length instead of growing by doubling.
+            let mut sizes = vec![0usize; p];
+            for (cell, feature) in &window_pairs {
+                sizes[decomp.cell_to_rank(*cell)] +=
+                    RECORD_OVERHEAD + wkb::encoded_len(&feature.geometry) + feature.userdata.len();
+            }
+            for (buf, size) in batch.bufs.iter_mut().zip(sizes) {
+                buf.reserve_exact(size);
+            }
             let mut serialize = || -> Result<()> {
                 for (cell, feature) in &window_pairs {
                     let dst = decomp.cell_to_rank(*cell);
@@ -1245,6 +1279,26 @@ mod tests {
         serialize_record(42, &f, &mut Vec::new(), &mut buf).unwrap();
         let out = deserialize_records(&buf).unwrap();
         assert_eq!(out, vec![(42, f)]);
+    }
+
+    #[test]
+    fn serialize_frame_re_emits_the_record_bytes() {
+        let mut buf = Vec::new();
+        let poly = Feature::with_userdata(
+            wkt::parse("POLYGON ((0 0, 2 0, 2 2, 0 2, 0 0))").unwrap(),
+            "name=park",
+        );
+        serialize_record(42, &poly, &mut Vec::new(), &mut buf).unwrap();
+        serialize_record(7, &feature(1.0, 2.0, ""), &mut Vec::new(), &mut buf).unwrap();
+        validate_frames(&buf).unwrap();
+        let mut out = Vec::new();
+        let mut len = 0;
+        for frame in record_frames(&buf) {
+            len += frame.wire_len();
+            serialize_frame(&frame, &mut out).unwrap();
+        }
+        assert_eq!(out, buf);
+        assert_eq!(len, buf.len());
     }
 
     #[test]

@@ -6,7 +6,8 @@ use mvio_core::decomp::{
     UniformDecomposition,
 };
 use mvio_core::exchange::{
-    exchange_features_frames_windows, ExchangeChunk, ExchangeOptions, FrameStore,
+    exchange_features_frames_windows, exchange_serialized_frames_with, serialize_frame,
+    ExchangeChunk, ExchangeOptions, FrameStore, RecordFrame, SerializedBatch,
 };
 use mvio_core::framework::claims_reference;
 use mvio_core::grid::{GridSpec, UniformGrid};
@@ -21,7 +22,6 @@ use mvio_geom::wkb::GeomRef;
 use mvio_geom::{algo, Rect};
 use mvio_msim::{Comm, Work};
 use mvio_pfs::SimFs;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Options for one distributed join.
@@ -32,8 +32,11 @@ pub struct JoinOptions {
     /// Spatial decomposition policy (cell tiling + cell→rank assignment).
     /// Defaults to [`DecompPolicy::from_env`]: the paper's uniform
     /// round-robin grid unless `MVIO_DECOMP` selects `hilbert` or
-    /// `adaptive`. The join *answer* is identical under every policy —
-    /// only the load distribution and phase times move.
+    /// `adaptive`. The join *answer* is identical under every policy.
+    /// The policy decides where records land — the exchange volume and
+    /// the filter load — but no longer the refine makespan: surviving
+    /// candidate pairs are re-balanced across ranks after the filter
+    /// (see [`BALANCE_MIN_SURPLUS`]).
     pub decomp: DecompPolicy,
     /// File read configuration for both layers.
     pub read: ReadOptions,
@@ -76,16 +79,29 @@ pub struct JoinReport {
     /// userdata)` — duplicate-free across all ranks thanks to the
     /// reference-point rule.
     pub pairs: Vec<(String, String)>,
-    /// Candidate pairs surviving the MBR filter on this rank.
+    /// Candidate pairs the per-cell R-tree probe produced for this rank's
+    /// own cells (work shipped in by the balance step is not counted
+    /// again, so the sum over ranks is a property of the input).
     pub filter_candidates: u64,
-    /// Exact-geometry tests performed (post-dedup).
+    /// Candidates of this rank's own cells that survived the MBR filter
+    /// and the reference-point dedup — the refine load the decomposition
+    /// gave this rank, before balancing.
+    pub owned_refine_tests: u64,
+    /// Exact-geometry tests executed on this rank, after balancing. The
+    /// sum over ranks equals the sum of `owned_refine_tests`: balancing
+    /// moves tests, it never adds or drops one.
     pub refine_tests: u64,
+    /// Wire bytes this rank shipped to other ranks in the balance step
+    /// (0 when the plan was empty or this rank had no surplus).
+    pub balance_shipped_bytes: u64,
     /// Peak geometry-payload heap allocations resident on this rank
     /// during the join phase: received records stay borrowed wire frames,
     /// so this is the refine arena's peak of live scratch buffers — a
     /// handful, independent of the record count.
     pub max_resident_allocs: u64,
     /// Global max-over-ranks phase breakdown (identical on every rank).
+    /// The balance step (count allgather, shipping, the receiver's
+    /// re-filter) is part of `compute`.
     pub breakdown: PhaseBreakdown,
 }
 
@@ -142,28 +158,13 @@ pub fn spatial_join(
     let (right_stores, _) = exchange_features_frames_windows(comm, right_pairs, &*sd, &ex_opts)?;
     timer.end_communication(comm);
 
-    // --- Join phase: batched filter + arena refine over frames. ----------
-    let mut filter_candidates = 0u64;
-    let mut refine_tests = 0u64;
-    let (pairs, max_resident_allocs) = run_refine_frames(
-        comm,
-        &*sd,
-        &left_stores,
-        &right_stores,
-        &mut filter_candidates,
-        &mut refine_tests,
-    );
+    // --- Join phase: filter, balance, arena refine over frames. ----------
+    let mut report = run_refine_frames(comm, &*sd, &left_stores, &right_stores, &ex_opts)?;
     timer.end_compute(comm);
 
     let local = timer.finish(comm);
-    let breakdown = PhaseBreakdown::reduce_max(comm, local);
-    Ok(JoinReport {
-        pairs,
-        filter_candidates,
-        refine_tests,
-        max_resident_allocs,
-        breakdown,
-    })
+    report.breakdown = PhaseBreakdown::reduce_max(comm, local);
+    Ok(report)
 }
 
 /// Options for a join over two binary snapshots.
@@ -246,146 +247,425 @@ pub fn spatial_join_snapshots(
     timer.end_communication(comm);
 
     // --- Join phase: identical to the text path. --------------------------
-    let mut filter_candidates = 0u64;
-    let mut refine_tests = 0u64;
-    let (pairs, max_resident_allocs) = run_refine_frames(
+    let mut report = run_refine_frames(
         comm,
         &*sd,
         std::slice::from_ref(&left),
         std::slice::from_ref(&right),
-        &mut filter_candidates,
-        &mut refine_tests,
-    );
+        &ExchangeOptions::with_chunk(opts.read.chunk),
+    )?;
     timer.end_compute(comm);
 
     let local = timer.finish(comm);
-    let breakdown = PhaseBreakdown::reduce_max(comm, local);
-    Ok(JoinReport {
-        pairs,
-        filter_candidates,
-        refine_tests,
-        max_resident_allocs,
-        breakdown,
-    })
+    report.breakdown = PhaseBreakdown::reduce_max(comm, local);
+    Ok(report)
 }
 
 /// Projects features to cells and pairs each replica with its owned
-/// feature (cloning only for spanning cells).
+/// feature: the feature moves into its last replica, so only the extra
+/// replicas of a cell-spanning feature are clones.
 fn project_owned(
     comm: &mut Comm,
     rtree: &RTree<u32>,
     features: Vec<Feature>,
 ) -> Vec<(u32, Feature)> {
     let pairs = decomp::project_to_cells(comm, rtree, &features);
-    pairs
-        .into_iter()
-        .map(|(cell, idx)| (cell, features[idx].clone()))
-        .collect()
+    let mut out = Vec::with_capacity(pairs.len());
+    // One feature's replicas are contiguous, in ascending feature order.
+    let mut pairs = pairs.into_iter().peekable();
+    for (idx, feature) in features.into_iter().enumerate() {
+        while let Some((cell, _)) = pairs.next_if(|&(_, i)| i == idx) {
+            if pairs.peek().is_some_and(|&(_, i)| i == idx) {
+                out.push((cell, feature.clone()));
+            } else {
+                out.push((cell, feature));
+                break;
+            }
+        }
+    }
+    out
 }
 
-/// The join phase: groups two sides of received wire frames by cell,
-/// builds a bulk R-tree over the left MBRs of each cell (the paper uses
-/// GEOS's STRtree the same way), filters candidate pairs in batch over
-/// precomputed MBRs ([`envelope_batch`] + [`filter_pairs_batch`] with the
-/// reference-cell claim), and only then materializes the surviving pairs
-/// into a reusable [`RefineArena`] for the exact intersection tests.
-/// Per-record heap allocation on the receive side is zero by
-/// construction. Returns the pairs plus the arena's peak of live scratch
-/// buffers (the `max_resident_allocs` metric).
-/// Not collective — refinement is cell-local; the communicator only
-/// charges compute.
-fn run_refine_frames(
+/// The balance step is skipped unless the busiest rank holds at least
+/// this many refine tests more than the balanced share `ceil(total / p)`.
+/// 256 tests are about 40 ms of refine under the calibrated cost model:
+/// below that, what balancing can save is of the order of what it costs
+/// (four collectives, serializing the shipped frames, filtering them
+/// again on the receiver), and the sampling noise of a near-uniform input
+/// (a few hundred tests per rank) stays under it, so such inputs pay only
+/// the 8-byte count allgather.
+pub const BALANCE_MIN_SURPLUS: u64 = 256;
+
+/// One planned shipment of refine work: `tests` surviving candidate
+/// pairs move from rank `from` to rank `to`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Transfer {
+    from: usize,
+    to: usize,
+    tests: u64,
+}
+
+/// The balance plan for the given per-rank survivor counts: ranks above
+/// the target `ceil(total / p)` hand their surplus to ranks below it, both
+/// taken in ascending rank order, so afterwards no rank exceeds the
+/// target. A pure function of `counts` — every rank computes the same
+/// plan from the allgathered counts, with no further agreement round.
+/// Empty when the largest surplus is under [`BALANCE_MIN_SURPLUS`].
+fn plan(counts: &[u64]) -> Vec<Transfer> {
+    let total: u64 = counts.iter().sum();
+    let target = total.div_ceil(counts.len().max(1) as u64);
+    let max = counts.iter().copied().max().unwrap_or(0);
+    let mut transfers = Vec::new();
+    if max - target < BALANCE_MIN_SURPLUS {
+        return transfers;
+    }
+    let mut deficits = counts
+        .iter()
+        .enumerate()
+        .filter(|&(_, &c)| c < target)
+        .map(|(rank, &c)| (rank, target - c));
+    let mut open = deficits.next();
+    for (from, &count) in counts.iter().enumerate() {
+        let mut surplus = count.saturating_sub(target);
+        while surplus > 0 {
+            // Σ surplus ≤ Σ deficit because target ≥ the mean.
+            let Some((to, room)) = open else { break };
+            let tests = surplus.min(room);
+            transfers.push(Transfer { from, to, tests });
+            surplus -= tests;
+            open = if room > tests {
+                Some((to, room - tests))
+            } else {
+                deficits.next()
+            };
+        }
+    }
+    transfers
+}
+
+/// One side of the join phase: borrowed frames in record order with their
+/// decoded views and MBRs.
+struct Side<'a> {
+    frames: Vec<RecordFrame<'a>>,
+    refs: Vec<GeomRef<'a>>,
+    mbrs: Vec<Rect>,
+}
+
+impl<'a> Side<'a> {
+    /// Flattens the stores in window-then-source order — the exchange's
+    /// record order — and decodes each frame's borrowed view once.
+    fn new(stores: &'a [FrameStore]) -> Result<Self> {
+        let frames: Vec<_> = stores.iter().flat_map(FrameStore::frames).collect();
+        // Survivor lists index frames with u32.
+        if u32::try_from(frames.len()).is_err() {
+            return Err(CoreError::Partition(format!(
+                "join: {} frames on one rank exceed the u32 index space",
+                frames.len()
+            )));
+        }
+        fn view(wkb: &[u8]) -> GeomRef<'_> {
+            // audit: FrameStore only holds buffers the exchange validated.
+            mvio_geom::wkb::decode_ref(wkb).expect("validated frame").0
+        }
+        let refs: Vec<GeomRef<'a>> = frames.iter().map(|fr| view(fr.wkb)).collect();
+        let mut mbrs = Vec::new();
+        envelope_batch(&refs, &mut mbrs);
+        Ok(Side { frames, refs, mbrs })
+    }
+
+    /// Frame indices grouped by cell: stable-sorted, so within a cell
+    /// they keep record order.
+    fn by_cell(&self) -> Vec<u32> {
+        // audit: `new` checked that every index fits u32.
+        let mut order: Vec<u32> = (0..self.frames.len() as u32).collect();
+        order.sort_by_key(|&i| self.frames[i as usize].cell);
+        order
+    }
+}
+
+/// The filter step: for every cell holding frames of both sides, bulk-loads
+/// an R-tree over the left MBRs (the paper uses GEOS's STRtree the same
+/// way), probes it with each right MBR, and keeps the candidates whose
+/// MBRs overlap and whose reference point the cell claims
+/// ([`filter_pairs_batch`] + [`claims_reference`]). Returns the survivors
+/// as flat `(left, right)` frame indices in cell / probe-record / hit
+/// order — one right record's survivors are contiguous — plus the
+/// candidate count before the dedup.
+fn filter(
     comm: &mut Comm,
     sd: &dyn SpatialDecomposition,
-    left_stores: &[FrameStore],
-    right_stores: &[FrameStore],
-    filter_candidates: &mut u64,
-    refine_tests: &mut u64,
-) -> (Vec<(String, String)>, u64) {
-    let rank = comm.rank();
-    // Flatten in window-then-source order — the exchange's record order —
-    // and decode each frame's borrowed view once.
-    let left: Vec<_> = left_stores.iter().flat_map(FrameStore::frames).collect();
-    let right: Vec<_> = right_stores.iter().flat_map(FrameStore::frames).collect();
-    fn view(wkb: &[u8]) -> GeomRef<'_> {
-        // audit: FrameStore only holds buffers the exchange validated.
-        mvio_geom::wkb::decode_ref(wkb).expect("validated frame").0
-    }
-    let left_refs: Vec<GeomRef<'_>> = left.iter().map(|fr| view(fr.wkb)).collect();
-    let right_refs: Vec<GeomRef<'_>> = right.iter().map(|fr| view(fr.wkb)).collect();
-    let (mut left_mbrs, mut right_mbrs) = (Vec::new(), Vec::new());
-    envelope_batch(&left_refs, &mut left_mbrs);
-    envelope_batch(&right_refs, &mut right_mbrs);
-
-    // Group by cell (ascending); within a cell, indices keep flattened
-    // record order.
-    let mut by_cell: BTreeMap<u32, (Vec<usize>, Vec<usize>)> = BTreeMap::new();
-    for (i, fr) in left.iter().enumerate() {
-        debug_assert_eq!(sd.cell_to_rank(fr.cell), rank, "left frame misrouted");
-        by_cell.entry(fr.cell).or_default().0.push(i);
-    }
-    for (i, fr) in right.iter().enumerate() {
-        debug_assert_eq!(sd.cell_to_rank(fr.cell), rank, "right frame misrouted");
-        by_cell.entry(fr.cell).or_default().1.push(i);
-    }
-
-    let mut arena = RefineArena::new();
-    let mut results = Vec::new();
+    left: &Side<'_>,
+    right: &Side<'_>,
+) -> (Vec<(u32, u32)>, u64) {
+    let (lorder, rorder) = (left.by_cell(), right.by_cell());
+    let cell_of = |side: &Side<'_>, i: u32| side.frames[i as usize].cell;
+    let mut survivors = Vec::new();
+    let mut total_candidates = 0u64;
     let mut candidates: Vec<(usize, usize)> = Vec::new();
     let mut surviving: Vec<(usize, usize)> = Vec::new();
-    for (cell, (ls, rs)) in by_cell {
+    let (mut l, mut r) = (0, 0);
+    while l < lorder.len() && r < rorder.len() {
+        let cell = cell_of(left, lorder[l]).min(cell_of(right, rorder[r]));
+        let ls = run_of(&lorder[l..], |i| cell_of(left, i) == cell);
+        let rs = run_of(&rorder[r..], |i| cell_of(right, i) == cell);
+        l += ls.len();
+        r += rs.len();
         if ls.is_empty() || rs.is_empty() {
             continue;
         }
-        let items: Vec<(Rect, usize)> = ls.iter().map(|&i| (left_mbrs[i], i)).collect();
+        let items: Vec<(Rect, usize)> = ls
+            .iter()
+            .map(|&i| (left.mbrs[i as usize], i as usize))
+            .collect();
         comm.charge(Work::RtreeInserts { n: ls.len() as u64 });
         let index = RTree::bulk_load(items);
 
         // Candidate enumeration in (right outer, hit inner) order, so the
         // per-rank output order is deterministic.
         candidates.clear();
-        let mut total_hits = 0u64;
-        for &ri in &rs {
-            let hits = index.query(&right_mbrs[ri]);
-            total_hits += hits.len() as u64;
-            candidates.extend(hits.iter().map(|&&li| (li, ri)));
-        }
-        *filter_candidates += candidates.len() as u64;
-        filter_pairs_batch(
-            &candidates,
-            &left_mbrs,
-            &right_mbrs,
-            |a, b| claims_reference(sd, cell, a, b),
-            &mut surviving,
-        );
-
-        // Exact refine only for the survivors, through the reusable
-        // arena: materialize, test, recycle — per window/cell reset keeps
-        // the pool of live buffers tiny regardless of record counts.
-        arena.reset();
-        for &(li, ri) in &surviving {
-            *refine_tests += 1;
-            comm.charge(Work::RefinePair {
-                verts_a: left_refs[li].num_points() as u64,
-                verts_b: right_refs[ri].num_points() as u64,
+        for &ri in rs {
+            index.query_with(&right.mbrs[ri as usize], &mut |&li| {
+                candidates.push((li, ri as usize))
             });
-            let lg = arena.materialize(&left_refs[li]);
-            let rg = arena.materialize(&right_refs[ri]);
-            if algo::intersects(&lg, &rg) {
-                results.push((
-                    left[li].userdata.to_string(),
-                    right[ri].userdata.to_string(),
-                ));
-            }
-            arena.recycle(lg);
-            arena.recycle(rg);
         }
         comm.charge(Work::RtreeQueries {
             n: rs.len() as u64,
-            results: total_hits,
+            results: candidates.len() as u64,
         });
+        total_candidates += candidates.len() as u64;
+        filter_pairs_batch(
+            &candidates,
+            &left.mbrs,
+            &right.mbrs,
+            |a, b| claims_reference(sd, cell, a, b),
+            &mut surviving,
+        );
+        // audit: `Side::new` checked that every index fits u32.
+        survivors.extend(surviving.iter().map(|&(li, ri)| (li as u32, ri as u32)));
     }
-    (results, arena.peak_resident() as u64)
+    (survivors, total_candidates)
+}
+
+/// The leading run of `items` satisfying `pred`.
+fn run_of(items: &[u32], pred: impl Fn(u32) -> bool) -> &[u32] {
+    let len = items.iter().take_while(|&&i| pred(i)).count();
+    &items[..len]
+}
+
+/// The refine step: exact intersection tests for `survivors`, through the
+/// reusable arena (materialize, test, recycle), appending the userdata of
+/// every intersecting pair to `pairs`.
+fn refine(
+    comm: &mut Comm,
+    left: &Side<'_>,
+    right: &Side<'_>,
+    survivors: &[(u32, u32)],
+    arena: &mut RefineArena,
+    pairs: &mut Vec<(String, String)>,
+) {
+    for &(li, ri) in survivors {
+        let (li, ri) = (li as usize, ri as usize);
+        comm.charge(Work::RefinePair {
+            verts_a: left.refs[li].num_points() as u64,
+            verts_b: right.refs[ri].num_points() as u64,
+        });
+        let lg = arena.materialize(&left.refs[li]);
+        let rg = arena.materialize(&right.refs[ri]);
+        if algo::intersects(&lg, &rg) {
+            pairs.push((
+                left.frames[li].userdata.to_string(),
+                right.frames[ri].userdata.to_string(),
+            ));
+        }
+        arena.recycle(lg);
+        arena.recycle(rg);
+    }
+}
+
+/// Serializes the given frames of `side` into `buf`, allocated once at
+/// its exact size. Returns the record count.
+fn emit_frames(side: &Side<'_>, indices: &[u32], buf: &mut Vec<u8>) -> Result<u64> {
+    let frames = || indices.iter().map(|&i| &side.frames[i as usize]);
+    buf.reserve_exact(frames().map(RecordFrame::wire_len).sum());
+    for frame in frames() {
+        serialize_frame(frame, buf)?;
+    }
+    Ok(indices.len() as u64)
+}
+
+/// Cuts the tail of `survivors` into this rank's planned shipments and
+/// serializes them: per destination, the right frames of the shipped
+/// probe records once, and the deduplicated left frames they pair with.
+/// Cuts fall on probe-record boundaries (one right record's survivors
+/// never split), so a shipment may differ from its planned size by less
+/// than one record's survivors. Returns the number of survivors this
+/// rank keeps — a prefix of the list — and the two batches.
+fn cut_shipments(
+    comm: &mut Comm,
+    left: &Side<'_>,
+    right: &Side<'_>,
+    survivors: &[(u32, u32)],
+    outgoing: &[Transfer],
+) -> Result<(usize, SerializedBatch, SerializedBatch)> {
+    let p = comm.size();
+    let mut left_batch = SerializedBatch::empty(p);
+    let mut right_batch = SerializedBatch::empty(p);
+    // A probe record goes where its first survivor's position falls among
+    // the planned intervals — the kept prefix, then the destinations in
+    // plan order — so each cut moves forward to the next record start.
+    let record_start = |mut at: usize| {
+        while at > 0 && at < survivors.len() && survivors[at].1 == survivors[at - 1].1 {
+            at += 1;
+        }
+        at.min(survivors.len())
+    };
+    let shipped: u64 = outgoing.iter().map(|t| t.tests).sum();
+    let mut planned = survivors.len().saturating_sub(shipped as usize);
+    let kept = record_start(planned);
+    let mut start = kept;
+    let (mut lefts, mut rights) = (Vec::new(), Vec::new());
+    for t in outgoing {
+        planned += t.tests as usize;
+        let end = record_start(planned);
+        let slice = &survivors[start..end];
+        start = end;
+        lefts.clear();
+        lefts.extend(slice.iter().map(|&(li, _)| li));
+        lefts.sort_unstable();
+        lefts.dedup();
+        rights.clear();
+        rights.extend(slice.iter().map(|&(_, ri)| ri));
+        rights.dedup();
+        left_batch.records[t.to] = emit_frames(left, &lefts, &mut left_batch.bufs[t.to])?;
+        right_batch.records[t.to] = emit_frames(right, &rights, &mut right_batch.bufs[t.to])?;
+    }
+    comm.charge(Work::SerializeGeoms {
+        n: left_batch.records.iter().chain(&right_batch.records).sum(),
+        bytes: left_batch
+            .bufs
+            .iter()
+            .chain(&right_batch.bufs)
+            .map(|b| b.len() as u64)
+            .sum(),
+    });
+    Ok((kept, left_batch, right_batch))
+}
+
+/// The join phase, in three steps.
+///
+/// **Filter** ([`filter`]): every rank reduces the frames of its own
+/// cells to the exact list of candidate pairs that need an exact test.
+///
+/// **Balance**: the ranks allgather their survivor counts and compute the
+/// same [`plan`]. When it is empty — the common, near-balanced case —
+/// nothing else happens. Otherwise each surplus rank cuts the tail of its
+/// list at probe-record boundaries and ships, per destination, those
+/// right frames plus the left frames they pair with, as ordinary wire
+/// records through two staged exchanges. A receiver runs the same
+/// [`filter`] on what it got: cell ids and cell rectangles are unchanged,
+/// so the reference-point rule keeps exactly the pairs the sender cut.
+/// Every `(cell, right replica)` is therefore refined on exactly one
+/// rank, together with every left replica of that cell it can intersect.
+///
+/// **Refine** ([`refine`]): exact tests over what the rank kept, then
+/// over what it received. Per-record heap allocation on the receive side
+/// is zero by construction; `max_resident_allocs` is the arena's peak of
+/// live scratch buffers.
+///
+/// Collective: every rank must call it (one allgather; two staged
+/// exchanges when the plan is non-empty, which every rank decides alike).
+/// A rank whose left shipment fails still enters the right exchange, with
+/// an empty batch, and returns the first error afterwards. The returned
+/// report's `breakdown` is left for the caller to fill.
+fn run_refine_frames(
+    comm: &mut Comm,
+    sd: &dyn SpatialDecomposition,
+    left_stores: &[FrameStore],
+    right_stores: &[FrameStore],
+    ex_opts: &ExchangeOptions,
+) -> Result<JoinReport> {
+    let rank = comm.rank();
+    let left = Side::new(left_stores)?;
+    let right = Side::new(right_stores)?;
+    debug_assert!(
+        left.frames
+            .iter()
+            .chain(&right.frames)
+            .all(|fr| sd.cell_to_rank(fr.cell) == rank),
+        "frame misrouted"
+    );
+    let (survivors, filter_candidates) = filter(comm, sd, &left, &right);
+
+    let gathered = comm.labeled("join.balance.counts", |c| {
+        c.allgather((survivors.len() as u64).to_le_bytes().to_vec())
+    });
+    let counts: Vec<u64> = gathered
+        .iter()
+        // audit: every rank contributes exactly the 8 bytes written above.
+        .map(|word| u64::from_le_bytes(word.as_slice().try_into().expect("8-byte count")))
+        .collect();
+    let transfers = plan(&counts);
+
+    let mut arena = RefineArena::new();
+    let mut report = JoinReport {
+        pairs: Vec::new(),
+        filter_candidates,
+        owned_refine_tests: survivors.len() as u64,
+        refine_tests: survivors.len() as u64,
+        balance_shipped_bytes: 0,
+        max_resident_allocs: 0,
+        breakdown: PhaseBreakdown::default(),
+    };
+    if transfers.is_empty() {
+        refine(
+            comm,
+            &left,
+            &right,
+            &survivors,
+            &mut arena,
+            &mut report.pairs,
+        );
+    } else {
+        let outgoing: Vec<Transfer> = transfers.into_iter().filter(|t| t.from == rank).collect();
+        // Deferred-error rule (as in `exchange_windows`): a rank that
+        // fails before or in the left exchange still enters what remains,
+        // with empty batches, so its peers are never stranded; it returns
+        // its first error once both exchanges have completed.
+        let p = comm.size();
+        let empty = || SerializedBatch::empty(p);
+        let (kept, left_batch, right_batch, cut_error) =
+            match cut_shipments(comm, &left, &right, &survivors, &outgoing) {
+                Ok((kept, l, r)) => (kept, l, r, None),
+                Err(e) => (0, empty(), empty(), Some(e)),
+            };
+        let left_in = comm.labeled("join.balance.left", |c| {
+            exchange_serialized_frames_with(c, left_batch, ex_opts)
+        });
+        let right_batch = if left_in.is_ok() {
+            right_batch
+        } else {
+            empty()
+        };
+        let right_in = comm.labeled("join.balance.right", |c| {
+            exchange_serialized_frames_with(c, right_batch, ex_opts)
+        });
+        if let Some(e) = cut_error {
+            return Err(e);
+        }
+        let (left_in, left_stats) = left_in?;
+        let (right_in, right_stats) = right_in?;
+        report.balance_shipped_bytes = left_stats.bytes_sent + right_stats.bytes_sent;
+
+        let pairs = &mut report.pairs;
+        refine(comm, &left, &right, &survivors[..kept], &mut arena, pairs);
+        let left_in = Side::new(std::slice::from_ref(&left_in))?;
+        let right_in = Side::new(std::slice::from_ref(&right_in))?;
+        let (received, _) = filter(comm, sd, &left_in, &right_in);
+        refine(comm, &left_in, &right_in, &received, &mut arena, pairs);
+        report.refine_tests = (kept + received.len()) as u64;
+    }
+    report.max_resident_allocs = arena.peak_resident() as u64;
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -674,69 +954,253 @@ mod tests {
         );
     }
 
+    /// Per-rank counts after applying `transfers` to `counts`.
+    fn apply(counts: &[u64], transfers: &[Transfer]) -> Vec<u64> {
+        let mut after = counts.to_vec();
+        for t in transfers {
+            after[t.from] -= t.tests;
+            after[t.to] += t.tests;
+        }
+        after
+    }
+
     #[test]
-    fn join_against_brute_force_on_random_data() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(31);
-        let mut left_wkt = String::new();
-        let mut right_wkt = String::new();
-        let mut left_rects = Vec::new();
-        let mut right_rects = Vec::new();
-        for i in 0..40 {
-            let x = rng.gen_range(0.0..50.0);
-            let y = rng.gen_range(0.0..50.0);
-            let w = rng.gen_range(0.5..4.0);
-            let h = rng.gen_range(0.5..4.0);
-            let r = Rect::new(x, y, x + w, y + h);
-            let poly = format!(
-                "POLYGON (({} {}, {} {}, {} {}, {} {}, {} {}))",
-                r.min_x,
-                r.min_y,
-                r.max_x,
-                r.min_y,
-                r.max_x,
-                r.max_y,
-                r.min_x,
-                r.max_y,
-                r.min_x,
-                r.min_y
+    fn plan_moves_surplus_to_deficit_and_caps_every_rank_at_the_target() {
+        let cases: [&[u64]; 5] = [
+            &[5000, 0, 0, 0],
+            &[10, 4000, 20, 900, 3000, 0, 0, 70],
+            &[1000, 1000, 1000, 5000],
+            &[0, 0, 0, 0, 0, 0, 0, 9001],
+            &[400, 1, 1, 1],
+        ];
+        for counts in cases {
+            let transfers = plan(counts);
+            assert!(!transfers.is_empty(), "{counts:?}");
+            assert_eq!(transfers, plan(counts), "plan must be deterministic");
+            let total: u64 = counts.iter().sum();
+            let target = total.div_ceil(counts.len() as u64);
+            for t in &transfers {
+                assert!(t.tests > 0);
+                assert!(
+                    counts[t.from] > target,
+                    "{t:?} sender is not a surplus rank"
+                );
+                assert!(
+                    counts[t.to] < target,
+                    "{t:?} receiver is not a deficit rank"
+                );
+            }
+            let after = apply(counts, &transfers);
+            assert_eq!(after.iter().sum::<u64>(), total, "sent != received");
+            assert!(
+                after.iter().all(|&c| c <= target),
+                "{counts:?} -> {after:?}"
             );
-            if i % 2 == 0 {
-                left_wkt.push_str(&format!("{poly}\tL{i}\n"));
-                left_rects.push((format!("L{i}"), r));
-            } else {
-                right_wkt.push_str(&format!("{poly}\tR{i}\n"));
-                right_rects.push((format!("R{i}"), r));
+            // Every surplus rank is cut down to exactly the target.
+            for (rank, &c) in counts.iter().enumerate() {
+                if c > target {
+                    assert_eq!(after[rank], target);
+                }
             }
         }
-        // Brute-force ground truth (axis-aligned rects: MBR test is exact).
-        let mut expect: Vec<(String, String)> = Vec::new();
-        for (ln, lr) in &left_rects {
-            for (rn, rr) in &right_rects {
+    }
+
+    #[test]
+    fn plan_is_empty_below_the_threshold_and_in_a_single_rank_world() {
+        assert!(plan(&[]).is_empty());
+        assert!(plan(&[123_456]).is_empty());
+        assert!(plan(&[0, 0, 0]).is_empty());
+        assert!(plan(&[200, 227, 190, 201]).is_empty());
+        // target = 2000 / 4 = 500: a surplus one short of the threshold
+        // skips, the threshold itself balances.
+        assert_eq!(BALANCE_MIN_SURPLUS, 256);
+        assert!(plan(&[755, 415, 415, 415]).is_empty());
+        assert!(!plan(&[756, 414, 415, 415]).is_empty());
+    }
+
+    /// A layer pair whose refine work sits in one grid cell: an 8 x 8
+    /// lattice of unit squares joined with `rights` small squares that
+    /// each overlap one to four of them, plus one sparse pair per other
+    /// cell of a 4 x 4 grid over [0, 40]². Every right square lies inside
+    /// one cell. Axis-aligned squares, so MBR overlap is exact.
+    fn skewed_layers(rights: usize) -> (Vec<(String, Rect)>, Vec<(String, Rect)>) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut left = Vec::new();
+        let mut right = Vec::new();
+        for i in 0..8 {
+            for j in 0..8 {
+                let (x, y) = (1.0 + i as f64, 1.0 + j as f64);
+                left.push((format!("L{i}_{j}"), Rect::new(x, y, x + 1.0, y + 1.0)));
+            }
+        }
+        for k in 0..rights {
+            let x = rng.gen_range(1.0..8.4);
+            let y = rng.gen_range(1.0..8.4);
+            right.push((format!("R{k}"), Rect::new(x, y, x + 0.6, y + 0.6)));
+        }
+        for cx in 0..4 {
+            for cy in 0..4 {
+                if (cx, cy) != (0, 0) {
+                    let (x, y) = (cx as f64 * 10.0 + 4.0, cy as f64 * 10.0 + 4.0);
+                    left.push((format!("Lbg{cx}_{cy}"), Rect::new(x, y, x + 2.0, y + 2.0)));
+                    right.push((
+                        format!("Rbg{cx}_{cy}"),
+                        Rect::new(x + 1.0, y + 1.0, x + 1.5, y + 1.5),
+                    ));
+                }
+            }
+        }
+        // Pin the global MBR to [0, 40]².
+        left.push(("Lmin".into(), Rect::new(0.0, 0.0, 0.5, 0.5)));
+        left.push(("Lmax".into(), Rect::new(39.5, 39.5, 40.0, 40.0)));
+        (left, right)
+    }
+
+    fn rect_layer_wkt(layer: &[(String, Rect)]) -> String {
+        layer
+            .iter()
+            .map(|(name, r)| {
+                format!(
+                    "POLYGON (({} {}, {} {}, {} {}, {} {}, {} {}))\t{name}\n",
+                    r.min_x,
+                    r.min_y,
+                    r.max_x,
+                    r.min_y,
+                    r.max_x,
+                    r.max_y,
+                    r.min_x,
+                    r.max_y,
+                    r.min_x,
+                    r.min_y
+                )
+            })
+            .collect()
+    }
+
+    fn brute_force(left: &[(String, Rect)], right: &[(String, Rect)]) -> Vec<(String, String)> {
+        let mut expect = Vec::new();
+        for (ln, lr) in left {
+            for (rn, rr) in right {
                 if lr.intersects(rr) {
                     expect.push((ln.clone(), rn.clone()));
                 }
             }
         }
         expect.sort();
+        expect
+    }
 
+    fn join_rect_layers(
+        topo: Topology,
+        mut opts: JoinOptions,
+        left: &[(String, Rect)],
+        right: &[(String, Rect)],
+    ) -> Vec<JoinReport> {
         let fs = SimFs::new(FsConfig::gpfs_roger());
-        fs.create("l.wkt", None)
-            .unwrap()
-            .append(left_wkt.as_bytes());
-        fs.create("r.wkt", None)
-            .unwrap()
-            .append(right_wkt.as_bytes());
-        let out = World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {
-            let opts = JoinOptions {
-                grid: GridSpec::square(6),
-                ..Default::default()
-            };
+        let (l, r) = (rect_layer_wkt(left), rect_layer_wkt(right));
+        fs.create("l.wkt", None).unwrap().append(l.as_bytes());
+        fs.create("r.wkt", None).unwrap().append(r.as_bytes());
+        opts.read.block_size = Some(2048);
+        World::run(WorldConfig::new(topo), move |comm| {
             spatial_join(comm, &fs, "l.wkt", "r.wkt", &opts).unwrap()
-        });
-        let mut pairs: Vec<(String, String)> = out.iter().flat_map(|r| r.pairs.clone()).collect();
+        })
+    }
+
+    fn sorted_pairs(reports: &[JoinReport]) -> Vec<(String, String)> {
+        let mut pairs: Vec<(String, String)> =
+            reports.iter().flat_map(|r| r.pairs.clone()).collect();
         pairs.sort();
-        assert_eq!(pairs, expect);
+        pairs
+    }
+
+    /// 4 x 4 cells under the round-robin map: what [`skewed_layers`] is
+    /// laid out for.
+    fn skewed_opts() -> JoinOptions {
+        JoinOptions {
+            grid: GridSpec::square(4),
+            decomp: DecompPolicy::Uniform(mvio_core::grid::CellMap::RoundRobin),
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn skewed_join_is_balanced_after_the_filter() {
+        let (left, right) = skewed_layers(900);
+        let expect = brute_force(&left, &right);
+        for topo in [Topology::new(2, 2), Topology::new(4, 4)] {
+            let out = join_rect_layers(topo, skewed_opts(), &left, &right);
+            assert_eq!(sorted_pairs(&out), expect, "{topo:?}");
+
+            // Balancing moves tests; it never adds or drops one.
+            let owned: Vec<u64> = out.iter().map(|r| r.owned_refine_tests).collect();
+            let executed: Vec<u64> = out.iter().map(|r| r.refine_tests).collect();
+            assert_eq!(owned.iter().sum::<u64>(), executed.iter().sum::<u64>());
+            // Squares: every test is a result pair.
+            assert_eq!(executed.iter().sum::<u64>(), expect.len() as u64);
+            // The hot cell's owner shipped, and only it.
+            assert!(decomp::imbalance_ratio(&owned) > 2.0, "{owned:?}");
+            assert!(out[0].balance_shipped_bytes > 0);
+            assert!(out[1..].iter().all(|r| r.balance_shipped_bytes == 0));
+            assert!(
+                decomp::imbalance_ratio(&executed) <= 1.1,
+                "{topo:?}: {executed:?}"
+            );
+            // The filter counts own cells only: its sum is the input's.
+            let candidates: u64 = out.iter().map(|r| r.filter_candidates).sum();
+            assert_eq!(candidates, expect.len() as u64);
+
+            // No right record's tests are split: each right square lies
+            // in one cell, so all its pairs come from one rank.
+            let mut home: std::collections::BTreeMap<&str, usize> = Default::default();
+            for (rank, report) in out.iter().enumerate() {
+                for (_, r) in &report.pairs {
+                    assert_eq!(
+                        *home.entry(r).or_insert(rank),
+                        rank,
+                        "{r} split across ranks"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn near_uniform_join_ships_nothing() {
+        // One sparse pair per cell: nothing to balance, so every rank
+        // refines exactly its own survivors and ships no byte.
+        let (left, right) = skewed_layers(0);
+        let out = join_rect_layers(Topology::new(2, 2), skewed_opts(), &left, &right);
+        assert_eq!(sorted_pairs(&out), brute_force(&left, &right));
+        for r in &out {
+            assert_eq!(r.balance_shipped_bytes, 0);
+            assert_eq!(r.refine_tests, r.owned_refine_tests);
+        }
+    }
+
+    #[test]
+    fn join_against_brute_force_on_random_data() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+        let (mut left, mut right) = (Vec::new(), Vec::new());
+        for i in 0..40 {
+            let x = rng.gen_range(0.0..50.0);
+            let y = rng.gen_range(0.0..50.0);
+            let w = rng.gen_range(0.5..4.0);
+            let h = rng.gen_range(0.5..4.0);
+            let r = Rect::new(x, y, x + w, y + h);
+            if i % 2 == 0 {
+                left.push((format!("L{i}"), r));
+            } else {
+                right.push((format!("R{i}"), r));
+            }
+        }
+        let opts = JoinOptions {
+            grid: GridSpec::square(6),
+            ..Default::default()
+        };
+        let out = join_rect_layers(Topology::new(2, 2), opts, &left, &right);
+        assert_eq!(sorted_pairs(&out), brute_force(&left, &right));
         let _ = wkt::parse("POINT (0 0)").unwrap(); // keep wkt import used
     }
 }

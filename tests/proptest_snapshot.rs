@@ -19,6 +19,13 @@ use std::sync::Arc;
 
 /// Deterministic pseudo-random WKT dataset (mixed shapes + userdata).
 fn dataset_text(records: usize, salt: u64) -> String {
+    dataset_text_scaled(records, salt, 1.0)
+}
+
+/// [`dataset_text`] with every record's origin scaled by `spread`; the
+/// shapes keep their size, so a small spread piles them onto one hotspot
+/// where nearly every pair overlaps.
+fn dataset_text_scaled(records: usize, salt: u64, spread: f64) -> String {
     let mut state = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
     let mut next = move || {
         state = state
@@ -28,8 +35,8 @@ fn dataset_text(records: usize, salt: u64) -> String {
     };
     let mut text = String::new();
     for i in 0..records {
-        let x = next() * 40.0;
-        let y = next() * 25.0;
+        let x = next() * 40.0 * spread;
+        let y = next() * 25.0 * spread;
         match i % 3 {
             0 => text.push_str(&format!("POINT ({x} {y})\tp{i}\n")),
             1 => text.push_str(&format!(
@@ -55,8 +62,8 @@ fn dataset_text(records: usize, salt: u64) -> String {
 
 /// Parses the deterministic WKT dataset into features, for fabricating
 /// join layers without a file read.
-fn join_layer(records: usize, salt: u64) -> Vec<Feature> {
-    dataset_text(records, salt)
+fn join_layer(records: usize, salt: u64, spread: f64) -> Vec<Feature> {
+    dataset_text_scaled(records, salt, spread)
         .lines()
         .map(|l| {
             let (g, u) = l.split_once('\t').unwrap();
@@ -199,17 +206,22 @@ proptest! {
     /// The snapshot-backed join reports exactly the serial brute-force
     /// pair set — every intersecting (left, right) pair once, nothing
     /// else — for every writer/reader world size, rebuild policy and
-    /// exchange chunk cap.
+    /// exchange chunk cap. The `hot` draws put both layers on one
+    /// hotspot inside the first cell, so its owner's refine surplus
+    /// exceeds `BALANCE_MIN_SURPLUS` and the join's balance step ships
+    /// candidate pairs; the others take the empty-plan path.
     #[test]
     fn snapshot_join_matches_brute_force(
-        lrecords in 1usize..40,
-        rrecords in 1usize..40,
+        lrecords in 1usize..70,
+        rrecords in 1usize..70,
         salt in 0u64..1_000,
         write_ranks in 1usize..4,
         join_ranks in 1usize..5,
         hilbert in any::<bool>(),
         chunk_bytes in 0u64..2048,
+        hot in any::<bool>(),
     ) {
+        let spread = if hot { 0.05 } else { 1.0 };
         let chunk = if chunk_bytes < 16 {
             ExchangeChunk::Unlimited
         } else {
@@ -228,7 +240,7 @@ proptest! {
                         [("l.bin", lrecords, salt), ("r.bin", rrecords, salt ^ 0xDEAD)]
                     {
                         let mut pairs: Vec<(u32, Feature)> = Vec::new();
-                        for f in join_layer(n, s) {
+                        for f in join_layer(n, s, spread) {
                             for cell in d.cells_for_rect_vec(&f.geometry.envelope()) {
                                 if d.cell_to_rank(cell) == comm.rank() {
                                     pairs.push((cell, f.clone()));
@@ -261,17 +273,18 @@ proptest! {
                         },
                         read: SnapshotReadOptions::default().with_chunk(chunk),
                     };
-                    spatial_join_snapshots(comm, &fs, "l.bin", "r.bin", &opts)
-                        .unwrap()
-                        .pairs
+                    spatial_join_snapshots(comm, &fs, "l.bin", "r.bin", &opts).unwrap()
                 },
             )
         };
-        let mut got: Vec<(String, String)> = joined.into_iter().flatten().collect();
+        let owned: u64 = joined.iter().map(|r| r.owned_refine_tests).sum();
+        let executed: u64 = joined.iter().map(|r| r.refine_tests).sum();
+        prop_assert_eq!(owned, executed, "balancing added or dropped a refine test");
+        let mut got: Vec<(String, String)> = joined.into_iter().flat_map(|r| r.pairs).collect();
         got.sort();
-        let right = join_layer(rrecords, salt ^ 0xDEAD);
+        let right = join_layer(rrecords, salt ^ 0xDEAD, spread);
         let mut expect: Vec<(String, String)> = Vec::new();
-        for l in join_layer(lrecords, salt) {
+        for l in join_layer(lrecords, salt, spread) {
             for r in &right {
                 if algo::intersects(&l.geometry, &r.geometry) {
                     expect.push((l.userdata.clone(), r.userdata.clone()));
@@ -281,8 +294,8 @@ proptest! {
         expect.sort();
         prop_assert_eq!(
             got, expect,
-            "join diverged from brute force ({} ranks, hilbert {}, chunk {:?})",
-            join_ranks, hilbert, chunk
+            "join diverged from brute force ({} ranks, hilbert {}, chunk {:?}, hot {})",
+            join_ranks, hilbert, chunk, hot
         );
     }
 }
