@@ -103,7 +103,7 @@ pub fn run(scale: Scale, quick: bool) -> String {
         ]);
     }
     t.note("paper: overall execution time decreases as grid cells increase (finer tasks balance better); communication varies with the cell-to-process mapping");
-    t.note("owned imb. = max/mean refine tests per rank as the grid assigns them — the paper's effect; the join re-balances survivors after the filter when a rank is 256+ tests over its share, so total time no longer follows it");
+    t.note("owned imb. = max/mean refine tests per rank as the grid assigns them — the paper's effect; the join re-balances survivors after the filter when a rank is 10+ ms of refine over its share, so a coarse grid pays for shipping its surplus rather than for refining it and the gap in seconds is narrower than the paper's");
     t.note("times are full-scale-equivalent virtual seconds; phases are max-over-ranks so they can sum above total");
     t.render()
 }
@@ -113,12 +113,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn finer_grids_balance_the_assigned_refine_load() {
-        // Figure 17's mechanism: finer cells spread the refine tests
-        // over the ranks more evenly. It shows in what the grid assigns
-        // (4 cells cannot feed 8 ranks); the total time no longer
-        // depends on it, because the join ships the coarse grid's
-        // surplus to the idle ranks after the filter.
+    fn finer_grids_reduce_total_time() {
         let scale = Scale { denominator: 2_000 };
         let coarse = join_reports(scale, "Lakes", "Cemetery", 8, 2);
         let fine = join_reports(scale, "Lakes", "Cemetery", 8, 12);
@@ -128,13 +123,18 @@ mod tests {
             pairs(&fine),
             "grid resolution must not change the join result"
         );
+        let (coarse_total, fine_total) = (coarse[0].breakdown.total, fine[0].breakdown.total);
+        assert!(
+            fine_total < coarse_total,
+            "finer grid {fine_total:.4}s must beat coarse {coarse_total:.4}s (Figure 17)"
+        );
+        // The mechanism: finer cells spread the refine tests over the
+        // ranks more evenly (4 cells cannot feed 8 ranks). The join's
+        // balance step narrows the gap in seconds — the coarse grid now
+        // pays for shipping its surplus, not for refining it — but not
+        // what the grid assigns.
         let (ci, fi) = (owned_imbalance(&coarse), owned_imbalance(&fine));
         assert!(ci >= 2.0, "4 cells over 8 ranks: owned imbalance {ci:.2}");
-        assert!(
-            fi < ci,
-            "finer grid {fi:.2} must beat coarse {ci:.2} (Figure 17)"
-        );
-        let balanced = load_imbalance(&coarse, |r| r.refine_tests);
-        assert!(balanced < 1.2, "coarse grid after balancing: {balanced:.2}");
+        assert!(fi < ci, "finer grid {fi:.2} must beat coarse {ci:.2}");
     }
 }

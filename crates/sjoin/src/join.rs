@@ -20,7 +20,7 @@ use mvio_geom::index::RTree;
 use mvio_geom::refkernel::{envelope_batch, filter_pairs_batch, RefineArena};
 use mvio_geom::wkb::GeomRef;
 use mvio_geom::{algo, Rect};
-use mvio_msim::{Comm, Work};
+use mvio_msim::{Comm, CostModel, Work};
 use mvio_pfs::SimFs;
 use std::sync::Arc;
 
@@ -36,7 +36,7 @@ pub struct JoinOptions {
     /// The policy decides where records land — the exchange volume and
     /// the filter load — but no longer the refine makespan: surviving
     /// candidate pairs are re-balanced across ranks after the filter
-    /// (see [`BALANCE_MIN_SURPLUS`]).
+    /// (see [`BALANCE_MIN_SURPLUS_NS`]).
     pub decomp: DecompPolicy,
     /// File read configuration for both layers.
     pub read: ReadOptions,
@@ -159,12 +159,26 @@ pub fn spatial_join(
     timer.end_communication(comm);
 
     // --- Join phase: filter, balance, arena refine over frames. ----------
-    let mut report = run_refine_frames(comm, &*sd, &left_stores, &right_stores, &ex_opts)?;
-    timer.end_compute(comm);
+    let report = run_refine_frames(comm, &*sd, &left_stores, &right_stores, &ex_opts);
+    finish(comm, timer, report)
+}
 
+/// Closes the compute phase and fills in the global breakdown. Takes the
+/// join phase's result rather than its report: a rank whose join phase
+/// failed still enters the breakdown reduction its peers are in, and
+/// returns its error afterwards.
+fn finish(
+    comm: &mut Comm,
+    mut timer: PhaseTimer,
+    report: Result<JoinReport>,
+) -> Result<JoinReport> {
+    timer.end_compute(comm);
     let local = timer.finish(comm);
-    report.breakdown = PhaseBreakdown::reduce_max(comm, local);
-    Ok(report)
+    let breakdown = PhaseBreakdown::reduce_max(comm, local);
+    report.map(|report| JoinReport {
+        breakdown,
+        ..report
+    })
 }
 
 /// Options for a join over two binary snapshots.
@@ -247,18 +261,14 @@ pub fn spatial_join_snapshots(
     timer.end_communication(comm);
 
     // --- Join phase: identical to the text path. --------------------------
-    let mut report = run_refine_frames(
+    let report = run_refine_frames(
         comm,
         &*sd,
         std::slice::from_ref(&left),
         std::slice::from_ref(&right),
         &ExchangeOptions::with_chunk(opts.read.chunk),
-    )?;
-    timer.end_compute(comm);
-
-    let local = timer.finish(comm);
-    report.breakdown = PhaseBreakdown::reduce_max(comm, local);
-    Ok(report)
+    );
+    finish(comm, timer, report)
 }
 
 /// Projects features to cells and pairs each replica with its owned
@@ -286,55 +296,58 @@ fn project_owned(
     out
 }
 
-/// The balance step is skipped unless the busiest rank holds at least
-/// this many refine tests more than the balanced share `ceil(total / p)`.
-/// 256 tests are about 40 ms of refine under the calibrated cost model:
-/// below that, what balancing can save is of the order of what it costs
-/// (four collectives, serializing the shipped frames, filtering them
-/// again on the receiver), and the sampling noise of a near-uniform input
-/// (a few hundred tests per rank) stays under it, so such inputs pay only
-/// the 8-byte count allgather.
-pub const BALANCE_MIN_SURPLUS: u64 = 256;
+/// The balance step is skipped unless the busiest rank's refine load is
+/// at least this far above the balanced share `ceil(total / p)`. Loads are
+/// predicted refine nanoseconds (the cost model's [`Work::RefinePair`] of
+/// each surviving pair), so the constant means the same on 150 µs tests
+/// and on millisecond ones. 10 ms is a few times what a non-empty plan
+/// costs before it saves anything: four collectives (about 1 ms of
+/// latency at 80 ranks and 4 ms at 320 under the calibrated model) and,
+/// per shipped test, about a fifth of its refine time for serializing its
+/// records and filtering them again on the receiver. The sampling noise
+/// of a near-uniform input — 3 to 4 ms on the benchmark's uniform joins —
+/// stays under it, so such inputs pay only the 8-byte allgather.
+pub const BALANCE_MIN_SURPLUS_NS: u64 = 10_000_000;
 
-/// One planned shipment of refine work: `tests` surviving candidate
-/// pairs move from rank `from` to rank `to`.
+/// One planned shipment of refine work: survivors worth `load` predicted
+/// nanoseconds move from rank `from` to rank `to`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Transfer {
     from: usize,
     to: usize,
-    tests: u64,
+    load: u64,
 }
 
-/// The balance plan for the given per-rank survivor counts: ranks above
-/// the target `ceil(total / p)` hand their surplus to ranks below it, both
+/// The balance plan for the given per-rank refine loads: ranks above the
+/// target `ceil(total / p)` hand their surplus to ranks below it, both
 /// taken in ascending rank order, so afterwards no rank exceeds the
-/// target. A pure function of `counts` — every rank computes the same
-/// plan from the allgathered counts, with no further agreement round.
-/// Empty when the largest surplus is under [`BALANCE_MIN_SURPLUS`].
-fn plan(counts: &[u64]) -> Vec<Transfer> {
-    let total: u64 = counts.iter().sum();
-    let target = total.div_ceil(counts.len().max(1) as u64);
-    let max = counts.iter().copied().max().unwrap_or(0);
+/// target. A pure function of `loads` — every rank computes the same
+/// plan from the allgathered loads, with no further agreement round.
+/// Empty when the largest surplus is under [`BALANCE_MIN_SURPLUS_NS`].
+fn plan(loads: &[u64]) -> Vec<Transfer> {
+    let total: u64 = loads.iter().sum();
+    let target = total.div_ceil(loads.len().max(1) as u64);
+    let max = loads.iter().copied().max().unwrap_or(0);
     let mut transfers = Vec::new();
-    if max - target < BALANCE_MIN_SURPLUS {
+    if max - target < BALANCE_MIN_SURPLUS_NS {
         return transfers;
     }
-    let mut deficits = counts
+    let mut deficits = loads
         .iter()
         .enumerate()
-        .filter(|&(_, &c)| c < target)
-        .map(|(rank, &c)| (rank, target - c));
+        .filter(|&(_, &l)| l < target)
+        .map(|(rank, &l)| (rank, target - l));
     let mut open = deficits.next();
-    for (from, &count) in counts.iter().enumerate() {
-        let mut surplus = count.saturating_sub(target);
+    for (from, &own) in loads.iter().enumerate() {
+        let mut surplus = own.saturating_sub(target);
         while surplus > 0 {
             // Σ surplus ≤ Σ deficit because target ≥ the mean.
             let Some((to, room)) = open else { break };
-            let tests = surplus.min(room);
-            transfers.push(Transfer { from, to, tests });
-            surplus -= tests;
-            open = if room > tests {
-                Some((to, room - tests))
+            let load = surplus.min(room);
+            transfers.push(Transfer { from, to, load });
+            surplus -= load;
+            open = if room > load {
+                Some((to, room - load))
             } else {
                 deficits.next()
             };
@@ -345,6 +358,7 @@ fn plan(counts: &[u64]) -> Vec<Transfer> {
 
 /// One side of the join phase: borrowed frames in record order with their
 /// decoded views and MBRs.
+#[derive(Default)]
 struct Side<'a> {
     frames: Vec<RecordFrame<'a>>,
     refs: Vec<GeomRef<'a>>,
@@ -452,6 +466,23 @@ fn run_of(items: &[u32], pred: impl Fn(u32) -> bool) -> &[u32] {
     &items[..len]
 }
 
+/// The exact test of one surviving pair as the cost model's work unit:
+/// what [`refine`] charges and what the balance step weighs.
+fn refine_work(left: &Side<'_>, right: &Side<'_>, (li, ri): (u32, u32)) -> Work {
+    Work::RefinePair {
+        verts_a: left.refs[li as usize].num_points() as u64,
+        verts_b: right.refs[ri as usize].num_points() as u64,
+    }
+}
+
+/// Predicted refine time of one surviving pair, in nanoseconds under
+/// `model` — the unit the balance step counts load in. A count of tests
+/// would misjudge inputs whose polygons are large: one test costs the
+/// fixed call overhead plus the product of the two vertex counts.
+fn test_cost(model: &CostModel, left: &Side<'_>, right: &Side<'_>, pair: (u32, u32)) -> u64 {
+    (model.cost(refine_work(left, right, pair)) * 1e9) as u64
+}
+
 /// The refine step: exact intersection tests for `survivors`, through the
 /// reusable arena (materialize, test, recycle), appending the userdata of
 /// every intersecting pair to `pairs`.
@@ -463,12 +494,9 @@ fn refine(
     arena: &mut RefineArena,
     pairs: &mut Vec<(String, String)>,
 ) {
-    for &(li, ri) in survivors {
-        let (li, ri) = (li as usize, ri as usize);
-        comm.charge(Work::RefinePair {
-            verts_a: left.refs[li].num_points() as u64,
-            verts_b: right.refs[ri].num_points() as u64,
-        });
+    for &pair in survivors {
+        comm.charge(refine_work(left, right, pair));
+        let (li, ri) = (pair.0 as usize, pair.1 as usize);
         let lg = arena.materialize(&left.refs[li]);
         let rg = arena.materialize(&right.refs[ri]);
         if algo::intersects(&lg, &rg) {
@@ -496,37 +524,47 @@ fn emit_frames(side: &Side<'_>, indices: &[u32], buf: &mut Vec<u8>) -> Result<u6
 /// Cuts the tail of `survivors` into this rank's planned shipments and
 /// serializes them: per destination, the right frames of the shipped
 /// probe records once, and the deduplicated left frames they pair with.
-/// Cuts fall on probe-record boundaries (one right record's survivors
-/// never split), so a shipment may differ from its planned size by less
-/// than one record's survivors. Returns the number of survivors this
-/// rank keeps — a prefix of the list — and the two batches.
+/// A cut falls where the running [`test_cost`] reaches the planned load,
+/// moved forward to the next probe-record boundary (one right record's
+/// survivors never split), so a shipment may exceed its planned load by
+/// less than one record's survivors. `own_load` is the cost of the whole
+/// list. Returns the number of survivors this rank keeps — a prefix of
+/// the list — and the two batches.
 fn cut_shipments(
     comm: &mut Comm,
     left: &Side<'_>,
     right: &Side<'_>,
     survivors: &[(u32, u32)],
+    own_load: u64,
     outgoing: &[Transfer],
 ) -> Result<(usize, SerializedBatch, SerializedBatch)> {
     let p = comm.size();
+    let model = *comm.cost_model();
     let mut left_batch = SerializedBatch::empty(p);
     let mut right_batch = SerializedBatch::empty(p);
-    // A probe record goes where its first survivor's position falls among
-    // the planned intervals — the kept prefix, then the destinations in
-    // plan order — so each cut moves forward to the next record start.
-    let record_start = |mut at: usize| {
-        while at > 0 && at < survivors.len() && survivors[at].1 == survivors[at - 1].1 {
+    if outgoing.is_empty() {
+        return Ok((survivors.len(), left_batch, right_batch));
+    }
+    // One forward walk over the list: the planned intervals are the kept
+    // prefix, then the destinations in plan order. A probe record goes to
+    // the interval its first survivor falls in.
+    let (mut at, mut load) = (0, 0u64);
+    let mut cut_at = |boundary: u64| {
+        let same_record = |at: usize| at > 0 && survivors[at].1 == survivors[at - 1].1;
+        while at < survivors.len() && (load < boundary || same_record(at)) {
+            load += test_cost(&model, left, right, survivors[at]);
             at += 1;
         }
-        at.min(survivors.len())
+        at
     };
-    let shipped: u64 = outgoing.iter().map(|t| t.tests).sum();
-    let mut planned = survivors.len().saturating_sub(shipped as usize);
-    let kept = record_start(planned);
+    let shipped: u64 = outgoing.iter().map(|t| t.load).sum();
+    let mut boundary = own_load.saturating_sub(shipped);
+    let kept = cut_at(boundary);
     let mut start = kept;
     let (mut lefts, mut rights) = (Vec::new(), Vec::new());
     for t in outgoing {
-        planned += t.tests as usize;
-        let end = record_start(planned);
+        boundary += t.load;
+        let end = cut_at(boundary);
         let slice = &survivors[start..end];
         start = end;
         lefts.clear();
@@ -556,16 +594,17 @@ fn cut_shipments(
 /// **Filter** ([`filter`]): every rank reduces the frames of its own
 /// cells to the exact list of candidate pairs that need an exact test.
 ///
-/// **Balance**: the ranks allgather their survivor counts and compute the
-/// same [`plan`]. When it is empty — the common, near-balanced case —
-/// nothing else happens. Otherwise each surplus rank cuts the tail of its
-/// list at probe-record boundaries and ships, per destination, those
-/// right frames plus the left frames they pair with, as ordinary wire
-/// records through two staged exchanges. A receiver runs the same
-/// [`filter`] on what it got: cell ids and cell rectangles are unchanged,
-/// so the reference-point rule keeps exactly the pairs the sender cut.
-/// Every `(cell, right replica)` is therefore refined on exactly one
-/// rank, together with every left replica of that cell it can intersect.
+/// **Balance**: the ranks allgather the predicted refine time of their
+/// survivors ([`test_cost`]) and compute the same [`plan`]. When it is
+/// empty — the common, near-balanced case — nothing else happens.
+/// Otherwise each surplus rank cuts the tail of its list at probe-record
+/// boundaries and ships, per destination, those right frames plus the
+/// left frames they pair with, as ordinary wire records through two
+/// staged exchanges. A receiver runs the same [`filter`] on what it got:
+/// cell ids and cell rectangles are unchanged, so the reference-point
+/// rule keeps exactly the pairs the sender cut. Every `(cell, right
+/// replica)` is therefore refined on exactly one rank, together with
+/// every left replica of that cell it can intersect.
 ///
 /// **Refine** ([`refine`]): exact tests over what the rank kept, then
 /// over what it received. Per-record heap allocation on the receive side
@@ -574,9 +613,11 @@ fn cut_shipments(
 ///
 /// Collective: every rank must call it (one allgather; two staged
 /// exchanges when the plan is non-empty, which every rank decides alike).
-/// A rank whose left shipment fails still enters the right exchange, with
-/// an empty batch, and returns the first error afterwards. The returned
-/// report's `breakdown` is left for the caller to fill.
+/// Deferred-error rule, as in `exchange_windows`: a rank that fails
+/// before or in one of these collectives still enters the ones that
+/// remain — with no frames, a zero load, empty batches — and returns its
+/// first error after the last of them. The returned report's `breakdown`
+/// is left for the caller ([`finish`]) to fill.
 fn run_refine_frames(
     comm: &mut Comm,
     sd: &dyn SpatialDecomposition,
@@ -585,8 +626,11 @@ fn run_refine_frames(
     ex_opts: &ExchangeOptions,
 ) -> Result<JoinReport> {
     let rank = comm.rank();
-    let left = Side::new(left_stores)?;
-    let right = Side::new(right_stores)?;
+    let sides = Side::new(left_stores).and_then(|l| Ok((l, Side::new(right_stores)?)));
+    let (left, right, mut first_error) = match sides {
+        Ok((left, right)) => (left, right, None),
+        Err(e) => (Side::default(), Side::default(), Some(e)),
+    };
     debug_assert!(
         left.frames
             .iter()
@@ -596,47 +640,34 @@ fn run_refine_frames(
     );
     let (survivors, filter_candidates) = filter(comm, sd, &left, &right);
 
+    let model = *comm.cost_model();
+    let own_load: u64 = survivors
+        .iter()
+        .map(|&pair| test_cost(&model, &left, &right, pair))
+        .sum();
     let gathered = comm.labeled("join.balance.counts", |c| {
-        c.allgather((survivors.len() as u64).to_le_bytes().to_vec())
+        c.allgather(own_load.to_le_bytes().to_vec())
     });
-    let counts: Vec<u64> = gathered
+    let loads: Vec<u64> = gathered
         .iter()
         // audit: every rank contributes exactly the 8 bytes written above.
-        .map(|word| u64::from_le_bytes(word.as_slice().try_into().expect("8-byte count")))
+        .map(|word| u64::from_le_bytes(word.as_slice().try_into().expect("8-byte load")))
         .collect();
-    let transfers = plan(&counts);
+    let transfers = plan(&loads);
 
-    let mut arena = RefineArena::new();
-    let mut report = JoinReport {
-        pairs: Vec::new(),
-        filter_candidates,
-        owned_refine_tests: survivors.len() as u64,
-        refine_tests: survivors.len() as u64,
-        balance_shipped_bytes: 0,
-        max_resident_allocs: 0,
-        breakdown: PhaseBreakdown::default(),
-    };
-    if transfers.is_empty() {
-        refine(
-            comm,
-            &left,
-            &right,
-            &survivors,
-            &mut arena,
-            &mut report.pairs,
-        );
-    } else {
+    let mut kept = survivors.len();
+    let mut incoming = None;
+    if !transfers.is_empty() {
         let outgoing: Vec<Transfer> = transfers.into_iter().filter(|t| t.from == rank).collect();
-        // Deferred-error rule (as in `exchange_windows`): a rank that
-        // fails before or in the left exchange still enters what remains,
-        // with empty batches, so its peers are never stranded; it returns
-        // its first error once both exchanges have completed.
-        let p = comm.size();
-        let empty = || SerializedBatch::empty(p);
-        let (kept, left_batch, right_batch, cut_error) =
-            match cut_shipments(comm, &left, &right, &survivors, &outgoing) {
-                Ok((kept, l, r)) => (kept, l, r, None),
-                Err(e) => (0, empty(), empty(), Some(e)),
+        let empty = || SerializedBatch::empty(loads.len());
+        let (left_batch, right_batch);
+        (kept, left_batch, right_batch) =
+            match cut_shipments(comm, &left, &right, &survivors, own_load, &outgoing) {
+                Ok(cut) => cut,
+                Err(e) => {
+                    first_error.get_or_insert(e);
+                    (0, empty(), empty())
+                }
             };
         let left_in = comm.labeled("join.balance.left", |c| {
             exchange_serialized_frames_with(c, left_batch, ex_opts)
@@ -649,20 +680,36 @@ fn run_refine_frames(
         let right_in = comm.labeled("join.balance.right", |c| {
             exchange_serialized_frames_with(c, right_batch, ex_opts)
         });
-        if let Some(e) = cut_error {
-            return Err(e);
-        }
-        let (left_in, left_stats) = left_in?;
-        let (right_in, right_stats) = right_in?;
-        report.balance_shipped_bytes = left_stats.bytes_sent + right_stats.bytes_sent;
+        incoming = Some((left_in, right_in));
+    }
+    // Every collective of the phase is behind this rank now.
+    if let Some(e) = first_error {
+        return Err(e);
+    }
+    let incoming = match incoming {
+        Some((left_in, right_in)) => Some((left_in?, right_in?)),
+        None => None,
+    };
 
-        let pairs = &mut report.pairs;
-        refine(comm, &left, &right, &survivors[..kept], &mut arena, pairs);
+    let mut arena = RefineArena::new();
+    let mut report = JoinReport {
+        pairs: Vec::new(),
+        filter_candidates,
+        owned_refine_tests: survivors.len() as u64,
+        refine_tests: kept as u64,
+        balance_shipped_bytes: 0,
+        max_resident_allocs: 0,
+        breakdown: PhaseBreakdown::default(),
+    };
+    let pairs = &mut report.pairs;
+    refine(comm, &left, &right, &survivors[..kept], &mut arena, pairs);
+    if let Some(((left_in, left_stats), (right_in, right_stats))) = incoming {
+        report.balance_shipped_bytes = left_stats.bytes_sent + right_stats.bytes_sent;
         let left_in = Side::new(std::slice::from_ref(&left_in))?;
         let right_in = Side::new(std::slice::from_ref(&right_in))?;
         let (received, _) = filter(comm, sd, &left_in, &right_in);
         refine(comm, &left_in, &right_in, &received, &mut arena, pairs);
-        report.refine_tests = (kept + received.len()) as u64;
+        report.refine_tests += received.len() as u64;
     }
     report.max_resident_allocs = arena.peak_resident() as u64;
     Ok(report)
@@ -954,15 +1001,18 @@ mod tests {
         );
     }
 
-    /// Per-rank counts after applying `transfers` to `counts`.
-    fn apply(counts: &[u64], transfers: &[Transfer]) -> Vec<u64> {
-        let mut after = counts.to_vec();
+    /// Per-rank loads after applying `transfers` to `loads`.
+    fn apply(loads: &[u64], transfers: &[Transfer]) -> Vec<u64> {
+        let mut after = loads.to_vec();
         for t in transfers {
-            after[t.from] -= t.tests;
-            after[t.to] += t.tests;
+            after[t.from] -= t.load;
+            after[t.to] += t.load;
         }
         after
     }
+
+    /// One millisecond of predicted refine, the plan's unit being 1 ns.
+    const MS: u64 = 1_000_000;
 
     #[test]
     fn plan_moves_surplus_to_deficit_and_caps_every_rank_at_the_target() {
@@ -973,32 +1023,24 @@ mod tests {
             &[0, 0, 0, 0, 0, 0, 0, 9001],
             &[400, 1, 1, 1],
         ];
-        for counts in cases {
-            let transfers = plan(counts);
-            assert!(!transfers.is_empty(), "{counts:?}");
-            assert_eq!(transfers, plan(counts), "plan must be deterministic");
-            let total: u64 = counts.iter().sum();
-            let target = total.div_ceil(counts.len() as u64);
+        for case in cases {
+            let loads: Vec<u64> = case.iter().map(|ms| ms * MS).collect();
+            let transfers = plan(&loads);
+            assert!(!transfers.is_empty(), "{loads:?}");
+            assert_eq!(transfers, plan(&loads), "plan must be deterministic");
+            let total: u64 = loads.iter().sum();
+            let target = total.div_ceil(loads.len() as u64);
             for t in &transfers {
-                assert!(t.tests > 0);
-                assert!(
-                    counts[t.from] > target,
-                    "{t:?} sender is not a surplus rank"
-                );
-                assert!(
-                    counts[t.to] < target,
-                    "{t:?} receiver is not a deficit rank"
-                );
+                assert!(t.load > 0);
+                assert!(loads[t.from] > target, "{t:?} sender is not a surplus rank");
+                assert!(loads[t.to] < target, "{t:?} receiver is not a deficit rank");
             }
-            let after = apply(counts, &transfers);
+            let after = apply(&loads, &transfers);
             assert_eq!(after.iter().sum::<u64>(), total, "sent != received");
-            assert!(
-                after.iter().all(|&c| c <= target),
-                "{counts:?} -> {after:?}"
-            );
+            assert!(after.iter().all(|&l| l <= target), "{loads:?} -> {after:?}");
             // Every surplus rank is cut down to exactly the target.
-            for (rank, &c) in counts.iter().enumerate() {
-                if c > target {
+            for (rank, &l) in loads.iter().enumerate() {
+                if l > target {
                     assert_eq!(after[rank], target);
                 }
             }
@@ -1008,14 +1050,14 @@ mod tests {
     #[test]
     fn plan_is_empty_below_the_threshold_and_in_a_single_rank_world() {
         assert!(plan(&[]).is_empty());
-        assert!(plan(&[123_456]).is_empty());
+        assert!(plan(&[123_456 * MS]).is_empty());
         assert!(plan(&[0, 0, 0]).is_empty());
-        assert!(plan(&[200, 227, 190, 201]).is_empty());
-        // target = 2000 / 4 = 500: a surplus one short of the threshold
-        // skips, the threshold itself balances.
-        assert_eq!(BALANCE_MIN_SURPLUS, 256);
-        assert!(plan(&[755, 415, 415, 415]).is_empty());
-        assert!(!plan(&[756, 414, 415, 415]).is_empty());
+        assert!(plan(&[200 * MS, 207 * MS, 190 * MS, 201 * MS]).is_empty());
+        // target = 2000 ms / 4 = 500 ms: a surplus one nanosecond short of
+        // the threshold skips, the threshold itself balances.
+        assert_eq!(BALANCE_MIN_SURPLUS_NS, 10 * MS);
+        assert!(plan(&[510 * MS - 1, 490 * MS + 1, 500 * MS, 500 * MS]).is_empty());
+        assert!(!plan(&[510 * MS, 490 * MS, 500 * MS, 500 * MS]).is_empty());
     }
 
     /// A layer pair whose refine work sits in one grid cell: an 8 x 8
@@ -1057,25 +1099,31 @@ mod tests {
         (left, right)
     }
 
+    /// One WKT record for the rectangle `r`, each edge drawn with
+    /// `per_edge` segments: the same point set for any `per_edge`, but
+    /// `4 * per_edge + 1` vertices for the exact test to walk.
+    fn rect_wkt(name: &str, r: &Rect, per_edge: u32) -> String {
+        let corners = [
+            (r.min_x, r.min_y),
+            (r.max_x, r.min_y),
+            (r.max_x, r.max_y),
+            (r.min_x, r.max_y),
+            (r.min_x, r.min_y),
+        ];
+        let mut ring = Vec::new();
+        for edge in corners.windows(2) {
+            let ((x0, y0), (x1, y1)) = (edge[0], edge[1]);
+            for i in 0..per_edge {
+                let t = i as f64 / per_edge as f64;
+                ring.push(format!("{} {}", x0 + (x1 - x0) * t, y0 + (y1 - y0) * t));
+            }
+        }
+        ring.push(format!("{} {}", r.min_x, r.min_y));
+        format!("POLYGON (({}))\t{name}\n", ring.join(", "))
+    }
+
     fn rect_layer_wkt(layer: &[(String, Rect)]) -> String {
-        layer
-            .iter()
-            .map(|(name, r)| {
-                format!(
-                    "POLYGON (({} {}, {} {}, {} {}, {} {}, {} {}))\t{name}\n",
-                    r.min_x,
-                    r.min_y,
-                    r.max_x,
-                    r.min_y,
-                    r.max_x,
-                    r.max_y,
-                    r.min_x,
-                    r.max_y,
-                    r.min_x,
-                    r.min_y
-                )
-            })
-            .collect()
+        layer.iter().map(|(name, r)| rect_wkt(name, r, 1)).collect()
     }
 
     fn brute_force(left: &[(String, Rect)], right: &[(String, Rect)]) -> Vec<(String, String)> {
@@ -1093,15 +1141,20 @@ mod tests {
 
     fn join_rect_layers(
         topo: Topology,
-        mut opts: JoinOptions,
+        opts: JoinOptions,
         left: &[(String, Rect)],
         right: &[(String, Rect)],
     ) -> Vec<JoinReport> {
+        join_wkt(topo, opts, &rect_layer_wkt(left), &rect_layer_wkt(right))
+    }
+
+    fn join_wkt(topo: Topology, mut opts: JoinOptions, left: &str, right: &str) -> Vec<JoinReport> {
         let fs = SimFs::new(FsConfig::gpfs_roger());
-        let (l, r) = (rect_layer_wkt(left), rect_layer_wkt(right));
-        fs.create("l.wkt", None).unwrap().append(l.as_bytes());
-        fs.create("r.wkt", None).unwrap().append(r.as_bytes());
-        opts.read.block_size = Some(2048);
+        fs.create("l.wkt", None).unwrap().append(left.as_bytes());
+        fs.create("r.wkt", None).unwrap().append(right.as_bytes());
+        // Small blocks so every rank reads a share, but above one record.
+        let longest = left.lines().chain(right.lines()).map(str::len).max();
+        opts.read.block_size = Some(2048.max(2 * longest.unwrap_or(0) as u64));
         World::run(WorldConfig::new(topo), move |comm| {
             spatial_join(comm, &fs, "l.wkt", "r.wkt", &opts).unwrap()
         })
@@ -1163,6 +1216,54 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn balance_weighs_tests_by_cost_not_by_count() {
+        // One left square per cell of the 4 x 4 grid with 30 small right
+        // squares inside it: every cell holds 30 tests, every rank 120.
+        // Only the squares of cell 0 are drawn with 100 segments per edge,
+        // so its tests cost ~1.1 ms each against 0.15 ms elsewhere: rank 0
+        // owns no more tests than anyone, and more than twice the work.
+        let (mut left, mut right) = (Vec::new(), Vec::new());
+        let (mut left_wkt, mut right_wkt) = (String::new(), String::new());
+        for cx in 0..4 {
+            for cy in 0..4 {
+                let per_edge = if (cx, cy) == (0, 0) { 100 } else { 1 };
+                let (x, y) = (cx as f64 * 10.0 + 1.0, cy as f64 * 10.0 + 1.0);
+                let l = (format!("L{cx}_{cy}"), Rect::new(x, y, x + 8.0, y + 8.0));
+                left_wkt.push_str(&rect_wkt(&l.0, &l.1, per_edge));
+                left.push(l);
+                for k in 0..30 {
+                    let (rx, ry) = (x + 1.0 + (k % 6) as f64, y + 1.0 + (k / 6) as f64);
+                    let r = (
+                        format!("R{cx}_{cy}_{k}"),
+                        Rect::new(rx, ry, rx + 0.5, ry + 0.5),
+                    );
+                    right_wkt.push_str(&rect_wkt(&r.0, &r.1, per_edge));
+                    right.push(r);
+                }
+            }
+        }
+        // Pin the global MBR to [0, 40]².
+        for (name, r) in [
+            ("Lmin", Rect::new(0.0, 0.0, 0.5, 0.5)),
+            ("Lmax", Rect::new(39.5, 39.5, 40.0, 40.0)),
+        ] {
+            left_wkt.push_str(&rect_wkt(name, &r, 1));
+            left.push((name.into(), r));
+        }
+        let out = join_wkt(Topology::new(2, 2), skewed_opts(), &left_wkt, &right_wkt);
+        assert_eq!(sorted_pairs(&out), brute_force(&left, &right));
+
+        let owned: Vec<u64> = out.iter().map(|r| r.owned_refine_tests).collect();
+        let executed: Vec<u64> = out.iter().map(|r| r.refine_tests).collect();
+        assert_eq!(owned, [120; 4], "the grid assigns equal counts");
+        assert_eq!(executed.iter().sum::<u64>(), 480);
+        // Rank 0 gave tests away although it had no more than its peers.
+        assert!(out[0].balance_shipped_bytes > 0);
+        assert!(out[1..].iter().all(|r| r.balance_shipped_bytes == 0));
+        assert!(executed[0] < 120 && executed[1..].iter().all(|&n| n >= 120));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! self-join included — `spatial_join` reports exactly the serial
 //! brute-force pair set, pair for pair. Half the draws pile both layers
 //! onto one hotspot, so the hot cell's owner holds far more refine work
-//! than `BALANCE_MIN_SURPLUS` above the balanced share and the balance
+//! than `BALANCE_MIN_SURPLUS_NS` above the balanced share and the balance
 //! step really ships candidate pairs between ranks; the other half stay
 //! spread out and take the empty-plan path.
 

@@ -208,7 +208,7 @@ proptest! {
     /// else — for every writer/reader world size, rebuild policy and
     /// exchange chunk cap. The `hot` draws put both layers on one
     /// hotspot inside the first cell, so its owner's refine surplus
-    /// exceeds `BALANCE_MIN_SURPLUS` and the join's balance step ships
+    /// exceeds `BALANCE_MIN_SURPLUS_NS` and the join's balance step ships
     /// candidate pairs; the others take the empty-plan path.
     #[test]
     fn snapshot_join_matches_brute_force(
