@@ -42,9 +42,8 @@ pub struct Row {
     pub imbalance: f64,
     /// Max-over-ranks virtual seconds for the full ingest.
     pub wall_s: f64,
-    /// Exchange rounds the busiest rank executed (1 = blocking, more
-    /// when `MVIO_EXCHANGE_CHUNK` pins a finite chunk; identical on
-    /// every rank by protocol).
+    /// Exchange rounds the busiest rank executed (1 = blocking;
+    /// identical on every rank by protocol).
     pub exch_rounds: u32,
     /// Bytes the busiest rank sent through the exchange.
     pub exch_sent: u64,

@@ -159,7 +159,6 @@ fn measure_one(
         chunk: match chunk {
             ExchangeChunk::Unlimited => "unlimited".to_string(),
             ExchangeChunk::Bytes(b) => format!("{b}"),
-            ExchangeChunk::Auto => "auto".to_string(),
         },
         ranks,
         rounds: out.iter().map(|r| r.1).max().unwrap_or(0),

@@ -20,7 +20,6 @@
 use super::{cost_scaled, lustre_scaled, Scale};
 use crate::report::Table;
 use mvio_core::decomp::DecompConfig;
-use mvio_core::exchange::ExchangeChunk;
 use mvio_core::grid::GridSpec;
 use mvio_core::partition::ReadOptions;
 use mvio_core::pipeline::{ingest, PipelineOptions};
@@ -126,11 +125,9 @@ fn measure_one(scale: Scale, bytes: &[u8], ranks: usize, aggregators: usize) -> 
                     .with_hints(hints),
             )
             .unwrap();
-        // Pin the routing exchange to one round so the read row does not
-        // move with the MVIO_EXCHANGE_CHUNK environment knob.
         let ropts = SnapshotReadOptions {
             hints,
-            chunk: ExchangeChunk::Unlimited,
+            ..Default::default()
         };
         let (back, r) = read_partitioned(comm, &fs, "io.snap", &*rep.decomp, &ropts).unwrap();
         assert_eq!(back, rep.owned, "snapshot round-trip must be bit-identical");

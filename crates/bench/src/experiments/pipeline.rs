@@ -119,7 +119,7 @@ pub fn run(scale: Scale, quick: bool) -> String {
         ]);
     }
     t.note("output is bit-identical at every worker count (asserted by the test suite)");
-    t.note("exchange counters are the busiest rank's; rounds follow the MVIO_EXCHANGE_CHUNK knob (1 = blocking)");
+    t.note("exchange counters are the busiest rank's; rounds = 1 is the blocking exchange");
     t.note("expectation: overlap speedup tracks the worker count; total obeys Amdahl (read+exchange stay serial)");
     t.render()
 }
@@ -137,7 +137,7 @@ mod tests {
         let (p4, s4, _, t4, x4) = ingest_times("Lakes", scale, 1, 2, 4);
         // The exchanged volume is a property of the data, not the workers.
         assert_eq!(x1.bytes_sent, x4.bytes_sent);
-        assert!(x1.rounds >= 1 && x1.per_round.len() == x1.rounds as usize);
+        assert!(x1.rounds >= 1);
         let speedup = (p1 + s1) / (p4 + s4);
         assert!(
             speedup >= 1.5,

@@ -34,11 +34,6 @@ use mvio_geom::index::RTree;
 use mvio_geom::Rect;
 use mvio_msim::{Comm, ReduceOp, Work};
 
-/// Environment variable consulted by [`DecompPolicy::from_env`]:
-/// `uniform`, `hilbert` or `adaptive`. CI pins each value and runs the
-/// full suite under it.
-pub const DECOMP_ENV: &str = "MVIO_DECOMP";
-
 /// A global spatial decomposition: a tiling of the global extent into
 /// cells plus an assignment of cells to ranks. Built collectively (every
 /// rank holds an identical copy) and consumed by the exchange, the
@@ -532,19 +527,6 @@ impl DecompPolicy {
         DecompPolicy::Adaptive { refine: 8 }
     }
 
-    /// Resolves the policy from the [`DECOMP_ENV`] environment variable
-    /// (`uniform` | `hilbert` | `adaptive`), defaulting to the paper's
-    /// uniform grid with round-robin declustering. Unknown values fall
-    /// back to the default so a typo'd knob degrades to paper behaviour
-    /// rather than aborting a batch job.
-    pub fn from_env() -> Self {
-        match std::env::var(DECOMP_ENV).as_deref() {
-            Ok("hilbert") => DecompPolicy::Hilbert,
-            Ok("adaptive") => DecompPolicy::adaptive(),
-            _ => DecompPolicy::Uniform(CellMap::RoundRobin),
-        }
-    }
-
     /// Short display name (used by experiment tables and JSON reports).
     pub fn name(&self) -> &'static str {
         match self {
@@ -595,14 +577,6 @@ impl DecompConfig {
         DecompConfig {
             grid,
             policy: DecompPolicy::Adaptive { refine },
-        }
-    }
-
-    /// Policy resolved from the [`DECOMP_ENV`] knob.
-    pub fn from_env(grid: GridSpec) -> Self {
-        DecompConfig {
-            grid,
-            policy: DecompPolicy::from_env(),
         }
     }
 
@@ -955,15 +929,7 @@ mod tests {
     }
 
     #[test]
-    fn policy_from_env_defaults_to_uniform_round_robin() {
-        // The suite may run under MVIO_DECOMP; only check the fallback
-        // wiring when the knob is unset.
-        if std::env::var(DECOMP_ENV).is_err() {
-            assert_eq!(
-                DecompPolicy::from_env(),
-                DecompPolicy::Uniform(CellMap::RoundRobin)
-            );
-        }
+    fn policy_names() {
         assert_eq!(DecompPolicy::adaptive().name(), "adaptive");
         assert_eq!(DecompPolicy::Hilbert.name(), "hilbert");
         assert_eq!(DecompPolicy::Uniform(CellMap::Block).name(), "uniform");

@@ -55,12 +55,6 @@ use crate::{CoreError, Feature, Result};
 use mvio_geom::wkb;
 use mvio_msim::{Comm, ProgressEngine, Work};
 
-/// Environment variable consulted when [`ExchangeOptions::chunk`] is
-/// [`ExchangeChunk::Auto`]: a byte count caps each destination's
-/// per-round payload; `0`, `inf` or `unlimited` (or unset) selects the
-/// single-round blocking protocol.
-pub const CHUNK_ENV: &str = "MVIO_EXCHANGE_CHUNK";
-
 /// Fixed bytes of one wire record: the cell word and the two length
 /// fields around the geometry and userdata payloads.
 const RECORD_OVERHEAD: usize = 16;
@@ -72,11 +66,9 @@ const MORE_BIT: u64 = 1 << 63;
 /// Per-destination round payload cap for the chunked exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExchangeChunk {
-    /// Resolve through the [`CHUNK_ENV`] environment variable (the
-    /// default); unset means [`ExchangeChunk::Unlimited`].
+    /// Single-round blocking protocol (the `chunk = ∞` degenerate case;
+    /// the default).
     #[default]
-    Auto,
-    /// Single-round blocking protocol (the `chunk = ∞` degenerate case).
     Unlimited,
     /// At most this many bytes per destination per round (record-aligned;
     /// a single record larger than the cap still ships whole).
@@ -85,48 +77,8 @@ pub enum ExchangeChunk {
 
 impl ExchangeChunk {
     /// The byte cap this configuration resolves to (`None` = unlimited).
-    ///
-    /// `Auto` reads [`CHUNK_ENV`]: a byte count with an optional
-    /// `k`/`kb`/`kib` or `m`/`mb`/`mib` suffix (case-insensitive,
-    /// binary multiples), or `0`/`inf`/`unlimited` for the blocking
-    /// single round.
-    ///
-    /// # Panics
-    ///
-    /// `Auto` panics on an unparseable [`CHUNK_ENV`] value: silently
-    /// falling back to the blocking protocol would make every benchmark
-    /// run under a typo'd knob measure the wrong configuration.
     pub fn resolve(self) -> Option<u64> {
         match self {
-            ExchangeChunk::Auto => {
-                let v = std::env::var(CHUNK_ENV).ok()?;
-                let t = v.trim();
-                if t == "0" || t.eq_ignore_ascii_case("inf") || t.eq_ignore_ascii_case("unlimited")
-                {
-                    return None;
-                }
-                let lower = t.to_ascii_lowercase();
-                let (digits, unit) = match lower.find(|c: char| !c.is_ascii_digit()) {
-                    Some(pos) => lower.split_at(pos),
-                    None => (lower.as_str(), ""),
-                };
-                let scale = match unit.trim() {
-                    "" => 1u64,
-                    "k" | "kb" | "kib" => 1 << 10,
-                    "m" | "mb" | "mib" => 1 << 20,
-                    _ => panic!(
-                        "invalid {CHUNK_ENV} value {v:?}: expected bytes with an optional \
-                         k/kb/kib or m/mb/mib suffix, or 0/inf/unlimited"
-                    ),
-                };
-                let n: u64 = digits.parse().unwrap_or_else(|_| {
-                    panic!(
-                        "invalid {CHUNK_ENV} value {v:?}: expected bytes with an optional \
-                         k/kb/kib or m/mb/mib suffix, or 0/inf/unlimited"
-                    )
-                });
-                Some(n.saturating_mul(scale).max(1))
-            }
             ExchangeChunk::Unlimited => None,
             ExchangeChunk::Bytes(n) => Some(n.max(1)),
         }
@@ -153,19 +105,6 @@ impl ExchangeOptions {
     }
 }
 
-/// Counters for one pipelined round of an exchange.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RoundStats {
-    /// Records this rank sent in the round.
-    pub records_sent: u64,
-    /// Bytes this rank sent in the round.
-    pub bytes_sent: u64,
-    /// Records this rank received in the round.
-    pub records_received: u64,
-    /// Bytes this rank received in the round.
-    pub bytes_received: u64,
-}
-
 /// Counters describing one exchange, used by the breakdown reports.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExchangeStats {
@@ -182,9 +121,6 @@ pub struct ExchangeStats {
     /// Pipelined `Alltoallv` rounds executed across all windows (1 per
     /// window under the unlimited/blocking degenerate case).
     pub rounds: u32,
-    /// Per-round sent/received record and byte counts, in round order
-    /// across windows.
-    pub per_round: Vec<RoundStats>,
     /// Virtual seconds of upstream compute folded into the exchange's
     /// overlap engine (0 for the non-streamed paths).
     pub overlapped_compute_s: f64,
@@ -202,7 +138,6 @@ impl ExchangeStats {
         self.records_sent += other.records_sent;
         self.records_received += other.records_received;
         self.rounds += other.rounds;
-        self.per_round.extend(other.per_round);
         self.overlapped_compute_s += other.overlapped_compute_s;
         self.exposed_wait_s += other.exposed_wait_s;
     }
@@ -779,11 +714,6 @@ impl ExchangePlan {
         }
     }
 
-    /// The resolved per-destination round cap (`None` = single round).
-    pub fn chunk_bytes(&self) -> Option<u64> {
-        self.chunk
-    }
-
     /// Runs the full pipelined protocol over a round feed.
     ///
     /// Per round: `ialltoall_u64` of the byte counts (continuation flag
@@ -849,16 +779,11 @@ impl ExchangePlan {
         let mut any_more = incoming.iter().any(|&v| v & MORE_BIT != 0);
         let mut expected_sizes: Vec<u64> = incoming.iter().map(|v| v & !MORE_BIT).collect();
 
-        let mut pending: Option<(usize, mvio_msim::Request<Vec<Vec<u8>>>, Vec<u64>)> = None;
+        let mut pending: Option<(mvio_msim::Request<Vec<Vec<u8>>>, Vec<u64>)> = None;
         let mut round = 0usize;
         loop {
-            stats.per_round.push(RoundStats {
-                records_sent: batch.records.iter().sum(),
-                bytes_sent: batch.bufs.iter().map(|b| b.len() as u64).sum(),
-                ..Default::default()
-            });
-            stats.records_sent += stats.per_round[round].records_sent;
-            stats.bytes_sent += stats.per_round[round].bytes_sent;
+            stats.records_sent += batch.records.iter().sum::<u64>();
+            stats.bytes_sent += batch.bufs.iter().map(|b| b.len() as u64).sum::<u64>();
             stats.rounds += 1;
             // The round index is collective-synchronized (driven by the
             // flags of the previous size exchange), so these labels match
@@ -883,32 +808,20 @@ impl ExchangePlan {
             };
 
             // Drain round r-1 while round r (and r+1's sizes) fly.
-            if let Some((idx, req, expected)) = pending.take() {
+            if let Some((req, expected)) = pending.take() {
                 let bufs = engine.drive(comm, req);
-                drain_round(comm, idx, bufs, &expected, &mut stats, sink, &mut deferred);
+                drain_round(comm, bufs, &expected, &mut stats, sink, &mut deferred);
             }
 
             let Some(req) = sreq_next else {
                 let bufs = engine.drive(comm, preq);
-                drain_round(
-                    comm,
-                    round,
-                    bufs,
-                    &expected_sizes,
-                    &mut stats,
-                    sink,
-                    &mut deferred,
-                );
+                drain_round(comm, bufs, &expected_sizes, &mut stats, sink, &mut deferred);
                 break;
             };
             let incoming = engine.drive(comm, req);
             any_more = incoming.iter().any(|&v| v & MORE_BIT != 0);
             let next_sizes = incoming.iter().map(|v| v & !MORE_BIT).collect();
-            pending = Some((
-                round,
-                preq,
-                std::mem::replace(&mut expected_sizes, next_sizes),
-            ));
+            pending = Some((preq, std::mem::replace(&mut expected_sizes, next_sizes)));
             round += 1;
         }
         if let Some(err) = deferred {
@@ -931,7 +844,6 @@ impl ExchangePlan {
 /// received and discarded.
 fn drain_round(
     comm: &mut Comm,
-    idx: usize,
     bufs: Vec<Vec<u8>>,
     expected_sizes: &[u64],
     stats: &mut ExchangeStats,
@@ -958,9 +870,6 @@ fn drain_round(
             );
             stats.records_received += records;
             stats.bytes_received += bytes;
-            let slot = &mut stats.per_round[idx];
-            slot.records_received = records;
-            slot.bytes_received = bytes;
         }
         Err(e) => *deferred = Some(e),
     }
@@ -1356,9 +1265,6 @@ mod tests {
             assert_eq!(stats.records_sent, 8);
             assert_eq!(stats.records_received, 8);
             assert!(stats.bytes_sent > 0);
-            assert_eq!(stats.per_round.len(), stats.rounds as usize);
-            let sent: u64 = stats.per_round.iter().map(|r| r.records_sent).sum();
-            assert_eq!(sent, stats.records_sent);
         }
     }
 
@@ -1418,11 +1324,10 @@ mod tests {
                 (0..4).map(|c| (c, feature(c as f64, 0.0, "x"))).collect();
             let opts = ExchangeOptions::with_chunk(ExchangeChunk::Unlimited);
             let (_, stats) = exchange_features(comm, pairs, &decomp, &opts).unwrap();
-            (stats.rounds, stats.per_round.len(), comm.now())
+            (stats.rounds, comm.now())
         });
         assert_eq!(out[0].0, 1);
-        assert_eq!(out[0].1, 1);
-        assert!(out[0].2 > 0.0);
+        assert!(out[0].1 > 0.0);
     }
 
     #[test]
@@ -1563,8 +1468,7 @@ mod tests {
     }
 
     #[test]
-    fn chunk_env_resolution() {
-        // Explicit policies never consult the environment.
+    fn chunk_resolution() {
         assert_eq!(ExchangeChunk::Unlimited.resolve(), None);
         assert_eq!(ExchangeChunk::Bytes(4096).resolve(), Some(4096));
         assert_eq!(ExchangeChunk::Bytes(0).resolve(), Some(1), "clamped");

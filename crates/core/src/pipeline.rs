@@ -16,9 +16,9 @@
 //!    ([`partition_chunked`]) — features stream into the exchange format
 //!    without an intermediate `Vec<(u32, Feature)>` snapshot;
 //! 4. [`crate::exchange::exchange_serialized_with`] ships the buffers with the
-//!    usual two-round `Alltoall` + `Alltoallv` protocol — or, when a
-//!    finite `MVIO_EXCHANGE_CHUNK` is in force, the partition and
-//!    exchange stages fuse into [`partition_exchange_overlapped`] and
+//!    usual two-round `Alltoall` + `Alltoallv` protocol — or, under a
+//!    finite [`crate::exchange::ExchangeChunk::Bytes`] cap, the partition
+//!    and exchange stages fuse into [`partition_exchange_overlapped`] and
 //!    stream through the chunked [`crate::exchange::ExchangePlan`], each
 //!    round's `ialltoallv` overlapping the next round's serialization.
 //!
@@ -48,8 +48,8 @@
 //!
 //! [`PipelineOptions::workers`]`= 0` (the default) resolves through the
 //! `MVIO_PIPELINE_WORKERS` environment variable, falling back to the
-//! host's available parallelism (capped at 8). CI pins the knob to 1 and
-//! 4 and runs the full suite under both.
+//! host's available parallelism (capped at 8). CI runs the full suite
+//! with the variable unset and pinned to 1.
 //!
 //! # Example
 //!
@@ -168,17 +168,34 @@ impl PipelineOptions {
 /// threads inside `thread::scope`.
 pub const MAX_WORKERS: usize = 64;
 
+/// Parses a [`WORKERS_ENV`] value: a positive count, or `0` for auto
+/// (`None`).
+///
+/// # Panics
+///
+/// Panics on anything else: silently falling back to the host's
+/// parallelism would run a typo'd setting at the wrong width.
+fn parse_workers(v: &str) -> Option<usize> {
+    match v.trim().parse::<usize>() {
+        Ok(0) => None,
+        Ok(n) => Some(n),
+        Err(_) => panic!(
+            "invalid {WORKERS_ENV} value {v:?}: expected a positive worker count, or 0 for auto"
+        ),
+    }
+}
+
 /// Resolves a requested worker count: explicit values win, `0` consults
-/// [`WORKERS_ENV`], and absent both the host's available parallelism is
-/// used (capped at 8 so huge machines don't fragment small inputs).
-/// Every source is clamped to `1..=`[`MAX_WORKERS`].
+/// [`WORKERS_ENV`] (see [`parse_workers`]), and absent both the host's
+/// available parallelism is used (capped at 8 so huge machines don't
+/// fragment small inputs). Every source is clamped to
+/// `1..=`[`MAX_WORKERS`].
 pub fn resolve_workers(requested: usize) -> usize {
     let raw = if requested > 0 {
         requested
     } else if let Some(n) = std::env::var(WORKERS_ENV)
         .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
+        .and_then(|v| parse_workers(&v))
     {
         n
     } else {
@@ -662,10 +679,9 @@ impl IngestOutput {
 /// The full streaming per-rank ingest: partitioned read → parallel parse
 /// → collective decomposition build (`MPI_UNION` extent allreduce, plus
 /// the histogram allreduce for the adaptive policy) → fused
-/// cell-map/serialize + staged `Alltoall`/`Alltoallv` exchange. The
-/// chunk policy resolves through [`crate::exchange::CHUNK_ENV`]; use
-/// [`ingest_with_exchange`] to pin it explicitly. Collective: every rank
-/// must call it.
+/// cell-map/serialize + staged `Alltoall`/`Alltoallv` exchange, in one
+/// blocking round; use [`ingest_with_exchange`] to pick a chunk policy.
+/// Collective: every rank must call it.
 pub fn ingest(
     comm: &mut Comm,
     fs: &Arc<SimFs>,
@@ -1172,10 +1188,23 @@ mod tests {
     }
 
     #[test]
+    fn worker_env_values_parse_or_panic() {
+        assert_eq!(parse_workers("4"), Some(4));
+        assert_eq!(parse_workers(" 1\n"), Some(1));
+        assert_eq!(parse_workers("0"), None, "0 = auto");
+        for garbage in ["", "four", "-1", "2.5", "auto"] {
+            let err = std::panic::catch_unwind(|| parse_workers(garbage))
+                .expect_err("garbage must panic");
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(msg.contains(WORKERS_ENV), "{garbage:?}: {msg}");
+        }
+    }
+
+    #[test]
     fn env_resolved_worker_count_keeps_output_identical() {
         // Deliberately leaves `workers` at 0 so CI's MVIO_PIPELINE_WORKERS
-        // sweeps (1 and 4) drive this test through different real widths;
-        // the output must not notice.
+        // rows (unset and 1) drive this test through different real
+        // widths; the output must not notice.
         let text = sample_text(150);
         let expect = parse_buffer_serial(&text, &WktLineParser).unwrap();
         let out = World::run(WorldConfig::new(Topology::single_node(1)), move |comm| {

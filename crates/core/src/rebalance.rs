@@ -28,9 +28,7 @@
 //! histogram (allreduced), hence the same decision, the same new
 //! decomposition, and the same moved-cell diff.
 //!
-//! Knob: [`REBALANCE_ENV`] (`MVIO_REBALANCE`) — `off`/`0` disables,
-//! `on` enables at [`DEFAULT_REBALANCE_THRESHOLD`], a number pins the
-//! imbalance threshold. See `docs/KNOBS.md`.
+//! Selected by [`RebalancePolicy`] (off by default).
 
 use crate::decomp::{imbalance_ratio, AdaptiveBisection, SpatialDecomposition};
 use crate::exchange::{
@@ -41,58 +39,21 @@ use crate::grid::UniformGrid;
 use crate::{CoreError, Feature, Result};
 use mvio_msim::{Comm, ReduceOp, Work};
 
-/// Environment knob selecting the rebalance policy: unset, `0` or `off`
-/// disables online rebalancing; `on` enables it at
-/// [`DEFAULT_REBALANCE_THRESHOLD`]; a number pins the imbalance
-/// threshold (clamped to ≥ 1). CI runs the suite with the knob both off
-/// and on.
-pub const REBALANCE_ENV: &str = "MVIO_REBALANCE";
-
-/// Imbalance threshold used when [`REBALANCE_ENV`] is `on`: rebalance as
-/// soon as the estimated max/mean per-rank load reaches 1.5.
-pub const DEFAULT_REBALANCE_THRESHOLD: f64 = 1.5;
-
-/// Online-rebalance sizing policy (the `MVIO_REBALANCE` knob's typed
-/// form, mirroring `ServeCache` / `ExchangeChunk`).
+/// Online-rebalance sizing policy.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum RebalancePolicy {
-    /// Resolve through [`REBALANCE_ENV`] (the default); unset means off.
+    /// Never rebalance (updates still apply; the default).
     #[default]
-    Auto,
-    /// Never rebalance (updates still apply).
     Off,
     /// Rebalance when the measured imbalance ratio reaches this value.
     Threshold(f64),
 }
 
-/// Parses a [`REBALANCE_ENV`] value; `None` = rebalancing off.
-fn parse_rebalance(v: &str) -> Option<f64> {
-    let t = v.trim();
-    if t == "0" || t.eq_ignore_ascii_case("off") {
-        return None;
-    }
-    if t.eq_ignore_ascii_case("on") {
-        return Some(DEFAULT_REBALANCE_THRESHOLD);
-    }
-    let n: f64 = t.parse().unwrap_or_else(|_| {
-        panic!("invalid {REBALANCE_ENV} value {v:?}: expected a threshold, `on`, or 0/off")
-    });
-    Some(n.max(1.0))
-}
-
 impl RebalancePolicy {
     /// The imbalance threshold this policy resolves to (`None` =
-    /// rebalancing off).
-    ///
-    /// # Panics
-    ///
-    /// `Auto` panics on an unparseable [`REBALANCE_ENV`] value —
-    /// silently serving statically under a typo'd knob would make every
-    /// benchmark measure the wrong configuration (same contract as
-    /// `ServeCache::resolve`).
+    /// rebalancing off; thresholds clamp to ≥ 1).
     pub fn resolve(self) -> Option<f64> {
         match self {
-            RebalancePolicy::Auto => parse_rebalance(&std::env::var(REBALANCE_ENV).ok()?),
             RebalancePolicy::Off => None,
             RebalancePolicy::Threshold(t) => Some(t.max(1.0)),
         }
@@ -485,8 +446,7 @@ impl Rebalancer {
     }
 
     /// [`Rebalancer::new`] gated on a policy: `None` when the policy
-    /// resolves to off (panics on an unparseable [`REBALANCE_ENV`], see
-    /// [`RebalancePolicy::resolve`]).
+    /// resolves to off.
     pub fn from_policy(
         policy: RebalancePolicy,
         sd: &dyn SpatialDecomposition,
@@ -595,20 +555,14 @@ mod tests {
     }
 
     #[test]
-    fn parse_rebalance_accepts_the_documented_values() {
-        assert_eq!(parse_rebalance("off"), None);
-        assert_eq!(parse_rebalance("0"), None);
-        assert_eq!(parse_rebalance("on"), Some(DEFAULT_REBALANCE_THRESHOLD));
-        assert_eq!(parse_rebalance("2.5"), Some(2.5));
-        assert_eq!(parse_rebalance("0.5"), Some(1.0)); // clamped
+    fn policy_resolution() {
         assert_eq!(RebalancePolicy::Off.resolve(), None);
         assert_eq!(RebalancePolicy::Threshold(3.0).resolve(), Some(3.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid MVIO_REBALANCE value")]
-    fn parse_rebalance_panics_on_garbage() {
-        parse_rebalance("sometimes");
+        assert_eq!(
+            RebalancePolicy::Threshold(0.5).resolve(),
+            Some(1.0),
+            "clamped"
+        );
     }
 
     #[test]

@@ -50,9 +50,8 @@
 //! offsets land on stripe boundaries — the access pattern the paper
 //! recommends). Reads use the inverse scatter
 //! ([`MpiFile::read_at_all_staged`]). The aggregator count follows the
-//! [`mvio_msim::select_readers`] heuristic, overridable with the
-//! `MVIO_IO_AGGREGATORS` environment knob
-//! ([`mvio_msim::AGGREGATORS_ENV`]) or [`Hints::cb_nodes`].
+//! [`mvio_msim::select_readers`] heuristic, overridable with
+//! [`Hints::cb_nodes`].
 
 use crate::decomp::SpatialDecomposition;
 use crate::exchange::{
@@ -63,7 +62,7 @@ use crate::grid::GridSpec;
 use crate::{CoreError, Feature, Result};
 use mvio_geom::Rect;
 use mvio_msim::hints::ROMIO_MAX_IO_BYTES;
-use mvio_msim::{aggregators_from_env, Comm, Hints, MpiFile, Work};
+use mvio_msim::{Comm, Hints, MpiFile, Work};
 use mvio_pfs::{SimFs, StripeSpec};
 use std::sync::Arc;
 
@@ -113,26 +112,14 @@ impl SnapshotMeta {
 }
 
 /// Options for [`write_partitioned`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SnapshotWriteOptions {
     /// Striping for the created file (honoured on Lustre; GPFS always
     /// uses the filesystem default). `None` = the filesystem default.
     pub stripe: Option<StripeSpec>,
-    /// MPI-IO hints for the collective write. The default wires
-    /// `cb_nodes` to the `MVIO_IO_AGGREGATORS` knob.
+    /// MPI-IO hints for the collective write (`cb_nodes` lowers the
+    /// aggregator count below the heuristic).
     pub hints: Hints,
-}
-
-impl Default for SnapshotWriteOptions {
-    fn default() -> Self {
-        SnapshotWriteOptions {
-            stripe: None,
-            hints: Hints {
-                cb_nodes: aggregators_from_env(),
-                ..Hints::default()
-            },
-        }
-    }
 }
 
 impl SnapshotWriteOptions {
@@ -150,26 +137,14 @@ impl SnapshotWriteOptions {
 }
 
 /// Options for [`read_partitioned`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SnapshotReadOptions {
-    /// MPI-IO hints for the collective read. The default wires
-    /// `cb_nodes` to the `MVIO_IO_AGGREGATORS` knob.
+    /// MPI-IO hints for the collective read (`cb_nodes` lowers the
+    /// aggregator count below the heuristic).
     pub hints: Hints,
     /// Chunk policy of the routing exchange that re-partitions the
-    /// records (resolves `MVIO_EXCHANGE_CHUNK` by default).
+    /// records.
     pub chunk: ExchangeChunk,
-}
-
-impl Default for SnapshotReadOptions {
-    fn default() -> Self {
-        SnapshotReadOptions {
-            hints: Hints {
-                cb_nodes: aggregators_from_env(),
-                ..Hints::default()
-            },
-            chunk: ExchangeChunk::Auto,
-        }
-    }
 }
 
 impl SnapshotReadOptions {

@@ -42,8 +42,8 @@
 //! - `strict`: the first violation panics with a per-rank trace diff;
 //!   the world's abort machinery (`MPI_Abort` semantics) then wakes
 //!   every blocked rank, so a protocol divergence terminates the job
-//!   instead of hanging it. CI pins `MVIO_CHECK=strict` on matrix rows
-//!   so the whole test suite doubles as a conformance corpus.
+//!   instead of hanging it. CI runs the whole test suite under
+//!   `MVIO_CHECK=strict`, so it doubles as a conformance corpus.
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;

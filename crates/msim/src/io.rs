@@ -613,8 +613,7 @@ impl MpiFile {
     /// simulator's other collectives also model).
     ///
     /// Aggregator count: the [`select_readers`] heuristic, lowered by the
-    /// `cb_nodes` hint (which the I/O layers above wire to the
-    /// [`AGGREGATORS_ENV`] knob). Overlapping source spans are assembled
+    /// `cb_nodes` hint. Overlapping source spans are assembled
     /// in rank order (later ranks win), matching `MPI_File_write_at_all`'s
     /// "undefined but deterministic" overlap behaviour.
     pub fn write_at_all_staged(&self, comm: &mut Comm, offset: u64, buf: &[u8]) -> Result<usize> {
@@ -805,36 +804,6 @@ impl MpiFile {
         }
         comm.waitall(sends);
         Ok(got)
-    }
-}
-
-/// Environment variable overriding the aggregator count used by the
-/// staged two-phase collective I/O paths ([`MpiFile::write_at_all_staged`]
-/// / [`MpiFile::read_at_all_staged`]): a positive integer requests that
-/// many aggregator nodes (still capped by the node count and, on Lustre,
-/// the divisor rule); `0`, `auto` or unset defers to the
-/// [`select_readers`] heuristic.
-pub const AGGREGATORS_ENV: &str = "MVIO_IO_AGGREGATORS";
-
-/// Resolves the [`AGGREGATORS_ENV`] knob.
-///
-/// # Panics
-///
-/// Panics on an unparseable value: silently falling back to the
-/// heuristic would make every benchmark run under a typo'd knob measure
-/// the wrong configuration (the same policy as the exchange-chunk knob).
-pub fn aggregators_from_env() -> Option<usize> {
-    let v = std::env::var(AGGREGATORS_ENV).ok()?;
-    let t = v.trim();
-    if t == "0" || t.eq_ignore_ascii_case("auto") {
-        return None;
-    }
-    match t.parse::<usize>() {
-        Ok(n) => Some(n),
-        Err(_) => panic!(
-            "invalid {AGGREGATORS_ENV} value {v:?}: expected a positive aggregator \
-             count, or 0/auto for the heuristic"
-        ),
     }
 }
 
@@ -1162,15 +1131,6 @@ mod tests {
         // Degenerate cases.
         assert!(aggregator_domains(5, 5, 1024, 4).is_empty());
         assert_eq!(aggregator_domains(0, 10, 1024, 4), vec![(0, 10)]);
-    }
-
-    #[test]
-    fn aggregators_env_knob_resolution() {
-        // Only exercise the parse paths that don't touch the process
-        // environment (the suite may run under MVIO_IO_AGGREGATORS).
-        if std::env::var(AGGREGATORS_ENV).is_err() {
-            assert_eq!(aggregators_from_env(), None);
-        }
     }
 
     #[test]

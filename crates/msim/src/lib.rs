@@ -64,9 +64,7 @@ pub use check::{CheckMode, CollectiveKind, CollectiveSig, CollectiveVerifier, Vi
 pub use comm::Comm;
 pub use datatype::Datatype;
 pub use hints::Hints;
-pub use io::{
-    aggregator_domains, aggregators_from_env, select_readers, AccessLevel, MpiFile, AGGREGATORS_ENV,
-};
+pub use io::{aggregator_domains, select_readers, AccessLevel, MpiFile};
 pub use reduceop::ReduceOp;
 pub use request::{ProgressEngine, Request};
 pub use time::{CostModel, ShapeClass, Work, WorkTally};

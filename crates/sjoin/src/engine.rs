@@ -80,7 +80,7 @@
 //!         .filter(|&c| sd.cell_to_rank(c) == comm.rank())
 //!         .map(|c| (c, f.clone()))
 //!         .collect();
-//!     let mut eng = QueryEngine::from_parts(comm, sd, owned, &EngineOptions::one_shot());
+//!     let mut eng = QueryEngine::from_parts(comm, sd, owned, &EngineOptions::default());
 //!     // Rank 0 submits a streaming insert; the batch is collective.
 //!     let updates = if comm.rank() == 0 {
 //!         vec![Update::Insert(Feature::with_userdata(
@@ -124,14 +124,6 @@ use mvio_msim::{Comm, Work};
 use mvio_pfs::SimFs;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-
-/// Environment knob selecting the result-cache capacity: unset, `0` or
-/// `off` disables the cache; `on` enables it at the default capacity;
-/// an integer pins the capacity in entries.
-pub const SERVE_CACHE_ENV: &str = "MVIO_SERVE_CACHE";
-
-/// Capacity used when [`SERVE_CACHE_ENV`] is `on` (entries).
-pub const DEFAULT_CACHE_ENTRIES: usize = 1024;
 
 /// One query in a serving batch.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -190,11 +182,8 @@ impl QueryAnswer {
 /// Result-cache sizing policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ServeCache {
-    /// Resolve through [`SERVE_CACHE_ENV`] (the default); unset means
-    /// off.
+    /// No caching (the default).
     #[default]
-    Auto,
-    /// No caching.
     Off,
     /// LRU over at most this many query→answer entries.
     Entries(usize),
@@ -202,39 +191,16 @@ pub enum ServeCache {
 
 impl ServeCache {
     /// The capacity this policy resolves to (`None` = caching off).
-    ///
-    /// # Panics
-    ///
-    /// `Auto` panics on an unparseable [`SERVE_CACHE_ENV`] value —
-    /// silently serving uncached under a typo'd knob would make every
-    /// benchmark measure the wrong configuration (same contract as
-    /// [`ExchangeChunk::resolve`]).
     pub fn resolve(self) -> Option<usize> {
         match self {
-            ServeCache::Auto => {
-                let v = std::env::var(SERVE_CACHE_ENV).ok()?;
-                let t = v.trim();
-                if t == "0" || t.eq_ignore_ascii_case("off") {
-                    return None;
-                }
-                if t.eq_ignore_ascii_case("on") {
-                    return Some(DEFAULT_CACHE_ENTRIES);
-                }
-                let n: usize = t.parse().unwrap_or_else(|_| {
-                    panic!(
-                        "invalid {SERVE_CACHE_ENV} value {v:?}: expected an entry count, \
-                         `on`, or 0/off"
-                    )
-                });
-                Some(n.max(1))
-            }
             ServeCache::Off => None,
             ServeCache::Entries(n) => Some(n.max(1)),
         }
     }
 }
 
-/// Construction-time engine configuration.
+/// Construction-time engine configuration. The default is the one-shot
+/// wrappers' configuration: blocking exchange, no cache, no rebalancing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineOptions {
     /// Per-destination byte cap for each pipelined exchange round used
@@ -242,23 +208,10 @@ pub struct EngineOptions {
     pub chunk: ExchangeChunk,
     /// Hot-query result cache policy.
     pub cache: ServeCache,
-    /// Online-rebalance policy for [`QueryEngine::maybe_rebalance`]
-    /// (defaults to the `MVIO_REBALANCE` knob, off unless overridden).
+    /// Online-rebalance policy for [`QueryEngine::maybe_rebalance`].
     /// Must be identical on every rank — the rebalance decision is
     /// collective.
     pub rebalance: RebalancePolicy,
-}
-
-impl EngineOptions {
-    /// Options for a one-shot wrapper: blocking exchange, no cache, no
-    /// rebalancing.
-    pub fn one_shot() -> Self {
-        EngineOptions {
-            chunk: ExchangeChunk::Unlimited,
-            cache: ServeCache::Off,
-            rebalance: RebalancePolicy::Off,
-        }
-    }
 }
 
 /// Per-rank counters for one [`QueryEngine::serve`] call.

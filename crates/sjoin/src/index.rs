@@ -53,9 +53,8 @@ pub fn build_distributed_index(
         .collect();
     timer.end_partition(comm);
 
-    // Communication phase. Default options: single window, chunk policy
-    // from the `MVIO_EXCHANGE_CHUNK` knob (the received pairs are
-    // bit-identical under every policy).
+    // Communication phase. Default options: single window, one blocking
+    // round.
     let opts = ExchangeOptions::default();
     let (mine, _) = exchange_features(comm, owned, &*sd, &opts)?;
     timer.end_communication(comm);

@@ -10,7 +10,7 @@ use mvio_core::exchange::{
     ExchangeChunk, ExchangeOptions, FrameStore, RecordFrame, SerializedBatch,
 };
 use mvio_core::framework::claims_reference;
-use mvio_core::grid::{GridSpec, UniformGrid};
+use mvio_core::grid::{CellMap, GridSpec, UniformGrid};
 use mvio_core::partition::{read_partition_text, ReadOptions};
 use mvio_core::pipeline::{parse_chunked, PipelineOptions};
 use mvio_core::reader::WktLineParser;
@@ -30,9 +30,8 @@ pub struct JoinOptions {
     /// Grid resolution (the Figure 17 sweep axis).
     pub grid: GridSpec,
     /// Spatial decomposition policy (cell tiling + cell→rank assignment).
-    /// Defaults to [`DecompPolicy::from_env`]: the paper's uniform
-    /// round-robin grid unless `MVIO_DECOMP` selects `hilbert` or
-    /// `adaptive`. The join *answer* is identical under every policy.
+    /// Defaults to the paper's uniform round-robin grid. The join
+    /// *answer* is identical under every policy.
     /// The policy decides where records land — the exchange volume and
     /// the filter load — but no longer the refine makespan: surviving
     /// candidate pairs are re-balanced across ranks after the filter
@@ -43,8 +42,8 @@ pub struct JoinOptions {
     /// Sliding-window phases for the exchange.
     pub windows: u32,
     /// Per-destination byte cap for each pipelined exchange round.
-    /// Defaults to [`ExchangeChunk::Auto`] (the `MVIO_EXCHANGE_CHUNK`
-    /// knob); the join *answer* is identical for every chunk policy —
+    /// Defaults to [`ExchangeChunk::Unlimited`] (one blocking round);
+    /// the join *answer* is identical for every chunk policy —
     /// finite chunks only overlap the transfer with serialization and
     /// stream the received rounds into the refine phase incrementally.
     pub chunk: ExchangeChunk,
@@ -63,10 +62,10 @@ impl Default for JoinOptions {
     fn default() -> Self {
         JoinOptions {
             grid: GridSpec::square(16),
-            decomp: DecompPolicy::from_env(),
+            decomp: DecompPolicy::Uniform(CellMap::RoundRobin),
             read: ReadOptions::default(),
             windows: 1,
-            chunk: ExchangeChunk::Auto,
+            chunk: ExchangeChunk::Unlimited,
             pipeline: PipelineOptions::default().with_workers(1),
         }
     }
@@ -148,8 +147,7 @@ pub fn spatial_join(
     // --- Communication phase: global spatial partitioning. ---------------
     // The received rounds stay as validated wire frames, one
     // source-ordered store per sliding window — bit-identical for every
-    // chunk policy, so the join result never depends on the
-    // MVIO_EXCHANGE_CHUNK knob.
+    // chunk policy, so the join result never depends on `opts.chunk`.
     let ex_opts = ExchangeOptions {
         windows: opts.windows,
         chunk: opts.chunk,
@@ -196,7 +194,7 @@ pub struct SnapshotJoinOptions {
 impl Default for SnapshotJoinOptions {
     fn default() -> Self {
         SnapshotJoinOptions {
-            decomp: DecompPolicy::Uniform(mvio_core::grid::CellMap::RoundRobin),
+            decomp: DecompPolicy::Uniform(CellMap::RoundRobin),
             read: SnapshotReadOptions::default(),
         }
     }
@@ -1172,7 +1170,7 @@ mod tests {
     fn skewed_opts() -> JoinOptions {
         JoinOptions {
             grid: GridSpec::square(4),
-            decomp: DecompPolicy::Uniform(mvio_core::grid::CellMap::RoundRobin),
+            decomp: DecompPolicy::Uniform(CellMap::RoundRobin),
             ..Default::default()
         }
     }

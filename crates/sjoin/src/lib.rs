@@ -28,7 +28,6 @@ pub mod query;
 pub use breakdown::PhaseBreakdown;
 pub use engine::{
     EngineOptions, Neighbor, Query, QueryAnswer, QueryEngine, ServeCache, ServeReport, ServeStats,
-    SERVE_CACHE_ENV,
 };
 pub use index::{build_distributed_index, IndexReport};
 pub use join::{

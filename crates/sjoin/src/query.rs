@@ -17,8 +17,8 @@ use mvio_pfs::SimFs;
 use std::sync::Arc;
 
 /// Shared partition+exchange front half of the one-shot query paths:
-/// read the WKT layer, build the global decomposition (policy from the
-/// `MVIO_DECOMP` knob), project to cells, and exchange to owners.
+/// read the WKT layer, build the paper's uniform round-robin
+/// decomposition, project to cells, and exchange to owners.
 fn read_and_partition(
     comm: &mut Comm,
     fs: &Arc<SimFs>,
@@ -28,7 +28,7 @@ fn read_and_partition(
     timer: Option<&mut PhaseTimer>,
 ) -> Result<(Box<dyn SpatialDecomposition>, Vec<(u32, Feature)>)> {
     let features = read_features(comm, fs, path, read, &WktLineParser)?;
-    let sd = decomp::build_global(comm, &[&features], &DecompConfig::from_env(grid));
+    let sd = decomp::build_global(comm, &[&features], &DecompConfig::uniform(grid));
     let rtree = decomp::build_cell_rtree(comm, &*sd);
     let pairs = decomp::project_to_cells(comm, &rtree, &features);
     let owned: Vec<(u32, Feature)> = pairs
@@ -56,9 +56,8 @@ pub struct RangeQueryReport {
 }
 
 /// Finds all features intersecting `query`: filter on cell/MBR overlap,
-/// refine with the exact predicate. The decomposition policy comes from
-/// the `MVIO_DECOMP` knob (default: the paper's uniform round-robin
-/// grid); the answer is identical under every policy.
+/// refine with the exact predicate, over the paper's uniform round-robin
+/// grid.
 ///
 /// A one-shot wrapper over [`crate::engine::QueryEngine`]: the
 /// partition/communication phases build a throwaway engine and the
@@ -80,7 +79,7 @@ pub fn range_query(
     let (sd, mine) = read_and_partition(comm, fs, path, grid, read, Some(&mut timer))?;
     timer.end_communication(comm);
 
-    let eng = QueryEngine::from_parts(comm, sd, mine, &EngineOptions::one_shot());
+    let eng = QueryEngine::from_parts(comm, sd, mine, &EngineOptions::default());
     let matches = eng.local_range_matches(comm, &query)?;
     timer.end_compute(comm);
 
@@ -112,7 +111,7 @@ pub fn batch_query(
     read: &ReadOptions,
 ) -> Result<Vec<u64>> {
     let (sd, mine) = read_and_partition(comm, fs, path, grid, read, None)?;
-    let mut eng = QueryEngine::from_parts(comm, sd, mine, &EngineOptions::one_shot());
+    let mut eng = QueryEngine::from_parts(comm, sd, mine, &EngineOptions::default());
     // Every rank issues the whole batch, so every rank receives the full
     // global answer for every query — the counts come out identical
     // everywhere without a final reduction.

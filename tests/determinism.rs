@@ -1,31 +1,16 @@
 //! Determinism guarantees: identical seeds and configurations produce
 //! bit-identical results — data always, virtual time on collective paths.
 
-use mpi_vector_io::core::grid::GridSpec;
-use mpi_vector_io::datagen;
-use mpi_vector_io::prelude::*;
-use std::sync::Arc;
+mod common;
 
-fn generated_fs(denom: u64) -> Arc<SimFs> {
-    let fs = SimFs::new(FsConfig::gpfs_roger());
-    for name in ["Lakes", "Cemetery"] {
-        let spec = datagen::table3()
-            .into_iter()
-            .find(|s| s.name == name)
-            .unwrap();
-        let rep = datagen::catalog::generate(&fs, &spec, denom, 11);
-        let bytes = fs.open(&rep.path).unwrap().snapshot();
-        fs.create(&format!("{}.wkt", name.to_lowercase()), None)
-            .unwrap()
-            .append(&bytes);
-    }
-    fs
-}
+use common::catalog_fs;
+use mpi_vector_io::core::grid::GridSpec;
+use mpi_vector_io::prelude::*;
 
 #[test]
 fn dataset_generation_is_bit_identical() {
-    let a = generated_fs(200_000);
-    let b = generated_fs(200_000);
+    let a = catalog_fs(200_000, 11);
+    let b = catalog_fs(200_000, 11);
     assert_eq!(
         a.open("lakes.wkt").unwrap().snapshot(),
         b.open("lakes.wkt").unwrap().snapshot()
@@ -39,7 +24,7 @@ fn dataset_generation_is_bit_identical() {
 #[test]
 fn join_results_are_identical_across_runs() {
     let run = || {
-        let fs = generated_fs(100_000);
+        let fs = catalog_fs(100_000, 11);
 
         World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {
             let opts = JoinOptions {

@@ -1,55 +1,29 @@
 //! Cross-crate integration tests: the full catalog → partition → grid →
 //! exchange → join/index/query pipeline, validated against brute force.
 
+mod common;
+
+use common::{brute_force_join, catalog_fs};
 use mpi_vector_io::core::exchange::{exchange_features, ExchangeOptions};
 use mpi_vector_io::core::grid::{CellMap, GridSpec, UniformGrid};
 use mpi_vector_io::datagen;
 use mpi_vector_io::prelude::*;
 use std::sync::Arc;
 
-/// Generates a small catalog pair onto one filesystem.
-fn catalog_fs(denom: u64) -> Arc<SimFs> {
-    let fs = SimFs::new(FsConfig::gpfs_roger());
-    for name in ["Lakes", "Cemetery"] {
-        let spec = datagen::table3()
-            .into_iter()
-            .find(|s| s.name == name)
-            .unwrap();
-        let rep = datagen::catalog::generate(&fs, &spec, denom, 7);
-        // Normalize to simple paths for the tests below.
-        let bytes = fs.open(&rep.path).unwrap().snapshot();
-        fs.create(&format!("{}.wkt", name.to_lowercase()), None)
-            .unwrap()
-            .append(&bytes);
-    }
-    fs
-}
-
-/// Brute-force join of two WKT datasets (exact `intersects`).
-fn brute_force_join(fs: &Arc<SimFs>, a: &str, b: &str) -> Vec<(String, String)> {
-    let parse = |path: &str| -> Vec<Feature> {
-        let text = String::from_utf8(fs.open(path).unwrap().snapshot()).unwrap();
-        mpi_vector_io::core::reader::parse_buffer_serial(&text, &WktLineParser).unwrap()
-    };
-    let la = parse(a);
-    let lb = parse(b);
-    let mut out = Vec::new();
-    for fa in &la {
-        for fb in &lb {
-            if mpi_vector_io::geom::algo::intersects(&fa.geometry, &fb.geometry) {
-                out.push((fa.userdata.clone(), fb.userdata.clone()));
-            }
-        }
-    }
-    out.sort();
-    out
+/// Serially parses one WKT file of `fs`.
+fn parse_file(fs: &Arc<SimFs>, path: &str) -> Vec<Feature> {
+    let text = String::from_utf8(fs.open(path).unwrap().snapshot()).unwrap();
+    mpi_vector_io::core::reader::parse_buffer_serial(&text, &WktLineParser).unwrap()
 }
 
 #[test]
 fn distributed_join_matches_brute_force_on_catalog_data() {
     let denom = 50_000; // Lakes 160, Cemetery 16 — brute force affordable
-    let fs = catalog_fs(denom);
-    let expect = brute_force_join(&fs, "lakes.wkt", "cemetery.wkt");
+    let fs = catalog_fs(denom, 7);
+    let expect = brute_force_join(
+        &parse_file(&fs, "lakes.wkt"),
+        &parse_file(&fs, "cemetery.wkt"),
+    );
 
     for (nodes, ppn, cells) in [(1, 1, 4u32), (2, 2, 8), (2, 3, 16)] {
         let fs = Arc::clone(&fs);
@@ -74,7 +48,7 @@ fn distributed_join_matches_brute_force_on_catalog_data() {
 #[test]
 fn exchange_preserves_every_feature_with_real_data() {
     let denom = 100_000;
-    let fs = catalog_fs(denom);
+    let fs = catalog_fs(denom, 7);
     let out = World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {
         let feats = read_features(
             comm,
@@ -116,7 +90,7 @@ fn exchange_preserves_every_feature_with_real_data() {
 #[test]
 fn range_query_matches_serial_filter() {
     let denom = 100_000;
-    let fs = catalog_fs(denom);
+    let fs = catalog_fs(denom, 7);
     let query = {
         // Use the densest region: the global MBR's middle third.
         let text = String::from_utf8(fs.open("lakes.wkt").unwrap().snapshot()).unwrap();
@@ -162,7 +136,7 @@ fn range_query_matches_serial_filter() {
 #[test]
 fn distributed_index_preserves_feature_multiset() {
     let denom = 100_000;
-    let fs = catalog_fs(denom);
+    let fs = catalog_fs(denom, 7);
     // Serial: project features to cells and count replicas.
     let text = String::from_utf8(fs.open("lakes.wkt").unwrap().snapshot()).unwrap();
     let feats = mpi_vector_io::core::reader::parse_buffer_serial(&text, &WktLineParser).unwrap();

@@ -2,19 +2,15 @@
 //! clean errors (or a clean job abort) — never hangs, never silent
 //! corruption.
 
+mod common;
+
+use common::fs_with;
 use mpi_vector_io::core::exchange::{
     decode_records, serialize_record, validate_round, ExchangeRound, SerializedBatch,
 };
 use mpi_vector_io::core::CoreError;
 use mpi_vector_io::msim::CheckMode;
 use mpi_vector_io::prelude::*;
-use std::sync::Arc;
-
-fn fs_with(path: &str, text: &str) -> Arc<SimFs> {
-    let fs = SimFs::new(FsConfig::gpfs_roger());
-    fs.create(path, None).unwrap().append(text.as_bytes());
-    fs
-}
 
 #[test]
 fn corrupted_wkt_record_fails_cleanly_on_every_rank() {
@@ -29,7 +25,7 @@ fn corrupted_wkt_record_fails_cleanly_on_every_rank() {
             text.push_str(&format!("POINT ({i} {i})\tp{i}\n"));
         }
     }
-    let fs = fs_with("bad.wkt", &text);
+    let fs = fs_with(FsConfig::gpfs_roger(), "bad.wkt", &text);
     let results = World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {
         read_features(
             comm,
@@ -71,6 +67,7 @@ fn rank_death_mid_pipeline_aborts_whole_job() {
     // collectives. MPI_Abort semantics must bring the job down rather
     // than deadlock.
     let fs = fs_with(
+        FsConfig::gpfs_roger(),
         "ok.wkt",
         &(0..32)
             .map(|i| format!("POINT ({i} 0)\tp{i}\n"))
@@ -111,7 +108,7 @@ fn truncated_file_yields_short_final_record_not_a_crash() {
     // is delivered as a record and fails at *parse* time with a clear
     // error, rather than corrupting neighbours.
     let full = "POINT (1 1)\tp1\nPOINT (2 2)\tp2\nPOLYGON ((3 3, 4 3, 4";
-    let fs = fs_with("cut.wkt", full);
+    let fs = fs_with(FsConfig::gpfs_roger(), "cut.wkt", full);
     let results = World::run(WorldConfig::new(Topology::single_node(2)), move |comm| {
         read_features(
             comm,
@@ -143,7 +140,7 @@ fn oversized_geometry_is_reported_not_mangled() {
         let coords: Vec<String> = (0..4000).map(|i| format!("{i} {i}")).collect();
         coords.join(", ")
     }));
-    let fs = fs_with("huge.wkt", &text);
+    let fs = fs_with(FsConfig::gpfs_roger(), "huge.wkt", &text);
     let results = World::run(WorldConfig::new(Topology::single_node(4)), move |comm| {
         read_features(
             comm,
@@ -169,7 +166,7 @@ fn oversized_geometry_is_reported_not_mangled() {
 #[test]
 fn empty_and_whitespace_files_are_harmless() {
     for content in ["", "\n\n\n", "   \n  \n"] {
-        let fs = fs_with("empty.wkt", content);
+        let fs = fs_with(FsConfig::gpfs_roger(), "empty.wkt", content);
         let results = World::run(WorldConfig::new(Topology::single_node(3)), move |comm| {
             // Block above the longest (whitespace) record, as always.
             let opts = ReadOptions::default().with_block_size(8);

@@ -1,6 +1,8 @@
-//! Coverage check for `docs/KNOBS.md`: every `MVIO_*` environment knob
-//! referenced anywhere in the workspace's crate sources must have a row
-//! in the knob table. Adding a knob without documenting it fails here.
+//! Hermeticity check: the environment reaches the library through the
+//! two knobs `docs/KNOBS.md` documents and nowhere else. The `MVIO_*`
+//! identifiers in the sources must be exactly the documented set, and
+//! `env::var` may occur in non-test crate code only in the two files
+//! that read those knobs — a new hidden environment read fails here.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -45,49 +47,77 @@ fn rust_sources_under(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-#[test]
-fn every_env_knob_in_the_workspace_is_documented() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+/// Every `.rs` file under `crates/*/src`, as `(repo-relative path, text)`.
+fn crate_sources(root: &Path) -> Vec<(String, String)> {
     let crates = root.join("crates");
     assert!(crates.is_dir(), "expected {} to exist", crates.display());
-
     let mut sources = Vec::new();
-    let crate_dirs = fs::read_dir(&crates).expect("readable crates dir");
-    for entry in crate_dirs.flatten() {
-        let src = entry.path().join("src");
-        rust_sources_under(&src, &mut sources);
+    for entry in fs::read_dir(&crates)
+        .expect("readable crates dir")
+        .flatten()
+    {
+        rust_sources_under(&entry.path().join("src"), &mut sources);
     }
     assert!(
         sources.len() > 10,
         "suspiciously few sources found ({}) — did the layout move?",
         sources.len()
     );
+    sources
+        .into_iter()
+        .map(|path| {
+            let text = fs::read_to_string(&path).expect("readable source file");
+            let rel = path.strip_prefix(root).expect("under the repo root");
+            (rel.to_string_lossy().replace('\\', "/"), text)
+        })
+        .collect()
+}
 
+#[test]
+fn env_knobs_in_the_workspace_are_exactly_the_documented_set() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let mut used = BTreeSet::new();
-    for path in &sources {
-        let text = fs::read_to_string(path).expect("readable source file");
+    for (_, text) in crate_sources(&root) {
         used.extend(knob_idents(&text));
     }
+
+    // KNOBS.md documents the live knobs first; the table under the
+    // "Removed knobs" heading names the ones the code must no longer know.
+    let knobs_md =
+        fs::read_to_string(root.join("docs").join("KNOBS.md")).expect("readable docs/KNOBS.md");
+    let (live, removed) = knobs_md
+        .split_once("## Removed knobs")
+        .expect("docs/KNOBS.md has a `## Removed knobs` section");
+    let (live, removed) = (knob_idents(live), knob_idents(removed));
     assert!(
-        used.contains("MVIO_CHECK") && used.contains("MVIO_DECOMP"),
-        "knob scan is broken: known knobs not found in {used:?}"
+        live.contains("MVIO_CHECK") && !removed.is_empty(),
+        "knob scan is broken: live {live:?}, removed {removed:?}"
     );
 
-    let knobs_md = root.join("docs").join("KNOBS.md");
-    let documented = knob_idents(&fs::read_to_string(&knobs_md).expect("readable docs/KNOBS.md"));
-
-    let missing: Vec<&String> = used.difference(&documented).collect();
-    assert!(
-        missing.is_empty(),
-        "env knobs referenced in crate sources but missing from docs/KNOBS.md: {missing:?}"
+    assert_eq!(
+        used, live,
+        "MVIO_* identifiers in crate sources (left) differ from the knobs docs/KNOBS.md \
+         documents (right)"
     );
+}
 
-    // The reverse direction matters too: a documented knob that no code
-    // reads is a stale row.
-    let stale: Vec<&String> = documented.difference(&used).collect();
-    assert!(
-        stale.is_empty(),
-        "docs/KNOBS.md documents knobs that no crate source references: {stale:?}"
+#[test]
+fn the_environment_is_read_only_where_the_knobs_are_documented() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let mut readers: Vec<String> = crate_sources(&root)
+        .into_iter()
+        .filter(|(_, text)| {
+            // Unit tests sit in a trailing `#[cfg(test)]` module.
+            let code = text.split("#[cfg(test)]").next().unwrap_or_default();
+            code.contains("env::var")
+        })
+        .map(|(path, _)| path)
+        .collect();
+    readers.sort();
+    assert_eq!(
+        readers,
+        ["crates/core/src/pipeline.rs", "crates/msim/src/check.rs"],
+        "non-test crate code reads the environment outside the two documented knob sites"
     );
 }
 

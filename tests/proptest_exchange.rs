@@ -2,39 +2,15 @@
 //! of features through arbitrary exchanges, decomposition policies,
 //! windows and rank counts.
 
-use mpi_vector_io::core::decomp::{
-    AdaptiveBisection, HilbertDecomposition, SpatialDecomposition, UniformDecomposition,
-};
+mod common;
+
+use common::mk_decomp;
 use mpi_vector_io::core::exchange::{
     exchange_features, exchange_serialized_with, ExchangeChunk, ExchangeOptions,
 };
 use mpi_vector_io::core::pipeline::{partition_chunked, partition_exchange_overlapped};
 use mpi_vector_io::prelude::*;
 use proptest::prelude::*;
-
-/// Builds one of the five decomposition variants over a `side × side`
-/// grid: the three classic cell maps, Hilbert runs, and an adaptive
-/// bisection over a deterministic synthetic histogram.
-fn mk_decomp(policy: u8, side: u32, ranks: usize) -> Box<dyn SpatialDecomposition> {
-    let grid = UniformGrid::new(
-        Rect::new(0.0, 0.0, side as f64, side as f64),
-        GridSpec::square(side),
-    );
-    match policy {
-        0 => Box::new(UniformDecomposition::new(grid, CellMap::RoundRobin, ranks)),
-        1 => Box::new(UniformDecomposition::new(grid, CellMap::Block, ranks)),
-        2 => Box::new(UniformDecomposition::new(
-            grid,
-            CellMap::Hilbert { cells_x: side },
-            ranks,
-        )),
-        3 => Box::new(HilbertDecomposition::new(grid, ranks)),
-        _ => {
-            let counts: Vec<u64> = (0..grid.num_cells() as u64).map(|c| (c * 7) % 13).collect();
-            Box::new(AdaptiveBisection::from_counts(grid, &counts, ranks))
-        }
-    }
-}
 
 proptest! {
     // Worlds spawn threads; keep case counts moderate. Seed pinned so
@@ -53,7 +29,7 @@ proptest! {
         let out = World::run(
             WorldConfig::new(Topology::single_node(ranks)),
             move |comm| {
-                let decomp = mk_decomp(policy, side, comm.size());
+                let decomp = mk_decomp(side as f64, policy, side, comm.size());
                 // Each rank fabricates pairs tagged with origin info.
                 let pairs: Vec<(u32, Feature)> = (0..items_per_rank)
                     .map(|i| {
@@ -142,7 +118,7 @@ proptest! {
             World::run(
                 WorldConfig::new(Topology::single_node(ranks)),
                 move |comm| {
-                    let decomp = mk_decomp(policy, side, comm.size());
+                    let decomp = mk_decomp(side as f64, policy, side, comm.size());
                     let pairs: Vec<(u32, Feature)> = (0..items_per_rank)
                         .map(|i| {
                             let cell = ((comm.rank() * 31 + i * 7) as u32) % num_cells;
@@ -193,7 +169,7 @@ proptest! {
         let unfused = World::run(
             WorldConfig::new(Topology::single_node(ranks)),
             move |comm| {
-                let decomp = mk_decomp(policy, side, comm.size());
+                let decomp = mk_decomp(side as f64, policy, side, comm.size());
                 let feats = mk_features(comm.rank());
                 let (batch, _) = partition_chunked(comm, &*decomp, &feats, &popts).unwrap();
                 exchange_serialized_with(
@@ -208,7 +184,7 @@ proptest! {
         let fused = World::run(
             WorldConfig::new(Topology::single_node(ranks)),
             move |comm| {
-                let decomp = mk_decomp(policy, side, comm.size());
+                let decomp = mk_decomp(side as f64, policy, side, comm.size());
                 let feats = mk_features(comm.rank());
                 partition_exchange_overlapped(comm, &*decomp, &feats, &popts, chunk)
                     .unwrap()
@@ -224,7 +200,7 @@ proptest! {
         ranks in 1usize..9,
         policy in 0u8..5,
     ) {
-        let decomp = mk_decomp(policy, side, ranks);
+        let decomp = mk_decomp(side as f64, policy, side, ranks);
         let mut seen = vec![0u32; decomp.num_cells() as usize];
         for rank in 0..ranks {
             for c in decomp.cells_of_rank(rank) {

@@ -7,8 +7,10 @@
 //! step really ships candidate pairs between ranks; the other half stay
 //! spread out and take the empty-plan path.
 
+mod common;
+
+use common::{brute_force_join, lcg, mk_chunk};
 use mpi_vector_io::core::reader::parse_buffer_serial;
-use mpi_vector_io::geom::algo;
 use mpi_vector_io::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -18,13 +20,7 @@ use std::sync::Arc;
 /// overlap, with their reference points in one cell — and adds one far
 /// anchor record so the global MBR (hence the grid) stays wide.
 fn layer_text(records: usize, salt: u64, hot: bool, tag: char) -> String {
-    let mut state = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 33) as f64 / (1u64 << 31) as f64
-    };
+    let mut next = lcg(salt);
     let extent = if hot { 2.0 } else { 60.0 };
     let mut text = String::new();
     for i in 0..records {
@@ -54,21 +50,6 @@ fn layer_text(records: usize, salt: u64, hot: bool, tag: char) -> String {
     text
 }
 
-fn brute_force(left: &str, right: &str) -> Vec<(String, String)> {
-    let l = parse_buffer_serial(left, &WktLineParser).unwrap();
-    let r = parse_buffer_serial(right, &WktLineParser).unwrap();
-    let mut out = Vec::new();
-    for a in &l {
-        for b in &r {
-            if algo::intersects(&a.geometry, &b.geometry) {
-                out.push((a.userdata.clone(), b.userdata.clone()));
-            }
-        }
-    }
-    out.sort();
-    out
-}
-
 proptest! {
     // Each case spawns one world; the hot draws refine a few thousand
     // cheap pairs. Seed pinned so CI failures are reproducible
@@ -95,18 +76,17 @@ proptest! {
             DecompPolicy::Hilbert,
             DecompPolicy::adaptive(),
         ][policy];
-        let chunk = if chunk_bytes < 16 {
-            ExchangeChunk::Unlimited
-        } else {
-            ExchangeChunk::Bytes(chunk_bytes)
-        };
+        let chunk = mk_chunk(chunk_bytes);
         let left = layer_text(lrecords, salt, hot, 'l');
         let right = if self_join {
             left.clone()
         } else {
             layer_text(rrecords, salt ^ 0xBEEF, hot, 'r')
         };
-        let expect = brute_force(&left, &right);
+        let expect = brute_force_join(
+            &parse_buffer_serial(&left, &WktLineParser).unwrap(),
+            &parse_buffer_serial(&right, &WktLineParser).unwrap(),
+        );
 
         let fs = SimFs::new(FsConfig::lustre_comet());
         fs.create("l.wkt", None).unwrap().append(left.as_bytes());

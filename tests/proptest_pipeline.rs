@@ -3,6 +3,9 @@
 //! parse → cell-map → serialize → exchange produces exactly the pairs the
 //! sequential parse → project → exchange path produces.
 
+mod common;
+
+use common::{dataset_text, fs_with};
 use mpi_vector_io::core::decomp::{self, DecompConfig};
 use mpi_vector_io::core::exchange::{exchange_features, ExchangeOptions};
 use mpi_vector_io::core::grid::GridSpec;
@@ -10,42 +13,6 @@ use mpi_vector_io::core::pipeline::{self, PipelineOptions};
 use mpi_vector_io::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
-
-/// Deterministic pseudo-random WKT dataset (mixed shapes + userdata).
-fn dataset_text(records: usize, salt: u64) -> String {
-    let mut state = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 33) as f64 / (1u64 << 31) as f64
-    };
-    let mut text = String::new();
-    for i in 0..records {
-        let x = next() * 50.0;
-        let y = next() * 30.0;
-        match i % 3 {
-            0 => text.push_str(&format!("POINT ({x} {y})\tp{i}\n")),
-            1 => text.push_str(&format!(
-                "LINESTRING ({x} {y}, {} {})\tl{i}\n",
-                x + next() * 4.0 + 0.1,
-                y + next() * 4.0 + 0.1
-            )),
-            _ => {
-                let w = next() * 3.0 + 0.1;
-                let h = next() * 3.0 + 0.1;
-                text.push_str(&format!(
-                    "POLYGON (({x} {y}, {} {y}, {} {}, {x} {}, {x} {y}))\tg{i}\n",
-                    x + w,
-                    x + w,
-                    y + h,
-                    y + h
-                ));
-            }
-        }
-    }
-    text
-}
 
 proptest! {
     // Every case spawns 2 worlds of threads; keep the count moderate.
@@ -61,9 +28,8 @@ proptest! {
         chunk_bytes in 32usize..2048,
         chunk_records in 1usize..64,
     ) {
-        let text = dataset_text(records, salt);
-        let fs = SimFs::new(FsConfig::lustre_comet());
-        fs.create("d.wkt", None).unwrap().append(text.as_bytes());
+        let text = dataset_text(records, salt, (50.0, 30.0), (4.0, 3.0), 1.0);
+        let fs = fs_with(FsConfig::lustre_comet(), "d.wkt", &text);
         fs.set_active_ranks(ranks);
         let read = ReadOptions::default().with_block_size(4 << 10);
         let spec = GridSpec::square(5);

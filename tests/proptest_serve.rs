@@ -3,154 +3,13 @@
 //! brute-force pass over the whole dataset, for every decomposition
 //! policy, rank count, exchange chunk size and cache setting.
 
-use mpi_vector_io::core::decomp::{
-    AdaptiveBisection, HilbertDecomposition, SpatialDecomposition, UniformDecomposition,
-};
+mod common;
+
+use common::{canon, mk_decomp, mk_features, mk_queries, oracle, owned_replicas, WORLD};
 use mpi_vector_io::core::exchange::ExchangeChunk;
-use mpi_vector_io::geom::algo::{point_geometry_distance, rect_intersects_geometry};
 use mpi_vector_io::prelude::*;
-use mpi_vector_io::sjoin::{EngineOptions, Query, QueryAnswer, QueryEngine, ServeCache};
 use proptest::prelude::*;
 use std::sync::Arc;
-
-/// The fixed world every generated dataset and query lives in.
-const WORLD: f64 = 16.0;
-
-/// Builds one of the five decomposition variants over a `side × side`
-/// grid spanning the `[0, WORLD]²` world (same shapes as the exchange
-/// proptests: three classic cell maps, Hilbert runs, adaptive bisection
-/// over a deterministic synthetic histogram).
-fn mk_decomp(policy: u8, side: u32, ranks: usize) -> Box<dyn SpatialDecomposition> {
-    let grid = UniformGrid::new(Rect::new(0.0, 0.0, WORLD, WORLD), GridSpec::square(side));
-    match policy {
-        0 => Box::new(UniformDecomposition::new(grid, CellMap::RoundRobin, ranks)),
-        1 => Box::new(UniformDecomposition::new(grid, CellMap::Block, ranks)),
-        2 => Box::new(UniformDecomposition::new(
-            grid,
-            CellMap::Hilbert { cells_x: side },
-            ranks,
-        )),
-        3 => Box::new(HilbertDecomposition::new(grid, ranks)),
-        _ => {
-            let counts: Vec<u64> = (0..grid.num_cells() as u64).map(|c| (c * 7) % 13).collect();
-            Box::new(AdaptiveBisection::from_counts(grid, &counts, ranks))
-        }
-    }
-}
-
-/// Expands the generated `(x, y)` seeds into a mixed-geometry dataset —
-/// points, small squares and short segments — labelled by index. The
-/// same list is fabricated inside every rank and by the oracle, so the
-/// comparison needs no channel besides determinism.
-fn mk_features(coords: &[(f64, f64)]) -> Vec<Feature> {
-    coords
-        .iter()
-        .enumerate()
-        .map(|(i, &(x, y))| {
-            let g = match i % 5 {
-                0 => {
-                    let h = 0.6;
-                    let (x0, y0) = ((x - h).max(0.0), (y - h).max(0.0));
-                    let x1 = (x + h).min(WORLD).max(x0 + 1e-6);
-                    let y1 = (y + h).min(WORLD).max(y0 + 1e-6);
-                    Geometry::Polygon(
-                        Polygon::from_coords(
-                            vec![
-                                Point::new(x0, y0),
-                                Point::new(x1, y0),
-                                Point::new(x1, y1),
-                                Point::new(x0, y1),
-                            ],
-                            vec![],
-                        )
-                        .unwrap(),
-                    )
-                }
-                1 => Geometry::LineString(
-                    LineString::new(vec![
-                        Point::new(x, y),
-                        Point::new((x + 0.8).min(WORLD), (y + 0.4).min(WORLD)),
-                    ])
-                    .unwrap(),
-                ),
-                _ => Geometry::Point(Point::new(x, y)),
-            };
-            Feature::with_userdata(g, format!("f{i:03}"))
-        })
-        .collect()
-}
-
-/// Expands generated query seeds into a mixed batch: `kind` selects
-/// range / point / kNN, `(x, y)` places it, `w` doubles as the window
-/// half-width or (scaled) the `k` of a kNN probe — deliberately allowed
-/// to exceed the dataset size.
-fn mk_queries(seeds: &[(u8, f64, f64, f64)]) -> Vec<Query> {
-    seeds
-        .iter()
-        .map(|&(kind, x, y, w)| match kind % 3 {
-            0 => Query::Range(Rect::new(
-                (x - w).max(0.0),
-                (y - w).max(0.0),
-                (x + w).min(WORLD),
-                (y + w).min(WORLD),
-            )),
-            1 => Query::Point(Point::new(x, y)),
-            _ => Query::Knn {
-                at: Point::new(x, y),
-                k: (w * 10.0) as u32 + 1,
-            },
-        })
-        .collect()
-}
-
-/// The naive oracle: answers one query by a full scan of the global
-/// dataset — intersection test per feature for range/point, brute-force
-/// distance sort (ties broken by userdata, exactly the engine's total
-/// order) truncated to `k` for kNN.
-fn oracle(features: &[Feature], q: &Query) -> QueryAnswer {
-    match *q {
-        Query::Range(r) => {
-            let mut m: Vec<String> = features
-                .iter()
-                .filter(|f| rect_intersects_geometry(&r, &f.geometry))
-                .map(|f| f.userdata.clone())
-                .collect();
-            m.sort();
-            QueryAnswer::Matches(m)
-        }
-        Query::Point(p) => oracle(features, &Query::Range(p.envelope())),
-        Query::Knn { at, k } => {
-            let mut d: Vec<(f64, String)> = features
-                .iter()
-                .map(|f| {
-                    (
-                        point_geometry_distance(&at, &f.geometry),
-                        f.userdata.clone(),
-                    )
-                })
-                .collect();
-            d.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-            d.truncate(k as usize);
-            QueryAnswer::Matches(
-                d.into_iter()
-                    .map(|(dist, u)| format!("{dist:.9}:{u}"))
-                    .collect(),
-            )
-        }
-    }
-}
-
-/// Flattens an engine answer into the oracle's comparable form.
-fn canon(a: &QueryAnswer) -> QueryAnswer {
-    match a {
-        QueryAnswer::Matches(m) => QueryAnswer::Matches(m.clone()),
-        QueryAnswer::Neighbors(ns) => QueryAnswer::Matches(
-            ns.iter()
-                .map(|n| format!("{:.9}:{}", n.distance, n.userdata))
-                .collect(),
-        ),
-    }
-}
 
 proptest! {
     // Worlds spawn threads; keep case counts moderate. Seed pinned so
@@ -195,16 +54,8 @@ proptest! {
                 // Every rank fabricates the same global dataset and
                 // keeps the replicas it owns under the decomposition —
                 // the resident state an ingest would have produced.
-                let sd = mk_decomp(policy, side, comm.size());
-                let features = mk_features(&coords);
-                let mut owned: Vec<(u32, Feature)> = Vec::new();
-                for f in &features {
-                    for cell in sd.cells_for_rect_vec(&f.geometry.envelope()) {
-                        if sd.cell_to_rank(cell) == comm.rank() {
-                            owned.push((cell, f.clone()));
-                        }
-                    }
-                }
+                let sd = mk_decomp(WORLD, policy, side, comm.size());
+                let owned = owned_replicas(&*sd, &mk_features(&coords), comm.rank());
                 let opts = EngineOptions {
                     chunk,
                     cache: if cache { ServeCache::Entries(64) } else { ServeCache::Off },

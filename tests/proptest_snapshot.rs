@@ -1,69 +1,32 @@
 //! Property-based oracle for the binary snapshot subsystem: for *any*
-//! input, writer world size, decomposition policy and exchange chunk
-//! setting, `write_partitioned` → `read_partitioned` under the same
-//! world and decomposition is **bit-identical** to the in-memory
-//! partitioned pairs — and re-reading under a *different* rank count
-//! preserves the record multiset while routing every record to its
-//! cell's owner.
+//! input, writer world size, decomposition policy, exchange chunk
+//! setting and aggregator hint, `write_partitioned` →
+//! `read_partitioned` under the same world and decomposition is
+//! **bit-identical** to the in-memory partitioned pairs — and re-reading
+//! under a *different* rank count preserves the record multiset while
+//! routing every record to its cell's owner.
 
+mod common;
+
+use common::{brute_force_join, dataset_text, fs_with, mk_chunk, owned_replicas};
 use mpi_vector_io::core::decomp::{DecompConfig, DecompPolicy, UniformDecomposition};
-use mpi_vector_io::core::exchange::ExchangeChunk;
 use mpi_vector_io::core::grid::CellMap;
 use mpi_vector_io::core::pipeline::{self, PipelineOptions};
 use mpi_vector_io::core::snapshot::{self, SnapshotReadOptions, SnapshotWriteOptions};
-use mpi_vector_io::geom::{algo, wkb, wkt};
+use mpi_vector_io::geom::{wkb, wkt};
 use mpi_vector_io::prelude::*;
 use mpi_vector_io::sjoin::{spatial_join_snapshots, SnapshotJoinOptions};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Deterministic pseudo-random WKT dataset (mixed shapes + userdata).
-fn dataset_text(records: usize, salt: u64) -> String {
-    dataset_text_scaled(records, salt, 1.0)
-}
-
-/// [`dataset_text`] with every record's origin scaled by `spread`; the
-/// shapes keep their size, so a small spread piles them onto one hotspot
-/// where nearly every pair overlaps.
-fn dataset_text_scaled(records: usize, salt: u64, spread: f64) -> String {
-    let mut state = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 33) as f64 / (1u64 << 31) as f64
-    };
-    let mut text = String::new();
-    for i in 0..records {
-        let x = next() * 40.0 * spread;
-        let y = next() * 25.0 * spread;
-        match i % 3 {
-            0 => text.push_str(&format!("POINT ({x} {y})\tp{i}\n")),
-            1 => text.push_str(&format!(
-                "LINESTRING ({x} {y}, {} {})\tl{i}\n",
-                x + next() * 5.0 + 0.1,
-                y + next() * 5.0 + 0.1
-            )),
-            _ => {
-                let w = next() * 4.0 + 0.1;
-                let h = next() * 4.0 + 0.1;
-                text.push_str(&format!(
-                    "POLYGON (({x} {y}, {} {y}, {} {}, {x} {}, {x} {y}))\tg{i}\n",
-                    x + w,
-                    x + w,
-                    y + h,
-                    y + h
-                ));
-            }
-        }
-    }
-    text
-}
+/// The world and shape sizes of this suite's [`dataset_text`] layers.
+const TEXT_WORLD: (f64, f64) = (40.0, 25.0);
+const TEXT_SIZES: (f64, f64) = (5.0, 4.0);
 
 /// Parses the deterministic WKT dataset into features, for fabricating
 /// join layers without a file read.
 fn join_layer(records: usize, salt: u64, spread: f64) -> Vec<Feature> {
-    dataset_text_scaled(records, salt, spread)
+    dataset_text(records, salt, TEXT_WORLD, TEXT_SIZES, spread)
         .lines()
         .map(|l| {
             let (g, u) = l.split_once('\t').unwrap();
@@ -86,22 +49,36 @@ fn round_trip_case(
     read_ranks: usize,
     policy: usize,
     chunk_bytes: u64,
+    cb_nodes: Option<usize>,
 ) {
     let cfg = [
         DecompConfig::uniform(GridSpec::square(5)),
         DecompConfig::hilbert(GridSpec::square(5)),
         DecompConfig::adaptive(GridSpec::square(5), 2),
     ][policy];
-    // Low values select the blocking single round; the rest sweep
-    // finite record-aligned chunk caps.
-    let chunk = if chunk_bytes < 16 {
-        ExchangeChunk::Unlimited
-    } else {
-        ExchangeChunk::Bytes(chunk_bytes)
+    let chunk = mk_chunk(chunk_bytes);
+    // The aggregator count is capped by the node count and, on Lustre, by
+    // the stripe count. A `cb_nodes` draw therefore runs one rank per
+    // node over a 4-wide stripe, where the heuristic picks up to four
+    // aggregators and the hint lowers that (1) or leaves it (4); `None`
+    // keeps the single-node, default-stripe world with its one
+    // aggregator.
+    let hints = Hints {
+        cb_nodes,
+        ..Hints::default()
     };
-    let text = dataset_text(records, salt);
-    let fs = SimFs::new(FsConfig::lustre_comet());
-    fs.create("d.wkt", None).unwrap().append(text.as_bytes());
+    let wide = cb_nodes.is_some();
+    let topology = move |ranks| match wide {
+        true => Topology::new(ranks, 1),
+        false => Topology::single_node(ranks),
+    };
+    let wopts = SnapshotWriteOptions {
+        stripe: wide.then(|| StripeSpec::new(4, 4 << 10)),
+        hints,
+    };
+    let ropts = SnapshotReadOptions { hints, chunk };
+    let text = dataset_text(records, salt, TEXT_WORLD, TEXT_SIZES, 1.0);
+    let fs = fs_with(FsConfig::lustre_comet(), "d.wkt", &text);
     let read = ReadOptions::default().with_block_size(4 << 10);
 
     // Ingest at the writer world size, persist, and re-read under the
@@ -109,31 +86,25 @@ fn round_trip_case(
     // same order), for every chunk policy.
     let written = {
         let fs = Arc::clone(&fs);
-        World::run(
-            WorldConfig::new(Topology::single_node(write_ranks)),
-            move |comm| {
-                let rep = pipeline::ingest(
-                    comm,
-                    &fs,
-                    "d.wkt",
-                    &read,
-                    &WktLineParser,
-                    &cfg,
-                    &PipelineOptions::default().with_workers(2),
-                )
-                .unwrap();
-                let w = rep
-                    .write_partitioned(comm, &fs, "s.bin", &SnapshotWriteOptions::default())
-                    .unwrap();
-                assert_eq!(w.section.records, rep.owned.len() as u64);
-                let ropts = SnapshotReadOptions::default().with_chunk(chunk);
-                let (back, rrep) =
-                    snapshot::read_partitioned(comm, &fs, "s.bin", &*rep.decomp, &ropts).unwrap();
-                assert_eq!(back, rep.owned, "same-world reload must be bit-identical");
-                assert_eq!(rrep.records_scanned, rep.owned.len() as u64);
-                rep.owned
-            },
-        )
+        World::run(WorldConfig::new(topology(write_ranks)), move |comm| {
+            let rep = pipeline::ingest(
+                comm,
+                &fs,
+                "d.wkt",
+                &read,
+                &WktLineParser,
+                &cfg,
+                &PipelineOptions::default().with_workers(2),
+            )
+            .unwrap();
+            let w = rep.write_partitioned(comm, &fs, "s.bin", &wopts).unwrap();
+            assert_eq!(w.section.records, rep.owned.len() as u64);
+            let (back, rrep) =
+                snapshot::read_partitioned(comm, &fs, "s.bin", &*rep.decomp, &ropts).unwrap();
+            assert_eq!(back, rep.owned, "same-world reload must be bit-identical");
+            assert_eq!(rrep.records_scanned, rep.owned.len() as u64);
+            rep.owned
+        })
     };
     let mut expect: Vec<String> = written.iter().flatten().map(|(c, f)| key(*c, f)).collect();
     expect.sort();
@@ -143,42 +114,45 @@ fn round_trip_case(
     // lands on its cell's owner.
     let reread = {
         let fs = Arc::clone(&fs);
-        World::run(
-            WorldConfig::new(Topology::single_node(read_ranks)),
-            move |comm| {
-                let meta = snapshot::read_meta(&fs, "s.bin").unwrap();
-                let grid = UniformGrid::new(meta.bounds, meta.spec);
-                let d = UniformDecomposition::new(grid, CellMap::RoundRobin, comm.size());
-                let ropts = SnapshotReadOptions::default().with_chunk(chunk);
-                let (back, orep) =
-                    snapshot::read_partitioned(comm, &fs, "s.bin", &d, &ropts).unwrap();
-                for (cell, _) in &back {
-                    assert_eq!(d.cell_to_rank(*cell), comm.rank(), "misrouted record");
-                }
-                // The zero-copy frames read is the same collective over
-                // the same bytes: materializing its borrowed views must
-                // reproduce the owned read bit-for-bit, with the same
-                // scan and exchange counters.
-                let (store, frep) =
-                    snapshot::read_partitioned_frames(comm, &fs, "s.bin", &d, &ropts).unwrap();
-                assert_eq!(store.records(), back.len() as u64);
-                let materialized: Vec<(u32, Feature)> = store
-                    .frames()
-                    .map(|fr| {
-                        let (g, _) = wkb::decode_ref(fr.wkb).unwrap();
-                        (
-                            fr.cell,
-                            Feature::with_userdata(g.to_geometry(), fr.userdata),
-                        )
-                    })
-                    .collect();
-                assert_eq!(materialized, back, "frames read diverged from owned read");
-                assert_eq!(frep.records_scanned, orep.records_scanned);
-                assert_eq!(frep.bytes_read, orep.bytes_read);
-                assert_eq!(frep.exchange.bytes_received, orep.exchange.bytes_received);
-                back
-            },
-        )
+        World::run(WorldConfig::new(topology(read_ranks)), move |comm| {
+            let meta = snapshot::read_meta(&fs, "s.bin").unwrap();
+            let grid = UniformGrid::new(meta.bounds, meta.spec);
+            let d = UniformDecomposition::new(grid, CellMap::RoundRobin, comm.size());
+            let (back, orep) = snapshot::read_partitioned(comm, &fs, "s.bin", &d, &ropts).unwrap();
+            for (cell, _) in &back {
+                assert_eq!(d.cell_to_rank(*cell), comm.rank(), "misrouted record");
+            }
+            // The hint moves bytes between aggregators, never records
+            // between ranks: the heuristic's read is the same answer.
+            if cb_nodes.is_some() {
+                let heuristic = SnapshotReadOptions::default().with_chunk(chunk);
+                let (plain, _) =
+                    snapshot::read_partitioned(comm, &fs, "s.bin", &d, &heuristic).unwrap();
+                assert_eq!(plain, back, "cb_nodes changed the reload");
+            }
+            // The zero-copy frames read is the same collective over
+            // the same bytes: materializing its borrowed views must
+            // reproduce the owned read bit-for-bit, with the same
+            // scan and exchange counters.
+            let (store, frep) =
+                snapshot::read_partitioned_frames(comm, &fs, "s.bin", &d, &ropts).unwrap();
+            assert_eq!(store.records(), back.len() as u64);
+            let materialized: Vec<(u32, Feature)> = store
+                .frames()
+                .map(|fr| {
+                    let (g, _) = wkb::decode_ref(fr.wkb).unwrap();
+                    (
+                        fr.cell,
+                        Feature::with_userdata(g.to_geometry(), fr.userdata),
+                    )
+                })
+                .collect();
+            assert_eq!(materialized, back, "frames read diverged from owned read");
+            assert_eq!(frep.records_scanned, orep.records_scanned);
+            assert_eq!(frep.bytes_read, orep.bytes_read);
+            assert_eq!(frep.exchange.bytes_received, orep.exchange.bytes_received);
+            back
+        })
     };
     let mut got: Vec<String> = reread.iter().flatten().map(|(c, f)| key(*c, f)).collect();
     got.sort();
@@ -199,8 +173,10 @@ proptest! {
         read_ranks in 1usize..5,
         policy in 0usize..3,
         chunk_bytes in 0u64..4096,
+        cb_idx in 0usize..3,
     ) {
-        round_trip_case(records, salt, write_ranks, read_ranks, policy, chunk_bytes);
+        let cb_nodes = [None, Some(1), Some(4)][cb_idx];
+        round_trip_case(records, salt, write_ranks, read_ranks, policy, chunk_bytes, cb_nodes);
     }
 
     /// The snapshot-backed join reports exactly the serial brute-force
@@ -222,11 +198,7 @@ proptest! {
         hot in any::<bool>(),
     ) {
         let spread = if hot { 0.05 } else { 1.0 };
-        let chunk = if chunk_bytes < 16 {
-            ExchangeChunk::Unlimited
-        } else {
-            ExchangeChunk::Bytes(chunk_bytes)
-        };
+        let chunk = mk_chunk(chunk_bytes);
         let fs = SimFs::new(FsConfig::lustre_comet());
         {
             let fs = Arc::clone(&fs);
@@ -239,14 +211,7 @@ proptest! {
                     for (path, n, s) in
                         [("l.bin", lrecords, salt), ("r.bin", rrecords, salt ^ 0xDEAD)]
                     {
-                        let mut pairs: Vec<(u32, Feature)> = Vec::new();
-                        for f in join_layer(n, s, spread) {
-                            for cell in d.cells_for_rect_vec(&f.geometry.envelope()) {
-                                if d.cell_to_rank(cell) == comm.rank() {
-                                    pairs.push((cell, f.clone()));
-                                }
-                            }
-                        }
+                        let pairs = owned_replicas(&d, &join_layer(n, s, spread), comm.rank());
                         snapshot::write_partitioned(
                             comm,
                             &fs,
@@ -282,16 +247,10 @@ proptest! {
         prop_assert_eq!(owned, executed, "balancing added or dropped a refine test");
         let mut got: Vec<(String, String)> = joined.into_iter().flat_map(|r| r.pairs).collect();
         got.sort();
-        let right = join_layer(rrecords, salt ^ 0xDEAD, spread);
-        let mut expect: Vec<(String, String)> = Vec::new();
-        for l in join_layer(lrecords, salt, spread) {
-            for r in &right {
-                if algo::intersects(&l.geometry, &r.geometry) {
-                    expect.push((l.userdata.clone(), r.userdata.clone()));
-                }
-            }
-        }
-        expect.sort();
+        let expect = brute_force_join(
+            &join_layer(lrecords, salt, spread),
+            &join_layer(rrecords, salt ^ 0xDEAD, spread),
+        );
         prop_assert_eq!(
             got, expect,
             "join diverged from brute force ({} ranks, hilbert {}, chunk {:?}, hot {})",
@@ -306,7 +265,7 @@ proptest! {
 #[test]
 fn snapshot_round_trip_zero_records() {
     for policy in 0..3 {
-        round_trip_case(0, 7, 3, 2, policy, 0);
+        round_trip_case(0, 7, 3, 2, policy, 0, None);
     }
 }
 
@@ -316,7 +275,7 @@ fn snapshot_round_trip_zero_records() {
 #[test]
 fn snapshot_round_trip_more_ranks_than_records() {
     for records in [1usize, 2] {
-        round_trip_case(records, 3, 4, 3, 0, 64);
+        round_trip_case(records, 3, 4, 3, 0, 64, None);
     }
 }
 
@@ -326,6 +285,6 @@ fn snapshot_round_trip_more_ranks_than_records() {
 #[test]
 fn snapshot_round_trip_single_record_all_policies() {
     for policy in 0..3 {
-        round_trip_case(1, 11, 4, 1, policy, 0);
+        round_trip_case(1, 11, 4, 1, policy, 0, None);
     }
 }
