@@ -32,8 +32,11 @@ use mvio_sjoin::{EngineOptions, Query, QueryEngine, ServeCache};
 /// query-per-call loop at 64 ranks by at least this factor in queries
 /// per virtual second. Asserted by both the unit test and the CI
 /// bench-regression gate, so the two can never enforce different
-/// thresholds.
-pub const BATCHED_SERVE_SPEEDUP_FLOOR: f64 = 1.5;
+/// thresholds. Amortized collectives alone are worth about 1.3× here;
+/// the rest comes from routing each distinct query of a batch once
+/// (the Zipf stream repeats itself inside a 128-query call), so losing
+/// that dedup falls through this floor.
+pub const BATCHED_SERVE_SPEEDUP_FLOOR: f64 = 3.0;
 
 /// One measurement: one serving mode at one rank count.
 #[derive(Debug, Clone)]
@@ -57,8 +60,8 @@ pub struct Row {
     pub p99_ms: f64,
     /// Fraction of queries answered from the LRU cache.
     pub cache_hit_rate: f64,
-    /// Naive-mode qps over this mode's qps... inverted: this mode's qps
-    /// over the naive mode's (1.0 for the naive row itself).
+    /// This mode's qps over the naive mode's at the same rank count
+    /// (1.0 for the naive row itself).
     pub speedup: f64,
 }
 

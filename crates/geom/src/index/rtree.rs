@@ -5,7 +5,11 @@
 //! over one geometry collection (or the grid-cell boundaries), then query it
 //! with candidate MBRs during the filter phase.
 
+use crate::point::Point;
 use crate::rect::Rect;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+use std::ops::ControlFlow;
 
 /// Maximum entries per node before a split.
 const MAX_ENTRIES: usize = 16;
@@ -44,6 +48,8 @@ impl<T> Node<T> {
 ///   workloads in this repository.
 /// * [`RTree::insert`] supports incremental updates with quadratic split.
 /// * [`RTree::query`] returns every entry whose MBR intersects the probe.
+/// * [`RTree::nearest_with`] walks the entries best-first by box distance
+///   from a point — the k-nearest-neighbour traversal.
 #[derive(Debug, Clone)]
 pub struct RTree<T> {
     root: Option<Node<T>>,
@@ -206,6 +212,60 @@ impl<T> RTree<T> {
         n
     }
 
+    /// Best-first traversal (Hjaltason & Samet, TODS '99): calls `visit`
+    /// with `(box distance, value)` for every entry in nondecreasing
+    /// order of [`Rect::linf_distance`] from `at` to the entry's box,
+    /// until the visitor breaks or the tree is exhausted. Equal
+    /// distances come out in a deterministic order (the order the walk
+    /// reached them); entries stored under an empty rectangle come last,
+    /// at distance ∞.
+    ///
+    /// A subtree is opened only once everything nearer has been visited,
+    /// so a visitor that breaks at the first entry beyond its k-th best
+    /// candidate touches O(k + log n) boxes instead of all `n`. Returns
+    /// the number of boxes (nodes and entries) whose distance was
+    /// computed — the filter work of the walk.
+    pub fn nearest_with<'a>(
+        &'a self,
+        at: &Point,
+        visit: &mut impl FnMut(f64, &'a T) -> ControlFlow<()>,
+    ) -> u64 {
+        // Room for a root-to-leaf descent without regrowing.
+        let mut queue: BinaryHeap<Queued<'a, T>> = BinaryHeap::with_capacity(4 * MAX_ENTRIES);
+        let mut boxes = 0u64;
+        let mut push = |queue: &mut BinaryHeap<Queued<'a, T>>, rect: &Rect, item| {
+            queue.push(Queued {
+                dist: rect.linf_distance(at),
+                seq: boxes,
+                item,
+            });
+            boxes += 1;
+        };
+        if let Some(root) = &self.root {
+            push(&mut queue, &root.mbr(), Item::Node(root));
+        }
+        while let Some(next) = queue.pop() {
+            match next.item {
+                Item::Entry(v) => {
+                    if visit(next.dist, v).is_break() {
+                        break;
+                    }
+                }
+                Item::Node(Node::Leaf { entries, .. }) => {
+                    for (r, v) in entries {
+                        push(&mut queue, r, Item::Entry(v));
+                    }
+                }
+                Item::Node(Node::Inner { children, .. }) => {
+                    for c in children {
+                        push(&mut queue, &c.mbr(), Item::Node(c));
+                    }
+                }
+            }
+        }
+        boxes
+    }
+
     /// Depth of the tree (0 when empty); exposed for tests and diagnostics.
     pub fn depth(&self) -> usize {
         fn d<T>(n: &Node<T>) -> usize {
@@ -217,6 +277,44 @@ impl<T> RTree<T> {
         self.root.as_ref().map_or(0, d)
     }
 }
+
+/// One pending box of [`RTree::nearest_with`]'s priority queue.
+struct Queued<'a, T> {
+    dist: f64,
+    /// Push order: breaks distance ties first-in-first-out.
+    seq: u64,
+    item: Item<'a, T>,
+}
+
+enum Item<'a, T> {
+    Node(&'a Node<T>),
+    Entry(&'a T),
+}
+
+/// Reversed `(dist, seq)` order: [`BinaryHeap`] is a max-heap and the
+/// walk wants the nearest box on top.
+impl<T> Ord for Queued<'_, T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .dist
+            .total_cmp(&self.dist)
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+impl<T> PartialOrd for Queued<'_, T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> PartialEq for Queued<'_, T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<T> Eq for Queued<'_, T> {}
 
 fn query_rec<'a, T>(node: &'a Node<T>, probe: &Rect, visit: &mut impl FnMut(&'a T)) {
     match node {
@@ -475,6 +573,146 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert_eq!(t.query(&Rect::new(0.0, 0.0, 3.0, 3.0)), vec![&"a"]);
         assert!(t.query(&Rect::new(5.0, 5.0, 6.0, 6.0)).is_empty());
+    }
+
+    /// Walks `tree` to exhaustion from `at` and checks the visit order
+    /// against a sort of `entries` by box distance: the distance
+    /// sequences are equal, and so are the ids within each run of equal
+    /// distances. Returns the visited ids.
+    fn check_walk(tree: &RTree<usize>, entries: &[(Rect, usize)], at: Point) -> Vec<usize> {
+        let mut seen: Vec<(f64, usize)> = Vec::new();
+        let boxes = tree.nearest_with(&at, &mut |d, &id| {
+            seen.push((d, id));
+            ControlFlow::Continue(())
+        });
+        assert!(boxes >= entries.len() as u64 + u64::from(!entries.is_empty()));
+        let mut expect: Vec<(f64, usize)> = entries
+            .iter()
+            .map(|(r, id)| (r.linf_distance(&at), *id))
+            .collect();
+        expect.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let dists = |v: &[(f64, usize)]| v.iter().map(|x| x.0.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            dists(&seen),
+            dists(&expect),
+            "distances not in sorted order"
+        );
+        let ids = seen.iter().map(|x| x.1).collect();
+        let by_dist_then_id =
+            |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+        seen.sort_by(by_dist_then_id);
+        expect.sort_by(by_dist_then_id);
+        assert_eq!(seen, expect);
+        ids
+    }
+
+    fn inserted(entries: &[(Rect, usize)]) -> RTree<usize> {
+        let mut tree = RTree::new();
+        for &(r, id) in entries {
+            tree.insert(r, id);
+        }
+        tree
+    }
+
+    #[test]
+    fn nearest_walk_visits_in_box_distance_order() {
+        // Boxes of distinct sizes at distinct offsets: from an interior
+        // point, an edge and far outside, with and without ties.
+        let cells = unit_cells(11);
+        let tree = RTree::bulk_load(cells.clone());
+        for at in [
+            Point::new(5.3, 4.6),
+            Point::new(0.0, 11.0),
+            Point::new(-40.0, 3.25),
+            Point::new(5.5, 5.5),
+        ] {
+            check_walk(&tree, &cells, at);
+        }
+        // No ties at all: the visit order is exactly the sorted order.
+        let spread: Vec<(Rect, usize)> = (0..200)
+            .map(|i| {
+                let x = (i * i) as f64 * 0.37 + i as f64;
+                (Rect::new(x, 0.0, x + 0.5, 0.25), i)
+            })
+            .collect();
+        let tree = RTree::bulk_load(spread.iter().rev().cloned().collect());
+        let ids = check_walk(&tree, &spread, Point::new(-1.0, 0.1));
+        assert_eq!(ids, (0..200).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn nearest_walk_stops_when_told() {
+        let cells = unit_cells(20);
+        let tree = RTree::bulk_load(cells);
+        let mut seen = Vec::new();
+        let boxes = tree.nearest_with(&Point::new(7.5, 7.5), &mut |d, &id| {
+            seen.push((d, id));
+            if seen.len() == 3 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        // Nothing is visited after the break, and the walk opened a few
+        // leaves, not the whole 400-entry tree.
+        assert_eq!(seen.len(), 3);
+        assert_eq!(seen[0], (0.0, 7 * 20 + 7));
+        assert!(boxes < 120, "walk examined {boxes} boxes for 3 neighbours");
+    }
+
+    #[test]
+    fn nearest_walk_of_empty_tree_visits_nothing() {
+        let tree: RTree<usize> = RTree::new();
+        let boxes = tree.nearest_with(&Point::new(0.0, 0.0), &mut |_, _| {
+            panic!("empty tree has nothing to visit")
+        });
+        assert_eq!(boxes, 0);
+    }
+
+    #[test]
+    fn nearest_walk_handles_point_sized_boxes() {
+        // A lattice of degenerate boxes: box distance is the L∞ point
+        // distance, and every ring around the centre is one big tie.
+        let pts: Vec<(Rect, usize)> = (0..81)
+            .map(|i| {
+                let (x, y) = ((i % 9) as f64, (i / 9) as f64);
+                (Rect::new(x, y, x, y), i)
+            })
+            .collect();
+        let tree = RTree::bulk_load(pts.clone());
+        let ids = check_walk(&tree, &pts, Point::new(4.0, 4.0));
+        assert_eq!(ids[0], 4 * 9 + 4);
+    }
+
+    #[test]
+    fn nearest_walk_puts_empty_rects_last_at_infinity() {
+        let mut entries = unit_cells(6);
+        for id in [36, 37, 38] {
+            entries.insert(id % 7, (Rect::EMPTY, id));
+        }
+        for tree in [RTree::bulk_load(entries.clone()), inserted(&entries)] {
+            let ids = check_walk(&tree, &entries, Point::new(2.5, 9.0));
+            let mut tail = ids[36..].to_vec();
+            tail.sort_unstable();
+            assert_eq!(tail, vec![36, 37, 38]);
+        }
+        // A tree of nothing but empty rectangles still yields them all.
+        let hollow: Vec<(Rect, usize)> = (0..40).map(|i| (Rect::EMPTY, i)).collect();
+        let tree = RTree::bulk_load(hollow.clone());
+        assert_eq!(check_walk(&tree, &hollow, Point::new(0.0, 0.0)).len(), 40);
+    }
+
+    #[test]
+    fn nearest_walk_agrees_between_bulk_load_and_insert() {
+        let cells = unit_cells(12);
+        let bulk = RTree::bulk_load(cells.clone());
+        let inc = inserted(&cells);
+        for at in [Point::new(3.2, 8.9), Point::new(20.0, -5.0)] {
+            // Same distance sequence and the same ids per tie run (both
+            // checked against the sorted entries), whatever the shape.
+            check_walk(&bulk, &cells, at);
+            check_walk(&inc, &cells, at);
+        }
     }
 
     #[test]

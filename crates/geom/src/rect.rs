@@ -154,6 +154,29 @@ impl Rect {
             && p.y <= self.max_y
     }
 
+    /// L∞ (Chebyshev) distance from `p` to the rectangle: 0 inside or on
+    /// the boundary, `f64::INFINITY` for empty rectangles.
+    ///
+    /// This is the lower bound [`RTree::nearest_with`] orders its walk
+    /// by. It never exceeds the euclidean distance from `p` to anything
+    /// inside the rectangle, and it is one subtraction per axis, which
+    /// rounding keeps monotone: the same subtraction against any
+    /// coordinate inside the box is at least as large. The tighter L2 box
+    /// distance adds a square, a sum and a root of its own, whose
+    /// rounding can land above the distance later computed to a geometry
+    /// in the box and cut a tie off the walk.
+    ///
+    /// [`RTree::nearest_with`]: crate::index::RTree::nearest_with
+    #[inline]
+    pub fn linf_distance(&self, p: &Point) -> f64 {
+        if self.is_empty() {
+            return f64::INFINITY;
+        }
+        let dx = (self.min_x - p.x).max(p.x - self.max_x);
+        let dy = (self.min_y - p.y).max(p.y - self.max_y);
+        dx.max(dy).max(0.0)
+    }
+
     /// Geometric union: the smallest rectangle covering both inputs.
     ///
     /// This is the semantics of the paper's new `MPI_UNION` reduction
@@ -315,6 +338,27 @@ mod tests {
         assert!(!Rect::EMPTY.contains(&a));
         assert!(!Rect::EMPTY.contains_point(&Point::new(0.0, 0.0)));
         assert_eq!(Rect::EMPTY.area(), 0.0);
+    }
+
+    #[test]
+    fn linf_distance_bounds_euclidean_distance_from_below() {
+        let r = Rect::new(1.0, 1.0, 3.0, 2.0);
+        // Inside and on the boundary.
+        assert_eq!(r.linf_distance(&Point::new(2.0, 1.5)), 0.0);
+        assert_eq!(r.linf_distance(&Point::new(3.0, 2.0)), 0.0);
+        // Beside an edge it is the euclidean distance; off a corner it is
+        // the larger axis gap, below the euclidean 5.
+        assert_eq!(r.linf_distance(&Point::new(-1.5, 1.5)), 2.5);
+        assert_eq!(r.linf_distance(&Point::new(6.0, 6.0)), 4.0);
+        // Empty rectangles, canonical or merely inverted, are nowhere.
+        assert_eq!(
+            Rect::EMPTY.linf_distance(&Point::new(0.0, 0.0)),
+            f64::INFINITY
+        );
+        assert_eq!(
+            Rect::new(2.0, 0.0, 1.0, 1.0).linf_distance(&Point::new(0.0, 0.0)),
+            f64::INFINITY
+        );
     }
 
     #[test]

@@ -19,19 +19,32 @@
 //!    [`CoreError::InvalidOptions`] and nobody enters the exchange, so a
 //!    bad batch can never strand a peer in a collective. The engine
 //!    stays usable for the next batch.
-//! 2. **Cache lookup**: answers already in the hot-query LRU (see
-//!    [`ServeCache`]) are returned without shipping anything — the peers
-//!    still rendezvous in the exchange, where this rank simply
-//!    contributes fewer records.
-//! 3. **Route + ship**: each remaining query is serialized once per
+//! 2. **Cache lookup + in-batch dedup**: answers already in the
+//!    hot-query LRU (see [`ServeCache`]) are returned without shipping
+//!    anything — the peers still rendezvous in the exchange, where this
+//!    rank simply contributes fewer records. The misses are grouped by
+//!    query identity: the first instance of each distinct query is
+//!    routed, its repeats in the same batch receive a copy of its merged
+//!    answer in step 5, and the cache is filled once per distinct query.
+//!    This is the one saving a batch has over a query-per-call loop
+//!    beyond amortized collectives, and [`ServeStats::routed`] counts it.
+//! 3. **Route + ship**: each routed query is serialized once per
 //!    destination rank (the owners of the cells overlapping a
 //!    range/point query; every cell-owning rank for kNN) and shipped
 //!    through the chunked nonblocking [`ExchangePlan`]. Received queries
 //!    are answered in the exchange *sink*, so later query rounds are
 //!    still in flight while this rank walks its R-tree — query shipping
-//!    overlaps local tree walks.
+//!    overlaps local tree walks. The owner pays only for what the answer
+//!    needs. A range/point candidate whose envelope lies inside the
+//!    window is a *true hit* (Brinkhoff et al., SIGMOD '94) and is
+//!    emitted without the exact test; only envelopes straddling the
+//!    window's edge are refined. A kNN query is a best-first walk of the
+//!    resident R-tree ([`RTree::nearest_with`]; Hjaltason & Samet,
+//!    TODS '99) that computes exact distances only until the next box
+//!    is farther than the k-th best candidate.
 //! 4. **Ship results back** over a second plan run: each match travels
-//!    as one wire record tagged with the issuing rank's query index.
+//!    as one wire record tagged with the issuing rank's query index,
+//!    framed straight from the resident replica's userdata.
 //! 5. **Merge**: per query, results are sorted (lexicographic for
 //!    matches, by `(distance, userdata)` for kNN) and truncated to `k`
 //!    where applicable, inserted into the cache, and returned aligned
@@ -108,8 +121,8 @@ use mvio_core::decomp::{
     DecompPolicy, HilbertDecomposition, SpatialDecomposition, UniformDecomposition,
 };
 use mvio_core::exchange::{
-    record_frames, serialize_record, validate_round, ExchangeChunk, ExchangeOptions, ExchangePlan,
-    ExchangeStats, RecordFrame, SerializedBatch,
+    record_frames, serialize_frame, serialize_record, validate_round, ExchangeChunk,
+    ExchangeOptions, ExchangePlan, ExchangeStats, RecordFrame, SerializedBatch,
 };
 use mvio_core::grid::UniformGrid;
 use mvio_core::pipeline::IngestOutput;
@@ -119,10 +132,13 @@ use mvio_core::rebalance::{
 use mvio_core::snapshot::{self, SnapshotReadOptions};
 use mvio_core::{CoreError, Feature, Result};
 use mvio_geom::index::RTree;
-use mvio_geom::{algo, Geometry, LineString, Point, Rect};
+use mvio_geom::{algo, wkb, Geometry, LineString, Point, Rect};
 use mvio_msim::{Comm, Work};
 use mvio_pfs::SimFs;
+use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// One query in a serving batch.
@@ -221,7 +237,9 @@ pub struct ServeStats {
     pub queries: u64,
     /// Queries answered straight from the LRU cache (nothing shipped).
     pub answered_from_cache: u64,
-    /// Queries that went through routing and the exchange.
+    /// Distinct queries that went through routing and the exchange.
+    /// In-batch repeats of a routed query share its answer without being
+    /// shipped: `queries - answered_from_cache - routed` of them.
     pub routed: u64,
     /// Query records shipped (one per query per destination rank).
     pub shipped_records: u64,
@@ -477,8 +495,9 @@ impl ResidentIndex {
     /// Filter + refine for one rectangle over the local replicas,
     /// returning the claimed matches' userdata **sorted**. Identical
     /// claiming rule to `range_query`: cell overlap, MBR overlap,
-    /// reference-corner dedup, exact predicate.
-    fn rect_matches(&self, comm: &mut Comm, query: &Rect) -> Vec<String> {
+    /// reference-corner dedup, exact predicate — the last only where the
+    /// filter left it open.
+    fn rect_matches(&self, comm: &mut Comm, query: &Rect) -> Vec<&str> {
         let mut hits: Vec<usize> = Vec::new();
         self.rtree.query_with(query, &mut |i| hits.push(*i));
         comm.charge(Work::RtreeQueries {
@@ -496,54 +515,79 @@ impl ResidentIndex {
             if !mvio_core::framework::claims_reference(&*self.sd, *cell, mbr, query) {
                 continue;
             }
-            comm.charge(Work::RefinePair {
-                verts_a: f.geometry.num_points() as u64,
-                verts_b: 4,
-            });
-            if algo::rect_intersects_geometry(query, &f.geometry) {
-                out.push(f.userdata.clone());
+            // A true hit (Brinkhoff et al., SIGMOD '94): a geometry whose
+            // envelope lies inside the window intersects it by
+            // construction, so only envelopes straddling the window's
+            // edge go on to the exact test. `contains` is false for an
+            // empty envelope, which therefore keeps the exact path.
+            if !query.contains(mbr) {
+                comm.charge(Work::RefinePair {
+                    verts_a: f.geometry.num_points() as u64,
+                    verts_b: 4,
+                });
+                if !algo::rect_intersects_geometry(query, &f.geometry) {
+                    continue;
+                }
             }
+            out.push(f.userdata.as_str());
         }
         out.sort_unstable();
         out
     }
 
     /// Local top-`k` by `(distance, userdata)` over the reference
-    /// replicas (each feature counted exactly once globally).
-    fn knn_local(&self, comm: &mut Comm, at: &Point, k: usize) -> Vec<(f64, String)> {
+    /// replicas (each feature counted exactly once globally), as
+    /// `(distance, index into owned)`: a best-first walk of the resident
+    /// R-tree that computes exact distances only until the next box is
+    /// farther than the k-th best candidate. Boxes at exactly that
+    /// distance are still opened — a tie can win on userdata.
+    ///
+    /// Charged one [`Work::MbrTests`] per box examined and a single
+    /// [`Work::RefinePair`] per walk over the summed vertices of the
+    /// candidates whose exact distance was computed; pricing each
+    /// candidate as a refine of its own waits for the two-step distance
+    /// bound (ROADMAP item 2), without which every rank pays it.
+    fn knn_local(&self, comm: &mut Comm, at: &Point, k: usize) -> Vec<(f64, usize)> {
+        let userdata = |i: usize| self.owned[i].1.userdata.as_str();
         let mut verts = 0u64;
-        let mut cands = 0u64;
-        let mut best: Vec<(f64, &str)> = Vec::new();
-        for (i, (_, f)) in self.owned.iter().enumerate() {
-            if !self.reference[i] {
-                continue;
+        // Sorted by `(distance, userdata)` and never longer than `k`;
+        // grown on demand, since `k` may be `u32::MAX`.
+        let mut best: Vec<(f64, usize)> = Vec::new();
+        let boxes = self.rtree.nearest_with(at, &mut |box_distance, &i| {
+            if best.len() == k && box_distance > best[k - 1].0 {
+                return ControlFlow::Break(());
             }
-            cands += 1;
+            if !self.reference[i] {
+                return ControlFlow::Continue(());
+            }
+            let f = &self.owned[i].1;
             verts += f.geometry.num_points() as u64;
-            best.push((
-                algo::point_geometry_distance(at, &f.geometry),
-                f.userdata.as_str(),
-            ));
-        }
-        comm.charge(Work::MbrTests { n: cands });
+            let d = algo::point_geometry_distance(at, &f.geometry);
+            let pos = best.partition_point(|&(bd, bi)| {
+                bd.total_cmp(&d).then_with(|| userdata(bi).cmp(&f.userdata)) != Ordering::Greater
+            });
+            if pos < k {
+                best.insert(pos, (d, i));
+                best.truncate(k);
+            }
+            ControlFlow::Continue(())
+        });
+        comm.charge(Work::MbrTests { n: boxes });
         comm.charge(Work::RefinePair {
             verts_a: verts,
             verts_b: 1,
         });
-        best.sort_unstable_by(|x, y| x.0.total_cmp(&y.0).then_with(|| x.1.cmp(y.1)));
-        best.truncate(k);
-        best.into_iter()
-            .map(|(d, ud)| (d, ud.to_string()))
-            .collect()
+        best
     }
 
     /// Answers one query frame straight off the received wire buffer —
     /// the query geometry is decoded as a borrowed view, never
     /// materialized — serializing each result as a record tagged with the
-    /// issuer's query index. kNN queries ride as a `Point` with `k=<n>`
-    /// userdata; range and point queries as the diagonal of their rect
-    /// (whose envelope recovers it exactly). Result records carry the
-    /// distance in the point's `x`.
+    /// issuer's query index, its userdata borrowed from the resident
+    /// replica. kNN queries ride as a `Point` with `k=<n>` userdata;
+    /// range and point queries as the diagonal of their rect (whose
+    /// envelope recovers it exactly). Result records carry the distance
+    /// in the point's `x`.
     fn serve_one(
         &self,
         comm: &mut Comm,
@@ -554,16 +598,27 @@ impl ResidentIndex {
     ) -> Result<()> {
         let qid = fr.cell;
         // audit: the sink validated the round before walking its frames.
-        let (g, _) = mvio_geom::wkb::decode_ref(fr.wkb).expect("validated frame");
+        let (g, _) = wkb::decode_ref(fr.wkb).expect("validated frame");
+        let mut emit = |wkb: &[u8], userdata: &str| {
+            *produced += 1;
+            let result = RecordFrame {
+                cell: qid,
+                wkb,
+                userdata,
+            };
+            serialize_frame(&result, out)
+        };
         if let Some(kstr) = fr.userdata.strip_prefix("k=") {
-            let k: usize = kstr.parse().map_err(|_| {
+            // `k = 0` never passes the issuer's validation; the walk
+            // relies on a k-th candidate existing.
+            let k: usize = kstr.parse().ok().filter(|&k| k > 0).ok_or_else(|| {
                 CoreError::Partition(format!(
                     "serve protocol: malformed knn payload {:?}",
                     fr.userdata
                 ))
             })?;
             let at = match &g {
-                mvio_geom::wkb::GeomRef::Point(p) => p.point(),
+                wkb::GeomRef::Point(p) => p.point(),
                 g => {
                     return Err(CoreError::Partition(format!(
                         "serve protocol: knn query carries a {:?} geometry",
@@ -571,18 +626,16 @@ impl ResidentIndex {
                     )))
                 }
             };
-            for (distance, userdata) in self.knn_local(comm, &at, k) {
-                let rec =
-                    Feature::with_userdata(Geometry::Point(Point::new(distance, 0.0)), userdata);
-                serialize_record(qid, &rec, scratch, out)?;
-                *produced += 1;
+            for (distance, i) in self.knn_local(comm, &at, k) {
+                wkb::encode_into_scratch(&Geometry::Point(Point::new(distance, 0.0)), scratch);
+                emit(scratch, &self.owned[i].1.userdata)?;
             }
         } else {
             let rect = g.envelope();
+            // Every match of a range query ships the same placeholder point.
+            wkb::encode_into_scratch(&Geometry::Point(Point::new(0.0, 0.0)), scratch);
             for userdata in self.rect_matches(comm, &rect) {
-                let rec = Feature::with_userdata(Geometry::Point(Point::new(0.0, 0.0)), userdata);
-                serialize_record(qid, &rec, scratch, out)?;
-                *produced += 1;
+                emit(scratch, userdata)?;
             }
         }
         Ok(())
@@ -705,7 +758,8 @@ impl QueryEngine {
     /// communicator only charges the tree walk.
     pub fn local_range_matches(&self, comm: &mut Comm, query: &Rect) -> Result<Vec<String>> {
         validate_query(&Query::Range(*query))?;
-        Ok(self.index.rect_matches(comm, query))
+        let matches = self.index.rect_matches(comm, query);
+        Ok(matches.into_iter().map(String::from).collect())
     }
 
     /// The configured rebalance threshold (`None` = rebalancing off).
@@ -801,18 +855,29 @@ impl QueryEngine {
             ..Default::default()
         };
 
-        // 2. Cache lookups.
+        // 2. Cache lookups; the misses are grouped by query identity so
+        // each distinct query is routed once, by its first instance.
         let mut answers: Vec<Option<QueryAnswer>> = vec![None; queries.len()];
         let mut routed: Vec<usize> = Vec::new();
+        let mut first_instance: HashMap<QueryKey, usize> = HashMap::new();
+        // `(instance, routed first instance)` of every in-batch repeat.
+        let mut repeats: Vec<(usize, usize)> = Vec::new();
         for (qi, q) in queries.iter().enumerate() {
+            let key = query_key(q);
             if let Some(cache) = self.cache.as_mut() {
-                if let Some(ans) = cache.get(&query_key(q)) {
+                if let Some(ans) = cache.get(&key) {
                     answers[qi] = Some(ans);
                     stats.answered_from_cache += 1;
                     continue;
                 }
             }
-            routed.push(qi);
+            match first_instance.entry(key) {
+                Entry::Occupied(first) => repeats.push((qi, *first.get())),
+                Entry::Vacant(slot) => {
+                    slot.insert(qi);
+                    routed.push(qi);
+                }
+            }
         }
         stats.routed = routed.len() as u64;
 
@@ -914,9 +979,9 @@ impl QueryEngine {
                         ))
                     })?;
                     // audit: validate_round accepted every frame of this round.
-                    let (g, _) = mvio_geom::wkb::decode_ref(fr.wkb).expect("validated frame");
+                    let (g, _) = wkb::decode_ref(fr.wkb).expect("validated frame");
                     let distance = match &g {
-                        mvio_geom::wkb::GeomRef::Point(pt) => pt.x(),
+                        wkb::GeomRef::Point(pt) => pt.x(),
                         _ => 0.0,
                     };
                     slot.push((distance, fr.userdata.to_string()));
@@ -960,6 +1025,9 @@ impl QueryEngine {
                 cache.insert(query_key(&queries[qi]), ans.clone());
             }
             answers[qi] = Some(ans);
+        }
+        for (qi, first) in repeats {
+            answers[qi] = answers[first].clone();
         }
         let answers = answers
             .into_iter()
@@ -1074,6 +1142,178 @@ mod tests {
             assert_eq!(labels, vec!["p1_1", "p0_1", "p1_0", "p1_2", "p2_1"]);
             assert_eq!(answers[1].len(), 9);
         }
+    }
+
+    /// A one-rank engine over `features` on a `side × side` grid of
+    /// `[0, 8]²` (a single rank owns every cell, so every replica of a
+    /// cell-spanning feature is resident and all but one are
+    /// non-reference).
+    fn one_rank_engine(comm: &mut Comm, side: u32, features: &[Feature]) -> QueryEngine {
+        let grid = UniformGrid::new(Rect::new(0.0, 0.0, 8.0, 8.0), GridSpec::square(side));
+        let sd: Box<dyn SpatialDecomposition> =
+            Box::new(UniformDecomposition::new(grid, CellMap::RoundRobin, 1));
+        let owned: Vec<(u32, Feature)> = features
+            .iter()
+            .flat_map(|f| {
+                sd.cells_for_rect_vec(&f.geometry.envelope())
+                    .into_iter()
+                    .map(|c| (c, f.clone()))
+            })
+            .collect();
+        QueryEngine::from_parts(comm, sd, owned, &EngineOptions::default())
+    }
+
+    fn segment(x0: f64, y0: f64, x1: f64, y1: f64, label: &str) -> Feature {
+        let line = LineString::new(vec![Point::new(x0, y0), Point::new(x1, y1)]).unwrap();
+        Feature::with_userdata(Geometry::LineString(line), label)
+    }
+
+    #[test]
+    fn true_hits_skip_refine_and_straddlers_keep_it() {
+        World::run(WorldConfig::new(Topology::single_node(1)), |comm| {
+            // Nine short segments around (2, 2), and one long
+            // anti-diagonal whose envelope [5, 8]² covers the top-right
+            // corner without the line coming near it.
+            let mut features: Vec<Feature> = (0..9)
+                .map(|i| {
+                    let (x, y) = (1.5 + (i % 3) as f64 * 0.4, 1.5 + (i / 3) as f64 * 0.4);
+                    segment(x, y, x + 0.2, y + 0.1, &format!("s{i}"))
+                })
+                .collect();
+            features.push(segment(5.0, 8.0, 8.0, 5.0, "diagonal"));
+            let eng = one_rank_engine(comm, 2, &features);
+            let refine_fixed = comm.cost_model().refine_fixed;
+
+            // Every hit's envelope lies inside the window: none is refined.
+            let t = comm.now();
+            let inside = eng
+                .local_range_matches(comm, &Rect::new(1.0, 1.0, 3.0, 3.0))
+                .unwrap();
+            let spent = comm.now() - t;
+            assert_eq!(inside.len(), 9);
+            assert!(
+                spent < refine_fixed,
+                "9 true hits cost {spent} s, one refine alone is {refine_fixed} s"
+            );
+
+            // The corner window overlaps the diagonal's envelope but does
+            // not contain it: refined, and excluded by the exact test.
+            let t = comm.now();
+            let corner = eng
+                .local_range_matches(comm, &Rect::new(7.2, 7.2, 7.9, 7.9))
+                .unwrap();
+            assert!(corner.is_empty(), "the line misses the corner: {corner:?}");
+            assert!(
+                comm.now() - t >= refine_fixed,
+                "a straddler must be refined"
+            );
+
+            // A window the line does cross still finds it through refine.
+            let crossing = eng
+                .local_range_matches(comm, &Rect::new(6.0, 6.0, 7.0, 7.0))
+                .unwrap();
+            assert_eq!(crossing, vec!["diagonal".to_string()]);
+        });
+    }
+
+    /// `knn_local`'s oracle: exact distance to every reference replica,
+    /// sorted, truncated.
+    fn knn_scan<'a>(index: &'a ResidentIndex, at: &Point, k: usize) -> Vec<(f64, &'a str)> {
+        let mut best: Vec<(f64, &str)> = index
+            .owned
+            .iter()
+            .zip(&index.reference)
+            .filter(|(_, reference)| **reference)
+            .map(|((_, f), _)| {
+                (
+                    algo::point_geometry_distance(at, &f.geometry),
+                    f.userdata.as_str(),
+                )
+            })
+            .collect();
+        best.sort_unstable_by(|x, y| x.0.total_cmp(&y.0).then_with(|| x.1.cmp(y.1)));
+        best.truncate(k);
+        best
+    }
+
+    #[test]
+    fn knn_walk_matches_the_scan_oracle_on_ties() {
+        World::run(WorldConfig::new(Topology::single_node(1)), |comm| {
+            // Three clusters of lattice points a quarter apart — rings of
+            // equal distances around every lattice site — each site held
+            // twice under different labels, plus squares that span cells
+            // (so non-reference replicas are resident).
+            let mut features = Vec::new();
+            for (c, (cx, cy)) in [(1.0, 1.0), (4.0, 4.5), (6.5, 2.0)].into_iter().enumerate() {
+                for i in 0..49 {
+                    let (x, y) = (cx + (i % 7) as f64 * 0.25, cy + (i / 7) as f64 * 0.25);
+                    for twin in ["a", "b"] {
+                        features.push(Feature::with_userdata(
+                            Geometry::Point(Point::new(x, y)),
+                            format!("c{c}_{i:02}{twin}"),
+                        ));
+                    }
+                }
+            }
+            for (i, (x, y)) in [(1.8, 1.8), (3.9, 3.9), (5.9, 1.9)].into_iter().enumerate() {
+                let square = mvio_geom::Polygon::from_coords(
+                    vec![
+                        Point::new(x, y),
+                        Point::new(x + 0.5, y),
+                        Point::new(x + 0.5, y + 0.5),
+                        Point::new(x, y + 0.5),
+                        Point::new(x, y),
+                    ],
+                    vec![],
+                )
+                .unwrap();
+                features.push(Feature::with_userdata(
+                    Geometry::Polygon(square),
+                    format!("sq{i}"),
+                ));
+            }
+            let eng = one_rank_engine(comm, 4, &features);
+            let index = &eng.index;
+            assert!(index.reference.iter().any(|r| !r), "need ghost replicas");
+            let dataset = features.len();
+            for at in [
+                Point::new(1.75, 1.75),   // a lattice site
+                Point::new(1.875, 1.875), // the centre of a lattice square
+                Point::new(4.0, 4.5),     // a cluster corner
+                Point::new(2.0, 2.0),     // inside a square, on a cell corner
+                Point::new(-3.0, 9.5),    // outside the world
+            ] {
+                for k in [
+                    1,
+                    2,
+                    5,
+                    8,
+                    33,
+                    dataset - 1,
+                    dataset,
+                    dataset + 7,
+                    u32::MAX as usize,
+                ] {
+                    let walked: Vec<(f64, &str)> = index
+                        .knn_local(comm, &at, k)
+                        .into_iter()
+                        .map(|(d, i)| (d, index.owned[i].1.userdata.as_str()))
+                        .collect();
+                    assert_eq!(walked, knn_scan(index, &at, k), "at {at:?}, k {k}");
+                }
+            }
+            // The walk is what makes a small k cheap: far fewer exact
+            // distances than the dataset holds.
+            let t = comm.now();
+            index.knn_local(comm, &Point::new(1.75, 1.75), 3);
+            let model = comm.cost_model();
+            let scan_floor = model.cost(Work::MbrTests { n: dataset as u64 })
+                + model.cost(Work::RefinePair {
+                    verts_a: dataset as u64,
+                    verts_b: 1,
+                });
+            assert!(comm.now() - t < scan_floor);
+        });
     }
 
     #[test]

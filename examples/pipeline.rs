@@ -9,7 +9,6 @@
 //!
 //! ```text
 //! cargo run --release --example pipeline
-//! MVIO_PIPELINE_WORKERS=4 cargo run --release --example pipeline
 //! ```
 
 use mpi_vector_io::prelude::*;

@@ -233,11 +233,31 @@ fn malformed_queries_are_rejected_symmetrically_and_engine_survives() {
                 Err(e) => rejections.push(Some(matches!(e, CoreError::InvalidOptions(_)))),
             }
         }
-        // The engine is not poisoned: the next (valid) batch answers.
-        let rep = eng
-            .serve(comm, &[Query::Range(Rect::new(0.5, 0.5, 2.5, 2.5))])
-            .unwrap();
-        let survived = match &rep.answers[0] {
+        // A malformed query between in-batch duplicates, on rank 0 only:
+        // the peers hold nothing but valid repeats of one window, and
+        // grouping them must not let anyone past the rejection.
+        let window = Query::Range(Rect::new(0.5, 0.5, 2.5, 2.5));
+        let mut batch = vec![window; 3];
+        if comm.rank() == 0 {
+            batch.insert(
+                1,
+                Query::Knn {
+                    at: Point::new(2.0, 2.0),
+                    k: 0,
+                },
+            );
+        }
+        rejections.push(
+            eng.serve(comm, &batch)
+                .err()
+                .map(|e| matches!(e, CoreError::InvalidOptions(_))),
+        );
+        // The engine is not poisoned: the next (valid) batch answers,
+        // every instance of the repeated window alike.
+        let rep = eng.serve(comm, &[window, window]).unwrap();
+        assert_eq!(rep.stats.routed, 1);
+        assert_eq!(rep.answers[0], rep.answers[1]);
+        let survived = match &rep.answers[1] {
             QueryAnswer::Matches(m) => m.clone(),
             _ => unreachable!("range answers with matches"),
         };
@@ -245,7 +265,7 @@ fn malformed_queries_are_rejected_symmetrically_and_engine_survives() {
     });
 
     for (rank, (rejections, survived)) in out.iter().enumerate() {
-        assert_eq!(rejections.len(), n_bad);
+        assert_eq!(rejections.len(), n_bad + 1);
         for (i, r) in rejections.iter().enumerate() {
             assert_eq!(
                 *r,

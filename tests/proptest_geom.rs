@@ -1,7 +1,10 @@
 //! Property-based tests over the geometry engine: serialization round
 //! trips, rectangle algebra, and index-vs-brute-force equivalence.
 
-use mpi_vector_io::geom::algo::{point_in_polygon, segments_intersect, PointLocation};
+use mpi_vector_io::geom::algo::{
+    point_geometry_distance, point_in_polygon, rect_intersects_geometry, segments_intersect,
+    PointLocation,
+};
 use mpi_vector_io::geom::index::RTree;
 use mpi_vector_io::geom::{wkb, wkt, Geometry, LineString, Point, Polygon, Rect};
 use proptest::prelude::*;
@@ -328,6 +331,60 @@ proptest! {
         a.sort_unstable();
         b.sort_unstable();
         prop_assert_eq!(a, b);
+    }
+
+    /// The serving filter's true-hit rule, over every geometry variant
+    /// (holes, multi-part, nested collections): a rectangle that
+    /// contains a geometry's non-empty envelope — flush with it or wider
+    /// on any side — intersects the geometry, so the exact test can be
+    /// skipped for it. An empty envelope is contained by nothing and
+    /// keeps the exact test, which rejects it.
+    #[test]
+    fn rect_containing_the_envelope_intersects_the_geometry(
+        g in arb_geometry_full(),
+        grow in (0usize..4, 0usize..4, 0usize..4, 0usize..4),
+    ) {
+        let env = g.envelope();
+        if env.is_empty() {
+            let everywhere = Rect::new(-1e3, -1e3, 1e3, 1e3);
+            prop_assert!(!everywhere.contains(&env));
+            prop_assert!(!rect_intersects_geometry(&everywhere, &g));
+        } else {
+            let margin = [0.0, 1e-9, 0.25, 40.0];
+            let window = Rect::new(
+                env.min_x - margin[grow.0],
+                env.min_y - margin[grow.1],
+                env.max_x + margin[grow.2],
+                env.max_y + margin[grow.3],
+            );
+            prop_assert!(window.contains(&env));
+            prop_assert!(rect_intersects_geometry(&window, &g), "window {:?}", window);
+        }
+    }
+
+    /// The best-first kNN walk's soundness condition: the box distance
+    /// it orders by never exceeds the exact distance to the geometry in
+    /// the box, from inside, beside or far outside the envelope.
+    #[test]
+    fn box_distance_never_exceeds_the_exact_distance(
+        g in arb_geometry_full(),
+        p in arb_point(),
+        near in (0usize..3, -1.0f64..2.0, -1.0f64..2.0),
+    ) {
+        let env = g.envelope();
+        // `p` is usually far off; the other two arms probe around and on
+        // the envelope itself, where the bound is tight.
+        let at = match near.0 {
+            1 if !env.is_empty() => Point::new(
+                env.min_x + near.1 * env.width(),
+                env.min_y + near.2 * env.height(),
+            ),
+            2 if !env.is_empty() => Point::new(env.max_x, env.min_y + near.2 * env.height()),
+            _ => p,
+        };
+        let bound = env.linf_distance(&at);
+        let exact = point_geometry_distance(&at, &g);
+        prop_assert!(bound <= exact, "box {} > exact {} at {:?}", bound, exact, at);
     }
 
     #[test]

@@ -18,22 +18,25 @@ proptest! {
 
     /// The tentpole's contract: for every rank count, decomposition
     /// policy, chunk size and cache setting, a served batch of mixed
-    /// queries answers identically on every rank and identically to the
-    /// naive brute-force oracle — including kNN ties and `k` larger
-    /// than the dataset. Serving the same batch twice must also be
-    /// idempotent (the second pass exercises the cache when enabled).
+    /// queries — some of them submitted several times over — answers
+    /// identically on every rank and identically to the naive
+    /// brute-force oracle at every instance, including kNN ties (twin
+    /// features at one location), `k` larger than the dataset and
+    /// `k = u32::MAX`. Each distinct query is routed once; serving the
+    /// same batch twice must also be idempotent (the second pass
+    /// answers every instance from the cache when enabled).
     #[test]
     fn serve_matches_bruteforce_oracle_everywhere(
-        ranks_idx in 0usize..3,
-        side in 1u32..6,
-        policy in 0u8..5,
-        chunk_idx in 0usize..3,
-        cache in any::<bool>(),
+        (ranks_idx, side, policy, chunk_idx, cache) in
+            (0usize..3, 1u32..6, 0u8..5, 0usize..3, any::<bool>()),
         coords in proptest::collection::vec((0.0..WORLD, 0.0..WORLD), 0..28),
+        twins in proptest::collection::vec(any::<usize>(), 0..4),
         qseeds in proptest::collection::vec(
             (0u8..6, 0.0..WORLD, 0.0..WORLD, 0.05f64..4.0),
             1..7
         ),
+        repeats in proptest::collection::vec(any::<usize>(), 0..5),
+        all_at in proptest::collection::vec((0.0..WORLD, 0.0..WORLD), 0..2),
     ) {
         let ranks = [2usize, 4, 16][ranks_idx];
         let chunk = [
@@ -41,13 +44,38 @@ proptest! {
             ExchangeChunk::Bytes(96),
             ExchangeChunk::Bytes(1024),
         ][chunk_idx];
+        // A twin shares its original's location under another label: two
+        // point features there are equidistant from everything.
+        let mut coords = coords;
+        if !coords.is_empty() {
+            for t in twins {
+                coords.push(coords[t % coords.len()]);
+            }
+        }
         let features = mk_features(&coords);
-        let queries = mk_queries(&qseeds);
+        // The batch: the generated queries, some of them submitted again
+        // bit for bit, and sometimes a kNN asking for everything.
+        let mut queries = mk_queries(&qseeds);
+        for r in repeats {
+            queries.push(queries[r % qseeds.len()]);
+        }
+        if let Some(&(x, y)) = all_at.first() {
+            queries.push(Query::Knn {
+                at: Point::new(x, y),
+                k: u32::MAX,
+            });
+        }
         let expected: Vec<QueryAnswer> =
             queries.iter().map(|q| oracle(&features, q)).collect();
+        let mut distinct: Vec<Query> = Vec::new();
+        for q in &queries {
+            if !distinct.contains(q) {
+                distinct.push(*q);
+            }
+        }
 
         let coords = Arc::new(coords);
-        let qseeds = Arc::new(qseeds);
+        let batch = Arc::new(queries);
         let out = World::run(
             WorldConfig::new(Topology::single_node(ranks)),
             move |comm| {
@@ -62,27 +90,30 @@ proptest! {
                     ..Default::default()
                 };
                 let mut eng = QueryEngine::from_parts(comm, sd, owned, &opts);
-                let queries = mk_queries(&qseeds);
-                let first = eng.serve(comm, &queries).unwrap();
-                let second = eng.serve(comm, &queries).unwrap();
+                let first = eng.serve(comm, &batch).unwrap();
+                let second = eng.serve(comm, &batch).unwrap();
                 let canon1: Vec<QueryAnswer> = first.answers.iter().map(canon).collect();
                 let canon2: Vec<QueryAnswer> = second.answers.iter().map(canon).collect();
-                let cache_hits = second.stats.answered_from_cache;
-                (canon1, canon2, cache_hits)
+                (canon1, canon2, first.stats, second.stats)
             },
         );
-        for (rank, (first, second, cache_hits)) in out.iter().enumerate() {
+        for (rank, (first, second, stats1, stats2)) in out.iter().enumerate() {
             prop_assert_eq!(
                 first, &expected,
                 "rank {}/{} ranks, policy {}, side {}, chunk {:?}, cache {}",
                 rank, ranks, policy, side, chunk, cache
             );
             prop_assert_eq!(second, &expected, "second serve diverged on rank {}", rank);
+            // The cold pass routes each distinct query exactly once.
+            prop_assert_eq!(stats1.answered_from_cache, 0u64);
+            prop_assert_eq!(stats1.routed as usize, distinct.len());
             if cache {
-                // Every repeated query must come from the cache.
-                prop_assert_eq!(*cache_hits as usize, expected.len());
+                // Every instance, repeats included, comes from the cache.
+                prop_assert_eq!(stats2.answered_from_cache as usize, expected.len());
+                prop_assert_eq!(stats2.routed, 0u64);
             } else {
-                prop_assert_eq!(*cache_hits, 0u64);
+                prop_assert_eq!(stats2.answered_from_cache, 0u64);
+                prop_assert_eq!(stats2.routed as usize, distinct.len());
             }
         }
     }
