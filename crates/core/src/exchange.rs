@@ -156,8 +156,8 @@ impl ExchangeStats {
 /// records; the old per-record `wkb::encode` allocated and dropped a
 /// fresh `Vec` for every one of them. (Shared with the ingest pipeline's
 /// worker threads and, since the serving layer, with external callers
-/// such as `sjoin`'s `QueryEngine`, which rides queries and result
-/// records over the same wire format.)
+/// such as `sjoin`'s `QueryEngine`, which rides its queries over the
+/// same wire format.)
 pub fn serialize_record(
     cell: u32,
     feature: &Feature,
@@ -658,7 +658,7 @@ impl SerializedBatch {
 
     /// Turns the whole batch into an [`ExchangePlan::run`] feed under
     /// `plan`'s chunk policy: record-aligned pieces of at most
-    /// [`ExchangePlan::chunk_bytes`] per destination, or — unlimited —
+    /// [`ExchangeChunk::Bytes`] per destination, or — unlimited —
     /// the degenerate feed whose one round is the batch itself (moved,
     /// never copied or walked: the blocking protocol). A batch shaped
     /// for a different world size, or one the splitter cannot walk, is a

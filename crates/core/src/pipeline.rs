@@ -186,10 +186,15 @@ fn parse_workers(v: &str) -> Option<usize> {
 }
 
 /// Resolves a requested worker count: explicit values win, `0` consults
-/// [`WORKERS_ENV`] (see [`parse_workers`]), and absent both the host's
-/// available parallelism is used (capped at 8 so huge machines don't
-/// fragment small inputs). Every source is clamped to
+/// [`WORKERS_ENV`] (a positive count, or `0` for auto), and absent both
+/// the host's available parallelism is used (capped at 8 so huge machines
+/// don't fragment small inputs). Every source is clamped to
 /// `1..=`[`MAX_WORKERS`].
+///
+/// # Panics
+///
+/// Panics on any other [`WORKERS_ENV`] value: silently falling back to the
+/// host's parallelism would run a typo'd setting at the wrong width.
 pub fn resolve_workers(requested: usize) -> usize {
     let raw = if requested > 0 {
         requested

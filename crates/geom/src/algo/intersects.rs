@@ -7,7 +7,7 @@ use super::segint::segments_intersect;
 use crate::geometry::Geometry;
 use crate::linestring::LineString;
 use crate::point::Point;
-use crate::polygon::Polygon;
+use crate::polygon::{Polygon, Ring};
 use crate::rect::Rect;
 
 /// `true` if the point lies on/in the geometry.
@@ -109,6 +109,44 @@ pub fn rect_intersects_geometry(r: &Rect, g: &Geometry) -> bool {
         }
         Geometry::GeometryCollection(c) => c.0.iter().any(|g| rect_intersects_geometry(r, g)),
     }
+}
+
+/// Scans the geometry's vertices for one inside the (closed) rectangle,
+/// stopping at the first: `(found, vertices examined)`.
+///
+/// Every vertex is a point of its geometry — ring vertices, holes
+/// included, lie on the polygon's boundary — so a vertex inside `r` is a
+/// true hit: [`rect_intersects_geometry`] holds without running it. The
+/// converse does not hold (a long segment can cross `r` with both ends
+/// outside), so `false` decides nothing. Empty geometries have no vertex
+/// and never hit.
+pub fn rect_contains_any_vertex(r: &Rect, g: &Geometry) -> (bool, u64) {
+    let mut examined = 0u64;
+    let found = scan_vertices(r, g, &mut examined);
+    (found, examined)
+}
+
+fn scan_vertices(r: &Rect, g: &Geometry, examined: &mut u64) -> bool {
+    let mut points = |pts: &[Point]| {
+        pts.iter().any(|p| {
+            *examined += 1;
+            r.contains_point(p)
+        })
+    };
+    match g {
+        Geometry::Point(p) => points(std::slice::from_ref(p)),
+        Geometry::LineString(l) => points(l.points()),
+        Geometry::Polygon(p) => rings(p).any(|ring| points(ring.points())),
+        Geometry::MultiPoint(m) => points(&m.0),
+        Geometry::MultiLineString(m) => m.0.iter().any(|l| points(l.points())),
+        Geometry::MultiPolygon(m) => m.0.iter().flat_map(rings).any(|ring| points(ring.points())),
+        Geometry::GeometryCollection(c) => c.0.iter().any(|g| scan_vertices(r, g, examined)),
+    }
+}
+
+/// The shell, then the holes.
+fn rings(p: &Polygon) -> impl Iterator<Item = &Ring> {
+    std::iter::once(p.exterior()).chain(p.interiors())
 }
 
 fn rect_to_polygon(r: &Rect) -> Polygon {

@@ -13,7 +13,7 @@ mod segint;
 pub use distance::{point_geometry_distance, point_segment_distance};
 pub use intersects::{
     intersects, line_intersects_line, line_intersects_polygon, point_in_geometry,
-    polygon_intersects_polygon, rect_intersects_geometry,
+    polygon_intersects_polygon, rect_contains_any_vertex, rect_intersects_geometry,
 };
 pub use orient::{orientation, Orientation};
 pub use pip::{point_in_polygon, point_in_ring, PointLocation};

@@ -37,18 +37,27 @@
 //!    overlaps local tree walks. The owner pays only for what the answer
 //!    needs. A range/point candidate whose envelope lies inside the
 //!    window is a *true hit* (Brinkhoff et al., SIGMOD '94) and is
-//!    emitted without the exact test; only envelopes straddling the
-//!    window's edge are refined. A kNN query is a best-first walk of the
+//!    emitted without the exact test, and so is a straddler — an envelope
+//!    crossing the window's edge — with a vertex inside the window
+//!    ([`algo::rect_contains_any_vertex`]); only straddlers with every
+//!    vertex outside are refined. A kNN query is a best-first walk of the
 //!    resident R-tree ([`RTree::nearest_with`]; Hjaltason & Samet,
 //!    TODS '99) that computes exact distances only until the next box
 //!    is farther than the k-th best candidate.
-//! 4. **Ship results back** over a second plan run: each match travels
-//!    as one wire record tagged with the issuing rank's query index,
-//!    framed straight from the resident replica's userdata.
-//! 5. **Merge**: per query, results are sorted (lexicographic for
-//!    matches, by `(distance, userdata)` for kNN) and truncated to `k`
-//!    where applicable, inserted into the cache, and returned aligned
-//!    with the input slice.
+//! 4. **Ship results back** over a second plan run: each owner returns
+//!    its matches for a query as one *answer block* (`docs/FORMAT.md`
+//!    §4) — the issuer's query index, the packed kNN distances, and the
+//!    userdata of the matches in the owner's sorted order, copied
+//!    straight from the resident replicas. No geometry travels, an empty
+//!    answer ships nothing, and a block closes at the plan's chunk cap
+//!    (the next one reopens the same query), so the owner's buffer
+//!    management is charged per block, not per match.
+//! 5. **Merge**: the issuer walks the received blocks with the
+//!    validating [`answer_entries`] iterator; per query, results from
+//!    all owners are sorted (lexicographic for matches, by
+//!    `(distance, userdata)` for kNN) and truncated to `k` where
+//!    applicable, inserted into the cache, and returned aligned with the
+//!    input slice.
 //!
 //! Duplicate-free semantics follow `range_query`'s reference-corner rule
 //! ([`mvio_core::framework::claims_reference`]): a feature replicated
@@ -121,8 +130,8 @@ use mvio_core::decomp::{
     DecompPolicy, HilbertDecomposition, SpatialDecomposition, UniformDecomposition,
 };
 use mvio_core::exchange::{
-    record_frames, serialize_frame, serialize_record, validate_round, ExchangeChunk,
-    ExchangeOptions, ExchangePlan, ExchangeStats, RecordFrame, SerializedBatch,
+    record_frames, serialize_record, validate_round, ExchangeChunk, ExchangeOptions, ExchangePlan,
+    ExchangeStats, RecordFrame, SerializedBatch,
 };
 use mvio_core::grid::UniformGrid;
 use mvio_core::pipeline::IngestOutput;
@@ -243,11 +252,17 @@ pub struct ServeStats {
     pub routed: u64,
     /// Query records shipped (one per query per destination rank).
     pub shipped_records: u64,
-    /// Result records received back for this rank's queries.
+    /// Matches received back for this rank's routed queries, summed over
+    /// their owners — the answer sizes before kNN truncation. Counts
+    /// matches, not the answer blocks that carried them (those are
+    /// [`ServeStats::result_exchange`]'s records).
     pub result_records: u64,
     /// Exchange counters for the query-shipping trip.
     pub query_exchange: ExchangeStats,
-    /// Exchange counters for the result return trip.
+    /// Exchange counters for the result return trip. Its
+    /// `records_sent` / `records_received` count answer *blocks* (one per
+    /// query per owner, more under a chunk cap); the matches inside them
+    /// are [`ServeStats::result_records`].
     pub result_exchange: ExchangeStats,
 }
 
@@ -496,7 +511,7 @@ impl ResidentIndex {
     /// returning the claimed matches' userdata **sorted**. Identical
     /// claiming rule to `range_query`: cell overlap, MBR overlap,
     /// reference-corner dedup, exact predicate — the last only where the
-    /// filter left it open.
+    /// filter and the vertex scan left it open.
     fn rect_matches(&self, comm: &mut Comm, query: &Rect) -> Vec<&str> {
         let mut hits: Vec<usize> = Vec::new();
         self.rtree.query_with(query, &mut |i| hits.push(*i));
@@ -517,16 +532,24 @@ impl ResidentIndex {
             }
             // A true hit (Brinkhoff et al., SIGMOD '94): a geometry whose
             // envelope lies inside the window intersects it by
-            // construction, so only envelopes straddling the window's
-            // edge go on to the exact test. `contains` is false for an
-            // empty envelope, which therefore keeps the exact path.
+            // construction, and so does a straddler with a vertex inside
+            // the window — a point-in-rect test is the four comparisons
+            // of an MBR test, and is charged as one. Only a straddler
+            // with every vertex outside (a long segment crossing a small
+            // window, or an envelope-only overlap) goes on to the exact
+            // test. `contains` is false for an empty envelope, which has
+            // no vertex either and therefore keeps the exact path.
             if !query.contains(mbr) {
-                comm.charge(Work::RefinePair {
-                    verts_a: f.geometry.num_points() as u64,
-                    verts_b: 4,
-                });
-                if !algo::rect_intersects_geometry(query, &f.geometry) {
-                    continue;
+                let (vertex_inside, examined) = algo::rect_contains_any_vertex(query, &f.geometry);
+                comm.charge(Work::MbrTests { n: examined });
+                if !vertex_inside {
+                    comm.charge(Work::RefinePair {
+                        verts_a: f.geometry.num_points() as u64,
+                        verts_b: 4,
+                    });
+                    if !algo::rect_intersects_geometry(query, &f.geometry) {
+                        continue;
+                    }
                 }
             }
             out.push(f.userdata.as_str());
@@ -582,33 +605,27 @@ impl ResidentIndex {
 
     /// Answers one query frame straight off the received wire buffer —
     /// the query geometry is decoded as a borrowed view, never
-    /// materialized — serializing each result as a record tagged with the
-    /// issuer's query index, its userdata borrowed from the resident
-    /// replica. kNN queries ride as a `Point` with `k=<n>` userdata;
-    /// range and point queries as the diagonal of their rect (whose
-    /// envelope recovers it exactly). Result records carry the distance
-    /// in the point's `x`.
+    /// materialized — appending the answer to `out` as answer blocks
+    /// ([`write_answer_blocks`]) tagged with the issuer's query index,
+    /// the userdata borrowed from the resident replicas. kNN queries ride
+    /// as a `Point` with `k=<n>` userdata; range and point queries as the
+    /// diagonal of their rect (whose envelope recovers it exactly).
+    /// Returns the number of blocks written (none for an empty answer)
+    /// and charges them as that many buffer-managed objects
+    /// ([`Work::SerializeGeoms`]): the cost of returning an answer grows
+    /// with its bytes, not with a per-match constant.
     fn serve_one(
         &self,
         comm: &mut Comm,
         fr: &RecordFrame<'_>,
-        scratch: &mut Vec<u8>,
+        cap: u64,
         out: &mut Vec<u8>,
-        produced: &mut u64,
-    ) -> Result<()> {
+    ) -> Result<u64> {
         let qid = fr.cell;
         // audit: the sink validated the round before walking its frames.
         let (g, _) = wkb::decode_ref(fr.wkb).expect("validated frame");
-        let mut emit = |wkb: &[u8], userdata: &str| {
-            *produced += 1;
-            let result = RecordFrame {
-                cell: qid,
-                wkb,
-                userdata,
-            };
-            serialize_frame(&result, out)
-        };
-        if let Some(kstr) = fr.userdata.strip_prefix("k=") {
+        let before = out.len();
+        let blocks = if let Some(kstr) = fr.userdata.strip_prefix("k=") {
             // `k = 0` never passes the issuer's validation; the walk
             // relies on a k-th candidate existing.
             let k: usize = kstr.parse().ok().filter(|&k| k > 0).ok_or_else(|| {
@@ -626,20 +643,270 @@ impl ResidentIndex {
                     )))
                 }
             };
-            for (distance, i) in self.knn_local(comm, &at, k) {
-                wkb::encode_into_scratch(&Geometry::Point(Point::new(distance, 0.0)), scratch);
-                emit(scratch, &self.owned[i].1.userdata)?;
-            }
+            let (distances, neighbors): (Vec<f64>, Vec<&str>) = self
+                .knn_local(comm, &at, k)
+                .into_iter()
+                .map(|(distance, i)| (distance, self.owned[i].1.userdata.as_str()))
+                .unzip();
+            write_answer_blocks(qid, &distances, &neighbors, cap, out)?
         } else {
-            let rect = g.envelope();
-            // Every match of a range query ships the same placeholder point.
-            wkb::encode_into_scratch(&Geometry::Point(Point::new(0.0, 0.0)), scratch);
-            for userdata in self.rect_matches(comm, &rect) {
-                emit(scratch, userdata)?;
-            }
-        }
-        Ok(())
+            let matches = self.rect_matches(comm, &g.envelope());
+            write_answer_blocks(qid, &[], &matches, cap, out)?
+        };
+        comm.charge(Work::SerializeGeoms {
+            n: blocks,
+            bytes: (out.len() - before) as u64,
+        });
+        Ok(blocks)
     }
+}
+
+/// Fixed bytes of one answer block: the query-index word and the two
+/// length fields — the §1 record envelope, so the exchange's
+/// record-aligned chunking cuts between blocks unchanged.
+const BLOCK_OVERHEAD: u64 = 16;
+
+/// The largest block a `u32` length field can describe.
+const BLOCK_CAP_MAX: u64 = u32::MAX as u64;
+
+/// Appends one owner's answer to query `qid` to `out` as answer blocks
+/// (`docs/FORMAT.md` §4): `[u64 qid][u32 len][a][u32 len][b]` with `a`
+/// the packed little-endian `f64` distances (kNN; `distances` is empty
+/// for range/point answers, else one per match) and `b` the matches as
+/// `[u32 len][utf-8]` entries, in the order given. Nothing is written for
+/// an empty answer. A block closes, and the next reopens the same `qid`,
+/// before the entry that would take it past `cap` bytes; a single entry
+/// larger than the cap still ships whole, as an oversized record does.
+/// Returns the number of blocks written.
+fn write_answer_blocks(
+    qid: u32,
+    distances: &[f64],
+    matches: &[&str],
+    cap: u64,
+    out: &mut Vec<u8>,
+) -> Result<u64> {
+    debug_assert!(distances.is_empty() || distances.len() == matches.len());
+    // Length fields are checked conversions, as in the record format: an
+    // oversized payload is an error, never a wrapped length.
+    let put_len = |out: &mut Vec<u8>, len: u64| -> Result<()> {
+        let len = u32::try_from(len).map_err(|_| {
+            CoreError::Partition(format!(
+                "serve protocol: answer block field of {len} bytes exceeds the u32 \
+                 wire-format limit"
+            ))
+        })?;
+        out.extend_from_slice(&len.to_le_bytes());
+        Ok(())
+    };
+    let per_entry: u64 = if distances.is_empty() { 4 } else { 12 };
+    let mut blocks = 0u64;
+    let mut start = 0usize;
+    while start < matches.len() {
+        let (mut end, mut len) = (start, BLOCK_OVERHEAD);
+        while end < matches.len() {
+            let entry = per_entry + matches[end].len() as u64;
+            if end > start && len + entry > cap {
+                break;
+            }
+            len += entry;
+            end += 1;
+        }
+        // Empty for a range/point answer, which has no distances at all.
+        let block_distances = distances.get(start..end).unwrap_or_default();
+        let a_len = 8 * block_distances.len() as u64;
+        // audit: the block's payload is in memory already, so its length fits a usize.
+        out.reserve(len as usize);
+        out.extend_from_slice(&u64::from(qid).to_le_bytes());
+        put_len(out, a_len)?;
+        for d in block_distances {
+            out.extend_from_slice(&d.to_le_bytes());
+        }
+        put_len(out, len - BLOCK_OVERHEAD - a_len)?;
+        for m in &matches[start..end] {
+            put_len(out, m.len() as u64)?;
+            out.extend_from_slice(m.as_bytes());
+        }
+        blocks += 1;
+        start = end;
+    }
+    Ok(blocks)
+}
+
+/// One match of a received answer block.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AnswerEntry<'a> {
+    /// The issuing rank's index of the query this match answers.
+    pub qid: u32,
+    /// The match's distance from the query centre — `Some` in a kNN
+    /// block, `None` in a range/point block.
+    pub distance: Option<f64>,
+    /// The matching feature's userdata.
+    pub userdata: &'a str,
+}
+
+/// Walks one received buffer of answer blocks (`docs/FORMAT.md` §4),
+/// validating as it goes: every length field is bounds-checked against
+/// the bytes that remain, userdata must be UTF-8, a block must hold at
+/// least one match, and its distance array must be empty or hold exactly
+/// one `f64` per match. Any violation is yielded once as a typed
+/// [`CoreError::Frame`], after which the walk ends; no input can make it
+/// panic. Matches come out in wire order, each tagged with its block's
+/// query index — which only the issuer can check against its batch.
+pub fn answer_entries(buf: &[u8]) -> AnswerEntries<'_> {
+    AnswerEntries {
+        rest: buf,
+        qid: 0,
+        knn: false,
+        distances: &[],
+        matches: &[],
+        blocks: 0,
+    }
+}
+
+/// Validating iterator over the matches of one answer-block buffer; see
+/// [`answer_entries`].
+#[derive(Debug, Clone)]
+pub struct AnswerEntries<'a> {
+    /// The blocks not yet opened.
+    rest: &'a [u8],
+    /// The open block's query index, whether it carries distances, and
+    /// its unread distances and matches.
+    qid: u32,
+    knn: bool,
+    distances: &'a [u8],
+    matches: &'a [u8],
+    blocks: u64,
+}
+
+impl<'a> AnswerEntries<'a> {
+    /// Blocks opened so far — after the walk, the buffer's block count.
+    pub fn blocks(&self) -> u64 {
+        self.blocks
+    }
+
+    fn step(&mut self) -> Result<Option<AnswerEntry<'a>>> {
+        if self.matches.is_empty() {
+            if !self.distances.is_empty() {
+                return Err(bad_block("more distances than matches"));
+            }
+            if self.rest.is_empty() {
+                return Ok(None);
+            }
+            let qid = u64::from_le_bytes(take_array(&mut self.rest, "query index")?);
+            self.qid = u32::try_from(qid)
+                .map_err(|_| bad_block("query index exceeds the u32 index space"))?;
+            self.distances = take_prefixed(&mut self.rest, "distances")?;
+            self.matches = take_prefixed(&mut self.rest, "matches")?;
+            if self.matches.is_empty() {
+                return Err(bad_block("block holds no match"));
+            }
+            self.knn = !self.distances.is_empty();
+            self.blocks += 1;
+        }
+        let userdata = std::str::from_utf8(take_prefixed(&mut self.matches, "userdata")?)
+            .map_err(|_| bad_block("non-UTF8 userdata"))?;
+        let distance = if self.knn {
+            let bits = take_array(&mut self.distances, "distance (fewer than matches)")?;
+            Some(f64::from_le_bytes(bits))
+        } else {
+            None
+        };
+        Ok(Some(AnswerEntry {
+            qid: self.qid,
+            distance,
+            userdata,
+        }))
+    }
+}
+
+impl<'a> Iterator for AnswerEntries<'a> {
+    type Item = Result<AnswerEntry<'a>>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let step = self.step();
+        if step.is_err() {
+            (self.rest, self.distances, self.matches) = (&[], &[], &[]);
+        }
+        step.transpose()
+    }
+}
+
+/// The issuer's half of the result trip for one received buffer: walks
+/// its answer blocks with [`answer_entries`] and files every match under
+/// the query it answers, as `(distance, userdata)` (distance 0 for
+/// range/point matches). Beyond the walk's own checks, a block must name
+/// a query of this batch and carry distances exactly when that query is
+/// a kNN; a violation is a typed `serve protocol` error. Returns the
+/// buffer's `(blocks, matches)`.
+fn collect_answers(
+    queries: &[Query],
+    buf: &[u8],
+    collected: &mut [Vec<(f64, String)>],
+) -> Result<(u64, u64)> {
+    let mut matches = 0u64;
+    let mut entries = answer_entries(buf);
+    for entry in entries.by_ref() {
+        let AnswerEntry {
+            qid,
+            distance,
+            userdata,
+        } = entry?;
+        // audit: u32 → usize is lossless; `get` rejects out-of-range ids.
+        let at = qid as usize;
+        let (Some(query), Some(slot)) = (queries.get(at), collected.get_mut(at)) else {
+            return Err(CoreError::Partition(format!(
+                "serve protocol: result for unknown query index {qid}"
+            )));
+        };
+        if distance.is_some() != matches!(query, Query::Knn { .. }) {
+            return Err(CoreError::Partition(format!(
+                "serve protocol: answer block for query {qid} ({query:?}) {} distances",
+                if distance.is_some() {
+                    "carries"
+                } else {
+                    "lacks"
+                }
+            )));
+        }
+        slot.push((distance.unwrap_or(0.0), userdata.into()));
+        matches += 1;
+    }
+    Ok((entries.blocks(), matches))
+}
+
+fn bad_block(msg: &str) -> CoreError {
+    CoreError::Frame(format!("serve protocol: answer block: {msg}"))
+}
+
+/// Splits `n` bytes off the front of `buf`, or reports `what` truncated.
+fn take<'a>(buf: &mut &'a [u8], n: usize, what: &str) -> Result<&'a [u8]> {
+    if buf.len() < n {
+        return Err(bad_block(&format!(
+            "truncated {what}: {n} bytes wanted, {} left",
+            buf.len()
+        )));
+    }
+    let (head, tail) = buf.split_at(n);
+    *buf = tail;
+    Ok(head)
+}
+
+/// Splits a fixed-width little-endian field off the front of `buf`.
+fn take_array<const N: usize>(buf: &mut &[u8], what: &str) -> Result<[u8; N]> {
+    let bytes = take(buf, N, what)?;
+    // audit: `take` returned exactly N bytes.
+    Ok(bytes.try_into().expect("N-byte slice"))
+}
+
+/// Splits a `[u32 len][len bytes]` field off the front of `buf`.
+fn take_prefixed<'a>(buf: &mut &'a [u8], what: &str) -> Result<&'a [u8]> {
+    let len = u32::from_le_bytes(take_array(buf, what)?);
+    let len = usize::try_from(len).map_err(|_| {
+        bad_block(&format!(
+            "{what} length {len} does not fit this target's usize"
+        ))
+    })?;
+    take(buf, len, what)
 }
 
 /// Encodes a query rect as the 2-point diagonal linestring whose
@@ -930,30 +1197,20 @@ impl QueryEngine {
         // (empty rounds), and this rank still runs the result trip so
         // the collectives stay matched world-wide.
         let plan = ExchangePlan::new(comm, &ExchangeOptions::with_chunk(self.chunk));
+        // Answer blocks close at the plan's chunk cap, and in any case
+        // before their u32 length fields would overflow.
+        let block_cap = self.chunk.resolve().unwrap_or(u64::MAX).min(BLOCK_CAP_MAX);
         let mut rbatch = SerializedBatch::empty(p);
-        let mut rscratch = Vec::new();
         let index = &self.index;
         let mut deferred: Option<CoreError> = None;
         match comm.labeled("serve.queries", |c| {
             plan.run(c, &mut qbatch.into_feed(&plan), &mut |comm, bufs| {
                 let received = validate_round(comm, &bufs)?;
                 for (src, buf) in bufs.iter().enumerate() {
-                    let before = rbatch.bufs[src].len() as u64;
-                    let mut produced = 0u64;
                     for fr in record_frames(buf) {
-                        index.serve_one(
-                            comm,
-                            &fr,
-                            &mut rscratch,
-                            &mut rbatch.bufs[src],
-                            &mut produced,
-                        )?;
+                        rbatch.records[src] +=
+                            index.serve_one(comm, &fr, block_cap, &mut rbatch.bufs[src])?;
                     }
-                    rbatch.records[src] += produced;
-                    comm.charge(Work::SerializeGeoms {
-                        n: produced,
-                        bytes: rbatch.bufs[src].len() as u64 - before,
-                    });
                 }
                 Ok(received)
             })
@@ -965,28 +1222,20 @@ impl QueryEngine {
             }
         }
 
-        // 5. Ship results back to the issuing ranks.
+        // 5. Ship the answer blocks back to the issuing ranks, which
+        // validate them as they collect.
         let mut collected: Vec<Vec<(f64, String)>> = vec![Vec::new(); queries.len()];
         match comm.labeled("serve.results", |c| {
             plan.run(c, &mut rbatch.into_feed(&plan), &mut |comm, bufs| {
-                let received = validate_round(comm, &bufs)?;
-                for fr in bufs.iter().flat_map(|buf| record_frames(buf)) {
-                    let qid = fr.cell;
-                    // audit: u32 → usize is lossless; get_mut rejects out-of-range ids.
-                    let slot = collected.get_mut(qid as usize).ok_or_else(|| {
-                        CoreError::Partition(format!(
-                            "serve protocol: result for unknown query index {qid}"
-                        ))
-                    })?;
-                    // audit: validate_round accepted every frame of this round.
-                    let (g, _) = wkb::decode_ref(fr.wkb).expect("validated frame");
-                    let distance = match &g {
-                        wkb::GeomRef::Point(pt) => pt.x(),
-                        _ => 0.0,
-                    };
-                    slot.push((distance, fr.userdata.to_string()));
+                let (mut blocks, mut bytes) = (0u64, 0u64);
+                for buf in &bufs {
+                    let (b, matches) = collect_answers(queries, buf, &mut collected)?;
+                    blocks += b;
+                    stats.result_records += matches;
+                    bytes += buf.len() as u64;
                 }
-                Ok(received)
+                comm.charge(Work::CopyBytes { n: bytes });
+                Ok(blocks)
             })
         }) {
             Ok(s) => stats.result_exchange = s,
@@ -999,7 +1248,6 @@ impl QueryEngine {
         if let Some(e) = deferred {
             return Err(e);
         }
-        stats.result_records = stats.result_exchange.records_received;
 
         // 6. Merge, cache, align.
         for &qi in &routed {
@@ -1169,51 +1417,245 @@ mod tests {
     }
 
     #[test]
-    fn true_hits_skip_refine_and_straddlers_keep_it() {
+    fn vertex_hits_skip_refine_and_crossers_keep_it() {
         World::run(WorldConfig::new(Topology::single_node(1)), |comm| {
-            // Nine short segments around (2, 2), and one long
-            // anti-diagonal whose envelope [5, 8]² covers the top-right
-            // corner without the line coming near it.
+            // Nine short segments around (2, 2); nine longer ones in the
+            // top-left cell, each starting at x = 1.2 and ending at
+            // x = 2.8; and one long anti-diagonal whose envelope [5, 8]²
+            // covers the top-right corner without the line coming near it.
             let mut features: Vec<Feature> = (0..9)
                 .map(|i| {
                     let (x, y) = (1.5 + (i % 3) as f64 * 0.4, 1.5 + (i / 3) as f64 * 0.4);
                     segment(x, y, x + 0.2, y + 0.1, &format!("s{i}"))
                 })
                 .collect();
+            features.extend((0..9).map(|i| {
+                let y = 4.5 + i as f64 * 0.1;
+                segment(1.2, y, 2.8, y + 0.05, &format!("v{i}"))
+            }));
             features.push(segment(5.0, 8.0, 8.0, 5.0, "diagonal"));
             let eng = one_rank_engine(comm, 2, &features);
             let refine_fixed = comm.cost_model().refine_fixed;
+            let mut timed = |window: Rect| {
+                let t = comm.now();
+                let matches = eng.local_range_matches(comm, &window).unwrap();
+                (matches, comm.now() - t)
+            };
 
             // Every hit's envelope lies inside the window: none is refined.
-            let t = comm.now();
-            let inside = eng
-                .local_range_matches(comm, &Rect::new(1.0, 1.0, 3.0, 3.0))
-                .unwrap();
-            let spent = comm.now() - t;
+            let (inside, spent) = timed(Rect::new(1.0, 1.0, 3.0, 3.0));
             assert_eq!(inside.len(), 9);
             assert!(
                 spent < refine_fixed,
-                "9 true hits cost {spent} s, one refine alone is {refine_fixed} s"
+                "9 contained hits cost {spent} s, one refine alone is {refine_fixed} s"
             );
 
-            // The corner window overlaps the diagonal's envelope but does
-            // not contain it: refined, and excluded by the exact test.
-            let t = comm.now();
-            let corner = eng
-                .local_range_matches(comm, &Rect::new(7.2, 7.2, 7.9, 7.9))
-                .unwrap();
-            assert!(corner.is_empty(), "the line misses the corner: {corner:?}");
+            // The window's right edge cuts all nine `v` segments, whose
+            // first vertex lies inside it: true hits, none refined.
+            let (cut, spent) = timed(Rect::new(1.0, 4.2, 2.0, 6.0));
+            assert_eq!(cut.len(), 9, "{cut:?}");
             assert!(
-                comm.now() - t >= refine_fixed,
-                "a straddler must be refined"
+                spent < refine_fixed,
+                "9 vertex hits cost {spent} s, one refine alone is {refine_fixed} s"
             );
 
-            // A window the line does cross still finds it through refine.
-            let crossing = eng
-                .local_range_matches(comm, &Rect::new(6.0, 6.0, 7.0, 7.0))
-                .unwrap();
+            // The corner window overlaps the diagonal's envelope, but
+            // neither end of the line is inside it: refined, and excluded
+            // by the exact test.
+            let (corner, spent) = timed(Rect::new(7.2, 7.2, 7.9, 7.9));
+            assert!(corner.is_empty(), "the line misses the corner: {corner:?}");
+            assert!(spent >= refine_fixed, "an envelope-only overlap is refined");
+
+            // A window the line crosses with both ends outside is still
+            // found — through refine.
+            let (crossing, spent) = timed(Rect::new(6.0, 6.0, 7.0, 7.0));
             assert_eq!(crossing, vec!["diagonal".to_string()]);
+            assert!(spent >= refine_fixed, "a crosser must be refined");
         });
+    }
+
+    #[test]
+    fn returning_an_answer_is_not_charged_per_match() {
+        World::run(WorldConfig::new(Topology::single_node(1)), |comm| {
+            // 500 points in the left half of the world, one in the right.
+            let mut features: Vec<Feature> = (0..500)
+                .map(|i| {
+                    let (x, y) = (0.5 + (i % 25) as f64 * 0.1, 0.5 + (i / 25) as f64 * 0.1);
+                    Feature::with_userdata(Geometry::Point(Point::new(x, y)), format!("p{i:03}"))
+                })
+                .collect();
+            features.push(Feature::with_userdata(
+                Geometry::Point(Point::new(6.0, 6.0)),
+                "lone",
+            ));
+            let eng = one_rank_engine(comm, 1, &features);
+            let mut answer = |window: Rect| {
+                // The query frame `serve` would ship for the window.
+                let mut query = Vec::new();
+                serialize_record(7, &wire_rect(&window), &mut Vec::new(), &mut query).unwrap();
+                let fr = record_frames(&query).next().unwrap();
+                let mut out = Vec::new();
+                let t = comm.now();
+                let blocks = eng
+                    .index
+                    .serve_one(comm, &fr, BLOCK_CAP_MAX, &mut out)
+                    .unwrap();
+                (blocks, out, comm.now() - t)
+            };
+            let (blocks, many, cost_many) = answer(Rect::new(0.0, 0.0, 4.0, 4.0));
+            let (_, one, cost_one) = answer(Rect::new(5.0, 5.0, 7.0, 7.0));
+            assert_eq!(blocks, 1, "an uncapped answer is one block");
+            let labels: Vec<String> = answer_entries(&many)
+                .map(|e| e.unwrap().userdata.to_string())
+                .collect();
+            assert_eq!(labels.len(), 500);
+            assert!(
+                labels.windows(2).all(|w| w[0] < w[1]),
+                "owner order is sorted"
+            );
+            assert_eq!(answer_entries(&one).count(), 1);
+            // The whole owner-side cost of 499 more matches — tree walk,
+            // filter and the block's bytes included — stays far below one
+            // microsecond each; a per-match buffer-management charge
+            // (12 µs at the parent) cannot creep back unnoticed.
+            assert!(
+                cost_many - cost_one < 500.0 * 1e-6,
+                "500 matches cost {cost_many} s, 1 match {cost_one} s"
+            );
+        });
+    }
+
+    /// A buffer of answer blocks decoded: `(qid, distance, userdata)`.
+    type Decoded = Vec<(u32, Option<f64>, String)>;
+
+    /// A valid three-block buffer — a kNN answer split in two by an
+    /// 80-byte cap, then a range answer — with the batch it answers and
+    /// its decoded form.
+    fn sample_blocks() -> (Vec<Query>, Vec<u8>, Decoded) {
+        let queries = vec![
+            Query::Range(Rect::new(0.0, 0.0, 1.0, 1.0)),
+            Query::Knn {
+                at: Point::new(0.0, 0.0),
+                k: 4,
+            },
+        ];
+        let mut buf = Vec::new();
+        let neighbors = ["alpha", "beta", "gamma-gamma", "δelta"];
+        let distances = [0.0, 0.5, 0.5, 2.25];
+        let knn_blocks = write_answer_blocks(1, &distances, &neighbors, 80, &mut buf).unwrap();
+        assert_eq!(knn_blocks, 2, "the cap must split the kNN answer");
+        let matches = ["a", "", "ccc"];
+        assert_eq!(
+            write_answer_blocks(0, &[], &matches, 80, &mut buf).unwrap(),
+            1
+        );
+        assert_eq!(write_answer_blocks(0, &[], &[], 80, &mut buf).unwrap(), 0);
+        let mut parsed: Decoded = neighbors
+            .iter()
+            .zip(distances)
+            .map(|(n, d)| (1, Some(d), n.to_string()))
+            .collect();
+        parsed.extend(matches.iter().map(|m| (0, None, m.to_string())));
+        (queries, buf, parsed)
+    }
+
+    /// Walks `buf` as the issuer does; `Ok` holds the decoded entries.
+    fn decode(queries: &[Query], buf: &[u8]) -> Result<Decoded> {
+        let mut collected = vec![Vec::new(); queries.len()];
+        collect_answers(queries, buf, &mut collected)?;
+        answer_entries(buf)
+            .map(|e| e.map(|e| (e.qid, e.distance, e.userdata.to_string())))
+            .collect()
+    }
+
+    /// Byte offsets of every block's start and of every `u32` length
+    /// field in a valid buffer.
+    fn block_layout(buf: &[u8]) -> (Vec<usize>, Vec<usize>) {
+        let u32_at = |at: usize| u32::from_le_bytes(buf[at..at + 4].try_into().unwrap()) as usize;
+        let (mut starts, mut fields) = (Vec::new(), Vec::new());
+        let mut pos = 0;
+        while pos < buf.len() {
+            starts.push(pos);
+            let a_len = u32_at(pos + 8);
+            let b_at = pos + 12 + a_len;
+            fields.extend([pos + 8, b_at]);
+            let b_end = b_at + 4 + u32_at(b_at);
+            let mut entry = b_at + 4;
+            while entry < b_end {
+                fields.push(entry);
+                entry += 4 + u32_at(entry);
+            }
+            pos = b_end;
+        }
+        (starts, fields)
+    }
+
+    #[test]
+    fn answer_block_decoder_survives_every_mutation() {
+        let (queries, valid, parsed) = sample_blocks();
+        assert_eq!(decode(&queries, &valid).unwrap(), parsed);
+        let (starts, fields) = block_layout(&valid);
+        assert_eq!(starts.len(), 3);
+        // Every outcome must be a typed error or a parse — a panic (also
+        // an arithmetic overflow under debug assertions) fails the test.
+        let typed = |r: Result<Decoded>| match r {
+            Ok(entries) => Some(entries),
+            Err(CoreError::Frame(_) | CoreError::Partition(_)) => None,
+            Err(other) => panic!("untyped decoder error: {other:?}"),
+        };
+
+        // Truncation at every offset: a cut between blocks is the valid
+        // prefix, any other cut is an error.
+        for cut in 0..valid.len() {
+            let got = typed(decode(&queries, &valid[..cut]));
+            if let Some(blocks) = starts.iter().position(|&s| s == cut) {
+                let entries = got.unwrap_or_else(|| panic!("cut {cut} is block-aligned"));
+                assert!(parsed.starts_with(&entries), "cut {cut}");
+                assert_eq!(entries.is_empty(), blocks == 0);
+            } else {
+                assert!(got.is_none(), "cut {cut} inside a block parsed: {got:?}");
+            }
+        }
+
+        // Every length field set to 0, u32::MAX and ±1.
+        for &at in &fields {
+            let len = u32::from_le_bytes(valid[at..at + 4].try_into().unwrap());
+            for value in [0, u32::MAX, len.wrapping_add(1), len.wrapping_sub(1)] {
+                let mut buf = valid.clone();
+                buf[at..at + 4].copy_from_slice(&value.to_le_bytes());
+                let got = typed(decode(&queries, &buf));
+                if value != len {
+                    assert_ne!(got.as_ref(), Some(&parsed), "field at {at} set to {value}");
+                }
+            }
+        }
+
+        // One distance dropped from, or added to, the first kNN block.
+        let a_len = u32::from_le_bytes(valid[8..12].try_into().unwrap());
+        let mut dropped = valid.clone();
+        dropped.drain(12..20);
+        dropped[8..12].copy_from_slice(&(a_len - 8).to_le_bytes());
+        assert!(typed(decode(&queries, &dropped)).is_none());
+        let mut added = valid.clone();
+        added.splice(12..12, 1.0f64.to_le_bytes());
+        added[8..12].copy_from_slice(&(a_len + 8).to_le_bytes());
+        assert!(typed(decode(&queries, &added)).is_none());
+
+        // Non-UTF-8 userdata, in the last entry of the last block.
+        let mut spliced = valid.clone();
+        *spliced.last_mut().unwrap() = 0xFF;
+        assert!(typed(decode(&queries, &spliced)).is_none());
+
+        // A query index outside the batch, one past the u32 index space,
+        // and one naming a query of the other kind.
+        for (block, qid) in [(0, 2u64), (0, 1 << 32), (0, 0), (2, 1)] {
+            let mut buf = valid.clone();
+            buf[starts[block]..starts[block] + 8].copy_from_slice(&qid.to_le_bytes());
+            assert!(
+                typed(decode(&queries, &buf)).is_none(),
+                "block {block} retagged as query {qid}"
+            );
+        }
     }
 
     /// `knn_local`'s oracle: exact distance to every reference replica,

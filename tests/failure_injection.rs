@@ -4,13 +4,14 @@
 
 mod common;
 
-use common::fs_with;
+use common::{fs_with, mk_decomp, mk_features, owned_replicas, WORLD};
 use mpi_vector_io::core::exchange::{
     decode_records, serialize_record, validate_round, ExchangeRound, SerializedBatch,
 };
 use mpi_vector_io::core::CoreError;
 use mpi_vector_io::msim::CheckMode;
 use mpi_vector_io::prelude::*;
+use mpi_vector_io::sjoin::engine::answer_entries;
 
 #[test]
 fn corrupted_wkt_record_fails_cleanly_on_every_rank() {
@@ -339,6 +340,103 @@ fn sink_decode_error_stays_on_its_rank() {
                 (Ok((2, 6)), 6) => {}
                 other => panic!("rank {rank} (owned={owned}): {other:?}"),
             }
+        }
+    }
+}
+
+/// One serve answer block assembled by hand from docs/FORMAT.md §4.
+fn answer_block(qid: u64, distances: &[f64], matches: &[&str]) -> Vec<u8> {
+    let mut block = qid.to_le_bytes().to_vec();
+    block.extend((8 * distances.len() as u32).to_le_bytes());
+    for d in distances {
+        block.extend(d.to_le_bytes());
+    }
+    let b_len: usize = matches.iter().map(|m| 4 + m.len()).sum();
+    block.extend((b_len as u32).to_le_bytes());
+    for m in matches {
+        block.extend((m.len() as u32).to_le_bytes());
+        block.extend(m.as_bytes());
+    }
+    block
+}
+
+/// The serve result trip's failure contract, same shape as
+/// `sink_decode_error_stays_on_its_rank`: every rank returns answer
+/// blocks to every peer over the staged exchange, and rank 1 tears the
+/// kNN block it sends rank 0 in the second round. The engine's block
+/// decoder turns that into a typed error on rank 0 only; the peers
+/// complete, the strict verifier sees matched collectives, and the
+/// resident engine on every rank — rank 0 included — answers the next
+/// batch exactly as it answered the one before.
+#[test]
+fn corrupted_answer_block_stays_on_its_rank() {
+    let coords: Vec<(f64, f64)> = (0..12).map(|i| (1.0 + i as f64, 15.0 - i as f64)).collect();
+    let cfg = WorldConfig::new(Topology::single_node(3)).with_check(CheckMode::Strict);
+    let out = World::run(cfg, move |comm| {
+        let (rank, p) = (comm.rank(), comm.size());
+        let sd = mk_decomp(WORLD, 0, 3, p);
+        let owned = owned_replicas(&*sd, &mk_features(&coords), rank);
+        let mut eng = QueryEngine::from_parts(comm, sd, owned, &EngineOptions::default());
+        let batch = [
+            Query::Range(Rect::new(2.0, 2.0, 14.0, 14.0)),
+            Query::Knn {
+                at: Point::new(8.0, 8.0),
+                k: 3,
+            },
+        ];
+        let before = eng.serve(comm, &batch).unwrap().answers;
+
+        let mut round = 0u32;
+        let mut feed = |_: &mut Comm| {
+            let mut batch = SerializedBatch::empty(p);
+            for dst in 0..p {
+                batch.bufs[dst] = if round == 0 {
+                    answer_block(0, &[], &["f001", "f002"])
+                } else {
+                    answer_block(1, &[0.5, 1.5], &["f003", "f004"])
+                };
+                if (rank, round, dst) == (1, 1, 0) {
+                    batch.bufs[dst].truncate(30); // mid-way through the matches
+                }
+                batch.records[dst] = 1;
+            }
+            round += 1;
+            Ok(Some(ExchangeRound {
+                batch,
+                lanes: Vec::new(),
+                more: round < 2,
+            }))
+        };
+        let mut matches = 0u64;
+        let plan = ExchangePlan::new(comm, &ExchangeOptions::with_chunk(ExchangeChunk::Unlimited));
+        let result = plan.run(comm, &mut feed, &mut |_, bufs| {
+            let mut blocks = 0;
+            for buf in &bufs {
+                let mut entries = answer_entries(buf);
+                for entry in entries.by_ref() {
+                    entry?;
+                    matches += 1;
+                }
+                blocks += entries.blocks();
+            }
+            Ok(blocks)
+        });
+
+        let after = eng.serve(comm, &batch).unwrap().answers;
+        assert!(!before[0].is_empty() && before[1].len() == 3);
+        assert_eq!(before, after, "rank {rank} must keep answering");
+        (result.map(|s| (s.rounds, s.records_received)), matches)
+    });
+    match &out[0] {
+        // Round 0 arrived whole; round 1 failed on rank 1's torn block
+        // after rank 0's own two matches were walked.
+        (Err(CoreError::Frame(msg)), 8) if msg.contains("serve protocol") => {}
+        other => panic!("rank 0: {other:?}"),
+    }
+    for (rank, peer) in out.iter().enumerate().skip(1) {
+        match peer {
+            (Ok((2, 6)), 12) => {}
+            other => panic!("rank {rank}: {other:?}"),
         }
     }
 }

@@ -2,8 +2,8 @@
 //! trips, rectangle algebra, and index-vs-brute-force equivalence.
 
 use mpi_vector_io::geom::algo::{
-    point_geometry_distance, point_in_polygon, rect_intersects_geometry, segments_intersect,
-    PointLocation,
+    point_geometry_distance, point_in_polygon, rect_contains_any_vertex, rect_intersects_geometry,
+    segments_intersect, PointLocation,
 };
 use mpi_vector_io::geom::index::RTree;
 use mpi_vector_io::geom::{wkb, wkt, Geometry, LineString, Point, Polygon, Rect};
@@ -99,6 +99,25 @@ fn arb_geometry_full() -> impl Strategy<Value = Geometry> {
             Geometry::GeometryCollection(mpi_vector_io::geom::GeometryCollection(v))
         }),
     ]
+}
+
+/// Every vertex of `g`, in the order its rings and parts store them.
+fn vertices(g: &Geometry, out: &mut Vec<Point>) {
+    let polygon = |p: &Polygon, out: &mut Vec<Point>| {
+        out.extend_from_slice(p.exterior().points());
+        for hole in p.interiors() {
+            out.extend_from_slice(hole.points());
+        }
+    };
+    match g {
+        Geometry::Point(p) => out.push(*p),
+        Geometry::LineString(l) => out.extend_from_slice(l.points()),
+        Geometry::Polygon(p) => polygon(p, out),
+        Geometry::MultiPoint(m) => out.extend_from_slice(&m.0),
+        Geometry::MultiLineString(m) => m.0.iter().for_each(|l| out.extend_from_slice(l.points())),
+        Geometry::MultiPolygon(m) => m.0.iter().for_each(|p| polygon(p, out)),
+        Geometry::GeometryCollection(c) => c.0.iter().for_each(|g| vertices(g, out)),
+    }
 }
 
 proptest! {
@@ -358,6 +377,61 @@ proptest! {
                 env.max_y + margin[grow.3],
             );
             prop_assert!(window.contains(&env));
+            prop_assert!(rect_intersects_geometry(&window, &g), "window {:?}", window);
+        }
+    }
+
+    /// The serving filter's second true-hit rule, over every geometry
+    /// variant (holes, multi-part, collections nested two deep): when the
+    /// vertex scan finds a vertex inside the closed window — strictly
+    /// inside, exactly on an edge, exactly on a corner, or the window is
+    /// the degenerate rectangle of a point query sitting on the vertex —
+    /// the exact test agrees, so it can be skipped. The scan reports a
+    /// hit exactly when some vertex is inside, stops at the first, never
+    /// examines more vertices than the geometry has, and never hits a
+    /// geometry without vertices.
+    #[test]
+    fn a_vertex_in_the_window_implies_exact_intersection(
+        g in arb_geometry_full(),
+        nest in any::<bool>(),
+        pick in any::<usize>(),
+        placement in 0usize..5,
+        (w, h) in (0.0f64..3.0, 0.0f64..3.0),
+        free in arb_rect(),
+    ) {
+        use mpi_vector_io::geom::{GeometryCollection, MultiPoint};
+        let g = if nest {
+            Geometry::GeometryCollection(GeometryCollection(vec![
+                Geometry::MultiPoint(MultiPoint(vec![])),
+                Geometry::GeometryCollection(GeometryCollection(vec![g])),
+            ]))
+        } else {
+            g
+        };
+        let mut all = Vec::new();
+        vertices(&g, &mut all);
+        prop_assert_eq!(all.len(), g.num_points());
+        let window = match all.get(pick % all.len().max(1)) {
+            // Empty geometry: nothing to anchor on.
+            None => free,
+            Some(v) => match placement {
+                0 => v.envelope(),
+                1 => Rect::new(v.x, v.y - h, v.x + w, v.y + h),
+                2 => Rect::new(v.x - w, v.y - h, v.x, v.y),
+                3 => Rect::new(v.x - w, v.y - h, v.x + w, v.y + h),
+                _ => free,
+            },
+        };
+        let (hit, examined) = rect_contains_any_vertex(&window, &g);
+        let first_inside = all.iter().position(|p| window.contains_point(p));
+        prop_assert_eq!(hit, first_inside.is_some(), "window {:?}", window);
+        // Early exit: the scan stops on the first vertex inside.
+        let expected = first_inside.map_or(all.len(), |i| i + 1);
+        prop_assert_eq!(examined, expected as u64, "window {:?}", window);
+        if placement < 4 && !all.is_empty() {
+            prop_assert!(hit, "the anchoring vertex is inside {:?}", window);
+        }
+        if hit {
             prop_assert!(rect_intersects_geometry(&window, &g), "window {:?}", window);
         }
     }

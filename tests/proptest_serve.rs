@@ -73,6 +73,28 @@ proptest! {
                 distinct.push(*q);
             }
         }
+        // `ServeStats::result_records` counts matches, not the answer
+        // blocks that carry them: summed over the routed queries, the
+        // range/point answer sizes plus, for a kNN, every owner's local
+        // top-k — the answer's size before the issuer truncates it. A
+        // feature counts on the rank owning its reference cell.
+        let sd = mk_decomp(WORLD, policy, side, ranks);
+        let mut reference_features = vec![0u64; ranks];
+        for f in &features {
+            let cell = sd
+                .reference_cell(&f.geometry.envelope())
+                .expect("features lie inside the world");
+            reference_features[sd.cell_to_rank(cell)] += 1;
+        }
+        let routed_matches: u64 = distinct
+            .iter()
+            .map(|q| match q {
+                Query::Knn { k, .. } => {
+                    reference_features.iter().map(|&n| n.min(u64::from(*k))).sum()
+                }
+                q => oracle(&features, q).len() as u64,
+            })
+            .sum();
 
         let coords = Arc::new(coords);
         let batch = Arc::new(queries);
@@ -107,13 +129,30 @@ proptest! {
             // The cold pass routes each distinct query exactly once.
             prop_assert_eq!(stats1.answered_from_cache, 0u64);
             prop_assert_eq!(stats1.routed as usize, distinct.len());
+            prop_assert_eq!(stats1.result_records, routed_matches);
+            // Blocks carry at least one match each, and never more
+            // matches than were found.
+            let blocks = stats1.result_exchange.records_received;
+            prop_assert!(blocks <= routed_matches && (blocks > 0) == (routed_matches > 0));
+            match chunk {
+                // Uncapped, a query's answer is one block per owner.
+                ExchangeChunk::Unlimited => {
+                    prop_assert!(blocks <= (distinct.len() * ranks) as u64)
+                }
+                // A block closes at the cap (no entry here is near it).
+                ExchangeChunk::Bytes(cap) => {
+                    prop_assert!(stats1.result_exchange.bytes_received <= blocks * cap)
+                }
+            }
             if cache {
                 // Every instance, repeats included, comes from the cache.
                 prop_assert_eq!(stats2.answered_from_cache as usize, expected.len());
                 prop_assert_eq!(stats2.routed, 0u64);
+                prop_assert_eq!(stats2.result_records, 0u64);
             } else {
                 prop_assert_eq!(stats2.answered_from_cache, 0u64);
                 prop_assert_eq!(stats2.routed as usize, distinct.len());
+                prop_assert_eq!(stats2.result_records, routed_matches);
             }
         }
     }
