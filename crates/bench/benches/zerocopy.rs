@@ -1,7 +1,9 @@
 //! Criterion micro-benchmarks of the zero-copy read path: borrowed WKB
 //! views versus the owned decoder, and the batched MBR/refine kernels
 //! versus their scalar per-candidate equivalents. These are the real-CPU
-//! hot paths behind the `refine` repro experiment's virtual-time ratio.
+//! hot paths of everything that reads validated wire frames in place: the
+//! join's filter and arena refine, and the resident engine's envelope
+//! pass and candidate materialization.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use mvio_geom::refkernel::{envelope_batch, filter_pairs_batch, RefineArena};
@@ -9,8 +11,8 @@ use mvio_geom::wkb::{self, GeomRef};
 use mvio_geom::{Geometry, LineString, Point, Polygon, Rect};
 
 /// A closed lattice ring with exactly `verts` stored vertices: a zigzag
-/// walk over a unit grid, the dense-geometry shape the tentpole's
-/// acceptance bar measures (500-vertex lattice).
+/// walk over a unit grid — the dense-geometry shape (500-vertex lattice)
+/// where decoding and materializing dominate.
 fn lattice_polygon(verts: usize, origin: (f64, f64)) -> Geometry {
     let half = verts / 2;
     let mut pts = Vec::with_capacity(verts + 1);

@@ -26,7 +26,7 @@
 use super::{cost_scaled, full_seconds, Scale};
 use crate::report::Table;
 use mvio_core::decomp::{imbalance_ratio, AdaptiveBisection, SpatialDecomposition};
-use mvio_core::exchange::{serialize_record, ExchangeChunk};
+use mvio_core::exchange::ExchangeChunk;
 use mvio_core::grid::{GridSpec, UniformGrid};
 use mvio_core::Feature;
 use mvio_datagen::MovingHotspot;
@@ -161,21 +161,13 @@ fn base_decomposition(ranks: usize) -> (Box<dyn SpatialDecomposition>, Vec<Featu
     )
 }
 
-/// Serialized wire size of this rank's resident partition — what a
-/// full re-shuffle would ship from this rank.
-fn partition_bytes(resident: &[(u32, Feature)]) -> u64 {
-    let (mut scratch, mut out) = (Vec::new(), Vec::new());
-    for (cell, f) in resident {
-        serialize_record(*cell, f, &mut scratch, &mut out).expect("resident replicas serialize");
-    }
-    out.len() as u64
-}
-
 /// Per-rank, per-step sample returned from the simulation closure.
 struct StepSample {
     owned: u64,
     rebalanced: bool,
     shipped_bytes: u64,
+    /// Wire size of this rank's resident partition — what a full
+    /// re-shuffle would ship from this rank.
     partition_bytes: u64,
 }
 
@@ -236,7 +228,7 @@ fn measure_one(scale: Scale, ranks: usize, mode: &'static str, policy: Rebalance
                 owned: eng.resident_replicas() as u64,
                 rebalanced: rep.rebalanced,
                 shipped_bytes: rep.migration.shipped_bytes,
-                partition_bytes: partition_bytes(eng.resident()),
+                partition_bytes: eng.resident().map(|fr| fr.wire_len() as u64).sum(),
             });
         }
         (comm.now() - start, samples)

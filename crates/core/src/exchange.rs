@@ -31,9 +31,11 @@
 //! There is one protocol entry, [`ExchangePlan::run`]: it hands each
 //! completed round's raw received buffers to the caller's sink, which
 //! decodes them with one of two helpers — [`decode_records`] (owned
-//! `(cell, Feature)` pairs, for state that stays resident) or
+//! `(cell, Feature)` pairs: ingest and the owned snapshot reload) or
 //! [`validate_round`] (frames validated once and then borrowed in place
-//! through [`record_frames`] / [`FrameStore`], for join and serve).
+//! through [`record_frames`] / [`FrameStore`], for join and serve — and
+//! kept as they are by the resident engine,
+//! [`crate::resident::ResidentStore`]).
 //!
 //! Routing is decomposition-agnostic: pairs go to whichever rank the
 //! [`SpatialDecomposition`] assigns their cell to, whether that is the
@@ -57,7 +59,7 @@ use mvio_msim::{Comm, ProgressEngine, Work};
 
 /// Fixed bytes of one wire record: the cell word and the two length
 /// fields around the geometry and userdata payloads.
-const RECORD_OVERHEAD: usize = 16;
+pub(crate) const RECORD_OVERHEAD: usize = 16;
 
 /// High bit of a size-exchange value: "this rank will post at least one
 /// more round after this one".
@@ -241,7 +243,9 @@ fn deserialize_records(mut buf: &[u8]) -> Result<Vec<(u32, Feature)>> {
             record: "<wkb>".into(),
             source: e,
         })?;
-        debug_assert_eq!(used, glen);
+        if used != glen {
+            return Err(bad("geometry length disagrees with its WKB payload"));
+        }
         buf = &buf[glen..];
         let ulen = le_len(buf, 0)?;
         buf = &buf[4..];
@@ -299,6 +303,17 @@ impl RecordFrame<'_> {
     /// appends).
     pub fn wire_len(&self) -> usize {
         RECORD_OVERHEAD + self.wkb.len() + self.userdata.len()
+    }
+
+    /// Decodes the frame into an owned [`Feature`] — for consumers that
+    /// want objects after all (oracles, the snapshot writer's callers);
+    /// the hot paths read the frame in place.
+    pub fn to_feature(&self) -> Result<Feature> {
+        let (view, _) = wkb::decode_ref(self.wkb).map_err(|e| CoreError::Parse {
+            record: "<wkb>".into(),
+            source: e,
+        })?;
+        Ok(Feature::with_userdata(view.to_geometry(), self.userdata))
     }
 }
 
@@ -416,6 +431,11 @@ impl FrameStore {
     /// Total records across all sources.
     pub fn records(&self) -> u64 {
         self.records
+    }
+
+    /// The validated buffers, one per source rank.
+    pub(crate) fn buffers(&self) -> &[Vec<u8>] {
+        &self.per_src
     }
 
     /// Iterates every record frame in source-rank order — the exact
@@ -879,8 +899,8 @@ fn drain_round(
 /// deserializes one completed round's buffers into `(cell, Feature)`
 /// pairs per source rank and charges the per-record materialization
 /// ([`Work::SerializeGeoms`] — one fixed cost per record plus the byte
-/// copy). What the resident consumers use (ingest, snapshot reload,
-/// update routing, migration): their state is owned by design.
+/// copy). What the consumers that still hold objects use: ingest and
+/// the owned snapshot reload.
 /// Not collective — the communicator only charges the decode.
 pub fn decode_records(comm: &mut Comm, bufs: &[Vec<u8>]) -> Result<Vec<Vec<(u32, Feature)>>> {
     let mut per_src = Vec::with_capacity(bufs.len());
@@ -1034,8 +1054,8 @@ impl BatchSplitter {
 /// Single-window exchange of pre-serialized per-destination buffers: the
 /// staged `Alltoall` + `Alltoallv` protocol of [`exchange_features`]
 /// without the serialization pass, which the caller (the ingest pipeline,
-/// the snapshot reader, the migration) already performed — and already
-/// charged to the clock. Only the receive-side deserialization is charged
+/// the snapshot reader) already performed — and already charged to the
+/// clock. Only the receive-side deserialization is charged
 /// here. The received pairs come back in source-rank order —
 /// bit-identical to the single-round blocking protocol for **any** chunk
 /// policy.
@@ -1107,14 +1127,7 @@ mod tests {
     /// decode of the same bytes.
     fn materialize<'a>(frames: impl Iterator<Item = RecordFrame<'a>>) -> Vec<(u32, Feature)> {
         frames
-            .map(|fr| {
-                let (g, used) = mvio_geom::wkb::decode_ref(fr.wkb).unwrap();
-                assert_eq!(used, fr.wkb.len());
-                (
-                    fr.cell,
-                    Feature::with_userdata(g.to_geometry(), fr.userdata),
-                )
-            })
+            .map(|fr| (fr.cell, fr.to_feature().unwrap()))
             .collect()
     }
 
@@ -1621,6 +1634,164 @@ mod tests {
         bad_ud[ud_at] = 0xff;
         assert!(deserialize_records(&bad_ud).is_err());
         assert!(validate_frames(&bad_ud).is_err());
+    }
+
+    /// A valid four-record buffer covering the record shapes — empty and
+    /// non-ASCII userdata, a ring with a hole, a nested collection — with
+    /// its decoded form and the offset every record starts at.
+    fn sample_records() -> (Vec<u8>, Vec<(u32, Feature)>, Vec<usize>) {
+        let records: Vec<(u32, Feature)> = [
+            (7, "POINT (1 2)", "name=a"),
+            (
+                0,
+                "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (1 1, 2 1, 2 2, 1 2, 1 1))",
+                "",
+            ),
+            (u32::MAX, "LINESTRING (0 0, 5 5, 9 1)", "δ"),
+            (
+                3,
+                "GEOMETRYCOLLECTION (POINT (4 1), MULTIPOINT ((1 2), (3 4)))",
+                "x",
+            ),
+        ]
+        .into_iter()
+        .map(|(cell, g, ud)| (cell, Feature::with_userdata(wkt::parse(g).unwrap(), ud)))
+        .collect();
+        let (mut buf, mut starts) = (Vec::new(), Vec::new());
+        for (cell, f) in &records {
+            starts.push(buf.len());
+            serialize_record(*cell, f, &mut Vec::new(), &mut buf).unwrap();
+        }
+        (buf, records, starts)
+    }
+
+    /// ROADMAP item 7(b) for the record format (`docs/FORMAT.md` §1):
+    /// whatever is done to a valid buffer, [`validate_frames`] answers
+    /// with a typed error or accepts — and what it accepts,
+    /// [`record_frames`] walks and decodes without a panic (an arithmetic
+    /// overflow under debug assertions included), in agreement with the
+    /// owned decoder. Resident state trusts its bytes after this one
+    /// check.
+    #[test]
+    fn frame_validator_survives_every_mutation() {
+        let (valid, records, starts) = sample_records();
+        let check = |buf: &[u8]| -> Option<Vec<(u32, Feature)>> {
+            let owned = deserialize_records(buf);
+            match validate_frames(buf) {
+                Ok(n) => {
+                    let walked = materialize(record_frames(buf));
+                    assert_eq!(walked.len() as u64, n);
+                    // Compared as text: a mutated point may hold a NaN.
+                    assert_eq!(format!("{:?}", owned.unwrap()), format!("{walked:?}"));
+                    Some(walked)
+                }
+                Err(CoreError::Frame(_) | CoreError::Parse { .. }) => {
+                    assert!(owned.is_err(), "only the frame validator rejects");
+                    None
+                }
+                Err(other) => panic!("untyped validator error: {other:?}"),
+            }
+        };
+        assert_eq!(check(&valid).unwrap(), records);
+
+        // Truncation at every offset: a cut between records is the valid
+        // prefix, any other cut is an error.
+        for cut in 0..valid.len() {
+            let got = check(&valid[..cut]);
+            match starts.iter().position(|&s| s == cut) {
+                Some(whole) => assert_eq!(got.unwrap(), records[..whole], "cut {cut}"),
+                None => assert!(got.is_none(), "cut {cut} inside a record parsed"),
+            }
+        }
+
+        let u32_at = |buf: &[u8], at: usize| {
+            u32::from_le_bytes(buf[at..at + 4].try_into().unwrap()) as usize
+        };
+        for (r, &start) in starts.iter().enumerate() {
+            let glen = u32_at(&valid, start + 8);
+            let (wkb_at, ulen_at) = (start + 12, start + 12 + glen);
+
+            // The cell word: every u32 value is a cell, anything above is
+            // an error — never a truncated alias.
+            let cell = u64::from(records[r].0);
+            for word in [
+                0,
+                u64::MAX,
+                cell.wrapping_add(1),
+                cell.wrapping_sub(1),
+                1 << 32,
+            ] {
+                let mut buf = valid.clone();
+                buf[start..start + 8].copy_from_slice(&word.to_le_bytes());
+                match (check(&buf), u32::try_from(word)) {
+                    (Some(got), Ok(cell)) => {
+                        assert_eq!(got[r].0, cell);
+                        assert_eq!(got[r].1, records[r].1);
+                    }
+                    (None, Err(_)) => {}
+                    (got, _) => panic!("record {r} cell word {word:#x}: {got:?}"),
+                }
+            }
+
+            // Both length fields, and every u32 window inside the geometry
+            // (its type words, its ring, point and member counts, and —
+            // harmlessly — halves of coordinates): a wrong length field
+            // may never reproduce the original parse.
+            let words = (wkb_at + 1..ulen_at.saturating_sub(3)).chain([start + 8, ulen_at]);
+            for at in words {
+                let len = u32::from_le_bytes(valid[at..at + 4].try_into().unwrap());
+                for value in [0, u32::MAX, len.wrapping_add(1), len.wrapping_sub(1)] {
+                    let mut buf = valid.clone();
+                    buf[at..at + 4].copy_from_slice(&value.to_le_bytes());
+                    let got = check(&buf);
+                    if (at == start + 8 || at == ulen_at) && value != len {
+                        assert_ne!(got.as_ref(), Some(&records), "field at {at} := {value}");
+                    }
+                }
+            }
+
+            // The WKB byte-order marker: big-endian reinterprets every
+            // word after it, anything else is no marker at all.
+            for marker in [0u8, 2, 0xFF] {
+                let mut buf = valid.clone();
+                buf[wkb_at] = marker;
+                assert_ne!(
+                    check(&buf).as_ref(),
+                    Some(&records),
+                    "record {r} marker {marker}"
+                );
+            }
+            // The type word: the seven codes and one past them.
+            for code in 0u32..=8 {
+                let mut buf = valid.clone();
+                buf[wkb_at + 1..wkb_at + 5].copy_from_slice(&code.to_le_bytes());
+                check(&buf);
+            }
+
+            // Non-UTF-8 userdata (records with any).
+            let ulen = u32_at(&valid, ulen_at);
+            if ulen > 0 {
+                let mut buf = valid.clone();
+                buf[ulen_at + 4] = 0xFF;
+                assert!(
+                    check(&buf).is_none(),
+                    "record {r}: non-UTF-8 userdata accepted"
+                );
+            }
+        }
+
+        // Splices: the head of one record run into the tail of another,
+        // at every pair of offsets inside the first two records.
+        let (a, b) = (&valid[..starts[1]], &valid[starts[1]..starts[2]]);
+        for i in 0..=a.len() {
+            for j in 0..=b.len() {
+                check(&[&a[..i], &b[j..]].concat());
+            }
+        }
+        // Whole valid records in any order still parse, to their sum.
+        let swapped = [b, a].concat();
+        let got = check(&swapped).unwrap();
+        assert_eq!(got, vec![records[1].clone(), records[0].clone()]);
     }
 
     /// The zero-copy exchange is the owned exchange, bit for bit: same

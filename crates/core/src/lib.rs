@@ -48,6 +48,7 @@ pub mod partition;
 pub mod pipeline;
 pub mod reader;
 pub mod rebalance;
+pub mod resident;
 pub mod snapshot;
 pub mod spops;
 pub mod sptypes;
@@ -73,6 +74,8 @@ pub use snapshot::{
     read_partitioned, read_partitioned_frames, write_partitioned, SnapshotMeta,
     SnapshotReadOptions, SnapshotReadReport, SnapshotWriteOptions, SnapshotWriteReport,
 };
+
+pub use resident::ResidentStore;
 
 use mvio_geom::Geometry;
 

@@ -32,11 +32,12 @@
 
 use crate::decomp::{imbalance_ratio, AdaptiveBisection, SpatialDecomposition};
 use crate::exchange::{
-    decode_records, exchange_serialized_with, serialize_record, ExchangeChunk, ExchangeOptions,
-    ExchangePlan, ExchangeStats,
+    serialize_record, ExchangeChunk, ExchangeOptions, ExchangePlan, ExchangeStats, SerializedBatch,
 };
 use crate::grid::UniformGrid;
+use crate::resident::ResidentStore;
 use crate::{CoreError, Feature, Result};
+use mvio_geom::Rect;
 use mvio_msim::{Comm, ReduceOp, Work};
 
 /// Online-rebalance sizing policy.
@@ -94,7 +95,7 @@ pub struct UpdateStats {
 /// `mbr` — the engine's kNN dedup rule, shared here so the drift
 /// histogram counts each feature exactly once globally (degenerate
 /// reference corners fall back to the lowest overlapping cell).
-fn is_reference(sd: &dyn SpatialDecomposition, cell: u32, mbr: &mvio_geom::Rect) -> bool {
+fn is_reference(sd: &dyn SpatialDecomposition, cell: u32, mbr: &Rect) -> bool {
     match sd.reference_cell(mbr) {
         Some(c) => c == cell,
         None => sd.cells_for_rect_vec(mbr).first() == Some(&cell),
@@ -132,20 +133,18 @@ impl DriftTracker {
 
     /// Rebuilds the tracker from a resident replica set (used at engine
     /// construction and after a migration rewires cell ownership).
-    pub fn rebuild(sd: &dyn SpatialDecomposition, owned: &[(u32, Feature)]) -> Self {
+    pub fn rebuild(sd: &dyn SpatialDecomposition, store: &ResidentStore) -> Self {
         let mut t = DriftTracker::new(sd.num_cells());
-        for (cell, f) in owned {
-            if is_reference(sd, *cell, &f.geometry.envelope()) {
-                t.counts[*cell as usize] += 1;
-            }
+        for (cell, mbr) in store.replicas() {
+            t.record(sd, cell, mbr, 1);
         }
         t
     }
 
     /// Applies one replica arrival/removal: bumps the cell's count when
-    /// the replica is its feature's reference copy.
-    fn record(&mut self, sd: &dyn SpatialDecomposition, cell: u32, f: &Feature, delta: i64) {
-        if is_reference(sd, cell, &f.geometry.envelope()) {
+    /// the replica (of envelope `mbr`) is its feature's reference copy.
+    fn record(&mut self, sd: &dyn SpatialDecomposition, cell: u32, mbr: &Rect, delta: i64) {
+        if is_reference(sd, cell, mbr) {
             self.counts[cell as usize] += delta;
         }
     }
@@ -187,20 +186,32 @@ impl DriftTracker {
 /// Inserts and deletes are routed to the ranks owning their overlapping
 /// cells over two staged [`ExchangePlan`] runs (inserts first, then
 /// deletes, so a batch that inserts a feature and deletes it again
-/// resolves to its absence on every rank). Received records are applied
-/// to `owned` inside the exchange sinks, overlapped with the rounds
-/// still in flight; `tracker`, when supplied, absorbs every applied
-/// reference-replica delta.
+/// resolves to its absence on every rank). Received rounds are applied to
+/// `store` inside the exchange sinks, overlapped with the rounds still in
+/// flight, **as bytes**: a round is validated whole and then its records
+/// are appended ([`ResidentStore::append_round`]) or matched and removed
+/// ([`ResidentStore::delete_round`], which documents the match rule) —
+/// no [`Feature`] is built on the receiving side. `tracker`, when
+/// supplied, absorbs every applied reference-replica delta.
+///
+/// What is charged: the submitting rank pays [`Work::SerializeGeoms`] for
+/// every record it encodes from its `updates` (one per overlapped cell);
+/// a receiving rank pays the validation scan ([`Work::CopyBytes`]) and
+/// one [`Work::MbrTests`] per record, for an insert's envelope and for a
+/// delete's keyed compare.
 ///
 /// Validation is symmetric: an insert with a non-finite/empty envelope
 /// or one not intersecting the resident bounds (the fixed cell tiling
 /// could only drop it silently) rejects the whole call on every rank
 /// with [`CoreError::InvalidOptions`] before anything ships, and the
-/// partition is left untouched world-wide.
+/// partition is left untouched world-wide. A rank that receives a corrupt
+/// round returns the typed error alone, after completing every
+/// collective; its store holds the rounds that arrived before and nothing
+/// of the corrupt one or of those after it.
 pub fn apply_updates(
     comm: &mut Comm,
     sd: &dyn SpatialDecomposition,
-    owned: &mut Vec<(u32, Feature)>,
+    store: &mut ResidentStore,
     updates: &[Update],
     chunk: ExchangeChunk,
     mut tracker: Option<&mut DriftTracker>,
@@ -211,8 +222,8 @@ pub fn apply_updates(
     // Serialize both trips up front; any local failure (out-of-bounds
     // insert, oversized record) folds into one symmetric rejection.
     let mut local_err: Option<CoreError> = None;
-    let mut inserts = crate::exchange::SerializedBatch::empty(p);
-    let mut deletes = crate::exchange::SerializedBatch::empty(p);
+    let mut inserts = SerializedBatch::empty(p);
+    let mut deletes = SerializedBatch::empty(p);
     let mut scratch = Vec::new();
     let mut cells: Vec<u32> = Vec::new();
     let mut routed_bytes = 0u64;
@@ -273,14 +284,13 @@ pub fn apply_updates(
     // Trip 1: inserts land as fresh replicas.
     stats.insert_exchange = comm.labeled("rebalance.inserts", |c| {
         plan.run(c, &mut inserts.into_feed(&plan), &mut |c, bufs| {
-            let mut records = 0u64;
-            for (cell, f) in decode_records(c, &bufs)?.into_iter().flatten() {
-                records += 1;
-                if let Some(t) = tracker.as_deref_mut() {
-                    t.record(sd, cell, &f, 1);
+            let landed = store.append_round(c, &bufs)?;
+            if let Some(t) = tracker.as_deref_mut() {
+                for i in landed.clone() {
+                    t.record(sd, store.cell(i), store.envelope(i), 1);
                 }
-                owned.push((cell, f));
             }
+            let records = landed.len() as u64;
             stats.inserted_replicas += records;
             Ok(records)
         })
@@ -289,21 +299,14 @@ pub fn apply_updates(
     // Trip 2: each delete record removes one matching resident replica.
     stats.delete_exchange = comm.labeled("rebalance.deletes", |c| {
         plan.run(c, &mut deletes.into_feed(&plan), &mut |c, bufs| {
-            let mut records = 0u64;
-            for (cell, f) in decode_records(c, &bufs)?.into_iter().flatten() {
-                records += 1;
-                match owned.iter().position(|(oc, of)| *oc == cell && *of == f) {
-                    Some(at) => {
-                        owned.swap_remove(at);
-                        if let Some(t) = tracker.as_deref_mut() {
-                            t.record(sd, cell, &f, -1);
-                        }
-                        stats.deleted_replicas += 1;
-                    }
-                    None => stats.missing_deletes += 1,
+            let out = store.delete_round(c, &bufs, &mut |cell, mbr| {
+                if let Some(t) = tracker.as_deref_mut() {
+                    t.record(sd, cell, mbr, -1);
                 }
-            }
-            Ok(records)
+            })?;
+            stats.deleted_replicas += out.records - out.missing;
+            stats.missing_deletes += out.missing;
+            Ok(out.records)
         })
     })?;
     Ok(stats)
@@ -332,6 +335,17 @@ pub struct MigrationStats {
 /// when the diff is empty the call returns immediately without posting
 /// any collective (and without touching a byte).
 ///
+/// Replicas travel as the records they are resident as: the sender copies
+/// a moved replica's bytes into its new owner's buffer
+/// ([`ResidentStore::drain_to`], charged [`Work::CopyBytes`] over the
+/// shipped bytes) and the receiver validates each round and appends it
+/// ([`ResidentStore::append_round`]: the validation scan plus one
+/// [`Work::MbrTests`] per record) — nothing is decoded or re-encoded on
+/// either side. A rank that receives a corrupt round returns the typed
+/// error alone, after the exchange has completed everywhere; it keeps
+/// the replicas that stayed and the rounds that arrived intact, and has
+/// already given up what it shipped.
+///
 /// Both decompositions must tile the same cell space (same bounds, same
 /// grid, same world size): the whole point of cell-granular rebalancing
 /// is that `(cell, feature)` pairs survive unchanged. A mismatch is
@@ -340,7 +354,7 @@ pub fn migrate_cells(
     comm: &mut Comm,
     from: &dyn SpatialDecomposition,
     to: &dyn SpatialDecomposition,
-    owned: &mut Vec<(u32, Feature)>,
+    store: &mut ResidentStore,
     chunk: ExchangeChunk,
 ) -> Result<MigrationStats> {
     if from.grid_spec() != to.grid_spec()
@@ -369,35 +383,22 @@ pub fn migrate_cells(
         return Ok(stats);
     }
 
-    // Split the resident set: replicas in moved cells serialize toward
+    // Split the resident set: replicas in moved cells are copied toward
     // their new owner, everything else stays put untouched.
-    let p = comm.size();
-    let mut batch = crate::exchange::SerializedBatch::empty(p);
-    let mut scratch = Vec::new();
-    let mut kept = Vec::with_capacity(owned.len());
-    for (cell, f) in owned.drain(..) {
-        if moved[cell as usize] {
-            let dest = to.cell_to_rank(cell);
-            serialize_record(cell, &f, &mut scratch, &mut batch.bufs[dest])?;
-            batch.records[dest] += 1;
-            stats.shipped_records += 1;
-        } else {
-            kept.push((cell, f));
-        }
-    }
-    *owned = kept;
-    stats.shipped_bytes = batch.bufs.iter().map(|b| b.len() as u64).sum();
-    comm.charge(Work::SerializeGeoms {
-        n: stats.shipped_records,
-        bytes: stats.shipped_bytes,
+    let mut batch = SerializedBatch::empty(comm.size());
+    let new_owner = |cell: u32| moved[cell as usize].then(|| to.cell_to_rank(cell));
+    stats.shipped_bytes = store.drain_to(new_owner, &mut batch);
+    stats.shipped_records = batch.records.iter().sum();
+    comm.charge(Work::CopyBytes {
+        n: stats.shipped_bytes,
     });
 
-    let ex_opts = ExchangeOptions::with_chunk(chunk);
-    let (received, xstats) = comm.labeled("rebalance.migrate", |c| {
-        exchange_serialized_with(c, batch, &ex_opts)
+    let plan = ExchangePlan::new(comm, &ExchangeOptions::with_chunk(chunk));
+    stats.exchange = comm.labeled("rebalance.migrate", |c| {
+        plan.run(c, &mut batch.into_feed(&plan), &mut |c, bufs| {
+            Ok(store.append_round(c, &bufs)?.len() as u64)
+        })
     })?;
-    owned.extend(received);
-    stats.exchange = xstats;
     Ok(stats)
 }
 
@@ -437,11 +438,11 @@ pub struct Rebalancer {
 
 impl Rebalancer {
     /// Builds a rebalancer over an existing resident partition,
-    /// initializing the drift histogram from the owned replicas.
-    pub fn new(threshold: f64, sd: &dyn SpatialDecomposition, owned: &[(u32, Feature)]) -> Self {
+    /// initializing the drift histogram from the resident replicas.
+    pub fn new(threshold: f64, sd: &dyn SpatialDecomposition, store: &ResidentStore) -> Self {
         Rebalancer {
             threshold: threshold.max(1.0),
-            tracker: DriftTracker::rebuild(sd, owned),
+            tracker: DriftTracker::rebuild(sd, store),
         }
     }
 
@@ -450,9 +451,9 @@ impl Rebalancer {
     pub fn from_policy(
         policy: RebalancePolicy,
         sd: &dyn SpatialDecomposition,
-        owned: &[(u32, Feature)],
+        store: &ResidentStore,
     ) -> Option<Self> {
-        policy.resolve().map(|t| Self::new(t, sd, owned))
+        policy.resolve().map(|t| Self::new(t, sd, store))
     }
 
     /// The imbalance threshold in force.
@@ -477,7 +478,7 @@ impl Rebalancer {
         &mut self,
         comm: &mut Comm,
         sd: &mut Box<dyn SpatialDecomposition>,
-        owned: &mut Vec<(u32, Feature)>,
+        store: &mut ResidentStore,
         chunk: ExchangeChunk,
     ) -> Result<RebalanceReport> {
         let hist = self.tracker.global_histogram(comm);
@@ -506,7 +507,7 @@ impl Rebalancer {
             // same verdict everywhere.
             return Ok(report);
         }
-        report.migration = migrate_cells(comm, &**sd, &next, owned, chunk)?;
+        report.migration = migrate_cells(comm, &**sd, &next, store, chunk)?;
         *sd = Box::new(next);
         self.tracker.adopt(comm, &**sd, &hist);
         report.rebalanced = true;
@@ -549,9 +550,31 @@ mod tests {
         owned
     }
 
-    fn sorted(mut v: Vec<(u32, Feature)>) -> Vec<(u32, String)> {
-        v.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.userdata.cmp(&b.1.userdata)));
-        v.into_iter().map(|(c, f)| (c, f.userdata)).collect()
+    /// [`fresh_owned`] as the store an engine would hold.
+    fn fresh_store(
+        comm: &mut Comm,
+        sd: &dyn SpatialDecomposition,
+        features: &[Feature],
+    ) -> ResidentStore {
+        ResidentStore::from_owned(comm, fresh_owned(sd, features, comm.rank())).unwrap()
+    }
+
+    /// The store's live `(cell, userdata)` pairs, sorted.
+    fn sorted(store: &ResidentStore) -> Vec<(u32, String)> {
+        let mut v: Vec<(u32, String)> = store
+            .frames()
+            .map(|fr| (fr.cell, fr.userdata.to_string()))
+            .collect();
+        v.sort();
+        v
+    }
+
+    /// The store's live records, byte for byte, in slot order.
+    fn records(store: &ResidentStore) -> Vec<(u32, Vec<u8>, String)> {
+        store
+            .frames()
+            .map(|fr| (fr.cell, fr.wkb.to_vec(), fr.userdata.to_string()))
+            .collect()
     }
 
     #[test]
@@ -570,7 +593,7 @@ mod tests {
         let out = World::run(WorldConfig::new(Topology::single_node(4)), move |comm| {
             let sd = UniformDecomposition::new(grid(4, 8.0), CellMap::RoundRobin, comm.size());
             let base: Vec<Feature> = vec![pt(1.0, 1.0, "a"), pt(6.5, 6.5, "b")];
-            let mut owned = fresh_owned(&sd, &base, comm.rank());
+            let mut owned = fresh_store(comm, &sd, &base);
             let mut tracker = DriftTracker::rebuild(&sd, &owned);
             // Rank 0 inserts, rank 1 deletes; everyone participates.
             let updates: Vec<Update> = match comm.rank() {
@@ -590,12 +613,12 @@ mod tests {
                 Some(&mut tracker),
             )
             .unwrap();
-            let want = fresh_owned(
+            let want = fresh_store(
+                comm,
                 &sd,
                 &[pt(6.5, 6.5, "b"), pt(3.2, 3.2, "c"), pt(6.5, 6.5, "d")],
-                comm.rank(),
             );
-            assert_eq!(sorted(owned.clone()), sorted(want));
+            assert_eq!(sorted(&owned), sorted(&want));
             assert_eq!(stats.missing_deletes, 0);
             assert_eq!(tracker, DriftTracker::rebuild(&sd, &owned));
             stats.inserted_replicas + stats.deleted_replicas
@@ -610,8 +633,8 @@ mod tests {
         let out = World::run(WorldConfig::new(Topology::single_node(2)), move |comm| {
             let sd = UniformDecomposition::new(grid(2, 4.0), CellMap::RoundRobin, comm.size());
             let base = vec![pt(1.0, 1.0, "a")];
-            let mut owned = fresh_owned(&sd, &base, comm.rank());
-            let before = owned.clone();
+            let mut owned = fresh_store(comm, &sd, &base);
+            let before = records(&owned);
             // Only rank 0 submits the bad insert; both must reject.
             let updates = if comm.rank() == 0 {
                 vec![Update::Insert(pt(99.0, 99.0, "far"))]
@@ -627,7 +650,7 @@ mod tests {
                 None,
             )
             .err();
-            assert_eq!(owned, before, "rejected batch must not mutate");
+            assert_eq!(records(&owned), before, "rejected batch must not mutate");
             matches!(err, Some(CoreError::InvalidOptions(_)))
         });
         assert_eq!(out, vec![true, true]);
@@ -637,7 +660,7 @@ mod tests {
     fn deleting_an_absent_feature_is_a_counted_noop() {
         let out = World::run(WorldConfig::new(Topology::single_node(2)), move |comm| {
             let sd = UniformDecomposition::new(grid(2, 4.0), CellMap::RoundRobin, comm.size());
-            let mut owned = fresh_owned(&sd, &[pt(1.0, 1.0, "a")], comm.rank());
+            let mut owned = fresh_store(comm, &sd, &[pt(1.0, 1.0, "a")]);
             let updates = if comm.rank() == 0 {
                 vec![Update::Delete(pt(1.0, 1.0, "ghost"))]
             } else {
@@ -666,11 +689,11 @@ mod tests {
             let features: Vec<Feature> = (0..12)
                 .map(|i| pt(i as f64 * 0.6, 3.0, &format!("f{i}")))
                 .collect();
-            let mut owned = fresh_owned(&sd, &features, comm.rank());
-            let before = owned.clone();
+            let mut owned = fresh_store(comm, &sd, &features);
+            let before = records(&owned);
             let stats =
                 migrate_cells(comm, &sd, &same, &mut owned, ExchangeChunk::Unlimited).unwrap();
-            assert_eq!(owned, before);
+            assert_eq!(records(&owned), before);
             (
                 stats.moved_cells,
                 stats.shipped_bytes,
@@ -691,7 +714,7 @@ mod tests {
         let out = World::run(WorldConfig::new(Topology::single_node(2)), move |comm| {
             let a = UniformDecomposition::new(grid(4, 8.0), CellMap::RoundRobin, comm.size());
             let b = UniformDecomposition::new(grid(2, 8.0), CellMap::RoundRobin, comm.size());
-            let mut owned = Vec::new();
+            let mut owned = ResidentStore::new();
             migrate_cells(comm, &a, &b, &mut owned, ExchangeChunk::Unlimited)
                 .err()
                 .map(|e| matches!(e, CoreError::InvalidOptions(_)))
@@ -719,7 +742,7 @@ mod tests {
                 })
                 .collect();
             let mut sd = sd;
-            let mut owned = fresh_owned(&*sd, &base, comm.rank());
+            let mut owned = fresh_store(comm, &*sd, &base);
             let mut reb = Rebalancer::new(1.5, &*sd, &owned);
             // Pour a hotspot over the bottom-left 3×3-cell patch (rank
             // 0's block rows), spread in 2D so bisection has cuts to use.
@@ -762,8 +785,8 @@ mod tests {
             // the migrated replicas matches the adopted histogram.
             assert_eq!(*reb.tracker_mut(), DriftTracker::rebuild(&*sd, &owned));
             // Replicas still live on the ranks that own their cells.
-            for (cell, _) in &owned {
-                assert_eq!(sd.cell_to_rank(*cell), comm.rank());
+            for (cell, _) in owned.replicas() {
+                assert_eq!(sd.cell_to_rank(cell), comm.rank());
             }
             (report.imbalance_before, report.imbalance_after, owned.len())
         });
@@ -775,6 +798,88 @@ mod tests {
         }
     }
 
+    /// The per-object price cannot creep back: landing an update and
+    /// shipping or landing a migrated replica each cost a small fraction
+    /// of one `serialize_per_geometry`.
+    #[test]
+    fn landing_and_leaving_replicas_are_not_charged_per_object() {
+        const N: u64 = 1024;
+        let features: Vec<Feature> = (0..N)
+            .map(|i| {
+                let (x, y) = (0.1 + (i % 32) as f64 * 0.24, 0.1 + (i / 32) as f64 * 0.24);
+                pt(x, y, &format!("f{i:04}"))
+            })
+            .collect();
+
+        // A receiver of N inserts, then of N deletes. In a one-rank world
+        // the receiver is also the sender, whose documented charge — one
+        // `SerializeGeoms` per record it encodes — is taken off.
+        let batch = features.clone();
+        World::run(WorldConfig::new(Topology::single_node(1)), move |comm| {
+            let sd = UniformDecomposition::new(grid(4, 8.0), CellMap::RoundRobin, 1);
+            let model = *comm.cost_model();
+            let budget = N as f64 * model.serialize_per_geometry / 4.0;
+            let mut store = ResidentStore::new();
+            for (insert, resident_after) in [(true, N), (false, 0)] {
+                let make = if insert {
+                    Update::Insert
+                } else {
+                    Update::Delete
+                };
+                let updates: Vec<Update> = batch.iter().cloned().map(make).collect();
+                let t = comm.now();
+                let stats = apply_updates(
+                    comm,
+                    &sd,
+                    &mut store,
+                    &updates,
+                    ExchangeChunk::Unlimited,
+                    None,
+                )
+                .unwrap();
+                let trip = if insert {
+                    stats.insert_exchange
+                } else {
+                    stats.delete_exchange
+                };
+                assert_eq!(
+                    (trip.records_received, store.len() as u64),
+                    (N, resident_after)
+                );
+                let sender = model.cost(Work::SerializeGeoms {
+                    n: N,
+                    bytes: trip.bytes_sent,
+                });
+                let receiver = comm.now() - t - sender;
+                assert!(
+                    receiver < budget,
+                    "insert={insert}: receiving {N} records cost {receiver} s, budget {budget} s"
+                );
+            }
+        });
+
+        // Two ranks swap half their cells: each ships and lands replicas.
+        World::run(WorldConfig::new(Topology::single_node(2)), move |comm| {
+            let from = UniformDecomposition::new(grid(4, 8.0), CellMap::RoundRobin, 2);
+            let to = UniformDecomposition::new(grid(4, 8.0), CellMap::Block, 2);
+            let mut store = fresh_store(comm, &from, &features);
+            let t = comm.now();
+            let stats =
+                migrate_cells(comm, &from, &to, &mut store, ExchangeChunk::Unlimited).unwrap();
+            let spent = comm.now() - t;
+            let moved = stats.shipped_records.min(stats.exchange.records_received);
+            assert!(moved >= N / 8, "{stats:?}");
+            let budget = moved as f64 * comm.cost_model().serialize_per_geometry / 4.0;
+            assert!(
+                spent < budget,
+                "shipping {} and landing {} replicas cost {spent} s, budget {budget} s",
+                stats.shipped_records,
+                stats.exchange.records_received
+            );
+            assert_eq!(sorted(&store), sorted(&fresh_store(comm, &to, &features)));
+        });
+    }
+
     #[test]
     fn below_threshold_is_a_cheap_noop() {
         let out = World::run(WorldConfig::new(Topology::single_node(2)), move |comm| {
@@ -784,15 +889,15 @@ mod tests {
                 comm.size(),
             ));
             let features = vec![pt(1.0, 1.0, "a"), pt(3.0, 3.0, "b")];
-            let mut owned = fresh_owned(&*sd, &features, comm.rank());
-            let before = owned.clone();
+            let mut owned = fresh_store(comm, &*sd, &features);
+            let before = records(&owned);
             let mut reb = Rebalancer::new(4.0, &*sd, &owned);
             let report = reb
                 .maybe_rebalance(comm, &mut sd, &mut owned, ExchangeChunk::Unlimited)
                 .unwrap();
             assert!(!report.rebalanced);
             assert_eq!(report.imbalance_before, report.imbalance_after);
-            assert_eq!(owned, before);
+            assert_eq!(records(&owned), before);
             report.migration.shipped_bytes
         });
         assert_eq!(out, vec![0, 0]);

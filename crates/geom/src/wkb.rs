@@ -302,7 +302,9 @@ impl<'a> Cursor<'a> {
             return Err(GeomError::Wkb("polygon with zero rings".into()));
         }
         let ext = Ring::new(self.coords(be)?)?;
-        let mut holes = Vec::with_capacity(nrings - 1);
+        // A ring takes at least its 4-byte count: bound the allocation by
+        // what the buffer can still hold, not by a count read from it.
+        let mut holes = Vec::with_capacity((nrings - 1).min((self.buf.len() - self.pos) / 4));
         for _ in 1..nrings {
             holes.push(Ring::new(self.coords(be)?)?);
         }
@@ -647,6 +649,32 @@ impl<'a> GeomRef<'a> {
     }
 }
 
+/// Two views are equal exactly when their owned decodes are (the derived
+/// [`Geometry`] equality): same type and structure, and every logical
+/// coordinate — virtual closing vertices included — equal as an `f64`.
+/// So `-0.0` equals `0.0`, a big-endian encoding equals its little-endian
+/// twin, an unclosed wire ring equals its closed spelling, and a `NaN`
+/// coordinate equals nothing. Nothing is allocated.
+impl PartialEq for GeomRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        fn members_eq(a: &MultiRef<'_>, b: &MultiRef<'_>) -> bool {
+            a.len() == b.len() && a.members().zip(b.members()).all(|(x, y)| x == y)
+        }
+        match (self, other) {
+            (GeomRef::Point(a), GeomRef::Point(b)) => a.point() == b.point(),
+            (GeomRef::LineString(a), GeomRef::LineString(b)) => a.coords() == b.coords(),
+            (GeomRef::Polygon(a), GeomRef::Polygon(b)) => {
+                a.num_rings() == b.num_rings() && a.rings().zip(b.rings()).all(|(x, y)| x == y)
+            }
+            (GeomRef::MultiPoint(a), GeomRef::MultiPoint(b))
+            | (GeomRef::MultiLineString(a), GeomRef::MultiLineString(b))
+            | (GeomRef::MultiPolygon(a), GeomRef::MultiPolygon(b))
+            | (GeomRef::GeometryCollection(a), GeomRef::GeometryCollection(b)) => members_eq(a, b),
+            _ => false,
+        }
+    }
+}
+
 /// Borrowed view of a point's 16 coordinate bytes.
 #[derive(Debug, Clone, Copy)]
 pub struct PointRef<'a> {
@@ -741,6 +769,14 @@ impl<'a> CoordsRef<'a> {
     /// one and cannot move it).
     pub fn envelope(&self) -> Rect {
         crate::refkernel::coords_envelope(self.data, self.be)
+    }
+}
+
+/// Logical-point equality, as the owned constructors' `Vec<Point>`
+/// compares: same length (closing vertex included) and pointwise `==`.
+impl PartialEq for CoordsRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.points().eq(other.points())
     }
 }
 
@@ -1058,6 +1094,17 @@ mod tests {
         zero_rings.extend_from_slice(&0u32.to_le_bytes());
         assert_ref_parity(&zero_rings);
 
+        // A ring count far past the buffer, over one good ring: a typed
+        // truncation error from both, not an allocation sized by it.
+        let mut huge_rings = vec![1u8];
+        huge_rings.extend_from_slice(&3u32.to_le_bytes());
+        huge_rings.extend_from_slice(&u32::MAX.to_le_bytes());
+        huge_rings.extend_from_slice(&4u32.to_le_bytes());
+        for v in [0.0f64, 0.0, 4.0, 0.0, 0.0, 4.0, 0.0, 0.0] {
+            huge_rings.extend_from_slice(&v.to_le_bytes());
+        }
+        assert_ref_parity(&huge_rings);
+
         // Rings of 0..5 wire points (empty, degenerate, unclosed triangle
         // that auto-closes, closed square): both decoders must agree on
         // the `Ring::new` semantics, including the auto-close.
@@ -1123,6 +1170,62 @@ mod tests {
         let (v2, used2) = decode_ref(&buf[used1..]).unwrap();
         assert_eq!(used1 + used2, buf.len());
         assert_eq!(v2.to_geometry(), g2);
+    }
+
+    #[test]
+    fn view_equality_is_owned_equality() {
+        // Pairwise over spellings that differ in bytes: every view pair
+        // must compare as its owned decodes do.
+        let mut encodings: Vec<Vec<u8>> = [
+            "POINT (0 10)",
+            "POINT (-0 10)",
+            "POINT (0 11)",
+            "LINESTRING (0 0, 2 2, 4 0)",
+            "LINESTRING (0 0, 2 2)",
+            "POLYGON ((0 0, 4 0, 0 4, 0 0))",
+            "POLYGON ((0 0, 4 0, 0 4, 0 0), (1 1, 2 1, 1 2, 1 1))",
+            "MULTIPOINT ((0 0), (4 0))",
+            "MULTILINESTRING ((0 0, 2 2), (4 4, 3 3))",
+            "MULTIPOLYGON (((0 0, 4 0, 0 4, 0 0)))",
+            "GEOMETRYCOLLECTION (POINT (0 10), LINESTRING (0 0, 2 2))",
+            "GEOMETRYCOLLECTION (POINT (-0 10), LINESTRING (0 0, 2 2))",
+        ]
+        .iter()
+        .map(|s| encode(&wkt::parse(s).unwrap()))
+        .collect();
+        // The triangle again with its ring unclosed on the wire, and
+        // `POINT (0 10)` big-endian.
+        let mut unclosed = vec![1u8];
+        unclosed.extend_from_slice(&3u32.to_le_bytes());
+        unclosed.extend_from_slice(&1u32.to_le_bytes());
+        unclosed.extend_from_slice(&3u32.to_le_bytes());
+        for v in [0.0f64, 0.0, 4.0, 0.0, 0.0, 4.0] {
+            unclosed.extend_from_slice(&v.to_le_bytes());
+        }
+        encodings.push(unclosed);
+        let mut be_point = vec![0u8];
+        be_point.extend_from_slice(&1u32.to_be_bytes());
+        be_point.extend_from_slice(&0.0f64.to_be_bytes());
+        be_point.extend_from_slice(&10.0f64.to_be_bytes());
+        encodings.push(be_point);
+        let mut nan_point = vec![1u8];
+        nan_point.extend_from_slice(&1u32.to_le_bytes());
+        nan_point.extend_from_slice(&f64::NAN.to_le_bytes());
+        nan_point.extend_from_slice(&10.0f64.to_le_bytes());
+        encodings.push(nan_point);
+
+        let mut equal_pairs = 0;
+        for a in &encodings {
+            for b in &encodings {
+                let (va, vb) = (decode_ref(a).unwrap().0, decode_ref(b).unwrap().0);
+                let (ga, gb) = (decode(a).unwrap().0, decode(b).unwrap().0);
+                assert_eq!(va == vb, ga == gb, "{ga:?} vs {gb:?}");
+                equal_pairs += usize::from(va == vb && a != b);
+            }
+        }
+        // -0/0 points (+ the big-endian twin), the two collections and
+        // the unclosed triangle: equal views over different bytes.
+        assert_eq!(equal_pairs, 6 + 2 + 2);
     }
 
     #[test]

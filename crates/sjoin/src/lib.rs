@@ -19,11 +19,13 @@
 //! components", §5.2, which is also why the stacked phases can exceed the
 //! total).
 
+mod answer;
 pub mod breakdown;
 pub mod engine;
 pub mod index;
 pub mod join;
 pub mod query;
+mod resident;
 
 pub use breakdown::PhaseBreakdown;
 pub use engine::{

@@ -6,10 +6,11 @@
 use crate::breakdown::{PhaseBreakdown, PhaseTimer};
 use crate::engine::{self, EngineOptions, Query, QueryEngine};
 use mvio_core::decomp::{self, DecompConfig, SpatialDecomposition};
-use mvio_core::exchange::{exchange_features, ExchangeOptions};
+use mvio_core::exchange::{exchange_features_frames_windows, ExchangeOptions};
 use mvio_core::grid::GridSpec;
 use mvio_core::partition::{read_features, ReadOptions};
 use mvio_core::reader::WktLineParser;
+use mvio_core::resident::ResidentStore;
 use mvio_core::{Feature, Result};
 use mvio_geom::Rect;
 use mvio_msim::Comm;
@@ -18,7 +19,8 @@ use std::sync::Arc;
 
 /// Shared partition+exchange front half of the one-shot query paths:
 /// read the WKT layer, build the paper's uniform round-robin
-/// decomposition, project to cells, and exchange to owners.
+/// decomposition, project to cells, and exchange to owners — who keep
+/// what they receive as the validated wire frames it arrived as.
 fn read_and_partition(
     comm: &mut Comm,
     fs: &Arc<SimFs>,
@@ -26,7 +28,7 @@ fn read_and_partition(
     grid: GridSpec,
     read: &ReadOptions,
     timer: Option<&mut PhaseTimer>,
-) -> Result<(Box<dyn SpatialDecomposition>, Vec<(u32, Feature)>)> {
+) -> Result<(Box<dyn SpatialDecomposition>, ResidentStore)> {
     let features = read_features(comm, fs, path, read, &WktLineParser)?;
     let sd = decomp::build_global(comm, &[&features], &DecompConfig::uniform(grid));
     let rtree = decomp::build_cell_rtree(comm, &*sd);
@@ -38,7 +40,9 @@ fn read_and_partition(
     if let Some(timer) = timer {
         timer.end_partition(comm);
     }
-    let (mine, _) = exchange_features(comm, owned, &*sd, &ExchangeOptions::default())?;
+    let (frames, _) =
+        exchange_features_frames_windows(comm, owned, &*sd, &ExchangeOptions::default())?;
+    let mine = ResidentStore::from_frames(comm, &frames);
     Ok((sd, mine))
 }
 
@@ -79,7 +83,7 @@ pub fn range_query(
     let (sd, mine) = read_and_partition(comm, fs, path, grid, read, Some(&mut timer))?;
     timer.end_communication(comm);
 
-    let eng = QueryEngine::from_parts(comm, sd, mine, &EngineOptions::default());
+    let eng = QueryEngine::from_store(comm, sd, mine, &EngineOptions::default());
     let matches = eng.local_range_matches(comm, &query)?;
     timer.end_compute(comm);
 
@@ -111,7 +115,7 @@ pub fn batch_query(
     read: &ReadOptions,
 ) -> Result<Vec<u64>> {
     let (sd, mine) = read_and_partition(comm, fs, path, grid, read, None)?;
-    let mut eng = QueryEngine::from_parts(comm, sd, mine, &EngineOptions::default());
+    let mut eng = QueryEngine::from_store(comm, sd, mine, &EngineOptions::default());
     // Every rank issues the whole batch, so every rank receives the full
     // global answer for every query — the counts come out identical
     // everywhere without a final reduction.

@@ -5,13 +5,16 @@
 mod common;
 
 use common::{fs_with, mk_decomp, mk_features, owned_replicas, WORLD};
+use mpi_vector_io::core::decomp::SpatialDecomposition;
 use mpi_vector_io::core::exchange::{
     decode_records, serialize_record, validate_round, ExchangeRound, SerializedBatch,
 };
+use mpi_vector_io::core::resident::ResidentStore;
 use mpi_vector_io::core::CoreError;
 use mpi_vector_io::msim::CheckMode;
 use mpi_vector_io::prelude::*;
 use mpi_vector_io::sjoin::engine::answer_entries;
+use mpi_vector_io::sjoin::Update;
 
 #[test]
 fn corrupted_wkt_record_fails_cleanly_on_every_rank() {
@@ -437,6 +440,220 @@ fn corrupted_answer_block_stays_on_its_rank() {
         match peer {
             (Ok((2, 6)), 12) => {}
             other => panic!("rank {rank}: {other:?}"),
+        }
+    }
+}
+
+/// Three labelled points inside every cell of `sd` — single-replica
+/// features, so what one rank loses or keeps is what the world serves.
+fn points_per_cell(sd: &dyn SpatialDecomposition) -> Vec<Feature> {
+    (0..sd.num_cells())
+        .flat_map(|cell| {
+            let r = sd.cell_rect(cell);
+            (1..=3).map(move |k| {
+                let t = k as f64 / 4.0;
+                let p = Point::new(
+                    r.min_x + t * (r.max_x - r.min_x),
+                    r.min_y + t * (r.max_y - r.min_y),
+                );
+                Feature::with_userdata(Geometry::Point(p), format!("c{cell}k{k}"))
+            })
+        })
+        .collect()
+}
+
+/// Every rank's answer to "everything in the world", which must be the
+/// same sorted list everywhere.
+fn world_answer(comm: &mut Comm, eng: &mut QueryEngine) -> Vec<String> {
+    let world = Query::Range(Rect::new(0.0, 0.0, WORLD, WORLD));
+    match eng.serve(comm, &[world]).unwrap().answers.pop() {
+        Some(QueryAnswer::Matches(m)) => m,
+        other => panic!("range answers with matches: {other:?}"),
+    }
+}
+
+/// The update trips' failure contract, for inserts and for deletes: the
+/// resident store's own sinks (`ResidentStore::append_round` /
+/// `delete_round`, what `apply_updates` runs) land two rounds from every
+/// peer, and rank 1 tears what it sends rank 0 in the second. Rank 0
+/// alone returns the typed error, after every collective; its store holds
+/// the first round and **nothing** of the second — not even the intact
+/// buffers that arrived beside the torn one; the peers hold both. An
+/// engine over those very stores then applies the next batch and serves
+/// it, identically on every rank.
+#[test]
+fn corrupted_update_round_stays_on_its_rank() {
+    for deletes in [false, true] {
+        let cfg = WorldConfig::new(Topology::single_node(3)).with_check(CheckMode::Strict);
+        let out = World::run(cfg, move |comm| {
+            let (rank, p) = (comm.rank(), comm.size());
+            let sd = mk_decomp(WORLD, 0, 3, p);
+            let base = points_per_cell(&*sd);
+            let mut store =
+                ResidentStore::from_owned(comm, owned_replicas(&*sd, &base, rank)).unwrap();
+            // What `src` sends `dst` in `round`: a fresh point in one of
+            // `dst`'s cells, or the delete of one of `dst`'s base points.
+            let record = |round: usize, src: usize, dst: usize| -> (u32, Feature) {
+                let theirs = owned_replicas(&*sd, &base, dst);
+                let (cell, target) = &theirs[round * p + src];
+                if deletes {
+                    return (*cell, target.clone());
+                }
+                let c = sd.cell_rect(*cell).center();
+                let label = format!("new-r{round}s{src}d{dst}");
+                (*cell, Feature::with_userdata(Geometry::Point(c), label))
+            };
+            let mut round = 0usize;
+            let mut feed = |_: &mut Comm| {
+                let mut batch = SerializedBatch::empty(p);
+                for dst in 0..p {
+                    let (cell, f) = record(round, rank, dst);
+                    serialize_record(cell, &f, &mut Vec::new(), &mut batch.bufs[dst]).unwrap();
+                    if (rank, round, dst) == (1, 1, 0) {
+                        let torn = batch.bufs[dst].len() - 3;
+                        batch.bufs[dst].truncate(torn);
+                    }
+                    batch.records[dst] = 1;
+                }
+                round += 1;
+                Ok(Some(ExchangeRound {
+                    batch,
+                    lanes: Vec::new(),
+                    more: round < 2,
+                }))
+            };
+            let plan =
+                ExchangePlan::new(comm, &ExchangeOptions::with_chunk(ExchangeChunk::Unlimited));
+            let result = plan.run(comm, &mut feed, &mut |c, bufs| {
+                if deletes {
+                    let out = store.delete_round(c, &bufs, &mut |_, _| {})?;
+                    assert_eq!(out.missing, 0);
+                    Ok(out.records)
+                } else {
+                    Ok(store.append_round(c, &bufs)?.len() as u64)
+                }
+            });
+            let held: Vec<String> = store.frames().map(|fr| fr.userdata.to_string()).collect();
+
+            // The next batch, through an engine over the same store.
+            let mut eng = QueryEngine::from_store(comm, sd, store, &EngineOptions::default());
+            let at = Point::new(1.0 + rank as f64, 15.0);
+            let next = Feature::with_userdata(Geometry::Point(at), format!("next-{rank}"));
+            let stats = eng.apply_updates(comm, &[Update::Insert(next)]).unwrap();
+            assert_eq!(stats.submitted, 1);
+            let served = world_answer(comm, &mut eng);
+            (result.map(|s| (s.rounds, s.records_received)), held, served)
+        });
+
+        // The dataset the world now holds: round 1 never reached rank 0.
+        let sd = mk_decomp(WORLD, 0, 3, 3);
+        let base = points_per_cell(&*sd);
+        let landed = |round: usize, dst: usize| round == 0 || dst != 0;
+        let mut expected: Vec<String> = base.iter().map(|f| f.userdata.clone()).collect();
+        for (round, src, dst) in (0..2).flat_map(|r| (0..9).map(move |i| (r, i / 3, i % 3))) {
+            let (_, target) = &owned_replicas(&*sd, &base, dst)[round * 3 + src];
+            match (deletes, landed(round, dst)) {
+                (true, true) => expected.retain(|ud| *ud != target.userdata),
+                (false, true) => expected.push(format!("new-r{round}s{src}d{dst}")),
+                (_, false) => {}
+            }
+        }
+        expected.extend((0..3).map(|r| format!("next-{r}")));
+        expected.sort();
+
+        let per_rank = base.len() / 3;
+        for (rank, (result, held, served)) in out.iter().enumerate() {
+            assert_eq!(served, &expected, "rank {rank} (deletes={deletes})");
+            let (rounds_landed, ok) = if rank == 0 { (1, false) } else { (2, true) };
+            match result {
+                Err(CoreError::Frame(_)) if !ok => {}
+                Ok((2, 6)) if ok => {}
+                other => panic!("rank {rank} (deletes={deletes}): {other:?}"),
+            }
+            let moved = 3 * rounds_landed;
+            let want = if deletes {
+                per_rank - moved
+            } else {
+                per_rank + moved
+            };
+            assert_eq!(
+                held.len(),
+                want,
+                "rank {rank} (deletes={deletes}): {held:?}"
+            );
+            assert!(
+                rank != 0 || !held.iter().any(|ud| ud.starts_with("new-r1")),
+                "rank 0 kept part of the corrupt round: {held:?}"
+            );
+        }
+    }
+}
+
+/// The migration trip's failure contract: every rank drains the replicas
+/// of its moved cells into per-owner buffers exactly as `migrate_cells`
+/// does (`ResidentStore::drain_to`), rank 1 tears the buffer it ships to
+/// rank 0, and the receivers land the round through the migration's sink
+/// (`ResidentStore::append_round`). Rank 0 alone returns the typed error
+/// and is left with the replicas that never moved — nothing of the round,
+/// the intact buffer from rank 2 included; the peers hold their whole new
+/// partition, and engines over the stores serve the next batch —
+/// everything but what was on its way to rank 0 — identically everywhere.
+#[test]
+fn corrupted_migration_round_stays_on_its_rank() {
+    let cfg = WorldConfig::new(Topology::single_node(3)).with_check(CheckMode::Strict);
+    let out = World::run(cfg, move |comm| {
+        let (rank, p) = (comm.rank(), comm.size());
+        let (from, to) = (mk_decomp(WORLD, 0, 3, p), mk_decomp(WORLD, 1, 3, p));
+        let base = points_per_cell(&*from);
+        let mut store =
+            ResidentStore::from_owned(comm, owned_replicas(&*from, &base, rank)).unwrap();
+        let mut batch = SerializedBatch::empty(p);
+        let new_owner = |cell| {
+            let owner = to.cell_to_rank(cell);
+            (owner != from.cell_to_rank(cell)).then_some(owner)
+        };
+        store.drain_to(new_owner, &mut batch);
+        let stayed = store.len();
+        if rank == 1 {
+            assert!(batch.records[0] > 0, "rank 1 must ship something to rank 0");
+            let torn = batch.bufs[0].len() - 3;
+            batch.bufs[0].truncate(torn);
+        }
+        let plan = ExchangePlan::new(comm, &ExchangeOptions::with_chunk(ExchangeChunk::Unlimited));
+        let result = plan.run(comm, &mut batch.into_feed(&plan), &mut |c, bufs| {
+            Ok(store.append_round(c, &bufs)?.len() as u64)
+        });
+        let held = store.len();
+        let mut eng = QueryEngine::from_store(comm, to, store, &EngineOptions::default());
+        let served = world_answer(comm, &mut eng);
+        (result.map(|s| s.rounds), stayed, held, served)
+    });
+
+    let (from, to) = (mk_decomp(WORLD, 0, 3, 3), mk_decomp(WORLD, 1, 3, 3));
+    let base = points_per_cell(&*from);
+    let cell_of = |f: &Feature| from.cells_for_rect_vec(&f.geometry.envelope())[0];
+    let mut expected: Vec<String> = base
+        .iter()
+        .filter(|f| {
+            let cell = cell_of(f);
+            to.cell_to_rank(cell) != 0 || from.cell_to_rank(cell) == 0
+        })
+        .map(|f| f.userdata.clone())
+        .collect();
+    expected.sort();
+    assert!(expected.len() < base.len(), "something must have been lost");
+    for (rank, (result, stayed, held, served)) in out.iter().enumerate() {
+        assert_eq!(served, &expected, "rank {rank}");
+        if rank == 0 {
+            assert!(matches!(result, Err(CoreError::Frame(_))), "{result:?}");
+            assert_eq!(held, stayed, "rank 0 landed part of the corrupt round");
+        } else {
+            assert_eq!(result.as_ref().ok(), Some(&1), "rank {rank}");
+            assert_eq!(
+                *held,
+                owned_replicas(&*to, &base, rank).len(),
+                "rank {rank}"
+            );
         }
     }
 }
