@@ -93,15 +93,11 @@ mod tests {
 
     #[test]
     fn message_beats_overlap() {
-        let scale = Scale {
-            denominator: 20_000,
-        };
-        let msg = partition_time(scale, 4, 4, 16, BoundaryStrategy::Message);
-        let ovl = partition_time(scale, 4, 4, 16, BoundaryStrategy::Overlap);
-        assert!(
-            msg < ovl,
-            "message strategy ({msg}s) must beat overlap ({ovl}s), as in Figure 10"
-        );
+        // On every row of the rendered sweep, as in Figure 10.
+        let table = run(Scale::default_repro(), false);
+        for row in crate::report::rendered_rows(&table) {
+            assert_eq!(row[4], "message", "{table}");
+        }
     }
 
     #[test]

@@ -144,11 +144,11 @@ mod tests {
 
     #[test]
     fn contiguous_beats_indexed_noncontiguous() {
-        let scale = Scale {
-            denominator: 100_000,
-        };
-        let c = contiguous_polygon_read(scale, 4);
-        let nc = noncontiguous_polygon_read(scale, 4, 16);
-        assert!(c < nc, "contiguous {c} must beat NC {nc} (Figure 16)");
+        // On every row of the rendered sweep, against every block size.
+        let table = run(Scale::default_repro(), false);
+        for row in crate::report::rendered_rows(&table) {
+            let secs: Vec<f64> = row[1..].iter().map(|c| c.parse().unwrap()).collect();
+            assert!(secs[1..].iter().all(|&nc| secs[0] < nc), "{table}");
+        }
     }
 }

@@ -85,6 +85,20 @@ pub fn gbps(bytes: u64, seconds: f64) -> String {
     format!("{:.2}", bytes as f64 / seconds.max(1e-12) / 1e9)
 }
 
+/// The data cells of a [`Table::render`]ed table, row by row (the
+/// experiments' cells hold no spaces): what the figure tests assert the
+/// paper's orderings on.
+#[cfg(test)]
+pub(crate) fn rendered_rows(rendered: &str) -> Vec<Vec<&str>> {
+    rendered
+        .lines()
+        .skip_while(|l| !l.starts_with('-'))
+        .skip(1)
+        .take_while(|l| !l.starts_with("note:"))
+        .map(|l| l.split_whitespace().collect())
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

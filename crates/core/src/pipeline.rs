@@ -44,12 +44,11 @@
 //! at `w` workers is a property of the partitioned work, not of the
 //! host machine.
 //!
-//! # Worker-count knob
+//! # Worker count
 //!
-//! [`PipelineOptions::workers`]`= 0` (the default) resolves through the
-//! `MVIO_PIPELINE_WORKERS` environment variable, falling back to the
-//! host's available parallelism (capped at 8). CI runs the full suite
-//! with the variable unset and pinned to 1.
+//! [`PipelineOptions::workers`] defaults to 1 and is only ever set in
+//! code, so a default `ingest`'s virtual parse time never depends on the
+//! host it runs on.
 //!
 //! # Example
 //!
@@ -111,14 +110,11 @@ use mvio_msim::{Comm, Work, WorkTally};
 use mvio_pfs::SimFs;
 use std::sync::Arc;
 
-/// Environment variable consulted when [`PipelineOptions::workers`] is 0.
-pub const WORKERS_ENV: &str = "MVIO_PIPELINE_WORKERS";
-
 /// Knobs for the streaming ingest pipeline.
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineOptions {
-    /// Worker threads per stage. `0` = auto: `MVIO_PIPELINE_WORKERS`,
-    /// else the host's available parallelism capped at 8.
+    /// Worker threads per stage (default 1; clamped to
+    /// `1..=`[`MAX_WORKERS`]).
     pub workers: usize,
     /// Target bytes per parse chunk (record-aligned; a chunk never splits
     /// a record).
@@ -130,7 +126,7 @@ pub struct PipelineOptions {
 impl Default for PipelineOptions {
     fn default() -> Self {
         PipelineOptions {
-            workers: 0,
+            workers: 1,
             parse_chunk_bytes: 64 << 10,
             partition_chunk_records: 1024,
         }
@@ -138,7 +134,7 @@ impl Default for PipelineOptions {
 }
 
 impl PipelineOptions {
-    /// Sets an explicit worker count (`0` = auto).
+    /// Sets the worker count.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
@@ -156,61 +152,17 @@ impl PipelineOptions {
         self
     }
 
-    /// The worker count this configuration resolves to.
+    /// The worker count this configuration runs with: `workers`
+    /// clamped to `1..=`[`MAX_WORKERS`].
     pub fn effective_workers(&self) -> usize {
-        resolve_workers(self.workers)
+        self.workers.clamp(1, MAX_WORKERS)
     }
 }
 
-/// Upper bound on the resolved worker count, whatever the source. Each
-/// rank thread spawns its own workers, so a runaway request (a typo'd
-/// `MVIO_PIPELINE_WORKERS=100000`) must clamp rather than exhaust OS
+/// Upper bound on the worker count. Each rank thread spawns its own
+/// workers, so a runaway request must clamp rather than exhaust OS
 /// threads inside `thread::scope`.
 pub const MAX_WORKERS: usize = 64;
-
-/// Parses a [`WORKERS_ENV`] value: a positive count, or `0` for auto
-/// (`None`).
-///
-/// # Panics
-///
-/// Panics on anything else: silently falling back to the host's
-/// parallelism would run a typo'd setting at the wrong width.
-fn parse_workers(v: &str) -> Option<usize> {
-    match v.trim().parse::<usize>() {
-        Ok(0) => None,
-        Ok(n) => Some(n),
-        Err(_) => panic!(
-            "invalid {WORKERS_ENV} value {v:?}: expected a positive worker count, or 0 for auto"
-        ),
-    }
-}
-
-/// Resolves a requested worker count: explicit values win, `0` consults
-/// [`WORKERS_ENV`] (a positive count, or `0` for auto), and absent both
-/// the host's available parallelism is used (capped at 8 so huge machines
-/// don't fragment small inputs). Every source is clamped to
-/// `1..=`[`MAX_WORKERS`].
-///
-/// # Panics
-///
-/// Panics on any other [`WORKERS_ENV`] value: silently falling back to the
-/// host's parallelism would run a typo'd setting at the wrong width.
-pub fn resolve_workers(requested: usize) -> usize {
-    let raw = if requested > 0 {
-        requested
-    } else if let Some(n) = std::env::var(WORKERS_ENV)
-        .ok()
-        .and_then(|v| parse_workers(&v))
-    {
-        n
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8)
-    };
-    raw.clamp(1, MAX_WORKERS)
-}
 
 /// Counters describing one pipeline run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -1172,7 +1124,7 @@ mod tests {
                 &ReadOptions::default(),
                 &WktLineParser,
                 &DecompConfig::uniform(GridSpec::square(2)),
-                &PipelineOptions::default().with_workers(1),
+                &PipelineOptions::default(),
                 &ExchangeOptions {
                     windows: 4,
                     ..Default::default()
@@ -1184,39 +1136,16 @@ mod tests {
     }
 
     #[test]
-    fn worker_resolution_prefers_explicit_over_env() {
-        assert_eq!(resolve_workers(3), 3);
-        // 0 resolves through env/host; both paths yield >= 1.
-        assert!(resolve_workers(0) >= 1);
+    fn worker_counts_default_to_one_and_clamp() {
+        let workers = |n| {
+            PipelineOptions::default()
+                .with_workers(n)
+                .effective_workers()
+        };
+        assert_eq!(PipelineOptions::default().effective_workers(), 1);
+        assert_eq!(workers(3), 3);
+        assert_eq!(workers(0), 1);
         // Runaway requests clamp instead of exhausting OS threads.
-        assert_eq!(resolve_workers(1_000_000), MAX_WORKERS);
-    }
-
-    #[test]
-    fn worker_env_values_parse_or_panic() {
-        assert_eq!(parse_workers("4"), Some(4));
-        assert_eq!(parse_workers(" 1\n"), Some(1));
-        assert_eq!(parse_workers("0"), None, "0 = auto");
-        for garbage in ["", "four", "-1", "2.5", "auto"] {
-            let err = std::panic::catch_unwind(|| parse_workers(garbage))
-                .expect_err("garbage must panic");
-            let msg = err.downcast_ref::<String>().expect("formatted panic");
-            assert!(msg.contains(WORKERS_ENV), "{garbage:?}: {msg}");
-        }
-    }
-
-    #[test]
-    fn env_resolved_worker_count_keeps_output_identical() {
-        // Deliberately leaves `workers` at 0 so CI's MVIO_PIPELINE_WORKERS
-        // rows (unset and 1) drive this test through different real
-        // widths; the output must not notice.
-        let text = sample_text(150);
-        let expect = parse_buffer_serial(&text, &WktLineParser).unwrap();
-        let out = World::run(WorldConfig::new(Topology::single_node(1)), move |comm| {
-            let opts = PipelineOptions::default().with_parse_chunk_bytes(512);
-            assert!(opts.effective_workers() >= 1);
-            parse_chunked(comm, &text, &WktLineParser, &opts).unwrap().0
-        });
-        assert_eq!(out[0], expect);
+        assert_eq!(workers(1_000_000), MAX_WORKERS);
     }
 }

@@ -43,13 +43,14 @@
 //!
 //! ## Collective two-phase I/O
 //!
-//! Writes go through [`MpiFile::write_at_all_staged`]: every rank ships
+//! Writes go through the two-phase collective write
+//! ([`MpiFile::write_at_all`], one fragment per rank): every rank ships
 //! its section to the ROMIO-style aggregators over the nonblocking
 //! request layer, and the aggregators flush large contiguous
 //! stripe-aligned writes (section starts are stripe-padded, so flush
 //! offsets land on stripe boundaries — the access pattern the paper
 //! recommends). Reads use the inverse scatter
-//! ([`MpiFile::read_at_all_staged`]). The aggregator count follows the
+//! ([`MpiFile::read_at_all`]). The aggregator count follows the
 //! [`mvio_msim::select_readers`] heuristic, overridable with
 //! [`Hints::cb_nodes`].
 
@@ -165,7 +166,7 @@ pub struct SnapshotWriteReport {
     /// Records across all sections.
     pub records_total: u64,
     /// Virtual seconds the collective write took on this rank (identical
-    /// on every rank: staged writes exit at the global completion).
+    /// on every rank: two-phase writes exit at the global completion).
     pub write_seconds: f64,
     /// Aggregate virtual write bandwidth, bytes per virtual second.
     pub bandwidth: f64,
@@ -396,8 +397,8 @@ fn align_up(at: u64, align: u64) -> u64 {
 /// (bit-identical pairs, same order), and any other rank count re-routes
 /// the records through the exchange. Collective: every rank must call it.
 ///
-/// The payload is shipped through the staged two-phase collective write
-/// ([`MpiFile::write_at_all_staged`]); non-empty section starts are
+/// The payload is shipped through the two-phase collective write
+/// ([`MpiFile::write_at_all`]); non-empty section starts are
 /// padded to the file's stripe size so every aggregator flush is stripe
 /// aligned (empty sections are left unpadded — aligning them could place
 /// their offset past the end of the file).
@@ -519,8 +520,8 @@ pub fn write_partitioned(
     // Symmetric pre-check of the per-call collective I/O limit: every
     // rank holds the same `lens`, so every rank takes this branch (and
     // rank 0 removes the file) together. Letting the oversized rank fail
-    // `check_count` inside `write_at_all_staged` alone would strand its
-    // peers in the staged collective.
+    // `check_count` inside `write_at_all` alone would strand its peers in
+    // the two-phase collective.
     if let Some((bad, &(len, _))) = lens
         .iter()
         .enumerate()
@@ -562,7 +563,7 @@ pub fn write_partitioned(
 
     // Rank 0 writes the header + table independently, and the outcome is
     // broadcast (like the create outcome above) before anyone enters the
-    // staged collective: a failing header write must not leave rank 0
+    // two-phase collective: a failing header write must not leave rank 0
     // returning while its peers sit in the collective waiting for it.
     let t0 = comm.now();
     let header_err = if comm.rank() == 0 {
@@ -593,7 +594,7 @@ pub fn write_partitioned(
     }
     let my_section = meta.sections[comm.rank()];
     comm.labeled("snapshot.write.payload", |c| {
-        file.write_at_all_staged(c, my_section.offset, &buf)
+        file.write_at_all(c, my_section.offset, &buf)
     })?;
     let write_seconds = comm.now() - t0;
 
@@ -657,7 +658,7 @@ pub fn read_partitioned(
 }
 
 /// The zero-copy counterpart of [`read_partitioned`]: identical header
-/// validation, staged collective read, routing scan and
+/// validation, two-phase collective read, routing scan and
 /// `snapshot.read.route` exchange, but the routed records arrive as a
 /// [`FrameStore`] of validated wire buffers — never materialized into
 /// owned [`Feature`]s. Record order under [`FrameStore::frames`] is
@@ -681,11 +682,11 @@ pub fn read_partitioned_frames(
 }
 
 /// The body both `read_partitioned*` flavors share: validated header +
-/// table, the staged collective payload read, the per-record routing
+/// table, the two-phase collective payload read, the per-record routing
 /// scan into a per-destination batch, and the routing exchange —
 /// `exchange` being the one step they differ in (owned records or
 /// frames out). Collective: every rank must call it (it issues the
-/// `snapshot.read.payload` staged read and the `snapshot.read.route`
+/// `snapshot.read.payload` two-phase read and the `snapshot.read.route`
 /// exchange).
 fn read_routed<T>(
     comm: &mut Comm,
@@ -726,7 +727,7 @@ fn read_routed<T>(
     // Symmetric pre-check of the per-call collective I/O limit: every
     // rank decoded the same table, so every rank can bound every rank's
     // covering range and reject an oversized one together — one rank
-    // failing `check_count` inside the staged read alone would strand
+    // failing `check_count` inside the two-phase read alone would strand
     // its peers in the collective.
     for r in 0..p {
         let (lo, hi) = reader_sections(meta.sections.len(), r, p);
@@ -748,7 +749,7 @@ fn read_routed<T>(
     // audit: the span was pre-checked against the 2 GiB collective I/O limit above.
     let mut payload = vec![0u8; (range_hi - range_lo) as usize];
     let got = comm.labeled("snapshot.read.payload", |c| {
-        file.read_at_all_staged(c, range_lo, &mut payload)
+        file.read_at_all(c, range_lo, &mut payload)
     })?;
 
     // Route: walk each section's records, steering the raw wire bytes to

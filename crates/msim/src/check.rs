@@ -352,6 +352,14 @@ impl CollectiveVerifier {
         }
     }
 
+    /// The signatures `rank` recorded most recently (at most the last
+    /// eight), oldest first, as rendered in strict-mode trace diffs.
+    #[cfg(test)]
+    pub(crate) fn recent(&self, rank: usize) -> Vec<String> {
+        let st = self.state.lock();
+        st.traces[rank].iter().map(|(_, sig)| sig.clone()).collect()
+    }
+
     /// Records that `rank`'s closure returned after completing
     /// `completed` collectives; any deposit already waiting at or beyond
     /// that sequence number is a stranded peer.

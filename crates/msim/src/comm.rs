@@ -172,6 +172,14 @@ impl Comm {
         self.gen
     }
 
+    /// This rank's most recent collective signatures as the verifier
+    /// recorded them (empty when the verifier is off).
+    #[cfg(test)]
+    pub(crate) fn recent_collectives(&self) -> Vec<String> {
+        let check = self.shared.check.as_ref();
+        check.map(|v| v.recent(self.rank)).unwrap_or_default()
+    }
+
     fn label_text(&self) -> String {
         self.labels.join("/")
     }

@@ -1,27 +1,36 @@
 //! MPI-IO over the simulated parallel filesystem: the paper's three access
 //! levels.
 //!
-//! | Level | Pattern        | Mode        | Entry point                 |
-//! |-------|----------------|-------------|-----------------------------|
-//! | 0     | contiguous     | independent | [`MpiFile::read_at`]        |
-//! | 1     | contiguous     | collective  | [`MpiFile::read_at_all`]    |
-//! | 3     | non-contiguous | collective  | [`MpiFile::read_all`] (view)|
+//! | Level | Pattern        | Mode        | Entry point                  | Two-phase fragments          |
+//! |-------|----------------|-------------|------------------------------|------------------------------|
+//! | 0     | contiguous     | independent | [`MpiFile::read_at`]         | — (one timed pfs request)    |
+//! | 1     | contiguous     | collective  | [`MpiFile::read_at_all`]     | the one `(offset, len)`      |
+//! | 3     | non-contiguous | collective  | [`MpiFile::read_all`] (view) | [`FileView::fragments`]      |
 //!
-//! Collective reads implement ROMIO-style **two-phase I/O**: a subset of
-//! ranks (*aggregators*, at most one per node) read contiguous file
-//! domains in `cb_buffer_size` cycles, then redistribute to the real
-//! targets with an `Alltoallv`. On Lustre the aggregator count follows the
-//! divisor rule the paper reports (§5.1.1): when the stripe count is at
-//! least the node count, the number of readers is the largest divisor of
-//! the stripe count that is ≤ the node count — which is why 24 nodes
-//! reading a 64-OST file get only 16 readers and Figure 11 shows cliffs at
-//! 24, 48 and 72 nodes.
+//! The writes mirror the reads ([`MpiFile::write_at`],
+//! [`MpiFile::write_at_all`], [`MpiFile::write_all`]). Every collective
+//! call runs **one two-phase engine**, the ROMIO scheme of Thakur, Gropp
+//! and Lusk: the ranks allgather their file fragments, a subset of ranks
+//! (*aggregators*, at most one per node) own stripe-aligned contiguous
+//! file domains over the fragments' union extent and read or flush them
+//! in `cb_buffer_size` cycles through one deterministic pfs batch, and
+//! the bytes travel between ranks and aggregators as real point-to-point
+//! messages — one per (rank, aggregator) pair, holding the rank's
+//! fragments ∩ that domain in fragment order. A view call adds its
+//! datatype processing on the rank. On Lustre the aggregator count
+//! follows the divisor rule the paper reports (§5.1.1): when the stripe
+//! count is at least the node count, the number of readers is the
+//! largest divisor of the stripe count that is ≤ the node count — which
+//! is why 24 nodes reading a 64-OST file get only 16 readers and
+//! Figure 11 shows cliffs at 24, 48 and 72 nodes.
 
 use crate::comm::Comm;
 use crate::datatype::Datatype;
 use crate::hints::{Hints, ROMIO_MAX_IO_BYTES};
+use crate::time::CostModel;
 use crate::{MsimError, Result};
 use mvio_pfs::{FsKind, IoRequest, SimFile, SimFs};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// The three MPI-IO access levels the paper benchmarks (its Table 1; the
@@ -176,240 +185,25 @@ impl MpiFile {
 
     // ----- Level 1: contiguous + collective -------------------------------
 
-    /// `MPI_File_read_at_all`: collective contiguous read via two-phase
-    /// I/O. All ranks must call it; per-rank `(offset, buf)` may differ
-    /// (zero-length participation is allowed, as in Algorithm 1's last
-    /// iteration). Returns bytes read into `buf`.
+    /// `MPI_File_read_at_all`: collective contiguous read, the two-phase
+    /// engine over the one fragment `(offset, buf.len())`. All ranks must
+    /// call it; per-rank `(offset, buf)` may differ (zero-length
+    /// participation is allowed, as in Algorithm 1's last iteration).
+    /// Returns bytes read into `buf`, short at end-of-file exactly like
+    /// [`MpiFile::read_at`].
     pub fn read_at_all(&self, comm: &mut Comm, offset: u64, buf: &mut [u8]) -> Result<usize> {
         Self::check_count(buf.len() as u64)?;
-        // Functional half: copy this rank's bytes now (untimed peek); the
-        // timing half is computed collectively below.
-        let got = self.file.peek(offset, buf);
-
-        let topo = comm.topology();
-        let nodes = topo.nodes();
-        let cost = *comm.cost_model();
-        let stripe = self.file.stripe();
-        let ost_base = self.file.ost_base();
-        let fs_kind = self.fs.config().kind;
-        let hints = self.hints;
-        let engine = Arc::clone(self.fs.engine());
-        let p = comm.size();
-
-        let (_, _) = comm.collective(
-            "io.read_at_all",
-            (offset, got as u64),
-            move |reqs: Vec<(u64, u64)>, times| {
-                let start = times.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                // Aggregate file domain spanned by the collective.
-                let lo = reqs.iter().filter(|r| r.1 > 0).map(|r| r.0).min();
-                let hi = reqs.iter().filter(|r| r.1 > 0).map(|r| r.0 + r.1).max();
-                let (lo, hi) = match (lo, hi) {
-                    (Some(l), Some(h)) => (l, h),
-                    _ => return ((), vec![start; reqs.len()]), // nothing to read
-                };
-                let readers = select_readers(fs_kind, stripe.count, nodes, hints.cb_nodes);
-                let leaders = topo.node_leaders();
-
-                // Contiguous equal file domains, one per aggregator, read
-                // in cb_buffer_size cycles.
-                let span = hi - lo;
-                let domain = span.div_ceil(readers as u64).max(1);
-                let mut batch = Vec::new();
-                for (i, leader) in leaders.iter().take(readers).enumerate() {
-                    let d_lo = lo + i as u64 * domain;
-                    let d_hi = (d_lo + domain).min(hi);
-                    let mut pos = d_lo;
-                    while pos < d_hi {
-                        let len = (d_hi - pos).min(hints.cb_buffer_size);
-                        batch.push(IoRequest {
-                            rank: *leader,
-                            node: topo.node_of(*leader),
-                            now: start,
-                            offset: pos,
-                            len,
-                        });
-                        pos += len;
-                    }
-                }
-                let completions = engine.io_batch(stripe, ost_base, &batch);
-                let read_done = completions
-                    .iter()
-                    .map(|c| c.completion)
-                    .fold(start, f64::max);
-
-                // Redistribution: aggregators scatter each rank's bytes.
-                let exits: Vec<f64> = reqs
-                    .iter()
-                    .map(|&(_, len)| read_done + cost.alltoall(p.min(readers.max(2)), len, len))
-                    .collect();
-                ((), exits)
-            },
-        );
-        Ok(got)
+        Ok(self.two_phase_read(comm, &[(offset, buf.len() as u64)], buf))
     }
 
-    /// `MPI_File_write_at_all`: collective contiguous write via two-phase
-    /// I/O (aggregators gather and flush contiguous domains). The paper
-    /// needs this for "the output … written to a single file in which the
+    /// `MPI_File_write_at_all`: collective contiguous write, the two-phase
+    /// engine over the one fragment `(offset, buf.len())`. The paper needs
+    /// this for "the output … written to a single file in which the
     /// storage order corresponds to that of the global grid data layout".
+    /// Collective: every rank must call it, possibly with an empty buffer.
     pub fn write_at_all(&self, comm: &mut Comm, offset: u64, buf: &[u8]) -> Result<usize> {
         Self::check_count(buf.len() as u64)?;
-        // Functional half: place this rank's bytes (untimed; aggregated
-        // timing is modelled collectively below).
-        self.file.poke(offset, buf);
-
-        let topo = comm.topology();
-        let nodes = topo.nodes();
-        let cost = *comm.cost_model();
-        let stripe = self.file.stripe();
-        let ost_base = self.file.ost_base();
-        let fs_kind = self.fs.config().kind;
-        let hints = self.hints;
-        let engine = Arc::clone(self.fs.engine());
-        let p = comm.size();
-        let len = buf.len() as u64;
-
-        let (_, _) = comm.collective(
-            "io.write_at_all",
-            (offset, len),
-            move |reqs: Vec<(u64, u64)>, times| {
-                let start = times.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                let lo = reqs.iter().filter(|r| r.1 > 0).map(|r| r.0).min();
-                let hi = reqs.iter().filter(|r| r.1 > 0).map(|r| r.0 + r.1).max();
-                let (lo, hi) = match (lo, hi) {
-                    (Some(l), Some(h)) => (l, h),
-                    _ => return ((), vec![start; reqs.len()]),
-                };
-                let writers = select_readers(fs_kind, stripe.count, nodes, hints.cb_nodes);
-                let leaders = topo.node_leaders();
-
-                // Phase 1: ranks ship their data to the aggregators.
-                let gather_done = reqs
-                    .iter()
-                    .map(|&(_, l)| start + cost.alltoall(p.min(writers.max(2)), l, l))
-                    .fold(start, f64::max);
-
-                // Phase 2: aggregators flush contiguous domains in cycles.
-                let span = hi - lo;
-                let domain = span.div_ceil(writers as u64).max(1);
-                let mut batch = Vec::new();
-                for (i, leader) in leaders.iter().take(writers).enumerate() {
-                    let d_lo = lo + i as u64 * domain;
-                    let d_hi = (d_lo + domain).min(hi);
-                    let mut pos = d_lo;
-                    while pos < d_hi {
-                        let l = (d_hi - pos).min(hints.cb_buffer_size);
-                        batch.push(IoRequest {
-                            rank: *leader,
-                            node: topo.node_of(*leader),
-                            now: gather_done,
-                            offset: pos,
-                            len: l,
-                        });
-                        pos += l;
-                    }
-                }
-                let completions = engine.io_batch(stripe, ost_base, &batch);
-                let done = completions
-                    .iter()
-                    .map(|c| c.completion)
-                    .fold(gather_done, f64::max);
-                ((), vec![done; reqs.len()])
-            },
-        );
-        Ok(buf.len())
-    }
-
-    /// `MPI_File_write_all` through the current file view: non-contiguous
-    /// collective write (rank instances as in [`MpiFile::read_all`]).
-    pub fn write_all(
-        &self,
-        comm: &mut Comm,
-        skip_instances: u64,
-        stride_instances: u64,
-        buf: &[u8],
-    ) -> Result<usize> {
-        Self::check_count(buf.len() as u64)?;
-        let view = self
-            .view
-            .as_ref()
-            .ok_or_else(|| MsimError::Collective("write_all requires a file view".into()))?;
-        let frags = view.fragments(skip_instances, stride_instances, buf.len());
-
-        // Functional half: scatter the user buffer into the fragments.
-        let mut pos = 0usize;
-        for &(off, len) in &frags {
-            self.file.poke(off, &buf[pos..pos + len as usize]);
-            pos += len as usize;
-        }
-
-        // Timing: reuse the collective two-phase model (same mechanics in
-        // both directions), plus per-fragment datatype processing.
-        let topo = comm.topology();
-        let nodes = topo.nodes();
-        let cost = *comm.cost_model();
-        let stripe = self.file.stripe();
-        let ost_base = self.file.ost_base();
-        let fs_kind = self.fs.config().kind;
-        let hints = self.hints;
-        let engine = Arc::clone(self.fs.engine());
-        let p = comm.size();
-        let my_bytes: u64 = frags.iter().map(|f| f.1).sum();
-        let my_span = frags
-            .first()
-            // audit: inside `first().map`, so the fragment list is non-empty.
-            .map(|f| (f.0, frags.last().unwrap().0 + frags.last().unwrap().1));
-
-        let (_, _) = comm.collective(
-            "io.write_all",
-            (my_span, my_bytes, frags.len() as u64),
-            move |inputs: Vec<(Option<(u64, u64)>, u64, u64)>, times| {
-                let start = times.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                let lo = inputs.iter().filter_map(|i| i.0).map(|s| s.0).min();
-                let hi = inputs.iter().filter_map(|i| i.0).map(|s| s.1).max();
-                let (lo, hi) = match (lo, hi) {
-                    (Some(l), Some(h)) => (l, h),
-                    _ => return ((), vec![start; inputs.len()]),
-                };
-                let writers = select_readers(fs_kind, stripe.count, nodes, hints.cb_nodes);
-                let leaders = topo.node_leaders();
-                let gather_done = inputs
-                    .iter()
-                    .map(|&(_, bytes, nfrags)| {
-                        start
-                            + cost.alltoall(p.min(writers.max(2)), bytes, bytes)
-                            + nfrags as f64 * (cost.comm_latency + 2.0e-6)
-                            + bytes as f64 * cost.byte_copy
-                    })
-                    .fold(start, f64::max);
-                let span = hi - lo;
-                let domain = span.div_ceil(writers as u64).max(1);
-                let mut batch = Vec::new();
-                for (i, leader) in leaders.iter().take(writers).enumerate() {
-                    let d_lo = lo + i as u64 * domain;
-                    let d_hi = (d_lo + domain).min(hi);
-                    let mut pos = d_lo;
-                    while pos < d_hi {
-                        let l = (d_hi - pos).min(hints.cb_buffer_size);
-                        batch.push(IoRequest {
-                            rank: *leader,
-                            node: topo.node_of(*leader),
-                            now: gather_done,
-                            offset: pos,
-                            len: l,
-                        });
-                        pos += l;
-                    }
-                }
-                let completions = engine.io_batch(stripe, ost_base, &batch);
-                let done = completions
-                    .iter()
-                    .map(|c| c.completion)
-                    .fold(gather_done, f64::max);
-                ((), vec![done; inputs.len()])
-            },
-        );
+        self.two_phase_write(comm, &[(offset, buf.len() as u64)], buf);
         Ok(buf.len())
     }
 
@@ -419,7 +213,11 @@ impl MpiFile {
     /// collective read. Each rank reads `buf.len()` payload bytes from its
     /// view fragments, where the rank's instances are
     /// `skip + k·stride` for `k = 0, 1, …` (round-robin block
-    /// distribution: `skip = rank`, `stride = size`).
+    /// distribution: `skip = rank`, `stride = size`). The two-phase
+    /// engine runs over the fragments, then the rank pays the view's
+    /// datatype processing: one message latency plus 2 µs per fragment
+    /// and a byte copy per byte. Returns the bytes delivered (short at
+    /// end-of-file). Collective: every rank must call it.
     pub fn read_all(
         &self,
         comm: &mut Comm,
@@ -428,132 +226,69 @@ impl MpiFile {
         buf: &mut [u8],
     ) -> Result<usize> {
         Self::check_count(buf.len() as u64)?;
-        let view = self
-            .view
-            .as_ref()
-            .ok_or_else(|| MsimError::Collective("read_all requires a file view".into()))?;
-        let frags = view.fragments(skip_instances, stride_instances, buf.len());
-
-        // Functional half: gather fragments into the user buffer.
-        let mut pos = 0usize;
-        let mut got = 0usize;
-        for &(off, len) in &frags {
-            let n = self.file.peek(off, &mut buf[pos..pos + len as usize]);
-            got += n;
-            pos += len as usize;
-            if (n as u64) < len {
-                break; // EOF inside a fragment
-            }
-        }
-
-        let topo = comm.topology();
-        let nodes = topo.nodes();
-        let cost = *comm.cost_model();
-        let stripe = self.file.stripe();
-        let ost_base = self.file.ost_base();
-        let fs_kind = self.fs.config().kind;
-        let hints = self.hints;
-        let engine = Arc::clone(self.fs.engine());
-        let p = comm.size();
-
-        let my_bytes: u64 = frags.iter().map(|f| f.1).sum();
-        let my_span = frags
-            .first()
-            // audit: inside `first().map`, so the fragment list is non-empty.
-            .map(|f| (f.0, frags.last().unwrap().0 + frags.last().unwrap().1));
-
-        let (_, _) = comm.collective(
-            "io.read_all",
-            (my_span, my_bytes, frags.len() as u64),
-            move |inputs: Vec<(Option<(u64, u64)>, u64, u64)>, times| {
-                let start = times.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                let lo = inputs.iter().filter_map(|i| i.0).map(|s| s.0).min();
-                let hi = inputs.iter().filter_map(|i| i.0).map(|s| s.1).max();
-                let (lo, hi) = match (lo, hi) {
-                    (Some(l), Some(h)) => (l, h),
-                    _ => return ((), vec![start; inputs.len()]),
-                };
-                let readers = select_readers(fs_kind, stripe.count, nodes, hints.cb_nodes);
-                let leaders = topo.node_leaders();
-
-                // Data sieving: aggregators read the covering span (gaps
-                // included) in cycles.
-                let span = hi - lo;
-                let domain = span.div_ceil(readers as u64).max(1);
-                let mut batch = Vec::new();
-                for (i, leader) in leaders.iter().take(readers).enumerate() {
-                    let d_lo = lo + i as u64 * domain;
-                    let d_hi = (d_lo + domain).min(hi);
-                    let mut pos = d_lo;
-                    while pos < d_hi {
-                        let len = (d_hi - pos).min(hints.cb_buffer_size);
-                        batch.push(IoRequest {
-                            rank: *leader,
-                            node: topo.node_of(*leader),
-                            now: start,
-                            offset: pos,
-                            len,
-                        });
-                        pos += len;
-                    }
-                }
-                let completions = engine.io_batch(stripe, ost_base, &batch);
-                let read_done = completions
-                    .iter()
-                    .map(|c| c.completion)
-                    .fold(start, f64::max);
-
-                // Redistribution + per-fragment datatype processing: the
-                // non-contiguous overhead the paper's Figures 15–16 show.
-                let exits: Vec<f64> = inputs
-                    .iter()
-                    .map(|&(_, bytes, nfrags)| {
-                        read_done
-                            + cost.alltoall(p.min(readers.max(2)), bytes, bytes)
-                            + nfrags as f64 * (cost.comm_latency + 2.0e-6)
-                            + bytes as f64 * cost.byte_copy
-                    })
-                    .collect();
-                ((), exits)
-            },
-        );
+        let frags = self.view_fragments("read_all", skip_instances, stride_instances, buf.len())?;
+        let got = self.two_phase_read(comm, &frags, buf);
+        comm.advance(view_processing_seconds(comm.cost_model(), &frags));
         Ok(got)
     }
 
-    // ----- Staged two-phase collective I/O over the request layer ---------
-
-    /// Builds the staged plan: allgathers every rank's `(offset, len)`
-    /// span (clamping to `clamp_hi` when given — the read side must not
-    /// plan past EOF), selects the aggregators, and cuts their
-    /// stripe-aligned file domains. Collective.
-    fn staged_plan(
+    /// `MPI_File_write_all` through the current file view: non-contiguous
+    /// collective write (rank instances as in [`MpiFile::read_all`]). The
+    /// rank pays the view's datatype processing to pack its fragments
+    /// (as in [`MpiFile::read_all`]), then the two-phase engine ships and
+    /// flushes them. Collective: every rank must call it.
+    pub fn write_all(
         &self,
         comm: &mut Comm,
-        offset: u64,
-        len: u64,
-        clamp_hi: Option<u64>,
-    ) -> StagedPlan {
-        let mut span = (offset, offset + len);
-        if let Some(hi) = clamp_hi {
-            span = (span.0.min(hi), span.1.min(hi));
+        skip_instances: u64,
+        stride_instances: u64,
+        buf: &[u8],
+    ) -> Result<usize> {
+        Self::check_count(buf.len() as u64)?;
+        let frags =
+            self.view_fragments("write_all", skip_instances, stride_instances, buf.len())?;
+        comm.advance(view_processing_seconds(comm.cost_model(), &frags));
+        self.two_phase_write(comm, &frags, buf);
+        Ok(buf.len())
+    }
+
+    /// The current view's fragments for `payload` bytes (see
+    /// [`FileView::fragments`]); `op` names the caller in the error.
+    fn view_fragments(
+        &self,
+        op: &str,
+        skip_instances: u64,
+        stride_instances: u64,
+        payload: usize,
+    ) -> Result<Vec<(u64, u64)>> {
+        self.view
+            .as_ref()
+            .map(|view| view.fragments(skip_instances, stride_instances, payload))
+            .ok_or_else(|| MsimError::Collective(format!("{op} requires a file view")))
+    }
+
+    // ----- The two-phase engine -------------------------------------------
+
+    /// Builds the two-phase plan: allgathers every rank's `(offset, len)`
+    /// fragments as `[lo, hi)` words (clamped to `eof` when given — the
+    /// read side must not plan past end-of-file), selects the
+    /// aggregators, and cuts their stripe-aligned file domains over the
+    /// union extent. Collective.
+    fn plan(&self, comm: &mut Comm, frags: &[(u64, u64)], eof: Option<u64>) -> TwoPhasePlan {
+        let clamp = |at: u64| eof.map_or(at, |e| at.min(e));
+        let mut words = Vec::with_capacity(16 * frags.len());
+        for &(offset, len) in frags {
+            words.extend_from_slice(&clamp(offset).to_le_bytes());
+            words.extend_from_slice(&clamp(offset + len).to_le_bytes());
         }
-        let mut word = [0u8; 16];
-        word[..8].copy_from_slice(&span.0.to_le_bytes());
-        word[8..].copy_from_slice(&span.1.to_le_bytes());
-        let spans: Vec<(u64, u64)> = comm
-            .labeled("io.staged_plan", |c| c.allgather(word.to_vec()))
-            .into_iter()
-            .map(|w| {
-                (
-                    // audit: span words are 16 bytes; both ranges are exactly 8 bytes.
-                    u64::from_le_bytes(w[..8].try_into().expect("span word")),
-                    // audit: the range is exactly 8 bytes by construction.
-                    u64::from_le_bytes(w[8..16].try_into().expect("span word")),
-                )
-            })
-            .collect();
-        let lo = spans.iter().filter(|s| s.1 > s.0).map(|s| s.0).min();
-        let hi = spans.iter().filter(|s| s.1 > s.0).map(|s| s.1).max();
+        let words = comm.labeled("io.staged_plan", |c| c.allgather(words));
+        let nonempty = || {
+            (words.iter())
+                .flat_map(|w| decode_fragments(w))
+                .filter(|f| f.1 > f.0)
+        };
+        let lo = nonempty().map(|f| f.0).min();
+        let hi = nonempty().map(|f| f.1).max();
         let (domains, agg_ranks) = match (lo, hi) {
             (Some(lo), Some(hi)) => {
                 let topo = comm.topology();
@@ -574,8 +309,8 @@ impl MpiFile {
             }
             _ => (Vec::new(), Vec::new()),
         };
-        StagedPlan {
-            spans,
+        TwoPhasePlan {
+            words,
             agg_ranks,
             domains,
         }
@@ -601,78 +336,71 @@ impl MpiFile {
         out
     }
 
-    /// Staged `MPI_File_write_at_all`: ROMIO-style two-phase collective
-    /// write in which the data **physically moves through the runtime**.
-    /// Every rank ships the pieces of its buffer that fall into each
-    /// aggregator's stripe-aligned file domain over [`Comm::isend`]; the
-    /// aggregators collect their pieces with [`Comm::irecv`]/
-    /// [`Comm::waitall`], coalesce contiguous runs, and flush them as
-    /// large contiguous stripe writes in `cb_buffer_size` cycles through
-    /// one deterministic [`SimFile::write_batch`]. All ranks exit at the
-    /// global completion time (the collective-write barrier the
-    /// simulator's other collectives also model).
-    ///
-    /// Aggregator count: the [`select_readers`] heuristic, lowered by the
-    /// `cb_nodes` hint. Overlapping source spans are assembled
-    /// in rank order (later ranks win), matching `MPI_File_write_at_all`'s
-    /// "undefined but deterministic" overlap behaviour.
-    pub fn write_at_all_staged(&self, comm: &mut Comm, offset: u64, buf: &[u8]) -> Result<usize> {
-        Self::check_count(buf.len() as u64)?;
-        let plan = self.staged_plan(comm, offset, buf.len() as u64, None);
+    /// Two-phase collective write in which the data **physically moves
+    /// through the runtime** (ROMIO's scheme). Every rank ships, to each
+    /// aggregator whose stripe-aligned file domain its fragments touch,
+    /// one [`Comm::isend`] holding its fragments ∩ that domain in
+    /// fragment order (`buf` holds the fragments back to back). Each
+    /// aggregator collects its messages with [`Comm::irecv`]/
+    /// [`Comm::waitall`], places them in rank order into its covered runs
+    /// (the merged extents of the fragments it owns, packed back to
+    /// back) — overlapping fragments therefore land **later rank wins**,
+    /// in every run — and flushes the runs as large contiguous stripe
+    /// writes in `cb_buffer_size` cycles through one deterministic
+    /// [`SimFile::write_batch`]. All ranks exit at the global completion
+    /// time (the collective-write barrier the simulator's other
+    /// collectives also model). Aggregator count: the [`select_readers`]
+    /// heuristic, lowered by the `cb_nodes` hint.
+    fn two_phase_write(&self, comm: &mut Comm, frags: &[(u64, u64)], buf: &[u8]) {
+        let plan = self.plan(comm, frags, None);
         let rank = comm.rank();
-        let my_span = plan.spans[rank];
 
         // Phase 1: ship my pieces to the aggregators owning them.
         let mut sends = Vec::new();
         for (a, &dom) in plan.domains.iter().enumerate() {
-            if let Some((lo, hi)) = intersect(my_span, dom) {
-                let piece = &buf[(lo - offset) as usize..(hi - offset) as usize];
-                sends.push(comm.isend(plan.agg_ranks[a], STAGED_WRITE_TAG, piece));
+            let pieces = my_parts(frags, plan.of(rank), dom)
+                .map(|(at, lo, hi)| &buf[at..][..(hi - lo) as usize]);
+            if let Some(msg) = gather(pieces) {
+                sends.push(comm.isend(plan.agg_ranks[a], STAGED_WRITE_TAG, &msg));
             }
         }
 
-        // Aggregators: collect the pieces of my domain, in rank order.
-        let gathered: Option<(usize, Vec<(u64, Vec<u8>)>)> = plan.agg_index(rank).map(|a| {
+        // Aggregators: collect my domain's messages in rank order and
+        // place them in its covered runs (later ranks overwrite earlier
+        // ones).
+        let gathered: Option<Flush> = plan.agg_index(rank).map(|a| {
             let dom = plan.domains[a];
-            let mut pieces = Vec::new();
-            let mut reqs = Vec::new();
-            for (src, &span) in plan.spans.iter().enumerate() {
-                if let Some((lo, _)) = intersect(span, dom) {
-                    pieces.push(lo);
-                    reqs.push(comm.irecv(src, STAGED_WRITE_TAG));
+            let senders = || {
+                (0..plan.words.len()).filter(|&src| overlaps(plan.of(src), dom).next().is_some())
+            };
+            let reqs: Vec<_> = senders()
+                .map(|src| comm.irecv(src, STAGED_WRITE_TAG))
+                .collect();
+            let mut flush = Flush::covering(senders().flat_map(|src| overlaps(plan.of(src), dom)));
+            for (src, msg) in senders().zip(comm.waitall(reqs)) {
+                let mut at = 0usize;
+                for (lo, hi) in overlaps(plan.of(src), dom) {
+                    let len = (hi - lo) as usize;
+                    let to = flush.position(lo, len);
+                    flush.data[to].copy_from_slice(&msg[at..at + len]);
+                    at += len;
                 }
             }
-            let data = comm.waitall(reqs);
-            (a, pieces.into_iter().zip(data).collect())
+            flush
         });
         comm.waitall(sends);
 
-        // Coalesce each aggregator's pieces into contiguous runs and plan
-        // the cb cycles from its post-gather clock.
-        let my_batch: Option<(Vec<IoRequest>, Vec<Vec<u8>>)> = gathered.map(|(a, mut pieces)| {
-            pieces.sort_by_key(|p| p.0);
-            let mut runs: Vec<(u64, Vec<u8>)> = Vec::new();
-            for (at, bytes) in pieces {
-                match runs.last_mut() {
-                    Some((start, run)) if *start + run.len() as u64 == at => {
-                        run.extend_from_slice(&bytes)
-                    }
-                    _ => runs.push((at, bytes)),
-                }
-            }
-            let now = comm.now();
-            let node = comm.node();
-            let agg_rank = plan.agg_ranks[a];
-            let mut reqs = Vec::new();
-            let mut bufs = Vec::new();
-            for (start, run) in runs {
-                for cyc in self.cb_cycles(agg_rank, node, now, start, start + run.len() as u64) {
-                    let at = (cyc.offset - start) as usize;
-                    bufs.push(run[at..at + cyc.len as usize].to_vec());
-                    reqs.push(cyc);
-                }
-            }
-            (reqs, bufs)
+        // Plan the cb cycles of each covered run from the post-gather
+        // clock.
+        let now = comm.now();
+        let node = comm.node();
+        let my_flush: Option<Flush> = gathered.map(|mut flush| {
+            flush.reqs = flush
+                .runs
+                .iter()
+                .flat_map(|&(lo, hi, _)| self.cb_cycles(rank, node, now, lo, hi))
+                .collect();
+            flush
         });
 
         // Phase 2: one deterministic global flush. Every aggregator's
@@ -681,49 +409,45 @@ impl MpiFile {
         // independent of thread interleaving; everyone exits at the
         // global completion.
         let file = Arc::clone(&self.file);
-        let (_, _) = comm.collective("io.staged_write.flush", my_batch, move |inputs, times| {
+        let (_, _) = comm.collective("io.staged_write.flush", my_flush, move |inputs, times| {
             let start = times.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            let mut reqs = Vec::new();
-            let mut bufs = Vec::new();
-            for input in inputs.into_iter().flatten() {
-                reqs.extend(input.0);
-                bufs.extend(input.1);
-            }
-            let slices: Vec<&[u8]> = bufs.iter().map(|b| b.as_slice()).collect();
+            let flushes: Vec<Flush> = inputs.into_iter().flatten().collect();
+            let reqs: Vec<IoRequest> = flushes
+                .iter()
+                .flat_map(|f| f.reqs.iter().copied())
+                .collect();
+            let slices: Vec<&[u8]> = flushes
+                .iter()
+                .flat_map(|f| {
+                    f.reqs
+                        .iter()
+                        .map(move |r| &f.data[f.position(r.offset, r.len as usize)])
+                })
+                .collect();
             let done = file
                 .write_batch(&reqs, &slices)
-                // audit: the batched requests were bounds- and count-validated when staged.
-                .expect("staged write flush")
+                // audit: every request is a cycle of one of its aggregator's covered runs.
+                .expect("two-phase write flush")
                 .into_iter()
                 .map(|c| c.completion)
                 .fold(start, f64::max);
             ((), vec![done; times.len()])
         });
-        Ok(buf.len())
     }
 
-    /// Staged `MPI_File_read_at_all`: the inverse scatter of
-    /// [`MpiFile::write_at_all_staged`]. Aggregators read their
-    /// stripe-aligned domains in `cb_buffer_size` cycles through one
-    /// deterministic [`SimFile::read_batch`], then ship each rank the
-    /// pieces of its span over [`Comm::isend`]; ranks assemble their
-    /// buffers from [`Comm::irecv`]s. Spans are clamped to EOF, so the
-    /// returned count is short at end-of-file exactly like
-    /// [`MpiFile::read_at`]. Non-aggregator ranks exit as soon as their
-    /// own pieces have arrived (no write-side barrier is needed on read).
-    /// Collective: every rank must call it (staged two-phase collective
-    /// read).
-    pub fn read_at_all_staged(
-        &self,
-        comm: &mut Comm,
-        offset: u64,
-        buf: &mut [u8],
-    ) -> Result<usize> {
-        Self::check_count(buf.len() as u64)?;
-        let file_len = self.file.len();
-        let plan = self.staged_plan(comm, offset.min(file_len), buf.len() as u64, Some(file_len));
+    /// Two-phase collective read, the inverse scatter of
+    /// [`MpiFile::two_phase_write`]. Fragments are clamped to
+    /// end-of-file; aggregators read their whole stripe-aligned domains
+    /// (gaps between fragments included — data sieving) in
+    /// `cb_buffer_size` cycles through one deterministic
+    /// [`SimFile::read_batch`], then send each rank one message holding
+    /// its fragments ∩ that domain in fragment order; ranks unpack them
+    /// into `buf`, where the fragments sit back to back. Returns the
+    /// bytes delivered. Non-aggregator ranks exit as soon as their own
+    /// pieces have arrived (no write-side barrier is needed on read).
+    fn two_phase_read(&self, comm: &mut Comm, frags: &[(u64, u64)], buf: &mut [u8]) -> usize {
+        let plan = self.plan(comm, frags, Some(self.file.len()));
         let rank = comm.rank();
-        let my_span = plan.spans[rank];
 
         // Phase 1: one deterministic global read of every aggregator's
         // domain cycles under a single engine lock. The shared result
@@ -751,8 +475,8 @@ impl MpiFile {
                     let done = {
                         let mut slices: Vec<&mut [u8]> =
                             data.iter_mut().map(|d| d.as_mut_slice()).collect();
-                        // audit: the batched requests were bounds- and count-validated when staged.
-                        file.read_batch(&reqs, &mut slices).expect("staged read")
+                        // audit: every cycle lies inside a domain planned below end-of-file.
+                        file.read_batch(&reqs, &mut slices).expect("two-phase read")
                     };
                     let mut domain = Vec::new();
                     let mut completion = start;
@@ -766,51 +490,62 @@ impl MpiFile {
                 (out, exits)
             });
 
-        // Phase 2: aggregators scatter each rank's pieces.
+        // Phase 2: aggregators scatter each rank's pieces, clamped to
+        // the bytes the read actually produced.
         let mut sends = Vec::new();
         if let Some(a) = plan.agg_index(rank) {
             let dom = plan.domains[a];
             let domain = &read_result[a].0;
-            for (dst, &span) in plan.spans.iter().enumerate() {
-                if let Some((lo, hi)) = intersect(span, dom) {
-                    // Clamp to the bytes the read actually produced.
-                    let avail = dom.0 + domain.len() as u64;
-                    let hi = hi.min(avail);
-                    let piece = if lo < hi {
-                        &domain[(lo - dom.0) as usize..(hi - dom.0) as usize]
-                    } else {
-                        &[][..]
-                    };
-                    sends.push(comm.isend(dst, STAGED_READ_TAG, piece));
+            let avail = dom.0 + domain.len() as u64;
+            for dst in 0..plan.words.len() {
+                let pieces = overlaps(plan.of(dst), dom).map(|(lo, hi)| {
+                    let (lo, hi) = (lo.min(avail), hi.min(avail));
+                    &domain[(lo - dom.0) as usize..(hi - dom.0) as usize]
+                });
+                if let Some(msg) = gather(pieces) {
+                    sends.push(comm.isend(dst, STAGED_READ_TAG, &msg));
                 }
             }
         }
 
-        // Assemble my buffer from the aggregators covering my span, in
-        // aggregator order (matching their deterministic send order).
+        // Unpack the messages of the aggregators covering my fragments,
+        // in aggregator order (matching their deterministic send order).
+        let covering: Vec<usize> = (0..plan.domains.len())
+            .filter(|&a| overlaps(plan.of(rank), plan.domains[a]).next().is_some())
+            .collect();
+        let recvs: Vec<_> = covering
+            .iter()
+            .map(|&a| comm.irecv(plan.agg_ranks[a], STAGED_READ_TAG))
+            .collect();
         let mut got = 0usize;
-        let mut recvs = Vec::new();
-        let mut places = Vec::new();
-        for (a, &dom) in plan.domains.iter().enumerate() {
-            if let Some((lo, _)) = intersect(my_span, dom) {
-                places.push(lo);
-                recvs.push(comm.irecv(plan.agg_ranks[a], STAGED_READ_TAG));
+        for (a, msg) in covering.into_iter().zip(comm.waitall(recvs)) {
+            let mut at = 0usize;
+            for (dst, lo, hi) in my_parts(frags, plan.of(rank), plan.domains[a]) {
+                let len = ((hi - lo) as usize).min(msg.len() - at);
+                buf[dst..dst + len].copy_from_slice(&msg[at..at + len]);
+                at += len;
+                got += len;
             }
         }
-        for (at, piece) in places.into_iter().zip(comm.waitall(recvs)) {
-            let dst = (at - offset) as usize;
-            buf[dst..dst + piece.len()].copy_from_slice(&piece);
-            got += piece.len();
-        }
         comm.waitall(sends);
-        Ok(got)
+        got
     }
 }
 
-/// Tag carrying rank→aggregator payloads of a staged collective write.
+/// Tag carrying rank→aggregator payloads of a two-phase write.
 const STAGED_WRITE_TAG: u64 = 0x5743;
-/// Tag carrying aggregator→rank payloads of a staged collective read.
+/// Tag carrying aggregator→rank payloads of a two-phase read.
 const STAGED_READ_TAG: u64 = 0x5244;
+
+/// Virtual seconds a view access pays on its rank for datatype
+/// processing — packing or unpacking the user buffer against the
+/// filetype: one message latency plus 2 µs per fragment, and a byte copy
+/// per byte. This is the non-contiguous overhead of the paper's Figures
+/// 15–16, on top of what the two-phase engine charges.
+fn view_processing_seconds(cost: &CostModel, frags: &[(u64, u64)]) -> f64 {
+    let bytes: u64 = frags.iter().map(|f| f.1).sum();
+    frags.len() as f64 * (cost.comm_latency + 2.0e-6) + bytes as f64 * cost.byte_copy
+}
 
 /// Splits the aggregate file domain `[lo, hi)` into at most `aggregators`
 /// contiguous per-aggregator domains whose interior boundaries are
@@ -843,30 +578,133 @@ pub fn aggregator_domains(
     out
 }
 
-/// Half-open interval intersection; `None` when empty.
-fn intersect(a: (u64, u64), b: (u64, u64)) -> Option<(u64, u64)> {
-    let lo = a.0.max(b.0);
-    let hi = a.1.min(b.1);
-    (lo < hi).then_some((lo, hi))
+/// Decodes one rank's plan word: its `[lo, hi)` fragments, 16 bytes
+/// each, in fragment order.
+fn decode_fragments(word: &[u8]) -> impl Iterator<Item = (u64, u64)> + '_ {
+    word.chunks_exact(16)
+        .map(|f| (le_u64(&f[..8]), le_u64(&f[8..])))
 }
 
-/// The staged two-phase plan shared by [`MpiFile::write_at_all_staged`]
-/// and [`MpiFile::read_at_all_staged`]: every rank's `(offset, len)` span
+/// The non-empty parts of the `[lo, hi)` fragments `frags` inside the
+/// domain `dom`, in fragment order.
+fn overlaps(
+    frags: impl Iterator<Item = (u64, u64)>,
+    dom: (u64, u64),
+) -> impl Iterator<Item = (u64, u64)> {
+    frags.filter_map(move |f| {
+        let lo = f.0.max(dom.0);
+        let hi = f.1.min(dom.1);
+        (lo < hi).then_some((lo, hi))
+    })
+}
+
+/// The calling rank's parts inside `dom` as `(buffer position, lo, hi)`:
+/// `frags` are its `(offset, len)` fragments, back to back in its buffer,
+/// and `planned` the same fragments as the plan's `[lo, hi)` (clamped to
+/// end-of-file on a read, which only ever shortens them).
+fn my_parts<'a>(
+    frags: &'a [(u64, u64)],
+    planned: impl Iterator<Item = (u64, u64)> + 'a,
+    dom: (u64, u64),
+) -> impl Iterator<Item = (usize, u64, u64)> + 'a {
+    let mut start = 0usize;
+    frags.iter().zip(planned).filter_map(move |(f, p)| {
+        let at = start;
+        start += f.1 as usize;
+        let (lo, hi) = (p.0.max(dom.0), p.1.min(dom.1));
+        (lo < hi).then(|| (at + (lo - p.0) as usize, lo, hi))
+    })
+}
+
+/// One message's bytes: a lone piece is sent as it is, several are
+/// concatenated; `None` when there are none.
+fn gather<'a>(mut pieces: impl Iterator<Item = &'a [u8]>) -> Option<Cow<'a, [u8]>> {
+    let first = pieces.next()?;
+    Some(match pieces.next() {
+        None => Cow::Borrowed(first),
+        Some(second) => {
+            let mut msg = [first, second].concat();
+            pieces.for_each(|p| msg.extend_from_slice(p));
+            Cow::Owned(msg)
+        }
+    })
+}
+
+/// A little-endian `u64` from exactly eight bytes.
+fn le_u64(bytes: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(bytes);
+    u64::from_le_bytes(word)
+}
+
+/// The two-phase plan shared by [`MpiFile::two_phase_write`] and
+/// [`MpiFile::two_phase_read`]: every rank's `[lo, hi)` fragments
 /// (allgathered), the aggregator ranks, and their stripe-aligned file
 /// domains.
-struct StagedPlan {
-    /// Per-rank effective spans, indexed by rank (`len == world size`).
-    spans: Vec<(u64, u64)>,
+struct TwoPhasePlan {
+    /// Every rank's plan word, indexed by rank (`len == world size`).
+    words: Vec<Vec<u8>>,
     /// Aggregator ranks, one per domain (node leaders, in node order).
     agg_ranks: Vec<usize>,
     /// Stripe-aligned contiguous file domain of each aggregator.
     domains: Vec<(u64, u64)>,
 }
 
-impl StagedPlan {
+impl TwoPhasePlan {
+    /// Rank `rank`'s effective `[lo, hi)` fragments, in fragment order.
+    fn of(&self, rank: usize) -> impl Iterator<Item = (u64, u64)> + '_ {
+        decode_fragments(&self.words[rank])
+    }
+
     /// Index of `rank` in the aggregator set, if it is one.
     fn agg_index(&self, rank: usize) -> Option<usize> {
         self.agg_ranks.iter().position(|&r| r == rank)
+    }
+}
+
+/// One aggregator's part of a two-phase flush: the runs its domain's
+/// fragments cover, their bytes, and the runs' cb cycles.
+struct Flush {
+    /// Covered `[lo, hi)` file runs in file order, each with its start in
+    /// `data`, where the runs sit back to back.
+    runs: Vec<(u64, u64, usize)>,
+    data: Vec<u8>,
+    reqs: Vec<IoRequest>,
+}
+
+impl Flush {
+    /// An empty flush over the union of the `[lo, hi)` `ranges`: sorted,
+    /// overlapping and adjacent ranges merged into runs.
+    fn covering(ranges: impl Iterator<Item = (u64, u64)>) -> Flush {
+        let mut ranges: Vec<(u64, u64)> = ranges.collect();
+        ranges.sort_unstable();
+        let mut runs: Vec<(u64, u64, usize)> = Vec::with_capacity(ranges.len());
+        let mut len = 0usize;
+        for (lo, hi) in ranges {
+            match runs.last_mut() {
+                Some(last) if lo <= last.1 => {
+                    len += hi.saturating_sub(last.1) as usize;
+                    last.1 = last.1.max(hi);
+                }
+                _ => {
+                    runs.push((lo, hi, len));
+                    len += (hi - lo) as usize;
+                }
+            }
+        }
+        Flush {
+            runs,
+            data: vec![0u8; len],
+            reqs: Vec::new(),
+        }
+    }
+
+    /// Where the `len` bytes at file offset `at` (inside one run) sit in
+    /// `data`.
+    fn position(&self, at: u64, len: usize) -> std::ops::Range<usize> {
+        let (lo, _, start) = self.runs[self.runs.partition_point(|r| r.1 <= at)];
+        let from = start + (at - lo) as usize;
+        from..from + len
     }
 }
 
@@ -905,6 +743,7 @@ pub fn select_readers(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::CheckMode;
     use crate::topology::Topology;
     use crate::world::{World, WorldConfig};
     use mvio_pfs::{FsConfig, StripeSpec};
@@ -929,11 +768,15 @@ mod tests {
         assert_eq!(select_readers(FsKind::Gpfs, 16, 24, Some(4)), 4);
     }
 
+    /// The byte the test files hold at file offset `at`.
+    fn pattern(at: usize) -> u8 {
+        (at % 251) as u8
+    }
+
     fn make_fs_with_file(bytes: usize, stripe: StripeSpec) -> Arc<SimFs> {
         let fs = SimFs::new(FsConfig::lustre_comet());
         let f = fs.create("data.bin", Some(stripe)).unwrap();
-        let pattern: Vec<u8> = (0..bytes).map(|i| (i % 251) as u8).collect();
-        f.append(pattern);
+        f.append((0..bytes).map(pattern).collect::<Vec<u8>>());
         fs
     }
 
@@ -949,7 +792,7 @@ mod tests {
             assert_eq!(n, chunk);
             // Verify contents against the generating pattern.
             for (i, &b) in buf.iter().enumerate() {
-                assert_eq!(b, ((off + i) % 251) as u8);
+                assert_eq!(b, pattern(off + i));
             }
             comm.now()
         });
@@ -986,13 +829,116 @@ mod tests {
             let n = f.read_at_all(comm, off as u64, &mut buf).unwrap();
             assert_eq!(n, chunk);
             for (i, &b) in buf.iter().enumerate() {
-                assert_eq!(b, ((off + i) % 251) as u8);
+                assert_eq!(b, pattern(off + i));
             }
             comm.now()
         });
         // Collectives synchronize: completions are close but include
         // per-rank redistribution terms; all positive.
         assert!(out.iter().all(|&t| t > 0.0));
+    }
+
+    #[test]
+    fn staged_write_then_staged_read_round_trips() {
+        // Write the file collectively, then read back a *rotated*
+        // partition so every rank's bytes cross rank and aggregator
+        // boundaries.
+        let total = 1 << 18;
+        let fs = SimFs::new(FsConfig::lustre_comet());
+        fs.create("rt.bin", Some(StripeSpec::new(8, 16 << 10)))
+            .unwrap();
+        let out = World::run(WorldConfig::new(Topology::new(4, 2)), move |comm| {
+            let f = MpiFile::open(&fs, "rt.bin", Hints::default()).unwrap();
+            let chunk = total / comm.size();
+            let off = comm.rank() * chunk;
+            let data: Vec<u8> = (off..off + chunk).map(pattern).collect();
+            f.write_at_all(comm, off as u64, &data).unwrap();
+            let r_off = ((comm.rank() + 1) % comm.size()) * chunk;
+            let mut buf = vec![0u8; chunk];
+            let n = f.read_at_all(comm, r_off as u64, &mut buf).unwrap();
+            assert_eq!(n, chunk);
+            for (i, &b) in buf.iter().enumerate() {
+                assert_eq!(b, pattern(r_off + i));
+            }
+            comm.now()
+        });
+        assert!(out.iter().all(|&t| t > 0.0));
+    }
+
+    #[test]
+    fn one_fragment_calls_keep_their_collectives_labels_and_times() {
+        // Pinned against the engine before it took fragment lists: the
+        // same collectives under the same labels, and bit-identical
+        // virtual times, which fold in the 16-byte plan word and every
+        // message's size. Rank 3 writes nothing and reads short at EOF;
+        // the last write has aggregator 0 ship 3000 bytes while it
+        // receives 8, so its flush starts after its own send.
+        let fs = SimFs::new(FsConfig::lustre_comet());
+        for path in ["g.bin", "h.bin"] {
+            fs.create(path, Some(StripeSpec::new(4, 1024))).unwrap();
+        }
+        let cfg = WorldConfig::new(Topology::new(2, 2)).with_check(CheckMode::On);
+        let out = World::run(cfg, |comm| {
+            let f = MpiFile::open(&fs, "g.bin", Hints::default()).unwrap();
+            let r = comm.rank();
+            let (off, data) = match r {
+                3 => (0, Vec::new()),
+                _ => (r * 1500, (r * 1500..(r + 1) * 1500).map(pattern).collect()),
+            };
+            comm.labeled("t", |c| f.write_at_all(c, off as u64, &data))
+                .unwrap();
+            let written = comm.now();
+            let (off, len) = match r {
+                3 => (4000, 600),
+                _ => ((r + 1) % 3 * 1500, 1500),
+            };
+            let mut buf = vec![0u8; len];
+            let n = comm
+                .labeled("t", |c| f.read_at_all(c, off as u64, &mut buf))
+                .unwrap();
+            assert!(buf[..n]
+                .iter()
+                .enumerate()
+                .all(|(i, &b)| b == pattern(off + i)));
+            let read = comm.now();
+            let h = MpiFile::open(&fs, "h.bin", Hints::default()).unwrap();
+            let (off, len) = match r {
+                0 => (3072, 3000),
+                1 => (0, 8),
+                _ => (0, 0),
+            };
+            comm.labeled("t", |c| h.write_at_all(c, off, &vec![r as u8 + 1; len]))
+                .unwrap();
+            let times = [written, read, comm.now()].map(f64::to_bits);
+            (times, n, comm.recent_collectives())
+        });
+        // f64 bits of each rank's clock after the first write (equal on
+        // every rank), after the read, and after the last write (equal).
+        let (written, last) = (4569094709962467768, 4576364220874571110);
+        let read = [
+            4571867610367163588,
+            4573598309589838264,
+            4573598199831711026,
+            4573598131271312218,
+        ];
+        for (rank, (times, n, sigs)) in out.into_iter().enumerate() {
+            assert_eq!(times, [written, read[rank], last], "rank {rank}");
+            assert_eq!(n, if rank == 3 { 500 } else { 1500 });
+            assert_eq!(
+                sigs,
+                [
+                    "allgather @ t/io.staged_plan",
+                    "io.staged_write.flush @ t",
+                    "allgather @ t/io.staged_plan",
+                    "io.staged_read @ t",
+                    "allgather @ t/io.staged_plan",
+                    "io.staged_write.flush @ t",
+                ]
+            );
+        }
+        let stats = fs.stats();
+        assert_eq!((stats.write_ops(), stats.read_ops()), (4, 2));
+        assert_eq!((stats.bytes_written(), stats.bytes_read()), (7508, 4500));
     }
 
     #[test]
@@ -1032,7 +978,7 @@ mod tests {
             // records.
             for (j, chunk) in buf.chunks(record).enumerate() {
                 let k = comm.rank() + 4 * j;
-                assert_eq!(chunk[0], ((k * record) % 251) as u8);
+                assert_eq!(chunk[0], pattern(k * record));
             }
         });
     }
@@ -1076,40 +1022,191 @@ mod tests {
     }
 
     #[test]
-    fn level3_write_scatters_round_robin_blocks() {
-        // 4 ranks write 32-byte records round-robin: the row-major grid
-        // output layout of Figure 4, in reverse direction.
-        let record = 32usize;
-        let nrec = 16usize;
+    fn staged_collective_write_assembles_single_file() {
+        // Whole-stripe chunks: every aggregator flush is stripe-aligned.
         let fs = SimFs::new(FsConfig::lustre_comet());
-        fs.create("grid.bin", Some(StripeSpec::new(2, 64))).unwrap();
+        fs.create("staged.bin", Some(StripeSpec::new(4, 1024)))
+            .unwrap();
         World::run(WorldConfig::new(Topology::new(2, 2)), |comm| {
-            let mut f = MpiFile::open(&fs, "grid.bin", Hints::default()).unwrap();
-            let filetype = Datatype::contiguous(record, Datatype::Byte);
-            f.set_view(FileView::new(0, filetype).unwrap());
-            // Rank r writes records r, r+4, r+8, r+12, each filled with
-            // the record index.
-            let my_records: Vec<usize> = (comm.rank()..nrec).step_by(comm.size()).collect();
-            let mut buf = Vec::with_capacity(my_records.len() * record);
-            for &k in &my_records {
-                buf.extend(std::iter::repeat_n(k as u8, record));
-            }
+            let f = MpiFile::open(&fs, "staged.bin", Hints::default()).unwrap();
+            let chunk = vec![comm.rank() as u8 + 1; 4096];
             let n = f
-                .write_all(comm, comm.rank() as u64, comm.size() as u64, &buf)
+                .write_at_all(comm, comm.rank() as u64 * 4096, &chunk)
                 .unwrap();
-            assert_eq!(n, buf.len());
+            assert_eq!(n, 4096);
+            assert!(comm.now() > 0.0);
         });
-        // The assembled file must equal the sequential row-major layout.
-        let data = fs.open("grid.bin").unwrap().snapshot();
-        assert_eq!(data.len(), record * nrec);
-        for k in 0..nrec {
-            assert!(
-                data[k * record..(k + 1) * record]
-                    .iter()
-                    .all(|&b| b == k as u8),
-                "record {k} corrupted"
-            );
+        let data = fs.open("staged.bin").unwrap().snapshot();
+        assert_eq!(data.len(), 4 * 4096);
+        for rank in 0..4 {
+            assert!(data[rank * 4096..(rank + 1) * 4096]
+                .iter()
+                .all(|&b| b == rank as u8 + 1));
         }
+        // The aggregators issued stripe-aligned flushes.
+        assert!(fs.stats().stripe_aligned_ops() > 0);
+    }
+
+    #[test]
+    fn overlapping_write_at_all_spans_land_later_rank_wins_in_every_run() {
+        // Rank r writes 100 bytes of r + 1 at (3 - r) * 40: every span
+        // overlaps its neighbours, and lower ranks sit at higher offsets,
+        // so neither file order nor thread order can fake the rule.
+        let expect = {
+            let mut image = vec![0u8; 220];
+            for r in 0..4 {
+                image[(3 - r) * 40..(3 - r) * 40 + 100].fill(r as u8 + 1);
+            }
+            image
+        };
+        for _ in 0..5 {
+            let fs = SimFs::new(FsConfig::lustre_comet());
+            fs.create("ov.bin", Some(StripeSpec::new(2, 64))).unwrap();
+            World::run(WorldConfig::new(Topology::new(2, 2)), |comm| {
+                let f = MpiFile::open(&fs, "ov.bin", Hints::default()).unwrap();
+                let r = comm.rank();
+                f.write_at_all(comm, ((3 - r) * 40) as u64, &[r as u8 + 1; 100])
+                    .unwrap();
+            });
+            assert_eq!(fs.open("ov.bin").unwrap().snapshot(), expect);
+        }
+    }
+
+    #[test]
+    fn a_fragment_straddling_a_domain_boundary_reaches_both_aggregators() {
+        // Two nodes, two aggregators with domains [0, 100) and [100, 200):
+        // rank 0's write and rank 1's read each straddle the cut.
+        let domains = aggregator_domains(0, 200, 100, 2);
+        assert_eq!(domains, [(0, 100), (100, 200)]);
+        let fs = SimFs::new(FsConfig::lustre_comet());
+        fs.create("st.bin", Some(StripeSpec::new(2, 100))).unwrap();
+        World::run(WorldConfig::new(Topology::new(2, 1)), |comm| {
+            let f = MpiFile::open(&fs, "st.bin", Hints::default()).unwrap();
+            let (lo, hi) = [(0, 150), (150, 200)][comm.rank()];
+            let data: Vec<u8> = (lo..hi).map(pattern).collect();
+            f.write_at_all(comm, lo as u64, &data).unwrap();
+            let (lo, hi) = [(0, 50), (50, 180)][comm.rank()];
+            let mut buf = vec![0u8; hi - lo];
+            assert_eq!(f.read_at_all(comm, lo as u64, &mut buf).unwrap(), hi - lo);
+            assert!(buf.iter().enumerate().all(|(i, &b)| b == pattern(lo + i)));
+        });
+        let data = fs.open("st.bin").unwrap().snapshot();
+        assert!(data.iter().enumerate().all(|(i, &b)| b == pattern(i)));
+    }
+
+    #[test]
+    fn level3_write_scatters_round_robin_blocks() {
+        // 4 ranks write 32-byte records round-robin and read them back:
+        // the row-major grid output layout of Figure 4 comes out as if
+        // written sequentially.
+        let fs = SimFs::new(FsConfig::lustre_comet());
+        fs.create("view.bin", Some(StripeSpec::new(2, 64))).unwrap();
+        let filetype = Datatype::contiguous(32, Datatype::Byte);
+        let data = view_round_trip(&fs, filetype, |_| 4 * 32);
+        assert_eq!(data, (0..16 * 32).map(pattern).collect::<Vec<u8>>());
+    }
+
+    /// Writes `payload(rank)` bytes through `filetype` with `write_all`
+    /// (rank `r` taking instances `r, r + p, …`), every fragment filled
+    /// with [`pattern`] of its file offsets, then reads them back with
+    /// `read_all` and checks every byte. Returns the file image.
+    fn view_round_trip(
+        fs: &Arc<SimFs>,
+        filetype: Datatype,
+        payload: impl Fn(usize) -> usize + Sync,
+    ) -> Vec<u8> {
+        World::run(WorldConfig::new(Topology::new(2, 2)), |comm| {
+            let mut f = MpiFile::open(fs, "view.bin", Hints::default()).unwrap();
+            let view = FileView::new(0, filetype.clone()).unwrap();
+            let (skip, stride) = (comm.rank() as u64, comm.size() as u64);
+            let frags = view.fragments(skip, stride, payload(comm.rank()));
+            let data: Vec<u8> = frags
+                .iter()
+                .flat_map(|&(off, len)| (off..off + len).map(|at| pattern(at as usize)))
+                .collect();
+            f.set_view(view);
+            assert_eq!(f.write_all(comm, skip, stride, &data).unwrap(), data.len());
+            let mut buf = vec![0u8; data.len()];
+            assert_eq!(
+                f.read_all(comm, skip, stride, &mut buf).unwrap(),
+                data.len()
+            );
+            assert_eq!(buf, data);
+        });
+        fs.open("view.bin").unwrap().snapshot()
+    }
+
+    #[test]
+    fn level3_gapped_view_round_trips_and_leaves_the_gaps_alone() {
+        // Blocks [0, 10) and [13, 23) of a 23-byte instance: fragments
+        // straddle the 64-byte stripe cuts, and the gaps must keep the
+        // bytes the file already had.
+        let fs = SimFs::new(FsConfig::lustre_comet());
+        let f = fs.create("view.bin", Some(StripeSpec::new(2, 64))).unwrap();
+        f.append(vec![0xEE; 23 * 40]);
+        let filetype = Datatype::vector(2, 10, 13, Datatype::Byte);
+        let data = view_round_trip(&fs, filetype, |_| 20 * 10);
+        for (at, &b) in data.iter().enumerate() {
+            let in_block = at % 23 < 10 || (13..23).contains(&(at % 23));
+            assert_eq!(b, if in_block { pattern(at) } else { 0xEE }, "byte {at}");
+        }
+    }
+
+    #[test]
+    fn level3_indexed_view_with_unsorted_assignment_round_trips() {
+        // Sixteen variable-length records; one indexed instance lists
+        // them in descending displacement order, as an unsorted
+        // `assigned` list would.
+        let lens: Vec<usize> = (0..16).map(|k| 3 + k * 7 % 11).collect();
+        let order = (0..16).rev();
+        let filetype = Datatype::indexed(
+            order.clone().map(|k| lens[k]).collect(),
+            order.map(|k| lens[..k].iter().sum()).collect(),
+            Datatype::Byte,
+        );
+        let fs = SimFs::new(FsConfig::lustre_comet());
+        fs.create("view.bin", Some(StripeSpec::new(2, 32))).unwrap();
+        let total: usize = lens.iter().sum();
+        let data = view_round_trip(&fs, filetype, |_| total);
+        assert_eq!(data, (0..4 * total).map(pattern).collect::<Vec<u8>>());
+    }
+
+    #[test]
+    fn ranks_with_zero_fragments_take_part_in_view_calls() {
+        // Ranks 2 and 3 hand in empty buffers, so they have no fragments
+        // at all; ranks 0 and 1 write and read three 16-byte records each.
+        let fs = SimFs::new(FsConfig::lustre_comet());
+        fs.create("view.bin", Some(StripeSpec::new(2, 32))).unwrap();
+        let filetype = Datatype::contiguous(16, Datatype::Byte);
+        let data = view_round_trip(&fs, filetype, |r| if r < 2 { 48 } else { 0 });
+        // Instances r, r + 4, r + 8 of ranks 0 and 1; nothing else.
+        let written = |at: usize| [0, 1, 4, 5, 8, 9].contains(&(at / 16));
+        let want: Vec<u8> = (0..10 * 16)
+            .map(|at| if written(at) { pattern(at) } else { 0 })
+            .collect();
+        assert_eq!(data, want);
+    }
+
+    #[test]
+    fn level3_read_is_short_at_eof() {
+        // 100-byte file, 16-byte records round-robin over two ranks, four
+        // records each: rank 0's last record has 4 bytes left, rank 1's
+        // starts past end-of-file.
+        let fs = make_fs_with_file(100, StripeSpec::new(2, 32));
+        let got = World::run(WorldConfig::new(Topology::new(2, 1)), |comm| {
+            let mut f = MpiFile::open(&fs, "data.bin", Hints::default()).unwrap();
+            f.set_view(FileView::new(0, Datatype::contiguous(16, Datatype::Byte)).unwrap());
+            let mut buf = vec![0u8; 64];
+            let n = f.read_all(comm, comm.rank() as u64, 2, &mut buf).unwrap();
+            let want: Vec<u8> = [0, 32, 64, 96]
+                .map(|at| at + 16 * comm.rank())
+                .into_iter()
+                .flat_map(|at| (at..(at + 16).min(100)).map(pattern))
+                .collect();
+            assert_eq!(buf[..n], want);
+            n
+        });
+        assert_eq!(got, [52, 48]);
     }
 
     #[test]
@@ -1134,59 +1231,6 @@ mod tests {
     }
 
     #[test]
-    fn staged_collective_write_assembles_single_file() {
-        let fs = SimFs::new(FsConfig::lustre_comet());
-        fs.create("staged.bin", Some(StripeSpec::new(4, 1024)))
-            .unwrap();
-        World::run(WorldConfig::new(Topology::new(2, 2)), |comm| {
-            let f = MpiFile::open(&fs, "staged.bin", Hints::default()).unwrap();
-            let chunk = vec![comm.rank() as u8 + 1; 4096];
-            let n = f
-                .write_at_all_staged(comm, comm.rank() as u64 * 4096, &chunk)
-                .unwrap();
-            assert_eq!(n, 4096);
-            assert!(comm.now() > 0.0);
-        });
-        let data = fs.open("staged.bin").unwrap().snapshot();
-        assert_eq!(data.len(), 4 * 4096);
-        for rank in 0..4 {
-            assert!(data[rank * 4096..(rank + 1) * 4096]
-                .iter()
-                .all(|&b| b == rank as u8 + 1));
-        }
-        // The aggregators issued stripe-aligned flushes.
-        assert!(fs.stats().stripe_aligned_ops() > 0);
-    }
-
-    #[test]
-    fn staged_write_then_staged_read_round_trips() {
-        let total = 1 << 18;
-        let fs = SimFs::new(FsConfig::lustre_comet());
-        fs.create("rt.bin", Some(StripeSpec::new(8, 16 << 10)))
-            .unwrap();
-        let out = World::run(WorldConfig::new(Topology::new(4, 2)), move |comm| {
-            let f = MpiFile::open(&fs, "rt.bin", Hints::default()).unwrap();
-            let chunk = total / comm.size();
-            let off = (comm.rank() * chunk) as u64;
-            let data: Vec<u8> = (0..chunk)
-                .map(|i| ((comm.rank() * chunk + i) % 251) as u8)
-                .collect();
-            f.write_at_all_staged(comm, off, &data).unwrap();
-            // Read back a *rotated* partition so every rank's bytes cross
-            // rank (and aggregator) boundaries.
-            let r_off = ((comm.rank() + 1) % comm.size()) * chunk;
-            let mut buf = vec![0u8; chunk];
-            let n = f.read_at_all_staged(comm, r_off as u64, &mut buf).unwrap();
-            assert_eq!(n, chunk);
-            for (i, &b) in buf.iter().enumerate() {
-                assert_eq!(b, ((r_off + i) % 251) as u8);
-            }
-            comm.now()
-        });
-        assert!(out.iter().all(|&t| t > 0.0));
-    }
-
-    #[test]
     fn staged_read_is_short_at_eof_and_allows_empty_spans() {
         let fs = make_fs_with_file(3000, StripeSpec::new(2, 1024));
         World::run(WorldConfig::new(Topology::new(1, 4)), |comm| {
@@ -1199,12 +1243,12 @@ mod tests {
                 _ => (0, 0),
             };
             let mut buf = vec![0xAAu8; want];
-            let n = f.read_at_all_staged(comm, off, &mut buf).unwrap();
+            let n = f.read_at_all(comm, off, &mut buf).unwrap();
             match comm.rank() {
                 0 => {
                     assert_eq!(n, 1000);
                     for (i, &b) in buf[..1000].iter().enumerate() {
-                        assert_eq!(b, ((2000 + i) % 251) as u8);
+                        assert_eq!(b, pattern(2000 + i));
                     }
                 }
                 _ => assert_eq!(n, 0),
@@ -1232,7 +1276,7 @@ mod tests {
                 let f = MpiFile::open(&fs, "det.bin", hints).unwrap();
                 let chunk = total / comm.size();
                 let data = vec![comm.rank() as u8; chunk];
-                f.write_at_all_staged(comm, (comm.rank() * chunk) as u64, &data)
+                f.write_at_all(comm, (comm.rank() * chunk) as u64, &data)
                     .unwrap();
                 comm.now()
             });

@@ -26,9 +26,10 @@
 //!   flattening into file-view fragments.
 //! * **MPI-IO** — [`io::MpiFile`] implements the paper's three access
 //!   levels over an [`mvio_pfs::SimFs`]: Level 0 (contiguous +
-//!   independent), Level 1 (contiguous + collective, two-phase I/O with
-//!   ROMIO's Lustre aggregator-selection rule), and Level 3
-//!   (non-contiguous + collective through file views). The ROMIO 2 GB
+//!   independent), Level 1 (contiguous + collective) and Level 3
+//!   (non-contiguous + collective through file views), both collective
+//!   levels on one two-phase engine with ROMIO's Lustre
+//!   aggregator-selection rule. The ROMIO 2 GB
 //!   single-operation limit is enforced, as the paper discusses (§3).
 //! * **Virtual time** — every rank carries a clock; communication charges
 //!   an α–β model, collectives charge log-tree costs, compute phases

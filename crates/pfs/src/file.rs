@@ -52,11 +52,6 @@ impl SimFile {
         self.stripe
     }
 
-    /// First OST of the stripe set.
-    pub fn ost_base(&self) -> u32 {
-        self.ost_base
-    }
-
     /// Current length in bytes.
     pub fn len(&self) -> u64 {
         self.data.read().len() as u64
@@ -211,9 +206,9 @@ impl SimFile {
         self.data.read().clone()
     }
 
-    /// Untimed, unaccounted write counterpart of [`SimFile::peek`], used
-    /// by collective writes whose physical flush is timed through the
-    /// aggregators' batch. Extends the file if needed.
+    /// Untimed, unaccounted write counterpart of [`SimFile::peek`]
+    /// (tests use it to corrupt files in place). Extends the file if
+    /// needed.
     pub fn poke(&self, offset: u64, buf: &[u8]) {
         let mut data = self.data.write();
         let end = offset as usize + buf.len();
@@ -223,10 +218,9 @@ impl SimFile {
         data[offset as usize..end].copy_from_slice(buf);
     }
 
-    /// Untimed, unaccounted read used by collective-I/O layers that model
-    /// the physical access pattern separately (the aggregators' batched
-    /// reads carry the timing; `peek` only moves the bytes each rank ends
-    /// up with). Returns the byte count actually copied (short at EOF).
+    /// Untimed, unaccounted read (diagnostics and metadata checks that
+    /// must not move the virtual clock). Returns the byte count actually
+    /// copied (short at EOF).
     pub fn peek(&self, offset: u64, buf: &mut [u8]) -> usize {
         let data = self.data.read();
         let file_len = data.len() as u64;

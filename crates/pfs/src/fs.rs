@@ -54,12 +54,6 @@ impl SimFs {
         &self.cfg
     }
 
-    /// The shared timing engine (exposed so the MPI-IO layer can time its
-    /// two-phase exchanges consistently).
-    pub fn engine(&self) -> &Arc<TimingEngine> {
-        &self.engine
-    }
-
     /// Aggregate I/O counters.
     pub fn stats(&self) -> &Arc<FsStats> {
         &self.stats
@@ -186,9 +180,21 @@ mod tests {
 
     #[test]
     fn ost_base_advances_per_file() {
+        // Two files' first stripes sit on different OSTs: simultaneous
+        // writes from two nodes to offset 0 of each do not queue behind
+        // each other, while two to the same file do.
         let fs = SimFs::new(FsConfig::test_tiny());
         let a = fs.create("a", Some(StripeSpec::new(2, 1024))).unwrap();
         let b = fs.create("b", Some(StripeSpec::new(2, 1024))).unwrap();
-        assert_ne!(a.ost_base(), b.ost_base());
+        let from = |node| crate::IoCtx {
+            node,
+            now: 0.0,
+            world_nodes: 2,
+        };
+        let first = a.write_at(0, &[1; 1024], &from(0)).unwrap().completion;
+        let other_file = b.write_at(0, &[1; 1024], &from(1)).unwrap().completion;
+        let same_file = a.write_at(0, &[1; 1024], &from(1)).unwrap().completion;
+        assert_eq!(other_file, first);
+        assert!(same_file > first);
     }
 }

@@ -50,11 +50,10 @@ pub struct JoinOptions {
     /// Intra-rank streaming pipeline configuration for the parse stage.
     /// The parsed features are bit-identical for any worker count, so
     /// this only affects the virtual-time breakdown, never the join
-    /// result. Defaults to **1 worker** (not the `MVIO_PIPELINE_WORKERS`
-    /// auto knob) so the repro harness's paper figures stay identical
-    /// across hosts and environments; opt into multi-worker parsing with
-    /// `pipeline: PipelineOptions::default().with_workers(n)` (or `0`
-    /// for env/host resolution).
+    /// result. Defaults to [`PipelineOptions::default`] (**1 worker**), so
+    /// the repro harness's paper figures are identical on every host; opt
+    /// into multi-worker parsing with
+    /// `pipeline: PipelineOptions::default().with_workers(n)`.
     pub pipeline: PipelineOptions,
 }
 
@@ -66,7 +65,7 @@ impl Default for JoinOptions {
             read: ReadOptions::default(),
             windows: 1,
             chunk: ExchangeChunk::Unlimited,
-            pipeline: PipelineOptions::default().with_workers(1),
+            pipeline: PipelineOptions::default(),
         }
     }
 }

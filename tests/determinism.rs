@@ -5,6 +5,7 @@ mod common;
 
 use common::catalog_fs;
 use mpi_vector_io::core::grid::GridSpec;
+use mpi_vector_io::msim::io::FileView;
 use mpi_vector_io::prelude::*;
 
 #[test]
@@ -72,12 +73,20 @@ fn collective_io_virtual_times_are_identical_across_runs() {
             .unwrap();
         f.append(vec![9u8; 1 << 20]);
         World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {
-            let file = MpiFile::open(&fs, "d.bin", Hints::default()).unwrap();
+            let mut file = MpiFile::open(&fs, "d.bin", Hints::default()).unwrap();
             let chunk = (1usize << 20) / 4;
             let mut buf = vec![0u8; chunk];
             file.read_at_all(comm, (comm.rank() * chunk) as u64, &mut buf)
                 .unwrap();
-            comm.now()
+            let level1 = comm.now();
+            // Level 3: 4 KiB records round-robin through a file view,
+            // written back and read again.
+            let filetype = Datatype::contiguous(4096, Datatype::Byte);
+            file.set_view(FileView::new(0, filetype).unwrap());
+            let (rank, p) = (comm.rank() as u64, comm.size() as u64);
+            file.write_all(comm, rank, p, &buf).unwrap();
+            file.read_all(comm, rank, p, &mut buf).unwrap();
+            (level1, comm.now())
         })
     };
     assert_eq!(run(), run());

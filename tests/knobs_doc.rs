@@ -1,8 +1,8 @@
 //! Hermeticity check: the environment reaches the library through the
-//! two knobs `docs/KNOBS.md` documents and nowhere else. The `MVIO_*`
+//! knob `docs/KNOBS.md` documents and nowhere else. The `MVIO_*`
 //! identifiers in the sources must be exactly the documented set, and
-//! `env::var` may occur in non-test crate code only in the two files
-//! that read those knobs — a new hidden environment read fails here.
+//! `env::var` may occur in non-test crate code only in the file that
+//! reads that knob — a new hidden environment read fails here.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -116,8 +116,8 @@ fn the_environment_is_read_only_where_the_knobs_are_documented() {
     readers.sort();
     assert_eq!(
         readers,
-        ["crates/core/src/pipeline.rs", "crates/msim/src/check.rs"],
-        "non-test crate code reads the environment outside the two documented knob sites"
+        ["crates/msim/src/check.rs"],
+        "non-test crate code reads the environment outside the documented knob site"
     );
 }
 
