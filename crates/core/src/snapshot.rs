@@ -53,6 +53,16 @@
 //! ([`MpiFile::read_at_all`]). The aggregator count follows the
 //! [`mvio_msim::select_readers`] heuristic, overridable with
 //! [`Hints::cb_nodes`].
+//!
+//! Metadata is read once per file, not once per rank: the header idiom
+//! of PnetCDF and parallel HDF5 over MPI-IO. In [`read_meta_timed`]
+//! rank 0 reads the header and the section table it announces (two
+//! small independent reads, whatever the world size) and broadcasts the
+//! bytes — or its typed failure — under the `snapshot.read.meta` label;
+//! every rank then validates the identical bytes, so acceptance is
+//! symmetric. The decoded [`SnapshotMeta`] is handed to the payload read
+//! ([`read_partitioned_frames`] takes it) instead of being fetched
+//! again, so a reload's metadata cost does not grow with the world size.
 
 use crate::decomp::SpatialDecomposition;
 use crate::exchange::{
@@ -335,16 +345,17 @@ fn decode_meta(bytes: &[u8], file_len: u64) -> Result<SnapshotMeta> {
 }
 
 /// Reads the header, then the section table it announces, through a
-/// positioned reader (`read(offset, buf) -> bytes read`), and decodes.
-/// The table allocation is bounded by the file's actual length *before*
-/// the header's section count is trusted, so a corrupt count becomes a
-/// typed error instead of a multi-gigabyte allocation. Shared by
-/// [`read_meta`] (untimed `peek`) and [`read_partitioned`] (timed
-/// `read_at`).
-fn read_meta_with(
+/// positioned reader (`read(offset, buf) -> bytes read`), and returns
+/// the bytes undecoded — short when the file is, for [`decode_meta`] to
+/// reject. The table allocation is bounded by the file's actual length
+/// *before* the header's section count is trusted, so a corrupt count
+/// becomes a typed error instead of a multi-gigabyte allocation. The one
+/// fetch behind [`read_meta`] (untimed `peek`) and [`read_meta_timed`]'s
+/// root (timed `read_at`).
+fn fetch_meta(
     file_len: u64,
     mut read: impl FnMut(u64, &mut [u8]) -> Result<usize>,
-) -> Result<SnapshotMeta> {
+) -> Result<Vec<u8>> {
     let mut head = vec![0u8; HEADER_LEN as usize];
     let n = read(0, &mut head)?;
     head.truncate(n);
@@ -361,27 +372,60 @@ fn read_meta_with(
         let got = read(HEADER_LEN, &mut head[HEADER_LEN as usize..])?;
         head.truncate(HEADER_LEN as usize + got);
     }
-    decode_meta(&head, file_len)
+    Ok(head)
 }
 
 /// Reads and validates a snapshot's header + section table without
 /// timing (serial inspection: tooling, tests, dataset catalogs).
 pub fn read_meta(fs: &Arc<SimFs>, path: &str) -> Result<SnapshotMeta> {
     let file = fs.open(path)?;
-    read_meta_with(file.len(), |off, buf| Ok(file.peek(off, buf)))
+    let bytes = fetch_meta(file.len(), |off, buf| Ok(file.peek(off, buf)))?;
+    decode_meta(&bytes, file.len())
 }
 
-/// [`read_meta`] with the header/table reads going through the timed
-/// independent [`MpiFile::read_at`], advancing the calling rank's clock
-/// — for simulated pipelines whose phase accounting must include the
-/// header I/O (e.g. the snapshot spatial join's partitioning phase).
-/// Every rank reads identical bytes, so acceptance is symmetric across
-/// ranks.
-/// Not collective — uses independent reads; any subset of ranks may
-/// call it.
+/// [`read_meta`] as one collective, timed metadata read. Rank 0 reads
+/// the header and the section table through the independent
+/// [`MpiFile::read_at`] — two small reads, whatever the world size — and
+/// broadcasts the bytes with the file length (`snapshot.read.meta`);
+/// every rank then validates the identical bytes, so acceptance is
+/// symmetric and nobody enters a later collective unless everybody does.
+/// The read and the broadcast are charged to the callers' clocks, so a
+/// pipeline's phase accounting includes the header I/O (e.g. the
+/// snapshot spatial join's partitioning phase).
+/// Collective: every rank must call it.
+///
+/// # Errors
+///
+/// A failed fetch on rank 0 is broadcast in place of the bytes: rank 0
+/// returns the original error (the open's or a read's
+/// [`CoreError::Msim`], or [`CoreError::Snapshot`] for a table that
+/// would extend past the file), its peers a [`CoreError::Snapshot`]
+/// naming it. Bytes that fail validation give every rank the same
+/// [`CoreError::Snapshot`].
 pub fn read_meta_timed(comm: &mut Comm, fs: &Arc<SimFs>, path: &str) -> Result<SnapshotMeta> {
-    let file = MpiFile::open(fs, path, Hints::default())?;
-    read_meta_with(file.len(), |off, buf| Ok(file.read_at(comm, off, buf)?))
+    let fetched = (comm.rank() == 0).then(|| -> Result<(u64, Vec<u8>)> {
+        let file = MpiFile::open(fs, path, Hints::default())?;
+        let bytes = fetch_meta(file.len(), |off, buf| Ok(file.read_at(comm, off, buf)?))?;
+        Ok((file.len(), bytes))
+    });
+    // The word rank 0 broadcasts: `[0][file length u64][header + table]`
+    // or `[1][its error message]`.
+    let word = match &fetched {
+        None => Vec::new(),
+        Some(Ok((len, bytes))) => [&[0u8][..], &len.to_le_bytes(), bytes].concat(),
+        Some(Err(e)) => [&[1u8][..], e.to_string().as_bytes()].concat(),
+    };
+    let word = comm.labeled("snapshot.read.meta", |c| c.bcast(0, word));
+    if let Some(Err(e)) = fetched {
+        return Err(e); // rank 0 keeps the original error
+    }
+    match word.split_first() {
+        Some((0, rest)) if rest.len() >= 8 => decode_meta(&rest[8..], u64_at(rest, 0)),
+        _ => Err(corrupt(format!(
+            "metadata read on rank 0 failed: {}",
+            String::from_utf8_lossy(word.get(1..).unwrap_or_default())
+        ))),
+    }
 }
 
 /// Rounds `at` up to the next multiple of `align`.
@@ -645,8 +689,10 @@ fn covering_range(slice: &[SectionEntry]) -> (u64, u64) {
 /// written under (same grid resolution and bounds). With the writer's
 /// world size and decomposition the result is **bit-identical** to what
 /// was written — same records, same order, zero bytes exchanged; any
-/// other rank count re-routes through the staged exchange. Collective:
-/// every rank must call it.
+/// other rank count re-routes through the staged exchange. Reads the
+/// metadata itself, once, with the collective [`read_meta_timed`];
+/// the report's `read_seconds` includes it. Collective: every rank must
+/// call it.
 pub fn read_partitioned(
     comm: &mut Comm,
     fs: &Arc<SimFs>,
@@ -654,20 +700,42 @@ pub fn read_partitioned(
     decomp: &dyn SpatialDecomposition,
     opts: &SnapshotReadOptions,
 ) -> Result<(Vec<(u32, Feature)>, SnapshotReadReport)> {
-    read_routed(comm, fs, path, decomp, opts, exchange_serialized_with)
+    let t0 = comm.now();
+    let meta = read_meta_timed(comm, fs, path)?;
+    let (pairs, report) = read_routed(
+        comm,
+        fs,
+        path,
+        &meta,
+        decomp,
+        opts,
+        exchange_serialized_with,
+    )?;
+    let read_seconds = comm.now() - t0;
+    Ok((
+        pairs,
+        SnapshotReadReport {
+            read_seconds,
+            ..report
+        },
+    ))
 }
 
-/// The zero-copy counterpart of [`read_partitioned`]: identical header
-/// validation, two-phase collective read, routing scan and
+/// The zero-copy counterpart of [`read_partitioned`], over metadata the
+/// caller already holds: `meta` is what [`read_meta_timed`] returned for
+/// `path` on this rank, and no metadata is read again. Identical
+/// decomposition check, two-phase collective read, routing scan and
 /// `snapshot.read.route` exchange, but the routed records arrive as a
 /// [`FrameStore`] of validated wire buffers — never materialized into
 /// owned [`Feature`]s. Record order under [`FrameStore::frames`] is
-/// bit-identical to the owned variant's output. Collective: every rank
-/// must call it.
+/// bit-identical to the owned variant's output; the report's
+/// `read_seconds` covers the payload read and the routing exchange.
+/// Collective: every rank must call it.
 pub fn read_partitioned_frames(
     comm: &mut Comm,
     fs: &Arc<SimFs>,
     path: &str,
+    meta: &SnapshotMeta,
     decomp: &dyn SpatialDecomposition,
     opts: &SnapshotReadOptions,
 ) -> Result<(FrameStore, SnapshotReadReport)> {
@@ -675,23 +743,26 @@ pub fn read_partitioned_frames(
         comm,
         fs,
         path,
+        meta,
         decomp,
         opts,
         exchange_serialized_frames_with,
     )
 }
 
-/// The body both `read_partitioned*` flavors share: validated header +
-/// table, the two-phase collective payload read, the per-record routing
-/// scan into a per-destination batch, and the routing exchange —
-/// `exchange` being the one step they differ in (owned records or
-/// frames out). Collective: every rank must call it (it issues the
-/// `snapshot.read.payload` two-phase read and the `snapshot.read.route`
-/// exchange).
+/// The body both `read_partitioned*` flavors share, over the decoded
+/// `meta` every rank holds (it reads no metadata of its own): the
+/// decomposition check, the two-phase collective payload read, the
+/// per-record routing scan into a per-destination batch, and the routing
+/// exchange — `exchange` being the one step they differ in (owned
+/// records or frames out). Collective: every rank must call it (it
+/// issues the `snapshot.read.payload` two-phase read and the
+/// `snapshot.read.route` exchange).
 fn read_routed<T>(
     comm: &mut Comm,
     fs: &Arc<SimFs>,
     path: &str,
+    meta: &SnapshotMeta,
     decomp: &dyn SpatialDecomposition,
     opts: &SnapshotReadOptions,
     exchange: fn(&mut Comm, SerializedBatch, &ExchangeOptions) -> Result<(T, ExchangeStats)>,
@@ -704,12 +775,10 @@ fn read_routed<T>(
     );
     let t0 = comm.now();
     let file = MpiFile::open(fs, path, opts.hints)?;
-    let file_len = file.len();
 
-    // Every rank reads and validates the header + table independently;
-    // the bytes are identical, so acceptance is symmetric across ranks
-    // and nobody enters the collectives below unless everybody does.
-    let meta = read_meta_with(file_len, |off, buf| Ok(file.read_at(comm, off, buf)?))?;
+    // Every rank holds the same decoded metadata (one collective read),
+    // so every rejection below is symmetric and nobody enters the
+    // collectives that follow unless everybody does.
     if meta.spec != decomp.grid_spec() || meta.bounds != decomp.bounds() {
         return Err(corrupt(format!(
             "decomposition mismatch: file has grid {}x{} over {:?}, the supplied \
@@ -952,8 +1021,9 @@ mod tests {
                         };
                         let (owned, orep) =
                             read_partitioned(comm, &fs, "zc.bin", &d, &opts).unwrap();
+                        let meta = read_meta_timed(comm, &fs, "zc.bin").unwrap();
                         let (store, frep) =
-                            read_partitioned_frames(comm, &fs, "zc.bin", &d, &opts).unwrap();
+                            read_partitioned_frames(comm, &fs, "zc.bin", &meta, &d, &opts).unwrap();
                         assert_eq!(store.records(), owned.len() as u64);
                         let materialized: Vec<(u32, Feature)> = store
                             .frames()
@@ -1354,6 +1424,198 @@ mod tests {
             matches!(res, Err(CoreError::Pfs(_)))
         });
         assert!(out.iter().all(|&ok| ok));
+    }
+
+    /// One snapshot reloaded at 2, 4 and 8 ranks: its metadata costs two
+    /// reads — the header, then the table — at every world size, on top
+    /// of whatever the payload read costs.
+    #[test]
+    fn metadata_reads_do_not_grow_with_the_world() {
+        let fs = SimFs::new(FsConfig::lustre_comet());
+        {
+            let fs = Arc::clone(&fs);
+            World::run(WorldConfig::new(Topology::single_node(3)), move |comm| {
+                let d = decomp(12, comm.size());
+                let pairs = pairs_for(comm.rank(), comm.size(), 12, 2);
+                write_partitioned(comm, &fs, "ops.bin", &pairs, &d, &Default::default()).unwrap();
+            });
+        }
+        let meta = read_meta(&fs, "ops.bin").unwrap();
+        let stats = Arc::clone(fs.stats());
+        for p in [2usize, 4, 8] {
+            // Read ops of a whole reload, or of the payload read alone
+            // over metadata decoded up front.
+            let read_ops = |whole: bool| {
+                let before = stats.read_ops();
+                let (fs, meta) = (Arc::clone(&fs), meta.clone());
+                World::run(WorldConfig::new(Topology::single_node(p)), move |comm| {
+                    let d = decomp(12, comm.size());
+                    let opts = SnapshotReadOptions::default();
+                    if whole {
+                        read_partitioned(comm, &fs, "ops.bin", &d, &opts).unwrap();
+                    } else {
+                        read_routed(
+                            comm,
+                            &fs,
+                            "ops.bin",
+                            &meta,
+                            &d,
+                            &opts,
+                            exchange_serialized_with,
+                        )
+                        .unwrap();
+                    }
+                });
+                stats.read_ops() - before
+            };
+            let (reload, payload) = (read_ops(true), read_ops(false));
+            assert_eq!(
+                reload - payload,
+                2,
+                "{p} ranks: {reload} reads in all, {payload} of them the payload's"
+            );
+        }
+    }
+
+    /// A three-section file laid out by the FORMAT.md §3 rules — a
+    /// non-empty section right after the table, an empty one unpadded at
+    /// its end, a stripe-padded non-empty one — with a zeroed payload.
+    fn sample_file() -> (SnapshotMeta, Vec<u8>) {
+        let table_end = HEADER_LEN + 3 * SECTION_ENTRY_LEN;
+        let section = |offset, len, records| SectionEntry {
+            offset,
+            len,
+            records,
+        };
+        let meta = SnapshotMeta {
+            version: VERSION,
+            spec: GridSpec {
+                cells_x: 4,
+                cells_y: 2,
+            },
+            bounds: Rect::new(-1.0, 0.0, 3.0, 2.0),
+            total_records: 3,
+            sections: vec![
+                section(table_end, 40, 2),
+                section(table_end + 40, 0, 0),
+                section(256, 24, 1),
+            ],
+        };
+        let mut file = encode_meta(&meta);
+        file.resize(280, 0);
+        (meta, file)
+    }
+
+    /// [`read_meta`]'s path over in-memory file bytes: the fetch, through
+    /// a reader that stops short at the end like `peek`, then the decode.
+    fn peek_meta(file: &[u8]) -> Result<SnapshotMeta> {
+        let bytes = fetch_meta(file.len() as u64, |off, buf| {
+            let rest = file.get(off as usize..).unwrap_or_default();
+            let n = buf.len().min(rest.len());
+            buf[..n].copy_from_slice(&rest[..n]);
+            Ok(n)
+        })?;
+        decode_meta(&bytes, file.len() as u64)
+    }
+
+    #[test]
+    fn meta_decoder_survives_every_mutation() {
+        let (meta, valid) = sample_file();
+        assert_eq!(peek_meta(&valid).unwrap(), meta);
+        let entry_len = SECTION_ENTRY_LEN as usize;
+        let table_end = HEADER_LEN as usize + 3 * entry_len;
+        // Every outcome must be a typed error or a parse — a panic (also
+        // an arithmetic overflow under debug assertions) fails the test.
+        let typed = |r: Result<SnapshotMeta>| match r {
+            Ok(m) => Some(m),
+            Err(CoreError::Snapshot(_)) => None,
+            Err(other) => panic!("untyped decoder error: {other:?}"),
+        };
+
+        // Truncation at every offset: of the file (the last section no
+        // longer fits, or the table or header is short), and of the
+        // metadata bytes alone against the full file length.
+        for cut in 0..valid.len() {
+            let got = typed(peek_meta(&valid[..cut]));
+            assert!(got.is_none(), "file cut at {cut} parsed: {got:?}");
+        }
+        for cut in 0..table_end {
+            let got = typed(decode_meta(&valid[..cut], valid.len() as u64));
+            assert!(got.is_none(), "metadata cut at {cut} parsed: {got:?}");
+        }
+
+        // Every count, length and offset field — version, section count,
+        // grid, total records, and each entry's offset, length and
+        // records — set to 0, max and ±1. Each is decoded into the meta,
+        // so a changed value never parses to the original.
+        let u32_fields = [8usize, 12, 16, 20];
+        let u64_fields = std::iter::once(56).chain((0..9).map(|i| HEADER_LEN as usize + 8 * i));
+        let mutations = u32_fields
+            .into_iter()
+            .flat_map(|at| {
+                let v = u32_at(&valid, at);
+                [0, u32::MAX, v.wrapping_add(1), v.wrapping_sub(1)]
+                    .map(|x| (at, x.to_le_bytes().to_vec()))
+            })
+            .chain(u64_fields.flat_map(|at| {
+                let v = u64_at(&valid, at);
+                [0, u64::MAX, v.wrapping_add(1), v.wrapping_sub(1)]
+                    .map(|x| (at, x.to_le_bytes().to_vec()))
+            }));
+        for (at, value) in mutations {
+            let mut file = valid.clone();
+            file[at..at + value.len()].copy_from_slice(&value);
+            let got = typed(peek_meta(&file));
+            if file != valid {
+                assert_ne!(got.as_ref(), Some(&meta), "field at {at} set to {value:?}");
+            }
+        }
+        // The file length the decoder checks sections against.
+        let len = valid.len() as u64;
+        for file_len in [0, u64::MAX, len + 1, len - 1] {
+            let got = typed(decode_meta(&valid[..table_end], file_len));
+            assert_eq!(got.is_some(), file_len > len, "file length {file_len}");
+        }
+
+        // Table entries duplicated and dropped (the file keeps its length
+        // — zeros are appended for a dropped entry), with the header's
+        // section count following the table or left as it was. A
+        // duplicate overlaps the entry it copies or the table it grew,
+        // and a drop miscounts the records or reads payload zeros as an
+        // entry — except in two cases.
+        for i in 0..3 {
+            let at = HEADER_LEN as usize + i * entry_len;
+            for (duplicate, recount) in [(true, true), (true, false), (false, true), (false, false)]
+            {
+                let mut file = valid.clone();
+                let sections: u32 = if duplicate {
+                    file.splice(at..at, valid[at..at + entry_len].to_vec());
+                    4
+                } else {
+                    file.drain(at..at + entry_len);
+                    file.resize(valid.len(), 0);
+                    2
+                };
+                if recount {
+                    file[12..16].copy_from_slice(&sections.to_le_bytes());
+                }
+                let got = typed(peek_meta(&file));
+                match (duplicate, recount, i) {
+                    // The copy of the last entry lands past the table the
+                    // header announces, which reads as it was.
+                    (true, false, 2) => assert_eq!(got.as_ref(), Some(&meta)),
+                    // The empty section dropped, and the header says so.
+                    (false, true, 1) => {
+                        let kept = vec![meta.sections[0], meta.sections[2]];
+                        assert_eq!(got.map(|m| m.sections), Some(kept));
+                    }
+                    _ => assert!(
+                        got.is_none(),
+                        "entry {i} duplicate={duplicate} recount={recount}: {got:?}"
+                    ),
+                }
+            }
+        }
     }
 
     #[test]

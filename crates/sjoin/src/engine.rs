@@ -127,15 +127,13 @@
 //! ```
 
 use crate::answer::{collect_answers, BLOCK_CAP_MAX};
+use crate::join::snapshot_decomposition;
 use crate::resident::ResidentIndex;
-use mvio_core::decomp::{
-    DecompPolicy, HilbertDecomposition, SpatialDecomposition, UniformDecomposition,
-};
+use mvio_core::decomp::{DecompPolicy, SpatialDecomposition};
 use mvio_core::exchange::{
     record_frames, serialize_record, validate_round, ExchangeChunk, ExchangeOptions, ExchangePlan,
     ExchangeStats, RecordFrame, SerializedBatch,
 };
-use mvio_core::grid::UniformGrid;
 use mvio_core::pipeline::IngestOutput;
 use mvio_core::rebalance::{
     self, RebalancePolicy, RebalanceReport, Rebalancer, Update, UpdateStats,
@@ -520,13 +518,14 @@ impl QueryEngine {
         }
     }
 
-    /// Builds the engine from a PR 5 binary snapshot: header read,
-    /// decomposition rebuild under `policy`, collective
-    /// [`snapshot::read_partitioned_frames`] — the routed records stay
-    /// the wire frames they were persisted as. The adaptive policy is
-    /// rejected with [`CoreError::InvalidOptions`] — a snapshot does not
-    /// carry the feature histogram it needs (same contract as snapshot
-    /// joins).
+    /// Builds the engine from a binary snapshot: one collective
+    /// metadata read ([`snapshot::read_meta_timed`]), decomposition
+    /// rebuild under `policy`, collective
+    /// [`snapshot::read_partitioned_frames`] over that metadata — the
+    /// routed records stay the wire frames they were persisted as. The
+    /// adaptive policy is rejected with [`CoreError::InvalidOptions`] — a
+    /// snapshot does not carry the feature histogram it needs (same
+    /// contract as snapshot joins).
     pub fn from_snapshot(
         comm: &mut Comm,
         fs: &Arc<SimFs>,
@@ -536,21 +535,8 @@ impl QueryEngine {
         opts: &EngineOptions,
     ) -> Result<Self> {
         let meta = snapshot::read_meta_timed(comm, fs, path)?;
-        let grid = UniformGrid::try_new(meta.bounds, meta.spec)?;
-        let sd: Box<dyn SpatialDecomposition> = match policy {
-            DecompPolicy::Uniform(map) => {
-                Box::new(UniformDecomposition::new(grid, map, comm.size()))
-            }
-            DecompPolicy::Hilbert => Box::new(HilbertDecomposition::new(grid, comm.size())),
-            DecompPolicy::Adaptive { .. } => {
-                return Err(CoreError::InvalidOptions(
-                    "adaptive bisection needs the feature histogram, which a snapshot \
-                     does not carry; serve snapshots with the uniform or hilbert policy"
-                        .into(),
-                ))
-            }
-        };
-        let (frames, _) = snapshot::read_partitioned_frames(comm, fs, path, &*sd, read)?;
+        let sd = snapshot_decomposition(&meta, policy, comm.size(), "serve")?;
+        let (frames, _) = snapshot::read_partitioned_frames(comm, fs, path, &meta, &*sd, read)?;
         let store = ResidentStore::from_frames(comm, std::slice::from_ref(&frames));
         Ok(Self::from_store(comm, sd, store, opts))
     }
@@ -855,9 +841,9 @@ impl QueryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvio_core::decomp::{self, DecompConfig};
+    use mvio_core::decomp::{self, DecompConfig, UniformDecomposition};
     use mvio_core::exchange::exchange_features;
-    use mvio_core::grid::{CellMap, GridSpec};
+    use mvio_core::grid::{CellMap, GridSpec, UniformGrid};
     use mvio_core::partition::{read_features, ReadOptions};
     use mvio_core::reader::WktLineParser;
     use mvio_geom::algo;

@@ -14,7 +14,7 @@ use mvio_core::grid::{CellMap, GridSpec, UniformGrid};
 use mvio_core::partition::{read_partition_text, ReadOptions};
 use mvio_core::pipeline::{parse_chunked, PipelineOptions};
 use mvio_core::reader::WktLineParser;
-use mvio_core::snapshot::{self, SnapshotReadOptions};
+use mvio_core::snapshot::{self, SnapshotMeta, SnapshotReadOptions};
 use mvio_core::{CoreError, Feature, Result};
 use mvio_geom::index::RTree;
 use mvio_geom::refkernel::{envelope_batch, filter_pairs_batch, RefineArena};
@@ -199,12 +199,37 @@ impl Default for SnapshotJoinOptions {
     }
 }
 
+/// Rebuilds the decomposition for this world of `ranks` over a
+/// snapshot's grid and bounds. Adaptive bisection needs the feature
+/// histogram, which a snapshot does not carry: it is rejected with
+/// [`CoreError::InvalidOptions`] naming what the caller does with the
+/// snapshots (`verb`: "join", "serve").
+pub(crate) fn snapshot_decomposition(
+    meta: &SnapshotMeta,
+    policy: DecompPolicy,
+    ranks: usize,
+    verb: &str,
+) -> Result<Box<dyn SpatialDecomposition>> {
+    let grid = UniformGrid::try_new(meta.bounds, meta.spec)?;
+    Ok(match policy {
+        DecompPolicy::Uniform(map) => Box::new(UniformDecomposition::new(grid, map, ranks)),
+        DecompPolicy::Hilbert => Box::new(HilbertDecomposition::new(grid, ranks)),
+        DecompPolicy::Adaptive { .. } => {
+            return Err(CoreError::InvalidOptions(format!(
+                "adaptive bisection needs the feature histogram, which a snapshot \
+                 does not carry; {verb} snapshots with the uniform or hilbert policy"
+            )))
+        }
+    })
+}
+
 /// Runs the distributed spatial join directly off two **binary
 /// snapshots** written by [`mvio_core::snapshot::write_partitioned`] —
 /// no WKT parsing, no cell projection: the persisted records already
-/// carry their cells, so the partitioning phase collapses to a header
-/// read plus the decomposition rebuild, and the communication phase is
-/// the two collective reads (each with its routing exchange). Both
+/// carry their cells, so the partitioning phase collapses to one
+/// collective metadata read per file plus the decomposition rebuild,
+/// and the communication phase is the two collective payload reads
+/// (each with its routing exchange), which reuse that metadata. Both
 /// snapshots must tile the same grid over the same bounds (they were
 /// partitioned together, or with the same decomposition). The join
 /// answer is identical to [`spatial_join`] over the original text
@@ -219,11 +244,11 @@ pub fn spatial_join_snapshots(
     let mut timer = PhaseTimer::start(comm);
 
     // --- Partitioning phase: headers + decomposition rebuild. ------------
-    // Both metas decode from identical bytes on every rank, so every
-    // rejection below is symmetric — nobody enters the collective reads
-    // unless everybody does. The timed reads charge the header I/O to
-    // this phase (the docs promise partitioning "collapses to a header
-    // read" — it must not cost zero virtual seconds).
+    // Each meta is read once, by rank 0, and decoded from the same
+    // broadcast bytes on every rank, so every rejection below is
+    // symmetric — nobody enters the collective reads unless everybody
+    // does. The timed reads charge the header I/O to this phase, so it
+    // does not cost zero virtual seconds.
     let left_meta = snapshot::read_meta_timed(comm, fs, left_path)?;
     let right_meta = snapshot::read_meta_timed(comm, fs, right_path)?;
     if left_meta.spec != right_meta.spec || left_meta.bounds != right_meta.bounds {
@@ -237,24 +262,15 @@ pub fn spatial_join_snapshots(
             right_meta.bounds,
         )));
     }
-    let grid = UniformGrid::try_new(left_meta.bounds, left_meta.spec)?;
-    let sd: Box<dyn SpatialDecomposition> = match opts.decomp {
-        DecompPolicy::Uniform(map) => Box::new(UniformDecomposition::new(grid, map, comm.size())),
-        DecompPolicy::Hilbert => Box::new(HilbertDecomposition::new(grid, comm.size())),
-        DecompPolicy::Adaptive { .. } => {
-            return Err(CoreError::InvalidOptions(
-                "adaptive bisection needs the feature histogram, which a snapshot \
-                 does not carry; join snapshots with the uniform or hilbert policy"
-                    .into(),
-            ))
-        }
-    };
+    let sd = snapshot_decomposition(&left_meta, opts.decomp, comm.size(), "join")?;
     timer.end_partition(comm);
 
     // --- Communication phase: collective reads + routing exchanges. ------
     // The routed records stay as validated wire frames.
-    let (left, _) = snapshot::read_partitioned_frames(comm, fs, left_path, &*sd, &opts.read)?;
-    let (right, _) = snapshot::read_partitioned_frames(comm, fs, right_path, &*sd, &opts.read)?;
+    let (left, _) =
+        snapshot::read_partitioned_frames(comm, fs, left_path, &left_meta, &*sd, &opts.read)?;
+    let (right, _) =
+        snapshot::read_partitioned_frames(comm, fs, right_path, &right_meta, &*sd, &opts.read)?;
     timer.end_communication(comm);
 
     // --- Join phase: identical to the text path. --------------------------

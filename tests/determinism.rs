@@ -1,9 +1,10 @@
 //! Determinism guarantees: identical seeds and configurations produce
-//! bit-identical results — data always, virtual time on collective paths.
+//! bit-identical results — data always, virtual time on collective paths
+//! (the snapshot write and reload included).
 
 mod common;
 
-use common::catalog_fs;
+use common::{catalog_fs, mk_decomp, mk_features, owned_replicas, WORLD};
 use mpi_vector_io::core::grid::GridSpec;
 use mpi_vector_io::msim::io::FileView;
 use mpi_vector_io::prelude::*;
@@ -90,6 +91,52 @@ fn collective_io_virtual_times_are_identical_across_runs() {
         })
     };
     assert_eq!(run(), run());
+}
+
+/// A snapshot write and a reload-and-join at another world size, in
+/// fresh worlds over a fresh filesystem each run: every rank's clock
+/// after the write and after the join is bit-identical across runs. The
+/// reload reads each file's metadata on rank 0 alone, so no two ranks'
+/// independent reads contend for the first stripe in host-thread order.
+#[test]
+fn snapshot_reload_virtual_times_are_identical_across_runs() {
+    use mpi_vector_io::sjoin::{spatial_join_snapshots, SnapshotJoinOptions};
+    use std::sync::Arc;
+
+    let run = || {
+        let fs = SimFs::new(FsConfig::gpfs_roger());
+        let written = {
+            let fs = Arc::clone(&fs);
+            World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {
+                let sd = mk_decomp(WORLD, 0, 4, comm.size());
+                for (path, shift) in [("l.bin", 0.0), ("r.bin", 0.4)] {
+                    let coords: Vec<(f64, f64)> = (0..60)
+                        .map(|i| {
+                            (
+                                0.3 + shift + (i % 10) as f64 * 1.5,
+                                0.2 + (i / 10) as f64 * 2.5,
+                            )
+                        })
+                        .collect();
+                    let owned = owned_replicas(&*sd, &mk_features(&coords), comm.rank());
+                    let opts = SnapshotWriteOptions::default();
+                    write_partitioned(comm, &fs, path, &owned, &*sd, &opts).unwrap();
+                }
+                comm.now()
+            })
+        };
+        let joined = World::run(WorldConfig::new(Topology::new(3, 1)), move |comm| {
+            let opts = SnapshotJoinOptions::default();
+            let rep = spatial_join_snapshots(comm, &fs, "l.bin", "r.bin", &opts).unwrap();
+            (rep.pairs, comm.now())
+        });
+        (written, joined)
+    };
+    let first = run();
+    assert!(first.1.iter().any(|(pairs, _)| !pairs.is_empty()));
+    for _ in 0..3 {
+        assert_eq!(run(), first);
+    }
 }
 
 #[test]

@@ -657,3 +657,158 @@ fn corrupted_migration_round_stays_on_its_rank() {
         }
     }
 }
+
+/// Whether a corrupt-metadata run reloads through the snapshot join (with
+/// the left or the right layer corrupt) or builds a serving engine.
+#[derive(Debug, Clone, Copy)]
+enum Reload {
+    Join { corrupt_left: bool },
+    Engine,
+}
+
+/// The reload's single point of failure: rank 0 alone reads a snapshot's
+/// header and section table and broadcasts them (docs/FORMAT.md §3). A
+/// snapshot cut short in its header (10 bytes) or its table (70 bytes),
+/// with a wrong magic, or whose table counts one record more than its
+/// header must make every rank of a 4-rank world return a
+/// `CoreError::Snapshot` — through `spatial_join_snapshots` and through
+/// `QueryEngine::from_snapshot` — with the verifier reporting nothing,
+/// collecting or strict. A rejection by the validator reads the same on
+/// every rank; a fetch that fails on rank 0 (the table bound check, or a
+/// missing file) reaches the peers by name.
+#[test]
+fn corrupt_snapshot_metadata_fails_every_rank_alike() {
+    use mpi_vector_io::core::snapshot::{self, HEADER_LEN};
+    use mpi_vector_io::sjoin::{spatial_join_snapshots, SnapshotJoinOptions};
+    use std::sync::Arc;
+
+    let fs = SimFs::new(FsConfig::lustre_comet());
+    {
+        let fs = Arc::clone(&fs);
+        World::run(WorldConfig::new(Topology::single_node(4)), move |comm| {
+            let sd = mk_decomp(WORLD, 0, 3, comm.size());
+            for (path, shift) in [("l.bin", 0.0), ("r.bin", 0.7)] {
+                let coords: Vec<(f64, f64)> = (0..24)
+                    .map(|i| {
+                        (
+                            0.5 + shift + (i % 6) as f64 * 2.5,
+                            0.5 + (i / 6) as f64 * 3.5,
+                        )
+                    })
+                    .collect();
+                let owned = owned_replicas(&*sd, &mk_features(&coords), comm.rank());
+                let opts = SnapshotWriteOptions::default();
+                snapshot::write_partitioned(comm, &fs, path, &owned, &*sd, &opts).unwrap();
+            }
+        });
+    }
+    let good = |path: &str| fs.open(path).unwrap().snapshot();
+    let records_at = HEADER_LEN as usize + 16; // section 0's record count
+    let bump = |b: &mut Vec<u8>| {
+        let v = u64::from_le_bytes(b[records_at..records_at + 8].try_into().unwrap());
+        b[records_at..records_at + 8].copy_from_slice(&(v + 1).to_le_bytes());
+    };
+    // Each corruption, and the validator message every rank returns —
+    // `None` where rank 0's fetch itself fails (the table bound check).
+    let cases: [(&str, &dyn Fn(&mut Vec<u8>), Option<&str>); 4] = [
+        (
+            "short header",
+            &|b| b.truncate(10),
+            Some("truncated header"),
+        ),
+        ("short table", &|b| b.truncate(70), None),
+        ("bad magic", &|b| b[0] = b'X', Some("bad magic")),
+        ("records bumped", &bump, Some("claims")),
+    ];
+    let reloads = [
+        Reload::Join { corrupt_left: true },
+        Reload::Join {
+            corrupt_left: false,
+        },
+        Reload::Engine,
+    ];
+    for (what, corrupt, validator) in cases {
+        for reload in reloads {
+            for mode in [CheckMode::On, CheckMode::Strict] {
+                let fs = SimFs::new(FsConfig::lustre_comet());
+                for (path, bad) in [
+                    (
+                        "l.bin",
+                        !matches!(
+                            reload,
+                            Reload::Join {
+                                corrupt_left: false
+                            }
+                        ),
+                    ),
+                    (
+                        "r.bin",
+                        matches!(
+                            reload,
+                            Reload::Join {
+                                corrupt_left: false
+                            }
+                        ),
+                    ),
+                ] {
+                    let mut bytes = good(path);
+                    if bad {
+                        corrupt(&mut bytes);
+                    }
+                    fs.create(path, None).unwrap().set_contents(bytes);
+                }
+                let cfg = WorldConfig::new(Topology::single_node(4)).with_check(mode);
+                let (out, violations) = World::run_reporting(cfg, move |comm| {
+                    let res = match reload {
+                        Reload::Join { .. } => {
+                            let opts = SnapshotJoinOptions::default();
+                            spatial_join_snapshots(comm, &fs, "l.bin", "r.bin", &opts).map(|_| ())
+                        }
+                        Reload::Engine => QueryEngine::from_snapshot(
+                            comm,
+                            &fs,
+                            "l.bin",
+                            DecompPolicy::Uniform(CellMap::RoundRobin),
+                            &SnapshotReadOptions::default(),
+                            &EngineOptions::default(),
+                        )
+                        .map(|_| ()),
+                    };
+                    match res {
+                        Err(CoreError::Snapshot(m)) => m,
+                        other => panic!("rank {}: {other:?}", comm.rank()),
+                    }
+                });
+                let ctx = format!("{what}, {reload:?}, {mode:?}");
+                assert!(violations.is_empty(), "{ctx}: {violations:?}");
+                match validator {
+                    Some(needle) => {
+                        assert!(out[0].contains(needle), "{ctx}: {}", out[0]);
+                        assert!(out.iter().all(|m| *m == out[0]), "{ctx}: {out:?}");
+                    }
+                    None => {
+                        assert!(out[0].contains("section table"), "{ctx}: {}", out[0]);
+                        let named = format!("metadata read on rank 0 failed: snapshot: {}", out[0]);
+                        assert!(out[1..].iter().all(|m| *m == named), "{ctx}: {out:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    // No file at all: rank 0's open fails, it keeps the filesystem error,
+    // and its peers return a snapshot error naming it.
+    let cfg = WorldConfig::new(Topology::single_node(4)).with_check(CheckMode::Strict);
+    let out = World::run(cfg, move |comm| {
+        let (read, eng) = (SnapshotReadOptions::default(), EngineOptions::default());
+        let policy = DecompPolicy::Uniform(CellMap::RoundRobin);
+        match QueryEngine::from_snapshot(comm, &fs, "absent.bin", policy, &read, &eng).err() {
+            Some(e @ CoreError::Msim(_)) if comm.rank() == 0 => e.to_string(),
+            Some(CoreError::Snapshot(m)) if comm.rank() > 0 => m,
+            other => panic!("rank {}: {other:?}", comm.rank()),
+        }
+    });
+    assert!(out[0].contains("absent.bin"), "{out:?}");
+    let named = format!("metadata read on rank 0 failed: {}", out[0]);
+    assert!(out[1..].iter().all(|m| *m == named), "{out:?}");
+}

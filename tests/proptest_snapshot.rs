@@ -135,7 +135,7 @@ fn round_trip_case(
             // reproduce the owned read bit-for-bit, with the same
             // scan and exchange counters.
             let (store, frep) =
-                snapshot::read_partitioned_frames(comm, &fs, "s.bin", &d, &ropts).unwrap();
+                snapshot::read_partitioned_frames(comm, &fs, "s.bin", &meta, &d, &ropts).unwrap();
             assert_eq!(store.records(), back.len() as u64);
             let materialized: Vec<(u32, Feature)> = store
                 .frames()
