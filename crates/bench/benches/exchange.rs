@@ -3,13 +3,13 @@
 //! [`ExchangePlan`] at several chunk sizes, on one simulated 4-rank
 //! world. (On a shared-memory host the chunked plan mostly measures the
 //! per-round protocol overhead — the splitter walk, the extra size
-//! exchanges, the per-round deserialize — since the "network" is a
+//! exchanges, the per-round validation — since the "network" is a
 //! memcpy; the deterministic virtual-time overlap win is reported by
 //! `repro -- exchange`.)
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use mvio_core::decomp::UniformDecomposition;
-use mvio_core::exchange::{exchange_features, ExchangeChunk, ExchangeOptions};
+use mvio_core::exchange::{exchange_features, ExchangeChunk, ExchangeOptions, FrameStore};
 use mvio_core::grid::{CellMap, GridSpec, UniformGrid};
 use mvio_core::Feature;
 use mvio_geom::{Geometry, Point, Rect};
@@ -76,7 +76,10 @@ fn bench_exchange(c: &mut Criterion) {
                         let d = decomp();
                         let pairs = inputs[comm.rank()].clone();
                         let (mine, stats) = exchange_features(comm, pairs, &d, &opts).unwrap();
-                        (mine.len(), stats.rounds)
+                        (
+                            mine.iter().map(FrameStore::len).sum::<usize>(),
+                            stats.rounds,
+                        )
                     },
                 );
                 black_box(out)

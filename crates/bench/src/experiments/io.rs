@@ -5,7 +5,7 @@
 //! The source paper is fundamentally about parallel I/O, yet its
 //! evaluation only ever *reads* text — partitioned results evaporate at
 //! the end of each run. This experiment closes that loop: ingest once,
-//! write the owned `(cell, feature)` pairs through the ROMIO-style
+//! write the owned `(cell, feature)` records through the ROMIO-style
 //! staged two-phase collective writer (stripe-aligned aggregator
 //! flushes in `cb_buffer_size` cycles), then load them back through the
 //! inverse scatter and verify the round-trip bit-identically. The
@@ -24,7 +24,9 @@ use mvio_core::grid::GridSpec;
 use mvio_core::partition::ReadOptions;
 use mvio_core::pipeline::{ingest, PipelineOptions};
 use mvio_core::reader::WktLineParser;
-use mvio_core::snapshot::{read_partitioned, SnapshotReadOptions, SnapshotWriteOptions};
+use mvio_core::snapshot::{
+    read_meta_timed, read_partitioned, SnapshotReadOptions, SnapshotWriteOptions,
+};
 use mvio_datagen::{writer, ShapeGen, ShapeKind, SpatialDistribution};
 use mvio_geom::Rect;
 use mvio_msim::{Hints, Topology, World, WorldConfig};
@@ -129,9 +131,17 @@ fn measure_one(scale: Scale, bytes: &[u8], ranks: usize, aggregators: usize) -> 
             hints,
             ..Default::default()
         };
-        let (back, r) = read_partitioned(comm, &fs, "io.snap", &*rep.decomp, &ropts).unwrap();
-        assert_eq!(back, rep.owned, "snapshot round-trip must be bit-identical");
-        (w.write_seconds, w.bytes_total, r.read_seconds)
+        // The reload's time includes its collective metadata read.
+        let t0 = comm.now();
+        let meta = read_meta_timed(comm, &fs, "io.snap").unwrap();
+        let (back, _) =
+            read_partitioned(comm, &fs, "io.snap", &meta, &*rep.decomp, &ropts).unwrap();
+        let read_s = comm.now() - t0;
+        assert!(
+            back.frames().eq(rep.owned.frames()),
+            "snapshot round-trip must be bit-identical"
+        );
+        (w.write_seconds, w.bytes_total, read_s)
     });
     let payload = out[0].1;
     let write_s = out.iter().map(|o| o.0).fold(0.0, f64::max);

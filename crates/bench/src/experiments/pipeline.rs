@@ -54,8 +54,7 @@ pub fn ingest_times(
         drop(feats);
         let t3 = comm.now();
         let (_, stats) =
-            mvio_core::exchange::exchange_serialized_with(comm, batch, &Default::default())
-                .unwrap();
+            mvio_core::exchange::exchange_serialized(comm, batch, &Default::default()).unwrap();
         let t4 = comm.now();
         (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t4, stats)
     });

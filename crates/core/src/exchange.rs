@@ -29,13 +29,15 @@
 //! source-rank order); only the time moves.
 //!
 //! There is one protocol entry, [`ExchangePlan::run`]: it hands each
-//! completed round's raw received buffers to the caller's sink, which
-//! decodes them with one of two helpers — [`decode_records`] (owned
-//! `(cell, Feature)` pairs: ingest and the owned snapshot reload) or
-//! [`validate_round`] (frames validated once and then borrowed in place
-//! through [`record_frames`] / [`FrameStore`], for join and serve — and
-//! kept as they are by the resident engine,
-//! [`crate::resident::ResidentStore`]).
+//! completed round's raw received buffers to the caller's sink, and one
+//! receive helper, [`validate_round`]: received records are validated
+//! once and then borrowed in place through [`record_frames`] /
+//! [`FrameStore`] (what [`exchange_features`] and [`exchange_serialized`]
+//! return, and what ingest, join, serve and the snapshot reload hold) or
+//! kept as they are by the resident engine
+//! ([`crate::resident::ResidentStore`]). Nothing on the receive side
+//! builds a [`Feature`]; a consumer that wants objects decodes a frame
+//! with [`RecordFrame::to_feature`].
 //!
 //! Routing is decomposition-agnostic: pairs go to whichever rank the
 //! [`SpatialDecomposition`] assigns their cell to, whether that is the
@@ -226,40 +228,6 @@ fn cell_from_wire(word: u64) -> Result<u32> {
         .map_err(|_| CoreError::Frame(format!("cell word {word:#x} exceeds the u32 cell-id space")))
 }
 
-fn deserialize_records(mut buf: &[u8]) -> Result<Vec<(u32, Feature)>> {
-    let mut out = Vec::new();
-    let bad = |msg: &str| CoreError::Frame(format!("exchange deserialization: {msg}"));
-    while !buf.is_empty() {
-        if buf.len() < 12 {
-            return Err(bad("truncated header"));
-        }
-        let cell = cell_from_wire(le_u64(buf, 0)?)?;
-        let glen = le_len(buf, 8)?;
-        buf = &buf[12..];
-        if buf.len() < glen.saturating_add(4) {
-            return Err(bad("truncated geometry"));
-        }
-        let (geometry, used) = wkb::decode(&buf[..glen]).map_err(|e| CoreError::Parse {
-            record: "<wkb>".into(),
-            source: e,
-        })?;
-        if used != glen {
-            return Err(bad("geometry length disagrees with its WKB payload"));
-        }
-        buf = &buf[glen..];
-        let ulen = le_len(buf, 0)?;
-        buf = &buf[4..];
-        if buf.len() < ulen {
-            return Err(bad("truncated userdata"));
-        }
-        let userdata =
-            String::from_utf8(buf[..ulen].to_vec()).map_err(|_| bad("non-UTF8 userdata"))?;
-        buf = &buf[ulen..];
-        out.push((cell, Feature { geometry, userdata }));
-    }
-    Ok(out)
-}
-
 /// Total wire length of the record starting at `buf[pos..]`, without
 /// decoding it — used to cut record-aligned chunks out of a serialized
 /// buffer (and by the snapshot reader to walk persisted sections, which
@@ -286,8 +254,9 @@ pub(crate) fn record_len_at(buf: &[u8], pos: usize) -> Result<usize> {
 /// One record of the exchange wire format, borrowed in place from a
 /// received (and [`validate_frames`]-checked) buffer: nothing is copied
 /// until a consumer decides the record survives its filter. The geometry
-/// bytes decode on demand through [`wkb::decode_ref`].
-#[derive(Debug, Clone, Copy)]
+/// bytes decode on demand through [`wkb::decode_ref`]. Two frames are
+/// equal when their bytes are.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecordFrame<'a> {
     /// The record's grid cell.
     pub cell: u32,
@@ -306,8 +275,8 @@ impl RecordFrame<'_> {
     }
 
     /// Decodes the frame into an owned [`Feature`] — for consumers that
-    /// want objects after all (oracles, the snapshot writer's callers);
-    /// the hot paths read the frame in place.
+    /// want objects after all (oracles, the per-cell index build); the
+    /// hot paths read the frame in place.
     pub fn to_feature(&self) -> Result<Feature> {
         let (view, _) = wkb::decode_ref(self.wkb).map_err(|e| CoreError::Parse {
             record: "<wkb>".into(),
@@ -319,11 +288,11 @@ impl RecordFrame<'_> {
 
 /// Validates one received wire buffer without materializing anything:
 /// walks every frame, bounds-checks the header fields, zero-copy-decodes
-/// the geometry (the full [`wkb::decode_ref`] check set — exactly what
-/// the owned `deserialize_records` enforces) and checks the userdata is
-/// UTF-8. Returns the record count. Corruption surfaces as the same typed
-/// [`CoreError::Frame`] / [`CoreError::Parse`] errors the owned path
-/// produces. Not collective — pure local validation.
+/// the geometry (the full [`wkb::decode_ref`] check set) and checks the
+/// userdata is UTF-8. Returns the record count. Corruption surfaces as a
+/// typed [`CoreError::Frame`] / [`CoreError::Parse`] error. The one check
+/// between received bytes and everything that holds them.
+/// Not collective — pure local validation.
 pub fn validate_frames(buf: &[u8]) -> Result<u64> {
     let bad = |msg: &str| CoreError::Frame(format!("exchange deserialization: {msg}"));
     let mut pos = 0usize;
@@ -393,14 +362,14 @@ impl<'a> Iterator for FrameIter<'a> {
 }
 
 /// The raw, validated wire buffers one exchange (or one sliding window of
-/// it) received, kept per source rank so iteration matches the owned
-/// path's source-rank-order reassembly — the rule that keeps every chunk
-/// policy bit-identical. Rounds append to their source's buffer; nothing
-/// is deserialized.
+/// it) received, kept per source rank so iteration follows source-rank
+/// order — the rule that keeps every chunk policy bit-identical to the
+/// single-round blocking protocol. Rounds append to their source's
+/// buffer; nothing is deserialized.
 #[derive(Debug, Clone, Default)]
 pub struct FrameStore {
     per_src: Vec<Vec<u8>>,
-    records: u64,
+    len: usize,
 }
 
 impl FrameStore {
@@ -408,16 +377,21 @@ impl FrameStore {
     pub fn new(p: usize) -> Self {
         FrameStore {
             per_src: vec![Vec::new(); p],
-            records: 0,
+            len: 0,
         }
     }
 
-    /// Folds one completed round's validated buffers (indexed by source
-    /// rank) in. The first round per source moves its buffer wholesale
-    /// (the blocking single-round case stays copy-free); later rounds
-    /// append.
-    fn collect(&mut self, round: Vec<Vec<u8>>, records: u64) {
+    /// Lands one completed round (buffers indexed by source rank) —
+    /// the [`ExchangePlan::run`] sink of every exchange that keeps what
+    /// it receives. [`validate_round`] checks the whole round first, so a
+    /// rejected round leaves the store as it was. The first round per
+    /// source moves its buffer wholesale (the blocking single-round case
+    /// stays copy-free); later rounds append. Returns the round's record
+    /// count.
+    /// Not collective — the communicator only charges the validation.
+    pub(crate) fn append_round(&mut self, comm: &mut Comm, round: Vec<Vec<u8>>) -> Result<u64> {
         debug_assert_eq!(round.len(), self.per_src.len());
+        let records = validate_round(comm, &round)?;
         for (src, buf) in round.into_iter().enumerate() {
             if self.per_src[src].is_empty() {
                 self.per_src[src] = buf;
@@ -425,12 +399,20 @@ impl FrameStore {
                 self.per_src[src].extend_from_slice(&buf);
             }
         }
-        self.records += records;
+        // Every record occupies at least `RECORD_OVERHEAD` bytes of a
+        // buffer in memory, so the count fits a `usize`.
+        self.len += records as usize;
+        Ok(records)
     }
 
     /// Total records across all sources.
-    pub fn records(&self) -> u64 {
-        self.records
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the store holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// The validated buffers, one per source rank.
@@ -438,8 +420,7 @@ impl FrameStore {
         &self.per_src
     }
 
-    /// Iterates every record frame in source-rank order — the exact
-    /// record order of the owned path's collected output.
+    /// Iterates every record frame in source-rank order.
     pub fn frames(&self) -> impl Iterator<Item = RecordFrame<'_>> {
         self.per_src.iter().flat_map(|buf| record_frames(buf))
     }
@@ -447,116 +428,22 @@ impl FrameStore {
 
 /// Exchanges `(cell, feature)` pairs so that every pair lands on the rank
 /// owning its cell under `decomp`. Input pairs may reference any cells;
-/// the output contains exactly the pairs owned by this rank, from all
-/// ranks, in source-rank order (bit-identical for every chunk policy).
+/// this rank receives exactly the pairs it owns, from all ranks, as
+/// validated wire frames: one [`FrameStore`] per sliding window, in
+/// source-rank order within each — bit-identical for every chunk policy.
 ///
 /// The protocol per window: serialize per destination → [`ExchangePlan`]
-/// (sizes `Alltoall` + chunked `Alltoallv` rounds) → deserialize.
-/// Serialization and deserialization charge the rank's clock (they are
-/// the "communication buffer management overhead" in the paper's
-/// breakdown figures).
+/// (sizes `Alltoall` + chunked `Alltoallv` rounds) → [`validate_round`].
+/// Serialization (per object) and validation (per byte) charge the rank's
+/// clock (they are the "communication buffer management overhead" in the
+/// paper's breakdown figures).
 /// Collective: every rank must call it with its own pairs.
 pub fn exchange_features<D: SpatialDecomposition + ?Sized>(
     comm: &mut Comm,
     pairs: Vec<(u32, Feature)>,
     decomp: &D,
     opts: &ExchangeOptions,
-) -> Result<(Vec<(u32, Feature)>, ExchangeStats)> {
-    let p = comm.size();
-    // Reassemble source-rank order *within each window*, appending windows
-    // in order — the exact ordering of the historic blocking protocol for
-    // any window count and chunk policy.
-    let mut collector = PerSourceCollector::new(p);
-    let mut received: Vec<(u32, Feature)> = Vec::new();
-    let mut current_window = 0usize;
-    let stats = exchange_windows(comm, pairs, decomp, opts, &mut |c, window, bufs| {
-        if window != current_window {
-            collector.drain_into(&mut received);
-            current_window = window;
-        }
-        Ok(collector.collect(decode_records(c, &bufs)?))
-    })?;
-    collector.drain_into(&mut received);
-    Ok((received, stats))
-}
-
-/// Like [`exchange_features`], but the received records stay as validated
-/// wire buffers: one [`FrameStore`] per sliding window, never
-/// materializing owned [`Feature`]s on the receive side. Record order
-/// under [`FrameStore::frames`], windows concatenated, matches
-/// [`exchange_features`]' output exactly, for every chunk policy; only the
-/// validation scan ([`Work::CopyBytes`]) is charged where the owned
-/// variant pays per-record deserialization.
-/// Collective: every rank must call it with its own pairs.
-pub fn exchange_features_frames_windows<D: SpatialDecomposition + ?Sized>(
-    comm: &mut Comm,
-    pairs: Vec<(u32, Feature)>,
-    decomp: &D,
-    opts: &ExchangeOptions,
 ) -> Result<(Vec<FrameStore>, ExchangeStats)> {
-    let p = comm.size();
-    let mut stores: Vec<FrameStore> = Vec::new();
-    let stats = exchange_windows(comm, pairs, decomp, opts, &mut |c, window, bufs| {
-        let records = validate_round(c, &bufs)?;
-        if stores.len() <= window {
-            stores.resize_with(window + 1, || FrameStore::new(p));
-        }
-        stores[window].collect(bufs, records);
-        Ok(records)
-    })?;
-    Ok((stores, stats))
-}
-
-/// Accumulates per-round, per-source record batches and drains them in
-/// source-rank order — the reassembly rule that keeps every chunk policy
-/// bit-identical to the single-round blocking protocol. Shared by
-/// [`exchange_features`], [`exchange_serialized_with`] and the fused
-/// pipeline stage.
-#[derive(Debug)]
-pub(crate) struct PerSourceCollector {
-    per_src: Vec<Vec<(u32, Feature)>>,
-}
-
-impl PerSourceCollector {
-    pub(crate) fn new(p: usize) -> Self {
-        PerSourceCollector {
-            per_src: (0..p).map(|_| Vec::new()).collect(),
-        }
-    }
-
-    /// Folds one round's received records (indexed by source rank) in and
-    /// returns how many there were — what an [`ExchangePlan::run`] sink
-    /// reports back.
-    pub(crate) fn collect(&mut self, round: Vec<Vec<(u32, Feature)>>) -> u64 {
-        debug_assert_eq!(round.len(), self.per_src.len());
-        let mut records = 0u64;
-        for (src, mut recs) in round.into_iter().enumerate() {
-            records += recs.len() as u64;
-            self.per_src[src].append(&mut recs);
-        }
-        records
-    }
-
-    /// Appends everything collected so far to `out` in source-rank order
-    /// and resets the collector.
-    pub(crate) fn drain_into(&mut self, out: &mut Vec<(u32, Feature)>) {
-        for src in &mut self.per_src {
-            out.append(src);
-        }
-    }
-}
-
-/// Window loop shared by [`exchange_features`] and
-/// [`exchange_features_frames_windows`]; `sink` receives every completed
-/// round's raw buffers with its window index, in window-then-round order,
-/// and returns the record count it decoded (see [`ExchangePlan::run`]).
-fn exchange_windows<D: SpatialDecomposition + ?Sized>(
-    comm: &mut Comm,
-    pairs: Vec<(u32, Feature)>,
-    decomp: &D,
-    opts: &ExchangeOptions,
-    sink: &mut dyn FnMut(&mut Comm, usize, Vec<Vec<u8>>) -> Result<u64>,
-) -> Result<ExchangeStats> {
     let p = comm.size();
     debug_assert_eq!(
         decomp.num_ranks(),
@@ -586,7 +473,8 @@ fn exchange_windows<D: SpatialDecomposition + ?Sized>(
     // error is returned once every window has completed.
     let mut deferred: Option<CoreError> = None;
     let mut scratch = Vec::new();
-    for (window, window_pairs) in by_window.into_iter().enumerate() {
+    let mut stores = Vec::with_capacity(by_window.len());
+    for window_pairs in by_window {
         // Serialize per destination rank (charged per object: the paper's
         // "buffer management overhead in serialization").
         let mut batch = SerializedBatch::empty(p);
@@ -624,22 +512,23 @@ fn exchange_windows<D: SpatialDecomposition + ?Sized>(
         // winds its rounds down on error, so its collectives are always
         // matched).
         let failed = deferred.is_some();
+        let mut store = FrameStore::new(p);
         let result = plan.run(comm, &mut batch.into_feed(&plan), &mut |c, bufs| {
             if failed {
                 return Ok(0); // discard receives after a failure
             }
-            sink(c, window, bufs)
+            store.append_round(c, bufs)
         });
         match result {
             Ok(w) => stats.absorb(w),
             Err(e) => deferred = deferred.or(Some(e)),
         }
+        stores.push(store);
     }
     if let Some(e) = deferred {
         return Err(e);
     }
-
-    Ok(stats)
+    Ok((stores, stats))
 }
 
 /// Per-destination payloads that were already serialized upstream — the
@@ -751,13 +640,13 @@ impl ExchangePlan {
     ///
     /// `sink` receives each completed round's **raw received buffers**,
     /// indexed by source rank, and returns how many records they held
-    /// (for [`ExchangeStats::records_received`]). It decodes them with
-    /// [`decode_records`] or [`validate_round`], which charge the
-    /// receive-side cost; whatever else it charges through the passed
-    /// `&mut Comm` (an R-tree walk, a follow-up serialization) overlaps
-    /// the rounds still in flight exactly like the decode does. To stay
-    /// bit-identical across chunk policies, reassemble per-source streams
-    /// in source-rank order ([`FrameStore`] and the owned wrappers do).
+    /// (for [`ExchangeStats::records_received`]). It checks them with
+    /// [`validate_round`], which charges the receive-side cost; whatever
+    /// else it charges through the passed `&mut Comm` (an R-tree walk, a
+    /// follow-up serialization) overlaps the rounds still in flight
+    /// exactly like the validation does. To stay bit-identical across
+    /// chunk policies, reassemble per-source streams in source-rank order
+    /// ([`FrameStore`] does).
     ///
     /// Collective: every rank must call it, with any feed — ranks may
     /// contribute different round counts, including none.
@@ -895,32 +784,12 @@ fn drain_round(
     }
 }
 
-/// The owned receive flavour of an [`ExchangePlan::run`] sink:
-/// deserializes one completed round's buffers into `(cell, Feature)`
-/// pairs per source rank and charges the per-record materialization
-/// ([`Work::SerializeGeoms`] — one fixed cost per record plus the byte
-/// copy). What the consumers that still hold objects use: ingest and
-/// the owned snapshot reload.
-/// Not collective — the communicator only charges the decode.
-pub fn decode_records(comm: &mut Comm, bufs: &[Vec<u8>]) -> Result<Vec<Vec<(u32, Feature)>>> {
-    let mut per_src = Vec::with_capacity(bufs.len());
-    let (mut records, mut bytes) = (0u64, 0u64);
-    for buf in bufs {
-        let recs = deserialize_records(buf)?;
-        records += recs.len() as u64;
-        bytes += buf.len() as u64;
-        per_src.push(recs);
-    }
-    comm.charge(Work::SerializeGeoms { n: records, bytes });
-    Ok(per_src)
-}
-
-/// The zero-copy receive flavour of an [`ExchangePlan::run`] sink:
+/// The receive step of every [`ExchangePlan::run`] sink:
 /// [`validate_frames`] over every source's buffer of one completed round,
-/// charging only the validation scan over the received bytes
+/// charging the validation scan over the received bytes
 /// ([`Work::CopyBytes`]). Returns the round's record count; afterwards
-/// the buffers can be walked with [`record_frames`] or folded into a
-/// [`FrameStore`]. What join and serve use.
+/// the buffers can be walked with [`record_frames`] or kept in a
+/// [`FrameStore`] or a [`crate::resident::ResidentStore`].
 /// Not collective — the communicator only charges the scan.
 pub fn validate_round(comm: &mut Comm, bufs: &[Vec<u8>]) -> Result<u64> {
     let (mut records, mut bytes) = (0u64, 0u64);
@@ -1054,36 +923,14 @@ impl BatchSplitter {
 /// Single-window exchange of pre-serialized per-destination buffers: the
 /// staged `Alltoall` + `Alltoallv` protocol of [`exchange_features`]
 /// without the serialization pass, which the caller (the ingest pipeline,
-/// the snapshot reader) already performed — and already charged to the
-/// clock. Only the receive-side deserialization is charged
-/// here. The received pairs come back in source-rank order —
+/// the snapshot reader, the join's balance step) already performed — and
+/// already charged to the clock. Only the receive-side validation scan
+/// ([`Work::CopyBytes`]) is charged here. The received records stay
+/// validated wire buffers in a [`FrameStore`], in source-rank order —
 /// bit-identical to the single-round blocking protocol for **any** chunk
 /// policy.
 /// Collective: every rank must call it with its own batch.
-pub fn exchange_serialized_with(
-    comm: &mut Comm,
-    batch: SerializedBatch,
-    opts: &ExchangeOptions,
-) -> Result<(Vec<(u32, Feature)>, ExchangeStats)> {
-    let plan = ExchangePlan::new(comm, opts);
-    let mut collector = PerSourceCollector::new(comm.size());
-    let stats = plan.run(comm, &mut batch.into_feed(&plan), &mut |c, bufs| {
-        Ok(collector.collect(decode_records(c, &bufs)?))
-    })?;
-    let mut received = Vec::new();
-    collector.drain_into(&mut received);
-    Ok((received, stats))
-}
-
-/// The zero-copy counterpart of [`exchange_serialized_with`]: same staged
-/// protocol, same rounds and collective labels, but the received payloads
-/// stay as validated wire buffers in a [`FrameStore`] instead of being
-/// materialized into owned [`Feature`]s. The receive side charges only
-/// the validation scan ([`Work::CopyBytes`]); record order under
-/// [`FrameStore::frames`] is bit-identical to the owned variant's output
-/// for every chunk policy.
-/// Collective: every rank must call it with its own batch.
-pub fn exchange_serialized_frames_with(
+pub fn exchange_serialized(
     comm: &mut Comm,
     batch: SerializedBatch,
     opts: &ExchangeOptions,
@@ -1091,9 +938,7 @@ pub fn exchange_serialized_frames_with(
     let plan = ExchangePlan::new(comm, opts);
     let mut store = FrameStore::new(comm.size());
     let stats = plan.run(comm, &mut batch.into_feed(&plan), &mut |c, bufs| {
-        let records = validate_round(c, &bufs)?;
-        store.collect(bufs, records);
-        Ok(records)
+        store.append_round(c, bufs)
     })?;
     Ok((store, stats))
 }
@@ -1123,12 +968,68 @@ mod tests {
         UniformDecomposition::new(grid, map, ranks)
     }
 
+    /// The oracle the frame validator is held to: an independent, eager
+    /// decode of a wire buffer through the owned WKB decoder
+    /// ([`wkb::decode`]) — whatever it accepts, [`validate_frames`] must
+    /// accept and [`record_frames`] must walk to the same records.
+    fn deserialize_records(mut buf: &[u8]) -> Result<Vec<(u32, Feature)>> {
+        let mut out = Vec::new();
+        let bad = |msg: &str| CoreError::Frame(format!("exchange deserialization: {msg}"));
+        while !buf.is_empty() {
+            if buf.len() < 12 {
+                return Err(bad("truncated header"));
+            }
+            let cell = cell_from_wire(le_u64(buf, 0)?)?;
+            let glen = le_len(buf, 8)?;
+            buf = &buf[12..];
+            if buf.len() < glen.saturating_add(4) {
+                return Err(bad("truncated geometry"));
+            }
+            let (geometry, used) = wkb::decode(&buf[..glen]).map_err(|e| CoreError::Parse {
+                record: "<wkb>".into(),
+                source: e,
+            })?;
+            if used != glen {
+                return Err(bad("geometry length disagrees with its WKB payload"));
+            }
+            buf = &buf[glen..];
+            let ulen = le_len(buf, 0)?;
+            buf = &buf[4..];
+            if buf.len() < ulen {
+                return Err(bad("truncated userdata"));
+            }
+            let userdata =
+                String::from_utf8(buf[..ulen].to_vec()).map_err(|_| bad("non-UTF8 userdata"))?;
+            buf = &buf[ulen..];
+            out.push((cell, Feature { geometry, userdata }));
+        }
+        Ok(out)
+    }
+
     /// Owned copies of borrowed frames, for comparing against the owned
     /// decode of the same bytes.
     fn materialize<'a>(frames: impl Iterator<Item = RecordFrame<'a>>) -> Vec<(u32, Feature)> {
         frames
             .map(|fr| (fr.cell, fr.to_feature().unwrap()))
             .collect()
+    }
+
+    /// [`exchange_features`] with what it received decoded, windows in
+    /// order.
+    fn exchange_decoded(
+        comm: &mut Comm,
+        pairs: Vec<(u32, Feature)>,
+        decomp: &UniformDecomposition,
+        opts: &ExchangeOptions,
+    ) -> (Vec<(u32, Feature)>, ExchangeStats) {
+        let (stores, stats) = exchange_features(comm, pairs, decomp, opts).unwrap();
+        assert_eq!(stores.len() as u32, stats.phases, "one store per window");
+        let mine = materialize(stores.iter().flat_map(FrameStore::frames));
+        assert_eq!(
+            mine.len(),
+            stores.iter().map(FrameStore::len).sum::<usize>()
+        );
+        (mine, stats)
     }
 
     /// Ships `batch` through [`ExchangePlan::run`] under `chunk`, counting
@@ -1156,7 +1057,7 @@ mod tests {
         // conversion this truncated back to a plausible cell id.
         let mut high_cell = valid.clone();
         high_cell[4..8].copy_from_slice(&0xdead_beef_u32.to_le_bytes());
-        match deserialize_records(&high_cell) {
+        match validate_frames(&high_cell) {
             Err(CoreError::Frame(m)) => assert!(m.contains("cell-id space"), "{m}"),
             other => panic!("high cell word not rejected: {other:?}"),
         }
@@ -1164,31 +1065,22 @@ mod tests {
         // Geometry length field pointing far past the end of the buffer.
         let mut huge_glen = valid.clone();
         huge_glen[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
-        match deserialize_records(&huge_glen) {
+        match validate_frames(&huge_glen) {
             Err(CoreError::Frame(m)) => assert!(m.contains("truncated geometry"), "{m}"),
             other => panic!("oversized geometry length not rejected: {other:?}"),
-        }
-        match record_len_at(&huge_glen, 0) {
-            Err(CoreError::Frame(m)) => assert!(m.contains("truncated geometry"), "{m}"),
-            other => panic!("record_len_at accepted oversized length: {other:?}"),
         }
 
         // Frames cut off mid-header and mid-userdata.
         for cut in [5, valid.len() - 1] {
             assert!(
-                matches!(deserialize_records(&valid[..cut]), Err(CoreError::Frame(_))),
+                matches!(validate_frames(&valid[..cut]), Err(CoreError::Frame(_))),
                 "truncation at {cut} not rejected"
-            );
-            assert!(
-                matches!(record_len_at(&valid[..cut], 0), Err(CoreError::Frame(_))),
-                "record_len_at accepted truncation at {cut}"
             );
         }
 
-        // The intact frame still decodes.
-        let out = deserialize_records(&valid).unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, 7);
+        // The intact frame still validates and walks.
+        assert_eq!(validate_frames(&valid).unwrap(), 1);
+        assert_eq!(record_frames(&valid).next().unwrap().cell, 7);
     }
 
     #[test]
@@ -1199,8 +1091,8 @@ mod tests {
         );
         let mut buf = Vec::new();
         serialize_record(42, &f, &mut Vec::new(), &mut buf).unwrap();
-        let out = deserialize_records(&buf).unwrap();
-        assert_eq!(out, vec![(42, f)]);
+        assert_eq!(validate_frames(&buf).unwrap(), 1);
+        assert_eq!(materialize(record_frames(&buf)), vec![(42, f)]);
     }
 
     #[test]
@@ -1229,7 +1121,7 @@ mod tests {
         let mut buf = Vec::new();
         serialize_record(1, &f, &mut Vec::new(), &mut buf).unwrap();
         for cut in [1, 8, 13, buf.len() - 1] {
-            assert!(deserialize_records(&buf[..cut]).is_err(), "cut {cut}");
+            assert!(validate_frames(&buf[..cut]).is_err(), "cut {cut}");
         }
     }
 
@@ -1266,8 +1158,7 @@ mod tests {
                     )
                 })
                 .collect();
-            let (mine, stats) =
-                exchange_features(comm, pairs, &decomp, &ExchangeOptions::default()).unwrap();
+            let (mine, stats) = exchange_decoded(comm, pairs, &decomp, &ExchangeOptions::default());
             (mine, stats)
         });
         for (rank, (mine, stats)) in out.iter().enumerate() {
@@ -1302,7 +1193,7 @@ mod tests {
                     })
                     .collect();
                 let opts = ExchangeOptions::with_chunk(chunk);
-                exchange_features(comm, pairs, &decomp, &opts).unwrap()
+                exchange_decoded(comm, pairs, &decomp, &opts)
             })
         };
         let blocking = run(ExchangeChunk::Unlimited);
@@ -1336,7 +1227,7 @@ mod tests {
             let pairs: Vec<(u32, Feature)> =
                 (0..4).map(|c| (c, feature(c as f64, 0.0, "x"))).collect();
             let opts = ExchangeOptions::with_chunk(ExchangeChunk::Unlimited);
-            let (_, stats) = exchange_features(comm, pairs, &decomp, &opts).unwrap();
+            let (_, stats) = exchange_decoded(comm, pairs, &decomp, &opts);
             (stats.rounds, comm.now())
         });
         assert_eq!(out[0].0, 1);
@@ -1359,7 +1250,7 @@ mod tests {
                 Vec::new()
             };
             let opts = ExchangeOptions::with_chunk(ExchangeChunk::Bytes(64));
-            let (mine, stats) = exchange_features(comm, pairs, &decomp, &opts).unwrap();
+            let (mine, stats) = exchange_decoded(comm, pairs, &decomp, &opts);
             (mine.len(), stats.rounds)
         });
         // 24 pairs, block map: cells 0..3 -> rank 0, 3..6 -> rank 1.
@@ -1439,13 +1330,12 @@ mod tests {
                     pairs.push((i % 2, feature(i as f64, 0.0, "0123456789abcdef")));
                 }
                 let decomp = strip(2, CellMap::RoundRobin, comm.size());
-                let (mine, stats) = exchange_features(
+                let (mine, stats) = exchange_decoded(
                     comm,
                     pairs,
                     &decomp,
                     &ExchangeOptions::with_chunk(ExchangeChunk::Bytes(32)),
-                )
-                .unwrap();
+                );
                 assert!(stats.rounds > 1);
                 mine.len()
             }
@@ -1496,7 +1386,7 @@ mod tests {
                 .map(|c| (c, feature(c as f64, 0.0, "")))
                 .collect();
             let (mut mine, stats) =
-                exchange_features(comm, pairs, &decomp, &ExchangeOptions::default()).unwrap();
+                exchange_decoded(comm, pairs, &decomp, &ExchangeOptions::default());
             mine.sort_by_key(|(c, _)| *c);
             (mine, stats.phases)
         });
@@ -1509,7 +1399,7 @@ mod tests {
                 windows: 4,
                 ..Default::default()
             };
-            let (mut mine, stats) = exchange_features(comm, pairs, &decomp, &opts).unwrap();
+            let (mut mine, stats) = exchange_decoded(comm, pairs, &decomp, &opts);
             mine.sort_by_key(|(c, _)| *c);
             (mine, stats.phases)
         });
@@ -1534,7 +1424,7 @@ mod tests {
                     .map(|c| (c, feature(c as f64, 0.0, &format!("r{}", comm.rank()))))
                     .collect();
                 let opts = ExchangeOptions { windows: 2, chunk };
-                let (mine, _) = exchange_features(comm, pairs, &decomp, &opts).unwrap();
+                let (mine, _) = exchange_decoded(comm, pairs, &decomp, &opts);
                 mine.iter()
                     .map(|(c, f)| format!("{c}:{}", f.userdata))
                     .collect::<Vec<_>>()
@@ -1551,7 +1441,7 @@ mod tests {
         let out = World::run(WorldConfig::new(Topology::single_node(3)), |comm| {
             let decomp = strip(8, CellMap::RoundRobin, comm.size());
             let (mine, stats) =
-                exchange_features(comm, vec![], &decomp, &ExchangeOptions::default()).unwrap();
+                exchange_decoded(comm, vec![], &decomp, &ExchangeOptions::default());
             (mine.len(), stats.bytes_sent)
         });
         assert!(out.iter().all(|&(n, b)| n == 0 && b == 0));
@@ -1565,8 +1455,7 @@ mod tests {
             let pairs: Vec<(u32, Feature)> = (0..num_cells)
                 .map(|c| (c, feature(c as f64, 0.0, "")))
                 .collect();
-            let (mine, _) =
-                exchange_features(comm, pairs, &decomp, &ExchangeOptions::default()).unwrap();
+            let (mine, _) = exchange_decoded(comm, pairs, &decomp, &ExchangeOptions::default());
             let mut cells: Vec<u32> = mine.iter().map(|(c, _)| *c).collect();
             cells.sort_unstable();
             cells.dedup();
@@ -1792,84 +1681,5 @@ mod tests {
         let swapped = [b, a].concat();
         let got = check(&swapped).unwrap();
         assert_eq!(got, vec![records[1].clone(), records[0].clone()]);
-    }
-
-    /// The zero-copy exchange is the owned exchange, bit for bit: same
-    /// records in the same order, for blocking and chunked policies and
-    /// any window count — only the receive-side representation differs.
-    #[test]
-    fn frames_exchange_is_bit_identical_to_owned() {
-        let num_cells = 6;
-        for chunk in [ExchangeChunk::Unlimited, ExchangeChunk::Bytes(48)] {
-            for windows in [1u32, 3] {
-                let out = World::run(WorldConfig::new(Topology::single_node(2)), move |comm| {
-                    let mk_pairs = |rank: usize| -> Vec<(u32, Feature)> {
-                        (0..num_cells)
-                            .map(|c| (c, feature(c as f64, rank as f64, "0123456789abcdef")))
-                            .collect()
-                    };
-                    let decomp = strip(num_cells, CellMap::RoundRobin, comm.size());
-                    let opts = ExchangeOptions { windows, chunk };
-                    let (stores, fstats) = exchange_features_frames_windows(
-                        comm,
-                        mk_pairs(comm.rank()),
-                        &decomp,
-                        &opts,
-                    )
-                    .unwrap();
-                    let (owned, ostats) =
-                        exchange_features(comm, mk_pairs(comm.rank()), &decomp, &opts).unwrap();
-                    (stores, owned, fstats, ostats)
-                });
-                for (stores, owned, fstats, ostats) in out {
-                    assert_eq!(stores.len(), windows as usize, "{chunk:?}");
-                    let held: u64 = stores.iter().map(FrameStore::records).sum();
-                    assert_eq!(held, owned.len() as u64);
-                    let materialized = materialize(stores.iter().flat_map(FrameStore::frames));
-                    assert_eq!(materialized, owned, "{chunk:?} windows={windows}");
-                    // Same wire traffic, same rounds; only the receive-side
-                    // compute model differs.
-                    assert_eq!(fstats.bytes_received, ostats.bytes_received);
-                    assert_eq!(fstats.records_received, ostats.records_received);
-                    assert_eq!(fstats.rounds, ostats.rounds);
-                    if chunk != ExchangeChunk::Unlimited {
-                        assert!(fstats.rounds > 1, "48-byte cap must multi-round");
-                    }
-                }
-            }
-        }
-    }
-
-    /// [`exchange_serialized_frames_with`] mirrors
-    /// [`exchange_serialized_with`] — the single-window entry point used
-    /// by the snapshot read path.
-    #[test]
-    fn serialized_frames_exchange_matches_owned() {
-        for chunk in [ExchangeChunk::Unlimited, ExchangeChunk::Bytes(64)] {
-            let out = World::run(WorldConfig::new(Topology::single_node(3)), move |comm| {
-                let mk_batch = |rank: usize, p: usize| -> SerializedBatch {
-                    let mut batch = SerializedBatch::empty(p);
-                    for dst in 0..p {
-                        for i in 0..3u32 {
-                            let f = feature(rank as f64, i as f64, &format!("r{rank}d{dst}i{i}"));
-                            serialize_record(dst as u32, &f, &mut Vec::new(), &mut batch.bufs[dst])
-                                .unwrap();
-                            batch.records[dst] += 1;
-                        }
-                    }
-                    batch
-                };
-                let opts = ExchangeOptions { windows: 1, chunk };
-                let p = comm.size();
-                let (store, _) =
-                    exchange_serialized_frames_with(comm, mk_batch(comm.rank(), p), &opts).unwrap();
-                let (owned, _) =
-                    exchange_serialized_with(comm, mk_batch(comm.rank(), p), &opts).unwrap();
-                (materialize(store.frames()), owned)
-            });
-            for (materialized, owned) in out {
-                assert_eq!(materialized, owned, "{chunk:?}");
-            }
-        }
     }
 }

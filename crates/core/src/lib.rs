@@ -71,8 +71,8 @@ pub use rebalance::{
     Rebalancer, Update, UpdateStats,
 };
 pub use snapshot::{
-    read_partitioned, read_partitioned_frames, write_partitioned, SnapshotMeta,
-    SnapshotReadOptions, SnapshotReadReport, SnapshotWriteOptions, SnapshotWriteReport,
+    read_partitioned, write_partitioned, SnapshotMeta, SnapshotReadOptions, SnapshotReadReport,
+    SnapshotWriteOptions, SnapshotWriteReport,
 };
 
 pub use resident::ResidentStore;

@@ -15,12 +15,17 @@
 //!    serializes the replicas straight into per-destination wire buffers
 //!    ([`partition_chunked`]) — features stream into the exchange format
 //!    without an intermediate `Vec<(u32, Feature)>` snapshot;
-//! 4. [`crate::exchange::exchange_serialized_with`] ships the buffers with the
+//! 4. [`crate::exchange::exchange_serialized`] ships the buffers with the
 //!    usual two-round `Alltoall` + `Alltoallv` protocol — or, under a
 //!    finite [`crate::exchange::ExchangeChunk::Bytes`] cap, the partition
 //!    and exchange stages fuse into [`partition_exchange_overlapped`] and
 //!    stream through the chunked [`crate::exchange::ExchangePlan`], each
-//!    round's `ialltoallv` overlapping the next round's serialization.
+//!    round's `ialltoallv` overlapping the next round's serialization;
+//! 5. each rank keeps what it receives as the validated wire records it
+//!    arrived as ([`IngestOutput::owned`], a
+//!    [`crate::exchange::FrameStore`]) — nothing is decoded back into
+//!    features, and [`IngestOutput::write_partitioned`] persists those
+//!    records byte for byte.
 //!
 //! # Determinism
 //!
@@ -54,7 +59,7 @@
 //!
 //! A two-rank world ingests a tiny WKT file end to end — read, parse,
 //! decompose, exchange — leaving each rank holding the replicas of the
-//! cells it owns:
+//! cells it owns, as wire frames:
 //!
 //! ```
 //! use mvio_core::decomp::DecompConfig;
@@ -83,8 +88,8 @@
 //!     // Every replica landed on the rank owning its cell.
 //!     assert!(ingested
 //!         .owned
-//!         .iter()
-//!         .all(|(cell, _)| ingested.decomp.cell_to_rank(*cell) == comm.rank()));
+//!         .frames()
+//!         .all(|frame| ingested.decomp.cell_to_rank(frame.cell) == comm.rank()));
 //!     ingested.owned.len()
 //! });
 //! // The three features exist exactly once across the world.
@@ -96,8 +101,8 @@ use crate::decomp::{self, DecompConfig, SpatialDecomposition};
 // the result, `read_partitioned` it back on any later run (bit-identically
 // under the same world size and decomposition).
 use crate::exchange::{
-    decode_records, exchange_serialized_with, serialize_record, ExchangeOptions, ExchangePlan,
-    ExchangeRound, ExchangeStats, SerializedBatch,
+    exchange_serialized, serialize_record, ExchangeOptions, ExchangePlan, ExchangeRound,
+    ExchangeStats, FrameStore, SerializedBatch,
 };
 use crate::partition::{read_partition_text, ReadOptions};
 use crate::reader::{parse_records_into, GeometryParser};
@@ -501,15 +506,15 @@ pub fn partition_chunked<D: SpatialDecomposition + ?Sized>(
 /// serializes the features' cell replicas chunk by chunk into
 /// per-destination wire buffers and ships them through the chunked
 /// [`ExchangePlan`], so round `r`'s `ialltoallv` is in flight while the
-/// serializer produces round `r+1` (and round `r-1`'s receives
-/// deserialize). A round closes once any destination's buffer reaches
+/// serializer produces round `r+1` (and round `r-1`'s receives are
+/// validated). A round closes once any destination's buffer reaches
 /// `chunk_bytes`.
 ///
 /// The serialized byte streams are identical to
 /// [`partition_chunked`]'s (same chunk boundaries, same order), and the
-/// collected result is reassembled in source-rank order, so the owned
-/// pairs are **bit-identical** to the unfused
-/// `partition_chunked` → `exchange_serialized_with` path — only the virtual
+/// received records are kept in source-rank order, so the received
+/// frames are **bit-identical** to the unfused
+/// `partition_chunked` → `exchange_serialized` path — only the virtual
 /// time moves, because serialization lanes (per-chunk [`WorkTally`]
 /// totals under the same `chunk % workers` rule) are folded in overlapped
 /// with the in-flight rounds. Collective: every rank must call it.
@@ -519,7 +524,7 @@ pub fn partition_exchange_overlapped<D: SpatialDecomposition + ?Sized>(
     features: &[Feature],
     opts: &PipelineOptions,
     chunk_bytes: u64,
-) -> Result<(Vec<(u32, Feature)>, PipelineStats, ExchangeStats)> {
+) -> Result<(FrameStore, PipelineStats, ExchangeStats)> {
     let workers = opts.effective_workers();
     let p = comm.size();
     debug_assert_eq!(
@@ -591,12 +596,8 @@ pub fn partition_exchange_overlapped<D: SpatialDecomposition + ?Sized>(
         comm,
         &ExchangeOptions::with_chunk(crate::exchange::ExchangeChunk::Bytes(chunk_bytes)),
     );
-    let mut collector = crate::exchange::PerSourceCollector::new(p);
-    let ex_stats = plan.run(comm, &mut feed, &mut |c, bufs| {
-        Ok(collector.collect(decode_records(c, &bufs)?))
-    })?;
-    let mut owned = Vec::new();
-    collector.drain_into(&mut owned);
+    let mut owned = FrameStore::new(p);
+    let ex_stats = plan.run(comm, &mut feed, &mut |c, bufs| owned.append_round(c, bufs))?;
     Ok((owned, stats, ex_stats))
 }
 
@@ -605,9 +606,10 @@ pub fn partition_exchange_overlapped<D: SpatialDecomposition + ?Sized>(
 pub struct IngestOutput {
     /// The collectively built global decomposition.
     pub decomp: Box<dyn SpatialDecomposition>,
-    /// The `(cell, feature)` pairs this rank owns after the exchange —
-    /// bit-identical to the sequential parse→project→exchange path.
-    pub owned: Vec<(u32, Feature)>,
+    /// The `(cell, feature)` replicas this rank owns after the exchange,
+    /// kept as the validated wire records they arrived as — bit-identical
+    /// to the sequential parse→project→exchange path.
+    pub owned: FrameStore,
     /// Features this rank parsed from its file partition.
     pub local_features: u64,
     /// Exchange counters.
@@ -619,8 +621,9 @@ pub struct IngestOutput {
 impl IngestOutput {
     /// Persists this ingest's partitioned result as a binary snapshot at
     /// `path` via the collective two-phase writer
-    /// ([`crate::snapshot::write_partitioned`]), so later runs can
-    /// [`read_partitioned`] it instead of re-ingesting the text.
+    /// ([`crate::snapshot::write_partitioned`]) — the received records,
+    /// copied as they are — so later runs can [`read_partitioned`] it
+    /// instead of re-ingesting the text.
     /// Collective: every rank must call it.
     pub fn write_partitioned(
         &self,
@@ -629,7 +632,7 @@ impl IngestOutput {
         path: &str,
         opts: &SnapshotWriteOptions,
     ) -> Result<crate::snapshot::SnapshotWriteReport> {
-        crate::snapshot::write_partitioned(comm, fs, path, &self.owned, &*self.decomp, opts)
+        crate::snapshot::write_partitioned(comm, fs, path, self.owned.frames(), &*self.decomp, opts)
     }
 }
 
@@ -665,7 +668,7 @@ pub fn ingest(
 /// single blocking exchange round (the historic path, bit-identical in
 /// data and virtual time); with a finite chunk the partition and
 /// exchange stages fuse into [`partition_exchange_overlapped`], whose
-/// owned pairs are still bit-identical — only the ingest time shrinks by
+/// received frames are still bit-identical — only the ingest time shrinks by
 /// whatever communication hides under the pipelined serialization.
 ///
 /// Only [`ExchangeOptions::chunk`] applies here: the sliding-window
@@ -705,7 +708,7 @@ pub fn ingest_with_exchange(
         None => {
             let (batch, part_stats) = partition_chunked(comm, &*decomp, &features, opts)?;
             drop(features);
-            let (owned, exchange) = exchange_serialized_with(comm, batch, exchange_opts)?;
+            let (owned, exchange) = exchange_serialized(comm, batch, exchange_opts)?;
             (owned, part_stats, exchange)
         }
     };
@@ -722,11 +725,16 @@ pub fn ingest_with_exchange(
 mod tests {
     use super::*;
     use crate::decomp::UniformDecomposition;
-    use crate::exchange::{exchange_features, ExchangeOptions};
+    use crate::exchange::{exchange_features, ExchangeOptions, RecordFrame};
     use crate::grid::{CellMap, GridSpec, UniformGrid};
     use crate::reader::{parse_buffer, parse_buffer_serial, WktLineParser};
     use mvio_geom::Rect;
     use mvio_msim::{Topology, World, WorldConfig};
+
+    /// A store's records in order, compared byte for byte.
+    fn frames(store: &FrameStore) -> Vec<RecordFrame<'_>> {
+        store.frames().collect()
+    }
 
     /// A deterministic synthetic WKT buffer mixing shapes and userdata.
     fn sample_text(records: usize) -> String {
@@ -933,9 +941,9 @@ mod tests {
                             .collect::<Vec<_>>()
                     })
                     .collect();
-                exchange_features(comm, pairs, &*decomp, &ExchangeOptions::default())
-                    .unwrap()
-                    .0
+                let (stores, _) =
+                    exchange_features(comm, pairs, &*decomp, &ExchangeOptions::default()).unwrap();
+                stores.into_iter().next().unwrap()
             })
         };
         for workers in [1, 2, 4, 8] {
@@ -959,7 +967,11 @@ mod tests {
                 rep.owned
             });
             for rank in 0..4 {
-                assert_eq!(out[rank], sequential[rank], "workers={workers} rank={rank}");
+                assert_eq!(
+                    frames(&out[rank]),
+                    frames(&sequential[rank]),
+                    "workers={workers} rank={rank}"
+                );
             }
         }
     }
@@ -991,9 +1003,9 @@ mod tests {
                     &PipelineOptions::default().with_workers(2),
                 )
                 .unwrap();
-                for (cell, _) in &rep.owned {
+                for frame in rep.owned.frames() {
                     assert_eq!(
-                        rep.decomp.cell_to_rank(*cell),
+                        rep.decomp.cell_to_rank(frame.cell),
                         comm.rank(),
                         "pair misrouted under {cfg:?}"
                     );
@@ -1046,7 +1058,8 @@ mod tests {
                 let fused = run(ExchangeChunk::Bytes(chunk), workers);
                 for rank in 0..4 {
                     assert_eq!(
-                        fused[rank].0, blocking[rank].0,
+                        frames(&fused[rank].0),
+                        frames(&blocking[rank].0),
                         "chunk={chunk} workers={workers} rank={rank}"
                     );
                     assert_eq!(fused[rank].2, blocking[rank].2, "pair counts");
@@ -1095,15 +1108,17 @@ mod tests {
                     &crate::snapshot::SnapshotWriteOptions::default(),
                 )
                 .unwrap();
+                let meta = crate::snapshot::read_meta_timed(comm, &fs, &snap).unwrap();
                 let (back, _) = crate::snapshot::read_partitioned(
                     comm,
                     &fs,
                     &snap,
+                    &meta,
                     &*rep.decomp,
                     &crate::snapshot::SnapshotReadOptions::default(),
                 )
                 .unwrap();
-                back == rep.owned
+                frames(&back) == frames(&rep.owned)
             });
             assert!(ok.iter().all(|&b| b), "{cfg:?}");
         }

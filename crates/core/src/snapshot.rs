@@ -4,9 +4,11 @@
 //! Every run so far re-ingested WKT text from scratch; the results of the
 //! partition/exchange pipeline evaporated at the end of the job. This
 //! module closes the loop: [`write_partitioned`] persists each rank's
-//! owned `(cell, feature)` pairs once, and [`read_partitioned`] re-loads
-//! them — bit-identically under the same world size and decomposition,
-//! or re-routed through the exchange under any other rank count.
+//! owned `(cell, feature)` records once — copied as the wire frames the
+//! exchange delivered, never re-encoded — and [`read_partitioned`]
+//! re-loads them as frames again: bit-identically under the same world
+//! size and decomposition, or re-routed through the exchange under any
+//! other rank count.
 //!
 //! ## File format (version 1, all fields little-endian)
 //!
@@ -61,16 +63,16 @@
 //! bytes — or its typed failure — under the `snapshot.read.meta` label;
 //! every rank then validates the identical bytes, so acceptance is
 //! symmetric. The decoded [`SnapshotMeta`] is handed to the payload read
-//! ([`read_partitioned_frames`] takes it) instead of being fetched
-//! again, so a reload's metadata cost does not grow with the world size.
+//! ([`read_partitioned`] takes it) instead of being fetched again, so a
+//! reload's metadata cost does not grow with the world size.
 
 use crate::decomp::SpatialDecomposition;
 use crate::exchange::{
-    exchange_serialized_frames_with, exchange_serialized_with, record_len_at, serialize_record,
-    ExchangeChunk, ExchangeOptions, ExchangeStats, FrameStore, SerializedBatch,
+    exchange_serialized, record_len_at, serialize_frame, ExchangeChunk, ExchangeOptions,
+    ExchangeStats, FrameStore, RecordFrame, SerializedBatch,
 };
 use crate::grid::GridSpec;
-use crate::{CoreError, Feature, Result};
+use crate::{CoreError, Result};
 use mvio_geom::Rect;
 use mvio_msim::hints::ROMIO_MAX_IO_BYTES;
 use mvio_msim::{Comm, Hints, MpiFile, Work};
@@ -434,12 +436,17 @@ fn align_up(at: u64, align: u64) -> u64 {
     at.div_ceil(align) * align
 }
 
-/// Collectively persists each rank's owned `(cell, feature)` pairs as a
-/// binary snapshot at `path`, creating the file. The records of rank `r`
+/// Collectively persists each rank's owned records as a binary snapshot
+/// at `path`, creating the file. `frames` are validated wire records —
+/// a [`FrameStore`], a [`crate::resident::ResidentStore::frames`], or a
+/// buffer [`crate::exchange::validate_frames`] accepted — and are copied
+/// into the section as they are ([`serialize_frame`], charged
+/// [`Work::CopyBytes`]); nothing is re-encoded. The records of rank `r`
 /// become section `r`, in input order, so a later [`read_partitioned`]
 /// under the same world size and decomposition returns exactly the input
-/// (bit-identical pairs, same order), and any other rank count re-routes
-/// the records through the exchange. Collective: every rank must call it.
+/// (byte-identical frames, same order), and any other rank count
+/// re-routes the records through the exchange. Collective: every rank
+/// must call it.
 ///
 /// The payload is shipped through the two-phase collective write
 /// ([`MpiFile::write_at_all`]); non-empty section starts are
@@ -449,21 +456,20 @@ fn align_up(at: u64, align: u64) -> u64 {
 ///
 /// # Errors
 ///
-/// [`CoreError::Pfs`] when the path already exists. A serialization
-/// failure on any rank (a record exceeding the u32 wire limit) aborts
-/// the write on **every** rank before any byte reaches the file — the
-/// created path is removed, the failing rank returns the original
+/// [`CoreError::Pfs`] when the path already exists. A copy failure on
+/// any rank (a record exceeding the u32 wire limit) aborts the write on
+/// **every** rank before any byte reaches the file — the created path is
+/// removed, the failing rank returns the original
 /// [`CoreError::Partition`] and its peers a [`CoreError::Snapshot`] —
 /// rather than persisting a metadata-consistent snapshot silently
 /// missing that rank's records. All outcomes — the create, the
-/// per-rank serialization, and rank 0's header write — are agreed
-/// collectively, so a failing rank never strands its peers
-/// mid-protocol.
-pub fn write_partitioned(
+/// per-rank copy, and rank 0's header write — are agreed collectively,
+/// so a failing rank never strands its peers mid-protocol.
+pub fn write_partitioned<'a>(
     comm: &mut Comm,
     fs: &Arc<SimFs>,
     path: &str,
-    pairs: &[(u32, Feature)],
+    frames: impl IntoIterator<Item = RecordFrame<'a>>,
     decomp: &dyn SpatialDecomposition,
     opts: &SnapshotWriteOptions,
 ) -> Result<SnapshotWriteReport> {
@@ -474,27 +480,23 @@ pub fn write_partitioned(
         "decomposition built for a different world size"
     );
 
-    // Serialize my section (the exchange wire format). A failure parks
-    // the error and continues with an empty section: the collectives
-    // below must stay matched across ranks.
+    // Copy my section (the exchange wire format). A failure parks the
+    // error and continues with an empty section: the collectives below
+    // must stay matched across ranks.
     let mut deferred: Option<CoreError> = None;
     let mut buf = Vec::new();
-    let mut scratch = Vec::new();
-    for (cell, feature) in pairs {
-        if let Err(e) = serialize_record(*cell, feature, &mut scratch, &mut buf) {
+    let mut my_records = 0u64;
+    for frame in frames {
+        if let Err(e) = serialize_frame(&frame, &mut buf) {
             deferred = Some(e);
             buf.clear();
+            my_records = 0;
             break;
         }
+        my_records += 1;
     }
-    let my_records = if deferred.is_some() {
-        0
-    } else {
-        pairs.len() as u64
-    };
-    comm.charge(Work::SerializeGeoms {
-        n: my_records,
-        bytes: buf.len() as u64,
+    comm.charge(Work::CopyBytes {
+        n: buf.len() as u64,
     });
 
     // Create on rank 0 and broadcast the outcome, so every rank agrees
@@ -683,55 +685,21 @@ fn covering_range(slice: &[SectionEntry]) -> (u64, u64) {
     }
 }
 
-/// Collectively loads a snapshot written by [`write_partitioned`],
+/// Collectively loads a snapshot written by [`write_partitioned`] over
+/// metadata the caller already holds — `meta` is what [`read_meta_timed`]
+/// returned for `path` on this rank, and no metadata is read again —
 /// routing every record to the rank owning its cell under `decomp`.
 /// Validates that `decomp` tiles the same cell-id space the file was
-/// written under (same grid resolution and bounds). With the writer's
-/// world size and decomposition the result is **bit-identical** to what
-/// was written — same records, same order, zero bytes exchanged; any
-/// other rank count re-routes through the staged exchange. Reads the
-/// metadata itself, once, with the collective [`read_meta_timed`];
-/// the report's `read_seconds` includes it. Collective: every rank must
-/// call it.
+/// written under (same grid resolution and bounds), reads the payload
+/// with the two-phase collective read (`snapshot.read.payload`), and
+/// routes it through the `snapshot.read.route` exchange. The routed
+/// records arrive as a [`FrameStore`] of validated wire buffers. With
+/// the writer's world size and decomposition the result is
+/// **bit-identical** to what was written — same records, same order,
+/// zero bytes exchanged; any other rank count re-routes through the
+/// staged exchange. The report's `read_seconds` covers the payload read
+/// and the routing exchange. Collective: every rank must call it.
 pub fn read_partitioned(
-    comm: &mut Comm,
-    fs: &Arc<SimFs>,
-    path: &str,
-    decomp: &dyn SpatialDecomposition,
-    opts: &SnapshotReadOptions,
-) -> Result<(Vec<(u32, Feature)>, SnapshotReadReport)> {
-    let t0 = comm.now();
-    let meta = read_meta_timed(comm, fs, path)?;
-    let (pairs, report) = read_routed(
-        comm,
-        fs,
-        path,
-        &meta,
-        decomp,
-        opts,
-        exchange_serialized_with,
-    )?;
-    let read_seconds = comm.now() - t0;
-    Ok((
-        pairs,
-        SnapshotReadReport {
-            read_seconds,
-            ..report
-        },
-    ))
-}
-
-/// The zero-copy counterpart of [`read_partitioned`], over metadata the
-/// caller already holds: `meta` is what [`read_meta_timed`] returned for
-/// `path` on this rank, and no metadata is read again. Identical
-/// decomposition check, two-phase collective read, routing scan and
-/// `snapshot.read.route` exchange, but the routed records arrive as a
-/// [`FrameStore`] of validated wire buffers — never materialized into
-/// owned [`Feature`]s. Record order under [`FrameStore::frames`] is
-/// bit-identical to the owned variant's output; the report's
-/// `read_seconds` covers the payload read and the routing exchange.
-/// Collective: every rank must call it.
-pub fn read_partitioned_frames(
     comm: &mut Comm,
     fs: &Arc<SimFs>,
     path: &str,
@@ -739,34 +707,6 @@ pub fn read_partitioned_frames(
     decomp: &dyn SpatialDecomposition,
     opts: &SnapshotReadOptions,
 ) -> Result<(FrameStore, SnapshotReadReport)> {
-    read_routed(
-        comm,
-        fs,
-        path,
-        meta,
-        decomp,
-        opts,
-        exchange_serialized_frames_with,
-    )
-}
-
-/// The body both `read_partitioned*` flavors share, over the decoded
-/// `meta` every rank holds (it reads no metadata of its own): the
-/// decomposition check, the two-phase collective payload read, the
-/// per-record routing scan into a per-destination batch, and the routing
-/// exchange — `exchange` being the one step they differ in (owned
-/// records or frames out). Collective: every rank must call it (it
-/// issues the `snapshot.read.payload` two-phase read and the
-/// `snapshot.read.route` exchange).
-fn read_routed<T>(
-    comm: &mut Comm,
-    fs: &Arc<SimFs>,
-    path: &str,
-    meta: &SnapshotMeta,
-    decomp: &dyn SpatialDecomposition,
-    opts: &SnapshotReadOptions,
-    exchange: fn(&mut Comm, SerializedBatch, &ExchangeOptions) -> Result<(T, ExchangeStats)>,
-) -> Result<(T, SnapshotReadReport)> {
     let p = comm.size();
     debug_assert_eq!(
         decomp.num_ranks(),
@@ -895,11 +835,12 @@ fn read_routed<T>(
     // degenerates to a local pass-through (zero cross-rank bytes) and
     // the output order is exactly the written order.
     let ex_opts = ExchangeOptions::with_chunk(opts.chunk);
-    let (routed, exchange) =
-        match comm.labeled("snapshot.read.route", |c| exchange(c, batch, &ex_opts)) {
-            Ok(out) => out,
-            Err(e) => return Err(deferred.unwrap_or(e)),
-        };
+    let (routed, exchange) = match comm.labeled("snapshot.read.route", |c| {
+        exchange_serialized(c, batch, &ex_opts)
+    }) {
+        Ok(out) => out,
+        Err(e) => return Err(deferred.unwrap_or(e)),
+    };
     if let Some(e) = deferred {
         return Err(e);
     }
@@ -919,10 +860,45 @@ fn read_routed<T>(
 mod tests {
     use super::*;
     use crate::decomp::UniformDecomposition;
+    use crate::exchange::{record_frames, serialize_record, validate_frames};
     use crate::grid::{CellMap, UniformGrid};
+    use crate::Feature;
     use mvio_geom::Point;
     use mvio_msim::{Topology, World, WorldConfig};
     use mvio_pfs::FsConfig;
+
+    /// [`write_partitioned`] of owned pairs, encoded into one validated
+    /// wire buffer first.
+    fn write(
+        comm: &mut Comm,
+        fs: &Arc<SimFs>,
+        path: &str,
+        pairs: &[(u32, Feature)],
+        decomp: &dyn SpatialDecomposition,
+        opts: &SnapshotWriteOptions,
+    ) -> Result<SnapshotWriteReport> {
+        let mut buf = Vec::new();
+        for (cell, f) in pairs {
+            serialize_record(*cell, f, &mut Vec::new(), &mut buf).unwrap();
+        }
+        validate_frames(&buf).unwrap();
+        write_partitioned(comm, fs, path, record_frames(&buf), decomp, opts)
+    }
+
+    /// A whole reload — the collective metadata read, then
+    /// [`read_partitioned`] — with what arrived decoded.
+    fn reload(
+        comm: &mut Comm,
+        fs: &Arc<SimFs>,
+        path: &str,
+        decomp: &dyn SpatialDecomposition,
+        opts: &SnapshotReadOptions,
+    ) -> Result<(Vec<(u32, Feature)>, SnapshotReadReport)> {
+        let meta = read_meta_timed(comm, fs, path)?;
+        let (store, report) = read_partitioned(comm, fs, path, &meta, decomp, opts)?;
+        let pairs = store.frames().map(|fr| (fr.cell, fr.to_feature().unwrap()));
+        Ok((pairs.collect(), report))
+    }
 
     fn decomp(cells: u32, ranks: usize) -> UniformDecomposition {
         let grid = UniformGrid::new(
@@ -959,7 +935,7 @@ mod tests {
         let out = World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {
             let d = decomp(10, comm.size());
             let pairs = pairs_for(comm.rank(), comm.size(), 10, 3);
-            let rep = write_partitioned(
+            let rep = write(
                 comm,
                 &fs,
                 "snap.bin",
@@ -971,8 +947,7 @@ mod tests {
             assert_eq!(rep.section.records, pairs.len() as u64);
             assert!(rep.write_seconds > 0.0);
             let (back, r) =
-                read_partitioned(comm, &fs, "snap.bin", &d, &SnapshotReadOptions::default())
-                    .unwrap();
+                reload(comm, &fs, "snap.bin", &d, &SnapshotReadOptions::default()).unwrap();
             assert_eq!(back, pairs, "rank {}", comm.rank());
             // Same world: every record routes back to its own rank.
             assert_eq!(r.exchange.records_received, pairs.len() as u64);
@@ -981,68 +956,6 @@ mod tests {
             r.read_seconds
         });
         assert!(out.iter().all(|&t| t > 0.0));
-    }
-
-    /// The frames read is the owned read, bit for bit — same records in
-    /// the same order once materialized, for the writer's world and a
-    /// re-routed one, blocking and chunked.
-    #[test]
-    fn frames_read_matches_owned_read() {
-        for (write_ranks, read_ranks) in [(3usize, 3usize), (3, 2)] {
-            let fs = SimFs::new(FsConfig::lustre_comet());
-            {
-                let fs = Arc::clone(&fs);
-                World::run(
-                    WorldConfig::new(Topology::single_node(write_ranks)),
-                    move |comm| {
-                        let d = decomp(12, comm.size());
-                        let pairs = pairs_for(comm.rank(), comm.size(), 12, 2);
-                        write_partitioned(
-                            comm,
-                            &fs,
-                            "zc.bin",
-                            &pairs,
-                            &d,
-                            &SnapshotWriteOptions::default(),
-                        )
-                        .unwrap();
-                    },
-                );
-            }
-            for chunk in [ExchangeChunk::Unlimited, ExchangeChunk::Bytes(64)] {
-                let fs = Arc::clone(&fs);
-                World::run(
-                    WorldConfig::new(Topology::single_node(read_ranks)),
-                    move |comm| {
-                        let d = decomp(12, comm.size());
-                        let opts = SnapshotReadOptions {
-                            chunk,
-                            ..Default::default()
-                        };
-                        let (owned, orep) =
-                            read_partitioned(comm, &fs, "zc.bin", &d, &opts).unwrap();
-                        let meta = read_meta_timed(comm, &fs, "zc.bin").unwrap();
-                        let (store, frep) =
-                            read_partitioned_frames(comm, &fs, "zc.bin", &meta, &d, &opts).unwrap();
-                        assert_eq!(store.records(), owned.len() as u64);
-                        let materialized: Vec<(u32, Feature)> = store
-                            .frames()
-                            .map(|fr| {
-                                let (g, _) = mvio_geom::wkb::decode_ref(fr.wkb).unwrap();
-                                (
-                                    fr.cell,
-                                    Feature::with_userdata(g.to_geometry(), fr.userdata),
-                                )
-                            })
-                            .collect();
-                        assert_eq!(materialized, owned, "rank {}", comm.rank());
-                        assert_eq!(frep.records_scanned, orep.records_scanned);
-                        assert_eq!(frep.bytes_read, orep.bytes_read);
-                        assert_eq!(frep.exchange.bytes_received, orep.exchange.bytes_received);
-                    },
-                );
-            }
-        }
     }
 
     #[test]
@@ -1062,7 +975,7 @@ mod tests {
                 } else {
                     Vec::new()
                 };
-                let rep = write_partitioned(
+                let rep = write(
                     comm,
                     &fs,
                     "skew.bin",
@@ -1073,8 +986,7 @@ mod tests {
                 .unwrap();
                 assert_eq!(rep.section.records, pairs.len() as u64);
                 let (back, _) =
-                    read_partitioned(comm, &fs, "skew.bin", &d, &SnapshotReadOptions::default())
-                        .unwrap();
+                    reload(comm, &fs, "skew.bin", &d, &SnapshotReadOptions::default()).unwrap();
                 assert_eq!(back, pairs, "rank {}", comm.rank());
             });
         }
@@ -1099,7 +1011,7 @@ mod tests {
             let fs = Arc::clone(&fs);
             World::run(WorldConfig::new(Topology::single_node(3)), move |comm| {
                 let d = decomp(6, comm.size());
-                let rep = write_partitioned(
+                let rep = write(
                     comm,
                     &fs,
                     "empty.bin",
@@ -1111,8 +1023,7 @@ mod tests {
                 assert_eq!(rep.records_total, 0);
                 assert_eq!(rep.bytes_total, 0);
                 let (back, r) =
-                    read_partitioned(comm, &fs, "empty.bin", &d, &SnapshotReadOptions::default())
-                        .unwrap();
+                    reload(comm, &fs, "empty.bin", &d, &SnapshotReadOptions::default()).unwrap();
                 assert!(back.is_empty());
                 assert_eq!(r.records_scanned, 0);
             });
@@ -1138,7 +1049,7 @@ mod tests {
                 } else {
                     Vec::new()
                 };
-                write_partitioned(comm, &fs, "old.bin", &pairs, &d, &Default::default()).unwrap();
+                write(comm, &fs, "old.bin", &pairs, &d, &Default::default()).unwrap();
             });
         }
         // Rewrite section 1's table entry the way the old writer laid it
@@ -1153,8 +1064,7 @@ mod tests {
         assert_eq!(meta.sections[1].len, 0);
         let out = World::run(WorldConfig::new(Topology::single_node(2)), move |comm| {
             let d = decomp(4, comm.size());
-            let (back, _) =
-                read_partitioned(comm, &fs, "old.bin", &d, &Default::default()).unwrap();
+            let (back, _) = reload(comm, &fs, "old.bin", &d, &Default::default()).unwrap();
             back.len()
         });
         assert_eq!(out[1], 0);
@@ -1170,7 +1080,7 @@ mod tests {
             World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {
                 let d = decomp(12, comm.size());
                 let pairs = pairs_for(comm.rank(), comm.size(), 12, 2);
-                write_partitioned(
+                write(
                     comm,
                     &fs,
                     "cross.bin",
@@ -1192,8 +1102,7 @@ mod tests {
         let out = World::run(WorldConfig::new(Topology::single_node(3)), move |comm| {
             let d = decomp(12, comm.size());
             let (back, rep) =
-                read_partitioned(comm, &fs, "cross.bin", &d, &SnapshotReadOptions::default())
-                    .unwrap();
+                reload(comm, &fs, "cross.bin", &d, &SnapshotReadOptions::default()).unwrap();
             for (cell, _) in &back {
                 assert_eq!(d.cell_to_rank(*cell), comm.rank(), "misrouted record");
             }
@@ -1218,7 +1127,7 @@ mod tests {
             World::run(WorldConfig::new(Topology::single_node(3)), move |comm| {
                 let d = decomp(9, comm.size());
                 let pairs = pairs_for(comm.rank(), comm.size(), 9, 4);
-                write_partitioned(
+                write(
                     comm,
                     &fs,
                     "aligned.bin",
@@ -1248,7 +1157,7 @@ mod tests {
             World::run(WorldConfig::new(Topology::single_node(2)), move |comm| {
                 let d = decomp(4, comm.size());
                 let pairs = pairs_for(comm.rank(), comm.size(), 4, 1);
-                write_partitioned(
+                write(
                     comm,
                     &fs,
                     "c.bin",
@@ -1327,7 +1236,7 @@ mod tests {
             World::run(WorldConfig::new(Topology::single_node(1)), move |comm| {
                 let d = decomp(4, comm.size());
                 let pairs = pairs_for(comm.rank(), comm.size(), 4, 2);
-                write_partitioned(comm, &fs, "hw.bin", &pairs, &d, &Default::default()).unwrap();
+                write(comm, &fs, "hw.bin", &pairs, &d, &Default::default()).unwrap();
             });
         }
         // Set a high bit above u32 in the first record's cell word: the
@@ -1338,7 +1247,7 @@ mod tests {
         fs.open("hw.bin").unwrap().poke(at, &1u32.to_le_bytes());
         let out = World::run(WorldConfig::new(Topology::single_node(1)), move |comm| {
             let d = decomp(4, comm.size());
-            match read_partitioned(comm, &fs, "hw.bin", &d, &Default::default()) {
+            match reload(comm, &fs, "hw.bin", &d, &Default::default()) {
                 Err(CoreError::Snapshot(m)) => m.contains("out of range"),
                 other => panic!("expected Snapshot error, got {other:?}"),
             }
@@ -1354,7 +1263,7 @@ mod tests {
             World::run(WorldConfig::new(Topology::single_node(2)), move |comm| {
                 let d = decomp(6, comm.size());
                 let pairs = pairs_for(comm.rank(), comm.size(), 6, 1);
-                write_partitioned(
+                write(
                     comm,
                     &fs,
                     "m.bin",
@@ -1368,7 +1277,7 @@ mod tests {
         let out = World::run(WorldConfig::new(Topology::single_node(2)), move |comm| {
             let wrong = decomp(8, comm.size()); // different grid resolution
             matches!(
-                read_partitioned(comm, &fs, "m.bin", &wrong, &SnapshotReadOptions::default()),
+                reload(comm, &fs, "m.bin", &wrong, &SnapshotReadOptions::default()),
                 Err(CoreError::Snapshot(m)) if m.contains("mismatch")
             )
         });
@@ -1383,7 +1292,7 @@ mod tests {
             World::run(WorldConfig::new(Topology::single_node(2)), move |comm| {
                 let d = decomp(4, comm.size());
                 let pairs = pairs_for(comm.rank(), comm.size(), 4, 2);
-                write_partitioned(
+                write(
                     comm,
                     &fs,
                     "t.bin",
@@ -1401,7 +1310,7 @@ mod tests {
         file.poke(at, &u32::MAX.to_le_bytes());
         let out = World::run(WorldConfig::new(Topology::single_node(2)), move |comm| {
             let d = decomp(4, comm.size());
-            read_partitioned(comm, &fs, "t.bin", &d, &SnapshotReadOptions::default()).is_err()
+            reload(comm, &fs, "t.bin", &d, &SnapshotReadOptions::default()).is_err()
         });
         // Rank 0 (reads section 0) errors; rank 1 completes.
         assert_eq!(out, vec![true, false]);
@@ -1413,7 +1322,7 @@ mod tests {
         fs.create("exists.bin", None).unwrap();
         let out = World::run(WorldConfig::new(Topology::single_node(2)), move |comm| {
             let d = decomp(4, comm.size());
-            let res = write_partitioned(
+            let res = write(
                 comm,
                 &fs,
                 "exists.bin",
@@ -1437,7 +1346,7 @@ mod tests {
             World::run(WorldConfig::new(Topology::single_node(3)), move |comm| {
                 let d = decomp(12, comm.size());
                 let pairs = pairs_for(comm.rank(), comm.size(), 12, 2);
-                write_partitioned(comm, &fs, "ops.bin", &pairs, &d, &Default::default()).unwrap();
+                write(comm, &fs, "ops.bin", &pairs, &d, &Default::default()).unwrap();
             });
         }
         let meta = read_meta(&fs, "ops.bin").unwrap();
@@ -1452,27 +1361,18 @@ mod tests {
                     let d = decomp(12, comm.size());
                     let opts = SnapshotReadOptions::default();
                     if whole {
-                        read_partitioned(comm, &fs, "ops.bin", &d, &opts).unwrap();
+                        reload(comm, &fs, "ops.bin", &d, &opts).unwrap();
                     } else {
-                        read_routed(
-                            comm,
-                            &fs,
-                            "ops.bin",
-                            &meta,
-                            &d,
-                            &opts,
-                            exchange_serialized_with,
-                        )
-                        .unwrap();
+                        read_partitioned(comm, &fs, "ops.bin", &meta, &d, &opts).unwrap();
                     }
                 });
                 stats.read_ops() - before
             };
-            let (reload, payload) = (read_ops(true), read_ops(false));
+            let (all, payload) = (read_ops(true), read_ops(false));
             assert_eq!(
-                reload - payload,
+                all - payload,
                 2,
-                "{p} ranks: {reload} reads in all, {payload} of them the payload's"
+                "{p} ranks: {all} reads in all, {payload} of them the payload's"
             );
         }
     }

@@ -8,7 +8,8 @@
 //!
 //! Layout per geometry: 1 byte byte-order marker (we always write 1 =
 //! little-endian and accept either), 4 byte type code, then type-specific
-//! payload of u32 counts and f64 coordinates.
+//! payload of u32 counts and f64 coordinates. Readers refuse collections
+//! nested deeper than [`MAX_NESTING`] levels.
 
 use crate::geometry::{Geometry, GeometryType};
 use crate::linestring::LineString;
@@ -108,7 +109,11 @@ fn polygon_body_len(p: &crate::polygon::Polygon) -> usize {
 /// Decodes one geometry from the front of `buf`, returning it and the
 /// number of bytes consumed.
 pub fn decode(buf: &[u8]) -> Result<(Geometry, usize)> {
-    let mut cur = Cursor { buf, pos: 0 };
+    let mut cur = Cursor {
+        buf,
+        pos: 0,
+        depth: 0,
+    };
     let g = cur.geometry()?;
     Ok((g, cur.pos))
 }
@@ -117,7 +122,11 @@ pub fn decode(buf: &[u8]) -> Result<(Geometry, usize)> {
 /// exhausted.
 pub fn decode_all(buf: &[u8]) -> Result<Vec<Geometry>> {
     let mut out = Vec::new();
-    let mut cur = Cursor { buf, pos: 0 };
+    let mut cur = Cursor {
+        buf,
+        pos: 0,
+        depth: 0,
+    };
     while cur.pos < buf.len() {
         out.push(cur.geometry()?);
     }
@@ -152,9 +161,21 @@ fn put_polygon_body(out: &mut Vec<u8>, p: &Polygon) {
     }
 }
 
+/// How deep collections may nest: a member of a top-level multi-type or
+/// collection is at depth 1. Deeper input is rejected as corrupt, so no
+/// byte sequence can exhaust a reader's stack (`docs/FORMAT.md` §2).
+pub const MAX_NESTING: usize = 64;
+
+/// Bytes of the shortest nested value — byte-order marker, type code and
+/// one `u32` count — which bounds how many members the rest of a buffer
+/// can hold.
+const MIN_VALUE_LEN: usize = 9;
+
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Collection nesting depth of the value being read.
+    depth: usize,
 }
 
 impl<'a> Cursor<'a> {
@@ -205,6 +226,27 @@ impl<'a> Cursor<'a> {
         Ok(Point::new(self.f64(be)?, self.f64(be)?))
     }
 
+    /// Reads one member of a multi-type or collection with `member`
+    /// ([`Cursor::geometry`] or [`Cursor::geometry_ref`]) one nesting
+    /// level down, refusing to go past [`MAX_NESTING`].
+    fn nested<T>(&mut self, member: fn(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_NESTING {
+            return Err(GeomError::Wkb(format!(
+                "collections nested deeper than {MAX_NESTING} levels"
+            )));
+        }
+        self.depth += 1;
+        let out = member(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// Capacity to reserve for `n` members: never more than the rest of
+    /// the buffer could hold, however large the count read from it.
+    fn members_capacity(&self, n: usize) -> usize {
+        n.min((self.buf.len() - self.pos) / MIN_VALUE_LEN)
+    }
+
     fn coords(&mut self, be: bool) -> Result<Vec<Point>> {
         let n = self.u32(be)? as usize;
         // Defensive cap: a count that implies reading past the buffer is
@@ -239,9 +281,9 @@ impl<'a> Cursor<'a> {
             GeometryType::Polygon => Ok(Geometry::Polygon(self.polygon_body(be)?)),
             GeometryType::MultiPoint => {
                 let n = self.u32(be)? as usize;
-                let mut pts = Vec::with_capacity(n.min(1 << 20));
+                let mut pts = Vec::with_capacity(self.members_capacity(n));
                 for _ in 0..n {
-                    match self.geometry()? {
+                    match self.nested(Self::geometry)? {
                         Geometry::Point(p) => pts.push(p),
                         other => {
                             return Err(GeomError::Wkb(format!(
@@ -255,9 +297,9 @@ impl<'a> Cursor<'a> {
             }
             GeometryType::MultiLineString => {
                 let n = self.u32(be)? as usize;
-                let mut lines = Vec::with_capacity(n.min(1 << 20));
+                let mut lines = Vec::with_capacity(self.members_capacity(n));
                 for _ in 0..n {
-                    match self.geometry()? {
+                    match self.nested(Self::geometry)? {
                         Geometry::LineString(l) => lines.push(l),
                         other => {
                             return Err(GeomError::Wkb(format!(
@@ -271,9 +313,9 @@ impl<'a> Cursor<'a> {
             }
             GeometryType::MultiPolygon => {
                 let n = self.u32(be)? as usize;
-                let mut polys = Vec::with_capacity(n.min(1 << 20));
+                let mut polys = Vec::with_capacity(self.members_capacity(n));
                 for _ in 0..n {
-                    match self.geometry()? {
+                    match self.nested(Self::geometry)? {
                         Geometry::Polygon(p) => polys.push(p),
                         other => {
                             return Err(GeomError::Wkb(format!(
@@ -287,9 +329,9 @@ impl<'a> Cursor<'a> {
             }
             GeometryType::GeometryCollection => {
                 let n = self.u32(be)? as usize;
-                let mut members = Vec::with_capacity(n.min(1 << 20));
+                let mut members = Vec::with_capacity(self.members_capacity(n));
                 for _ in 0..n {
-                    members.push(self.geometry()?);
+                    members.push(self.nested(Self::geometry)?);
                 }
                 Ok(Geometry::GeometryCollection(GeometryCollection(members)))
             }
@@ -434,7 +476,7 @@ impl<'a> Cursor<'a> {
         let n = self.u32(be)? as usize;
         let start = self.pos;
         for _ in 0..n {
-            let g = self.geometry_ref()?;
+            let g = self.nested(Self::geometry_ref)?;
             if let Some((ty, kw)) = expect {
                 if g.geometry_type() != ty {
                     return Err(GeomError::Wkb(format!(
@@ -556,7 +598,8 @@ fn u32_at(data: &[u8], at: usize, be: bool) -> u32 {
 /// view, returning it and the number of bytes consumed.
 ///
 /// Performs exactly the checks of [`decode`] — truncation, byte-order and
-/// type markers, coordinate-count caps, member types, and the semantic
+/// type markers, coordinate-count caps, member types, the
+/// [`MAX_NESTING`] depth of collections, and the semantic
 /// constraints the owned constructors enforce (`LINESTRING` length and
 /// finiteness, ring finiteness/closure/length) — in the same order, with
 /// the same errors. But nothing is allocated: coordinates stay in `buf`
@@ -565,7 +608,11 @@ fn u32_at(data: &[u8], at: usize, be: bool) -> u32 {
 /// pushed copy [`Ring::new`] makes, so the views agree point-for-point
 /// with the owned decode.
 pub fn decode_ref(buf: &[u8]) -> Result<(GeomRef<'_>, usize)> {
-    let mut cur = Cursor { buf, pos: 0 };
+    let mut cur = Cursor {
+        buf,
+        pos: 0,
+        depth: 0,
+    };
     let g = cur.geometry_ref()?;
     Ok((g, cur.pos))
 }
@@ -1226,6 +1273,141 @@ mod tests {
         // -0/0 points (+ the big-endian twin), the two collections and
         // the unclosed triangle: equal views over different bytes.
         assert_eq!(equal_pairs, 6 + 2 + 2);
+    }
+
+    /// Offsets of the structural fields of the little-endian value at
+    /// `buf[at..]`, read the way `docs/FORMAT.md` §2 lays them out —
+    /// byte-order markers, type codes and `u32` counts (points, rings,
+    /// members) pushed to `fields` — and the value's end.
+    fn walk(buf: &[u8], at: usize, fields: &mut [Vec<usize>; 3]) -> usize {
+        let word = |at: usize| u32::from_le_bytes(buf[at..at + 4].try_into().unwrap()) as usize;
+        let (ty, body) = (word(at + 1), at + 5);
+        fields[0].push(at);
+        fields[1].push(at + 1);
+        if ty == 1 {
+            return body + 16;
+        }
+        fields[2].push(body);
+        let n = word(body);
+        match ty {
+            2 => body + 4 + 16 * n,
+            3 => (0..n).fold(body + 4, |ring, _| {
+                fields[2].push(ring);
+                ring + 4 + 16 * word(ring)
+            }),
+            _ => (0..n).fold(body + 4, |member, _| walk(buf, member, fields)),
+        }
+    }
+
+    /// A decoder outcome that is a typed error (`None`) or a parse both
+    /// decoders agree on — anything else, a panic or an arithmetic
+    /// overflow under the dev profile's `overflow-checks` included,
+    /// fails the test.
+    fn verdict(bytes: &[u8]) -> Option<(Geometry, usize)> {
+        assert_ref_parity(bytes);
+        match decode_ref(bytes) {
+            Ok((view, used)) => Some((view.to_geometry(), used)),
+            Err(GeomError::Wkb(_) | GeomError::Invalid(_)) => None,
+            Err(other) => panic!("untyped decoder error: {other:?}"),
+        }
+    }
+
+    /// `levels` one-member collections around a point, each level
+    /// claiming `count` members.
+    fn nest(levels: usize, count: u32) -> Vec<u8> {
+        let level = [&[1u8][..], &7u32.to_le_bytes(), &count.to_le_bytes()].concat();
+        let point = encode(&wkt::parse("POINT (1 2)").unwrap());
+        [level.repeat(levels), point].concat()
+    }
+
+    /// ROADMAP item 7(b) for the WKB decoder (`docs/FORMAT.md` §2): over
+    /// all seven types — holes, empty parts, nested collections —
+    /// truncation at every offset, every count at 0 / max / ±1, every
+    /// byte-order marker and type code replaced, and collections nested
+    /// past [`MAX_NESTING`]. Every outcome is a typed error or a parse,
+    /// and `decode_ref` agrees with `decode` on each.
+    #[test]
+    fn decode_ref_survives_every_mutation() {
+        let samples = [
+            "POINT (30 10)",
+            "LINESTRING (30 10, 10 30, 40 40)",
+            "POLYGON ((35 10, 45 45, 15 40, 10 20, 35 10), (20 30, 35 35, 30 20, 20 30))",
+            "MULTIPOINT ((10 40), (40 30))",
+            "MULTILINESTRING ((10 10, 20 20), (40 40, 30 30))",
+            "MULTIPOLYGON (((30 20, 45 40, 10 40, 30 20)), \
+             ((0 0, 4 0, 4 4, 0 4, 0 0), (1 1, 2 1, 2 2, 1 1)))",
+            "GEOMETRYCOLLECTION (POINT (40 10), MULTIPOINT EMPTY, \
+             GEOMETRYCOLLECTION (LINESTRING (10 10, 20 20), GEOMETRYCOLLECTION EMPTY))",
+        ];
+        for text in samples {
+            let valid = encode(&wkt::parse(text).unwrap());
+            let original = verdict(&valid).expect("the sample parses");
+            let mut fields = Default::default();
+            assert_eq!(walk(&valid, 0, &mut fields), valid.len());
+            let [markers, types, counts] = fields;
+            let with = |at: usize, bytes: &[u8]| {
+                let mut buf = valid.clone();
+                buf[at..at + bytes.len()].copy_from_slice(bytes);
+                verdict(&buf)
+            };
+
+            // A value cut short anywhere is incomplete.
+            for cut in 0..valid.len() {
+                assert_eq!(verdict(&valid[..cut]), None, "{text}: cut at {cut}");
+            }
+            // A changed count never reads back as the original value.
+            for at in counts {
+                let v = u32::from_le_bytes(valid[at..at + 4].try_into().unwrap());
+                for value in [0, u32::MAX, v.wrapping_add(1), v.wrapping_sub(1)] {
+                    let got = with(at, &value.to_le_bytes());
+                    assert!(
+                        value == v || got.as_ref() != Some(&original),
+                        "{text}: {at}"
+                    );
+                }
+            }
+            // Big-endian re-reads every field after the marker; any other
+            // byte is no marker at all.
+            for at in markers {
+                for marker in [0u8, 2, 0x7F, 0xFF] {
+                    let got = with(at, &[marker]);
+                    assert!(marker == 0 || got.is_none(), "{text}: marker {marker}");
+                }
+            }
+            // The seven type codes, their neighbours and max.
+            for at in types {
+                for code in (0..=8).chain([u32::MAX]) {
+                    let got = with(at, &code.to_le_bytes());
+                    assert!((1..=7).contains(&code) || got.is_none(), "{text}: {code}");
+                }
+            }
+        }
+
+        // Nested collections: accepted down to the limit, a typed error
+        // past it — however deep the input goes, and whatever member
+        // count every level claims — and refused where a typed member
+        // belongs.
+        for levels in [1, MAX_NESTING] {
+            assert!(verdict(&nest(levels, 1)).is_some(), "{levels} levels");
+        }
+        for (levels, count) in [(MAX_NESTING + 1, 1), (1 << 16, 1), (1 << 16, u32::MAX)] {
+            assert_eq!(verdict(&nest(levels, count)), None, "{levels} levels");
+        }
+        for (ty, kw) in [
+            (4u32, "MULTIPOINT"),
+            (5, "MULTILINESTRING"),
+            (6, "MULTIPOLYGON"),
+        ] {
+            let buf = [
+                &[1u8][..],
+                &ty.to_le_bytes(),
+                &1u32.to_le_bytes(),
+                &nest(2, 1),
+            ]
+            .concat();
+            assert_eq!(verdict(&buf), None);
+            assert!(matches!(decode_ref(&buf), Err(GeomError::Wkb(m)) if m.contains(kw)));
+        }
     }
 
     #[test]

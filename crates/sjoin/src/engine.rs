@@ -463,19 +463,22 @@ pub struct QueryEngine {
 }
 
 impl QueryEngine {
-    /// Builds the engine from an ingest run's output
-    /// ([`QueryEngine::from_parts`] over its decomposition and owned
-    /// replicas). Collective: every rank must call it.
+    /// Builds the engine from an ingest run's output: its decomposition,
+    /// and the frames its exchange received, adopted as they are
+    /// ([`QueryEngine::from_store`] over [`ResidentStore::from_frames`]).
+    /// Collective: every rank must call it.
     pub fn from_ingest(comm: &mut Comm, out: IngestOutput, opts: &EngineOptions) -> Self {
-        Self::from_parts(comm, out.decomp, out.owned, opts)
+        let store = ResidentStore::from_frames(comm, std::slice::from_ref(&out.owned));
+        Self::from_store(comm, out.decomp, store, opts)
     }
 
     /// Builds the engine from an already-partitioned `(cell, feature)`
-    /// set and its decomposition. The engine keeps its replicas as wire
-    /// records ([`ResidentStore`]), so the owned pairs are encoded once
-    /// here — charged [`Work::SerializeGeoms`] per replica, the price of
-    /// handing the engine objects instead of the frames an exchange
-    /// delivers ([`QueryEngine::from_store`]) — and then indexed
+    /// set and its decomposition — for callers that hold objects. The
+    /// engine keeps its replicas as wire records ([`ResidentStore`]), so
+    /// the owned pairs are encoded once here — charged
+    /// [`Work::SerializeGeoms`] per replica, the price of handing the
+    /// engine objects instead of the frames an exchange delivers
+    /// ([`QueryEngine::from_store`]) — and then indexed
     /// ([`Work::RtreeInserts`]).
     /// Collective: every rank must call it.
     ///
@@ -520,9 +523,9 @@ impl QueryEngine {
 
     /// Builds the engine from a binary snapshot: one collective
     /// metadata read ([`snapshot::read_meta_timed`]), decomposition
-    /// rebuild under `policy`, collective
-    /// [`snapshot::read_partitioned_frames`] over that metadata — the
-    /// routed records stay the wire frames they were persisted as. The
+    /// rebuild under `policy`, collective [`snapshot::read_partitioned`]
+    /// over that metadata — the routed records stay the wire frames they
+    /// were persisted as. The
     /// adaptive policy is rejected with [`CoreError::InvalidOptions`] — a
     /// snapshot does not carry the feature histogram it needs (same
     /// contract as snapshot joins).
@@ -536,7 +539,7 @@ impl QueryEngine {
     ) -> Result<Self> {
         let meta = snapshot::read_meta_timed(comm, fs, path)?;
         let sd = snapshot_decomposition(&meta, policy, comm.size(), "serve")?;
-        let (frames, _) = snapshot::read_partitioned_frames(comm, fs, path, &meta, &*sd, read)?;
+        let (frames, _) = snapshot::read_partitioned(comm, fs, path, &meta, &*sd, read)?;
         let store = ResidentStore::from_frames(comm, std::slice::from_ref(&frames));
         Ok(Self::from_store(comm, sd, store, opts))
     }
@@ -841,10 +844,10 @@ impl QueryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvio_core::decomp::{self, DecompConfig, UniformDecomposition};
-    use mvio_core::exchange::exchange_features;
+    use mvio_core::decomp::{DecompConfig, UniformDecomposition};
     use mvio_core::grid::{CellMap, GridSpec, UniformGrid};
-    use mvio_core::partition::{read_features, ReadOptions};
+    use mvio_core::partition::ReadOptions;
+    use mvio_core::pipeline::ingest;
     use mvio_core::reader::WktLineParser;
     use mvio_geom::algo;
     use mvio_msim::{Topology, World, WorldConfig};
@@ -864,21 +867,10 @@ mod tests {
     }
 
     fn build_engine(comm: &mut Comm, fs: &Arc<SimFs>, opts: &EngineOptions) -> QueryEngine {
-        let features =
-            read_features(comm, fs, "pts.wkt", &ReadOptions::default(), &WktLineParser).unwrap();
-        let cfg = DecompConfig {
-            grid: GridSpec::square(4),
-            policy: DecompPolicy::Uniform(CellMap::RoundRobin),
-        };
-        let sd = decomp::build_global(comm, &[&features], &cfg);
-        let rtree = decomp::build_cell_rtree(comm, &*sd);
-        let pairs = decomp::project_to_cells(comm, &rtree, &features);
-        let owned: Vec<(u32, Feature)> = pairs
-            .into_iter()
-            .map(|(cell, idx)| (cell, features[idx].clone()))
-            .collect();
-        let (mine, _) = exchange_features(comm, owned, &*sd, &ExchangeOptions::default()).unwrap();
-        QueryEngine::from_parts(comm, sd, mine, opts)
+        let cfg = DecompConfig::uniform(GridSpec::square(4));
+        let (read, pipe) = (ReadOptions::default(), Default::default());
+        let out = ingest(comm, fs, "pts.wkt", &read, &WktLineParser, &cfg, &pipe).unwrap();
+        QueryEngine::from_ingest(comm, out, opts)
     }
 
     #[test]
@@ -963,13 +955,6 @@ mod tests {
             })
             .collect();
         QueryEngine::from_parts(comm, sd, owned, &EngineOptions::default())
-    }
-
-    /// The engine's resident replicas, decoded (for the snapshot writer).
-    fn resident_features(eng: &QueryEngine) -> Vec<(u32, Feature)> {
-        eng.resident()
-            .map(|fr| (fr.cell, fr.to_feature().unwrap()))
-            .collect()
     }
 
     fn segment(x0: f64, y0: f64, x1: f64, y1: f64, label: &str) -> Feature {
@@ -1244,12 +1229,11 @@ mod tests {
             // Round-trip through a snapshot and serve the same query.
             let query = vec![Query::Range(Rect::new(1.5, 1.5, 4.5, 4.5))];
             let direct = eng.serve(comm, &query).unwrap().answers;
-            let owned = resident_features(&eng);
             snapshot::write_partitioned(
                 comm,
                 &fs,
                 "pts.snap",
-                &owned,
+                eng.resident(),
                 &*eng.index.sd,
                 &Default::default(),
             )
@@ -1277,12 +1261,11 @@ mod tests {
         let fs = lattice_fs(4);
         let out = World::run(WorldConfig::new(Topology::single_node(2)), move |comm| {
             let mut eng = build_engine(comm, &fs, &EngineOptions::default());
-            let owned = resident_features(&eng);
             snapshot::write_partitioned(
                 comm,
                 &fs,
                 "pts.snap",
-                &owned,
+                eng.resident(),
                 &*eng.index.sd,
                 &Default::default(),
             )

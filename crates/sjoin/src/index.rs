@@ -3,7 +3,7 @@
 
 use crate::breakdown::{PhaseBreakdown, PhaseTimer};
 use mvio_core::decomp::{self, DecompConfig, DecompPolicy};
-use mvio_core::exchange::{exchange_features, ExchangeOptions};
+use mvio_core::exchange::{exchange_features, ExchangeOptions, FrameStore};
 use mvio_core::grid::GridSpec;
 use mvio_core::partition::{read_features, ReadOptions};
 use mvio_core::reader::WktLineParser;
@@ -54,9 +54,21 @@ pub fn build_distributed_index(
     timer.end_partition(comm);
 
     // Communication phase. Default options: single window, one blocking
-    // round.
+    // round. The per-cell R-trees hold objects, so what arrived is decoded
+    // here: the exchange's validation scan already charged the received
+    // bytes, the decode adds the per-object cost — together what the
+    // paper's buffer management charges for deserializing the records.
     let opts = ExchangeOptions::default();
-    let (mine, _) = exchange_features(comm, owned, &*sd, &opts)?;
+    let (stores, stats) = exchange_features(comm, owned, &*sd, &opts)?;
+    let mine = stores
+        .iter()
+        .flat_map(FrameStore::frames)
+        .map(|frame| Ok((frame.cell, frame.to_feature()?)))
+        .collect::<Result<Vec<_>>>()?;
+    comm.charge(Work::SerializeGeoms {
+        n: stats.records_received,
+        bytes: 0,
+    });
     timer.end_communication(comm);
 
     // Indexing phase: bulk-build one R-tree per owned cell.

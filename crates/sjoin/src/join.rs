@@ -6,8 +6,8 @@ use mvio_core::decomp::{
     UniformDecomposition,
 };
 use mvio_core::exchange::{
-    exchange_features_frames_windows, exchange_serialized_frames_with, serialize_frame,
-    ExchangeChunk, ExchangeOptions, FrameStore, RecordFrame, SerializedBatch,
+    exchange_features, exchange_serialized, serialize_frame, ExchangeChunk, ExchangeOptions,
+    FrameStore, RecordFrame, SerializedBatch,
 };
 use mvio_core::framework::claims_reference;
 use mvio_core::grid::{CellMap, GridSpec, UniformGrid};
@@ -151,8 +151,8 @@ pub fn spatial_join(
         windows: opts.windows,
         chunk: opts.chunk,
     };
-    let (left_stores, _) = exchange_features_frames_windows(comm, left_pairs, &*sd, &ex_opts)?;
-    let (right_stores, _) = exchange_features_frames_windows(comm, right_pairs, &*sd, &ex_opts)?;
+    let (left_stores, _) = exchange_features(comm, left_pairs, &*sd, &ex_opts)?;
+    let (right_stores, _) = exchange_features(comm, right_pairs, &*sd, &ex_opts)?;
     timer.end_communication(comm);
 
     // --- Join phase: filter, balance, arena refine over frames. ----------
@@ -267,10 +267,9 @@ pub fn spatial_join_snapshots(
 
     // --- Communication phase: collective reads + routing exchanges. ------
     // The routed records stay as validated wire frames.
-    let (left, _) =
-        snapshot::read_partitioned_frames(comm, fs, left_path, &left_meta, &*sd, &opts.read)?;
+    let (left, _) = snapshot::read_partitioned(comm, fs, left_path, &left_meta, &*sd, &opts.read)?;
     let (right, _) =
-        snapshot::read_partitioned_frames(comm, fs, right_path, &right_meta, &*sd, &opts.read)?;
+        snapshot::read_partitioned(comm, fs, right_path, &right_meta, &*sd, &opts.read)?;
     timer.end_communication(comm);
 
     // --- Join phase: identical to the text path. --------------------------
@@ -683,7 +682,7 @@ fn run_refine_frames(
                 }
             };
         let left_in = comm.labeled("join.balance.left", |c| {
-            exchange_serialized_frames_with(c, left_batch, ex_opts)
+            exchange_serialized(c, left_batch, ex_opts)
         });
         let right_batch = if left_in.is_ok() {
             right_batch
@@ -691,7 +690,7 @@ fn run_refine_frames(
             empty()
         };
         let right_in = comm.labeled("join.balance.right", |c| {
-            exchange_serialized_frames_with(c, right_batch, ex_opts)
+            exchange_serialized(c, right_batch, ex_opts)
         });
         incoming = Some((left_in, right_in));
     }
@@ -872,6 +871,7 @@ mod tests {
 
     #[test]
     fn snapshot_join_matches_the_text_join() {
+        use mvio_core::exchange::{record_frames, serialize_record, validate_frames};
         use mvio_core::snapshot::SnapshotWriteOptions;
         // Reference answer from the text path.
         let (expect_pairs, _) = run_join(Topology::new(2, 2), JoinOptions::default());
@@ -902,35 +902,24 @@ mod tests {
                     });
                 let cfg = DecompConfig::uniform(GridSpec::square(8));
                 let sd = decomp::build_global_from_mbr(comm, mbr, &[&left, &right], &cfg);
-                let pairs_of = |feats: &[Feature]| -> Vec<(u32, Feature)> {
-                    feats
-                        .iter()
-                        .flat_map(|f| {
-                            sd.cells_for_rect_vec(&f.geometry.envelope())
-                                .into_iter()
-                                .map(|c| (c, f.clone()))
-                                .collect::<Vec<_>>()
-                        })
-                        .collect()
+                // Every replica of every feature, as one validated wire
+                // buffer.
+                let wire_of = |feats: &[Feature]| -> Vec<u8> {
+                    let mut buf = Vec::new();
+                    for f in feats {
+                        for c in sd.cells_for_rect_vec(&f.geometry.envelope()) {
+                            serialize_record(c, f, &mut Vec::new(), &mut buf).unwrap();
+                        }
+                    }
+                    validate_frames(&buf).unwrap();
+                    buf
                 };
-                snapshot::write_partitioned(
-                    comm,
-                    &fs,
-                    "left.snap",
-                    &pairs_of(&left),
-                    &*sd,
-                    &SnapshotWriteOptions::default(),
-                )
-                .unwrap();
-                snapshot::write_partitioned(
-                    comm,
-                    &fs,
-                    "right.snap",
-                    &pairs_of(&right),
-                    &*sd,
-                    &SnapshotWriteOptions::default(),
-                )
-                .unwrap();
+                for (path, layer) in [("left.snap", &left), ("right.snap", &right)] {
+                    let buf = wire_of(layer);
+                    let opts = SnapshotWriteOptions::default();
+                    snapshot::write_partitioned(comm, &fs, path, record_frames(&buf), &*sd, &opts)
+                        .unwrap();
+                }
             });
         }
 

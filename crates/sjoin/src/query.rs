@@ -6,7 +6,7 @@
 use crate::breakdown::{PhaseBreakdown, PhaseTimer};
 use crate::engine::{self, EngineOptions, Query, QueryEngine};
 use mvio_core::decomp::{self, DecompConfig, SpatialDecomposition};
-use mvio_core::exchange::{exchange_features_frames_windows, ExchangeOptions};
+use mvio_core::exchange::{exchange_features, ExchangeOptions};
 use mvio_core::grid::GridSpec;
 use mvio_core::partition::{read_features, ReadOptions};
 use mvio_core::reader::WktLineParser;
@@ -40,8 +40,7 @@ fn read_and_partition(
     if let Some(timer) = timer {
         timer.end_partition(comm);
     }
-    let (frames, _) =
-        exchange_features_frames_windows(comm, owned, &*sd, &ExchangeOptions::default())?;
+    let (frames, _) = exchange_features(comm, owned, &*sd, &ExchangeOptions::default())?;
     let mine = ResidentStore::from_frames(comm, &frames);
     Ok((sd, mine))
 }

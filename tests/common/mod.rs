@@ -11,6 +11,7 @@
 use mpi_vector_io::core::decomp::{
     AdaptiveBisection, HilbertDecomposition, SpatialDecomposition, UniformDecomposition,
 };
+use mpi_vector_io::core::exchange::{serialize_record, validate_frames, RecordFrame};
 use mpi_vector_io::datagen;
 use mpi_vector_io::geom::algo::{intersects, point_geometry_distance, rect_intersects_geometry};
 use mpi_vector_io::prelude::*;
@@ -76,6 +77,27 @@ pub fn owned_replicas(
         }
     }
     owned
+}
+
+/// `pairs` encoded as one wire buffer that `validate_frames` accepted —
+/// walk it with `record_frames` to hand owned test data to
+/// `write_partitioned`.
+pub fn wire(pairs: &[(u32, Feature)]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    for (cell, f) in pairs {
+        serialize_record(*cell, f, &mut Vec::new(), &mut buf).unwrap();
+    }
+    validate_frames(&buf).unwrap();
+    buf
+}
+
+/// Received frames decoded, in order — the owned form the oracles
+/// compare against.
+pub fn materialize<'a>(frames: impl IntoIterator<Item = RecordFrame<'a>>) -> Vec<(u32, Feature)> {
+    frames
+        .into_iter()
+        .map(|fr| (fr.cell, fr.to_feature().unwrap()))
+        .collect()
 }
 
 /// Builds one of the five decomposition variants over a `side × side`

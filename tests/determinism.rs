@@ -4,7 +4,8 @@
 
 mod common;
 
-use common::{catalog_fs, mk_decomp, mk_features, owned_replicas, WORLD};
+use common::{catalog_fs, mk_decomp, mk_features, owned_replicas, wire, WORLD};
+use mpi_vector_io::core::exchange::record_frames;
 use mpi_vector_io::core::grid::GridSpec;
 use mpi_vector_io::msim::io::FileView;
 use mpi_vector_io::prelude::*;
@@ -118,9 +119,9 @@ fn snapshot_reload_virtual_times_are_identical_across_runs() {
                             )
                         })
                         .collect();
-                    let owned = owned_replicas(&*sd, &mk_features(&coords), comm.rank());
+                    let owned = wire(&owned_replicas(&*sd, &mk_features(&coords), comm.rank()));
                     let opts = SnapshotWriteOptions::default();
-                    write_partitioned(comm, &fs, path, &owned, &*sd, &opts).unwrap();
+                    write_partitioned(comm, &fs, path, record_frames(&owned), &*sd, &opts).unwrap();
                 }
                 comm.now()
             })

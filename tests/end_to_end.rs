@@ -3,8 +3,8 @@
 
 mod common;
 
-use common::{brute_force_join, catalog_fs};
-use mpi_vector_io::core::exchange::{exchange_features, ExchangeOptions};
+use common::{brute_force_join, catalog_fs, materialize};
+use mpi_vector_io::core::exchange::{exchange_features, ExchangeOptions, FrameStore};
 use mpi_vector_io::core::grid::{CellMap, GridSpec, UniformGrid};
 use mpi_vector_io::datagen;
 use mpi_vector_io::prelude::*;
@@ -70,8 +70,9 @@ fn exchange_preserves_every_feature_with_real_data() {
             .map(|(c, i)| (c, feats[i].clone()))
             .collect();
         let sent = owned.len() as u64;
-        let (mine, stats) =
+        let (stores, stats) =
             exchange_features(comm, owned, &*decomp, &ExchangeOptions::default()).unwrap();
+        let mine = materialize(stores.iter().flat_map(FrameStore::frames));
         // Every received pair belongs to a cell this rank owns.
         for (cell, _) in &mine {
             assert_eq!(decomp.cell_to_rank(*cell), comm.rank());

@@ -4,10 +4,10 @@
 
 mod common;
 
-use common::{fs_with, mk_decomp, mk_features, owned_replicas, WORLD};
+use common::{fs_with, mk_decomp, mk_features, owned_replicas, wire, WORLD};
 use mpi_vector_io::core::decomp::SpatialDecomposition;
 use mpi_vector_io::core::exchange::{
-    decode_records, serialize_record, validate_round, ExchangeRound, SerializedBatch,
+    record_frames, serialize_record, validate_round, ExchangeRound, SerializedBatch,
 };
 use mpi_vector_io::core::resident::ResidentStore;
 use mpi_vector_io::core::CoreError;
@@ -285,64 +285,54 @@ fn malformed_queries_are_rejected_symmetrically_and_engine_survives() {
     }
 }
 
-/// A sink error raised while decoding round 1 on rank 0 (rank 1 ships
+/// A sink error raised while validating round 1 on rank 0 (rank 1 ships
 /// it a torn payload there) comes back on rank 0 only: the peers keep
 /// every record of both rounds, and the strict verifier sees matched
-/// collectives throughout — for both receive helpers.
+/// collectives throughout.
 #[test]
 fn sink_decode_error_stays_on_its_rank() {
-    for owned in [true, false] {
-        let cfg = WorldConfig::new(Topology::single_node(3)).with_check(CheckMode::Strict);
-        let out = World::run(cfg, move |comm| {
-            let (rank, p) = (comm.rank(), comm.size());
-            let mut round = 0u32;
-            let mut feed = |_: &mut Comm| {
-                let mut batch = SerializedBatch::empty(p);
-                for dst in 0..p {
-                    if (rank, round, dst) == (1, 1, 0) {
-                        batch.bufs[dst] = vec![0xFF; 7];
-                    } else {
-                        let f = Feature::with_userdata(
-                            Geometry::Point(Point::new(rank as f64, round as f64)),
-                            "payload",
-                        );
-                        serialize_record(round, &f, &mut Vec::new(), &mut batch.bufs[dst]).unwrap();
-                    }
-                    batch.records[dst] = 1;
-                }
-                round += 1;
-                Ok(Some(ExchangeRound {
-                    batch,
-                    lanes: Vec::new(),
-                    more: round < 2,
-                }))
-            };
-            let mut received = 0u64;
-            let plan =
-                ExchangePlan::new(comm, &ExchangeOptions::with_chunk(ExchangeChunk::Unlimited));
-            let result = plan.run(comm, &mut feed, &mut |c, bufs| {
-                let n = if owned {
-                    decode_records(c, &bufs)?
-                        .iter()
-                        .map(|r| r.len() as u64)
-                        .sum()
+    let cfg = WorldConfig::new(Topology::single_node(3)).with_check(CheckMode::Strict);
+    let out = World::run(cfg, move |comm| {
+        let (rank, p) = (comm.rank(), comm.size());
+        let mut round = 0u32;
+        let mut feed = |_: &mut Comm| {
+            let mut batch = SerializedBatch::empty(p);
+            for dst in 0..p {
+                if (rank, round, dst) == (1, 1, 0) {
+                    batch.bufs[dst] = vec![0xFF; 7];
                 } else {
-                    validate_round(c, &bufs)?
-                };
-                received += n;
-                Ok(n)
-            });
-            (result.map(|s| (s.rounds, s.records_received)), received)
-        });
-        match &out[0] {
-            (Err(CoreError::Frame(_)), 3) => {} // round 0 arrived, round 1 failed
-            other => panic!("rank 0 (owned={owned}): {other:?}"),
-        }
-        for (rank, peer) in out.iter().enumerate().skip(1) {
-            match peer {
-                (Ok((2, 6)), 6) => {}
-                other => panic!("rank {rank} (owned={owned}): {other:?}"),
+                    let f = Feature::with_userdata(
+                        Geometry::Point(Point::new(rank as f64, round as f64)),
+                        "payload",
+                    );
+                    serialize_record(round, &f, &mut Vec::new(), &mut batch.bufs[dst]).unwrap();
+                }
+                batch.records[dst] = 1;
             }
+            round += 1;
+            Ok(Some(ExchangeRound {
+                batch,
+                lanes: Vec::new(),
+                more: round < 2,
+            }))
+        };
+        let mut received = 0u64;
+        let plan = ExchangePlan::new(comm, &ExchangeOptions::with_chunk(ExchangeChunk::Unlimited));
+        let result = plan.run(comm, &mut feed, &mut |c, bufs| {
+            let n = validate_round(c, &bufs)?;
+            received += n;
+            Ok(n)
+        });
+        (result.map(|s| (s.rounds, s.records_received)), received)
+    });
+    match &out[0] {
+        (Err(CoreError::Frame(_)), 3) => {} // round 0 arrived, round 1 failed
+        other => panic!("rank 0: {other:?}"),
+    }
+    for (rank, peer) in out.iter().enumerate().skip(1) {
+        match peer {
+            (Ok((2, 6)), 6) => {}
+            other => panic!("rank {rank}: {other:?}"),
         }
     }
 }
@@ -696,9 +686,10 @@ fn corrupt_snapshot_metadata_fails_every_rank_alike() {
                         )
                     })
                     .collect();
-                let owned = owned_replicas(&*sd, &mk_features(&coords), comm.rank());
+                let owned = wire(&owned_replicas(&*sd, &mk_features(&coords), comm.rank()));
                 let opts = SnapshotWriteOptions::default();
-                snapshot::write_partitioned(comm, &fs, path, &owned, &*sd, &opts).unwrap();
+                let frames = record_frames(&owned);
+                snapshot::write_partitioned(comm, &fs, path, frames, &*sd, &opts).unwrap();
             }
         });
     }

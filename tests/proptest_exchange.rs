@@ -4,13 +4,22 @@
 
 mod common;
 
-use common::mk_decomp;
+use common::{materialize, mk_decomp};
 use mpi_vector_io::core::exchange::{
-    exchange_features, exchange_serialized_with, ExchangeChunk, ExchangeOptions,
+    exchange_features, exchange_serialized, ExchangeChunk, ExchangeOptions, FrameStore, RecordFrame,
 };
 use mpi_vector_io::core::pipeline::{partition_chunked, partition_exchange_overlapped};
 use mpi_vector_io::prelude::*;
 use proptest::prelude::*;
+
+/// Every rank's received stores as one run of frames, compared byte for
+/// byte.
+fn frames(per_rank: &[Vec<FrameStore>]) -> Vec<Vec<RecordFrame<'_>>> {
+    per_rank
+        .iter()
+        .map(|stores| stores.iter().flat_map(FrameStore::frames).collect())
+        .collect()
+}
 
 proptest! {
     // Worlds spawn threads; keep case counts moderate. Seed pinned so
@@ -45,7 +54,8 @@ proptest! {
                     windows,
                     ..Default::default()
                 };
-                let (mine, stats) = exchange_features(comm, pairs, &*decomp, &opts).unwrap();
+                let (stores, stats) = exchange_features(comm, pairs, &*decomp, &opts).unwrap();
+                let mine = materialize(stores.iter().flat_map(FrameStore::frames));
                 // Ownership: every received pair belongs to me.
                 for (cell, _) in &mine {
                     assert_eq!(decomp.cell_to_rank(*cell), comm.rank());
@@ -136,11 +146,11 @@ proptest! {
         };
         let blocking = run(ExchangeChunk::Unlimited);
         let chunked = run(ExchangeChunk::Bytes(chunk));
-        prop_assert_eq!(chunked, blocking);
+        prop_assert_eq!(frames(&chunked), frames(&blocking));
     }
 
     /// Same oracle for the fused partition+exchange overlap path: the
-    /// owned pairs match the unfused serialize-everything-then-block
+    /// received frames match the unfused serialize-everything-then-block
     /// pipeline for any chunk size, worker count and policy.
     #[test]
     fn overlapped_partition_exchange_matches_unfused(
@@ -172,13 +182,8 @@ proptest! {
                 let decomp = mk_decomp(side as f64, policy, side, comm.size());
                 let feats = mk_features(comm.rank());
                 let (batch, _) = partition_chunked(comm, &*decomp, &feats, &popts).unwrap();
-                exchange_serialized_with(
-                    comm,
-                    batch,
-                    &ExchangeOptions::with_chunk(ExchangeChunk::Unlimited),
-                )
-                .unwrap()
-                .0
+                let opts = ExchangeOptions::with_chunk(ExchangeChunk::Unlimited);
+                vec![exchange_serialized(comm, batch, &opts).unwrap().0]
             },
         );
         let fused = World::run(
@@ -186,12 +191,12 @@ proptest! {
             move |comm| {
                 let decomp = mk_decomp(side as f64, policy, side, comm.size());
                 let feats = mk_features(comm.rank());
-                partition_exchange_overlapped(comm, &*decomp, &feats, &popts, chunk)
+                vec![partition_exchange_overlapped(comm, &*decomp, &feats, &popts, chunk)
                     .unwrap()
-                    .0
+                    .0]
             },
         );
-        prop_assert_eq!(fused, unfused);
+        prop_assert_eq!(frames(&fused), frames(&unfused));
     }
 
     #[test]

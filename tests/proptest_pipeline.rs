@@ -5,9 +5,9 @@
 
 mod common;
 
-use common::{dataset_text, fs_with};
+use common::{dataset_text, fs_with, materialize};
 use mpi_vector_io::core::decomp::{self, DecompConfig};
-use mpi_vector_io::core::exchange::{exchange_features, ExchangeOptions};
+use mpi_vector_io::core::exchange::{exchange_features, ExchangeOptions, FrameStore};
 use mpi_vector_io::core::grid::GridSpec;
 use mpi_vector_io::core::pipeline::{self, PipelineOptions};
 use mpi_vector_io::prelude::*;
@@ -48,9 +48,9 @@ proptest! {
                             .collect::<Vec<_>>()
                     })
                     .collect();
-                exchange_features(comm, pairs, &*sd, &ExchangeOptions::default())
-                    .unwrap()
-                    .0
+                let (stores, _) =
+                    exchange_features(comm, pairs, &*sd, &ExchangeOptions::default()).unwrap();
+                materialize(stores.iter().flat_map(FrameStore::frames))
             })
         };
 
@@ -61,7 +61,7 @@ proptest! {
                     .with_workers(workers)
                     .with_parse_chunk_bytes(chunk_bytes)
                     .with_partition_chunk_records(chunk_records);
-                pipeline::ingest(
+                let rep = pipeline::ingest(
                     comm,
                     &fs,
                     "d.wkt",
@@ -70,8 +70,8 @@ proptest! {
                     &DecompConfig::uniform(spec),
                     &opts,
                 )
-                .unwrap()
-                .owned
+                .unwrap();
+                materialize(rep.owned.frames())
             })
         };
 

@@ -1,19 +1,22 @@
 //! Property-based oracle for the binary snapshot subsystem: for *any*
 //! input, writer world size, decomposition policy, exchange chunk
 //! setting and aggregator hint, `write_partitioned` →
-//! `read_partitioned` under the same world and decomposition is
-//! **bit-identical** to the in-memory partitioned pairs — and re-reading
+//! `read_partitioned` under the same world and decomposition gives back
+//! **byte-identical** frames to the ones the ingest held — and re-reading
 //! under a *different* rank count preserves the record multiset while
 //! routing every record to its cell's owner.
 
 mod common;
 
-use common::{brute_force_join, dataset_text, fs_with, mk_chunk, owned_replicas};
+use common::{
+    brute_force_join, dataset_text, fs_with, materialize, mk_chunk, owned_replicas, wire,
+};
 use mpi_vector_io::core::decomp::{DecompConfig, DecompPolicy, UniformDecomposition};
+use mpi_vector_io::core::exchange::{record_frames, RecordFrame};
 use mpi_vector_io::core::grid::CellMap;
 use mpi_vector_io::core::pipeline::{self, PipelineOptions};
 use mpi_vector_io::core::snapshot::{self, SnapshotReadOptions, SnapshotWriteOptions};
-use mpi_vector_io::geom::{wkb, wkt};
+use mpi_vector_io::geom::wkt;
 use mpi_vector_io::prelude::*;
 use mpi_vector_io::sjoin::{spatial_join_snapshots, SnapshotJoinOptions};
 use proptest::prelude::*;
@@ -99,13 +102,29 @@ fn round_trip_case(
             .unwrap();
             let w = rep.write_partitioned(comm, &fs, "s.bin", &wopts).unwrap();
             assert_eq!(w.section.records, rep.owned.len() as u64);
+            let meta = snapshot::read_meta_timed(comm, &fs, "s.bin").unwrap();
             let (back, rrep) =
-                snapshot::read_partitioned(comm, &fs, "s.bin", &*rep.decomp, &ropts).unwrap();
-            assert_eq!(back, rep.owned, "same-world reload must be bit-identical");
+                snapshot::read_partitioned(comm, &fs, "s.bin", &meta, &*rep.decomp, &ropts)
+                    .unwrap();
+            let (got, held): (Vec<RecordFrame>, Vec<RecordFrame>) =
+                (back.frames().collect(), rep.owned.frames().collect());
+            assert_eq!(got, held, "same-world reload must be byte-identical");
             assert_eq!(rrep.records_scanned, rep.owned.len() as u64);
-            rep.owned
+            // The same records decoded and encoded again, persisted
+            // beside the frames: the two files must not differ by a byte.
+            let pairs = materialize(rep.owned.frames());
+            let decoded = wire(&pairs);
+            let frames = record_frames(&decoded);
+            snapshot::write_partitioned(comm, &fs, "r.bin", frames, &*rep.decomp, &wopts).unwrap();
+            pairs
         })
     };
+    let file = |path: &str| fs.open(path).unwrap().snapshot();
+    assert_eq!(
+        file("s.bin"),
+        file("r.bin"),
+        "frames persist as re-encoding would"
+    );
     let mut expect: Vec<String> = written.iter().flatten().map(|(c, f)| key(*c, f)).collect();
     expect.sort();
 
@@ -115,43 +134,26 @@ fn round_trip_case(
     let reread = {
         let fs = Arc::clone(&fs);
         World::run(WorldConfig::new(topology(read_ranks)), move |comm| {
-            let meta = snapshot::read_meta(&fs, "s.bin").unwrap();
+            let meta = snapshot::read_meta_timed(comm, &fs, "s.bin").unwrap();
             let grid = UniformGrid::new(meta.bounds, meta.spec);
             let d = UniformDecomposition::new(grid, CellMap::RoundRobin, comm.size());
-            let (back, orep) = snapshot::read_partitioned(comm, &fs, "s.bin", &d, &ropts).unwrap();
-            for (cell, _) in &back {
-                assert_eq!(d.cell_to_rank(*cell), comm.rank(), "misrouted record");
+            let (back, _) =
+                snapshot::read_partitioned(comm, &fs, "s.bin", &meta, &d, &ropts).unwrap();
+            for frame in back.frames() {
+                assert_eq!(d.cell_to_rank(frame.cell), comm.rank(), "misrouted record");
             }
             // The hint moves bytes between aggregators, never records
             // between ranks: the heuristic's read is the same answer.
             if cb_nodes.is_some() {
                 let heuristic = SnapshotReadOptions::default().with_chunk(chunk);
                 let (plain, _) =
-                    snapshot::read_partitioned(comm, &fs, "s.bin", &d, &heuristic).unwrap();
-                assert_eq!(plain, back, "cb_nodes changed the reload");
+                    snapshot::read_partitioned(comm, &fs, "s.bin", &meta, &d, &heuristic).unwrap();
+                assert!(
+                    plain.frames().eq(back.frames()),
+                    "cb_nodes changed the reload"
+                );
             }
-            // The zero-copy frames read is the same collective over
-            // the same bytes: materializing its borrowed views must
-            // reproduce the owned read bit-for-bit, with the same
-            // scan and exchange counters.
-            let (store, frep) =
-                snapshot::read_partitioned_frames(comm, &fs, "s.bin", &meta, &d, &ropts).unwrap();
-            assert_eq!(store.records(), back.len() as u64);
-            let materialized: Vec<(u32, Feature)> = store
-                .frames()
-                .map(|fr| {
-                    let (g, _) = wkb::decode_ref(fr.wkb).unwrap();
-                    (
-                        fr.cell,
-                        Feature::with_userdata(g.to_geometry(), fr.userdata),
-                    )
-                })
-                .collect();
-            assert_eq!(materialized, back, "frames read diverged from owned read");
-            assert_eq!(frep.records_scanned, orep.records_scanned);
-            assert_eq!(frep.bytes_read, orep.bytes_read);
-            assert_eq!(frep.exchange.bytes_received, orep.exchange.bytes_received);
-            back
+            materialize(back.frames())
         })
     };
     let mut got: Vec<String> = reread.iter().flatten().map(|(c, f)| key(*c, f)).collect();
@@ -212,15 +214,10 @@ proptest! {
                         [("l.bin", lrecords, salt), ("r.bin", rrecords, salt ^ 0xDEAD)]
                     {
                         let pairs = owned_replicas(&d, &join_layer(n, s, spread), comm.rank());
-                        snapshot::write_partitioned(
-                            comm,
-                            &fs,
-                            path,
-                            &pairs,
-                            &d,
-                            &SnapshotWriteOptions::default(),
-                        )
-                        .unwrap();
+                        let buf = wire(&pairs);
+                        let opts = SnapshotWriteOptions::default();
+                        snapshot::write_partitioned(comm, &fs, path, record_frames(&buf), &d, &opts)
+                            .unwrap();
                     }
                 },
             );
