@@ -4,7 +4,8 @@
 
 use super::{cost_scaled, gpfs_scaled, install_dataset, spec, Scale};
 use crate::report::Table;
-use mvio_core::partition::{read_features, ReadOptions};
+use mvio_core::partition::{read_partition_text, ReadOptions};
+use mvio_core::pipeline::{parse_chunked, PipelineOptions};
 use mvio_core::reader::WktLineParser;
 use mvio_msim::{AccessLevel, Topology, World, WorldConfig};
 use mvio_pfs::SimFs;
@@ -22,7 +23,9 @@ pub fn io_plus_parse(dataset: &str, scale: Scale, procs: usize) -> (f64, u64) {
     let opts = ReadOptions::default().with_level(AccessLevel::Level1);
     let cfg = WorldConfig::new(topo).with_cost(cost_scaled(scale));
     let out = World::run(cfg, |comm| {
-        let feats = read_features(comm, &fs, "data.wkt", &opts, &WktLineParser).unwrap();
+        let text = read_partition_text(comm, &fs, "data.wkt", &opts).unwrap();
+        let popts = PipelineOptions::default();
+        let (feats, _) = parse_chunked(comm, &text, &WktLineParser, &popts).unwrap();
         (comm.now(), feats.len() as u64)
     });
     let time = out.iter().map(|(t, _)| *t).fold(0.0, f64::max);

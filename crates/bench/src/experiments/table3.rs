@@ -2,7 +2,8 @@
 
 use super::{cost_scaled, gpfs_scaled, install_dataset, Scale};
 use crate::report::{human_bytes, Table};
-use mvio_core::partition::{read_features, ReadOptions};
+use mvio_core::partition::{read_partition_text, ReadOptions};
+use mvio_core::pipeline::{parse_chunked, PipelineOptions};
 use mvio_core::reader::WktLineParser;
 use mvio_datagen::table3;
 use mvio_msim::{Topology, World, WorldConfig};
@@ -16,14 +17,9 @@ pub fn sequential_io(spec_name: &str, scale: Scale) -> (u64, u64, f64) {
     let bytes = install_dataset(&fs, &spec, scale, "seq.wkt", None);
     let cfg = WorldConfig::new(Topology::single_node(1)).with_cost(cost_scaled(scale));
     let out = World::run(cfg, |comm| {
-        let feats = read_features(
-            comm,
-            &fs,
-            "seq.wkt",
-            &ReadOptions::default(),
-            &WktLineParser,
-        )
-        .unwrap();
+        let text = read_partition_text(comm, &fs, "seq.wkt", &ReadOptions::default()).unwrap();
+        let popts = PipelineOptions::default();
+        let (feats, _) = parse_chunked(comm, &text, &WktLineParser, &popts).unwrap();
         (comm.now(), feats.len() as u64)
     });
     let (time, count) = out[0];

@@ -30,7 +30,6 @@
 use crate::grid::{CellMap, GridSpec, UniformGrid};
 use crate::Feature;
 use mvio_geom::curve;
-use mvio_geom::index::RTree;
 use mvio_geom::Rect;
 use mvio_msim::{Comm, ReduceOp, Work};
 
@@ -613,50 +612,30 @@ impl ReduceOp<Vec<u64>> for SumCounts {
     }
 }
 
-/// Collectively builds the configured decomposition from this rank's
-/// local features (single layer). Every rank must call it; all ranks
-/// receive identical objects.
+/// Collectively builds the configured decomposition over every layer this
+/// rank holds: the extent is the `MPI_UNION` allreduce of the layers'
+/// local MBRs, and the adaptive policy histograms the features of all of
+/// them, so layers joined together share one decomposition. Every rank
+/// must call it; all ranks receive identical objects.
 pub fn build_global(
     comm: &mut Comm,
     layers: &[&[Feature]],
     cfg: &DecompConfig,
 ) -> Box<dyn SpatialDecomposition> {
-    let local_mbr = layers
-        .iter()
-        .flat_map(|l| l.iter())
-        .fold(Rect::EMPTY, |acc, f| acc.union(&f.geometry.envelope()));
-    build_global_from_mbr(comm, local_mbr, layers, cfg)
-}
-
-/// Collective builder from an already-computed local MBR (used when the
-/// extent spans several layers, as in spatial join). `layers` is still
-/// consulted by the adaptive policy's histogram pass; uniform and Hilbert
-/// only use the MBR.
-pub fn build_global_from_mbr(
-    comm: &mut Comm,
-    local_mbr: Rect,
-    layers: &[&[Feature]],
-    cfg: &DecompConfig,
-) -> Box<dyn SpatialDecomposition> {
+    let features = || layers.iter().flat_map(|l| l.iter());
+    let local_mbr = features().fold(Rect::EMPTY, |acc, f| acc.union(&f.geometry.envelope()));
     let ranks = comm.size();
+    let grid = UniformGrid::build_global(comm, local_mbr, cfg.effective_spec());
     match cfg.policy {
-        DecompPolicy::Uniform(map) => {
-            let grid = UniformGrid::build_global_from_mbr(comm, local_mbr, cfg.grid);
-            Box::new(UniformDecomposition::new(grid, map, ranks))
-        }
-        DecompPolicy::Hilbert => {
-            let grid = UniformGrid::build_global_from_mbr(comm, local_mbr, cfg.grid);
-            Box::new(HilbertDecomposition::new(grid, ranks))
-        }
+        DecompPolicy::Uniform(map) => Box::new(UniformDecomposition::new(grid, map, ranks)),
+        DecompPolicy::Hilbert => Box::new(HilbertDecomposition::new(grid, ranks)),
         DecompPolicy::Adaptive { .. } => {
-            let spec = cfg.effective_spec();
-            let grid = UniformGrid::build_global_from_mbr(comm, local_mbr, spec);
             // Histogram pass: one reference-cell lookup per feature
             // (charged as MBR tests), then a global element-wise sum.
             let mut counts = vec![0u64; grid.num_cells() as usize];
             let mut n = 0u64;
             let mut scratch = Vec::with_capacity(1);
-            for f in layers.iter().flat_map(|l| l.iter()) {
+            for f in features() {
                 n += 1;
                 let env = f.geometry.envelope();
                 if env.is_empty() {
@@ -675,46 +654,6 @@ pub fn build_global_from_mbr(
             Box::new(AdaptiveBisection::from_counts(grid, &counts, ranks))
         }
     }
-}
-
-/// Builds the R-tree over cell boundaries the paper describes ("an R-tree
-/// is first built by inserting the individual cell boundaries"), charging
-/// the rank the insertion cost.
-/// Not collective — the communicator is used only to charge local compute.
-pub fn build_cell_rtree(comm: &mut Comm, decomp: &dyn SpatialDecomposition) -> RTree<u32> {
-    let items: Vec<(Rect, u32)> = (0..decomp.num_cells())
-        .map(|id| (decomp.cell_rect(id), id))
-        .collect();
-    comm.charge(Work::RtreeInserts {
-        n: decomp.num_cells() as u64,
-    });
-    RTree::bulk_load(items)
-}
-
-/// Projects features onto cells through the cell R-tree (the paper's
-/// filter mechanism), charging query costs. Returns `(cell, feature
-/// index)` pairs; features spanning k cells appear k times.
-/// Not collective — the communicator is used only to charge local compute.
-pub fn project_to_cells(
-    comm: &mut Comm,
-    rtree: &RTree<u32>,
-    features: &[Feature],
-) -> Vec<(u32, usize)> {
-    let mut out = Vec::with_capacity(features.len());
-    let mut results = 0u64;
-    for (idx, f) in features.iter().enumerate() {
-        let mbr = f.geometry.envelope();
-        let cells = rtree.query(&mbr);
-        results += cells.len() as u64;
-        for &cell in cells {
-            out.push((cell, idx));
-        }
-    }
-    comm.charge(Work::RtreeQueries {
-        n: features.len() as u64,
-        results,
-    });
-    out
 }
 
 /// Load-imbalance ratio of a per-rank count vector: `max / mean`, the

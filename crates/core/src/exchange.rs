@@ -32,17 +32,18 @@
 //! completed round's raw received buffers to the caller's sink, and one
 //! receive helper, [`validate_round`]: received records are validated
 //! once and then borrowed in place through [`record_frames`] /
-//! [`FrameStore`] (what [`exchange_features`] and [`exchange_serialized`]
-//! return, and what ingest, join, serve and the snapshot reload hold) or
-//! kept as they are by the resident engine
-//! ([`crate::resident::ResidentStore`]). Nothing on the receive side
-//! builds a [`Feature`]; a consumer that wants objects decodes a frame
-//! with [`RecordFrame::to_feature`].
+//! [`FrameStore`] (what [`exchange_serialized`] returns, and what ingest,
+//! join, serve and the snapshot reload hold) or kept as they are by the
+//! resident engine ([`crate::resident::ResidentStore`]). Nothing on the
+//! receive side builds a [`Feature`]; a consumer that wants objects
+//! decodes a frame with [`RecordFrame::to_feature`].
 //!
-//! Routing is decomposition-agnostic: pairs go to whichever rank the
-//! [`SpatialDecomposition`] assigns their cell to, whether that is the
-//! paper's round-robin uniform grid or one of the skew-aware policies in
-//! [`crate::decomp`].
+//! The send side is [`SerializedBatch`]: per-destination buffers a caller
+//! already serialized. Text layers get theirs from the one front half,
+//! [`crate::pipeline`], which maps every feature to the cells of the
+//! active [`crate::decomp::SpatialDecomposition`] — the paper's
+//! round-robin uniform grid or a skew-aware policy — and routes each
+//! replica to its cell's owner, in sliding windows when asked.
 //!
 //! ## Wire format
 //!
@@ -54,7 +55,6 @@
 //! repository root, shared with the snapshot payload in
 //! [`crate::snapshot`].
 
-use crate::decomp::SpatialDecomposition;
 use crate::{CoreError, Feature, Result};
 use mvio_geom::wkb;
 use mvio_msim::{Comm, ProgressEngine, Work};
@@ -158,10 +158,10 @@ impl ExchangeStats {
 /// (one exact `reserve`, no growth checks in the coordinate loop), then
 /// lands in `out` as one bulk copy. Hot loops serialize millions of
 /// records; the old per-record `wkb::encode` allocated and dropped a
-/// fresh `Vec` for every one of them. (Shared with the ingest pipeline's
-/// worker threads and, since the serving layer, with external callers
-/// such as `sjoin`'s `QueryEngine`, which rides its queries over the
-/// same wire format.)
+/// fresh `Vec` for every one of them. (The ingest pipeline encodes each
+/// feature once and emits its replicas from that one encoding; external
+/// callers such as `sjoin`'s `QueryEngine` ride their queries over the
+/// same wire format through this function.)
 pub fn serialize_record(
     cell: u32,
     feature: &Feature,
@@ -181,7 +181,7 @@ pub fn serialize_frame(frame: &RecordFrame<'_>, out: &mut Vec<u8>) -> Result<()>
 }
 
 /// Appends one wire record whose geometry is already WKB-encoded.
-fn emit_record(cell: u32, wkb: &[u8], userdata: &str, out: &mut Vec<u8>) -> Result<()> {
+pub(crate) fn emit_record(cell: u32, wkb: &[u8], userdata: &str, out: &mut Vec<u8>) -> Result<()> {
     let too_big = |what: &str, len: usize| {
         CoreError::Partition(format!(
             "exchange serialization: {what} of {len} bytes exceeds the u32 wire-format limit"
@@ -361,8 +361,8 @@ impl<'a> Iterator for FrameIter<'a> {
     }
 }
 
-/// The raw, validated wire buffers one exchange (or one sliding window of
-/// it) received, kept per source rank so iteration follows source-rank
+/// The raw, validated wire buffers one exchange (all its sliding windows)
+/// received, kept per source rank so iteration follows source-rank
 /// order — the rule that keeps every chunk policy bit-identical to the
 /// single-round blocking protocol. Rounds append to their source's
 /// buffer; nothing is deserialized.
@@ -424,111 +424,6 @@ impl FrameStore {
     pub fn frames(&self) -> impl Iterator<Item = RecordFrame<'_>> {
         self.per_src.iter().flat_map(|buf| record_frames(buf))
     }
-}
-
-/// Exchanges `(cell, feature)` pairs so that every pair lands on the rank
-/// owning its cell under `decomp`. Input pairs may reference any cells;
-/// this rank receives exactly the pairs it owns, from all ranks, as
-/// validated wire frames: one [`FrameStore`] per sliding window, in
-/// source-rank order within each — bit-identical for every chunk policy.
-///
-/// The protocol per window: serialize per destination → [`ExchangePlan`]
-/// (sizes `Alltoall` + chunked `Alltoallv` rounds) → [`validate_round`].
-/// Serialization (per object) and validation (per byte) charge the rank's
-/// clock (they are the "communication buffer management overhead" in the
-/// paper's breakdown figures).
-/// Collective: every rank must call it with its own pairs.
-pub fn exchange_features<D: SpatialDecomposition + ?Sized>(
-    comm: &mut Comm,
-    pairs: Vec<(u32, Feature)>,
-    decomp: &D,
-    opts: &ExchangeOptions,
-) -> Result<(Vec<FrameStore>, ExchangeStats)> {
-    let p = comm.size();
-    debug_assert_eq!(
-        decomp.num_ranks(),
-        p,
-        "decomposition built for a different world size"
-    );
-    let num_cells = decomp.num_cells();
-    let windows = opts.windows.max(1).min(num_cells.max(1));
-    let mut stats = ExchangeStats {
-        phases: windows,
-        ..Default::default()
-    };
-    let plan = ExchangePlan::new(comm, opts);
-
-    // Pre-bucket pairs by window to avoid rescanning per phase.
-    let cells_per_window = num_cells.div_ceil(windows).max(1);
-    let mut by_window: Vec<Vec<(u32, Feature)>> = (0..windows).map(|_| Vec::new()).collect();
-    for (cell, f) in pairs {
-        let w = (cell / cells_per_window).min(windows - 1);
-        by_window[w as usize].push((cell, f));
-    }
-
-    // A failure in one window must not stop this rank from entering the
-    // remaining windows' collectives — that would strand the peers at
-    // their next rendezvous. The first error is parked here; later
-    // windows run with an empty payload and a discarding sink, and the
-    // error is returned once every window has completed.
-    let mut deferred: Option<CoreError> = None;
-    let mut scratch = Vec::new();
-    let mut stores = Vec::with_capacity(by_window.len());
-    for window_pairs in by_window {
-        // Serialize per destination rank (charged per object: the paper's
-        // "buffer management overhead in serialization").
-        let mut batch = SerializedBatch::empty(p);
-        if deferred.is_none() {
-            // Size pre-pass: each destination buffer is allocated once
-            // at its exact length instead of growing by doubling.
-            let mut sizes = vec![0usize; p];
-            for (cell, feature) in &window_pairs {
-                sizes[decomp.cell_to_rank(*cell)] +=
-                    RECORD_OVERHEAD + wkb::encoded_len(&feature.geometry) + feature.userdata.len();
-            }
-            for (buf, size) in batch.bufs.iter_mut().zip(sizes) {
-                buf.reserve_exact(size);
-            }
-            let mut serialize = || -> Result<()> {
-                for (cell, feature) in &window_pairs {
-                    let dst = decomp.cell_to_rank(*cell);
-                    serialize_record(*cell, feature, &mut scratch, &mut batch.bufs[dst])?;
-                    batch.records[dst] += 1;
-                }
-                Ok(())
-            };
-            if let Err(e) = serialize() {
-                deferred = Some(e);
-                batch = SerializedBatch::empty(p);
-            } else {
-                comm.charge(Work::SerializeGeoms {
-                    n: batch.records.iter().sum(),
-                    bytes: batch.bufs.iter().map(|b| b.len() as u64).sum(),
-                });
-            }
-        }
-
-        // The window's staged protocol + receive side (the plan itself
-        // winds its rounds down on error, so its collectives are always
-        // matched).
-        let failed = deferred.is_some();
-        let mut store = FrameStore::new(p);
-        let result = plan.run(comm, &mut batch.into_feed(&plan), &mut |c, bufs| {
-            if failed {
-                return Ok(0); // discard receives after a failure
-            }
-            store.append_round(c, bufs)
-        });
-        match result {
-            Ok(w) => stats.absorb(w),
-            Err(e) => deferred = deferred.or(Some(e)),
-        }
-        stores.push(store);
-    }
-    if let Some(e) = deferred {
-        return Err(e);
-    }
-    Ok((stores, stats))
 }
 
 /// Per-destination payloads that were already serialized upstream — the
@@ -921,13 +816,11 @@ impl BatchSplitter {
 }
 
 /// Single-window exchange of pre-serialized per-destination buffers: the
-/// staged `Alltoall` + `Alltoallv` protocol of [`exchange_features`]
-/// without the serialization pass, which the caller (the ingest pipeline,
-/// the snapshot reader, the join's balance step) already performed — and
-/// already charged to the clock. Only the receive-side validation scan
-/// ([`Work::CopyBytes`]) is charged here. The received records stay
-/// validated wire buffers in a [`FrameStore`], in source-rank order —
-/// bit-identical to the single-round blocking protocol for **any** chunk
+/// staged [`ExchangePlan`] protocol over a batch the caller (the ingest
+/// pipeline, the snapshot reader, the join's balance step) serialized and
+/// charged. Only the validation scan ([`Work::CopyBytes`]) is charged
+/// here. The received records stay validated wire buffers in a
+/// [`FrameStore`], in source-rank order — bit-identical for **any** chunk
 /// policy.
 /// Collective: every rank must call it with its own batch.
 pub fn exchange_serialized(
@@ -935,12 +828,49 @@ pub fn exchange_serialized(
     batch: SerializedBatch,
     opts: &ExchangeOptions,
 ) -> Result<(FrameStore, ExchangeStats)> {
+    exchange_windows(comm, [batch], opts)
+}
+
+/// [`exchange_serialized`] over sliding windows (paper: "Handling large
+/// data exchange"): one staged exchange per batch, in order, all landing
+/// in the one store. A source's records of one cell travel in one window,
+/// so every cell's frames arrive in their single-window order. A failure
+/// in one window is parked, not returned: this rank still enters the
+/// remaining windows' collectives (empty payload, discarding sink), so no
+/// peer is stranded, and returns the first error after the last window.
+/// Collective: every rank must call it with the same window count.
+pub(crate) fn exchange_windows(
+    comm: &mut Comm,
+    windows: impl IntoIterator<Item = SerializedBatch, IntoIter: ExactSizeIterator>,
+    opts: &ExchangeOptions,
+) -> Result<(FrameStore, ExchangeStats)> {
+    let (p, windows) = (comm.size(), windows.into_iter());
     let plan = ExchangePlan::new(comm, opts);
-    let mut store = FrameStore::new(comm.size());
-    let stats = plan.run(comm, &mut batch.into_feed(&plan), &mut |c, bufs| {
-        store.append_round(c, bufs)
-    })?;
-    Ok((store, stats))
+    let mut store = FrameStore::new(p);
+    let mut stats = ExchangeStats {
+        phases: windows.len() as u32,
+        ..Default::default()
+    };
+    let mut deferred: Option<CoreError> = None;
+    for batch in windows {
+        let failed = deferred.is_some();
+        let batch = if failed {
+            SerializedBatch::empty(p)
+        } else {
+            batch
+        };
+        let result = plan.run(comm, &mut batch.into_feed(&plan), &mut |c, bufs| {
+            if failed {
+                return Ok(0); // discard receives after a failure
+            }
+            store.append_round(c, bufs)
+        });
+        match result {
+            Ok(w) => stats.absorb(w),
+            Err(e) => deferred = deferred.or(Some(e)),
+        }
+    }
+    deferred.map_or(Ok((store, stats)), Err)
 }
 
 #[cfg(test)]
@@ -1014,22 +944,34 @@ mod tests {
             .collect()
     }
 
-    /// [`exchange_features`] with what it received decoded, windows in
-    /// order.
+    /// Every `(cell, tag)` as a point at the centre of that cell of the
+    /// strip, run through the ingest pipeline's partition stages in
+    /// `opts.windows` windows and exchanged; returns what arrived,
+    /// decoded in store order.
     fn exchange_decoded(
         comm: &mut Comm,
-        pairs: Vec<(u32, Feature)>,
+        items: &[(u32, String)],
         decomp: &UniformDecomposition,
         opts: &ExchangeOptions,
     ) -> (Vec<(u32, Feature)>, ExchangeStats) {
-        let (stores, stats) = exchange_features(comm, pairs, decomp, opts).unwrap();
-        assert_eq!(stores.len() as u32, stats.phases, "one store per window");
-        let mine = materialize(stores.iter().flat_map(FrameStore::frames));
-        assert_eq!(
-            mine.len(),
-            stores.iter().map(FrameStore::len).sum::<usize>()
-        );
+        use crate::pipeline::{Partition, PipelineOptions};
+        let feats: Vec<Feature> = items
+            .iter()
+            .map(|(cell, tag)| feature(*cell as f64 + 0.5, 0.5, tag))
+            .collect();
+        let popts = PipelineOptions::default();
+        let part = Partition::new(decomp, &feats, opts.windows);
+        let maps = part.map(comm, &popts);
+        let (batches, _) = part.serialize(comm, &maps, &popts).unwrap();
+        let (store, stats) = exchange_windows(comm, batches, opts).unwrap();
+        let mine = materialize(store.frames());
+        assert_eq!(mine.len(), store.len());
         (mine, stats)
+    }
+
+    /// One item per cell of `0..cells`, tagged `tag`.
+    fn per_cell(cells: u32, tag: &str) -> Vec<(u32, String)> {
+        (0..cells).map(|c| (c, tag.to_string())).collect()
     }
 
     /// Ships `batch` through [`ExchangePlan::run`] under `chunk`, counting
@@ -1150,16 +1092,8 @@ mod tests {
         let out = World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {
             let decomp = strip(num_cells, CellMap::RoundRobin, comm.size());
             // Every rank produces one pair for every cell.
-            let pairs: Vec<(u32, Feature)> = (0..num_cells)
-                .map(|c| {
-                    (
-                        c,
-                        feature(c as f64, comm.rank() as f64, &format!("r{}", comm.rank())),
-                    )
-                })
-                .collect();
-            let (mine, stats) = exchange_decoded(comm, pairs, &decomp, &ExchangeOptions::default());
-            (mine, stats)
+            let items = per_cell(num_cells, &format!("r{}", comm.rank()));
+            exchange_decoded(comm, &items, &decomp, &ExchangeOptions::default())
         });
         for (rank, (mine, stats)) in out.iter().enumerate() {
             // Round-robin: rank owns cells c with c % 4 == rank; 2 cells
@@ -1180,20 +1114,11 @@ mod tests {
         let run = |chunk: ExchangeChunk| {
             World::run(WorldConfig::new(Topology::single_node(3)), move |comm| {
                 let decomp = strip(num_cells, CellMap::RoundRobin, comm.size());
-                let pairs: Vec<(u32, Feature)> = (0..num_cells)
-                    .map(|c| {
-                        (
-                            c,
-                            feature(
-                                c as f64,
-                                comm.rank() as f64,
-                                &format!("rank{}cell{c}payload-padding", comm.rank()),
-                            ),
-                        )
-                    })
+                let items: Vec<(u32, String)> = (0..num_cells)
+                    .map(|c| (c, format!("rank{}cell{c}payload-padding", comm.rank())))
                     .collect();
                 let opts = ExchangeOptions::with_chunk(chunk);
-                exchange_decoded(comm, pairs, &decomp, &opts)
+                exchange_decoded(comm, &items, &decomp, &opts)
             })
         };
         let blocking = run(ExchangeChunk::Unlimited);
@@ -1224,10 +1149,8 @@ mod tests {
     fn degenerate_plan_has_one_round_and_single_sizes_exchange() {
         let out = World::run(WorldConfig::new(Topology::single_node(2)), |comm| {
             let decomp = strip(4, CellMap::RoundRobin, comm.size());
-            let pairs: Vec<(u32, Feature)> =
-                (0..4).map(|c| (c, feature(c as f64, 0.0, "x"))).collect();
             let opts = ExchangeOptions::with_chunk(ExchangeChunk::Unlimited);
-            let (_, stats) = exchange_decoded(comm, pairs, &decomp, &opts);
+            let (_, stats) = exchange_decoded(comm, &per_cell(4, "x"), &decomp, &opts);
             (stats.rounds, comm.now())
         });
         assert_eq!(out[0].0, 1);
@@ -1240,17 +1163,15 @@ mod tests {
         // continuation flags must keep rank 1 participating.
         let out = World::run(WorldConfig::new(Topology::single_node(2)), |comm| {
             let decomp = strip(6, CellMap::Block, comm.size());
-            let pairs: Vec<(u32, Feature)> = if comm.rank() == 0 {
+            let items: Vec<(u32, String)> = if comm.rank() == 0 {
                 (0..6)
-                    .flat_map(|c| {
-                        (0..4).map(move |i| (c, feature(c as f64, i as f64, "data-0123456789")))
-                    })
+                    .flat_map(|c| (0..4).map(move |i| (c, format!("data-{i}-0123456789"))))
                     .collect()
             } else {
                 Vec::new()
             };
             let opts = ExchangeOptions::with_chunk(ExchangeChunk::Bytes(64));
-            let (mine, stats) = exchange_decoded(comm, pairs, &decomp, &opts);
+            let (mine, stats) = exchange_decoded(comm, &items, &decomp, &opts);
             (mine.len(), stats.rounds)
         });
         // 24 pairs, block map: cells 0..3 -> rank 0, 3..6 -> rank 1.
@@ -1325,14 +1246,13 @@ mod tests {
                 matches!(res, Err(CoreError::Partition(m)) if m.contains("injected")) as usize
             } else {
                 // Rank 1 sends three full rounds; it must complete cleanly.
-                let mut pairs = Vec::new();
-                for i in 0..6 {
-                    pairs.push((i % 2, feature(i as f64, 0.0, "0123456789abcdef")));
-                }
+                let items: Vec<(u32, String)> = (0..6)
+                    .map(|i| (i % 2, format!("{i}-0123456789abcdef")))
+                    .collect();
                 let decomp = strip(2, CellMap::RoundRobin, comm.size());
                 let (mine, stats) = exchange_decoded(
                     comm,
-                    pairs,
+                    &items,
                     &decomp,
                     &ExchangeOptions::with_chunk(ExchangeChunk::Bytes(32)),
                 );
@@ -1380,29 +1300,20 @@ mod tests {
     #[test]
     fn sliding_window_preserves_results() {
         let num_cells = 16;
-        let single = World::run(WorldConfig::new(Topology::single_node(4)), move |comm| {
-            let decomp = strip(num_cells, CellMap::RoundRobin, comm.size());
-            let pairs: Vec<(u32, Feature)> = (0..num_cells)
-                .map(|c| (c, feature(c as f64, 0.0, "")))
-                .collect();
-            let (mut mine, stats) =
-                exchange_decoded(comm, pairs, &decomp, &ExchangeOptions::default());
-            mine.sort_by_key(|(c, _)| *c);
-            (mine, stats.phases)
-        });
-        let windowed = World::run(WorldConfig::new(Topology::single_node(4)), move |comm| {
-            let decomp = strip(num_cells, CellMap::RoundRobin, comm.size());
-            let pairs: Vec<(u32, Feature)> = (0..num_cells)
-                .map(|c| (c, feature(c as f64, 0.0, "")))
-                .collect();
-            let opts = ExchangeOptions {
-                windows: 4,
-                ..Default::default()
-            };
-            let (mut mine, stats) = exchange_decoded(comm, pairs, &decomp, &opts);
-            mine.sort_by_key(|(c, _)| *c);
-            (mine, stats.phases)
-        });
+        let run = |windows: u32| {
+            World::run(WorldConfig::new(Topology::single_node(4)), move |comm| {
+                let decomp = strip(num_cells, CellMap::RoundRobin, comm.size());
+                let opts = ExchangeOptions {
+                    windows,
+                    ..Default::default()
+                };
+                let (mut mine, stats) =
+                    exchange_decoded(comm, &per_cell(num_cells, ""), &decomp, &opts);
+                mine.sort_by_key(|(c, _)| *c);
+                (mine, stats.phases)
+            })
+        };
+        let (single, windowed) = (run(1), run(4));
         for rank in 0..4 {
             assert_eq!(single[rank].0, windowed[rank].0, "rank {rank}");
         }
@@ -1410,29 +1321,29 @@ mod tests {
         assert_eq!(windowed[0].1, 4);
     }
 
-    /// Pins the exact output ordering of the historic protocol: windows
-    /// in order, and source-rank order within each window — for the
-    /// blocking and the chunked plan alike. (The sorted comparisons in
-    /// the other window tests would not notice a reordering.)
+    /// Pins the exact output ordering: every window appends into the one
+    /// store, so it reads source-major, each source's windows in order —
+    /// which keeps every cell's records in their single-window order —
+    /// for the blocking and the chunked plan alike. (The sorted
+    /// comparisons in the other window tests would not notice a
+    /// reordering.)
     #[test]
-    fn windowed_output_order_is_window_major_then_source_major() {
+    fn windowed_output_order_is_source_major_then_window_major() {
         for chunk in [ExchangeChunk::Unlimited, ExchangeChunk::Bytes(32)] {
             let out = World::run(WorldConfig::new(Topology::single_node(2)), move |comm| {
                 let decomp = strip(4, CellMap::RoundRobin, comm.size());
                 // Every rank sends one pair per cell, tagged with origin.
-                let pairs: Vec<(u32, Feature)> = (0..4)
-                    .map(|c| (c, feature(c as f64, 0.0, &format!("r{}", comm.rank()))))
-                    .collect();
+                let items = per_cell(4, &format!("r{}", comm.rank()));
                 let opts = ExchangeOptions { windows: 2, chunk };
-                let (mine, _) = exchange_decoded(comm, pairs, &decomp, &opts);
+                let (mine, _) = exchange_decoded(comm, &items, &decomp, &opts);
                 mine.iter()
                     .map(|(c, f)| format!("{c}:{}", f.userdata))
                     .collect::<Vec<_>>()
             });
             // Rank 0 owns cells 0 and 2; window 0 covers cells 0..2,
-            // window 1 covers 2..4. Within each window: src 0 then src 1.
-            assert_eq!(out[0], vec!["0:r0", "0:r1", "2:r0", "2:r1"], "{chunk:?}");
-            assert_eq!(out[1], vec!["1:r0", "1:r1", "3:r0", "3:r1"], "{chunk:?}");
+            // window 1 covers 2..4. From src 0 both windows, then src 1.
+            assert_eq!(out[0], vec!["0:r0", "2:r0", "0:r1", "2:r1"], "{chunk:?}");
+            assert_eq!(out[1], vec!["1:r0", "3:r0", "1:r1", "3:r1"], "{chunk:?}");
         }
     }
 
@@ -1440,8 +1351,7 @@ mod tests {
     fn empty_exchange_is_fine() {
         let out = World::run(WorldConfig::new(Topology::single_node(3)), |comm| {
             let decomp = strip(8, CellMap::RoundRobin, comm.size());
-            let (mine, stats) =
-                exchange_decoded(comm, vec![], &decomp, &ExchangeOptions::default());
+            let (mine, stats) = exchange_decoded(comm, &[], &decomp, &ExchangeOptions::default());
             (mine.len(), stats.bytes_sent)
         });
         assert!(out.iter().all(|&(n, b)| n == 0 && b == 0));
@@ -1452,10 +1362,8 @@ mod tests {
         let num_cells = 12;
         let out = World::run(WorldConfig::new(Topology::single_node(3)), move |comm| {
             let decomp = strip(num_cells, CellMap::Block, comm.size());
-            let pairs: Vec<(u32, Feature)> = (0..num_cells)
-                .map(|c| (c, feature(c as f64, 0.0, "")))
-                .collect();
-            let (mine, _) = exchange_decoded(comm, pairs, &decomp, &ExchangeOptions::default());
+            let items = per_cell(num_cells, "");
+            let (mine, _) = exchange_decoded(comm, &items, &decomp, &ExchangeOptions::default());
             let mut cells: Vec<u32> = mine.iter().map(|(c, _)| *c).collect();
             cells.sort_unstable();
             cells.dedup();

@@ -13,10 +13,12 @@
 //! 4. assigns cells to ranks with a [`CellMap`] (round-robin by default,
 //!    the declustering heuristic of Shekhar et al. the paper cites).
 //!
-//! The cell lookup can run arithmetically (O(1) for a uniform grid) or
-//! through an R-tree built over the cell boundaries — the paper's actual
-//! mechanism ("an R-tree is first built by inserting the individual cell
-//! boundaries"), kept here for fidelity and exercised by the benchmarks.
+//! The cell lookup runs arithmetically (O(1) per cell for a uniform grid)
+//! and is charged as the R-tree probe the paper uses instead ("an R-tree
+//! is first built by inserting the individual cell boundaries"). The two
+//! agree except on cell edges: an MBR whose min side lies on an interior
+//! edge starts in the cell above that edge here, where the closed R-tree
+//! rectangles would also hand it the cell below.
 //!
 //! This module is the uniform *building block*; the pluggable
 //! decomposition layer lives in [`crate::decomp`], where
@@ -25,7 +27,6 @@
 //! Hilbert-mapped and adaptive-bisection policies.
 
 use crate::spops::UnionRect;
-use crate::Feature;
 use mvio_geom::Rect;
 use mvio_msim::Comm;
 
@@ -125,16 +126,7 @@ impl UniformGrid {
     /// Builds the **global** grid collectively: allreduce the union of
     /// every rank's local MBR (the paper's `MPI_UNION` use case), then
     /// overlay `spec`.
-    pub fn build_global(comm: &mut Comm, local_features: &[Feature], spec: GridSpec) -> Self {
-        let local_mbr = local_features
-            .iter()
-            .fold(Rect::EMPTY, |acc, f| acc.union(&f.geometry.envelope()));
-        Self::build_global_from_mbr(comm, local_mbr, spec)
-    }
-
-    /// Collective grid construction from an already-computed local MBR
-    /// (used when the extent spans several layers, as in spatial join).
-    pub fn build_global_from_mbr(comm: &mut Comm, local_mbr: Rect, spec: GridSpec) -> Self {
+    pub fn build_global(comm: &mut Comm, local_mbr: Rect, spec: GridSpec) -> Self {
         let global = comm.allreduce(local_mbr, 32, &UnionRect);
         // Degenerate global extents (no data anywhere, or all identical
         // points) get a unit square so the grid stays well-formed.
@@ -291,9 +283,17 @@ pub(crate) fn scale_to_order(v: u32, cells: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Feature;
     use mvio_geom::index::RTree;
     use mvio_geom::{wkt, Point};
     use mvio_msim::{Topology, World, WorldConfig};
+
+    /// The MBR of `features`.
+    fn mbr(features: &[Feature]) -> Rect {
+        features
+            .iter()
+            .fold(Rect::EMPTY, |acc, f| acc.union(&f.geometry.envelope()))
+    }
 
     fn grid4() -> UniformGrid {
         UniformGrid::new(Rect::new(0.0, 0.0, 4.0, 4.0), GridSpec::square(4))
@@ -379,8 +379,7 @@ mod tests {
         // zero-area rect, which build_global pads to a unit square.
         let out = World::run(WorldConfig::new(Topology::single_node(2)), |comm| {
             let f = Feature::new(mvio_geom::Geometry::Point(Point::new(3.0, 7.0)));
-            let grid =
-                UniformGrid::build_global(comm, std::slice::from_ref(&f), GridSpec::square(4));
+            let grid = UniformGrid::build_global(comm, f.geometry.envelope(), GridSpec::square(4));
             let cells = grid.cells_overlapping(&f.geometry.envelope());
             (grid.bounds().area(), cells)
         });
@@ -394,7 +393,7 @@ mod tests {
                 .iter()
                 .map(|&y| Feature::new(mvio_geom::Geometry::Point(Point::new(2.0, y))))
                 .collect();
-            let grid = UniformGrid::build_global(comm, &feats, GridSpec::square(4));
+            let grid = UniformGrid::build_global(comm, mbr(&feats), GridSpec::square(4));
             feats
                 .iter()
                 .map(|f| grid.cells_overlapping(&f.geometry.envelope()).len())
@@ -521,7 +520,7 @@ mod tests {
         let out = World::run(WorldConfig::new(Topology::new(2, 2)), |comm| {
             let r = comm.rank() as f64;
             let f = Feature::new(wkt::parse(&format!("POINT ({} {})", r * 10.0, r * 5.0)).unwrap());
-            let grid = UniformGrid::build_global(comm, &[f], GridSpec::square(8));
+            let grid = UniformGrid::build_global(comm, mbr(&[f]), GridSpec::square(8));
             grid.bounds()
         });
         let expect = Rect::new(0.0, 0.0, 30.0, 15.0);
@@ -531,7 +530,7 @@ mod tests {
     #[test]
     fn global_grid_with_no_data_is_well_formed() {
         let out = World::run(WorldConfig::new(Topology::single_node(2)), |comm| {
-            let grid = UniformGrid::build_global(comm, &[], GridSpec::square(4));
+            let grid = UniformGrid::build_global(comm, Rect::EMPTY, GridSpec::square(4));
             grid.num_cells()
         });
         assert_eq!(out, vec![16, 16]);
@@ -541,24 +540,31 @@ mod tests {
     fn projection_replicates_spanners_and_charges_time() {
         let out = World::run(WorldConfig::new(Topology::single_node(1)), |comm| {
             let decomp = crate::decomp::UniformDecomposition::new(grid4(), CellMap::RoundRobin, 1);
-            let tree = crate::decomp::build_cell_rtree(comm, &decomp);
             let feats = vec![
-                Feature::new(mvio_geom::Geometry::Point(Point::new(0.5, 0.5))),
-                Feature::new(
+                Feature::with_userdata(mvio_geom::Geometry::Point(Point::new(0.5, 0.5)), "point"),
+                Feature::with_userdata(
                     wkt::parse("POLYGON ((0.5 0.5, 2.5 0.5, 2.5 2.5, 0.5 2.5, 0.5 0.5))").unwrap(),
+                    "poly",
                 ),
             ];
             let before = comm.now();
-            let pairs = crate::decomp::project_to_cells(comm, &tree, &feats);
-            (pairs, comm.now() - before)
+            let opts = crate::pipeline::PipelineOptions::default();
+            let (batch, _) =
+                crate::pipeline::partition_chunked(comm, &decomp, &feats, &opts).unwrap();
+            (batch.bufs.concat(), comm.now() - before)
         });
-        let (pairs, dt) = &out[0];
+        let (buf, dt) = &out[0];
+        crate::exchange::validate_frames(buf).unwrap();
+        let cells_of = |ud: &str| -> Vec<u32> {
+            crate::exchange::record_frames(buf)
+                .filter(|fr| fr.userdata == ud)
+                .map(|fr| fr.cell)
+                .collect()
+        };
         // Point lands in one cell; the 2x2-ish polygon in 9 cells (it spans
         // 3x3 cells: columns 0..2, rows 0..2).
-        let point_cells: Vec<_> = pairs.iter().filter(|(_, i)| *i == 0).collect();
-        let poly_cells: Vec<_> = pairs.iter().filter(|(_, i)| *i == 1).collect();
-        assert_eq!(point_cells.len(), 1);
-        assert_eq!(poly_cells.len(), 9);
+        assert_eq!(cells_of("point"), vec![0]);
+        assert_eq!(cells_of("poly"), vec![0, 1, 2, 4, 5, 6, 8, 9, 10]);
         assert!(*dt > 0.0);
     }
 }

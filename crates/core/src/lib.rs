@@ -25,15 +25,16 @@
 //!    reduce/allreduce/scan.
 //! 4. **Spatial decomposition** ([`decomp`], [`grid`]) — per-rank local
 //!    MBRs are combined with a `MPI_UNION` allreduce into a global cell
-//!    tiling; every geometry is mapped (via an R-tree over cell
-//!    boundaries) to all overlapping cells, replicating spanners. The
-//!    tiling and the cell→rank assignment are pluggable behind the
-//!    [`decomp::SpatialDecomposition`] trait: the paper's uniform grid,
-//!    Hilbert-order runs, or skew-aware adaptive bisection.
+//!    tiling; every geometry is mapped to all overlapping cells (an
+//!    arithmetic lookup charged as the paper's R-tree probe), replicating
+//!    spanners. The tiling and the cell→rank assignment are pluggable
+//!    behind the [`decomp::SpatialDecomposition`] trait: the paper's
+//!    uniform grid, Hilbert-order runs, or skew-aware adaptive bisection.
 //! 5. **Exchange** ([`exchange`]) — the two-round `Alltoall` (sizes) +
 //!    `Alltoallv` (payload) personalized exchange that produces the global
 //!    spatial partitioning, with a sliding-window variant for
-//!    memory-bounded runs.
+//!    memory-bounded runs. Steps 1, 2, 4 and 5 are one front half,
+//!    [`pipeline::ingest_layers`], which every text workload runs on.
 //! 6. **Filter-and-refine** ([`framework`]) — cell-local computations over
 //!    the exchanged data; `mvio-sjoin` plugs spatial join in here.
 //!

@@ -24,8 +24,7 @@ pub use baseline::{read_master_scatter, read_redundant};
 pub use blocked::read_blocked;
 pub use overlap::read_overlap;
 
-use crate::reader::{parse_buffer, GeometryParser};
-use crate::{Feature, Result};
+use crate::Result;
 use mvio_msim::{AccessLevel, Comm, Hints, MpiFile};
 use mvio_pfs::SimFs;
 use std::sync::Arc;
@@ -135,20 +134,6 @@ pub fn read_partition_text(
         BoundaryStrategy::Message => read_blocked(comm, &file, opts),
         BoundaryStrategy::Overlap => read_overlap(comm, &file, opts),
     }
-}
-
-/// The full I/O + parse front half of the pipeline: partitioned read
-/// followed by the local parse phase. Returns this rank's features.
-/// Collective: every rank must call it with the same options.
-pub fn read_features(
-    comm: &mut Comm,
-    fs: &Arc<SimFs>,
-    path: &str,
-    opts: &ReadOptions,
-    parser: &dyn GeometryParser,
-) -> Result<Vec<Feature>> {
-    let text = read_partition_text(comm, fs, path, opts)?;
-    parse_buffer(comm, &text, parser)
 }
 
 /// Scans backwards from the end of `buf` for the last `delim`; returns its

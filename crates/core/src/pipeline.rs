@@ -2,25 +2,27 @@
 //! parse → cell-map → serialize with deterministic merge.
 //!
 //! The paper's end-to-end win comes from overlapping I/O, parsing and
-//! spatial partitioning. The per-rank path elsewhere in this crate
-//! (`reader` → `grid` → `exchange`) is strictly sequential: parse *all*
-//! records, then map *all* features to cells, then serialize *all*
-//! replicas. This module fans both compute stages out to worker threads:
+//! spatial partitioning. This module is the one text front half every
+//! text workload runs on ([`ingest_layers`]: ingest, join, range and
+//! batch query, index build), and it fans each compute stage out to
+//! worker threads:
 //!
 //! 1. the rank's record buffer is split into record-aligned **chunks**
 //!    ([`split_record_chunks`]);
 //! 2. N workers pull chunks from an MPMC channel and parse them into
 //!    per-chunk feature batches ([`parse_chunked`]);
-//! 3. a second fan-out maps each parsed batch onto grid cells and
-//!    serializes the replicas straight into per-destination wire buffers
-//!    ([`partition_chunked`]) — features stream into the exchange format
-//!    without an intermediate `Vec<(u32, Feature)>` snapshot;
-//! 4. [`crate::exchange::exchange_serialized`] ships the buffers with the
-//!    usual two-round `Alltoall` + `Alltoallv` protocol — or, under a
-//!    finite [`crate::exchange::ExchangeChunk::Bytes`] cap, the partition
-//!    and exchange stages fuse into [`partition_exchange_overlapped`] and
-//!    stream through the chunked [`crate::exchange::ExchangePlan`], each
-//!    round's `ialltoallv` overlapping the next round's serialization;
+//! 3. a second fan-out maps each parsed batch onto grid cells, sizing
+//!    every replica's record, and a third serializes the replicas
+//!    straight into exactly sized per-destination wire buffers
+//!    ([`partition_chunked`]) — each feature is encoded once whatever its
+//!    replica count, and no `Vec<(u32, Feature)>` snapshot is built;
+//! 4. the staged exchange ships the buffers with the usual two-round
+//!    `Alltoall` + `Alltoallv` protocol, once per sliding window — or,
+//!    under a finite [`crate::exchange::ExchangeChunk::Bytes`] cap, the
+//!    partition and exchange stages fuse into
+//!    [`partition_exchange_overlapped`] and stream through the chunked
+//!    [`crate::exchange::ExchangePlan`], each round's `ialltoallv`
+//!    overlapping the next round's serialization;
 //! 5. each rank keeps what it receives as the validated wire records it
 //!    arrived as ([`IngestOutput::owned`], a
 //!    [`crate::exchange::FrameStore`]) — nothing is decoded back into
@@ -41,11 +43,11 @@
 //! fixed rule `lane = chunk_index % workers`. The rank clock then
 //! advances by the **slowest lane** ([`Comm::advance_parallel`]) — the
 //! virtual wall-time of a perfectly overlapped parallel region. With one
-//! worker the parse stage charges exactly what [`crate::reader::parse_buffer`]
-//! would (the lane is the sequential sum); the partition stage
-//! additionally charges the grid-filter lookup (`Work::RtreeQueries`,
-//! the paper's cell-filter mechanism), which a hand-rolled
-//! `cells_overlapping` loop would not. Either way the reported speedup
+//! worker the parse stage charges exactly what a record-by-record parse
+//! would (the lane is the sequential sum); the cell-map stage charges
+//! the grid-filter lookup (`Work::RtreeQueries`, the paper's cell-filter
+//! mechanism) and the serialize stage `Work::SerializeGeoms` per
+//! replica, each as its own slowest lane. Either way the reported speedup
 //! at `w` workers is a property of the partitioned work, not of the
 //! host machine.
 //!
@@ -101,8 +103,8 @@ use crate::decomp::{self, DecompConfig, SpatialDecomposition};
 // the result, `read_partitioned` it back on any later run (bit-identically
 // under the same world size and decomposition).
 use crate::exchange::{
-    exchange_serialized, serialize_record, ExchangeOptions, ExchangePlan, ExchangeRound,
-    ExchangeStats, FrameStore, SerializedBatch,
+    emit_record, exchange_windows, ExchangeOptions, ExchangePlan, ExchangeRound, ExchangeStats,
+    FrameStore, SerializedBatch, RECORD_OVERHEAD,
 };
 use crate::partition::{read_partition_text, ReadOptions};
 use crate::reader::{parse_records_into, GeometryParser};
@@ -111,6 +113,7 @@ pub use crate::snapshot::{
 };
 use crate::{Feature, Result};
 use crossbeam::channel;
+use mvio_geom::wkb;
 use mvio_msim::{Comm, Work, WorkTally};
 use mvio_pfs::SimFs;
 use std::sync::Arc;
@@ -184,20 +187,6 @@ pub struct PipelineStats {
     pub record_bytes: u64,
     /// `(cell, feature)` replicas serialized.
     pub pairs: u64,
-}
-
-impl PipelineStats {
-    /// Combines the stats of two stages of the same run.
-    fn merge(a: PipelineStats, b: PipelineStats) -> PipelineStats {
-        PipelineStats {
-            workers: a.workers.max(b.workers),
-            parse_chunks: a.parse_chunks + b.parse_chunks,
-            partition_chunks: a.partition_chunks + b.partition_chunks,
-            records: a.records + b.records,
-            record_bytes: a.record_bytes + b.record_bytes,
-            pairs: a.pairs + b.pairs,
-        }
-    }
 }
 
 /// Splits `text` into record-aligned chunks of roughly `target_bytes`
@@ -304,7 +293,7 @@ where
 /// Parallel parse stage: splits `text` into record-aligned chunks, parses
 /// them on worker threads, and merges the per-chunk feature batches in
 /// chunk order. The feature vector is bit-identical to
-/// [`crate::reader::parse_buffer`] for any worker count; the clock
+/// [`crate::reader::parse_buffer_serial`] for any worker count; the clock
 /// advances by the slowest deterministic worker lane.
 /// Not collective — local parse; the communicator only charges the
 /// worker lanes.
@@ -374,150 +363,205 @@ fn partition_ranges(features: usize, step: usize) -> Vec<std::ops::Range<usize>>
         .collect()
 }
 
-/// Serializes one partition chunk: maps each feature in `range` onto the
-/// decomposition's cells and appends every `(cell, feature)` replica to
-/// the per-destination `bufs`/`records`, charging the cell lookup
-/// (`Work::RtreeQueries`) and the wire serialization
-/// (`Work::SerializeGeoms`) to `tally`. The single body behind both the
-/// unfused [`partition_chunked`] stage and the fused
-/// [`partition_exchange_overlapped`] feed — the byte streams are
-/// identical by construction because this *is* the same code. Returns
-/// the number of replicas produced. (The work is charged even when a
-/// record fails mid-chunk, matching what the serializer executed.)
-#[allow(clippy::too_many_arguments)]
-fn serialize_partition_chunk<D: SpatialDecomposition + ?Sized>(
-    decomp: &D,
-    features: &[Feature],
-    range: std::ops::Range<usize>,
-    tally: &mut WorkTally,
-    cells: &mut Vec<u32>,
-    scratch: &mut Vec<u8>,
-    bufs: &mut [Vec<u8>],
-    records: &mut [u64],
-) -> (Result<()>, u64) {
-    let before: u64 = bufs.iter().map(|b| b.len() as u64).sum();
-    let mut pairs = 0u64;
-    let mut run = || -> Result<()> {
-        for f in &features[range.clone()] {
-            decomp.cells_for_rect(&f.geometry.envelope(), cells);
-            pairs += cells.len() as u64;
-            for &cell in cells.iter() {
-                let dst = decomp.cell_to_rank(cell);
-                serialize_record(cell, f, scratch, &mut bufs[dst])?;
-                records[dst] += 1;
+/// One partition chunk mapped onto cells: every replica as
+/// `(feature index, cell)`, feature-major with cells ascending, and the
+/// exact wire bytes the replicas add to each window × destination buffer.
+#[derive(Debug, Default)]
+pub(crate) struct ChunkCells {
+    replicas: Vec<(usize, u32)>,
+    sizes: Vec<usize>,
+}
+
+/// One layer's features on their way to the exchange: cell-mapped under
+/// `decomp` and serialized into one batch per sliding window, each window
+/// a contiguous run of `span` cell ids.
+pub(crate) struct Partition<'a, D: ?Sized> {
+    decomp: &'a D,
+    features: &'a [Feature],
+    windows: usize,
+    span: u32,
+}
+
+impl<'a, D: SpatialDecomposition + ?Sized> Partition<'a, D> {
+    /// `windows` windows: at least one, and at most one per cell.
+    pub(crate) fn new(decomp: &'a D, features: &'a [Feature], windows: u32) -> Self {
+        let cells = decomp.num_cells();
+        let windows = windows.clamp(1, cells.max(1));
+        let span = cells.div_ceil(windows).max(1);
+        Partition {
+            decomp,
+            features,
+            windows: windows as usize,
+            span,
+        }
+    }
+
+    /// The buffer `cell`'s replicas go to: window-major, then owner rank
+    /// (`cell / span < windows` for every cell).
+    fn slot(&self, cell: u32) -> usize {
+        (cell / self.span) as usize * self.decomp.num_ranks() + self.decomp.cell_to_rank(cell)
+    }
+
+    /// The cell-map step of one chunk: looks up the cells of every feature
+    /// in `range` and sizes their records, charging the lookup
+    /// (`Work::RtreeQueries`, the paper's cell-filter probe) to `tally`.
+    fn map_chunk(&self, range: std::ops::Range<usize>, tally: &mut WorkTally) -> ChunkCells {
+        let mut map = ChunkCells {
+            sizes: vec![0; self.windows * self.decomp.num_ranks()],
+            ..Default::default()
+        };
+        let mut cells = Vec::new();
+        for i in range.clone() {
+            let f = &self.features[i];
+            self.decomp
+                .cells_for_rect(&f.geometry.envelope(), &mut cells);
+            let len = RECORD_OVERHEAD + wkb::encoded_len(&f.geometry) + f.userdata.len();
+            for &cell in &cells {
+                map.sizes[self.slot(cell)] += len;
+                map.replicas.push((i, cell));
             }
         }
+        tally.charge(Work::RtreeQueries {
+            n: range.len() as u64,
+            results: map.replicas.len() as u64,
+        });
+        map
+    }
+
+    /// The serialize step of one mapped chunk, the one body behind every
+    /// serializing path: encodes each feature once and appends one wire
+    /// record per replica to `out` (one batch per window), charging
+    /// `Work::SerializeGeoms` per replica to `tally`.
+    fn serialize_chunk(
+        &self,
+        map: &ChunkCells,
+        tally: &mut WorkTally,
+        scratch: &mut Vec<u8>,
+        out: &mut [SerializedBatch],
+    ) -> Result<()> {
+        let bytes = map.sizes.iter().sum::<usize>() as u64;
+        let n = map.replicas.len() as u64;
+        tally.charge(Work::SerializeGeoms { n, bytes });
+        let (p, mut encoded) = (self.decomp.num_ranks(), usize::MAX);
+        for &(i, cell) in &map.replicas {
+            let f = &self.features[i];
+            if i != encoded {
+                wkb::encode_into_scratch(&f.geometry, scratch);
+                encoded = i;
+            }
+            let slot = self.slot(cell);
+            let batch = &mut out[slot / p];
+            emit_record(cell, scratch, &f.userdata, &mut batch.bufs[slot % p])?;
+            batch.records[slot % p] += 1;
+        }
         Ok(())
-    };
-    let r = run();
-    let after: u64 = bufs.iter().map(|b| b.len() as u64).sum();
-    tally.charge(Work::RtreeQueries {
-        n: range.len() as u64,
-        results: pairs,
-    });
-    tally.charge(Work::SerializeGeoms {
-        n: pairs,
-        bytes: after - before,
-    });
-    (r, pairs)
+    }
+
+    /// The parallel cell-map stage: maps feature chunks onto cells on
+    /// worker threads and advances the clock by the slowest lane.
+    /// Not collective — the communicator only charges the worker lanes.
+    pub(crate) fn map(&self, comm: &mut Comm, opts: &PipelineOptions) -> Vec<ChunkCells> {
+        let cost = *comm.cost_model();
+        let ranges = partition_ranges(self.features.len(), opts.partition_chunk_records);
+        let (maps, lanes) = fan_out(opts.effective_workers(), ranges, |range| {
+            let mut tally = WorkTally::new(cost);
+            (self.map_chunk(range.clone(), &mut tally), tally.seconds())
+        });
+        comm.advance_parallel(&lanes);
+        maps
+    }
+
+    /// `windows` empty batches whose buffers hold exactly `sizes` bytes.
+    fn batches(&self, sizes: &[usize]) -> Vec<SerializedBatch> {
+        let mut out = vec![SerializedBatch::empty(self.decomp.num_ranks()); self.windows];
+        let bufs = out.iter_mut().flat_map(|b| b.bufs.iter_mut());
+        bufs.zip(sizes).for_each(|(buf, &n)| buf.reserve_exact(n));
+        out
+    }
+
+    /// The parallel serialize stage over [`Partition::map`]'s chunks: one
+    /// batch per window, every buffer allocated once at its exact size.
+    /// One lane writes straight into the batches; more lanes fill exactly
+    /// sized buffers per chunk, appended in chunk order, so the bytes do
+    /// not depend on the worker count. Advances the clock by the slowest
+    /// lane. Not collective — the communicator only charges the lanes.
+    pub(crate) fn serialize(
+        &self,
+        comm: &mut Comm,
+        maps: &[ChunkCells],
+        opts: &PipelineOptions,
+    ) -> Result<(Vec<SerializedBatch>, PipelineStats)> {
+        let (workers, cost) = (opts.effective_workers(), *comm.cost_model());
+        let mut total = vec![0; self.windows * self.decomp.num_ranks()];
+        for map in maps {
+            total.iter_mut().zip(&map.sizes).for_each(|(t, n)| *t += n);
+        }
+        let mut out = self.batches(&total);
+        let lanes = if workers.min(maps.len()) <= 1 {
+            let (mut lane, mut scratch) = (0.0f64, Vec::new());
+            for map in maps {
+                let mut tally = WorkTally::new(cost);
+                self.serialize_chunk(map, &mut tally, &mut scratch, &mut out)?;
+                lane += tally.seconds();
+            }
+            vec![lane]
+        } else {
+            let (parts, lanes) = fan_out(workers, maps.iter().collect(), |map| {
+                let (mut tally, mut part) = (WorkTally::new(cost), self.batches(&map.sizes));
+                let r = self.serialize_chunk(map, &mut tally, &mut Vec::new(), &mut part);
+                (r.map(|()| part), tally.seconds())
+            });
+            // The lowest failed chunk's error: what a sequential scan hits first.
+            for part in parts.into_iter().collect::<Result<Vec<_>>>()? {
+                for (batch, piece) in out.iter_mut().zip(part) {
+                    for (dst, buf) in piece.bufs.iter().enumerate() {
+                        batch.bufs[dst].extend_from_slice(buf);
+                        batch.records[dst] += piece.records[dst];
+                    }
+                }
+            }
+            lanes
+        };
+        comm.advance_parallel(&lanes);
+        let stats = PipelineStats {
+            workers,
+            partition_chunks: maps.len() as u64,
+            pairs: maps.iter().map(|m| m.replicas.len() as u64).sum(),
+            ..Default::default()
+        };
+        Ok((out, stats))
+    }
 }
 
 /// Parallel partition stage: maps feature chunks onto the decomposition's
-/// cells and serializes every `(cell, feature)` replica straight into
-/// per-destination wire buffers, merged per destination in chunk order.
-/// One cell-id scratch buffer is reused across all features of a chunk.
-/// The resulting [`SerializedBatch`] is byte-identical for any worker
-/// count and matches what [`crate::exchange::exchange_features`] would
-/// serialize from the equivalent pair list.
-/// Not collective — local serialization; the communicator only charges
-/// the worker lanes.
+/// cells, then serializes every `(cell, feature)` replica into exactly
+/// sized per-destination wire buffers — the two steps [`ingest_layers`]
+/// splits across its partition and communication phases, each charged as
+/// its slowest lane. The [`SerializedBatch`] is byte-identical for any
+/// worker count: feature-major, cells ascending.
+/// Not collective — the communicator only charges the worker lanes.
 pub fn partition_chunked<D: SpatialDecomposition + ?Sized>(
     comm: &mut Comm,
     decomp: &D,
     features: &[Feature],
     opts: &PipelineOptions,
 ) -> Result<(SerializedBatch, PipelineStats)> {
-    let workers = opts.effective_workers();
-    let p = comm.size();
-    debug_assert_eq!(
-        decomp.num_ranks(),
-        p,
-        "decomposition built for a different world size"
-    );
-    let step = opts.partition_chunk_records.max(1);
-    let cost = *comm.cost_model();
-
-    struct ChunkOut {
-        bufs: Vec<Vec<u8>>,
-        counts: Vec<u64>,
-        pairs: u64,
-    }
-
-    let ranges = partition_ranges(features.len(), step);
-
-    let (results, lanes) = fan_out(workers, ranges, |range: &std::ops::Range<usize>| {
-        let mut tally = WorkTally::new(cost);
-        let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); p];
-        let mut counts = vec![0u64; p];
-        let (r, pairs) = serialize_partition_chunk(
-            decomp,
-            features,
-            range.clone(),
-            &mut tally,
-            &mut Vec::new(),
-            &mut Vec::new(),
-            &mut bufs,
-            &mut counts,
-        );
-        let out = r.map(|()| ChunkOut {
-            bufs,
-            counts,
-            pairs,
-        });
-        (out, tally.seconds())
-    });
-    let partition_chunks = results.len() as u64;
-    // Error of the lowest-index failed chunk — what the sequential scan
-    // would have hit first.
-    let batches = results.into_iter().collect::<Result<Vec<_>>>()?;
-    comm.advance_parallel(&lanes);
-
-    let mut out = SerializedBatch::empty(p);
-    let mut stats = PipelineStats {
-        workers,
-        partition_chunks,
-        ..Default::default()
-    };
-    for dst in 0..p {
-        let total: usize = batches.iter().map(|b| b.bufs[dst].len()).sum();
-        out.bufs[dst].reserve(total);
-    }
-    for b in batches {
-        stats.pairs += b.pairs;
-        for dst in 0..p {
-            out.bufs[dst].extend_from_slice(&b.bufs[dst]);
-            out.records[dst] += b.counts[dst];
-        }
-    }
-    Ok((out, stats))
+    let part = Partition::new(decomp, features, 1);
+    let maps = part.map(comm, opts);
+    let (mut batches, stats) = part.serialize(comm, &maps, opts)?;
+    Ok((batches.swap_remove(0), stats))
 }
 
 /// Fused partition + exchange stage with communication/compute overlap:
-/// serializes the features' cell replicas chunk by chunk into
-/// per-destination wire buffers and ships them through the chunked
-/// [`ExchangePlan`], so round `r`'s `ialltoallv` is in flight while the
-/// serializer produces round `r+1` (and round `r-1`'s receives are
-/// validated). A round closes once any destination's buffer reaches
-/// `chunk_bytes`.
-///
-/// The serialized byte streams are identical to
-/// [`partition_chunked`]'s (same chunk boundaries, same order), and the
-/// received records are kept in source-rank order, so the received
-/// frames are **bit-identical** to the unfused
-/// `partition_chunked` → `exchange_serialized` path — only the virtual
-/// time moves, because serialization lanes (per-chunk [`WorkTally`]
-/// totals under the same `chunk % workers` rule) are folded in overlapped
-/// with the in-flight rounds. Collective: every rank must call it.
+/// cell-maps and serializes the features' replicas chunk by chunk and
+/// ships them through the chunked [`ExchangePlan`], so round `r`'s
+/// `ialltoallv` is in flight while round `r+1` is serialized (and round
+/// `r-1`'s receives are validated). A round closes once any destination's
+/// buffer reaches `chunk_bytes`. The received frames are **bit-identical**
+/// to the unfused `partition_chunked` → `exchange_serialized` path (same
+/// chunks, same order); only the virtual time moves, because the chunks'
+/// lanes (the same `chunk % workers` rule) overlap the in-flight rounds.
+/// Collective: every rank must call it.
 pub fn partition_exchange_overlapped<D: SpatialDecomposition + ?Sized>(
     comm: &mut Comm,
     decomp: &D,
@@ -525,26 +569,16 @@ pub fn partition_exchange_overlapped<D: SpatialDecomposition + ?Sized>(
     opts: &PipelineOptions,
     chunk_bytes: u64,
 ) -> Result<(FrameStore, PipelineStats, ExchangeStats)> {
-    let workers = opts.effective_workers();
-    let p = comm.size();
-    debug_assert_eq!(
-        decomp.num_ranks(),
-        p,
-        "decomposition built for a different world size"
-    );
-    let step = opts.partition_chunk_records.max(1);
-    let cost = *comm.cost_model();
+    let (workers, p, cost) = (opts.effective_workers(), comm.size(), *comm.cost_model());
+    debug_assert_eq!(decomp.num_ranks(), p, "decomposition for another world");
     let chunk_bytes = chunk_bytes.max(1);
-
-    let ranges = partition_ranges(features.len(), step);
-
+    let ranges = partition_ranges(features.len(), opts.partition_chunk_records);
     let mut stats = PipelineStats {
         workers,
         ..Default::default()
     };
-    let mut next = 0usize;
-    let mut cells: Vec<u32> = Vec::new();
-    let mut scratch: Vec<u8> = Vec::new();
+    let (mut next, mut scratch) = (0usize, Vec::new());
+    let part = Partition::new(decomp, features, 1);
 
     // Serializes partition chunks into one exchange round until a
     // destination fills up, reporting each chunk's work on its
@@ -558,33 +592,28 @@ pub fn partition_exchange_overlapped<D: SpatialDecomposition + ?Sized>(
         if next >= ranges.len() {
             return Ok(None);
         }
-        let mut batch = SerializedBatch::empty(p);
+        let mut round = [SerializedBatch::empty(p)];
         let mut lanes = vec![0.0f64; workers];
         let mut chunks_in_round = 0usize;
         while next < ranges.len() {
             let mut tally = WorkTally::new(cost);
-            let (r, pairs) = serialize_partition_chunk(
-                decomp,
-                features,
-                ranges[next].clone(),
-                &mut tally,
-                &mut cells,
-                &mut scratch,
-                &mut batch.bufs,
-                &mut batch.records,
-            );
-            r?;
+            let map = part.map_chunk(ranges[next].clone(), &mut tally);
+            for (buf, &n) in round[0].bufs.iter_mut().zip(&map.sizes) {
+                buf.reserve(n);
+            }
+            part.serialize_chunk(&map, &mut tally, &mut scratch, &mut round)?;
             lanes[next % workers] += tally.seconds();
             stats.partition_chunks += 1;
-            stats.pairs += pairs;
+            stats.pairs += map.replicas.len() as u64;
             next += 1;
             chunks_in_round += 1;
             if chunks_in_round >= workers
-                && batch.bufs.iter().any(|b| b.len() as u64 >= chunk_bytes)
+                && round[0].bufs.iter().any(|b| b.len() as u64 >= chunk_bytes)
             {
                 break;
             }
         }
+        let [batch] = round;
         Ok(Some(ExchangeRound {
             batch,
             lanes,
@@ -636,11 +665,11 @@ impl IngestOutput {
     }
 }
 
-/// The full streaming per-rank ingest: partitioned read → parallel parse
-/// → collective decomposition build (`MPI_UNION` extent allreduce, plus
-/// the histogram allreduce for the adaptive policy) → fused
-/// cell-map/serialize + staged `Alltoall`/`Alltoallv` exchange, in one
-/// blocking round; use [`ingest_with_exchange`] to pick a chunk policy.
+/// The full streaming per-rank ingest of one layer: partitioned read →
+/// parallel parse → collective decomposition build → parallel cell-map
+/// and serialize → staged `Alltoall`/`Alltoallv` exchange, in one
+/// blocking round ([`ingest_layers`] with the default exchange); use
+/// [`ingest_with_exchange`] to pick a chunk policy or sliding windows.
 /// Collective: every rank must call it.
 pub fn ingest(
     comm: &mut Comm,
@@ -651,34 +680,15 @@ pub fn ingest(
     cfg: &DecompConfig,
     opts: &PipelineOptions,
 ) -> Result<IngestOutput> {
-    ingest_with_exchange(
-        comm,
-        fs,
-        path,
-        read,
-        parser,
-        cfg,
-        opts,
-        &ExchangeOptions::default(),
-    )
+    let ex = ExchangeOptions::default();
+    ingest_with_exchange(comm, fs, path, read, parser, cfg, opts, &ex)
 }
 
-/// [`ingest`] with an explicit exchange configuration. With an unlimited
-/// chunk the partition stage fully serializes on worker threads before a
-/// single blocking exchange round (the historic path, bit-identical in
-/// data and virtual time); with a finite chunk the partition and
-/// exchange stages fuse into [`partition_exchange_overlapped`], whose
-/// received frames are still bit-identical — only the ingest time shrinks by
-/// whatever communication hides under the pipelined serialization.
-///
-/// Only [`ExchangeOptions::chunk`] applies here: the sliding-window
-/// variant ([`ExchangeOptions::windows`]) is a
-/// [`crate::exchange::exchange_features`] feature, so `windows > 1` is
-/// rejected with [`crate::CoreError::InvalidOptions`] rather than
-/// silently ignored.
-#[allow(clippy::too_many_arguments)]
+/// [`ingest`] with an explicit exchange configuration: [`ingest_layers`]
+/// over one layer.
 /// Collective: every rank must call it — it chains the partitioned
 /// read, the decomposition reductions, and the exchange.
+#[allow(clippy::too_many_arguments)]
 pub fn ingest_with_exchange(
     comm: &mut Comm,
     fs: &Arc<SimFs>,
@@ -689,35 +699,118 @@ pub fn ingest_with_exchange(
     opts: &PipelineOptions,
     exchange_opts: &ExchangeOptions,
 ) -> Result<IngestOutput> {
-    if exchange_opts.windows > 1 {
-        return Err(crate::CoreError::InvalidOptions(format!(
-            "ingest does not support sliding windows (windows = {}); \
-             use exchange_features for the windowed exchange",
-            exchange_opts.windows
-        )));
-    }
-    let text = read_partition_text(comm, fs, path, read)?;
-    let (features, parse_stats) = parse_chunked(comm, &text, parser, opts)?;
-    drop(text);
-    let decomp = decomp::build_global(comm, &[&features], cfg);
-    let local_features = features.len() as u64;
-    let (owned, part_stats, exchange) = match exchange_opts.chunk.resolve() {
-        Some(chunk_bytes) => {
-            partition_exchange_overlapped(comm, &*decomp, &features, opts, chunk_bytes)?
-        }
-        None => {
-            let (batch, part_stats) = partition_chunked(comm, &*decomp, &features, opts)?;
-            drop(features);
-            let (owned, exchange) = exchange_serialized(comm, batch, exchange_opts)?;
-            (owned, part_stats, exchange)
-        }
-    };
+    let ingested = ingest_layers(comm, fs, &[path], read, parser, cfg, opts, exchange_opts)?;
+    let (decomp, mut layers) = (ingested.decomp, ingested.layers);
+    // audit: ingest_layers returns one layer per path.
+    let layer = layers.pop().expect("one layer");
     Ok(IngestOutput {
         decomp,
-        owned,
-        local_features,
-        exchange,
-        stats: PipelineStats::merge(parse_stats, part_stats),
+        owned: layer.owned,
+        local_features: layer.local_features,
+        exchange: layer.exchange,
+        stats: layer.stats,
+    })
+}
+
+/// One layer of an [`ingest_layers`] run: [`IngestOutput`] without the
+/// shared decomposition.
+#[derive(Debug)]
+pub struct IngestedLayer {
+    /// The layer's replicas this rank owns, as validated wire records.
+    pub owned: FrameStore,
+    /// Features of the layer this rank parsed.
+    pub local_features: u64,
+    /// Exchange counters (all windows).
+    pub exchange: ExchangeStats,
+    /// Pipeline counters.
+    pub stats: PipelineStats,
+}
+
+/// Per-rank result of [`ingest_layers`].
+#[derive(Debug)]
+pub struct IngestedLayers {
+    /// The one decomposition built over every layer.
+    pub decomp: Box<dyn SpatialDecomposition>,
+    /// The layers, in the order of their paths.
+    pub layers: Vec<IngestedLayer>,
+    /// This rank's virtual clock when the partition phase (read, parse,
+    /// decomposition, cell-map) ended and the communication phase
+    /// (serialization, exchange, validation) began.
+    pub partition_end: f64,
+}
+
+/// The one text front half, which [`ingest`], the join, the range and
+/// batch queries and the index build all run on: per layer a partitioned
+/// read and a parallel parse; then **one** decomposition over all layers
+/// ([`decomp::build_global`]), so joined layers share their cells. The
+/// partition phase ends with every layer cell-mapped; the communication
+/// phase serializes each layer and exchanges it into one [`FrameStore`],
+/// one collective exchange per [`ExchangeOptions::windows`] window. A
+/// finite [`ExchangeOptions::chunk`] over one window instead streams
+/// cell-map and serialization into the exchange rounds
+/// ([`partition_exchange_overlapped`]), both then counting as
+/// communication. The frames are bit-identical under every chunk policy,
+/// and windows keep every cell's frames in order.
+/// Collective: every rank must call it with the same paths and options.
+#[allow(clippy::too_many_arguments)]
+pub fn ingest_layers(
+    comm: &mut Comm,
+    fs: &Arc<SimFs>,
+    paths: &[&str],
+    read: &ReadOptions,
+    parser: &dyn GeometryParser,
+    cfg: &DecompConfig,
+    opts: &PipelineOptions,
+    exchange_opts: &ExchangeOptions,
+) -> Result<IngestedLayers> {
+    let mut parsed = Vec::with_capacity(paths.len());
+    for path in paths {
+        let text = read_partition_text(comm, fs, path, read)?;
+        parsed.push(parse_chunked(comm, &text, parser, opts)?);
+    }
+    let features: Vec<&[Feature]> = parsed.iter().map(|(f, _)| f.as_slice()).collect();
+    let decomp = decomp::build_global(comm, &features, cfg);
+    let windows = exchange_opts.windows;
+    let streamed = exchange_opts.chunk.resolve().filter(|_| windows <= 1);
+    // Cell-map every layer now, unless the exchange rounds stream it.
+    let maps: Vec<_> = features
+        .iter()
+        .filter(|_| streamed.is_none())
+        .map(|f| Partition::new(&*decomp, f, windows).map(comm, opts))
+        .collect();
+    let partition_end = comm.now();
+
+    let mut maps = maps.into_iter();
+    let mut layers = Vec::with_capacity(parsed.len());
+    for (features, parse_stats) in parsed {
+        let local_features = features.len() as u64;
+        let (owned, part, exchange) = match streamed {
+            Some(chunk) => partition_exchange_overlapped(comm, &*decomp, &features, opts, chunk)?,
+            None => {
+                let map = maps.next().unwrap_or_default();
+                let (batches, part) =
+                    Partition::new(&*decomp, &features, windows).serialize(comm, &map, opts)?;
+                drop(features);
+                let (owned, exchange) = exchange_windows(comm, batches, exchange_opts)?;
+                (owned, part, exchange)
+            }
+        };
+        let stats = PipelineStats {
+            partition_chunks: part.partition_chunks,
+            pairs: part.pairs,
+            ..parse_stats
+        };
+        layers.push(IngestedLayer {
+            owned,
+            local_features,
+            exchange,
+            stats,
+        });
+    }
+    Ok(IngestedLayers {
+        decomp,
+        layers,
+        partition_end,
     })
 }
 
@@ -725,7 +818,9 @@ pub fn ingest_with_exchange(
 mod tests {
     use super::*;
     use crate::decomp::UniformDecomposition;
-    use crate::exchange::{exchange_features, ExchangeOptions, RecordFrame};
+    use crate::exchange::{
+        exchange_serialized, serialize_record, ExchangeChunk, ExchangeOptions, RecordFrame,
+    };
     use crate::grid::{CellMap, GridSpec, UniformGrid};
     use crate::reader::{parse_buffer, parse_buffer_serial, WktLineParser};
     use mvio_geom::Rect;
@@ -734,6 +829,20 @@ mod tests {
     /// A store's records in order, compared byte for byte.
     fn frames(store: &FrameStore) -> Vec<RecordFrame<'_>> {
         store.frames().collect()
+    }
+
+    /// The sequential reference serializer: every replica of every
+    /// feature, feature-major with cells ascending, one record at a time.
+    fn sequential_batch(decomp: &dyn SpatialDecomposition, feats: &[Feature]) -> SerializedBatch {
+        let mut batch = SerializedBatch::empty(decomp.num_ranks());
+        for f in feats {
+            for cell in decomp.cells_for_rect_vec(&f.geometry.envelope()) {
+                let dst = decomp.cell_to_rank(cell);
+                serialize_record(cell, f, &mut Vec::new(), &mut batch.bufs[dst]).unwrap();
+                batch.records[dst] += 1;
+            }
+        }
+        batch
     }
 
     /// A deterministic synthetic WKT buffer mixing shapes and userdata.
@@ -888,20 +997,7 @@ mod tests {
                 partition_chunked(comm, &decomp, &feats, &opts).unwrap()
             })
         };
-        // Sequential reference: serialize replicas feature-major, cells
-        // ascending — exactly what exchange_features would emit.
-        let reference = {
-            let decomp = mk_decomp();
-            let mut batch = SerializedBatch::empty(3);
-            for f in &feats {
-                for cell in decomp.cells_for_rect_vec(&f.geometry.envelope()) {
-                    let dst = decomp.cell_to_rank(cell);
-                    serialize_record(cell, f, &mut Vec::new(), &mut batch.bufs[dst]).unwrap();
-                    batch.records[dst] += 1;
-                }
-            }
-            batch
-        };
+        let reference = sequential_batch(&mk_decomp(), &feats);
         let base = run(1);
         assert_eq!(
             base[0].0, reference,
@@ -926,24 +1022,14 @@ mod tests {
         let sequential = {
             let fs = Arc::clone(&fs);
             World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {
-                let feats =
-                    crate::partition::read_features(comm, &fs, "data.wkt", &read, &WktLineParser)
-                        .unwrap();
+                let text = read_partition_text(comm, &fs, "data.wkt", &read).unwrap();
+                let feats = parse_buffer(comm, &text, &WktLineParser).unwrap();
                 let decomp =
                     crate::decomp::build_global(comm, &[&feats], &DecompConfig::uniform(spec));
-                let pairs: Vec<(u32, Feature)> = feats
-                    .iter()
-                    .flat_map(|f| {
-                        decomp
-                            .cells_for_rect_vec(&f.geometry.envelope())
-                            .into_iter()
-                            .map(|c| (c, f.clone()))
-                            .collect::<Vec<_>>()
-                    })
-                    .collect();
-                let (stores, _) =
-                    exchange_features(comm, pairs, &*decomp, &ExchangeOptions::default()).unwrap();
-                stores.into_iter().next().unwrap()
+                let batch = sequential_batch(&*decomp, &feats);
+                exchange_serialized(comm, batch, &ExchangeOptions::default())
+                    .unwrap()
+                    .0
             })
         };
         for workers in [1, 2, 4, 8] {
@@ -1026,7 +1112,6 @@ mod tests {
 
     #[test]
     fn overlapped_ingest_is_bit_identical_to_the_blocking_path() {
-        use crate::exchange::{ExchangeChunk, ExchangeOptions};
         let text = sample_text(200);
         let fs = SimFs::new(mvio_pfs::FsConfig::lustre_comet());
         fs.create("data.wkt", None).unwrap().append(text.as_bytes());
@@ -1125,29 +1210,52 @@ mod tests {
     }
 
     #[test]
-    fn ingest_rejects_sliding_windows() {
-        use crate::exchange::ExchangeOptions;
+    fn windowed_ingest_matches_single_window_per_cell() {
+        // Each window is its own collective exchange appending into the
+        // one store, so every cell's frames keep their single-window
+        // order — for either chunk policy, and for more windows than
+        // cells (clamped to one per cell).
+        let text = sample_text(160);
         let fs = SimFs::new(mvio_pfs::FsConfig::lustre_comet());
-        fs.create("data.wkt", None)
-            .unwrap()
-            .append(b"POINT (1 1)\tp\n");
-        let out = World::run(WorldConfig::new(Topology::single_node(1)), move |comm| {
-            let res = ingest_with_exchange(
-                comm,
-                &fs,
-                "data.wkt",
-                &ReadOptions::default(),
-                &WktLineParser,
-                &DecompConfig::uniform(GridSpec::square(2)),
-                &PipelineOptions::default(),
-                &ExchangeOptions {
-                    windows: 4,
-                    ..Default::default()
-                },
-            );
-            matches!(res, Err(crate::CoreError::InvalidOptions(m)) if m.contains("windows"))
-        });
-        assert!(out[0]);
+        fs.create("data.wkt", None).unwrap().append(text.as_bytes());
+        let read = ReadOptions::default().with_block_size(2 << 10);
+        let run = |windows: u32, chunk: ExchangeChunk| {
+            let fs = Arc::clone(&fs);
+            World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {
+                let rep = ingest_with_exchange(
+                    comm,
+                    &fs,
+                    "data.wkt",
+                    &read,
+                    &WktLineParser,
+                    &DecompConfig::uniform(GridSpec::square(5)),
+                    &PipelineOptions::default().with_partition_chunk_records(9),
+                    &ExchangeOptions { windows, chunk },
+                )
+                .unwrap();
+                (rep.owned, rep.exchange.phases)
+            })
+        };
+        // A store's frames grouped by cell, each cell's in arrival order.
+        fn per_cell(store: &FrameStore) -> Vec<RecordFrame<'_>> {
+            let mut frames = frames(store);
+            frames.sort_by_key(|fr| fr.cell);
+            frames
+        }
+        let single = run(1, ExchangeChunk::Unlimited);
+        for windows in [1, 2, 4, 40] {
+            for chunk in [ExchangeChunk::Unlimited, ExchangeChunk::Bytes(4096)] {
+                let out = run(windows, chunk);
+                for rank in 0..4 {
+                    assert_eq!(out[rank].1, windows.min(25), "windows={windows}");
+                    assert_eq!(
+                        per_cell(&out[rank].0),
+                        per_cell(&single[rank].0),
+                        "windows={windows} {chunk:?} rank={rank}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

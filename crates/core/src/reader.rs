@@ -10,7 +10,7 @@
 
 use crate::{CoreError, Feature, Result};
 use mvio_geom::{wkt, Geometry, Point};
-use mvio_msim::{Comm, ShapeClass, Work};
+use mvio_msim::ShapeClass;
 
 /// User-definable record parser: one input record → one [`Feature`].
 pub trait GeometryParser: Send + Sync {
@@ -128,10 +128,9 @@ pub fn records(text: &str) -> impl Iterator<Item = &str> {
 
 /// Streaming parse core: appends every record of `text` to the reusable
 /// `out` buffer, reporting each record's `(bytes, shape class)` to
-/// `charge` before parsing it. [`parse_buffer`] charges the rank clock
-/// through it; the ingest pipeline's worker threads charge a
-/// [`mvio_msim::WorkTally`] instead. Returns the number of records
-/// appended.
+/// `charge` before parsing it. The ingest pipeline's worker threads
+/// charge a [`mvio_msim::WorkTally`] through it. Returns the number of
+/// records appended.
 pub fn parse_records_into(
     text: &str,
     parser: &dyn GeometryParser,
@@ -148,27 +147,25 @@ pub fn parse_records_into(
 }
 
 /// Parses every newline-delimited record in `text`, charging the rank's
-/// clock the calibrated per-byte parse cost by shape class. Blank records
-/// are skipped. This is the local parsing phase of the pipeline.
+/// clock the calibrated per-byte parse cost by shape class, record by
+/// record: the sequential charge the pipeline's one-worker parse stage is
+/// held to. Blank records are skipped.
 /// Not collective — local parsing; the communicator only charges the
 /// clock.
-pub fn parse_buffer(
-    comm: &mut Comm,
+#[cfg(test)]
+pub(crate) fn parse_buffer(
+    comm: &mut mvio_msim::Comm,
     text: &str,
     parser: &dyn GeometryParser,
 ) -> Result<Vec<Feature>> {
     let mut out = Vec::new();
-    parse_records_into(
-        text,
-        parser,
-        |bytes, class| comm.charge(Work::ParseWkt { bytes, class }),
-        &mut out,
-    )?;
+    let mut charge = |bytes, class| comm.charge(mvio_msim::Work::ParseWkt { bytes, class });
+    parse_records_into(text, parser, &mut charge, &mut out)?;
     Ok(out)
 }
 
-/// Sequential (single-rank) parse helper used by Table 3's baseline and by
-/// tests; identical semantics to [`parse_buffer`] without a communicator.
+/// Sequential (single-rank) parse helper for oracles and tests: the
+/// pipeline's parse without a communicator.
 pub fn parse_buffer_serial(text: &str, parser: &dyn GeometryParser) -> Result<Vec<Feature>> {
     let mut out = Vec::new();
     parse_records_into(text, parser, |_, _| {}, &mut out)?;

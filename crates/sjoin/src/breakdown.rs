@@ -67,9 +67,11 @@ impl PhaseTimer {
         dt
     }
 
-    /// Ends the partition phase.
-    pub fn end_partition(&mut self, comm: &Comm) {
-        self.breakdown.partition += self.lap(comm);
+    /// Ends the partition phase at the virtual instant `at`: `comm.now()`, or
+    /// [`mvio_core::pipeline::IngestedLayers::partition_end`].
+    pub fn end_partition(&mut self, at: f64) {
+        self.breakdown.partition += at - self.last;
+        self.last = at;
     }
 
     /// Ends the communication phase.
@@ -99,7 +101,7 @@ mod tests {
         let out = World::run(WorldConfig::new(Topology::single_node(1)), |comm| {
             let mut t = PhaseTimer::start(comm);
             comm.charge(Work::Seconds(1.0));
-            t.end_partition(comm);
+            t.end_partition(comm.now());
             comm.charge(Work::Seconds(2.0));
             t.end_communication(comm);
             comm.charge(Work::Seconds(3.0));

@@ -2,10 +2,10 @@
 //! geometries in 137 GB single file in 90 seconds" with 320 processes).
 
 use crate::breakdown::{PhaseBreakdown, PhaseTimer};
-use mvio_core::decomp::{self, DecompConfig, DecompPolicy};
-use mvio_core::exchange::{exchange_features, ExchangeOptions, FrameStore};
+use mvio_core::decomp::{DecompConfig, DecompPolicy};
 use mvio_core::grid::GridSpec;
-use mvio_core::partition::{read_features, ReadOptions};
+use mvio_core::partition::ReadOptions;
+use mvio_core::pipeline::{ingest_layers, PipelineOptions};
 use mvio_core::reader::WktLineParser;
 use mvio_core::{Feature, Result};
 use mvio_geom::index::RTree;
@@ -41,32 +41,26 @@ pub fn build_distributed_index(
 ) -> Result<IndexReport> {
     let mut timer = PhaseTimer::start(comm);
 
-    // Partition phase: read + parse + project.
-    let features = read_features(comm, fs, path, read, &WktLineParser)?;
+    // Partition phase (read, parse, decomposition, cell-map), then the
+    // communication phase with the default options: single window, one
+    // blocking round.
     let cfg = DecompConfig { grid, policy };
-    let sd = decomp::build_global(comm, &[&features], &cfg);
-    let rtree = decomp::build_cell_rtree(comm, &*sd);
-    let pairs = decomp::project_to_cells(comm, &rtree, &features);
-    let owned: Vec<(u32, Feature)> = pairs
-        .into_iter()
-        .map(|(cell, idx)| (cell, features[idx].clone()))
-        .collect();
-    timer.end_partition(comm);
+    let (pipe, ex) = (PipelineOptions::default(), Default::default());
+    let ingested = ingest_layers(comm, fs, &[path], read, &WktLineParser, &cfg, &pipe, &ex)?;
+    timer.end_partition(ingested.partition_end);
 
-    // Communication phase. Default options: single window, one blocking
-    // round. The per-cell R-trees hold objects, so what arrived is decoded
-    // here: the exchange's validation scan already charged the received
-    // bytes, the decode adds the per-object cost — together what the
-    // paper's buffer management charges for deserializing the records.
-    let opts = ExchangeOptions::default();
-    let (stores, stats) = exchange_features(comm, owned, &*sd, &opts)?;
-    let mine = stores
-        .iter()
-        .flat_map(FrameStore::frames)
+    // The per-cell R-trees hold objects, so what arrived is decoded here:
+    // the exchange's validation scan already charged the received bytes,
+    // the decode adds the per-object cost — together what the paper's
+    // buffer management charges for deserializing the records.
+    let layer = &ingested.layers[0];
+    let mine = layer
+        .owned
+        .frames()
         .map(|frame| Ok((frame.cell, frame.to_feature()?)))
         .collect::<Result<Vec<_>>>()?;
     comm.charge(Work::SerializeGeoms {
-        n: stats.records_received,
+        n: layer.exchange.records_received,
         bytes: 0,
     });
     timer.end_communication(comm);

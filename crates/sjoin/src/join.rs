@@ -2,20 +2,19 @@
 
 use crate::breakdown::{PhaseBreakdown, PhaseTimer};
 use mvio_core::decomp::{
-    self, DecompConfig, DecompPolicy, HilbertDecomposition, SpatialDecomposition,
-    UniformDecomposition,
+    DecompConfig, DecompPolicy, HilbertDecomposition, SpatialDecomposition, UniformDecomposition,
 };
 use mvio_core::exchange::{
-    exchange_features, exchange_serialized, serialize_frame, ExchangeChunk, ExchangeOptions,
-    FrameStore, RecordFrame, SerializedBatch,
+    exchange_serialized, serialize_frame, ExchangeChunk, ExchangeOptions, FrameStore, RecordFrame,
+    SerializedBatch,
 };
 use mvio_core::framework::claims_reference;
 use mvio_core::grid::{CellMap, GridSpec, UniformGrid};
-use mvio_core::partition::{read_partition_text, ReadOptions};
-use mvio_core::pipeline::{parse_chunked, PipelineOptions};
+use mvio_core::partition::ReadOptions;
+use mvio_core::pipeline::{ingest_layers, PipelineOptions};
 use mvio_core::reader::WktLineParser;
 use mvio_core::snapshot::{self, SnapshotMeta, SnapshotReadOptions};
-use mvio_core::{CoreError, Feature, Result};
+use mvio_core::{CoreError, Result};
 use mvio_geom::index::RTree;
 use mvio_geom::refkernel::{envelope_batch, filter_pairs_batch, ApproxTable, RefineArena};
 use mvio_geom::wkb::GeomRef;
@@ -39,21 +38,24 @@ pub struct JoinOptions {
     pub decomp: DecompPolicy,
     /// File read configuration for both layers.
     pub read: ReadOptions,
-    /// Sliding-window phases for the exchange.
+    /// Sliding-window phases for each layer's exchange: one collective
+    /// exchange per contiguous cell-id range.
     pub windows: u32,
     /// Per-destination byte cap for each pipelined exchange round.
-    /// Defaults to [`ExchangeChunk::Unlimited`] (one blocking round);
-    /// the join *answer* is identical for every chunk policy —
-    /// finite chunks only overlap the transfer with serialization and
-    /// stream the received rounds into the refine phase incrementally.
+    /// Defaults to [`ExchangeChunk::Unlimited`]: one blocking round per
+    /// window. Over one window, a finite cap streams each layer's
+    /// cell-map and serialization into the exchange rounds
+    /// ([`mvio_core::pipeline::partition_exchange_overlapped`]): round
+    /// `r`'s transfer overlaps round `r + 1`'s serialization, and both
+    /// steps count as communication. Refine starts after the last round;
+    /// the join *answer* is identical for every chunk policy.
     pub chunk: ExchangeChunk,
-    /// Intra-rank streaming pipeline configuration for the parse stage.
-    /// The parsed features are bit-identical for any worker count, so
-    /// this only affects the virtual-time breakdown, never the join
-    /// result. Defaults to [`PipelineOptions::default`] (**1 worker**), so
-    /// the repro harness's paper figures are identical on every host; opt
-    /// into multi-worker parsing with
-    /// `pipeline: PipelineOptions::default().with_workers(n)`.
+    /// Intra-rank streaming pipeline configuration: its workers fan out
+    /// the parse and the cell-map/serialize stages of both layers. The
+    /// exchanged records are bit-identical for any worker count, so this
+    /// only affects the virtual-time breakdown, never the join result.
+    /// Defaults to [`PipelineOptions::default`] (**1 worker**), so the
+    /// repro harness's paper figures are identical on every host.
     pub pipeline: PipelineOptions,
 }
 
@@ -120,47 +122,25 @@ pub fn spatial_join(
 ) -> Result<JoinReport> {
     let mut timer = PhaseTimer::start(comm);
 
-    // --- Partitioning phase: read, parse, project to grid cells. ---------
-    // Parsing streams through the multi-worker ingest pipeline; the
-    // worker count only compresses the virtual parse time (max-lane
-    // accounting), the features are bit-identical to a sequential parse.
-    let mut read_and_parse = |path: &str| -> Result<Vec<Feature>> {
-        let text = read_partition_text(comm, fs, path, &opts.read)?;
-        let (features, _) = parse_chunked(comm, &text, &WktLineParser, &opts.pipeline)?;
-        Ok(features)
-    };
-    let left = read_and_parse(left_path)?;
-    let right = read_and_parse(right_path)?;
-
-    let local_mbr = left
-        .iter()
-        .chain(&right)
-        .fold(Rect::EMPTY, |acc, f| acc.union(&f.geometry.envelope()));
+    // --- Partitioning and communication: the one text front half. -------
+    // One decomposition over both layers; the received records stay
+    // validated wire frames, bit-identical for every chunk policy.
     let cfg = DecompConfig {
         grid: opts.grid,
         policy: opts.decomp,
     };
-    let sd = decomp::build_global_from_mbr(comm, local_mbr, &[&left, &right], &cfg);
-    let rtree = decomp::build_cell_rtree(comm, &*sd);
-
-    let left_pairs = project_owned(comm, &rtree, left);
-    let right_pairs = project_owned(comm, &rtree, right);
-    timer.end_partition(comm);
-
-    // --- Communication phase: global spatial partitioning. ---------------
-    // The received rounds stay as validated wire frames, one
-    // source-ordered store per sliding window — bit-identical for every
-    // chunk policy, so the join result never depends on `opts.chunk`.
-    let ex_opts = ExchangeOptions {
+    let ex = ExchangeOptions {
         windows: opts.windows,
         chunk: opts.chunk,
     };
-    let (left_stores, _) = exchange_features(comm, left_pairs, &*sd, &ex_opts)?;
-    let (right_stores, _) = exchange_features(comm, right_pairs, &*sd, &ex_opts)?;
+    let (paths, read, pipe) = ([left_path, right_path], &opts.read, &opts.pipeline);
+    let ingested = ingest_layers(comm, fs, &paths, read, &WktLineParser, &cfg, pipe, &ex)?;
+    timer.end_partition(ingested.partition_end);
     timer.end_communication(comm);
 
     // --- Join phase: filter, balance, arena refine over frames. ----------
-    let report = run_refine_frames(comm, &*sd, &left_stores, &right_stores, &ex_opts);
+    let [left, right] = [0, 1].map(|i| &ingested.layers[i].owned);
+    let report = run_refine_frames(comm, &*ingested.decomp, left, right, &ex);
     finish(comm, timer, report)
 }
 
@@ -267,7 +247,7 @@ pub fn spatial_join_snapshots(
         )));
     }
     let sd = snapshot_decomposition(&left_meta, opts.decomp, comm.size(), "join")?;
-    timer.end_partition(comm);
+    timer.end_partition(comm.now());
 
     // --- Communication phase: collective reads + routing exchanges. ------
     // The routed records stay as validated wire frames.
@@ -277,39 +257,9 @@ pub fn spatial_join_snapshots(
     timer.end_communication(comm);
 
     // --- Join phase: identical to the text path. --------------------------
-    let report = run_refine_frames(
-        comm,
-        &*sd,
-        std::slice::from_ref(&left),
-        std::slice::from_ref(&right),
-        &ExchangeOptions::with_chunk(opts.read.chunk),
-    );
+    let ex_opts = ExchangeOptions::with_chunk(opts.read.chunk);
+    let report = run_refine_frames(comm, &*sd, &left, &right, &ex_opts);
     finish(comm, timer, report)
-}
-
-/// Projects features to cells and pairs each replica with its owned
-/// feature: the feature moves into its last replica, so only the extra
-/// replicas of a cell-spanning feature are clones.
-fn project_owned(
-    comm: &mut Comm,
-    rtree: &RTree<u32>,
-    features: Vec<Feature>,
-) -> Vec<(u32, Feature)> {
-    let pairs = decomp::project_to_cells(comm, rtree, &features);
-    let mut out = Vec::with_capacity(pairs.len());
-    // One feature's replicas are contiguous, in ascending feature order.
-    let mut pairs = pairs.into_iter().peekable();
-    for (idx, feature) in features.into_iter().enumerate() {
-        while let Some((cell, _)) = pairs.next_if(|&(_, i)| i == idx) {
-            if pairs.peek().is_some_and(|&(_, i)| i == idx) {
-                out.push((cell, feature.clone()));
-            } else {
-                out.push((cell, feature));
-                break;
-            }
-        }
-    }
-    out
 }
 
 /// The balance step is skipped unless the busiest rank's refine load is
@@ -388,10 +338,10 @@ struct Side<'a> {
 }
 
 impl<'a> Side<'a> {
-    /// Flattens the stores in window-then-source order — the exchange's
-    /// record order — and decodes each frame's borrowed view once.
-    fn new(stores: &'a [FrameStore]) -> Result<Self> {
-        let frames: Vec<_> = stores.iter().flat_map(FrameStore::frames).collect();
+    /// Takes the store's frames in source order — the exchange's record
+    /// order — and decodes each frame's borrowed view once.
+    fn new(store: &'a FrameStore) -> Result<Self> {
+        let frames: Vec<_> = store.frames().collect();
         // Survivor lists index frames with u32.
         if u32::try_from(frames.len()).is_err() {
             return Err(CoreError::Partition(format!(
@@ -666,12 +616,12 @@ fn cut_shipments(
 fn run_refine_frames(
     comm: &mut Comm,
     sd: &dyn SpatialDecomposition,
-    left_stores: &[FrameStore],
-    right_stores: &[FrameStore],
+    left_store: &FrameStore,
+    right_store: &FrameStore,
     ex_opts: &ExchangeOptions,
 ) -> Result<JoinReport> {
     let rank = comm.rank();
-    let sides = Side::new(left_stores).and_then(|l| Ok((l, Side::new(right_stores)?)));
+    let sides = Side::new(left_store).and_then(|l| Ok((l, Side::new(right_store)?)));
     let (left, right, mut first_error) = match sides {
         Ok((left, right)) => (left, right, None),
         Err(e) => (Side::default(), Side::default(), Some(e)),
@@ -751,8 +701,8 @@ fn run_refine_frames(
     report.exact_tests = refine(comm, &left, &right, &survivors[..kept], &mut arena, pairs);
     if let Some(((left_in, left_stats), (right_in, right_stats))) = incoming {
         report.balance_shipped_bytes = left_stats.bytes_sent + right_stats.bytes_sent;
-        let left_in = Side::new(std::slice::from_ref(&left_in))?;
-        let right_in = Side::new(std::slice::from_ref(&right_in))?;
+        let left_in = Side::new(&left_in)?;
+        let right_in = Side::new(&right_in)?;
         let (received, _) = filter(comm, sd, &left_in, &right_in);
         report.exact_tests += refine(comm, &left_in, &right_in, &received, &mut arena, pairs);
         report.refine_tests += received.len() as u64;
@@ -764,6 +714,7 @@ fn run_refine_frames(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mvio_core::decomp;
     use mvio_geom::wkt;
     use mvio_msim::{Topology, World, WorldConfig};
     use mvio_pfs::FsConfig;
@@ -905,7 +856,6 @@ mod tests {
 
     #[test]
     fn snapshot_join_matches_the_text_join() {
-        use mvio_core::exchange::{record_frames, serialize_record, validate_frames};
         use mvio_core::snapshot::SnapshotWriteOptions;
         // Reference answer from the text path.
         let (expect_pairs, _) = run_join(Topology::new(2, 2), JoinOptions::default());
@@ -919,39 +869,21 @@ mod tests {
         {
             let fs = Arc::clone(&fs);
             World::run(WorldConfig::new(Topology::single_node(1)), move |comm| {
-                let read = ReadOptions::default().with_block_size(512);
-                let parse = |comm: &mut mvio_msim::Comm, path: &str| -> Vec<Feature> {
-                    let text = read_partition_text(comm, &fs, path, &read).unwrap();
-                    parse_chunked(comm, &text, &WktLineParser, &PipelineOptions::default())
-                        .unwrap()
-                        .0
-                };
-                let left = parse(comm, "left.wkt");
-                let right = parse(comm, "right.wkt");
-                let mbr = left
-                    .iter()
-                    .chain(&right)
-                    .fold(mvio_geom::Rect::EMPTY, |a, f| {
-                        a.union(&f.geometry.envelope())
-                    });
-                let cfg = DecompConfig::uniform(GridSpec::square(8));
-                let sd = decomp::build_global_from_mbr(comm, mbr, &[&left, &right], &cfg);
-                // Every replica of every feature, as one validated wire
-                // buffer.
-                let wire_of = |feats: &[Feature]| -> Vec<u8> {
-                    let mut buf = Vec::new();
-                    for f in feats {
-                        for c in sd.cells_for_rect_vec(&f.geometry.envelope()) {
-                            serialize_record(c, f, &mut Vec::new(), &mut buf).unwrap();
-                        }
-                    }
-                    validate_frames(&buf).unwrap();
-                    buf
-                };
-                for (path, layer) in [("left.snap", &left), ("right.snap", &right)] {
-                    let buf = wire_of(layer);
+                let ingested = ingest_layers(
+                    comm,
+                    &fs,
+                    &["left.wkt", "right.wkt"],
+                    &ReadOptions::default().with_block_size(512),
+                    &WktLineParser,
+                    &DecompConfig::uniform(GridSpec::square(8)),
+                    &PipelineOptions::default(),
+                    &ExchangeOptions::default(),
+                )
+                .unwrap();
+                let sd = &*ingested.decomp;
+                for (path, layer) in ["left.snap", "right.snap"].iter().zip(&ingested.layers) {
                     let opts = SnapshotWriteOptions::default();
-                    snapshot::write_partitioned(comm, &fs, path, record_frames(&buf), &*sd, &opts)
+                    snapshot::write_partitioned(comm, &fs, path, layer.owned.frames(), sd, &opts)
                         .unwrap();
                 }
             });

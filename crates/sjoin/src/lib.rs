@@ -3,12 +3,13 @@
 //! The paper's exemplar applications (§5.2): an end-to-end **spatial
 //! join** ("find all pairs of rivers and cities that intersect") and
 //! distributed **spatial indexing** of a whole dataset, both driven
-//! through the MPI-Vector-IO pipeline:
+//! through the one MPI-Vector-IO front half
+//! (`mvio_core::pipeline::ingest_layers`):
 //!
 //! ```text
 //! read + parse file partitions      (partitioning phase)
 //!   → project to grid cells
-//!   → all-to-all exchange           (communication phase)
+//!   → serialize + all-to-all exchange (communication phase)
 //!   → per-cell R-tree filter
 //!   → exact-geometry refine + dedup (join/index phase)
 //! ```

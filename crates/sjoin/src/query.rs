@@ -5,45 +5,17 @@
 
 use crate::breakdown::{PhaseBreakdown, PhaseTimer};
 use crate::engine::{self, EngineOptions, Query, QueryEngine};
-use mvio_core::decomp::{self, DecompConfig, SpatialDecomposition};
-use mvio_core::exchange::{exchange_features, ExchangeOptions};
+use mvio_core::decomp::DecompConfig;
 use mvio_core::grid::GridSpec;
-use mvio_core::partition::{read_features, ReadOptions};
+use mvio_core::partition::ReadOptions;
+use mvio_core::pipeline::{ingest, ingest_layers, PipelineOptions};
 use mvio_core::reader::WktLineParser;
 use mvio_core::resident::ResidentStore;
-use mvio_core::{Feature, Result};
+use mvio_core::Result;
 use mvio_geom::Rect;
 use mvio_msim::Comm;
 use mvio_pfs::SimFs;
 use std::sync::Arc;
-
-/// Shared partition+exchange front half of the one-shot query paths:
-/// read the WKT layer, build the paper's uniform round-robin
-/// decomposition, project to cells, and exchange to owners — who keep
-/// what they receive as the validated wire frames it arrived as.
-fn read_and_partition(
-    comm: &mut Comm,
-    fs: &Arc<SimFs>,
-    path: &str,
-    grid: GridSpec,
-    read: &ReadOptions,
-    timer: Option<&mut PhaseTimer>,
-) -> Result<(Box<dyn SpatialDecomposition>, ResidentStore)> {
-    let features = read_features(comm, fs, path, read, &WktLineParser)?;
-    let sd = decomp::build_global(comm, &[&features], &DecompConfig::uniform(grid));
-    let rtree = decomp::build_cell_rtree(comm, &*sd);
-    let pairs = decomp::project_to_cells(comm, &rtree, &features);
-    let owned: Vec<(u32, Feature)> = pairs
-        .into_iter()
-        .map(|(cell, idx)| (cell, features[idx].clone()))
-        .collect();
-    if let Some(timer) = timer {
-        timer.end_partition(comm);
-    }
-    let (frames, _) = exchange_features(comm, owned, &*sd, &ExchangeOptions::default())?;
-    let mine = ResidentStore::from_frames(comm, &frames);
-    Ok((sd, mine))
-}
 
 /// Per-rank outcome of a distributed range query.
 #[derive(Debug, Clone)]
@@ -79,10 +51,16 @@ pub fn range_query(
 ) -> Result<RangeQueryReport> {
     engine::validate_query(&Query::Range(query))?;
     let mut timer = PhaseTimer::start(comm);
-    let (sd, mine) = read_and_partition(comm, fs, path, grid, read, Some(&mut timer))?;
+    let cfg = DecompConfig::uniform(grid);
+    let (pipe, ex) = (PipelineOptions::default(), Default::default());
+    let ingested = ingest_layers(comm, fs, &[path], read, &WktLineParser, &cfg, &pipe, &ex)?;
+    timer.end_partition(ingested.partition_end);
+    // Adopting the received frames is the last of the communication phase.
+    let owned = std::slice::from_ref(&ingested.layers[0].owned);
+    let mine = ResidentStore::from_frames(comm, owned);
     timer.end_communication(comm);
 
-    let eng = QueryEngine::from_store(comm, sd, mine, &EngineOptions::default());
+    let eng = QueryEngine::from_store(comm, ingested.decomp, mine, &EngineOptions::default());
     let matches = eng.local_range_matches(comm, &query)?;
     timer.end_compute(comm);
 
@@ -113,8 +91,9 @@ pub fn batch_query(
     grid: GridSpec,
     read: &ReadOptions,
 ) -> Result<Vec<u64>> {
-    let (sd, mine) = read_and_partition(comm, fs, path, grid, read, None)?;
-    let mut eng = QueryEngine::from_store(comm, sd, mine, &EngineOptions::default());
+    let (cfg, pipe) = (DecompConfig::uniform(grid), PipelineOptions::default());
+    let out = ingest(comm, fs, path, read, &WktLineParser, &cfg, &pipe)?;
+    let mut eng = QueryEngine::from_ingest(comm, out, &EngineOptions::default());
     // Every rank issues the whole batch, so every rank receives the full
     // global answer for every query — the counts come out identical
     // everywhere without a final reduction.

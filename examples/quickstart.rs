@@ -40,8 +40,11 @@ fn main() {
     fs.set_active_ranks(topo.ranks());
     let results = World::run(WorldConfig::new(topo), |comm| {
         let opts = ReadOptions::default().with_block_size(16 << 10);
-        let feats = read_features(comm, &fs, "demo/lakes.wkt", &opts, &WktLineParser)
-            .expect("partitioned read");
+        let text =
+            read_partition_text(comm, &fs, "demo/lakes.wkt", &opts).expect("partitioned read");
+        let (feats, _) =
+            pipeline::parse_chunked(comm, &text, &WktLineParser, &PipelineOptions::default())
+                .expect("parse");
 
         // Spatial-aware MPI: global extent via the MPI_UNION reduction.
         let local_mbr = feats

@@ -32,8 +32,9 @@
 //!     // Block must exceed the longest record (the paper's 11 MB rule,
 //!     // shrunk to toy size here).
 //!     let opts = ReadOptions::default().with_block_size(64);
-//!     let feats = read_features(
-//!         comm, &fs, "demo.wkt", &opts, &WktLineParser,
+//!     let text = read_partition_text(comm, &fs, "demo.wkt", &opts).unwrap();
+//!     let (feats, _) = pipeline::parse_chunked(
+//!         comm, &text, &WktLineParser, &PipelineOptions::default(),
 //!     ).unwrap();
 //!     comm.allreduce_u64(feats.len() as u64, |a, b| a + b)
 //! });
@@ -53,13 +54,9 @@ pub mod prelude {
         AdaptiveBisection, DecompConfig, DecompPolicy, HilbertDecomposition, SpatialDecomposition,
         UniformDecomposition,
     };
-    pub use mvio_core::exchange::{
-        exchange_features, ExchangeChunk, ExchangeOptions, ExchangePlan,
-    };
+    pub use mvio_core::exchange::{ExchangeChunk, ExchangeOptions, ExchangePlan};
     pub use mvio_core::grid::{CellMap, GridSpec, UniformGrid};
-    pub use mvio_core::partition::{
-        read_features, read_partition_text, BoundaryStrategy, ReadOptions,
-    };
+    pub use mvio_core::partition::{read_partition_text, BoundaryStrategy, ReadOptions};
     pub use mvio_core::pipeline::{self, PipelineOptions, PipelineStats};
     pub use mvio_core::reader::{CsvPointParser, GeometryParser, WktLineParser};
     pub use mvio_core::snapshot::{

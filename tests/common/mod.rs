@@ -28,6 +28,19 @@ pub fn fs_with(cfg: FsConfig, path: &str, text: &str) -> Arc<SimFs> {
     fs
 }
 
+/// This rank's share of the WKT file `path`: the partitioned read, then
+/// the parse.
+pub fn read_share(
+    comm: &mut Comm,
+    fs: &Arc<SimFs>,
+    path: &str,
+    read: &ReadOptions,
+) -> mpi_vector_io::core::Result<Vec<Feature>> {
+    let text = read_partition_text(comm, fs, path, read)?;
+    let opts = PipelineOptions::default();
+    Ok(pipeline::parse_chunked(comm, &text, &WktLineParser, &opts)?.0)
+}
+
 /// The catalog's Lakes and Cemetery layers, generated at `1/denom` scale
 /// from `seed` and installed as `lakes.wkt` / `cemetery.wkt`.
 pub fn catalog_fs(denom: u64, seed: u64) -> Arc<SimFs> {

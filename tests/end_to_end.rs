@@ -3,8 +3,7 @@
 
 mod common;
 
-use common::{brute_force_join, catalog_fs, materialize};
-use mpi_vector_io::core::exchange::{exchange_features, ExchangeOptions, FrameStore};
+use common::{brute_force_join, catalog_fs, materialize, read_share};
 use mpi_vector_io::core::grid::{CellMap, GridSpec, UniformGrid};
 use mpi_vector_io::datagen;
 use mpi_vector_io::prelude::*;
@@ -50,35 +49,23 @@ fn exchange_preserves_every_feature_with_real_data() {
     let denom = 100_000;
     let fs = catalog_fs(denom, 7);
     let out = World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {
-        let feats = read_features(
+        let rep = pipeline::ingest(
             comm,
             &fs,
             "lakes.wkt",
             &ReadOptions::default().with_block_size(128 << 10),
             &WktLineParser,
+            &DecompConfig::uniform(GridSpec::square(8)),
+            &PipelineOptions::default(),
         )
         .unwrap();
-        let decomp = mpi_vector_io::core::decomp::build_global(
-            comm,
-            &[&feats],
-            &mpi_vector_io::core::decomp::DecompConfig::uniform(GridSpec::square(8)),
-        );
-        let rtree = mpi_vector_io::core::decomp::build_cell_rtree(comm, &*decomp);
-        let pairs = mpi_vector_io::core::decomp::project_to_cells(comm, &rtree, &feats);
-        let owned: Vec<(u32, Feature)> = pairs
-            .into_iter()
-            .map(|(c, i)| (c, feats[i].clone()))
-            .collect();
-        let sent = owned.len() as u64;
-        let (stores, stats) =
-            exchange_features(comm, owned, &*decomp, &ExchangeOptions::default()).unwrap();
-        let mine = materialize(stores.iter().flat_map(FrameStore::frames));
+        let mine = materialize(rep.owned.frames());
         // Every received pair belongs to a cell this rank owns.
         for (cell, _) in &mine {
-            assert_eq!(decomp.cell_to_rank(*cell), comm.rank());
+            assert_eq!(rep.decomp.cell_to_rank(*cell), comm.rank());
         }
-        let total_sent = comm.allreduce_u64(sent, |a, b| a + b);
-        let total_recv = comm.allreduce_u64(stats.records_received, |a, b| a + b);
+        let total_sent = comm.allreduce_u64(rep.stats.pairs, |a, b| a + b);
+        let total_recv = comm.allreduce_u64(rep.exchange.records_received, |a, b| a + b);
         assert_eq!(
             total_sent, total_recv,
             "no pair lost or duplicated in flight"
@@ -178,14 +165,8 @@ fn full_pipeline_runs_on_every_catalog_dataset() {
         let fs = Arc::clone(&fs);
         let path = rep.path.clone();
         let out = World::run(WorldConfig::new(Topology::single_node(3)), move |comm| {
-            let feats = read_features(
-                comm,
-                &fs,
-                &path,
-                &ReadOptions::default().with_block_size(64 << 10),
-                &WktLineParser,
-            )
-            .unwrap();
+            let read = ReadOptions::default().with_block_size(64 << 10);
+            let feats = read_share(comm, &fs, &path, &read).unwrap();
             comm.allreduce_u64(feats.len() as u64, |a, b| a + b)
         });
         assert_eq!(out[0], rep.count, "dataset {} round-trips", spec.name);

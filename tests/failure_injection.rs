@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::{fs_with, mk_decomp, mk_features, owned_replicas, wire, WORLD};
+use common::{fs_with, mk_decomp, mk_features, owned_replicas, read_share, wire, WORLD};
 use mpi_vector_io::core::decomp::SpatialDecomposition;
 use mpi_vector_io::core::exchange::{
     record_frames, serialize_record, validate_round, ExchangeRound, SerializedBatch,
@@ -31,12 +31,11 @@ fn corrupted_wkt_record_fails_cleanly_on_every_rank() {
     }
     let fs = fs_with(FsConfig::gpfs_roger(), "bad.wkt", &text);
     let results = World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {
-        read_features(
+        read_share(
             comm,
             &fs,
             "bad.wkt",
             &ReadOptions::default().with_block_size(128),
-            &WktLineParser,
         )
         .map(|v| v.len())
         .map_err(|e| e.to_string())
@@ -79,14 +78,8 @@ fn rank_death_mid_pipeline_aborts_whole_job() {
     );
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
         World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {
-            let feats = read_features(
-                comm,
-                &fs,
-                "ok.wkt",
-                &ReadOptions::default().with_block_size(1024),
-                &WktLineParser,
-            )
-            .unwrap();
+            let read = ReadOptions::default().with_block_size(1024);
+            let feats = read_share(comm, &fs, "ok.wkt", &read).unwrap();
             if comm.rank() == 2 {
                 panic!("injected rank death");
             }
@@ -114,15 +107,9 @@ fn truncated_file_yields_short_final_record_not_a_crash() {
     let full = "POINT (1 1)\tp1\nPOINT (2 2)\tp2\nPOLYGON ((3 3, 4 3, 4";
     let fs = fs_with(FsConfig::gpfs_roger(), "cut.wkt", full);
     let results = World::run(WorldConfig::new(Topology::single_node(2)), move |comm| {
-        read_features(
-            comm,
-            &fs,
-            "cut.wkt",
-            &ReadOptions::default(),
-            &WktLineParser,
-        )
-        .map(|v| v.len())
-        .map_err(|e| matches!(e, CoreError::Parse { .. }))
+        read_share(comm, &fs, "cut.wkt", &ReadOptions::default())
+            .map(|v| v.len())
+            .map_err(|e| matches!(e, CoreError::Parse { .. }))
     });
     // The rank owning the tail sees a parse error (flagged true); the
     // other delivers its complete points.
@@ -146,17 +133,12 @@ fn oversized_geometry_is_reported_not_mangled() {
     }));
     let fs = fs_with(FsConfig::gpfs_roger(), "huge.wkt", &text);
     let results = World::run(WorldConfig::new(Topology::single_node(4)), move |comm| {
-        read_features(
-            comm,
-            &fs,
-            "huge.wkt",
-            &ReadOptions::default()
-                .with_block_size(512)
-                .with_max_geometry_bytes(1024),
-            &WktLineParser,
-        )
-        .map(|_| ())
-        .map_err(|e| e.to_string())
+        let read = ReadOptions::default()
+            .with_block_size(512)
+            .with_max_geometry_bytes(1024);
+        read_share(comm, &fs, "huge.wkt", &read)
+            .map(|_| ())
+            .map_err(|e| e.to_string())
     });
     let errs: Vec<&String> = results.iter().filter_map(|r| r.as_ref().err()).collect();
     assert!(!errs.is_empty());
@@ -174,9 +156,7 @@ fn empty_and_whitespace_files_are_harmless() {
         let results = World::run(WorldConfig::new(Topology::single_node(3)), move |comm| {
             // Block above the longest (whitespace) record, as always.
             let opts = ReadOptions::default().with_block_size(8);
-            read_features(comm, &fs, "empty.wkt", &opts, &WktLineParser)
-                .unwrap()
-                .len()
+            read_share(comm, &fs, "empty.wkt", &opts).unwrap().len()
         });
         assert!(results.iter().all(|&n| n == 0), "content {content:?}");
     }

@@ -1,12 +1,13 @@
 //! Property-based tests of the decomposition/exchange layer: conservation
 //! of features through arbitrary exchanges, decomposition policies,
-//! windows and rank counts.
+//! chunk policies and rank counts. (Sliding windows are a property of the
+//! ingest pipeline: `proptest_pipeline`.)
 
 mod common;
 
 use common::{materialize, mk_decomp};
 use mpi_vector_io::core::exchange::{
-    exchange_features, exchange_serialized, ExchangeChunk, ExchangeOptions, FrameStore, RecordFrame,
+    exchange_serialized, ExchangeChunk, ExchangeOptions, ExchangeStats, FrameStore, RecordFrame,
 };
 use mpi_vector_io::core::pipeline::{partition_chunked, partition_exchange_overlapped};
 use mpi_vector_io::prelude::*;
@@ -21,6 +22,40 @@ fn frames(per_rank: &[Vec<FrameStore>]) -> Vec<Vec<RecordFrame<'_>>> {
         .collect()
 }
 
+/// Rank `rank`'s `items` fabricated pairs, as `(cell, tag)`: cells spread
+/// over all `num_cells`, tags naming their origin.
+fn fabricated(rank: usize, items: usize, num_cells: u32) -> Vec<(u32, String)> {
+    (0..items)
+        .map(|i| {
+            (
+                ((rank * 31 + i * 7) as u32) % num_cells,
+                format!("r{rank}i{i}"),
+            )
+        })
+        .collect()
+}
+
+/// Ships every fabricated pair as a point at the centre of its cell —
+/// which maps it to exactly that cell — through `partition_chunked` and
+/// `exchange_serialized`.
+fn exchange_items(
+    comm: &mut Comm,
+    decomp: &dyn SpatialDecomposition,
+    items: &[(u32, String)],
+    opts: &ExchangeOptions,
+) -> (FrameStore, ExchangeStats) {
+    let feats: Vec<Feature> = items
+        .iter()
+        .map(|(cell, tag)| {
+            Feature::with_userdata(Geometry::Point(decomp.cell_rect(*cell).center()), tag)
+        })
+        .collect();
+    let (batch, stats) =
+        partition_chunked(comm, decomp, &feats, &PipelineOptions::default()).unwrap();
+    assert_eq!(stats.pairs, items.len() as u64, "one replica per point");
+    exchange_serialized(comm, batch, opts).unwrap()
+}
+
 proptest! {
     // Worlds spawn threads; keep case counts moderate. Seed pinned so
     // CI failures are reproducible (PROPTEST_SEED overrides).
@@ -30,7 +65,6 @@ proptest! {
     fn exchange_conserves_every_pair(
         ranks in 1usize..5,
         side in 1u32..6,
-        windows in 1u32..4,
         policy in 0u8..5,
         items_per_rank in 0usize..30,
     ) {
@@ -40,22 +74,10 @@ proptest! {
             move |comm| {
                 let decomp = mk_decomp(side as f64, policy, side, comm.size());
                 // Each rank fabricates pairs tagged with origin info.
-                let pairs: Vec<(u32, Feature)> = (0..items_per_rank)
-                    .map(|i| {
-                        let cell = ((comm.rank() * 31 + i * 7) as u32) % num_cells;
-                        let f = Feature::with_userdata(
-                            Geometry::Point(Point::new(i as f64, comm.rank() as f64)),
-                            format!("r{}i{}", comm.rank(), i),
-                        );
-                        (cell, f)
-                    })
-                    .collect();
-                let opts = ExchangeOptions {
-                    windows,
-                    ..Default::default()
-                };
-                let (stores, stats) = exchange_features(comm, pairs, &*decomp, &opts).unwrap();
-                let mine = materialize(stores.iter().flat_map(FrameStore::frames));
+                let items = fabricated(comm.rank(), items_per_rank, num_cells);
+                let opts = ExchangeOptions::default();
+                let (store, stats) = exchange_items(comm, &*decomp, &items, &opts);
+                let mine = materialize(store.frames());
                 // Ownership: every received pair belongs to me.
                 for (cell, _) in &mine {
                     assert_eq!(decomp.cell_to_rank(*cell), comm.rank());
@@ -110,7 +132,7 @@ proptest! {
         }
     }
 
-    /// The PR's oracle: for arbitrary chunk sizes, windows and
+    /// The chunked plan's oracle: for arbitrary chunk sizes and
     /// decomposition policies, the chunked overlapped exchange returns
     /// exactly — bit for bit, order included — what the single-round
     /// blocking protocol returns.
@@ -118,7 +140,6 @@ proptest! {
     fn chunked_exchange_is_bit_identical_to_blocking(
         ranks in 1usize..5,
         side in 1u32..6,
-        windows in 1u32..3,
         policy in 0u8..5,
         chunk in prop_oneof![1u64..48, 48u64..4096],
         items_per_rank in 0usize..30,
@@ -129,18 +150,9 @@ proptest! {
                 WorldConfig::new(Topology::single_node(ranks)),
                 move |comm| {
                     let decomp = mk_decomp(side as f64, policy, side, comm.size());
-                    let pairs: Vec<(u32, Feature)> = (0..items_per_rank)
-                        .map(|i| {
-                            let cell = ((comm.rank() * 31 + i * 7) as u32) % num_cells;
-                            let f = Feature::with_userdata(
-                                Geometry::Point(Point::new(i as f64, comm.rank() as f64)),
-                                format!("r{}i{}", comm.rank(), i),
-                            );
-                            (cell, f)
-                        })
-                        .collect();
-                    let opts = ExchangeOptions { windows, chunk };
-                    exchange_features(comm, pairs, &*decomp, &opts).unwrap().0
+                    let items = fabricated(comm.rank(), items_per_rank, num_cells);
+                    let opts = ExchangeOptions::with_chunk(chunk);
+                    vec![exchange_items(comm, &*decomp, &items, &opts).0]
                 },
             )
         };
