@@ -622,11 +622,24 @@ pub fn build_global(
     layers: &[&[Feature]],
     cfg: &DecompConfig,
 ) -> Box<dyn SpatialDecomposition> {
+    // audit: no rank enters failed, so none is reported.
+    build_global_unless_failed(comm, layers, cfg, false).expect("no rank failed")
+}
+
+/// [`build_global`] for a caller that may enter it `failed`, with empty
+/// layers: every rank then gets the error [`UniformGrid::build_global`]
+/// returns. Collective: every rank must call it, failed or not.
+pub(crate) fn build_global_unless_failed(
+    comm: &mut Comm,
+    layers: &[&[Feature]],
+    cfg: &DecompConfig,
+    failed: bool,
+) -> crate::Result<Box<dyn SpatialDecomposition>> {
     let features = || layers.iter().flat_map(|l| l.iter());
     let local_mbr = features().fold(Rect::EMPTY, |acc, f| acc.union(&f.geometry.envelope()));
     let ranks = comm.size();
-    let grid = UniformGrid::build_global(comm, local_mbr, cfg.effective_spec());
-    match cfg.policy {
+    let grid = UniformGrid::build_global(comm, local_mbr, cfg.effective_spec(), failed)?;
+    Ok(match cfg.policy {
         DecompPolicy::Uniform(map) => Box::new(UniformDecomposition::new(grid, map, ranks)),
         DecompPolicy::Hilbert => Box::new(HilbertDecomposition::new(grid, ranks)),
         DecompPolicy::Adaptive { .. } => {
@@ -653,7 +666,7 @@ pub fn build_global(
             let counts = comm.allreduce(counts, grid.num_cells() as u64 * 8, &SumCounts);
             Box::new(AdaptiveBisection::from_counts(grid, &counts, ranks))
         }
-    }
+    })
 }
 
 /// Load-imbalance ratio of a per-rank count vector: `max / mean`, the

@@ -26,7 +26,6 @@
 //! [`crate::decomp::SpatialDecomposition`] implementor alongside the
 //! Hilbert-mapped and adaptive-bisection policies.
 
-use crate::spops::UnionRect;
 use mvio_geom::Rect;
 use mvio_msim::Comm;
 
@@ -125,9 +124,24 @@ impl UniformGrid {
 
     /// Builds the **global** grid collectively: allreduce the union of
     /// every rank's local MBR (the paper's `MPI_UNION` use case), then
-    /// overlay `spec`.
-    pub fn build_global(comm: &mut Comm, local_mbr: Rect, spec: GridSpec) -> Self {
-        let global = comm.allreduce(local_mbr, 32, &UnionRect);
+    /// overlay `spec`. A rank that already failed enters `failed` with an
+    /// empty MBR; the lowest such rank rides the same allreduce (a 4-byte
+    /// word), and every rank returns an error naming it instead of a grid.
+    pub fn build_global(
+        comm: &mut Comm,
+        local_mbr: Rect,
+        spec: GridSpec,
+        failed: bool,
+    ) -> crate::Result<Self> {
+        // audit: world sizes fit in u32; u32::MAX stands for "nobody failed".
+        let mine = if failed { comm.rank() as u32 } else { u32::MAX };
+        let union = |a: &(Rect, u32), b: &(Rect, u32)| (a.0.union(&b.0), a.1.min(b.1));
+        let (global, first_failed) = comm.allreduce((local_mbr, mine), 36, &union);
+        if first_failed != u32::MAX {
+            return Err(crate::CoreError::Partition(format!(
+                "aborted: rank {first_failed} failed before the decomposition build"
+            )));
+        }
         // Degenerate global extents (no data anywhere, or all identical
         // points) get a unit square so the grid stays well-formed.
         let global = if global.is_empty() || global.area() == 0.0 {
@@ -135,7 +149,7 @@ impl UniformGrid {
         } else {
             global
         };
-        UniformGrid::new(global, spec)
+        Ok(UniformGrid::new(global, spec))
     }
 
     /// Grid bounds.
@@ -379,7 +393,9 @@ mod tests {
         // zero-area rect, which build_global pads to a unit square.
         let out = World::run(WorldConfig::new(Topology::single_node(2)), |comm| {
             let f = Feature::new(mvio_geom::Geometry::Point(Point::new(3.0, 7.0)));
-            let grid = UniformGrid::build_global(comm, f.geometry.envelope(), GridSpec::square(4));
+            let grid =
+                UniformGrid::build_global(comm, f.geometry.envelope(), GridSpec::square(4), false)
+                    .unwrap();
             let cells = grid.cells_overlapping(&f.geometry.envelope());
             (grid.bounds().area(), cells)
         });
@@ -393,7 +409,8 @@ mod tests {
                 .iter()
                 .map(|&y| Feature::new(mvio_geom::Geometry::Point(Point::new(2.0, y))))
                 .collect();
-            let grid = UniformGrid::build_global(comm, mbr(&feats), GridSpec::square(4));
+            let grid =
+                UniformGrid::build_global(comm, mbr(&feats), GridSpec::square(4), false).unwrap();
             feats
                 .iter()
                 .map(|f| grid.cells_overlapping(&f.geometry.envelope()).len())
@@ -520,7 +537,8 @@ mod tests {
         let out = World::run(WorldConfig::new(Topology::new(2, 2)), |comm| {
             let r = comm.rank() as f64;
             let f = Feature::new(wkt::parse(&format!("POINT ({} {})", r * 10.0, r * 5.0)).unwrap());
-            let grid = UniformGrid::build_global(comm, mbr(&[f]), GridSpec::square(8));
+            let grid =
+                UniformGrid::build_global(comm, mbr(&[f]), GridSpec::square(8), false).unwrap();
             grid.bounds()
         });
         let expect = Rect::new(0.0, 0.0, 30.0, 15.0);
@@ -530,7 +548,8 @@ mod tests {
     #[test]
     fn global_grid_with_no_data_is_well_formed() {
         let out = World::run(WorldConfig::new(Topology::single_node(2)), |comm| {
-            let grid = UniformGrid::build_global(comm, Rect::EMPTY, GridSpec::square(4));
+            let grid =
+                UniformGrid::build_global(comm, Rect::EMPTY, GridSpec::square(4), false).unwrap();
             grid.num_cells()
         });
         assert_eq!(out, vec![16, 16]);

@@ -111,7 +111,7 @@ use crate::reader::{parse_records_into, GeometryParser};
 pub use crate::snapshot::{
     read_partitioned, write_partitioned, SnapshotReadOptions, SnapshotWriteOptions,
 };
-use crate::{Feature, Result};
+use crate::{CoreError, Feature, Result};
 use crossbeam::channel;
 use mvio_geom::wkb;
 use mvio_msim::{Comm, Work, WorkTally};
@@ -763,13 +763,21 @@ pub fn ingest_layers(
     opts: &PipelineOptions,
     exchange_opts: &ExchangeOptions,
 ) -> Result<IngestedLayers> {
+    // A failed read or parse is parked and its layer left empty: the
+    // decomposition build's extent allreduce tells every rank.
+    let mut deferred: Option<CoreError> = None;
     let mut parsed = Vec::with_capacity(paths.len());
     for path in paths {
-        let text = read_partition_text(comm, fs, path, read)?;
-        parsed.push(parse_chunked(comm, &text, parser, opts)?);
+        let layer = read_partition_text(comm, fs, path, read)
+            .and_then(|text| parse_chunked(comm, &text, parser, opts));
+        parsed.push(layer.unwrap_or_else(|e| {
+            deferred.get_or_insert(e);
+            Default::default()
+        }));
     }
     let features: Vec<&[Feature]> = parsed.iter().map(|(f, _)| f.as_slice()).collect();
-    let decomp = decomp::build_global(comm, &features, cfg);
+    let decomp = decomp::build_global_unless_failed(comm, &features, cfg, deferred.is_some())
+        .map_err(|peer| deferred.take().unwrap_or(peer))?;
     let windows = exchange_opts.windows;
     let streamed = exchange_opts.chunk.resolve().filter(|_| windows <= 1);
     // Cell-map every layer now, unless the exchange rounds stream it.

@@ -12,10 +12,10 @@
 //!
 //! ## File format (version 1, all fields little-endian)
 //!
-//! The byte-level normative specification — including the empty-section
-//! placement rules and the legacy stripe-aligned-empty-section reader
-//! tolerance — is `docs/FORMAT.md` §3 in the repository root; the
-//! summary below must stay in agreement with it.
+//! The byte-level normative specification — including the section
+//! placement rules and what readers tolerate in files from earlier
+//! writers — is `docs/FORMAT.md` §3 in the repository root; the summary
+//! below must stay in agreement with it.
 //!
 //! ```text
 //! offset  size  field
@@ -31,10 +31,10 @@
 //!               writer rank, ascending non-overlapping offsets
 //!      …        payload: per section, that writer rank's records in the
 //!               exchange wire format `[u64 cell][u32 wkb_len][wkb]
-//!               [u32 ud_len][ud]`; non-empty section starts are padded
-//!               out to stripe boundaries (table lengths are exact,
-//!               padding is never parsed); empty sections sit unpadded at
-//!               the previous section's end so they never point past EOF
+//!               [u32 ud_len][ud]`; sections sit back to back from the
+//!               table's end. Readers take offsets from the table and
+//!               skip any gap: earlier writers stripe-padded non-empty
+//!               section starts, and such files still read
 //! ```
 //!
 //! The record payload **is** the exchange wire format, so a snapshot
@@ -45,12 +45,12 @@
 //!
 //! ## Collective two-phase I/O
 //!
-//! Writes go through the two-phase collective write
-//! ([`MpiFile::write_at_all`], one fragment per rank): every rank ships
-//! its section to the ROMIO-style aggregators over the nonblocking
-//! request layer, and the aggregators flush large contiguous
-//! stripe-aligned writes (section starts are stripe-padded, so flush
-//! offsets land on stripe boundaries — the access pattern the paper
+//! A write is one two-phase collective write ([`MpiFile::write_at_all`],
+//! one fragment per rank): every rank ships its section — rank 0 the
+//! header and table in front of its own — to the ROMIO-style aggregators
+//! over the nonblocking request layer. The fragments tile the file, so
+//! each aggregator flushes its stripe-aligned domain as one contiguous
+//! run, whatever the world size (the access pattern the paper
 //! recommends). Reads use the inverse scatter
 //! ([`MpiFile::read_at_all`]). The aggregator count follows the
 //! [`mvio_msim::select_readers`] heuristic, overridable with
@@ -173,15 +173,13 @@ impl SnapshotReadOptions {
 pub struct SnapshotWriteReport {
     /// This rank's section in the file.
     pub section: SectionEntry,
-    /// Exact payload bytes across all sections (excluding header/padding).
+    /// Exact payload bytes across all sections (excluding header/table).
     pub bytes_total: u64,
     /// Records across all sections.
     pub records_total: u64,
     /// Virtual seconds the collective write took on this rank (identical
     /// on every rank: two-phase writes exit at the global completion).
     pub write_seconds: f64,
-    /// Aggregate virtual write bandwidth, bytes per virtual second.
-    pub bandwidth: f64,
 }
 
 /// Per-rank result of a collective snapshot read.
@@ -430,12 +428,6 @@ pub fn read_meta_timed(comm: &mut Comm, fs: &Arc<SimFs>, path: &str) -> Result<S
     }
 }
 
-/// Rounds `at` up to the next multiple of `align`.
-fn align_up(at: u64, align: u64) -> u64 {
-    let align = align.max(1);
-    at.div_ceil(align) * align
-}
-
 /// Collectively persists each rank's owned records as a binary snapshot
 /// at `path`, creating the file. `frames` are validated wire records —
 /// a [`FrameStore`], a [`crate::resident::ResidentStore::frames`], or a
@@ -448,11 +440,11 @@ fn align_up(at: u64, align: u64) -> u64 {
 /// re-routes the records through the exchange. Collective: every rank
 /// must call it.
 ///
-/// The payload is shipped through the two-phase collective write
-/// ([`MpiFile::write_at_all`]); non-empty section starts are
-/// padded to the file's stripe size so every aggregator flush is stripe
-/// aligned (empty sections are left unpadded — aligning them could place
-/// their offset past the end of the file).
+/// The whole file is one two-phase collective write
+/// ([`MpiFile::write_at_all`]): the sections sit back to back after the
+/// section table, and rank 0's fragment carries the header and the table
+/// in front of its section, so the fragments tile the file without a gap
+/// and each aggregator flushes its domain as one contiguous run.
 ///
 /// # Errors
 ///
@@ -462,9 +454,9 @@ fn align_up(at: u64, align: u64) -> u64 {
 /// removed, the failing rank returns the original
 /// [`CoreError::Partition`] and its peers a [`CoreError::Snapshot`] —
 /// rather than persisting a metadata-consistent snapshot silently
-/// missing that rank's records. All outcomes — the create, the
-/// per-rank copy, and rank 0's header write — are agreed collectively,
-/// so a failing rank never strands its peers mid-protocol.
+/// missing that rank's records; so does a fragment over the per-call
+/// collective I/O limit. Every outcome is agreed collectively, so a
+/// failing rank never strands its peers mid-protocol.
 pub fn write_partitioned<'a>(
     comm: &mut Comm,
     fs: &Arc<SimFs>,
@@ -480,51 +472,51 @@ pub fn write_partitioned<'a>(
         "decomposition built for a different world size"
     );
 
-    // Copy my section (the exchange wire format). A failure parks the
-    // error and continues with an empty section: the collectives below
-    // must stay matched across ranks.
+    // Copy my section (the exchange wire format) into my fragment; rank
+    // 0's opens with room for the header and table, filled in below. A
+    // failure parks the error and continues with an empty section: the
+    // collectives below must stay matched across ranks.
+    let table_end = HEADER_LEN + SECTION_ENTRY_LEN * p as u64;
+    // audit: the table is 24 bytes per rank of a world that exists.
+    let head = (if comm.rank() == 0 { table_end } else { 0 }) as usize;
     let mut deferred: Option<CoreError> = None;
-    let mut buf = Vec::new();
+    let mut buf = vec![0u8; head];
     let mut my_records = 0u64;
     for frame in frames {
         if let Err(e) = serialize_frame(&frame, &mut buf) {
             deferred = Some(e);
-            buf.clear();
+            buf.truncate(head);
             my_records = 0;
             break;
         }
         my_records += 1;
     }
-    comm.charge(Work::CopyBytes {
-        n: buf.len() as u64,
-    });
+    let my_len = (buf.len() - head) as u64;
+    comm.charge(Work::CopyBytes { n: my_len });
 
-    // Create on rank 0 and broadcast the outcome, so every rank agrees
-    // on whether to proceed — a failing create must not leave rank 0
-    // returning while its peers (for whom `open` might well succeed,
-    // e.g. on an already-existing path) sail into the collectives alone.
-    let create_err = if comm.rank() == 0 {
-        fs.create(path, opts.stripe).err()
-    } else {
-        None
-    };
-    let word = match &create_err {
-        None => Vec::new(),
-        Some(e) => {
-            let mut v = vec![match e {
-                mvio_pfs::PfsError::AlreadyExists(_) => 1u8,
-                mvio_pfs::PfsError::BadStripe(_) => 2,
-                _ => 3,
-            }];
-            v.extend(e.to_string().as_bytes());
-            v
-        }
-    };
-    let status = comm.labeled("snapshot.write.create", |c| c.bcast(0, word));
+    // Rank 0 creates the file. One allgather then tells every rank whether
+    // the create failed, every section length, and whether any rank failed
+    // to serialize, so all agree on whether to proceed (peers must not
+    // sail into the collectives alone past a failed create) and lay the
+    // file out identically: header + table, then the sections back to back.
+    let create_err = (comm.rank() == 0)
+        .then(|| fs.create(path, opts.stripe).err())
+        .flatten();
+    let mut word = [my_len, my_records].map(u64::to_le_bytes).concat();
+    word.push(u8::from(deferred.is_some()));
+    if let Some(e) = &create_err {
+        word.push(match e {
+            mvio_pfs::PfsError::AlreadyExists(_) => 1,
+            mvio_pfs::PfsError::BadStripe(_) => 2,
+            _ => 3,
+        });
+        word.extend(e.to_string().as_bytes());
+    }
+    let gathered = comm.labeled("snapshot.write.sections", |c| c.allgather(word));
     if let Some(e) = create_err {
         return Err(e.into()); // rank 0 keeps the original error
     }
-    if let Some((&code, msg)) = status.split_first() {
+    if let Some((&code, msg)) = gathered[0][17..].split_first() {
         let msg = String::from_utf8_lossy(msg).into_owned();
         return Err(match code {
             1 => mvio_pfs::PfsError::AlreadyExists(path.to_string()).into(),
@@ -532,65 +524,44 @@ pub fn write_partitioned<'a>(
             _ => corrupt(format!("create on rank 0 failed: {msg}")),
         });
     }
-    let file = MpiFile::open(fs, path, opts.hints)?;
-    let stripe_size = file.file().stripe().size;
-
-    // Everyone learns every section length — and whether any rank failed
-    // to serialize — and lays the file out identically: header + table,
-    // then stripe-aligned sections.
-    let mut word = [0u8; 17];
-    word[..8].copy_from_slice(&(buf.len() as u64).to_le_bytes());
-    word[8..16].copy_from_slice(&my_records.to_le_bytes());
-    // audit: bool -> u8 is 0/1, lossless.
-    word[16] = deferred.is_some() as u8;
-    let gathered = comm.labeled("snapshot.write.sections", |c| c.allgather(word.to_vec()));
-    // A serialization failure anywhere aborts the write *before* any
-    // byte reaches the file: persisting a metadata-consistent snapshot
-    // that silently misses one rank's records would be far worse than
-    // failing. Every rank sees the same flags, so the branch — and the
-    // file removal on rank 0 — is symmetric.
-    if let Some(bad) = gathered.iter().position(|w| w[16] != 0) {
-        if comm.rank() == 0 {
-            let _ = fs.remove(path);
-        }
-        return Err(deferred.unwrap_or_else(|| {
+    let lens: Vec<(u64, u64)> = (gathered.iter())
+        .map(|w| (u64_at(w, 0), u64_at(w, 8)))
+        .collect();
+    // A serialization failure anywhere, or a fragment over the per-call
+    // collective I/O limit (rank 0's carries the header and table too),
+    // aborts the write *before* any byte reaches the file: a
+    // metadata-consistent snapshot silently missing one rank's records
+    // would be far worse than failing, and an oversized rank failing
+    // `check_count` inside `write_at_all` alone would strand its peers in
+    // the collective. Every rank sees the same words, so the branch — and
+    // the file removal on rank 0 — is symmetric.
+    let fragment_len = |r: usize| lens[r].0 + if r == 0 { table_end } else { 0 };
+    let abort = match gathered.iter().position(|w| w[16] != 0) {
+        Some(bad) => Some(deferred.unwrap_or_else(|| {
             corrupt(format!(
                 "write aborted: rank {bad} failed to serialize its section"
             ))
-        }));
-    }
-    let lens: Vec<(u64, u64)> = gathered
-        .into_iter()
-        .map(|w| (u64_at(&w, 0), u64_at(&w, 8)))
-        .collect();
-    // Symmetric pre-check of the per-call collective I/O limit: every
-    // rank holds the same `lens`, so every rank takes this branch (and
-    // rank 0 removes the file) together. Letting the oversized rank fail
-    // `check_count` inside `write_at_all` alone would strand its peers in
-    // the two-phase collective.
-    if let Some((bad, &(len, _))) = lens
-        .iter()
-        .enumerate()
-        .find(|&(_, &(len, _))| len > ROMIO_MAX_IO_BYTES)
-    {
+        })),
+        None => (0..p)
+            .find(|&r| fragment_len(r) > ROMIO_MAX_IO_BYTES)
+            .map(|bad| {
+                corrupt(format!(
+                    "write aborted: rank {bad}'s fragment is {} bytes, over the \
+                 {ROMIO_MAX_IO_BYTES}-byte collective I/O limit",
+                    fragment_len(bad)
+                ))
+            }),
+    };
+    if let Some(e) = abort {
         if comm.rank() == 0 {
             let _ = fs.remove(path);
         }
-        return Err(corrupt(format!(
-            "write aborted: rank {bad}'s section is {len} bytes, over the \
-             {ROMIO_MAX_IO_BYTES}-byte collective I/O limit"
-        )));
+        return Err(e);
     }
     let mut sections = Vec::with_capacity(p);
-    let mut at = HEADER_LEN + SECTION_ENTRY_LEN * p as u64;
+    let mut at = table_end;
     let mut total_records = 0u64;
     for &(len, records) in &lens {
-        // Only non-empty sections are stripe-aligned: aligning an empty
-        // trailing section would place its offset past the last written
-        // byte and the file would fail the reader's bounds validation.
-        if len > 0 {
-            at = align_up(at, stripe_size);
-        }
         sections.push(SectionEntry {
             offset: at,
             len,
@@ -607,54 +578,22 @@ pub fn write_partitioned<'a>(
         sections,
     };
 
-    // Rank 0 writes the header + table independently, and the outcome is
-    // broadcast (like the create outcome above) before anyone enters the
-    // two-phase collective: a failing header write must not leave rank 0
-    // returning while its peers sit in the collective waiting for it.
-    let t0 = comm.now();
-    let header_err = if comm.rank() == 0 {
-        file.write_at(comm, 0, &encode_meta(&meta)).err()
-    } else {
-        None
-    };
-    let word = match &header_err {
-        None => Vec::new(),
-        Some(e) => {
-            let mut v = vec![1u8];
-            v.extend(e.to_string().as_bytes());
-            v
-        }
-    };
-    let status = comm.labeled("snapshot.write.header", |c| c.bcast(0, word));
-    if let Some((_, msg)) = status.split_first() {
-        if comm.rank() == 0 {
-            let _ = fs.remove(path);
-        }
-        return Err(match header_err {
-            Some(e) => e.into(), // rank 0 keeps the original error
-            None => corrupt(format!(
-                "header write on rank 0 failed: {}",
-                String::from_utf8_lossy(msg)
-            )),
-        });
+    // One collective write of the whole file: the fragments tile it from
+    // byte 0, rank 0's header + table first.
+    if comm.rank() == 0 {
+        buf[..head].copy_from_slice(&encode_meta(&meta));
     }
     let my_section = meta.sections[comm.rank()];
+    let file = MpiFile::open(fs, path, opts.hints)?;
+    let t0 = comm.now();
     comm.labeled("snapshot.write.payload", |c| {
-        file.write_at_all(c, my_section.offset, &buf)
+        file.write_at_all(c, my_section.offset - head as u64, &buf)
     })?;
-    let write_seconds = comm.now() - t0;
-
-    let bytes_total = meta.payload_bytes();
     Ok(SnapshotWriteReport {
         section: my_section,
-        bytes_total,
+        bytes_total: meta.payload_bytes(),
         records_total: total_records,
-        write_seconds,
-        bandwidth: if write_seconds > 0.0 {
-            bytes_total as f64 / write_seconds
-        } else {
-            0.0
-        },
+        write_seconds: comm.now() - t0,
     })
 }
 
@@ -1119,7 +1058,7 @@ mod tests {
     }
 
     #[test]
-    fn sections_are_stripe_aligned_and_meta_readable() {
+    fn sections_are_packed_back_to_back_after_the_table() {
         let fs = SimFs::new(FsConfig::lustre_comet());
         let stripe = StripeSpec::new(4, 1 << 10);
         {
@@ -1130,7 +1069,7 @@ mod tests {
                 write(
                     comm,
                     &fs,
-                    "aligned.bin",
+                    "packed.bin",
                     &pairs,
                     &d,
                     &SnapshotWriteOptions::default().with_stripe(stripe),
@@ -1138,15 +1077,97 @@ mod tests {
                 .unwrap();
             });
         }
-        let meta = read_meta(&fs, "aligned.bin").unwrap();
+        let meta = read_meta(&fs, "packed.bin").unwrap();
         assert_eq!(meta.version, VERSION);
         assert_eq!(meta.sections.len(), 3);
         assert_eq!(meta.total_records, 9 * 4);
-        for s in &meta.sections {
-            assert!(s.offset.is_multiple_of(1 << 10), "section at {}", s.offset);
+        let table_end = HEADER_LEN + 3 * SECTION_ENTRY_LEN;
+        assert_eq!(meta.sections[0].offset, table_end);
+        for w in meta.sections.windows(2) {
+            assert_eq!(w[1].offset, w[0].offset + w[0].len, "{w:?}");
         }
-        // The collective write flushed stripe-aligned ranges.
-        assert!(fs.stats().stripe_aligned_ops() > 0);
+        let file_len = fs.open("packed.bin").unwrap().len();
+        assert_eq!(file_len, table_end + meta.payload_bytes());
+    }
+
+    /// The same payload bytes written at 16 ranks on one node, once held
+    /// by one rank and once spread over all of them: the fragments tile
+    /// the file either way, so the one aggregator flushes one run and the
+    /// write costs the same.
+    #[test]
+    fn write_time_does_not_grow_with_nonempty_sections() {
+        let fs = SimFs::new(FsConfig::lustre_comet());
+        let seconds = |path: &'static str, spread: bool| {
+            let fs = Arc::clone(&fs);
+            let out = World::run(WorldConfig::new(Topology::single_node(16)), move |comm| {
+                let (cells, p) = (64, comm.size());
+                let d = decomp(cells, p);
+                let pairs: Vec<_> = match (spread, comm.rank()) {
+                    (true, r) => pairs_for(r, p, cells, 4),
+                    (false, 0) => (0..p).flat_map(|r| pairs_for(r, p, cells, 4)).collect(),
+                    (false, _) => Vec::new(),
+                };
+                let rep = write(comm, &fs, path, &pairs, &d, &Default::default()).unwrap();
+                (rep.write_seconds, rep.bytes_total)
+            });
+            out[0]
+        };
+        let (one, one_bytes) = seconds("one.bin", false);
+        let (all, all_bytes) = seconds("all.bin", true);
+        assert_eq!(one_bytes, all_bytes);
+        assert!(
+            (all - one).abs() <= 0.1 * one,
+            "one rank holding the payload: {one} s, sixteen: {all} s"
+        );
+    }
+
+    /// A file in the previous writer's layout — every non-empty section
+    /// start padded to a stripe boundary — reloads bit-identically to the
+    /// packed file it was rebuilt from, at the writer's world size and at
+    /// another one.
+    #[test]
+    fn stripe_padded_sections_from_earlier_writers_still_reload() {
+        let fs = SimFs::new(FsConfig::lustre_comet());
+        let stripe = StripeSpec::new(4, 1 << 10);
+        {
+            let fs = Arc::clone(&fs);
+            World::run(WorldConfig::new(Topology::single_node(3)), move |comm| {
+                let d = decomp(12, comm.size());
+                let pairs = pairs_for(comm.rank(), comm.size(), 12, 3);
+                let opts = SnapshotWriteOptions::default().with_stripe(stripe);
+                write(comm, &fs, "packed.bin", &pairs, &d, &opts).unwrap();
+            });
+        }
+        let packed = fs.open("packed.bin").unwrap().snapshot();
+        let mut meta = read_meta(&fs, "packed.bin").unwrap();
+        let padded = fs.create("padded.bin", Some(stripe)).unwrap();
+        let mut at = HEADER_LEN + 3 * SECTION_ENTRY_LEN;
+        for s in &mut meta.sections {
+            if s.len > 0 {
+                at = at.div_ceil(stripe.size) * stripe.size;
+            }
+            let bytes = &packed[s.offset as usize..][..s.len as usize];
+            padded.poke(at, bytes);
+            s.offset = at;
+            at += s.len;
+        }
+        padded.poke(0, &encode_meta(&meta));
+        assert_eq!(read_meta(&fs, "padded.bin").unwrap(), meta);
+        assert!(meta.sections[1].offset > meta.sections[0].offset + meta.sections[0].len);
+        for p in [3, 2] {
+            let fs = Arc::clone(&fs);
+            World::run(WorldConfig::new(Topology::single_node(p)), move |comm| {
+                let d = decomp(12, comm.size());
+                let opts = SnapshotReadOptions::default();
+                let (want, _) = reload(comm, &fs, "packed.bin", &d, &opts).unwrap();
+                let (got, _) = reload(comm, &fs, "padded.bin", &d, &opts).unwrap();
+                assert_eq!(got, want, "{p} ranks, rank {}", comm.rank());
+                if p == 3 {
+                    let mine = pairs_for(comm.rank(), p, 12, 3);
+                    assert_eq!(got, mine, "rank {}", comm.rank());
+                }
+            });
+        }
     }
 
     #[test]
@@ -1377,9 +1398,10 @@ mod tests {
         }
     }
 
-    /// A three-section file laid out by the FORMAT.md §3 rules — a
-    /// non-empty section right after the table, an empty one unpadded at
-    /// its end, a stripe-padded non-empty one — with a zeroed payload.
+    /// A three-section file the FORMAT.md §3 rules accept — a non-empty
+    /// section right after the table, an empty one at its end, a
+    /// non-empty one after a gap as earlier writers' stripe padding left
+    /// it — with a zeroed payload.
     fn sample_file() -> (SnapshotMeta, Vec<u8>) {
         let table_end = HEADER_LEN + 3 * SECTION_ENTRY_LEN;
         let section = |offset, len, records| SectionEntry {

@@ -5,6 +5,7 @@ use crate::linestring::LineString;
 use crate::multi::{GeometryCollection, MultiLineString, MultiPoint, MultiPolygon};
 use crate::point::Point;
 use crate::polygon::{Polygon, Ring};
+use crate::wkb::MAX_NESTING;
 use crate::{GeomError, Result};
 
 /// Parses a single WKT geometry from `input`, requiring that nothing but
@@ -47,6 +48,8 @@ pub fn parse_many(input: &str) -> Result<Vec<Geometry>> {
 pub struct Parser<'a> {
     src: &'a [u8],
     pos: usize,
+    /// Nesting depth of the geometry being parsed, counted as WKB does.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -55,6 +58,7 @@ impl<'a> Parser<'a> {
         Parser {
             src: input.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -171,6 +175,27 @@ impl<'a> Parser<'a> {
         Ok(Point::new(x, y))
     }
 
+    /// Opens a multi-type's or collection's member list, refusing members
+    /// deeper than WKB readers accept ([`MAX_NESTING`]), so no input can
+    /// exhaust the parser's stack.
+    fn open_members(&mut self) -> Result<()> {
+        self.expect(b'(')?;
+        if self.depth < MAX_NESTING {
+            return Ok(());
+        }
+        Err(self.error(format!(
+            "collections nested deeper than {MAX_NESTING} levels"
+        )))
+    }
+
+    /// Parses one collection member, one nesting level down.
+    fn member(&mut self) -> Result<Geometry> {
+        self.depth += 1;
+        let out = self.parse_geometry();
+        self.depth -= 1;
+        out
+    }
+
     /// Parses `( x y, x y, ... )`.
     fn coord_list(&mut self) -> Result<Vec<Point>> {
         self.expect(b'(')?;
@@ -226,7 +251,7 @@ impl<'a> Parser<'a> {
                 if self.eat_empty() {
                     return Ok(Geometry::MultiPoint(MultiPoint(vec![])));
                 }
-                self.expect(b'(')?;
+                self.open_members()?;
                 let mut pts = vec![self.multipoint_member()?];
                 while self.eat(b',') {
                     pts.push(self.multipoint_member()?);
@@ -238,7 +263,7 @@ impl<'a> Parser<'a> {
                 if self.eat_empty() {
                     return Ok(Geometry::MultiLineString(MultiLineString(vec![])));
                 }
-                self.expect(b'(')?;
+                self.open_members()?;
                 let mut lines = vec![LineString::new(self.coord_list()?)?];
                 while self.eat(b',') {
                     lines.push(LineString::new(self.coord_list()?)?);
@@ -250,7 +275,7 @@ impl<'a> Parser<'a> {
                 if self.eat_empty() {
                     return Ok(Geometry::MultiPolygon(MultiPolygon(vec![])));
                 }
-                self.expect(b'(')?;
+                self.open_members()?;
                 let mut polys = Vec::new();
                 loop {
                     let (ext, holes) = self.ring_list()?;
@@ -266,10 +291,10 @@ impl<'a> Parser<'a> {
                 if self.eat_empty() {
                     return Ok(Geometry::GeometryCollection(GeometryCollection(vec![])));
                 }
-                self.expect(b'(')?;
-                let mut members = vec![self.parse_geometry()?];
+                self.open_members()?;
+                let mut members = vec![self.member()?];
                 while self.eat(b',') {
-                    members.push(self.parse_geometry()?);
+                    members.push(self.member()?);
                 }
                 self.expect(b')')?;
                 Ok(Geometry::GeometryCollection(GeometryCollection(members)))
@@ -427,6 +452,46 @@ mod tests {
             Err(GeomError::Wkt { offset, .. }) => assert!(offset >= 9),
             other => panic!("expected Wkt error, got {other:?}"),
         }
+    }
+
+    /// `levels` collections around one point.
+    fn nested_collection(levels: usize) -> String {
+        let mut s = "GEOMETRYCOLLECTION (".repeat(levels);
+        s.push_str("POINT (1 2)");
+        s.push_str(&")".repeat(levels));
+        s
+    }
+
+    #[test]
+    fn collections_nest_as_deep_as_wkb_allows_and_no_deeper() {
+        // On a 1 MiB stack, a simulated rank's default: without the limit,
+        // a few thousand levels overflow it and abort the process.
+        std::thread::Builder::new()
+            .stack_size(1 << 20)
+            .spawn(|| {
+                let deepest = parse(&nested_collection(MAX_NESTING)).unwrap();
+                let wkb = crate::wkb::encode(&deepest);
+                assert_eq!(crate::wkb::decode(&wkb).unwrap().0, deepest);
+                for levels in [MAX_NESTING + 1, MAX_NESTING + 100_000] {
+                    let text = nested_collection(levels);
+                    match parse(&text) {
+                        Err(GeomError::Wkt { msg, offset }) => {
+                            assert!(msg.contains("nested deeper"), "{msg}");
+                            // The list that would put its members too deep.
+                            let opener = "GEOMETRYCOLLECTION (".len();
+                            assert_eq!(offset, (MAX_NESTING + 1) * opener);
+                        }
+                        other => panic!("{levels} levels: expected Wkt error, got {other:?}"),
+                    }
+                }
+                // A multi-type's members count one level down, too.
+                let deep_multi = nested_collection(MAX_NESTING).replace("POINT", "MULTIPOINT ");
+                assert!(parse(&deep_multi.replace("(1 2)", "((1 2))")).is_err());
+                assert!(parse(&deep_multi.replace("(1 2)", "EMPTY")).is_ok());
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

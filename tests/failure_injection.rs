@@ -64,6 +64,67 @@ fn corrupted_wkt_record_fails_cleanly_on_every_rank() {
     );
 }
 
+/// One malformed record through the whole text front half — `ingest`,
+/// and `spatial_join` with it in either layer — at 4 ranks: the owner of
+/// the record returns the parse error naming it, its peers an error
+/// naming the owner, and nobody waits in the decomposition build. With
+/// the verifier off and strict.
+#[test]
+fn a_bad_record_fails_every_front_half_on_every_rank() {
+    let good: String = (0..40)
+        .map(|i| format!("POINT ({i} {i})\tp{i}\n"))
+        .collect();
+    let bad = good.replace("POINT (17 17)\tp17", "POLYGON ((botched");
+    let fs = fs_with(FsConfig::gpfs_roger(), "bad.wkt", &bad);
+    fs.create("good.wkt", None).unwrap().append(good.as_bytes());
+    let read = ReadOptions::default().with_block_size(128);
+    for mode in [CheckMode::Off, CheckMode::Strict] {
+        for run in ["ingest", "join left", "join right"] {
+            let fs = std::sync::Arc::clone(&fs);
+            let cfg = WorldConfig::new(Topology::new(2, 2)).with_check(mode);
+            let out = World::run(cfg, move |comm| {
+                let res = match run {
+                    "ingest" => pipeline::ingest(
+                        comm,
+                        &fs,
+                        "bad.wkt",
+                        &read,
+                        &WktLineParser,
+                        &DecompConfig::uniform(GridSpec::square(4)),
+                        &PipelineOptions::default(),
+                    )
+                    .map(|_| ()),
+                    _ => {
+                        let opts = JoinOptions {
+                            read,
+                            ..Default::default()
+                        };
+                        let (l, r) = match run {
+                            "join left" => ("bad.wkt", "good.wkt"),
+                            _ => ("good.wkt", "bad.wkt"),
+                        };
+                        spatial_join(comm, &fs, l, r, &opts).map(|_| ())
+                    }
+                };
+                match res {
+                    Err(e @ CoreError::Parse { .. }) => Ok(e.to_string()),
+                    Err(CoreError::Partition(m)) => Err(m),
+                    other => panic!("rank {}: {other:?}", comm.rank()),
+                }
+            });
+            let ctx = format!("{run}, {mode:?}: {out:?}");
+            let owners: Vec<usize> = (0..4).filter(|&r| out[r].is_ok()).collect();
+            assert_eq!(owners.len(), 1, "{ctx}");
+            let owner = owners[0];
+            assert!(out[owner].as_ref().unwrap().contains("botched"), "{ctx}");
+            let named = format!("aborted: rank {owner} failed");
+            for m in out.iter().filter_map(|r| r.as_ref().err()) {
+                assert!(m.contains(&named), "{ctx}");
+            }
+        }
+    }
+}
+
 #[test]
 fn rank_death_mid_pipeline_aborts_whole_job() {
     // A rank panics between the exchange rounds; the rest are blocked in
