@@ -6,9 +6,7 @@
 //! policies themselves (table lookups vs arithmetic round-robin).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use mvio_core::decomp::{
-    AdaptiveBisection, HilbertDecomposition, SpatialDecomposition, UniformDecomposition,
-};
+use mvio_core::decomp::{DecompPolicy, Decomposition, SpatialDecomposition};
 use mvio_core::grid::{CellMap, GridSpec, UniformGrid};
 use mvio_core::pipeline::{partition_chunked, PipelineOptions};
 use mvio_core::reader::{parse_buffer_serial, WktLineParser};
@@ -60,21 +58,21 @@ fn histogram(g: &UniformGrid, feats: &[Feature]) -> Vec<u64> {
     counts
 }
 
-fn mk_decomp(name: &str, feats: &[Feature]) -> Box<dyn SpatialDecomposition> {
-    let base = GridSpec::square(16);
+fn mk_decomp(name: &str, feats: &[Feature]) -> Decomposition {
+    let base = grid(GridSpec::square(16));
     match name {
-        "uniform" => Box::new(UniformDecomposition::new(
-            grid(base),
-            CellMap::RoundRobin,
-            RANKS,
-        )),
-        "hilbert" => Box::new(HilbertDecomposition::new(grid(base), RANKS)),
+        "uniform" => {
+            let rr = DecompPolicy::Uniform(CellMap::RoundRobin);
+            Decomposition::new(base, rr, None, RANKS)
+        }
+        "hilbert" => Decomposition::new(base, DecompPolicy::Hilbert, None, RANKS),
         _ => {
             let g = grid(GridSpec::square(128));
             let counts = histogram(&g, feats);
-            Box::new(AdaptiveBisection::from_counts(g, &counts, RANKS))
+            Decomposition::new(g, DecompPolicy::adaptive(), Some(&counts), RANKS)
         }
     }
+    .unwrap()
 }
 
 fn bench_build(c: &mut Criterion) {
@@ -104,7 +102,7 @@ fn bench_partition(c: &mut Criterion) {
                         let opts = PipelineOptions::default()
                             .with_workers(1)
                             .with_partition_chunk_records(512);
-                        let (batch, _) = partition_chunked(comm, &*decomp, &feats, &opts).unwrap();
+                        let (batch, _) = partition_chunked(comm, &decomp, &feats, &opts).unwrap();
                         black_box(batch.bufs.iter().map(|b| b.len()).sum::<usize>())
                     },
                 )

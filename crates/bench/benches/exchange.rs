@@ -8,7 +8,7 @@
 //! overlap win is reported by `repro -- exchange`.)
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use mvio_core::decomp::UniformDecomposition;
+use mvio_core::decomp::{DecompPolicy, Decomposition};
 use mvio_core::exchange::{exchange_serialized, ExchangeChunk, ExchangeOptions};
 use mvio_core::grid::{CellMap, GridSpec, UniformGrid};
 use mvio_core::pipeline::{partition_chunked, PipelineOptions};
@@ -39,14 +39,13 @@ fn features_for(rank: usize, per_cell: usize) -> Vec<Feature> {
         .collect()
 }
 
-fn decomp() -> UniformDecomposition {
-    UniformDecomposition::new(
-        UniformGrid::new(Rect::new(0.0, 0.0, CELLS as f64, CELLS as f64), {
-            GridSpec::square(CELLS)
-        }),
-        CellMap::RoundRobin,
-        RANKS,
-    )
+fn decomp() -> Decomposition {
+    let grid = UniformGrid::new(
+        Rect::new(0.0, 0.0, CELLS as f64, CELLS as f64),
+        GridSpec::square(CELLS),
+    );
+    let rr = DecompPolicy::Uniform(CellMap::RoundRobin);
+    Decomposition::new(grid, rr, None, RANKS).unwrap()
 }
 
 fn bench_exchange(c: &mut Criterion) {

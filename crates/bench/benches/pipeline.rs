@@ -5,7 +5,7 @@
 //! virtual-time speedup is reported by `repro -- pipeline`.)
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use mvio_core::decomp::UniformDecomposition;
+use mvio_core::decomp::{DecompPolicy, Decomposition};
 use mvio_core::grid::{CellMap, GridSpec, UniformGrid};
 use mvio_core::pipeline::{parse_chunked, partition_chunked, PipelineOptions};
 use mvio_core::reader::{parse_buffer_serial, WktLineParser};
@@ -68,11 +68,10 @@ fn bench_partition(c: &mut Criterion) {
             b.iter(|| {
                 let feats = Arc::clone(&feats);
                 World::run(WorldConfig::new(Topology::single_node(4)), move |comm| {
-                    let decomp = UniformDecomposition::new(
-                        UniformGrid::new(Rect::new(0.0, 0.0, 60.0, 80.0), GridSpec::square(16)),
-                        CellMap::RoundRobin,
-                        comm.size(),
-                    );
+                    let grid =
+                        UniformGrid::new(Rect::new(0.0, 0.0, 60.0, 80.0), GridSpec::square(16));
+                    let rr = DecompPolicy::Uniform(CellMap::RoundRobin);
+                    let decomp = Decomposition::new(grid, rr, None, comm.size()).unwrap();
                     let (batch, _) = partition_chunked(comm, &decomp, &feats, &opts).unwrap();
                     black_box(batch.bufs.iter().map(|b| b.len()).sum::<usize>())
                 })

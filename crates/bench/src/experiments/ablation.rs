@@ -11,13 +11,20 @@
 
 use super::{cost_scaled, gpfs_scaled, install_dataset, lustre_scaled, spec, Scale};
 use crate::report::Table;
+use mvio_core::decomp::DecompPolicy;
 use mvio_core::grid::{CellMap, GridSpec};
 use mvio_core::partition::{read_partition_text, ReadOptions};
 use mvio_msim::{AccessLevel, Topology, World, WorldConfig};
 use mvio_pfs::{SimFs, StripeSpec};
 use mvio_sjoin::{spatial_join, JoinOptions, PhaseBreakdown};
 
-fn join_with(scale: Scale, procs: usize, cells: u32, map: CellMap, windows: u32) -> PhaseBreakdown {
+fn join_with(
+    scale: Scale,
+    procs: usize,
+    cells: u32,
+    decomp: DecompPolicy,
+    windows: u32,
+) -> PhaseBreakdown {
     let fs = SimFs::new(gpfs_scaled(scale));
     let nodes = procs.div_ceil(20).max(1);
     let topo = Topology::new(nodes, procs.div_ceil(nodes));
@@ -26,7 +33,7 @@ fn join_with(scale: Scale, procs: usize, cells: u32, map: CellMap, windows: u32)
     install_dataset(&fs, &spec("Cemetery"), scale, "right.wkt", None);
     let opts = JoinOptions {
         grid: GridSpec::square(cells),
-        decomp: mvio_core::decomp::DecompPolicy::Uniform(map),
+        decomp,
         read: ReadOptions::default().with_block_size(64 << 10),
         windows,
         ..Default::default()
@@ -51,12 +58,12 @@ pub fn maps(scale: Scale, quick: bool) -> String {
         &["map", "partition (s)", "comm (s)", "join (s)", "total (s)"],
     );
     let d = scale.denominator as f64;
-    for (name, map) in [
-        ("round-robin", CellMap::RoundRobin),
-        ("block", CellMap::Block),
-        ("hilbert", CellMap::hilbert(GridSpec::square(cells))),
+    for (name, policy) in [
+        ("round-robin", DecompPolicy::Uniform(CellMap::RoundRobin)),
+        ("block", DecompPolicy::Uniform(CellMap::Block)),
+        ("hilbert", DecompPolicy::Hilbert),
     ] {
-        let b = join_with(scale, procs, cells, map, 1);
+        let b = join_with(scale, procs, cells, policy, 1);
         t.row(vec![
             name.to_string(),
             format!("{:.2}", b.partition * d),
@@ -79,7 +86,8 @@ pub fn windows(scale: Scale, quick: bool) -> String {
     );
     let d = scale.denominator as f64;
     for w in [1u32, 2, 4, 8] {
-        let b = join_with(scale, procs, cells, CellMap::RoundRobin, w);
+        let rr = DecompPolicy::Uniform(CellMap::RoundRobin);
+        let b = join_with(scale, procs, cells, rr, w);
         t.row(vec![
             w.to_string(),
             format!("{:.2}", b.communication * d),
@@ -148,14 +156,14 @@ mod tests {
         let scale = Scale {
             denominator: 50_000,
         };
-        let pairs_with = |map: CellMap| {
+        let pairs_with = |decomp: DecompPolicy| {
             let fs = SimFs::new(gpfs_scaled(scale));
             fs.set_active_ranks(4);
             install_dataset(&fs, &spec("Lakes"), scale, "l.wkt", None);
             install_dataset(&fs, &spec("Cemetery"), scale, "r.wkt", None);
             let opts = JoinOptions {
                 grid: GridSpec::square(8),
-                decomp: mvio_core::decomp::DecompPolicy::Uniform(map),
+                decomp,
                 read: ReadOptions::default().with_block_size(128 << 10),
                 windows: 1,
                 ..Default::default()
@@ -169,9 +177,9 @@ mod tests {
             all.sort();
             all
         };
-        let rr = pairs_with(CellMap::RoundRobin);
-        let blk = pairs_with(CellMap::Block);
-        let hil = pairs_with(CellMap::hilbert(GridSpec::square(8)));
+        let rr = pairs_with(DecompPolicy::Uniform(CellMap::RoundRobin));
+        let blk = pairs_with(DecompPolicy::Uniform(CellMap::Block));
+        let hil = pairs_with(DecompPolicy::Hilbert);
         assert_eq!(rr, blk);
         assert_eq!(rr, hil);
     }

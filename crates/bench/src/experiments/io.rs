@@ -134,8 +134,7 @@ fn measure_one(scale: Scale, bytes: &[u8], ranks: usize, aggregators: usize) -> 
         // The reload's time includes its collective metadata read.
         let t0 = comm.now();
         let meta = read_meta_timed(comm, &fs, "io.snap").unwrap();
-        let (back, _) =
-            read_partitioned(comm, &fs, "io.snap", &meta, &*rep.decomp, &ropts).unwrap();
+        let (back, _) = read_partitioned(comm, &fs, "io.snap", &meta, &rep.decomp, &ropts).unwrap();
         let read_s = comm.now() - t0;
         assert!(
             back.frames().eq(rep.owned.frames()),

@@ -12,7 +12,7 @@
 
 use super::{cost_scaled, gpfs_scaled, install_dataset, spec, Scale};
 use crate::report::Table;
-use mvio_core::decomp::{self, DecompConfig};
+use mvio_core::decomp::{DecompConfig, Decomposition};
 use mvio_core::grid::GridSpec;
 use mvio_core::partition::{read_partition_text, ReadOptions};
 use mvio_core::pipeline::{parse_chunked, partition_chunked, PipelineOptions};
@@ -45,12 +45,9 @@ pub fn ingest_times(
         let (feats, _) = parse_chunked(comm, &text, &WktLineParser, &popts).unwrap();
         drop(text);
         let t2 = comm.now();
-        let sd = decomp::build_global(
-            comm,
-            &[&feats],
-            &DecompConfig::uniform(GridSpec::square(16)),
-        );
-        let (batch, _) = partition_chunked(comm, &*sd, &feats, &popts).unwrap();
+        let cfg = DecompConfig::uniform(GridSpec::square(16));
+        let sd = Decomposition::build_global(comm, &[&feats], &cfg, false).unwrap();
+        let (batch, _) = partition_chunked(comm, &sd, &feats, &popts).unwrap();
         drop(feats);
         let t3 = comm.now();
         let (_, stats) =

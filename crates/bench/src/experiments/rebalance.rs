@@ -25,7 +25,7 @@
 
 use super::{cost_scaled, full_seconds, Scale};
 use crate::report::Table;
-use mvio_core::decomp::{imbalance_ratio, AdaptiveBisection, SpatialDecomposition};
+use mvio_core::decomp::{imbalance_ratio, DecompPolicy, Decomposition, SpatialDecomposition};
 use mvio_core::exchange::ExchangeChunk;
 use mvio_core::grid::{GridSpec, UniformGrid};
 use mvio_core::Feature;
@@ -143,7 +143,7 @@ fn base_features() -> Vec<Feature> {
 /// The ingest-time decomposition: adaptive bisection balanced for the
 /// base dataset (the best any one-shot partitioner can do — the drift
 /// is what it cannot see).
-fn base_decomposition(ranks: usize) -> (Box<dyn SpatialDecomposition>, Vec<Feature>) {
+fn base_decomposition(ranks: usize) -> (Decomposition, Vec<Feature>) {
     let grid = UniformGrid::new(
         Rect::new(0.0, 0.0, WORLD, WORLD),
         GridSpec::square(GRID_SIDE),
@@ -155,10 +155,10 @@ fn base_decomposition(ranks: usize) -> (Box<dyn SpatialDecomposition>, Vec<Featu
             counts[cell as usize] += 1;
         }
     }
-    (
-        Box::new(AdaptiveBisection::from_counts(grid, &counts, ranks)),
-        base,
-    )
+    let policy = DecompPolicy::adaptive();
+    // audit: a 32x32 grid is far below the owner-table cap.
+    let sd = Decomposition::new(grid, policy, Some(&counts), ranks).expect("small grid");
+    (sd, base)
 }
 
 /// Per-rank, per-step sample returned from the simulation closure.

@@ -16,7 +16,7 @@
 
 use super::{cost_scaled, full_seconds, gpfs_scaled, Scale};
 use crate::report::Table;
-use mvio_core::decomp::DecompConfig;
+use mvio_core::decomp::{DecompConfig, SpatialDecomposition};
 use mvio_core::exchange::ExchangeChunk;
 use mvio_core::grid::GridSpec;
 use mvio_core::partition::ReadOptions;

@@ -1,24 +1,31 @@
-//! Pluggable spatial decompositions (paper §4, Figures 1–2, and the
+//! Spatial decomposition (paper §4, Figures 1–2, and the
 //! "locality-aware partitioning" the paper lists as future work in §5.2).
 //!
-//! The paper hardwires one policy: a uniform `nx × ny` grid over the
-//! `MPI_UNION`-allreduced global extent, with round-robin cell→rank
-//! declustering. That policy collapses on skewed inputs — "real data
+//! The paper's decomposition is a uniform `nx × ny` grid over the
+//! `MPI_UNION`-allreduced global extent plus a cell→rank declustering
+//! rule, round-robin. That rule collapses on skewed inputs — "real data
 //! distribution is often skewed" (§1) — because a hotspot that lands in
-//! one cell lands on one rank. This module abstracts the decomposition
-//! behind the [`SpatialDecomposition`] trait so the exchange, pipeline,
-//! filter-refine and join layers are policy-agnostic, and provides three
-//! implementations:
+//! one cell lands on one rank. Every policy here keeps the uniform grid
+//! and changes only the owner map, so there is one concrete type,
+//! [`Decomposition`], and one function from a grid, a [`DecompPolicy`]
+//! and a histogram to it ([`Decomposition::new`]):
 //!
-//! * [`UniformDecomposition`] — the paper's grid + [`CellMap`] policy,
-//!   unchanged (bit-identical outputs to the pre-trait code);
-//! * [`HilbertDecomposition`] — the same uniform cells, but cell→rank
-//!   assignment follows Hilbert-curve order in equal contiguous runs, so
-//!   each rank owns a spatially compact region (better exchange locality
-//!   than round-robin, better balance than `CellMap::Block`);
-//! * [`AdaptiveBisection`] — a skew-aware recursive bisection over a
-//!   per-cell feature histogram (allreduced across ranks), equalizing
-//!   *estimated feature counts* per rank rather than cell counts.
+//! * [`DecompPolicy::Uniform`] — the paper's [`CellMap`] rule
+//!   (round-robin or block), computed per lookup, so even a
+//!   4-billion-cell grid holds no per-cell state;
+//! * [`DecompPolicy::Hilbert`] — contiguous equal runs along the Hilbert
+//!   curve through the cells, so each rank owns a spatially compact
+//!   region (better exchange locality than round-robin, better balance
+//!   than `CellMap::Block`);
+//! * [`DecompPolicy::Adaptive`] — a skew-aware recursive bisection of a
+//!   per-cell feature histogram (allreduced across ranks) over a finer
+//!   grid, equalizing *estimated feature counts* per rank rather than
+//!   cell counts.
+//!
+//! The last two keep one owner per cell in a table of at most
+//! [`MAX_TABLE_CELLS`] cells. The exchange, pipeline, filter-refine and
+//! join layers read a decomposition through the [`SpatialDecomposition`]
+//! trait, which [`Decomposition`] implements.
 //!
 //! Every decomposition is a pure function of its inputs and
 //! configuration: two ranks (or two runs) building from the same global
@@ -28,7 +35,7 @@
 //! policy.
 
 use crate::grid::{CellMap, GridSpec, UniformGrid};
-use crate::Feature;
+use crate::{CoreError, Feature, Result};
 use mvio_geom::curve;
 use mvio_geom::Rect;
 use mvio_msim::{Comm, ReduceOp, Work};
@@ -37,6 +44,7 @@ use mvio_msim::{Comm, ReduceOp, Work};
 /// cells plus an assignment of cells to ranks. Built collectively (every
 /// rank holds an identical copy) and consumed by the exchange, the
 /// streaming ingest pipeline, and the filter-refine framework.
+/// [`Decomposition`] is its implementor.
 pub trait SpatialDecomposition: Send + Sync + std::fmt::Debug {
     /// The global extent tiled by the cells.
     fn bounds(&self) -> Rect;
@@ -102,231 +110,144 @@ pub trait SpatialDecomposition: Send + Sync + std::fmt::Debug {
     }
 }
 
-/// The paper's decomposition: a [`UniformGrid`] plus a [`CellMap`]
-/// cell→rank policy. The first — and behaviour-preserving — implementor
-/// of [`SpatialDecomposition`].
+/// Cells an owner table may hold: the cap on the Hilbert and adaptive
+/// tables (one `u32` per cell, 16 MiB here) and on the adaptive histogram
+/// grid, which [`DecompConfig::effective_spec`] clamps below it.
+pub const MAX_TABLE_CELLS: u32 = 1 << 22;
+
+/// The one decomposition: a [`UniformGrid`] and the rank owning each of
+/// its cells. Every [`DecompPolicy`] is an owner map over the same kind of
+/// grid, built by [`Decomposition::new`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct UniformDecomposition {
-    grid: UniformGrid,
-    map: CellMap,
-    ranks: usize,
-}
-
-impl UniformDecomposition {
-    /// Wraps a grid and a cell map for a `ranks`-rank world.
-    pub fn new(grid: UniformGrid, map: CellMap, ranks: usize) -> Self {
-        assert!(ranks > 0, "decomposition needs at least one rank");
-        UniformDecomposition { grid, map, ranks }
-    }
-
-    /// The underlying grid.
-    pub fn grid(&self) -> &UniformGrid {
-        &self.grid
-    }
-
-    /// The cell→rank policy.
-    pub fn map(&self) -> CellMap {
-        self.map
-    }
-}
-
-impl SpatialDecomposition for UniformDecomposition {
-    fn bounds(&self) -> Rect {
-        self.grid.bounds()
-    }
-
-    fn num_cells(&self) -> u32 {
-        self.grid.num_cells()
-    }
-
-    fn grid_spec(&self) -> GridSpec {
-        self.grid.spec()
-    }
-
-    fn num_ranks(&self) -> usize {
-        self.ranks
-    }
-
-    fn cell_rect(&self, cell: u32) -> Rect {
-        self.grid.cell_rect(cell)
-    }
-
-    fn cells_for_rect(&self, rect: &Rect, out: &mut Vec<u32>) {
-        self.grid.cells_overlapping_into(rect, out);
-    }
-
-    fn cell_to_rank(&self, cell: u32) -> usize {
-        self.map.rank_of(cell, self.grid.num_cells(), self.ranks)
-    }
-
-    fn cell_on_max_edge(&self, cell: u32) -> (bool, bool) {
-        grid_max_edge(&self.grid, cell)
-    }
-}
-
-/// Uniform cells assigned to ranks in **contiguous equal runs along the
-/// Hilbert curve** through the cell grid: each rank owns a spatially
-/// compact region with cell counts balanced to within one cell. Compared
-/// to [`CellMap::RoundRobin`] this keeps exchange destinations local;
-/// compared to [`CellMap::Block`] (contiguous row-major runs) the regions
-/// are square-ish rather than thin stripes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HilbertDecomposition {
+pub struct Decomposition {
     grid: UniformGrid,
     ranks: usize,
-    rank_of: Vec<u32>,
+    owner: Owner,
 }
 
-impl HilbertDecomposition {
-    /// Builds the Hilbert run assignment for a `ranks`-rank world.
-    pub fn new(grid: UniformGrid, ranks: usize) -> Self {
+/// Who owns a cell.
+#[derive(Debug, Clone, PartialEq)]
+enum Owner {
+    /// A [`CellMap`] rule computed per lookup: no per-cell state.
+    Computed(CellMap),
+    /// One rank per cell: Hilbert runs and bisections.
+    Table(Vec<u32>),
+}
+
+impl Decomposition {
+    /// Maps a grid, a policy and a histogram to the owner of every cell in
+    /// a `ranks`-rank world — the one place a policy becomes a
+    /// decomposition. `grid` is the grid the policy tiles
+    /// ([`DecompConfig::effective_spec`] already refined it for the
+    /// adaptive policy); `histogram` holds one global feature count per
+    /// cell and only the adaptive policy reads it. Pure and deterministic:
+    /// the same inputs give the same decomposition on every rank.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidOptions`] when the adaptive policy gets no
+    /// histogram, or when a Hilbert or adaptive owner table would exceed
+    /// [`MAX_TABLE_CELLS`].
+    ///
+    /// # Panics
+    ///
+    /// If `ranks` is 0, or the histogram does not hold one count per cell.
+    pub fn new(
+        grid: UniformGrid,
+        policy: DecompPolicy,
+        histogram: Option<&[u64]>,
+        ranks: usize,
+    ) -> Result<Self> {
         assert!(ranks > 0, "decomposition needs at least one rank");
-        let spec = grid.spec();
-        let n = grid.num_cells();
-        // Sort cell ids by their position along the Hilbert curve (cell
-        // centers scaled into the curve's fixed-order lattice); ties —
-        // possible when the grid outresolves the curve — break by cell id
-        // so the order is total and deterministic.
-        let mut order: Vec<u32> = (0..n).collect();
-        order.sort_by_key(|&c| {
-            let col = c % spec.cells_x;
-            let row = c / spec.cells_x;
-            (
-                curve::hilbert_key_cells(
-                    crate::grid::scale_to_order(col, spec.cells_x),
-                    crate::grid::scale_to_order(row, spec.cells_y),
-                ),
-                c,
-            )
-        });
-        // Contiguous runs of near-equal length: the first `n % ranks`
-        // ranks own one extra cell.
-        let mut rank_of = vec![0u32; n as usize];
-        let base = (n as usize) / ranks;
-        let extra = (n as usize) % ranks;
-        let mut at = 0usize;
-        for r in 0..ranks {
-            let len = base + usize::from(r < extra);
-            for &cell in &order[at..at + len] {
-                rank_of[cell as usize] = r as u32;
+        let owner = match (policy, histogram) {
+            (DecompPolicy::Uniform(map), _) => Owner::Computed(map),
+            (DecompPolicy::Hilbert, _) => Owner::Table(hilbert_runs(&grid, ranks)?),
+            (DecompPolicy::Adaptive { .. }, Some(counts)) => {
+                Owner::Table(bisection(&grid, counts, ranks)?)
             }
-            at += len;
-        }
-        HilbertDecomposition {
-            grid,
-            ranks,
-            rank_of,
-        }
+            (DecompPolicy::Adaptive { .. }, None) => {
+                return Err(CoreError::InvalidOptions(
+                    "adaptive bisection needs the feature histogram, which a snapshot does \
+                     not carry; use the uniform or hilbert policy"
+                        .into(),
+                ))
+            }
+        };
+        Ok(Decomposition { grid, ranks, owner })
+    }
+
+    /// Collectively builds the configured decomposition over every layer
+    /// this rank holds: the extent is the `MPI_UNION` allreduce of the
+    /// layers' local MBRs, and the adaptive policy histograms the features
+    /// of all of them, so layers joined together share one decomposition.
+    /// A rank that already failed enters `failed` with empty layers, and
+    /// every rank then gets the error [`UniformGrid::build_global`]
+    /// returns. Collective: every rank must call it, failed or not; all
+    /// ranks receive identical decompositions or the same error.
+    pub fn build_global(
+        comm: &mut Comm,
+        layers: &[&[Feature]],
+        cfg: &DecompConfig,
+        failed: bool,
+    ) -> Result<Self> {
+        let features = || layers.iter().flat_map(|l| l.iter());
+        let local_mbr = features().fold(Rect::EMPTY, |acc, f| acc.union(&f.geometry.envelope()));
+        let grid = UniformGrid::build_global(comm, local_mbr, cfg.effective_spec(), failed)?;
+        let counts = match cfg.policy {
+            DecompPolicy::Adaptive { .. } => {
+                // Histogram pass: one reference-cell lookup per feature
+                // (charged as MBR tests), then a global element-wise sum.
+                let mut counts = vec![0u64; table_size(&grid)?];
+                let mut n = 0u64;
+                let mut scratch = Vec::with_capacity(1);
+                for f in features() {
+                    n += 1;
+                    let env = f.geometry.envelope();
+                    if env.is_empty() {
+                        continue;
+                    }
+                    grid.cells_overlapping_into(
+                        &Rect::new(env.min_x, env.min_y, env.min_x, env.min_y),
+                        &mut scratch,
+                    );
+                    if let Some(&c) = scratch.first() {
+                        counts[c as usize] += 1;
+                    }
+                }
+                comm.charge(Work::MbrTests { n });
+                Some(comm.allreduce(counts, grid.num_cells() as u64 * 8, &SumCounts))
+            }
+            _ => None,
+        };
+        Self::new(grid, cfg.policy, counts.as_deref(), comm.size())
     }
 
     /// The underlying grid.
     pub fn grid(&self) -> &UniformGrid {
         &self.grid
     }
-}
 
-impl SpatialDecomposition for HilbertDecomposition {
-    fn bounds(&self) -> Rect {
-        self.grid.bounds()
-    }
-
-    fn num_cells(&self) -> u32 {
-        self.grid.num_cells()
-    }
-
-    fn grid_spec(&self) -> GridSpec {
-        self.grid.spec()
-    }
-
-    fn num_ranks(&self) -> usize {
-        self.ranks
-    }
-
-    fn cell_rect(&self, cell: u32) -> Rect {
-        self.grid.cell_rect(cell)
-    }
-
-    fn cells_for_rect(&self, rect: &Rect, out: &mut Vec<u32>) {
-        self.grid.cells_overlapping_into(rect, out);
-    }
-
-    fn cell_to_rank(&self, cell: u32) -> usize {
-        self.rank_of[cell as usize] as usize
-    }
-
-    fn cell_on_max_edge(&self, cell: u32) -> (bool, bool) {
-        grid_max_edge(&self.grid, cell)
-    }
-}
-
-/// Skew-aware decomposition: a fine uniform histogram grid whose cells
-/// are assigned to ranks by **recursive bisection of the global per-cell
-/// feature counts**, so every rank owns a contiguous rectangle of cells
-/// holding a near-equal share of the estimated features. Built from a
-/// cheap histogram pass (each feature's reference cell, allreduced via
-/// the runtime) — the sampling analogue of the paper's extent allreduce.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveBisection {
-    grid: UniformGrid,
-    ranks: usize,
-    rank_of: Vec<u32>,
-}
-
-impl AdaptiveBisection {
-    /// Builds the bisection from a global per-cell count histogram
-    /// (`counts.len() == grid.num_cells()`). Pure and deterministic: the
-    /// same histogram yields the same decomposition on every rank.
-    pub fn from_counts(grid: UniformGrid, counts: &[u64], ranks: usize) -> Self {
-        assert!(ranks > 0, "decomposition needs at least one rank");
-        assert_eq!(
-            counts.len(),
-            grid.num_cells() as usize,
-            "one count per cell"
-        );
-        let spec = grid.spec();
-        let mut rank_of = vec![0u32; counts.len()];
-        bisect(
-            counts,
-            spec.cells_x,
-            CellRange {
-                c0: 0,
-                c1: spec.cells_x,
-                r0: 0,
-                r1: spec.cells_y,
-            },
-            0,
-            ranks as u32,
-            &mut rank_of,
-        );
-        AdaptiveBisection {
-            grid,
-            ranks,
-            rank_of,
-        }
-    }
-
-    /// The underlying histogram grid.
-    pub fn grid(&self) -> &UniformGrid {
-        &self.grid
-    }
-
-    /// Relabels this bisection's ranks to maximize weighted cell overlap
-    /// with `prev`'s owner map (same cell space required). Per-rank loads
-    /// are invariant under a label permutation, so balance is untouched —
-    /// but a from-scratch re-bisection numbers its regions by recursion
-    /// order, which can hand almost every cell a new owner even where the
-    /// cuts barely moved. Aligning labels first turns the owner diff into
-    /// the *geometric* diff, which is what incremental migration ships.
+    /// Relabels this decomposition's ranks to maximize weighted cell
+    /// overlap with `prev`'s owner map (same cell space required). Per-rank
+    /// loads are invariant under a label permutation, so balance is
+    /// untouched — but a from-scratch re-bisection numbers its regions by
+    /// recursion order, which can hand almost every cell a new owner even
+    /// where the cuts barely moved. Aligning labels first turns the owner
+    /// diff into the *geometric* diff, which is what incremental migration
+    /// ships. A computed owner rule is returned as it is.
     ///
     /// Greedy maximum-weight matching on the `(new rank, prev rank)`
     /// overlap matrix: exact for the common near-diagonal case,
     /// deterministic everywhere (ties resolve to the lowest rank pair).
-    pub fn aligned_to(mut self, prev: &dyn SpatialDecomposition, weights: &[u64]) -> Self {
-        debug_assert_eq!(prev.num_cells(), self.grid.num_cells(), "same cell space");
-        debug_assert_eq!(weights.len(), self.rank_of.len(), "one weight per cell");
+    pub(crate) fn aligned_to(mut self, prev: &Decomposition, weights: &[u64]) -> Self {
+        let Owner::Table(rank_of) = &mut self.owner else {
+            return self;
+        };
+        debug_assert_eq!(prev.num_cells() as usize, rank_of.len(), "same cell space");
+        debug_assert_eq!(weights.len(), rank_of.len(), "one weight per cell");
         let r = self.ranks;
         let mut overlap = vec![0u64; r * r];
-        for (cell, &new_r) in self.rank_of.iter().enumerate() {
+        for (cell, &new_r) in rank_of.iter().enumerate() {
             let old_r = prev.cell_to_rank(cell as u32);
             if old_r < r {
                 // `+ 1` keeps empty regions sticky to their old labels.
@@ -361,14 +282,14 @@ impl AdaptiveBisection {
                 *l = free.next().expect("one free label per unmatched rank");
             }
         }
-        for nr in self.rank_of.iter_mut() {
+        for nr in rank_of.iter_mut() {
             *nr = label[*nr as usize] as u32;
         }
         self
     }
 }
 
-impl SpatialDecomposition for AdaptiveBisection {
+impl SpatialDecomposition for Decomposition {
     fn bounds(&self) -> Rect {
         self.grid.bounds()
     }
@@ -394,12 +315,91 @@ impl SpatialDecomposition for AdaptiveBisection {
     }
 
     fn cell_to_rank(&self, cell: u32) -> usize {
-        self.rank_of[cell as usize] as usize
+        match &self.owner {
+            Owner::Computed(map) => map.rank_of(cell, self.grid.num_cells(), self.ranks),
+            Owner::Table(rank_of) => rank_of[cell as usize] as usize,
+        }
     }
 
     fn cell_on_max_edge(&self, cell: u32) -> (bool, bool) {
-        grid_max_edge(&self.grid, cell)
+        let spec = self.grid.spec();
+        let col = cell % spec.cells_x;
+        let row = cell / spec.cells_x;
+        (col == spec.cells_x - 1, row == spec.cells_y - 1)
     }
+}
+
+/// The length of an owner table for `grid`, refused past
+/// [`MAX_TABLE_CELLS`] so no header or option can size a huge one.
+fn table_size(grid: &UniformGrid) -> Result<usize> {
+    let spec = grid.spec();
+    if grid.num_cells() > MAX_TABLE_CELLS {
+        return Err(CoreError::InvalidOptions(format!(
+            "a {}x{} grid needs a {}-cell owner table, over the {MAX_TABLE_CELLS}-cell cap; \
+             use a coarser grid or a uniform cell map",
+            spec.cells_x,
+            spec.cells_y,
+            grid.num_cells()
+        )));
+    }
+    Ok(grid.num_cells() as usize)
+}
+
+/// Maps a cell coordinate in `0..cells` onto the curve's `2^ORDER` grid
+/// (cell centers, so the first and last cells stay inside the curve).
+fn scale_to_order(v: u32, cells: u32) -> u32 {
+    let side = 1u64 << curve::ORDER;
+    (((v as u64 * 2 + 1) * side) / (2 * cells.max(1) as u64)) as u32
+}
+
+/// Hilbert runs: the cells in order along the Hilbert curve through the
+/// grid, cut into `ranks` contiguous runs of near-equal length (the first
+/// `n % ranks` ranks own one extra cell), so each rank owns a spatially
+/// compact region with cell counts balanced to within one cell.
+fn hilbert_runs(grid: &UniformGrid, ranks: usize) -> Result<Vec<u32>> {
+    let n = table_size(grid)?;
+    let spec = grid.spec();
+    // Sort cell ids by their position along the curve (cell centers scaled
+    // into its fixed-order lattice); ties — possible when the grid
+    // outresolves the curve — break by cell id so the order is total.
+    let mut order: Vec<u32> = (0..grid.num_cells()).collect();
+    order.sort_by_key(|&c| {
+        let (col, row) = (c % spec.cells_x, c / spec.cells_x);
+        let key = curve::hilbert_key_cells(
+            scale_to_order(col, spec.cells_x),
+            scale_to_order(row, spec.cells_y),
+        );
+        (key, c)
+    });
+    let mut rank_of = vec![0u32; n];
+    let (base, extra) = (n / ranks, n % ranks);
+    let mut at = 0usize;
+    for r in 0..ranks {
+        let len = base + usize::from(r < extra);
+        for &cell in &order[at..at + len] {
+            rank_of[cell as usize] = r as u32;
+        }
+        at += len;
+    }
+    Ok(rank_of)
+}
+
+/// Recursive bisection of the global per-cell counts: every rank owns a
+/// contiguous rectangle of cells holding a near-equal share of the
+/// estimated features.
+fn bisection(grid: &UniformGrid, counts: &[u64], ranks: usize) -> Result<Vec<u32>> {
+    let n = table_size(grid)?;
+    assert_eq!(counts.len(), n, "one count per cell");
+    let spec = grid.spec();
+    let mut rank_of = vec![0u32; n];
+    let all = CellRange {
+        c0: 0,
+        c1: spec.cells_x,
+        r0: 0,
+        r1: spec.cells_y,
+    };
+    bisect(counts, spec.cells_x, all, 0, ranks as u32, &mut rank_of);
+    Ok(rank_of)
 }
 
 /// A rectangle of cell indices, half-open on both axes.
@@ -494,14 +494,6 @@ fn bisect(counts: &[u64], cells_x: u32, range: CellRange, lo: u32, hi: u32, rank
     bisect(counts, cells_x, right, lo + ranks_left, hi, rank_of);
 }
 
-/// Whether `cell` of `grid` lies in the last column / last row.
-fn grid_max_edge(grid: &UniformGrid, cell: u32) -> (bool, bool) {
-    let spec = grid.spec();
-    let col = cell % spec.cells_x;
-    let row = cell / spec.cells_x;
-    (col == spec.cells_x - 1, row == spec.cells_y - 1)
-}
-
 /// Which decomposition family to build.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DecompPolicy {
@@ -514,7 +506,7 @@ pub enum DecompPolicy {
     /// coarse cell can still be split across ranks).
     Adaptive {
         /// Histogram refinement factor (clamped to keep the cell count
-        /// within the u32 id space; `0` behaves as `1`).
+        /// within [`MAX_TABLE_CELLS`]; `0` behaves as `1`).
         refine: u32,
     },
 }
@@ -582,7 +574,8 @@ impl DecompConfig {
     /// The grid the policy actually tiles: the base spec for uniform and
     /// Hilbert, the refined histogram spec for adaptive. The refinement
     /// factor is clamped so the cell count stays inside the `u32` id
-    /// space (and below 2^22 cells, keeping the rank table small).
+    /// space (and within [`MAX_TABLE_CELLS`], keeping the owner table
+    /// small).
     pub fn effective_spec(&self) -> GridSpec {
         match self.policy {
             DecompPolicy::Uniform(_) | DecompPolicy::Hilbert => self.grid,
@@ -593,7 +586,7 @@ impl DecompConfig {
                         cells_x: self.grid.cells_x.saturating_mul(f),
                         cells_y: self.grid.cells_y.saturating_mul(f),
                     };
-                    if f == 1 || spec.num_cells_u64() <= (1 << 22) {
+                    if f == 1 || spec.num_cells_u64() <= MAX_TABLE_CELLS as u64 {
                         return spec;
                     }
                     f /= 2;
@@ -612,61 +605,22 @@ impl ReduceOp<Vec<u64>> for SumCounts {
     }
 }
 
-/// Collectively builds the configured decomposition over every layer this
-/// rank holds: the extent is the `MPI_UNION` allreduce of the layers'
-/// local MBRs, and the adaptive policy histograms the features of all of
-/// them, so layers joined together share one decomposition. Every rank
-/// must call it; all ranks receive identical objects.
+/// [`Decomposition::build_global`] for a caller that enters it unfailed,
+/// boxed. Collective: every rank must call it; all ranks receive
+/// identical objects.
+///
+/// # Panics
+///
+/// If the policy's owner table would exceed [`MAX_TABLE_CELLS`].
 pub fn build_global(
     comm: &mut Comm,
     layers: &[&[Feature]],
     cfg: &DecompConfig,
 ) -> Box<dyn SpatialDecomposition> {
-    // audit: no rank enters failed, so none is reported.
-    build_global_unless_failed(comm, layers, cfg, false).expect("no rank failed")
-}
-
-/// [`build_global`] for a caller that may enter it `failed`, with empty
-/// layers: every rank then gets the error [`UniformGrid::build_global`]
-/// returns. Collective: every rank must call it, failed or not.
-pub(crate) fn build_global_unless_failed(
-    comm: &mut Comm,
-    layers: &[&[Feature]],
-    cfg: &DecompConfig,
-    failed: bool,
-) -> crate::Result<Box<dyn SpatialDecomposition>> {
-    let features = || layers.iter().flat_map(|l| l.iter());
-    let local_mbr = features().fold(Rect::EMPTY, |acc, f| acc.union(&f.geometry.envelope()));
-    let ranks = comm.size();
-    let grid = UniformGrid::build_global(comm, local_mbr, cfg.effective_spec(), failed)?;
-    Ok(match cfg.policy {
-        DecompPolicy::Uniform(map) => Box::new(UniformDecomposition::new(grid, map, ranks)),
-        DecompPolicy::Hilbert => Box::new(HilbertDecomposition::new(grid, ranks)),
-        DecompPolicy::Adaptive { .. } => {
-            // Histogram pass: one reference-cell lookup per feature
-            // (charged as MBR tests), then a global element-wise sum.
-            let mut counts = vec![0u64; grid.num_cells() as usize];
-            let mut n = 0u64;
-            let mut scratch = Vec::with_capacity(1);
-            for f in features() {
-                n += 1;
-                let env = f.geometry.envelope();
-                if env.is_empty() {
-                    continue;
-                }
-                grid.cells_overlapping_into(
-                    &Rect::new(env.min_x, env.min_y, env.min_x, env.min_y),
-                    &mut scratch,
-                );
-                if let Some(&c) = scratch.first() {
-                    counts[c as usize] += 1;
-                }
-            }
-            comm.charge(Work::MbrTests { n });
-            let counts = comm.allreduce(counts, grid.num_cells() as u64 * 8, &SumCounts);
-            Box::new(AdaptiveBisection::from_counts(grid, &counts, ranks))
-        }
-    })
+    // audit: no rank enters failed, so the only error left is an owner
+    // table past the cap, which is the caller's configuration (# Panics).
+    let d = Decomposition::build_global(comm, layers, cfg, false);
+    Box::new(d.unwrap_or_else(|e| panic!("{e}")))
 }
 
 /// Load-imbalance ratio of a per-rank count vector: `max / mean`, the
@@ -699,7 +653,17 @@ mod tests {
         )
     }
 
-    fn partition_holds(d: &dyn SpatialDecomposition) {
+    const RR: DecompPolicy = DecompPolicy::Uniform(CellMap::RoundRobin);
+
+    fn dec(g: UniformGrid, policy: DecompPolicy, ranks: usize) -> Decomposition {
+        Decomposition::new(g, policy, None, ranks).unwrap()
+    }
+
+    fn bisection(g: UniformGrid, counts: &[u64], ranks: usize) -> Decomposition {
+        Decomposition::new(g, DecompPolicy::adaptive(), Some(counts), ranks).unwrap()
+    }
+
+    fn partition_holds(d: &Decomposition) {
         let mut owned = vec![0u32; d.num_cells() as usize];
         for r in 0..d.num_ranks() {
             for c in d.cells_of_rank(r) {
@@ -715,7 +679,7 @@ mod tests {
     #[test]
     fn uniform_decomposition_matches_grid_and_map() {
         let g = grid(4);
-        let d = UniformDecomposition::new(g.clone(), CellMap::RoundRobin, 3);
+        let d = dec(g.clone(), RR, 3);
         assert_eq!(d.num_cells(), 16);
         assert_eq!(d.bounds(), g.bounds());
         for c in 0..16 {
@@ -729,7 +693,7 @@ mod tests {
 
     #[test]
     fn hilbert_runs_are_contiguous_compact_and_balanced() {
-        let d = HilbertDecomposition::new(grid(8), 4);
+        let d = dec(grid(8), DecompPolicy::Hilbert, 4);
         partition_holds(&d);
         // Balance: 64 cells over 4 ranks = exactly 16 each.
         for r in 0..4 {
@@ -766,7 +730,7 @@ mod tests {
         for c in counts.iter_mut() {
             *c += 1;
         }
-        let d = AdaptiveBisection::from_counts(g, &counts, 4);
+        let d = bisection(g, &counts, 4);
         partition_holds(&d);
         let loads: Vec<u64> = (0..4)
             .map(|r| d.cells_of_rank(r).iter().map(|&c| counts[c as usize]).sum())
@@ -781,7 +745,7 @@ mod tests {
     #[test]
     fn aligning_a_bisection_to_itself_is_the_identity() {
         let counts: Vec<u64> = (0..64).map(|c| (c * 7) % 13).collect();
-        let d = AdaptiveBisection::from_counts(grid(8), &counts, 4);
+        let d = bisection(grid(8), &counts, 4);
         let aligned = d.clone().aligned_to(&d, &counts);
         assert_eq!(aligned, d);
     }
@@ -792,17 +756,17 @@ mod tests {
         // keep every rank's load bit-identical (it is a permutation)
         // while cutting the owner diff versus the unaligned labels.
         let mut counts = vec![1u64; 64];
-        let old = AdaptiveBisection::from_counts(grid(8), &counts, 4);
+        let old = bisection(grid(8), &counts, 4);
         // Drift: a hotspot lands in the top-right corner.
         for row in 5..8u32 {
             for col in 5..8u32 {
                 counts[(row * 8 + col) as usize] += 6;
             }
         }
-        let raw = AdaptiveBisection::from_counts(grid(8), &counts, 4);
+        let raw = bisection(grid(8), &counts, 4);
         let aligned = raw.clone().aligned_to(&old, &counts);
         partition_holds(&aligned);
-        let loads = |d: &AdaptiveBisection| -> Vec<u64> {
+        let loads = |d: &Decomposition| -> Vec<u64> {
             let mut v: Vec<u64> = (0..4)
                 .map(|r| d.cells_of_rank(r).iter().map(|&c| counts[c as usize]).sum())
                 .collect();
@@ -810,7 +774,7 @@ mod tests {
             v
         };
         assert_eq!(loads(&raw), loads(&aligned), "alignment is a pure relabel");
-        let diff = |d: &AdaptiveBisection| {
+        let diff = |d: &Decomposition| {
             (0..64u32)
                 .filter(|&c| d.cell_to_rank(c) != old.cell_to_rank(c))
                 .count()
@@ -831,16 +795,16 @@ mod tests {
     #[test]
     fn adaptive_handles_degenerate_histograms() {
         // All-zero histogram: falls back to even cell splits.
-        let d = AdaptiveBisection::from_counts(grid(4), &[0; 16], 4);
+        let d = bisection(grid(4), &[0; 16], 4);
         partition_holds(&d);
         let sizes: Vec<usize> = (0..4).map(|r| d.cells_of_rank(r).len()).collect();
         assert_eq!(sizes, vec![4, 4, 4, 4]);
         // More ranks than cells: surplus ranks own nothing, every cell
         // still owned exactly once.
-        let d = AdaptiveBisection::from_counts(grid(2), &[5; 4], 7);
+        let d = bisection(grid(2), &[5; 4], 7);
         partition_holds(&d);
         // 1x1 grid, many ranks.
-        let d = AdaptiveBisection::from_counts(
+        let d = bisection(
             UniformGrid::new(Rect::new(0.0, 0.0, 1.0, 1.0), GridSpec::square(1)),
             &[9],
             3,
@@ -849,9 +813,65 @@ mod tests {
         assert_eq!(d.cell_to_rank(0), 0);
     }
 
+    /// Every policy's owner of every cell of a non-square 5×3 grid at 4
+    /// ranks, pinned: BENCH rows only see loads, so a moved owner that
+    /// keeps them shows up here.
+    #[test]
+    fn owner_tables_on_a_5x3_grid_are_pinned() {
+        let g = || {
+            let spec = GridSpec {
+                cells_x: 5,
+                cells_y: 3,
+            };
+            UniformGrid::new(Rect::new(0.0, 0.0, 5.0, 3.0), spec)
+        };
+        let table = |d: Decomposition| (0..15).map(|c| d.cell_to_rank(c)).collect::<Vec<_>>();
+        let counts = [9, 1, 0, 3, 7, 2, 8, 1, 0, 4, 5, 0, 6, 2, 1];
+        let block = DecompPolicy::Uniform(CellMap::Block);
+        assert_eq!(
+            table(dec(g(), RR, 4)),
+            [0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2]
+        );
+        assert_eq!(
+            table(dec(g(), block, 4)),
+            [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3]
+        );
+        assert_eq!(
+            table(dec(g(), DecompPolicy::Hilbert, 4)),
+            [0, 0, 3, 3, 3, 0, 1, 1, 1, 2, 0, 1, 2, 2, 2]
+        );
+        assert_eq!(
+            table(bisection(g(), &counts, 4)),
+            [0, 0, 2, 2, 3, 1, 1, 2, 2, 3, 1, 1, 2, 2, 3]
+        );
+    }
+
+    #[test]
+    fn owner_tables_past_the_cap_and_histogramless_bisections_are_refused() {
+        let huge = || {
+            let spec = GridSpec {
+                cells_x: 65_535,
+                cells_y: 65_535,
+            };
+            UniformGrid::new(Rect::new(0.0, 0.0, 1.0, 1.0), spec)
+        };
+        // A computed rule holds nothing per cell, whatever the grid.
+        assert_eq!(dec(huge(), RR, 3).cell_to_rank(65_535 * 65_535 - 1), 2);
+        let refused = |policy: DecompPolicy, histogram: Option<&[u64]>| {
+            matches!(
+                Decomposition::new(huge(), policy, histogram, 3),
+                Err(CoreError::InvalidOptions(_))
+            )
+        };
+        assert!(refused(DecompPolicy::Hilbert, None));
+        assert!(refused(DecompPolicy::adaptive(), Some(&[])));
+        let err = Decomposition::new(grid(2), DecompPolicy::adaptive(), None, 3).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidOptions(_)), "{err}");
+    }
+
     #[test]
     fn reference_cell_is_the_min_corner_cell() {
-        let d = UniformDecomposition::new(grid(4), CellMap::RoundRobin, 2);
+        let d = dec(grid(4), RR, 2);
         assert_eq!(d.reference_cell(&Rect::new(0.5, 0.5, 2.5, 2.5)), Some(0));
         assert_eq!(d.reference_cell(&Rect::new(3.5, 3.5, 9.0, 9.0)), Some(15));
         assert_eq!(d.reference_cell(&Rect::new(10.0, 10.0, 11.0, 11.0)), None);
@@ -860,7 +880,7 @@ mod tests {
 
     #[test]
     fn max_edge_cells_are_flagged() {
-        let d = UniformDecomposition::new(grid(4), CellMap::RoundRobin, 2);
+        let d = dec(grid(4), RR, 2);
         assert_eq!(d.cell_on_max_edge(0), (false, false));
         assert_eq!(d.cell_on_max_edge(3), (true, false));
         assert_eq!(d.cell_on_max_edge(12), (false, true));
@@ -904,7 +924,7 @@ mod tests {
                         )))
                     })
                     .collect();
-                let d = build_global(comm, &[&feats], &cfg);
+                let d = Decomposition::build_global(comm, &[&feats], &cfg, false).unwrap();
                 (
                     d.bounds(),
                     d.num_cells(),

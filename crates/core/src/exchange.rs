@@ -876,7 +876,7 @@ pub(crate) fn exchange_windows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decomp::UniformDecomposition;
+    use crate::decomp::{DecompPolicy, Decomposition};
     use crate::grid::{CellMap, GridSpec, UniformGrid};
     use mvio_geom::{wkt, Point, Rect};
     use mvio_msim::{Topology, World, WorldConfig};
@@ -887,7 +887,7 @@ mod tests {
 
     /// A `cells × 1` uniform decomposition over a unit-height strip, so
     /// cell ids match the old map-only tests one-to-one.
-    fn strip(cells: u32, map: CellMap, ranks: usize) -> UniformDecomposition {
+    fn strip(cells: u32, map: CellMap, ranks: usize) -> Decomposition {
         let grid = UniformGrid::new(
             Rect::new(0.0, 0.0, cells as f64, 1.0),
             GridSpec {
@@ -895,7 +895,7 @@ mod tests {
                 cells_y: 1,
             },
         );
-        UniformDecomposition::new(grid, map, ranks)
+        Decomposition::new(grid, DecompPolicy::Uniform(map), None, ranks).unwrap()
     }
 
     /// The oracle the frame validator is held to: an independent, eager
@@ -951,7 +951,7 @@ mod tests {
     fn exchange_decoded(
         comm: &mut Comm,
         items: &[(u32, String)],
-        decomp: &UniformDecomposition,
+        decomp: &Decomposition,
         opts: &ExchangeOptions,
     ) -> (Vec<(u32, Feature)>, ExchangeStats) {
         use crate::pipeline::{Partition, PipelineOptions};

@@ -7,7 +7,7 @@
 //! reference-point rule here decides which one cell reports a candidate
 //! pair. `mvio-sjoin`'s join and serving layers apply it per cell.
 
-use crate::decomp::SpatialDecomposition;
+use crate::decomp::{Decomposition, SpatialDecomposition};
 use mvio_geom::Rect;
 
 /// Duplicate avoidance by the reference-point method: a candidate pair is
@@ -35,7 +35,7 @@ pub fn is_reference_cell(cell_rect: &Rect, a: &Rect, b: &Rect) -> bool {
 /// ([`SpatialDecomposition::cell_on_max_edge`]) also claim points lying
 /// exactly on the global max boundary (otherwise results there would be
 /// silently dropped — no neighbouring cell exists to pick them up).
-pub fn claims_reference(decomp: &dyn SpatialDecomposition, cell: u32, a: &Rect, b: &Rect) -> bool {
+pub fn claims_reference(decomp: &Decomposition, cell: u32, a: &Rect, b: &Rect) -> bool {
     let i = a.intersection(b);
     if i.is_empty() {
         return false;
@@ -51,16 +51,14 @@ pub fn claims_reference(decomp: &dyn SpatialDecomposition, cell: u32, a: &Rect, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decomp::UniformDecomposition;
+    use crate::decomp::DecompPolicy;
     use crate::grid::{CellMap, GridSpec, UniformGrid};
 
     #[test]
     fn claims_reference_closes_only_the_outer_max_edges() {
-        let decomp = UniformDecomposition::new(
-            UniformGrid::new(Rect::new(0.0, 0.0, 4.0, 4.0), GridSpec::square(4)),
-            CellMap::RoundRobin,
-            2,
-        );
+        let grid = UniformGrid::new(Rect::new(0.0, 0.0, 4.0, 4.0), GridSpec::square(4));
+        let rr = DecompPolicy::Uniform(CellMap::RoundRobin);
+        let decomp = Decomposition::new(grid, rr, None, 2).unwrap();
         // Reference point exactly on the global max corner: only the last
         // cell claims it.
         let a = Rect::new(4.0, 4.0, 4.0, 4.0);

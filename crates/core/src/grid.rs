@@ -20,11 +20,9 @@
 //! edge starts in the cell above that edge here, where the closed R-tree
 //! rectangles would also hand it the cell below.
 //!
-//! This module is the uniform *building block*; the pluggable
-//! decomposition layer lives in [`crate::decomp`], where
-//! [`UniformGrid`] + [`CellMap`] form the first
-//! [`crate::decomp::SpatialDecomposition`] implementor alongside the
-//! Hilbert-mapped and adaptive-bisection policies.
+//! This module is the uniform *building block*; [`crate::decomp`] pairs
+//! a [`UniformGrid`] with an owner map — a [`CellMap`] rule, Hilbert runs
+//! or an adaptive bisection — in its one [`crate::decomp::Decomposition`].
 
 use mvio_geom::Rect;
 use mvio_msim::Comm;
@@ -225,7 +223,8 @@ impl UniformGrid {
     }
 }
 
-/// Cell → rank assignment policies.
+/// Cell → rank rules computed per lookup, with no per-cell state: the
+/// owner maps of [`crate::decomp::DecompPolicy::Uniform`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellMap {
     /// `rank = cell % p`: the declustering round-robin the paper uses for
@@ -234,22 +233,9 @@ pub enum CellMap {
     /// Contiguous blocks of cells per rank (the coarse partitioning of
     /// Figure 5a, prone to skew).
     Block,
-    /// Locality-aware: contiguous equal runs along the Hilbert curve
-    /// through the cell grid, so each rank owns a compact spatial region
-    /// — the "locality-aware" partitioning the paper lists as future work
-    /// (§5.2). Carries the grid's column count to recover 2-D cell
-    /// coordinates.
-    Hilbert { cells_x: u32 },
 }
 
 impl CellMap {
-    /// Locality-aware map for a given grid.
-    pub fn hilbert(spec: GridSpec) -> CellMap {
-        CellMap::Hilbert {
-            cells_x: spec.cells_x,
-        }
-    }
-
     /// The rank owning `cell`.
     pub fn rank_of(&self, cell: u32, num_cells: u32, ranks: usize) -> usize {
         match *self {
@@ -258,40 +244,8 @@ impl CellMap {
                 let per = num_cells.div_ceil(ranks as u32).max(1);
                 ((cell / per) as usize).min(ranks - 1)
             }
-            CellMap::Hilbert { cells_x } => {
-                let cells_x = cells_x.max(1);
-                let cells_y = num_cells.div_ceil(cells_x).max(1);
-                let col = cell % cells_x;
-                let row = cell / cells_x;
-                // Position along the Hilbert curve, scaled into rank
-                // buckets of equal curve length — compact regions with
-                // balanced cell counts.
-                let key = mvio_geom::curve::hilbert_key_cells(
-                    scale_to_order(col, cells_x),
-                    scale_to_order(row, cells_y),
-                );
-                let side = 1u64 << mvio_geom::curve::ORDER;
-                let frac = key as f64 / (side * side) as f64;
-                ((frac * ranks as f64) as usize).min(ranks - 1)
-            }
         }
     }
-
-    /// All cells owned by `rank`.
-    pub fn cells_of(&self, rank: usize, num_cells: u32, ranks: usize) -> Vec<u32> {
-        (0..num_cells)
-            .filter(|&c| self.rank_of(c, num_cells, ranks) == rank)
-            .collect()
-    }
-}
-
-/// Maps a cell coordinate in `0..cells` onto the curve's `2^ORDER` grid
-/// (cell centers, so the first and last cells stay inside the curve).
-/// Shared with [`crate::decomp::HilbertDecomposition`], which must agree
-/// with [`CellMap::Hilbert`] about curve positions.
-pub(crate) fn scale_to_order(v: u32, cells: u32) -> u32 {
-    let side = 1u64 << mvio_geom::curve::ORDER;
-    (((v as u64 * 2 + 1) * side) / (2 * cells.max(1) as u64)) as u32
 }
 
 #[cfg(test)]
@@ -463,35 +417,34 @@ mod tests {
 
     #[test]
     fn all_maps_cover_all_cells_exactly_once() {
-        for map in [
-            CellMap::RoundRobin,
-            CellMap::Block,
-            CellMap::Hilbert { cells_x: 8 },
-        ] {
-            let mut owned = vec![0u32; 64];
-            for rank in 0..5 {
-                for c in map.cells_of(rank, 64, 5) {
-                    owned[c as usize] += 1;
-                }
+        for map in [CellMap::RoundRobin, CellMap::Block] {
+            let mut owned = [0u32; 5];
+            for c in 0..64 {
+                owned[map.rank_of(c, 64, 5)] += 1;
             }
-            assert!(
-                owned.iter().all(|&n| n == 1),
-                "{map:?} must assign each cell once"
-            );
+            assert_eq!(owned.iter().sum::<u32>(), 64, "{map:?}");
+            assert!(owned.iter().all(|&n| n > 0), "{map:?} starves a rank");
         }
+    }
+
+    /// The owner table of `policy` over `grid` at 4 ranks, one vector of
+    /// cells per rank.
+    fn regions(grid: &UniformGrid, policy: crate::decomp::DecompPolicy) -> Vec<Vec<u32>> {
+        use crate::decomp::{Decomposition, SpatialDecomposition};
+        let d = Decomposition::new(grid.clone(), policy, None, 4).unwrap();
+        (0..4).map(|r| d.cells_of_rank(r)).collect()
     }
 
     #[test]
     fn hilbert_map_regions_are_compact() {
-        // On a 16x16 grid split over 4 ranks, the Hilbert map's regions
-        // must be far more compact (smaller bounding boxes) than
-        // round-robin's scatter.
-        let spec = GridSpec::square(16);
-        let grid = UniformGrid::new(Rect::new(0.0, 0.0, 16.0, 16.0), spec);
-        let compactness = |map: CellMap| -> f64 {
-            (0..4)
-                .map(|rank| {
-                    let cells = map.cells_of(rank, spec.num_cells(), 4);
+        // On a 16x16 grid split over 4 ranks, the Hilbert runs must be far
+        // more compact (smaller bounding boxes) than round-robin's scatter.
+        use crate::decomp::DecompPolicy;
+        let grid = UniformGrid::new(Rect::new(0.0, 0.0, 16.0, 16.0), GridSpec::square(16));
+        let compactness = |policy: DecompPolicy| -> f64 {
+            regions(&grid, policy)
+                .iter()
+                .map(|cells| {
                     let bbox = cells
                         .iter()
                         .fold(Rect::EMPTY, |a, &c| a.union(&grid.cell_rect(c)));
@@ -500,8 +453,8 @@ mod tests {
                 .sum::<f64>()
                 / 4.0
         };
-        let hilbert = compactness(CellMap::hilbert(spec));
-        let rr = compactness(CellMap::RoundRobin);
+        let hilbert = compactness(DecompPolicy::Hilbert);
+        let rr = compactness(DecompPolicy::Uniform(CellMap::RoundRobin));
         assert!(
             hilbert < rr / 2.0,
             "hilbert area/cell {hilbert} must be far below round-robin {rr}"
@@ -510,17 +463,19 @@ mod tests {
 
     #[test]
     fn hilbert_map_balances_cell_counts() {
-        let spec = GridSpec::square(16);
-        let counts: Vec<usize> = (0..4)
-            .map(|r| {
-                CellMap::hilbert(spec)
-                    .cells_of(r, spec.num_cells(), 4)
-                    .len()
-            })
+        // 15x7 = 105 cells over 4 ranks: runs of 27, 26, 26, 26.
+        let grid = UniformGrid::new(
+            Rect::new(0.0, 0.0, 15.0, 7.0),
+            GridSpec {
+                cells_x: 15,
+                cells_y: 7,
+            },
+        );
+        let counts: Vec<usize> = regions(&grid, crate::decomp::DecompPolicy::Hilbert)
+            .iter()
+            .map(Vec::len)
             .collect();
-        let min = *counts.iter().min().unwrap();
-        let max = *counts.iter().max().unwrap();
-        assert!(max - min <= 16, "counts {counts:?} reasonably balanced");
+        assert_eq!(counts, vec![27, 26, 26, 26]);
     }
 
     #[test]
@@ -558,7 +513,8 @@ mod tests {
     #[test]
     fn projection_replicates_spanners_and_charges_time() {
         let out = World::run(WorldConfig::new(Topology::single_node(1)), |comm| {
-            let decomp = crate::decomp::UniformDecomposition::new(grid4(), CellMap::RoundRobin, 1);
+            let policy = crate::decomp::DecompPolicy::Uniform(CellMap::RoundRobin);
+            let decomp = crate::decomp::Decomposition::new(grid4(), policy, None, 1).unwrap();
             let feats = vec![
                 Feature::with_userdata(mvio_geom::Geometry::Point(Point::new(0.5, 0.5)), "point"),
                 Feature::with_userdata(

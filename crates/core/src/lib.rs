@@ -27,9 +27,9 @@
 //!    MBRs are combined with a `MPI_UNION` allreduce into a global cell
 //!    tiling; every geometry is mapped to all overlapping cells (an
 //!    arithmetic lookup charged as the paper's R-tree probe), replicating
-//!    spanners. The tiling and the cell→rank assignment are pluggable
-//!    behind the [`decomp::SpatialDecomposition`] trait: the paper's
-//!    uniform grid, Hilbert-order runs, or skew-aware adaptive bisection.
+//!    spanners. One [`decomp::Decomposition`] pairs the uniform tiling
+//!    with the policy's cell→rank owner map: the paper's round-robin,
+//!    Hilbert-order runs, or skew-aware adaptive bisection.
 //! 5. **Exchange** ([`exchange`]) — the two-round `Alltoall` (sizes) +
 //!    `Alltoallv` (payload) personalized exchange that produces the global
 //!    spatial partitioning, with a sliding-window variant for
@@ -55,10 +55,7 @@ pub mod spops;
 pub mod sptypes;
 pub mod views;
 
-pub use decomp::{
-    AdaptiveBisection, DecompConfig, DecompPolicy, HilbertDecomposition, SpatialDecomposition,
-    UniformDecomposition,
-};
+pub use decomp::{DecompConfig, DecompPolicy, Decomposition, SpatialDecomposition};
 pub use exchange::{
     ExchangeChunk, ExchangeOptions, ExchangePlan, ExchangeRound, ExchangeStats, FrameStore,
     RecordFrame, SerializedBatch,

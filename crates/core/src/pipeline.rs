@@ -64,7 +64,7 @@
 //! cells it owns, as wire frames:
 //!
 //! ```
-//! use mvio_core::decomp::DecompConfig;
+//! use mvio_core::decomp::{DecompConfig, SpatialDecomposition};
 //! use mvio_core::grid::GridSpec;
 //! use mvio_core::partition::ReadOptions;
 //! use mvio_core::pipeline::{ingest, PipelineOptions};
@@ -98,7 +98,7 @@
 //! assert_eq!(out.iter().sum::<usize>(), 3);
 //! ```
 
-use crate::decomp::{self, DecompConfig, SpatialDecomposition};
+use crate::decomp::{DecompConfig, Decomposition, SpatialDecomposition};
 // The persistence half of the pipeline: `ingest` once, `write_partitioned`
 // the result, `read_partitioned` it back on any later run (bit-identically
 // under the same world size and decomposition).
@@ -375,16 +375,16 @@ pub(crate) struct ChunkCells {
 /// One layer's features on their way to the exchange: cell-mapped under
 /// `decomp` and serialized into one batch per sliding window, each window
 /// a contiguous run of `span` cell ids.
-pub(crate) struct Partition<'a, D: ?Sized> {
-    decomp: &'a D,
+pub(crate) struct Partition<'a> {
+    decomp: &'a Decomposition,
     features: &'a [Feature],
     windows: usize,
     span: u32,
 }
 
-impl<'a, D: SpatialDecomposition + ?Sized> Partition<'a, D> {
+impl<'a> Partition<'a> {
     /// `windows` windows: at least one, and at most one per cell.
-    pub(crate) fn new(decomp: &'a D, features: &'a [Feature], windows: u32) -> Self {
+    pub(crate) fn new(decomp: &'a Decomposition, features: &'a [Feature], windows: u32) -> Self {
         let cells = decomp.num_cells();
         let windows = windows.clamp(1, cells.max(1));
         let span = cells.div_ceil(windows).max(1);
@@ -540,9 +540,9 @@ impl<'a, D: SpatialDecomposition + ?Sized> Partition<'a, D> {
 /// its slowest lane. The [`SerializedBatch`] is byte-identical for any
 /// worker count: feature-major, cells ascending.
 /// Not collective — the communicator only charges the worker lanes.
-pub fn partition_chunked<D: SpatialDecomposition + ?Sized>(
+pub fn partition_chunked(
     comm: &mut Comm,
-    decomp: &D,
+    decomp: &Decomposition,
     features: &[Feature],
     opts: &PipelineOptions,
 ) -> Result<(SerializedBatch, PipelineStats)> {
@@ -562,9 +562,9 @@ pub fn partition_chunked<D: SpatialDecomposition + ?Sized>(
 /// chunks, same order); only the virtual time moves, because the chunks'
 /// lanes (the same `chunk % workers` rule) overlap the in-flight rounds.
 /// Collective: every rank must call it.
-pub fn partition_exchange_overlapped<D: SpatialDecomposition + ?Sized>(
+pub fn partition_exchange_overlapped(
     comm: &mut Comm,
-    decomp: &D,
+    decomp: &Decomposition,
     features: &[Feature],
     opts: &PipelineOptions,
     chunk_bytes: u64,
@@ -634,7 +634,7 @@ pub fn partition_exchange_overlapped<D: SpatialDecomposition + ?Sized>(
 #[derive(Debug)]
 pub struct IngestOutput {
     /// The collectively built global decomposition.
-    pub decomp: Box<dyn SpatialDecomposition>,
+    pub decomp: Decomposition,
     /// The `(cell, feature)` replicas this rank owns after the exchange,
     /// kept as the validated wire records they arrived as — bit-identical
     /// to the sequential parse→project→exchange path.
@@ -661,7 +661,7 @@ impl IngestOutput {
         path: &str,
         opts: &SnapshotWriteOptions,
     ) -> Result<crate::snapshot::SnapshotWriteReport> {
-        crate::snapshot::write_partitioned(comm, fs, path, self.owned.frames(), &*self.decomp, opts)
+        crate::snapshot::write_partitioned(comm, fs, path, self.owned.frames(), &self.decomp, opts)
     }
 }
 
@@ -730,7 +730,7 @@ pub struct IngestedLayer {
 #[derive(Debug)]
 pub struct IngestedLayers {
     /// The one decomposition built over every layer.
-    pub decomp: Box<dyn SpatialDecomposition>,
+    pub decomp: Decomposition,
     /// The layers, in the order of their paths.
     pub layers: Vec<IngestedLayer>,
     /// This rank's virtual clock when the partition phase (read, parse,
@@ -742,7 +742,7 @@ pub struct IngestedLayers {
 /// The one text front half, which [`ingest`], the join, the range and
 /// batch queries and the index build all run on: per layer a partitioned
 /// read and a parallel parse; then **one** decomposition over all layers
-/// ([`decomp::build_global`]), so joined layers share their cells. The
+/// ([`Decomposition::build_global`]), so joined layers share their cells. The
 /// partition phase ends with every layer cell-mapped; the communication
 /// phase serializes each layer and exchanges it into one [`FrameStore`],
 /// one collective exchange per [`ExchangeOptions::windows`] window. A
@@ -776,7 +776,7 @@ pub fn ingest_layers(
         }));
     }
     let features: Vec<&[Feature]> = parsed.iter().map(|(f, _)| f.as_slice()).collect();
-    let decomp = decomp::build_global_unless_failed(comm, &features, cfg, deferred.is_some())
+    let decomp = Decomposition::build_global(comm, &features, cfg, deferred.is_some())
         .map_err(|peer| deferred.take().unwrap_or(peer))?;
     let windows = exchange_opts.windows;
     let streamed = exchange_opts.chunk.resolve().filter(|_| windows <= 1);
@@ -784,7 +784,7 @@ pub fn ingest_layers(
     let maps: Vec<_> = features
         .iter()
         .filter(|_| streamed.is_none())
-        .map(|f| Partition::new(&*decomp, f, windows).map(comm, opts))
+        .map(|f| Partition::new(&decomp, f, windows).map(comm, opts))
         .collect();
     let partition_end = comm.now();
 
@@ -793,11 +793,11 @@ pub fn ingest_layers(
     for (features, parse_stats) in parsed {
         let local_features = features.len() as u64;
         let (owned, part, exchange) = match streamed {
-            Some(chunk) => partition_exchange_overlapped(comm, &*decomp, &features, opts, chunk)?,
+            Some(chunk) => partition_exchange_overlapped(comm, &decomp, &features, opts, chunk)?,
             None => {
                 let map = maps.next().unwrap_or_default();
                 let (batches, part) =
-                    Partition::new(&*decomp, &features, windows).serialize(comm, &map, opts)?;
+                    Partition::new(&decomp, &features, windows).serialize(comm, &map, opts)?;
                 drop(features);
                 let (owned, exchange) = exchange_windows(comm, batches, exchange_opts)?;
                 (owned, part, exchange)
@@ -825,7 +825,7 @@ pub fn ingest_layers(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decomp::UniformDecomposition;
+    use crate::decomp::DecompPolicy;
     use crate::exchange::{
         exchange_serialized, serialize_record, ExchangeChunk, ExchangeOptions, RecordFrame,
     };
@@ -841,7 +841,7 @@ mod tests {
 
     /// The sequential reference serializer: every replica of every
     /// feature, feature-major with cells ascending, one record at a time.
-    fn sequential_batch(decomp: &dyn SpatialDecomposition, feats: &[Feature]) -> SerializedBatch {
+    fn sequential_batch(decomp: &Decomposition, feats: &[Feature]) -> SerializedBatch {
         let mut batch = SerializedBatch::empty(decomp.num_ranks());
         for f in feats {
             for cell in decomp.cells_for_rect_vec(&f.geometry.envelope()) {
@@ -989,11 +989,8 @@ mod tests {
         let text = sample_text(240);
         let feats = parse_buffer_serial(&text, &WktLineParser).unwrap();
         let mk_decomp = || {
-            UniformDecomposition::new(
-                UniformGrid::new(Rect::new(0.0, 0.0, 30.0, 75.0), GridSpec::square(8)),
-                CellMap::RoundRobin,
-                3,
-            )
+            let grid = UniformGrid::new(Rect::new(0.0, 0.0, 30.0, 75.0), GridSpec::square(8));
+            Decomposition::new(grid, DecompPolicy::Uniform(CellMap::RoundRobin), None, 3).unwrap()
         };
         let run = |workers: usize| {
             let feats = feats.clone();
@@ -1032,9 +1029,9 @@ mod tests {
             World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {
                 let text = read_partition_text(comm, &fs, "data.wkt", &read).unwrap();
                 let feats = parse_buffer(comm, &text, &WktLineParser).unwrap();
-                let decomp =
-                    crate::decomp::build_global(comm, &[&feats], &DecompConfig::uniform(spec));
-                let batch = sequential_batch(&*decomp, &feats);
+                let cfg = DecompConfig::uniform(spec);
+                let decomp = Decomposition::build_global(comm, &[&feats], &cfg, false).unwrap();
+                let batch = sequential_batch(&decomp, &feats);
                 exchange_serialized(comm, batch, &ExchangeOptions::default())
                     .unwrap()
                     .0
@@ -1207,7 +1204,7 @@ mod tests {
                     &fs,
                     &snap,
                     &meta,
-                    &*rep.decomp,
+                    &rep.decomp,
                     &crate::snapshot::SnapshotReadOptions::default(),
                 )
                 .unwrap();

@@ -12,8 +12,8 @@
 //!   (exactly the ingest pipeline's routing rule), applying received
 //!   inserts and deletes to the local replica set as rounds complete;
 //! * [`DriftTracker`] maintains the local per-cell reference-feature
-//!   histogram incrementally as updates arrive — the same histogram
-//!   [`AdaptiveBisection`] bisects at ingest time — and produces the
+//!   histogram incrementally as updates arrive — the same histogram the
+//!   adaptive [`DecompPolicy`] bisects at ingest time — and produces the
 //!   global view with one element-wise allreduce;
 //! * [`Rebalancer::maybe_rebalance`] recomputes the decomposition from
 //!   the drifted histogram when imbalance crosses its threshold, and
@@ -30,11 +30,10 @@
 //!
 //! Selected by [`RebalancePolicy`] (off by default).
 
-use crate::decomp::{imbalance_ratio, AdaptiveBisection, SpatialDecomposition};
+use crate::decomp::{imbalance_ratio, DecompPolicy, Decomposition, SpatialDecomposition};
 use crate::exchange::{
     serialize_record, ExchangeChunk, ExchangeOptions, ExchangePlan, ExchangeStats, SerializedBatch,
 };
-use crate::grid::UniformGrid;
 use crate::resident::ResidentStore;
 use crate::{CoreError, Feature, Result};
 use mvio_geom::Rect;
@@ -95,7 +94,7 @@ pub struct UpdateStats {
 /// `mbr` — the engine's kNN dedup rule, shared here so the drift
 /// histogram counts each feature exactly once globally (degenerate
 /// reference corners fall back to the lowest overlapping cell).
-fn is_reference(sd: &dyn SpatialDecomposition, cell: u32, mbr: &Rect) -> bool {
+fn is_reference(sd: &Decomposition, cell: u32, mbr: &Rect) -> bool {
     match sd.reference_cell(mbr) {
         Some(c) => c == cell,
         None => sd.cells_for_rect_vec(mbr).first() == Some(&cell),
@@ -112,7 +111,7 @@ impl ReduceOp<Vec<i64>> for SumDeltas {
 }
 
 /// Incrementally-maintained local per-cell histogram of *reference*
-/// features — the same count-per-cell signal [`AdaptiveBisection`]
+/// features — the same count-per-cell signal the adaptive policy
 /// bisects at ingest time, kept live across [`apply_updates`] calls so a
 /// rebalance decision never needs a full local rescan. Each feature is
 /// counted once globally, in the cell owning its reference corner, so
@@ -133,7 +132,7 @@ impl DriftTracker {
 
     /// Rebuilds the tracker from a resident replica set (used at engine
     /// construction and after a migration rewires cell ownership).
-    pub fn rebuild(sd: &dyn SpatialDecomposition, store: &ResidentStore) -> Self {
+    pub fn rebuild(sd: &Decomposition, store: &ResidentStore) -> Self {
         let mut t = DriftTracker::new(sd.num_cells());
         for (cell, mbr) in store.replicas() {
             t.record(sd, cell, mbr, 1);
@@ -143,7 +142,7 @@ impl DriftTracker {
 
     /// Applies one replica arrival/removal: bumps the cell's count when
     /// the replica (of envelope `mbr`) is its feature's reference copy.
-    fn record(&mut self, sd: &dyn SpatialDecomposition, cell: u32, mbr: &Rect, delta: i64) {
+    fn record(&mut self, sd: &Decomposition, cell: u32, mbr: &Rect, delta: i64) {
         if is_reference(sd, cell, mbr) {
             self.counts[cell as usize] += delta;
         }
@@ -167,7 +166,7 @@ impl DriftTracker {
     /// After a migration under `sd`, the local histogram is exactly the
     /// global one restricted to the cells this rank now owns (reference
     /// replicas moved with their cells).
-    fn adopt(&mut self, comm: &Comm, sd: &dyn SpatialDecomposition, global: &[u64]) {
+    fn adopt(&mut self, comm: &Comm, sd: &Decomposition, global: &[u64]) {
         let me = comm.rank();
         for (cell, slot) in self.counts.iter_mut().enumerate() {
             *slot = if sd.cell_to_rank(cell as u32) == me {
@@ -210,7 +209,7 @@ impl DriftTracker {
 /// of the corrupt one or of those after it.
 pub fn apply_updates(
     comm: &mut Comm,
-    sd: &dyn SpatialDecomposition,
+    sd: &Decomposition,
     store: &mut ResidentStore,
     updates: &[Update],
     chunk: ExchangeChunk,
@@ -352,8 +351,8 @@ pub struct MigrationStats {
 /// rejected symmetrically with [`CoreError::InvalidOptions`].
 pub fn migrate_cells(
     comm: &mut Comm,
-    from: &dyn SpatialDecomposition,
-    to: &dyn SpatialDecomposition,
+    from: &Decomposition,
+    to: &Decomposition,
     store: &mut ResidentStore,
     chunk: ExchangeChunk,
 ) -> Result<MigrationStats> {
@@ -419,7 +418,7 @@ pub struct RebalanceReport {
 }
 
 /// Folds the global per-cell histogram into per-rank loads under `sd`.
-fn per_rank_loads(sd: &dyn SpatialDecomposition, hist: &[u64]) -> Vec<u64> {
+fn per_rank_loads(sd: &Decomposition, hist: &[u64]) -> Vec<u64> {
     let mut loads = vec![0u64; sd.num_ranks()];
     for (cell, &n) in hist.iter().enumerate() {
         loads[sd.cell_to_rank(cell as u32)] += n;
@@ -439,7 +438,7 @@ pub struct Rebalancer {
 impl Rebalancer {
     /// Builds a rebalancer over an existing resident partition,
     /// initializing the drift histogram from the resident replicas.
-    pub fn new(threshold: f64, sd: &dyn SpatialDecomposition, store: &ResidentStore) -> Self {
+    pub fn new(threshold: f64, sd: &Decomposition, store: &ResidentStore) -> Self {
         Rebalancer {
             threshold: threshold.max(1.0),
             tracker: DriftTracker::rebuild(sd, store),
@@ -450,7 +449,7 @@ impl Rebalancer {
     /// resolves to off.
     pub fn from_policy(
         policy: RebalancePolicy,
-        sd: &dyn SpatialDecomposition,
+        sd: &Decomposition,
         store: &ResidentStore,
     ) -> Option<Self> {
         policy.resolve().map(|t| Self::new(t, sd, store))
@@ -469,7 +468,7 @@ impl Rebalancer {
 
     /// Measures the drifted load balance and, when the max/mean ratio
     /// has reached the threshold, re-bisects the histogram into a fresh
-    /// [`AdaptiveBisection`] over the *same* cell tiling and migrates
+    /// adaptive [`Decomposition`] over the *same* cell tiling and migrates
     /// the moved cells ([`migrate_cells`]), replacing `sd` in place.
     /// Collective — every rank must call it together: the decision is a
     /// pure function of the allreduced histogram, so all ranks take the
@@ -477,12 +476,12 @@ impl Rebalancer {
     pub fn maybe_rebalance(
         &mut self,
         comm: &mut Comm,
-        sd: &mut Box<dyn SpatialDecomposition>,
+        sd: &mut Decomposition,
         store: &mut ResidentStore,
         chunk: ExchangeChunk,
     ) -> Result<RebalanceReport> {
         let hist = self.tracker.global_histogram(comm);
-        let imbalance_before = imbalance_ratio(&per_rank_loads(&**sd, &hist));
+        let imbalance_before = imbalance_ratio(&per_rank_loads(sd, &hist));
         let mut report = RebalanceReport {
             rebalanced: false,
             imbalance_before,
@@ -492,13 +491,13 @@ impl Rebalancer {
         if imbalance_before < self.threshold {
             return Ok(report);
         }
-        let grid = UniformGrid::try_new(sd.bounds(), sd.grid_spec())?;
         // Align the fresh bisection's rank labels to the outgoing owner
         // map before diffing: balance is label-invariant, but migration
         // cost is not, and recursion-order labels would otherwise move
         // cells whose region barely changed.
+        let (grid, policy) = (sd.grid().clone(), DecompPolicy::adaptive());
         let next =
-            AdaptiveBisection::from_counts(grid, &hist, sd.num_ranks()).aligned_to(&**sd, &hist);
+            Decomposition::new(grid, policy, Some(&hist), sd.num_ranks())?.aligned_to(sd, &hist);
         let imbalance_after = imbalance_ratio(&per_rank_loads(&next, &hist));
         if imbalance_after >= imbalance_before {
             // The histogram offers no better cut (e.g. one cell holds
@@ -507,9 +506,9 @@ impl Rebalancer {
             // same verdict everywhere.
             return Ok(report);
         }
-        report.migration = migrate_cells(comm, &**sd, &next, store, chunk)?;
-        *sd = Box::new(next);
-        self.tracker.adopt(comm, &**sd, &hist);
+        report.migration = migrate_cells(comm, sd, &next, store, chunk)?;
+        *sd = next;
+        self.tracker.adopt(comm, sd, &hist);
         report.rebalanced = true;
         report.imbalance_after = imbalance_after;
         Ok(report)
@@ -519,13 +518,17 @@ impl Rebalancer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decomp::UniformDecomposition;
-    use crate::grid::{CellMap, GridSpec};
+    use crate::grid::{CellMap, GridSpec, UniformGrid};
     use mvio_geom::{Geometry, Point, Rect};
     use mvio_msim::{Topology, World, WorldConfig};
 
     fn grid(side: u32, world: f64) -> UniformGrid {
         UniformGrid::new(Rect::new(0.0, 0.0, world, world), GridSpec::square(side))
+    }
+
+    /// The `map` decomposition of `grid` for a `ranks`-rank world.
+    fn uniform(grid: UniformGrid, map: CellMap, ranks: usize) -> Decomposition {
+        Decomposition::new(grid, DecompPolicy::Uniform(map), None, ranks).unwrap()
     }
 
     fn pt(x: f64, y: f64, tag: &str) -> Feature {
@@ -534,11 +537,7 @@ mod tests {
 
     /// Replicas each rank would own if `features` were freshly ingested
     /// under `sd`.
-    fn fresh_owned(
-        sd: &dyn SpatialDecomposition,
-        features: &[Feature],
-        rank: usize,
-    ) -> Vec<(u32, Feature)> {
+    fn fresh_owned(sd: &Decomposition, features: &[Feature], rank: usize) -> Vec<(u32, Feature)> {
         let mut owned = Vec::new();
         for f in features {
             for cell in sd.cells_for_rect_vec(&f.geometry.envelope()) {
@@ -551,11 +550,7 @@ mod tests {
     }
 
     /// [`fresh_owned`] as the store an engine would hold.
-    fn fresh_store(
-        comm: &mut Comm,
-        sd: &dyn SpatialDecomposition,
-        features: &[Feature],
-    ) -> ResidentStore {
+    fn fresh_store(comm: &mut Comm, sd: &Decomposition, features: &[Feature]) -> ResidentStore {
         ResidentStore::from_owned(comm, fresh_owned(sd, features, comm.rank())).unwrap()
     }
 
@@ -591,7 +586,7 @@ mod tests {
     #[test]
     fn updates_converge_to_a_fresh_ingest_of_the_final_dataset() {
         let out = World::run(WorldConfig::new(Topology::single_node(4)), move |comm| {
-            let sd = UniformDecomposition::new(grid(4, 8.0), CellMap::RoundRobin, comm.size());
+            let sd = uniform(grid(4, 8.0), CellMap::RoundRobin, comm.size());
             let base: Vec<Feature> = vec![pt(1.0, 1.0, "a"), pt(6.5, 6.5, "b")];
             let mut owned = fresh_store(comm, &sd, &base);
             let mut tracker = DriftTracker::rebuild(&sd, &owned);
@@ -631,7 +626,7 @@ mod tests {
     #[test]
     fn out_of_bounds_insert_rejects_symmetrically_and_leaves_state_alone() {
         let out = World::run(WorldConfig::new(Topology::single_node(2)), move |comm| {
-            let sd = UniformDecomposition::new(grid(2, 4.0), CellMap::RoundRobin, comm.size());
+            let sd = uniform(grid(2, 4.0), CellMap::RoundRobin, comm.size());
             let base = vec![pt(1.0, 1.0, "a")];
             let mut owned = fresh_store(comm, &sd, &base);
             let before = records(&owned);
@@ -659,7 +654,7 @@ mod tests {
     #[test]
     fn deleting_an_absent_feature_is_a_counted_noop() {
         let out = World::run(WorldConfig::new(Topology::single_node(2)), move |comm| {
-            let sd = UniformDecomposition::new(grid(2, 4.0), CellMap::RoundRobin, comm.size());
+            let sd = uniform(grid(2, 4.0), CellMap::RoundRobin, comm.size());
             let mut owned = fresh_store(comm, &sd, &[pt(1.0, 1.0, "a")]);
             let updates = if comm.rank() == 0 {
                 vec![Update::Delete(pt(1.0, 1.0, "ghost"))]
@@ -684,8 +679,8 @@ mod tests {
     #[test]
     fn migration_with_unchanged_owner_map_moves_zero_bytes() {
         let out = World::run(WorldConfig::new(Topology::single_node(4)), move |comm| {
-            let sd = UniformDecomposition::new(grid(4, 8.0), CellMap::RoundRobin, comm.size());
-            let same = UniformDecomposition::new(grid(4, 8.0), CellMap::RoundRobin, comm.size());
+            let sd = uniform(grid(4, 8.0), CellMap::RoundRobin, comm.size());
+            let same = uniform(grid(4, 8.0), CellMap::RoundRobin, comm.size());
             let features: Vec<Feature> = (0..12)
                 .map(|i| pt(i as f64 * 0.6, 3.0, &format!("f{i}")))
                 .collect();
@@ -712,8 +707,8 @@ mod tests {
     #[test]
     fn migration_rejects_mismatched_cell_spaces() {
         let out = World::run(WorldConfig::new(Topology::single_node(2)), move |comm| {
-            let a = UniformDecomposition::new(grid(4, 8.0), CellMap::RoundRobin, comm.size());
-            let b = UniformDecomposition::new(grid(2, 8.0), CellMap::RoundRobin, comm.size());
+            let a = uniform(grid(4, 8.0), CellMap::RoundRobin, comm.size());
+            let b = uniform(grid(2, 8.0), CellMap::RoundRobin, comm.size());
             let mut owned = ResidentStore::new();
             migrate_cells(comm, &a, &b, &mut owned, ExchangeChunk::Unlimited)
                 .err()
@@ -726,11 +721,7 @@ mod tests {
     fn rebalance_trips_on_a_hotspot_and_migrates_only_the_diff() {
         let out = World::run(WorldConfig::new(Topology::single_node(4)), move |comm| {
             // Start balanced: one feature per cell, block map.
-            let sd: Box<dyn SpatialDecomposition> = Box::new(UniformDecomposition::new(
-                grid(8, 8.0),
-                CellMap::Block,
-                comm.size(),
-            ));
+            let sd = uniform(grid(8, 8.0), CellMap::Block, comm.size());
             let base: Vec<Feature> = (0..64)
                 .map(|c| {
                     let r = sd.cell_rect(c);
@@ -742,8 +733,8 @@ mod tests {
                 })
                 .collect();
             let mut sd = sd;
-            let mut owned = fresh_store(comm, &*sd, &base);
-            let mut reb = Rebalancer::new(1.5, &*sd, &owned);
+            let mut owned = fresh_store(comm, &sd, &base);
+            let mut reb = Rebalancer::new(1.5, &sd, &owned);
             // Pour a hotspot over the bottom-left 3×3-cell patch (rank
             // 0's block rows), spread in 2D so bisection has cuts to use.
             let hotspot: Vec<Update> = (0..128)
@@ -760,7 +751,7 @@ mod tests {
             };
             apply_updates(
                 comm,
-                &*sd,
+                &sd,
                 &mut owned,
                 &mine,
                 ExchangeChunk::Bytes(256),
@@ -783,7 +774,7 @@ mod tests {
             );
             // The tracker survives the migration exactly: a rebuild from
             // the migrated replicas matches the adopted histogram.
-            assert_eq!(*reb.tracker_mut(), DriftTracker::rebuild(&*sd, &owned));
+            assert_eq!(*reb.tracker_mut(), DriftTracker::rebuild(&sd, &owned));
             // Replicas still live on the ranks that own their cells.
             for (cell, _) in owned.replicas() {
                 assert_eq!(sd.cell_to_rank(cell), comm.rank());
@@ -816,7 +807,7 @@ mod tests {
         // `SerializeGeoms` per record it encodes — is taken off.
         let batch = features.clone();
         World::run(WorldConfig::new(Topology::single_node(1)), move |comm| {
-            let sd = UniformDecomposition::new(grid(4, 8.0), CellMap::RoundRobin, 1);
+            let sd = uniform(grid(4, 8.0), CellMap::RoundRobin, 1);
             let model = *comm.cost_model();
             let budget = N as f64 * model.serialize_per_geometry / 4.0;
             let mut store = ResidentStore::new();
@@ -860,8 +851,8 @@ mod tests {
 
         // Two ranks swap half their cells: each ships and lands replicas.
         World::run(WorldConfig::new(Topology::single_node(2)), move |comm| {
-            let from = UniformDecomposition::new(grid(4, 8.0), CellMap::RoundRobin, 2);
-            let to = UniformDecomposition::new(grid(4, 8.0), CellMap::Block, 2);
+            let from = uniform(grid(4, 8.0), CellMap::RoundRobin, 2);
+            let to = uniform(grid(4, 8.0), CellMap::Block, 2);
             let mut store = fresh_store(comm, &from, &features);
             let t = comm.now();
             let stats =
@@ -883,15 +874,11 @@ mod tests {
     #[test]
     fn below_threshold_is_a_cheap_noop() {
         let out = World::run(WorldConfig::new(Topology::single_node(2)), move |comm| {
-            let mut sd: Box<dyn SpatialDecomposition> = Box::new(UniformDecomposition::new(
-                grid(2, 4.0),
-                CellMap::RoundRobin,
-                comm.size(),
-            ));
+            let mut sd = uniform(grid(2, 4.0), CellMap::RoundRobin, comm.size());
             let features = vec![pt(1.0, 1.0, "a"), pt(3.0, 3.0, "b")];
-            let mut owned = fresh_store(comm, &*sd, &features);
+            let mut owned = fresh_store(comm, &sd, &features);
             let before = records(&owned);
-            let mut reb = Rebalancer::new(4.0, &*sd, &owned);
+            let mut reb = Rebalancer::new(4.0, &sd, &owned);
             let report = reb
                 .maybe_rebalance(comm, &mut sd, &mut owned, ExchangeChunk::Unlimited)
                 .unwrap();

@@ -66,12 +66,12 @@
 //! ([`read_partitioned`] takes it) instead of being fetched again, so a
 //! reload's metadata cost does not grow with the world size.
 
-use crate::decomp::SpatialDecomposition;
+use crate::decomp::{DecompPolicy, Decomposition, SpatialDecomposition};
 use crate::exchange::{
     exchange_serialized, record_len_at, serialize_frame, ExchangeChunk, ExchangeOptions,
     ExchangeStats, FrameStore, RecordFrame, SerializedBatch,
 };
-use crate::grid::GridSpec;
+use crate::grid::{GridSpec, UniformGrid};
 use crate::{CoreError, Result};
 use mvio_geom::Rect;
 use mvio_msim::hints::ROMIO_MAX_IO_BYTES;
@@ -121,6 +121,16 @@ impl SnapshotMeta {
     /// Total exact payload bytes across all sections.
     pub fn payload_bytes(&self) -> u64 {
         self.sections.iter().map(|s| s.len).sum()
+    }
+
+    /// The decomposition a world of `ranks` rebuilds over this snapshot's
+    /// grid and bounds under `policy`: [`Decomposition::new`] without a
+    /// histogram, which a snapshot does not carry. The adaptive policy is
+    /// therefore refused with [`CoreError::InvalidOptions`], and so is a
+    /// Hilbert owner table past [`crate::decomp::MAX_TABLE_CELLS`].
+    pub fn decomposition(&self, policy: DecompPolicy, ranks: usize) -> Result<Decomposition> {
+        let grid = UniformGrid::try_new(self.bounds, self.spec)?;
+        Decomposition::new(grid, policy, None, ranks)
     }
 }
 
@@ -462,7 +472,7 @@ pub fn write_partitioned<'a>(
     fs: &Arc<SimFs>,
     path: &str,
     frames: impl IntoIterator<Item = RecordFrame<'a>>,
-    decomp: &dyn SpatialDecomposition,
+    decomp: &Decomposition,
     opts: &SnapshotWriteOptions,
 ) -> Result<SnapshotWriteReport> {
     let p = comm.size();
@@ -643,7 +653,7 @@ pub fn read_partitioned(
     fs: &Arc<SimFs>,
     path: &str,
     meta: &SnapshotMeta,
-    decomp: &dyn SpatialDecomposition,
+    decomp: &Decomposition,
     opts: &SnapshotReadOptions,
 ) -> Result<(FrameStore, SnapshotReadReport)> {
     let p = comm.size();
@@ -798,7 +808,6 @@ pub fn read_partitioned(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decomp::UniformDecomposition;
     use crate::exchange::{record_frames, serialize_record, validate_frames};
     use crate::grid::{CellMap, UniformGrid};
     use crate::Feature;
@@ -813,7 +822,7 @@ mod tests {
         fs: &Arc<SimFs>,
         path: &str,
         pairs: &[(u32, Feature)],
-        decomp: &dyn SpatialDecomposition,
+        decomp: &Decomposition,
         opts: &SnapshotWriteOptions,
     ) -> Result<SnapshotWriteReport> {
         let mut buf = Vec::new();
@@ -830,7 +839,7 @@ mod tests {
         comm: &mut Comm,
         fs: &Arc<SimFs>,
         path: &str,
-        decomp: &dyn SpatialDecomposition,
+        decomp: &Decomposition,
         opts: &SnapshotReadOptions,
     ) -> Result<(Vec<(u32, Feature)>, SnapshotReadReport)> {
         let meta = read_meta_timed(comm, fs, path)?;
@@ -839,7 +848,7 @@ mod tests {
         Ok((pairs.collect(), report))
     }
 
-    fn decomp(cells: u32, ranks: usize) -> UniformDecomposition {
+    fn decomp(cells: u32, ranks: usize) -> Decomposition {
         let grid = UniformGrid::new(
             Rect::new(0.0, 0.0, cells as f64, 1.0),
             GridSpec {
@@ -847,7 +856,13 @@ mod tests {
                 cells_y: 1,
             },
         );
-        UniformDecomposition::new(grid, CellMap::RoundRobin, ranks)
+        Decomposition::new(
+            grid,
+            DecompPolicy::Uniform(CellMap::RoundRobin),
+            None,
+            ranks,
+        )
+        .unwrap()
     }
 
     fn pairs_for(rank: usize, ranks: usize, cells: u32, per_cell: usize) -> Vec<(u32, Feature)> {

@@ -4,7 +4,7 @@
 //! Everything else in the workspace is one-shot batch ingest→answer;
 //! [`QueryEngine`] is the long-lived counterpart. It is constructed once
 //! — from an [`IngestOutput`] or a binary snapshot — and keeps the
-//! per-rank R-tree and the global [`SpatialDecomposition`] resident
+//! per-rank R-tree and the global [`Decomposition`] resident
 //! across [`QueryEngine::serve`] calls, so a serving batch costs only
 //! routing + tree walks + two pipelined exchanges instead of a full
 //! read/partition/exchange pass per query.
@@ -81,7 +81,7 @@
 //! insert, and serves a range query over the mutated dataset:
 //!
 //! ```
-//! use mvio_core::decomp::{SpatialDecomposition, UniformDecomposition};
+//! use mvio_core::decomp::{DecompPolicy, Decomposition, SpatialDecomposition};
 //! use mvio_core::grid::{CellMap, GridSpec, UniformGrid};
 //! use mvio_core::rebalance::Update;
 //! use mvio_core::Feature;
@@ -93,8 +93,8 @@
 //!     // Every rank fabricates the same tiny dataset and keeps the
 //!     // replicas it owns — the state an ingest would have produced.
 //!     let grid = UniformGrid::new(Rect::new(0.0, 0.0, 4.0, 4.0), GridSpec::square(2));
-//!     let sd: Box<dyn SpatialDecomposition> =
-//!         Box::new(UniformDecomposition::new(grid, CellMap::RoundRobin, comm.size()));
+//!     let policy = DecompPolicy::Uniform(CellMap::RoundRobin);
+//!     let sd = Decomposition::new(grid, policy, None, comm.size()).unwrap();
 //!     let f = Feature::with_userdata(Geometry::Point(Point::new(1.0, 1.0)), "a");
 //!     let owned: Vec<(u32, Feature)> = sd
 //!         .cells_for_rect_vec(&f.geometry.envelope())
@@ -127,9 +127,8 @@
 //! ```
 
 use crate::answer::{collect_answers, BLOCK_CAP_MAX};
-use crate::join::snapshot_decomposition;
 use crate::resident::ResidentIndex;
-use mvio_core::decomp::{DecompPolicy, SpatialDecomposition};
+use mvio_core::decomp::{DecompPolicy, Decomposition, SpatialDecomposition};
 use mvio_core::exchange::{
     record_frames, serialize_record, validate_round, ExchangeChunk, ExchangeOptions, ExchangePlan,
     ExchangeStats, RecordFrame, SerializedBatch,
@@ -489,7 +488,7 @@ impl QueryEngine {
     /// been exchanged either.
     pub fn from_parts(
         comm: &mut Comm,
-        sd: Box<dyn SpatialDecomposition>,
+        sd: Decomposition,
         owned: Vec<(u32, Feature)>,
         opts: &EngineOptions,
     ) -> Self {
@@ -506,12 +505,12 @@ impl QueryEngine {
     /// Collective: every rank must call it.
     pub fn from_store(
         comm: &mut Comm,
-        sd: Box<dyn SpatialDecomposition>,
+        sd: Decomposition,
         store: ResidentStore,
         opts: &EngineOptions,
     ) -> Self {
         let index = ResidentIndex::build(comm, sd, store);
-        let rebalancer = Rebalancer::from_policy(opts.rebalance, &*index.sd, &index.store);
+        let rebalancer = Rebalancer::from_policy(opts.rebalance, &index.sd, &index.store);
         QueryEngine {
             index,
             chunk: opts.chunk,
@@ -523,12 +522,14 @@ impl QueryEngine {
 
     /// Builds the engine from a binary snapshot: one collective
     /// metadata read ([`snapshot::read_meta_timed`]), decomposition
-    /// rebuild under `policy`, collective [`snapshot::read_partitioned`]
-    /// over that metadata — the routed records stay the wire frames they
-    /// were persisted as. The
+    /// rebuild under `policy` ([`snapshot::SnapshotMeta::decomposition`]),
+    /// collective [`snapshot::read_partitioned`] over that metadata — the
+    /// routed records stay the wire frames they were persisted as. The
     /// adaptive policy is rejected with [`CoreError::InvalidOptions`] — a
     /// snapshot does not carry the feature histogram it needs (same
-    /// contract as snapshot joins).
+    /// contract as snapshot joins) — and so is a Hilbert owner table past
+    /// [`mvio_core::decomp::MAX_TABLE_CELLS`]. Rank 0 reads the metadata
+    /// for everyone, so every rank refuses alike.
     pub fn from_snapshot(
         comm: &mut Comm,
         fs: &Arc<SimFs>,
@@ -538,16 +539,16 @@ impl QueryEngine {
         opts: &EngineOptions,
     ) -> Result<Self> {
         let meta = snapshot::read_meta_timed(comm, fs, path)?;
-        let sd = snapshot_decomposition(&meta, policy, comm.size(), "serve")?;
-        let (frames, _) = snapshot::read_partitioned(comm, fs, path, &meta, &*sd, read)?;
+        let sd = meta.decomposition(policy, comm.size())?;
+        let (frames, _) = snapshot::read_partitioned(comm, fs, path, &meta, &sd, read)?;
         let store = ResidentStore::from_frames(comm, std::slice::from_ref(&frames));
         Ok(Self::from_store(comm, sd, store, opts))
     }
 
     /// The resident decomposition (e.g. for generating in-bounds query
     /// workloads against `bounds()`).
-    pub fn decomposition(&self) -> &dyn SpatialDecomposition {
-        &*self.index.sd
+    pub fn decomposition(&self) -> &Decomposition {
+        &self.index.sd
     }
 
     /// Number of feature replicas resident on this rank.
@@ -599,7 +600,7 @@ impl QueryEngine {
         let before = (self.index.store.len(), self.index.store.slots());
         let result = rebalance::apply_updates(
             comm,
-            &*self.index.sd,
+            &self.index.sd,
             &mut self.index.store,
             updates,
             self.chunk,
@@ -844,7 +845,7 @@ impl QueryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvio_core::decomp::{DecompConfig, UniformDecomposition};
+    use mvio_core::decomp::DecompConfig;
     use mvio_core::grid::{CellMap, GridSpec, UniformGrid};
     use mvio_core::partition::ReadOptions;
     use mvio_core::pipeline::ingest;
@@ -944,8 +945,8 @@ mod tests {
     /// non-reference).
     fn one_rank_engine(comm: &mut Comm, side: u32, features: &[Feature]) -> QueryEngine {
         let grid = UniformGrid::new(Rect::new(0.0, 0.0, 8.0, 8.0), GridSpec::square(side));
-        let sd: Box<dyn SpatialDecomposition> =
-            Box::new(UniformDecomposition::new(grid, CellMap::RoundRobin, 1));
+        let rr = DecompPolicy::Uniform(CellMap::RoundRobin);
+        let sd = Decomposition::new(grid, rr, None, 1).unwrap();
         let owned: Vec<(u32, Feature)> = features
             .iter()
             .flat_map(|f| {
@@ -1234,7 +1235,7 @@ mod tests {
                 &fs,
                 "pts.snap",
                 eng.resident(),
-                &*eng.index.sd,
+                &eng.index.sd,
                 &Default::default(),
             )
             .unwrap();
@@ -1266,7 +1267,7 @@ mod tests {
                 &fs,
                 "pts.snap",
                 eng.resident(),
-                &*eng.index.sd,
+                &eng.index.sd,
                 &Default::default(),
             )
             .unwrap();
@@ -1277,6 +1278,44 @@ mod tests {
                 &fs,
                 "pts.snap",
                 DecompPolicy::adaptive(),
+                &SnapshotReadOptions::default(),
+                &EngineOptions::default(),
+            )
+            .err()
+            .map(|e| matches!(e, CoreError::InvalidOptions(_)))
+        });
+        assert_eq!(out, vec![Some(true), Some(true)]);
+    }
+
+    #[test]
+    fn snapshot_engine_refuses_a_hilbert_table_past_the_cap() {
+        let fs = lattice_fs(4);
+        let out = World::run(WorldConfig::new(Topology::single_node(2)), move |comm| {
+            let eng = build_engine(comm, &fs, &EngineOptions::default());
+            let opts = Default::default();
+            snapshot::write_partitioned(
+                comm,
+                &fs,
+                "pts.snap",
+                eng.resident(),
+                &eng.index.sd,
+                &opts,
+            )
+            .unwrap();
+            // A corrupt header: 65535 × 65535 cells still fit the u32 id
+            // space, so only the owner-table cap stands between it and
+            // two 4.29 G-entry vectors.
+            if comm.rank() == 0 {
+                let file = fs.open("pts.snap").unwrap();
+                file.poke(16, &65_535u32.to_le_bytes());
+                file.poke(20, &65_535u32.to_le_bytes());
+            }
+            comm.barrier();
+            QueryEngine::from_snapshot(
+                comm,
+                &fs,
+                "pts.snap",
+                DecompPolicy::Hilbert,
                 &SnapshotReadOptions::default(),
                 &EngineOptions::default(),
             )

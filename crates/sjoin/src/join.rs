@@ -1,19 +1,17 @@
 //! The end-to-end distributed spatial join (paper §5.2, Figures 17–19).
 
 use crate::breakdown::{PhaseBreakdown, PhaseTimer};
-use mvio_core::decomp::{
-    DecompConfig, DecompPolicy, HilbertDecomposition, SpatialDecomposition, UniformDecomposition,
-};
+use mvio_core::decomp::{DecompConfig, DecompPolicy, Decomposition, SpatialDecomposition};
 use mvio_core::exchange::{
     exchange_serialized, serialize_frame, ExchangeChunk, ExchangeOptions, FrameStore, RecordFrame,
     SerializedBatch,
 };
 use mvio_core::framework::claims_reference;
-use mvio_core::grid::{CellMap, GridSpec, UniformGrid};
+use mvio_core::grid::{CellMap, GridSpec};
 use mvio_core::partition::ReadOptions;
 use mvio_core::pipeline::{ingest_layers, PipelineOptions};
 use mvio_core::reader::WktLineParser;
-use mvio_core::snapshot::{self, SnapshotMeta, SnapshotReadOptions};
+use mvio_core::snapshot::{self, SnapshotReadOptions};
 use mvio_core::{CoreError, Result};
 use mvio_geom::index::RTree;
 use mvio_geom::refkernel::{envelope_batch, filter_pairs_batch, ApproxTable, RefineArena};
@@ -140,7 +138,7 @@ pub fn spatial_join(
 
     // --- Join phase: filter, balance, arena refine over frames. ----------
     let [left, right] = [0, 1].map(|i| &ingested.layers[i].owned);
-    let report = run_refine_frames(comm, &*ingested.decomp, left, right, &ex);
+    let report = run_refine_frames(comm, &ingested.decomp, left, right, &ex);
     finish(comm, timer, report)
 }
 
@@ -166,9 +164,10 @@ fn finish(
 #[derive(Debug, Clone, Copy)]
 pub struct SnapshotJoinOptions {
     /// Cell→rank assignment rebuilt for the reader world over the
-    /// snapshots' shared grid. Must be [`DecompPolicy::Uniform`] or
-    /// [`DecompPolicy::Hilbert`]: adaptive bisection needs the feature
-    /// histogram, which a snapshot does not carry.
+    /// snapshots' shared grid ([`snapshot::SnapshotMeta::decomposition`]).
+    /// Must be [`DecompPolicy::Uniform`] or [`DecompPolicy::Hilbert`]:
+    /// adaptive bisection needs the feature histogram, which a snapshot
+    /// does not carry.
     pub decomp: DecompPolicy,
     /// Collective-read + routing-exchange configuration.
     pub read: SnapshotReadOptions,
@@ -181,30 +180,6 @@ impl Default for SnapshotJoinOptions {
             read: SnapshotReadOptions::default(),
         }
     }
-}
-
-/// Rebuilds the decomposition for this world of `ranks` over a
-/// snapshot's grid and bounds. Adaptive bisection needs the feature
-/// histogram, which a snapshot does not carry: it is rejected with
-/// [`CoreError::InvalidOptions`] naming what the caller does with the
-/// snapshots (`verb`: "join", "serve").
-pub(crate) fn snapshot_decomposition(
-    meta: &SnapshotMeta,
-    policy: DecompPolicy,
-    ranks: usize,
-    verb: &str,
-) -> Result<Box<dyn SpatialDecomposition>> {
-    let grid = UniformGrid::try_new(meta.bounds, meta.spec)?;
-    Ok(match policy {
-        DecompPolicy::Uniform(map) => Box::new(UniformDecomposition::new(grid, map, ranks)),
-        DecompPolicy::Hilbert => Box::new(HilbertDecomposition::new(grid, ranks)),
-        DecompPolicy::Adaptive { .. } => {
-            return Err(CoreError::InvalidOptions(format!(
-                "adaptive bisection needs the feature histogram, which a snapshot \
-                 does not carry; {verb} snapshots with the uniform or hilbert policy"
-            )))
-        }
-    })
 }
 
 /// Runs the distributed spatial join directly off two **binary
@@ -246,19 +221,19 @@ pub fn spatial_join_snapshots(
             right_meta.bounds,
         )));
     }
-    let sd = snapshot_decomposition(&left_meta, opts.decomp, comm.size(), "join")?;
+    let sd = left_meta.decomposition(opts.decomp, comm.size())?;
     timer.end_partition(comm.now());
 
     // --- Communication phase: collective reads + routing exchanges. ------
     // The routed records stay as validated wire frames.
-    let (left, _) = snapshot::read_partitioned(comm, fs, left_path, &left_meta, &*sd, &opts.read)?;
+    let (left, _) = snapshot::read_partitioned(comm, fs, left_path, &left_meta, &sd, &opts.read)?;
     let (right, _) =
-        snapshot::read_partitioned(comm, fs, right_path, &right_meta, &*sd, &opts.read)?;
+        snapshot::read_partitioned(comm, fs, right_path, &right_meta, &sd, &opts.read)?;
     timer.end_communication(comm);
 
     // --- Join phase: identical to the text path. --------------------------
     let ex_opts = ExchangeOptions::with_chunk(opts.read.chunk);
-    let report = run_refine_frames(comm, &*sd, &left, &right, &ex_opts);
+    let report = run_refine_frames(comm, &sd, &left, &right, &ex_opts);
     finish(comm, timer, report)
 }
 
@@ -379,7 +354,7 @@ impl<'a> Side<'a> {
 /// candidate count before the dedup.
 fn filter(
     comm: &mut Comm,
-    sd: &dyn SpatialDecomposition,
+    sd: &Decomposition,
     left: &Side<'_>,
     right: &Side<'_>,
 ) -> (Vec<(u32, u32)>, u64) {
@@ -615,7 +590,7 @@ fn cut_shipments(
 /// for the caller ([`finish`]) to fill.
 fn run_refine_frames(
     comm: &mut Comm,
-    sd: &dyn SpatialDecomposition,
+    sd: &Decomposition,
     left_store: &FrameStore,
     right_store: &FrameStore,
     ex_opts: &ExchangeOptions,
@@ -880,7 +855,7 @@ mod tests {
                     &ExchangeOptions::default(),
                 )
                 .unwrap();
-                let sd = &*ingested.decomp;
+                let sd = &ingested.decomp;
                 for (path, layer) in ["left.snap", "right.snap"].iter().zip(&ingested.layers) {
                     let opts = SnapshotWriteOptions::default();
                     snapshot::write_partitioned(comm, &fs, path, layer.owned.frames(), sd, &opts)

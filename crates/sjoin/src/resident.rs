@@ -2,7 +2,7 @@
 //! R-tree over it, and the owner-side answering of one query.
 
 use crate::answer::write_answer_blocks;
-use mvio_core::decomp::SpatialDecomposition;
+use mvio_core::decomp::{Decomposition, SpatialDecomposition};
 use mvio_core::exchange::RecordFrame;
 use mvio_core::resident::ResidentStore;
 use mvio_core::{CoreError, Result};
@@ -26,7 +26,7 @@ use std::ops::ControlFlow;
 /// candidate's distance — are materialized through the caller's
 /// [`RefineArena`] and recycled at once, the join's idiom.
 pub(crate) struct ResidentIndex {
-    pub(crate) sd: Box<dyn SpatialDecomposition>,
+    pub(crate) sd: Decomposition,
     pub(crate) store: ResidentStore,
     /// Over the store's slots, which [`ResidentIndex::reindex`] leaves
     /// dense (`0..store.len()`).
@@ -49,11 +49,7 @@ impl ResidentIndex {
     /// Indexes a replica store under its decomposition (charged as
     /// [`Work::RtreeInserts`]). Not collective — the communicator only
     /// charges.
-    pub(crate) fn build(
-        comm: &mut Comm,
-        sd: Box<dyn SpatialDecomposition>,
-        store: ResidentStore,
-    ) -> Self {
+    pub(crate) fn build(comm: &mut Comm, sd: Decomposition, store: ResidentStore) -> Self {
         let mut index = ResidentIndex {
             sd,
             store,
@@ -122,7 +118,7 @@ impl ResidentIndex {
             }
             let mbr = self.store.envelope(i);
             comm.charge(Work::MbrTests { n: 1 });
-            if !mvio_core::framework::claims_reference(&*self.sd, cell, mbr, query) {
+            if !mvio_core::framework::claims_reference(&self.sd, cell, mbr, query) {
                 continue;
             }
             let frame = self.store.frame(i);

@@ -8,9 +8,7 @@
 // Each test binary compiles this module and uses only its share of it.
 #![allow(dead_code)]
 
-use mpi_vector_io::core::decomp::{
-    AdaptiveBisection, HilbertDecomposition, SpatialDecomposition, UniformDecomposition,
-};
+use mpi_vector_io::core::decomp::{DecompPolicy, Decomposition, SpatialDecomposition};
 use mpi_vector_io::core::exchange::{serialize_record, validate_frames, RecordFrame};
 use mpi_vector_io::datagen;
 use mpi_vector_io::geom::algo::{intersects, point_geometry_distance, rect_intersects_geometry};
@@ -77,7 +75,7 @@ pub fn brute_force_join(left: &[Feature], right: &[Feature]) -> Vec<(String, Str
 /// The `(cell, feature)` replicas `rank` holds when `features` are
 /// partitioned under `sd` — the resident state an ingest produces.
 pub fn owned_replicas(
-    sd: &dyn SpatialDecomposition,
+    sd: &Decomposition,
     features: &[Feature],
     rank: usize,
 ) -> Vec<(u32, Feature)> {
@@ -113,31 +111,19 @@ pub fn materialize<'a>(frames: impl IntoIterator<Item = RecordFrame<'a>>) -> Vec
         .collect()
 }
 
-/// Builds one of the five decomposition variants over a `side × side`
-/// grid spanning `[0, extent]²`: the three classic cell maps, Hilbert
-/// runs, and an adaptive bisection over a deterministic synthetic
-/// histogram.
-pub fn mk_decomp(
-    extent: f64,
-    policy: u8,
-    side: u32,
-    ranks: usize,
-) -> Box<dyn SpatialDecomposition> {
+/// Builds one of the four decomposition variants over a `side × side`
+/// grid spanning `[0, extent]²`: the two cell maps, Hilbert runs, and an
+/// adaptive bisection over a deterministic synthetic histogram.
+pub fn mk_decomp(extent: f64, policy: u8, side: u32, ranks: usize) -> Decomposition {
     let grid = UniformGrid::new(Rect::new(0.0, 0.0, extent, extent), GridSpec::square(side));
-    match policy {
-        0 => Box::new(UniformDecomposition::new(grid, CellMap::RoundRobin, ranks)),
-        1 => Box::new(UniformDecomposition::new(grid, CellMap::Block, ranks)),
-        2 => Box::new(UniformDecomposition::new(
-            grid,
-            CellMap::Hilbert { cells_x: side },
-            ranks,
-        )),
-        3 => Box::new(HilbertDecomposition::new(grid, ranks)),
-        _ => {
-            let counts: Vec<u64> = (0..grid.num_cells() as u64).map(|c| (c * 7) % 13).collect();
-            Box::new(AdaptiveBisection::from_counts(grid, &counts, ranks))
-        }
-    }
+    let counts: Vec<u64> = (0..grid.num_cells() as u64).map(|c| (c * 7) % 13).collect();
+    let policy = match policy {
+        0 => DecompPolicy::Uniform(CellMap::RoundRobin),
+        1 => DecompPolicy::Uniform(CellMap::Block),
+        2 => DecompPolicy::Hilbert,
+        _ => DecompPolicy::adaptive(),
+    };
+    Decomposition::new(grid, policy, Some(&counts), ranks).unwrap()
 }
 
 /// Expands generated `(x, y)` seeds into a mixed-geometry dataset —

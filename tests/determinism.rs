@@ -119,9 +119,9 @@ fn snapshot_reload_virtual_times_are_identical_across_runs() {
                             )
                         })
                         .collect();
-                    let owned = wire(&owned_replicas(&*sd, &mk_features(&coords), comm.rank()));
+                    let owned = wire(&owned_replicas(&sd, &mk_features(&coords), comm.rank()));
                     let opts = SnapshotWriteOptions::default();
-                    write_partitioned(comm, &fs, path, record_frames(&owned), &*sd, &opts).unwrap();
+                    write_partitioned(comm, &fs, path, record_frames(&owned), &sd, &opts).unwrap();
                 }
                 comm.now()
             })

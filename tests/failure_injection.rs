@@ -5,7 +5,7 @@
 mod common;
 
 use common::{fs_with, mk_decomp, mk_features, owned_replicas, read_share, wire, WORLD};
-use mpi_vector_io::core::decomp::SpatialDecomposition;
+use mpi_vector_io::core::decomp::{Decomposition, SpatialDecomposition};
 use mpi_vector_io::core::exchange::{
     record_frames, serialize_record, validate_round, ExchangeRound, SerializedBatch,
 };
@@ -229,7 +229,6 @@ fn malformed_queries_are_rejected_symmetrically_and_engine_survives() {
     // with a typed `InvalidOptions` on EVERY rank — the validation
     // allreduce runs before any exchange, so no rank is stranded in a
     // collective — and the engine must keep answering afterwards.
-    use mpi_vector_io::core::decomp::{SpatialDecomposition, UniformDecomposition};
     use mpi_vector_io::sjoin::{EngineOptions, Query, QueryAnswer, QueryEngine};
 
     let bad_batches: Vec<Vec<Query>> = vec![
@@ -250,11 +249,8 @@ fn malformed_queries_are_rejected_symmetrically_and_engine_survives() {
         // A 6×6 lattice of labelled points, resident under a uniform
         // round-robin decomposition.
         let grid = UniformGrid::new(Rect::new(0.0, 0.0, 6.0, 6.0), GridSpec::square(3));
-        let sd: Box<dyn SpatialDecomposition> = Box::new(UniformDecomposition::new(
-            grid,
-            CellMap::RoundRobin,
-            comm.size(),
-        ));
+        let rr = DecompPolicy::Uniform(CellMap::RoundRobin);
+        let sd = Decomposition::new(grid, rr, None, comm.size()).unwrap();
         let mut owned = Vec::new();
         for y in 0..6 {
             for x in 0..6 {
@@ -409,7 +405,7 @@ fn corrupted_answer_block_stays_on_its_rank() {
     let out = World::run(cfg, move |comm| {
         let (rank, p) = (comm.rank(), comm.size());
         let sd = mk_decomp(WORLD, 0, 3, p);
-        let owned = owned_replicas(&*sd, &mk_features(&coords), rank);
+        let owned = owned_replicas(&sd, &mk_features(&coords), rank);
         let mut eng = QueryEngine::from_parts(comm, sd, owned, &EngineOptions::default());
         let batch = [
             Query::Range(Rect::new(2.0, 2.0, 14.0, 14.0)),
@@ -477,7 +473,7 @@ fn corrupted_answer_block_stays_on_its_rank() {
 
 /// Three labelled points inside every cell of `sd` — single-replica
 /// features, so what one rank loses or keeps is what the world serves.
-fn points_per_cell(sd: &dyn SpatialDecomposition) -> Vec<Feature> {
+fn points_per_cell(sd: &Decomposition) -> Vec<Feature> {
     (0..sd.num_cells())
         .flat_map(|cell| {
             let r = sd.cell_rect(cell);
@@ -519,13 +515,13 @@ fn corrupted_update_round_stays_on_its_rank() {
         let out = World::run(cfg, move |comm| {
             let (rank, p) = (comm.rank(), comm.size());
             let sd = mk_decomp(WORLD, 0, 3, p);
-            let base = points_per_cell(&*sd);
+            let base = points_per_cell(&sd);
             let mut store =
-                ResidentStore::from_owned(comm, owned_replicas(&*sd, &base, rank)).unwrap();
+                ResidentStore::from_owned(comm, owned_replicas(&sd, &base, rank)).unwrap();
             // What `src` sends `dst` in `round`: a fresh point in one of
             // `dst`'s cells, or the delete of one of `dst`'s base points.
             let record = |round: usize, src: usize, dst: usize| -> (u32, Feature) {
-                let theirs = owned_replicas(&*sd, &base, dst);
+                let theirs = owned_replicas(&sd, &base, dst);
                 let (cell, target) = &theirs[round * p + src];
                 if deletes {
                     return (*cell, target.clone());
@@ -578,11 +574,11 @@ fn corrupted_update_round_stays_on_its_rank() {
 
         // The dataset the world now holds: round 1 never reached rank 0.
         let sd = mk_decomp(WORLD, 0, 3, 3);
-        let base = points_per_cell(&*sd);
+        let base = points_per_cell(&sd);
         let landed = |round: usize, dst: usize| round == 0 || dst != 0;
         let mut expected: Vec<String> = base.iter().map(|f| f.userdata.clone()).collect();
         for (round, src, dst) in (0..2).flat_map(|r| (0..9).map(move |i| (r, i / 3, i % 3))) {
-            let (_, target) = &owned_replicas(&*sd, &base, dst)[round * 3 + src];
+            let (_, target) = &owned_replicas(&sd, &base, dst)[round * 3 + src];
             match (deletes, landed(round, dst)) {
                 (true, true) => expected.retain(|ud| *ud != target.userdata),
                 (false, true) => expected.push(format!("new-r{round}s{src}d{dst}")),
@@ -635,9 +631,9 @@ fn corrupted_migration_round_stays_on_its_rank() {
     let out = World::run(cfg, move |comm| {
         let (rank, p) = (comm.rank(), comm.size());
         let (from, to) = (mk_decomp(WORLD, 0, 3, p), mk_decomp(WORLD, 1, 3, p));
-        let base = points_per_cell(&*from);
+        let base = points_per_cell(&from);
         let mut store =
-            ResidentStore::from_owned(comm, owned_replicas(&*from, &base, rank)).unwrap();
+            ResidentStore::from_owned(comm, owned_replicas(&from, &base, rank)).unwrap();
         let mut batch = SerializedBatch::empty(p);
         let new_owner = |cell| {
             let owner = to.cell_to_rank(cell);
@@ -661,7 +657,7 @@ fn corrupted_migration_round_stays_on_its_rank() {
     });
 
     let (from, to) = (mk_decomp(WORLD, 0, 3, 3), mk_decomp(WORLD, 1, 3, 3));
-    let base = points_per_cell(&*from);
+    let base = points_per_cell(&from);
     let cell_of = |f: &Feature| from.cells_for_rect_vec(&f.geometry.envelope())[0];
     let mut expected: Vec<String> = base
         .iter()
@@ -680,11 +676,7 @@ fn corrupted_migration_round_stays_on_its_rank() {
             assert_eq!(held, stayed, "rank 0 landed part of the corrupt round");
         } else {
             assert_eq!(result.as_ref().ok(), Some(&1), "rank {rank}");
-            assert_eq!(
-                *held,
-                owned_replicas(&*to, &base, rank).len(),
-                "rank {rank}"
-            );
+            assert_eq!(*held, owned_replicas(&to, &base, rank).len(), "rank {rank}");
         }
     }
 }
@@ -727,10 +719,10 @@ fn corrupt_snapshot_metadata_fails_every_rank_alike() {
                         )
                     })
                     .collect();
-                let owned = wire(&owned_replicas(&*sd, &mk_features(&coords), comm.rank()));
+                let owned = wire(&owned_replicas(&sd, &mk_features(&coords), comm.rank()));
                 let opts = SnapshotWriteOptions::default();
                 let frames = record_frames(&owned);
-                snapshot::write_partitioned(comm, &fs, path, frames, &*sd, &opts).unwrap();
+                snapshot::write_partitioned(comm, &fs, path, frames, &sd, &opts).unwrap();
             }
         });
     }

@@ -3,9 +3,7 @@
 //! decomposition policy satisfies the shared exactly-once oracle — each
 //! feature's reference cell is assigned to exactly one rank.
 
-use mpi_vector_io::core::decomp::{
-    AdaptiveBisection, HilbertDecomposition, SpatialDecomposition, UniformDecomposition,
-};
+use mpi_vector_io::core::decomp::{DecompPolicy, Decomposition, SpatialDecomposition};
 use mpi_vector_io::core::grid::{CellMap, GridSpec, UniformGrid};
 use mpi_vector_io::geom::curve::hilbert_key_cells_order;
 use mpi_vector_io::prelude::*;
@@ -17,7 +15,7 @@ use proptest::prelude::*;
 /// cell set, and (c) assign that cell to exactly one rank — so the
 /// reference-point dedup reports each result exactly once, whatever the
 /// policy.
-fn assert_exactly_once(decomp: &dyn SpatialDecomposition, envelopes: &[Rect]) {
+fn assert_exactly_once(decomp: &Decomposition, envelopes: &[Rect]) {
     let ranks = decomp.num_ranks();
     // (c) global partition: every cell owned by exactly one rank.
     let mut owners = vec![0u32; decomp.num_cells() as usize];
@@ -98,20 +96,25 @@ proptest! {
                 counts[c as usize] += 1;
             }
         }
-        let decomps: Vec<Box<dyn SpatialDecomposition>> = vec![
-            Box::new(UniformDecomposition::new(grid.clone(), CellMap::RoundRobin, ranks)),
-            Box::new(HilbertDecomposition::new(grid.clone(), ranks)),
-            Box::new(AdaptiveBisection::from_counts(grid, &counts, ranks)),
-        ];
+        let decomps: Vec<Decomposition> = [
+            DecompPolicy::Uniform(CellMap::RoundRobin),
+            DecompPolicy::Uniform(CellMap::Block),
+            DecompPolicy::Hilbert,
+            DecompPolicy::adaptive(),
+        ]
+        .into_iter()
+        .map(|policy| Decomposition::new(grid.clone(), policy, Some(&counts), ranks).unwrap())
+        .collect();
         for d in &decomps {
-            assert_exactly_once(&**d, &envelopes);
+            assert_exactly_once(d, &envelopes);
         }
-        // The three policies tile identical cells here, so the *cell sets*
+        // The four policies tile identical cells here, so the *cell sets*
         // per envelope agree — only ownership differs.
         for env in &envelopes {
             let a = decomps[0].cells_for_rect_vec(env);
-            prop_assert_eq!(&a, &decomps[1].cells_for_rect_vec(env));
-            prop_assert_eq!(&a, &decomps[2].cells_for_rect_vec(env));
+            for d in &decomps[1..] {
+                prop_assert_eq!(&a, &d.cells_for_rect_vec(env));
+            }
         }
     }
 }

@@ -40,7 +40,7 @@ fn fabricated(rank: usize, items: usize, num_cells: u32) -> Vec<(u32, String)> {
 /// `exchange_serialized`.
 fn exchange_items(
     comm: &mut Comm,
-    decomp: &dyn SpatialDecomposition,
+    decomp: &Decomposition,
     items: &[(u32, String)],
     opts: &ExchangeOptions,
 ) -> (FrameStore, ExchangeStats) {
@@ -65,7 +65,7 @@ proptest! {
     fn exchange_conserves_every_pair(
         ranks in 1usize..5,
         side in 1u32..6,
-        policy in 0u8..5,
+        policy in 0u8..4,
         items_per_rank in 0usize..30,
     ) {
         let num_cells = side * side;
@@ -76,7 +76,7 @@ proptest! {
                 // Each rank fabricates pairs tagged with origin info.
                 let items = fabricated(comm.rank(), items_per_rank, num_cells);
                 let opts = ExchangeOptions::default();
-                let (store, stats) = exchange_items(comm, &*decomp, &items, &opts);
+                let (store, stats) = exchange_items(comm, &decomp, &items, &opts);
                 let mine = materialize(store.frames());
                 // Ownership: every received pair belongs to me.
                 for (cell, _) in &mine {
@@ -140,7 +140,7 @@ proptest! {
     fn chunked_exchange_is_bit_identical_to_blocking(
         ranks in 1usize..5,
         side in 1u32..6,
-        policy in 0u8..5,
+        policy in 0u8..4,
         chunk in prop_oneof![1u64..48, 48u64..4096],
         items_per_rank in 0usize..30,
     ) {
@@ -152,7 +152,7 @@ proptest! {
                     let decomp = mk_decomp(side as f64, policy, side, comm.size());
                     let items = fabricated(comm.rank(), items_per_rank, num_cells);
                     let opts = ExchangeOptions::with_chunk(chunk);
-                    vec![exchange_items(comm, &*decomp, &items, &opts).0]
+                    vec![exchange_items(comm, &decomp, &items, &opts).0]
                 },
             )
         };
@@ -168,7 +168,7 @@ proptest! {
     fn overlapped_partition_exchange_matches_unfused(
         ranks in 1usize..4,
         side in 2u32..6,
-        policy in 0u8..5,
+        policy in 0u8..4,
         workers in 1usize..5,
         chunk in prop_oneof![1u64..64, 64u64..8192],
         features_per_rank in 0usize..25,
@@ -193,7 +193,7 @@ proptest! {
             move |comm| {
                 let decomp = mk_decomp(side as f64, policy, side, comm.size());
                 let feats = mk_features(comm.rank());
-                let (batch, _) = partition_chunked(comm, &*decomp, &feats, &popts).unwrap();
+                let (batch, _) = partition_chunked(comm, &decomp, &feats, &popts).unwrap();
                 let opts = ExchangeOptions::with_chunk(ExchangeChunk::Unlimited);
                 vec![exchange_serialized(comm, batch, &opts).unwrap().0]
             },
@@ -203,7 +203,7 @@ proptest! {
             move |comm| {
                 let decomp = mk_decomp(side as f64, policy, side, comm.size());
                 let feats = mk_features(comm.rank());
-                vec![partition_exchange_overlapped(comm, &*decomp, &feats, &popts, chunk)
+                vec![partition_exchange_overlapped(comm, &decomp, &feats, &popts, chunk)
                     .unwrap()
                     .0]
             },
@@ -215,7 +215,7 @@ proptest! {
     fn every_decomposition_partitions_cells(
         side in 1u32..9,
         ranks in 1usize..9,
-        policy in 0u8..5,
+        policy in 0u8..4,
     ) {
         let decomp = mk_decomp(side as f64, policy, side, ranks);
         let mut seen = vec![0u32; decomp.num_cells() as usize];

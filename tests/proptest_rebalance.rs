@@ -8,7 +8,7 @@
 mod common;
 
 use common::{canon, mk_decomp, mk_features, mk_queries, oracle, owned_replicas, WORLD};
-use mpi_vector_io::core::decomp::SpatialDecomposition;
+use mpi_vector_io::core::decomp::Decomposition;
 use mpi_vector_io::core::exchange::ExchangeChunk;
 use mpi_vector_io::geom::wkb;
 use mpi_vector_io::prelude::*;
@@ -123,7 +123,7 @@ fn mk_script(
 /// The replicas `rank` would hold if `features` were freshly ingested
 /// under `sd` — the bit-identical target the mutated engine must hit.
 fn fresh_partition(
-    sd: &dyn SpatialDecomposition,
+    sd: &Decomposition,
     features: &[Feature],
     rank: usize,
 ) -> Vec<(u32, String, Vec<u8>)> {
@@ -153,7 +153,7 @@ proptest! {
     fn updates_and_rebalance_converge_to_a_fresh_ingest(
         ranks_idx in 0usize..3,
         side in 1u32..6,
-        policy in 0u8..5,
+        policy in 0u8..4,
         chunk_idx in 0usize..4,
         rebalance in any::<bool>(),
         coords in proptest::collection::vec((0.0..WORLD, 0.0..WORLD), 0..20),
@@ -193,7 +193,7 @@ proptest! {
             WorldConfig::new(Topology::single_node(ranks)),
             move |comm| {
                 let sd = mk_decomp(WORLD, policy, side, comm.size());
-                let owned = owned_replicas(&*sd, &base, comm.rank());
+                let owned = owned_replicas(&sd, &base, comm.rank());
                 let opts = EngineOptions {
                     chunk,
                     cache: ServeCache::Off,

@@ -11,7 +11,7 @@ mod common;
 use common::{
     brute_force_join, dataset_text, fs_with, materialize, mk_chunk, owned_replicas, wire,
 };
-use mpi_vector_io::core::decomp::{DecompConfig, DecompPolicy, UniformDecomposition};
+use mpi_vector_io::core::decomp::{DecompConfig, DecompPolicy, Decomposition};
 use mpi_vector_io::core::exchange::{record_frames, RecordFrame};
 use mpi_vector_io::core::grid::CellMap;
 use mpi_vector_io::core::pipeline::{self, PipelineOptions};
@@ -104,8 +104,7 @@ fn round_trip_case(
             assert_eq!(w.section.records, rep.owned.len() as u64);
             let meta = snapshot::read_meta_timed(comm, &fs, "s.bin").unwrap();
             let (back, rrep) =
-                snapshot::read_partitioned(comm, &fs, "s.bin", &meta, &*rep.decomp, &ropts)
-                    .unwrap();
+                snapshot::read_partitioned(comm, &fs, "s.bin", &meta, &rep.decomp, &ropts).unwrap();
             let (got, held): (Vec<RecordFrame>, Vec<RecordFrame>) =
                 (back.frames().collect(), rep.owned.frames().collect());
             assert_eq!(got, held, "same-world reload must be byte-identical");
@@ -115,7 +114,7 @@ fn round_trip_case(
             let pairs = materialize(rep.owned.frames());
             let decoded = wire(&pairs);
             let frames = record_frames(&decoded);
-            snapshot::write_partitioned(comm, &fs, "r.bin", frames, &*rep.decomp, &wopts).unwrap();
+            snapshot::write_partitioned(comm, &fs, "r.bin", frames, &rep.decomp, &wopts).unwrap();
             pairs
         })
     };
@@ -135,8 +134,8 @@ fn round_trip_case(
         let fs = Arc::clone(&fs);
         World::run(WorldConfig::new(topology(read_ranks)), move |comm| {
             let meta = snapshot::read_meta_timed(comm, &fs, "s.bin").unwrap();
-            let grid = UniformGrid::new(meta.bounds, meta.spec);
-            let d = UniformDecomposition::new(grid, CellMap::RoundRobin, comm.size());
+            let rr = DecompPolicy::Uniform(CellMap::RoundRobin);
+            let d = meta.decomposition(rr, comm.size()).unwrap();
             let (back, _) =
                 snapshot::read_partitioned(comm, &fs, "s.bin", &meta, &d, &ropts).unwrap();
             for frame in back.frames() {
@@ -209,7 +208,8 @@ proptest! {
                 move |comm| {
                     let grid =
                         UniformGrid::new(Rect::new(0.0, 0.0, 50.0, 35.0), GridSpec::square(5));
-                    let d = UniformDecomposition::new(grid, CellMap::RoundRobin, comm.size());
+                    let rr = DecompPolicy::Uniform(CellMap::RoundRobin);
+                    let d = Decomposition::new(grid, rr, None, comm.size()).unwrap();
                     for (path, n, s) in
                         [("l.bin", lrecords, salt), ("r.bin", rrecords, salt ^ 0xDEAD)]
                     {
