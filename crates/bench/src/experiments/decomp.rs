@@ -11,7 +11,7 @@
 //! `BENCH_decomp.json` so future PRs can track it.
 
 use super::{cost_scaled, gpfs_scaled, Scale};
-use crate::report::Table;
+use crate::report::{write_trajectory, Cell::*, Table};
 use mvio_core::decomp::{imbalance_ratio, DecompConfig};
 use mvio_core::partition::ReadOptions;
 use mvio_core::pipeline::{ingest, PipelineOptions};
@@ -160,27 +160,6 @@ pub fn measure(scale: Scale, features: u64, rank_counts: &[usize]) -> Vec<Row> {
     rows
 }
 
-/// Renders the measurement rows as a JSON trajectory file body.
-pub fn to_json(rows: &[Row]) -> String {
-    let mut s = String::from("{\n  \"experiment\": \"decomp\",\n  \"metric\": \"max_over_mean_per_rank_features\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"input\": \"{}\", \"decomp\": \"{}\", \"ranks\": {}, \"imbalance\": {:.4}, \"wall_s\": {:.6}, \"exch_rounds\": {}, \"exch_sent\": {}, \"exch_received\": {}}}{}\n",
-            r.input,
-            r.decomp,
-            r.ranks,
-            r.imbalance,
-            r.wall_s,
-            r.exch_rounds,
-            r.exch_sent,
-            r.exch_received,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
 /// Runs the sweep, writes `BENCH_decomp.json`, and renders the table.
 pub fn run(scale: Scale, quick: bool) -> String {
     let rank_counts: &[usize] = if quick { &[4, 16] } else { &[4, 16, 64] };
@@ -221,10 +200,19 @@ pub fn run(scale: Scale, quick: bool) -> String {
         "exchange counters are the busiest rank's; received bytes mirror the ownership imbalance",
     );
     t.note("expectation: on clustered input, adaptive >= 2x lower imbalance than uniform at 16 ranks; hilbert keeps locality with balance between the two");
-    match std::fs::write("BENCH_decomp.json", to_json(&rows)) {
-        Ok(()) => t.note("trajectory written to BENCH_decomp.json"),
-        Err(e) => t.note(format!("could not write BENCH_decomp.json: {e}")),
-    }
+    let metric = "max_over_mean_per_rank_features";
+    write_trajectory(&mut t, "decomp", metric, &rows, |r| {
+        vec![
+            ("input", Str(r.input)),
+            ("decomp", Str(r.decomp)),
+            ("ranks", Int(r.ranks as u64)),
+            ("imbalance", Float(r.imbalance, 4)),
+            ("wall_s", Float(r.wall_s, 6)),
+            ("exch_rounds", Int(r.exch_rounds.into())),
+            ("exch_sent", Int(r.exch_sent)),
+            ("exch_received", Int(r.exch_received)),
+        ]
+    });
     t.render()
 }
 
@@ -257,23 +245,5 @@ mod tests {
         // Sanity: on the uniform input nothing is badly imbalanced.
         assert!(find("uniform", "uniform") < 4.0);
         assert!(find("uniform", "adaptive") < 4.0);
-    }
-
-    #[test]
-    fn json_trajectory_is_well_formed() {
-        let rows = vec![Row {
-            input: "clustered",
-            decomp: "adaptive",
-            ranks: 16,
-            imbalance: 1.25,
-            wall_s: 0.0125,
-            exch_rounds: 1,
-            exch_sent: 2048,
-            exch_received: 4096,
-        }];
-        let s = to_json(&rows);
-        assert!(s.contains("\"experiment\": \"decomp\""));
-        assert!(s.contains("\"imbalance\": 1.2500"));
-        assert!(!s.contains(",\n  ]"), "no trailing comma");
     }
 }

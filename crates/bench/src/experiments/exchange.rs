@@ -17,7 +17,7 @@
 //! `BENCH_exchange.json` so future PRs can track it.
 
 use super::{cost_scaled, gpfs_scaled, Scale};
-use crate::report::Table;
+use crate::report::{write_trajectory, Cell::*, Table};
 use mvio_core::decomp::DecompConfig;
 use mvio_core::exchange::{ExchangeChunk, ExchangeOptions};
 use mvio_core::grid::GridSpec;
@@ -187,28 +187,6 @@ pub fn measure(scale: Scale, features: u64, rank_counts: &[usize]) -> Vec<Row> {
     rows
 }
 
-/// Renders the measurement rows as a JSON trajectory file body.
-pub fn to_json(rows: &[Row]) -> String {
-    let mut s = String::from(
-        "{\n  \"experiment\": \"exchange\",\n  \"metric\": \"max_over_ranks_virtual_ingest_seconds\",\n  \"rows\": [\n",
-    );
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"chunk\": \"{}\", \"ranks\": {}, \"rounds\": {}, \"bytes_sent\": {}, \"exposed_wait_s\": {:.6}, \"ingest_s\": {:.6}, \"speedup\": {:.4}}}{}\n",
-            r.chunk,
-            r.ranks,
-            r.rounds,
-            r.bytes_sent,
-            r.exposed_wait_s,
-            r.ingest_s,
-            r.speedup,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
 /// Runs the sweep, writes `BENCH_exchange.json`, and renders the table.
 pub fn run(scale: Scale, quick: bool) -> String {
     let rank_counts: &[usize] = if quick { &[16] } else { &[16, 64] };
@@ -243,10 +221,18 @@ pub fn run(scale: Scale, quick: bool) -> String {
     }
     t.note("owned pairs are bit-identical between the two policies (asserted by the test suite)");
     t.note("expectation: chunked rounds hide the payload transfer under next-round serialization and previous-round deserialization");
-    match std::fs::write("BENCH_exchange.json", to_json(&rows)) {
-        Ok(()) => t.note("trajectory written to BENCH_exchange.json"),
-        Err(e) => t.note(format!("could not write BENCH_exchange.json: {e}")),
-    }
+    let metric = "max_over_ranks_virtual_ingest_seconds";
+    write_trajectory(&mut t, "exchange", metric, &rows, |r| {
+        vec![
+            ("chunk", Str(&r.chunk)),
+            ("ranks", Int(r.ranks as u64)),
+            ("rounds", Int(r.rounds.into())),
+            ("bytes_sent", Int(r.bytes_sent)),
+            ("exposed_wait_s", Float(r.exposed_wait_s, 6)),
+            ("ingest_s", Float(r.ingest_s, 6)),
+            ("speedup", Float(r.speedup, 4)),
+        ]
+    });
     t.render()
 }
 
@@ -297,22 +283,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn json_trajectory_is_well_formed() {
-        let rows = vec![Row {
-            chunk: "98304".into(),
-            ranks: 16,
-            rounds: 6,
-            bytes_sent: 1 << 20,
-            exposed_wait_s: 0.001,
-            ingest_s: 0.025,
-            speedup: 1.15,
-        }];
-        let s = to_json(&rows);
-        assert!(s.contains("\"experiment\": \"exchange\""));
-        assert!(s.contains("\"speedup\": 1.1500"));
-        assert!(!s.contains(",\n  ]"), "no trailing comma");
     }
 }

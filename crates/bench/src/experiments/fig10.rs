@@ -12,7 +12,7 @@ pub const OST_COUNTS: [u32; 3] = [16, 32, 64];
 
 /// Times one partitioned read with the given boundary strategy. Returns
 /// max-over-ranks virtual seconds.
-pub fn partition_time(
+fn partition_time(
     scale: Scale,
     nodes: usize,
     ppn: usize,

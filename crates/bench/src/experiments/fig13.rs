@@ -22,7 +22,7 @@ impl ReduceOp<Vec<Rect>> for UnionRects {
 
 /// Which collective the run exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Collective {
+enum Collective {
     Reduce,
     Scan,
 }
@@ -30,7 +30,7 @@ pub enum Collective {
 /// Times one union collective over `count` rects per rank. Returns
 /// max-over-ranks virtual seconds and the (checked) global union of the
 /// first element.
-pub fn union_collective(scale: Scale, procs: usize, count: usize, which: Collective) -> f64 {
+fn union_collective(scale: Scale, procs: usize, count: usize, which: Collective) -> f64 {
     let cfg = WorldConfig::new(Topology::new(procs.div_ceil(16).max(1), procs.min(16)))
         .with_cost(cost_scaled(scale));
     let times = World::run(cfg, move |comm| {

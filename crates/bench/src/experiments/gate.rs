@@ -1,24 +1,17 @@
-//! Bench-regression gate: re-measures the tracked speedup ratios and
-//! fails when any drops below its asserted floor.
+//! Bench-regression gate: re-measures the tracked speedup ratios at the
+//! configurations their unit-test floors were asserted under, and fails
+//! when any drops below its floor.
 //!
-//! CI runs this (`repro -- gate`) as a dedicated job: it writes the
-//! measured ratios to `BENCH_gate.json` (uploaded as an artifact next
-//! to the full trajectories the
-//! `decomp`/`exchange`/`io`/`serve`/`rebalance` experiments
-//! regenerate)
-//! and exits nonzero on a regression, so a PR that silently
-//! loses one of the asserted wins fails before review. The gate's
-//! measurement parameters are pinned to the same configurations the
-//! unit-test floors use — smaller sweeps than the full experiments, and
-//! deliberately ignoring `--scale` and `--quick`, because a floor is
-//! only meaningful at the configuration it was asserted under; that is
-//! also why it does NOT touch the experiments' own `BENCH_*.json`
-//! trajectory files. All quantities are deterministic virtual times, so
-//! there is no run-to-run noise to filter.
+//! CI runs this (`repro -- gate`) as its own job: it writes the ratios to
+//! `BENCH_gate.json` and exits nonzero on a regression. It ignores
+//! `--scale` and `--quick`, since a floor only means something at its own
+//! configuration, and it leaves the experiments' full `BENCH_*.json`
+//! trajectories alone. The ratios are virtual-time quotients; the pfs
+//! arrival-order jitter (ROADMAP item 6) moves them in the last digits.
 
 use super::fig17::load_imbalance;
 use super::{decomp, exchange, io, rebalance, serve, Scale};
-use crate::report::Table;
+use crate::report::{write_trajectory, Cell::*, Table};
 use mvio_core::decomp::DecompPolicy;
 use mvio_core::grid::{CellMap, GridSpec};
 use mvio_datagen::{write_wkt_dataset_with_centers, ShapeGen, ShapeKind, SpatialDistribution};
@@ -92,26 +85,6 @@ impl Check {
     pub fn passes(&self) -> bool {
         self.value >= self.floor
     }
-}
-
-/// Renders the checks as a JSON trajectory body, mirroring the
-/// experiments' `to_json` shape.
-pub fn to_json(checks: &[Check]) -> String {
-    let mut s = String::from(
-        "{\n  \"experiment\": \"gate\",\n  \"metric\": \"tracked_speedup_ratio\",\n  \"rows\": [\n",
-    );
-    for (i, c) in checks.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"check\": \"{}\", \"measured\": {:.4}, \"floor\": {:.4}, \"pass\": {}}}{}\n",
-            c.name,
-            c.value,
-            c.floor,
-            c.passes(),
-            if i + 1 < checks.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
 }
 
 /// Runs all tracked measurements and returns the checks. Deliberately
@@ -227,17 +200,19 @@ pub fn run() -> (String, bool) {
             if c.passes() { "ok" } else { "REGRESSION" }.to_string(),
         ]);
     }
-    match std::fs::write("BENCH_gate.json", to_json(&checks)) {
-        Ok(()) => t.note("gate measurements written to BENCH_gate.json (pinned floor configurations; the full trajectories are written by the decomp/exchange/io/serve/rebalance experiments)"),
-        Err(e) => {
-            // Failing here keeps CI from uploading a stale checked-in
-            // copy as if it were this run's measurements.
-            pass = false;
-            t.note(format!("could not write BENCH_gate.json: {e} — failing the gate"));
-        }
-    }
+    // A failed write fails the gate, so CI never uploads a stale
+    // checked-in copy as if it were this run's measurements.
+    pass &= write_trajectory(&mut t, "gate", "tracked_speedup_ratio", &checks, |c| {
+        vec![
+            ("check", Str(c.name)),
+            ("measured", Float(c.value, 4)),
+            ("floor", Float(c.floor, 4)),
+            ("pass", Bool(c.passes())),
+        ]
+    });
+    t.note("the gate measures pinned floor configurations; the full trajectories are written by the decomp/exchange/io/serve/rebalance experiments");
     if !pass {
-        t.note("at least one check failed — failing the gate");
+        t.note("a check failed or BENCH_gate.json was not written — failing the gate");
     }
     (t.render(), pass)
 }

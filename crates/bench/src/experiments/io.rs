@@ -18,7 +18,7 @@
 //! `BENCH_io.json` so future PRs can track it.
 
 use super::{cost_scaled, lustre_scaled, Scale};
-use crate::report::Table;
+use crate::report::{write_trajectory, Cell::*, Table};
 use mvio_core::decomp::DecompConfig;
 use mvio_core::grid::GridSpec;
 use mvio_core::partition::ReadOptions;
@@ -206,28 +206,6 @@ pub fn best_write_speedup(rows: &[Row], ranks: usize) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Renders the measurement rows as a JSON trajectory file body.
-pub fn to_json(rows: &[Row]) -> String {
-    let mut s = String::from(
-        "{\n  \"experiment\": \"io\",\n  \"metric\": \"virtual_bandwidth_bytes_per_second\",\n  \"rows\": [\n",
-    );
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"op\": \"{}\", \"ranks\": {}, \"aggregators\": {}, \"payload_bytes\": {}, \"io_s\": {:.6}, \"bandwidth\": {:.0}, \"speedup\": {:.4}}}{}\n",
-            r.op,
-            r.ranks,
-            r.aggregators,
-            r.payload_bytes,
-            r.io_s,
-            r.bandwidth,
-            r.speedup,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
 /// Runs the sweep, writes `BENCH_io.json`, and renders the table.
 pub fn run(scale: Scale, quick: bool) -> String {
     let rank_counts: &[usize] = if quick { &[16] } else { &[16, 64] };
@@ -263,10 +241,18 @@ pub fn run(scale: Scale, quick: bool) -> String {
     }
     t.note("every run re-reads the snapshot and asserts bit-identical pairs (round-trip oracle)");
     t.note("expectation: one aggregator serializes the cb cycles; wider aggregation spreads them across OSTs and node links until the divisor-rule width");
-    match std::fs::write("BENCH_io.json", to_json(&rows)) {
-        Ok(()) => t.note("trajectory written to BENCH_io.json"),
-        Err(e) => t.note(format!("could not write BENCH_io.json: {e}")),
-    }
+    let metric = "virtual_bandwidth_bytes_per_second";
+    write_trajectory(&mut t, "io", metric, &rows, |r| {
+        vec![
+            ("op", Str(r.op)),
+            ("ranks", Int(r.ranks as u64)),
+            ("aggregators", Int(r.aggregators as u64)),
+            ("payload_bytes", Int(r.payload_bytes)),
+            ("io_s", Float(r.io_s, 6)),
+            ("bandwidth", Float(r.bandwidth, 0)),
+            ("speedup", Float(r.speedup, 4)),
+        ]
+    });
     t.render()
 }
 
@@ -292,22 +278,5 @@ mod tests {
         for r in &rows {
             assert!(r.io_s > 0.0 && r.bandwidth > 0.0);
         }
-    }
-
-    #[test]
-    fn json_trajectory_is_well_formed() {
-        let rows = vec![Row {
-            op: "write",
-            ranks: 16,
-            aggregators: 4,
-            payload_bytes: 1 << 20,
-            io_s: 0.004,
-            bandwidth: 2.5e8,
-            speedup: 1.42,
-        }];
-        let s = to_json(&rows);
-        assert!(s.contains("\"experiment\": \"io\""));
-        assert!(s.contains("\"speedup\": 1.4200"));
-        assert!(!s.contains(",\n  ]"), "no trailing comma");
     }
 }

@@ -50,11 +50,6 @@ impl Scale {
         }
     }
 
-    /// Scales a full-size byte quantity, with a floor to stay meaningful.
-    pub fn bytes(&self, full: u64) -> u64 {
-        (full / self.denominator).max(64 * 1024)
-    }
-
     /// Scales a stripe/block size with a 4 KiB floor (block sizes shrink
     /// with the data so iteration counts match the paper's).
     pub fn block(&self, full: u64) -> u64 {
@@ -157,10 +152,8 @@ mod tests {
     #[test]
     fn scale_arithmetic() {
         let s = Scale { denominator: 1000 };
-        assert_eq!(s.bytes(92 << 30), (92u64 << 30) / 1000);
         assert_eq!(s.block(64 << 20), (64u64 << 20) / 1000);
-        // Floors.
-        assert_eq!(s.bytes(1024), 64 * 1024);
+        // Floor.
         assert_eq!(s.block(1024), 4 * 1024);
     }
 

@@ -24,7 +24,7 @@
 //! `BENCH_rebalance.json`.
 
 use super::{cost_scaled, full_seconds, Scale};
-use crate::report::Table;
+use crate::report::{write_trajectory, Cell::*, Table};
 use mvio_core::decomp::{imbalance_ratio, DecompPolicy, Decomposition, SpatialDecomposition};
 use mvio_core::exchange::ExchangeChunk;
 use mvio_core::grid::{GridSpec, UniformGrid};
@@ -287,32 +287,6 @@ pub fn measure(scale: Scale, rank_counts: &[usize]) -> Vec<Row> {
     rows
 }
 
-/// Renders the measurement rows as a JSON trajectory file body.
-pub fn to_json(rows: &[Row]) -> String {
-    let mut s = String::from(
-        "{\n  \"experiment\": \"rebalance\",\n  \"metric\": \"replica_imbalance_ratio\",\n  \"rows\": [\n",
-    );
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"ranks\": {}, \"steps\": {}, \"updates\": {}, \"final_imbalance\": {:.4}, \"peak_imbalance\": {:.4}, \"rebalances\": {}, \"migrated_bytes\": {}, \"reshuffle_bytes\": {}, \"migrated_fraction\": {:.4}, \"update_s\": {:.6}}}{}\n",
-            r.mode,
-            r.ranks,
-            r.steps,
-            r.updates,
-            r.final_imbalance,
-            r.peak_imbalance,
-            r.rebalances,
-            r.migrated_bytes,
-            r.reshuffle_bytes,
-            r.migrated_fraction,
-            r.update_s,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
 /// Runs the sweep, writes `BENCH_rebalance.json`, and renders the table.
 pub fn run(scale: Scale, quick: bool) -> String {
     let rank_counts: &[usize] = if quick { &[16] } else { &[16, 64] };
@@ -358,10 +332,21 @@ pub fn run(scale: Scale, quick: bool) -> String {
     );
     t.note("answers are identical across modes (oracle-checked by tests/proptest_rebalance.rs)");
     t.note("expectation: the frozen decomposition degrades as the hotspot drifts; re-bisection holds the ceiling while shipping only owner-changed cells");
-    match std::fs::write("BENCH_rebalance.json", to_json(&rows)) {
-        Ok(()) => t.note("trajectory written to BENCH_rebalance.json"),
-        Err(e) => t.note(format!("could not write BENCH_rebalance.json: {e}")),
-    }
+    write_trajectory(&mut t, "rebalance", "replica_imbalance_ratio", &rows, |r| {
+        vec![
+            ("mode", Str(r.mode)),
+            ("ranks", Int(r.ranks as u64)),
+            ("steps", Int(r.steps as u64)),
+            ("updates", Int(r.updates)),
+            ("final_imbalance", Float(r.final_imbalance, 4)),
+            ("peak_imbalance", Float(r.peak_imbalance, 4)),
+            ("rebalances", Int(r.rebalances)),
+            ("migrated_bytes", Int(r.migrated_bytes)),
+            ("reshuffle_bytes", Int(r.reshuffle_bytes)),
+            ("migrated_fraction", Float(r.migrated_fraction, 4)),
+            ("update_s", Float(r.update_s, 6)),
+        ]
+    });
     t.render()
 }
 

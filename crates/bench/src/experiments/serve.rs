@@ -15,7 +15,7 @@
 //! `BENCH_serve.json` so future PRs can track it.
 
 use super::{cost_scaled, full_seconds, gpfs_scaled, Scale};
-use crate::report::Table;
+use crate::report::{write_trajectory, Cell::*, Table};
 use mvio_core::decomp::{DecompConfig, SpatialDecomposition};
 use mvio_core::exchange::ExchangeChunk;
 use mvio_core::grid::GridSpec;
@@ -255,30 +255,6 @@ pub fn measure(scale: Scale, rank_counts: &[usize]) -> Vec<Row> {
     rows
 }
 
-/// Renders the measurement rows as a JSON trajectory file body.
-pub fn to_json(rows: &[Row]) -> String {
-    let mut s = String::from(
-        "{\n  \"experiment\": \"serve\",\n  \"metric\": \"global_queries_per_virtual_second\",\n  \"rows\": [\n",
-    );
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"ranks\": {}, \"queries_per_rank\": {}, \"batch\": {}, \"serve_s\": {:.6}, \"qps\": {:.2}, \"p99_ms\": {:.4}, \"cache_hit_rate\": {:.4}, \"speedup\": {:.4}}}{}\n",
-            r.mode,
-            r.ranks,
-            r.queries,
-            r.batch,
-            r.serve_s,
-            r.qps,
-            r.p99_ms,
-            r.cache_hit_rate,
-            r.speedup,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
 /// Runs the sweep, writes `BENCH_serve.json`, and renders the table.
 pub fn run(scale: Scale, quick: bool) -> String {
     let rank_counts: &[usize] = if quick { &[16] } else { &[16, 64] };
@@ -318,10 +294,20 @@ pub fn run(scale: Scale, quick: bool) -> String {
     t.note(
         "expectation: one validation allreduce + two exchange trips per call amortize over the batch",
     );
-    match std::fs::write("BENCH_serve.json", to_json(&rows)) {
-        Ok(()) => t.note("trajectory written to BENCH_serve.json"),
-        Err(e) => t.note(format!("could not write BENCH_serve.json: {e}")),
-    }
+    let metric = "global_queries_per_virtual_second";
+    write_trajectory(&mut t, "serve", metric, &rows, |r| {
+        vec![
+            ("mode", Str(r.mode)),
+            ("ranks", Int(r.ranks as u64)),
+            ("queries_per_rank", Int(r.queries)),
+            ("batch", Int(r.batch as u64)),
+            ("serve_s", Float(r.serve_s, 6)),
+            ("qps", Float(r.qps, 2)),
+            ("p99_ms", Float(r.p99_ms, 4)),
+            ("cache_hit_rate", Float(r.cache_hit_rate, 4)),
+            ("speedup", Float(r.speedup, 4)),
+        ]
+    });
     t.render()
 }
 

@@ -1,4 +1,5 @@
-//! Minimal fixed-width table rendering for experiment output.
+//! Minimal fixed-width table rendering for experiment output, and the
+//! one serializer behind every `BENCH_<experiment>.json` trajectory.
 
 /// A printable results table.
 pub struct Table {
@@ -85,6 +86,69 @@ pub fn gbps(bytes: u64, seconds: f64) -> String {
     format!("{:.2}", bytes as f64 / seconds.max(1e-12) / 1e9)
 }
 
+/// One typed value of a trajectory row.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Cell<'a> {
+    /// A JSON string.
+    Str(&'a str),
+    /// An integer count.
+    Int(u64),
+    /// A float printed at a fixed number of decimals.
+    Float(f64, usize),
+    /// `true` or `false`.
+    Bool(bool),
+}
+
+/// One trajectory row: `(field name, value)` pairs in print order.
+pub(crate) type Fields<'a> = Vec<(&'static str, Cell<'a>)>;
+
+/// Renders a trajectory file body: the experiment and metric names, then
+/// one JSON object per row on its own line.
+fn trajectory_json<'a>(
+    experiment: &str,
+    metric: &str,
+    rows: impl IntoIterator<Item = Fields<'a>>,
+) -> String {
+    let mut s = format!(
+        "{{\n  \"experiment\": \"{experiment}\",\n  \"metric\": \"{metric}\",\n  \"rows\": [\n"
+    );
+    let mut rows = rows.into_iter().peekable();
+    while let Some(row) = rows.next() {
+        let cells: Vec<String> = row
+            .into_iter()
+            .map(|(name, cell)| match cell {
+                Cell::Str(v) => format!("\"{name}\": {v:?}"),
+                Cell::Int(v) => format!("\"{name}\": {v}"),
+                Cell::Float(v, decimals) => format!("\"{name}\": {v:.decimals$}"),
+                Cell::Bool(v) => format!("\"{name}\": {v}"),
+            })
+            .collect();
+        let comma = if rows.peek().is_some() { "," } else { "" };
+        s.push_str(&format!("    {{{}}}{comma}\n", cells.join(", ")));
+    }
+    s.push_str("  ]\n}\n");
+    s
+}
+
+/// Writes `BENCH_<experiment>.json`, the [`trajectory_json`] of `fields`
+/// of each of `rows`, and notes the outcome under `t`; whether it was.
+pub(crate) fn write_trajectory<'a, R>(
+    t: &mut Table,
+    experiment: &str,
+    metric: &str,
+    rows: &'a [R],
+    fields: impl Fn(&'a R) -> Fields<'a>,
+) -> bool {
+    let path = format!("BENCH_{experiment}.json");
+    let body = trajectory_json(experiment, metric, rows.iter().map(fields));
+    let written = std::fs::write(&path, body);
+    t.note(match &written {
+        Ok(()) => format!("trajectory written to {path}"),
+        Err(e) => format!("could not write {path}: {e}"),
+    });
+    written.is_ok()
+}
+
 /// The data cells of a [`Table::render`]ed table, row by row (the
 /// experiments' cells hold no spaces): what the figure tests assert the
 /// paper's orderings on.
@@ -114,6 +178,26 @@ mod tests {
         assert!(s.contains("nodes"));
         assert!(s.contains("22.01"));
         assert!(s.contains("note: peak"));
+    }
+
+    #[test]
+    fn trajectory_json_pins_every_cell_type() {
+        let row = |name, n, x, ok| -> Fields<'static> {
+            vec![
+                ("name", Cell::Str(name)),
+                ("n", Cell::Int(n)),
+                ("x", Cell::Float(x, 4)),
+                ("bw", Cell::Float(x * 1e6, 0)),
+                ("ok", Cell::Bool(ok)),
+            ]
+        };
+        let rows = vec![row("io: a/b @16", 16, 1.25, true), row("x", 0, 0.1, false)];
+        assert_eq!(
+            trajectory_json("demo", "some_metric", rows),
+            "{\n  \"experiment\": \"demo\",\n  \"metric\": \"some_metric\",\n  \"rows\": [\n    \
+             {\"name\": \"io: a/b @16\", \"n\": 16, \"x\": 1.2500, \"bw\": 1250000, \"ok\": true},\n    \
+             {\"name\": \"x\", \"n\": 0, \"x\": 0.1000, \"bw\": 100000, \"ok\": false}\n  ]\n}\n"
+        );
     }
 
     #[test]

@@ -48,6 +48,19 @@ pub fn claims_reference(decomp: &Decomposition, cell: u32, a: &Rect, b: &Rect) -
     x_ok && y_ok
 }
 
+/// Whether the replica of a feature with envelope `mbr` held in `cell` is
+/// that feature's reference copy: the one that represents it in kNN scans
+/// and in the rebalancer's drift histogram, so each feature counts once
+/// globally. The reference cell holds the envelope's min corner; when
+/// that corner lies outside the bounds (an update whose envelope only
+/// intersects them), the lowest overlapping cell is the reference.
+pub fn is_reference_replica(decomp: &Decomposition, cell: u32, mbr: &Rect) -> bool {
+    match decomp.reference_cell(mbr) {
+        Some(c) => c == cell,
+        None => decomp.cells_for_rect_vec(mbr).first() == Some(&cell),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -34,6 +34,7 @@ use crate::decomp::{imbalance_ratio, DecompPolicy, Decomposition, SpatialDecompo
 use crate::exchange::{
     serialize_record, ExchangeChunk, ExchangeOptions, ExchangePlan, ExchangeStats, SerializedBatch,
 };
+use crate::framework::is_reference_replica;
 use crate::resident::ResidentStore;
 use crate::{CoreError, Feature, Result};
 use mvio_geom::Rect;
@@ -90,17 +91,6 @@ pub struct UpdateStats {
     pub delete_exchange: ExchangeStats,
 }
 
-/// Whether `cell` is the reference cell of a feature with envelope
-/// `mbr` — the engine's kNN dedup rule, shared here so the drift
-/// histogram counts each feature exactly once globally (degenerate
-/// reference corners fall back to the lowest overlapping cell).
-fn is_reference(sd: &Decomposition, cell: u32, mbr: &Rect) -> bool {
-    match sd.reference_cell(mbr) {
-        Some(c) => c == cell,
-        None => sd.cells_for_rect_vec(mbr).first() == Some(&cell),
-    }
-}
-
 /// Element-wise `i64` sum behind the drift-delta allreduce.
 struct SumDeltas;
 
@@ -143,7 +133,7 @@ impl DriftTracker {
     /// Applies one replica arrival/removal: bumps the cell's count when
     /// the replica (of envelope `mbr`) is its feature's reference copy.
     fn record(&mut self, sd: &Decomposition, cell: u32, mbr: &Rect, delta: i64) {
-        if is_reference(sd, cell, mbr) {
+        if is_reference_replica(sd, cell, mbr) {
             self.counts[cell as usize] += delta;
         }
     }

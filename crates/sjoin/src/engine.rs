@@ -1466,6 +1466,69 @@ mod tests {
         }
     }
 
+    /// Inserts whose envelope starts left of or below the bounds have no
+    /// in-bounds reference corner; the lowest overlapping cell stands in
+    /// (`is_reference_replica`), so each still counts once in the drift
+    /// histogram and comes back once from kNN and from range. The range
+    /// window is the bounds: a window that itself starts outside them
+    /// still misses such an insert, because `claims_reference` has no
+    /// fallback (a ROADMAP follow-up).
+    #[test]
+    fn an_insert_starting_outside_the_bounds_has_one_reference_replica() {
+        let fs = lattice_fs(6); // bounds [0, 5]², 36 points
+        let out = World::run(WorldConfig::new(Topology::single_node(4)), move |comm| {
+            let opts = EngineOptions {
+                rebalance: RebalancePolicy::Threshold(f64::MAX),
+                ..Default::default()
+            };
+            let mut eng = build_engine(comm, &fs, &opts);
+            let insert = |wkt: &str, tag: &str| {
+                Update::Insert(Feature::with_userdata(
+                    mvio_geom::wkt::parse(wkt).unwrap(),
+                    tag,
+                ))
+            };
+            let updates = match comm.rank() {
+                0 => vec![insert("LINESTRING (-1 -1, 2.6 0.6)", "sw")],
+                1 => vec![insert("LINESTRING (-2 3.3, 1.6 3.4)", "w")],
+                _ => Vec::new(),
+            };
+            let stats = eng.apply_updates(comm, &updates).unwrap();
+            let reb = eng.rebalancer.as_mut().unwrap();
+            let histogram = reb.tracker_mut().global_histogram(comm);
+            let batch = [
+                Query::Knn {
+                    at: Point::new(-1.0, -1.0),
+                    k: 100,
+                },
+                Query::Range(Rect::new(0.0, 0.0, 5.0, 5.0)),
+            ];
+            let answers = eng.serve(comm, &batch).unwrap().answers;
+            (stats.inserted_replicas, histogram, answers)
+        });
+        let replicas: u64 = out.iter().map(|o| o.0).sum();
+        assert!(replicas > 2, "each insert spans several cells: {replicas}");
+        for (_, histogram, answers) in &out {
+            assert_eq!(histogram.iter().sum::<u64>(), 38, "{histogram:?}");
+            let QueryAnswer::Neighbors(nb) = &answers[0] else {
+                panic!("knn answer expected");
+            };
+            let QueryAnswer::Matches(window) = &answers[1] else {
+                panic!("range answer expected");
+            };
+            assert_eq!(nb[0].userdata, "sw");
+            for labels in [
+                nb.iter().map(|n| n.userdata.as_str()).collect::<Vec<_>>(),
+                window.iter().map(String::as_str).collect(),
+            ] {
+                assert_eq!(labels.len(), 38);
+                for tag in ["sw", "w"] {
+                    assert_eq!(labels.iter().filter(|&&l| l == tag).count(), 1, "{tag}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn rebalance_off_is_a_noop() {
         let fs = lattice_fs(4);

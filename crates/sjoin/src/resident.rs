@@ -4,6 +4,7 @@
 use crate::answer::write_answer_blocks;
 use mvio_core::decomp::{Decomposition, SpatialDecomposition};
 use mvio_core::exchange::RecordFrame;
+use mvio_core::framework::{claims_reference, is_reference_replica};
 use mvio_core::resident::ResidentStore;
 use mvio_core::{CoreError, Result};
 use mvio_geom::index::RTree;
@@ -73,15 +74,7 @@ impl ResidentIndex {
         comm.charge(Work::RtreeInserts { n: n as u64 });
         self.rtree = RTree::bulk_load((0..n).map(|i| (*self.store.envelope(i), i)).collect());
         self.reference = (0..n)
-            .map(|i| {
-                let (cell, mbr) = (self.store.cell(i), self.store.envelope(i));
-                match self.sd.reference_cell(mbr) {
-                    Some(c) => c == cell,
-                    // Degenerate (out-of-bounds reference corner): claim in
-                    // the lowest overlapping cell — deterministic everywhere.
-                    None => self.sd.cells_for_rect_vec(mbr).first() == Some(&cell),
-                }
-            })
+            .map(|i| is_reference_replica(&self.sd, self.store.cell(i), self.store.envelope(i)))
             .collect();
         self.rank_cells = vec![None; self.sd.num_ranks()];
         for cell in 0..self.sd.num_cells() {
@@ -118,7 +111,7 @@ impl ResidentIndex {
             }
             let mbr = self.store.envelope(i);
             comm.charge(Work::MbrTests { n: 1 });
-            if !mvio_core::framework::claims_reference(&self.sd, cell, mbr, query) {
+            if !claims_reference(&self.sd, cell, mbr, query) {
                 continue;
             }
             let frame = self.store.frame(i);
@@ -164,7 +157,7 @@ impl ResidentIndex {
     /// [`Work::RefinePair`] per walk over the summed vertices of the
     /// candidates whose exact distance was computed; pricing each
     /// candidate as a refine of its own waits for the two-step distance
-    /// bound (ROADMAP item 6), without which every rank pays it.
+    /// bound (ROADMAP item 5(a)), without which every rank pays it.
     /// Not collective.
     pub(crate) fn knn_local(
         &self,
