@@ -11,7 +11,7 @@
 //! `BENCH_decomp.json` so future PRs can track it.
 
 use super::{cost_scaled, gpfs_scaled, Scale};
-use crate::report::{write_trajectory, Cell::*, Table};
+use crate::report::{write_trajectory, Cell::*, Fields, Table};
 use mvio_core::decomp::{imbalance_ratio, DecompConfig};
 use mvio_core::partition::ReadOptions;
 use mvio_core::pipeline::{ingest, PipelineOptions};
@@ -200,25 +200,49 @@ pub fn run(scale: Scale, quick: bool) -> String {
         "exchange counters are the busiest rank's; received bytes mirror the ownership imbalance",
     );
     t.note("expectation: on clustered input, adaptive >= 2x lower imbalance than uniform at 16 ranks; hilbert keeps locality with balance between the two");
-    let metric = "max_over_mean_per_rank_features";
-    write_trajectory(&mut t, "decomp", metric, &rows, |r| {
-        vec![
-            ("input", Str(r.input)),
-            ("decomp", Str(r.decomp)),
-            ("ranks", Int(r.ranks as u64)),
-            ("imbalance", Float(r.imbalance, 4)),
-            ("wall_s", Float(r.wall_s, 6)),
-            ("exch_rounds", Int(r.exch_rounds.into())),
-            ("exch_sent", Int(r.exch_sent)),
-            ("exch_received", Int(r.exch_received)),
-        ]
-    });
+    write_trajectory(&mut t, "decomp", METRIC, &rows, trajectory_fields);
     t.render()
+}
+
+/// The metric `BENCH_decomp.json` tracks.
+const METRIC: &str = "max_over_mean_per_rank_features";
+
+/// One row of `BENCH_decomp.json`.
+fn trajectory_fields(r: &Row) -> Fields<'_> {
+    vec![
+        ("input", Str(r.input)),
+        ("decomp", Str(r.decomp)),
+        ("ranks", Int(r.ranks as u64)),
+        ("imbalance", Float(r.imbalance, 4)),
+        ("wall_s", Float(r.wall_s, 6)),
+        ("exch_rounds", Int(r.exch_rounds.into())),
+        ("exch_sent", Int(r.exch_sent)),
+        ("exch_received", Int(r.exch_received)),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::trajectory_json;
+
+    #[test]
+    fn json_trajectory_is_well_formed() {
+        let rows = [Row {
+            input: "clustered",
+            decomp: "adaptive",
+            ranks: 16,
+            imbalance: 1.25,
+            wall_s: 0.0125,
+            exch_rounds: 1,
+            exch_sent: 2048,
+            exch_received: 4096,
+        }];
+        let s = trajectory_json("decomp", METRIC, rows.iter().map(trajectory_fields));
+        assert!(s.contains("\"experiment\": \"decomp\""));
+        assert!(s.contains("\"imbalance\": 1.2500"));
+        assert!(!s.contains(",\n  ]"), "no trailing comma");
+    }
 
     /// The PR's acceptance criterion: on the clustered input at 16 ranks,
     /// adaptive bisection cuts the max/mean imbalance at least 2x vs the

@@ -17,7 +17,7 @@
 //! `BENCH_exchange.json` so future PRs can track it.
 
 use super::{cost_scaled, gpfs_scaled, Scale};
-use crate::report::{write_trajectory, Cell::*, Table};
+use crate::report::{write_trajectory, Cell::*, Fields, Table};
 use mvio_core::decomp::DecompConfig;
 use mvio_core::exchange::{ExchangeChunk, ExchangeOptions};
 use mvio_core::grid::GridSpec;
@@ -221,24 +221,47 @@ pub fn run(scale: Scale, quick: bool) -> String {
     }
     t.note("owned pairs are bit-identical between the two policies (asserted by the test suite)");
     t.note("expectation: chunked rounds hide the payload transfer under next-round serialization and previous-round deserialization");
-    let metric = "max_over_ranks_virtual_ingest_seconds";
-    write_trajectory(&mut t, "exchange", metric, &rows, |r| {
-        vec![
-            ("chunk", Str(&r.chunk)),
-            ("ranks", Int(r.ranks as u64)),
-            ("rounds", Int(r.rounds.into())),
-            ("bytes_sent", Int(r.bytes_sent)),
-            ("exposed_wait_s", Float(r.exposed_wait_s, 6)),
-            ("ingest_s", Float(r.ingest_s, 6)),
-            ("speedup", Float(r.speedup, 4)),
-        ]
-    });
+    write_trajectory(&mut t, "exchange", METRIC, &rows, trajectory_fields);
     t.render()
+}
+
+/// The metric `BENCH_exchange.json` tracks.
+const METRIC: &str = "max_over_ranks_virtual_ingest_seconds";
+
+/// One row of `BENCH_exchange.json`.
+fn trajectory_fields(r: &Row) -> Fields<'_> {
+    vec![
+        ("chunk", Str(&r.chunk)),
+        ("ranks", Int(r.ranks as u64)),
+        ("rounds", Int(r.rounds.into())),
+        ("bytes_sent", Int(r.bytes_sent)),
+        ("exposed_wait_s", Float(r.exposed_wait_s, 6)),
+        ("ingest_s", Float(r.ingest_s, 6)),
+        ("speedup", Float(r.speedup, 4)),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::trajectory_json;
+
+    #[test]
+    fn json_trajectory_is_well_formed() {
+        let rows = [Row {
+            chunk: "98304".into(),
+            ranks: 16,
+            rounds: 6,
+            bytes_sent: 1 << 20,
+            exposed_wait_s: 0.001,
+            ingest_s: 0.025,
+            speedup: 1.15,
+        }];
+        let s = trajectory_json("exchange", METRIC, rows.iter().map(trajectory_fields));
+        assert!(s.contains("\"experiment\": \"exchange\""));
+        assert!(s.contains("\"speedup\": 1.1500"));
+        assert!(!s.contains(",\n  ]"), "no trailing comma");
+    }
 
     /// The PR's acceptance criterion: the chunked overlapped exchange
     /// must reduce max-over-ranks virtual ingest time versus the

@@ -18,7 +18,7 @@
 //! `BENCH_io.json` so future PRs can track it.
 
 use super::{cost_scaled, lustre_scaled, Scale};
-use crate::report::{write_trajectory, Cell::*, Table};
+use crate::report::{write_trajectory, Cell::*, Fields, Table};
 use mvio_core::decomp::DecompConfig;
 use mvio_core::grid::GridSpec;
 use mvio_core::partition::ReadOptions;
@@ -241,24 +241,47 @@ pub fn run(scale: Scale, quick: bool) -> String {
     }
     t.note("every run re-reads the snapshot and asserts bit-identical pairs (round-trip oracle)");
     t.note("expectation: one aggregator serializes the cb cycles; wider aggregation spreads them across OSTs and node links until the divisor-rule width");
-    let metric = "virtual_bandwidth_bytes_per_second";
-    write_trajectory(&mut t, "io", metric, &rows, |r| {
-        vec![
-            ("op", Str(r.op)),
-            ("ranks", Int(r.ranks as u64)),
-            ("aggregators", Int(r.aggregators as u64)),
-            ("payload_bytes", Int(r.payload_bytes)),
-            ("io_s", Float(r.io_s, 6)),
-            ("bandwidth", Float(r.bandwidth, 0)),
-            ("speedup", Float(r.speedup, 4)),
-        ]
-    });
+    write_trajectory(&mut t, "io", METRIC, &rows, trajectory_fields);
     t.render()
+}
+
+/// The metric `BENCH_io.json` tracks.
+const METRIC: &str = "virtual_bandwidth_bytes_per_second";
+
+/// One row of `BENCH_io.json`.
+fn trajectory_fields(r: &Row) -> Fields<'_> {
+    vec![
+        ("op", Str(r.op)),
+        ("ranks", Int(r.ranks as u64)),
+        ("aggregators", Int(r.aggregators as u64)),
+        ("payload_bytes", Int(r.payload_bytes)),
+        ("io_s", Float(r.io_s, 6)),
+        ("bandwidth", Float(r.bandwidth, 0)),
+        ("speedup", Float(r.speedup, 4)),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::trajectory_json;
+
+    #[test]
+    fn json_trajectory_is_well_formed() {
+        let rows = [Row {
+            op: "write",
+            ranks: 16,
+            aggregators: 4,
+            payload_bytes: 1 << 20,
+            io_s: 0.004,
+            bandwidth: 2.5e8,
+            speedup: 1.42,
+        }];
+        let s = trajectory_json("io", METRIC, rows.iter().map(trajectory_fields));
+        assert!(s.contains("\"experiment\": \"io\""));
+        assert!(s.contains("\"speedup\": 1.4200"));
+        assert!(!s.contains(",\n  ]"), "no trailing comma");
+    }
 
     /// The PR's acceptance criterion: widening the aggregator set must
     /// speed the collective snapshot write up measurably over a single

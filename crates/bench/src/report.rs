@@ -104,7 +104,7 @@ pub(crate) type Fields<'a> = Vec<(&'static str, Cell<'a>)>;
 
 /// Renders a trajectory file body: the experiment and metric names, then
 /// one JSON object per row on its own line.
-fn trajectory_json<'a>(
+pub(crate) fn trajectory_json<'a>(
     experiment: &str,
     metric: &str,
     rows: impl IntoIterator<Item = Fields<'a>>,
