@@ -4,13 +4,19 @@
 
 use super::{cost_scaled, gpfs_scaled, install_dataset, spec, Scale};
 use crate::report::Table;
-use mvio_core::grid::{CellMap, GridSpec};
+use mvio_core::decomp::DecompConfig;
+use mvio_core::grid::GridSpec;
 use mvio_core::partition::ReadOptions;
+use mvio_core::pipeline::{ingest_layers, PipelineOptions};
+use mvio_core::reader::WktLineParser;
+use mvio_core::resident::ResidentStore;
 use mvio_msim::{Topology, World, WorldConfig};
 use mvio_pfs::SimFs;
-use mvio_sjoin::{build_distributed_index, PhaseBreakdown};
+use mvio_sjoin::breakdown::PhaseTimer;
+use mvio_sjoin::{EngineOptions, PhaseBreakdown, QueryEngine};
 
-/// Runs one distributed-indexing job; returns `(breakdown, total indexed)`.
+/// Runs one distributed-indexing job — ingest, then the resident
+/// engine's R-tree build — and returns `(breakdown, total indexed)`.
 pub fn index_run(scale: Scale, procs: usize, cells_per_side: u32) -> (PhaseBreakdown, u64) {
     let fs = SimFs::new(gpfs_scaled(scale));
     let nodes = procs.div_ceil(20).max(1);
@@ -19,16 +25,25 @@ pub fn index_run(scale: Scale, procs: usize, cells_per_side: u32) -> (PhaseBreak
     install_dataset(&fs, &spec("Road Network"), scale, "roadnet.wkt", None);
     let cfg = WorldConfig::new(topo).with_cost(cost_scaled(scale));
     let out = World::run(cfg, move |comm| {
-        let rep = build_distributed_index(
-            comm,
-            &fs,
-            "roadnet.wkt",
-            GridSpec::square(cells_per_side),
-            mvio_core::decomp::DecompPolicy::Uniform(CellMap::RoundRobin),
-            &ReadOptions::default(),
+        let mut timer = PhaseTimer::start(comm);
+        let cfg = DecompConfig::uniform(GridSpec::square(cells_per_side));
+        let (read, pipe) = (ReadOptions::default(), PipelineOptions::default());
+        let (paths, ex) = (["roadnet.wkt"], Default::default());
+        let ingested =
+            ingest_layers(comm, &fs, &paths, &read, &WktLineParser, &cfg, &pipe, &ex).unwrap();
+        timer.end_partition(ingested.partition_end);
+        // Adopting the received frames is the last of the communication
+        // phase; the R-tree build is the indexing phase.
+        let owned = std::slice::from_ref(&ingested.layers[0].owned);
+        let store = ResidentStore::from_frames(comm, owned);
+        timer.end_communication(comm);
+        let eng = QueryEngine::from_store(comm, ingested.decomp, store, &EngineOptions::default());
+        timer.end_compute(comm);
+        let local = timer.finish(comm);
+        (
+            PhaseBreakdown::reduce_max(comm, local),
+            eng.resident_replicas() as u64,
         )
-        .unwrap();
-        (rep.breakdown, rep.indexed)
     });
     let indexed: u64 = out.iter().map(|(_, n)| n).sum();
     (out[0].0, indexed)

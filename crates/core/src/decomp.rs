@@ -547,14 +547,6 @@ impl DecompConfig {
         }
     }
 
-    /// Uniform cells with a specific [`CellMap`].
-    pub fn uniform_with_map(grid: GridSpec, map: CellMap) -> Self {
-        DecompConfig {
-            grid,
-            policy: DecompPolicy::Uniform(map),
-        }
-    }
-
     /// Hilbert-mapped uniform cells.
     pub fn hilbert(grid: GridSpec) -> Self {
         DecompConfig {

@@ -35,12 +35,19 @@ pub fn is_reference_cell(cell_rect: &Rect, a: &Rect, b: &Rect) -> bool {
 /// ([`SpatialDecomposition::cell_on_max_edge`]) also claim points lying
 /// exactly on the global max boundary (otherwise results there would be
 /// silently dropped — no neighbouring cell exists to pick them up).
+///
+/// The reference point is clamped to the bounds' min corner: an update
+/// whose envelope starts left of or below the bounds, met by a window
+/// that does too, would otherwise have its point outside every cell.
+/// Ingested envelopes lie inside the bounds, so for them the clamp is a
+/// no-op.
 pub fn claims_reference(decomp: &Decomposition, cell: u32, a: &Rect, b: &Rect) -> bool {
     let i = a.intersection(b);
     if i.is_empty() {
         return false;
     }
-    let (x, y) = (i.min_x, i.min_y);
+    let bounds = decomp.bounds();
+    let (x, y) = (i.min_x.max(bounds.min_x), i.min_y.max(bounds.min_y));
     let r = decomp.cell_rect(cell);
     let (max_col, max_row) = decomp.cell_on_max_edge(cell);
     let x_ok = x >= r.min_x && (x < r.max_x || (max_col && x <= r.max_x));

@@ -149,13 +149,6 @@ impl RefineArena {
         RefineArena::default()
     }
 
-    /// Forgets any outstanding lends (buffers not recycled are simply
-    /// dropped by their owners) while keeping the pool — called between
-    /// refine windows.
-    pub fn reset(&mut self) {
-        self.live = 0;
-    }
-
     /// Fresh coordinate buffers created over the arena's lifetime.
     pub fn buffers_created(&self) -> u64 {
         self.created

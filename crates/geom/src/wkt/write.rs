@@ -1,7 +1,6 @@
 //! WKT writer producing canonical OGC output.
 
 use crate::geometry::Geometry;
-use crate::linestring::LineString;
 use crate::point::Point;
 use crate::polygon::Polygon;
 
@@ -124,11 +123,6 @@ fn push_polygon_body(out: &mut String, p: &Polygon) {
         push_coord_list(out, hole.points());
     }
     out.push(')');
-}
-
-/// Convenience: writes a [`LineString`] without wrapping it in [`Geometry`].
-pub(crate) fn _write_linestring(l: &LineString) -> String {
-    write(&Geometry::LineString(l.clone()))
 }
 
 #[cfg(test)]

@@ -141,12 +141,6 @@ impl Comm {
 
     // ----- protocol verification ------------------------------------------
 
-    /// True when the collective-protocol verifier is active
-    /// (`MVIO_CHECK` on or strict; see [`crate::check`]).
-    pub fn check_active(&self) -> bool {
-        self.shared.check.is_some()
-    }
-
     /// Runs `f` with `label` pushed on the call-site label stack; every
     /// collective entered inside carries the stack (nested scopes joined
     /// with `/`) in its verifier signature, and leaked requests report

@@ -55,13 +55,6 @@ pub struct IoCompletion {
     pub bytes: u64,
 }
 
-impl IoCompletion {
-    /// Duration relative to a start time.
-    pub fn duration_from(&self, start: f64) -> f64 {
-        (self.completion - start).max(0.0)
-    }
-}
-
 /// A single-resource server in virtual time, scheduled with **backfill**:
 /// a request may occupy any idle gap at or after its arrival, not just the
 /// tail of the queue. This keeps the schedule work-conserving and (nearly)

@@ -59,7 +59,7 @@
 //!    applicable, inserted into the cache, and returned aligned with the
 //!    input slice.
 //!
-//! Duplicate-free semantics follow `range_query`'s reference-corner rule
+//! Duplicate-free semantics follow the reference-corner rule
 //! ([`mvio_core::framework::claims_reference`]): a feature replicated
 //! into several cells is claimed by exactly one owner, so an answer
 //! contains each matching feature exactly once — deterministically, in
@@ -224,8 +224,8 @@ impl ServeCache {
     }
 }
 
-/// Construction-time engine configuration. The default is the one-shot
-/// wrappers' configuration: blocking exchange, no cache, no rebalancing.
+/// Construction-time engine configuration. The default is a blocking
+/// exchange, no cache and no rebalancing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineOptions {
     /// Per-destination byte cap for each pipelined exchange round used
@@ -562,21 +562,6 @@ impl QueryEngine {
     /// resident records are validated).
     pub fn resident(&self) -> impl Iterator<Item = RecordFrame<'_>> {
         self.index.store.frames()
-    }
-
-    /// Answers one rectangle against this rank's replicas only — no
-    /// communication, no cache. The one-shot `range_query` wrapper uses
-    /// this for its compute phase; the union of every rank's local
-    /// matches is the global answer (duplicate-free by the
-    /// reference-corner rule).
-    /// Not collective — answers from this rank's replicas only; the
-    /// communicator only charges the tree walk.
-    pub fn local_range_matches(&self, comm: &mut Comm, query: &Rect) -> Result<Vec<String>> {
-        validate_query(&Query::Range(*query))?;
-        let matches = self
-            .index
-            .rect_matches(comm, &mut RefineArena::new(), query);
-        Ok(matches.into_iter().map(String::from).collect())
     }
 
     /// The configured rebalance threshold (`None` = rebalancing off).
@@ -939,6 +924,89 @@ mod tests {
         }
     }
 
+    /// This rank's local walk for `window`: no communication, no cache.
+    fn local_matches(eng: &QueryEngine, comm: &mut Comm, window: &Rect) -> Vec<String> {
+        let matches = eng
+            .index
+            .rect_matches(comm, &mut RefineArena::new(), window);
+        matches.into_iter().map(String::from).collect()
+    }
+
+    #[test]
+    fn range_window_finds_exact_lattice_subset() {
+        let fs = lattice_fs(10);
+        let window = Rect::new(2.5, 2.5, 5.5, 4.5);
+        let out = World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {
+            let mut eng = build_engine(comm, &fs, &EngineOptions::default());
+            let local = local_matches(&eng, comm, &window);
+            (
+                local,
+                eng.serve(comm, &[Query::Range(window)]).unwrap().answers,
+            )
+        });
+        // Points with x in {3,4,5}, y in {3,4}. The ranks' local walks
+        // split the answer between them: each match is claimed once.
+        let expected = ["p3_3", "p3_4", "p4_3", "p4_4", "p5_3", "p5_4"].map(String::from);
+        let mut union: Vec<String> = out.iter().flat_map(|(local, _)| local.clone()).collect();
+        union.sort();
+        assert_eq!(union, expected);
+        for (_, served) in &out {
+            assert_eq!(served, &[QueryAnswer::Matches(expected.to_vec())]);
+        }
+    }
+
+    /// Every rank's answer sizes for `batch`, served over the 10×10
+    /// lattice.
+    fn lattice_counts(topo: Topology, batch: Vec<Query>) -> Vec<Vec<usize>> {
+        let fs = lattice_fs(10);
+        World::run(WorldConfig::new(topo), move |comm| {
+            let mut eng = build_engine(comm, &fs, &EngineOptions::default());
+            let answers = eng.serve(comm, &batch).unwrap().answers;
+            answers.iter().map(QueryAnswer::len).collect()
+        })
+    }
+
+    #[test]
+    fn empty_query_region_matches_nothing() {
+        let window = Query::Range(Rect::new(50.0, 50.0, 60.0, 60.0));
+        let out = lattice_counts(Topology::single_node(2), vec![window]);
+        assert_eq!(out, vec![vec![0]; 2]);
+    }
+
+    #[test]
+    fn boundary_touching_points_match() {
+        // Points (0,0), (1,0), (0,1), (1,1) all touch the closed box.
+        let window = Query::Range(Rect::new(0.0, 0.0, 1.0, 1.0));
+        let out = lattice_counts(Topology::single_node(2), vec![window]);
+        assert_eq!(out, vec![vec![4]; 2]);
+    }
+
+    #[test]
+    fn batch_matches_individual_queries() {
+        let batch = [
+            Rect::new(2.5, 2.5, 5.5, 4.5),     // 6 lattice points
+            Rect::new(0.0, 0.0, 1.0, 1.0),     // 4 corner points
+            Rect::new(50.0, 50.0, 60.0, 60.0), // none
+            Rect::new(-1.0, -1.0, 9.5, 9.5),   // 100 points
+        ]
+        .map(Query::Range);
+        let fs = lattice_fs(10);
+        let out = World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {
+            let mut eng = build_engine(comm, &fs, &EngineOptions::default());
+            let together = eng.serve(comm, &batch).unwrap().answers;
+            let alone: Vec<QueryAnswer> = batch
+                .iter()
+                .map(|q| eng.serve(comm, &[*q]).unwrap().answers.remove(0))
+                .collect();
+            (together, alone)
+        });
+        for (together, alone) in &out {
+            assert_eq!(together, alone);
+            let counts: Vec<usize> = together.iter().map(QueryAnswer::len).collect();
+            assert_eq!(counts, vec![6, 4, 0, 100]);
+        }
+    }
+
     /// A one-rank engine over `features` on a `side × side` grid of
     /// `[0, 8]²` (a single rank owns every cell, so every replica of a
     /// cell-spanning feature is resident and all but one are
@@ -985,7 +1053,7 @@ mod tests {
             let refine_fixed = comm.cost_model().refine_fixed;
             let mut timed = |window: Rect| {
                 let t = comm.now();
-                let matches = eng.local_range_matches(comm, &window).unwrap();
+                let matches = local_matches(&eng, comm, &window);
                 (matches, comm.now() - t)
             };
 
@@ -1331,7 +1399,7 @@ mod tests {
         let landed = World::run(WorldConfig::new(Topology::single_node(4)), move |comm| {
             let mut eng = build_engine(comm, &fs, &EngineOptions::default());
             let window = Rect::new(10.5, 10.5, 30.5, 40.5);
-            let before = eng.local_range_matches(comm, &window).unwrap();
+            let before = local_matches(&eng, comm, &window);
             // One insert from rank 0; it lands on a single rank.
             let updates: Vec<Update> = (comm.rank() == 0)
                 .then(|| {
@@ -1348,7 +1416,7 @@ mod tests {
             let rebuild = comm.cost_model().cost(Work::RtreeInserts {
                 n: eng.resident_replicas() as u64,
             });
-            let after = eng.local_range_matches(comm, &window).unwrap();
+            let after = local_matches(&eng, comm, &window);
             if stats.inserted_replicas == 0 {
                 // The whole call — collectives included — costs an idle
                 // rank less than the rebuild it used to be charged.
@@ -1469,10 +1537,10 @@ mod tests {
     /// Inserts whose envelope starts left of or below the bounds have no
     /// in-bounds reference corner; the lowest overlapping cell stands in
     /// (`is_reference_replica`), so each still counts once in the drift
-    /// histogram and comes back once from kNN and from range. The range
-    /// window is the bounds: a window that itself starts outside them
-    /// still misses such an insert, because `claims_reference` has no
-    /// fallback (a ROADMAP follow-up).
+    /// histogram and comes back once from kNN. A range window claims by
+    /// its reference point clamped onto the bounds (`claims_reference`),
+    /// so each also comes back once from a window that is the bounds and
+    /// from one that itself starts outside them.
     #[test]
     fn an_insert_starting_outside_the_bounds_has_one_reference_replica() {
         let fs = lattice_fs(6); // bounds [0, 5]², 36 points
@@ -1502,6 +1570,7 @@ mod tests {
                     k: 100,
                 },
                 Query::Range(Rect::new(0.0, 0.0, 5.0, 5.0)),
+                Query::Range(Rect::new(-3.0, -3.0, 5.0, 5.0)),
             ];
             let answers = eng.serve(comm, &batch).unwrap().answers;
             (stats.inserted_replicas, histogram, answers)
@@ -1513,14 +1582,13 @@ mod tests {
             let QueryAnswer::Neighbors(nb) = &answers[0] else {
                 panic!("knn answer expected");
             };
-            let QueryAnswer::Matches(window) = &answers[1] else {
-                panic!("range answer expected");
-            };
             assert_eq!(nb[0].userdata, "sw");
-            for labels in [
-                nb.iter().map(|n| n.userdata.as_str()).collect::<Vec<_>>(),
-                window.iter().map(String::as_str).collect(),
-            ] {
+            let windows = answers[1..].iter().map(|a| match a {
+                QueryAnswer::Matches(m) => m.iter().map(String::as_str).collect(),
+                _ => panic!("range answer expected"),
+            });
+            let knn = nb.iter().map(|n| n.userdata.as_str()).collect::<Vec<_>>();
+            for labels in std::iter::once(knn).chain(windows) {
                 assert_eq!(labels.len(), 38);
                 for tag in ["sw", "w"] {
                     assert_eq!(labels.iter().filter(|&&l| l == tag).count(), 1, "{tag}");

@@ -1,99 +1,22 @@
-//! Distributed spatial indexing (paper Figure 20: "indexing up to 700M
-//! geometries in 137 GB single file in 90 seconds" with 320 processes).
-
-use crate::breakdown::{PhaseBreakdown, PhaseTimer};
-use mvio_core::decomp::{DecompConfig, DecompPolicy};
-use mvio_core::grid::GridSpec;
-use mvio_core::partition::ReadOptions;
-use mvio_core::pipeline::{ingest_layers, PipelineOptions};
-use mvio_core::reader::WktLineParser;
-use mvio_core::{Feature, Result};
-use mvio_geom::index::RTree;
-use mvio_geom::Rect;
-use mvio_msim::{Comm, Work};
-use mvio_pfs::SimFs;
-use std::collections::BTreeMap;
-use std::sync::Arc;
-
-/// Per-rank outcome of distributed index construction.
-pub struct IndexReport {
-    /// The per-cell R-trees this rank owns (cell id → index over the
-    /// cell's features).
-    pub cell_indexes: BTreeMap<u32, RTree<Feature>>,
-    /// Total features indexed on this rank (replicas included).
-    pub indexed: u64,
-    /// Global max-over-ranks breakdown (partition / communication /
-    /// indexing).
-    pub breakdown: PhaseBreakdown,
-}
-
-/// Reads a WKT dataset, globally partitions it under `policy` over
-/// `grid`, and builds one R-tree per owned cell — the paper's in-memory
-/// spatial indexing workload.
-/// Collective: every rank must call it.
-pub fn build_distributed_index(
-    comm: &mut Comm,
-    fs: &Arc<SimFs>,
-    path: &str,
-    grid: GridSpec,
-    policy: DecompPolicy,
-    read: &ReadOptions,
-) -> Result<IndexReport> {
-    let mut timer = PhaseTimer::start(comm);
-
-    // Partition phase (read, parse, decomposition, cell-map), then the
-    // communication phase with the default options: single window, one
-    // blocking round.
-    let cfg = DecompConfig { grid, policy };
-    let (pipe, ex) = (PipelineOptions::default(), Default::default());
-    let ingested = ingest_layers(comm, fs, &[path], read, &WktLineParser, &cfg, &pipe, &ex)?;
-    timer.end_partition(ingested.partition_end);
-
-    // The per-cell R-trees hold objects, so what arrived is decoded here:
-    // the exchange's validation scan already charged the received bytes,
-    // the decode adds the per-object cost — together what the paper's
-    // buffer management charges for deserializing the records.
-    let layer = &ingested.layers[0];
-    let mine = layer
-        .owned
-        .frames()
-        .map(|frame| Ok((frame.cell, frame.to_feature()?)))
-        .collect::<Result<Vec<_>>>()?;
-    comm.charge(Work::SerializeGeoms {
-        n: layer.exchange.records_received,
-        bytes: 0,
-    });
-    timer.end_communication(comm);
-
-    // Indexing phase: bulk-build one R-tree per owned cell.
-    let mut by_cell: BTreeMap<u32, Vec<(Rect, Feature)>> = BTreeMap::new();
-    let mut indexed = 0u64;
-    for (cell, f) in mine {
-        let mbr = f.geometry.envelope();
-        by_cell.entry(cell).or_default().push((mbr, f));
-        indexed += 1;
-    }
-    comm.charge(Work::RtreeInserts { n: indexed });
-    let cell_indexes: BTreeMap<u32, RTree<Feature>> = by_cell
-        .into_iter()
-        .map(|(cell, items)| (cell, RTree::bulk_load(items)))
-        .collect();
-    timer.end_compute(comm);
-
-    let local = timer.finish(comm);
-    let breakdown = PhaseBreakdown::reduce_max(comm, local);
-    Ok(IndexReport {
-        cell_indexes,
-        indexed,
-        breakdown,
-    })
-}
+//! Distributed spatial indexing (Figure 20) as the resident
+//! [`QueryEngine`](crate::QueryEngine) builds it: ingest one WKT file, adopt
+//! the received frames, then build each rank's R-tree over its replicas.
+//! Only tests live here; the index itself is the engine.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use mvio_msim::{Topology, World, WorldConfig};
-    use mvio_pfs::FsConfig;
+    use crate::breakdown::PhaseTimer;
+    use crate::{EngineOptions, PhaseBreakdown, Query, QueryAnswer, QueryEngine};
+    use mvio_core::decomp::{DecompConfig, SpatialDecomposition};
+    use mvio_core::grid::GridSpec;
+    use mvio_core::partition::ReadOptions;
+    use mvio_core::pipeline::{ingest_layers, PipelineOptions};
+    use mvio_core::reader::WktLineParser;
+    use mvio_core::resident::ResidentStore;
+    use mvio_geom::Rect;
+    use mvio_msim::{Comm, Topology, World, WorldConfig};
+    use mvio_pfs::{FsConfig, SimFs};
+    use std::sync::Arc;
 
     fn build_dataset(fs: &Arc<SimFs>, n: usize) {
         let f = fs.create("data.wkt", None).unwrap();
@@ -112,30 +35,45 @@ mod tests {
         f.append(text.as_bytes());
     }
 
+    /// Builds the engine index over `data.wkt` with Figure 20's phase
+    /// split and returns it with this rank's breakdown.
+    fn build_index(comm: &mut Comm, fs: &Arc<SimFs>, side: u32) -> (QueryEngine, PhaseBreakdown) {
+        let mut timer = PhaseTimer::start(comm);
+        let cfg = DecompConfig::uniform(GridSpec::square(side));
+        let (read, pipe) = (ReadOptions::default(), PipelineOptions::default());
+        let (paths, ex) = (["data.wkt"], Default::default());
+        let ingested =
+            ingest_layers(comm, fs, &paths, &read, &WktLineParser, &cfg, &pipe, &ex).unwrap();
+        timer.end_partition(ingested.partition_end);
+        let owned = std::slice::from_ref(&ingested.layers[0].owned);
+        let store = ResidentStore::from_frames(comm, owned);
+        timer.end_communication(comm);
+        let eng = QueryEngine::from_store(comm, ingested.decomp, store, &EngineOptions::default());
+        timer.end_compute(comm);
+        let local = timer.finish(comm);
+        (eng, local)
+    }
+
     #[test]
     fn index_covers_every_feature() {
         let fs = SimFs::new(FsConfig::gpfs_roger());
         build_dataset(&fs, 200);
         let out = World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {
-            let rep = build_distributed_index(
-                comm,
-                &fs,
-                "data.wkt",
-                GridSpec::square(4),
-                DecompPolicy::Uniform(mvio_core::grid::CellMap::RoundRobin),
-                &ReadOptions::default(),
-            )
-            .unwrap();
-            (rep.indexed, rep.cell_indexes.len(), rep.breakdown)
+            let (eng, breakdown) = build_index(comm, &fs, 4);
+            let d = eng.decomposition();
+            let mine = (0..d.num_cells())
+                .filter(|&c| d.cell_to_rank(c) == comm.rank())
+                .count();
+            (eng.resident_replicas(), mine, breakdown)
         });
         // Non-spanning features appear exactly once; these squares sit
         // strictly inside the grid so most are single-cell. Every feature
         // appears at least once across ranks.
-        let total: u64 = out.iter().map(|(n, _, _)| n).sum();
+        let total: usize = out.iter().map(|(n, _, _)| n).sum();
         assert!(total >= 200, "indexed {total}");
-        // All 16 cells are owned somewhere.
+        // All 16 cells are owned by exactly one rank.
         let cells: usize = out.iter().map(|(_, c, _)| c).sum();
-        assert!(cells >= 16);
+        assert_eq!(cells, 16);
         assert!(out[0].2.total > 0.0);
     }
 
@@ -144,26 +82,24 @@ mod tests {
         let fs = SimFs::new(FsConfig::gpfs_roger());
         build_dataset(&fs, 100);
         let out = World::run(WorldConfig::new(Topology::single_node(2)), move |comm| {
-            let rep = build_distributed_index(
-                comm,
-                &fs,
-                "data.wkt",
-                GridSpec::square(2),
-                DecompPolicy::Uniform(mvio_core::grid::CellMap::RoundRobin),
-                &ReadOptions::default(),
-            )
-            .unwrap();
-            // Count features whose MBR touches a probe box, across my cells.
-            let probe = Rect::new(0.0, 0.0, 3.0, 3.0);
-            rep.cell_indexes
-                .values()
-                .map(|t| t.count(&probe))
-                .sum::<usize>()
+            let (mut eng, _) = build_index(comm, &fs, 2);
+            let probe = Query::Range(Rect::new(0.0, 0.0, 3.0, 3.0));
+            eng.serve(comm, &[probe]).unwrap().answers
         });
-        let found: usize = out.iter().sum();
-        // Squares with x in 0..=3 (cols 0..3) and y in 0..=3 intersect;
-        // possibly counted once per overlapping cell replica, so >= exact.
-        assert!(found >= 16, "found {found}");
+        // Squares with x in 0..=3 and y in 0..=3 touch the probe box; the
+        // served answer names each once, whichever cells hold replicas.
+        for answers in &out {
+            let QueryAnswer::Matches(ids) = &answers[0] else {
+                panic!("range answer expected");
+            };
+            let mut want: Vec<String> = (0..4)
+                .flat_map(|y| (0..4).map(move |x| format!("id={}", y * 20 + x)))
+                .collect();
+            want.sort();
+            let mut got = ids.clone();
+            got.sort();
+            assert_eq!(got, want);
+        }
     }
 
     #[test]
@@ -171,34 +107,16 @@ mod tests {
         // Enough data that parsing (which parallelizes) dominates the
         // per-request I/O latency floor.
         let n = 6000;
-        let fs1 = SimFs::new(FsConfig::gpfs_roger());
-        build_dataset(&fs1, n);
-        let b1 = World::run(WorldConfig::new(Topology::single_node(1)), move |comm| {
-            build_distributed_index(
-                comm,
-                &fs1,
-                "data.wkt",
-                GridSpec::square(4),
-                DecompPolicy::Uniform(mvio_core::grid::CellMap::RoundRobin),
-                &ReadOptions::default(),
-            )
-            .unwrap()
-            .breakdown
-        })[0];
-        let fs4 = SimFs::new(FsConfig::gpfs_roger());
-        build_dataset(&fs4, n);
-        let b4 = World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {
-            build_distributed_index(
-                comm,
-                &fs4,
-                "data.wkt",
-                GridSpec::square(4),
-                DecompPolicy::Uniform(mvio_core::grid::CellMap::RoundRobin),
-                &ReadOptions::default(),
-            )
-            .unwrap()
-            .breakdown
-        })[0];
+        let run = |topo: Topology| {
+            let fs = SimFs::new(FsConfig::gpfs_roger());
+            build_dataset(&fs, n);
+            World::run(WorldConfig::new(topo), move |comm| {
+                let (_, local) = build_index(comm, &fs, 4);
+                PhaseBreakdown::reduce_max(comm, local)
+            })[0]
+        };
+        let b1 = run(Topology::single_node(1));
+        let b4 = run(Topology::new(2, 2));
         // The dominant partition (read+parse) phase must shrink with more
         // ranks — Figure 20's scaling claim.
         assert!(

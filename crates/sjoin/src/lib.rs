@@ -2,8 +2,10 @@
 //!
 //! The paper's exemplar applications (§5.2): an end-to-end **spatial
 //! join** ("find all pairs of rivers and cities that intersect") and
-//! distributed **spatial indexing** of a whole dataset, both driven
-//! through the one MPI-Vector-IO front half
+//! distributed **spatial indexing** of a whole dataset (Figure 20). The
+//! index is the resident [`QueryEngine`]: built once, it answers range
+//! (§5.1.1), point and kNN queries in batches. Both are driven through
+//! the one MPI-Vector-IO front half
 //! (`mvio_core::pipeline::ingest_layers`):
 //!
 //! ```text
@@ -23,18 +25,17 @@
 mod answer;
 pub mod breakdown;
 pub mod engine;
-pub mod index;
 pub mod join;
-pub mod query;
 mod resident;
 
 pub use breakdown::PhaseBreakdown;
 pub use engine::{
     EngineOptions, Neighbor, Query, QueryAnswer, QueryEngine, ServeCache, ServeReport, ServeStats,
 };
-pub use index::{build_distributed_index, IndexReport};
 pub use join::{
     spatial_join, spatial_join_snapshots, JoinOptions, JoinReport, SnapshotJoinOptions,
 };
 pub use mvio_core::rebalance::{RebalancePolicy, RebalanceReport, Update, UpdateStats};
-pub use query::{batch_query, range_query, RangeQueryReport};
+
+#[cfg(test)]
+mod index;

@@ -86,9 +86,9 @@ impl ResidentIndex {
     }
 
     /// Filter + refine for one rectangle over the local replicas,
-    /// returning the claimed matches' userdata **sorted**. Identical
-    /// claiming rule to `range_query`: cell overlap, MBR overlap,
-    /// reference-corner dedup, exact predicate — the last only where the
+    /// returning the claimed matches' userdata **sorted**. The claiming
+    /// rule: cell overlap, MBR overlap, reference-corner dedup
+    /// ([`claims_reference`]), exact predicate — the last only where the
     /// filter and the vertex scan left it open.
     /// Not collective — the communicator only charges the walk.
     pub(crate) fn rect_matches(

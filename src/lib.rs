@@ -69,7 +69,6 @@ pub mod prelude {
     };
     pub use mvio_pfs::{FsConfig, FsKind, SimFs, StripeSpec};
     pub use mvio_sjoin::{
-        build_distributed_index, range_query, spatial_join, EngineOptions, JoinOptions, Query,
-        QueryAnswer, QueryEngine, ServeCache,
+        spatial_join, EngineOptions, JoinOptions, Query, QueryAnswer, QueryEngine, ServeCache,
     };
 }

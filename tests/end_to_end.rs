@@ -4,7 +4,6 @@
 mod common;
 
 use common::{brute_force_join, catalog_fs, materialize, read_share};
-use mpi_vector_io::core::grid::{CellMap, GridSpec, UniformGrid};
 use mpi_vector_io::datagen;
 use mpi_vector_io::prelude::*;
 use std::sync::Arc;
@@ -75,85 +74,80 @@ fn exchange_preserves_every_feature_with_real_data() {
     assert!(out.iter().sum::<usize>() > 0);
 }
 
+/// The global MBR of `feats`.
+fn mbr(feats: &[Feature]) -> Rect {
+    feats
+        .iter()
+        .fold(Rect::EMPTY, |a, f| a.union(&f.geometry.envelope()))
+}
+
+/// The serial answer to `window`: the sorted userdata of every feature
+/// the exact predicate keeps.
+fn serial_matches(feats: &[Feature], window: &Rect) -> QueryAnswer {
+    let mut m: Vec<String> = feats
+        .iter()
+        .filter(|f| mpi_vector_io::geom::algo::rect_intersects_geometry(window, &f.geometry))
+        .map(|f| f.userdata.clone())
+        .collect();
+    m.sort();
+    QueryAnswer::Matches(m)
+}
+
+/// Ingests `lakes.wkt` into a resident engine on 2 × 2 ranks over an
+/// 8 × 8 grid and serves `window`: per rank, the resident replicas and
+/// the answer.
+fn serve_lakes(fs: Arc<SimFs>, window: Rect) -> Vec<(usize, QueryAnswer)> {
+    World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {
+        let read = ReadOptions::default().with_block_size(128 << 10);
+        let cfg = DecompConfig::uniform(GridSpec::square(8));
+        let pipe = PipelineOptions::default();
+        let out = pipeline::ingest(comm, &fs, "lakes.wkt", &read, &WktLineParser, &cfg, &pipe);
+        let mut eng = QueryEngine::from_ingest(comm, out.unwrap(), &EngineOptions::default());
+        let mut answers = eng.serve(comm, &[Query::Range(window)]).unwrap().answers;
+        (eng.resident_replicas(), answers.remove(0))
+    })
+}
+
 #[test]
 fn range_query_matches_serial_filter() {
-    let denom = 100_000;
-    let fs = catalog_fs(denom, 7);
-    let query = {
-        // Use the densest region: the global MBR's middle third.
-        let text = String::from_utf8(fs.open("lakes.wkt").unwrap().snapshot()).unwrap();
-        let feats =
-            mpi_vector_io::core::reader::parse_buffer_serial(&text, &WktLineParser).unwrap();
-        let mbr = feats
-            .iter()
-            .fold(Rect::EMPTY, |a, f| a.union(&f.geometry.envelope()));
-        Rect::new(
-            mbr.min_x + mbr.width() * 0.2,
-            mbr.min_y + mbr.height() * 0.2,
-            mbr.max_x - mbr.width() * 0.2,
-            mbr.max_y - mbr.height() * 0.2,
-        )
-    };
-
-    // Serial ground truth with the exact predicate.
-    let text = String::from_utf8(fs.open("lakes.wkt").unwrap().snapshot()).unwrap();
-    let feats = mpi_vector_io::core::reader::parse_buffer_serial(&text, &WktLineParser).unwrap();
-    let expect: u64 = feats
-        .iter()
-        .filter(|f| mpi_vector_io::geom::algo::rect_intersects_geometry(&query, &f.geometry))
-        .count() as u64;
-
-    let out = World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {
-        range_query(
-            comm,
-            &fs,
-            "lakes.wkt",
-            query,
-            GridSpec::square(8),
-            &ReadOptions::default().with_block_size(128 << 10),
-        )
-        .unwrap()
-        .total_matches
-    });
-    assert!(
-        out.iter().all(|&n| n == expect),
-        "got {out:?}, want {expect}"
-    );
+    let fs = catalog_fs(100_000, 7);
+    let feats = parse_file(&fs, "lakes.wkt");
+    // Use the densest region: the global MBR's middle third.
+    let m = mbr(&feats);
+    let (dx, dy) = (m.width() * 0.2, m.height() * 0.2);
+    let query = Rect::new(m.min_x + dx, m.min_y + dy, m.max_x - dx, m.max_y - dy);
+    let expect = serial_matches(&feats, &query);
+    assert!(!expect.is_empty());
+    for (_, answer) in serve_lakes(fs, query) {
+        assert_eq!(answer, expect);
+    }
 }
 
 #[test]
 fn distributed_index_preserves_feature_multiset() {
-    let denom = 100_000;
-    let fs = catalog_fs(denom, 7);
+    let fs = catalog_fs(100_000, 7);
     // Serial: project features to cells and count replicas.
-    let text = String::from_utf8(fs.open("lakes.wkt").unwrap().snapshot()).unwrap();
-    let feats = mpi_vector_io::core::reader::parse_buffer_serial(&text, &WktLineParser).unwrap();
-    let mbr = feats
+    let feats = parse_file(&fs, "lakes.wkt");
+    let m = mbr(&feats);
+    let grid = UniformGrid::new(m, GridSpec::square(8));
+    let expect: usize = feats
         .iter()
-        .fold(Rect::EMPTY, |a, f| a.union(&f.geometry.envelope()));
-    let grid = UniformGrid::new(mbr, GridSpec::square(8));
-    let expect: u64 = feats
-        .iter()
-        .map(|f| grid.cells_overlapping(&f.geometry.envelope()).len() as u64)
+        .map(|f| grid.cells_overlapping(&f.geometry.envelope()).len())
         .sum();
+    // The index answers a probe window, the lower-left quarter, exactly.
+    let probe = Rect::new(m.min_x, m.min_y, m.center().x, m.center().y);
+    let probe_expect = serial_matches(&feats, &probe);
+    assert!(!probe_expect.is_empty());
 
-    let out = World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {
-        build_distributed_index(
-            comm,
-            &fs,
-            "lakes.wkt",
-            GridSpec::square(8),
-            mpi_vector_io::core::decomp::DecompPolicy::Uniform(CellMap::RoundRobin),
-            &ReadOptions::default().with_block_size(128 << 10),
-        )
-        .unwrap()
-        .indexed
-    });
-    let total: u64 = out.iter().sum();
+    let out = serve_lakes(fs, probe);
+    let total: usize = out.iter().map(|(replicas, _)| replicas).sum();
     assert_eq!(
         total, expect,
         "cell-replicated feature count must match serial projection"
     );
+    for (_, answer) in out {
+        assert_eq!(answer, probe_expect);
+    }
 }
 
 #[test]

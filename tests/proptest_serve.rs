@@ -157,12 +157,11 @@ proptest! {
         }
     }
 
-    /// The one-shot `range_query` path and the resident engine are two
-    /// routes to the same answer: the sorted union of per-rank
-    /// `range_query` matches must equal the engine's (already global)
-    /// batch answer, which must equal the brute-force oracle.
+    /// An engine built from a WKT file — read, partition, exchange,
+    /// index — answers a range window on every rank exactly like the
+    /// brute-force oracle.
     #[test]
-    fn resident_engine_agrees_with_one_shot_range_query(
+    fn ingested_engine_range_matches_bruteforce_oracle(
         ranks in 1usize..5,
         coords in proptest::collection::vec((0.0..WORLD, 0.0..WORLD), 1..24),
         window in (0.0..WORLD, 0.0..WORLD, 0.2f64..6.0),
@@ -179,8 +178,8 @@ proptest! {
             _ => unreachable!(),
         };
 
-        // Install the dataset as a WKT layer so range_query's whole
-        // pipeline (read → partition → exchange → walk) runs for real.
+        // Install the dataset as a WKT layer so the whole pipeline
+        // (read → partition → exchange → index → serve) runs for real.
         let fs = SimFs::new(FsConfig::gpfs_roger());
         let f = fs.create("oracle.wkt", None).unwrap();
         let mut text = format!("POINT (0.0 0.0)\tanchor-min\nPOINT ({WORLD} {WORLD})\tanchor-max\n");
@@ -203,27 +202,22 @@ proptest! {
         let out = World::run(
             WorldConfig::new(Topology::single_node(ranks)),
             move |comm| {
-                let rep = range_query(
-                    comm,
-                    &fs,
-                    "oracle.wkt",
-                    rect,
-                    GridSpec::square(4),
-                    // A fixed block size: the generated file can be
-                    // smaller than `ranks × longest record`, where the
-                    // default equal split would leave some rank a block
-                    // with no record boundary in it.
-                    &ReadOptions {
-                        block_size: Some(1024),
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-                rep.matches
+                // A fixed block size: the generated file can be smaller
+                // than `ranks × longest record`, where the default equal
+                // split would leave some rank a block with no record
+                // boundary in it.
+                let read = ReadOptions {
+                    block_size: Some(1024),
+                    ..Default::default()
+                };
+                let (cfg, pipe) = (DecompConfig::uniform(GridSpec::square(4)), Default::default());
+                let out = pipeline::ingest(comm, &fs, "oracle.wkt", &read, &WktLineParser, &cfg, &pipe);
+                let mut eng = QueryEngine::from_ingest(comm, out.unwrap(), &EngineOptions::default());
+                eng.serve(comm, &[Query::Range(rect)]).unwrap().answers
             },
         );
-        let mut union: Vec<String> = out.into_iter().flatten().collect();
-        union.sort();
-        prop_assert_eq!(union, expected);
+        for answers in out {
+            prop_assert_eq!(answers, vec![QueryAnswer::Matches(expected.clone())]);
+        }
     }
 }
