@@ -6,8 +6,9 @@
 //! segment (holes included: a point inside a hole is *outside* the
 //! polygon, and its distance is to the hole's ring).
 
-use crate::algo::pip::{point_in_polygon, PointLocation};
-use crate::{Geometry, LineString, Point, Polygon};
+use super::pip::{locate_in_polygon, PointLocation};
+use super::shape::{Coords, Part, Shape};
+use crate::{Geometry, Point};
 
 /// Distance from `p` to the segment `a..b` (degenerate segments collapse
 /// to point distance).
@@ -21,25 +22,6 @@ pub fn point_segment_distance(p: &Point, a: &Point, b: &Point) -> f64 {
     p.distance(&Point::new(a.x + t * dx, a.y + t * dy))
 }
 
-fn linestring_distance(p: &Point, ls: &LineString) -> f64 {
-    let pts = ls.points();
-    if pts.len() == 1 {
-        return p.distance(&pts[0]);
-    }
-    ls.segments()
-        .map(|(a, b)| point_segment_distance(p, &a, &b))
-        .fold(f64::INFINITY, f64::min)
-}
-
-fn polygon_distance(p: &Point, poly: &Polygon) -> f64 {
-    if point_in_polygon(*p, poly) != PointLocation::Outside {
-        return 0.0;
-    }
-    poly.all_segments()
-        .map(|(a, b)| point_segment_distance(p, &a, &b))
-        .fold(f64::INFINITY, f64::min)
-}
-
 /// Minimum euclidean distance from `p` to `g`.
 ///
 /// Exact for every geometry class: points and vertices measure directly,
@@ -48,38 +30,42 @@ fn polygon_distance(p: &Point, poly: &Polygon) -> f64 {
 /// have no nearest point and return `f64::INFINITY`, which naturally
 /// sorts them behind every real candidate in a kNN merge.
 pub fn point_geometry_distance(p: &Point, g: &Geometry) -> f64 {
-    match g {
-        Geometry::Point(q) => p.distance(q),
-        Geometry::LineString(ls) => linestring_distance(p, ls),
-        Geometry::Polygon(poly) => polygon_distance(p, poly),
-        Geometry::MultiPoint(mp) => {
-            mp.0.iter()
-                .map(|q| p.distance(q))
-                .fold(f64::INFINITY, f64::min)
-        }
-        Geometry::MultiLineString(mls) => mls
-            .0
-            .iter()
-            .map(|ls| linestring_distance(p, ls))
-            .fold(f64::INFINITY, f64::min),
-        Geometry::MultiPolygon(mp) => {
-            mp.0.iter()
-                .map(|poly| polygon_distance(p, poly))
-                .fold(f64::INFINITY, f64::min)
-        }
-        Geometry::GeometryCollection(gc) => {
-            gc.0.iter()
-                .map(|m| point_geometry_distance(p, m))
-                .fold(f64::INFINITY, f64::min)
-        }
-    }
+    point_shape_distance(p, g)
+}
+
+/// [`point_geometry_distance`] over any [`Shape`]: the minimum over its
+/// parts, in order.
+pub fn point_shape_distance(p: &Point, g: impl Shape) -> f64 {
+    let mut nearest = f64::INFINITY;
+    g.form().for_each_part(|part| {
+        let d = match part {
+            Part::Point(q) => p.distance(q),
+            Part::Line(l) => segments_distance(p, l.segments()),
+            Part::Polygon(rings) => {
+                let inside = locate_in_polygon(*p, rings.clone(), &part.envelope());
+                if inside != PointLocation::Outside {
+                    0.0
+                } else {
+                    segments_distance(p, rings.clone().flat_map(Coords::segments))
+                }
+            }
+        };
+        nearest = nearest.min(d);
+    });
+    nearest
+}
+
+fn segments_distance(p: &Point, segments: impl Iterator<Item = (Point, Point)>) -> f64 {
+    segments
+        .map(|(a, b)| point_segment_distance(p, &a, &b))
+        .fold(f64::INFINITY, f64::min)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::polygon::Ring;
-    use crate::{GeometryCollection, MultiPoint};
+    use crate::{GeometryCollection, LineString, MultiPoint, Polygon};
 
     fn unit_square() -> Polygon {
         Polygon::from_coords(

@@ -1,114 +1,122 @@
 //! The OGC `intersects` predicate — the refine-phase test of the paper's
 //! spatial join ("returns true iff the geometries share any portion of
-//! space").
+//! space") — and the point and rectangle predicates beside it. Each has
+//! one body, over [`Shape`], so owned geometries and zero-copy WKB views
+//! run the same code; the `&Geometry` entry points are thin wrappers.
 
-use super::pip::{point_in_polygon, PointLocation};
+use super::pip::{locate_in_polygon, PointLocation};
 use super::segint::segments_intersect;
+use super::shape::{Coords, Form, Part, Shape};
 use crate::geometry::Geometry;
-use crate::linestring::LineString;
 use crate::point::Point;
-use crate::polygon::{Polygon, Ring};
 use crate::rect::Rect;
 
 /// `true` if the point lies on/in the geometry.
 pub fn point_in_geometry(p: Point, g: &Geometry) -> bool {
-    match g {
-        Geometry::Point(q) => p == *q,
-        Geometry::LineString(l) => point_on_linestring(p, l),
-        Geometry::Polygon(poly) => point_in_polygon(p, poly) != PointLocation::Outside,
-        Geometry::MultiPoint(m) => m.0.contains(&p),
-        Geometry::MultiLineString(m) => m.0.iter().any(|l| point_on_linestring(p, l)),
-        Geometry::MultiPolygon(m) => {
-            m.0.iter()
-                .any(|poly| point_in_polygon(p, poly) != PointLocation::Outside)
+    point_in_shape(p, g)
+}
+
+/// [`point_in_geometry`] over any [`Shape`].
+pub fn point_in_shape(p: Point, g: impl Shape) -> bool {
+    g.form().any_part(|part| point_in_part(p, part))
+}
+
+fn point_in_part<S: Shape>(p: Point, part: &Part<S>) -> bool {
+    match part {
+        Part::Point(q) => p == *q,
+        Part::Line(l) => l.segments().any(|(a, b)| segments_intersect(a, b, p, p)),
+        Part::Polygon(rings) => {
+            locate_in_polygon(p, rings.clone(), &part.envelope()) != PointLocation::Outside
         }
-        Geometry::GeometryCollection(c) => c.0.iter().any(|g| point_in_geometry(p, g)),
     }
 }
 
-fn point_on_linestring(p: Point, l: &LineString) -> bool {
-    l.segments().any(|(a, b)| segments_intersect(a, b, p, p))
-}
+// The pair tests below take each side's envelope from the caller, which
+// has it already: a polygon's is its shell's.
 
 /// `true` if any segment of `a` intersects any segment of `b`.
-pub fn line_intersects_line(a: &LineString, b: &LineString) -> bool {
-    if !a.envelope().intersects(&b.envelope()) {
-        return false;
-    }
-    for (p1, p2) in a.segments() {
-        let seg_env = Rect::from_corners(p1, p2);
-        if !seg_env.intersects(&b.envelope()) {
-            continue;
-        }
-        for (q1, q2) in b.segments() {
-            if segments_intersect(p1, p2, q1, q2) {
-                return true;
-            }
-        }
-    }
-    false
+fn lines_intersect(a: impl Coords, a_env: &Rect, b: impl Coords, b_env: &Rect) -> bool {
+    a_env.intersects(b_env)
+        && a.segments().any(|(p1, p2)| {
+            Rect::from_corners(p1, p2).intersects(b_env)
+                && b.segments()
+                    .any(|(q1, q2)| segments_intersect(p1, p2, q1, q2))
+        })
 }
 
 /// `true` if the line touches/crosses the polygon boundary or lies inside.
-pub fn line_intersects_polygon(l: &LineString, poly: &Polygon) -> bool {
-    if !l.envelope().intersects(&poly.envelope()) {
+fn line_intersects_polygon<C: Coords>(
+    l: impl Coords,
+    l_env: &Rect,
+    rings: impl Iterator<Item = C> + Clone,
+    p_env: &Rect,
+) -> bool {
+    if !l_env.intersects(p_env) {
         return false;
     }
     // Any boundary crossing?
-    for (p1, p2) in l.segments() {
-        for (q1, q2) in poly.all_segments() {
-            if segments_intersect(p1, p2, q1, q2) {
-                return true;
-            }
-        }
+    let boundary = || rings.clone().flat_map(C::segments);
+    if l.segments()
+        .any(|(p1, p2)| boundary().any(|(q1, q2)| segments_intersect(p1, p2, q1, q2)))
+    {
+        return true;
     }
     // No crossing: the line is wholly inside or wholly outside; one vertex
     // decides.
-    point_in_polygon(l.points()[0], poly) != PointLocation::Outside
+    locate_in_polygon(l.point(0), rings, p_env) != PointLocation::Outside
 }
 
-/// `true` if two polygons share any portion of space: boundary crossing or
-/// full containment of one in the other.
-pub fn polygon_intersects_polygon(a: &Polygon, b: &Polygon) -> bool {
-    if !a.envelope().intersects(&b.envelope()) {
+/// `true` if two polygons, given as their rings shell first, share any
+/// portion of space: boundary crossing or full containment of one in the
+/// other.
+fn polygons_intersect<A: Coords, B: Coords>(
+    a: impl Iterator<Item = A> + Clone,
+    a_env: &Rect,
+    b: impl Iterator<Item = B> + Clone,
+    b_env: &Rect,
+) -> bool {
+    if !a_env.intersects(b_env) {
         return false;
     }
-    for (p1, p2) in a.all_segments() {
-        let seg_env = Rect::from_corners(p1, p2);
-        if !seg_env.intersects(&b.envelope()) {
-            continue;
-        }
-        for (q1, q2) in b.all_segments() {
-            if segments_intersect(p1, p2, q1, q2) {
-                return true;
-            }
-        }
-    }
+    let (Some(a_shell), Some(b_shell)) = (a.clone().next(), b.clone().next()) else {
+        return false;
+    };
+    let crossing = a.clone().flat_map(A::segments).any(|(p1, p2)| {
+        Rect::from_corners(p1, p2).intersects(b_env)
+            && b.clone()
+                .flat_map(B::segments)
+                .any(|(q1, q2)| segments_intersect(p1, p2, q1, q2))
+    });
     // No boundary crossing: either disjoint or one contains the other.
-    point_in_polygon(a.exterior().points()[0], b) != PointLocation::Outside
-        || point_in_polygon(b.exterior().points()[0], a) != PointLocation::Outside
+    crossing
+        || locate_in_polygon(a_shell.point(0), b, b_env) != PointLocation::Outside
+        || locate_in_polygon(b_shell.point(0), a, a_env) != PointLocation::Outside
 }
 
 /// `true` if the rectangle intersects the geometry exactly (not just its
 /// envelope) — used by grid-cell population when precise cell membership is
 /// requested.
 pub fn rect_intersects_geometry(r: &Rect, g: &Geometry) -> bool {
+    rect_intersects_shape(r, g)
+}
+
+/// [`rect_intersects_geometry`] over any [`Shape`]. The rectangle is
+/// tested as the closed polygon of its corners.
+pub fn rect_intersects_shape(r: &Rect, g: impl Shape) -> bool {
+    let g = g.form();
     if !r.intersects(&g.envelope()) {
         return false;
     }
-    let rect_poly = rect_to_polygon(r);
-    match g {
-        Geometry::Point(p) => r.contains_point(p),
-        Geometry::LineString(l) => line_intersects_polygon(l, &rect_poly),
-        Geometry::Polygon(p) => polygon_intersects_polygon(p, &rect_poly),
-        Geometry::MultiPoint(m) => m.0.iter().any(|p| r.contains_point(p)),
-        Geometry::MultiLineString(m) => m.0.iter().any(|l| line_intersects_polygon(l, &rect_poly)),
-        Geometry::MultiPolygon(m) => {
-            m.0.iter()
-                .any(|p| polygon_intersects_polygon(p, &rect_poly))
+    let (lo, hi) = (Point::new(r.min_x, r.min_y), Point::new(r.max_x, r.max_y));
+    let corners = [lo, Point::new(hi.x, lo.y), hi, Point::new(lo.x, hi.y), lo];
+    let (rect, rect_env) = (|| std::iter::once(&corners[..]), corners[..].envelope());
+    g.any_part(|part| match part {
+        Part::Point(p) => r.contains_point(p),
+        Part::Line(l) => line_intersects_polygon(*l, &part.envelope(), rect(), &rect_env),
+        Part::Polygon(rings) => {
+            polygons_intersect(rings.clone(), &part.envelope(), rect(), &rect_env)
         }
-        Geometry::GeometryCollection(c) => c.0.iter().any(|g| rect_intersects_geometry(r, g)),
-    }
+    })
 }
 
 /// Scans the geometry's vertices for one inside the (closed) rectangle,
@@ -121,47 +129,23 @@ pub fn rect_intersects_geometry(r: &Rect, g: &Geometry) -> bool {
 /// outside), so `false` decides nothing. Empty geometries have no vertex
 /// and never hit.
 pub fn rect_contains_any_vertex(r: &Rect, g: &Geometry) -> (bool, u64) {
+    rect_contains_shape_vertex(r, g)
+}
+
+/// [`rect_contains_any_vertex`] over any [`Shape`]. Rings count their
+/// closing vertex, stored or virtual.
+pub fn rect_contains_shape_vertex(r: &Rect, g: impl Shape) -> (bool, u64) {
     let mut examined = 0u64;
-    let found = scan_vertices(r, g, &mut examined);
-    (found, examined)
-}
-
-fn scan_vertices(r: &Rect, g: &Geometry, examined: &mut u64) -> bool {
-    let mut points = |pts: &[Point]| {
-        pts.iter().any(|p| {
-            *examined += 1;
-            r.contains_point(p)
-        })
+    let mut inside = |p: Point| {
+        examined += 1;
+        r.contains_point(&p)
     };
-    match g {
-        Geometry::Point(p) => points(std::slice::from_ref(p)),
-        Geometry::LineString(l) => points(l.points()),
-        Geometry::Polygon(p) => rings(p).any(|ring| points(ring.points())),
-        Geometry::MultiPoint(m) => points(&m.0),
-        Geometry::MultiLineString(m) => m.0.iter().any(|l| points(l.points())),
-        Geometry::MultiPolygon(m) => m.0.iter().flat_map(rings).any(|ring| points(ring.points())),
-        Geometry::GeometryCollection(c) => c.0.iter().any(|g| scan_vertices(r, g, examined)),
-    }
-}
-
-/// The shell, then the holes.
-fn rings(p: &Polygon) -> impl Iterator<Item = &Ring> {
-    std::iter::once(p.exterior()).chain(p.interiors())
-}
-
-fn rect_to_polygon(r: &Rect) -> Polygon {
-    Polygon::from_coords(
-        vec![
-            Point::new(r.min_x, r.min_y),
-            Point::new(r.max_x, r.min_y),
-            Point::new(r.max_x, r.max_y),
-            Point::new(r.min_x, r.max_y),
-            Point::new(r.min_x, r.min_y),
-        ],
-        vec![],
-    )
-    // audit: four rectangle corners always form a valid closed ring.
-    .expect("rect corners always form a valid ring")
+    let found = g.form().any_part(|part| match part {
+        Part::Point(p) => inside(*p),
+        Part::Line(l) => l.points().any(&mut inside),
+        Part::Polygon(rings) => rings.clone().flat_map(Coords::points).any(&mut inside),
+    });
+    (found, examined)
 }
 
 /// The symmetric `intersects` predicate over any pair of geometries.
@@ -170,27 +154,44 @@ fn rect_to_polygon(r: &Rect) -> Polygon {
 /// members. This is the exact test invoked by the refine phase of the
 /// spatial join exemplar.
 pub fn intersects(a: &Geometry, b: &Geometry) -> bool {
+    shapes_intersect(a, b)
+}
+
+/// [`intersects`] over any two [`Shape`]s.
+pub fn shapes_intersect(a: impl Shape, b: impl Shape) -> bool {
+    forms_intersect(&a.form(), &b.form())
+}
+
+/// Two parts meet directly; otherwise a multi-geometry distributes over
+/// its members — the greater [`super::Multi`] kind first, `a` on a tie — each
+/// tested as the *first* argument against the other side. The order
+/// decides which polygon [`polygons_intersect`] walks first, which
+/// matters only for a hole straying outside its shell.
+fn forms_intersect<A: Shape, B: Shape>(a: &Form<A>, b: &Form<B>) -> bool {
     // MBR filter first — mirrors the library's own filter-refine discipline
     // and keeps the worst case cheap.
-    if !a.envelope().intersects(&b.envelope()) {
+    let (a_env, b_env) = (a.envelope(), b.envelope());
+    if !a_env.intersects(&b_env) {
         return false;
     }
-    use Geometry as G;
     match (a, b) {
-        (G::Point(p), _) => point_in_geometry(*p, b),
-        (_, G::Point(p)) => point_in_geometry(*p, a),
-        (G::MultiPoint(m), _) => m.0.iter().any(|p| point_in_geometry(*p, b)),
-        (_, G::MultiPoint(m)) => m.0.iter().any(|p| point_in_geometry(*p, a)),
-        (G::GeometryCollection(c), _) => c.0.iter().any(|g| intersects(g, b)),
-        (_, G::GeometryCollection(c)) => c.0.iter().any(|g| intersects(g, a)),
-        (G::MultiLineString(m), _) => m.0.iter().any(|l| intersects(&G::LineString(l.clone()), b)),
-        (_, G::MultiLineString(m)) => m.0.iter().any(|l| intersects(&G::LineString(l.clone()), a)),
-        (G::MultiPolygon(m), _) => m.0.iter().any(|p| intersects(&G::Polygon(p.clone()), b)),
-        (_, G::MultiPolygon(m)) => m.0.iter().any(|p| intersects(&G::Polygon(p.clone()), a)),
-        (G::LineString(l1), G::LineString(l2)) => line_intersects_line(l1, l2),
-        (G::LineString(l), G::Polygon(p)) => line_intersects_polygon(l, p),
-        (G::Polygon(p), G::LineString(l)) => line_intersects_polygon(l, p),
-        (G::Polygon(p1), G::Polygon(p2)) => polygon_intersects_polygon(p1, p2),
+        (Form::Part(x), Form::Part(y)) => parts_intersect(x, &a_env, y, &b_env),
+        (Form::Multi(ka, ma), Form::Multi(kb, _)) if ka >= kb => {
+            ma.clone().any(|m| forms_intersect(&m, b))
+        }
+        (Form::Multi(_, ma), Form::Part(_)) => ma.clone().any(|m| forms_intersect(&m, b)),
+        (_, Form::Multi(_, mb)) => mb.clone().any(|m| forms_intersect(&m, a)),
+    }
+}
+
+fn parts_intersect<A: Shape, B: Shape>(x: &Part<A>, xe: &Rect, y: &Part<B>, ye: &Rect) -> bool {
+    match (x, y) {
+        (Part::Point(p), y) => point_in_part(*p, y),
+        (x, Part::Point(q)) => point_in_part(*q, x),
+        (Part::Line(a), Part::Line(b)) => lines_intersect(*a, xe, *b, ye),
+        (Part::Line(l), Part::Polygon(r)) => line_intersects_polygon(*l, xe, r.clone(), ye),
+        (Part::Polygon(r), Part::Line(l)) => line_intersects_polygon(*l, ye, r.clone(), xe),
+        (Part::Polygon(a), Part::Polygon(b)) => polygons_intersect(a.clone(), xe, b.clone(), ye),
     }
 }
 
@@ -198,6 +199,7 @@ pub fn intersects(a: &Geometry, b: &Geometry) -> bool {
 mod tests {
     use super::*;
     use crate::multi::{MultiPoint, MultiPolygon};
+    use crate::{LineString, Polygon};
 
     fn pts(coords: &[(f64, f64)]) -> Vec<Point> {
         coords.iter().map(|&(x, y)| Point::new(x, y)).collect()

@@ -9,13 +9,15 @@ mod intersects;
 mod orient;
 mod pip;
 mod segint;
+mod shape;
 
-pub use distance::{point_geometry_distance, point_segment_distance};
+pub use distance::{point_geometry_distance, point_segment_distance, point_shape_distance};
 pub use intersects::{
-    intersects, line_intersects_line, line_intersects_polygon, point_in_geometry,
-    polygon_intersects_polygon, rect_contains_any_vertex, rect_intersects_geometry,
+    intersects, point_in_geometry, point_in_shape, rect_contains_any_vertex,
+    rect_contains_shape_vertex, rect_intersects_geometry, rect_intersects_shape, shapes_intersect,
 };
 pub use orient::{orientation, Orientation};
 pub(crate) use pip::locate_in_rings;
-pub use pip::{point_in_polygon, point_in_ring, PointLocation};
+pub use pip::{point_in_polygon, PointLocation};
 pub use segint::{segment_intersection_point, segments_intersect};
+pub use shape::{Coords, Form, Multi, Part, Shape};

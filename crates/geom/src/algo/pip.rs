@@ -1,8 +1,10 @@
 //! Point-in-polygon tests (ray casting with boundary detection).
 
 use super::orient::{orientation, Orientation};
+use super::shape::{rings, Coords};
 use crate::point::Point;
-use crate::polygon::{Polygon, Ring};
+use crate::polygon::Polygon;
+use crate::rect::Rect;
 
 /// Where a point lies relative to a ring or polygon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -12,15 +14,9 @@ pub enum PointLocation {
     Outside,
 }
 
-/// Locates `q` relative to a closed ring using the crossing-number
-/// algorithm, with an explicit boundary check so that points exactly on an
-/// edge or vertex report [`PointLocation::OnBoundary`].
-pub fn point_in_ring(q: Point, ring: &Ring) -> PointLocation {
-    locate_in_edges(q, ring.segments())
-}
-
-/// [`point_in_ring`] over any closed ring given as its edges, so borrowed
-/// ring views share the owned rings' exact arithmetic.
+/// Locates `q` relative to a closed ring, given as its edges, using the
+/// crossing-number algorithm, with an explicit boundary check so that
+/// points exactly on an edge or vertex report [`PointLocation::OnBoundary`].
 fn locate_in_edges(q: Point, edges: impl Iterator<Item = (Point, Point)>) -> PointLocation {
     let mut inside = false;
     for (a, b) in edges {
@@ -56,16 +52,21 @@ fn locate_in_edges(q: Point, edges: impl Iterator<Item = (Point, Point)>) -> Poi
 /// [`PointLocation::Outside`]; a point on a hole boundary is
 /// [`PointLocation::OnBoundary`].
 pub fn point_in_polygon(q: Point, poly: &Polygon) -> PointLocation {
+    locate_in_polygon(q, rings(poly), &poly.envelope())
+}
+
+/// [`point_in_polygon`] over a polygon's rings, shell first, and its
+/// envelope (the shell's).
+pub(crate) fn locate_in_polygon<C: Coords>(
+    q: Point,
+    rings: impl Iterator<Item = C>,
+    envelope: &Rect,
+) -> PointLocation {
     // Envelope rejection: the common case for filter survivors.
-    if !poly.envelope().contains_point(&q) {
+    if !envelope.contains_point(&q) {
         return PointLocation::Outside;
     }
-    locate_in_rings(
-        q,
-        std::iter::once(poly.exterior())
-            .chain(poly.interiors())
-            .map(Ring::segments),
-    )
+    locate_in_rings(q, rings.map(C::segments))
 }
 
 /// [`point_in_polygon`] without the envelope rejection, over the polygon's

@@ -14,8 +14,8 @@
 //! * Well-Known Binary encode/decode ([`wkb`]) — the unformatted binary
 //!   representation used for fixed-record experiments;
 //! * computational-geometry predicates ([`algo`]): orientation, segment
-//!   intersection, point-in-polygon and exact `intersects`, which implement
-//!   the *refine* half of the filter-and-refine strategy;
+//!   intersection, point-in-polygon and exact `intersects` — the *refine*
+//!   half of filter-and-refine, on owned geometries and views alike;
 //! * the spatial index ([`index`]): an STR bulk-loaded R-tree, used for
 //!   the *filter* half and for grid-cell lookup;
 //! * zero-copy borrowed geometry views ([`wkb::GeomRef`], decoded by

@@ -62,11 +62,6 @@ impl LineString {
     pub fn envelope(&self) -> Rect {
         Rect::from_points(&self.points)
     }
-
-    /// Consumes the linestring, returning its vertex vector.
-    pub fn into_points(self) -> Vec<Point> {
-        self.points
-    }
 }
 
 impl std::fmt::Display for LineString {

@@ -69,14 +69,6 @@ impl Ring {
     pub fn envelope(&self) -> Rect {
         Rect::from_points(&self.points)
     }
-
-    /// Consumes the ring, returning its (closed) vertex vector. Lets
-    /// scratch-buffer pools ([`crate::refkernel::RefineArena`]) reclaim
-    /// the allocation instead of dropping it.
-    #[inline]
-    pub fn into_points(self) -> Vec<Point> {
-        self.points
-    }
 }
 
 /// A polygon: one exterior ring plus zero or more interior rings (holes).
@@ -137,21 +129,6 @@ impl Polygon {
     /// Minimum bounding rectangle (holes cannot extend it).
     pub fn envelope(&self) -> Rect {
         self.exterior.envelope()
-    }
-
-    /// Iterator over every edge of every ring.
-    pub fn all_segments(&self) -> impl Iterator<Item = (Point, Point)> + '_ {
-        self.exterior
-            .segments()
-            .chain(self.interiors.iter().flat_map(|r| r.segments()))
-    }
-
-    /// Consumes the polygon, returning the exterior shell and the holes —
-    /// the disassembly counterpart of [`Polygon::new`], used by buffer
-    /// pools to reclaim the ring allocations.
-    #[inline]
-    pub fn into_rings(self) -> (Ring, Vec<Ring>) {
-        (self.exterior, self.interiors)
     }
 }
 
@@ -252,7 +229,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p.num_points(), 5 + 4);
-        assert_eq!(p.all_segments().count(), 4 + 3);
+        let rings = std::iter::once(p.exterior()).chain(p.interiors());
+        assert_eq!(rings.flat_map(|r| r.segments()).count(), 4 + 3);
     }
 
     #[test]

@@ -13,33 +13,24 @@
 //! * [`envelope_batch`] — MBRs for a whole received round at once;
 //! * [`filter_pairs_batch`] — rejects candidate pairs by MBR overlap and
 //!   the caller's reference-cell claim before any point-in-polygon work;
-//! * [`RefineArena`] — a scratch pool of coordinate buffers for the few
-//!   candidates that survive to the exact intersection test, so the refine
-//!   loop's materializations recycle allocations instead of making fresh
-//!   ones per pair. The arena counts what it creates and how many buffers
-//!   are resident at once, which is how the repro experiments *measure*
-//!   the zero-alloc claim instead of asserting it;
 //! * [`ApproxTable`] — the approximation step between filter and refine
 //!   (Brinkhoff, Kriegel, Schneider & Seeger, "Multi-step processing of
 //!   spatial joins", SIGMOD '94): per left polygon an inner disc and the
 //!   convex hull, which prove most surviving pairs to be hits or misses
 //!   with a few coordinate compares, so only the rest pay the exact test.
 //!
+//! The exact test needs no kernel: the [`crate::algo`] predicates read
+//! the views directly, so no geometry is built from the wire bytes.
+//!
 //! Every kernel is value-compatible with the owned path: envelopes use the
-//! same `f64::min`/`f64::max` folds as [`crate::Rect::expand_point`], and
-//! [`RefineArena::materialize`] rebuilds geometries through the owned
-//! constructors, so results are equal to [`crate::wkb::decode`]'s. The
+//! same `f64::min`/`f64::max` folds as [`crate::Rect::expand_point`]. The
 //! approximation step never contradicts [`crate::algo::intersects`]: it
 //! answers only outside a tie band around each of its thresholds.
 
-use crate::algo::{locate_in_rings, PointLocation};
-use crate::geometry::Geometry;
-use crate::linestring::LineString;
-use crate::multi::{GeometryCollection, MultiLineString, MultiPoint, MultiPolygon};
+use crate::algo::{locate_in_rings, Coords, Part, PointLocation, Shape};
 use crate::point::Point;
-use crate::polygon::{Polygon, Ring};
 use crate::rect::Rect;
-use crate::wkb::{CoordsRef, GeomRef, PolygonRef};
+use crate::wkb::{GeomRef, PolygonRef};
 use std::ops::{ControlFlow, Range};
 
 /// MBR of a flat coordinate slice (16 bytes per point: x then y, in the
@@ -51,38 +42,29 @@ use std::ops::{ControlFlow, Range};
 /// equals (under `==`) the owned `Rect::from_points` over the same
 /// coordinates. An empty slice yields [`Rect::EMPTY`].
 pub fn coords_envelope(data: &[u8], be: bool) -> Rect {
-    let n = data.len() / 16;
-    let rd = |i: usize, off: usize| -> f64 {
-        // audit: `i < n` and `off ∈ {0, 8}`, so the range ends at most at
-        // `16 · n ≤ data.len()`.
-        let bytes: [u8; 8] = data[i * 16 + off..i * 16 + off + 8]
-            .try_into()
-            .expect("8-byte chunk"); // audit: the slice is exactly 8 bytes.
-        if be {
-            f64::from_be_bytes(bytes)
+    let expand = |lane: &mut Rect, c: &[u8]| {
+        // audit: `c` is a 16-byte chunk: its first 8 bytes are x, its last y.
+        let (x, y) = (*c.first_chunk().expect("x"), *c.last_chunk().expect("y"));
+        let (x, y) = if be {
+            (f64::from_be_bytes(x), f64::from_be_bytes(y))
         } else {
-            f64::from_le_bytes(bytes)
-        }
+            (f64::from_le_bytes(x), f64::from_le_bytes(y))
+        };
+        lane.min_x = lane.min_x.min(x);
+        lane.min_y = lane.min_y.min(y);
+        lane.max_x = lane.max_x.max(x);
+        lane.max_y = lane.max_y.max(y);
     };
     let mut lanes = [Rect::EMPTY; 4];
-    let mut i = 0;
-    while i + 4 <= n {
-        for (l, lane) in lanes.iter_mut().enumerate() {
-            let (x, y) = (rd(i + l, 0), rd(i + l, 8));
-            lane.min_x = lane.min_x.min(x);
-            lane.min_y = lane.min_y.min(y);
-            lane.max_x = lane.max_x.max(x);
-            lane.max_y = lane.max_y.max(y);
+    let quads = data.chunks_exact(64);
+    let rest = quads.remainder();
+    for quad in quads {
+        for (lane, c) in lanes.iter_mut().zip(quad.chunks_exact(16)) {
+            expand(lane, c);
         }
-        i += 4;
     }
-    while i < n {
-        let (x, y) = (rd(i, 0), rd(i, 8));
-        lanes[0].min_x = lanes[0].min_x.min(x);
-        lanes[0].min_y = lanes[0].min_y.min(y);
-        lanes[0].max_x = lanes[0].max_x.max(x);
-        lanes[0].max_y = lanes[0].max_y.max(y);
-        i += 1;
+    for c in rest.chunks_exact(16) {
+        expand(&mut lanes[0], c);
     }
     let mut out = Rect::EMPTY;
     for lane in &lanes {
@@ -120,167 +102,6 @@ pub fn filter_pairs_batch(
         let (a, b) = (&left_mbrs[li], &right_mbrs[ri]);
         if a.intersects(b) && claims(a, b) {
             out.push((li, ri));
-        }
-    }
-}
-
-/// Scratch pool for refine-phase materializations: coordinate buffers are
-/// taken when a surviving candidate pair needs owned geometry for the
-/// exact intersection test and given back immediately after, so a whole
-/// refine window runs on a handful of resident buffers instead of one
-/// fresh allocation per record.
-///
-/// The pool only recycles `Vec<Point>` coordinate buffers — the only
-/// per-record allocation on the read path. Counters track every fresh
-/// buffer creation ([`RefineArena::buffers_created`]) and the peak number
-/// lent out at once ([`RefineArena::peak_resident`]); the repro
-/// experiments export them as the max-resident-allocations metric.
-#[derive(Debug, Default)]
-pub struct RefineArena {
-    pool: Vec<Vec<Point>>,
-    created: u64,
-    live: usize,
-    peak_live: usize,
-}
-
-impl RefineArena {
-    /// An empty arena.
-    pub fn new() -> Self {
-        RefineArena::default()
-    }
-
-    /// Fresh coordinate buffers created over the arena's lifetime.
-    pub fn buffers_created(&self) -> u64 {
-        self.created
-    }
-
-    /// Peak number of buffers lent out simultaneously.
-    pub fn peak_resident(&self) -> usize {
-        self.peak_live
-    }
-
-    fn take(&mut self) -> Vec<Point> {
-        self.live += 1;
-        self.peak_live = self.peak_live.max(self.live);
-        match self.pool.pop() {
-            Some(mut v) => {
-                v.clear();
-                v
-            }
-            None => {
-                self.created += 1;
-                Vec::new()
-            }
-        }
-    }
-
-    fn give(&mut self, v: Vec<Point>) {
-        self.live = self.live.saturating_sub(1);
-        self.pool.push(v);
-    }
-
-    fn linestring(&mut self, coords: &CoordsRef<'_>) -> LineString {
-        let mut pts = self.take();
-        pts.reserve(coords.len());
-        pts.extend(coords.points());
-        // audit: decode_ref already ran LineString::new's checks.
-        LineString::new(pts).expect("validated linestring")
-    }
-
-    fn ring(&mut self, coords: &CoordsRef<'_>) -> Ring {
-        let mut pts = self.take();
-        // +1 so Ring::new's closing push (already counted in len() when
-        // the wire ring is unclosed) never grows the buffer.
-        pts.reserve(coords.len() + 1);
-        // Wire points only: Ring::new re-closes exactly like the owned
-        // decode, so the stored vector matches it point-for-point.
-        pts.extend((0..coords.wire_len()).map(|i| coords.point(i)));
-        // audit: decode_ref already ran Ring::new's checks.
-        Ring::new(pts).expect("validated ring")
-    }
-
-    fn polygon(&mut self, p: &PolygonRef<'_>) -> Polygon {
-        let mut rings = p.rings();
-        // audit: decode_ref guarantees at least one ring.
-        let ext = self.ring(&rings.next().expect("validated polygon has >= 1 ring"));
-        let holes = rings.map(|r| self.ring(&r)).collect();
-        Polygon::new(ext, holes)
-    }
-
-    /// Materializes an owned [`Geometry`] equal to what
-    /// [`crate::wkb::decode`] returns for the view's bytes, drawing
-    /// coordinate buffers from the pool. Pair with
-    /// [`RefineArena::recycle`] to return the buffers once the exact test
-    /// is done.
-    pub fn materialize(&mut self, g: &GeomRef<'_>) -> Geometry {
-        match g {
-            GeomRef::Point(p) => Geometry::Point(p.point()),
-            GeomRef::LineString(l) => Geometry::LineString(self.linestring(&l.coords())),
-            GeomRef::Polygon(p) => Geometry::Polygon(self.polygon(p)),
-            GeomRef::MultiPoint(m) => {
-                let mut pts = self.take();
-                pts.reserve(m.len());
-                pts.extend(m.members().map(|g| match g {
-                    GeomRef::Point(p) => p.point(),
-                    // audit: decode_ref enforced the member type.
-                    _ => unreachable!("validated MULTIPOINT member"),
-                }));
-                Geometry::MultiPoint(MultiPoint(pts))
-            }
-            GeomRef::MultiLineString(m) => Geometry::MultiLineString(MultiLineString(
-                m.members()
-                    .map(|g| match g {
-                        GeomRef::LineString(l) => self.linestring(&l.coords()),
-                        // audit: decode_ref enforced the member type.
-                        _ => unreachable!("validated MULTILINESTRING member"),
-                    })
-                    .collect(),
-            )),
-            GeomRef::MultiPolygon(m) => Geometry::MultiPolygon(MultiPolygon(
-                m.members()
-                    .map(|g| match g {
-                        GeomRef::Polygon(p) => self.polygon(&p),
-                        // audit: decode_ref enforced the member type.
-                        _ => unreachable!("validated MULTIPOLYGON member"),
-                    })
-                    .collect(),
-            )),
-            GeomRef::GeometryCollection(c) => Geometry::GeometryCollection(GeometryCollection(
-                c.members().map(|g| self.materialize(&g)).collect(),
-            )),
-        }
-    }
-
-    /// Returns a materialized geometry's coordinate buffers to the pool.
-    pub fn recycle(&mut self, g: Geometry) {
-        match g {
-            Geometry::Point(_) => {}
-            Geometry::LineString(l) => self.give(l.into_points()),
-            Geometry::Polygon(p) => self.recycle_polygon(p),
-            Geometry::MultiPoint(m) => self.give(m.0),
-            Geometry::MultiLineString(m) => {
-                for l in m.0 {
-                    self.give(l.into_points());
-                }
-            }
-            Geometry::MultiPolygon(m) => {
-                for p in m.0 {
-                    self.recycle_polygon(p);
-                }
-            }
-            Geometry::GeometryCollection(c) => {
-                for g in c.0 {
-                    self.recycle(g);
-                }
-            }
-        }
-    }
-
-    fn recycle_polygon(&mut self, p: Polygon) {
-        let (ext, holes) = p.into_rings();
-        self.give(ext.into_points());
-        for h in holes {
-            self.give(h.into_points());
         }
     }
 }
@@ -398,7 +219,7 @@ impl ApproxTable {
 
         let shell = p.exterior();
         // The closing vertex repeats the first; decode_ref guarantees >= 4.
-        let n = shell.len() - 1;
+        let n = shell.num_points() - 1;
         let sum = (0..n).fold((0.0, 0.0), |(x, y), i| {
             let v = shell.point(i);
             (x + v.x, y + v.y)
@@ -486,22 +307,25 @@ impl Approx {
     /// inside the disc (hole rings skipped).
     fn disc_hit(&self, right: &GeomRef<'_>, meter: &mut Meter) -> ControlFlow<Stop> {
         let (c, r2) = (self.centre, self.radius * self.radius);
-        parts(right, &mut |part| match part {
-            Part::Point(v) => {
-                meter.tick()?;
-                if v.distance_sq(&c) < r2 {
-                    return ControlFlow::Break(Stop::Hit);
-                }
-                ControlFlow::Continue(())
+        let mut inside = |distance_sq: f64| {
+            meter.tick()?;
+            if distance_sq < r2 {
+                return ControlFlow::Break(Stop::Hit);
             }
-            Part::Chain(_, true) => ControlFlow::Continue(()),
-            Part::Chain(coords, false) => coords.segments().try_for_each(|(a, b)| {
-                meter.tick()?;
-                if segment_distance_sq(c, a, b) < r2 {
-                    return ControlFlow::Break(Stop::Hit);
-                }
-                ControlFlow::Continue(())
-            }),
+            ControlFlow::Continue(())
+        };
+        right.form().parts(&mut |part| {
+            let chain = match part {
+                Part::Point(v) => return inside(v.distance_sq(&c)),
+                Part::Line(coords) => *coords,
+                Part::Polygon(rings) => match rings.clone().next() {
+                    Some(shell) => shell,
+                    None => return ControlFlow::Continue(()),
+                },
+            };
+            chain
+                .segments()
+                .try_for_each(|(a, b)| inside(segment_distance_sq(c, a, b)))
         })
     }
 
@@ -516,9 +340,13 @@ impl Approx {
                     ControlFlow::Break(Stop::Unseparated)
                 }
             };
-            let swept = parts(right, &mut |part| match part {
-                Part::Point(v) => beyond_edge(v),
-                Part::Chain(coords, _) => coords.points().try_for_each(&mut beyond_edge),
+            let swept = right.form().parts(&mut |part| match part {
+                Part::Point(v) => beyond_edge(*v),
+                Part::Line(coords) => coords.points().try_for_each(&mut beyond_edge),
+                Part::Polygon(rings) => rings
+                    .clone()
+                    .flat_map(Coords::points)
+                    .try_for_each(&mut beyond_edge),
             });
             match swept {
                 ControlFlow::Continue(()) => return true,
@@ -576,9 +404,13 @@ impl Approx {
             }
             ControlFlow::Continue(())
         };
-        let swept = parts(right, &mut |part| match part {
-            Part::Point(v) => separate(v, v),
-            Part::Chain(coords, _) => coords.segments().try_for_each(|(p, q)| separate(p, q)),
+        let swept = right.form().parts(&mut |part| match part {
+            Part::Point(v) => separate(*v, *v),
+            Part::Line(coords) => coords.segments().try_for_each(|(p, q)| separate(p, q)),
+            Part::Polygon(rings) => rings
+                .clone()
+                .flat_map(Coords::segments)
+                .try_for_each(|(p, q)| separate(p, q)),
         });
         swept.is_continue()
     }
@@ -607,31 +439,6 @@ impl Meter {
         }
         self.examined += 1;
         ControlFlow::Continue(())
-    }
-}
-
-/// One piece of a right-hand geometry as the pair tests see it.
-#[derive(Clone, Copy)]
-enum Part<'a> {
-    Point(Point),
-    /// A linestring or a polygon ring; `true` marks a hole ring.
-    Chain(CoordsRef<'a>, bool),
-}
-
-/// Calls `f` on every part of `g` — points, linestrings, polygon rings
-/// shell first — through members of every depth, until `f` breaks.
-fn parts<'a, B>(g: &GeomRef<'a>, f: &mut impl FnMut(Part<'a>) -> ControlFlow<B>) -> ControlFlow<B> {
-    match g {
-        GeomRef::Point(p) => f(Part::Point(p.point())),
-        GeomRef::LineString(l) => f(Part::Chain(l.coords(), false)),
-        GeomRef::Polygon(p) => p
-            .rings()
-            .enumerate()
-            .try_for_each(|(i, ring)| f(Part::Chain(ring, i > 0))),
-        GeomRef::MultiPoint(m)
-        | GeomRef::MultiLineString(m)
-        | GeomRef::MultiPolygon(m)
-        | GeomRef::GeometryCollection(m) => m.members().try_for_each(|g| parts(&g, f)),
     }
 }
 
@@ -757,49 +564,6 @@ mod tests {
         assert!(out.is_empty());
     }
 
-    #[test]
-    fn arena_materializes_equal_geometry_and_recycles_buffers() {
-        let samples = [
-            "POINT (3 4)",
-            "LINESTRING (0 0, 2 2, 4 0)",
-            "POLYGON ((35 10, 45 45, 15 40, 10 20, 35 10), (20 30, 35 35, 30 20, 20 30))",
-            "MULTIPOINT ((1 2), (3 4))",
-            "MULTILINESTRING ((0 0, 1 1), (2 2, 3 3))",
-            "MULTIPOLYGON (((30 20, 45 40, 10 40, 30 20)))",
-            "GEOMETRYCOLLECTION (POINT (40 10), LINESTRING (10 10, 20 20))",
-        ];
-        let mut arena = RefineArena::new();
-        for s in samples {
-            let owned = wkt::parse(s).unwrap();
-            let bytes = wkb::encode(&owned);
-            let (view, _) = wkb::decode_ref(&bytes).unwrap();
-            // Two materialize/recycle cycles per sample: the second pass
-            // must not create any new buffers.
-            for _ in 0..2 {
-                let m = arena.materialize(&view);
-                assert_eq!(m, owned, "{s}");
-                arena.recycle(m);
-            }
-        }
-        let after_first_sweep = arena.buffers_created();
-        for s in samples {
-            let owned = wkt::parse(s).unwrap();
-            let bytes = wkb::encode(&owned);
-            let (view, _) = wkb::decode_ref(&bytes).unwrap();
-            let m = arena.materialize(&view);
-            arena.recycle(m);
-        }
-        assert_eq!(
-            arena.buffers_created(),
-            after_first_sweep,
-            "second sweep must run entirely from the pool"
-        );
-        // Nothing is lent out between pairs, so the resident peak stays at
-        // the widest single geometry (collection of 2 + spare), far below
-        // the record count.
-        assert!(arena.peak_resident() <= 4, "{}", arena.peak_resident());
-    }
-
     /// Decides `right` against `left` (both WKT) with a fresh table.
     fn decide(left: &str, right: &str) -> (Option<bool>, u64) {
         let (l, r) = (
@@ -900,24 +664,5 @@ mod tests {
         // A second frame appends its own hull.
         table.prepare(1, &view);
         assert_eq!(table.hull(1), expect.as_slice());
-    }
-
-    #[test]
-    fn arena_materializes_unclosed_ring_like_owned_decode() {
-        // Hand-built WKB: polygon whose ring is NOT closed on the wire;
-        // the owned decode auto-closes, and the arena's rebuild must match.
-        let mut buf = vec![1u8];
-        buf.extend_from_slice(&3u32.to_le_bytes()); // polygon
-        buf.extend_from_slice(&1u32.to_le_bytes()); // 1 ring
-        buf.extend_from_slice(&3u32.to_le_bytes()); // 3 wire points
-        for v in [0.0f64, 0.0, 4.0, 0.0, 0.0, 4.0] {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        let (owned, _) = wkb::decode(&buf).unwrap();
-        let (view, _) = wkb::decode_ref(&buf).unwrap();
-        let mut arena = RefineArena::new();
-        assert_eq!(arena.materialize(&view), owned);
-        assert_eq!(view.num_points(), owned.num_points());
-        assert_eq!(view.envelope(), owned.envelope());
     }
 }

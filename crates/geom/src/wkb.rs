@@ -11,6 +11,7 @@
 //! payload of u32 counts and f64 coordinates. Readers refuse collections
 //! nested deeper than [`MAX_NESTING`] levels.
 
+use crate::algo::{Coords, Part, Shape};
 use crate::geometry::{Geometry, GeometryType};
 use crate::linestring::LineString;
 use crate::multi::{GeometryCollection, MultiLineString, MultiPoint, MultiPolygon};
@@ -655,22 +656,10 @@ impl<'a> GeomRef<'a> {
     }
 
     /// Minimum bounding rectangle, equal (under `==`) to
-    /// [`Geometry::envelope`] of the owned decode: same min/max folds over
-    /// the same coordinates (polygon = exterior ring only; Multi*/
-    /// collection = union over members in order; empty bodies yield
-    /// [`Rect::EMPTY`]).
+    /// [`Geometry::envelope`] of the owned decode: the union of its parts'
+    /// (a polygon's is its shell's); [`Rect::EMPTY`] without parts.
     pub fn envelope(&self) -> Rect {
-        match self {
-            GeomRef::Point(p) => p.envelope(),
-            GeomRef::LineString(l) => l.envelope(),
-            GeomRef::Polygon(p) => p.envelope(),
-            GeomRef::MultiPoint(m)
-            | GeomRef::MultiLineString(m)
-            | GeomRef::MultiPolygon(m)
-            | GeomRef::GeometryCollection(m) => m
-                .members()
-                .fold(Rect::EMPTY, |acc, g| acc.union(&g.envelope())),
-        }
+        self.form().envelope()
     }
 
     /// Total vertex count, equal to [`Geometry::num_points`] of the owned
@@ -687,12 +676,42 @@ impl<'a> GeomRef<'a> {
         }
     }
 
-    /// Materializes the owned [`Geometry`] this view describes — equal to
-    /// what [`decode`] returns for the same bytes. Allocates fresh
-    /// buffers; hot refine loops use
-    /// [`crate::refkernel::RefineArena::materialize`] to recycle them.
+    /// Builds the owned [`Geometry`] this view describes — equal to what
+    /// [`decode`] returns for the same bytes. The exact predicates read
+    /// views directly ([`crate::algo::Shape`]); this is for callers that
+    /// keep an owned copy.
     pub fn to_geometry(&self) -> Geometry {
-        crate::refkernel::RefineArena::new().materialize(self)
+        // With the virtual closing vertex, every ring is built as `decode` does.
+        let points = |c: CoordsRef<'_>| c.points().collect::<Vec<_>>();
+        // audit: decode_ref already ran the owned constructors' checks.
+        let line = |c: CoordsRef<'_>| LineString::new(points(c)).expect("valid line");
+        let polygon = |mut rings: RingIter<'_>| {
+            let shell = rings.next().map(points).unwrap_or_default();
+            // audit: decode_ref already ran the owned constructors' checks.
+            Polygon::from_coords(shell, rings.map(points).collect()).expect("valid polygon")
+        };
+        match self {
+            GeomRef::Point(p) => Geometry::Point(p.point()),
+            GeomRef::LineString(l) => line(l.coords()).into(),
+            GeomRef::Polygon(p) => polygon(p.rings()).into(),
+            GeomRef::GeometryCollection(c) => Geometry::GeometryCollection(GeometryCollection(
+                c.members().map(|g| g.to_geometry()).collect(),
+            )),
+            multi => {
+                // decode_ref enforced the member types: the parts are the members.
+                let (mut pts, mut lines, mut polys) = (Vec::new(), Vec::new(), Vec::new());
+                multi.form().for_each_part(|part| match part {
+                    Part::Point(p) => pts.push(*p),
+                    Part::Line(c) => lines.push(line(*c)),
+                    Part::Polygon(rings) => polys.push(polygon(rings.clone())),
+                });
+                match multi {
+                    GeomRef::MultiPoint(_) => MultiPoint(pts).into(),
+                    GeomRef::MultiLineString(_) => MultiLineString(lines).into(),
+                    _ => MultiPolygon(polys).into(),
+                }
+            }
+        }
     }
 }
 
@@ -747,11 +766,6 @@ impl PointRef<'_> {
     pub fn point(&self) -> Point {
         Point::new(self.x(), self.y())
     }
-
-    /// Degenerate MBR, as [`Point::envelope`].
-    pub fn envelope(&self) -> Rect {
-        self.point().envelope()
-    }
 }
 
 /// Borrowed flat coordinate sequence: stored wire points of 16 bytes
@@ -764,64 +778,44 @@ pub struct CoordsRef<'a> {
     closing: bool,
 }
 
-impl<'a> CoordsRef<'a> {
-    /// Number of points stored on the wire.
+impl CoordsRef<'_> {
+    /// The point stored in the 16 bytes `c`.
     #[inline]
-    pub fn wire_len(&self) -> usize {
-        self.data.len() / 16
+    fn read(&self, c: &[u8]) -> Point {
+        // audit: callers pass 16-byte chunks of the validated coordinates.
+        let c: &[u8; 16] = c.try_into().expect("16-byte point");
+        Point::new(f64_at(c, 0, self.be), f64_at(c, 8, self.be))
+    }
+}
+
+/// The logical points, read in place: the stored ones, then the virtual
+/// closing vertex when present, mirroring [`Ring::points`].
+impl Coords for CoordsRef<'_> {
+    /// Includes the virtual closing vertex: the owned ring's stored length.
+    fn num_points(self) -> usize {
+        self.data.len() / 16 + usize::from(self.closing)
     }
 
-    /// Logical point count, including the virtual closing vertex — equal
-    /// to the owned constructor's stored length.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.wire_len() + usize::from(self.closing)
+    fn point(self, i: usize) -> Point {
+        let at = if i == self.data.len() / 16 { 0 } else { i * 16 };
+        self.read(&self.data[at..at + 16])
     }
 
-    /// `true` when the sequence holds no points at all.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    fn points(self) -> impl Iterator<Item = Point> {
+        let closing = self.data.get(..16).filter(|_| self.closing);
+        let stored = self.data.chunks_exact(16);
+        stored.chain(closing).map(move |c| self.read(c))
     }
 
-    /// The `i`-th logical point, read in place (`i == wire_len` resolves
-    /// to the virtual closing vertex when present).
-    #[inline]
-    pub fn point(&self, i: usize) -> Point {
-        let at = if self.closing && i == self.wire_len() {
-            0
-        } else {
-            i * 16
-        };
-        Point::new(
-            f64_at(self.data, at, self.be),
-            f64_at(self.data, at + 8, self.be),
-        )
+    fn segments(self) -> impl Iterator<Item = (Point, Point)> {
+        let mut points = self.points();
+        let mut prev = points.next().unwrap_or_default();
+        points.map(move |p| (std::mem::replace(&mut prev, p), p))
     }
 
-    /// Iterates the logical points (virtual closing vertex included).
-    pub fn points(&self) -> impl Iterator<Item = Point> + 'a {
-        let this = *self;
-        (0..this.len()).map(move |i| this.point(i))
-    }
-
-    /// Iterates consecutive point pairs, as [`Ring::segments`] does over
-    /// the owned points (the virtual closing edge included).
-    pub fn segments(&self) -> impl Iterator<Item = (Point, Point)> + 'a {
-        let this = *self;
-        (1..this.len()).map(move |i| (this.point(i - 1), this.point(i)))
-    }
-
-    /// The raw stored coordinate bytes and their byte order — the flat
-    /// slice the batched envelope kernel consumes.
-    #[inline]
-    pub fn raw(&self) -> (&'a [u8], bool) {
-        (self.data, self.be)
-    }
-
-    /// MBR over the points (the virtual closing vertex repeats a stored
-    /// one and cannot move it).
-    pub fn envelope(&self) -> Rect {
+    /// The virtual closing vertex repeats a stored one and cannot move
+    /// the MBR.
+    fn envelope(self) -> Rect {
         crate::refkernel::coords_envelope(self.data, self.be)
     }
 }
@@ -830,7 +824,7 @@ impl<'a> CoordsRef<'a> {
 /// compares: same length (closing vertex included) and pointwise `==`.
 impl PartialEq for CoordsRef<'_> {
     fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.points().eq(other.points())
+        self.num_points() == other.num_points() && self.points().eq(other.points())
     }
 }
 
@@ -850,12 +844,7 @@ impl<'a> LineStringRef<'a> {
     /// Vertex count, as [`LineString::num_points`].
     #[inline]
     pub fn num_points(&self) -> usize {
-        self.coords.len()
-    }
-
-    /// MBR, as [`LineString::envelope`].
-    pub fn envelope(&self) -> Rect {
-        self.coords.envelope()
+        self.coords.num_points()
     }
 }
 
@@ -892,16 +881,10 @@ impl<'a> PolygonRef<'a> {
             .expect("validated polygon has >= 1 ring") // audit: decode_ref guarantees at least one ring.
     }
 
-    /// MBR, as [`Polygon::envelope`] (exterior ring only — holes cannot
-    /// extend it).
-    pub fn envelope(&self) -> Rect {
-        self.exterior().envelope()
-    }
-
     /// Total vertex count across rings, closing vertices included, as
     /// [`Polygon::num_points`].
     pub fn num_points(&self) -> usize {
-        self.rings().map(|r| r.len()).sum()
+        self.rings().map(Coords::num_points).sum()
     }
 }
 
@@ -1432,12 +1415,17 @@ mod tests {
             panic!("expected a polygon view")
         };
         let ext = p.exterior();
-        assert_eq!(ext.wire_len(), 3);
-        assert_eq!(ext.len(), 4);
+        assert_eq!(ext.num_points(), 4);
         assert_eq!(ext.point(3), ext.point(0));
         let pts: Vec<Point> = ext.points().collect();
         assert_eq!(pts.len(), 4);
         assert_eq!(pts[3], Point::new(0.0, 0.0));
+        let closing_edge = (Point::new(0.0, 4.0), Point::new(0.0, 0.0));
+        assert_eq!(ext.segments().last(), Some(closing_edge));
         assert_eq!(p.num_points(), 4);
+        // The owned decode stores the closing copy the view repeats.
+        let (owned, _) = decode(&buf).unwrap();
+        assert_eq!(view.num_points(), owned.num_points());
+        assert_eq!(view.envelope(), owned.envelope());
     }
 }

@@ -1,9 +1,9 @@
 //! Workspace source lint — `cargo run -p lint`.
 //!
-//! A zero-dependency scanner enforcing three repo-specific rules that
-//! `rustc`/`clippy` cannot express, all motivated by the same failure
-//! class: this codebase is SPMD over collectives, where a single rank
-//! panicking or diverging strands every peer at its next rendezvous.
+//! A zero-dependency scanner enforcing four repo-specific rules that
+//! `rustc`/`clippy` cannot express. R1–R3 share one failure class: this
+//! codebase is SPMD over collectives, where a single rank panicking or
+//! diverging strands every peer at its next rendezvous.
 //!
 //! * **R1 `no-panic`** — no `.unwrap()` / `.expect("…")` in non-test
 //!   library code. A panicking rank poisons the whole simulated world;
@@ -23,6 +23,9 @@
 //!   explicitly that it is *not* collective. The hand-audited matching
 //!   of collective sequences is this repo's recurring bug class; the
 //!   contract belongs on the API surface.
+//! * **R4 `engine-reads-views`** — non-test code under `crates/sjoin/src`
+//!   builds no geometry from a wire frame (`.to_feature(`, `wkb::decode(`,
+//!   `wkb::decode_all(`): the engine reads frames as zero-copy views.
 //!
 //! Scope: `src/` trees of the workspace library crates and the root
 //! crate. Excluded: `crates/bench` (experiment harness, panics are its
@@ -53,7 +56,7 @@ pub struct Finding {
     /// 1-based line number.
     pub line: usize,
     /// Rule identifier (`no-panic`, `checked-narrowing`,
-    /// `collective-contract`).
+    /// `collective-contract`, `engine-reads-views`).
     pub rule: &'static str,
     /// Human-readable description, including the offending snippet.
     pub message: String,
@@ -102,6 +105,7 @@ fn main() {
         rules::no_panic(&rel, &masked, &mut findings);
         rules::checked_narrowing(&rel, &masked, &mut findings);
         rules::collective_contract(&rel, &masked, &mut findings);
+        rules::engine_reads_views(&rel, &masked, &mut findings);
     }
 
     for f in &findings {

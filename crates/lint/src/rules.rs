@@ -1,4 +1,4 @@
-//! The three rule matchers. Each walks a [`MaskedFile`] and appends
+//! The four rule matchers. Each walks a [`MaskedFile`] and appends
 //! [`Finding`]s; test regions and `// audit:`-marked lines are exempt
 //! where the rule allows it.
 
@@ -114,6 +114,34 @@ pub fn collective_contract(path: &Path, m: &MaskedFile, out: &mut Vec<Finding>) 
                      state the collective-matching contract (say which collectives it \
                      enters and that every rank must call it — or that it is not \
                      collective)"
+                ),
+            });
+        }
+    }
+}
+
+/// R4: the engine reads views — non-test code under `crates/sjoin/src`
+/// builds no geometry from a wire frame: no `.to_feature(`,
+/// `wkb::decode(` or `wkb::decode_all(`. Frames are read in place as
+/// `wkb::decode_ref` views, which the exact predicates accept as they are.
+pub fn engine_reads_views(path: &Path, m: &MaskedFile, out: &mut Vec<Finding>) {
+    if !path.starts_with("crates/sjoin/src") {
+        return;
+    }
+    const BUILDS: &[&str] = &[".to_feature(", "wkb::decode(", "wkb::decode_all("];
+    for (i, line) in m.code.iter().enumerate() {
+        if m.in_test[i] {
+            continue;
+        }
+        if let Some(call) = BUILDS.iter().find(|c| line.contains(*c)) {
+            out.push(Finding {
+                path: path.to_path_buf(),
+                line: i + 1,
+                rule: "engine-reads-views",
+                message: format!(
+                    "`{call}` builds owned geometry from a frame in the engine (read it \
+                     as a `wkb::decode_ref` view instead): `{}`",
+                    m.raw[i].trim()
                 ),
             });
         }
@@ -360,10 +388,11 @@ mod tests {
     fn findings_for(src: &str) -> Vec<(usize, &'static str)> {
         let m = MaskedFile::new(src);
         let mut out = Vec::new();
-        let p = Path::new("t.rs");
+        let p = Path::new("crates/sjoin/src/t.rs");
         no_panic(p, &m, &mut out);
         checked_narrowing(p, &m, &mut out);
         collective_contract(p, &m, &mut out);
+        engine_reads_views(p, &m, &mut out);
         out.into_iter().map(|f| (f.line, f.rule)).collect()
     }
 
@@ -442,6 +471,22 @@ mod tests {
     fn non_pub_and_mut_self_fns_are_exempt_from_r3() {
         let src = "fn f(comm: &mut Comm) {}\npub fn g(&mut self) {}\n";
         assert!(findings_for(src).is_empty());
+    }
+
+    #[test]
+    fn engine_building_geometry_from_a_frame_is_flagged() {
+        let src =
+            "fn f(fr: &Frame) {\n    let g = wkb::decode_ref(fr.wkb);\n    fr.to_feature()?;\n}\n";
+        assert_eq!(findings_for(src), vec![(3, "engine-reads-views")]);
+    }
+
+    #[test]
+    fn comments_tests_and_other_crates_are_clean_for_r4() {
+        let src = "fn f() {\n    // wkb::decode( in a comment\n}\n#[cfg(test)]\nmod tests {\n    fn t() { wkb::decode_all(b); }\n}\n";
+        assert!(findings_for(src).is_empty());
+        let (mut out, core) = (Vec::new(), MaskedFile::new("fn f() { wkb::decode(b); }\n"));
+        engine_reads_views(Path::new("crates/core/src/exchange.rs"), &core, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

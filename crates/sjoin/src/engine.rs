@@ -140,7 +140,6 @@ use mvio_core::rebalance::{
 use mvio_core::resident::ResidentStore;
 use mvio_core::snapshot::{self, SnapshotReadOptions};
 use mvio_core::{CoreError, Feature, Result};
-use mvio_geom::refkernel::RefineArena;
 use mvio_geom::{Geometry, LineString, Point, Rect};
 use mvio_msim::{Comm, Work};
 use mvio_pfs::SimFs;
@@ -456,9 +455,6 @@ pub struct QueryEngine {
     /// The online-rebalance driver (`None` when the policy resolves to
     /// off); its drift tracker absorbs every applied update.
     rebalancer: Option<Rebalancer>,
-    /// Coordinate buffers `serve` materializes candidates into, recycled
-    /// across calls.
-    arena: RefineArena,
 }
 
 impl QueryEngine {
@@ -516,7 +512,6 @@ impl QueryEngine {
             chunk: opts.chunk,
             cache: opts.cache.resolve().map(ResultCache::new),
             rebalancer,
-            arena: RefineArena::new(),
         }
     }
 
@@ -743,7 +738,7 @@ impl QueryEngine {
         // before their u32 length fields would overflow.
         let block_cap = self.chunk.resolve().unwrap_or(u64::MAX).min(BLOCK_CAP_MAX);
         let mut rbatch = SerializedBatch::empty(p);
-        let (index, arena) = (&self.index, &mut self.arena);
+        let index = &self.index;
         let mut deferred: Option<CoreError> = None;
         match comm.labeled("serve.queries", |c| {
             plan.run(c, &mut qbatch.into_feed(&plan), &mut |comm, bufs| {
@@ -751,7 +746,7 @@ impl QueryEngine {
                 for (src, buf) in bufs.iter().enumerate() {
                     for fr in record_frames(buf) {
                         rbatch.records[src] +=
-                            index.serve_one(comm, arena, &fr, block_cap, &mut rbatch.bufs[src])?;
+                            index.serve_one(comm, &fr, block_cap, &mut rbatch.bufs[src])?;
                     }
                 }
                 Ok(received)
@@ -830,10 +825,12 @@ impl QueryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::breakdown::PhaseTimer;
+    use crate::PhaseBreakdown;
     use mvio_core::decomp::DecompConfig;
     use mvio_core::grid::{CellMap, GridSpec, UniformGrid};
     use mvio_core::partition::ReadOptions;
-    use mvio_core::pipeline::ingest;
+    use mvio_core::pipeline::{ingest, ingest_layers, PipelineOptions};
     use mvio_core::reader::WktLineParser;
     use mvio_geom::algo;
     use mvio_msim::{Topology, World, WorldConfig};
@@ -926,9 +923,7 @@ mod tests {
 
     /// This rank's local walk for `window`: no communication, no cache.
     fn local_matches(eng: &QueryEngine, comm: &mut Comm, window: &Rect) -> Vec<String> {
-        let matches = eng
-            .index
-            .rect_matches(comm, &mut RefineArena::new(), window);
+        let matches = eng.index.rect_matches(comm, window);
         matches.into_iter().map(String::from).collect()
     }
 
@@ -1113,7 +1108,7 @@ mod tests {
                 let t = comm.now();
                 let blocks = eng
                     .index
-                    .serve_one(comm, &mut RefineArena::new(), &fr, BLOCK_CAP_MAX, &mut out)
+                    .serve_one(comm, &fr, BLOCK_CAP_MAX, &mut out)
                     .unwrap();
                 (blocks, out, comm.now() - t)
             };
@@ -1196,7 +1191,6 @@ mod tests {
             }
             let eng = one_rank_engine(comm, 4, &features);
             let index = &eng.index;
-            let mut arena = RefineArena::new();
             assert!(index.reference.iter().any(|r| !r), "need ghost replicas");
             let dataset = features.len();
             for at in [
@@ -1218,7 +1212,7 @@ mod tests {
                     u32::MAX as usize,
                 ] {
                     let walked: Vec<(f64, &str)> = index
-                        .knn_local(comm, &mut arena, &at, k)
+                        .knn_local(comm, &at, k)
                         .into_iter()
                         .map(|(d, i)| (d, index.store.frame(i).userdata))
                         .collect();
@@ -1228,7 +1222,7 @@ mod tests {
             // The walk is what makes a small k cheap: far fewer exact
             // distances than the dataset holds.
             let t = comm.now();
-            index.knn_local(comm, &mut arena, &Point::new(1.75, 1.75), 3);
+            index.knn_local(comm, &Point::new(1.75, 1.75), 3);
             let model = comm.cost_model();
             let scan_floor = model.cost(Work::MbrTests { n: dataset as u64 })
                 + model.cost(Work::RefinePair {
@@ -1625,5 +1619,116 @@ mod tests {
             k: 1
         })
         .is_ok());
+    }
+
+    // Figure 20's distributed spatial index is this engine.
+
+    fn build_dataset(fs: &Arc<SimFs>, n: usize) {
+        let f = fs.create("data.wkt", None).unwrap();
+        let mut text = String::new();
+        for i in 0..n {
+            let x = (i % 20) as f64;
+            let y = (i / 20) as f64;
+            text.push_str(&format!(
+                "POLYGON (({x} {y}, {} {y}, {} {}, {x} {}, {x} {y}))\tid={i}\n",
+                x + 0.5,
+                x + 0.5,
+                y + 0.5,
+                y + 0.5
+            ));
+        }
+        f.append(text.as_bytes());
+    }
+
+    /// Builds the engine index over `data.wkt` with Figure 20's phase
+    /// split and returns it with this rank's breakdown.
+    fn build_index(comm: &mut Comm, fs: &Arc<SimFs>, side: u32) -> (QueryEngine, PhaseBreakdown) {
+        let mut timer = PhaseTimer::start(comm);
+        let cfg = DecompConfig::uniform(GridSpec::square(side));
+        let (read, pipe) = (ReadOptions::default(), PipelineOptions::default());
+        let (paths, ex) = (["data.wkt"], Default::default());
+        let ingested =
+            ingest_layers(comm, fs, &paths, &read, &WktLineParser, &cfg, &pipe, &ex).unwrap();
+        timer.end_partition(ingested.partition_end);
+        let owned = std::slice::from_ref(&ingested.layers[0].owned);
+        let store = ResidentStore::from_frames(comm, owned);
+        timer.end_communication(comm);
+        let eng = QueryEngine::from_store(comm, ingested.decomp, store, &EngineOptions::default());
+        timer.end_compute(comm);
+        let local = timer.finish(comm);
+        (eng, local)
+    }
+
+    #[test]
+    fn index_covers_every_feature() {
+        let fs = SimFs::new(FsConfig::gpfs_roger());
+        build_dataset(&fs, 200);
+        let out = World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {
+            let (eng, breakdown) = build_index(comm, &fs, 4);
+            let d = eng.decomposition();
+            let mine = (0..d.num_cells())
+                .filter(|&c| d.cell_to_rank(c) == comm.rank())
+                .count();
+            (eng.resident_replicas(), mine, breakdown)
+        });
+        // Non-spanning features appear exactly once; these squares sit
+        // strictly inside the grid so most are single-cell. Every feature
+        // appears at least once across ranks.
+        let total: usize = out.iter().map(|(n, _, _)| n).sum();
+        assert!(total >= 200, "indexed {total}");
+        // All 16 cells are owned by exactly one rank.
+        let cells: usize = out.iter().map(|(_, c, _)| c).sum();
+        assert_eq!(cells, 16);
+        assert!(out[0].2.total > 0.0);
+    }
+
+    #[test]
+    fn indexes_answer_queries_locally() {
+        let fs = SimFs::new(FsConfig::gpfs_roger());
+        build_dataset(&fs, 100);
+        let out = World::run(WorldConfig::new(Topology::single_node(2)), move |comm| {
+            let (mut eng, _) = build_index(comm, &fs, 2);
+            let probe = Query::Range(Rect::new(0.0, 0.0, 3.0, 3.0));
+            eng.serve(comm, &[probe]).unwrap().answers
+        });
+        // Squares with x in 0..=3 and y in 0..=3 touch the probe box; the
+        // served answer names each once, whichever cells hold replicas.
+        for answers in &out {
+            let QueryAnswer::Matches(ids) = &answers[0] else {
+                panic!("range answer expected");
+            };
+            let mut want: Vec<String> = (0..4)
+                .flat_map(|y| (0..4).map(move |x| format!("id={}", y * 20 + x)))
+                .collect();
+            want.sort();
+            let mut got = ids.clone();
+            got.sort();
+            assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn breakdown_phases_scale_down_with_ranks() {
+        // Enough data that parsing (which parallelizes) dominates the
+        // per-request I/O latency floor.
+        let n = 6000;
+        let run = |topo: Topology| {
+            let fs = SimFs::new(FsConfig::gpfs_roger());
+            build_dataset(&fs, n);
+            World::run(WorldConfig::new(topo), move |comm| {
+                let (_, local) = build_index(comm, &fs, 4);
+                PhaseBreakdown::reduce_max(comm, local)
+            })[0]
+        };
+        let b1 = run(Topology::single_node(1));
+        let b4 = run(Topology::new(2, 2));
+        // The dominant partition (read+parse) phase must shrink with more
+        // ranks — Figure 20's scaling claim.
+        assert!(
+            b4.partition < b1.partition,
+            "partition {} -> {}",
+            b1.partition,
+            b4.partition
+        );
     }
 }

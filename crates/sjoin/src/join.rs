@@ -14,7 +14,7 @@ use mvio_core::reader::WktLineParser;
 use mvio_core::snapshot::{self, SnapshotReadOptions};
 use mvio_core::{CoreError, Result};
 use mvio_geom::index::RTree;
-use mvio_geom::refkernel::{envelope_batch, filter_pairs_batch, ApproxTable, RefineArena};
+use mvio_geom::refkernel::{envelope_batch, filter_pairs_batch, ApproxTable};
 use mvio_geom::wkb::GeomRef;
 use mvio_geom::{algo, Rect};
 use mvio_msim::{Comm, CostModel, Work};
@@ -97,9 +97,9 @@ pub struct JoinReport {
     /// (0 when the plan was empty or this rank had no surplus).
     pub balance_shipped_bytes: u64,
     /// Peak geometry-payload heap allocations resident on this rank
-    /// during the join phase: received records stay borrowed wire frames,
-    /// so this is the refine arena's peak of live scratch buffers — a
-    /// handful, independent of the record count.
+    /// during the join phase. Always 0: received records stay borrowed
+    /// wire frames and refine reads them in place. Kept because the
+    /// benchmark reports it.
     pub max_resident_allocs: u64,
     /// Global max-over-ranks phase breakdown (identical on every rank).
     /// The balance step (count allgather, shipping, the receiver's
@@ -136,7 +136,7 @@ pub fn spatial_join(
     timer.end_partition(ingested.partition_end);
     timer.end_communication(comm);
 
-    // --- Join phase: filter, balance, arena refine over frames. ----------
+    // --- Join phase: filter, balance, refine over frames. ----------------
     let [left, right] = [0, 1].map(|i| &ingested.layers[i].owned);
     let report = run_refine_frames(comm, &ingested.decomp, left, right, &ex);
     finish(comm, timer, report)
@@ -436,7 +436,7 @@ fn test_cost(model: &CostModel, left: &Side<'_>, right: &Side<'_>, pair: (u32, u
 /// The refine step, in two: the approximation step ([`ApproxTable`]:
 /// the left polygon's inner disc proves hits, its convex hull proves
 /// misses), then the exact intersection test for the pairs it leaves
-/// open, through the reusable arena (materialize, test, recycle). Appends
+/// open, run on the two frames' views as they are. Appends
 /// the userdata of every intersecting pair to `pairs` and returns the
 /// number of exact tests. Charges [`Work::MbrTests`] per vertex the
 /// approximations touched and per test they examined, and
@@ -446,7 +446,6 @@ fn refine(
     left: &Side<'_>,
     right: &Side<'_>,
     survivors: &[(u32, u32)],
-    arena: &mut RefineArena,
     pairs: &mut Vec<(String, String)>,
 ) -> u64 {
     let mut approx = ApproxTable::new(left.refs.len());
@@ -459,12 +458,7 @@ fn refine(
         let hit = decided.unwrap_or_else(|| {
             exact += 1;
             comm.charge(refine_work(left, right, pair));
-            let lg = arena.materialize(&left.refs[li]);
-            let rg = arena.materialize(&right.refs[ri]);
-            let hit = algo::intersects(&lg, &rg);
-            arena.recycle(lg);
-            arena.recycle(rg);
-            hit
+            algo::shapes_intersect(left.refs[li], right.refs[ri])
         });
         if hit {
             pairs.push((
@@ -576,9 +570,9 @@ fn cut_shipments(
 /// **Refine** ([`refine`]): approximate, then exact tests for what the
 /// approximations leave open — over what the rank kept, then over what it
 /// received. A receiver decides exactly as the sender would have: the
-/// decision is a function of the two frames' bytes. Per-record heap
-/// allocation on the receive side is zero by construction;
-/// `max_resident_allocs` is the arena's peak of live scratch buffers.
+/// decision is a function of the two frames' bytes. Heap allocation for
+/// geometry on the receive side is zero by construction, so
+/// `max_resident_allocs` is 0.
 ///
 /// Collective: every rank must call it (one allgather; two staged
 /// exchanges when the plan is non-empty, which every rank decides alike).
@@ -661,7 +655,6 @@ fn run_refine_frames(
         None => None,
     };
 
-    let mut arena = RefineArena::new();
     let mut report = JoinReport {
         pairs: Vec::new(),
         filter_candidates,
@@ -673,16 +666,15 @@ fn run_refine_frames(
         breakdown: PhaseBreakdown::default(),
     };
     let pairs = &mut report.pairs;
-    report.exact_tests = refine(comm, &left, &right, &survivors[..kept], &mut arena, pairs);
+    report.exact_tests = refine(comm, &left, &right, &survivors[..kept], pairs);
     if let Some(((left_in, left_stats), (right_in, right_stats))) = incoming {
         report.balance_shipped_bytes = left_stats.bytes_sent + right_stats.bytes_sent;
         let left_in = Side::new(&left_in)?;
         let right_in = Side::new(&right_in)?;
         let (received, _) = filter(comm, sd, &left_in, &right_in);
-        report.exact_tests += refine(comm, &left_in, &right_in, &received, &mut arena, pairs);
+        report.exact_tests += refine(comm, &left_in, &right_in, &received, pairs);
         report.refine_tests += received.len() as u64;
     }
-    report.max_resident_allocs = arena.peak_resident() as u64;
     Ok(report)
 }
 
@@ -797,9 +789,9 @@ mod tests {
             opts.read.block_size = Some(512);
             World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {
                 let r = spatial_join(comm, &fs, "left.wkt", "right.wkt", &opts).unwrap();
-                // Received records stay borrowed frames: the only resident
-                // geometry allocations are the arena's scratch pool.
-                assert!(r.max_resident_allocs <= 8, "{}", r.max_resident_allocs);
+                // Received records stay borrowed frames, and refine reads
+                // them in place: no geometry is ever built.
+                assert_eq!(r.max_resident_allocs, 0);
                 (r.pairs, r.filter_candidates, r.refine_tests)
             })
         };

@@ -36,6 +36,3 @@ pub use join::{
     spatial_join, spatial_join_snapshots, JoinOptions, JoinReport, SnapshotJoinOptions,
 };
 pub use mvio_core::rebalance::{RebalancePolicy, RebalanceReport, Update, UpdateStats};
-
-#[cfg(test)]
-mod index;

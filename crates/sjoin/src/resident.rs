@@ -8,7 +8,6 @@ use mvio_core::framework::{claims_reference, is_reference_replica};
 use mvio_core::resident::ResidentStore;
 use mvio_core::{CoreError, Result};
 use mvio_geom::index::RTree;
-use mvio_geom::refkernel::RefineArena;
 use mvio_geom::wkb::{self, GeomRef};
 use mvio_geom::{algo, Point, Rect};
 use mvio_msim::{Comm, Work};
@@ -22,10 +21,9 @@ use std::ops::ControlFlow;
 /// sinks while the cache (a sibling field) stays independently
 /// borrowable.
 ///
-/// No geometry object is resident. The few candidates whose coordinates
-/// an answer needs — a straddler's vertex scan and exact test, a kNN
-/// candidate's distance — are materialized through the caller's
-/// [`RefineArena`] and recycled at once, the join's idiom.
+/// No geometry object is resident, and none is built to answer: a
+/// straddler's vertex scan and exact test and a kNN candidate's distance
+/// run on the record's borrowed view, the join's idiom.
 pub(crate) struct ResidentIndex {
     pub(crate) sd: Decomposition,
     pub(crate) store: ResidentStore,
@@ -91,12 +89,7 @@ impl ResidentIndex {
     /// ([`claims_reference`]), exact predicate — the last only where the
     /// filter and the vertex scan left it open.
     /// Not collective — the communicator only charges the walk.
-    pub(crate) fn rect_matches(
-        &self,
-        comm: &mut Comm,
-        arena: &mut RefineArena,
-        query: &Rect,
-    ) -> Vec<&str> {
+    pub(crate) fn rect_matches(&self, comm: &mut Comm, query: &Rect) -> Vec<&str> {
         let mut hits: Vec<usize> = Vec::new();
         self.rtree.query_with(query, &mut |i| hits.push(*i));
         comm.charge(Work::RtreeQueries {
@@ -125,17 +118,16 @@ impl ResidentIndex {
             // test. `contains` is false for an empty envelope, which has
             // no vertex either and therefore keeps the exact path.
             if !query.contains(mbr) {
-                let geometry = arena.materialize(&view(&frame));
-                let (vertex_inside, examined) = algo::rect_contains_any_vertex(query, &geometry);
+                let geometry = view(&frame);
+                let (vertex_inside, examined) = algo::rect_contains_shape_vertex(query, geometry);
                 comm.charge(Work::MbrTests { n: examined });
                 let hit = vertex_inside || {
                     comm.charge(Work::RefinePair {
                         verts_a: geometry.num_points() as u64,
                         verts_b: 4,
                     });
-                    algo::rect_intersects_geometry(query, &geometry)
+                    algo::rect_intersects_shape(query, geometry)
                 };
-                arena.recycle(geometry);
                 if !hit {
                     continue;
                 }
@@ -159,13 +151,7 @@ impl ResidentIndex {
     /// candidate as a refine of its own waits for the two-step distance
     /// bound (ROADMAP item 5(a)), without which every rank pays it.
     /// Not collective.
-    pub(crate) fn knn_local(
-        &self,
-        comm: &mut Comm,
-        arena: &mut RefineArena,
-        at: &Point,
-        k: usize,
-    ) -> Vec<(f64, usize)> {
+    pub(crate) fn knn_local(&self, comm: &mut Comm, at: &Point, k: usize) -> Vec<(f64, usize)> {
         let userdata = |i: usize| self.store.frame(i).userdata;
         let mut verts = 0u64;
         // Sorted by `(distance, userdata)` and never longer than `k`;
@@ -179,10 +165,9 @@ impl ResidentIndex {
                 return ControlFlow::Continue(());
             }
             let frame = self.store.frame(i);
-            let geometry = arena.materialize(&view(&frame));
+            let geometry = view(&frame);
             verts += geometry.num_points() as u64;
-            let d = algo::point_geometry_distance(at, &geometry);
-            arena.recycle(geometry);
+            let d = algo::point_shape_distance(at, geometry);
             let pos = best.partition_point(|&(bd, bi)| {
                 bd.total_cmp(&d)
                     .then_with(|| userdata(bi).cmp(frame.userdata))
@@ -217,7 +202,6 @@ impl ResidentIndex {
     pub(crate) fn serve_one(
         &self,
         comm: &mut Comm,
-        arena: &mut RefineArena,
         fr: &RecordFrame<'_>,
         cap: u64,
         out: &mut Vec<u8>,
@@ -245,13 +229,13 @@ impl ResidentIndex {
                 }
             };
             let (distances, neighbors): (Vec<f64>, Vec<&str>) = self
-                .knn_local(comm, arena, &at, k)
+                .knn_local(comm, &at, k)
                 .into_iter()
                 .map(|(distance, i)| (distance, self.store.frame(i).userdata))
                 .unzip();
             write_answer_blocks(qid, &distances, &neighbors, cap, out)?
         } else {
-            let matches = self.rect_matches(comm, arena, &g.envelope());
+            let matches = self.rect_matches(comm, &g.envelope());
             write_answer_blocks(qid, &[], &matches, cap, out)?
         };
         comm.charge(Work::SerializeGeoms {

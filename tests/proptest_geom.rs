@@ -4,8 +4,9 @@
 use mpi_vector_io::core::exchange::{record_frames, serialize_record, validate_frames};
 use mpi_vector_io::core::Feature;
 use mpi_vector_io::geom::algo::{
-    point_geometry_distance, point_in_polygon, rect_contains_any_vertex, rect_intersects_geometry,
-    segments_intersect, PointLocation,
+    intersects, point_geometry_distance, point_in_polygon, point_shape_distance,
+    rect_contains_any_vertex, rect_contains_shape_vertex, rect_intersects_geometry,
+    rect_intersects_shape, segments_intersect, shapes_intersect, PointLocation,
 };
 use mpi_vector_io::geom::index::RTree;
 use mpi_vector_io::geom::{
@@ -105,6 +106,53 @@ fn arb_geometry_full() -> impl Strategy<Value = Geometry> {
     ]
 }
 
+/// Hand-built WKB of `g` that decodes to `g` again: big-endian when `be`,
+/// and, when `unclose`, with every polygon ring stored without its
+/// closing vertex where the decoders can close it again (the vertex
+/// before it differs from the first).
+fn wkb_variant(g: &Geometry, be: bool, unclose: bool) -> Vec<u8> {
+    let word = |out: &mut Vec<u8>, v: u32| {
+        out.extend_from_slice(&if be { v.to_be_bytes() } else { v.to_le_bytes() })
+    };
+    let xy = |out: &mut Vec<u8>, p: &Point| {
+        for v in [p.x, p.y] {
+            out.extend_from_slice(&if be { v.to_be_bytes() } else { v.to_le_bytes() });
+        }
+    };
+    let coords = |out: &mut Vec<u8>, pts: &[Point]| {
+        word(out, pts.len() as u32);
+        pts.iter().for_each(|p| xy(out, p));
+    };
+    let mut out = vec![u8::from(!be)];
+    word(&mut out, g.geometry_type().code());
+    match g {
+        Geometry::Point(p) => xy(&mut out, p),
+        Geometry::LineString(l) => coords(&mut out, l.points()),
+        Geometry::Polygon(p) => {
+            word(&mut out, 1 + p.interiors().len() as u32);
+            for ring in std::iter::once(p.exterior()).chain(p.interiors()) {
+                let (pts, n) = (ring.points(), ring.num_points());
+                let open = unclose && pts[n - 2] != pts[0];
+                coords(&mut out, &pts[..n - usize::from(open)]);
+            }
+        }
+        multi => {
+            let members: Vec<Geometry> = match multi {
+                Geometry::MultiPoint(m) => m.0.iter().map(|&p| p.into()).collect(),
+                Geometry::MultiLineString(m) => m.0.iter().map(|l| l.clone().into()).collect(),
+                Geometry::MultiPolygon(m) => m.0.iter().map(|p| p.clone().into()).collect(),
+                Geometry::GeometryCollection(c) => c.0.clone(),
+                _ => unreachable!(),
+            };
+            word(&mut out, members.len() as u32);
+            for m in &members {
+                out.extend(wkb_variant(m, be, unclose));
+            }
+        }
+    }
+    out
+}
+
 /// Left sides for the join's approximation step: stars with and without
 /// a centred hole (the holed star's vertex centroid mostly falls in the
 /// hole), a star with an off-centre hole that may cross or leave the
@@ -180,8 +228,9 @@ fn inner_disc(poly: &Polygon) -> (Point, f64) {
         .iter()
         .fold((0.0, 0.0), |(x, y), p| (x + p.x, y + p.y));
     let c = Point::new(sum.0 / n, sum.1 / n);
-    let r = poly
-        .all_segments()
+    let r = std::iter::once(poly.exterior())
+        .chain(poly.interiors())
+        .flat_map(|ring| ring.segments())
         .map(|(a, b)| mpi_vector_io::geom::algo::point_segment_distance(&c, &a, &b))
         .fold(f64::INFINITY, f64::min);
     (c, r)
@@ -331,6 +380,37 @@ proptest! {
             pos += used_o;
         }
         prop_assert_eq!(pos, buf.len());
+    }
+
+    /// The exact predicates have one body for owned geometries and WKB
+    /// views, so they answer alike on every pair — distances to the bit,
+    /// vertex scans with the same count — whatever the wire spelling of
+    /// the views: the library's little-endian encoding, a big-endian one,
+    /// or polygon rings stored unclosed.
+    #[test]
+    fn predicates_on_views_match_owned(
+        a in arb_geometry_full(),
+        b in arb_geometry_full(),
+        free in arb_rect(),
+        at in arb_point(),
+    ) {
+        for (be, unclose) in [(false, false), (true, false), (false, true)] {
+            let encode = |g: &Geometry| {
+                if be || unclose { wkb_variant(g, be, unclose) } else { wkb::encode(g) }
+            };
+            let (wa, wb) = (encode(&a), encode(&b));
+            let (va, vb) = (wkb::decode_ref(&wa).unwrap().0, wkb::decode_ref(&wb).unwrap().0);
+            prop_assert_eq!(&va.to_geometry(), &a);
+            prop_assert_eq!(shapes_intersect(va, vb), intersects(&a, &b));
+            prop_assert_eq!(shapes_intersect(va, va), intersects(&a, &a));
+            prop_assert_eq!(shapes_intersect(vb, &a), intersects(&b, &a));
+            for r in [free, a.envelope(), b.envelope()] {
+                prop_assert_eq!(rect_intersects_shape(&r, va), rect_intersects_geometry(&r, &a));
+                prop_assert_eq!(rect_contains_shape_vertex(&r, va), rect_contains_any_vertex(&r, &a));
+            }
+            let d = (point_shape_distance(&at, va), point_geometry_distance(&at, &a));
+            prop_assert_eq!(d.0.to_bits(), d.1.to_bits());
+        }
     }
 
     /// The record encoding is canonical: a frame this library encoded,
