@@ -7,7 +7,8 @@
 //! `--scale` and `--quick`, since a floor only means something at its own
 //! configuration, and it leaves the experiments' full `BENCH_*.json`
 //! trajectories alone. The ratios are virtual-time quotients; the pfs
-//! arrival-order jitter (ROADMAP item 6) moves them in the last digits.
+//! arrival-order jitter (ROADMAP, "Make the virtual clock deterministic")
+//! moves them in the last digits.
 
 use super::fig17::load_imbalance;
 use super::{decomp, exchange, io, rebalance, serve, Scale};

@@ -17,7 +17,9 @@
 //!   (Brinkhoff, Kriegel, Schneider & Seeger, "Multi-step processing of
 //!   spatial joins", SIGMOD '94): per left polygon an inner disc and the
 //!   convex hull, which prove most surviving pairs to be hits or misses
-//!   with a few coordinate compares, so only the rest pay the exact test.
+//!   with a few coordinate compares, then a right vertex located inside
+//!   the polygon, which proves most of the hits the disc leaves open, so
+//!   only the rest pay the exact test.
 //!
 //! The exact test needs no kernel: the [`crate::algo`] predicates read
 //! the views directly, so no geometry is built from the wire bytes.
@@ -25,12 +27,14 @@
 //! Every kernel is value-compatible with the owned path: envelopes use the
 //! same `f64::min`/`f64::max` folds as [`crate::Rect::expand_point`]. The
 //! approximation step never contradicts [`crate::algo::intersects`]: it
-//! answers only outside a tie band around each of its thresholds.
+//! answers only outside a tie band around each of its thresholds, and its
+//! vertex step locates with the exact test's own point-in-polygon code.
 
 use crate::algo::{locate_in_rings, Coords, Part, PointLocation, Shape};
 use crate::point::Point;
 use crate::rect::Rect;
 use crate::wkb::{GeomRef, PolygonRef};
+use std::cell::Cell;
 use std::ops::{ControlFlow, Range};
 
 /// MBR of a flat coordinate slice (16 bytes per point: x then y, in the
@@ -128,6 +132,10 @@ struct Approx {
     /// Absolute distance margin of the hull tests: the tie band scaled by
     /// the polygon's size and distance from the origin.
     eps: f64,
+    /// The hull's MBR, which is every ring's: the vertex step's rejection.
+    envelope: Rect,
+    /// The edges of every ring: what locating one right vertex may visit.
+    edges: u64,
 }
 
 /// Per-frame approximations of one join side's left polygons, built
@@ -152,6 +160,14 @@ struct Approx {
 /// * **miss, right side with area** (a polygon, or a collection holding
 ///   one) — only when a single hull edge separates *all* right vertices,
 ///   because a right polygon can contain the hull;
+/// * **hit, when the two above leave the pair open** — a right vertex
+///   inside or on the left polygon: every vertex of every point, line,
+///   shell and member in order, rejected first by the left envelope and
+///   then located by the crossing-number test the exact test uses, left
+///   holes included. A right shell vertex is a point of the right side,
+///   so the first one located proves the hit, and none located proves
+///   nothing. A right hole's vertex is not walked: nothing makes a hole
+///   lie inside its shell;
 /// * everything else — left sides that are not polygons, degenerate
 ///   rings, ties — returns `None` and goes to the exact test.
 ///
@@ -244,22 +260,28 @@ impl ApproxTable {
             radius,
             hull,
             eps,
+            envelope,
+            edges: m - p.num_rings() as u64,
         };
         (approx, touched)
     }
 
     /// Decides the pair (frame `i`, `right`) from the approximations
-    /// [`ApproxTable::prepare`] built for frame `i`: `Some(true)` is a
-    /// proven hit and `Some(false)` a proven miss — both equal to what
-    /// [`crate::algo::intersects`] returns — and `None` leaves the pair to
-    /// the exact test. Also returns the tests examined: one per right point
-    /// or segment measured against the disc, per right vertex placed
-    /// against a hull edge, and per hull vertex placed against a right
-    /// segment's line. They never exceed the right side's vertices times
-    /// the hull's edges — fewer vertex pairs than the exact test's own
-    /// sweep compares, since the hull has fewer edges than the polygon —
-    /// and a decision that would need more gives up with `None`.
-    pub fn decide(&self, i: usize, right: &GeomRef<'_>) -> (Option<bool>, u64) {
+    /// [`ApproxTable::prepare`] built for frame `i`, whose view is `left`:
+    /// `Some(true)` is a proven hit and `Some(false)` a proven miss — both
+    /// equal to what [`crate::algo::intersects`] returns — and `None`
+    /// leaves the pair to the exact test. Also returns the tests examined:
+    /// one per right point or segment measured against the disc, per right
+    /// vertex placed against a hull edge, per hull vertex placed against a
+    /// right segment's line, per right vertex the left envelope rejects,
+    /// and per left edge visited locating a right vertex. The disc and the
+    /// hull give up with `None` where they would exceed the right side's
+    /// vertices times the hull's edges, and the whole decision, the vertex
+    /// step included, where it would exceed the right side's vertices
+    /// times the left polygon's edges — never more vertex pairs than the
+    /// exact test's own sweep compares. A vertex is located only when the
+    /// budget left pays for a walk over every left edge.
+    pub fn decide(&self, i: usize, left: &GeomRef<'_>, right: &GeomRef<'_>) -> (Option<bool>, u64) {
         let Some(approx) = &self.slots[i] else {
             return (None, 0);
         };
@@ -273,7 +295,11 @@ impl ApproxTable {
             examined: 0,
             budget,
         };
-        let outcome = approx.decide(hull, right, &mut meter);
+        let mut outcome = approx.decide(hull, right, &mut meter);
+        if let (None, GeomRef::Polygon(p)) = (outcome, left) {
+            meter.budget = right.num_points() as u64 * approx.edges;
+            outcome = approx.vertex_inside(p, right, &mut meter).then_some(true);
+        }
         (outcome, meter.examined)
     }
 }
@@ -285,6 +311,8 @@ impl Approx {
         radius: 0.0,
         hull: 0..0,
         eps: 0.0,
+        envelope: Rect::EMPTY,
+        edges: 0,
     };
 
     fn decide(&self, hull: &[Point], right: &GeomRef<'_>, meter: &mut Meter) -> Option<bool> {
@@ -332,21 +360,13 @@ impl Approx {
     /// `true` when one hull edge has every right vertex beyond it.
     fn one_axis_separates(&self, hull: &[Point], right: &GeomRef<'_>, meter: &mut Meter) -> bool {
         for edge in hull.windows(2) {
-            let mut beyond_edge = |v: Point| {
+            let swept = each_vertex(right, true, &mut |v| {
                 meter.tick()?;
                 if beyond(edge[0], edge[1], v, self.eps) {
                     ControlFlow::Continue(())
                 } else {
                     ControlFlow::Break(Stop::Unseparated)
                 }
-            };
-            let swept = right.form().parts(&mut |part| match part {
-                Part::Point(v) => beyond_edge(*v),
-                Part::Line(coords) => coords.points().try_for_each(&mut beyond_edge),
-                Part::Polygon(rings) => rings
-                    .clone()
-                    .flat_map(Coords::points)
-                    .try_for_each(&mut beyond_edge),
             });
             match swept {
                 ControlFlow::Continue(()) => return true,
@@ -414,11 +434,57 @@ impl Approx {
         });
         swept.is_continue()
     }
+
+    /// `true` at the first right vertex, in order and hole rings skipped,
+    /// inside or on `left`. Charges one test per vertex outside the left
+    /// envelope and the left edges visited locating each other one, and
+    /// gives up when the budget left cannot pay for every left edge.
+    fn vertex_inside(&self, left: &PolygonRef<'_>, right: &GeomRef<'_>, meter: &mut Meter) -> bool {
+        let located = each_vertex(right, false, &mut |v| {
+            if !self.envelope.contains_point(&v) {
+                return meter.tick();
+            }
+            meter.afford(self.edges)?;
+            let visited = &Cell::new(0);
+            let edges = left.rings().map(|r| {
+                r.segments()
+                    .inspect(move |_| visited.set(visited.get() + 1))
+            });
+            let at = locate_in_rings(v, edges);
+            meter.examined += visited.get();
+            match at {
+                PointLocation::Outside => ControlFlow::Continue(()),
+                _ => ControlFlow::Break(Stop::Hit),
+            }
+        });
+        matches!(located, ControlFlow::Break(Stop::Hit))
+    }
+}
+
+/// Calls `f` on every vertex of `g` — of every part, ring (or only the
+/// shell of each polygon, without `holes`) and member, in order — until
+/// `f` breaks.
+fn each_vertex(
+    g: &GeomRef<'_>,
+    holes: bool,
+    f: &mut impl FnMut(Point) -> ControlFlow<Stop>,
+) -> ControlFlow<Stop> {
+    let rings = if holes { usize::MAX } else { 1 };
+    g.form().parts(&mut |part| match part {
+        Part::Point(v) => f(*v),
+        Part::Line(coords) => coords.points().try_for_each(&mut *f),
+        Part::Polygon(all) => all
+            .clone()
+            .take(rings)
+            .flat_map(Coords::points)
+            .try_for_each(&mut *f),
+    })
 }
 
 /// Why a sweep over the right side's parts stopped early.
 enum Stop {
-    /// A right point or segment lies inside the disc.
+    /// A right point or segment lies inside the disc, or a right vertex
+    /// inside the polygon.
     Hit,
     /// A right vertex or segment is not separated from the hull.
     Unseparated,
@@ -438,6 +504,14 @@ impl Meter {
             return ControlFlow::Break(Stop::Spent);
         }
         self.examined += 1;
+        ControlFlow::Continue(())
+    }
+
+    /// Breaks with [`Stop::Spent`] unless `n` more tests fit the budget.
+    fn afford(&self, n: u64) -> ControlFlow<Stop> {
+        if self.examined + n > self.budget {
+            return ControlFlow::Break(Stop::Spent);
+        }
         ControlFlow::Continue(())
     }
 }
@@ -571,8 +645,9 @@ mod tests {
             wkb::encode(&wkt::parse(right).unwrap()),
         );
         let mut table = ApproxTable::new(1);
-        table.prepare(0, &wkb::decode_ref(&l).unwrap().0);
-        table.decide(0, &wkb::decode_ref(&r).unwrap().0)
+        let left = wkb::decode_ref(&l).unwrap().0;
+        table.prepare(0, &left);
+        table.decide(0, &left, &wkb::decode_ref(&r).unwrap().0)
     }
 
     /// An eight-pointed star around the origin: outer radius 4, inner 2.
@@ -642,9 +717,71 @@ mod tests {
         let holed = "POLYGON ((-4 -4, 4 -4, 4 4, -4 4, -4 -4), (-1 -1, -1 1, 1 1, 1 -1, -1 -1))";
         assert_eq!(decide(holed, "POINT (0 0)").0, None);
         assert_eq!(decide(holed, "POINT (5 0)").0, Some(false));
-        // The centroid is a vertex of a notched square: no disc.
+        // The centroid is a vertex of a notched square: no disc, so a line
+        // passing it at 0.5 with one end in the notch and one beyond the
+        // hull is left to the exact test.
         let notched = "POLYGON ((0 0, 3 -3, 3 3, -3 3, -3 -3, 0 0))";
-        assert_eq!(decide(notched, "POINT (0 1)").0, None);
+        assert_eq!(decide(notched, "LINESTRING (-0.5 -2.5, -0.5 5)").0, None);
+    }
+
+    #[test]
+    fn a_right_vertex_inside_the_polygon_proves_the_hit() {
+        // Centroid in the hole: no disc, 8 left edges. A point inside the
+        // hull costs its four edges, then the vertex step: one test per
+        // vertex outside the envelope, and the edges visited per vertex
+        // located — the shell's four, then the hole's up to the one it
+        // lies on. Two right vertices allow 2 × 8 tests in all.
+        let holed = "POLYGON ((-4 -4, 4 -4, 4 4, -4 4, -4 -4), (-1 -1, -1 1, 1 1, 1 -1, -1 -1))";
+        assert_eq!(
+            decide(holed, "MULTIPOINT ((2 2), (9 9))"),
+            (Some(true), 4 + 8)
+        );
+        assert_eq!(
+            decide(holed, "MULTIPOINT ((0.5 0), (9 9))"),
+            (None, 4 + 8 + 1)
+        );
+        assert_eq!(
+            decide(holed, "MULTIPOINT ((1 0), (9 9))"),
+            (Some(true), 4 + 7)
+        );
+        assert_eq!(
+            decide(holed, "MULTIPOINT ((4 1), (9 9))"),
+            (Some(true), 4 + 2)
+        );
+        // The first vertex is beyond the envelope (and a hull edge), the
+        // second inside: 2 + 4 hull tests, then 1 + 8.
+        assert_eq!(
+            decide(holed, "MULTIPOINT ((9 -2), (2 2))"),
+            (Some(true), 6 + 9)
+        );
+        // A vertex is located only when the budget left pays for all 8
+        // edges: after the hull's 4, one point allows none, and two allow
+        // one location.
+        assert_eq!(decide(holed, "POINT (2 2)"), (None, 4));
+        assert_eq!(decide(holed, "MULTIPOINT ((0.5 0), (2 2))"), (None, 4 + 8));
+        // A spike of the star, entered from outside: the disc and hull
+        // leave it open, the end inside the spike proves it, also as a
+        // collection's last vertex.
+        let star = star();
+        assert_eq!(decide(&star, "LINESTRING (3.5 0, 4.5 0.2)").0, Some(true));
+        assert_eq!(
+            decide(
+                &star,
+                "GEOMETRYCOLLECTION (POINT (2.4 1), LINESTRING (4.5 0.2, 3.5 0))"
+            )
+            .0,
+            Some(true)
+        );
+        // A hole outside its shell: its vertex inside the square proves
+        // nothing, and the exact test finds no intersection.
+        let (square, stray) = (
+            "POLYGON ((0 0, 1 0, 1 1, 0 1, 0 0))",
+            "POLYGON ((-5 2, 2 -5, 3 -5, -5 2), (0.2 0.2, 0.8 0.2, 0.5 0.8, 0.2 0.2))",
+        );
+        assert_eq!(decide(square, stray).0, None);
+        let exact =
+            crate::algo::intersects(&wkt::parse(square).unwrap(), &wkt::parse(stray).unwrap());
+        assert!(!exact);
     }
 
     #[test]

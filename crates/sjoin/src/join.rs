@@ -435,8 +435,9 @@ fn test_cost(model: &CostModel, left: &Side<'_>, right: &Side<'_>, pair: (u32, u
 
 /// The refine step, in two: the approximation step ([`ApproxTable`]:
 /// the left polygon's inner disc proves hits, its convex hull proves
-/// misses), then the exact intersection test for the pairs it leaves
-/// open, run on the two frames' views as they are. Appends
+/// misses, a right vertex located inside it proves hits), then the exact
+/// intersection test for the pairs it leaves open, run on the two
+/// frames' views as they are. Appends
 /// the userdata of every intersecting pair to `pairs` and returns the
 /// number of exact tests. Charges [`Work::MbrTests`] per vertex the
 /// approximations touched and per test they examined, and
@@ -453,7 +454,7 @@ fn refine(
     for &pair in survivors {
         let (li, ri) = (pair.0 as usize, pair.1 as usize);
         examined += approx.prepare(li, &left.refs[li]);
-        let (decided, n) = approx.decide(li, &right.refs[ri]);
+        let (decided, n) = approx.decide(li, &left.refs[li], &right.refs[ri]);
         examined += n;
         let hit = decided.unwrap_or_else(|| {
             exact += 1;
@@ -1242,7 +1243,7 @@ mod tests {
     #[test]
     fn approximations_decide_most_pairs_and_the_answer_stays_exact() {
         // A 4 x 4 lattice of stars in cell 0 of a 4 x 4 grid over
-        // [0, 40]², each paired with short lines of four kinds, plus one
+        // [0, 40]², each paired with short lines of five kinds, plus one
         // star and one deep line in every other cell: the hot cell's owner
         // ships refine work at 4 and 16 ranks.
         let r = 0.9;
@@ -1274,9 +1275,13 @@ mod tests {
                     let pts = [(0.8 * sx, 0.95 * sy), (0.95 * sx, 0.8 * sy)];
                     right.push_str(&line(format!("C{i}_{j}_{k}"), c, &pts));
                 }
-                // Straddlers: across a spike (a hit), and through a notch
-                // inside the hull (a miss) — both for the exact test.
+                // Into a spike from outside: its end inside the spike
+                // proves the hit.
                 right.push_str(&line(format!("X{i}_{j}"), c, &[(0.8, -0.05), (1.2, 0.05)]));
+                // Straddlers: across a spike with both ends in the notches
+                // beside it (a hit), and through a notch inside the hull (a
+                // miss) — both for the exact test.
+                right.push_str(&line(format!("Y{i}_{j}"), c, &[(0.7, -0.15), (0.7, 0.15)]));
                 right.push_str(&line(
                     format!("N{i}_{j}"),
                     c,
@@ -1297,8 +1302,8 @@ mod tests {
         left.push_str(&rect_wkt("Lmin", &Rect::new(0.0, 0.0, 0.5, 0.5), 1));
         left.push_str(&rect_wkt("Lmax", &Rect::new(39.5, 39.5, 40.0, 40.0), 1));
         let (expect, overlapping) = brute_force_wkt(&left, &right);
-        // 16 x (2 deep + 1 spike) + 15 background hits.
-        assert_eq!(expect.len(), 63);
+        // 16 x (2 deep + 2 spike) + 15 background hits.
+        assert_eq!(expect.len(), 79);
 
         let refine_fixed = CostModel::calibrated().refine_fixed;
         for topo in [
@@ -1313,7 +1318,7 @@ mod tests {
             // approximation step...
             assert_eq!(sum(|r| r.refine_tests), overlapping, "{topo:?}");
             assert_eq!(sum(|r| r.owned_refine_tests), overlapping, "{topo:?}");
-            // ...but only the straddlers reach the exact test.
+            // ...but only the straddlers, Y and N, reach the exact test.
             assert_eq!(sum(|r| r.exact_tests), 32, "{topo:?}");
             if topo.ranks() > 1 {
                 assert!(out[0].balance_shipped_bytes > 0, "{topo:?}");

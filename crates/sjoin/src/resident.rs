@@ -149,7 +149,8 @@ impl ResidentIndex {
     /// [`Work::RefinePair`] per walk over the summed vertices of the
     /// candidates whose exact distance was computed; pricing each
     /// candidate as a refine of its own waits for the two-step distance
-    /// bound (ROADMAP item 5(a)), without which every rank pays it.
+    /// bound (ROADMAP, "Serve: the two-step kNN, then the tail"), without
+    /// which every rank pays it.
     /// Not collective.
     pub(crate) fn knn_local(&self, comm: &mut Comm, at: &Point, k: usize) -> Vec<(f64, usize)> {
         let userdata = |i: usize| self.store.frame(i).userdata;

@@ -62,11 +62,15 @@ fn main() {
     let candidates: u64 = reports.iter().map(|r| r.filter_candidates).sum();
     let refined: u64 = reports.iter().map(|r| r.refine_tests).sum();
     let exact: u64 = reports.iter().map(|r| r.exact_tests).sum();
+    let exact_max = reports.iter().map(|r| r.exact_tests).max().unwrap_or(0);
     let b = reports[0].breakdown;
 
     println!("\nfilter candidates : {candidates}");
     println!("refine tests       : {refined} (after reference-point dedup)");
-    println!("exact tests        : {exact} (the rest decided by disc and hull)");
+    println!(
+        "exact tests        : {exact}, max/mean over ranks {:.3} (the rest decided by disc, hull and vertex)",
+        exact_max as f64 * reports.len() as f64 / exact.max(1) as f64
+    );
     println!("intersecting pairs : {pairs}");
     println!("\nphase breakdown (max over ranks, virtual seconds):");
     println!("{}", b.row("lakes ⋈ roads"));

@@ -236,11 +236,12 @@ fn inner_disc(poly: &Polygon) -> (Point, f64) {
     (c, r)
 }
 
-/// Every vertex of `g`, in the order its rings and parts store them.
-fn vertices(g: &Geometry, out: &mut Vec<Point>) {
+/// Every vertex of `g` (of a polygon's shell only, without `holes`), in
+/// the order its rings and parts store them.
+fn vertices(g: &Geometry, holes: bool, out: &mut Vec<Point>) {
     let polygon = |p: &Polygon, out: &mut Vec<Point>| {
         out.extend_from_slice(p.exterior().points());
-        for hole in p.interiors() {
+        for hole in p.interiors().iter().filter(|_| holes) {
             out.extend_from_slice(hole.points());
         }
     };
@@ -251,7 +252,7 @@ fn vertices(g: &Geometry, out: &mut Vec<Point>) {
         Geometry::MultiPoint(m) => out.extend_from_slice(&m.0),
         Geometry::MultiLineString(m) => m.0.iter().for_each(|l| out.extend_from_slice(l.points())),
         Geometry::MultiPolygon(m) => m.0.iter().for_each(|p| polygon(p, out)),
-        Geometry::GeometryCollection(c) => c.0.iter().for_each(|g| vertices(g, out)),
+        Geometry::GeometryCollection(c) => c.0.iter().for_each(|g| vertices(g, holes, out)),
     }
 }
 
@@ -603,7 +604,7 @@ proptest! {
             g
         };
         let mut all = Vec::new();
-        vertices(&g, &mut all);
+        vertices(&g, true, &mut all);
         prop_assert_eq!(all.len(), g.num_points());
         let window = match all.get(pick % all.len().max(1)) {
             // Empty geometry: nothing to anchor on.
@@ -678,14 +679,21 @@ proptest! {
     /// zero-area rings and a centre on the boundary, and every right
     /// variant placed around them — at random, on the inner circle,
     /// tangent to it, touching or just beyond a hull edge or vertex, as a
-    /// polygon around the hull, and nested in collections: whenever it
-    /// decides a pair, `intersects` agrees. Its hull holds every left
-    /// vertex, and it never examines more than right vertices × hull edges.
+    /// polygon around the hull, with a vertex on a shell edge or vertex,
+    /// on a hole's boundary, inside a hole or inside the shell outside
+    /// every hole (as a point, a multipoint's first vertex, a line's
+    /// second vertex, a right hole's vertex with its shell around the
+    /// left polygon or far from it, or a later collection member), and
+    /// nested in collections: whenever it decides a pair, `intersects`
+    /// agrees, and a right shell vertex in or on a left polygon with a
+    /// hull decides a hit unless the budget left could not pay for
+    /// locating a vertex. Its hull holds every left vertex, and it never
+    /// examines more than right vertices × left edges.
     #[test]
     fn the_approximation_step_never_contradicts_the_exact_test(
         left in arb_left_polygon(),
         right in arb_geometry_full(),
-        placement in 0usize..9,
+        placement in 0usize..11,
         (ux, uy) in (-0.3f64..1.3, -0.3f64..1.3),
         (scale, offset) in (0usize..4, 0usize..7),
         pick in any::<usize>(),
@@ -704,7 +712,7 @@ proptest! {
         prop_assert_eq!(table.prepare(0, &wkb::decode_ref(&left_wkb).unwrap().0), 0);
         let hull = table.hull(0).to_vec();
         let mut all = Vec::new();
-        vertices(&left_g, &mut all);
+        vertices(&left_g, true, &mut all);
         for e in hull.windows(2) {
             for &v in &all {
                 prop_assert!(orientation(e[0], e[1], v) != Orientation::Clockwise, "{:?} outside the hull", v);
@@ -760,6 +768,58 @@ proptest! {
                 let holes = if pick % 2 == 0 { vec![square(offset * size)] } else { vec![] };
                 Geometry::Polygon(Polygon::from_coords(square(size), holes).unwrap())
             }
+            // A right vertex on a shell edge or vertex, on a hole's boundary,
+            // at a hole's vertex centroid, or inside the shell and outside
+            // every hole — the right side's only vertex near the polygon.
+            (9 | 10, _) => {
+                let shell = left.exterior().points();
+                let k = pick % (shell.len() - 1);
+                let lambda = (pick / 7 % 7) as f64 / 6.0;
+                let along = |a: Point, b: Point| Point::new(a.x + lambda * (b.x - a.x), a.y + lambda * (b.y - a.y));
+                let hole = left.interiors().first().map(|h| h.points());
+                let probe = match (pick / 49 % 5, hole) {
+                    (0, _) => along(shell[k], shell[k + 1]),
+                    (1, _) => shell[k],
+                    (2, Some(h)) => {
+                        let j = pick % (h.len() - 1);
+                        along(h[j], h[j + 1])
+                    }
+                    (3, Some(h)) => {
+                        let n = (h.len() - 1) as f64;
+                        let sum = h[..h.len() - 1].iter().fold((0.0, 0.0), |(x, y), p| (x + p.x, y + p.y));
+                        Point::new(sum.0 / n, sum.1 / n)
+                    }
+                    _ => (0..64)
+                        .map(|j| Point::new(
+                            env.min_x + ((j % 8) as f64 + 0.5) / 8.0 * env.width(),
+                            env.min_y + ((j / 8) as f64 + 0.5) / 8.0 * env.height(),
+                        ))
+                        .find(|&p| point_in_polygon(p, &left) == PointLocation::Inside)
+                        .unwrap_or(shell[k]),
+                };
+                let beyond = |dx: f64, dy: f64| Point::new(env.max_x + dx * size, env.max_y + dy * size);
+                let (p1, p2) = (beyond(1.0, 2.0), beyond(2.0, 1.0));
+                match (placement, pick / 245 % 3) {
+                    (9, 0) => Geometry::Point(probe),
+                    (9, 1) => Geometry::MultiPoint(MultiPoint(vec![probe, p1])),
+                    (9, _) => segment(p1, probe),
+                    (10, 0) => {
+                        let (x0, y0, x1, y1) = (env.min_x - 4.0 * size, env.min_y - 4.0 * size, env.max_x + 4.0 * size, env.max_y + 4.0 * size);
+                        let shell = vec![Point::new(x0, y0), Point::new(x1, y0), Point::new(x1, y1), Point::new(x0, y1), Point::new(x0, y0)];
+                        Geometry::Polygon(Polygon::from_coords(shell, vec![vec![probe, p1, p2, probe]]).unwrap())
+                    }
+                    // A tiny hole at the probe, outside its far-away shell.
+                    (10, 1) => {
+                        let d = size * 1e-3;
+                        let hole = vec![probe, Point::new(probe.x + d, probe.y), Point::new(probe.x, probe.y + d), probe];
+                        Geometry::Polygon(Polygon::from_coords(vec![p1, p2, beyond(2.0, 2.0), p1], vec![hole]).unwrap())
+                    }
+                    _ => Geometry::GeometryCollection(GeometryCollection(vec![
+                        segment(p1, p2),
+                        Geometry::MultiPoint(MultiPoint(vec![p2, probe])),
+                    ])),
+                }
+            }
             // Anywhere around the left polygon, at any scale.
             _ => {
                 let renv = right.envelope();
@@ -778,11 +838,24 @@ proptest! {
             right
         };
         let right_wkb = wkb::encode(&right);
-        let (decided, examined) = table.decide(0, &wkb::decode_ref(&right_wkb).unwrap().0);
+        let left_view = wkb::decode_ref(&left_wkb).unwrap().0;
+        let (decided, examined) = table.decide(0, &left_view, &wkb::decode_ref(&right_wkb).unwrap().0);
         if let Some(hit) = decided {
             prop_assert_eq!(hit, intersects(&left_g, &right), "placement {} right {:?}", placement, right);
         }
-        let budget = right.num_points() as u64 * hull.len().saturating_sub(1) as u64;
+        let left_edges: u64 = std::iter::once(left.exterior())
+            .chain(left.interiors())
+            .map(|ring| ring.num_points() as u64 - 1)
+            .sum();
+        let budget = right.num_points() as u64 * left_edges;
+        let mut shell_vertices = Vec::new();
+        vertices(&right, false, &mut shell_vertices);
+        if !hull.is_empty() && shell_vertices.iter().any(|&v| point_in_polygon(v, &left) != PointLocation::Outside) {
+            prop_assert!(
+                decided == Some(true) || examined + left_edges > budget,
+                "placement {} right {:?} decided {:?} examined {}", placement, right, decided, examined
+            );
+        }
         prop_assert!(examined <= budget, "examined {} > {}", examined, budget);
     }
 }
