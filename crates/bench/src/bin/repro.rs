@@ -17,66 +17,37 @@
 
 use mvio_bench::experiments::{self as ex, Scale};
 
-const IDS: [&str; 26] = [
-    "pipeline",
-    "decomp",
-    "exchange",
-    "io",
-    "serve",
-    "rebalance",
-    "table1",
-    "table2",
-    "table3",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "fig18",
-    "fig19",
-    "fig20",
-    "baseline",
-    "ablation-maps",
-    "ablation-windows",
-    "ablation-blocks",
-];
+/// One experiment: `(scale, quick)` to its rendered output.
+type Runner = fn(Scale, bool) -> String;
 
-fn dispatch(id: &str, scale: Scale, quick: bool) -> Option<String> {
-    Some(match id {
-        "pipeline" => ex::pipeline::run(scale, quick),
-        "decomp" => ex::decomp::run(scale, quick),
-        "exchange" => ex::exchange::run(scale, quick),
-        "io" => ex::io::run(scale, quick),
-        "serve" => ex::serve::run(scale, quick),
-        "rebalance" => ex::rebalance::run(scale, quick),
-        "table1" => ex::table1::run(scale, quick),
-        "table2" => ex::table2::run(scale, quick),
-        "table3" => ex::table3::run(scale, quick),
-        "fig8" => ex::fig08::run(scale, quick),
-        "fig9" => ex::fig09::run(scale, quick),
-        "fig10" => ex::fig10::run(scale, quick),
-        "fig11" => ex::fig11::run(scale, quick),
-        "fig12" => ex::fig12::run(scale, quick),
-        "fig13" => ex::fig13::run(scale, quick),
-        "fig14" => ex::fig14::run(scale, quick),
-        "fig15" => ex::fig15::run(scale, quick),
-        "fig16" => ex::fig16::run(scale, quick),
-        "fig17" => ex::fig17::run(scale, quick),
-        "fig18" => ex::fig18::run(scale, quick),
-        "fig19" => ex::fig19::run(scale, quick),
-        "fig20" => ex::fig20::run(scale, quick),
-        "baseline" => ex::baseline::run(scale, quick),
-        "ablation-maps" => ex::ablation::maps(scale, quick),
-        "ablation-windows" => ex::ablation::windows(scale, quick),
-        "ablation-blocks" => ex::ablation::blocks(scale, quick),
-        _ => return None,
-    })
-}
+/// Every experiment by name, in the order `all` runs them.
+const EXPERIMENTS: &[(&str, Runner)] = &[
+    ("pipeline", ex::pipeline::run),
+    ("decomp", ex::decomp::run),
+    ("exchange", ex::exchange::run),
+    ("io", ex::io::run),
+    ("serve", ex::serve::run),
+    ("rebalance", ex::rebalance::run),
+    ("table1", ex::table1::run),
+    ("table2", ex::table2::run),
+    ("table3", ex::table3::run),
+    ("fig8", ex::fig08::run),
+    ("fig9", ex::fig09::run),
+    ("fig10", ex::fig10::run),
+    ("fig11", ex::fig11::run),
+    ("fig12", ex::fig12::run),
+    ("fig13", ex::fig13::run),
+    ("fig14", ex::fig14::run),
+    ("fig15", ex::fig15::run),
+    ("fig16", ex::fig16::run),
+    ("fig17", ex::fig17::run),
+    ("fig18", ex::fig18::run),
+    ("fig19", ex::fig19::run),
+    ("fig20", ex::fig20::run),
+    ("baseline", ex::baseline::run),
+    ("ablation-maps", ex::ablation::maps),
+    ("ablation-blocks", ex::ablation::blocks),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -100,13 +71,13 @@ fn main() {
             "--quick" => quick = true,
             "--help" | "-h" => usage(""),
             "--list" => {
-                for id in IDS {
+                for (id, _) in EXPERIMENTS {
                     println!("{id}");
                 }
                 println!("gate");
                 return;
             }
-            "all" => targets.extend(IDS.iter().map(|s| s.to_string())),
+            "all" => targets.extend(EXPERIMENTS.iter().map(|(id, _)| id.to_string())),
             other => targets.push(other.to_string()),
         }
         i += 1;
@@ -115,15 +86,22 @@ fn main() {
         usage("no experiment selected");
     }
     targets.dedup();
-    // Reject unknown names before running anything: a typo'd batch job
+    // Resolve every name before running anything: a typo'd batch job
     // must fail fast, not after an hour of the experiments it did spell
-    // correctly.
-    if let Some(bad) = targets
+    // correctly. `None` is the gate.
+    let jobs: Vec<Option<Runner>> = targets
         .iter()
-        .find(|t| *t != "gate" && !IDS.contains(&t.as_str()))
-    {
-        usage(&format!("unknown experiment {bad:?}"));
-    }
+        .map(|t| {
+            let runner = EXPERIMENTS
+                .iter()
+                .find(|(id, _)| id == t)
+                .map(|&(_, run)| run);
+            if runner.is_none() && t != "gate" {
+                usage(&format!("unknown experiment {t:?}"));
+            }
+            runner
+        })
+        .collect();
 
     println!(
         "MPI-Vector-IO reproduction — scale 1/{}, {} mode\n",
@@ -131,16 +109,14 @@ fn main() {
         if quick { "quick" } else { "full" }
     );
     let mut failed = false;
-    for id in &targets {
-        if id == "gate" {
-            let (out, pass) = ex::gate::run();
-            println!("{out}");
-            failed |= !pass;
-            continue;
-        }
-        match dispatch(id, scale, quick) {
-            Some(out) => println!("{out}"),
-            None => unreachable!("targets validated above"),
+    for job in jobs {
+        match job {
+            Some(run) => println!("{}", run(scale, quick)),
+            None => {
+                let (out, pass) = ex::gate::run();
+                println!("{out}");
+                failed |= !pass;
+            }
         }
     }
     if failed {
@@ -153,6 +129,7 @@ fn usage(msg: &str) -> ! {
         eprintln!("error: {msg}");
     }
     eprintln!("usage: repro [--scale D] [--quick] [--list] <experiment...|all|gate>");
-    eprintln!("experiments: {IDS:?}");
+    let ids: Vec<&str> = EXPERIMENTS.iter().map(|&(id, _)| id).collect();
+    eprintln!("experiments: {ids:?}");
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }

@@ -4,8 +4,6 @@
 //! * **cell→rank maps** — round-robin declustering (the paper's choice)
 //!   vs contiguous blocks (Figure 5a's skew-prone layout) vs the
 //!   locality-aware Hilbert map the paper lists as future work;
-//! * **sliding-window exchange** — the memory-bounded multi-phase
-//!   exchange (§4.2.3 "Handling large data exchange") vs single-shot;
 //! * **block-size granularity** — the coarse-vs-fine trade-off of
 //!   §5.1.1 ("grain size also impacts load balancing").
 
@@ -18,13 +16,7 @@ use mvio_msim::{AccessLevel, Topology, World, WorldConfig};
 use mvio_pfs::{SimFs, StripeSpec};
 use mvio_sjoin::{spatial_join, JoinOptions, PhaseBreakdown};
 
-fn join_with(
-    scale: Scale,
-    procs: usize,
-    cells: u32,
-    decomp: DecompPolicy,
-    windows: u32,
-) -> PhaseBreakdown {
+fn join_with(scale: Scale, procs: usize, cells: u32, decomp: DecompPolicy) -> PhaseBreakdown {
     let fs = SimFs::new(gpfs_scaled(scale));
     let nodes = procs.div_ceil(20).max(1);
     let topo = Topology::new(nodes, procs.div_ceil(nodes));
@@ -35,7 +27,6 @@ fn join_with(
         grid: GridSpec::square(cells),
         decomp,
         read: ReadOptions::default().with_block_size(64 << 10),
-        windows,
         ..Default::default()
     };
     let cfg = WorldConfig::new(topo).with_cost(cost_scaled(scale));
@@ -63,7 +54,7 @@ pub fn maps(scale: Scale, quick: bool) -> String {
         ("block", DecompPolicy::Uniform(CellMap::Block)),
         ("hilbert", DecompPolicy::Hilbert),
     ] {
-        let b = join_with(scale, procs, cells, policy, 1);
+        let b = join_with(scale, procs, cells, policy);
         t.row(vec![
             name.to_string(),
             format!("{:.2}", b.partition * d),
@@ -73,30 +64,6 @@ pub fn maps(scale: Scale, quick: bool) -> String {
         ]);
     }
     t.note("round-robin declusters hotspots (the paper's choice); block keeps locality but concentrates load; hilbert balances both");
-    t.render()
-}
-
-/// Ablation: sliding-window phases on the exchange.
-pub fn windows(scale: Scale, quick: bool) -> String {
-    let procs = if quick { 8 } else { 40 };
-    let cells = if quick { 8u32 } else { 24 };
-    let mut t = Table::new(
-        format!("Ablation: sliding-window exchange phases, Lakes ⋈ Cemetery, {procs} procs"),
-        &["windows", "comm (s)", "total (s)"],
-    );
-    let d = scale.denominator as f64;
-    for w in [1u32, 2, 4, 8] {
-        let rr = DecompPolicy::Uniform(CellMap::RoundRobin);
-        let b = join_with(scale, procs, cells, rr, w);
-        t.row(vec![
-            w.to_string(),
-            format!("{:.2}", b.communication * d),
-            format!("{:.2}", b.total * d),
-        ]);
-    }
-    t.note(
-        "more windows bound peak exchange memory at the cost of extra collective rounds (§4.2.3)",
-    );
     t.render()
 }
 
@@ -165,7 +132,6 @@ mod tests {
                 grid: GridSpec::square(8),
                 decomp,
                 read: ReadOptions::default().with_block_size(128 << 10),
-                windows: 1,
                 ..Default::default()
             };
             let out = World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {

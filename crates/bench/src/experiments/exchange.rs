@@ -19,10 +19,10 @@
 use super::{cost_scaled, gpfs_scaled, Scale};
 use crate::report::{write_trajectory, Cell::*, Fields, Table};
 use mvio_core::decomp::DecompConfig;
-use mvio_core::exchange::{ExchangeChunk, ExchangeOptions};
+use mvio_core::exchange::ExchangeChunk;
 use mvio_core::grid::GridSpec;
 use mvio_core::partition::ReadOptions;
-use mvio_core::pipeline::{ingest_with_exchange, PipelineOptions};
+use mvio_core::pipeline::{ingest_layers, PipelineOptions};
 use mvio_core::reader::WktLineParser;
 use mvio_msim::{Topology, World, WorldConfig};
 use mvio_pfs::SimFs;
@@ -127,15 +127,14 @@ fn measure_one(
     let nodes = ranks.div_ceil(16).max(1);
     let topo = Topology::new(nodes, ranks.div_ceil(nodes));
     let world = WorldConfig::new(topo).with_cost(cost_scaled(scale));
-    let ex = ExchangeOptions::with_chunk(chunk);
     // One lane group's worth of features per pipelined round.
     let feats_per_rank = features.div_ceil(ranks as u64).max(1);
     let chunk_records = (feats_per_rank / (WORKERS as u64 * TARGET_ROUNDS)).max(1) as usize;
     let out = World::run(world, move |comm| {
-        let rep = ingest_with_exchange(
+        let ingested = ingest_layers(
             comm,
             &fs,
-            "exchange.wkt",
+            &["exchange.wkt"],
             // `None` block size = one equal split per rank: with the
             // fixed-width lattice records every rank parses the same
             // feature count.
@@ -145,15 +144,11 @@ fn measure_one(
             &PipelineOptions::default()
                 .with_workers(WORKERS)
                 .with_partition_chunk_records(chunk_records),
-            &ex,
+            chunk,
         )
         .unwrap();
-        (
-            comm.now(),
-            rep.exchange.rounds,
-            rep.exchange.bytes_sent,
-            rep.exchange.exposed_wait_s,
-        )
+        let ex = &ingested.layers[0].exchange;
+        (comm.now(), ex.rounds, ex.bytes_sent, ex.exposed_wait_s)
     });
     Row {
         chunk: match chunk {

@@ -30,7 +30,6 @@ pub fn join_reports(
         // 64 KiB floor keeps blocks above the largest record even when
         // many ranks split a small scaled layer (Cemetery at 80+ procs).
         read: ReadOptions::default().with_block_size(64 << 10),
-        windows: 1,
         ..Default::default()
     };
     let cfg = WorldConfig::new(topo).with_cost(cost_scaled(scale));

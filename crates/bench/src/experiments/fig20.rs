@@ -5,6 +5,7 @@
 use super::{cost_scaled, gpfs_scaled, install_dataset, spec, Scale};
 use crate::report::Table;
 use mvio_core::decomp::DecompConfig;
+use mvio_core::exchange::ExchangeChunk;
 use mvio_core::grid::GridSpec;
 use mvio_core::partition::ReadOptions;
 use mvio_core::pipeline::{ingest_layers, PipelineOptions};
@@ -28,14 +29,13 @@ pub fn index_run(scale: Scale, procs: usize, cells_per_side: u32) -> (PhaseBreak
         let mut timer = PhaseTimer::start(comm);
         let cfg = DecompConfig::uniform(GridSpec::square(cells_per_side));
         let (read, pipe) = (ReadOptions::default(), PipelineOptions::default());
-        let (paths, ex) = (["roadnet.wkt"], Default::default());
+        let (paths, chunk) = (["roadnet.wkt"], ExchangeChunk::Unlimited);
         let ingested =
-            ingest_layers(comm, &fs, &paths, &read, &WktLineParser, &cfg, &pipe, &ex).unwrap();
+            ingest_layers(comm, &fs, &paths, &read, &WktLineParser, &cfg, &pipe, chunk).unwrap();
         timer.end_partition(ingested.partition_end);
         // Adopting the received frames is the last of the communication
         // phase; the R-tree build is the indexing phase.
-        let owned = std::slice::from_ref(&ingested.layers[0].owned);
-        let store = ResidentStore::from_frames(comm, owned);
+        let store = ResidentStore::from_frames(comm, &ingested.layers[0].owned);
         timer.end_communication(comm);
         let eng = QueryEngine::from_store(comm, ingested.decomp, store, &EngineOptions::default());
         timer.end_compute(comm);

@@ -50,8 +50,8 @@ pub fn ingest_times(
         let (batch, _) = partition_chunked(comm, &sd, &feats, &popts).unwrap();
         drop(feats);
         let t3 = comm.now();
-        let (_, stats) =
-            mvio_core::exchange::exchange_serialized(comm, batch, &Default::default()).unwrap();
+        let chunk = mvio_core::ExchangeChunk::Unlimited;
+        let (_, stats) = mvio_core::exchange::exchange_serialized(comm, batch, chunk).unwrap();
         let t4 = comm.now();
         (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t4, stats)
     });

@@ -1,8 +1,10 @@
 //! The all-to-all geometry exchange (paper §4.2.3): serialization, the
-//! two-round `Alltoall` + `Alltoallv` protocol, the sliding-window
-//! variant for memory-bounded runs — and the chunked, overlapped
-//! [`ExchangePlan`] that streams the exchange in bounded rounds over the
-//! nonblocking collectives in [`mvio_msim::request`].
+//! two-round `Alltoall` + `Alltoallv` protocol, and the chunked,
+//! overlapped [`ExchangePlan`] that streams the exchange in bounded
+//! rounds over the nonblocking collectives in [`mvio_msim::request`].
+//! The byte-capped rounds are this reproduction's "Handling large data
+//! exchange": a finite [`ExchangeChunk::Bytes`] bounds what one round
+//! puts on the wire per destination.
 //!
 //! "Before actually sending the entire co-ordinate data using
 //! MPI_Alltoallv, the processes exchange the buffer related information
@@ -15,7 +17,7 @@
 //! `Alltoallv` round, so upstream serialization, the transfer, and
 //! downstream deserialization are strictly serial. The [`ExchangePlan`]
 //! instead splits every destination payload into record-aligned chunks of
-//! at most [`ExchangeOptions::chunk`] bytes and pipelines the rounds: each
+//! at most [`ExchangeChunk::Bytes`] bytes and pipelines the rounds: each
 //! round's `ialltoallv` is posted, then the *next* round's payload is
 //! produced (and the *previous* round's receives deserialized and drained
 //! into the consumer) while the transfer is in flight, and only then is
@@ -43,7 +45,7 @@
 //! [`crate::pipeline`], which maps every feature to the cells of the
 //! active [`crate::decomp::SpatialDecomposition`] — the paper's
 //! round-robin uniform grid or a skew-aware policy — and routes each
-//! replica to its cell's owner, in sliding windows when asked.
+//! replica to its cell's owner.
 //!
 //! ## Wire format
 //!
@@ -89,26 +91,6 @@ impl ExchangeChunk {
     }
 }
 
-/// Options for one exchange.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExchangeOptions {
-    /// Number of sliding-window phases. 1 = single-shot (the default);
-    /// larger values exchange "spatial data contained in a chunk of cells"
-    /// per phase to bound peak memory (paper: "Handling large data
-    /// exchange"). `0` is treated as 1.
-    pub windows: u32,
-    /// Per-destination byte cap for each pipelined round of the
-    /// [`ExchangePlan`] (within each window).
-    pub chunk: ExchangeChunk,
-}
-
-impl ExchangeOptions {
-    /// Single-window options with an explicit chunk policy.
-    pub fn with_chunk(chunk: ExchangeChunk) -> Self {
-        ExchangeOptions { windows: 1, chunk }
-    }
-}
-
 /// Counters describing one exchange, used by the breakdown reports.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExchangeStats {
@@ -120,10 +102,8 @@ pub struct ExchangeStats {
     pub records_sent: u64,
     /// Records received.
     pub records_received: u64,
-    /// Sliding-window phases executed.
-    pub phases: u32,
-    /// Pipelined `Alltoallv` rounds executed across all windows (1 per
-    /// window under the unlimited/blocking degenerate case).
+    /// Pipelined `Alltoallv` rounds executed (1 under the
+    /// unlimited/blocking degenerate case).
     pub rounds: u32,
     /// Virtual seconds of upstream compute folded into the exchange's
     /// overlap engine (0 for the non-streamed paths).
@@ -131,20 +111,6 @@ pub struct ExchangeStats {
     /// Virtual seconds of communication left exposed on the critical path
     /// after overlap (the whole transfer time in the blocking case).
     pub exposed_wait_s: f64,
-}
-
-impl ExchangeStats {
-    /// Folds another exchange's counters into this one (used across
-    /// sliding-window phases).
-    fn absorb(&mut self, other: ExchangeStats) {
-        self.bytes_sent += other.bytes_sent;
-        self.bytes_received += other.bytes_received;
-        self.records_sent += other.records_sent;
-        self.records_received += other.records_received;
-        self.rounds += other.rounds;
-        self.overlapped_compute_s += other.overlapped_compute_s;
-        self.exposed_wait_s += other.exposed_wait_s;
-    }
 }
 
 /// Wire format of one record: `[u64 cell][u32 wkb_len][wkb][u32 ud_len][ud]`.
@@ -361,10 +327,10 @@ impl<'a> Iterator for FrameIter<'a> {
     }
 }
 
-/// The raw, validated wire buffers one exchange (all its sliding windows)
-/// received, kept per source rank so iteration follows source-rank
-/// order — the rule that keeps every chunk policy bit-identical to the
-/// single-round blocking protocol. Rounds append to their source's
+/// The raw, validated wire buffers one exchange received, kept per
+/// source rank so iteration follows source-rank order — the rule that
+/// keeps every chunk policy bit-identical to the single-round blocking
+/// protocol. Rounds append to their source's
 /// buffer; nothing is deserialized.
 #[derive(Debug, Clone, Default)]
 pub struct FrameStore {
@@ -498,7 +464,7 @@ pub struct ExchangeRound {
 
 /// The staged, chunked, overlapped all-to-all exchange.
 ///
-/// Built from an [`ExchangeOptions`]; executed by [`ExchangePlan::run`]
+/// Built from an [`ExchangeChunk`]; executed by [`ExchangePlan::run`]
 /// over a round feed — a fully serialized [`SerializedBatch`] cut into
 /// record-aligned chunks ([`SerializedBatch::into_feed`]), or a lazy
 /// producer (the ingest pipeline serializes round `r+1` while round `r`
@@ -510,11 +476,11 @@ pub struct ExchangePlan {
 }
 
 impl ExchangePlan {
-    /// Plans an exchange over `comm` with `opts`'s chunk policy.
-    pub fn new(comm: &Comm, opts: &ExchangeOptions) -> Self {
+    /// Plans an exchange over `comm` under the `chunk` policy.
+    pub fn new(comm: &Comm, chunk: ExchangeChunk) -> Self {
         ExchangePlan {
             p: comm.size(),
-            chunk: opts.chunk.resolve(),
+            chunk: chunk.resolve(),
         }
     }
 
@@ -561,10 +527,7 @@ impl ExchangePlan {
     ) -> Result<ExchangeStats> {
         let p = self.p;
         assert_eq!(comm.size(), p, "plan built for a different world size");
-        let mut stats = ExchangeStats {
-            phases: 1,
-            ..Default::default()
-        };
+        let mut stats = ExchangeStats::default();
         let mut engine = ProgressEngine::new(1);
         let mut local_done = false;
         // First per-rank error; once set, the rank winds the protocol
@@ -815,62 +778,25 @@ impl BatchSplitter {
     }
 }
 
-/// Single-window exchange of pre-serialized per-destination buffers: the
-/// staged [`ExchangePlan`] protocol over a batch the caller (the ingest
-/// pipeline, the snapshot reader, the join's balance step) serialized and
-/// charged. Only the validation scan ([`Work::CopyBytes`]) is charged
-/// here. The received records stay validated wire buffers in a
-/// [`FrameStore`], in source-rank order — bit-identical for **any** chunk
-/// policy.
+/// Exchange of pre-serialized per-destination buffers: the staged
+/// [`ExchangePlan`] protocol under `chunk` over a batch the caller (the
+/// ingest pipeline, the snapshot reader, the join's balance step)
+/// serialized and charged. Only the validation scan
+/// ([`Work::CopyBytes`]) is charged here. The received records stay
+/// validated wire buffers in a [`FrameStore`], in source-rank order —
+/// bit-identical for **any** chunk policy.
 /// Collective: every rank must call it with its own batch.
 pub fn exchange_serialized(
     comm: &mut Comm,
     batch: SerializedBatch,
-    opts: &ExchangeOptions,
+    chunk: ExchangeChunk,
 ) -> Result<(FrameStore, ExchangeStats)> {
-    exchange_windows(comm, [batch], opts)
-}
-
-/// [`exchange_serialized`] over sliding windows (paper: "Handling large
-/// data exchange"): one staged exchange per batch, in order, all landing
-/// in the one store. A source's records of one cell travel in one window,
-/// so every cell's frames arrive in their single-window order. A failure
-/// in one window is parked, not returned: this rank still enters the
-/// remaining windows' collectives (empty payload, discarding sink), so no
-/// peer is stranded, and returns the first error after the last window.
-/// Collective: every rank must call it with the same window count.
-pub(crate) fn exchange_windows(
-    comm: &mut Comm,
-    windows: impl IntoIterator<Item = SerializedBatch, IntoIter: ExactSizeIterator>,
-    opts: &ExchangeOptions,
-) -> Result<(FrameStore, ExchangeStats)> {
-    let (p, windows) = (comm.size(), windows.into_iter());
-    let plan = ExchangePlan::new(comm, opts);
-    let mut store = FrameStore::new(p);
-    let mut stats = ExchangeStats {
-        phases: windows.len() as u32,
-        ..Default::default()
-    };
-    let mut deferred: Option<CoreError> = None;
-    for batch in windows {
-        let failed = deferred.is_some();
-        let batch = if failed {
-            SerializedBatch::empty(p)
-        } else {
-            batch
-        };
-        let result = plan.run(comm, &mut batch.into_feed(&plan), &mut |c, bufs| {
-            if failed {
-                return Ok(0); // discard receives after a failure
-            }
-            store.append_round(c, bufs)
-        });
-        match result {
-            Ok(w) => stats.absorb(w),
-            Err(e) => deferred = deferred.or(Some(e)),
-        }
-    }
-    deferred.map_or(Ok((store, stats)), Err)
+    let plan = ExchangePlan::new(comm, chunk);
+    let mut store = FrameStore::new(comm.size());
+    let stats = plan.run(comm, &mut batch.into_feed(&plan), &mut |c, bufs| {
+        store.append_round(c, bufs)
+    })?;
+    Ok((store, stats))
 }
 
 #[cfg(test)]
@@ -945,25 +871,23 @@ mod tests {
     }
 
     /// Every `(cell, tag)` as a point at the centre of that cell of the
-    /// strip, run through the ingest pipeline's partition stages in
-    /// `opts.windows` windows and exchanged; returns what arrived,
+    /// strip, run through the ingest pipeline's partition stage and
+    /// [`exchange_serialized`] under `chunk`; returns what arrived,
     /// decoded in store order.
     fn exchange_decoded(
         comm: &mut Comm,
         items: &[(u32, String)],
         decomp: &Decomposition,
-        opts: &ExchangeOptions,
+        chunk: ExchangeChunk,
     ) -> (Vec<(u32, Feature)>, ExchangeStats) {
-        use crate::pipeline::{Partition, PipelineOptions};
+        use crate::pipeline::{partition_chunked, PipelineOptions};
         let feats: Vec<Feature> = items
             .iter()
             .map(|(cell, tag)| feature(*cell as f64 + 0.5, 0.5, tag))
             .collect();
-        let popts = PipelineOptions::default();
-        let part = Partition::new(decomp, &feats, opts.windows);
-        let maps = part.map(comm, &popts);
-        let (batches, _) = part.serialize(comm, &maps, &popts).unwrap();
-        let (store, stats) = exchange_windows(comm, batches, opts).unwrap();
+        let (batch, _) =
+            partition_chunked(comm, decomp, &feats, &PipelineOptions::default()).unwrap();
+        let (store, stats) = exchange_serialized(comm, batch, chunk).unwrap();
         let mine = materialize(store.frames());
         assert_eq!(mine.len(), store.len());
         (mine, stats)
@@ -981,7 +905,7 @@ mod tests {
         chunk: ExchangeChunk,
         batch: SerializedBatch,
     ) -> Result<ExchangeStats> {
-        let plan = ExchangePlan::new(comm, &ExchangeOptions::with_chunk(chunk));
+        let plan = ExchangePlan::new(comm, chunk);
         plan.run(comm, &mut batch.into_feed(&plan), &mut |c, bufs| {
             validate_round(c, &bufs)
         })
@@ -1093,7 +1017,7 @@ mod tests {
             let decomp = strip(num_cells, CellMap::RoundRobin, comm.size());
             // Every rank produces one pair for every cell.
             let items = per_cell(num_cells, &format!("r{}", comm.rank()));
-            exchange_decoded(comm, &items, &decomp, &ExchangeOptions::default())
+            exchange_decoded(comm, &items, &decomp, ExchangeChunk::Unlimited)
         });
         for (rank, (mine, stats)) in out.iter().enumerate() {
             // Round-robin: rank owns cells c with c % 4 == rank; 2 cells
@@ -1117,8 +1041,7 @@ mod tests {
                 let items: Vec<(u32, String)> = (0..num_cells)
                     .map(|c| (c, format!("rank{}cell{c}payload-padding", comm.rank())))
                     .collect();
-                let opts = ExchangeOptions::with_chunk(chunk);
-                exchange_decoded(comm, &items, &decomp, &opts)
+                exchange_decoded(comm, &items, &decomp, chunk)
             })
         };
         let blocking = run(ExchangeChunk::Unlimited);
@@ -1149,8 +1072,8 @@ mod tests {
     fn degenerate_plan_has_one_round_and_single_sizes_exchange() {
         let out = World::run(WorldConfig::new(Topology::single_node(2)), |comm| {
             let decomp = strip(4, CellMap::RoundRobin, comm.size());
-            let opts = ExchangeOptions::with_chunk(ExchangeChunk::Unlimited);
-            let (_, stats) = exchange_decoded(comm, &per_cell(4, "x"), &decomp, &opts);
+            let chunk = ExchangeChunk::Unlimited;
+            let (_, stats) = exchange_decoded(comm, &per_cell(4, "x"), &decomp, chunk);
             (stats.rounds, comm.now())
         });
         assert_eq!(out[0].0, 1);
@@ -1170,8 +1093,8 @@ mod tests {
             } else {
                 Vec::new()
             };
-            let opts = ExchangeOptions::with_chunk(ExchangeChunk::Bytes(64));
-            let (mine, stats) = exchange_decoded(comm, &items, &decomp, &opts);
+            let chunk = ExchangeChunk::Bytes(64);
+            let (mine, stats) = exchange_decoded(comm, &items, &decomp, chunk);
             (mine.len(), stats.rounds)
         });
         // 24 pairs, block map: cells 0..3 -> rank 0, 3..6 -> rank 1.
@@ -1215,8 +1138,7 @@ mod tests {
     #[test]
     fn per_rank_feed_error_does_not_strand_peers() {
         let out = World::run(WorldConfig::new(Topology::single_node(2)), |comm| {
-            let plan =
-                ExchangePlan::new(comm, &ExchangeOptions::with_chunk(ExchangeChunk::Bytes(32)));
+            let plan = ExchangePlan::new(comm, ExchangeChunk::Bytes(32));
             if comm.rank() == 0 {
                 // Rank 0's producer fails on its second round while rank 1
                 // still has rounds to send.
@@ -1250,12 +1172,8 @@ mod tests {
                     .map(|i| (i % 2, format!("{i}-0123456789abcdef")))
                     .collect();
                 let decomp = strip(2, CellMap::RoundRobin, comm.size());
-                let (mine, stats) = exchange_decoded(
-                    comm,
-                    &items,
-                    &decomp,
-                    &ExchangeOptions::with_chunk(ExchangeChunk::Bytes(32)),
-                );
+                let (mine, stats) =
+                    exchange_decoded(comm, &items, &decomp, ExchangeChunk::Bytes(32));
                 assert!(stats.rounds > 1);
                 mine.len()
             }
@@ -1298,60 +1216,10 @@ mod tests {
     }
 
     #[test]
-    fn sliding_window_preserves_results() {
-        let num_cells = 16;
-        let run = |windows: u32| {
-            World::run(WorldConfig::new(Topology::single_node(4)), move |comm| {
-                let decomp = strip(num_cells, CellMap::RoundRobin, comm.size());
-                let opts = ExchangeOptions {
-                    windows,
-                    ..Default::default()
-                };
-                let (mut mine, stats) =
-                    exchange_decoded(comm, &per_cell(num_cells, ""), &decomp, &opts);
-                mine.sort_by_key(|(c, _)| *c);
-                (mine, stats.phases)
-            })
-        };
-        let (single, windowed) = (run(1), run(4));
-        for rank in 0..4 {
-            assert_eq!(single[rank].0, windowed[rank].0, "rank {rank}");
-        }
-        assert_eq!(single[0].1, 1);
-        assert_eq!(windowed[0].1, 4);
-    }
-
-    /// Pins the exact output ordering: every window appends into the one
-    /// store, so it reads source-major, each source's windows in order —
-    /// which keeps every cell's records in their single-window order —
-    /// for the blocking and the chunked plan alike. (The sorted
-    /// comparisons in the other window tests would not notice a
-    /// reordering.)
-    #[test]
-    fn windowed_output_order_is_source_major_then_window_major() {
-        for chunk in [ExchangeChunk::Unlimited, ExchangeChunk::Bytes(32)] {
-            let out = World::run(WorldConfig::new(Topology::single_node(2)), move |comm| {
-                let decomp = strip(4, CellMap::RoundRobin, comm.size());
-                // Every rank sends one pair per cell, tagged with origin.
-                let items = per_cell(4, &format!("r{}", comm.rank()));
-                let opts = ExchangeOptions { windows: 2, chunk };
-                let (mine, _) = exchange_decoded(comm, &items, &decomp, &opts);
-                mine.iter()
-                    .map(|(c, f)| format!("{c}:{}", f.userdata))
-                    .collect::<Vec<_>>()
-            });
-            // Rank 0 owns cells 0 and 2; window 0 covers cells 0..2,
-            // window 1 covers 2..4. From src 0 both windows, then src 1.
-            assert_eq!(out[0], vec!["0:r0", "2:r0", "0:r1", "2:r1"], "{chunk:?}");
-            assert_eq!(out[1], vec!["1:r0", "3:r0", "1:r1", "3:r1"], "{chunk:?}");
-        }
-    }
-
-    #[test]
     fn empty_exchange_is_fine() {
         let out = World::run(WorldConfig::new(Topology::single_node(3)), |comm| {
             let decomp = strip(8, CellMap::RoundRobin, comm.size());
-            let (mine, stats) = exchange_decoded(comm, &[], &decomp, &ExchangeOptions::default());
+            let (mine, stats) = exchange_decoded(comm, &[], &decomp, ExchangeChunk::Unlimited);
             (mine.len(), stats.bytes_sent)
         });
         assert!(out.iter().all(|&(n, b)| n == 0 && b == 0));
@@ -1363,7 +1231,7 @@ mod tests {
         let out = World::run(WorldConfig::new(Topology::single_node(3)), move |comm| {
             let decomp = strip(num_cells, CellMap::Block, comm.size());
             let items = per_cell(num_cells, "");
-            let (mine, _) = exchange_decoded(comm, &items, &decomp, &ExchangeOptions::default());
+            let (mine, _) = exchange_decoded(comm, &items, &decomp, ExchangeChunk::Unlimited);
             let mut cells: Vec<u32> = mine.iter().map(|(c, _)| *c).collect();
             cells.sort_unstable();
             cells.dedup();

@@ -32,8 +32,9 @@
 //!    Hilbert-order runs, or skew-aware adaptive bisection.
 //! 5. **Exchange** ([`exchange`]) — the two-round `Alltoall` (sizes) +
 //!    `Alltoallv` (payload) personalized exchange that produces the global
-//!    spatial partitioning, with a sliding-window variant for
-//!    memory-bounded runs. Steps 1, 2, 4 and 5 are one front half,
+//!    spatial partitioning; a byte cap per round
+//!    ([`exchange::ExchangeChunk::Bytes`]) bounds the memory of large
+//!    exchanges. Steps 1, 2, 4 and 5 are one front half,
 //!    [`pipeline::ingest_layers`], which every text workload runs on.
 //! 6. **Filter-and-refine** ([`framework`]) — cell-local computations over
 //!    the exchanged data; `mvio-sjoin` plugs spatial join in here.
@@ -57,8 +58,8 @@ pub mod views;
 
 pub use decomp::{DecompConfig, DecompPolicy, Decomposition, SpatialDecomposition};
 pub use exchange::{
-    ExchangeChunk, ExchangeOptions, ExchangePlan, ExchangeRound, ExchangeStats, FrameStore,
-    RecordFrame, SerializedBatch,
+    ExchangeChunk, ExchangePlan, ExchangeRound, ExchangeStats, FrameStore, RecordFrame,
+    SerializedBatch,
 };
 pub use grid::{CellMap, GridSpec, UniformGrid};
 pub use partition::{BoundaryStrategy, ReadOptions};

@@ -17,9 +17,10 @@
 //!    ([`partition_chunked`]) — each feature is encoded once whatever its
 //!    replica count, and no `Vec<(u32, Feature)>` snapshot is built;
 //! 4. the staged exchange ships the buffers with the usual two-round
-//!    `Alltoall` + `Alltoallv` protocol, once per sliding window — or,
-//!    under a finite [`crate::exchange::ExchangeChunk::Bytes`] cap, the
-//!    partition and exchange stages fuse into
+//!    `Alltoall` + `Alltoallv` protocol — or, under a finite
+//!    [`crate::exchange::ExchangeChunk::Bytes`] cap (the memory bound of
+//!    the paper's "Handling large data exchange"), the partition and
+//!    exchange stages fuse into
 //!    [`partition_exchange_overlapped`] and stream through the chunked
 //!    [`crate::exchange::ExchangePlan`], each round's `ialltoallv`
 //!    overlapping the next round's serialization;
@@ -103,7 +104,7 @@ use crate::decomp::{DecompConfig, Decomposition, SpatialDecomposition};
 // the result, `read_partitioned` it back on any later run (bit-identically
 // under the same world size and decomposition).
 use crate::exchange::{
-    emit_record, exchange_windows, ExchangeOptions, ExchangePlan, ExchangeRound, ExchangeStats,
+    emit_record, exchange_serialized, ExchangeChunk, ExchangePlan, ExchangeRound, ExchangeStats,
     FrameStore, SerializedBatch, RECORD_OVERHEAD,
 };
 use crate::partition::{read_partition_text, ReadOptions};
@@ -365,7 +366,7 @@ fn partition_ranges(features: usize, step: usize) -> Vec<std::ops::Range<usize>>
 
 /// One partition chunk mapped onto cells: every replica as
 /// `(feature index, cell)`, feature-major with cells ascending, and the
-/// exact wire bytes the replicas add to each window × destination buffer.
+/// exact wire bytes the replicas add to each destination buffer.
 #[derive(Debug, Default)]
 pub(crate) struct ChunkCells {
     replicas: Vec<(usize, u32)>,
@@ -373,33 +374,15 @@ pub(crate) struct ChunkCells {
 }
 
 /// One layer's features on their way to the exchange: cell-mapped under
-/// `decomp` and serialized into one batch per sliding window, each window
-/// a contiguous run of `span` cell ids.
+/// `decomp` and serialized into one batch.
 pub(crate) struct Partition<'a> {
     decomp: &'a Decomposition,
     features: &'a [Feature],
-    windows: usize,
-    span: u32,
 }
 
 impl<'a> Partition<'a> {
-    /// `windows` windows: at least one, and at most one per cell.
-    pub(crate) fn new(decomp: &'a Decomposition, features: &'a [Feature], windows: u32) -> Self {
-        let cells = decomp.num_cells();
-        let windows = windows.clamp(1, cells.max(1));
-        let span = cells.div_ceil(windows).max(1);
-        Partition {
-            decomp,
-            features,
-            windows: windows as usize,
-            span,
-        }
-    }
-
-    /// The buffer `cell`'s replicas go to: window-major, then owner rank
-    /// (`cell / span < windows` for every cell).
-    fn slot(&self, cell: u32) -> usize {
-        (cell / self.span) as usize * self.decomp.num_ranks() + self.decomp.cell_to_rank(cell)
+    pub(crate) fn new(decomp: &'a Decomposition, features: &'a [Feature]) -> Self {
+        Partition { decomp, features }
     }
 
     /// The cell-map step of one chunk: looks up the cells of every feature
@@ -407,7 +390,7 @@ impl<'a> Partition<'a> {
     /// (`Work::RtreeQueries`, the paper's cell-filter probe) to `tally`.
     fn map_chunk(&self, range: std::ops::Range<usize>, tally: &mut WorkTally) -> ChunkCells {
         let mut map = ChunkCells {
-            sizes: vec![0; self.windows * self.decomp.num_ranks()],
+            sizes: vec![0; self.decomp.num_ranks()],
             ..Default::default()
         };
         let mut cells = Vec::new();
@@ -417,7 +400,7 @@ impl<'a> Partition<'a> {
                 .cells_for_rect(&f.geometry.envelope(), &mut cells);
             let len = RECORD_OVERHEAD + wkb::encoded_len(&f.geometry) + f.userdata.len();
             for &cell in &cells {
-                map.sizes[self.slot(cell)] += len;
+                map.sizes[self.decomp.cell_to_rank(cell)] += len;
                 map.replicas.push((i, cell));
             }
         }
@@ -430,29 +413,28 @@ impl<'a> Partition<'a> {
 
     /// The serialize step of one mapped chunk, the one body behind every
     /// serializing path: encodes each feature once and appends one wire
-    /// record per replica to `out` (one batch per window), charging
-    /// `Work::SerializeGeoms` per replica to `tally`.
+    /// record per replica to `out`, charging `Work::SerializeGeoms` per
+    /// replica to `tally`.
     fn serialize_chunk(
         &self,
         map: &ChunkCells,
         tally: &mut WorkTally,
         scratch: &mut Vec<u8>,
-        out: &mut [SerializedBatch],
+        out: &mut SerializedBatch,
     ) -> Result<()> {
         let bytes = map.sizes.iter().sum::<usize>() as u64;
         let n = map.replicas.len() as u64;
         tally.charge(Work::SerializeGeoms { n, bytes });
-        let (p, mut encoded) = (self.decomp.num_ranks(), usize::MAX);
+        let mut encoded = usize::MAX;
         for &(i, cell) in &map.replicas {
             let f = &self.features[i];
             if i != encoded {
                 wkb::encode_into_scratch(&f.geometry, scratch);
                 encoded = i;
             }
-            let slot = self.slot(cell);
-            let batch = &mut out[slot / p];
-            emit_record(cell, scratch, &f.userdata, &mut batch.bufs[slot % p])?;
-            batch.records[slot % p] += 1;
+            let dst = self.decomp.cell_to_rank(cell);
+            emit_record(cell, scratch, &f.userdata, &mut out.bufs[dst])?;
+            out.records[dst] += 1;
         }
         Ok(())
     }
@@ -471,17 +453,19 @@ impl<'a> Partition<'a> {
         maps
     }
 
-    /// `windows` empty batches whose buffers hold exactly `sizes` bytes.
-    fn batches(&self, sizes: &[usize]) -> Vec<SerializedBatch> {
-        let mut out = vec![SerializedBatch::empty(self.decomp.num_ranks()); self.windows];
-        let bufs = out.iter_mut().flat_map(|b| b.bufs.iter_mut());
-        bufs.zip(sizes).for_each(|(buf, &n)| buf.reserve_exact(n));
+    /// An empty batch whose buffers hold exactly `sizes` bytes.
+    fn batch(&self, sizes: &[usize]) -> SerializedBatch {
+        let mut out = SerializedBatch::empty(self.decomp.num_ranks());
+        out.bufs
+            .iter_mut()
+            .zip(sizes)
+            .for_each(|(buf, &n)| buf.reserve_exact(n));
         out
     }
 
     /// The parallel serialize stage over [`Partition::map`]'s chunks: one
-    /// batch per window, every buffer allocated once at its exact size.
-    /// One lane writes straight into the batches; more lanes fill exactly
+    /// batch, every buffer allocated once at its exact size.
+    /// One lane writes straight into the batch; more lanes fill exactly
     /// sized buffers per chunk, appended in chunk order, so the bytes do
     /// not depend on the worker count. Advances the clock by the slowest
     /// lane. Not collective — the communicator only charges the lanes.
@@ -490,13 +474,13 @@ impl<'a> Partition<'a> {
         comm: &mut Comm,
         maps: &[ChunkCells],
         opts: &PipelineOptions,
-    ) -> Result<(Vec<SerializedBatch>, PipelineStats)> {
+    ) -> Result<(SerializedBatch, PipelineStats)> {
         let (workers, cost) = (opts.effective_workers(), *comm.cost_model());
-        let mut total = vec![0; self.windows * self.decomp.num_ranks()];
+        let mut total = vec![0; self.decomp.num_ranks()];
         for map in maps {
             total.iter_mut().zip(&map.sizes).for_each(|(t, n)| *t += n);
         }
-        let mut out = self.batches(&total);
+        let mut out = self.batch(&total);
         let lanes = if workers.min(maps.len()) <= 1 {
             let (mut lane, mut scratch) = (0.0f64, Vec::new());
             for map in maps {
@@ -507,17 +491,15 @@ impl<'a> Partition<'a> {
             vec![lane]
         } else {
             let (parts, lanes) = fan_out(workers, maps.iter().collect(), |map| {
-                let (mut tally, mut part) = (WorkTally::new(cost), self.batches(&map.sizes));
+                let (mut tally, mut part) = (WorkTally::new(cost), self.batch(&map.sizes));
                 let r = self.serialize_chunk(map, &mut tally, &mut Vec::new(), &mut part);
                 (r.map(|()| part), tally.seconds())
             });
             // The lowest failed chunk's error: what a sequential scan hits first.
             for part in parts.into_iter().collect::<Result<Vec<_>>>()? {
-                for (batch, piece) in out.iter_mut().zip(part) {
-                    for (dst, buf) in piece.bufs.iter().enumerate() {
-                        batch.bufs[dst].extend_from_slice(buf);
-                        batch.records[dst] += piece.records[dst];
-                    }
+                for (dst, buf) in part.bufs.iter().enumerate() {
+                    out.bufs[dst].extend_from_slice(buf);
+                    out.records[dst] += part.records[dst];
                 }
             }
             lanes
@@ -546,10 +528,9 @@ pub fn partition_chunked(
     features: &[Feature],
     opts: &PipelineOptions,
 ) -> Result<(SerializedBatch, PipelineStats)> {
-    let part = Partition::new(decomp, features, 1);
+    let part = Partition::new(decomp, features);
     let maps = part.map(comm, opts);
-    let (mut batches, stats) = part.serialize(comm, &maps, opts)?;
-    Ok((batches.swap_remove(0), stats))
+    part.serialize(comm, &maps, opts)
 }
 
 /// Fused partition + exchange stage with communication/compute overlap:
@@ -578,7 +559,7 @@ pub fn partition_exchange_overlapped(
         ..Default::default()
     };
     let (mut next, mut scratch) = (0usize, Vec::new());
-    let part = Partition::new(decomp, features, 1);
+    let part = Partition::new(decomp, features);
 
     // Serializes partition chunks into one exchange round until a
     // destination fills up, reporting each chunk's work on its
@@ -592,28 +573,27 @@ pub fn partition_exchange_overlapped(
         if next >= ranges.len() {
             return Ok(None);
         }
-        let mut round = [SerializedBatch::empty(p)];
+        let mut batch = SerializedBatch::empty(p);
         let mut lanes = vec![0.0f64; workers];
         let mut chunks_in_round = 0usize;
         while next < ranges.len() {
             let mut tally = WorkTally::new(cost);
             let map = part.map_chunk(ranges[next].clone(), &mut tally);
-            for (buf, &n) in round[0].bufs.iter_mut().zip(&map.sizes) {
+            for (buf, &n) in batch.bufs.iter_mut().zip(&map.sizes) {
                 buf.reserve(n);
             }
-            part.serialize_chunk(&map, &mut tally, &mut scratch, &mut round)?;
+            part.serialize_chunk(&map, &mut tally, &mut scratch, &mut batch)?;
             lanes[next % workers] += tally.seconds();
             stats.partition_chunks += 1;
             stats.pairs += map.replicas.len() as u64;
             next += 1;
             chunks_in_round += 1;
             if chunks_in_round >= workers
-                && round[0].bufs.iter().any(|b| b.len() as u64 >= chunk_bytes)
+                && batch.bufs.iter().any(|b| b.len() as u64 >= chunk_bytes)
             {
                 break;
             }
         }
-        let [batch] = round;
         Ok(Some(ExchangeRound {
             batch,
             lanes,
@@ -621,10 +601,7 @@ pub fn partition_exchange_overlapped(
         }))
     };
 
-    let plan = ExchangePlan::new(
-        comm,
-        &ExchangeOptions::with_chunk(crate::exchange::ExchangeChunk::Bytes(chunk_bytes)),
-    );
+    let plan = ExchangePlan::new(comm, ExchangeChunk::Bytes(chunk_bytes));
     let mut owned = FrameStore::new(p);
     let ex_stats = plan.run(comm, &mut feed, &mut |c, bufs| owned.append_round(c, bufs))?;
     Ok((owned, stats, ex_stats))
@@ -668,9 +645,10 @@ impl IngestOutput {
 /// The full streaming per-rank ingest of one layer: partitioned read →
 /// parallel parse → collective decomposition build → parallel cell-map
 /// and serialize → staged `Alltoall`/`Alltoallv` exchange, in one
-/// blocking round ([`ingest_layers`] with the default exchange); use
-/// [`ingest_with_exchange`] to pick a chunk policy or sliding windows.
-/// Collective: every rank must call it.
+/// blocking round ([`ingest_layers`] over one layer with
+/// [`ExchangeChunk::Unlimited`]).
+/// Collective: every rank must call it — it chains the partitioned
+/// read, the decomposition reductions, and the exchange.
 pub fn ingest(
     comm: &mut Comm,
     fs: &Arc<SimFs>,
@@ -680,26 +658,8 @@ pub fn ingest(
     cfg: &DecompConfig,
     opts: &PipelineOptions,
 ) -> Result<IngestOutput> {
-    let ex = ExchangeOptions::default();
-    ingest_with_exchange(comm, fs, path, read, parser, cfg, opts, &ex)
-}
-
-/// [`ingest`] with an explicit exchange configuration: [`ingest_layers`]
-/// over one layer.
-/// Collective: every rank must call it — it chains the partitioned
-/// read, the decomposition reductions, and the exchange.
-#[allow(clippy::too_many_arguments)]
-pub fn ingest_with_exchange(
-    comm: &mut Comm,
-    fs: &Arc<SimFs>,
-    path: &str,
-    read: &ReadOptions,
-    parser: &dyn GeometryParser,
-    cfg: &DecompConfig,
-    opts: &PipelineOptions,
-    exchange_opts: &ExchangeOptions,
-) -> Result<IngestOutput> {
-    let ingested = ingest_layers(comm, fs, &[path], read, parser, cfg, opts, exchange_opts)?;
+    let chunk = ExchangeChunk::Unlimited;
+    let ingested = ingest_layers(comm, fs, &[path], read, parser, cfg, opts, chunk)?;
     let (decomp, mut layers) = (ingested.decomp, ingested.layers);
     // audit: ingest_layers returns one layer per path.
     let layer = layers.pop().expect("one layer");
@@ -720,7 +680,7 @@ pub struct IngestedLayer {
     pub owned: FrameStore,
     /// Features of the layer this rank parsed.
     pub local_features: u64,
-    /// Exchange counters (all windows).
+    /// Exchange counters.
     pub exchange: ExchangeStats,
     /// Pipeline counters.
     pub stats: PipelineStats,
@@ -744,13 +704,11 @@ pub struct IngestedLayers {
 /// read and a parallel parse; then **one** decomposition over all layers
 /// ([`Decomposition::build_global`]), so joined layers share their cells. The
 /// partition phase ends with every layer cell-mapped; the communication
-/// phase serializes each layer and exchanges it into one [`FrameStore`],
-/// one collective exchange per [`ExchangeOptions::windows`] window. A
-/// finite [`ExchangeOptions::chunk`] over one window instead streams
-/// cell-map and serialization into the exchange rounds
+/// phase serializes each layer and exchanges it into one [`FrameStore`]
+/// in one blocking round. A finite `chunk` instead streams cell-map and
+/// serialization into byte-capped exchange rounds
 /// ([`partition_exchange_overlapped`]), both then counting as
-/// communication. The frames are bit-identical under every chunk policy,
-/// and windows keep every cell's frames in order.
+/// communication. The frames are bit-identical under every chunk policy.
 /// Collective: every rank must call it with the same paths and options.
 #[allow(clippy::too_many_arguments)]
 pub fn ingest_layers(
@@ -761,7 +719,7 @@ pub fn ingest_layers(
     parser: &dyn GeometryParser,
     cfg: &DecompConfig,
     opts: &PipelineOptions,
-    exchange_opts: &ExchangeOptions,
+    chunk: ExchangeChunk,
 ) -> Result<IngestedLayers> {
     // A failed read or parse is parked and its layer left empty: the
     // decomposition build's extent allreduce tells every rank.
@@ -778,13 +736,12 @@ pub fn ingest_layers(
     let features: Vec<&[Feature]> = parsed.iter().map(|(f, _)| f.as_slice()).collect();
     let decomp = Decomposition::build_global(comm, &features, cfg, deferred.is_some())
         .map_err(|peer| deferred.take().unwrap_or(peer))?;
-    let windows = exchange_opts.windows;
-    let streamed = exchange_opts.chunk.resolve().filter(|_| windows <= 1);
+    let streamed = chunk.resolve();
     // Cell-map every layer now, unless the exchange rounds stream it.
     let maps: Vec<_> = features
         .iter()
         .filter(|_| streamed.is_none())
-        .map(|f| Partition::new(&decomp, f, windows).map(comm, opts))
+        .map(|f| Partition::new(&decomp, f).map(comm, opts))
         .collect();
     let partition_end = comm.now();
 
@@ -793,13 +750,13 @@ pub fn ingest_layers(
     for (features, parse_stats) in parsed {
         let local_features = features.len() as u64;
         let (owned, part, exchange) = match streamed {
-            Some(chunk) => partition_exchange_overlapped(comm, &decomp, &features, opts, chunk)?,
+            Some(cap) => partition_exchange_overlapped(comm, &decomp, &features, opts, cap)?,
             None => {
                 let map = maps.next().unwrap_or_default();
-                let (batches, part) =
-                    Partition::new(&decomp, &features, windows).serialize(comm, &map, opts)?;
+                let (batch, part) =
+                    Partition::new(&decomp, &features).serialize(comm, &map, opts)?;
                 drop(features);
-                let (owned, exchange) = exchange_windows(comm, batches, exchange_opts)?;
+                let (owned, exchange) = exchange_serialized(comm, batch, chunk)?;
                 (owned, part, exchange)
             }
         };
@@ -826,9 +783,7 @@ pub fn ingest_layers(
 mod tests {
     use super::*;
     use crate::decomp::DecompPolicy;
-    use crate::exchange::{
-        exchange_serialized, serialize_record, ExchangeChunk, ExchangeOptions, RecordFrame,
-    };
+    use crate::exchange::{exchange_serialized, serialize_record, ExchangeChunk, RecordFrame};
     use crate::grid::{CellMap, GridSpec, UniformGrid};
     use crate::reader::{parse_buffer, parse_buffer_serial, WktLineParser};
     use mvio_geom::Rect;
@@ -1032,7 +987,7 @@ mod tests {
                 let cfg = DecompConfig::uniform(spec);
                 let decomp = Decomposition::build_global(comm, &[&feats], &cfg, false).unwrap();
                 let batch = sequential_batch(&decomp, &feats);
-                exchange_serialized(comm, batch, &ExchangeOptions::default())
+                exchange_serialized(comm, batch, ExchangeChunk::Unlimited)
                     .unwrap()
                     .0
             })
@@ -1125,20 +1080,26 @@ mod tests {
         let run = |chunk: ExchangeChunk, workers: usize| {
             let fs = Arc::clone(&fs);
             World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {
-                let rep = ingest_with_exchange(
+                let rep = ingest_layers(
                     comm,
                     &fs,
-                    "data.wkt",
+                    &["data.wkt"],
                     &read,
                     &WktLineParser,
                     &DecompConfig::uniform(spec),
                     &PipelineOptions::default()
                         .with_workers(workers)
                         .with_partition_chunk_records(11),
-                    &ExchangeOptions::with_chunk(chunk),
+                    chunk,
                 )
                 .unwrap();
-                (rep.owned, rep.exchange.rounds, rep.stats.pairs, comm.now())
+                let layer = rep.layers.into_iter().next().unwrap();
+                (
+                    layer.owned,
+                    layer.exchange.rounds,
+                    layer.stats.pairs,
+                    comm.now(),
+                )
             })
         };
         let blocking = run(ExchangeChunk::Unlimited, 2);
@@ -1211,55 +1172,6 @@ mod tests {
                 frames(&back) == frames(&rep.owned)
             });
             assert!(ok.iter().all(|&b| b), "{cfg:?}");
-        }
-    }
-
-    #[test]
-    fn windowed_ingest_matches_single_window_per_cell() {
-        // Each window is its own collective exchange appending into the
-        // one store, so every cell's frames keep their single-window
-        // order — for either chunk policy, and for more windows than
-        // cells (clamped to one per cell).
-        let text = sample_text(160);
-        let fs = SimFs::new(mvio_pfs::FsConfig::lustre_comet());
-        fs.create("data.wkt", None).unwrap().append(text.as_bytes());
-        let read = ReadOptions::default().with_block_size(2 << 10);
-        let run = |windows: u32, chunk: ExchangeChunk| {
-            let fs = Arc::clone(&fs);
-            World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {
-                let rep = ingest_with_exchange(
-                    comm,
-                    &fs,
-                    "data.wkt",
-                    &read,
-                    &WktLineParser,
-                    &DecompConfig::uniform(GridSpec::square(5)),
-                    &PipelineOptions::default().with_partition_chunk_records(9),
-                    &ExchangeOptions { windows, chunk },
-                )
-                .unwrap();
-                (rep.owned, rep.exchange.phases)
-            })
-        };
-        // A store's frames grouped by cell, each cell's in arrival order.
-        fn per_cell(store: &FrameStore) -> Vec<RecordFrame<'_>> {
-            let mut frames = frames(store);
-            frames.sort_by_key(|fr| fr.cell);
-            frames
-        }
-        let single = run(1, ExchangeChunk::Unlimited);
-        for windows in [1, 2, 4, 40] {
-            for chunk in [ExchangeChunk::Unlimited, ExchangeChunk::Bytes(4096)] {
-                let out = run(windows, chunk);
-                for rank in 0..4 {
-                    assert_eq!(out[rank].1, windows.min(25), "windows={windows}");
-                    assert_eq!(
-                        per_cell(&out[rank].0),
-                        per_cell(&single[rank].0),
-                        "windows={windows} {chunk:?} rank={rank}"
-                    );
-                }
-            }
         }
     }
 

@@ -32,7 +32,7 @@
 
 use crate::decomp::{imbalance_ratio, DecompPolicy, Decomposition, SpatialDecomposition};
 use crate::exchange::{
-    serialize_record, ExchangeChunk, ExchangeOptions, ExchangePlan, ExchangeStats, SerializedBatch,
+    serialize_record, ExchangeChunk, ExchangePlan, ExchangeStats, SerializedBatch,
 };
 use crate::framework::is_reference_replica;
 use crate::resident::ResidentStore;
@@ -268,7 +268,7 @@ pub fn apply_updates(
         submitted: updates.len() as u64,
         ..Default::default()
     };
-    let plan = ExchangePlan::new(comm, &ExchangeOptions::with_chunk(chunk));
+    let plan = ExchangePlan::new(comm, chunk);
 
     // Trip 1: inserts land as fresh replicas.
     stats.insert_exchange = comm.labeled("rebalance.inserts", |c| {
@@ -382,7 +382,7 @@ pub fn migrate_cells(
         n: stats.shipped_bytes,
     });
 
-    let plan = ExchangePlan::new(comm, &ExchangeOptions::with_chunk(chunk));
+    let plan = ExchangePlan::new(comm, chunk);
     stats.exchange = comm.labeled("rebalance.migrate", |c| {
         plan.run(c, &mut batch.into_feed(&plan), &mut |c, bufs| {
             Ok(store.append_round(c, &bufs)?.len() as u64)

@@ -134,17 +134,16 @@ impl ResidentStore {
         Ok(store)
     }
 
-    /// Adopts what an exchange or a snapshot reload received — one
-    /// [`FrameStore`] per sliding window — in window-then-source order.
-    /// The frames were validated on arrival and are not validated again;
-    /// nothing is decoded beyond the envelope pass. Charges the byte copy
+    /// Adopts what an exchange or a snapshot reload received, in
+    /// source-rank order. The frames were validated on arrival and are
+    /// not validated again; nothing is decoded beyond the envelope pass. Charges the byte copy
     /// ([`Work::CopyBytes`]) and one [`Work::MbrTests`] per record.
     /// Not collective — the communicator only charges the copy.
-    pub fn from_frames(comm: &mut Comm, stores: &[FrameStore]) -> Self {
+    pub fn from_frames(comm: &mut Comm, frames: &FrameStore) -> Self {
         let mut store = ResidentStore::new();
-        let records: u64 = stores
+        let records: u64 = frames
+            .buffers()
             .iter()
-            .flat_map(FrameStore::buffers)
             .map(|buf| store.append_validated(buf))
             .sum();
         comm.charge(Work::CopyBytes {

@@ -68,8 +68,8 @@
 
 use crate::decomp::{DecompPolicy, Decomposition, SpatialDecomposition};
 use crate::exchange::{
-    exchange_serialized, record_len_at, serialize_frame, ExchangeChunk, ExchangeOptions,
-    ExchangeStats, FrameStore, RecordFrame, SerializedBatch,
+    exchange_serialized, record_len_at, serialize_frame, ExchangeChunk, ExchangeStats, FrameStore,
+    RecordFrame, SerializedBatch,
 };
 use crate::grid::{GridSpec, UniformGrid};
 use crate::{CoreError, Result};
@@ -783,9 +783,8 @@ pub fn read_partitioned(
     // decomposition every record routes back to its own rank, so this
     // degenerates to a local pass-through (zero cross-rank bytes) and
     // the output order is exactly the written order.
-    let ex_opts = ExchangeOptions::with_chunk(opts.chunk);
     let (routed, exchange) = match comm.labeled("snapshot.read.route", |c| {
-        exchange_serialized(c, batch, &ex_opts)
+        exchange_serialized(c, batch, opts.chunk)
     }) {
         Ok(out) => out,
         Err(e) => return Err(deferred.unwrap_or(e)),

@@ -130,8 +130,8 @@ use crate::answer::{collect_answers, BLOCK_CAP_MAX};
 use crate::resident::ResidentIndex;
 use mvio_core::decomp::{DecompPolicy, Decomposition, SpatialDecomposition};
 use mvio_core::exchange::{
-    record_frames, serialize_record, validate_round, ExchangeChunk, ExchangeOptions, ExchangePlan,
-    ExchangeStats, RecordFrame, SerializedBatch,
+    record_frames, serialize_record, validate_round, ExchangeChunk, ExchangePlan, ExchangeStats,
+    RecordFrame, SerializedBatch,
 };
 use mvio_core::pipeline::IngestOutput;
 use mvio_core::rebalance::{
@@ -463,7 +463,7 @@ impl QueryEngine {
     /// ([`QueryEngine::from_store`] over [`ResidentStore::from_frames`]).
     /// Collective: every rank must call it.
     pub fn from_ingest(comm: &mut Comm, out: IngestOutput, opts: &EngineOptions) -> Self {
-        let store = ResidentStore::from_frames(comm, std::slice::from_ref(&out.owned));
+        let store = ResidentStore::from_frames(comm, &out.owned);
         Self::from_store(comm, out.decomp, store, opts)
     }
 
@@ -536,7 +536,7 @@ impl QueryEngine {
         let meta = snapshot::read_meta_timed(comm, fs, path)?;
         let sd = meta.decomposition(policy, comm.size())?;
         let (frames, _) = snapshot::read_partitioned(comm, fs, path, &meta, &sd, read)?;
-        let store = ResidentStore::from_frames(comm, std::slice::from_ref(&frames));
+        let store = ResidentStore::from_frames(comm, &frames);
         Ok(Self::from_store(comm, sd, store, opts))
     }
 
@@ -733,7 +733,7 @@ impl QueryEngine {
         // later rounds fly. Per-rank failures wind down inside the plan
         // (empty rounds), and this rank still runs the result trip so
         // the collectives stay matched world-wide.
-        let plan = ExchangePlan::new(comm, &ExchangeOptions::with_chunk(self.chunk));
+        let plan = ExchangePlan::new(comm, self.chunk);
         // Answer blocks close at the plan's chunk cap, and in any case
         // before their u32 length fields would overflow.
         let block_cap = self.chunk.resolve().unwrap_or(u64::MAX).min(BLOCK_CAP_MAX);
@@ -1646,12 +1646,11 @@ mod tests {
         let mut timer = PhaseTimer::start(comm);
         let cfg = DecompConfig::uniform(GridSpec::square(side));
         let (read, pipe) = (ReadOptions::default(), PipelineOptions::default());
-        let (paths, ex) = (["data.wkt"], Default::default());
+        let (paths, chunk) = (["data.wkt"], ExchangeChunk::Unlimited);
         let ingested =
-            ingest_layers(comm, fs, &paths, &read, &WktLineParser, &cfg, &pipe, &ex).unwrap();
+            ingest_layers(comm, fs, &paths, &read, &WktLineParser, &cfg, &pipe, chunk).unwrap();
         timer.end_partition(ingested.partition_end);
-        let owned = std::slice::from_ref(&ingested.layers[0].owned);
-        let store = ResidentStore::from_frames(comm, owned);
+        let store = ResidentStore::from_frames(comm, &ingested.layers[0].owned);
         timer.end_communication(comm);
         let eng = QueryEngine::from_store(comm, ingested.decomp, store, &EngineOptions::default());
         timer.end_compute(comm);

@@ -3,8 +3,7 @@
 use crate::breakdown::{PhaseBreakdown, PhaseTimer};
 use mvio_core::decomp::{DecompConfig, DecompPolicy, Decomposition, SpatialDecomposition};
 use mvio_core::exchange::{
-    exchange_serialized, serialize_frame, ExchangeChunk, ExchangeOptions, FrameStore, RecordFrame,
-    SerializedBatch,
+    exchange_serialized, serialize_frame, ExchangeChunk, FrameStore, RecordFrame, SerializedBatch,
 };
 use mvio_core::framework::claims_reference;
 use mvio_core::grid::{CellMap, GridSpec};
@@ -36,13 +35,10 @@ pub struct JoinOptions {
     pub decomp: DecompPolicy,
     /// File read configuration for both layers.
     pub read: ReadOptions,
-    /// Sliding-window phases for each layer's exchange: one collective
-    /// exchange per contiguous cell-id range.
-    pub windows: u32,
     /// Per-destination byte cap for each pipelined exchange round.
     /// Defaults to [`ExchangeChunk::Unlimited`]: one blocking round per
-    /// window. Over one window, a finite cap streams each layer's
-    /// cell-map and serialization into the exchange rounds
+    /// layer. A finite cap streams each layer's cell-map and
+    /// serialization into the exchange rounds
     /// ([`mvio_core::pipeline::partition_exchange_overlapped`]): round
     /// `r`'s transfer overlaps round `r + 1`'s serialization, and both
     /// steps count as communication. Refine starts after the last round;
@@ -63,7 +59,6 @@ impl Default for JoinOptions {
             grid: GridSpec::square(16),
             decomp: DecompPolicy::Uniform(CellMap::RoundRobin),
             read: ReadOptions::default(),
-            windows: 1,
             chunk: ExchangeChunk::Unlimited,
             pipeline: PipelineOptions::default(),
         }
@@ -127,18 +122,15 @@ pub fn spatial_join(
         grid: opts.grid,
         policy: opts.decomp,
     };
-    let ex = ExchangeOptions {
-        windows: opts.windows,
-        chunk: opts.chunk,
-    };
     let (paths, read, pipe) = ([left_path, right_path], &opts.read, &opts.pipeline);
-    let ingested = ingest_layers(comm, fs, &paths, read, &WktLineParser, &cfg, pipe, &ex)?;
+    let chunk = opts.chunk;
+    let ingested = ingest_layers(comm, fs, &paths, read, &WktLineParser, &cfg, pipe, chunk)?;
     timer.end_partition(ingested.partition_end);
     timer.end_communication(comm);
 
     // --- Join phase: filter, balance, refine over frames. ----------------
     let [left, right] = [0, 1].map(|i| &ingested.layers[i].owned);
-    let report = run_refine_frames(comm, &ingested.decomp, left, right, &ex);
+    let report = run_refine_frames(comm, &ingested.decomp, left, right, chunk);
     finish(comm, timer, report)
 }
 
@@ -232,8 +224,7 @@ pub fn spatial_join_snapshots(
     timer.end_communication(comm);
 
     // --- Join phase: identical to the text path. --------------------------
-    let ex_opts = ExchangeOptions::with_chunk(opts.read.chunk);
-    let report = run_refine_frames(comm, &sd, &left, &right, &ex_opts);
+    let report = run_refine_frames(comm, &sd, &left, &right, opts.read.chunk);
     finish(comm, timer, report)
 }
 
@@ -588,7 +579,7 @@ fn run_refine_frames(
     sd: &Decomposition,
     left_store: &FrameStore,
     right_store: &FrameStore,
-    ex_opts: &ExchangeOptions,
+    chunk: ExchangeChunk,
 ) -> Result<JoinReport> {
     let rank = comm.rank();
     let sides = Side::new(left_store).and_then(|l| Ok((l, Side::new(right_store)?)));
@@ -635,7 +626,7 @@ fn run_refine_frames(
                 }
             };
         let left_in = comm.labeled("join.balance.left", |c| {
-            exchange_serialized(c, left_batch, ex_opts)
+            exchange_serialized(c, left_batch, chunk)
         });
         let right_batch = if left_in.is_ok() {
             right_batch
@@ -643,7 +634,7 @@ fn run_refine_frames(
             empty()
         };
         let right_in = comm.labeled("join.balance.right", |c| {
-            exchange_serialized(c, right_batch, ex_opts)
+            exchange_serialized(c, right_batch, chunk)
         });
         incoming = Some((left_in, right_in));
     }
@@ -762,10 +753,9 @@ mod tests {
     }
 
     #[test]
-    fn join_with_block_map_and_windows() {
+    fn join_with_block_map() {
         let opts = JoinOptions {
             decomp: DecompPolicy::Uniform(mvio_core::grid::CellMap::Block),
-            windows: 4,
             grid: GridSpec::square(8),
             ..Default::default()
         };
@@ -776,7 +766,7 @@ mod tests {
     #[test]
     fn join_answer_is_identical_for_every_chunk_policy() {
         // Finite chunks pipeline the exchange in rounds, but each
-        // window's batch is reassembled in source order before refine —
+        // layer's batch is reassembled in source order before refine —
         // so the per-rank output must be identical *unsorted*, not just
         // as a set, to the blocking configuration.
         let run_raw = |chunk: ExchangeChunk| {
@@ -845,7 +835,7 @@ mod tests {
                     &WktLineParser,
                     &DecompConfig::uniform(GridSpec::square(8)),
                     &PipelineOptions::default(),
-                    &ExchangeOptions::default(),
+                    ExchangeChunk::Unlimited,
                 )
                 .unwrap();
                 let sd = &ingested.decomp;

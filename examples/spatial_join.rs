@@ -51,7 +51,6 @@ fn main() {
         grid: GridSpec::square(16),
         decomp: mpi_vector_io::core::decomp::DecompPolicy::Uniform(CellMap::RoundRobin),
         read: ReadOptions::default(),
-        windows: 1,
         ..Default::default()
     };
     let reports = World::run(WorldConfig::new(topo), move |comm| {

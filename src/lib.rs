@@ -51,7 +51,7 @@ pub use mvio_sjoin as sjoin;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use mvio_core::decomp::{DecompConfig, DecompPolicy, Decomposition, SpatialDecomposition};
-    pub use mvio_core::exchange::{ExchangeChunk, ExchangeOptions, ExchangePlan};
+    pub use mvio_core::exchange::{ExchangeChunk, ExchangePlan};
     pub use mvio_core::grid::{CellMap, GridSpec, UniformGrid};
     pub use mvio_core::partition::{read_partition_text, BoundaryStrategy, ReadOptions};
     pub use mvio_core::pipeline::{self, PipelineOptions, PipelineStats};

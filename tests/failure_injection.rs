@@ -354,7 +354,7 @@ fn sink_decode_error_stays_on_its_rank() {
             }))
         };
         let mut received = 0u64;
-        let plan = ExchangePlan::new(comm, &ExchangeOptions::with_chunk(ExchangeChunk::Unlimited));
+        let plan = ExchangePlan::new(comm, ExchangeChunk::Unlimited);
         let result = plan.run(comm, &mut feed, &mut |c, bufs| {
             let n = validate_round(c, &bufs)?;
             received += n;
@@ -438,7 +438,7 @@ fn corrupted_answer_block_stays_on_its_rank() {
             }))
         };
         let mut matches = 0u64;
-        let plan = ExchangePlan::new(comm, &ExchangeOptions::with_chunk(ExchangeChunk::Unlimited));
+        let plan = ExchangePlan::new(comm, ExchangeChunk::Unlimited);
         let result = plan.run(comm, &mut feed, &mut |_, bufs| {
             let mut blocks = 0;
             for buf in &bufs {
@@ -549,8 +549,7 @@ fn corrupted_update_round_stays_on_its_rank() {
                     more: round < 2,
                 }))
             };
-            let plan =
-                ExchangePlan::new(comm, &ExchangeOptions::with_chunk(ExchangeChunk::Unlimited));
+            let plan = ExchangePlan::new(comm, ExchangeChunk::Unlimited);
             let result = plan.run(comm, &mut feed, &mut |c, bufs| {
                 if deletes {
                     let out = store.delete_round(c, &bufs, &mut |_, _| {})?;
@@ -646,7 +645,7 @@ fn corrupted_migration_round_stays_on_its_rank() {
             let torn = batch.bufs[0].len() - 3;
             batch.bufs[0].truncate(torn);
         }
-        let plan = ExchangePlan::new(comm, &ExchangeOptions::with_chunk(ExchangeChunk::Unlimited));
+        let plan = ExchangePlan::new(comm, ExchangeChunk::Unlimited);
         let result = plan.run(comm, &mut batch.into_feed(&plan), &mut |c, bufs| {
             Ok(store.append_round(c, &bufs)?.len() as u64)
         });

@@ -1,24 +1,22 @@
 //! Property-based tests of the decomposition/exchange layer: conservation
 //! of features through arbitrary exchanges, decomposition policies,
-//! chunk policies and rank counts. (Sliding windows are a property of the
-//! ingest pipeline: `proptest_pipeline`.)
+//! chunk policies and rank counts.
 
 mod common;
 
 use common::{materialize, mk_decomp};
 use mpi_vector_io::core::exchange::{
-    exchange_serialized, ExchangeChunk, ExchangeOptions, ExchangeStats, FrameStore, RecordFrame,
+    exchange_serialized, ExchangeChunk, ExchangeStats, FrameStore, RecordFrame,
 };
 use mpi_vector_io::core::pipeline::{partition_chunked, partition_exchange_overlapped};
 use mpi_vector_io::prelude::*;
 use proptest::prelude::*;
 
-/// Every rank's received stores as one run of frames, compared byte for
-/// byte.
-fn frames(per_rank: &[Vec<FrameStore>]) -> Vec<Vec<RecordFrame<'_>>> {
+/// Every rank's received frames, compared byte for byte.
+fn frames(per_rank: &[FrameStore]) -> Vec<Vec<RecordFrame<'_>>> {
     per_rank
         .iter()
-        .map(|stores| stores.iter().flat_map(FrameStore::frames).collect())
+        .map(|store| store.frames().collect())
         .collect()
 }
 
@@ -42,7 +40,7 @@ fn exchange_items(
     comm: &mut Comm,
     decomp: &Decomposition,
     items: &[(u32, String)],
-    opts: &ExchangeOptions,
+    chunk: ExchangeChunk,
 ) -> (FrameStore, ExchangeStats) {
     let feats: Vec<Feature> = items
         .iter()
@@ -53,7 +51,7 @@ fn exchange_items(
     let (batch, stats) =
         partition_chunked(comm, decomp, &feats, &PipelineOptions::default()).unwrap();
     assert_eq!(stats.pairs, items.len() as u64, "one replica per point");
-    exchange_serialized(comm, batch, opts).unwrap()
+    exchange_serialized(comm, batch, chunk).unwrap()
 }
 
 proptest! {
@@ -75,8 +73,8 @@ proptest! {
                 let decomp = mk_decomp(side as f64, policy, side, comm.size());
                 // Each rank fabricates pairs tagged with origin info.
                 let items = fabricated(comm.rank(), items_per_rank, num_cells);
-                let opts = ExchangeOptions::default();
-                let (store, stats) = exchange_items(comm, &decomp, &items, &opts);
+                let chunk = ExchangeChunk::Unlimited;
+                let (store, stats) = exchange_items(comm, &decomp, &items, chunk);
                 let mine = materialize(store.frames());
                 // Ownership: every received pair belongs to me.
                 for (cell, _) in &mine {
@@ -151,8 +149,7 @@ proptest! {
                 move |comm| {
                     let decomp = mk_decomp(side as f64, policy, side, comm.size());
                     let items = fabricated(comm.rank(), items_per_rank, num_cells);
-                    let opts = ExchangeOptions::with_chunk(chunk);
-                    vec![exchange_items(comm, &decomp, &items, &opts).0]
+                    exchange_items(comm, &decomp, &items, chunk).0
                 },
             )
         };
@@ -194,8 +191,7 @@ proptest! {
                 let decomp = mk_decomp(side as f64, policy, side, comm.size());
                 let feats = mk_features(comm.rank());
                 let (batch, _) = partition_chunked(comm, &decomp, &feats, &popts).unwrap();
-                let opts = ExchangeOptions::with_chunk(ExchangeChunk::Unlimited);
-                vec![exchange_serialized(comm, batch, &opts).unwrap().0]
+                exchange_serialized(comm, batch, ExchangeChunk::Unlimited).unwrap().0
             },
         );
         let fused = World::run(
@@ -203,9 +199,9 @@ proptest! {
             move |comm| {
                 let decomp = mk_decomp(side as f64, policy, side, comm.size());
                 let feats = mk_features(comm.rank());
-                vec![partition_exchange_overlapped(comm, &decomp, &feats, &popts, chunk)
+                partition_exchange_overlapped(comm, &decomp, &feats, &popts, chunk)
                     .unwrap()
-                    .0]
+                    .0
             },
         );
         prop_assert_eq!(frames(&fused), frames(&unfused));

@@ -1,7 +1,7 @@
 //! Property-based oracle for the distributed text join: for *any* rank
-//! count, decomposition policy, exchange chunk cap and window count —
-//! self-join included — `spatial_join` reports exactly the serial
-//! brute-force pair set, pair for pair. Half the draws pile both layers
+//! count, decomposition policy and exchange chunk cap — self-join
+//! included — `spatial_join` reports exactly the serial brute-force pair
+//! set, pair for pair. Half the draws pile both layers
 //! onto one hotspot, so the hot cell's owner holds far more refine work
 //! than `BALANCE_MIN_SURPLUS_NS` above the balanced share and the balance
 //! step really ships candidate pairs between ranks; the other half stay
@@ -64,7 +64,6 @@ proptest! {
         ranks in 1usize..7,
         policy in 0usize..4,
         chunk_bytes in 0u64..4096,
-        windows in 1u32..4,
         // Bit 0: self-join; bit 1: hotspot layers (the strategy tuple
         // is capped at eight dimensions).
         mode in 0usize..4,
@@ -99,7 +98,6 @@ proptest! {
                     grid: GridSpec::square(5),
                     decomp,
                     read: ReadOptions::default().with_block_size(4 << 10),
-                    windows,
                     chunk,
                     ..Default::default()
                 };
@@ -111,8 +109,8 @@ proptest! {
         got.sort();
         prop_assert_eq!(
             &got, &expect,
-            "join diverged from brute force ({} ranks, {:?}, {:?}, {} windows, self {}, hot {})",
-            ranks, decomp, chunk, windows, self_join, hot
+            "join diverged from brute force ({} ranks, {:?}, {:?}, self {}, hot {})",
+            ranks, decomp, chunk, self_join, hot
         );
         let owned: u64 = reports.iter().map(|r| r.owned_refine_tests).sum();
         let executed: u64 = reports.iter().map(|r| r.refine_tests).sum();

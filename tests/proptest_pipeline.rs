@@ -1,9 +1,8 @@
 //! Property-based test of the streaming ingest pipeline: for *any* worker
-//! count, chunk sizes, rank count, chunk policy, window count and input,
-//! the pipelined parse → cell-map → serialize → exchange produces exactly
-//! the pairs a sequential parse → project → serialize → exchange produces
-//! (with sliding windows: the same records of every cell, in the same
-//! order).
+//! count, chunk sizes, rank count, chunk policy and input, the pipelined
+//! parse → cell-map → serialize → exchange produces exactly the pairs, in
+//! the same order, that a sequential parse → project → serialize →
+//! exchange produces.
 
 mod common;
 
@@ -30,7 +29,6 @@ proptest! {
         ranks in 1usize..4,
         chunk_bytes in 32usize..2048,
         chunk_records in 1usize..64,
-        windows in 1u32..4,
         // Below 64: the blocking exchange; otherwise a per-round cap.
         cap in 0u64..4096,
     ) {
@@ -55,7 +53,7 @@ proptest! {
                     }
                 }
                 let (store, _) =
-                    exchange_serialized(comm, batch, &ExchangeOptions::default()).unwrap();
+                    exchange_serialized(comm, batch, ExchangeChunk::Unlimited).unwrap();
                 materialize(store.frames())
             })
         };
@@ -68,35 +66,21 @@ proptest! {
                     .with_workers(workers)
                     .with_parse_chunk_bytes(chunk_bytes)
                     .with_partition_chunk_records(chunk_records);
-                let rep = pipeline::ingest_with_exchange(
+                let rep = pipeline::ingest_layers(
                     comm,
                     &fs,
-                    "d.wkt",
+                    &["d.wkt"],
                     &read,
                     &WktLineParser,
                     &DecompConfig::uniform(spec),
                     &opts,
-                    &ExchangeOptions { windows, chunk },
+                    chunk,
                 )
                 .unwrap();
-                materialize(rep.owned.frames())
+                materialize(rep.layers[0].owned.frames())
             })
         };
 
-        if windows == 1 {
-            prop_assert_eq!(sequential, pipelined);
-        } else {
-            // Each rank's records grouped by cell, each cell's in order.
-            let by_cell = |per_rank: Vec<Vec<(u32, Feature)>>| -> Vec<Vec<(u32, Feature)>> {
-                per_rank
-                    .into_iter()
-                    .map(|mut pairs| {
-                        pairs.sort_by_key(|(cell, _)| *cell);
-                        pairs
-                    })
-                    .collect()
-            };
-            prop_assert_eq!(by_cell(sequential), by_cell(pipelined));
-        }
+        prop_assert_eq!(sequential, pipelined);
     }
 }
