@@ -528,7 +528,7 @@ impl ExchangePlan {
         let p = self.p;
         assert_eq!(comm.size(), p, "plan built for a different world size");
         let mut stats = ExchangeStats::default();
-        let mut engine = ProgressEngine::new(1);
+        let mut engine = ProgressEngine::new();
         let mut local_done = false;
         // First per-rank error; once set, the rank winds the protocol
         // down with empty rounds instead of computing further.

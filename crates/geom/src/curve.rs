@@ -1,58 +1,15 @@
-//! Space-filling curves: Z-order (Morton) and Hilbert keys.
+//! The Hilbert curve: the cell order of `DecompPolicy::Hilbert` in
+//! `mvio_core::decomp`.
 //!
 //! "To ensure spatial data locality, points and line segments are often
 //! sorted in 2D using Z-order and Hilbert curve" (paper §4.1). The
-//! library uses these for locality-aware declustering: sorting features
-//! (or assigning grid cells to ranks) along a space-filling curve keeps
-//! spatial neighbours on the same rank.
+//! Hilbert decomposition walks the grid's cells in curve order and cuts
+//! the walk into contiguous per-rank runs, so spatial neighbours land on
+//! the same rank. A cell's key is its position along the curve.
 
-use crate::point::Point;
-use crate::rect::Rect;
-
-/// Resolution of curve keys: coordinates quantize to `2^ORDER` cells per
-/// axis, giving 2·ORDER-bit keys that fit comfortably in a `u64`.
+/// Order of the library's fixed curve: a `2^ORDER × 2^ORDER` lattice of
+/// cells, giving 2·ORDER-bit keys that fit comfortably in a `u64`.
 pub const ORDER: u32 = 16;
-
-/// Quantizes a point into integer cell coordinates within `bounds`.
-fn quantize(p: Point, bounds: &Rect) -> (u32, u32) {
-    let side = (1u64 << ORDER) as f64;
-    let fx = ((p.x - bounds.min_x) / bounds.width().max(f64::MIN_POSITIVE)).clamp(0.0, 1.0);
-    let fy = ((p.y - bounds.min_y) / bounds.height().max(f64::MIN_POSITIVE)).clamp(0.0, 1.0);
-    let x = ((fx * side) as u32).min((1 << ORDER) - 1);
-    let y = ((fy * side) as u32).min((1 << ORDER) - 1);
-    (x, y)
-}
-
-/// Interleaves the low 16 bits of `v` with zeros (Morton spreading).
-fn spread(v: u32) -> u64 {
-    let mut x = v as u64 & 0xFFFF;
-    x = (x | (x << 16)) & 0x0000_FFFF_0000_FFFF;
-    x = (x | (x << 8)) & 0x00FF_00FF_00FF_00FF;
-    x = (x | (x << 4)) & 0x0F0F_0F0F_0F0F_0F0F;
-    x = (x | (x << 2)) & 0x3333_3333_3333_3333;
-    x = (x | (x << 1)) & 0x5555_5555_5555_5555;
-    x
-}
-
-/// Z-order (Morton) key of `p` within `bounds`.
-pub fn zorder_key(p: Point, bounds: &Rect) -> u64 {
-    let (x, y) = quantize(p, bounds);
-    spread(x) | (spread(y) << 1)
-}
-
-/// Z-order key of integer cell coordinates (for grid-cell maps).
-pub fn zorder_key_cells(x: u32, y: u32) -> u64 {
-    spread(x & 0xFFFF) | (spread(y & 0xFFFF) << 1)
-}
-
-/// Hilbert-curve key of `p` within `bounds` (order-[`ORDER`] curve).
-///
-/// Classic x/y-swap formulation; better locality than Z-order (no long
-/// jumps between quadrant boundaries).
-pub fn hilbert_key(p: Point, bounds: &Rect) -> u64 {
-    let (x, y) = quantize(p, bounds);
-    hilbert_key_cells(x, y)
-}
 
 /// Hilbert key of integer cell coordinates (standard `xy2d` algorithm)
 /// on the library's fixed order-[`ORDER`] curve.
@@ -89,45 +46,9 @@ pub fn hilbert_key_cells_order(order: u32, x: u32, y: u32) -> u64 {
     d
 }
 
-/// Sorts points in place along the Z-order curve.
-pub fn sort_by_zorder(points: &mut [Point], bounds: &Rect) {
-    points.sort_by_key(|p| zorder_key(*p, bounds));
-}
-
-/// Sorts points in place along the Hilbert curve.
-pub fn sort_by_hilbert(points: &mut [Point], bounds: &Rect) {
-    points.sort_by_key(|p| hilbert_key(*p, bounds));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn unit() -> Rect {
-        Rect::new(0.0, 0.0, 1.0, 1.0)
-    }
-
-    #[test]
-    fn zorder_interleaves_bits() {
-        // Cells (1,0) and (0,1) differ in the lowest interleaved bits.
-        assert_eq!(zorder_key_cells(0, 0), 0);
-        assert_eq!(zorder_key_cells(1, 0), 1);
-        assert_eq!(zorder_key_cells(0, 1), 2);
-        assert_eq!(zorder_key_cells(1, 1), 3);
-        assert_eq!(zorder_key_cells(2, 0), 4);
-    }
-
-    #[test]
-    fn corner_keys_order_correctly() {
-        let b = unit();
-        let k00 = zorder_key(Point::new(0.0, 0.0), &b);
-        let k11 = zorder_key(Point::new(1.0, 1.0), &b);
-        assert_eq!(k00, 0);
-        assert!(k11 > k00);
-        // Out-of-bounds points clamp rather than wrap.
-        let kneg = zorder_key(Point::new(-5.0, -5.0), &b);
-        assert_eq!(kneg, 0);
-    }
 
     #[test]
     fn hilbert_visits_each_cell_once_small_order() {
@@ -160,41 +81,5 @@ mod tests {
                 w[0].1, w[1].1
             );
         }
-    }
-
-    #[test]
-    fn sorted_sequences_have_locality() {
-        // Average hop distance after curve sorting must beat random order.
-        let mut pts: Vec<Point> = (0..1000)
-            .map(|i| {
-                // A deterministic scrambled sequence.
-                let v = (i as u64)
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(17);
-                Point::new(
-                    ((v >> 16) & 0xFFFF) as f64 / 65535.0,
-                    ((v >> 32) & 0xFFFF) as f64 / 65535.0,
-                )
-            })
-            .collect();
-        let hop = |pts: &[Point]| -> f64 {
-            pts.windows(2).map(|w| w[0].distance(&w[1])).sum::<f64>() / (pts.len() - 1) as f64
-        };
-        let random_hop = hop(&pts);
-        let b = unit();
-        sort_by_zorder(&mut pts, &b);
-        let z_hop = hop(&pts);
-        sort_by_hilbert(&mut pts, &b);
-        let h_hop = hop(&pts);
-        assert!(
-            z_hop < random_hop * 0.25,
-            "z-order locality: {z_hop} vs {random_hop}"
-        );
-        assert!(
-            h_hop < random_hop * 0.25,
-            "hilbert locality: {h_hop} vs {random_hop}"
-        );
-        // Hilbert is at least as local as Z-order on this workload.
-        assert!(h_hop <= z_hop * 1.2, "hilbert {h_hop} vs zorder {z_hop}");
     }
 }

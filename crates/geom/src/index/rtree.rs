@@ -1,9 +1,9 @@
-//! An R-tree with STR (Sort-Tile-Recursive) bulk loading and quadratic-split
-//! insertion.
+//! A static R-tree built by STR (Sort-Tile-Recursive) packing.
 //!
 //! This mirrors how the paper uses GEOS's `STRtree`: bulk-build an index
 //! over one geometry collection (or the grid-cell boundaries), then query it
-//! with candidate MBRs during the filter phase.
+//! with candidate MBRs during the filter phase. A tree is never modified
+//! after the build; a changed collection is bulk-loaded again.
 
 use crate::point::Point;
 use crate::rect::Rect;
@@ -11,10 +11,8 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::ops::ControlFlow;
 
-/// Maximum entries per node before a split.
+/// Entries per packed node (the last node of a run may hold fewer).
 const MAX_ENTRIES: usize = 16;
-/// Minimum entries assigned to each side of a split.
-const MIN_ENTRIES: usize = 4;
 
 #[derive(Debug, Clone)]
 enum Node<T> {
@@ -44,9 +42,7 @@ impl<T> Node<T> {
 /// An R-tree over `(Rect, T)` entries.
 ///
 /// * [`RTree::bulk_load`] builds a packed tree with the STR algorithm —
-///   O(n log n), near-minimal overlap, the right choice for the read-mostly
-///   workloads in this repository.
-/// * [`RTree::insert`] supports incremental updates with quadratic split.
+///   O(n log n), near-minimal overlap — and is the only way to fill one.
 /// * [`RTree::query`] returns every entry whose MBR intersects the probe.
 /// * [`RTree::nearest_with`] walks the entries best-first by box distance
 ///   from a point — the k-nearest-neighbour traversal.
@@ -163,30 +159,6 @@ impl<T> RTree<T> {
         RTree {
             root: level.pop(),
             len,
-        }
-    }
-
-    /// Inserts one entry, splitting overflowing nodes quadratically.
-    pub fn insert(&mut self, rect: Rect, value: T) {
-        self.len += 1;
-        match self.root.take() {
-            None => {
-                self.root = Some(Node::Leaf {
-                    mbr: rect,
-                    entries: vec![(rect, value)],
-                });
-            }
-            Some(mut root) => {
-                if let Some(sibling) = insert_rec(&mut root, rect, value) {
-                    let mbr = root.mbr().union(&sibling.mbr());
-                    self.root = Some(Node::Inner {
-                        mbr,
-                        children: vec![root, sibling],
-                    });
-                } else {
-                    self.root = Some(root);
-                }
-            }
         }
     }
 
@@ -339,135 +311,6 @@ fn query_rec<'a, T>(node: &'a Node<T>, probe: &Rect, visit: &mut impl FnMut(&'a 
     }
 }
 
-/// Recursive insert; returns a new sibling node if this node split.
-fn insert_rec<T>(node: &mut Node<T>, rect: Rect, value: T) -> Option<Node<T>> {
-    match node {
-        Node::Leaf { mbr, entries } => {
-            entries.push((rect, value));
-            *mbr = mbr.union(&rect);
-            if entries.len() > MAX_ENTRIES {
-                let (a, b) = quadratic_split_entries(std::mem::take(entries));
-                let mut left = Node::Leaf {
-                    mbr: Rect::EMPTY,
-                    entries: a,
-                };
-                let mut right = Node::Leaf {
-                    mbr: Rect::EMPTY,
-                    entries: b,
-                };
-                left.recompute_mbr();
-                right.recompute_mbr();
-                *node = left;
-                Some(right)
-            } else {
-                None
-            }
-        }
-        Node::Inner { mbr, children } => {
-            *mbr = mbr.union(&rect);
-            // Choose the child needing least enlargement (ties: smaller area).
-            let idx = children
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| {
-                    let ea = a.mbr().union(&rect).area() - a.mbr().area();
-                    let eb = b.mbr().union(&rect).area() - b.mbr().area();
-                    ea.partial_cmp(&eb)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then_with(|| {
-                            a.mbr()
-                                .area()
-                                .partial_cmp(&b.mbr().area())
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                        })
-                })
-                .map(|(i, _)| i)
-                // audit: construction never produces an empty inner node.
-                .expect("inner node always has children");
-            if let Some(sibling) = insert_rec(&mut children[idx], rect, value) {
-                children.push(sibling);
-                if children.len() > MAX_ENTRIES {
-                    let (a, b) = quadratic_split_nodes(std::mem::take(children));
-                    let mut left = Node::Inner {
-                        mbr: Rect::EMPTY,
-                        children: a,
-                    };
-                    let mut right = Node::Inner {
-                        mbr: Rect::EMPTY,
-                        children: b,
-                    };
-                    left.recompute_mbr();
-                    right.recompute_mbr();
-                    *node = left;
-                    return Some(right);
-                }
-            }
-            None
-        }
-    }
-}
-
-/// Guttman's quadratic split over leaf entries.
-fn quadratic_split_entries<T>(items: Vec<(Rect, T)>) -> (Vec<(Rect, T)>, Vec<(Rect, T)>) {
-    quadratic_split(items, |it| it.0)
-}
-
-/// Guttman's quadratic split over child nodes.
-fn quadratic_split_nodes<T>(items: Vec<Node<T>>) -> (Vec<Node<T>>, Vec<Node<T>>) {
-    quadratic_split(items, Node::mbr)
-}
-
-fn quadratic_split<I>(mut items: Vec<I>, rect_of: impl Fn(&I) -> Rect) -> (Vec<I>, Vec<I>) {
-    debug_assert!(items.len() >= 2);
-    // Pick the pair wasting the most area as seeds.
-    let (mut seed_a, mut seed_b, mut worst) = (0, 1, f64::NEG_INFINITY);
-    for i in 0..items.len() {
-        for j in (i + 1)..items.len() {
-            let ra = rect_of(&items[i]);
-            let rb = rect_of(&items[j]);
-            let waste = ra.union(&rb).area() - ra.area() - rb.area();
-            if waste > worst {
-                worst = waste;
-                seed_a = i;
-                seed_b = j;
-            }
-        }
-    }
-    // Remove the higher index first so the lower stays valid.
-    let item_b = items.remove(seed_b);
-    let item_a = items.remove(seed_a);
-    let mut group_a = vec![item_a];
-    let mut group_b = vec![item_b];
-    let mut mbr_a = rect_of(&group_a[0]);
-    let mut mbr_b = rect_of(&group_b[0]);
-
-    while let Some(item) = items.pop() {
-        let remaining = items.len() + 1;
-        // Force assignment if a group must take all remaining to reach MIN.
-        if group_a.len() + remaining <= MIN_ENTRIES {
-            mbr_a = mbr_a.union(&rect_of(&item));
-            group_a.push(item);
-            continue;
-        }
-        if group_b.len() + remaining <= MIN_ENTRIES {
-            mbr_b = mbr_b.union(&rect_of(&item));
-            group_b.push(item);
-            continue;
-        }
-        let r = rect_of(&item);
-        let grow_a = mbr_a.union(&r).area() - mbr_a.area();
-        let grow_b = mbr_b.union(&r).area() - mbr_b.area();
-        if grow_a <= grow_b {
-            mbr_a = mbr_a.union(&r);
-            group_a.push(item);
-        } else {
-            mbr_b = mbr_b.union(&r);
-            group_b.push(item);
-        }
-    }
-    (group_a, group_b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -528,26 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_matches_brute_force() {
-        let cells = unit_cells(9);
-        let mut t = RTree::new();
-        for (r, id) in cells.clone() {
-            t.insert(r, id);
-        }
-        assert_eq!(t.len(), 81);
-        let probe = Rect::new(3.5, 3.5, 5.5, 5.5);
-        let mut expect: Vec<usize> = cells
-            .iter()
-            .filter(|(r, _)| r.intersects(&probe))
-            .map(|&(_, id)| id)
-            .collect();
-        let mut got: Vec<usize> = t.query(&probe).into_iter().copied().collect();
-        expect.sort_unstable();
-        got.sort_unstable();
-        assert_eq!(got, expect);
-    }
-
-    #[test]
     fn tree_depth_is_logarithmic() {
         let t = RTree::bulk_load(unit_cells(32)); // 1024 entries
                                                   // With M = 16: 1024 entries -> 64 leaves -> 4 inners -> 1 root = 3.
@@ -604,14 +427,6 @@ mod tests {
         expect.sort_by(by_dist_then_id);
         assert_eq!(seen, expect);
         ids
-    }
-
-    fn inserted(entries: &[(Rect, usize)]) -> RTree<usize> {
-        let mut tree = RTree::new();
-        for &(r, id) in entries {
-            tree.insert(r, id);
-        }
-        tree
     }
 
     #[test]
@@ -690,29 +505,15 @@ mod tests {
         for id in [36, 37, 38] {
             entries.insert(id % 7, (Rect::EMPTY, id));
         }
-        for tree in [RTree::bulk_load(entries.clone()), inserted(&entries)] {
-            let ids = check_walk(&tree, &entries, Point::new(2.5, 9.0));
-            let mut tail = ids[36..].to_vec();
-            tail.sort_unstable();
-            assert_eq!(tail, vec![36, 37, 38]);
-        }
+        let tree = RTree::bulk_load(entries.clone());
+        let ids = check_walk(&tree, &entries, Point::new(2.5, 9.0));
+        let mut tail = ids[36..].to_vec();
+        tail.sort_unstable();
+        assert_eq!(tail, vec![36, 37, 38]);
         // A tree of nothing but empty rectangles still yields them all.
         let hollow: Vec<(Rect, usize)> = (0..40).map(|i| (Rect::EMPTY, i)).collect();
         let tree = RTree::bulk_load(hollow.clone());
         assert_eq!(check_walk(&tree, &hollow, Point::new(0.0, 0.0)).len(), 40);
-    }
-
-    #[test]
-    fn nearest_walk_agrees_between_bulk_load_and_insert() {
-        let cells = unit_cells(12);
-        let bulk = RTree::bulk_load(cells.clone());
-        let inc = inserted(&cells);
-        for at in [Point::new(3.2, 8.9), Point::new(20.0, -5.0)] {
-            // Same distance sequence and the same ids per tie run (both
-            // checked against the sorted entries), whatever the shape.
-            check_walk(&bulk, &cells, at);
-            check_walk(&inc, &cells, at);
-        }
     }
 
     #[test]

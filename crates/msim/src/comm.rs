@@ -135,7 +135,6 @@ impl Comm {
         mvio_pfs::IoCtx {
             node: self.node(),
             now: self.now,
-            world_nodes: self.shared.topo.nodes(),
         }
     }
 

@@ -33,7 +33,6 @@
 
 use crate::check::CollectiveVerifier;
 use crate::comm::Comm;
-use crate::time::WorkTally;
 use std::sync::Arc;
 
 /// Handle for an in-flight nonblocking operation returning a `T` on
@@ -153,7 +152,7 @@ impl Request<Vec<u8>> {
 /// Deterministic progress engine for compute/communication overlap.
 ///
 /// Worker threads cannot touch the rank clock, so overlapped regions
-/// charge per-lane [`WorkTally`] totals here (same fixed
+/// charge per-lane compute seconds here (same fixed
 /// `work-item % lanes` rule as [`Comm::advance_parallel`]) while one or
 /// more [`Request`]s are in flight. [`ProgressEngine::drive`] then folds
 /// the slowest lane into the clock and completes the request, so the
@@ -161,7 +160,7 @@ impl Request<Vec<u8>> {
 /// engine records how much communication was hidden under compute versus
 /// exposed on the critical path, the quantity the overlap benchmarks
 /// report.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ProgressEngine {
     lanes: Vec<f64>,
     overlapped_compute: f64,
@@ -169,19 +168,12 @@ pub struct ProgressEngine {
 }
 
 impl ProgressEngine {
-    /// An engine folding overlapped compute into `lanes` worker lanes
-    /// (`lanes >= 1`; one lane models a single-threaded overlap region).
-    pub fn new(lanes: usize) -> Self {
-        ProgressEngine {
-            lanes: vec![0.0; lanes.max(1)],
-            overlapped_compute: 0.0,
-            exposed_wait: 0.0,
-        }
-    }
-
-    /// Number of lanes the engine folds compute into.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
+    /// An engine with no lanes and nothing folded yet; [`charge`] grows
+    /// the lane set on demand, and flushing no lanes folds exactly 0 s.
+    ///
+    /// [`charge`]: ProgressEngine::charge
+    pub fn new() -> Self {
+        ProgressEngine::default()
     }
 
     /// Charges `seconds` of overlapped compute to `lane`, growing the lane
@@ -193,11 +185,6 @@ impl ProgressEngine {
             self.lanes.resize(lane + 1, 0.0);
         }
         self.lanes[lane] += seconds;
-    }
-
-    /// Charges a worker's accumulated [`WorkTally`] to `lane`.
-    pub fn absorb(&mut self, lane: usize, tally: &WorkTally) {
-        self.charge(lane, tally.seconds());
     }
 
     /// Folds the pending lane totals into the clock (slowest lane, as
@@ -429,7 +416,7 @@ mod tests {
                 (0.0, 0.0, 0.0)
             } else {
                 // Round 1: fully hidden under 1s of 2-lane compute.
-                let mut eng = ProgressEngine::new(2);
+                let mut eng = ProgressEngine::new();
                 let rx = comm.irecv(0, 1);
                 eng.charge(0, 1.0);
                 eng.charge(1, 0.25);
@@ -461,19 +448,25 @@ mod tests {
         let out = World::run(cfg(2), |comm| {
             if comm.rank() == 0 {
                 comm.send(1, 1, &vec![0u8; 6_000_000]); // ~1ms transfer
-                (0.0, 0.0)
+                ((0.0, 0.0), 0.0, 0.0)
             } else {
-                let mut eng = ProgressEngine::new(1);
+                let mut eng = ProgressEngine::new();
                 let rx = comm.irecv(0, 1);
                 let t0 = comm.now();
-                eng.charge(0, 1e-4); // less than the flight: comm-bound
+                // A fresh engine has no lanes: flushing it folds exactly 0 s.
+                eng.flush(comm);
+                let idle = (comm.now() - t0, eng.overlapped_compute());
+                // Lane 3 grows the empty lane set; less than the flight,
+                // so the region is comm-bound.
+                eng.charge(3, 1e-4);
                 let _ = eng.drive(comm, rx);
                 let commbound = comm.now() - t0;
-                (commbound, eng.overlapped_compute())
+                (idle, commbound, eng.overlapped_compute())
             }
         });
-        let (commbound, folded) = out[1];
+        let (idle, commbound, folded) = out[1];
+        assert_eq!(idle, (0.0, 0.0), "an empty engine folds nothing");
         assert!(commbound > 9e-4, "comm-bound region is the transfer time");
-        assert!((folded - 1e-4).abs() < 1e-12);
+        assert_eq!(folded, 1e-4, "the grown lane folds exactly its charge");
     }
 }

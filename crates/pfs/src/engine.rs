@@ -5,32 +5,25 @@ use crate::config::{PerfModel, StripeSpec};
 use crate::layout;
 use parking_lot::Mutex;
 
-/// Per-operation client context: who is reading, from which node, at what
-/// virtual time, and how many ranks are active in the job (the contention
-/// population).
+/// Per-operation client context of an independent access: from which
+/// node, and at what virtual time, the operation starts.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IoCtx {
     /// Client node index (ranks on the same node share its link queue).
     pub node: usize,
     /// The caller's virtual clock at the moment the operation starts.
     pub now: f64,
-    /// Total client nodes participating in the job (used by personality
-    /// checks; 1 for serial use).
-    pub world_nodes: usize,
 }
 
 impl IoCtx {
     /// Context for single-process use (tests, dataset generation).
     pub fn serial(now: f64) -> Self {
-        IoCtx {
-            node: 0,
-            now,
-            world_nodes: 1,
-        }
+        IoCtx { node: 0, now }
     }
 }
 
-/// A fully-described I/O request, used by the deterministic batch path.
+/// A fully-described I/O request: the unit [`TimingEngine::io_batch`]
+/// times (an independent access is a batch of one).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IoRequest {
     /// Issuing rank (tie-break for deterministic ordering).
@@ -138,27 +131,13 @@ impl TimingEngine {
         1.0 + self.perf.sharing_overhead * (per_ost - 1.0).max(0.0)
     }
 
-    /// Times one request. Chunks queue FIFO on their OSTs; the whole
-    /// transfer also flows through the issuing node's client queue; the
-    /// request completes when both sides have finished.
-    pub fn io(
-        &self,
-        stripe: StripeSpec,
-        ost_base: u32,
-        node: usize,
-        now: f64,
-        offset: u64,
-        len: u64,
-    ) -> IoCompletion {
-        let mut st = self.state.lock();
-        let active = st.active_ranks;
-        self.io_locked(&mut st, stripe, ost_base, node, now, offset, len, active)
-    }
-
-    /// Deterministic batch path: requests are processed in `(now, rank)`
-    /// order under a single lock, so collective operations produce
-    /// identical virtual timings on every run regardless of thread
-    /// interleaving.
+    /// Times a batch of requests. Each request's chunks queue on their
+    /// OSTs; the whole transfer also flows through the issuing node's
+    /// client queue; a request completes when both sides have finished.
+    ///
+    /// Requests are processed in `(now, rank)` order under a single
+    /// lock, so collective operations produce identical virtual timings
+    /// on every run regardless of thread interleaving.
     ///
     /// Requests from the *same rank* chain: a rank (e.g. a two-phase
     /// aggregator working through its `cb_buffer_size` cycles) issues its
@@ -268,10 +247,30 @@ mod tests {
         TimingEngine::new(cfg.perf, cfg.total_osts)
     }
 
+    /// Times one independent request: a one-request batch.
+    fn io(
+        e: &TimingEngine,
+        stripe: StripeSpec,
+        ost_base: u32,
+        node: usize,
+        now: f64,
+        offset: u64,
+        len: u64,
+    ) -> IoCompletion {
+        let req = IoRequest {
+            rank: 0,
+            node,
+            now,
+            offset,
+            len,
+        };
+        e.io_batch(stripe, ost_base, &[req])[0]
+    }
+
     #[test]
     fn zero_length_takes_no_time() {
         let e = engine();
-        let done = e.io(StripeSpec::new(2, 1024), 0, 0, 5.0, 0, 0);
+        let done = io(&e, StripeSpec::new(2, 1024), 0, 0, 5.0, 0, 0);
         assert_eq!(done.completion, 5.0);
         assert_eq!(done.bytes, 0);
     }
@@ -280,7 +279,7 @@ mod tests {
     fn single_chunk_cost_is_latency_plus_transfer() {
         let e = engine();
         // 1024 bytes at 1 MB/s = 1.024 ms, plus 1 ms latency.
-        let done = e.io(StripeSpec::new(2, 1024), 0, 0, 0.0, 0, 1024);
+        let done = io(&e, StripeSpec::new(2, 1024), 0, 0, 0.0, 0, 1024);
         let expect = 0.001 + 1024.0 / 1_000_000.0;
         assert!(
             (done.completion - expect).abs() < 1e-12,
@@ -293,7 +292,7 @@ mod tests {
     fn chunks_on_distinct_osts_run_in_parallel() {
         let e = engine();
         // 2048 bytes over stripes 0 and 1 -> two OSTs, concurrent service.
-        let done = e.io(StripeSpec::new(2, 1024), 0, 0, 0.0, 0, 2048);
+        let done = io(&e, StripeSpec::new(2, 1024), 0, 0, 0.0, 0, 2048);
         let per_chunk = 0.001 + 1024.0 / 1_000_000.0;
         assert!(
             (done.completion - per_chunk).abs() < 1e-9,
@@ -306,7 +305,7 @@ mod tests {
     fn chunks_on_same_ost_serialize() {
         let e = engine();
         // stripe count 1: both 1024-byte chunks hit OST 0 back-to-back.
-        let done = e.io(StripeSpec::new(1, 1024), 0, 0, 0.0, 0, 2048);
+        let done = io(&e, StripeSpec::new(1, 1024), 0, 0, 0.0, 0, 2048);
         let per_chunk = 0.001 + 1024.0 / 1_000_000.0;
         assert!(
             (done.completion - 2.0 * per_chunk).abs() < 1e-9,
@@ -319,10 +318,10 @@ mod tests {
     fn successive_requests_queue_on_the_ost() {
         let e = engine();
         let s = StripeSpec::new(1, 1024);
-        let d1 = e.io(s, 0, 0, 0.0, 0, 1024);
+        let d1 = io(&e, s, 0, 0, 0.0, 0, 1024);
         // Second client at a different node arrives at t=0 but the OST is
         // busy until d1.
-        let d2 = e.io(s, 0, 1, 0.0, 0, 1024);
+        let d2 = io(&e, s, 0, 1, 0.0, 0, 1024);
         assert!(d2.completion > d1.completion);
     }
 
@@ -338,8 +337,8 @@ mod tests {
         let s = StripeSpec::new(4, 1024);
         // Two ranks on node 0 read distinct stripes (different OSTs), so
         // the server side is parallel but the node link serializes.
-        let d1 = e.io(s, 0, 0, 0.0, 0, 1024);
-        let d2 = e.io(s, 0, 0, 0.0, 1024, 1024);
+        let d1 = io(&e, s, 0, 0, 0.0, 0, 1024);
+        let d2 = io(&e, s, 0, 0, 0.0, 1024, 1024);
         let link = 1024.0 / 500_000.0;
         assert!((d1.completion - link).abs() < 1e-9);
         assert!((d2.completion - 2.0 * link).abs() < 1e-9);
@@ -375,11 +374,11 @@ mod tests {
         let cfg = FsConfig::lustre_comet();
         let e = TimingEngine::new(cfg.perf, cfg.total_osts);
         let s = StripeSpec::new(4, 1 << 20);
-        let base = e.io(s, 0, 0, 0.0, 0, 1 << 20).completion;
+        let base = io(&e, s, 0, 0, 0.0, 0, 1 << 20).completion;
 
         let e2 = TimingEngine::new(cfg.perf, cfg.total_osts);
         e2.set_active_ranks(64); // 16 ranks per OST
-        let shared = e2.io(s, 0, 0, 0.0, 0, 1 << 20).completion;
+        let shared = io(&e2, s, 0, 0, 0.0, 0, 1 << 20).completion;
         assert!(shared > base, "sharing {shared} vs base {base}");
     }
 
@@ -389,8 +388,8 @@ mod tests {
         let s = StripeSpec::new(1, 1024);
         // Same offsets, different ost_base -> land on different OSTs, so no
         // queueing between the two requests.
-        let d1 = e.io(s, 0, 0, 0.0, 0, 1024);
-        let d2 = e.io(s, 1, 1, 0.0, 0, 1024);
+        let d1 = io(&e, s, 0, 0, 0.0, 0, 1024);
+        let d2 = io(&e, s, 1, 1, 0.0, 0, 1024);
         assert_eq!(d1.completion, d2.completion);
     }
 }

@@ -75,67 +75,25 @@ impl SimFile {
 
     /// Timed read of `buf.len()` bytes at `offset`. Short reads at EOF are
     /// allowed (mirrors POSIX/MPI-IO semantics): the returned completion
-    /// carries the byte count actually read.
+    /// carries the byte count actually read. Timed as a one-request
+    /// [`SimFile::read_batch`].
     pub fn read_at(&self, offset: u64, buf: &mut [u8], ctx: &IoCtx) -> Result<IoCompletion> {
-        let data = self.data.read();
-        let file_len = data.len() as u64;
-        if offset > file_len {
-            return Err(PfsError::InvalidRange {
-                offset,
-                len: buf.len() as u64,
-                file_len,
-            });
-        }
-        let n = ((file_len - offset) as usize).min(buf.len());
-        buf[..n].copy_from_slice(&data[offset as usize..offset as usize + n]);
-        drop(data);
-
-        let done = self.engine.io(
-            self.stripe,
-            self.ost_base,
-            ctx.node,
-            ctx.now,
-            offset,
-            n as u64,
-        );
-        self.stats.record_read(
-            n as u64,
-            crate::layout::is_stripe_aligned(self.stripe, offset),
-            &crate::layout::chunks_of(self.stripe, offset, n as u64),
-        );
-        Ok(done)
+        let req = independent(ctx, offset, buf.len());
+        Ok(self.read_batch(&[req], &mut [buf])?[0])
     }
 
     /// Timed write of `buf` at `offset`, extending the file if needed.
+    /// Timed as a one-request [`SimFile::write_batch`].
     pub fn write_at(&self, offset: u64, buf: &[u8], ctx: &IoCtx) -> Result<IoCompletion> {
-        {
-            let mut data = self.data.write();
-            let end = offset as usize + buf.len();
-            if data.len() < end {
-                data.resize(end, 0);
-            }
-            data[offset as usize..end].copy_from_slice(buf);
-        }
-        let done = self.engine.io(
-            self.stripe,
-            self.ost_base,
-            ctx.node,
-            ctx.now,
-            offset,
-            buf.len() as u64,
-        );
-        self.stats.record_write(
-            buf.len() as u64,
-            crate::layout::is_stripe_aligned(self.stripe, offset),
-            &crate::layout::chunks_of(self.stripe, offset, buf.len() as u64),
-        );
-        Ok(done)
+        let req = independent(ctx, offset, buf.len());
+        Ok(self.write_batch(&[req], &[buf])?[0])
     }
 
     /// Deterministic timed batch read used by collective I/O: all requests
     /// are timed in `(now, rank)` order under one lock, and the data for
     /// each is copied out. Returns one completion per request, index
-    /// aligned. Requests beyond EOF are clamped like [`SimFile::read_at`].
+    /// aligned. A request ending past EOF is clamped (a short read); one
+    /// starting past EOF is a [`PfsError::InvalidRange`] error.
     pub fn read_batch(
         &self,
         reqs: &[IoRequest],
@@ -184,11 +142,7 @@ impl SimFile {
             let mut data = self.data.write();
             for (r, buf) in reqs.iter().zip(bufs.iter()) {
                 assert_eq!(r.len, buf.len() as u64, "request length must match buffer");
-                let end = r.offset as usize + buf.len();
-                if data.len() < end {
-                    data.resize(end, 0);
-                }
-                data[r.offset as usize..end].copy_from_slice(buf);
+                place(&mut data, r.offset, buf);
             }
         }
         for r in reqs {
@@ -210,12 +164,7 @@ impl SimFile {
     /// (tests use it to corrupt files in place). Extends the file if
     /// needed.
     pub fn poke(&self, offset: u64, buf: &[u8]) {
-        let mut data = self.data.write();
-        let end = offset as usize + buf.len();
-        if data.len() < end {
-            data.resize(end, 0);
-        }
-        data[offset as usize..end].copy_from_slice(buf);
+        place(&mut self.data.write(), offset, buf);
     }
 
     /// Untimed, unaccounted read (diagnostics and metadata checks that
@@ -231,6 +180,26 @@ impl SimFile {
         buf[..n].copy_from_slice(&data[offset as usize..offset as usize + n]);
         n
     }
+}
+
+/// The request of an independent access of `len` bytes at `offset`.
+fn independent(ctx: &IoCtx, offset: u64, len: usize) -> IoRequest {
+    IoRequest {
+        rank: 0,
+        node: ctx.node,
+        now: ctx.now,
+        offset,
+        len: len as u64,
+    }
+}
+
+/// Places `buf` at `offset`, extending the file with zeros as needed.
+fn place(data: &mut Vec<u8>, offset: u64, buf: &[u8]) {
+    let end = offset as usize + buf.len();
+    if data.len() < end {
+        data.resize(end, 0);
+    }
+    data[offset as usize..end].copy_from_slice(buf);
 }
 
 #[cfg(test)]

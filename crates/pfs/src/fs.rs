@@ -186,11 +186,7 @@ mod tests {
         let fs = SimFs::new(FsConfig::test_tiny());
         let a = fs.create("a", Some(StripeSpec::new(2, 1024))).unwrap();
         let b = fs.create("b", Some(StripeSpec::new(2, 1024))).unwrap();
-        let from = |node| crate::IoCtx {
-            node,
-            now: 0.0,
-            world_nodes: 2,
-        };
+        let from = |node| crate::IoCtx { node, now: 0.0 };
         let first = a.write_at(0, &[1; 1024], &from(0)).unwrap().completion;
         let other_file = b.write_at(0, &[1; 1024], &from(1)).unwrap().completion;
         let same_file = a.write_at(0, &[1; 1024], &from(1)).unwrap().completion;

@@ -38,7 +38,7 @@
 //! file.append(vec![42u8; 4 << 20]);
 //!
 //! let mut buf = vec![0u8; 1 << 20];
-//! let done = file.read_at(0, &mut buf, &IoCtx { node: 0, now: 0.0, world_nodes: 1 }).unwrap();
+//! let done = file.read_at(0, &mut buf, &IoCtx { node: 0, now: 0.0 }).unwrap();
 //! assert_eq!(buf[0], 42);
 //! assert!(done.completion > 0.0); // virtual seconds elapsed
 //! ```

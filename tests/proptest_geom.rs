@@ -530,23 +530,6 @@ proptest! {
         prop_assert_eq!(got, expect);
     }
 
-    #[test]
-    fn rtree_insert_matches_bulk_load_semantics(
-        items in proptest::collection::vec(arb_rect(), 1..80),
-        probe in arb_rect(),
-    ) {
-        let bulk = RTree::bulk_load(items.iter().cloned().zip(0usize..).collect());
-        let mut inc = RTree::new();
-        for (i, r) in items.iter().enumerate() {
-            inc.insert(*r, i);
-        }
-        let mut a: Vec<usize> = bulk.query(&probe).into_iter().copied().collect();
-        let mut b: Vec<usize> = inc.query(&probe).into_iter().copied().collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
-    }
-
     /// The serving filter's true-hit rule, over every geometry variant
     /// (holes, multi-part, nested collections): a rectangle that
     /// contains a geometry's non-empty envelope — flush with it or wider
