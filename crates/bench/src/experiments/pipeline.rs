@@ -1,6 +1,7 @@
 //! Pipeline experiment: the intra-rank streaming ingest
-//! (parse → cell-map → serialize on worker threads) swept over 1/2/4/8
-//! workers.
+//! (parse → cell-map → serialize over modelled worker lanes) swept over
+//! 1/2/4/8 workers. Each rank runs every chunk on its own thread; chunk
+//! `k`'s virtual seconds go to lane `k % workers`.
 //!
 //! Not a paper figure — the paper's ranks are single-threaded — but the
 //! natural extension of its overlap argument: the related parallel-I/O

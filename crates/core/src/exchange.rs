@@ -393,9 +393,9 @@ impl FrameStore {
 }
 
 /// Per-destination payloads that were already serialized upstream — the
-/// streamed batches the ingest pipeline's worker threads produce
-/// ([`crate::pipeline::partition_chunked`]). One buffer and one record
-/// count per destination rank.
+/// batches the ingest pipeline's serialize stage writes chunk by chunk
+/// on the rank's own thread ([`crate::pipeline::partition_chunked`]).
+/// One buffer and one record count per destination rank.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SerializedBatch {
     /// Wire-format bytes destined for each rank (`bufs.len() == world size`).

@@ -8,7 +8,7 @@
 //! improved by one to two orders of magnitude" (§1) — can be measured
 //! rather than asserted.
 
-use super::ReadOptions;
+use super::{ReadOptions, RECORD_DELIMITER};
 use crate::{CoreError, Result};
 use mvio_msim::{Comm, MpiFile, Work};
 use mvio_pfs::SimFs;
@@ -41,7 +41,7 @@ pub fn read_master_scatter(
             off += take;
         }
         // Split on record boundaries into p roughly equal shares.
-        let shares = split_on_records(&buf, p, opts.delimiter);
+        let shares = split_on_records(&buf, p);
         comm.charge(Work::CopyBytes { n: len as u64 });
         let mine = shares[0].to_vec();
         for (rank, share) in shares.iter().enumerate().skip(1) {
@@ -76,7 +76,7 @@ pub fn read_redundant(
         file.read_at(comm, off as u64, &mut buf[off..off + take])?;
         off += take;
     }
-    let shares = split_on_records(&buf, comm.size(), opts.delimiter);
+    let shares = split_on_records(&buf, comm.size());
     let mine = shares[comm.rank()].to_vec();
     comm.charge(Work::CopyBytes { n: len as u64 });
     String::from_utf8(mine)
@@ -86,7 +86,7 @@ pub fn read_redundant(
 /// Splits `buf` into `p` shares on record boundaries: share boundaries
 /// advance to the next delimiter, so every record lands in exactly one
 /// share.
-fn split_on_records(buf: &[u8], p: usize, delim: u8) -> Vec<&[u8]> {
+fn split_on_records(buf: &[u8], p: usize) -> Vec<&[u8]> {
     let len = buf.len();
     let mut bounds = Vec::with_capacity(p + 1);
     bounds.push(0usize);
@@ -98,7 +98,7 @@ fn split_on_records(buf: &[u8], p: usize, delim: u8) -> Vec<&[u8]> {
         // Advance to just past the next delimiter.
         let cut = buf[start..]
             .iter()
-            .position(|&b| b == delim)
+            .position(|&b| b == RECORD_DELIMITER)
             .map(|i| start + i + 1)
             .unwrap_or(len);
         bounds.push(cut.max(from_prev));
@@ -137,7 +137,7 @@ mod tests {
     #[test]
     fn split_on_records_partitions_exactly() {
         let buf = b"aa\nbbb\nc\ndddd\ne\n";
-        let shares = split_on_records(buf, 3, b'\n');
+        let shares = split_on_records(buf, 3);
         assert_eq!(shares.len(), 3);
         let total: usize = shares.iter().map(|s| s.len()).sum();
         assert_eq!(total, buf.len());

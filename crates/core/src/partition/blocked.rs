@@ -1,7 +1,7 @@
 //! Algorithm 1: iterative block reading with message-based boundary
 //! repair (the paper's "dynamic file partitioning").
 
-use super::{last_delim_pos, ReadOptions};
+use super::{last_delim_pos, ReadOptions, RECORD_DELIMITER};
 use crate::{CoreError, Result};
 use mvio_msim::{AccessLevel, Comm, MpiFile, Work};
 
@@ -24,7 +24,6 @@ pub fn read_blocked(comm: &mut Comm, file: &MpiFile, opts: &ReadOptions) -> Resu
     let n = comm.size() as u64;
     let rank = comm.rank() as u64;
     let file_size = file.len();
-    let delim = opts.delimiter;
 
     if file_size == 0 {
         return Ok(String::new());
@@ -92,7 +91,7 @@ pub fn read_blocked(comm: &mut Comm, file: &MpiFile, opts: &ReadOptions) -> Resu
         let (body, mut tail): (&[u8], &[u8]) = if at_eof {
             (block_bytes, &[][..])
         } else {
-            match last_delim_pos(block_bytes, delim) {
+            match last_delim_pos(block_bytes) {
                 Some(pos) => (&block_bytes[..=pos], &block_bytes[pos + 1..]),
                 None => {
                     if latched.is_none() {
@@ -142,8 +141,8 @@ pub fn read_blocked(comm: &mut Comm, file: &MpiFile, opts: &ReadOptions) -> Resu
         });
         out.extend_from_slice(&incoming);
         out.extend_from_slice(body);
-        if at_eof && out.last() != Some(&delim) && !out.is_empty() {
-            out.push(delim); // normalize the virtual EOF delimiter
+        if at_eof && out.last() != Some(&RECORD_DELIMITER) && !out.is_empty() {
+            out.push(RECORD_DELIMITER); // normalize the virtual EOF delimiter
         }
     }
 
@@ -151,7 +150,7 @@ pub fn read_blocked(comm: &mut Comm, file: &MpiFile, opts: &ReadOptions) -> Resu
     // last record (empty when the file ends with a delimiter).
     if rank == 0 && !carry.is_empty() {
         out.extend_from_slice(&carry);
-        out.push(delim);
+        out.push(RECORD_DELIMITER);
     }
 
     if let Some(err) = latched {
@@ -347,7 +346,6 @@ mod tests {
             strategy: BoundaryStrategy::Message,
             block_size: Some(512),
             max_geometry_bytes: 4096,
-            delimiter: b'\n',
             hints: Hints::default(),
         };
         World::run(WorldConfig::new(Topology::new(1, 4)), |comm| {

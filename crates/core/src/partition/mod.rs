@@ -29,6 +29,11 @@ use mvio_msim::{AccessLevel, Comm, Hints, MpiFile};
 use mvio_pfs::SimFs;
 use std::sync::Arc;
 
+/// The one record delimiter: every partitioned read, the chunk splitter
+/// and the record parser cut text files on newlines (one WKT record per
+/// line).
+pub const RECORD_DELIMITER: u8 = b'\n';
+
 /// How block-boundary record splits are repaired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BoundaryStrategy {
@@ -54,8 +59,6 @@ pub struct ReadOptions {
     /// (message strategy) and the halo (overlap strategy). The paper uses
     /// 11 MB — its largest OSM polygon.
     pub max_geometry_bytes: u64,
-    /// Record delimiter (newline for WKT-per-line files).
-    pub delimiter: u8,
     /// MPI-IO hints used when opening the file.
     pub hints: Hints,
 }
@@ -67,7 +70,6 @@ impl Default for ReadOptions {
             strategy: BoundaryStrategy::Message,
             block_size: None,
             max_geometry_bytes: 11 << 20,
-            delimiter: b'\n',
             hints: Hints::default(),
         }
     }
@@ -136,11 +138,12 @@ pub fn read_partition_text(
     }
 }
 
-/// Scans backwards from the end of `buf` for the last `delim`; returns its
-/// index, or `None` when the buffer holds no delimiter at all (a record
-/// larger than the block — the case the paper sizes blocks to avoid).
-pub(crate) fn last_delim_pos(buf: &[u8], delim: u8) -> Option<usize> {
-    buf.iter().rposition(|&b| b == delim)
+/// Scans backwards from the end of `buf` for the last
+/// [`RECORD_DELIMITER`]; returns its index, or `None` when the buffer
+/// holds no delimiter at all (a record larger than the block — the case
+/// the paper sizes blocks to avoid).
+pub(crate) fn last_delim_pos(buf: &[u8]) -> Option<usize> {
+    buf.iter().rposition(|&b| b == RECORD_DELIMITER)
 }
 
 #[cfg(test)]
@@ -149,10 +152,10 @@ mod tests {
 
     #[test]
     fn last_delim_scan() {
-        assert_eq!(last_delim_pos(b"ab\ncd\nef", b'\n'), Some(5));
-        assert_eq!(last_delim_pos(b"ab\n", b'\n'), Some(2));
-        assert_eq!(last_delim_pos(b"abcdef", b'\n'), None);
-        assert_eq!(last_delim_pos(b"", b'\n'), None);
+        assert_eq!(last_delim_pos(b"ab\ncd\nef"), Some(5));
+        assert_eq!(last_delim_pos(b"ab\n"), Some(2));
+        assert_eq!(last_delim_pos(b"abcdef"), None);
+        assert_eq!(last_delim_pos(b""), None);
     }
 
     #[test]
@@ -193,6 +196,5 @@ mod tests {
         let o = ReadOptions::default();
         assert_eq!(o.max_geometry_bytes, 11 << 20); // the 11 MB bound
         assert_eq!(o.strategy, BoundaryStrategy::Message); // the winner
-        assert_eq!(o.delimiter, b'\n');
     }
 }

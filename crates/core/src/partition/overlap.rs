@@ -1,7 +1,7 @@
 //! Overlap (halo) file partitioning: the redundant-read alternative that
 //! Figure 10 benchmarks against Algorithm 1.
 
-use super::ReadOptions;
+use super::{ReadOptions, RECORD_DELIMITER};
 use crate::{CoreError, Result};
 use mvio_msim::{AccessLevel, Comm, MpiFile, Work};
 
@@ -20,7 +20,6 @@ pub fn read_overlap(comm: &mut Comm, file: &MpiFile, opts: &ReadOptions) -> Resu
     let n = comm.size() as u64;
     let rank = comm.rank() as u64;
     let file_size = file.len();
-    let delim = opts.delimiter;
 
     if file_size == 0 {
         return Ok(String::new());
@@ -77,10 +76,13 @@ pub fn read_overlap(comm: &mut Comm, file: &MpiFile, opts: &ReadOptions) -> Resu
         // record begins: at `start` itself when the previous byte is a
         // delimiter (or the file begins here); otherwise after the first
         // delimiter at or beyond `start`.
-        let begin = if lead == 0 || buf[0] == delim {
+        let begin = if lead == 0 || buf[0] == RECORD_DELIMITER {
             lead as usize
         } else {
-            match buf[lead as usize..].iter().position(|&b| b == delim) {
+            match buf[lead as usize..]
+                .iter()
+                .position(|&b| b == RECORD_DELIMITER)
+            {
                 Some(p) => lead as usize + p + 1,
                 None => continue, // my whole block is a predecessor's record interior
             }
@@ -95,7 +97,7 @@ pub fn read_overlap(comm: &mut Comm, file: &MpiFile, opts: &ReadOptions) -> Resu
         let mut end = begin;
         while pos < block_end_rel.min(buf.len()) {
             // Record starting at `pos` (owned). Find its terminator.
-            match buf[pos..].iter().position(|&b| b == delim) {
+            match buf[pos..].iter().position(|&b| b == RECORD_DELIMITER) {
                 Some(p) => {
                     end = pos + p + 1;
                     pos = end;
@@ -122,8 +124,8 @@ pub fn read_overlap(comm: &mut Comm, file: &MpiFile, opts: &ReadOptions) -> Resu
                 n: (end - begin) as u64,
             });
             out.extend_from_slice(&buf[begin..end]);
-            if out.last() != Some(&delim) {
-                out.push(delim); // normalize a missing EOF delimiter
+            if out.last() != Some(&RECORD_DELIMITER) {
+                out.push(RECORD_DELIMITER); // normalize a missing EOF delimiter
             }
         }
     }

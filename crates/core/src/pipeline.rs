@@ -1,16 +1,16 @@
-//! The intra-rank streaming ingest pipeline: multi-threaded
-//! parse → cell-map → serialize with deterministic merge.
+//! The intra-rank streaming ingest pipeline: chunked parse → cell-map →
+//! serialize over modelled worker lanes.
 //!
 //! The paper's end-to-end win comes from overlapping I/O, parsing and
 //! spatial partitioning. This module is the one text front half every
 //! text workload runs on ([`ingest_layers`]: ingest, join, range and
-//! batch query, index build), and it fans each compute stage out to
-//! worker threads:
+//! batch query, index build), and it splits each compute stage into
+//! chunks charged to worker lanes:
 //!
 //! 1. the rank's record buffer is split into record-aligned **chunks**
 //!    ([`split_record_chunks`]);
-//! 2. N workers pull chunks from an MPMC channel and parse them into
-//!    per-chunk feature batches ([`parse_chunked`]);
+//! 2. the chunks are parsed, in order, into per-chunk feature batches
+//!    ([`parse_chunked`]);
 //! 3. a second fan-out maps each parsed batch onto grid cells, sizing
 //!    every replica's record, and a third serializes the replicas
 //!    straight into exactly sized per-destination wire buffers
@@ -32,25 +32,27 @@
 //!
 //! # Determinism
 //!
-//! Output is **bit-identical to the sequential path regardless of worker
-//! count**: chunk boundaries depend only on the input and the chunk-size
-//! knobs (never on the worker count or OS scheduling), and the merge
-//! concatenates per-chunk results in ascending chunk order. The existing
-//! test suite therefore doubles as a correctness oracle for the pipeline.
+//! MPI-Vector-IO runs one single-threaded process per core, and so does
+//! this pipeline: every stage runs on the rank's own thread, and its
+//! workers are **modelled lanes**, not threads. Output is
+//! **bit-identical to the sequential path regardless of worker count**:
+//! chunk boundaries depend only on the input and the chunk-size knobs
+//! (never on the worker count), and per-chunk results are concatenated
+//! in ascending chunk order. The existing test suite therefore doubles
+//! as a correctness oracle for the pipeline.
 //!
-//! Virtual-time accounting is equally deterministic: worker threads
-//! cannot touch the rank's [`Comm`] clock, so each chunk's work is
-//! charged to a [`WorkTally`] and folded into per-worker *lanes* by the
-//! fixed rule `lane = chunk_index % workers`. The rank clock then
-//! advances by the **slowest lane** ([`Comm::advance_parallel`]) — the
-//! virtual wall-time of a perfectly overlapped parallel region. With one
-//! worker the parse stage charges exactly what a record-by-record parse
-//! would (the lane is the sequential sum); the cell-map stage charges
-//! the grid-filter lookup (`Work::RtreeQueries`, the paper's cell-filter
-//! mechanism) and the serialize stage `Work::SerializeGeoms` per
-//! replica, each as its own slowest lane. Either way the reported speedup
-//! at `w` workers is a property of the partitioned work, not of the
-//! host machine.
+//! Virtual-time accounting is equally deterministic: each chunk's work
+//! is charged to its own [`WorkTally`] and added onto a lane by the
+//! fixed rule `lane = chunk_index % workers`, in chunk order. The rank
+//! clock then advances by the **slowest lane**
+//! ([`Comm::advance_parallel`]) — the virtual wall-time of a perfectly
+//! overlapped parallel region. With one worker the parse stage charges
+//! exactly what a record-by-record parse would (the lane is the
+//! sequential sum); the cell-map stage charges the grid-filter lookup
+//! (`Work::RtreeQueries`, the paper's cell-filter mechanism) and the
+//! serialize stage `Work::SerializeGeoms` per replica, each as its own
+//! slowest lane. Either way the reported speedup at `w` workers is a
+//! property of the partitioned work, not of the host machine.
 //!
 //! # Worker count
 //!
@@ -107,13 +109,12 @@ use crate::exchange::{
     emit_record, exchange_serialized, ExchangeChunk, ExchangePlan, ExchangeRound, ExchangeStats,
     FrameStore, SerializedBatch, RECORD_OVERHEAD,
 };
-use crate::partition::{read_partition_text, ReadOptions};
+use crate::partition::{read_partition_text, ReadOptions, RECORD_DELIMITER};
 use crate::reader::{parse_records_into, GeometryParser};
 pub use crate::snapshot::{
     read_partitioned, write_partitioned, SnapshotReadOptions, SnapshotWriteOptions,
 };
 use crate::{CoreError, Feature, Result};
-use crossbeam::channel;
 use mvio_geom::wkb;
 use mvio_msim::{Comm, Work, WorkTally};
 use mvio_pfs::SimFs;
@@ -122,8 +123,8 @@ use std::sync::Arc;
 /// Knobs for the streaming ingest pipeline.
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineOptions {
-    /// Worker threads per stage (default 1; clamped to
-    /// `1..=`[`MAX_WORKERS`]).
+    /// Modelled worker lanes per stage (default 1; clamped to
+    /// `1..=`[`MAX_WORKERS`]). Every stage runs on the rank's own thread.
     pub workers: usize,
     /// Target bytes per parse chunk (record-aligned; a chunk never splits
     /// a record).
@@ -168,15 +169,15 @@ impl PipelineOptions {
     }
 }
 
-/// Upper bound on the worker count. Each rank thread spawns its own
-/// workers, so a runaway request must clamp rather than exhaust OS
-/// threads inside `thread::scope`.
+/// Upper bound on the worker count. It bounds the lane vectors each
+/// stage allocates, not OS threads: lanes are modelled on the rank's own
+/// thread.
 pub const MAX_WORKERS: usize = 64;
 
 /// Counters describing one pipeline run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineStats {
-    /// Worker threads used.
+    /// Modelled worker lanes used.
     pub workers: usize,
     /// Record-aligned text chunks parsed.
     pub parse_chunks: u64,
@@ -194,7 +195,7 @@ pub struct PipelineStats {
 /// each: every chunk ends on a record delimiter (or the end of input), so
 /// chunks can be parsed independently. Boundaries depend only on the
 /// input and the target — never on the worker count — which is what makes
-/// the parallel merge bit-identical to the sequential scan.
+/// the lane fold independent of how the chunks are grouped.
 pub fn split_record_chunks(text: &str, target_bytes: usize) -> Vec<&str> {
     let target = target_bytes.max(1);
     let mut out = Vec::new();
@@ -204,7 +205,7 @@ pub fn split_record_chunks(text: &str, target_bytes: usize) -> Vec<&str> {
         // the byte offset is always a valid char boundary.
         match rest.as_bytes()[target - 1..]
             .iter()
-            .position(|&b| b == b'\n')
+            .position(|&b| b == RECORD_DELIMITER)
         {
             Some(off) => {
                 let cut = target + off;
@@ -220,82 +221,30 @@ pub fn split_record_chunks(text: &str, target_bytes: usize) -> Vec<&str> {
     out
 }
 
-/// Runs `job` over `jobs.len()` indexed work items on `workers` threads
-/// fed by an MPMC channel, returning results ordered by job index and the
-/// per-lane virtual-second totals (`lane = index % lanes`). The
-/// single-worker case runs inline — same code path, no threads.
-fn fan_out<J, O>(
-    workers: usize,
-    jobs: Vec<J>,
-    job: impl Fn(&J) -> (O, f64) + Sync,
-) -> (Vec<O>, Vec<f64>)
-where
-    J: Sync,
-    O: Send,
-{
-    let n = jobs.len();
-    let lanes_n = workers.min(n).max(1);
-    let mut secs_by_idx = vec![0.0f64; n];
-    let mut results: Vec<Option<O>> = (0..n).map(|_| None).collect();
-
-    if lanes_n <= 1 {
-        for (i, j) in jobs.iter().enumerate() {
+/// Runs `job` over `jobs` in order on the rank's own thread, returning
+/// the results in job order and the per-lane virtual-second totals: job
+/// `k`'s seconds go to modelled lane `k % lanes`, added in ascending `k`.
+fn fan_out<J, O>(workers: usize, jobs: Vec<J>, job: impl Fn(&J) -> (O, f64)) -> (Vec<O>, Vec<f64>) {
+    let mut lanes = vec![0.0f64; workers.min(jobs.len()).max(1)];
+    let n = lanes.len();
+    let results = jobs
+        .iter()
+        .enumerate()
+        .map(|(k, j)| {
             let (out, secs) = job(j);
-            secs_by_idx[i] = secs;
-            results[i] = Some(out);
-        }
-    } else {
-        std::thread::scope(|s| {
-            let (job_tx, job_rx) = channel::unbounded::<(usize, &J)>();
-            let (res_tx, res_rx) = channel::unbounded::<(usize, O, f64)>();
-            for _ in 0..lanes_n {
-                let job_rx = job_rx.clone();
-                let res_tx = res_tx.clone();
-                let job = &job;
-                s.spawn(move || {
-                    while let Ok((idx, item)) = job_rx.recv() {
-                        let (out, secs) = job(item);
-                        if res_tx.send((idx, out, secs)).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(res_tx);
-            for pair in jobs.iter().enumerate() {
-                // audit: workers hold the receiver until `job_tx` drops below; a failed send means a worker panicked, and propagating that panic is intended.
-                job_tx.send(pair).expect("workers alive");
-            }
-            drop(job_tx);
-            for _ in 0..n {
-                // audit: a recv error means a worker panicked mid-job; propagating the panic is intended.
-                let (idx, out, secs) = res_rx.recv().expect("worker panicked");
-                secs_by_idx[idx] = secs;
-                results[idx] = Some(out);
-            }
-        });
-    }
-    // Deterministic lane accounting: fold per-chunk seconds in ascending
-    // chunk order, never completion order — f64 addition is not
-    // associative, so summing as results arrive would make the virtual
-    // clock depend on OS scheduling at the ULP level.
-    let mut lanes = vec![0.0f64; lanes_n];
-    for (idx, secs) in secs_by_idx.iter().enumerate() {
-        lanes[idx % lanes_n] += secs;
-    }
-    let results = results
-        .into_iter()
-        // audit: the collection loop above stored exactly one result per job index.
-        .map(|r| r.expect("every job produced a result"))
+            lanes[k % n] += secs;
+            out
+        })
         .collect();
     (results, lanes)
 }
 
-/// Parallel parse stage: splits `text` into record-aligned chunks, parses
-/// them on worker threads, and merges the per-chunk feature batches in
-/// chunk order. The feature vector is bit-identical to
-/// [`crate::reader::parse_buffer_serial`] for any worker count; the clock
-/// advances by the slowest deterministic worker lane.
+/// Chunked parse stage: splits `text` into record-aligned chunks, parses
+/// them in order on the rank's own thread, and concatenates the
+/// per-chunk feature batches. The feature vector is bit-identical to
+/// [`crate::reader::parse_buffer_serial`] for any worker count; chunk
+/// `k`'s seconds go to modelled lane `k % workers`, and the clock
+/// advances by the slowest lane.
 /// Not collective — local parse; the communicator only charges the
 /// worker lanes.
 pub fn parse_chunked(
@@ -439,8 +388,9 @@ impl<'a> Partition<'a> {
         Ok(())
     }
 
-    /// The parallel cell-map stage: maps feature chunks onto cells on
-    /// worker threads and advances the clock by the slowest lane.
+    /// The cell-map stage: maps feature chunks onto cells in order on
+    /// the rank's own thread, chunk `k`'s seconds on modelled lane
+    /// `k % workers`, and advances the clock by the slowest lane.
     /// Not collective — the communicator only charges the worker lanes.
     pub(crate) fn map(&self, comm: &mut Comm, opts: &PipelineOptions) -> Vec<ChunkCells> {
         let cost = *comm.cost_model();
@@ -453,22 +403,12 @@ impl<'a> Partition<'a> {
         maps
     }
 
-    /// An empty batch whose buffers hold exactly `sizes` bytes.
-    fn batch(&self, sizes: &[usize]) -> SerializedBatch {
-        let mut out = SerializedBatch::empty(self.decomp.num_ranks());
-        out.bufs
-            .iter_mut()
-            .zip(sizes)
-            .for_each(|(buf, &n)| buf.reserve_exact(n));
-        out
-    }
-
-    /// The parallel serialize stage over [`Partition::map`]'s chunks: one
-    /// batch, every buffer allocated once at its exact size.
-    /// One lane writes straight into the batch; more lanes fill exactly
-    /// sized buffers per chunk, appended in chunk order, so the bytes do
-    /// not depend on the worker count. Advances the clock by the slowest
-    /// lane. Not collective — the communicator only charges the lanes.
+    /// The serialize stage over [`Partition::map`]'s chunks, on the
+    /// rank's own thread: every chunk writes straight into one batch whose
+    /// buffers are allocated once at their exact size, and chunk `k`'s
+    /// seconds go to modelled lane `k % workers`. Advances the clock by
+    /// the slowest lane. Not collective — the communicator only charges
+    /// the lanes.
     pub(crate) fn serialize(
         &self,
         comm: &mut Comm,
@@ -476,34 +416,17 @@ impl<'a> Partition<'a> {
         opts: &PipelineOptions,
     ) -> Result<(SerializedBatch, PipelineStats)> {
         let (workers, cost) = (opts.effective_workers(), *comm.cost_model());
-        let mut total = vec![0; self.decomp.num_ranks()];
-        for map in maps {
-            total.iter_mut().zip(&map.sizes).for_each(|(t, n)| *t += n);
+        let mut out = SerializedBatch::empty(self.decomp.num_ranks());
+        for (dst, buf) in out.bufs.iter_mut().enumerate() {
+            buf.reserve_exact(maps.iter().map(|map| map.sizes[dst]).sum());
         }
-        let mut out = self.batch(&total);
-        let lanes = if workers.min(maps.len()) <= 1 {
-            let (mut lane, mut scratch) = (0.0f64, Vec::new());
-            for map in maps {
-                let mut tally = WorkTally::new(cost);
-                self.serialize_chunk(map, &mut tally, &mut scratch, &mut out)?;
-                lane += tally.seconds();
-            }
-            vec![lane]
-        } else {
-            let (parts, lanes) = fan_out(workers, maps.iter().collect(), |map| {
-                let (mut tally, mut part) = (WorkTally::new(cost), self.batch(&map.sizes));
-                let r = self.serialize_chunk(map, &mut tally, &mut Vec::new(), &mut part);
-                (r.map(|()| part), tally.seconds())
-            });
-            // The lowest failed chunk's error: what a sequential scan hits first.
-            for part in parts.into_iter().collect::<Result<Vec<_>>>()? {
-                for (dst, buf) in part.bufs.iter().enumerate() {
-                    out.bufs[dst].extend_from_slice(buf);
-                    out.records[dst] += part.records[dst];
-                }
-            }
-            lanes
-        };
+        let mut lanes = vec![0.0f64; workers.min(maps.len()).max(1)];
+        let (n, mut scratch) = (lanes.len(), Vec::new());
+        for (k, map) in maps.iter().enumerate() {
+            let mut tally = WorkTally::new(cost);
+            self.serialize_chunk(map, &mut tally, &mut scratch, &mut out)?;
+            lanes[k % n] += tally.seconds();
+        }
         comm.advance_parallel(&lanes);
         let stats = PipelineStats {
             workers,
@@ -916,6 +839,87 @@ mod tests {
     }
 
     #[test]
+    fn lane_fold_is_bit_exact() {
+        // Each stage's clock advance at w lanes is exactly the slowest
+        // lane of the per-chunk seconds, each taken from a one-chunk run
+        // at one lane and added in chunk order onto lane k % w.
+        let text = sample_text(300);
+        let feats = parse_buffer_serial(&text, &WktLineParser).unwrap();
+        let grid = UniformGrid::new(Rect::new(0.0, 0.0, 30.0, 75.0), GridSpec::square(8));
+        let policy = DecompPolicy::Uniform(CellMap::RoundRobin);
+        let decomp = Decomposition::new(grid, policy, None, 3).unwrap();
+        let opts = |workers: usize| {
+            PipelineOptions::default()
+                .with_workers(workers)
+                .with_parse_chunk_bytes(512)
+                .with_partition_chunk_records(17)
+        };
+        // A fresh rank's clock starts at 0: the clock after a stage is
+        // its advance, bit for bit.
+        let clock_after = |stage: &(dyn Fn(&mut Comm) + Sync)| {
+            World::run(WorldConfig::new(Topology::single_node(1)), |comm| {
+                stage(comm);
+                comm.now()
+            })[0]
+        };
+        let max_lane = |secs: &[f64], workers: usize| {
+            let mut lanes = vec![0.0f64; workers];
+            for (k, s) in secs.iter().enumerate() {
+                lanes[k % workers] += s;
+            }
+            lanes.into_iter().fold(0.0f64, f64::max)
+        };
+
+        let one = opts(1).with_parse_chunk_bytes(usize::MAX);
+        let parse: Vec<f64> = split_record_chunks(&text, 512)
+            .into_iter()
+            .map(|chunk| {
+                clock_after(&|c| {
+                    parse_chunked(c, chunk, &WktLineParser, &one).unwrap();
+                })
+            })
+            .collect();
+        let (mut map, mut serialize, mut maps) = (Vec::new(), Vec::new(), Vec::new());
+        let cost = mvio_msim::CostModel::calibrated();
+        for range in partition_ranges(feats.len(), 17) {
+            let sub = Partition::new(&decomp, &feats[range.clone()]);
+            let one = opts(1).with_partition_chunk_records(range.len());
+            map.push(clock_after(&|c| {
+                sub.map(c, &one);
+            }));
+            let cells = sub.map_chunk(0..range.len(), &mut WorkTally::new(cost));
+            serialize.push(clock_after(&|c| {
+                sub.serialize(c, std::slice::from_ref(&cells), &one)
+                    .unwrap();
+            }));
+            maps.push(Partition::new(&decomp, &feats).map_chunk(range, &mut WorkTally::new(cost)));
+        }
+        assert!(parse.len() > 8 && map.len() > 8, "more chunks than lanes");
+
+        let part = Partition::new(&decomp, &feats);
+        for workers in [2, 3, 8] {
+            let opts = opts(workers);
+            let parsed = clock_after(&|c| {
+                parse_chunked(c, &text, &WktLineParser, &opts).unwrap();
+            });
+            assert_eq!(parsed, max_lane(&parse, workers), "parse, w={workers}");
+            let mapped = clock_after(&|c| {
+                part.map(c, &opts);
+            });
+            assert_eq!(mapped, max_lane(&map, workers), "map, w={workers}");
+            let serialized = clock_after(&|c| {
+                part.serialize(c, &maps, &opts).unwrap();
+            });
+            assert_eq!(
+                serialized,
+                max_lane(&serialize, workers),
+                "serialize, w={workers}"
+            );
+            assert!(serialized < serialize.iter().sum::<f64>(), "lanes overlap");
+        }
+    }
+
+    #[test]
     fn parse_errors_surface_the_first_bad_record() {
         let mut text = sample_text(50);
         text.push_str("POLYGON ((broken\n");
@@ -1185,7 +1189,7 @@ mod tests {
         assert_eq!(PipelineOptions::default().effective_workers(), 1);
         assert_eq!(workers(3), 3);
         assert_eq!(workers(0), 1);
-        // Runaway requests clamp instead of exhausting OS threads.
+        // Runaway requests clamp the lane count.
         assert_eq!(workers(1_000_000), MAX_WORKERS);
     }
 }

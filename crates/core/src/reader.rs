@@ -8,6 +8,7 @@
 //! that interface; [`WktLineParser`] and [`CsvPointParser`] are the two
 //! built-ins the paper's datasets need.
 
+use crate::partition::RECORD_DELIMITER;
 use crate::{CoreError, Feature, Result};
 use mvio_geom::{wkt, Geometry, Point};
 use mvio_msim::ShapeClass;
@@ -118,19 +119,20 @@ impl GeometryParser for CsvPointParser {
     }
 }
 
-/// The non-blank records of a newline-delimited buffer, with trailing
-/// `\r` stripped — the record stream every parse path iterates.
+/// The non-blank records of a buffer cut on [`RECORD_DELIMITER`], with
+/// trailing `\r` stripped — the record stream every parse path iterates.
 pub fn records(text: &str) -> impl Iterator<Item = &str> {
-    text.split('\n')
+    text.split(char::from(RECORD_DELIMITER))
         .map(|r| r.trim_end_matches('\r'))
         .filter(|r| !r.trim().is_empty())
 }
 
 /// Streaming parse core: appends every record of `text` to the reusable
 /// `out` buffer, reporting each record's `(bytes, shape class)` to
-/// `charge` before parsing it. The ingest pipeline's worker threads
-/// charge a [`mvio_msim::WorkTally`] through it. Returns the number of
-/// records appended.
+/// `charge` before parsing it. The ingest pipeline charges each chunk's
+/// own [`mvio_msim::WorkTally`] through it, on the rank's thread, so the
+/// chunk's seconds can go to a modelled worker lane. Returns the number
+/// of records appended.
 pub fn parse_records_into(
     text: &str,
     parser: &dyn GeometryParser,

@@ -445,11 +445,6 @@ impl Rebalancer {
         policy.resolve().map(|t| Self::new(t, sd, store))
     }
 
-    /// The imbalance threshold in force.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
     /// The live drift histogram (updated by [`apply_updates`] via the
     /// `tracker` parameter).
     pub fn tracker_mut(&mut self) -> &mut DriftTracker {

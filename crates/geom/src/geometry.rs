@@ -109,17 +109,6 @@ impl Geometry {
             Geometry::GeometryCollection(c) => c.num_points(),
         }
     }
-
-    /// `true` for the zero-area shape classes (points and lines).
-    pub fn is_puntal_or_lineal(&self) -> bool {
-        matches!(
-            self,
-            Geometry::Point(_)
-                | Geometry::LineString(_)
-                | Geometry::MultiPoint(_)
-                | Geometry::MultiLineString(_)
-        )
-    }
 }
 
 impl From<Point> for Geometry {
@@ -191,7 +180,6 @@ mod tests {
         assert_eq!(g.geometry_type(), GeometryType::Point);
         assert_eq!(g.num_points(), 1);
         assert_eq!(g.envelope(), Rect::new(1.0, 2.0, 1.0, 2.0));
-        assert!(g.is_puntal_or_lineal());
     }
 
     #[test]
@@ -207,7 +195,6 @@ mod tests {
         )
         .unwrap();
         let g: Geometry = p.into();
-        assert!(!g.is_puntal_or_lineal());
         assert_eq!(g.geometry_type().wkt_keyword(), "POLYGON");
     }
 }

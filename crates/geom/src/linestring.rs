@@ -52,12 +52,6 @@ impl LineString {
         self.segments().map(|(a, b)| a.distance(&b)).sum()
     }
 
-    /// `true` when the first and last vertices coincide exactly.
-    #[inline]
-    pub fn is_closed(&self) -> bool {
-        self.points.first() == self.points.last()
-    }
-
     /// Minimum bounding rectangle.
     pub fn envelope(&self) -> Rect {
         Rect::from_points(&self.points)
@@ -104,12 +98,6 @@ mod tests {
         assert_eq!(segs.len(), 2);
         assert_eq!(segs[0], (Point::new(0.0, 0.0), Point::new(1.0, 0.0)));
         assert_eq!(segs[1], (Point::new(1.0, 0.0), Point::new(1.0, 1.0)));
-    }
-
-    #[test]
-    fn closed_detection() {
-        assert!(!ls(&[(0.0, 0.0), (1.0, 1.0)]).is_closed());
-        assert!(ls(&[(0.0, 0.0), (1.0, 1.0), (0.0, 0.0)]).is_closed());
     }
 
     #[test]

@@ -60,11 +60,6 @@ impl Ring {
         acc * 0.5
     }
 
-    /// `true` if the vertices wind counter-clockwise.
-    pub fn is_ccw(&self) -> bool {
-        self.signed_area() > 0.0
-    }
-
     /// Minimum bounding rectangle of the ring.
     pub fn envelope(&self) -> Rect {
         Rect::from_points(&self.points)
@@ -183,7 +178,6 @@ mod tests {
             (0.0, 0.0),
         ]))
         .unwrap();
-        assert!(ccw.is_ccw());
         assert_eq!(ccw.signed_area(), 1.0);
         let cw = Ring::new(pts(&[
             (0.0, 0.0),
@@ -193,7 +187,6 @@ mod tests {
             (0.0, 0.0),
         ]))
         .unwrap();
-        assert!(!cw.is_ccw());
         assert_eq!(cw.signed_area(), -1.0);
     }
 

@@ -228,20 +228,6 @@ impl Rect {
         *self = self.union(other);
     }
 
-    /// Returns the rectangle enlarged by `margin` on every side.
-    #[inline]
-    pub fn buffered(&self, margin: f64) -> Rect {
-        if self.is_empty() {
-            return *self;
-        }
-        Rect {
-            min_x: self.min_x - margin,
-            min_y: self.min_y - margin,
-            max_x: self.max_x + margin,
-            max_y: self.max_y + margin,
-        }
-    }
-
     /// Serializes to the 4-double array used by the `MPI_RECT` datatype.
     #[inline]
     pub fn to_array(&self) -> [f64; 4] {
@@ -395,12 +381,5 @@ mod tests {
     fn array_round_trip() {
         let r = Rect::new(-1.0, -2.0, 3.5, 4.25);
         assert_eq!(Rect::from_array(r.to_array()), r);
-    }
-
-    #[test]
-    fn buffered_grows_every_side() {
-        let r = Rect::new(0.0, 0.0, 1.0, 1.0).buffered(0.5);
-        assert_eq!(r, Rect::new(-0.5, -0.5, 1.5, 1.5));
-        assert!(Rect::EMPTY.buffered(1.0).is_empty());
     }
 }

@@ -1,6 +1,6 @@
 //! Workspace source lint — `cargo run -p lint`.
 //!
-//! A zero-dependency scanner enforcing four repo-specific rules that
+//! A zero-dependency scanner enforcing five repo-specific rules that
 //! `rustc`/`clippy` cannot express. R1–R3 share one failure class: this
 //! codebase is SPMD over collectives, where a single rank panicking or
 //! diverging strands every peer at its next rendezvous.
@@ -26,6 +26,12 @@
 //! * **R4 `engine-reads-views`** — non-test code under `crates/sjoin/src`
 //!   builds no geometry from a wire frame (`.to_feature(`, `wkb::decode(`,
 //!   `wkb::decode_all(`): the engine reads frames as zero-copy views.
+//! * **R5 `one-thread-per-rank`** — non-test library code spawns no
+//!   thread (`thread::spawn(`, `thread::scope(`, `thread::Builder`)
+//!   outside `crates/msim/src/world.rs`. MPI-Vector-IO runs one
+//!   single-threaded process per core, so the simulator runs one OS
+//!   thread per rank; parallelism inside a rank is modelled as worker
+//!   lanes, not executed.
 //!
 //! Scope: `src/` trees of the workspace library crates and the root
 //! crate. Excluded: `crates/bench` (experiment harness, panics are its
@@ -56,7 +62,7 @@ pub struct Finding {
     /// 1-based line number.
     pub line: usize,
     /// Rule identifier (`no-panic`, `checked-narrowing`,
-    /// `collective-contract`, `engine-reads-views`).
+    /// `collective-contract`, `engine-reads-views`, `one-thread-per-rank`).
     pub rule: &'static str,
     /// Human-readable description, including the offending snippet.
     pub message: String,
@@ -106,6 +112,7 @@ fn main() {
         rules::checked_narrowing(&rel, &masked, &mut findings);
         rules::collective_contract(&rel, &masked, &mut findings);
         rules::engine_reads_views(&rel, &masked, &mut findings);
+        rules::one_thread_per_rank(&rel, &masked, &mut findings);
     }
 
     for f in &findings {

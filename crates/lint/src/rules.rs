@@ -148,6 +148,35 @@ pub fn engine_reads_views(path: &Path, m: &MaskedFile, out: &mut Vec<Finding>) {
     }
 }
 
+/// R5: one thread per rank — non-test library code spawns no thread
+/// (`thread::spawn(`, `thread::scope(`, `thread::Builder`) outside
+/// `crates/msim/src/world.rs`, which runs each simulated rank on its own
+/// OS thread. Parallelism inside a rank is modelled as worker lanes, not
+/// executed.
+pub fn one_thread_per_rank(path: &Path, m: &MaskedFile, out: &mut Vec<Finding>) {
+    if path == Path::new("crates/msim/src/world.rs") {
+        return;
+    }
+    const SPAWNS: &[&str] = &["thread::spawn(", "thread::scope(", "thread::Builder"];
+    for (i, line) in m.code.iter().enumerate() {
+        if m.in_test[i] {
+            continue;
+        }
+        if let Some(call) = SPAWNS.iter().find(|c| line.contains(*c)) {
+            out.push(Finding {
+                path: path.to_path_buf(),
+                line: i + 1,
+                rule: "one-thread-per-rank",
+                message: format!(
+                    "`{call}` runs a thread outside the rank launcher (charge the work to \
+                     a modelled lane instead): `{}`",
+                    m.raw[i].trim()
+                ),
+            });
+        }
+    }
+}
+
 /// Whether line `i` carries an `audit:` marker, either on the line
 /// itself or anywhere in the contiguous comment block directly above it
 /// (a justification often needs more than one comment line).
@@ -393,6 +422,7 @@ mod tests {
         checked_narrowing(p, &m, &mut out);
         collective_contract(p, &m, &mut out);
         engine_reads_views(p, &m, &mut out);
+        one_thread_per_rank(p, &m, &mut out);
         out.into_iter().map(|f| (f.line, f.rule)).collect()
     }
 
@@ -487,6 +517,25 @@ mod tests {
         let (mut out, core) = (Vec::new(), MaskedFile::new("fn f() { wkb::decode(b); }\n"));
         engine_reads_views(Path::new("crates/core/src/exchange.rs"), &core, &mut out);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn spawning_a_thread_in_library_code_is_flagged() {
+        let src = "fn f() {\n    std::thread::scope(|s| {\n        s.spawn(|| ());\n    });\n}\n";
+        let (mut out, m) = (Vec::new(), MaskedFile::new(src));
+        one_thread_per_rank(Path::new("crates/core/src/pipeline.rs"), &m, &mut out);
+        let rules: Vec<_> = out.iter().map(|f| (f.line, f.rule)).collect();
+        assert_eq!(rules, vec![(2, "one-thread-per-rank")]);
+    }
+
+    #[test]
+    fn rank_launcher_and_tests_are_clean_for_r5() {
+        let launcher = MaskedFile::new("fn run() {\n    std::thread::Builder::new();\n}\n");
+        let mut out = Vec::new();
+        one_thread_per_rank(Path::new("crates/msim/src/world.rs"), &launcher, &mut out);
+        assert!(out.is_empty());
+        let src = "fn f() {\n    // thread::spawn( in a comment\n}\n#[cfg(test)]\nmod tests {\n    fn t() { std::thread::spawn(|| ()); }\n}\n";
+        assert!(findings_for(src).is_empty());
     }
 
     #[test]

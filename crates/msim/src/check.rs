@@ -23,7 +23,7 @@
 //!   closure returns while peers are still waiting on (or later enter) a
 //!   collective it never joined ([`Violation::RankExited`]).
 //! - **Leaked [`crate::Request`] handles** — a nonblocking operation
-//!   dropped without `wait`/`waitall`/`test`
+//!   dropped without `wait`/`waitall`
 //!   ([`Violation::RequestLeak`]), detected in `Drop`.
 //!
 //! ## Modes
@@ -91,8 +91,6 @@ pub enum CollectiveKind {
     Barrier,
     /// `MPI_Bcast`.
     Bcast,
-    /// `MPI_Gather`.
-    Gather,
     /// `MPI_Allgather`.
     Allgather,
     /// Fixed-count `MPI_Alltoall` over one `u64` per peer.
@@ -115,7 +113,6 @@ impl fmt::Display for CollectiveKind {
         match self {
             CollectiveKind::Barrier => f.write_str("barrier"),
             CollectiveKind::Bcast => f.write_str("bcast"),
-            CollectiveKind::Gather => f.write_str("gather"),
             CollectiveKind::Allgather => f.write_str("allgather"),
             CollectiveKind::AlltoallU64 => f.write_str("alltoall_u64"),
             CollectiveKind::Alltoallv => f.write_str("alltoallv"),
@@ -196,7 +193,7 @@ pub enum Violation {
         /// `(rank, rendered signature)` of the ranks left waiting.
         stranded: Vec<(usize, String)>,
     },
-    /// A [`crate::Request`] was dropped without `wait`/`waitall`/`test`.
+    /// A [`crate::Request`] was dropped without `wait`/`waitall`.
     RequestLeak {
         /// The rank that dropped the handle.
         rank: usize,
@@ -235,7 +232,7 @@ impl fmt::Display for Violation {
             Violation::RequestLeak { rank, op } => {
                 write!(
                     f,
-                    "rank {rank} dropped an in-flight {op} request without wait/test"
+                    "rank {rank} dropped an in-flight {op} request without wait"
                 )
             }
         }

@@ -44,8 +44,9 @@ pub struct Comm {
     gen: u64,
     shared: Arc<Shared>,
     rx: Receiver<Envelope>,
-    /// Messages received but not yet matched by a `recv` (preserves
-    /// per-(src, tag) FIFO order, like MPI's non-overtaking rule).
+    /// Messages pumped off the mailbox while `recv` looked for another
+    /// `(src, tag)`: a per-(src, tag) FIFO, like MPI's non-overtaking
+    /// rule.
     stash: Vec<Envelope>,
     /// Call-site label stack ([`Comm::labeled`]); only maintained while
     /// the verifier is active.
@@ -177,31 +178,6 @@ impl Comm {
         self.labels.join("/")
     }
 
-    /// Deposits this rank's signature for collective `gen` with the
-    /// verifier (no-op when the verifier is off).
-    fn record_collective(
-        &self,
-        gen: u64,
-        kind: CollectiveKind,
-        root: Option<usize>,
-        op: Option<&'static str>,
-        parts: Option<usize>,
-    ) {
-        if let Some(v) = &self.shared.check {
-            v.record(
-                self.rank,
-                gen,
-                CollectiveSig {
-                    kind,
-                    root,
-                    op,
-                    parts,
-                    label: self.label_text(),
-                },
-            );
-        }
-    }
-
     /// Leak-detector context for a request initiated now (`None` when
     /// the verifier is off).
     fn leak_guard(&self, op: &'static str) -> Option<LeakGuard> {
@@ -308,76 +284,8 @@ impl Comm {
         out
     }
 
-    /// `MPI_Test`: completes `req` and returns its value iff the operation
-    /// has finished by the current *virtual* time; otherwise hands the
-    /// request back untouched. Never advances the clock. The outcome
-    /// depends only on deterministic virtual timestamps (for a pending
-    /// receive this may physically block until the peer's message exists,
-    /// like every blocking primitive in the runtime — see the
-    /// [`crate::request`] module docs).
-    pub fn test<T>(&mut self, mut req: Request<T>) -> std::result::Result<T, Request<T>> {
-        match req.take_inner() {
-            ReqInner::Ready { at, value } => {
-                if at <= self.now {
-                    Ok(value)
-                } else {
-                    Err(req.restore(ReqInner::Ready { at, value }))
-                }
-            }
-            ReqInner::PendingRecv { src, tag, wrap } => {
-                let len = self.stash_matching(src, tag);
-                // audit: the envelope was pushed onto the stash in the loop above.
-                let pos = self.stash_pos(src, tag).expect("just stashed");
-                let arrival = self.stash[pos].send_time + self.shared.cost.p2p(len as u64);
-                if arrival <= self.now {
-                    let env = self.stash.remove(pos);
-                    Ok(wrap(env.data))
-                } else {
-                    Err(req.restore(ReqInner::PendingRecv { src, tag, wrap }))
-                }
-            }
-        }
-    }
-
-    /// Ensures a message from `(src, tag)` sits in the stash (pumping the
-    /// channel as needed) and returns its byte length. Does not advance
-    /// the clock.
-    fn stash_matching(&mut self, src: usize, tag: u64) -> usize {
-        if let Some(pos) = self.stash_pos(src, tag) {
-            return self.stash[pos].data.len();
-        }
-        loop {
-            // audit: every peer holds a sender until its thread exits, and the world joins all ranks before dropping mailboxes.
-            let env = self.rx.recv().expect("world alive");
-            if env.tag == POISON_TAG {
-                panic!("{}", crate::collective::ABORT_MSG);
-            }
-            let matched = env.src == src && env.tag == tag;
-            let len = env.data.len();
-            self.stash.push(env);
-            if matched {
-                return len;
-            }
-        }
-    }
-
-    /// Blocks until a message from `(src, tag)` is available and returns
-    /// its byte count without consuming it (`MPI_Probe` + `MPI_Get_count`).
-    pub fn probe(&mut self, src: usize, tag: u64) -> usize {
-        let len = self.stash_matching(src, tag);
-        // audit: the envelope was pushed onto the stash in the loop above.
-        let pos = self.stash_pos(src, tag).expect("just stashed");
-        let arrival = self.stash[pos].send_time + self.shared.cost.p2p(len as u64);
-        self.advance_to(arrival);
-        len
-    }
-
-    fn stash_pos(&self, src: usize, tag: u64) -> Option<usize> {
-        self.stash.iter().position(|e| e.src == src && e.tag == tag)
-    }
-
     fn take_matching(&mut self, src: usize, tag: u64) -> Envelope {
-        if let Some(pos) = self.stash_pos(src, tag) {
+        if let Some(pos) = self.stash.iter().position(|e| e.src == src && e.tag == tag) {
             return self.stash.remove(pos);
         }
         loop {
@@ -395,40 +303,68 @@ impl Comm {
 
     // ----- collectives ------------------------------------------------------
 
-    fn next_gen(&mut self) -> u64 {
-        let g = self.gen;
+    /// The one body every collective runs through: takes this rank's next
+    /// generation, deposits its signature with the verifier (when on) and
+    /// meets the peers at the hub, where `combine` folds every rank's
+    /// input and entry time into the shared result and per-rank exit
+    /// times. Leaves the clock alone: each caller applies its own rule to
+    /// the returned exit time.
+    fn rendezvous<T, R, F>(
+        &mut self,
+        kind: CollectiveKind,
+        root: Option<usize>,
+        op: Option<&'static str>,
+        parts: Option<usize>,
+        input: T,
+        combine: F,
+    ) -> (Arc<R>, f64)
+    where
+        T: Send + 'static,
+        R: Send + Sync + 'static,
+        F: FnOnce(Vec<T>, &[f64]) -> (R, Vec<f64>),
+    {
+        let gen = self.gen;
         self.gen += 1;
-        g
+        if let Some(v) = &self.shared.check {
+            let label = self.label_text();
+            let sig = CollectiveSig {
+                kind,
+                root,
+                op,
+                parts,
+                label,
+            };
+            v.record(self.rank, gen, sig);
+        }
+        let hub = &self.shared.hub;
+        hub.exchange(self.rank, gen, self.now, input, combine)
     }
 
     /// `MPI_Barrier`.
     pub fn barrier(&mut self) {
-        let gen = self.next_gen();
-        self.record_collective(gen, CollectiveKind::Barrier, None, None, None);
-        let p = self.size();
-        let cost = self.shared.cost.barrier(p);
-        let (_, exit) =
-            self.shared
-                .hub
-                .exchange(self.rank, gen, self.now, (), |_: Vec<()>, times| {
-                    let exit = max_time(times) + cost;
-                    ((), vec![exit; times.len()])
-                });
+        let cost = self.shared.cost.barrier(self.size());
+        let (_, exit) = self.rendezvous(
+            CollectiveKind::Barrier,
+            None,
+            None,
+            None,
+            (),
+            |_: Vec<()>, times| ((), vec![max_time(times) + cost; times.len()]),
+        );
         self.now = exit;
     }
 
     /// `MPI_Bcast`: `data` is significant at `root`, the returned buffer at
     /// every rank.
     pub fn bcast(&mut self, root: usize, data: Vec<u8>) -> Vec<u8> {
-        let gen = self.next_gen();
-        self.record_collective(gen, CollectiveKind::Bcast, Some(root), None, None);
         let p = self.size();
         let cost_model = self.shared.cost;
         let input = if self.rank == root { Some(data) } else { None };
-        let (result, exit) = self.shared.hub.exchange(
-            self.rank,
-            gen,
-            self.now,
+        let (result, exit) = self.rendezvous(
+            CollectiveKind::Bcast,
+            Some(root),
+            None,
+            None,
             input,
             move |inputs: Vec<Option<Vec<u8>>>, times| {
                 let payload = inputs
@@ -445,43 +381,16 @@ impl Comm {
         (*result).clone()
     }
 
-    /// `MPI_Gather` (variable-size, i.e. gatherv): every rank contributes
-    /// `data`; `root` receives all contributions indexed by rank.
-    pub fn gather(&mut self, root: usize, data: Vec<u8>) -> Option<Vec<Vec<u8>>> {
-        let gen = self.next_gen();
-        self.record_collective(gen, CollectiveKind::Gather, Some(root), None, None);
-        let p = self.size();
-        let cost_model = self.shared.cost;
-        let (result, exit) = self.shared.hub.exchange(
-            self.rank,
-            gen,
-            self.now,
-            data,
-            move |inputs: Vec<Vec<u8>>, times| {
-                let total: u64 = inputs.iter().map(|v| v.len() as u64).sum();
-                let exit = max_time(times) + cost_model.reduce(p, total);
-                (inputs, vec![exit; times.len()])
-            },
-        );
-        self.now = exit;
-        if self.rank == root {
-            Some((*result).clone())
-        } else {
-            None
-        }
-    }
-
     /// `MPI_Allgather` (variable-size): every rank receives every rank's
     /// contribution.
     pub fn allgather(&mut self, data: Vec<u8>) -> Vec<Vec<u8>> {
-        let gen = self.next_gen();
-        self.record_collective(gen, CollectiveKind::Allgather, None, None, None);
         let p = self.size();
         let cost_model = self.shared.cost;
-        let (result, exit) = self.shared.hub.exchange(
-            self.rank,
-            gen,
-            self.now,
+        let (result, exit) = self.rendezvous(
+            CollectiveKind::Allgather,
+            None,
+            None,
+            None,
             data,
             move |inputs: Vec<Vec<u8>>, times| {
                 let total: u64 = inputs.iter().map(|v| v.len() as u64).sum();
@@ -507,22 +416,14 @@ impl Comm {
     /// until the returned request completes, so compute charged in between
     /// overlaps the collective.
     pub fn ialltoall_u64(&mut self, sends: Vec<u64>) -> Request<Vec<u64>> {
-        assert_eq!(sends.len(), self.size(), "one value per destination");
-        let gen = self.next_gen();
-        self.record_collective(
-            gen,
+        let p = self.size();
+        assert_eq!(sends.len(), p, "one value per destination");
+        let cost_model = self.shared.cost;
+        let (result, exit) = self.rendezvous(
             CollectiveKind::AlltoallU64,
             None,
             None,
-            Some(sends.len()),
-        );
-        let p = self.size();
-        let cost_model = self.shared.cost;
-        let rank = self.rank;
-        let (result, exit) = self.shared.hub.exchange(
-            self.rank,
-            gen,
-            self.now,
+            Some(p),
             sends,
             move |inputs: Vec<Vec<u64>>, times| {
                 // transpose: out[dst][src] = inputs[src][dst]
@@ -537,7 +438,8 @@ impl Comm {
                 (matrix, vec![exit; times.len()])
             },
         );
-        Request::ready(exit, result[rank].clone()).with_guard(self.leak_guard("ialltoall_u64"))
+        let value = result[self.rank].clone();
+        Request::ready(exit, value).with_guard(self.leak_guard("ialltoall_u64"))
     }
 
     /// `MPI_Alltoallv` over byte buffers: element `d` of `sends` goes to
@@ -556,22 +458,14 @@ impl Comm {
     /// the peers, but the *virtual* completion — per-rank, sized by that
     /// rank's send and receive volumes — is deferred to the wait.
     pub fn ialltoallv(&mut self, sends: Vec<Vec<u8>>) -> Request<Vec<Vec<u8>>> {
-        assert_eq!(sends.len(), self.size(), "one buffer per destination");
-        let gen = self.next_gen();
-        self.record_collective(
-            gen,
+        let p = self.size();
+        assert_eq!(sends.len(), p, "one buffer per destination");
+        let cost_model = self.shared.cost;
+        let (result, exit) = self.rendezvous(
             CollectiveKind::Alltoallv,
             None,
             None,
-            Some(sends.len()),
-        );
-        let p = self.size();
-        let cost_model = self.shared.cost;
-        let rank = self.rank;
-        let (result, exit) = self.shared.hub.exchange(
-            self.rank,
-            gen,
-            self.now,
+            Some(p),
             sends,
             move |mut inputs: Vec<Vec<Vec<u8>>>, times| {
                 let send_totals: Vec<u64> = inputs
@@ -597,7 +491,8 @@ impl Comm {
                 (matrix, exits)
             },
         );
-        Request::ready(exit, result[rank].clone()).with_guard(self.leak_guard("ialltoallv"))
+        let value = result[self.rank].clone();
+        Request::ready(exit, value).with_guard(self.leak_guard("ialltoallv"))
     }
 
     /// `MPI_Reduce` with a user-defined operator; the result is returned at
@@ -640,14 +535,13 @@ impl Comm {
     where
         T: Clone + Send + Sync + 'static,
     {
-        let gen = self.next_gen();
-        self.record_collective(gen, kind, root, Some(op.tag()), None);
         let p = self.size();
         let cost_model = self.shared.cost;
-        let (result, exit) = self.shared.hub.exchange(
-            self.rank,
-            gen,
-            self.now,
+        let (result, exit) = self.rendezvous(
+            kind,
+            root,
+            Some(op.tag()),
+            None,
             value,
             move |inputs: Vec<T>, times| {
                 let combined = fold_in_rank_order(&inputs, op);
@@ -674,15 +568,13 @@ impl Comm {
     where
         T: Clone + Send + Sync + 'static,
     {
-        let gen = self.next_gen();
-        self.record_collective(gen, CollectiveKind::Scan, None, Some(op.tag()), None);
         let p = self.size();
-        let rank = self.rank;
         let cost_model = self.shared.cost;
-        let (result, exit) = self.shared.hub.exchange(
-            self.rank,
-            gen,
-            self.now,
+        let (result, exit) = self.rendezvous(
+            CollectiveKind::Scan,
+            None,
+            Some(op.tag()),
+            None,
             value,
             move |inputs: Vec<T>, times| {
                 let prefixes = scan_in_rank_order(&inputs, op);
@@ -691,12 +583,12 @@ impl Comm {
             },
         );
         self.now = exit;
-        result[rank].clone()
+        result[self.rank].clone()
     }
 
-    /// Access to the shared hub generation — used by the I/O layer to run
-    /// its own collectives in the same ordered stream. `site` names the
-    /// operation in the verifier's signature (e.g. `io.read_at_all`).
+    /// The I/O layer's own collectives, in the same ordered stream as the
+    /// rest: `site` names the operation in the verifier's signature (e.g.
+    /// `io.staged_read`), and the clock moves to this rank's exit time.
     pub(crate) fn collective<T, R, F>(
         &mut self,
         site: &'static str,
@@ -708,12 +600,8 @@ impl Comm {
         R: Send + Sync + 'static,
         F: FnOnce(Vec<T>, &[f64]) -> (R, Vec<f64>),
     {
-        let gen = self.next_gen();
-        self.record_collective(gen, CollectiveKind::Custom(site), None, None, None);
-        let (r, exit) = self
-            .shared
-            .hub
-            .exchange(self.rank, gen, self.now, input, combine);
+        let kind = CollectiveKind::Custom(site);
+        let (r, exit) = self.rendezvous(kind, None, None, None, input, combine);
         self.now = exit;
         (r, exit)
     }

@@ -5,11 +5,14 @@
 //! preserves MPI's *semantics* and models its *performance*:
 //!
 //! * **SPMD execution** — [`World::run`] spawns one OS thread per rank and
-//!   hands each a [`Comm`], the analogue of `MPI_COMM_WORLD`.
-//! * **Point-to-point** — `send`/`recv`/`probe` with tag and source
-//!   matching, message ordering per (source, tag) pair, and
-//!   `MPI_Get_count`-style length discovery.
-//! * **Collectives** — barrier, bcast, gather, allgather, alltoall,
+//!   hands each a [`Comm`], the analogue of `MPI_COMM_WORLD`. That thread
+//!   runs the rank's whole program: parallelism inside a rank is
+//!   modelled as lanes ([`time::WorkTally`], [`Comm::advance_parallel`]),
+//!   not executed.
+//! * **Point-to-point** — `send`/`recv` with tag and source matching
+//!   and message ordering per (source, tag) pair; the received buffer's
+//!   length is the `MPI_Get_count` value.
+//! * **Collectives** — barrier, bcast, allgather, alltoall,
 //!   alltoallv, reduce, allreduce and scan, including user-defined
 //!   reduction operators over arbitrary `T` (the hook the paper's
 //!   `MPI_UNION` spatial reduction plugs into). Non-commutative but
@@ -17,7 +20,7 @@
 //!   order.
 //! * **Nonblocking operations** — `isend`/`irecv`/`ialltoall_u64`/
 //!   `ialltoallv` return [`request::Request`] handles completed by
-//!   `wait`/`waitall`/`test`; compute charged between initiation and
+//!   `wait`/`waitall`; compute charged between initiation and
 //!   completion overlaps the transfer deterministically, with
 //!   [`request::ProgressEngine`] extending the pipeline's per-lane
 //!   [`time::WorkTally`] accounting into overlap regions.

@@ -3,8 +3,8 @@
 //! MPI programs hide communication latency behind compute by splitting
 //! every operation into an *initiation* (`MPI_Isend`, `MPI_Irecv`,
 //! `MPI_Ialltoallv`, …) that returns a request handle immediately and a
-//! *completion* (`MPI_Wait`/`MPI_Test`) that blocks until the transfer
-//! finished. This module is that split for the simulator.
+//! *completion* (`MPI_Wait`/`MPI_Waitall`) that blocks until the
+//! transfer finished. This module is that split for the simulator.
 //!
 //! ## Virtual-time semantics
 //!
@@ -27,9 +27,7 @@
 //! *virtual* completion is deferred to `wait`. `irecv` defers its
 //! matching to completion, so the symmetric
 //! `irecv → isend → wait` exchange pattern that would deadlock with
-//! blocking calls works. [`Comm::test`] may likewise physically block
-//! until the peer's message exists, but its *answer* — complete or not —
-//! depends only on deterministic virtual times, never on OS scheduling.
+//! blocking calls works.
 
 use crate::check::CollectiveVerifier;
 use crate::comm::Comm;
@@ -38,7 +36,7 @@ use std::sync::Arc;
 /// Handle for an in-flight nonblocking operation returning a `T` on
 /// completion. Produced by [`Comm::isend`], [`Comm::irecv`],
 /// [`Comm::ialltoall_u64`] and [`Comm::ialltoallv`]; consumed by
-/// [`Comm::wait`], [`Comm::waitall`] or [`Comm::test`].
+/// [`Comm::wait`] or [`Comm::waitall`].
 ///
 /// Dropping a request without completing it is an MPI resource leak;
 /// when the collective-protocol verifier is active (`MVIO_CHECK` on or
@@ -46,9 +44,9 @@ use std::sync::Arc;
 /// [`crate::check::Violation::RequestLeak`] attributed to the rank and
 /// call-site label that initiated the operation.
 #[derive(Debug)]
-#[must_use = "a Request must be completed with wait/waitall/test"]
+#[must_use = "a Request must be completed with wait/waitall"]
 pub struct Request<T> {
-    /// `None` once the request has been consumed by `wait`/`test`, so
+    /// `None` once the request has been consumed by `wait`, so
     /// `Drop` can tell a completed handle from a leaked one.
     inner: Option<ReqInner<T>>,
     guard: Option<LeakGuard>,
@@ -108,16 +106,9 @@ impl<T> Request<T> {
     /// Consumes the operation state, marking the request completed so
     /// `Drop` stays silent.
     pub(crate) fn take_inner(&mut self) -> ReqInner<T> {
-        // audit: wait/test take the state exactly once by construction;
+        // audit: wait takes the state exactly once by construction;
         // a second take would be a library bug, not a user error.
         self.inner.take().expect("request state already consumed")
-    }
-
-    /// Puts the operation state back (used by [`Comm::test`] when the
-    /// operation has not virtually completed yet).
-    pub(crate) fn restore(mut self, inner: ReqInner<T>) -> Self {
-        self.inner = Some(inner);
-        self
     }
 }
 
@@ -151,9 +142,9 @@ impl Request<Vec<u8>> {
 
 /// Deterministic progress engine for compute/communication overlap.
 ///
-/// Worker threads cannot touch the rank clock, so overlapped regions
-/// charge per-lane compute seconds here (same fixed
-/// `work-item % lanes` rule as [`Comm::advance_parallel`]) while one or
+/// Overlapped regions charge per-lane compute seconds here (intra-rank
+/// workers are modelled lanes on the rank's own thread, assigned by the
+/// same fixed `work-item % lanes` rule as [`Comm::advance_parallel`]) while one or
 /// more [`Request`]s are in flight. [`ProgressEngine::drive`] then folds
 /// the slowest lane into the clock and completes the request, so the
 /// rank's time advances to `max(compute, communication)` — and the
@@ -362,31 +353,6 @@ mod tests {
         assert_eq!(tags_rev, vec![2, 1, 0]);
         assert_eq!(tags_mix, vec![1, 2, 0]);
         assert!((t_fwd - t_rev).abs() < 1e-15 && (t_fwd - t_mix).abs() < 1e-15);
-    }
-
-    #[test]
-    fn test_completes_only_once_virtual_time_catches_up() {
-        let out = World::run(cfg(2), |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 5, &vec![1u8; 1 << 20]); // ~175us flight
-                0usize
-            } else {
-                let req = comm.irecv(0, 5);
-                // Immediately after posting, the flight has not virtually
-                // completed: test must decline.
-                let req = match comm.test(req) {
-                    Ok(_) => panic!("message cannot have arrived at t=0"),
-                    Err(req) => req,
-                };
-                // After enough compute, the same test succeeds.
-                comm.charge(Work::Seconds(1.0));
-                match comm.test(req) {
-                    Ok(data) => data.len(),
-                    Err(_) => panic!("message must have arrived after 1s"),
-                }
-            }
-        });
-        assert_eq!(out[1], 1 << 20);
     }
 
     #[test]

@@ -161,13 +161,13 @@ impl CostModel {
     }
 }
 
-/// Off-thread [`Work`] accumulator for intra-rank worker threads.
+/// [`Work`] accumulator for one chunk of a modelled parallel region.
 ///
-/// A [`crate::Comm`] is single-threaded by design (it owns the rank's
-/// virtual clock), so pipeline workers running on real OS threads cannot
-/// charge it directly. Each worker instead charges a `WorkTally` — the
-/// same [`CostModel`] conversion a `Comm` would apply — and the rank
-/// merges the per-worker totals deterministically afterwards with
+/// Intra-rank workers are modelled lanes, not threads: the rank runs
+/// every chunk on its own thread. A chunk's work is tallied apart from
+/// the [`crate::Comm`] clock — the same [`CostModel`] conversion a
+/// `Comm` would apply — so that the rank can assign its seconds to a
+/// lane (`chunk % lanes`) and fold the slowest lane into the clock with
 /// [`crate::Comm::advance_parallel`].
 #[derive(Debug, Clone, Copy)]
 pub struct WorkTally {

@@ -28,16 +28,6 @@ impl Topology {
         Topology::new(1, ranks)
     }
 
-    /// COMET-style topology: 16 MPI ranks per node (paper §5).
-    pub fn comet(nodes: usize) -> Self {
-        Topology::new(nodes, 16)
-    }
-
-    /// ROGER-style topology: 20 MPI ranks per node (paper §5).
-    pub fn roger(nodes: usize) -> Self {
-        Topology::new(nodes, 20)
-    }
-
     /// Total ranks in the job.
     pub fn ranks(&self) -> usize {
         self.nodes * self.ranks_per_node
@@ -81,12 +71,6 @@ mod tests {
         assert_eq!(t.node_of(4), 1);
         assert_eq!(t.node_of(11), 2);
         assert_eq!(t.node_leaders(), vec![0, 4, 8]);
-    }
-
-    #[test]
-    fn presets_match_paper() {
-        assert_eq!(Topology::comet(4).ranks(), 64);
-        assert_eq!(Topology::roger(4).ranks(), 80);
     }
 
     #[test]

@@ -101,7 +101,7 @@ fn divergent_alltoallv_round_count_is_reported_per_round() {
 fn leaked_request_is_reported_with_op_and_label() {
     let msg = strict_abort_message(2, |comm| {
         if comm.rank() == 1 {
-            // Post a receive and drop the handle without wait/test.
+            // Post a receive and drop the handle without wait.
             let req = comm.labeled("mutation.leak", |c| c.irecv(0, 7));
             drop(req);
         }

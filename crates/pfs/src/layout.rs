@@ -39,17 +39,6 @@ pub fn chunks_of(stripe: StripeSpec, offset: u64, len: u64) -> Vec<Chunk> {
     out
 }
 
-/// Number of distinct OSTs touched by the byte range.
-pub fn osts_touched(stripe: StripeSpec, offset: u64, len: u64) -> u32 {
-    if len == 0 {
-        return 0;
-    }
-    let first = offset / stripe.size;
-    let last = (offset + len - 1) / stripe.size;
-    let stripes = last - first + 1;
-    stripes.min(stripe.count as u64) as u32
-}
-
 /// `true` if the range starts exactly on a stripe boundary — the alignment
 /// the paper recommends ("parallel file read access will be stripe
 /// aligned").
@@ -127,19 +116,6 @@ mod tests {
     #[test]
     fn zero_length_is_empty() {
         assert!(chunks_of(spec(4, 1024), 100, 0).is_empty());
-        assert_eq!(osts_touched(spec(4, 1024), 100, 0), 0);
-    }
-
-    #[test]
-    fn osts_touched_counts_distinct() {
-        let s = spec(4, 1024);
-        assert_eq!(osts_touched(s, 0, 1024), 1);
-        assert_eq!(osts_touched(s, 0, 1025), 2);
-        assert_eq!(osts_touched(s, 0, 4096), 4);
-        // 8 stripes over 4 OSTs still touches only 4 distinct OSTs.
-        assert_eq!(osts_touched(s, 0, 8192), 4);
-        // Unaligned start.
-        assert_eq!(osts_touched(s, 1000, 48), 2);
     }
 
     #[test]

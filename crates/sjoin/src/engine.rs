@@ -559,11 +559,6 @@ impl QueryEngine {
         self.index.store.frames()
     }
 
-    /// The configured rebalance threshold (`None` = rebalancing off).
-    pub fn rebalance_threshold(&self) -> Option<f64> {
-        self.rebalancer.as_ref().map(Rebalancer::threshold)
-    }
-
     /// Applies a batch of streaming [`Update`]s to the resident
     /// partition and drops the result cache (cached answers may name
     /// deleted features or miss inserted ones; see
@@ -1486,7 +1481,6 @@ mod tests {
                     ..Default::default()
                 },
             );
-            assert_eq!(eng.rebalance_threshold(), Some(1.5));
             // Pour a hotspot into the bottom-left quarter of the world:
             // rank 0 submits all of it, the batch lands spread by cell.
             let updates: Vec<Update> = if comm.rank() == 0 {
@@ -1596,7 +1590,6 @@ mod tests {
         let fs = lattice_fs(4);
         let out = World::run(WorldConfig::new(Topology::single_node(2)), move |comm| {
             let mut eng = build_engine(comm, &fs, &EngineOptions::default());
-            assert_eq!(eng.rebalance_threshold(), None);
             let report = eng.maybe_rebalance(comm).unwrap();
             (report.rebalanced, report.migration.shipped_bytes)
         });

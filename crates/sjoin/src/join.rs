@@ -44,8 +44,9 @@ pub struct JoinOptions {
     /// steps count as communication. Refine starts after the last round;
     /// the join *answer* is identical for every chunk policy.
     pub chunk: ExchangeChunk,
-    /// Intra-rank streaming pipeline configuration: its workers fan out
-    /// the parse and the cell-map/serialize stages of both layers. The
+    /// Intra-rank streaming pipeline configuration: its workers are
+    /// modelled lanes, on the rank's own thread, that the parse and the
+    /// cell-map/serialize stages of both layers charge chunk by chunk. The
     /// exchanged records are bit-identical for any worker count, so this
     /// only affects the virtual-time breakdown, never the join result.
     /// Defaults to [`PipelineOptions::default`] (**1 worker**), so the

@@ -1,11 +1,14 @@
-//! The streaming ingest pipeline: multi-threaded parse → cell-map →
-//! serialize with bit-identical output for any worker count.
+//! The streaming ingest pipeline: chunked parse → cell-map → serialize
+//! over modelled worker lanes, with bit-identical output for any worker
+//! count.
 //!
 //! Builds a WKT dataset, then runs the full per-rank ingest
 //! (`core::pipeline::ingest`) at 1, 2, 4 and 8 workers. The exchanged
 //! result is byte-for-byte identical across worker counts — only the
 //! virtual clock compresses, because parse and partition charge the
-//! slowest deterministic worker lane instead of the sequential sum.
+//! slowest deterministic worker lane instead of the sequential sum. The
+//! lanes are modelled: each rank runs every chunk on its own thread and
+//! adds chunk `k`'s seconds to lane `k % workers`.
 //!
 //! ```text
 //! cargo run --release --example pipeline
