@@ -6,9 +6,8 @@
 //! `BENCH_gate.json` and exits nonzero on a regression. It ignores
 //! `--scale` and `--quick`, since a floor only means something at its own
 //! configuration, and it leaves the experiments' full `BENCH_*.json`
-//! trajectories alone. The ratios are virtual-time quotients; the pfs
-//! arrival-order jitter (ROADMAP, "Make the virtual clock deterministic")
-//! moves them in the last digits.
+//! trajectories alone. The ratios are virtual-time quotients, so they
+//! repeat bit for bit.
 
 use super::fig17::load_imbalance;
 use super::{decomp, exchange, io, rebalance, serve, Scale};

@@ -125,9 +125,8 @@ pub struct ExchangeStats {
 /// lands in `out` as one bulk copy. Hot loops serialize millions of
 /// records; the old per-record `wkb::encode` allocated and dropped a
 /// fresh `Vec` for every one of them. (The ingest pipeline encodes each
-/// feature once and emits its replicas from that one encoding; external
-/// callers such as `sjoin`'s `QueryEngine` ride their queries over the
-/// same wire format through this function.)
+/// feature once and emits its replicas from that one encoding, and so
+/// does `sjoin`'s query routing, through [`serialize_frame`].)
 pub fn serialize_record(
     cell: u32,
     feature: &Feature,

@@ -70,10 +70,12 @@ pub fn read_redundant(
     let file = MpiFile::open(fs, path, opts.hints)?;
     let len = file.len() as usize;
     let mut buf = vec![0u8; len];
+    // Every rank reads the same chunks, so each chunk's reads are timed
+    // together.
     let mut off = 0usize;
     while off < len {
         let take = (len - off).min(1 << 30);
-        file.read_at(comm, off as u64, &mut buf[off..off + take])?;
+        file.read_at_together(comm, off as u64, &mut buf[off..off + take])?;
         off += take;
     }
     let shares = split_on_records(&buf, comm.size());

@@ -18,7 +18,10 @@ const FRAGMENT_TAG: u64 = 0xF1;
 /// prepended to its block, so every record is delivered exactly once. The
 /// tail of the *last* participant wraps to rank 0 as the carry for the
 /// next iteration (or, after the final iteration, becomes the file's last
-/// record when the file does not end with a delimiter).
+/// record when the file does not end with a delimiter). At Level 0 the
+/// iteration's independent reads are timed together
+/// ([`MpiFile::read_at_together`]), so the virtual clock does not depend
+/// on which rank thread reaches the file servers first.
 /// Collective: every rank must call it with the same options.
 pub fn read_blocked(comm: &mut Comm, file: &MpiFile, opts: &ReadOptions) -> Result<String> {
     let n = comm.size() as u64;
@@ -55,17 +58,13 @@ pub fn read_blocked(comm: &mut Comm, file: &MpiFile, opts: &ReadOptions) -> Resu
             (file_size - start).min(block)
         };
 
-        // Every rank calls the collective read (zero-length participation
-        // is allowed); independent mode skips the call when idle.
+        // Every rank calls the read, an idle one with an empty buffer:
+        // Level 1 is collective, and Level 0 times each iteration's
+        // independent reads together.
+        let mine = &mut buf[..len as usize];
         let got = match opts.level {
-            AccessLevel::Level0 => {
-                if len > 0 {
-                    file.read_at(comm, start, &mut buf[..len as usize])?
-                } else {
-                    0
-                }
-            }
-            AccessLevel::Level1 => file.read_at_all(comm, start, &mut buf[..len as usize])?,
+            AccessLevel::Level0 => file.read_at_together(comm, start, mine)?,
+            AccessLevel::Level1 => file.read_at_all(comm, start, mine)?,
             AccessLevel::Level3 => {
                 return Err(CoreError::Partition(
                     "Level 3 is a non-contiguous mode; use views::read for it".into(),

@@ -14,7 +14,9 @@ use mvio_msim::{AccessLevel, Comm, MpiFile, Work};
 /// are exchanged — the cost is `O(N · halo)` bytes of redundant reading
 /// per iteration, which is exactly why the paper found this strategy
 /// slower ("the overhead of reading 11 MB halo region by each process is
-/// greater than exchanging missing co-ordinates").
+/// greater than exchanging missing co-ordinates"). At Level 0 each
+/// iteration's independent reads are timed together
+/// ([`MpiFile::read_at_together`]).
 /// Collective: every rank must call it with the same options.
 pub fn read_overlap(comm: &mut Comm, file: &MpiFile, opts: &ReadOptions) -> Result<String> {
     let n = comm.size() as u64;
@@ -31,6 +33,11 @@ pub fn read_overlap(comm: &mut Comm, file: &MpiFile, opts: &ReadOptions) -> Resu
     let halo = opts.max_geometry_bytes;
 
     let mut out: Vec<u8> = Vec::new();
+    // A record that outgrows the halo is *latched*, not returned at
+    // once: every rank takes part in each iteration's Level 0 read, so a
+    // rank that quit early would strand its peers there. It keeps
+    // reading and reports the error after the last iteration.
+    let mut latched: Option<CoreError> = None;
 
     for i in 0..iterations {
         let global_offset = i * chunk;
@@ -52,14 +59,11 @@ pub fn read_overlap(comm: &mut Comm, file: &MpiFile, opts: &ReadOptions) -> Resu
         };
 
         let mut buf = vec![0u8; read_len as usize];
+        // Every rank calls the read, an idle one with an empty buffer:
+        // Level 1 is collective, and Level 0 times each iteration's
+        // independent reads together.
         let got = match opts.level {
-            AccessLevel::Level0 => {
-                if read_len > 0 {
-                    file.read_at(comm, read_off, &mut buf)?
-                } else {
-                    0
-                }
-            }
+            AccessLevel::Level0 => file.read_at_together(comm, read_off, &mut buf)?,
             AccessLevel::Level1 => file.read_at_all(comm, read_off, &mut buf)?,
             AccessLevel::Level3 => {
                 return Err(CoreError::Partition(
@@ -68,7 +72,7 @@ pub fn read_overlap(comm: &mut Comm, file: &MpiFile, opts: &ReadOptions) -> Resu
             }
         };
         debug_assert_eq!(got as u64, read_len);
-        if len == 0 {
+        if len == 0 || latched.is_some() {
             continue;
         }
 
@@ -109,17 +113,18 @@ pub fn read_overlap(comm: &mut Comm, file: &MpiFile, opts: &ReadOptions) -> Resu
                         end = buf.len();
                         pos = end;
                     } else {
-                        return Err(CoreError::Partition(format!(
+                        latched = Some(CoreError::Partition(format!(
                             "record starting at file offset {} exceeds the {halo}-byte halo; \
                              raise max_geometry_bytes",
                             read_off + pos as u64
                         )));
+                        break;
                     }
                 }
             }
         }
 
-        if end > begin {
+        if end > begin && latched.is_none() {
             comm.charge(Work::CopyBytes {
                 n: (end - begin) as u64,
             });
@@ -130,6 +135,9 @@ pub fn read_overlap(comm: &mut Comm, file: &MpiFile, opts: &ReadOptions) -> Resu
         }
     }
 
+    if let Some(err) = latched {
+        return Err(err);
+    }
     String::from_utf8(out)
         .map_err(|e| CoreError::Partition(format!("partition produced invalid UTF-8: {e}")))
 }

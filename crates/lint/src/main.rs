@@ -1,6 +1,6 @@
 //! Workspace source lint — `cargo run -p lint`.
 //!
-//! A zero-dependency scanner enforcing five repo-specific rules that
+//! A zero-dependency scanner enforcing six repo-specific rules that
 //! `rustc`/`clippy` cannot express. R1–R3 share one failure class: this
 //! codebase is SPMD over collectives, where a single rank panicking or
 //! diverging strands every peer at its next rendezvous.
@@ -32,6 +32,11 @@
 //!   single-threaded process per core, so the simulator runs one OS
 //!   thread per rank; parallelism inside a rank is modelled as worker
 //!   lanes, not executed.
+//! * **R6 `serialize-charge-follows-encode`** — a `Work::SerializeGeoms`
+//!   charge in non-test library code sits inside a function that calls
+//!   an encoder (`serialize_record(`, `wkb::encode…`). The 12 µs
+//!   per-object price is for encoding an object; a copy of bytes that
+//!   are already encoded is `Work::CopyBytes`.
 //!
 //! Scope: `src/` trees of the workspace library crates and the root
 //! crate. Excluded: `crates/bench` (experiment harness, panics are its
@@ -62,7 +67,8 @@ pub struct Finding {
     /// 1-based line number.
     pub line: usize,
     /// Rule identifier (`no-panic`, `checked-narrowing`,
-    /// `collective-contract`, `engine-reads-views`, `one-thread-per-rank`).
+    /// `collective-contract`, `engine-reads-views`, `one-thread-per-rank`,
+    /// `serialize-charge-follows-encode`).
     pub rule: &'static str,
     /// Human-readable description, including the offending snippet.
     pub message: String,
@@ -113,6 +119,7 @@ fn main() {
         rules::collective_contract(&rel, &masked, &mut findings);
         rules::engine_reads_views(&rel, &masked, &mut findings);
         rules::one_thread_per_rank(&rel, &masked, &mut findings);
+        rules::serialize_charge_follows_encode(&rel, &masked, &mut findings);
     }
 
     for f in &findings {

@@ -1,4 +1,4 @@
-//! The four rule matchers. Each walks a [`MaskedFile`] and appends
+//! The six rule matchers. Each walks a [`MaskedFile`] and appends
 //! [`Finding`]s; test regions and `// audit:`-marked lines are exempt
 //! where the rule allows it.
 
@@ -175,6 +175,51 @@ pub fn one_thread_per_rank(path: &Path, m: &MaskedFile, out: &mut Vec<Finding>) 
             });
         }
     }
+}
+
+/// R6: a charge follows the work — a `Work::SerializeGeoms` charge in
+/// non-test library code sits inside a function that calls an encoder
+/// (`serialize_record(`, `wkb::encode…`). Copying bytes that are already
+/// encoded (forwarding frames, emitting a record from one encoding,
+/// writing answer blocks) is `Work::CopyBytes` work, not an
+/// object encode at 12 µs a piece.
+pub fn serialize_charge_follows_encode(path: &Path, m: &MaskedFile, out: &mut Vec<Finding>) {
+    const ENCODERS: &[&str] = &["serialize_record(", "wkb::encode"];
+    for (start, end) in fn_spans(&m.code) {
+        if m.in_test[start] {
+            continue;
+        }
+        let body = &m.code[start..=end];
+        if body.iter().any(|l| ENCODERS.iter().any(|e| l.contains(e))) {
+            continue;
+        }
+        for i in start..=end {
+            if !m.in_test[i] && charges_serialize(&m.code, i) {
+                out.push(Finding {
+                    path: path.to_path_buf(),
+                    line: i + 1,
+                    rule: "serialize-charge-follows-encode",
+                    message: format!(
+                        "`Work::SerializeGeoms` charged in a function that encodes nothing \
+                         (a copy of already-encoded bytes is `Work::CopyBytes`): `{}`",
+                        m.raw[i].trim()
+                    ),
+                });
+            }
+        }
+    }
+}
+
+/// Whether masked line `i` charges `Work::SerializeGeoms`: the variant
+/// is the argument of a `charge(` call opened on the same line or ending
+/// the line above (a `match` arm or a cost estimate is not a charge).
+fn charges_serialize(code: &[String], i: usize) -> bool {
+    let Some(at) = code[i].find("Work::SerializeGeoms") else {
+        return false;
+    };
+    let before = code[i][..at].trim_end();
+    before.ends_with("charge(")
+        || (before.is_empty() && i > 0 && code[i - 1].trim_end().ends_with("charge("))
 }
 
 /// Whether line `i` carries an `audit:` marker, either on the line
@@ -423,6 +468,7 @@ mod tests {
         collective_contract(p, &m, &mut out);
         engine_reads_views(p, &m, &mut out);
         one_thread_per_rank(p, &m, &mut out);
+        serialize_charge_follows_encode(p, &m, &mut out);
         out.into_iter().map(|f| (f.line, f.rule)).collect()
     }
 
@@ -535,6 +581,19 @@ mod tests {
         one_thread_per_rank(Path::new("crates/msim/src/world.rs"), &launcher, &mut out);
         assert!(out.is_empty());
         let src = "fn f() {\n    // thread::spawn( in a comment\n}\n#[cfg(test)]\nmod tests {\n    fn t() { std::thread::spawn(|| ()); }\n}\n";
+        assert!(findings_for(src).is_empty());
+    }
+
+    #[test]
+    fn serialize_charge_without_an_encode_is_flagged() {
+        let src = "fn ship(comm: &mut Comm, buf: &mut Vec<u8>) {\n    emit_frames(side, buf);\n    comm.charge(Work::SerializeGeoms { n, bytes });\n    comm.charge(\n        Work::SerializeGeoms { n, bytes },\n    );\n}\n";
+        let rule = "serialize-charge-follows-encode";
+        assert_eq!(findings_for(src), vec![(3, rule), (5, rule)]);
+    }
+
+    #[test]
+    fn encoders_cost_arms_and_tests_are_clean_for_r6() {
+        let src = "fn route(comm: &mut Comm) {\n    wkb::encode_into_scratch(&g, &mut scratch);\n    comm.charge(Work::SerializeGeoms { n, bytes });\n}\nfn from_owned(comm: &mut Comm) {\n    serialize_record(cell, &f, &mut scratch, &mut out)?;\n    tally.charge(Work::SerializeGeoms { n, bytes });\n}\nfn cost(w: Work) -> f64 {\n    match w {\n        Work::SerializeGeoms { n, bytes } => 0.0,\n    }\n}\nfn estimate(m: &CostModel) -> f64 {\n    m.cost(Work::SerializeGeoms { n: 1, bytes: 0 })\n}\n#[cfg(test)]\nmod tests {\n    fn t() { comm.charge(Work::SerializeGeoms { n, bytes }); }\n}\n";
         assert!(findings_for(src).is_empty());
     }
 

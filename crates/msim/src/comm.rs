@@ -8,6 +8,7 @@ use crate::request::{LeakGuard, ReqInner, Request};
 use crate::time::{CostModel, Work};
 use crate::topology::Topology;
 use crossbeam::channel::{Receiver, Sender};
+use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// A message in flight: payload plus the sender's virtual timestamp.
@@ -488,10 +489,12 @@ impl Comm {
                 let exits: Vec<f64> = (0..p)
                     .map(|r| start + cost_model.alltoall(p, send_totals[r], recv_totals[r]))
                     .collect();
-                (matrix, exits)
+                // One slot per rank, which that rank moves its row out of.
+                let rows: Vec<Mutex<Vec<Vec<u8>>>> = matrix.into_iter().map(Mutex::new).collect();
+                (rows, exits)
             },
         );
-        let value = result[self.rank].clone();
+        let value = std::mem::take(&mut *result[self.rank].lock());
         Request::ready(exit, value).with_guard(self.leak_guard("ialltoallv"))
     }
 

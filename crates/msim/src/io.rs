@@ -7,6 +7,11 @@
 //! | 1     | contiguous     | collective  | [`MpiFile::read_at_all`]     | the one `(offset, len)`      |
 //! | 3     | non-contiguous | collective  | [`MpiFile::read_all`] (view) | [`FileView::fragments`]      |
 //!
+//! An SPMD loop whose every rank reads at Level 0 in the same step uses
+//! [`MpiFile::read_at_together`]: the same independent read, but the
+//! step's requests are timed in one deterministic pfs batch instead of
+//! in the order host threads happen to reach the file servers.
+//!
 //! The writes mirror the reads ([`MpiFile::write_at`],
 //! [`MpiFile::write_at_all`], [`MpiFile::write_all`]). Every collective
 //! call runs **one two-phase engine**, the ROMIO scheme of Thakur, Gropp
@@ -29,7 +34,7 @@ use crate::datatype::Datatype;
 use crate::hints::{Hints, ROMIO_MAX_IO_BYTES};
 use crate::time::CostModel;
 use crate::{MsimError, Result};
-use mvio_pfs::{FsKind, IoRequest, SimFile, SimFs};
+use mvio_pfs::{FsKind, IoRequest, PfsError, SimFile, SimFs};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -172,6 +177,55 @@ impl MpiFile {
         let done = self.file.read_at(offset, buf, &comm.io_ctx())?;
         comm.advance_to(done.completion);
         Ok(done.bytes as usize)
+    }
+
+    /// `MPI_File_read_at` timed together with the peers' reads of the
+    /// same step: the Level 0 read of an SPMD loop. Independent in
+    /// virtual time — each rank's clock moves to *its own* completion,
+    /// so no synchronization is charged — but collective on the host:
+    /// every rank must call it, the same number of times, an idle rank
+    /// with an empty `buf`. The ranks meet at one rendezvous and their
+    /// requests are timed in one pfs batch in `(now, rank)` order, so
+    /// the schedule never depends on which host thread reaches the file
+    /// servers first (conservative discrete-event simulation: no request
+    /// is admitted before every peer's request of the step is known).
+    /// Returns bytes read, short at end-of-file like [`MpiFile::read_at`].
+    pub fn read_at_together(&self, comm: &mut Comm, offset: u64, buf: &mut [u8]) -> Result<usize> {
+        let file_len = self.len();
+        let checked = Self::check_count(buf.len() as u64).and_then(|()| {
+            if buf.is_empty() || offset <= file_len {
+                return Ok(());
+            }
+            Err(MsimError::Pfs(PfsError::InvalidRange {
+                offset,
+                len: buf.len() as u64,
+                file_len,
+            }))
+        });
+        let request = (checked.is_ok() && !buf.is_empty()).then(|| IoRequest {
+            rank: comm.rank(),
+            node: comm.node(),
+            now: comm.now(),
+            offset,
+            len: buf.len() as u64,
+        });
+        let file = Arc::clone(&self.file);
+        let (done, _) = comm.collective("io.read_at_together", request, move |inputs, times| {
+            let reqs: Vec<IoRequest> = inputs.iter().flatten().copied().collect();
+            let mut exits = times.to_vec();
+            let done = file.time_reads(&reqs).map(|done| {
+                let mut by_rank = vec![None; times.len()];
+                for (r, c) in reqs.iter().zip(done) {
+                    exits[r.rank] = exits[r.rank].max(c.completion);
+                    by_rank[r.rank] = Some(c.bytes);
+                }
+                by_rank
+            });
+            (done, exits)
+        });
+        checked?;
+        let by_rank = (*done).as_ref().map_err(|e| MsimError::Pfs(e.clone()))?;
+        Ok(by_rank[comm.rank()].map_or(0, |n| self.file.peek(offset, &mut buf[..n as usize])))
     }
 
     /// `MPI_File_write_at`: independent contiguous write.
@@ -800,6 +854,43 @@ mod tests {
     }
 
     #[test]
+    fn reads_timed_together_keep_their_own_clocks_and_bytes() {
+        // Rank 0 reads 256 KiB off OSTs 0–3, rank 1 is idle, rank 2 (the
+        // other node) reads 1 KiB off OST 5 and rank 3 asks past
+        // end-of-file.
+        let fs = make_fs_with_file(1 << 20, StripeSpec::new(8, 64 << 10));
+        let out = World::run(WorldConfig::new(Topology::new(2, 2)), |comm| {
+            let f = MpiFile::open(&fs, "data.bin", Hints::default()).unwrap();
+            let (off, len) = match comm.rank() {
+                0 => (0, 256 << 10),
+                1 => (0, 0),
+                2 => (320 << 10, 1 << 10),
+                _ => ((1 << 20) + 1, 16),
+            };
+            let mut buf = vec![0u8; len];
+            let got = f.read_at_together(comm, off as u64, &mut buf);
+            if let Ok(n) = got {
+                assert!(buf[..n]
+                    .iter()
+                    .enumerate()
+                    .all(|(i, &b)| b == pattern(off + i)));
+            }
+            (comm.now(), got.map_err(|e| e.to_string()))
+        });
+        assert_eq!(out[0].1, Ok(256 << 10));
+        assert_eq!(out[2].1, Ok(1 << 10));
+        // No synchronization: the small read ends before the big one,
+        // and the idle and failed ranks keep their clocks.
+        assert!(0.0 < out[2].0 && out[2].0 < out[0].0, "{out:?}");
+        assert_eq!(out[1], (0.0, Ok(0)));
+        assert_eq!(out[3].0, 0.0);
+        assert!(out[3]
+            .1
+            .as_ref()
+            .is_err_and(|e| e.contains("invalid range")));
+    }
+
+    #[test]
     fn level0_rejects_over_2gib() {
         let fs = make_fs_with_file(1024, StripeSpec::new(1, 1024));
         World::run(WorldConfig::new(Topology::single_node(1)), |comm| {
@@ -1330,7 +1421,7 @@ mod tests {
                 if collective {
                     f.read_at_all(comm, off, &mut buf).unwrap();
                 } else {
-                    f.read_at(comm, off, &mut buf).unwrap();
+                    f.read_at_together(comm, off, &mut buf).unwrap();
                 }
                 comm.now()
             });

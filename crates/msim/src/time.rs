@@ -28,12 +28,17 @@ pub enum ShapeClass {
 pub enum Work {
     /// Parsing `bytes` of WKT text of the given shape class.
     ParseWkt { bytes: u64, class: ShapeClass },
-    /// Bulk byte movement (serialization, buffer packing, memcpy).
+    /// Bulk movement of `n` bytes that are already encoded: a memcpy,
+    /// buffer packing, forwarding a wire record or emitting one from an
+    /// existing encoding, a validation scan. No per-object price: an
+    /// object that is not encoded here is not charged as one.
     CopyBytes { n: u64 },
-    /// Serializing or deserializing `n` geometry *objects* totalling
-    /// `bytes`: per-object overhead (WKB writer/reader, allocation,
-    /// buffer bookkeeping) plus the byte copy. This is the paper's
-    /// "communication buffer management" cost.
+    /// Encoding (or decoding into owned objects) `n` geometry *objects*
+    /// totalling `bytes`: per-object overhead (WKB writer/reader,
+    /// allocation, buffer bookkeeping) plus the byte copy. This is the
+    /// paper's "communication buffer management" cost, and it is charged
+    /// only where the code encodes an object; copying the resulting
+    /// bytes again is [`Work::CopyBytes`].
     SerializeGeoms { n: u64, bytes: u64 },
     /// `n` rectangle-overlap tests (the filter phase unit).
     MbrTests { n: u64 },

@@ -90,42 +90,63 @@ impl SimFile {
     }
 
     /// Deterministic timed batch read used by collective I/O: all requests
-    /// are timed in `(now, rank)` order under one lock, and the data for
-    /// each is copied out. Returns one completion per request, index
-    /// aligned. A request ending past EOF is clamped (a short read); one
-    /// starting past EOF is a [`PfsError::InvalidRange`] error.
+    /// are timed in `(now, rank)` order under one lock
+    /// ([`SimFile::time_reads`]), and the data for each is copied out.
+    /// Returns one completion per request, index aligned. A request
+    /// ending past EOF is clamped (a short read); one starting past EOF
+    /// is a [`PfsError::InvalidRange`] error.
     pub fn read_batch(
         &self,
         reqs: &[IoRequest],
         bufs: &mut [&mut [u8]],
     ) -> Result<Vec<IoCompletion>> {
         assert_eq!(reqs.len(), bufs.len(), "one buffer per request");
-        let data = self.data.read();
-        let file_len = data.len() as u64;
-        let mut clamped = Vec::with_capacity(reqs.len());
-        for (r, buf) in reqs.iter().zip(bufs.iter_mut()) {
-            if r.offset > file_len {
-                return Err(PfsError::InvalidRange {
-                    offset: r.offset,
-                    len: r.len,
-                    file_len,
-                });
-            }
-            let n = ((file_len - r.offset) as usize)
-                .min(buf.len())
-                .min(r.len as usize);
-            buf[..n].copy_from_slice(&data[r.offset as usize..r.offset as usize + n]);
-            clamped.push(IoRequest {
-                len: n as u64,
+        let sized: Vec<IoRequest> = reqs
+            .iter()
+            .zip(bufs.iter())
+            .map(|(r, buf)| IoRequest {
+                len: r.len.min(buf.len() as u64),
                 ..*r
-            });
+            })
+            .collect();
+        let done = self.time_reads(&sized)?;
+        for ((r, buf), d) in sized.iter().zip(bufs.iter_mut()).zip(&done) {
+            self.peek(r.offset, &mut buf[..d.bytes as usize]);
+        }
+        Ok(done)
+    }
+
+    /// The timed half of [`SimFile::read_batch`]: clamps each request to
+    /// EOF, accounts it in the filesystem's stats and times the batch in
+    /// `(now, rank)` order under one engine lock, moving no bytes (the
+    /// requester copies its own with [`SimFile::peek`]). One completion
+    /// per request, index aligned; a request starting past EOF is a
+    /// [`PfsError::InvalidRange`] error and times nothing.
+    pub fn time_reads(&self, reqs: &[IoRequest]) -> Result<Vec<IoCompletion>> {
+        let file_len = self.len();
+        let clamped = reqs
+            .iter()
+            .map(|r| {
+                if r.offset > file_len {
+                    return Err(PfsError::InvalidRange {
+                        offset: r.offset,
+                        len: r.len,
+                        file_len,
+                    });
+                }
+                Ok(IoRequest {
+                    len: r.len.min(file_len - r.offset),
+                    ..*r
+                })
+            })
+            .collect::<Result<Vec<_>>>()?;
+        for r in &clamped {
             self.stats.record_read(
-                n as u64,
+                r.len,
                 crate::layout::is_stripe_aligned(self.stripe, r.offset),
-                &crate::layout::chunks_of(self.stripe, r.offset, n as u64),
+                &crate::layout::chunks_of(self.stripe, r.offset, r.len),
             );
         }
-        drop(data);
         Ok(self.engine.io_batch(self.stripe, self.ost_base, &clamped))
     }
 

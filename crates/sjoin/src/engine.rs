@@ -28,13 +28,13 @@
 //!    answer in step 5, and the cache is filled once per distinct query.
 //!    This is the one saving a batch has over a query-per-call loop
 //!    beyond amortized collectives, and [`ServeStats::routed`] counts it.
-//! 3. **Route + ship**: each routed query is serialized once per
-//!    destination rank (the owners of the cells overlapping a
-//!    range/point query; every cell-owning rank for kNN) and shipped
-//!    through the chunked nonblocking [`ExchangePlan`]. Received queries
-//!    are answered in the exchange *sink*, so later query rounds are
-//!    still in flight while this rank walks its R-tree — query shipping
-//!    overlaps local tree walks. The owner pays only for what the answer
+//! 3. **Route + ship**: each routed query is encoded once and its wire
+//!    record copied to every destination rank (the owners of the cells
+//!    overlapping a range/point query; every cell-owning rank for kNN),
+//!    then shipped through the chunked nonblocking [`ExchangePlan`].
+//!    Received queries are answered in the exchange *sink*, so later
+//!    query rounds are still in flight while this rank walks its R-tree
+//!    — query shipping overlaps local tree walks. The owner pays only for what the answer
 //!    needs. A range/point candidate whose envelope lies inside the
 //!    window is a *true hit* (Brinkhoff et al., SIGMOD '94) and is
 //!    emitted without the exact test, and so is a straddler — an envelope
@@ -50,8 +50,9 @@
 //!    userdata of the matches in the owner's sorted order, copied
 //!    straight from the resident replicas. No geometry travels, an empty
 //!    answer ships nothing, and a block closes at the plan's chunk cap
-//!    (the next one reopens the same query), so the owner's buffer
-//!    management is charged per block, not per match.
+//!    (the next one reopens the same query). Nothing is encoded, so the
+//!    owner is charged the block bytes it copies, not a per-match or
+//!    per-block constant.
 //! 5. **Merge**: the issuer walks the received blocks with the
 //!    validating [`answer_entries`] iterator; per query, results from
 //!    all owners are sorted (lexicographic for matches, by
@@ -130,7 +131,7 @@ use crate::answer::{collect_answers, BLOCK_CAP_MAX};
 use crate::resident::ResidentIndex;
 use mvio_core::decomp::{DecompPolicy, Decomposition, SpatialDecomposition};
 use mvio_core::exchange::{
-    record_frames, serialize_record, validate_round, ExchangeChunk, ExchangePlan, ExchangeStats,
+    record_frames, serialize_frame, validate_round, ExchangeChunk, ExchangePlan, ExchangeStats,
     RecordFrame, SerializedBatch,
 };
 use mvio_core::pipeline::IngestOutput;
@@ -140,7 +141,7 @@ use mvio_core::rebalance::{
 use mvio_core::resident::ResidentStore;
 use mvio_core::snapshot::{self, SnapshotReadOptions};
 use mvio_core::{CoreError, Feature, Result};
-use mvio_geom::{Geometry, LineString, Point, Rect};
+use mvio_geom::{wkb, Geometry, LineString, Point, Rect};
 use mvio_msim::{Comm, Work};
 use mvio_pfs::SimFs;
 use std::collections::hash_map::Entry;
@@ -680,8 +681,11 @@ impl QueryEngine {
         }
         stats.routed = routed.len() as u64;
 
-        // 3. Serialize each routed query once per destination rank.
+        // 3. Encode each routed query once, then copy its wire record to
+        // every destination rank: one `SerializeGeoms` per query, and
+        // the records emitted are `CopyBytes`.
         let mut qbatch = SerializedBatch::empty(p);
+        let (mut encoded, mut encoded_bytes) = (0u64, 0u64);
         let mut scratch = Vec::new();
         let mut cells: Vec<u32> = Vec::new();
         let mut dests: Vec<usize> = Vec::new();
@@ -712,16 +716,30 @@ impl QueryEngine {
             };
             dests.sort_unstable();
             dests.dedup();
-            for &d in &dests {
+            if dests.is_empty() {
+                continue;
+            }
+            wkb::encode_into_scratch(&feat.geometry, &mut scratch);
+            encoded += 1;
+            encoded_bytes += scratch.len() as u64;
+            let frame = RecordFrame {
                 // audit: qi indexes the caller's query slice, far below u32::MAX.
-                serialize_record(qi as u32, &feat, &mut scratch, &mut qbatch.bufs[d])?;
+                cell: qi as u32,
+                wkb: &scratch,
+                userdata: &feat.userdata,
+            };
+            for &d in &dests {
+                serialize_frame(&frame, &mut qbatch.bufs[d])?;
                 qbatch.records[d] += 1;
             }
         }
         stats.shipped_records = qbatch.records.iter().sum();
         comm.charge(Work::SerializeGeoms {
-            n: stats.shipped_records,
-            bytes: qbatch.bufs.iter().map(|b| b.len() as u64).sum(),
+            n: encoded,
+            bytes: encoded_bytes,
+        });
+        comm.charge(Work::CopyBytes {
+            n: qbatch.bufs.iter().map(|b| b.len() as u64).sum(),
         });
 
         // 4. Ship queries; answer each received round in the sink while
@@ -823,6 +841,7 @@ mod tests {
     use crate::breakdown::PhaseTimer;
     use crate::PhaseBreakdown;
     use mvio_core::decomp::DecompConfig;
+    use mvio_core::exchange::serialize_record;
     use mvio_core::grid::{CellMap, GridSpec, UniformGrid};
     use mvio_core::partition::ReadOptions;
     use mvio_core::pipeline::{ingest, ingest_layers, PipelineOptions};

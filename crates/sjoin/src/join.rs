@@ -464,8 +464,8 @@ fn refine(
     exact
 }
 
-/// Serializes the given frames of `side` into `buf`, allocated once at
-/// its exact size. Returns the record count.
+/// Copies the given frames of `side` into `buf` as wire records,
+/// allocated once at its exact size. Returns the record count.
 fn emit_frames(side: &Side<'_>, indices: &[u32], buf: &mut Vec<u8>) -> Result<u64> {
     let frames = || indices.iter().map(|&i| &side.frames[i as usize]);
     buf.reserve_exact(frames().map(RecordFrame::wire_len).sum());
@@ -476,8 +476,10 @@ fn emit_frames(side: &Side<'_>, indices: &[u32], buf: &mut Vec<u8>) -> Result<u6
 }
 
 /// Cuts the tail of `survivors` into this rank's planned shipments and
-/// serializes them: per destination, the right frames of the shipped
+/// copies them out: per destination, the right frames of the shipped
 /// probe records once, and the deduplicated left frames they pair with.
+/// The frames are already wire records, so nothing is encoded and the
+/// charge is the bytes copied ([`Work::CopyBytes`]).
 /// A cut falls where the running [`test_cost`] reaches the planned load,
 /// moved forward to the next probe-record boundary (one right record's
 /// survivors never split), so a shipment may exceed its planned load by
@@ -531,12 +533,8 @@ fn cut_shipments(
         left_batch.records[t.to] = emit_frames(left, &lefts, &mut left_batch.bufs[t.to])?;
         right_batch.records[t.to] = emit_frames(right, &rights, &mut right_batch.bufs[t.to])?;
     }
-    comm.charge(Work::SerializeGeoms {
-        n: left_batch.records.iter().chain(&right_batch.records).sum(),
-        bytes: left_batch
-            .bufs
-            .iter()
-            .chain(&right_batch.bufs)
+    comm.charge(Work::CopyBytes {
+        n: (left_batch.bufs.iter().chain(&right_batch.bufs))
             .map(|b| b.len() as u64)
             .sum(),
     });

@@ -195,10 +195,12 @@ impl ResidentIndex {
     /// the userdata borrowed from the resident records. kNN queries ride
     /// as a `Point` with `k=<n>` userdata; range and point queries as the
     /// diagonal of their rect (whose envelope recovers it exactly).
-    /// Returns the number of blocks written (none for an empty answer)
-    /// and charges them as that many buffer-managed objects
-    /// ([`Work::SerializeGeoms`]): the cost of returning an answer grows
-    /// with its bytes, not with a per-match constant.
+    /// Returns the number of blocks written (none for an empty answer).
+    /// A block holds distances and userdata copied from the resident
+    /// records, no geometry, so nothing is encoded: the charge is the
+    /// block bytes written ([`Work::CopyBytes`]), and the cost of
+    /// returning an answer grows with its bytes, not with a per-match
+    /// or per-block constant.
     /// Not collective — called from inside the query trip's sink.
     pub(crate) fn serve_one(
         &self,
@@ -239,9 +241,8 @@ impl ResidentIndex {
             let matches = self.rect_matches(comm, &g.envelope());
             write_answer_blocks(qid, &[], &matches, cap, out)?
         };
-        comm.charge(Work::SerializeGeoms {
-            n: blocks,
-            bytes: (out.len() - before) as u64,
+        comm.charge(Work::CopyBytes {
+            n: (out.len() - before) as u64,
         });
         Ok(blocks)
     }

@@ -1,6 +1,7 @@
 //! Determinism guarantees: identical seeds and configurations produce
-//! bit-identical results — data always, virtual time on collective paths
-//! (the snapshot write and reload included).
+//! bit-identical results — data always, and virtual time on every path:
+//! collectives, the snapshot write and reload, and Level 0 reads whose
+//! ranks reach the file servers in any host order.
 
 mod common;
 
@@ -137,6 +138,73 @@ fn snapshot_reload_virtual_times_are_identical_across_runs() {
     assert!(first.1.iter().any(|(pairs, _)| !pairs.is_empty()));
     for _ in 0..3 {
         assert_eq!(run(), first);
+    }
+}
+
+/// Level 0 partitioned reads in worlds whose rank threads reach the
+/// read in a different, shuffled order each time (staggered sleeps from
+/// a per-world permutation, then random yields): every rank's text and
+/// clock are bit-equal across the worlds, for both boundary strategies,
+/// in one iteration and in many. Each step's reads are timed together
+/// in one pfs batch, so the arrival order cannot reach the schedule.
+#[test]
+fn level0_reads_are_identical_whatever_order_ranks_arrive_in() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
+
+    const WORLDS: u64 = 8;
+    const RANKS: usize = 8;
+    let text: String = (0..2_000)
+        .map(|i| format!("REC{i:05}:{}\n", "x".repeat(5 + (i * 37) % 180)))
+        .collect();
+    for strategy in [BoundaryStrategy::Message, BoundaryStrategy::Overlap] {
+        for block_size in [None, Some(8 << 10)] {
+            let read = ReadOptions {
+                strategy,
+                block_size,
+                max_geometry_bytes: 1 << 10,
+                ..ReadOptions::default()
+            };
+            let run = |world: u64| {
+                let fs = SimFs::new(FsConfig::lustre_comet());
+                fs.create("r.txt", Some(StripeSpec::new(2, 16 << 10)))
+                    .unwrap()
+                    .append(text.as_bytes());
+                let mut rng = StdRng::seed_from_u64(world);
+                let mut order: Vec<u64> = (0..RANKS as u64).collect();
+                for i in (1..RANKS).rev() {
+                    order.swap(i, rng.gen_range(0..=i));
+                }
+                let yields: Vec<u64> = (0..RANKS).map(|_| rng.gen_range(0..64u64)).collect();
+                let (order, yields) = (Arc::new(order), Arc::new(yields));
+                World::run(WorldConfig::new(Topology::new(2, 4)), move |comm| {
+                    let r = comm.rank();
+                    std::thread::sleep(std::time::Duration::from_micros(400 * order[r]));
+                    for _ in 0..yields[r] {
+                        std::thread::yield_now();
+                    }
+                    let text = read_partition_text(comm, &fs, "r.txt", &read).unwrap();
+                    (text, comm.now().to_bits())
+                })
+            };
+            let first = run(0);
+            let delivered: String = first.iter().map(|(t, _)| t.as_str()).collect();
+            let mut lines: Vec<&str> = delivered.lines().collect();
+            lines.sort_unstable();
+            assert_eq!(
+                lines,
+                text.lines().collect::<Vec<_>>(),
+                "{strategy:?} {block_size:?}"
+            );
+            for world in 1..WORLDS {
+                assert_eq!(
+                    run(world),
+                    first,
+                    "{strategy:?} {block_size:?}, world {world}"
+                );
+            }
+        }
     }
 }
 
