@@ -538,7 +538,7 @@ impl ExchangePlan {
         // posted) — with one round this is exactly the historic protocol.
         let (mut batch, more) =
             produce_round(comm, &mut engine, feed, &mut local_done, p, &mut deferred);
-        let sreq = comm.labeled("exchange.sizes[round=0]", |c| {
+        let sreq = comm.labeled_round("exchange.sizes", 0, |c| {
             c.ialltoall_u64(flagged_sizes(&batch, more))
         });
         let incoming = engine.drive(comm, sreq);
@@ -554,8 +554,8 @@ impl ExchangePlan {
             // The round index is collective-synchronized (driven by the
             // flags of the previous size exchange), so these labels match
             // across ranks — and make a divergent round count show up in
-            // the verifier as a label mismatch, not a silent hang.
-            let preq = comm.labeled(&format!("exchange.payload[round={round}]"), |c| {
+            // the hub as a label mismatch, not a silent hang.
+            let preq = comm.labeled_round("exchange.payload", round, |c| {
                 c.ialltoallv(std::mem::take(&mut batch).bufs)
             });
 
@@ -564,7 +564,7 @@ impl ExchangePlan {
             let sreq_next = if any_more {
                 let (next, nmore) =
                     produce_round(comm, &mut engine, feed, &mut local_done, p, &mut deferred);
-                let req = comm.labeled(&format!("exchange.sizes[round={}]", round + 1), |c| {
+                let req = comm.labeled_round("exchange.sizes", round + 1, |c| {
                     c.ialltoall_u64(flagged_sizes(&next, nmore))
                 });
                 batch = next;

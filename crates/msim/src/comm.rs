@@ -1,7 +1,7 @@
 //! The per-rank communicator handle: point-to-point messaging, clock
 //! management, and collectives.
 
-use crate::check::{CollectiveKind, CollectiveSig, CollectiveVerifier};
+use crate::check::{CollectiveKind, CollectiveSig, Label};
 use crate::collective::Hub;
 use crate::reduceop::{fold_in_rank_order, scan_in_rank_order, ReduceOp};
 use crate::request::{LeakGuard, ReqInner, Request};
@@ -29,8 +29,6 @@ pub(crate) struct Shared {
     pub cost: CostModel,
     pub senders: Vec<Sender<Envelope>>,
     pub hub: Hub,
-    /// Collective-protocol verifier; `None` when `MVIO_CHECK` is off.
-    pub check: Option<Arc<CollectiveVerifier>>,
 }
 
 /// The per-rank communicator — the analogue of `MPI_COMM_WORLD` plus the
@@ -49,9 +47,8 @@ pub struct Comm {
     /// `(src, tag)`: a per-(src, tag) FIFO, like MPI's non-overtaking
     /// rule.
     stash: Vec<Envelope>,
-    /// Call-site label stack ([`Comm::labeled`]); only maintained while
-    /// the verifier is active.
-    labels: Vec<String>,
+    /// The open call-site label scopes ([`Comm::labeled`]).
+    label: Label,
 }
 
 impl Comm {
@@ -63,7 +60,7 @@ impl Comm {
             shared,
             rx,
             stash: Vec::new(),
-            labels: Vec::new(),
+            label: Label::default(),
         }
     }
 
@@ -144,53 +141,62 @@ impl Comm {
 
     /// Runs `f` with `label` pushed on the call-site label stack; every
     /// collective entered inside carries the stack (nested scopes joined
-    /// with `/`) in its verifier signature, and leaked requests report
-    /// it. Free when the verifier is off.
+    /// with `/`) in its signature, and leaked requests report it. Costs a
+    /// copy of a fixed-size label, never an allocation.
     ///
     /// Labels are compared across ranks, so only attach one at a point
     /// every rank is guaranteed to execute — i.e. inside a function
     /// whose own contract is collective. A label that some ranks skip
     /// would itself read as a protocol divergence.
-    pub fn labeled<R>(&mut self, label: &str, f: impl FnOnce(&mut Comm) -> R) -> R {
-        if self.shared.check.is_none() {
-            return f(self);
-        }
-        self.labels.push(label.to_string());
+    pub fn labeled<R>(&mut self, label: &'static str, f: impl FnOnce(&mut Comm) -> R) -> R {
+        self.scoped(label, None, f)
+    }
+
+    /// [`Comm::labeled`] for one round of a multi-round collective
+    /// protocol: the label renders as `label[round=N]`, so ranks that
+    /// disagree on the round count diverge by label at the first extra
+    /// round.
+    pub fn labeled_round<R>(
+        &mut self,
+        label: &'static str,
+        round: usize,
+        f: impl FnOnce(&mut Comm) -> R,
+    ) -> R {
+        self.scoped(label, Some(round), f)
+    }
+
+    fn scoped<R>(
+        &mut self,
+        label: &'static str,
+        round: Option<usize>,
+        f: impl FnOnce(&mut Comm) -> R,
+    ) -> R {
+        let outer = self.label;
+        self.label = outer.nested(label, round);
         let out = f(self);
-        self.labels.pop();
+        self.label = outer;
         out
     }
 
     /// Number of collectives this rank has entered (the world's exit
-    /// hook hands it to the verifier to detect stranded peers).
+    /// hook hands it to the hub to detect stranded peers).
     pub(crate) fn collectives_entered(&self) -> u64 {
         self.gen
     }
 
-    /// This rank's most recent collective signatures as the verifier
-    /// recorded them (empty when the verifier is off).
+    /// The world's most recent matched collective signatures, rendered.
     #[cfg(test)]
     pub(crate) fn recent_collectives(&self) -> Vec<String> {
-        let check = self.shared.check.as_ref();
-        check.map(|v| v.recent(self.rank)).unwrap_or_default()
+        self.shared.hub.recent()
     }
 
-    fn label_text(&self) -> String {
-        self.labels.join("/")
-    }
-
-    /// Leak-detector context for a request initiated now (`None` when
-    /// the verifier is off).
-    fn leak_guard(&self, op: &'static str) -> Option<LeakGuard> {
-        self.shared.check.as_ref().map(|v| {
-            let label = self.label_text();
-            let op = if label.is_empty() {
-                op.to_string()
-            } else {
-                format!("{op} @ {label}")
-            };
-            LeakGuard::new(Arc::clone(v), self.rank, op)
-        })
+    /// Leak-detector context for a request initiated now.
+    fn leak_guard(&self, op: &'static str) -> LeakGuard {
+        LeakGuard {
+            rank: self.rank,
+            op,
+            label: self.label,
+        }
     }
 
     // ----- point-to-point -------------------------------------------------
@@ -224,7 +230,7 @@ impl Comm {
             })
             // audit: mailbox receivers live in `Shared`, which outlives every rank thread.
             .expect("receiver outlives the job");
-        Request::ready(done, ()).with_guard(self.leak_guard("isend"))
+        Request::ready(done, (), self.leak_guard("isend"))
     }
 
     /// Blocking receive of the next message from `src` with `tag`
@@ -242,7 +248,7 @@ impl Comm {
     /// message flight.
     pub fn irecv(&mut self, src: usize, tag: u64) -> Request<Vec<u8>> {
         assert!(src < self.size(), "recv from rank {src} out of range");
-        Request::pending_recv(src, tag).with_guard(self.leak_guard("irecv"))
+        Request::pending_recv(src, tag, self.leak_guard("irecv"))
     }
 
     // ----- request completion ---------------------------------------------
@@ -305,8 +311,8 @@ impl Comm {
     // ----- collectives ------------------------------------------------------
 
     /// The one body every collective runs through: takes this rank's next
-    /// generation, deposits its signature with the verifier (when on) and
-    /// meets the peers at the hub, where `combine` folds every rank's
+    /// generation and meets the peers at the hub with its signature,
+    /// where the signatures are verified and `combine` folds every rank's
     /// input and entry time into the shared result and per-rank exit
     /// times. Leaves the clock alone: each caller applies its own rule to
     /// the returned exit time.
@@ -326,19 +332,15 @@ impl Comm {
     {
         let gen = self.gen;
         self.gen += 1;
-        if let Some(v) = &self.shared.check {
-            let label = self.label_text();
-            let sig = CollectiveSig {
-                kind,
-                root,
-                op,
-                parts,
-                label,
-            };
-            v.record(self.rank, gen, sig);
-        }
+        let sig = CollectiveSig {
+            kind,
+            root,
+            op,
+            parts,
+            label: self.label,
+        };
         let hub = &self.shared.hub;
-        hub.exchange(self.rank, gen, self.now, input, combine)
+        hub.exchange(self.rank, gen, self.now, sig, input, combine)
     }
 
     /// `MPI_Barrier`.
@@ -440,7 +442,7 @@ impl Comm {
             },
         );
         let value = result[self.rank].clone();
-        Request::ready(exit, value).with_guard(self.leak_guard("ialltoall_u64"))
+        Request::ready(exit, value, self.leak_guard("ialltoall_u64"))
     }
 
     /// `MPI_Alltoallv` over byte buffers: element `d` of `sends` goes to
@@ -495,7 +497,7 @@ impl Comm {
             },
         );
         let value = std::mem::take(&mut *result[self.rank].lock());
-        Request::ready(exit, value).with_guard(self.leak_guard("ialltoallv"))
+        Request::ready(exit, value, self.leak_guard("ialltoallv"))
     }
 
     /// `MPI_Reduce` with a user-defined operator; the result is returned at
@@ -590,7 +592,7 @@ impl Comm {
     }
 
     /// The I/O layer's own collectives, in the same ordered stream as the
-    /// rest: `site` names the operation in the verifier's signature (e.g.
+    /// rest: `site` names the operation in the collective's signature (e.g.
     /// `io.staged_read`), and the clock moves to this rank's exit time.
     pub(crate) fn collective<T, R, F>(
         &mut self,

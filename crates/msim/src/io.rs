@@ -797,7 +797,6 @@ pub fn select_readers(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::CheckMode;
     use crate::topology::Topology;
     use crate::world::{World, WorldConfig};
     use mvio_pfs::{FsConfig, StripeSpec};
@@ -968,7 +967,7 @@ mod tests {
         for path in ["g.bin", "h.bin"] {
             fs.create(path, Some(StripeSpec::new(4, 1024))).unwrap();
         }
-        let cfg = WorldConfig::new(Topology::new(2, 2)).with_check(CheckMode::On);
+        let cfg = WorldConfig::new(Topology::new(2, 2));
         let out = World::run(cfg, |comm| {
             let f = MpiFile::open(&fs, "g.bin", Hints::default()).unwrap();
             let r = comm.rank();

@@ -64,7 +64,7 @@ pub mod time;
 pub mod topology;
 pub mod world;
 
-pub use check::{CheckMode, CollectiveKind, CollectiveSig, CollectiveVerifier, Violation};
+pub use check::{CollectiveKind, CollectiveSig, Label};
 pub use comm::Comm;
 pub use datatype::Datatype;
 pub use hints::Hints;

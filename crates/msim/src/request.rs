@@ -29,27 +29,25 @@
 //! `irecv → isend → wait` exchange pattern that would deadlock with
 //! blocking calls works.
 
-use crate::check::CollectiveVerifier;
+use crate::check::{Label, REPORT};
 use crate::comm::Comm;
-use std::sync::Arc;
 
 /// Handle for an in-flight nonblocking operation returning a `T` on
 /// completion. Produced by [`Comm::isend`], [`Comm::irecv`],
 /// [`Comm::ialltoall_u64`] and [`Comm::ialltoallv`]; consumed by
 /// [`Comm::wait`] or [`Comm::waitall`].
 ///
-/// Dropping a request without completing it is an MPI resource leak;
-/// when the collective-protocol verifier is active (`MVIO_CHECK` on or
-/// strict, see [`crate::check`]) the `Drop` impl reports it as a
-/// [`crate::check::Violation::RequestLeak`] attributed to the rank and
-/// call-site label that initiated the operation.
+/// Dropping a request without completing it is an MPI resource leak:
+/// the `Drop` impl aborts the job with a protocol-violation report (see
+/// [`crate::check`]) naming the rank, operation and call-site label that
+/// initiated it.
 #[derive(Debug)]
 #[must_use = "a Request must be completed with wait/waitall"]
 pub struct Request<T> {
     /// `None` once the request has been consumed by `wait`, so
     /// `Drop` can tell a completed handle from a leaked one.
     inner: Option<ReqInner<T>>,
-    guard: Option<LeakGuard>,
+    guard: LeakGuard,
 }
 
 #[derive(Debug)]
@@ -66,41 +64,20 @@ pub(crate) enum ReqInner<T> {
 }
 
 /// Context for the leak detector: which rank initiated which operation,
-/// under which call-site label. Only allocated when the verifier is on.
+/// under which call-site label.
+#[derive(Debug)]
 pub(crate) struct LeakGuard {
-    verifier: Arc<CollectiveVerifier>,
-    rank: usize,
-    op: String,
-}
-
-impl std::fmt::Debug for LeakGuard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LeakGuard")
-            .field("rank", &self.rank)
-            .field("op", &self.op)
-            .finish_non_exhaustive()
-    }
-}
-
-impl LeakGuard {
-    pub(crate) fn new(verifier: Arc<CollectiveVerifier>, rank: usize, op: String) -> Self {
-        LeakGuard { verifier, rank, op }
-    }
+    pub rank: usize,
+    pub op: &'static str,
+    pub label: Label,
 }
 
 impl<T> Request<T> {
-    pub(crate) fn ready(at: f64, value: T) -> Self {
+    pub(crate) fn ready(at: f64, value: T, guard: LeakGuard) -> Self {
         Request {
             inner: Some(ReqInner::Ready { at, value }),
-            guard: None,
+            guard,
         }
-    }
-
-    /// Attaches leak-detector context (no-op when `guard` is `None`,
-    /// i.e. when the verifier is off).
-    pub(crate) fn with_guard(mut self, guard: Option<LeakGuard>) -> Self {
-        self.guard = guard;
-        self
     }
 
     /// Consumes the operation state, marking the request completed so
@@ -114,28 +91,26 @@ impl<T> Request<T> {
 
 impl<T> Drop for Request<T> {
     fn drop(&mut self) {
-        if self.inner.is_none() {
+        // Suppress during unwinding: the job is already aborting and a
+        // panic inside Drop would escalate to a process abort.
+        if self.inner.is_none() || std::thread::panicking() {
             return;
         }
-        if let Some(g) = self.guard.take() {
-            // Suppress during unwinding: the job is already aborting and
-            // a panic inside Drop would escalate to a process abort.
-            if !std::thread::panicking() {
-                g.verifier.leak(g.rank, &g.op);
-            }
-        }
+        let LeakGuard { rank, op, label } = &self.guard;
+        let at = if label.is_empty() { "" } else { " @ " };
+        panic!("{REPORT}: rank {rank} dropped an in-flight {op}{at}{label} request without wait");
     }
 }
 
 impl Request<Vec<u8>> {
-    pub(crate) fn pending_recv(src: usize, tag: u64) -> Self {
+    pub(crate) fn pending_recv(src: usize, tag: u64, guard: LeakGuard) -> Self {
         Request {
             inner: Some(ReqInner::PendingRecv {
                 src,
                 tag,
                 wrap: |data| data,
             }),
-            guard: None,
+            guard,
         }
     }
 }

@@ -1,6 +1,5 @@
 //! Job launcher: spawns one thread per rank, SPMD-style.
 
-use crate::check::{CheckMode, CollectiveVerifier, Violation};
 use crate::collective::Hub;
 use crate::comm::{Comm, Shared};
 use crate::time::CostModel;
@@ -18,9 +17,6 @@ pub struct WorldConfig {
     /// Stack size per rank thread. Jobs with a thousand ranks need modest
     /// stacks; 1 MiB is ample since the library never recurses deeply.
     pub stack_size: usize,
-    /// Collective-protocol verification mode (see [`crate::check`]);
-    /// `None` resolves `MVIO_CHECK` from the environment at launch.
-    pub check: Option<CheckMode>,
 }
 
 impl WorldConfig {
@@ -30,19 +26,12 @@ impl WorldConfig {
             topology,
             cost: CostModel::calibrated(),
             stack_size: 1 << 20,
-            check: None,
         }
     }
 
     /// Overrides the cost model.
     pub fn with_cost(mut self, cost: CostModel) -> Self {
         self.cost = cost;
-        self
-    }
-
-    /// Pins the verification mode, overriding `MVIO_CHECK`.
-    pub fn with_check(mut self, mode: CheckMode) -> Self {
-        self.check = Some(mode);
         self
     }
 }
@@ -55,31 +44,14 @@ impl World {
     /// own [`Comm`]. Returns the per-rank results, indexed by rank.
     ///
     /// Panics in any rank propagate (the job aborts, like
-    /// `MPI_Abort`-on-error behaviour).
+    /// `MPI_Abort`-on-error behaviour), and so does a collective-protocol
+    /// violation: every run is verified (see [`crate::check`]).
     pub fn run<F, R>(cfg: WorldConfig, f: F) -> Vec<R>
     where
         F: Fn(&mut Comm) -> R + Send + Sync,
         R: Send,
     {
-        Self::run_reporting(cfg, f).0
-    }
-
-    /// Like [`World::run`], but also returns the collective-protocol
-    /// violations the verifier collected (always empty when the mode
-    /// resolves to [`CheckMode::Off`]; under [`CheckMode::Strict`] the
-    /// first violation panics instead of being returned). This is the
-    /// queryable-from-tests surface of `MVIO_CHECK=on`.
-    pub fn run_reporting<F, R>(cfg: WorldConfig, f: F) -> (Vec<R>, Vec<Violation>)
-    where
-        F: Fn(&mut Comm) -> R + Send + Sync,
-        R: Send,
-    {
         let p = cfg.topology.ranks();
-        let mode = cfg.check.unwrap_or_else(CheckMode::from_env);
-        let check = match mode {
-            CheckMode::Off => None,
-            m => Some(Arc::new(CollectiveVerifier::new(p, m == CheckMode::Strict))),
-        };
         let mut senders = Vec::with_capacity(p);
         let mut receivers = Vec::with_capacity(p);
         for _ in 0..p {
@@ -92,11 +64,10 @@ impl World {
             cost: cfg.cost,
             senders,
             hub: Hub::new(p),
-            check: check.clone(),
         });
 
         let f = &f;
-        let results = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(p);
             for (rank, rx) in receivers.into_iter().enumerate() {
                 let shared = Arc::clone(&shared);
@@ -110,15 +81,13 @@ impl World {
                         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                             let mut comm = Comm::new(rank, Arc::clone(&shared), rx);
                             let out = f(&mut comm);
-                            // The closure returned: tell the verifier how
-                            // far this rank got, so peers still inside (or
+                            // The closure returned: tell the hub how far
+                            // this rank got, so peers still inside (or
                             // later entering) a collective this rank never
-                            // joined are reported as stranded. A strict-
-                            // mode panic here still runs the poison path
+                            // joined are reported as stranded. A report
+                            // panicking here still runs the poison path
                             // below, waking those peers.
-                            if let Some(v) = &shared.check {
-                                v.rank_finished(rank, comm.collectives_entered());
-                            }
+                            shared.hub.rank_finished(rank, comm.collectives_entered());
                             out
                         }));
                         if result.is_err() {
@@ -173,9 +142,7 @@ impl World {
                 std::panic::resume_unwind(payload);
             }
             ok
-        });
-        let violations = check.map(|v| v.reports()).unwrap_or_default();
-        (results, violations)
+        })
     }
 }
 

@@ -1,24 +1,24 @@
-//! Mutation tests for the collective-protocol verifier (`msim::check`).
+//! Mutation tests for the collective-protocol verification the
+//! rendezvous hub runs on every collective (`msim::check`).
 //!
 //! Each test deliberately injects one of the protocol violations the
-//! verifier exists to catch — a rank skipping a barrier, divergent
-//! chunked-exchange round counts, a leaked in-flight [`Request`] — and
-//! asserts that `MVIO_CHECK=strict` aborts the job with a report that
-//! names the offending rank and the call-site label. A final set of
-//! tests runs clean collective pipelines under `MVIO_CHECK=on` and
-//! asserts zero reports, so the verifier's baseline false-positive rate
-//! stays pinned at exactly nothing.
+//! hub exists to catch — a rank skipping a barrier, divergent
+//! chunked-exchange round counts, mismatched collective kinds, a leaked
+//! in-flight [`Request`] — and asserts that a plain `World::run` aborts
+//! the job with a report that names the offending rank and the
+//! call-site label. A final set of tests runs clean collective
+//! pipelines and asserts they complete, so the verifier's baseline
+//! false-positive rate stays pinned at exactly nothing.
+//!
+//! [`Request`]: mvio_msim::Request
 
-use mvio_msim::{CheckMode, Topology, Violation, World, WorldConfig};
+use mvio_msim::check::REPORT;
+use mvio_msim::{Topology, World, WorldConfig};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-fn strict_cfg(ranks: usize) -> WorldConfig {
-    WorldConfig::new(Topology::single_node(ranks)).with_check(CheckMode::Strict)
-}
-
-fn on_cfg(ranks: usize) -> WorldConfig {
-    WorldConfig::new(Topology::single_node(ranks)).with_check(CheckMode::On)
+fn cfg(ranks: usize) -> WorldConfig {
+    WorldConfig::new(Topology::single_node(ranks))
 }
 
 /// Extracts the human-readable message from a panic payload.
@@ -30,7 +30,7 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
         .unwrap_or_default()
 }
 
-/// Runs `f` under `MVIO_CHECK=strict` and returns the abort message,
+/// Runs `f` in a `ranks`-rank world and returns the abort message,
 /// failing the test if the job completes without a violation.
 fn strict_abort_message<R>(
     ranks: usize,
@@ -40,15 +40,21 @@ where
     R: Send,
 {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        World::run(strict_cfg(ranks), f);
+        World::run(cfg(ranks), f);
     }));
-    let payload = outcome.expect_err("strict mode must abort the job on a protocol violation");
+    let payload = outcome.expect_err("the job must abort on a protocol violation");
     let msg = panic_message(payload);
     assert!(
-        msg.contains("MVIO_CHECK=strict"),
+        msg.starts_with(REPORT),
         "abort must come from the verifier, got: {msg}"
     );
     msg
+}
+
+/// Runs `f` in a `ranks`-rank world, failing the test if it aborts.
+fn clean_run<R: Send>(ranks: usize, f: impl Fn(&mut mvio_msim::Comm) -> R + Send + Sync) -> Vec<R> {
+    catch_unwind(AssertUnwindSafe(|| World::run(cfg(ranks), f)))
+        .unwrap_or_else(|payload| panic!("clean run aborted: {}", panic_message(payload)))
 }
 
 // ----- mutation: one rank skips a barrier ------------------------------
@@ -80,9 +86,7 @@ fn divergent_alltoallv_round_count_is_reported_per_round() {
         let rounds = if comm.rank() == 0 { 2 } else { 1 };
         for round in 0..rounds {
             let bufs: Vec<Vec<u8>> = (0..p).map(|d| vec![round as u8; d + 1]).collect();
-            comm.labeled(&format!("mutation.payload[round={round}]"), |c| {
-                c.alltoallv(bufs.clone())
-            });
+            comm.labeled_round("mutation.payload", round, |c| c.alltoallv(bufs.clone()));
         }
     });
     // The violation fires at the extra round, and its signature names
@@ -112,39 +116,14 @@ fn leaked_request_is_reported_with_op_and_label() {
     );
 }
 
-#[test]
-fn leaked_request_is_collected_under_on() {
-    // `on` collects instead of aborting: the job completes and the
-    // violation is queryable from the report list.
-    let (_, violations) = World::run_reporting(on_cfg(2), |comm| {
-        comm.labeled("mutation.leak", |c| {
-            let req = c.isend((c.rank() + 1) % 2, 3, b"x");
-            drop(req);
-            // Drain the matching sends so both ranks exit cleanly.
-            let got = c.recv((c.rank() + 1) % 2, 3);
-            assert_eq!(got, b"x");
-        });
-    });
-    assert_eq!(violations.len(), 2, "one leak per rank: {violations:?}");
-    for v in &violations {
-        match v {
-            Violation::RequestLeak { op, .. } => {
-                assert_eq!(op, "isend @ mutation.leak");
-            }
-            other => panic!("expected RequestLeak, got {other:?}"),
-        }
-    }
-}
-
 // ----- mutation: same collective, diverging call sites -----------------
 
 #[test]
 fn label_divergence_is_a_sequence_mismatch() {
-    // Both ranks enter the *same* hub operation, so the job completes
-    // under `on` — but the call-site labels disagree, which is exactly
-    // the "two different code paths happened to line up" hazard the
-    // signatures exist to expose.
-    let (_, violations) = World::run_reporting(on_cfg(2), |comm| {
+    // Both ranks enter the *same* hub operation, but the call-site
+    // labels disagree, which is exactly the "two different code paths
+    // happened to line up" hazard the signatures exist to expose.
+    let msg = strict_abort_message(2, |comm| {
         let site = if comm.rank() == 0 {
             "mutation.left"
         } else {
@@ -152,23 +131,41 @@ fn label_divergence_is_a_sequence_mismatch() {
         };
         comm.labeled(site, |c| c.barrier());
     });
-    assert_eq!(violations.len(), 1, "got: {violations:?}");
-    match &violations[0] {
-        Violation::SequenceMismatch { index, signatures } => {
-            assert_eq!(*index, 0);
-            let rendered: Vec<&str> = signatures.iter().map(|(_, s)| s.as_str()).collect();
-            assert!(rendered.iter().any(|s| s.contains("mutation.left")));
-            assert!(rendered.iter().any(|s| s.contains("mutation.right")));
+    assert!(msg.contains("collective #0 diverged"), "got: {msg}");
+    assert!(
+        msg.contains("rank 0: barrier @ mutation.left"),
+        "got: {msg}"
+    );
+    assert!(
+        msg.contains("rank 1: barrier @ mutation.right"),
+        "got: {msg}"
+    );
+}
+
+// ----- mutation: different collectives at one generation --------------
+
+#[test]
+fn barrier_against_bcast_is_a_kind_mismatch() {
+    // The hub compares the signatures before it combines any input, so
+    // two ranks depositing different input types is a report, not the
+    // combiner's type-mismatch failure.
+    let msg = strict_abort_message(2, |comm| {
+        if comm.rank() == 0 {
+            comm.barrier();
+        } else {
+            comm.bcast(0, Vec::new());
         }
-        other => panic!("expected SequenceMismatch, got {other:?}"),
-    }
+    });
+    assert!(msg.contains("collective #0 diverged"), "got: {msg}");
+    assert!(msg.contains("rank 0: barrier\n"), "got: {msg}");
+    assert!(msg.contains("rank 1: bcast(root=0)"), "got: {msg}");
 }
 
 // ----- clean pipelines must be report-free -----------------------------
 
 #[test]
 fn clean_collective_pipeline_has_zero_reports_under_on() {
-    let (results, violations) = World::run_reporting(on_cfg(4), |comm| {
+    let results = clean_run(4, |comm| {
         let p = comm.size();
         let rank = comm.rank();
 
@@ -195,14 +192,13 @@ fn clean_collective_pipeline_has_zero_reports_under_on() {
             c.allreduce_u64(total as u64, |a: &u64, b: &u64| a + b)
         })
     });
-    assert!(violations.is_empty(), "clean run reported: {violations:?}");
     assert!(results.iter().all(|&r| r == results[0]));
 }
 
 #[test]
 fn clean_pipeline_survives_strict() {
-    // The same shape under `strict` must complete without aborting.
-    let results = World::run(strict_cfg(3), |comm| {
+    // A second shape, at three ranks, must complete without aborting.
+    let results = clean_run(3, |comm| {
         comm.labeled("clean.setup", |c| c.barrier());
         let p = comm.size();
         let bufs: Vec<Vec<u8>> = (0..p).map(|d| vec![0u8; d + 1]).collect();

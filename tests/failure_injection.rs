@@ -11,7 +11,6 @@ use mpi_vector_io::core::exchange::{
 };
 use mpi_vector_io::core::resident::ResidentStore;
 use mpi_vector_io::core::CoreError;
-use mpi_vector_io::msim::CheckMode;
 use mpi_vector_io::prelude::*;
 use mpi_vector_io::sjoin::engine::answer_entries;
 use mpi_vector_io::sjoin::Update;
@@ -67,8 +66,7 @@ fn corrupted_wkt_record_fails_cleanly_on_every_rank() {
 /// One malformed record through the whole text front half — `ingest`,
 /// and `spatial_join` with it in either layer — at 4 ranks: the owner of
 /// the record returns the parse error naming it, its peers an error
-/// naming the owner, and nobody waits in the decomposition build. With
-/// the verifier off and strict.
+/// naming the owner, and nobody waits in the decomposition build.
 #[test]
 fn a_bad_record_fails_every_front_half_on_every_rank() {
     let good: String = (0..40)
@@ -78,49 +76,47 @@ fn a_bad_record_fails_every_front_half_on_every_rank() {
     let fs = fs_with(FsConfig::gpfs_roger(), "bad.wkt", &bad);
     fs.create("good.wkt", None).unwrap().append(good.as_bytes());
     let read = ReadOptions::default().with_block_size(128);
-    for mode in [CheckMode::Off, CheckMode::Strict] {
-        for run in ["ingest", "join left", "join right"] {
-            let fs = std::sync::Arc::clone(&fs);
-            let cfg = WorldConfig::new(Topology::new(2, 2)).with_check(mode);
-            let out = World::run(cfg, move |comm| {
-                let res = match run {
-                    "ingest" => pipeline::ingest(
-                        comm,
-                        &fs,
-                        "bad.wkt",
-                        &read,
-                        &WktLineParser,
-                        &DecompConfig::uniform(GridSpec::square(4)),
-                        &PipelineOptions::default(),
-                    )
-                    .map(|_| ()),
-                    _ => {
-                        let opts = JoinOptions {
-                            read,
-                            ..Default::default()
-                        };
-                        let (l, r) = match run {
-                            "join left" => ("bad.wkt", "good.wkt"),
-                            _ => ("good.wkt", "bad.wkt"),
-                        };
-                        spatial_join(comm, &fs, l, r, &opts).map(|_| ())
-                    }
-                };
-                match res {
-                    Err(e @ CoreError::Parse { .. }) => Ok(e.to_string()),
-                    Err(CoreError::Partition(m)) => Err(m),
-                    other => panic!("rank {}: {other:?}", comm.rank()),
+    for run in ["ingest", "join left", "join right"] {
+        let fs = std::sync::Arc::clone(&fs);
+        let cfg = WorldConfig::new(Topology::new(2, 2));
+        let out = World::run(cfg, move |comm| {
+            let res = match run {
+                "ingest" => pipeline::ingest(
+                    comm,
+                    &fs,
+                    "bad.wkt",
+                    &read,
+                    &WktLineParser,
+                    &DecompConfig::uniform(GridSpec::square(4)),
+                    &PipelineOptions::default(),
+                )
+                .map(|_| ()),
+                _ => {
+                    let opts = JoinOptions {
+                        read,
+                        ..Default::default()
+                    };
+                    let (l, r) = match run {
+                        "join left" => ("bad.wkt", "good.wkt"),
+                        _ => ("good.wkt", "bad.wkt"),
+                    };
+                    spatial_join(comm, &fs, l, r, &opts).map(|_| ())
                 }
-            });
-            let ctx = format!("{run}, {mode:?}: {out:?}");
-            let owners: Vec<usize> = (0..4).filter(|&r| out[r].is_ok()).collect();
-            assert_eq!(owners.len(), 1, "{ctx}");
-            let owner = owners[0];
-            assert!(out[owner].as_ref().unwrap().contains("botched"), "{ctx}");
-            let named = format!("aborted: rank {owner} failed");
-            for m in out.iter().filter_map(|r| r.as_ref().err()) {
-                assert!(m.contains(&named), "{ctx}");
+            };
+            match res {
+                Err(e @ CoreError::Parse { .. }) => Ok(e.to_string()),
+                Err(CoreError::Partition(m)) => Err(m),
+                other => panic!("rank {}: {other:?}", comm.rank()),
             }
+        });
+        let ctx = format!("{run}: {out:?}");
+        let owners: Vec<usize> = (0..4).filter(|&r| out[r].is_ok()).collect();
+        assert_eq!(owners.len(), 1, "{ctx}");
+        let owner = owners[0];
+        assert!(out[owner].as_ref().unwrap().contains("botched"), "{ctx}");
+        let named = format!("aborted: rank {owner} failed");
+        for m in out.iter().filter_map(|r| r.as_ref().err()) {
+            assert!(m.contains(&named), "{ctx}");
         }
     }
 }
@@ -324,11 +320,11 @@ fn malformed_queries_are_rejected_symmetrically_and_engine_survives() {
 
 /// A sink error raised while validating round 1 on rank 0 (rank 1 ships
 /// it a torn payload there) comes back on rank 0 only: the peers keep
-/// every record of both rounds, and the strict verifier sees matched
-/// collectives throughout.
+/// every record of both rounds, and the hub sees matched collectives
+/// throughout.
 #[test]
 fn sink_decode_error_stays_on_its_rank() {
-    let cfg = WorldConfig::new(Topology::single_node(3)).with_check(CheckMode::Strict);
+    let cfg = WorldConfig::new(Topology::single_node(3));
     let out = World::run(cfg, move |comm| {
         let (rank, p) = (comm.rank(), comm.size());
         let mut round = 0u32;
@@ -395,13 +391,13 @@ fn answer_block(qid: u64, distances: &[f64], matches: &[&str]) -> Vec<u8> {
 /// blocks to every peer over the staged exchange, and rank 1 tears the
 /// kNN block it sends rank 0 in the second round. The engine's block
 /// decoder turns that into a typed error on rank 0 only; the peers
-/// complete, the strict verifier sees matched collectives, and the
-/// resident engine on every rank — rank 0 included — answers the next
-/// batch exactly as it answered the one before.
+/// complete, the hub sees matched collectives, and the resident engine
+/// on every rank — rank 0 included — answers the next batch exactly as
+/// it answered the one before.
 #[test]
 fn corrupted_answer_block_stays_on_its_rank() {
     let coords: Vec<(f64, f64)> = (0..12).map(|i| (1.0 + i as f64, 15.0 - i as f64)).collect();
-    let cfg = WorldConfig::new(Topology::single_node(3)).with_check(CheckMode::Strict);
+    let cfg = WorldConfig::new(Topology::single_node(3));
     let out = World::run(cfg, move |comm| {
         let (rank, p) = (comm.rank(), comm.size());
         let sd = mk_decomp(WORLD, 0, 3, p);
@@ -511,7 +507,7 @@ fn world_answer(comm: &mut Comm, eng: &mut QueryEngine) -> Vec<String> {
 #[test]
 fn corrupted_update_round_stays_on_its_rank() {
     for deletes in [false, true] {
-        let cfg = WorldConfig::new(Topology::single_node(3)).with_check(CheckMode::Strict);
+        let cfg = WorldConfig::new(Topology::single_node(3));
         let out = World::run(cfg, move |comm| {
             let (rank, p) = (comm.rank(), comm.size());
             let sd = mk_decomp(WORLD, 0, 3, p);
@@ -626,7 +622,7 @@ fn corrupted_update_round_stays_on_its_rank() {
 /// everything but what was on its way to rank 0 — identically everywhere.
 #[test]
 fn corrupted_migration_round_stays_on_its_rank() {
-    let cfg = WorldConfig::new(Topology::single_node(3)).with_check(CheckMode::Strict);
+    let cfg = WorldConfig::new(Topology::single_node(3));
     let out = World::run(cfg, move |comm| {
         let (rank, p) = (comm.rank(), comm.size());
         let (from, to) = (mk_decomp(WORLD, 0, 3, p), mk_decomp(WORLD, 1, 3, p));
@@ -694,8 +690,8 @@ enum Reload {
 /// with a wrong magic, or whose table counts one record more than its
 /// header must make every rank of a 4-rank world return a
 /// `CoreError::Snapshot` — through `spatial_join_snapshots` and through
-/// `QueryEngine::from_snapshot` — with the verifier reporting nothing,
-/// collecting or strict. A rejection by the validator reads the same on
+/// `QueryEngine::from_snapshot` — without a protocol violation aborting
+/// the world. A rejection by the validator reads the same on
 /// every rank; a fetch that fails on rank 0 (the table bound check, or a
 /// missing file) reaches the peers by name.
 #[test]
@@ -752,68 +748,65 @@ fn corrupt_snapshot_metadata_fails_every_rank_alike() {
     ];
     for (what, corrupt, validator) in cases {
         for reload in reloads {
-            for mode in [CheckMode::On, CheckMode::Strict] {
-                let fs = SimFs::new(FsConfig::lustre_comet());
-                for (path, bad) in [
-                    (
-                        "l.bin",
-                        !matches!(
-                            reload,
-                            Reload::Join {
-                                corrupt_left: false
-                            }
-                        ),
-                    ),
-                    (
-                        "r.bin",
-                        matches!(
-                            reload,
-                            Reload::Join {
-                                corrupt_left: false
-                            }
-                        ),
-                    ),
-                ] {
-                    let mut bytes = good(path);
-                    if bad {
-                        corrupt(&mut bytes);
-                    }
-                    fs.create(path, None).unwrap().set_contents(bytes);
-                }
-                let cfg = WorldConfig::new(Topology::single_node(4)).with_check(mode);
-                let (out, violations) = World::run_reporting(cfg, move |comm| {
-                    let res = match reload {
-                        Reload::Join { .. } => {
-                            let opts = SnapshotJoinOptions::default();
-                            spatial_join_snapshots(comm, &fs, "l.bin", "r.bin", &opts).map(|_| ())
+            let fs = SimFs::new(FsConfig::lustre_comet());
+            for (path, bad) in [
+                (
+                    "l.bin",
+                    !matches!(
+                        reload,
+                        Reload::Join {
+                            corrupt_left: false
                         }
-                        Reload::Engine => QueryEngine::from_snapshot(
-                            comm,
-                            &fs,
-                            "l.bin",
-                            DecompPolicy::Uniform(CellMap::RoundRobin),
-                            &SnapshotReadOptions::default(),
-                            &EngineOptions::default(),
-                        )
-                        .map(|_| ()),
-                    };
-                    match res {
-                        Err(CoreError::Snapshot(m)) => m,
-                        other => panic!("rank {}: {other:?}", comm.rank()),
+                    ),
+                ),
+                (
+                    "r.bin",
+                    matches!(
+                        reload,
+                        Reload::Join {
+                            corrupt_left: false
+                        }
+                    ),
+                ),
+            ] {
+                let mut bytes = good(path);
+                if bad {
+                    corrupt(&mut bytes);
+                }
+                fs.create(path, None).unwrap().set_contents(bytes);
+            }
+            let cfg = WorldConfig::new(Topology::single_node(4));
+            let out = World::run(cfg, move |comm| {
+                let res = match reload {
+                    Reload::Join { .. } => {
+                        let opts = SnapshotJoinOptions::default();
+                        spatial_join_snapshots(comm, &fs, "l.bin", "r.bin", &opts).map(|_| ())
                     }
-                });
-                let ctx = format!("{what}, {reload:?}, {mode:?}");
-                assert!(violations.is_empty(), "{ctx}: {violations:?}");
-                match validator {
-                    Some(needle) => {
-                        assert!(out[0].contains(needle), "{ctx}: {}", out[0]);
-                        assert!(out.iter().all(|m| *m == out[0]), "{ctx}: {out:?}");
-                    }
-                    None => {
-                        assert!(out[0].contains("section table"), "{ctx}: {}", out[0]);
-                        let named = format!("metadata read on rank 0 failed: snapshot: {}", out[0]);
-                        assert!(out[1..].iter().all(|m| *m == named), "{ctx}: {out:?}");
-                    }
+                    Reload::Engine => QueryEngine::from_snapshot(
+                        comm,
+                        &fs,
+                        "l.bin",
+                        DecompPolicy::Uniform(CellMap::RoundRobin),
+                        &SnapshotReadOptions::default(),
+                        &EngineOptions::default(),
+                    )
+                    .map(|_| ()),
+                };
+                match res {
+                    Err(CoreError::Snapshot(m)) => m,
+                    other => panic!("rank {}: {other:?}", comm.rank()),
+                }
+            });
+            let ctx = format!("{what}, {reload:?}");
+            match validator {
+                Some(needle) => {
+                    assert!(out[0].contains(needle), "{ctx}: {}", out[0]);
+                    assert!(out.iter().all(|m| *m == out[0]), "{ctx}: {out:?}");
+                }
+                None => {
+                    assert!(out[0].contains("section table"), "{ctx}: {}", out[0]);
+                    let named = format!("metadata read on rank 0 failed: snapshot: {}", out[0]);
+                    assert!(out[1..].iter().all(|m| *m == named), "{ctx}: {out:?}");
                 }
             }
         }
@@ -821,7 +814,7 @@ fn corrupt_snapshot_metadata_fails_every_rank_alike() {
 
     // No file at all: rank 0's open fails, it keeps the filesystem error,
     // and its peers return a snapshot error naming it.
-    let cfg = WorldConfig::new(Topology::single_node(4)).with_check(CheckMode::Strict);
+    let cfg = WorldConfig::new(Topology::single_node(4));
     let out = World::run(cfg, move |comm| {
         let (read, eng) = (SnapshotReadOptions::default(), EngineOptions::default());
         let policy = DecompPolicy::Uniform(CellMap::RoundRobin);
