@@ -47,7 +47,8 @@ pub fn ingest_times(
         drop(text);
         let t2 = comm.now();
         let cfg = DecompConfig::uniform(GridSpec::square(16));
-        let sd = Decomposition::build_global(comm, &[&feats], &cfg, false).unwrap();
+        let envelopes: Vec<_> = feats.iter().map(|f| f.geometry.envelope()).collect();
+        let sd = Decomposition::build_global(comm, &[&envelopes], &cfg, false).unwrap();
         let (batch, _) = partition_chunked(comm, &sd, &feats, &popts).unwrap();
         drop(feats);
         let t3 = comm.now();

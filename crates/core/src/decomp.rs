@@ -177,21 +177,22 @@ impl Decomposition {
     }
 
     /// Collectively builds the configured decomposition over every layer
-    /// this rank holds: the extent is the `MPI_UNION` allreduce of the
-    /// layers' local MBRs, and the adaptive policy histograms the features
-    /// of all of them, so layers joined together share one decomposition.
-    /// A rank that already failed enters `failed` with empty layers, and
-    /// every rank then gets the error [`UniformGrid::build_global`]
-    /// returns. Collective: every rank must call it, failed or not; all
-    /// ranks receive identical decompositions or the same error.
+    /// this rank holds, each given as its features' envelopes: the extent
+    /// is the `MPI_UNION` allreduce of the layers' local MBRs, and the
+    /// adaptive policy histograms the features of all of them, so layers
+    /// joined together share one decomposition. A rank that already failed
+    /// enters `failed` with empty layers, and every rank then gets the
+    /// error [`UniformGrid::build_global`] returns. Collective: every rank
+    /// must call it, failed or not; all ranks receive identical
+    /// decompositions or the same error.
     pub fn build_global(
         comm: &mut Comm,
-        layers: &[&[Feature]],
+        layers: &[&[Rect]],
         cfg: &DecompConfig,
         failed: bool,
     ) -> Result<Self> {
-        let features = || layers.iter().flat_map(|l| l.iter());
-        let local_mbr = features().fold(Rect::EMPTY, |acc, f| acc.union(&f.geometry.envelope()));
+        let envelopes = || layers.iter().flat_map(|l| l.iter());
+        let local_mbr = envelopes().fold(Rect::EMPTY, |acc, env| acc.union(env));
         let grid = UniformGrid::build_global(comm, local_mbr, cfg.effective_spec(), failed)?;
         let counts = match cfg.policy {
             DecompPolicy::Adaptive { .. } => {
@@ -200,9 +201,8 @@ impl Decomposition {
                 let mut counts = vec![0u64; table_size(&grid)?];
                 let mut n = 0u64;
                 let mut scratch = Vec::with_capacity(1);
-                for f in features() {
+                for env in envelopes() {
                     n += 1;
-                    let env = f.geometry.envelope();
                     if env.is_empty() {
                         continue;
                     }
@@ -609,9 +609,14 @@ pub fn build_global(
     layers: &[&[Feature]],
     cfg: &DecompConfig,
 ) -> Box<dyn SpatialDecomposition> {
+    let envelopes: Vec<Vec<Rect>> = layers
+        .iter()
+        .map(|l| l.iter().map(|f| f.geometry.envelope()).collect())
+        .collect();
+    let layers: Vec<&[Rect]> = envelopes.iter().map(Vec::as_slice).collect();
     // audit: no rank enters failed, so the only error left is an owner
     // table past the cap, which is the caller's configuration (# Panics).
-    let d = Decomposition::build_global(comm, layers, cfg, false);
+    let d = Decomposition::build_global(comm, &layers, cfg, false);
     Box::new(d.unwrap_or_else(|e| panic!("{e}")))
 }
 
@@ -908,15 +913,10 @@ mod tests {
         ];
         for cfg in cfgs {
             let out = World::run(WorldConfig::new(Topology::single_node(3)), move |comm| {
-                let feats: Vec<Feature> = (0..10)
-                    .map(|i| {
-                        Feature::new(mvio_geom::Geometry::Point(Point::new(
-                            (comm.rank() * 10 + i) as f64,
-                            i as f64,
-                        )))
-                    })
+                let envelopes: Vec<Rect> = (0..10)
+                    .map(|i| Point::new((comm.rank() * 10 + i) as f64, i as f64).envelope())
                     .collect();
-                let d = Decomposition::build_global(comm, &[&feats], &cfg, false).unwrap();
+                let d = Decomposition::build_global(comm, &[&envelopes], &cfg, false).unwrap();
                 (
                     d.bounds(),
                     d.num_cells(),

@@ -124,9 +124,10 @@ pub struct ExchangeStats {
 /// (one exact `reserve`, no growth checks in the coordinate loop), then
 /// lands in `out` as one bulk copy. Hot loops serialize millions of
 /// records; the old per-record `wkb::encode` allocated and dropped a
-/// fresh `Vec` for every one of them. (The ingest pipeline encodes each
-/// feature once and emits its replicas from that one encoding, and so
-/// does `sjoin`'s query routing, through [`serialize_frame`].)
+/// fresh `Vec` for every one of them. (The ingest pipeline encodes
+/// nothing: its parser transcodes each record's WKB from the text once,
+/// and every replica is emitted from those bytes. `sjoin`'s query routing
+/// encodes each query once and emits it through [`serialize_frame`].)
 pub fn serialize_record(
     cell: u32,
     feature: &Feature,

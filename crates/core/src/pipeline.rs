@@ -1,5 +1,5 @@
 //! The intra-rank streaming ingest pipeline: chunked parse → cell-map →
-//! serialize over modelled worker lanes.
+//! copy over modelled worker lanes.
 //!
 //! The paper's end-to-end win comes from overlapping I/O, parsing and
 //! spatial partitioning. This module is the one text front half every
@@ -9,13 +9,16 @@
 //!
 //! 1. the rank's record buffer is split into record-aligned **chunks**
 //!    ([`split_record_chunks`]);
-//! 2. the chunks are parsed, in order, into per-chunk feature batches
-//!    ([`parse_chunked`]);
-//! 3. a second fan-out maps each parsed batch onto grid cells, sizing
-//!    every replica's record, and a third serializes the replicas
-//!    straight into exactly sized per-destination wire buffers
-//!    ([`partition_chunked`]) — each feature is encoded once whatever its
-//!    replica count, and no `Vec<(u32, Feature)>` snapshot is built;
+//! 2. the chunks' records are transcoded, in order, straight from their
+//!    text into the layer's arena of WKB bytes (`docs/FORMAT.md` §2),
+//!    userdata, spans and envelopes, by the parser's
+//!    [`GeometryParser::transcode`] — no geometry object is built, and
+//!    each record is encoded exactly once, here;
+//! 3. a second fan-out maps each run of records onto grid cells from their
+//!    envelopes, sizing every replica's wire record from the spans, and a
+//!    third copies the replicas straight into exactly sized
+//!    per-destination wire buffers — whatever a record's replica count,
+//!    its bytes are only copied;
 //! 4. the staged exchange ships the buffers with the usual two-round
 //!    `Alltoall` + `Alltoallv` protocol — or, under a finite
 //!    [`crate::exchange::ExchangeChunk::Bytes`] cap (the memory bound of
@@ -46,13 +49,16 @@
 //! fixed rule `lane = chunk_index % workers`, in chunk order. The rank
 //! clock then advances by the **slowest lane**
 //! ([`Comm::advance_parallel`]) — the virtual wall-time of a perfectly
-//! overlapped parallel region. With one worker the parse stage charges
-//! exactly what a record-by-record parse would (the lane is the
-//! sequential sum); the cell-map stage charges the grid-filter lookup
-//! (`Work::RtreeQueries`, the paper's cell-filter mechanism) and the
-//! serialize stage `Work::SerializeGeoms` per replica, each as its own
-//! slowest lane. Either way the reported speedup at `w` workers is a
-//! property of the partitioned work, not of the host machine.
+//! overlapped parallel region. Charges follow the work. The parse stage
+//! charges each record's calibrated parse (`Work::ParseWkt`) and the copy
+//! of the WKB it wrote (`Work::CopyBytes`); with one worker that is
+//! exactly what a record-by-record parse charges (the lane is the
+//! sequential sum). The cell-map stage charges the grid-filter lookup
+//! (`Work::RtreeQueries`, the paper's cell-filter mechanism) and the copy
+//! stage `Work::CopyBytes` for every replica's record, each as its own
+//! slowest lane. No stage charges `Work::SerializeGeoms`: none encodes an
+//! object. Either way the reported speedup at `w` workers is a property
+//! of the partitioned work, not of the host machine.
 //!
 //! # Worker count
 //!
@@ -110,12 +116,12 @@ use crate::exchange::{
     FrameStore, SerializedBatch, RECORD_OVERHEAD,
 };
 use crate::partition::{read_partition_text, ReadOptions, RECORD_DELIMITER};
-use crate::reader::{parse_records_into, GeometryParser};
+use crate::reader::{GeometryParser, Records};
 pub use crate::snapshot::{
     read_partitioned, write_partitioned, SnapshotReadOptions, SnapshotWriteOptions,
 };
 use crate::{CoreError, Feature, Result};
-use mvio_geom::wkb;
+use mvio_geom::Rect;
 use mvio_msim::{Comm, Work, WorkTally};
 use mvio_pfs::SimFs;
 use std::sync::Arc;
@@ -181,13 +187,13 @@ pub struct PipelineStats {
     pub workers: usize,
     /// Record-aligned text chunks parsed.
     pub parse_chunks: u64,
-    /// Feature chunks cell-mapped and serialized.
+    /// Record chunks cell-mapped and copied into wire buffers.
     pub partition_chunks: u64,
     /// Records parsed.
     pub records: u64,
     /// Record bytes parsed (including delimiters).
     pub record_bytes: u64,
-    /// `(cell, feature)` replicas serialized.
+    /// `(cell, feature)` replicas copied into wire buffers.
     pub pairs: u64,
 }
 
@@ -224,7 +230,11 @@ pub fn split_record_chunks(text: &str, target_bytes: usize) -> Vec<&str> {
 /// Runs `job` over `jobs` in order on the rank's own thread, returning
 /// the results in job order and the per-lane virtual-second totals: job
 /// `k`'s seconds go to modelled lane `k % lanes`, added in ascending `k`.
-fn fan_out<J, O>(workers: usize, jobs: Vec<J>, job: impl Fn(&J) -> (O, f64)) -> (Vec<O>, Vec<f64>) {
+fn fan_out<J, O>(
+    workers: usize,
+    jobs: Vec<J>,
+    mut job: impl FnMut(&J) -> (O, f64),
+) -> (Vec<O>, Vec<f64>) {
     let mut lanes = vec![0.0f64; workers.min(jobs.len()).max(1)];
     let n = lanes.len();
     let results = jobs
@@ -239,12 +249,46 @@ fn fan_out<J, O>(workers: usize, jobs: Vec<J>, job: impl Fn(&J) -> (O, f64)) -> 
     (results, lanes)
 }
 
-/// Chunked parse stage: splits `text` into record-aligned chunks, parses
-/// them in order on the rank's own thread, and concatenates the
-/// per-chunk feature batches. The feature vector is bit-identical to
-/// [`crate::reader::parse_buffer_serial`] for any worker count; chunk
-/// `k`'s seconds go to modelled lane `k % workers`, and the clock
-/// advances by the slowest lane.
+/// The chunked parse stage: splits `text` into record-aligned chunks and
+/// transcodes them, in order on the rank's own thread, into one records
+/// arena. Chunk `k`'s seconds go to modelled lane `k % workers`, and the
+/// clock advances by the slowest lane.
+/// Not collective — local parse; the communicator only charges the
+/// worker lanes.
+pub(crate) fn parse_records(
+    comm: &mut Comm,
+    text: &str,
+    parser: &dyn GeometryParser,
+    opts: &PipelineOptions,
+) -> Result<(Records, PipelineStats)> {
+    let workers = opts.effective_workers();
+    let chunks = split_record_chunks(text, opts.parse_chunk_bytes);
+    let cost = *comm.cost_model();
+    let mut records = Records::default();
+    let (results, lanes) = fan_out(workers, chunks, |chunk: &&str| {
+        let mut tally = WorkTally::new(cost);
+        let parsed = records.parse(chunk, parser, |work| tally.charge(work));
+        (parsed, tally.seconds())
+    });
+    let parse_chunks = results.len() as u64;
+    // Error of the lowest-index failed chunk — what the sequential scan
+    // would have hit first.
+    results.into_iter().collect::<Result<()>>()?;
+    comm.advance_parallel(&lanes);
+    let stats = PipelineStats {
+        workers,
+        parse_chunks,
+        records: records.len() as u64,
+        record_bytes: records.text_bytes,
+        ..Default::default()
+    };
+    Ok((records, stats))
+}
+
+/// The chunked parse stage for callers that want objects: its records,
+/// decoded into features — bit-identical to
+/// [`crate::reader::parse_buffer_serial`] for any worker count, and
+/// charged exactly as the stage is.
 /// Not collective — local parse; the communicator only charges the
 /// worker lanes.
 pub fn parse_chunked(
@@ -253,68 +297,21 @@ pub fn parse_chunked(
     parser: &dyn GeometryParser,
     opts: &PipelineOptions,
 ) -> Result<(Vec<Feature>, PipelineStats)> {
-    let workers = opts.effective_workers();
-    let chunks = split_record_chunks(text, opts.parse_chunk_bytes);
-    let cost = *comm.cost_model();
-
-    struct ChunkOut {
-        feats: Vec<Feature>,
-        records: u64,
-        bytes: u64,
-    }
-
-    let (results, lanes) = fan_out(workers, chunks, |chunk: &&str| {
-        let mut tally = WorkTally::new(cost);
-        let mut feats = Vec::new();
-        let mut bytes = 0u64;
-        let parsed = parse_records_into(
-            chunk,
-            parser,
-            |b, class| {
-                bytes += b;
-                tally.charge(Work::ParseWkt { bytes: b, class });
-            },
-            &mut feats,
-        );
-        let out = parsed.map(|records| ChunkOut {
-            feats,
-            records,
-            bytes,
-        });
-        (out, tally.seconds())
-    });
-    let parse_chunks = results.len() as u64;
-    // Error of the lowest-index failed chunk — what the sequential scan
-    // would have hit first.
-    let batches = results.into_iter().collect::<Result<Vec<_>>>()?;
-    comm.advance_parallel(&lanes);
-
-    let mut stats = PipelineStats {
-        workers,
-        parse_chunks,
-        ..Default::default()
-    };
-    let total: usize = batches.iter().map(|b| b.feats.len()).sum();
-    let mut features = Vec::with_capacity(total);
-    for b in batches {
-        stats.records += b.records;
-        stats.record_bytes += b.bytes;
-        features.extend(b.feats);
-    }
-    Ok((features, stats))
+    let (records, stats) = parse_records(comm, text, parser, opts)?;
+    Ok((records.to_features()?, stats))
 }
 
 /// Record-range boundaries of the partition stage: depends only on the
-/// feature count and the chunk-size knob, never on the worker count.
-fn partition_ranges(features: usize, step: usize) -> Vec<std::ops::Range<usize>> {
-    (0..features)
+/// record count and the chunk-size knob, never on the worker count.
+fn partition_ranges(records: usize, step: usize) -> Vec<std::ops::Range<usize>> {
+    (0..records)
         .step_by(step.max(1))
-        .map(|lo| lo..(lo + step.max(1)).min(features))
+        .map(|lo| lo..(lo + step.max(1)).min(records))
         .collect()
 }
 
 /// One partition chunk mapped onto cells: every replica as
-/// `(feature index, cell)`, feature-major with cells ascending, and the
+/// `(record index, cell)`, record-major with cells ascending, and the
 /// exact wire bytes the replicas add to each destination buffer.
 #[derive(Debug, Default)]
 pub(crate) struct ChunkCells {
@@ -322,21 +319,22 @@ pub(crate) struct ChunkCells {
     sizes: Vec<usize>,
 }
 
-/// One layer's features on their way to the exchange: cell-mapped under
-/// `decomp` and serialized into one batch.
+/// One layer's transcoded records on their way to the exchange:
+/// cell-mapped under `decomp` and copied into one batch.
 pub(crate) struct Partition<'a> {
     decomp: &'a Decomposition,
-    features: &'a [Feature],
+    records: &'a Records,
 }
 
 impl<'a> Partition<'a> {
-    pub(crate) fn new(decomp: &'a Decomposition, features: &'a [Feature]) -> Self {
-        Partition { decomp, features }
+    pub(crate) fn new(decomp: &'a Decomposition, records: &'a Records) -> Self {
+        Partition { decomp, records }
     }
 
-    /// The cell-map step of one chunk: looks up the cells of every feature
-    /// in `range` and sizes their records, charging the lookup
-    /// (`Work::RtreeQueries`, the paper's cell-filter probe) to `tally`.
+    /// The cell-map step of one chunk: looks up the cells of every record's
+    /// envelope in `range` and sizes their wire records from the spans,
+    /// charging the lookup (`Work::RtreeQueries`, the paper's cell-filter
+    /// probe) to `tally`.
     fn map_chunk(&self, range: std::ops::Range<usize>, tally: &mut WorkTally) -> ChunkCells {
         let mut map = ChunkCells {
             sizes: vec![0; self.decomp.num_ranks()],
@@ -344,10 +342,10 @@ impl<'a> Partition<'a> {
         };
         let mut cells = Vec::new();
         for i in range.clone() {
-            let f = &self.features[i];
             self.decomp
-                .cells_for_rect(&f.geometry.envelope(), &mut cells);
-            let len = RECORD_OVERHEAD + wkb::encoded_len(&f.geometry) + f.userdata.len();
+                .cells_for_rect(&self.records.envelopes()[i], &mut cells);
+            let (wkb, userdata) = self.records.get(i);
+            let len = RECORD_OVERHEAD + wkb.len() + userdata.len();
             for &cell in &cells {
                 map.sizes[self.decomp.cell_to_rank(cell)] += len;
                 map.replicas.push((i, cell));
@@ -361,40 +359,33 @@ impl<'a> Partition<'a> {
     }
 
     /// The serialize step of one mapped chunk, the one body behind every
-    /// serializing path: encodes each feature once and appends one wire
-    /// record per replica to `out`, charging `Work::SerializeGeoms` per
-    /// replica to `tally`.
+    /// serializing path: appends one wire record per replica to `out`, a
+    /// copy of its record's transcoded bytes, charging the copied bytes
+    /// (`Work::CopyBytes`) to `tally`.
     fn serialize_chunk(
         &self,
         map: &ChunkCells,
         tally: &mut WorkTally,
-        scratch: &mut Vec<u8>,
         out: &mut SerializedBatch,
     ) -> Result<()> {
-        let bytes = map.sizes.iter().sum::<usize>() as u64;
-        let n = map.replicas.len() as u64;
-        tally.charge(Work::SerializeGeoms { n, bytes });
-        let mut encoded = usize::MAX;
+        let n = map.sizes.iter().sum::<usize>() as u64;
+        tally.charge(Work::CopyBytes { n });
         for &(i, cell) in &map.replicas {
-            let f = &self.features[i];
-            if i != encoded {
-                wkb::encode_into_scratch(&f.geometry, scratch);
-                encoded = i;
-            }
+            let (wkb, userdata) = self.records.get(i);
             let dst = self.decomp.cell_to_rank(cell);
-            emit_record(cell, scratch, &f.userdata, &mut out.bufs[dst])?;
+            emit_record(cell, wkb, userdata, &mut out.bufs[dst])?;
             out.records[dst] += 1;
         }
         Ok(())
     }
 
-    /// The cell-map stage: maps feature chunks onto cells in order on
+    /// The cell-map stage: maps record chunks onto cells in order on
     /// the rank's own thread, chunk `k`'s seconds on modelled lane
     /// `k % workers`, and advances the clock by the slowest lane.
     /// Not collective — the communicator only charges the worker lanes.
     pub(crate) fn map(&self, comm: &mut Comm, opts: &PipelineOptions) -> Vec<ChunkCells> {
         let cost = *comm.cost_model();
-        let ranges = partition_ranges(self.features.len(), opts.partition_chunk_records);
+        let ranges = partition_ranges(self.records.len(), opts.partition_chunk_records);
         let (maps, lanes) = fan_out(opts.effective_workers(), ranges, |range| {
             let mut tally = WorkTally::new(cost);
             (self.map_chunk(range.clone(), &mut tally), tally.seconds())
@@ -421,10 +412,10 @@ impl<'a> Partition<'a> {
             buf.reserve_exact(maps.iter().map(|map| map.sizes[dst]).sum());
         }
         let mut lanes = vec![0.0f64; workers.min(maps.len()).max(1)];
-        let (n, mut scratch) = (lanes.len(), Vec::new());
+        let n = lanes.len();
         for (k, map) in maps.iter().enumerate() {
             let mut tally = WorkTally::new(cost);
-            self.serialize_chunk(map, &mut tally, &mut scratch, &mut out)?;
+            self.serialize_chunk(map, &mut tally, &mut out)?;
             lanes[k % n] += tally.seconds();
         }
         comm.advance_parallel(&lanes);
@@ -438,28 +429,32 @@ impl<'a> Partition<'a> {
     }
 }
 
-/// Parallel partition stage: maps feature chunks onto the decomposition's
-/// cells, then serializes every `(cell, feature)` replica into exactly
-/// sized per-destination wire buffers — the two steps [`ingest_layers`]
-/// splits across its partition and communication phases, each charged as
-/// its slowest lane. The [`SerializedBatch`] is byte-identical for any
-/// worker count: feature-major, cells ascending.
-/// Not collective — the communicator only charges the worker lanes.
+/// Parallel partition stage for features that are already objects:
+/// encodes each once (charged as the encode it is), maps the chunks onto
+/// the decomposition's cells, then copies every `(cell, feature)` replica
+/// into exactly sized per-destination wire buffers — the two steps
+/// [`ingest_layers`] splits across its partition and communication
+/// phases, each charged as its slowest lane. The [`SerializedBatch`] is
+/// byte-identical for any worker count: feature-major, cells ascending.
+/// Not collective — the communicator only charges the encode and the
+/// worker lanes.
 pub fn partition_chunked(
     comm: &mut Comm,
     decomp: &Decomposition,
     features: &[Feature],
     opts: &PipelineOptions,
 ) -> Result<(SerializedBatch, PipelineStats)> {
-    let part = Partition::new(decomp, features);
+    let records = Records::encode(comm, features);
+    let part = Partition::new(decomp, &records);
     let maps = part.map(comm, opts);
     part.serialize(comm, &maps, opts)
 }
 
-/// Fused partition + exchange stage with communication/compute overlap:
-/// cell-maps and serializes the features' replicas chunk by chunk and
-/// ships them through the chunked [`ExchangePlan`], so round `r`'s
-/// `ialltoallv` is in flight while round `r+1` is serialized (and round
+/// Fused partition + exchange stage with communication/compute overlap,
+/// for features that are already objects: encodes each once (charged as
+/// the encode it is), then cell-maps and copies the replicas chunk by
+/// chunk and ships them through the chunked [`ExchangePlan`], so round
+/// `r`'s `ialltoallv` is in flight while round `r+1` is copied (and round
 /// `r-1`'s receives are validated). A round closes once any destination's
 /// buffer reaches `chunk_bytes`. The received frames are **bit-identical**
 /// to the unfused `partition_chunked` → `exchange_serialized` path (same
@@ -473,25 +468,38 @@ pub fn partition_exchange_overlapped(
     opts: &PipelineOptions,
     chunk_bytes: u64,
 ) -> Result<(FrameStore, PipelineStats, ExchangeStats)> {
+    let records = Records::encode(comm, features);
+    exchange_overlapped(comm, decomp, &records, opts, chunk_bytes)
+}
+
+/// The fused stage of [`partition_exchange_overlapped`] over transcoded
+/// records. Collective: every rank must call it.
+fn exchange_overlapped(
+    comm: &mut Comm,
+    decomp: &Decomposition,
+    records: &Records,
+    opts: &PipelineOptions,
+    chunk_bytes: u64,
+) -> Result<(FrameStore, PipelineStats, ExchangeStats)> {
     let (workers, p, cost) = (opts.effective_workers(), comm.size(), *comm.cost_model());
     debug_assert_eq!(decomp.num_ranks(), p, "decomposition for another world");
     let chunk_bytes = chunk_bytes.max(1);
-    let ranges = partition_ranges(features.len(), opts.partition_chunk_records);
+    let ranges = partition_ranges(records.len(), opts.partition_chunk_records);
     let mut stats = PipelineStats {
         workers,
         ..Default::default()
     };
-    let (mut next, mut scratch) = (0usize, Vec::new());
-    let part = Partition::new(decomp, features);
+    let mut next = 0usize;
+    let part = Partition::new(decomp, records);
 
-    // Serializes partition chunks into one exchange round until a
+    // Copies partition chunks into one exchange round until a
     // destination fills up, reporting each chunk's work on its
     // deterministic lane. Runs between the plan's post and wait, so the
     // reported lane seconds overlap the in-flight round. A round always
     // carries at least one chunk per worker lane (when that many remain):
     // closing on the byte cap alone could shrink rounds to a single
-    // chunk, serializing on one lane what the unfused stage spreads over
-    // all of them.
+    // chunk, copying on one lane what the unfused stage spreads over all
+    // of them.
     let mut feed = |_: &mut Comm| -> Result<Option<ExchangeRound>> {
         if next >= ranges.len() {
             return Ok(None);
@@ -505,7 +513,7 @@ pub fn partition_exchange_overlapped(
             for (buf, &n) in batch.bufs.iter_mut().zip(&map.sizes) {
                 buf.reserve(n);
             }
-            part.serialize_chunk(&map, &mut tally, &mut scratch, &mut batch)?;
+            part.serialize_chunk(&map, &mut tally, &mut batch)?;
             lanes[next % workers] += tally.seconds();
             stats.partition_chunks += 1;
             stats.pairs += map.replicas.len() as u64;
@@ -650,35 +658,35 @@ pub fn ingest_layers(
     let mut parsed = Vec::with_capacity(paths.len());
     for path in paths {
         let layer = read_partition_text(comm, fs, path, read)
-            .and_then(|text| parse_chunked(comm, &text, parser, opts));
+            .and_then(|text| parse_records(comm, &text, parser, opts));
         parsed.push(layer.unwrap_or_else(|e| {
             deferred.get_or_insert(e);
             Default::default()
         }));
     }
-    let features: Vec<&[Feature]> = parsed.iter().map(|(f, _)| f.as_slice()).collect();
-    let decomp = Decomposition::build_global(comm, &features, cfg, deferred.is_some())
+    let envelopes: Vec<&[Rect]> = parsed.iter().map(|(r, _)| r.envelopes()).collect();
+    let decomp = Decomposition::build_global(comm, &envelopes, cfg, deferred.is_some())
         .map_err(|peer| deferred.take().unwrap_or(peer))?;
     let streamed = chunk.resolve();
     // Cell-map every layer now, unless the exchange rounds stream it.
-    let maps: Vec<_> = features
+    let maps: Vec<_> = parsed
         .iter()
         .filter(|_| streamed.is_none())
-        .map(|f| Partition::new(&decomp, f).map(comm, opts))
+        .map(|(records, _)| Partition::new(&decomp, records).map(comm, opts))
         .collect();
     let partition_end = comm.now();
 
     let mut maps = maps.into_iter();
     let mut layers = Vec::with_capacity(parsed.len());
-    for (features, parse_stats) in parsed {
-        let local_features = features.len() as u64;
+    for (records, parse_stats) in parsed {
+        let local_features = records.len() as u64;
         let (owned, part, exchange) = match streamed {
-            Some(cap) => partition_exchange_overlapped(comm, &decomp, &features, opts, cap)?,
+            Some(cap) => exchange_overlapped(comm, &decomp, &records, opts, cap)?,
             None => {
                 let map = maps.next().unwrap_or_default();
                 let (batch, part) =
-                    Partition::new(&decomp, &features).serialize(comm, &map, opts)?;
-                drop(features);
+                    Partition::new(&decomp, &records).serialize(comm, &map, opts)?;
+                drop(records);
                 let (owned, exchange) = exchange_serialized(comm, batch, chunk)?;
                 (owned, part, exchange)
             }
@@ -708,7 +716,8 @@ mod tests {
     use crate::decomp::DecompPolicy;
     use crate::exchange::{exchange_serialized, serialize_record, ExchangeChunk, RecordFrame};
     use crate::grid::{CellMap, GridSpec, UniformGrid};
-    use crate::reader::{parse_buffer, parse_buffer_serial, WktLineParser};
+    use crate::reader::tests::parse_buffer;
+    use crate::reader::{parse_buffer_serial, WktLineParser};
     use mvio_geom::Rect;
     use mvio_msim::{Topology, World, WorldConfig};
 
@@ -844,7 +853,15 @@ mod tests {
         // lane of the per-chunk seconds, each taken from a one-chunk run
         // at one lane and added in chunk order onto lane k % w.
         let text = sample_text(300);
-        let feats = parse_buffer_serial(&text, &WktLineParser).unwrap();
+        let lines: Vec<&str> = crate::reader::records(&text).collect();
+        let parse_lines = |lines: &[&str]| {
+            let mut records = Records::default();
+            records
+                .parse(&lines.join("\n"), &WktLineParser, |_| {})
+                .unwrap();
+            records
+        };
+        let records = parse_lines(&lines);
         let grid = UniformGrid::new(Rect::new(0.0, 0.0, 30.0, 75.0), GridSpec::square(8));
         let policy = DecompPolicy::Uniform(CellMap::RoundRobin);
         let decomp = Decomposition::new(grid, policy, None, 3).unwrap();
@@ -881,8 +898,9 @@ mod tests {
             .collect();
         let (mut map, mut serialize, mut maps) = (Vec::new(), Vec::new(), Vec::new());
         let cost = mvio_msim::CostModel::calibrated();
-        for range in partition_ranges(feats.len(), 17) {
-            let sub = Partition::new(&decomp, &feats[range.clone()]);
+        for range in partition_ranges(records.len(), 17) {
+            let sub_records = parse_lines(&lines[range.clone()]);
+            let sub = Partition::new(&decomp, &sub_records);
             let one = opts(1).with_partition_chunk_records(range.len());
             map.push(clock_after(&|c| {
                 sub.map(c, &one);
@@ -892,11 +910,12 @@ mod tests {
                 sub.serialize(c, std::slice::from_ref(&cells), &one)
                     .unwrap();
             }));
-            maps.push(Partition::new(&decomp, &feats).map_chunk(range, &mut WorkTally::new(cost)));
+            let part = Partition::new(&decomp, &records);
+            maps.push(part.map_chunk(range, &mut WorkTally::new(cost)));
         }
         assert!(parse.len() > 8 && map.len() > 8, "more chunks than lanes");
 
-        let part = Partition::new(&decomp, &feats);
+        let part = Partition::new(&decomp, &records);
         for workers in [2, 3, 8] {
             let opts = opts(workers);
             let parsed = clock_after(&|c| {
@@ -989,7 +1008,8 @@ mod tests {
                 let text = read_partition_text(comm, &fs, "data.wkt", &read).unwrap();
                 let feats = parse_buffer(comm, &text, &WktLineParser).unwrap();
                 let cfg = DecompConfig::uniform(spec);
-                let decomp = Decomposition::build_global(comm, &[&feats], &cfg, false).unwrap();
+                let envelopes: Vec<Rect> = feats.iter().map(|f| f.geometry.envelope()).collect();
+                let decomp = Decomposition::build_global(comm, &[&envelopes], &cfg, false).unwrap();
                 let batch = sequential_batch(&decomp, &feats);
                 exchange_serialized(comm, batch, ExchangeChunk::Unlimited)
                     .unwrap()

@@ -5,18 +5,35 @@
 //! presents those records as strings and lets the user supply the parse
 //! method ("a flexible interface … allowing user to define parsing method
 //! that returns a GEOS geometry for each string"). [`GeometryParser`] is
-//! that interface; [`WktLineParser`] and [`CsvPointParser`] are the two
-//! built-ins the paper's datasets need.
+//! that interface, except that the user-defined method writes bytes: each
+//! record's geometry goes straight to the WKB it is shipped as
+//! (`docs/FORMAT.md` §2), with its envelope, and no geometry object is built
+//! on the way. [`GeometryParser::parse`] still returns a
+//! [`Feature`] for callers that want one. [`WktLineParser`] and
+//! [`CsvPointParser`] are the two built-ins the paper's datasets need.
 
+use crate::exchange::RecordFrame;
 use crate::partition::RECORD_DELIMITER;
 use crate::{CoreError, Feature, Result};
-use mvio_geom::{wkt, Geometry, Point};
-use mvio_msim::ShapeClass;
+use mvio_geom::{wkb, wkt, GeomError, Geometry, Point, Rect};
+use mvio_msim::{Comm, ShapeClass, Work};
+use std::ops::Range;
 
-/// User-definable record parser: one input record → one [`Feature`].
+/// User-definable record parser: one input record → one geometry's WKB.
 pub trait GeometryParser: Send + Sync {
-    /// Parses one record (without its trailing delimiter).
-    fn parse(&self, record: &str) -> Result<Feature>;
+    /// Parses one record (without its trailing delimiter): appends its
+    /// geometry's WKB to `wkb` and returns the geometry's envelope and the
+    /// byte range of its userdata in `record`. On error `wkb` is left as it
+    /// was.
+    fn transcode(&self, record: &str, wkb: &mut Vec<u8>) -> Result<(Rect, Range<usize>)>;
+
+    /// Parses one record into a [`Feature`]: [`GeometryParser::transcode`],
+    /// decoded.
+    fn parse(&self, record: &str) -> Result<Feature> {
+        let mut wkb = Vec::new();
+        let (_, userdata) = self.transcode(record, &mut wkb)?;
+        decode(&wkb, &record[userdata])
+    }
 
     /// Shape class used for cost accounting of this record. The default
     /// sniffs the WKT keyword; fixed-format parsers override it.
@@ -39,44 +56,43 @@ pub trait GeometryParser: Send + Sync {
     }
 }
 
+/// A feature from the WKB a parser wrote, decoded as a received frame is.
+fn decode(wkb: &[u8], userdata: &str) -> Result<Feature> {
+    RecordFrame {
+        cell: 0,
+        wkb,
+        userdata,
+    }
+    .to_feature()
+}
+
 /// Parses `WKT[\t userdata]` lines — the layout of the paper's OSM
 /// extracts (geometry first, optional tab-separated attributes).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WktLineParser;
 
 impl GeometryParser for WktLineParser {
-    fn parse(&self, record: &str) -> Result<Feature> {
-        let (wkt_part, userdata) = match record.find('\t') {
-            Some(idx) => (&record[..idx], &record[idx + 1..]),
-            None => (record, ""),
+    fn transcode(&self, record: &str, wkb: &mut Vec<u8>) -> Result<(Rect, Range<usize>)> {
+        let (text, userdata) = match record.find('\t') {
+            Some(idx) => (&record[..idx], idx + 1..record.len()),
+            None => (record, record.len()..record.len()),
         };
-        let geometry = wkt::parse(wkt_part.trim()).map_err(|source| CoreError::Parse {
+        let bad = |source| CoreError::Parse {
             record: record.to_string(),
             source,
-        })?;
-        // `f64::from_str` happily produces NaN/inf from "NaN"/"inf"
-        // tokens; a single such coordinate poisons the MPI_UNION extent
-        // allreduce (NaN comparisons) and the grid's cell clamping, so
-        // reject it here like every other malformed record.
-        if !geometry_is_finite(&geometry) {
-            return Err(CoreError::Parse {
-                record: record.to_string(),
-                source: mvio_geom::GeomError::Invalid("non-finite coordinate".to_string()),
-            });
+        };
+        let at = wkb.len();
+        let envelope = wkt::transcode(text.trim(), wkb).map_err(bad)?;
+        // `f64::from_str` reads an overflowing literal ("1e999") as ±inf; a
+        // single such coordinate poisons the MPI_UNION extent allreduce (and
+        // the grid's cell clamping), so reject it here like every other
+        // malformed record. Every coordinate reaches the envelope's min or
+        // max, so a finite (or empty) envelope proves them all finite.
+        if !envelope.is_empty() && !envelope.to_array().iter().all(|v| v.is_finite()) {
+            wkb.truncate(at);
+            return Err(bad(GeomError::Invalid("non-finite coordinate".to_string())));
         }
-        Ok(Feature::with_userdata(geometry, userdata))
-    }
-}
-
-/// True when every coordinate of `g` is finite. Linestrings and rings
-/// already validate finiteness in their constructors; bare points (and
-/// points nested in multis/collections) are the remaining hole.
-fn geometry_is_finite(g: &Geometry) -> bool {
-    match g {
-        Geometry::Point(p) => p.is_finite(),
-        Geometry::MultiPoint(mp) => mp.0.iter().all(Point::is_finite),
-        Geometry::GeometryCollection(gc) => gc.0.iter().all(geometry_is_finite),
-        _ => true,
+        Ok((envelope, userdata))
     }
 }
 
@@ -86,11 +102,11 @@ fn geometry_is_finite(g: &Geometry) -> bool {
 pub struct CsvPointParser;
 
 impl GeometryParser for CsvPointParser {
-    fn parse(&self, record: &str) -> Result<Feature> {
+    fn transcode(&self, record: &str, wkb: &mut Vec<u8>) -> Result<(Rect, Range<usize>)> {
         let mut parts = record.splitn(3, ',');
         let bad = |msg: &str| CoreError::Parse {
             record: record.to_string(),
-            source: mvio_geom::GeomError::Invalid(msg.to_string()),
+            source: GeomError::Invalid(msg.to_string()),
         };
         let x: f64 = parts
             .next()
@@ -107,11 +123,11 @@ impl GeometryParser for CsvPointParser {
         if !x.is_finite() || !y.is_finite() {
             return Err(bad("non-finite coordinate"));
         }
-        let userdata = parts.next().unwrap_or("").trim_start().to_string();
-        Ok(Feature {
-            geometry: Geometry::Point(Point::new(x, y)),
-            userdata,
-        })
+        let point = Point::new(x, y);
+        wkb::encode_to(&Geometry::Point(point), wkb);
+        // The userdata runs to the end of the record.
+        let userdata = record.len() - parts.next().unwrap_or("").trim_start().len();
+        Ok((point.envelope(), userdata..record.len()))
     }
 
     fn shape_class(&self, _record: &str) -> ShapeClass {
@@ -127,57 +143,126 @@ pub fn records(text: &str) -> impl Iterator<Item = &str> {
         .filter(|r| !r.trim().is_empty())
 }
 
-/// Streaming parse core: appends every record of `text` to the reusable
-/// `out` buffer, reporting each record's `(bytes, shape class)` to
-/// `charge` before parsing it. The ingest pipeline charges each chunk's
-/// own [`mvio_msim::WorkTally`] through it, on the rank's thread, so the
-/// chunk's seconds can go to a modelled worker lane. Returns the number
-/// of records appended.
-pub fn parse_records_into(
-    text: &str,
-    parser: &dyn GeometryParser,
-    mut charge: impl FnMut(u64, ShapeClass),
-    out: &mut Vec<Feature>,
-) -> Result<u64> {
-    let mut n = 0u64;
-    for record in records(text) {
-        charge(record.len() as u64 + 1, parser.shape_class(record));
-        out.push(parser.parse(record)?);
-        n += 1;
-    }
-    Ok(n)
+/// Parsed records, back to back: each record's geometry as WKB, its
+/// userdata, and its geometry's envelope. What the pipeline's parse stage
+/// fills, chunk after chunk, and what its partition stage sizes and copies
+/// replicas from — no geometry object in between.
+#[derive(Debug, Default)]
+pub(crate) struct Records {
+    wkb: Vec<u8>,
+    userdata: String,
+    /// Where record `i`'s WKB and userdata end; both start where record
+    /// `i - 1`'s end.
+    ends: Vec<(usize, usize)>,
+    envelopes: Vec<Rect>,
+    /// Record bytes parsed, delimiters included.
+    pub(crate) text_bytes: u64,
 }
 
-/// Parses every newline-delimited record in `text`, charging the rank's
-/// clock the calibrated per-byte parse cost by shape class, record by
-/// record: the sequential charge the pipeline's one-worker parse stage is
-/// held to. Blank records are skipped.
-/// Not collective — local parsing; the communicator only charges the
-/// clock.
-#[cfg(test)]
-pub(crate) fn parse_buffer(
-    comm: &mut mvio_msim::Comm,
-    text: &str,
-    parser: &dyn GeometryParser,
-) -> Result<Vec<Feature>> {
-    let mut out = Vec::new();
-    let mut charge = |bytes, class| comm.charge(mvio_msim::Work::ParseWkt { bytes, class });
-    parse_records_into(text, parser, &mut charge, &mut out)?;
-    Ok(out)
+impl Records {
+    /// Transcodes every record of `text` with `parser` and appends it,
+    /// reporting each record's work to `charge`: the calibrated parse of
+    /// its text by shape class, then the copy of the WKB it wrote. The one
+    /// per-record rule behind the pipeline's parse stage and its
+    /// sequential reference. On error the records before the bad one stay.
+    pub(crate) fn parse(
+        &mut self,
+        text: &str,
+        parser: &dyn GeometryParser,
+        mut charge: impl FnMut(Work),
+    ) -> Result<()> {
+        for record in records(text) {
+            let at = self.wkb.len();
+            let (envelope, userdata) = parser.transcode(record, &mut self.wkb)?;
+            let bytes = record.len() as u64 + 1;
+            let class = parser.shape_class(record);
+            charge(Work::ParseWkt { bytes, class });
+            charge(Work::CopyBytes {
+                n: (self.wkb.len() - at) as u64,
+            });
+            self.text_bytes += bytes;
+            self.push(envelope, &record[userdata]);
+        }
+        Ok(())
+    }
+
+    /// Encodes features that are already objects — the seam for callers
+    /// that hold [`Feature`]s — charged as the encode it is
+    /// ([`Work::SerializeGeoms`], once per feature).
+    /// Not collective — the communicator only charges the encode.
+    pub(crate) fn encode(comm: &mut Comm, features: &[Feature]) -> Self {
+        let mut out = Records::default();
+        for f in features {
+            wkb::encode_to(&f.geometry, &mut out.wkb);
+            out.push(f.geometry.envelope(), &f.userdata);
+        }
+        let (n, bytes) = (features.len() as u64, out.wkb.len() as u64);
+        comm.charge(Work::SerializeGeoms { n, bytes });
+        out
+    }
+
+    /// Closes the record whose WKB was just written.
+    fn push(&mut self, envelope: Rect, userdata: &str) {
+        self.userdata.push_str(userdata);
+        self.ends.push((self.wkb.len(), self.userdata.len()));
+        self.envelopes.push(envelope);
+    }
+
+    /// Number of records.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The records' envelopes, in order.
+    pub(crate) fn envelopes(&self) -> &[Rect] {
+        &self.envelopes
+    }
+
+    /// Record `i`'s WKB and userdata.
+    pub(crate) fn get(&self, i: usize) -> (&[u8], &str) {
+        let (wkb, ud) = if i == 0 { (0, 0) } else { self.ends[i - 1] };
+        let (wkb_end, ud_end) = self.ends[i];
+        (&self.wkb[wkb..wkb_end], &self.userdata[ud..ud_end])
+    }
+
+    /// The records as features, decoded.
+    pub(crate) fn to_features(&self) -> Result<Vec<Feature>> {
+        (0..self.len())
+            .map(|i| {
+                let (wkb, userdata) = self.get(i);
+                decode(wkb, userdata)
+            })
+            .collect()
+    }
 }
 
 /// Sequential (single-rank) parse helper for oracles and tests: the
 /// pipeline's parse without a communicator.
 pub fn parse_buffer_serial(text: &str, parser: &dyn GeometryParser) -> Result<Vec<Feature>> {
-    let mut out = Vec::new();
-    parse_records_into(text, parser, |_, _| {}, &mut out)?;
-    Ok(out)
+    let mut records = Records::default();
+    records.parse(text, parser, |_| {})?;
+    records.to_features()
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mvio_msim::{Topology, World, WorldConfig};
+
+    /// Parses every newline-delimited record in `text`, charging the
+    /// rank's clock per record as the pipeline's parse stage does
+    /// ([`Records::parse`]), in order: the sequential charge the
+    /// pipeline's one-worker parse stage is held to. Blank records are
+    /// skipped.
+    pub(crate) fn parse_buffer(
+        comm: &mut Comm,
+        text: &str,
+        parser: &dyn GeometryParser,
+    ) -> Result<Vec<Feature>> {
+        let mut records = Records::default();
+        records.parse(text, parser, |work| comm.charge(work))?;
+        records.to_features()
+    }
 
     #[test]
     fn wkt_line_parser_extracts_userdata() {
@@ -212,6 +297,9 @@ mod tests {
             "POINT (1 inf)",
             "POINT (-inf 0)\tuserdata",
             "MULTIPOINT ((1 1), (NaN 2))",
+            "POINT (1e999 2)",
+            "MULTIPOINT ((1 1), (-1e999 2))\tuserdata",
+            "GEOMETRYCOLLECTION (POINT EMPTY, MULTIPOINT (0 1e999))",
         ] {
             let err = WktLineParser.parse(bad);
             assert!(matches!(err, Err(CoreError::Parse { .. })), "{bad}");
@@ -219,6 +307,11 @@ mod tests {
         for bad in ["NaN,2", "1,inf", "-inf,0,tag", "1,-NaN"] {
             assert!(CsvPointParser.parse(bad).is_err(), "{bad}");
         }
+        let mut wkb = vec![7];
+        assert!(WktLineParser
+            .transcode("POINT (1e999 2)", &mut wkb)
+            .is_err());
+        assert_eq!(wkb, [7], "a rejected record appends nothing");
         // Finite scientific notation must still parse.
         assert!(CsvPointParser.parse("1e3,-2.5e-2").is_ok());
         assert!(WktLineParser.parse("POINT (1e3 -2.5e-2)").is_ok());

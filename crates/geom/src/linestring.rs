@@ -18,15 +18,7 @@ impl LineString {
     /// Creates a linestring, validating that it has at least two points and
     /// only finite coordinates.
     pub fn new(points: Vec<Point>) -> Result<Self> {
-        if points.len() < 2 {
-            return Err(GeomError::Invalid(format!(
-                "LINESTRING needs >= 2 points, got {}",
-                points.len()
-            )));
-        }
-        if let Some(p) = points.iter().find(|p| !p.is_finite()) {
-            return Err(GeomError::Invalid(format!("non-finite coordinate {p}")));
-        }
+        check(points.len(), points.iter().find(|p| !p.is_finite()))?;
         Ok(LineString { points })
     }
 
@@ -55,6 +47,21 @@ impl LineString {
     /// Minimum bounding rectangle.
     pub fn envelope(&self) -> Rect {
         Rect::from_points(&self.points)
+    }
+}
+
+/// [`LineString::new`]'s checks, in its order, on the point count and the
+/// first non-finite point: shared by every reader that never holds the
+/// points (the WKB views and the WKT transcoder).
+pub(crate) fn check(len: usize, non_finite: Option<&Point>) -> Result<()> {
+    if len < 2 {
+        return Err(GeomError::Invalid(format!(
+            "LINESTRING needs >= 2 points, got {len}"
+        )));
+    }
+    match non_finite {
+        Some(p) => Err(GeomError::Invalid(format!("non-finite coordinate {p}"))),
+        None => Ok(()),
     }
 }
 

@@ -14,21 +14,13 @@ pub struct Ring {
 impl Ring {
     /// Creates a ring, validating closure and minimum size.
     pub fn new(mut points: Vec<Point>) -> Result<Self> {
-        if let Some(p) = points.iter().find(|p| !p.is_finite()) {
-            return Err(GeomError::Invalid(format!("non-finite coordinate {p}")));
-        }
         // Tolerate unclosed input by closing it, as GEOS's WKT reader does
         // for common real-world data, but still require 3 distinct vertices.
-        if points.first() != points.last() {
-            if let Some(&first) = points.first() {
-                points.push(first);
-            }
-        }
-        if points.len() < 4 {
-            return Err(GeomError::Invalid(format!(
-                "polygon ring needs >= 4 points (closed), got {}",
-                points.len()
-            )));
+        let open = points.first() != points.last();
+        let non_finite = points.iter().find(|p| !p.is_finite());
+        check_ring(non_finite, points.len() + usize::from(open))?;
+        if let (true, Some(&first)) = (open, points.first()) {
+            points.push(first);
         }
         Ok(Ring { points })
     }
@@ -64,6 +56,21 @@ impl Ring {
     pub fn envelope(&self) -> Rect {
         Rect::from_points(&self.points)
     }
+}
+
+/// [`Ring::new`]'s checks, in its order, on the first non-finite point and
+/// the point count once closed: shared by every reader that never holds
+/// the points (the WKB views and the WKT transcoder).
+pub(crate) fn check_ring(non_finite: Option<&Point>, closed_len: usize) -> Result<()> {
+    if let Some(p) = non_finite {
+        return Err(GeomError::Invalid(format!("non-finite coordinate {p}")));
+    }
+    if closed_len < 4 {
+        return Err(GeomError::Invalid(format!(
+            "polygon ring needs >= 4 points (closed), got {closed_len}"
+        )));
+    }
+    Ok(())
 }
 
 /// A polygon: one exterior ring plus zero or more interior rings (holes).

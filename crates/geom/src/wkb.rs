@@ -79,9 +79,10 @@ pub fn encode_into_scratch(g: &Geometry, scratch: &mut Vec<u8>) {
 }
 
 /// Exact byte length [`encode_to`] will append for `g`, computed without
-/// allocating. Hot serialization paths (the exchange wire format) use
-/// this as a size pre-pass: reserve once, encode straight into the
-/// destination buffer, no per-geometry intermediate `Vec`.
+/// allocating: a size pre-pass for callers that place an object's
+/// encoding before they write it (reserve once, encode straight into the
+/// destination buffer). The text ingest path sizes its records from the
+/// bytes [`crate::wkt::transcode`] already wrote instead.
 pub fn encoded_len(g: &Geometry) -> usize {
     // 1 byte-order byte + 4 type-code bytes precede every geometry.
     5 + match g {
@@ -438,16 +439,8 @@ impl<'a> Cursor<'a> {
     /// first point instead of pushing a copy), then the closed length.
     fn ring_ref(&mut self, be: bool) -> Result<()> {
         let c = self.coords_ref(be)?;
-        if let Some(p) = c.first_nonfinite {
-            return Err(GeomError::Invalid(format!("non-finite coordinate {p}")));
-        }
-        let closed_len = if c.first != c.last { c.n + 1 } else { c.n };
-        if closed_len < 4 {
-            return Err(GeomError::Invalid(format!(
-                "polygon ring needs >= 4 points (closed), got {closed_len}"
-            )));
-        }
-        Ok(())
+        let closed_len = c.n + usize::from(c.first != c.last);
+        crate::polygon::check_ring(c.first_nonfinite.as_ref(), closed_len)
     }
 
     fn polygon_body_ref(&mut self, be: bool) -> Result<PolygonRef<'a>> {
@@ -519,17 +512,7 @@ impl<'a> Cursor<'a> {
             }
             GeometryType::LineString => {
                 let c = self.coords_ref(be)?;
-                // `LineString::new`'s checks, in its order: length first,
-                // then finiteness.
-                if c.n < 2 {
-                    return Err(GeomError::Invalid(format!(
-                        "LINESTRING needs >= 2 points, got {}",
-                        c.n
-                    )));
-                }
-                if let Some(p) = c.first_nonfinite {
-                    return Err(GeomError::Invalid(format!("non-finite coordinate {p}")));
-                }
+                crate::linestring::check(c.n, c.first_nonfinite.as_ref())?;
                 Ok(GeomRef::LineString(LineStringRef {
                     coords: CoordsRef {
                         data: c.data,

@@ -3,13 +3,18 @@
 //! WKT is the formatted text representation the paper's I/O layer
 //! partitions, reads and parses (e.g. `POLYGON ((30 10, 40 40, 20 40,
 //! 30 10))`). The parser is a hand-written recursive-descent parser over a
-//! byte cursor — no regex, no allocation beyond the output geometry — since
-//! parsing throughput is part of the evaluation (Table 3, Figure 14).
+//! byte cursor — no regex, no allocation beyond its output — since parsing
+//! throughput is part of the evaluation (Table 3, Figure 14). Its one
+//! grammar has two outputs: [`parse`] builds a [`crate::Geometry`], and
+//! [`transcode`] writes the geometry's WKB straight from the text, which is
+//! what the ingest front half ships.
 
 mod parse;
+mod transcode;
 mod write;
 
 pub use parse::{parse, parse_many, Parser};
+pub use transcode::transcode;
 pub use write::{write, write_to};
 
 #[cfg(test)]

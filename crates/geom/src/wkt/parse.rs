@@ -1,6 +1,8 @@
-//! Recursive-descent WKT parser.
+//! Recursive-descent WKT parser: one grammar, generic over where its
+//! output goes ([`Sink`]). [`parse`] builds objects with it;
+//! [`super::transcode`] writes WKB bytes with it.
 
-use crate::geometry::Geometry;
+use crate::geometry::{Geometry, GeometryType};
 use crate::linestring::LineString;
 use crate::multi::{GeometryCollection, MultiLineString, MultiPoint, MultiPolygon};
 use crate::point::Point;
@@ -17,8 +19,14 @@ use crate::{GeomError, Result};
 /// assert_eq!(g.num_points(), 1);
 /// ```
 pub fn parse(input: &str) -> Result<Geometry> {
+    whole(input, &mut Objects)
+}
+
+/// Reads one geometry from `input` into `sink`, requiring that nothing but
+/// whitespace follows it.
+pub(crate) fn whole<S: Sink>(input: &str, sink: &mut S) -> Result<S::Geom> {
     let mut p = Parser::new(input);
-    let g = p.parse_geometry()?;
+    let g = p.geometry(sink)?;
     p.skip_ws();
     if !p.at_end() {
         return Err(p.error("trailing characters after geometry"));
@@ -39,6 +47,108 @@ pub fn parse_many(input: &str) -> Result<Vec<Geometry>> {
         out.push(parse(trimmed)?);
     }
     Ok(out)
+}
+
+/// Where the grammar's output goes, in reading order. A value is begun
+/// before its body is read and a list is opened before its first item, so
+/// a sink that writes bytes writes them as the text is read and backpatches
+/// each count when its list closes.
+pub(crate) trait Sink {
+    /// A finished geometry.
+    type Geom;
+    /// A finished point: a coordinate pair, or a multipoint's member.
+    type Point;
+    /// A finished linestring.
+    type Line;
+    /// A finished polygon ring.
+    type Ring;
+    /// A finished polygon.
+    type Poly;
+    /// A list of `T` being read: a coordinate sequence, a polygon's rings,
+    /// or the members of a multi-type or collection.
+    type List<T>;
+
+    /// A value of type `ty` begins: a geometry or a multi-type's member.
+    fn begin(&mut self, ty: GeometryType);
+    /// A point's coordinates.
+    fn point(&mut self, p: Point) -> Self::Point;
+    /// Closes a linestring's points, checked as [`LineString::new`] does.
+    fn line(&mut self, points: Self::List<Self::Point>) -> Result<Self::Line>;
+    /// Closes a ring's points, checked and closed as [`Ring::new`] does.
+    fn ring(&mut self, points: Self::List<Self::Point>) -> Result<Self::Ring>;
+    /// Opens a list.
+    fn list<T>(&mut self) -> Self::List<T>;
+    /// Appends a finished item to `list`.
+    fn push<T>(&mut self, list: &mut Self::List<T>, item: T);
+    /// Closes a polygon's rings, shell first (the grammar reads at least one).
+    fn polygon(&mut self, rings: Self::List<Self::Ring>) -> Self::Poly;
+    /// A finished geometry from its parts.
+    fn finish(&mut self, parts: Parts<Self>) -> Self::Geom;
+}
+
+/// A geometry's parts as a [`Sink`] holds them, one variant per WKB type
+/// (an EMPTY is an empty list).
+pub(crate) enum Parts<S: Sink + ?Sized> {
+    Point(S::Point),
+    Line(S::Line),
+    Polygon(S::Poly),
+    Points(S::List<S::Point>),
+    Lines(S::List<S::Line>),
+    Polygons(S::List<S::Poly>),
+    Members(S::List<S::Geom>),
+}
+
+/// The sink [`parse`] builds a [`Geometry`] with.
+struct Objects;
+
+impl Sink for Objects {
+    type Geom = Geometry;
+    type Point = Point;
+    type Line = LineString;
+    type Ring = Ring;
+    type Poly = Polygon;
+    type List<T> = Vec<T>;
+
+    fn begin(&mut self, _: GeometryType) {}
+
+    fn point(&mut self, p: Point) -> Point {
+        p
+    }
+
+    fn line(&mut self, points: Vec<Point>) -> Result<LineString> {
+        LineString::new(points)
+    }
+
+    fn ring(&mut self, points: Vec<Point>) -> Result<Ring> {
+        Ring::new(points)
+    }
+
+    fn list<T>(&mut self) -> Vec<T> {
+        Vec::new()
+    }
+
+    fn push<T>(&mut self, list: &mut Vec<T>, item: T) {
+        list.push(item);
+    }
+
+    fn polygon(&mut self, rings: Vec<Ring>) -> Polygon {
+        let mut rings = rings.into_iter();
+        // audit: the grammar reads at least one ring before a polygon closes.
+        let shell = rings.next().expect("a shell");
+        Polygon::new(shell, rings.collect())
+    }
+
+    fn finish(&mut self, parts: Parts<Self>) -> Geometry {
+        match parts {
+            Parts::Point(p) => Geometry::Point(p),
+            Parts::Line(l) => Geometry::LineString(l),
+            Parts::Polygon(p) => Geometry::Polygon(p),
+            Parts::Points(m) => MultiPoint(m).into(),
+            Parts::Lines(m) => MultiLineString(m).into(),
+            Parts::Polygons(m) => MultiPolygon(m).into(),
+            Parts::Members(m) => Geometry::GeometryCollection(GeometryCollection(m)),
+        }
+    }
 }
 
 /// A resumable WKT parser over a string slice.
@@ -116,20 +226,24 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Reads an ASCII keyword (letters only), uppercased.
-    fn keyword(&mut self) -> Result<String> {
+    /// Reads a geometry keyword: ASCII letters, in any case.
+    fn keyword(&mut self) -> Result<GeometryType> {
         self.skip_ws();
         let start = self.pos;
         while self.pos < self.src.len() && self.src[self.pos].is_ascii_alphabetic() {
             self.pos += 1;
         }
-        if start == self.pos {
+        let word = &self.src[start..self.pos];
+        if word.is_empty() {
             return Err(self.error("expected a geometry keyword"));
         }
-        Ok(std::str::from_utf8(&self.src[start..self.pos])
-            // audit: the scanned bytes are ASCII letters, always valid UTF-8.
-            .expect("ASCII letters are valid UTF-8")
-            .to_ascii_uppercase())
+        (1..=7)
+            .filter_map(GeometryType::from_code)
+            .find(|ty| word.eq_ignore_ascii_case(ty.wkt_keyword().as_bytes()))
+            .ok_or_else(|| {
+                let word = String::from_utf8_lossy(word).to_ascii_uppercase();
+                self.error(format!("unknown geometry keyword {word:?}"))
+            })
     }
 
     /// Peeks whether the next token is the keyword `EMPTY`, consuming it if so.
@@ -175,132 +289,118 @@ impl<'a> Parser<'a> {
         Ok(Point::new(x, y))
     }
 
-    /// Opens a multi-type's or collection's member list, refusing members
-    /// deeper than WKB readers accept ([`MAX_NESTING`]), so no input can
-    /// exhaust the parser's stack.
-    fn open_members(&mut self) -> Result<()> {
-        self.expect(b'(')?;
-        if self.depth < MAX_NESTING {
-            return Ok(());
+    /// Parses the items of a list whose `(` is read, through its `)`.
+    fn items<S: Sink, T>(
+        &mut self,
+        s: &mut S,
+        mut item: impl FnMut(&mut Self, &mut S) -> Result<T>,
+    ) -> Result<S::List<T>> {
+        let mut list = s.list::<T>();
+        loop {
+            let next = item(self, s)?;
+            s.push(&mut list, next);
+            if !self.eat(b',') {
+                break;
+            }
         }
-        Err(self.error(format!(
-            "collections nested deeper than {MAX_NESTING} levels"
-        )))
+        self.expect(b')')?;
+        Ok(list)
+    }
+
+    /// Parses a multi-type's or collection's `( member, ... )`, refusing
+    /// members deeper than WKB readers accept ([`MAX_NESTING`]), so no
+    /// input can exhaust the parser's stack.
+    fn members<S: Sink, T>(
+        &mut self,
+        s: &mut S,
+        member: impl FnMut(&mut Self, &mut S) -> Result<T>,
+    ) -> Result<S::List<T>> {
+        self.expect(b'(')?;
+        if self.depth >= MAX_NESTING {
+            return Err(self.error(format!(
+                "collections nested deeper than {MAX_NESTING} levels"
+            )));
+        }
+        self.items(s, member)
     }
 
     /// Parses one collection member, one nesting level down.
-    fn member(&mut self) -> Result<Geometry> {
+    fn member<S: Sink>(&mut self, s: &mut S) -> Result<S::Geom> {
         self.depth += 1;
-        let out = self.parse_geometry();
+        let out = self.geometry(s);
         self.depth -= 1;
         out
     }
 
     /// Parses `( x y, x y, ... )`.
-    fn coord_list(&mut self) -> Result<Vec<Point>> {
+    fn coord_list<S: Sink>(&mut self, s: &mut S) -> Result<S::List<S::Point>> {
         self.expect(b'(')?;
-        let mut pts = vec![self.coord()?];
-        while self.eat(b',') {
-            pts.push(self.coord()?);
-        }
-        self.expect(b')')?;
-        Ok(pts)
+        self.items(s, |p, s| Ok(s.point(p.coord()?)))
+    }
+
+    /// Parses a linestring's `( x y, ... )`.
+    fn line<S: Sink>(&mut self, s: &mut S) -> Result<S::Line> {
+        let points = self.coord_list(s)?;
+        s.line(points)
     }
 
     /// Parses `( ring, ring, ... )` where each ring is a coord list.
-    fn ring_list(&mut self) -> Result<(Ring, Vec<Ring>)> {
+    fn polygon<S: Sink>(&mut self, s: &mut S) -> Result<S::Poly> {
         self.expect(b'(')?;
-        let exterior = Ring::new(self.coord_list()?)?;
-        let mut holes = Vec::new();
-        while self.eat(b',') {
-            holes.push(Ring::new(self.coord_list()?)?);
-        }
-        self.expect(b')')?;
-        Ok((exterior, holes))
+        let rings = self.items(s, |p, s| {
+            let points = p.coord_list(s)?;
+            s.ring(points)
+        })?;
+        Ok(s.polygon(rings))
     }
 
     /// Parses one complete geometry starting at the cursor.
     pub fn parse_geometry(&mut self) -> Result<Geometry> {
-        let kw = self.keyword()?;
-        match kw.as_str() {
-            "POINT" => {
-                if self.eat_empty() {
-                    // Represent POINT EMPTY as an empty multipoint, the
-                    // conventional lossless choice.
-                    return Ok(Geometry::MultiPoint(MultiPoint(vec![])));
-                }
+        self.geometry(&mut Objects)
+    }
+
+    /// Reads one complete geometry starting at the cursor into `s`.
+    pub(crate) fn geometry<S: Sink>(&mut self, s: &mut S) -> Result<S::Geom> {
+        use GeometryType as T;
+        let ty = self.keyword()?;
+        let empty = self.eat_empty();
+        // POINT, LINESTRING and POLYGON EMPTY read as the empty multi-type,
+        // the conventional lossless choice.
+        s.begin(match ty {
+            T::Point if empty => T::MultiPoint,
+            T::LineString if empty => T::MultiLineString,
+            T::Polygon if empty => T::MultiPolygon,
+            ty => ty,
+        });
+        let parts = match ty {
+            T::Point | T::MultiPoint if empty => Parts::Points(s.list::<S::Point>()),
+            T::LineString | T::MultiLineString if empty => Parts::Lines(s.list::<S::Line>()),
+            T::Polygon | T::MultiPolygon if empty => Parts::Polygons(s.list::<S::Poly>()),
+            T::GeometryCollection if empty => Parts::Members(s.list::<S::Geom>()),
+            T::Point => {
                 self.expect(b'(')?;
                 let p = self.coord()?;
                 self.expect(b')')?;
-                Ok(Geometry::Point(p))
+                Parts::Point(s.point(p))
             }
-            "LINESTRING" => {
-                if self.eat_empty() {
-                    return Ok(Geometry::MultiLineString(MultiLineString(vec![])));
-                }
-                Ok(Geometry::LineString(LineString::new(self.coord_list()?)?))
-            }
-            "POLYGON" => {
-                if self.eat_empty() {
-                    return Ok(Geometry::MultiPolygon(MultiPolygon(vec![])));
-                }
-                let (ext, holes) = self.ring_list()?;
-                Ok(Geometry::Polygon(Polygon::new(ext, holes)))
-            }
-            "MULTIPOINT" => {
-                if self.eat_empty() {
-                    return Ok(Geometry::MultiPoint(MultiPoint(vec![])));
-                }
-                self.open_members()?;
-                let mut pts = vec![self.multipoint_member()?];
-                while self.eat(b',') {
-                    pts.push(self.multipoint_member()?);
-                }
-                self.expect(b')')?;
-                Ok(Geometry::MultiPoint(MultiPoint(pts)))
-            }
-            "MULTILINESTRING" => {
-                if self.eat_empty() {
-                    return Ok(Geometry::MultiLineString(MultiLineString(vec![])));
-                }
-                self.open_members()?;
-                let mut lines = vec![LineString::new(self.coord_list()?)?];
-                while self.eat(b',') {
-                    lines.push(LineString::new(self.coord_list()?)?);
-                }
-                self.expect(b')')?;
-                Ok(Geometry::MultiLineString(MultiLineString(lines)))
-            }
-            "MULTIPOLYGON" => {
-                if self.eat_empty() {
-                    return Ok(Geometry::MultiPolygon(MultiPolygon(vec![])));
-                }
-                self.open_members()?;
-                let mut polys = Vec::new();
-                loop {
-                    let (ext, holes) = self.ring_list()?;
-                    polys.push(Polygon::new(ext, holes));
-                    if !self.eat(b',') {
-                        break;
-                    }
-                }
-                self.expect(b')')?;
-                Ok(Geometry::MultiPolygon(MultiPolygon(polys)))
-            }
-            "GEOMETRYCOLLECTION" => {
-                if self.eat_empty() {
-                    return Ok(Geometry::GeometryCollection(GeometryCollection(vec![])));
-                }
-                self.open_members()?;
-                let mut members = vec![self.member()?];
-                while self.eat(b',') {
-                    members.push(self.member()?);
-                }
-                self.expect(b')')?;
-                Ok(Geometry::GeometryCollection(GeometryCollection(members)))
-            }
-            other => Err(self.error(format!("unknown geometry keyword {other:?}"))),
-        }
+            T::LineString => Parts::Line(self.line(s)?),
+            T::Polygon => Parts::Polygon(self.polygon(s)?),
+            T::MultiPoint => Parts::Points(self.members(s, |p, s| {
+                let pt = p.multipoint_member()?;
+                s.begin(T::Point);
+                Ok(s.point(pt))
+            })?),
+            T::MultiLineString => Parts::Lines(self.members(s, |p, s| {
+                s.begin(T::LineString);
+                p.line(s)
+            })?),
+            T::MultiPolygon => Parts::Polygons(self.members(s, |p, s| {
+                s.begin(T::Polygon);
+                p.polygon(s)
+            })?),
+            T::GeometryCollection => Parts::Members(self.members(s, Self::member)?),
+        };
+        Ok(s.finish(parts))
     }
 
     /// A MULTIPOINT member: either `(x y)` (OGC canonical) or bare `x y`

@@ -1,6 +1,6 @@
 //! Workspace source lint — `cargo run -p lint`.
 //!
-//! A zero-dependency scanner enforcing six repo-specific rules that
+//! A zero-dependency scanner enforcing seven repo-specific rules that
 //! `rustc`/`clippy` cannot express. R1–R3 share one failure class: this
 //! codebase is SPMD over collectives, where a single rank panicking or
 //! diverging strands every peer at its next rendezvous.
@@ -37,6 +37,11 @@
 //!   an encoder (`serialize_record(`, `wkb::encode…`). The 12 µs
 //!   per-object price is for encoding an object; a copy of bytes that
 //!   are already encoded is `Work::CopyBytes`.
+//! * **R7 `front-half-encodes-nothing`** — non-test code in
+//!   `crates/core/src/pipeline.rs` calls no object encoder
+//!   (`wkb::encode…`, `encode_into_scratch`, `serialize_record(`): the
+//!   parser transcodes each record's WKB straight from its text once, and
+//!   every replica is a copy of those bytes.
 //!
 //! Scope: `src/` trees of the workspace library crates and the root
 //! crate. Excluded: `crates/bench` (experiment harness, panics are its
@@ -68,7 +73,7 @@ pub struct Finding {
     pub line: usize,
     /// Rule identifier (`no-panic`, `checked-narrowing`,
     /// `collective-contract`, `engine-reads-views`, `one-thread-per-rank`,
-    /// `serialize-charge-follows-encode`).
+    /// `serialize-charge-follows-encode`, `front-half-encodes-nothing`).
     pub rule: &'static str,
     /// Human-readable description, including the offending snippet.
     pub message: String,
@@ -120,6 +125,7 @@ fn main() {
         rules::engine_reads_views(&rel, &masked, &mut findings);
         rules::one_thread_per_rank(&rel, &masked, &mut findings);
         rules::serialize_charge_follows_encode(&rel, &masked, &mut findings);
+        rules::front_half_encodes_nothing(&rel, &masked, &mut findings);
     }
 
     for f in &findings {

@@ -125,26 +125,11 @@ pub fn collective_contract(path: &Path, m: &MaskedFile, out: &mut Vec<Finding>) 
 /// `wkb::decode(` or `wkb::decode_all(`. Frames are read in place as
 /// `wkb::decode_ref` views, which the exact predicates accept as they are.
 pub fn engine_reads_views(path: &Path, m: &MaskedFile, out: &mut Vec<Finding>) {
-    if !path.starts_with("crates/sjoin/src") {
-        return;
-    }
-    const BUILDS: &[&str] = &[".to_feature(", "wkb::decode(", "wkb::decode_all("];
-    for (i, line) in m.code.iter().enumerate() {
-        if m.in_test[i] {
-            continue;
-        }
-        if let Some(call) = BUILDS.iter().find(|c| line.contains(*c)) {
-            out.push(Finding {
-                path: path.to_path_buf(),
-                line: i + 1,
-                rule: "engine-reads-views",
-                message: format!(
-                    "`{call}` builds owned geometry from a frame in the engine (read it \
-                     as a `wkb::decode_ref` view instead): `{}`",
-                    m.raw[i].trim()
-                ),
-            });
-        }
+    if path.starts_with("crates/sjoin/src") {
+        const BUILDS: &[&str] = &[".to_feature(", "wkb::decode(", "wkb::decode_all("];
+        let why = "builds owned geometry from a frame in the engine (read it as a \
+                   `wkb::decode_ref` view instead)";
+        flag_calls(path, m, BUILDS, "engine-reads-views", why, out);
     }
 }
 
@@ -154,24 +139,48 @@ pub fn engine_reads_views(path: &Path, m: &MaskedFile, out: &mut Vec<Finding>) {
 /// OS thread. Parallelism inside a rank is modelled as worker lanes, not
 /// executed.
 pub fn one_thread_per_rank(path: &Path, m: &MaskedFile, out: &mut Vec<Finding>) {
-    if path == Path::new("crates/msim/src/world.rs") {
-        return;
+    if path != Path::new("crates/msim/src/world.rs") {
+        const SPAWNS: &[&str] = &["thread::spawn(", "thread::scope(", "thread::Builder"];
+        let why = "runs a thread outside the rank launcher (charge the work to a \
+                   modelled lane instead)";
+        flag_calls(path, m, SPAWNS, "one-thread-per-rank", why, out);
     }
-    const SPAWNS: &[&str] = &["thread::spawn(", "thread::scope(", "thread::Builder"];
+}
+
+/// R7: the front half encodes nothing — non-test code in
+/// `crates/core/src/pipeline.rs` calls no object encoder (`wkb::encode…`,
+/// `encode_into_scratch`, `serialize_record(`). Its records arrive as the
+/// WKB the parser transcoded from text, and every replica is a copy of
+/// those bytes.
+pub fn front_half_encodes_nothing(path: &Path, m: &MaskedFile, out: &mut Vec<Finding>) {
+    if path == Path::new("crates/core/src/pipeline.rs") {
+        const ENCODERS: &[&str] = &["wkb::encode", "encode_into_scratch", "serialize_record("];
+        let why = "encodes an object in the text front half (records arrive transcoded: \
+                   copy their bytes instead)";
+        flag_calls(path, m, ENCODERS, "front-half-encodes-nothing", why, out);
+    }
+}
+
+/// Reports every non-test line of `m` that contains one of `calls`, as
+/// `rule`, saying `why`.
+fn flag_calls(
+    path: &Path,
+    m: &MaskedFile,
+    calls: &[&str],
+    rule: &'static str,
+    why: &str,
+    out: &mut Vec<Finding>,
+) {
     for (i, line) in m.code.iter().enumerate() {
         if m.in_test[i] {
             continue;
         }
-        if let Some(call) = SPAWNS.iter().find(|c| line.contains(*c)) {
+        if let Some(call) = calls.iter().find(|c| line.contains(*c)) {
             out.push(Finding {
                 path: path.to_path_buf(),
                 line: i + 1,
-                rule: "one-thread-per-rank",
-                message: format!(
-                    "`{call}` runs a thread outside the rank launcher (charge the work to \
-                     a modelled lane instead): `{}`",
-                    m.raw[i].trim()
-                ),
+                rule,
+                message: format!("`{call}` {why}: `{}`", m.raw[i].trim()),
             });
         }
     }
@@ -469,6 +478,7 @@ mod tests {
         engine_reads_views(p, &m, &mut out);
         one_thread_per_rank(p, &m, &mut out);
         serialize_charge_follows_encode(p, &m, &mut out);
+        front_half_encodes_nothing(p, &m, &mut out);
         out.into_iter().map(|f| (f.line, f.rule)).collect()
     }
 
@@ -601,5 +611,30 @@ mod tests {
     fn doc_block_skips_attributes() {
         let src = "/// Collective rendezvous.\n#[allow(dead_code)]\npub fn f(comm: &mut Comm) {}\n";
         assert!(findings_for(src).is_empty());
+    }
+
+    #[test]
+    fn an_encoder_in_the_front_half_is_flagged() {
+        let src = "fn stage(out: &mut Vec<u8>) {\n    wkb::encode_to(&g, out);\n    \
+                   wkb::encode_into_scratch(&g, out);\n    serialize_record(cell, &f, s, out)?;\n    \
+                   emit_record(cell, wkb, ud, out)?;\n}\n";
+        let (mut out, m) = (Vec::new(), MaskedFile::new(src));
+        front_half_encodes_nothing(Path::new("crates/core/src/pipeline.rs"), &m, &mut out);
+        let found: Vec<_> = out.iter().map(|f| (f.line, f.rule)).collect();
+        let rule = "front-half-encodes-nothing";
+        assert_eq!(found, vec![(2, rule), (3, rule), (4, rule)]);
+    }
+
+    #[test]
+    fn copies_comments_tests_and_other_files_are_clean_for_r7() {
+        let src = "fn f() {\n    // wkb::encode_to( in a comment\n    Records::encode(comm, feats);\n    \
+                   emit_record(cell, wkb, ud, out)?;\n}\n#[cfg(test)]\nmod tests {\n    \
+                   fn t() { serialize_record(1, &f, s, b).unwrap(); }\n}\n";
+        let (mut out, m) = (Vec::new(), MaskedFile::new(src));
+        front_half_encodes_nothing(Path::new("crates/core/src/pipeline.rs"), &m, &mut out);
+        assert!(out.is_empty());
+        let encoder = MaskedFile::new("fn f() { wkb::encode_to(&g, out); }\n");
+        front_half_encodes_nothing(Path::new("crates/core/src/exchange.rs"), &encoder, &mut out);
+        assert!(out.is_empty());
     }
 }

@@ -66,13 +66,29 @@ fn corrupted_wkt_record_fails_cleanly_on_every_rank() {
 /// One malformed record through the whole text front half — `ingest`,
 /// and `spatial_join` with it in either layer — at 4 ranks: the owner of
 /// the record returns the parse error naming it, its peers an error
-/// naming the owner, and nobody waits in the decomposition build.
+/// naming the owner, and nobody waits in the decomposition build. The
+/// corpus covers the transcoder's syntax errors, the constructors' checks
+/// and the parser's non-finite check, each record naming itself.
 #[test]
 fn a_bad_record_fails_every_front_half_on_every_rank() {
     let good: String = (0..40)
         .map(|i| format!("POINT ({i} {i})\tp{i}\n"))
         .collect();
-    let bad = good.replace("POINT (17 17)\tp17", "POLYGON ((botched");
+    for record in [
+        "POLYGON ((botched",
+        "LINESTRING (17 17)\tbotched",
+        "POLYGON ((0 0, 1 0, 0 0))\tbotched",
+        "MULTIPOINT ((1 1), (1e999 2))\tbotched",
+        "GEOMETRYCOLLECTION (POINT (1 2), POINT (NaN 0))\tbotched",
+        "GEOMETRYCOLLECTION (MULTIPOINT (-1e999 0))\tbotched",
+        "MULTIPOINT ((1 2), (3 4)\tbotched",
+    ] {
+        a_bad_record_fails_every_front_half(&good, record);
+    }
+}
+
+fn a_bad_record_fails_every_front_half(good: &str, record: &str) {
+    let bad = good.replace("POINT (17 17)\tp17", record);
     let fs = fs_with(FsConfig::gpfs_roger(), "bad.wkt", &bad);
     fs.create("good.wkt", None).unwrap().append(good.as_bytes());
     let read = ReadOptions::default().with_block_size(128);

@@ -842,3 +842,33 @@ proptest! {
         prop_assert!(examined <= budget, "examined {} > {}", examined, budget);
     }
 }
+
+/// Every variant, the empty multi-types and collections among them (the
+/// writer spells POINT, LINESTRING and POLYGON EMPTY as these).
+fn arb_geometry_or_empty() -> impl Strategy<Value = Geometry> {
+    use mpi_vector_io::geom::{MultiLineString, MultiPoint, MultiPolygon};
+    prop_oneof![
+        4 => arb_geometry_full(),
+        1 => prop_oneof![
+            Just(Geometry::MultiPoint(MultiPoint(vec![]))),
+            Just(Geometry::MultiLineString(MultiLineString(vec![]))),
+            Just(Geometry::MultiPolygon(MultiPolygon(vec![]))),
+            Just(Geometry::GeometryCollection(GeometryCollection(vec![]))),
+        ],
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256).with_seed(0x6d76_696f_7774_6b62))]
+
+    /// The transcoder writes exactly the WKB of the geometry the parser
+    /// builds from the same text, and that geometry's envelope.
+    #[test]
+    fn wkt_transcodes_to_the_encoded_geometry(g in arb_geometry_or_empty()) {
+        let text = wkt::write(&g);
+        let mut out = vec![0xA5];
+        let envelope = wkt::transcode(&text, &mut out).unwrap();
+        prop_assert_eq!(&out[1..], &wkb::encode(&g)[..]);
+        prop_assert_eq!(envelope, g.envelope());
+    }
+}
