@@ -1,14 +1,54 @@
 //! Algorithm 1: iterative block reading with message-based boundary
 //! repair (the paper's "dynamic file partitioning").
 
-use super::{last_delim_pos, ReadOptions, RECORD_DELIMITER};
+use super::{last_delim_pos, Landed, ReadOptions, RECORD_DELIMITER};
 use crate::{CoreError, Result};
-use mvio_msim::{AccessLevel, Comm, MpiFile, Work};
+use mvio_msim::{AccessLevel, Comm, Landing, MpiFile, Work};
 
 /// Ring tag reserved for boundary-fragment messages.
 const FRAGMENT_TAG: u64 = 0xF1;
 
-/// Reads this rank's partition using Algorithm 1.
+/// Bytes per process per iteration.
+fn block_size(comm: &Comm, file_size: u64, opts: &ReadOptions) -> u64 {
+    let n = comm.size() as u64;
+    opts.block_size.unwrap_or(file_size.div_ceil(n)).max(1)
+}
+
+/// This rank's block `(start, len)` of iteration `i` (`len` 0 past EOF).
+fn my_block(comm: &Comm, file_size: u64, block: u64, i: u64) -> (u64, u64) {
+    let start = (i * comm.size() as u64 + comm.rank() as u64) * block;
+    (start, file_size.saturating_sub(start).min(block))
+}
+
+/// Posts Algorithm 1's first Level 0 read into a block buffer as stripe
+/// pieces ([`MpiFile::iread_at_together`]), moving no clock. A Level 1
+/// read cannot stream: it posts nothing and reads where the blocking
+/// algorithm does. Collective: every rank must call it.
+pub(crate) fn post_blocked(
+    comm: &mut Comm,
+    file: &MpiFile,
+    opts: &ReadOptions,
+) -> Result<(Vec<u8>, Option<Landing>)> {
+    let file_size = file.len();
+    let block = block_size(comm, file_size, opts);
+    let mut buf = vec![0u8; block.min(file_size) as usize];
+    let (start, len) = my_block(comm, file_size, block, 0);
+    let first = match opts.level {
+        AccessLevel::Level0 if file_size > 0 => Some(
+            file.iread_at_together(comm, start, &mut buf[..len as usize])?
+                .1,
+        ),
+        AccessLevel::Level3 => {
+            return Err(CoreError::Partition(
+                "Level 3 is a non-contiguous mode; use views::read for it".into(),
+            ))
+        }
+        _ => None,
+    };
+    Ok((buf, first))
+}
+
+/// Algorithm 1 over [`post_blocked`]'s read.
 ///
 /// The file is consumed in iterations of `N × block` bytes. In each
 /// iteration every participating rank reads one block, scans back to the
@@ -18,29 +58,30 @@ const FRAGMENT_TAG: u64 = 0xF1;
 /// prepended to its block, so every record is delivered exactly once. The
 /// tail of the *last* participant wraps to rank 0 as the carry for the
 /// next iteration (or, after the final iteration, becomes the file's last
-/// record when the file does not end with a delimiter). At Level 0 the
-/// iteration's independent reads are timed together
-/// ([`MpiFile::read_at_together`]), so the virtual clock does not depend
-/// on which rank thread reaches the file servers first.
+/// record when the file does not end with a delimiter). A Level 0 block
+/// lands piece by piece, its last half stripe first: the rank sends its tail
+/// once the bytes from its last delimiter on have landed, and a block is
+/// whole before the next iteration's read is posted. The last block is
+/// left landing: the returned text knows when each of its bytes lands.
 /// Collective: every rank must call it with the same options.
-pub fn read_blocked(comm: &mut Comm, file: &MpiFile, opts: &ReadOptions) -> Result<String> {
+pub(crate) fn finish_blocked(
+    comm: &mut Comm,
+    file: &MpiFile,
+    opts: &ReadOptions,
+    (mut buf, mut first): (Vec<u8>, Option<Landing>),
+) -> Result<Landed> {
     let n = comm.size() as u64;
     let rank = comm.rank() as u64;
     let file_size = file.len();
-
-    if file_size == 0 {
-        return Ok(String::new());
-    }
-
-    let block = opts.block_size.unwrap_or(file_size.div_ceil(n)).max(1);
-    let chunk = n * block;
-    let iterations = file_size.div_ceil(chunk);
+    let block = block_size(comm, file_size, opts);
+    let iterations = file_size.div_ceil(n * block);
 
     let mut out: Vec<u8> = Vec::new();
+    // The last read, and where the last body starts: in `out`, in the file.
+    let (mut last, mut body_at): (Option<Landing>, (usize, u64)) = (None, (0, 0));
     // Fragment carried by rank 0 across iterations: the last participant's
     // tail precedes rank 0's block of the *next* iteration.
     let mut carry: Vec<u8> = Vec::new();
-    let mut buf = vec![0u8; block as usize];
     // Partition errors are *latched*, not returned immediately: the ring
     // protocol couples every rank to its neighbours each iteration, so a
     // rank that bailed out early would strand peers in `recv` forever
@@ -50,31 +91,27 @@ pub fn read_blocked(comm: &mut Comm, file: &MpiFile, opts: &ReadOptions) -> Resu
     let mut latched: Option<CoreError> = None;
 
     for i in 0..iterations {
-        let global_offset = i * chunk;
-        let start = global_offset + rank * block;
-        let len = if start >= file_size {
-            0
-        } else {
-            (file_size - start).min(block)
-        };
+        let (start, len) = my_block(comm, file_size, block, i);
 
-        // Every rank calls the read, an idle one with an empty buffer:
-        // Level 1 is collective, and Level 0 times each iteration's
-        // independent reads together.
+        // A block is whole before the next iteration's read is posted.
+        if let Some(previous) = last.take() {
+            previous.wait(comm);
+        }
+        // Every rank reads, an idle one with an empty buffer: Level 1 is
+        // collective, and Level 0 times each iteration's reads together.
         let mine = &mut buf[..len as usize];
-        let got = match opts.level {
-            AccessLevel::Level0 => file.read_at_together(comm, start, mine)?,
-            AccessLevel::Level1 => file.read_at_all(comm, start, mine)?,
-            AccessLevel::Level3 => {
-                return Err(CoreError::Partition(
-                    "Level 3 is a non-contiguous mode; use views::read for it".into(),
-                ))
+        last = match (first.take(), opts.level) {
+            (Some(posted), _) => Some(posted),
+            (None, AccessLevel::Level0) => Some(file.iread_at_together(comm, start, mine)?.1),
+            _ => {
+                file.read_at_all(comm, start, mine)?;
+                None
             }
         };
-        debug_assert_eq!(got as u64, len);
+        let landed = |at: u64, n: u64| last.as_ref().map_or(f64::NEG_INFINITY, |l| l.landed(at, n));
 
         // Participants this iteration: always the rank prefix 0..p.
-        let remaining = file_size - global_offset;
+        let remaining = file_size - i * n * block;
         let p = remaining.div_ceil(block).min(n);
         if rank >= p {
             continue;
@@ -86,12 +123,17 @@ pub fn read_blocked(comm: &mut Comm, file: &MpiFile, opts: &ReadOptions) -> Resu
         // Split into body (..= last delimiter) and tail (after it). EOF
         // acts as a virtual delimiter: the whole final block is body, so a
         // file without a trailing delimiter still delivers its last record
-        // to exactly one rank.
-        let (body, mut tail): (&[u8], &[u8]) = if at_eof {
-            (block_bytes, &[][..])
+        // to exactly one rank. The split is known once the bytes from the
+        // delimiter on have landed.
+        let (body, mut tail, known): (&[u8], &[u8], f64) = if at_eof {
+            (block_bytes, &[][..], landed(start + len - 1, 1))
         } else {
             match last_delim_pos(block_bytes) {
-                Some(pos) => (&block_bytes[..=pos], &block_bytes[pos + 1..]),
+                Some(pos) => (
+                    &block_bytes[..=pos],
+                    &block_bytes[pos + 1..],
+                    landed(start + pos as u64, len - pos as u64),
+                ),
                 None => {
                     if latched.is_none() {
                         latched = Some(CoreError::Partition(format!(
@@ -99,7 +141,7 @@ pub fn read_blocked(comm: &mut Comm, file: &MpiFile, opts: &ReadOptions) -> Resu
                              exceeds the block size; raise block_size above max_geometry_bytes"
                         )));
                     }
-                    (&[][..], &[][..])
+                    (&[][..], &[][..], landed(start, len))
                 }
             }
         };
@@ -113,6 +155,7 @@ pub fn read_blocked(comm: &mut Comm, file: &MpiFile, opts: &ReadOptions) -> Resu
             }
             tail = &[][..];
         }
+        comm.advance_to(known);
 
         let next = ((rank + 1) % p) as usize;
         let prev = ((rank + p - 1) % p) as usize;
@@ -138,7 +181,9 @@ pub fn read_blocked(comm: &mut Comm, file: &MpiFile, opts: &ReadOptions) -> Resu
         comm.charge(Work::CopyBytes {
             n: (incoming.len() + body.len()) as u64,
         });
+        out.reserve(incoming.len() + body.len());
         out.extend_from_slice(&incoming);
+        body_at = (out.len(), start);
         out.extend_from_slice(body);
         if at_eof && out.last() != Some(&RECORD_DELIMITER) && !out.is_empty() {
             out.push(RECORD_DELIMITER); // normalize the virtual EOF delimiter
@@ -152,11 +197,25 @@ pub fn read_blocked(comm: &mut Comm, file: &MpiFile, opts: &ReadOptions) -> Resu
         out.push(RECORD_DELIMITER);
     }
 
-    if let Some(err) = latched {
-        return Err(err);
+    let text = latched.map_or_else(
+        || {
+            String::from_utf8(out)
+                .map_err(|e| CoreError::Partition(format!("partition produced invalid UTF-8: {e}")))
+        },
+        Err,
+    );
+    let landed = Landed {
+        text: String::new(),
+        body_at,
+        landing: last,
+    };
+    match text {
+        Ok(text) => Ok(Landed { text, ..landed }),
+        Err(err) => {
+            landed.wait(comm);
+            Err(err)
+        }
     }
-    String::from_utf8(out)
-        .map_err(|e| CoreError::Partition(format!("partition produced invalid UTF-8: {e}")))
 }
 
 /// Rank 0's received fragment belongs to the *next* iteration's block (it

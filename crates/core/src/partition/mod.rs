@@ -15,17 +15,23 @@
 //!
 //! Both guarantee *exactly-once* delivery of every record, which the
 //! integration tests verify against sequential parses.
+//!
+//! Algorithm 1's Level 0 blocks are read as concurrent stripe pieces,
+//! the block's **last half stripe** served first (its last piece, and
+//! the one before it when the last is short), so a rank's tail leaves
+//! after the first round wherever the block ends; ownership, the fragment schedule and every delivered
+//! byte are those of the blocking read, whatever the stripe.
 
 pub mod baseline;
 mod blocked;
 mod overlap;
 
 pub use baseline::{read_master_scatter, read_redundant};
-pub use blocked::read_blocked;
+use blocked::{finish_blocked, post_blocked};
 pub use overlap::read_overlap;
 
 use crate::Result;
-use mvio_msim::{AccessLevel, Comm, Hints, MpiFile};
+use mvio_msim::{AccessLevel, Comm, Hints, Landing, MpiFile};
 use mvio_pfs::SimFs;
 use std::sync::Arc;
 
@@ -102,7 +108,8 @@ impl ReadOptions {
 }
 
 /// Reads this rank's partition of a record-delimited text file and returns
-/// the raw text of the records it owns (concatenated, delimiter-separated).
+/// the raw text of the records it owns (concatenated, delimiter-separated):
+/// `post_partition_text`, then the finished read waited at once.
 ///
 /// Every rank must call this (the collective level and the ring exchanges
 /// require full participation).
@@ -119,6 +126,22 @@ pub fn read_partition_text(
     path: &str,
     opts: &ReadOptions,
 ) -> Result<String> {
+    let landed = post_partition_text(comm, fs, path, opts)?(comm)?;
+    Ok(landed.wait(comm))
+}
+
+/// Validates `opts`, opens `path` and posts the partitioned read's first
+/// Level 0 read, moving no clock; returns the read's finish: Algorithm
+/// 1's ring over the posted pieces, or a read that cannot stream (the
+/// overlap strategy's halo reads, Level 1) issued where the blocking read
+/// always was. Collective: every rank must call both with the same
+/// options (errors as [`read_partition_text`]).
+pub(crate) fn post_partition_text(
+    comm: &mut Comm,
+    fs: &Arc<SimFs>,
+    path: &str,
+    opts: &ReadOptions,
+) -> Result<impl FnOnce(&mut Comm) -> Result<Landed>> {
     if opts.block_size == Some(0) {
         return Err(crate::CoreError::InvalidOptions(
             "block_size must be at least 1 byte (or None for an equal split)".into(),
@@ -131,10 +154,54 @@ pub fn read_partition_text(
                 .into(),
         ));
     }
-    let file = MpiFile::open(fs, path, opts.hints)?;
-    match opts.strategy {
-        BoundaryStrategy::Message => read_blocked(comm, &file, opts),
-        BoundaryStrategy::Overlap => read_overlap(comm, &file, opts),
+    let (file, opts) = (MpiFile::open(fs, path, opts.hints)?, *opts);
+    let posted = match opts.strategy {
+        BoundaryStrategy::Message => Some(post_blocked(comm, &file, &opts)?),
+        BoundaryStrategy::Overlap => None,
+    };
+    Ok(move |comm: &mut Comm| match posted {
+        Some(posted) => finish_blocked(comm, &file, &opts, posted),
+        None => read_overlap(comm, &file, &opts).map(|text| Landed {
+            text,
+            body_at: (0, 0),
+            landing: None,
+        }),
+    })
+}
+
+/// A finished partitioned read whose last Level 0 pieces may still be
+/// landing: the owned text, and the read to wait once it is consumed.
+#[derive(Debug)]
+pub(crate) struct Landed {
+    /// The owned records' text.
+    pub(crate) text: String,
+    /// Where the last read's body starts: in `text`, and in the file.
+    /// Text before it was there by the end of the read's ring.
+    body_at: (usize, u64),
+    landing: Option<Landing>,
+}
+
+impl Landed {
+    /// When every byte of `text[range]` has landed (−∞ when all were
+    /// there at post).
+    pub(crate) fn ready(&self, range: std::ops::Range<usize>) -> f64 {
+        let (at, offset) = self.body_at;
+        let lo = range.start.max(at);
+        match &self.landing {
+            Some(landing) if range.end > lo => {
+                landing.landed(offset + (lo - at) as u64, (range.end - lo) as u64)
+            }
+            _ => f64::NEG_INFINITY,
+        }
+    }
+
+    /// Waits the read's last pieces and returns the text.
+    /// Not collective — completes this rank's own posted read.
+    pub(crate) fn wait(self, comm: &mut Comm) -> String {
+        if let Some(landing) = self.landing {
+            landing.wait(comm);
+        }
+        self.text
     }
 }
 
@@ -189,6 +256,69 @@ mod tests {
                 out[0]
             );
         }
+    }
+
+    #[test]
+    fn a_tail_across_a_piece_boundary_leaves_in_the_first_round() {
+        use mvio_msim::{Topology, World, WorldConfig};
+        // Two 4196-byte blocks over 1 KiB stripes on one OST. Rank 0's
+        // block ends 100 bytes into a stripe and its tail, the 300-byte
+        // record at 4000, starts in the piece before: both pieces are in
+        // the lead, so the ring is done before any body piece lands.
+        let record = |n: usize| format!("{}\n", "x".repeat(n - 1));
+        let text: String = [
+            vec![record(100); 40],
+            vec![record(300)],
+            vec![record(100); 40],
+        ]
+        .concat()
+        .concat()
+            + &record(92);
+        assert_eq!(text.len(), 2 * 4196);
+        let out = World::run(WorldConfig::new(Topology::new(2, 1)), |comm| {
+            let fs = mvio_pfs::SimFs::new(mvio_pfs::FsConfig::lustre_comet());
+            fs.create("t.txt", Some(mvio_pfs::StripeSpec::new(1, 1024)))
+                .unwrap()
+                .append(text.as_bytes());
+            let landed =
+                post_partition_text(comm, &fs, "t.txt", &ReadOptions::default()).unwrap()(comm)
+                    .unwrap();
+            let (ring_done, at) = (comm.now(), landed.body_at.0);
+            let body = landed.ready(at..at + 1);
+            (ring_done, body, landed.wait(comm))
+        });
+        assert_eq!(format!("{}{}", out[0].2, out[1].2), text);
+        for (ring_done, body, _) in &out {
+            assert!(ring_done < body, "{ring_done} vs {body}");
+        }
+    }
+
+    #[test]
+    fn text_is_ready_as_its_pieces_land() {
+        use mvio_msim::{Topology, World, WorldConfig};
+        let out = World::run(WorldConfig::new(Topology::single_node(1)), |comm| {
+            let fs = mvio_pfs::SimFs::new(mvio_pfs::FsConfig::lustre_comet());
+            let text: String = (0..400).map(|i| format!("record {i}\n")).collect();
+            fs.create("t.txt", Some(mvio_pfs::StripeSpec::new(1, 1024)))
+                .unwrap()
+                .append(text.as_bytes());
+            let landed =
+                post_partition_text(comm, &fs, "t.txt", &ReadOptions::default()).unwrap()(comm)
+                    .unwrap();
+            let n = landed.text.len();
+            let ready = [0..1, 1000..1100, n - 1..n, 0..n].map(|r| landed.ready(r));
+            (ready, landed.wait(comm) == text, comm.now())
+        });
+        let ([first, second, last, all], same, now) = out[0];
+        assert!(same);
+        // One OST serves the last two pieces (the last is short), then
+        // the others in file order.
+        assert!(
+            last < first && first < second && second < all,
+            "{:?}",
+            out[0]
+        );
+        assert_eq!(all, now, "the text is whole when the read is waited");
     }
 
     #[test]

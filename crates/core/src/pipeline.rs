@@ -7,8 +7,12 @@
 //! batch query, index build), and it splits each compute stage into
 //! chunks charged to worker lanes:
 //!
-//! 1. the rank's record buffer is split into record-aligned **chunks**
-//!    ([`split_record_chunks`]);
+//! 1. every layer's Level 0 read is **posted up front** as stripe pieces
+//!    (`crate::partition`); layer by layer its ring is finished and the
+//!    owned text split into record-aligned **chunks**
+//!    ([`split_record_chunks`]), so a later layer's read lands under an
+//!    earlier layer's transcode (a read that cannot stream is issued
+//!    here, just before its own layer's transcode);
 //! 2. the chunks' records are transcoded, in order, straight from their
 //!    text into the layer's arena of WKB bytes (`docs/FORMAT.md` §2),
 //!    userdata, spans and envelopes, by the parser's
@@ -46,8 +50,11 @@
 //!
 //! Virtual-time accounting is equally deterministic: each chunk's work
 //! is charged to its own [`WorkTally`] and added onto a lane by the
-//! fixed rule `lane = chunk_index % workers`, in chunk order. The rank
-//! clock then advances by the **slowest lane**
+//! fixed rule `lane = chunk_index % workers`, in chunk order; in the
+//! parse stage arrival gates each chunk, relative to the stage's start:
+//! `lane = max(lane, ready) + seconds`, where a chunk is ready when its
+//! last byte has landed (the landings come from one pfs batch per post).
+//! The rank clock then advances by the **slowest lane**
 //! ([`Comm::advance_parallel`]) — the virtual wall-time of a perfectly
 //! overlapped parallel region. Charges follow the work. The parse stage
 //! charges each record's calibrated parse (`Work::ParseWkt`) and the copy
@@ -115,7 +122,7 @@ use crate::exchange::{
     emit_record, exchange_serialized, ExchangeChunk, ExchangePlan, ExchangeRound, ExchangeStats,
     FrameStore, SerializedBatch, RECORD_OVERHEAD,
 };
-use crate::partition::{read_partition_text, ReadOptions, RECORD_DELIMITER};
+use crate::partition::{post_partition_text, ReadOptions, RECORD_DELIMITER};
 use crate::reader::{GeometryParser, Records};
 pub use crate::snapshot::{
     read_partitioned, write_partitioned, SnapshotReadOptions, SnapshotWriteOptions,
@@ -229,11 +236,13 @@ pub fn split_record_chunks(text: &str, target_bytes: usize) -> Vec<&str> {
 
 /// Runs `job` over `jobs` in order on the rank's own thread, returning
 /// the results in job order and the per-lane virtual-second totals: job
-/// `k`'s seconds go to modelled lane `k % lanes`, added in ascending `k`.
+/// `k` reports `(result, ready, seconds)` and goes to modelled lane
+/// `k % lanes`, in ascending `k`, which starts it once the lane is free
+/// and `ready` seconds have passed since the stage began.
 fn fan_out<J, O>(
     workers: usize,
     jobs: Vec<J>,
-    mut job: impl FnMut(&J) -> (O, f64),
+    mut job: impl FnMut(&J) -> (O, f64, f64),
 ) -> (Vec<O>, Vec<f64>) {
     let mut lanes = vec![0.0f64; workers.min(jobs.len()).max(1)];
     let n = lanes.len();
@@ -241,8 +250,8 @@ fn fan_out<J, O>(
         .iter()
         .enumerate()
         .map(|(k, j)| {
-            let (out, secs) = job(j);
-            lanes[k % n] += secs;
+            let (out, ready, secs) = job(j);
+            lanes[k % n] = lanes[k % n].max(ready) + secs;
             out
         })
         .collect();
@@ -251,24 +260,28 @@ fn fan_out<J, O>(
 
 /// The chunked parse stage: splits `text` into record-aligned chunks and
 /// transcodes them, in order on the rank's own thread, into one records
-/// arena. Chunk `k`'s seconds go to modelled lane `k % workers`, and the
-/// clock advances by the slowest lane.
+/// arena. Chunk `k` goes to modelled lane `k % workers`, which takes it
+/// up once the chunk's last byte has landed (`ready(byte range)`, −∞
+/// for text that is already there), and the clock advances by the
+/// slowest lane.
 /// Not collective — local parse; the communicator only charges the
 /// worker lanes.
 pub(crate) fn parse_records(
     comm: &mut Comm,
     text: &str,
+    ready: &dyn Fn(std::ops::Range<usize>) -> f64,
     parser: &dyn GeometryParser,
     opts: &PipelineOptions,
 ) -> Result<(Records, PipelineStats)> {
     let workers = opts.effective_workers();
     let chunks = split_record_chunks(text, opts.parse_chunk_bytes);
-    let cost = *comm.cost_model();
+    let (cost, now) = (*comm.cost_model(), comm.now());
     let mut records = Records::default();
     let (results, lanes) = fan_out(workers, chunks, |chunk: &&str| {
+        let at = chunk.as_ptr() as usize - text.as_ptr() as usize;
         let mut tally = WorkTally::new(cost);
         let parsed = records.parse(chunk, parser, |work| tally.charge(work));
-        (parsed, tally.seconds())
+        (parsed, ready(at..at + chunk.len()) - now, tally.seconds())
     });
     let parse_chunks = results.len() as u64;
     // Error of the lowest-index failed chunk — what the sequential scan
@@ -297,7 +310,7 @@ pub fn parse_chunked(
     parser: &dyn GeometryParser,
     opts: &PipelineOptions,
 ) -> Result<(Vec<Feature>, PipelineStats)> {
-    let (records, stats) = parse_records(comm, text, parser, opts)?;
+    let (records, stats) = parse_records(comm, text, &|_| f64::NEG_INFINITY, parser, opts)?;
     Ok((records.to_features()?, stats))
 }
 
@@ -388,7 +401,11 @@ impl<'a> Partition<'a> {
         let ranges = partition_ranges(self.records.len(), opts.partition_chunk_records);
         let (maps, lanes) = fan_out(opts.effective_workers(), ranges, |range| {
             let mut tally = WorkTally::new(cost);
-            (self.map_chunk(range.clone(), &mut tally), tally.seconds())
+            (
+                self.map_chunk(range.clone(), &mut tally),
+                0.0,
+                tally.seconds(),
+            )
         });
         comm.advance_parallel(&lanes);
         maps
@@ -631,8 +648,9 @@ pub struct IngestedLayers {
 }
 
 /// The one text front half, which [`ingest`], the join, the range and
-/// batch queries and the index build all run on: per layer a partitioned
-/// read and a parallel parse; then **one** decomposition over all layers
+/// batch queries and the index build all run on: every layer's read
+/// posted up front, then per layer a parallel parse whose chunks start
+/// as their bytes land; then **one** decomposition over all layers
 /// ([`Decomposition::build_global`]), so joined layers share their cells. The
 /// partition phase ends with every layer cell-mapped; the communication
 /// phase serializes each layer and exchanges it into one [`FrameStore`]
@@ -655,10 +673,17 @@ pub fn ingest_layers(
     // A failed read or parse is parked and its layer left empty: the
     // decomposition build's extent allreduce tells every rank.
     let mut deferred: Option<CoreError> = None;
+    let posted: Vec<_> = (paths.iter())
+        .map(|path| post_partition_text(comm, fs, path, read))
+        .collect();
     let mut parsed = Vec::with_capacity(paths.len());
-    for path in paths {
-        let layer = read_partition_text(comm, fs, path, read)
-            .and_then(|text| parse_records(comm, &text, parser, opts));
+    for post in posted {
+        let layer = post.and_then(|finish| finish(comm)).and_then(|landed| {
+            let ready = |range| landed.ready(range);
+            let layer = parse_records(comm, &landed.text, &ready, parser, opts);
+            landed.wait(comm);
+            layer
+        });
         parsed.push(layer.unwrap_or_else(|e| {
             deferred.get_or_insert(e);
             Default::default()
@@ -716,6 +741,7 @@ mod tests {
     use crate::decomp::DecompPolicy;
     use crate::exchange::{exchange_serialized, serialize_record, ExchangeChunk, RecordFrame};
     use crate::grid::{CellMap, GridSpec, UniformGrid};
+    use crate::partition::read_partition_text;
     use crate::reader::tests::parse_buffer;
     use crate::reader::{parse_buffer_serial, WktLineParser};
     use mvio_geom::Rect;
@@ -844,6 +870,35 @@ mod tests {
             "1-worker pipeline ({}) ~= sequential ({})",
             out[0],
             out[1]
+        );
+    }
+
+    #[test]
+    fn arrival_gates_each_parse_chunk() {
+        // Every chunk but the first lands at t = 10 s: one lane parses
+        // the first chunk at once, idles until 10 s, then parses the rest.
+        let text = sample_text(200);
+        let chunks = split_record_chunks(&text, 512);
+        let clock = |text: &str, ready: &(dyn Fn(std::ops::Range<usize>) -> f64 + Sync)| {
+            World::run(WorldConfig::new(Topology::single_node(1)), |comm| {
+                let opts = PipelineOptions::default().with_parse_chunk_bytes(512);
+                parse_records(comm, text, ready, &WktLineParser, &opts).unwrap();
+                comm.now()
+            })[0]
+        };
+        let landed = |_| f64::NEG_INFINITY;
+        let (first, all) = (clock(chunks[0], &landed), clock(&text, &landed));
+        let gated = clock(&text, &|r| {
+            if r.start == 0 {
+                f64::NEG_INFINITY
+            } else {
+                10.0
+            }
+        });
+        assert!(chunks.len() > 2 && first < 10.0);
+        assert!(
+            (gated - (10.0 + all - first)).abs() < 1e-9,
+            "{gated} {all} {first}"
         );
     }
 

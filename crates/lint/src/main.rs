@@ -1,6 +1,6 @@
 //! Workspace source lint — `cargo run -p lint`.
 //!
-//! A zero-dependency scanner enforcing seven repo-specific rules that
+//! A zero-dependency scanner enforcing eight repo-specific rules that
 //! `rustc`/`clippy` cannot express. R1–R3 share one failure class: this
 //! codebase is SPMD over collectives, where a single rank panicking or
 //! diverging strands every peer at its next rendezvous.
@@ -42,6 +42,12 @@
 //!   (`wkb::encode…`, `encode_into_scratch`, `serialize_record(`): the
 //!   parser transcodes each record's WKB straight from its text once, and
 //!   every replica is a copy of those bytes.
+//! * **R8 `front-half-posts-its-reads`** — non-test code in
+//!   `crates/core/src/pipeline.rs` calls no blocking partitioned read
+//!   (`read_partition_text(`, `read_blocked(`, `read_at_together(`):
+//!   every layer's Level 0 read is posted up front as stripe pieces and
+//!   finished under the transcode, so no layer pays read then parse back
+//!   to back.
 //!
 //! Scope: `src/` trees of the workspace library crates and the root
 //! crate. Excluded: `crates/bench` (experiment harness, panics are its
@@ -73,7 +79,8 @@ pub struct Finding {
     pub line: usize,
     /// Rule identifier (`no-panic`, `checked-narrowing`,
     /// `collective-contract`, `engine-reads-views`, `one-thread-per-rank`,
-    /// `serialize-charge-follows-encode`, `front-half-encodes-nothing`).
+    /// `serialize-charge-follows-encode`, `front-half-encodes-nothing`,
+    /// `front-half-posts-its-reads`).
     pub rule: &'static str,
     /// Human-readable description, including the offending snippet.
     pub message: String,
@@ -126,6 +133,7 @@ fn main() {
         rules::one_thread_per_rank(&rel, &masked, &mut findings);
         rules::serialize_charge_follows_encode(&rel, &masked, &mut findings);
         rules::front_half_encodes_nothing(&rel, &masked, &mut findings);
+        rules::front_half_posts_its_reads(&rel, &masked, &mut findings);
     }
 
     for f in &findings {

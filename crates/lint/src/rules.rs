@@ -161,6 +161,20 @@ pub fn front_half_encodes_nothing(path: &Path, m: &MaskedFile, out: &mut Vec<Fin
     }
 }
 
+/// R8: the front half posts its reads — non-test code in
+/// `crates/core/src/pipeline.rs` calls no blocking partitioned read
+/// (`read_partition_text(`, `read_blocked(`, `read_at_together(`). Every
+/// layer's read is posted up front and finished under the transcode, so
+/// a later layer's pieces land while an earlier one is parsed.
+pub fn front_half_posts_its_reads(path: &Path, m: &MaskedFile, out: &mut Vec<Finding>) {
+    if path == Path::new("crates/core/src/pipeline.rs") {
+        const READS: &[&str] = &["read_partition_text(", "read_blocked(", "read_at_together("];
+        let why = "reads a layer before its transcode (post every layer's read up front \
+                   with `post_partition_text` and finish it under the parse)";
+        flag_calls(path, m, READS, "front-half-posts-its-reads", why, out);
+    }
+}
+
 /// Reports every non-test line of `m` that contains one of `calls`, as
 /// `rule`, saying `why`.
 fn flag_calls(
@@ -479,6 +493,7 @@ mod tests {
         one_thread_per_rank(p, &m, &mut out);
         serialize_charge_follows_encode(p, &m, &mut out);
         front_half_encodes_nothing(p, &m, &mut out);
+        front_half_posts_its_reads(p, &m, &mut out);
         out.into_iter().map(|f| (f.line, f.rule)).collect()
     }
 
@@ -635,6 +650,35 @@ mod tests {
         assert!(out.is_empty());
         let encoder = MaskedFile::new("fn f() { wkb::encode_to(&g, out); }\n");
         front_half_encodes_nothing(Path::new("crates/core/src/exchange.rs"), &encoder, &mut out);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn a_blocking_read_in_the_front_half_is_flagged() {
+        let src = "fn ingest(comm: &mut Comm) {\n    read_partition_text(comm, fs, p, r)?;\n    \
+                   read_blocked(comm, &file, r)?;\n    file.read_at_together(comm, 0, b)?;\n    \
+                   post_partition_text(comm, fs, p, r)?;\n}\n";
+        let (mut out, m) = (Vec::new(), MaskedFile::new(src));
+        front_half_posts_its_reads(Path::new("crates/core/src/pipeline.rs"), &m, &mut out);
+        let found: Vec<_> = out.iter().map(|f| (f.line, f.rule)).collect();
+        let rule = "front-half-posts-its-reads";
+        assert_eq!(found, vec![(2, rule), (3, rule), (4, rule)]);
+    }
+
+    #[test]
+    fn posts_comments_tests_and_other_files_are_clean_for_r8() {
+        let src = "use crate::partition::{post_partition_text, read_partition_text};\nfn f() {\n    \
+                   // read_partition_text( in a comment\n    post_partition_text(comm, fs, p, r)?;\n}\n\
+                   #[cfg(test)]\nmod tests {\n    fn t() { read_partition_text(c, f, p, r).unwrap(); }\n}\n";
+        let (mut out, m) = (Vec::new(), MaskedFile::new(src));
+        front_half_posts_its_reads(Path::new("crates/core/src/pipeline.rs"), &m, &mut out);
+        assert!(out.is_empty());
+        let reader = MaskedFile::new("fn f() { read_blocked(comm, &file, opts)?; }\n");
+        front_half_posts_its_reads(
+            Path::new("crates/core/src/partition/mod.rs"),
+            &reader,
+            &mut out,
+        );
         assert!(out.is_empty());
     }
 }

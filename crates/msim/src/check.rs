@@ -389,4 +389,29 @@ mod tests {
             "{text}"
         );
     }
+
+    #[test]
+    fn unwaited_landings_are_reported() {
+        use mvio_pfs::{FsConfig, SimFs, StripeSpec};
+        let fs = SimFs::new(FsConfig::lustre_comet());
+        fs.create("f", Some(StripeSpec::new(2, 1024)))
+            .unwrap()
+            .append([7u8; 8192]);
+        let text = world_report(2, |comm| {
+            let f = crate::MpiFile::open(&fs, "f", crate::Hints::default()).unwrap();
+            let mut buf = [0u8; 4096];
+            let at = comm.rank() as u64 * 4096;
+            let (_, landing) = comm
+                .labeled("layer", |c| f.iread_at_together(c, at, &mut buf))
+                .unwrap();
+            match comm.rank() {
+                0 => landing.wait(comm),
+                _ => drop(landing),
+            }
+        });
+        assert!(
+            text.contains("rank 1 dropped an in-flight iread_at_together @ layer request"),
+            "{text}"
+        );
+    }
 }

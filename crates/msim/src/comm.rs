@@ -191,7 +191,7 @@ impl Comm {
     }
 
     /// Leak-detector context for a request initiated now.
-    fn leak_guard(&self, op: &'static str) -> LeakGuard {
+    pub(crate) fn leak_guard(&self, op: &'static str) -> LeakGuard {
         LeakGuard {
             rank: self.rank,
             op,

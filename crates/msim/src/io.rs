@@ -4,13 +4,16 @@
 //! | Level | Pattern        | Mode        | Entry point                  | Two-phase fragments          |
 //! |-------|----------------|-------------|------------------------------|------------------------------|
 //! | 0     | contiguous     | independent | [`MpiFile::read_at`]         | — (one timed pfs request)    |
+//! | 0     | contiguous     | independent | [`MpiFile::iread_at_together`] | — (concurrent stripe pieces) |
 //! | 1     | contiguous     | collective  | [`MpiFile::read_at_all`]     | the one `(offset, len)`      |
 //! | 3     | non-contiguous | collective  | [`MpiFile::read_all`] (view) | [`FileView::fragments`]      |
 //!
 //! An SPMD loop whose every rank reads at Level 0 in the same step uses
 //! [`MpiFile::read_at_together`]: the same independent read, but the
 //! step's requests are timed in one deterministic pfs batch instead of
-//! in the order host threads happen to reach the file servers.
+//! in the order host threads happen to reach the file servers. Its
+//! nonblocking twin [`MpiFile::iread_at_together`] times stripe pieces
+//! and returns their [`Landing`] instead of moving the clock.
 //!
 //! The writes mirror the reads ([`MpiFile::write_at`],
 //! [`MpiFile::write_at_all`], [`MpiFile::write_all`]). Every collective
@@ -32,6 +35,7 @@
 use crate::comm::Comm;
 use crate::datatype::Datatype;
 use crate::hints::{Hints, ROMIO_MAX_IO_BYTES};
+use crate::request::LeakGuard;
 use crate::time::CostModel;
 use crate::{MsimError, Result};
 use mvio_pfs::{FsKind, IoRequest, PfsError, SimFile, SimFs};
@@ -113,6 +117,58 @@ impl FileView {
     }
 }
 
+/// A Level 0 read posted with [`MpiFile::iread_at_together`]: when each
+/// stripe piece of it lands. Posting moved no clock; [`Landing::wait`]
+/// moves it to the last piece. Dropping a landing that was never waited
+/// is the resource leak a dropped [`crate::Request`] is, and aborts the
+/// job the same way, naming the rank and the call-site label.
+#[derive(Debug)]
+#[must_use = "a Landing must be completed with wait"]
+pub struct Landing {
+    /// The file's stripe size: piece `j` covers stripe `offset / stripe + j`.
+    stripe: u64,
+    /// File offset of the read's first byte.
+    offset: u64,
+    /// Piece completions in file order (empty for an idle rank).
+    done: Vec<f64>,
+    /// `None` once waited.
+    guard: Option<LeakGuard>,
+}
+
+impl Landing {
+    /// When the last byte of `[offset, offset + len)` has landed: the
+    /// latest completion of the pieces the range touches, and −∞ for an
+    /// empty range or an idle rank's landing.
+    pub fn landed(&self, offset: u64, len: u64) -> f64 {
+        if len == 0 || self.done.is_empty() {
+            return f64::NEG_INFINITY;
+        }
+        let piece =
+            |at: u64| ((at / self.stripe).saturating_sub(self.offset / self.stripe)) as usize;
+        let last = piece(offset + len - 1).min(self.done.len() - 1);
+        let first = piece(offset).min(last);
+        self.done[first..=last]
+            .iter()
+            .fold(f64::NEG_INFINITY, |a, &b| a.max(b))
+    }
+
+    /// `MPI_Wait`: advances the clock to the last piece's landing.
+    /// Not collective — completes this rank's own posted read.
+    pub fn wait(mut self, comm: &mut Comm) {
+        self.guard = None;
+        comm.advance_to(self.done.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b)));
+    }
+}
+
+impl Drop for Landing {
+    fn drop(&mut self) {
+        // Suppress during unwinding, as `Request` does.
+        if let Some(guard) = self.guard.as_ref().filter(|_| !std::thread::panicking()) {
+            guard.abort();
+        }
+    }
+}
+
 /// An open MPI file handle bound to one simulated filesystem.
 pub struct MpiFile {
     fs: Arc<SimFs>,
@@ -190,7 +246,43 @@ impl MpiFile {
     /// servers first (conservative discrete-event simulation: no request
     /// is admitted before every peer's request of the step is known).
     /// Returns bytes read, short at end-of-file like [`MpiFile::read_at`].
+    /// The overlap strategy's halo reads and the baseline readers use it;
+    /// Algorithm 1 posts its reads with [`MpiFile::iread_at_together`].
     pub fn read_at_together(&self, comm: &mut Comm, offset: u64, buf: &mut [u8]) -> Result<usize> {
+        let (got, landing) = self.step_read(comm, false, offset, buf)?;
+        landing.wait(comm);
+        Ok(got)
+    }
+
+    /// `MPI_File_iread_at` posted together with the peers' reads of the
+    /// same step: [`MpiFile::read_at_together`]'s rendezvous, checks and
+    /// calling rule, but each request is cut into stripe pieces, the step
+    /// is timed as one piece batch in `(now, round, rank)` order
+    /// ([`mvio_pfs::TimingEngine::piece_batch`]: a request's last half
+    /// stripe first, a rank's pieces concurrent) and **no clock moves**. The
+    /// bytes are copied into `buf` at once (the count is short at
+    /// end-of-file); the caller acts on a byte only once the returned
+    /// [`Landing`] says it has landed. Collective on the host: every rank
+    /// must call it, an idle rank with an empty `buf`.
+    pub fn iread_at_together(
+        &self,
+        comm: &mut Comm,
+        offset: u64,
+        buf: &mut [u8],
+    ) -> Result<(usize, Landing)> {
+        self.step_read(comm, true, offset, buf)
+    }
+
+    /// The one body of both step reads: the checks, the rendezvous, and
+    /// the step's requests timed in one batch — whole, or as stripe
+    /// `pieces` — into a landing that has moved no clock yet.
+    fn step_read(
+        &self,
+        comm: &mut Comm,
+        pieces: bool,
+        offset: u64,
+        buf: &mut [u8],
+    ) -> Result<(usize, Landing)> {
         let file_len = self.len();
         let checked = Self::check_count(buf.len() as u64).and_then(|()| {
             if buf.is_empty() || offset <= file_len {
@@ -210,22 +302,43 @@ impl MpiFile {
             len: buf.len() as u64,
         });
         let file = Arc::clone(&self.file);
-        let (done, _) = comm.collective("io.read_at_together", request, move |inputs, times| {
+        let site = if pieces {
+            "io.iread_at_together"
+        } else {
+            "io.read_at_together"
+        };
+        let (done, _) = comm.collective(site, request, move |inputs, times| {
             let reqs: Vec<IoRequest> = inputs.iter().flatten().copied().collect();
-            let mut exits = times.to_vec();
-            let done = file.time_reads(&reqs).map(|done| {
-                let mut by_rank = vec![None; times.len()];
-                for (r, c) in reqs.iter().zip(done) {
-                    exits[r.rank] = exits[r.rank].max(c.completion);
-                    by_rank[r.rank] = Some(c.bytes);
+            let mut done = vec![Vec::new(); reqs.len()];
+            let timed = match pieces {
+                true => file.time_piece_reads(&reqs, &mut done),
+                false => file.time_reads(&reqs).map(|whole| {
+                    (done.iter_mut().zip(whole)).for_each(|(d, c)| d.push(c.completion))
+                }),
+            };
+            let by_rank = timed.map(|()| {
+                let mut by_rank = vec![Vec::new(); times.len()];
+                for (r, d) in reqs.iter().zip(done) {
+                    by_rank[r.rank] = d;
                 }
                 by_rank
             });
-            (done, exits)
+            (by_rank, times.to_vec())
         });
         checked?;
         let by_rank = (*done).as_ref().map_err(|e| MsimError::Pfs(e.clone()))?;
-        Ok(by_rank[comm.rank()].map_or(0, |n| self.file.peek(offset, &mut buf[..n as usize])))
+        let landing = Landing {
+            // A request timed whole is one piece.
+            stripe: if pieces {
+                self.file.stripe().size
+            } else {
+                u64::MAX
+            },
+            offset,
+            done: by_rank[comm.rank()].clone(),
+            guard: Some(comm.leak_guard("iread_at_together")),
+        };
+        Ok((self.file.peek(offset, buf), landing))
     }
 
     /// `MPI_File_write_at`: independent contiguous write.
@@ -887,6 +1000,63 @@ mod tests {
             .1
             .as_ref()
             .is_err_and(|e| e.contains("invalid range")));
+    }
+
+    #[test]
+    fn posted_one_piece_reads_time_like_reads_timed_together() {
+        // Each rank reads inside one 64 KiB stripe: iread + wait lands
+        // every clock on the bit the blocking step read does.
+        let fs_of = || make_fs_with_file(1 << 20, StripeSpec::new(4, 64 << 10));
+        let run = |posted: bool| {
+            let fs = fs_of();
+            World::run(WorldConfig::new(Topology::new(2, 3)), move |comm| {
+                let f = MpiFile::open(&fs, "data.bin", Hints::default()).unwrap();
+                comm.advance((comm.rank() % 2) as f64 * 1e-3);
+                let off = comm.rank() * (128 << 10) + 100;
+                let mut buf = vec![0u8; 60 << 10];
+                if posted {
+                    let (n, landing) = f.iread_at_together(comm, off as u64, &mut buf).unwrap();
+                    assert_eq!(n, buf.len());
+                    landing.wait(comm);
+                } else {
+                    f.read_at_together(comm, off as u64, &mut buf).unwrap();
+                }
+                assert!(buf.iter().enumerate().all(|(i, &b)| b == pattern(off + i)));
+                comm.now().to_bits()
+            })
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn a_posted_read_moves_no_clock_and_lands_piece_by_piece() {
+        let fs = make_fs_with_file(1 << 20, StripeSpec::new(4, 64 << 10));
+        let out = World::run(WorldConfig::new(Topology::new(2, 2)), |comm| {
+            let f = MpiFile::open(&fs, "data.bin", Hints::default()).unwrap();
+            let (off, len) = match comm.rank() {
+                1 => (0, 0),
+                r => (r as u64 * (256 << 10) + 10, 200 << 10),
+            };
+            let mut buf = vec![0u8; len];
+            let (n, landing) = f.iread_at_together(comm, off, &mut buf).unwrap();
+            assert_eq!((n, comm.now()), (len, 0.0), "posting moves no clock");
+            let whole = landing.landed(off, len as u64);
+            let pieces: Vec<f64> = (0..len as u64)
+                .step_by(64 << 10)
+                .map(|at| landing.landed(off + at, 1))
+                .collect();
+            landing.wait(comm);
+            (whole, pieces, comm.now())
+        });
+        let (whole, pieces, now) = &out[1];
+        assert_eq!((*whole, pieces.len(), *now), (f64::NEG_INFINITY, 0, 0.0));
+        for (whole, pieces, now) in [&out[0], &out[2], &out[3]] {
+            assert_eq!(whole, now, "wait moves the clock to the last piece");
+            assert_eq!(*whole, pieces.iter().cloned().fold(0.0, f64::max));
+            // The last piece is posted first, so it lands first.
+            let last = pieces[pieces.len() - 1];
+            assert!(pieces[..pieces.len() - 1].iter().all(|&t| t > last));
+        }
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub use check::{CollectiveKind, CollectiveSig, Label};
 pub use comm::Comm;
 pub use datatype::Datatype;
 pub use hints::Hints;
-pub use io::{aggregator_domains, select_readers, AccessLevel, MpiFile};
+pub use io::{aggregator_domains, select_readers, AccessLevel, Landing, MpiFile};
 pub use reduceop::ReduceOp;
 pub use request::{ProgressEngine, Request};
 pub use time::{CostModel, ShapeClass, Work, WorkTally};

@@ -96,7 +96,15 @@ impl<T> Drop for Request<T> {
         if self.inner.is_none() || std::thread::panicking() {
             return;
         }
-        let LeakGuard { rank, op, label } = &self.guard;
+        self.guard.abort();
+    }
+}
+
+impl LeakGuard {
+    /// Aborts the job with the protocol-violation report of a handle
+    /// dropped before it was waited.
+    pub(crate) fn abort(&self) -> ! {
+        let LeakGuard { rank, op, label } = self;
         let at = if label.is_empty() { "" } else { " @ " };
         panic!("{REPORT}: rank {rank} dropped an in-flight {op}{at}{label} request without wait");
     }

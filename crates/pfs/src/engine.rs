@@ -149,14 +149,7 @@ impl TimingEngine {
         ost_base: u32,
         reqs: &[IoRequest],
     ) -> Vec<IoCompletion> {
-        let mut order: Vec<usize> = (0..reqs.len()).collect();
-        order.sort_by(|&a, &b| {
-            reqs[a]
-                .now
-                .partial_cmp(&reqs[b].now)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(reqs[a].rank.cmp(&reqs[b].rank))
-        });
+        let order = time_order(reqs);
         let mut out = vec![
             IoCompletion {
                 completion: 0.0,
@@ -175,51 +168,117 @@ impl TimingEngine {
                 .copied()
                 .unwrap_or(r.now)
                 .max(r.now);
-            let done = self.io_locked(
+            let chunks = layout::chunks_of(stripe, r.offset, r.len);
+            let completion = self.serve(
                 &mut st,
                 stripe,
                 ost_base,
                 r.node,
                 chained_now,
-                r.offset,
-                r.len,
+                chunks,
                 active,
             );
-            last_by_rank.insert(r.rank, done.completion);
-            out[idx] = done;
+            last_by_rank.insert(r.rank, completion);
+            out[idx] = IoCompletion {
+                completion,
+                bytes: r.len,
+            };
         }
         out
     }
 
+    /// Times a batch of requests as **pieces**, one per
+    /// [`layout::chunks_of`] chunk. A rank's pieces are concurrent, not
+    /// chained: each is issued at its request's `now` and served like a
+    /// request of its own. The batch is timed in `(now, round, rank)`
+    /// order under one lock, so the ranks share the OSTs and node links
+    /// piece by piece. Round 0 serves a request's **lead**: its last
+    /// piece, and the piece before it too when the last is shorter than
+    /// half a stripe, so a request's last half stripe of bytes (a
+    /// record-delimited reader's tail, whatever the block's alignment)
+    /// lands in the first round. Round `t ≥ 1` serves the other pieces
+    /// in file order. A one-piece request times exactly as in
+    /// [`TimingEngine::io_batch`]. `done[i]` is refilled with request
+    /// `i`'s piece completions in file order; nothing is allocated per
+    /// piece.
+    pub fn piece_batch(
+        &self,
+        stripe: StripeSpec,
+        ost_base: u32,
+        reqs: &[IoRequest],
+        done: &mut [Vec<f64>],
+    ) {
+        assert_eq!(reqs.len(), done.len(), "one buffer per request");
+        let pieces = |r: &IoRequest| layout::chunks_of(stripe, r.offset, r.len);
+        for (r, d) in reqs.iter().zip(done.iter_mut()) {
+            d.clear();
+            d.resize(pieces(r).count(), 0.0);
+        }
+        // Pieces in a request's lead (of its `m`, at most `m`).
+        let lead = |r: &IoRequest, m: usize| match pieces(r).last() {
+            Some(last) if m >= 2 && 2 * last.len < stripe.size => 2,
+            _ => m.min(1),
+        };
+        let order = time_order(reqs);
+        let mut st = self.state.lock();
+        let active = st.active_ranks;
+        // Each run of equal `now` is timed round by round: round `t` of
+        // every request in rank order, then round `t + 1`.
+        for group in order.chunk_by(|&a, &b| reqs[a].now == reqs[b].now) {
+            let rounds = |i: usize| {
+                let m = done[i].len();
+                (m - lead(&reqs[i], m) + 1).min(m)
+            };
+            let most = group.iter().map(|&i| rounds(i)).max().unwrap_or(0);
+            for t in 0..most {
+                for &i in group {
+                    let (r, m) = (&reqs[i], done[i].len());
+                    let k = lead(r, m);
+                    // Round 0 serves the lead, last piece first; round
+                    // t ≥ 1 piece t − 1 of those before it.
+                    let served = match t {
+                        0 => m - k..m,
+                        t if t - 1 < m - k => t - 1..t,
+                        _ => continue,
+                    };
+                    for c in served.rev() {
+                        if let Some(piece) = pieces(r).nth(c) {
+                            let chunk = layout::chunks_of(stripe, piece.offset, piece.len);
+                            done[i][c] =
+                                self.serve(&mut st, stripe, ost_base, r.node, r.now, chunk, active);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Serves the access `chunks` issued at `now` from `node` and returns
+    /// when its last byte is delivered (`now` for no chunks): each chunk
+    /// occupies backfill-scheduled time on its OST (chunks sharing an OST
+    /// serialize, distinct OSTs overlap), and the whole transfer flows
+    /// through the node's link queue.
     #[allow(clippy::too_many_arguments)]
-    fn io_locked(
+    fn serve(
         &self,
         st: &mut EngineState,
         stripe: StripeSpec,
         ost_base: u32,
         node: usize,
         now: f64,
-        offset: u64,
-        len: u64,
+        chunks: layout::Chunks,
         active_ranks: usize,
-    ) -> IoCompletion {
-        if len == 0 {
-            return IoCompletion {
-                completion: now,
-                bytes: 0,
-            };
-        }
+    ) -> f64 {
         let factor = self.sharing_factor(stripe.count, active_ranks);
-
-        // Server side: each chunk occupies backfill-scheduled time on its
-        // OST; chunks sharing an OST serialize, distinct OSTs overlap.
         let mut server_done = now;
-        for chunk in layout::chunks_of(stripe, offset, len) {
+        let mut len = 0;
+        for chunk in chunks {
             let g = ((ost_base + chunk.ost) % self.total_osts) as usize;
             let service =
                 (self.perf.request_latency + chunk.len as f64 / self.perf.ost_bandwidth) * factor;
             let done = st.osts[g].schedule(now, service);
             server_done = server_done.max(done);
+            len += chunk.len;
         }
 
         // Client side: the node's effective throughput bounds how fast the
@@ -229,12 +288,21 @@ impl TimingEngine {
         }
         let link_service = len as f64 / self.perf.node_bandwidth();
         let link_done = st.nodes[node].schedule(now, link_service);
-
-        IoCompletion {
-            completion: server_done.max(link_done),
-            bytes: len,
-        }
+        server_done.max(link_done)
     }
+}
+
+/// Request indices in `(now, rank)` order (ties keep input order).
+fn time_order(reqs: &[IoRequest]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..reqs.len()).collect();
+    order.sort_by(|&a, &b| {
+        reqs[a]
+            .now
+            .partial_cmp(&reqs[b].now)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(reqs[a].rank.cmp(&reqs[b].rank))
+    });
+    order
 }
 
 #[cfg(test)]
@@ -367,6 +435,127 @@ mod tests {
         let mut b = mk().io_batch(s, 0, &rev);
         b.reverse();
         assert_eq!(a, b);
+    }
+
+    /// Requests from `ranks` ranks on two nodes, each `len` bytes at
+    /// `stride`-spaced offsets, all issued at `now`.
+    fn spread(ranks: usize, now: f64, stride: u64, len: u64) -> Vec<IoRequest> {
+        (0..ranks)
+            .map(|r| IoRequest {
+                rank: r,
+                node: r / 2,
+                now,
+                offset: r as u64 * stride + 100,
+                len,
+            })
+            .collect()
+    }
+
+    /// Times `reqs` as a piece batch on a fresh engine.
+    fn pieces(reqs: &[IoRequest], stripe: StripeSpec) -> Vec<Vec<f64>> {
+        let e = engine();
+        e.set_active_ranks(reqs.len());
+        let mut done = vec![Vec::new(); reqs.len()];
+        e.piece_batch(stripe, 0, reqs, &mut done);
+        done
+    }
+
+    #[test]
+    fn one_piece_requests_time_bit_for_bit_like_io_batch() {
+        let s = StripeSpec::new(2, 1024);
+        // Each request lies inside one stripe: one piece apiece.
+        let mut reqs = spread(6, 0.25, 1024, 700);
+        reqs[3].now = 0.125;
+        let e = engine();
+        e.set_active_ranks(reqs.len());
+        let batch = e.io_batch(s, 0, &reqs);
+        let done = pieces(&reqs, s);
+        for (d, b) in done.iter().zip(&batch) {
+            assert_eq!(d.len(), 1);
+            assert_eq!(d[0].to_bits(), b.completion.to_bits());
+        }
+    }
+
+    #[test]
+    fn piece_batch_is_invariant_under_permutation() {
+        let s = StripeSpec::new(3, 512);
+        let mut reqs = spread(5, 0.0, 1500, 1800);
+        reqs[1].now = 0.002;
+        reqs[4].len = 0;
+        let a = pieces(&reqs, s);
+        let mut rev = reqs.clone();
+        rev.reverse();
+        let mut b = pieces(&rev, s);
+        b.reverse();
+        assert_eq!(a, b);
+        assert!(a[..4].iter().all(|d| d.len() >= 4), "several pieces each");
+        assert!(a[4].is_empty(), "an empty request has no pieces");
+    }
+
+    #[test]
+    fn no_piece_completes_before_its_issue_plus_service() {
+        let cfg = FsConfig::test_tiny();
+        let s = StripeSpec::new(2, 1024);
+        let reqs = spread(4, 0.5, 3000, 2500);
+        let done = pieces(&reqs, s);
+        for (r, d) in reqs.iter().zip(&done) {
+            let chunks: Vec<_> = layout::chunks_of(s, r.offset, r.len).collect();
+            assert_eq!(chunks.len(), d.len());
+            for (c, &t) in chunks.iter().zip(d) {
+                let ost = cfg.perf.request_latency + c.len as f64 / cfg.perf.ost_bandwidth;
+                let link = c.len as f64 / cfg.perf.node_bandwidth();
+                assert!(t >= r.now + ost.max(link) - 1e-12, "{t} vs {}", r.now);
+            }
+        }
+    }
+
+    #[test]
+    fn a_requests_last_piece_lands_in_the_first_round() {
+        // Two ranks on distinct nodes read four stripes each over one
+        // OST: round one serves both last pieces before any other piece.
+        let s = StripeSpec::new(1, 1024);
+        let reqs: Vec<IoRequest> = (0..2)
+            .map(|r| IoRequest {
+                rank: r,
+                node: r,
+                now: 0.0,
+                offset: r as u64 * 4096,
+                len: 4096,
+            })
+            .collect();
+        let done = pieces(&reqs, s);
+        let per = 0.001 + 1024.0 / 1_000_000.0;
+        assert!((done[0][3] - per).abs() < 1e-12, "{:?}", done[0]);
+        assert!((done[1][3] - 2.0 * per).abs() < 1e-12, "{:?}", done[1]);
+        assert!(done.iter().all(|d| d[..3].iter().all(|&t| t > 2.0 * per)));
+    }
+
+    #[test]
+    fn a_short_last_piece_brings_the_one_before_it_into_the_first_round() {
+        // Three full stripes and a 100-byte piece each, over one OST: the
+        // lead (the last two pieces) of both requests is served before
+        // any other piece.
+        let s = StripeSpec::new(1, 1024);
+        let reqs: Vec<IoRequest> = (0..2)
+            .map(|r| IoRequest {
+                rank: r,
+                node: r,
+                now: 0.0,
+                offset: r as u64 * 8192,
+                len: 3 * 1024 + 100,
+            })
+            .collect();
+        let done = pieces(&reqs, s);
+        let lead = done
+            .iter()
+            .flat_map(|d| &d[2..])
+            .cloned()
+            .fold(0.0, f64::max);
+        assert!(
+            done.iter().all(|d| d[..2].iter().all(|&t| t > lead)),
+            "{done:?}"
+        );
+        assert!(done.iter().all(|d| d[3] < d[2]), "the last piece first");
     }
 
     #[test]

@@ -123,6 +123,25 @@ impl SimFile {
     /// per request, index aligned; a request starting past EOF is a
     /// [`PfsError::InvalidRange`] error and times nothing.
     pub fn time_reads(&self, reqs: &[IoRequest]) -> Result<Vec<IoCompletion>> {
+        let clamped = self.account_reads(reqs)?;
+        Ok(self.engine.io_batch(self.stripe, self.ost_base, &clamped))
+    }
+
+    /// [`SimFile::time_reads`] for requests read as concurrent stripe
+    /// pieces ([`TimingEngine::piece_batch`]): `done[i]` is refilled with
+    /// request `i`'s piece completions in file order, after the request
+    /// is clamped to EOF and accounted exactly as in `time_reads`.
+    pub fn time_piece_reads(&self, reqs: &[IoRequest], done: &mut [Vec<f64>]) -> Result<()> {
+        let clamped = self.account_reads(reqs)?;
+        self.engine
+            .piece_batch(self.stripe, self.ost_base, &clamped, done);
+        Ok(())
+    }
+
+    /// Clamps each request to EOF and records it in the stats; a request
+    /// starting past EOF fails the whole batch before anything is
+    /// recorded.
+    fn account_reads(&self, reqs: &[IoRequest]) -> Result<Vec<IoRequest>> {
         let file_len = self.len();
         let clamped = reqs
             .iter()
@@ -144,10 +163,10 @@ impl SimFile {
             self.stats.record_read(
                 r.len,
                 crate::layout::is_stripe_aligned(self.stripe, r.offset),
-                &crate::layout::chunks_of(self.stripe, r.offset, r.len),
+                crate::layout::chunks_of(self.stripe, r.offset, r.len),
             );
         }
-        Ok(self.engine.io_batch(self.stripe, self.ost_base, &clamped))
+        Ok(clamped)
     }
 
     /// Deterministic timed batch write used by collective I/O: the
@@ -170,7 +189,7 @@ impl SimFile {
             self.stats.record_write(
                 r.len,
                 crate::layout::is_stripe_aligned(self.stripe, r.offset),
-                &crate::layout::chunks_of(self.stripe, r.offset, r.len),
+                crate::layout::chunks_of(self.stripe, r.offset, r.len),
             );
         }
         Ok(self.engine.io_batch(self.stripe, self.ost_base, reqs))

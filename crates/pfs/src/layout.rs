@@ -16,27 +16,41 @@ pub struct Chunk {
 
 /// Splits the byte range `[offset, offset + len)` into the per-OST chunks
 /// dictated by `stripe` (round-robin placement, Lustre-style: stripe index
-/// `i` lives on OST `i % count`).
-pub fn chunks_of(stripe: StripeSpec, offset: u64, len: u64) -> Vec<Chunk> {
-    let mut out = Vec::new();
-    if len == 0 {
-        return out;
+/// `i` lives on OST `i % count`). A walk, not a list: timing or counting
+/// a request allocates nothing.
+pub fn chunks_of(stripe: StripeSpec, offset: u64, len: u64) -> Chunks {
+    Chunks {
+        stripe,
+        pos: offset,
+        end: offset + len,
     }
-    let ssize = stripe.size;
-    let mut pos = offset;
-    let end = offset + len;
-    while pos < end {
-        let stripe_idx = pos / ssize;
-        let stripe_end = (stripe_idx + 1) * ssize;
-        let chunk_end = stripe_end.min(end);
-        out.push(Chunk {
-            ost: (stripe_idx % stripe.count as u64) as u32,
-            offset: pos,
-            len: chunk_end - pos,
-        });
-        pos = chunk_end;
+}
+
+/// The chunks of one byte range, in file order ([`chunks_of`]).
+#[derive(Debug, Clone)]
+pub struct Chunks {
+    stripe: StripeSpec,
+    pos: u64,
+    end: u64,
+}
+
+impl Iterator for Chunks {
+    type Item = Chunk;
+
+    fn next(&mut self) -> Option<Chunk> {
+        if self.pos >= self.end {
+            return None;
+        }
+        let stripe_idx = self.pos / self.stripe.size;
+        let chunk_end = ((stripe_idx + 1) * self.stripe.size).min(self.end);
+        let chunk = Chunk {
+            ost: (stripe_idx % self.stripe.count as u64) as u32,
+            offset: self.pos,
+            len: chunk_end - self.pos,
+        };
+        self.pos = chunk_end;
+        Some(chunk)
     }
-    out
 }
 
 /// `true` if the range starts exactly on a stripe boundary — the alignment
@@ -56,7 +70,7 @@ mod tests {
 
     #[test]
     fn single_stripe_read() {
-        let c = chunks_of(spec(4, 1024), 0, 512);
+        let c: Vec<Chunk> = chunks_of(spec(4, 1024), 0, 512).collect();
         assert_eq!(
             c,
             vec![Chunk {
@@ -69,7 +83,7 @@ mod tests {
 
     #[test]
     fn read_spanning_three_stripes() {
-        let c = chunks_of(spec(4, 1024), 512, 2048);
+        let c: Vec<Chunk> = chunks_of(spec(4, 1024), 512, 2048).collect();
         assert_eq!(
             c,
             vec![
@@ -95,7 +109,7 @@ mod tests {
     #[test]
     fn round_robin_wraps_past_stripe_count() {
         // stripe count 2: stripes 0,1,2,3 -> OSTs 0,1,0,1.
-        let c = chunks_of(spec(2, 100), 0, 400);
+        let c: Vec<Chunk> = chunks_of(spec(2, 100), 0, 400).collect();
         let osts: Vec<u32> = c.iter().map(|c| c.ost).collect();
         assert_eq!(osts, vec![0, 1, 0, 1]);
     }
@@ -103,7 +117,7 @@ mod tests {
     #[test]
     fn chunks_partition_the_range_exactly() {
         let (off, len) = (777u64, 5_000u64);
-        let c = chunks_of(spec(3, 512), off, len);
+        let c: Vec<Chunk> = chunks_of(spec(3, 512), off, len).collect();
         assert_eq!(c.first().unwrap().offset, off);
         let total: u64 = c.iter().map(|c| c.len).sum();
         assert_eq!(total, len);
@@ -115,7 +129,7 @@ mod tests {
 
     #[test]
     fn zero_length_is_empty() {
-        assert!(chunks_of(spec(4, 1024), 100, 0).is_empty());
+        assert_eq!(chunks_of(spec(4, 1024), 100, 0).next(), None);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Aggregate I/O observability counters.
 
-use crate::layout::Chunk;
+use crate::layout::Chunks;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Lock-free counters describing everything a filesystem instance served.
@@ -32,14 +32,14 @@ impl FsStats {
         }
     }
 
-    pub(crate) fn record_read(&self, bytes: u64, aligned: bool, chunks: &[Chunk]) {
+    pub(crate) fn record_read(&self, bytes: u64, aligned: bool, chunks: Chunks) {
         self.read_ops.fetch_add(1, Ordering::Relaxed);
         self.bytes_read.fetch_add(bytes, Ordering::Relaxed);
         self.record_alignment(aligned);
         self.record_chunks(chunks);
     }
 
-    pub(crate) fn record_write(&self, bytes: u64, aligned: bool, chunks: &[Chunk]) {
+    pub(crate) fn record_write(&self, bytes: u64, aligned: bool, chunks: Chunks) {
         self.write_ops.fetch_add(1, Ordering::Relaxed);
         self.bytes_written.fetch_add(bytes, Ordering::Relaxed);
         self.record_alignment(aligned);
@@ -54,10 +54,10 @@ impl FsStats {
         }
     }
 
-    fn record_chunks(&self, chunks: &[Chunk]) {
-        self.chunk_requests
-            .fetch_add(chunks.len() as u64, Ordering::Relaxed);
+    fn record_chunks(&self, chunks: Chunks) {
+        let mut n = 0;
         for c in chunks {
+            n += 1;
             // chunk.ost is file-relative; modulo keeps it in range even if
             // the caller passed global indices.
             let idx = c.ost as usize % self.per_ost_bytes.len().max(1);
@@ -65,6 +65,7 @@ impl FsStats {
                 slot.fetch_add(c.len, Ordering::Relaxed);
             }
         }
+        self.chunk_requests.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Number of read operations served.

@@ -208,6 +208,86 @@ fn level0_reads_are_identical_whatever_order_ranks_arrive_in() {
     }
 }
 
+/// The streamed twin: both layers' Level 0 reads posted as stripe
+/// pieces up front and transcoded as their chunks land, in worlds whose
+/// rank threads reach each post in a shuffled order. Every rank's
+/// received frames, partition end and clock are bit-equal across the
+/// worlds, in one iteration and in many.
+#[test]
+fn streamed_ingests_are_identical_whatever_order_ranks_arrive_in() {
+    use mpi_vector_io::core::exchange::serialize_frame;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
+
+    const WORLDS: u64 = 6;
+    const RANKS: usize = 8;
+    let layer = |salt: usize| -> String {
+        (0..1_500)
+            .map(|i| {
+                let (x, y) = ((i * 37 + salt) % 90, (i * 11 + salt) % 60);
+                let n = 2 + (i * 13 + salt) % 40;
+                let pts: Vec<String> = (0..n)
+                    .map(|k| format!("{} {}", x + k % 9, y + k % 7))
+                    .collect();
+                format!("LINESTRING ({})\tl{salt}-{i}\n", pts.join(", "))
+            })
+            .collect()
+    };
+    let texts = [layer(0), layer(5)];
+    for block_size in [None, Some(24 << 10)] {
+        let read = ReadOptions {
+            block_size,
+            ..ReadOptions::default()
+        };
+        let run = |world: u64| {
+            let fs = SimFs::new(FsConfig::lustre_comet());
+            for (path, text) in ["a.wkt", "b.wkt"].iter().zip(&texts) {
+                fs.create(path, Some(StripeSpec::new(2, 16 << 10)))
+                    .unwrap()
+                    .append(text.as_bytes());
+            }
+            let mut rng = StdRng::seed_from_u64(world);
+            let mut order: Vec<u64> = (0..RANKS as u64).collect();
+            for i in (1..RANKS).rev() {
+                order.swap(i, rng.gen_range(0..=i));
+            }
+            let yields: Vec<u64> = (0..RANKS).map(|_| rng.gen_range(0..64u64)).collect();
+            let (order, yields) = (Arc::new(order), Arc::new(yields));
+            World::run(WorldConfig::new(Topology::new(2, 4)), move |comm| {
+                let r = comm.rank();
+                std::thread::sleep(std::time::Duration::from_micros(400 * order[r]));
+                for _ in 0..yields[r] {
+                    std::thread::yield_now();
+                }
+                let out = pipeline::ingest_layers(
+                    comm,
+                    &fs,
+                    &["a.wkt", "b.wkt"],
+                    &read,
+                    &WktLineParser,
+                    &DecompConfig::uniform(GridSpec::square(6)),
+                    &PipelineOptions::default().with_parse_chunk_bytes(4 << 10),
+                    ExchangeChunk::Unlimited,
+                )
+                .unwrap();
+                let mut bytes = Vec::new();
+                for layer in &out.layers {
+                    for frame in layer.owned.frames() {
+                        serialize_frame(&frame, &mut bytes).unwrap();
+                    }
+                }
+                (bytes, out.partition_end.to_bits(), comm.now().to_bits())
+            })
+        };
+        let first = run(0);
+        assert!(first.iter().all(|(bytes, ..)| !bytes.is_empty()));
+        for world in 1..WORLDS {
+            assert_eq!(run(world), first, "{block_size:?}, world {world}");
+        }
+    }
+}
+
 #[test]
 fn virtual_time_is_independent_of_wall_time() {
     // Injecting real delays must not change virtual results: the model

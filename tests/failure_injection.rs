@@ -68,12 +68,17 @@ fn corrupted_wkt_record_fails_cleanly_on_every_rank() {
 /// the record returns the parse error naming it, its peers an error
 /// naming the owner, and nobody waits in the decomposition build. The
 /// corpus covers the transcoder's syntax errors, the constructors' checks
-/// and the parser's non-finite check, each record naming itself.
+/// and the parser's non-finite check, each record naming itself. Each
+/// runs in 128-byte blocks of one stripe piece each, and in one block
+/// per rank cut into stripe pieces of [`STREAM_STRIPES`] bytes, which
+/// between them put a bad record in its block's first, a middle and its
+/// last piece, and across a piece boundary.
 #[test]
 fn a_bad_record_fails_every_front_half_on_every_rank() {
     let good: String = (0..40)
         .map(|i| format!("POINT ({i} {i})\tp{i}\n"))
         .collect();
+    let mut places = std::collections::BTreeSet::new();
     for record in [
         "POLYGON ((botched",
         "LINESTRING (17 17)\tbotched",
@@ -84,16 +89,67 @@ fn a_bad_record_fails_every_front_half_on_every_rank() {
         "MULTIPOINT ((1 2), (3 4)\tbotched",
     ] {
         a_bad_record_fails_every_front_half(&good, record);
+        let bad = good.replace("POINT (17 17)\tp17", record);
+        let at = bad.find(record).unwrap() as u64;
+        for stripe in STREAM_STRIPES {
+            places.extend(piece_places(
+                bad.len() as u64,
+                4,
+                stripe,
+                at,
+                record.len() as u64,
+            ));
+        }
     }
+    let all = ["first", "last", "middle", "straddles"];
+    assert_eq!(places.into_iter().collect::<Vec<_>>(), all);
+}
+
+/// Stripe sizes the bad-record corpus is also read with, one block per
+/// rank, so every block is several pieces.
+const STREAM_STRIPES: [u64; 3] = [24, 128, 160];
+
+/// Where a record of `len` bytes at `at` sits among the stripe pieces of
+/// its block, when `ranks` ranks split a `file`-byte file in one
+/// iteration: its block's `first`, `last` or a `middle` piece, and
+/// whether it `straddles` a piece boundary.
+fn piece_places(file: u64, ranks: u64, stripe: u64, at: u64, len: u64) -> Vec<&'static str> {
+    let block = file.div_ceil(ranks);
+    let lo = at / block * block;
+    let (first, last) = (lo / stripe, ((lo + block).min(file) - 1) / stripe);
+    let piece = at / stripe;
+    let mut places = vec![match piece {
+        p if p == first => "first",
+        p if p == last => "last",
+        _ => "middle",
+    }];
+    if (at + len - 1) / stripe != piece {
+        places.push("straddles");
+    }
+    places
 }
 
 fn a_bad_record_fails_every_front_half(good: &str, record: &str) {
     let bad = good.replace("POINT (17 17)\tp17", record);
-    let fs = fs_with(FsConfig::gpfs_roger(), "bad.wkt", &bad);
-    fs.create("good.wkt", None).unwrap().append(good.as_bytes());
-    let read = ReadOptions::default().with_block_size(128);
+    let blocked = (None, ReadOptions::default().with_block_size(128));
+    let streamed = STREAM_STRIPES.map(|stripe| (Some(stripe), ReadOptions::default()));
+    for (stripe, read) in std::iter::once(blocked).chain(streamed) {
+        let (cfg, stripe) = match stripe {
+            None => (FsConfig::gpfs_roger(), None),
+            Some(size) => (FsConfig::lustre_comet(), Some(StripeSpec::new(2, size))),
+        };
+        let fs = SimFs::new(cfg);
+        fs.create("bad.wkt", stripe).unwrap().append(bad.as_bytes());
+        fs.create("good.wkt", stripe)
+            .unwrap()
+            .append(good.as_bytes());
+        a_bad_record_fails_every_run(&fs, read);
+    }
+}
+
+fn a_bad_record_fails_every_run(fs: &std::sync::Arc<SimFs>, read: ReadOptions) {
     for run in ["ingest", "join left", "join right"] {
-        let fs = std::sync::Arc::clone(&fs);
+        let fs = std::sync::Arc::clone(fs);
         let cfg = WorldConfig::new(Topology::new(2, 2));
         let out = World::run(cfg, move |comm| {
             let res = match run {
@@ -134,6 +190,39 @@ fn a_bad_record_fails_every_front_half(good: &str, record: &str) {
         for m in out.iter().filter_map(|r| r.as_ref().err()) {
             assert!(m.contains(&named), "{ctx}");
         }
+    }
+}
+
+/// Both layers' reads are posted before either is finished: when the
+/// second layer is missing, every rank still finishes the first layer's
+/// ring and waits its pieces, then fails alike, naming the missing file.
+#[test]
+fn a_missing_second_layer_fails_every_rank_without_stranding_the_first() {
+    let good: String = (0..40)
+        .map(|i| format!("POINT ({i} {i})\tp{i}\n"))
+        .collect();
+    let fs = SimFs::new(FsConfig::lustre_comet());
+    fs.create("good.wkt", Some(StripeSpec::new(2, 64)))
+        .unwrap()
+        .append(good.as_bytes());
+    let out = World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {
+        let res = pipeline::ingest_layers(
+            comm,
+            &fs,
+            &["good.wkt", "missing.wkt"],
+            &ReadOptions::default(),
+            &WktLineParser,
+            &DecompConfig::uniform(GridSpec::square(4)),
+            &PipelineOptions::default(),
+            ExchangeChunk::Unlimited,
+        );
+        res.map(|_| ()).map_err(|e| e.to_string())
+    });
+    for r in &out {
+        assert!(
+            r.as_ref().is_err_and(|e| e.contains("missing.wkt")),
+            "{out:?}"
+        );
     }
 }
 

@@ -143,3 +143,111 @@ proptest! {
         prop_assert_eq!(l0, l1);
     }
 }
+
+/// The file of `records` installed with stripes of `stripe` bytes (a
+/// stripe longer than the file makes every rank's read one piece).
+fn striped_fs(text: &str, stripe: u64) -> std::sync::Arc<SimFs> {
+    let fs = SimFs::new(FsConfig::lustre_comet());
+    fs.create("p.txt", Some(StripeSpec::new(2, stripe)))
+        .unwrap()
+        .append(text.as_bytes());
+    fs
+}
+
+/// Every rank's own partition text (or its error), in rank order.
+fn texts_per_rank(text: &str, stripe: u64, ranks: usize, opts: ReadOptions) -> Vec<String> {
+    let fs = striped_fs(text, stripe);
+    World::run(
+        WorldConfig::new(Topology::single_node(ranks)),
+        move |comm| {
+            read_partition_text(comm, &fs, "p.txt", &opts).unwrap_or_else(|e| format!("error: {e}"))
+        },
+    )
+}
+
+/// A WKT line layer whose record `i` has about `lens[i]` bytes of
+/// vertices, so records outgrow a stripe and span pieces.
+fn wkt_lines(lens: &[usize], trailing_newline: bool) -> String {
+    let records: Vec<String> = lens
+        .iter()
+        .enumerate()
+        .map(|(i, &len)| {
+            let vertices: Vec<String> = (0..2 + len / 12)
+                .map(|k| format!("{} {}", (i * 7 + k) % 50, (i + 3 * k) % 30))
+                .collect();
+            format!("LINESTRING ({})\tline{i}", vertices.join(", "))
+        })
+        .collect();
+    let mut text = records.join("\n");
+    if trailing_newline {
+        text.push('\n');
+    }
+    text
+}
+
+/// Every rank's received frames of an ingest of `text`, as wire bytes.
+fn ingested_bytes(text: &str, stripe: u64, ranks: usize, read: ReadOptions) -> Vec<Vec<u8>> {
+    use mpi_vector_io::core::exchange::serialize_frame;
+    let fs = striped_fs(text, stripe);
+    World::run(
+        WorldConfig::new(Topology::single_node(ranks)),
+        move |comm| {
+            let out = pipeline::ingest(
+                comm,
+                &fs,
+                "p.txt",
+                &read,
+                &WktLineParser,
+                &DecompConfig::uniform(GridSpec::square(4)),
+                &PipelineOptions::default().with_parse_chunk_bytes(1 << 10),
+            )
+            .unwrap();
+            let mut bytes = Vec::new();
+            for frame in out.owned.frames() {
+                serialize_frame(&frame, &mut bytes).unwrap();
+            }
+            bytes
+        },
+    )
+}
+
+proptest! {
+    // Every case runs eight worlds of up to 16 rank threads over a few
+    // dozen records. Seed pinned (PROPTEST_SEED overrides).
+    #![proptest_config(ProptestConfig::with_cases(32).with_seed(0x6d76_696f_7374_726d))]
+
+    // Reads posted as stripe pieces deliver every rank exactly the text
+    // a one-piece read delivers: for one stripe, several stripes or the
+    // whole partition per piece, records longer than a stripe, with and
+    // without a trailing newline, in one iteration or many — and an
+    // ingest's received frames are byte-identical across stripe sizes.
+    #[test]
+    fn streamed_reads_deliver_the_one_piece_reads_bytes(
+        lens in proptest::collection::vec(0usize..4000, 8..48),
+        rank_pick in 0usize..5,
+        // Below 3 KiB: one iteration (`block_size` None).
+        block in 0u64..8192,
+        trailing in any::<bool>(),
+    ) {
+        let ranks = [1usize, 2, 3, 7, 16][rank_pick];
+        let block = (block >= 3072).then_some(block);
+        let text = wkt_lines(&lens, trailing);
+        let whole = 4 * text.len() as u64;
+        let opts = ReadOptions {
+            block_size: block,
+            max_geometry_bytes: 4096,
+            ..ReadOptions::default()
+        };
+        let one_piece = texts_per_rank(&text, whole, ranks, opts);
+        // A block without a delimiter fails the read alike at every
+        // stripe size; only a clean read is ingested.
+        let clean = !one_piece.iter().any(|t| t.starts_with("error"));
+        let frames = clean.then(|| ingested_bytes(&text, whole, ranks, opts));
+        for stripe in [1u64 << 10, 4 << 10, 64 << 10] {
+            prop_assert_eq!(&texts_per_rank(&text, stripe, ranks, opts), &one_piece);
+            if let Some(frames) = &frames {
+                prop_assert_eq!(&ingested_bytes(&text, stripe, ranks, opts), frames);
+            }
+        }
+    }
+}
