@@ -7,12 +7,13 @@
 //! geometries from batch query") — but its serving-side continuation:
 //! once the partitioned dataset is resident, each query batch costs one
 //! validation allreduce plus two chunked exchange trips regardless of
-//! batch size, so batching amortizes the per-collective latency that a
-//! naive query-per-call loop pays in full. A third mode adds the hot-
-//! result LRU cache, which the Zipf popularity of real frontends makes
-//! effective. Reported times are deterministic virtual seconds (max over
-//! ranks per serve call); the trajectory is written to
-//! `BENCH_serve.json` so future PRs can track it.
+//! batch size (plus one kNN reach allgather after a change), so batching
+//! amortizes the per-collective latency that a naive query-per-call
+//! loop pays in full. A third mode adds the hot-result LRU cache, which
+//! the Zipf popularity of real frontends makes effective; every run
+//! checks that the modes answer alike. Reported times are deterministic
+//! virtual seconds (max over ranks per serve call); the trajectory is
+//! written to `BENCH_serve.json` so future PRs can track it.
 
 use super::{cost_scaled, full_seconds, gpfs_scaled, Scale};
 use crate::report::{write_trajectory, Cell::*, Table};
@@ -26,7 +27,7 @@ use mvio_datagen::{generate_queries, QueryShape, QueryWorkload, SpatialDistribut
 use mvio_geom::Rect;
 use mvio_msim::{Topology, World, WorldConfig};
 use mvio_pfs::SimFs;
-use mvio_sjoin::{EngineOptions, Query, QueryEngine, ServeCache};
+use mvio_sjoin::{EngineOptions, Query, QueryAnswer, QueryEngine, ServeCache};
 
 /// Tracked floor: batched serving (cache off) must beat the naive
 /// query-per-call loop at 64 ranks by at least this factor in queries
@@ -132,7 +133,7 @@ fn to_query(s: &QueryShape) -> Query {
 
 /// Measures one query stream: ingest once, build the resident engine,
 /// then serve `queries` per-rank Zipf draws in `batch`-sized calls.
-/// Returns the row with `speedup` unfilled (1.0).
+/// Returns the row with `speedup` unfilled (1.0) and each rank's answers.
 fn measure_one(
     scale: Scale,
     bytes: &[u8],
@@ -141,7 +142,7 @@ fn measure_one(
     queries: usize,
     batch: usize,
     cache: bool,
-) -> Row {
+) -> (Row, Vec<Vec<QueryAnswer>>) {
     let fs = SimFs::new(gpfs_scaled(scale));
     fs.set_active_ranks(ranks);
     fs.create("serve.wkt", None)
@@ -182,14 +183,16 @@ fn measure_one(
         let qs: Vec<Query> = shapes.iter().map(to_query).collect();
         let mut call_s: Vec<f64> = Vec::with_capacity(queries.div_ceil(batch));
         let mut hits = 0u64;
+        let mut answers = Vec::with_capacity(queries);
         let start = comm.now();
         for chunk in qs.chunks(batch) {
             let t = comm.now();
             let rep = eng.serve(comm, chunk).unwrap();
             call_s.push(comm.now() - t);
             hits += rep.stats.answered_from_cache;
+            answers.extend(rep.answers);
         }
-        (comm.now() - start, call_s, hits)
+        (comm.now() - start, call_s, hits, answers)
     });
     // A serve call's latency is its max over ranks; every rank makes the
     // same number of calls (same per-rank query count), so the per-call
@@ -208,7 +211,7 @@ fn measure_one(
     let serve_s = full_seconds(scale, out.iter().map(|r| r.0).fold(0.0, f64::max));
     let total_q = (queries * ranks) as f64;
     let hits: u64 = out.iter().map(|r| r.2).sum();
-    Row {
+    let row = Row {
         mode,
         ranks,
         queries: queries as u64,
@@ -218,17 +221,31 @@ fn measure_one(
         p99_ms: per_query_ms[p99_idx],
         cache_hit_rate: hits as f64 / total_q,
         speedup: 1.0,
+    };
+    (row, out.into_iter().map(|r| r.3).collect())
+}
+
+/// Panics unless each rank's `answers` equal its `reference` query by
+/// query, over the queries both served: each rank's naive stream is a
+/// prefix of its batched ones (same seed, fewer draws).
+fn assert_same_answers(mode: &str, reference: &[Vec<QueryAnswer>], answers: &[Vec<QueryAnswer>]) {
+    for (rank, (want, got)) in reference.iter().zip(answers).enumerate() {
+        for (q, (w, g)) in want.iter().zip(got).enumerate() {
+            assert_eq!(w, g, "{mode} answer diverged: rank {rank}, query {q}");
+        }
     }
 }
 
 /// Measures the three serving modes at every rank count, filling in the
-/// per-rank-count throughput speedups versus the naive mode.
+/// per-rank-count throughput speedups versus the naive mode. Panics if
+/// the modes answer any query differently.
 pub fn measure(scale: Scale, rank_counts: &[usize]) -> Vec<Row> {
     let bytes = dataset_bytes(FEATURES);
     let mut rows = Vec::new();
     for &ranks in rank_counts {
-        let naive = measure_one(scale, &bytes, ranks, "naive", NAIVE_QUERIES, 1, false);
-        let mut batched = measure_one(
+        let (naive, naive_answers) =
+            measure_one(scale, &bytes, ranks, "naive", NAIVE_QUERIES, 1, false);
+        let (mut batched, batched_answers) = measure_one(
             scale,
             &bytes,
             ranks,
@@ -238,7 +255,7 @@ pub fn measure(scale: Scale, rank_counts: &[usize]) -> Vec<Row> {
             false,
         );
         batched.speedup = batched.qps / naive.qps;
-        let mut cached = measure_one(
+        let (mut cached, cached_answers) = measure_one(
             scale,
             &bytes,
             ranks,
@@ -248,6 +265,8 @@ pub fn measure(scale: Scale, rank_counts: &[usize]) -> Vec<Row> {
             true,
         );
         cached.speedup = cached.qps / naive.qps;
+        assert_same_answers("batched", &naive_answers, &batched_answers);
+        assert_same_answers("batched+cache", &batched_answers, &cached_answers);
         rows.push(naive);
         rows.push(batched);
         rows.push(cached);
@@ -290,9 +309,9 @@ pub fn run(scale: Scale, quick: bool) -> String {
             format!("{:.2}x", r.speedup),
         ]);
     }
-    t.note("answers are identical across modes (oracle-checked by tests/proptest_serve.rs)");
+    t.note("answers are identical across modes, query by query (checked on every run)");
     t.note(
-        "expectation: one validation allreduce + two exchange trips per call amortize over the batch",
+        "expectation: one validation allreduce + two exchange trips per call (+ one kNN reach gather after a change) amortize over the batch",
     );
     let metric = "global_queries_per_virtual_second";
     write_trajectory(&mut t, "serve", metric, &rows, |r| {

@@ -18,7 +18,8 @@
 //!    symmetric: every rank returns a typed
 //!    [`CoreError::InvalidOptions`] and nobody enters the exchange, so a
 //!    bad batch can never strand a peer in a collective. The engine
-//!    stays usable for the next batch.
+//!    stays usable for the next batch. The same word counts the ranks
+//!    holding a kNN, for which a stale reach summary (step 3) is gathered.
 //! 2. **Cache lookup + in-batch dedup**: answers already in the
 //!    hot-query LRU (see [`ServeCache`]) are returned without shipping
 //!    anything — the peers still rendezvous in the exchange, where this
@@ -30,7 +31,9 @@
 //!    beyond amortized collectives, and [`ServeStats::routed`] counts it.
 //! 3. **Route + ship**: each routed query is encoded once and its wire
 //!    record copied to every destination rank (the owners of the cells
-//!    overlapping a range/point query; every cell-owning rank for kNN),
+//!    overlapping a range/point query; for a kNN, only the owners that a
+//!    distance bound from the reach summary — per cell, feature count
+//!    and envelope union — says can hold one of its `k` neighbours),
 //!    then shipped through the chunked nonblocking [`ExchangePlan`].
 //!    Received queries are answered in the exchange *sink*, so later
 //!    query rounds are still in flight while this rank walks its R-tree
@@ -128,7 +131,7 @@
 //! ```
 
 use crate::answer::{collect_answers, BLOCK_CAP_MAX};
-use crate::resident::ResidentIndex;
+use crate::resident::{ReachSummary, ResidentIndex};
 use mvio_core::decomp::{DecompPolicy, Decomposition, SpatialDecomposition};
 use mvio_core::exchange::{
     record_frames, serialize_frame, validate_round, ExchangeChunk, ExchangePlan, ExchangeStats,
@@ -456,6 +459,9 @@ pub struct QueryEngine {
     /// The online-rebalance driver (`None` when the policy resolves to
     /// off); its drift tracker absorbs every applied update.
     rebalancer: Option<Rebalancer>,
+    /// The kNN routing summary; `None` (stale) at construction and after
+    /// every update batch or migration, calls every rank makes together.
+    reach: Option<ReachSummary>,
 }
 
 impl QueryEngine {
@@ -513,6 +519,7 @@ impl QueryEngine {
             chunk: opts.chunk,
             cache: opts.cache.resolve().map(ResultCache::new),
             rebalancer,
+            reach: None,
         }
     }
 
@@ -561,9 +568,9 @@ impl QueryEngine {
     }
 
     /// Applies a batch of streaming [`Update`]s to the resident
-    /// partition and drops the result cache (cached answers may name
-    /// deleted features or miss inserted ones; see
-    /// [`rebalance::apply_updates`] for the routing protocol, what each
+    /// partition and drops the result cache and the kNN routing summary
+    /// (cached answers may name deleted features or miss inserted ones;
+    /// see [`rebalance::apply_updates`] for the routing protocol, what each
     /// side is charged, and the drift-histogram bookkeeping). A rank
     /// whose replica set changed reindexes — which also compacts its
     /// store; a rank that received nothing keeps its index as it is.
@@ -590,10 +597,11 @@ impl QueryEngine {
             self.index.reindex(comm);
         }
         // Unconditional: a remote rank's updates can stale this rank's
-        // cached answers without shipping this rank a single record.
+        // cached answers and summary without shipping it a record.
         if let Some(cache) = self.cache.as_mut() {
             cache.clear();
         }
+        self.reach = None;
         result
     }
 
@@ -612,7 +620,12 @@ impl QueryEngine {
             return Ok(RebalanceReport::default());
         };
         let report =
-            reb.maybe_rebalance(comm, &mut self.index.sd, &mut self.index.store, self.chunk)?;
+            reb.maybe_rebalance(comm, &mut self.index.sd, &mut self.index.store, self.chunk);
+        // A failed migration may have moved replicas its peers report.
+        if report.as_ref().map_or(true, |r| r.rebalanced) {
+            self.reach = None;
+        }
+        let report = report?;
         if report.rebalanced {
             self.index.reindex(comm);
         }
@@ -639,15 +652,24 @@ impl QueryEngine {
                 queries.len()
             )));
         }
-        let bad_ranks = comm.labeled("serve.status", |c| {
-            c.allreduce_u64(u64::from(local_err.is_some()), |a, b| a + b)
+        // The ranks holding an invalid query (low half) and a kNN (high).
+        let has_knn = queries.iter().any(|q| matches!(q, Query::Knn { .. }));
+        let status = comm.labeled("serve.status", |c| {
+            let word = u64::from(local_err.is_some()) | u64::from(has_knn) << 32;
+            c.allreduce_u64(word, |a, b| a + b)
         });
+        let bad_ranks = status & u64::from(u32::MAX);
         if bad_ranks > 0 {
             return Err(local_err.unwrap_or_else(|| {
                 CoreError::InvalidOptions(format!(
                     "query batch aborted: {bad_ranks} rank(s) submitted invalid queries"
                 ))
             }));
+        }
+
+        if status >> 32 > 0 && self.reach.is_none() {
+            self.reach =
+                Some(comm.labeled("serve.reach", |c| ReachSummary::gather(c, &self.index)));
         }
 
         let mut stats = ServeStats {
@@ -689,6 +711,7 @@ impl QueryEngine {
         let mut scratch = Vec::new();
         let mut cells: Vec<u32> = Vec::new();
         let mut dests: Vec<usize> = Vec::new();
+        let mut reach_scratch: Vec<(f64, u64)> = Vec::new();
         for &qi in &routed {
             let q = &queries[qi];
             dests.clear();
@@ -704,13 +727,9 @@ impl QueryEngine {
                     wire_rect(&pt.envelope())
                 }
                 Query::Knn { at, k } => {
-                    dests.extend(
-                        self.index
-                            .rank_cells
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(r, c)| c.map(|_| r)),
-                    );
+                    // audit: this batch holds a kNN, so the summary was gathered above.
+                    let reach = self.reach.as_ref().expect("fresh kNN reach summary");
+                    reach.knn_owners(comm, at, u64::from(*k), &mut reach_scratch, &mut dests);
                     Feature::with_userdata(Geometry::Point(*at), format!("k={k}"))
                 }
             };
@@ -1016,14 +1035,14 @@ mod tests {
         }
     }
 
-    /// A one-rank engine over `features` on a `side × side` grid of
-    /// `[0, 8]²` (a single rank owns every cell, so every replica of a
-    /// cell-spanning feature is resident and all but one are
-    /// non-reference).
-    fn one_rank_engine(comm: &mut Comm, side: u32, features: &[Feature]) -> QueryEngine {
+    /// An engine over `features` on a `side × side` grid of `[0, 8]²`,
+    /// cells dealt round-robin over the world's ranks. In a one-rank world
+    /// a single rank owns every cell, so every replica of a cell-spanning
+    /// feature is resident and all but one are non-reference.
+    fn grid_engine(comm: &mut Comm, side: u32, features: &[Feature]) -> QueryEngine {
         let grid = UniformGrid::new(Rect::new(0.0, 0.0, 8.0, 8.0), GridSpec::square(side));
         let rr = DecompPolicy::Uniform(CellMap::RoundRobin);
-        let sd = Decomposition::new(grid, rr, None, 1).unwrap();
+        let sd = Decomposition::new(grid, rr, None, comm.size()).unwrap();
         let owned: Vec<(u32, Feature)> = features
             .iter()
             .flat_map(|f| {
@@ -1031,6 +1050,7 @@ mod tests {
                     .into_iter()
                     .map(|c| (c, f.clone()))
             })
+            .filter(|(c, _)| sd.cell_to_rank(*c) == comm.rank())
             .collect();
         QueryEngine::from_parts(comm, sd, owned, &EngineOptions::default())
     }
@@ -1058,7 +1078,7 @@ mod tests {
                 segment(1.2, y, 2.8, y + 0.05, &format!("v{i}"))
             }));
             features.push(segment(5.0, 8.0, 8.0, 5.0, "diagonal"));
-            let eng = one_rank_engine(comm, 2, &features);
+            let eng = grid_engine(comm, 2, &features);
             let refine_fixed = comm.cost_model().refine_fixed;
             let mut timed = |window: Rect| {
                 let t = comm.now();
@@ -1112,7 +1132,7 @@ mod tests {
                 Geometry::Point(Point::new(6.0, 6.0)),
                 "lone",
             ));
-            let eng = one_rank_engine(comm, 1, &features);
+            let eng = grid_engine(comm, 1, &features);
             let mut answer = |window: Rect| {
                 // The query frame `serve` would ship for the window.
                 let mut query = Vec::new();
@@ -1203,7 +1223,7 @@ mod tests {
                     format!("sq{i}"),
                 ));
             }
-            let eng = one_rank_engine(comm, 4, &features);
+            let eng = grid_engine(comm, 4, &features);
             let index = &eng.index;
             assert!(index.reference.iter().any(|r| !r), "need ghost replicas");
             let dataset = features.len();
@@ -1631,6 +1651,148 @@ mod tests {
             k: 1
         })
         .is_ok());
+    }
+
+    fn point(x: f64, y: f64, label: &str) -> Feature {
+        Feature::with_userdata(Geometry::Point(Point::new(x, y)), label)
+    }
+
+    /// The kNN's answer as labels, with the query records it shipped.
+    fn knn_labels(eng: &mut QueryEngine, comm: &mut Comm, at: Point, k: u32) -> (Vec<String>, u64) {
+        let report = eng.serve(comm, &[Query::Knn { at, k }]).unwrap();
+        let QueryAnswer::Neighbors(nb) = &report.answers[0] else {
+            panic!("knn answer expected");
+        };
+        let labels = nb.iter().map(|n| n.userdata.clone()).collect();
+        (labels, report.stats.shipped_records)
+    }
+
+    #[test]
+    fn an_update_restales_the_reach_summary() {
+        let out = World::run(WorldConfig::new(Topology::single_node(4)), |comm| {
+            // 2-wide cells dealt round-robin: `a` in cell 0 (rank 0), `c`
+            // in cell 6 (rank 2), `d` in cell 15 (rank 3).
+            let features = [
+                point(0.5, 0.5, "a"),
+                point(5.9, 3.9, "c"),
+                point(7.5, 7.5, "d"),
+            ];
+            let mut eng = grid_engine(comm, 4, &features);
+            // `a` alone bounds the first neighbour at 2.26, and cell 6's
+            // union, 3.8 away in L∞, is not asked.
+            let at = Point::new(2.1, 2.1);
+            let before = knn_labels(&mut eng, comm, at, 1);
+            // A point 2.0 away lands in cell 6, which the old bound
+            // excluded; a summary kept across the update misses it.
+            let insert = vec![Update::Insert(point(4.1, 2.1, "fresh"))];
+            let updates = if comm.rank() == 0 { insert } else { Vec::new() };
+            eng.apply_updates(comm, &updates).unwrap();
+            (before, knn_labels(&mut eng, comm, at, 1))
+        });
+        for (before, after) in out {
+            assert_eq!(before, (vec!["a".to_string()], 1));
+            assert_eq!(after, (vec!["fresh".to_string()], 2));
+        }
+    }
+
+    #[test]
+    fn a_migrating_rebalance_leaves_knn_answers_unchanged() {
+        let fs = lattice_fs(8);
+        let out = World::run(WorldConfig::new(Topology::single_node(4)), move |comm| {
+            let opts = EngineOptions {
+                rebalance: RebalancePolicy::Threshold(1.5),
+                ..Default::default()
+            };
+            let mut eng = build_engine(comm, &fs, &opts);
+            // A hotspot of inserts in the bottom-left corner.
+            let updates: Vec<Update> = (0..96)
+                .filter(|_| comm.rank() == 0)
+                .map(|i| {
+                    let (x, y) = ((i % 10) as f64 * 0.3, (i / 10) as f64 * 0.3);
+                    Update::Insert(point(0.05 + x, 0.05 + y, &format!("h{i:02}")))
+                })
+                .collect();
+            eng.apply_updates(comm, &updates).unwrap();
+            // Every rank submits the whole sweep, so each kNN is routed
+            // from every rank.
+            let batch: Vec<Query> = [(0.5, 0.5), (3.3, 6.1), (7.0, 0.2), (-2.0, 9.0)]
+                .into_iter()
+                .flat_map(|(x, y)| {
+                    [1, 4, 30].map(|k| Query::Knn {
+                        at: Point::new(x, y),
+                        k,
+                    })
+                })
+                .collect();
+            let before = eng.serve(comm, &batch).unwrap().answers;
+            let report = eng.maybe_rebalance(comm).unwrap();
+            assert!(report.rebalanced && report.migration.shipped_bytes > 0);
+            (before, eng.serve(comm, &batch).unwrap().answers)
+        });
+        for (before, after) in &out {
+            assert_eq!(before, after, "a migration must not change answers");
+            assert_eq!(before, &out[0].0);
+        }
+    }
+
+    #[test]
+    fn a_batch_without_a_knn_never_gathers() {
+        let fs = lattice_fs(10);
+        let out = World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {
+            let mut eng = build_engine(comm, &fs, &EngineOptions::default());
+            let timed = |eng: &mut QueryEngine, comm: &mut Comm, batch: &[Query]| {
+                comm.barrier();
+                let t = comm.now();
+                eng.serve(comm, batch).unwrap();
+                comm.now() - t
+            };
+            let ranges = [
+                Query::Range(Rect::new(2.5, 2.5, 5.5, 4.5)),
+                Query::Point(Point::new(7.0, 7.0)),
+            ];
+            // Only rank 0 asks a kNN; every rank gathers for it.
+            let knn = [Query::Knn {
+                at: Point::new(4.0, 4.0),
+                k: 3,
+            }];
+            let knn = if comm.rank() == 0 { &knn[..] } else { &[] };
+            let stale_ranges = timed(&mut eng, comm, &ranges);
+            let stale_knn = timed(&mut eng, comm, knn);
+            let fresh_knn = timed(&mut eng, comm, knn);
+            let fresh_ranges = timed(&mut eng, comm, &ranges);
+            eng.apply_updates(comm, &[]).unwrap();
+            let restaled_ranges = timed(&mut eng, comm, &ranges);
+            (
+                stale_ranges,
+                fresh_ranges,
+                restaled_ranges,
+                stale_knn,
+                fresh_knn,
+            )
+        });
+        for (stale, fresh, restaled, stale_knn, fresh_knn) in out {
+            // A range/point batch costs the same whether or not the
+            // summary is stale: it never gathers.
+            assert!((stale - fresh).abs() < 1e-12, "{stale} vs {fresh}");
+            assert!((restaled - fresh).abs() < 1e-12, "{restaled} vs {fresh}");
+            // The first kNN batch pays for the gather, the second does not.
+            assert!(stale_knn > fresh_knn + 1e-7, "{stale_knn} vs {fresh_knn}");
+        }
+    }
+
+    #[test]
+    fn a_knn_bounded_inside_one_cell_ships_one_record() {
+        let fs = lattice_fs(10);
+        let out = World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {
+            let mut eng = build_engine(comm, &fs, &EngineOptions::default());
+            // Cell 0 holds the lattice's [0, 2]² corner: its farthest
+            // corner from (1, 1) bounds the nearest neighbour at √2, and
+            // every other cell's points are 2 away in L∞.
+            knn_labels(&mut eng, comm, Point::new(1.0, 1.0), 1)
+        });
+        for answer in out {
+            assert_eq!(answer, (vec!["p1_1".to_string()], 1));
+        }
     }
 
     // Figure 20's distributed spatial index is this engine.

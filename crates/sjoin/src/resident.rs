@@ -33,9 +33,6 @@ pub(crate) struct ResidentIndex {
     /// Whether slot `i` holds the replica in its feature's reference cell
     /// — the one copy that represents the feature in kNN scans.
     pub(crate) reference: Vec<bool>,
-    /// One representative cell per rank (`None` for ranks owning no
-    /// cells), used to route kNN queries to every data-holding rank.
-    pub(crate) rank_cells: Vec<Option<u32>>,
 }
 
 /// The borrowed geometry view of a resident record.
@@ -54,7 +51,6 @@ impl ResidentIndex {
             store,
             rtree: RTree::bulk_load(Vec::new()),
             reference: Vec::new(),
-            rank_cells: Vec::new(),
         };
         index.reindex(comm);
         index
@@ -62,9 +58,9 @@ impl ResidentIndex {
 
     /// Compacts the store (dropping what deletes and departures left
     /// behind, [`ResidentStore::compact`]) and recomputes every derived
-    /// structure — R-tree, reference-replica flags, per-rank routing
-    /// cells — from the current `sd` + `store`. Called at construction
-    /// and again after updates or a migration changed the replica set.
+    /// structure — R-tree and reference-replica flags — from the current
+    /// `sd` + `store`. Called at construction and again after updates or
+    /// a migration changed the replica set.
     /// Not collective — the communicator only charges.
     pub(crate) fn reindex(&mut self, comm: &mut Comm) {
         self.store.compact(comm);
@@ -74,13 +70,6 @@ impl ResidentIndex {
         self.reference = (0..n)
             .map(|i| is_reference_replica(&self.sd, self.store.cell(i), self.store.envelope(i)))
             .collect();
-        self.rank_cells = vec![None; self.sd.num_ranks()];
-        for cell in 0..self.sd.num_cells() {
-            let r = self.sd.cell_to_rank(cell);
-            if self.rank_cells[r].is_none() {
-                self.rank_cells[r] = Some(cell);
-            }
-        }
     }
 
     /// Filter + refine for one rectangle over the local replicas,
@@ -145,12 +134,12 @@ impl ResidentIndex {
     /// the k-th best candidate. Boxes at exactly that distance are still
     /// opened — a tie can win on userdata.
     ///
-    /// Charged one [`Work::MbrTests`] per box examined and a single
+    /// Only the owners [`ReachSummary::knn_owners`] selects walk. Charged
+    /// one [`Work::MbrTests`] per box examined and a single
     /// [`Work::RefinePair`] per walk over the summed vertices of the
     /// candidates whose exact distance was computed; pricing each
-    /// candidate as a refine of its own waits for the two-step distance
-    /// bound (ROADMAP, "Serve: the two-step kNN, then the tail"), without
-    /// which every rank pays it.
+    /// candidate as its own refine would raise every walk by the fixed
+    /// refine cost per extra candidate, so it waits for a measured change.
     /// Not collective.
     pub(crate) fn knn_local(&self, comm: &mut Comm, at: &Point, k: usize) -> Vec<(f64, usize)> {
         let userdata = |i: usize| self.store.frame(i).userdata;
@@ -245,5 +234,97 @@ impl ResidentIndex {
             n: (out.len() - before) as u64,
         });
         Ok(blocks)
+    }
+}
+
+/// One cell holding a feature's reference replica: its owner, how many
+/// such replicas it holds (`n_c`) and the union of their envelopes (`U_c`).
+#[derive(Debug, Clone, Copy)]
+struct ReachCell {
+    owner: usize,
+    n: u64,
+    env: Rect,
+}
+
+/// The engine's global kNN routing summary, one [`ReachCell`] per cell
+/// holding a reference replica (never one with an empty envelope,
+/// [`is_reference_replica`]). No feature of a cell lies farther from a
+/// query centre than its union's farthest corner, so the distance at
+/// which the cells, nearest farthest corner first, hold `k` features
+/// bounds the k-th neighbour's (MAXDIST; Roussopoulos, Kelley & Vincent,
+/// SIGMOD '95). Any feature within it lies in a cell whose union is
+/// within it in L∞, and that cell's owner's local top-k holds it if it is
+/// a global top-k feature: asking those owners alone keeps answers exact.
+pub(crate) struct ReachSummary(Vec<ReachCell>);
+
+impl ReachSummary {
+    /// Summarizes this rank's cells from its store — charged one
+    /// [`Work::MbrTests`] per resident replica scanned — and allgathers
+    /// every rank's cells. Collective: every rank must call it.
+    pub(crate) fn gather(comm: &mut Comm, index: &ResidentIndex) -> Self {
+        let (store, n) = (&index.store, index.store.len() as u64);
+        comm.charge(Work::MbrTests { n });
+        let mut local: Vec<(u32, Rect)> = (0..store.len())
+            .filter(|&i| index.reference[i])
+            .map(|i| (store.cell(i), *store.envelope(i)))
+            .collect();
+        local.sort_unstable_by_key(|&(cell, _)| cell);
+        // Per cell, `n_c` and `U_c`'s coordinate bits: five LE `u64`s.
+        let mut payload = Vec::new();
+        for run in local.chunk_by(|a, b| a.0 == b.0) {
+            let env = run.iter().fold(Rect::EMPTY, |u, (_, e)| u.union(e));
+            let words = [run.len() as u64].into_iter();
+            for w in words.chain(env.to_array().map(f64::to_bits)) {
+                payload.extend_from_slice(&w.to_le_bytes());
+            }
+        }
+        let mut cells = Vec::new();
+        for (owner, entries) in comm.allgather(payload).iter().enumerate() {
+            for entry in entries.chunks_exact(40) {
+                let w: [u64; 5] = std::array::from_fn(|w| {
+                    u64::from_le_bytes(std::array::from_fn(|b| entry[8 * w + b]))
+                });
+                let n = w[0];
+                let env = Rect::from_array([1, 2, 3, 4].map(|i| f64::from_bits(w[i])));
+                cells.push(ReachCell { owner, n, env });
+            }
+        }
+        ReachSummary(cells)
+    }
+
+    /// Appends to `dests` the owner of every cell whose union lies within
+    /// L∞ distance `R` of `at`, `R` being the k-th-neighbour bound (type
+    /// docs) times `1 + 1e-9`, so that rounding cannot cut a tie off, or
+    /// `∞` when the world holds fewer than `k` features. `scratch` is the
+    /// caller's buffer, reused across queries. Charged one
+    /// [`Work::MbrTests`] per cell examined. Not collective.
+    pub(crate) fn knn_owners(
+        &self,
+        comm: &mut Comm,
+        at: &Point,
+        k: u64,
+        scratch: &mut Vec<(f64, u64)>,
+        dests: &mut Vec<usize>,
+    ) {
+        let n = self.0.len() as u64;
+        comm.charge(Work::MbrTests { n });
+        // Measured as `Point::distance` measures: a point feature on the
+        // farthest corner is exactly as far.
+        let farthest = |r: &Rect| {
+            let dx = (at.x - r.min_x).abs().max((at.x - r.max_x).abs());
+            let dy = (at.y - r.min_y).abs().max((at.y - r.max_y).abs());
+            dx.hypot(dy)
+        };
+        scratch.clear();
+        scratch.extend(self.0.iter().map(|c| (farthest(&c.env), c.n)));
+        scratch.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        let mut seen = 0;
+        let kth = scratch.iter().find(|&&(_, n)| {
+            seen += n;
+            seen >= k
+        });
+        let bound = kth.map_or(f64::INFINITY, |&(d, _)| d * (1.0 + 1e-9));
+        let near = self.0.iter().filter(|c| c.env.linf_distance(at) <= bound);
+        dests.extend(near.map(|c| c.owner));
     }
 }

@@ -226,6 +226,76 @@ pub fn oracle(features: &[Feature], q: &Query) -> QueryAnswer {
     }
 }
 
+/// Per rank, the features whose reference cell (the cell of their
+/// envelope's min corner) it owns under `sd` — the replicas its kNN walk
+/// considers.
+pub fn reference_counts(sd: &Decomposition, features: &[Feature]) -> Vec<u64> {
+    let mut counts = vec![0u64; sd.num_ranks()];
+    for f in features {
+        let cell = sd
+            .reference_cell(&f.geometry.envelope())
+            .expect("features lie inside the world");
+        counts[sd.cell_to_rank(cell)] += 1;
+    }
+    counts
+}
+
+/// The ranks a kNN at `at` for `k` neighbours is routed to, derived from
+/// the feature list alone: per reference cell, the features counted there
+/// and the union of their envelopes; the bound is the farthest-corner
+/// distance at which the cells, nearest farthest corner first, hold `k`
+/// features (times `1 + 1e-9`, infinite when the world holds fewer), and
+/// every owner of a cell whose union is within L∞ distance of the bound
+/// is asked. Ascending, duplicate-free.
+pub fn knn_reach_ranks(sd: &Decomposition, features: &[Feature], at: &Point, k: u32) -> Vec<usize> {
+    let mut cells: std::collections::BTreeMap<u32, (u64, Rect)> = Default::default();
+    for f in features {
+        let env = f.geometry.envelope();
+        let cell = sd
+            .reference_cell(&env)
+            .expect("features lie inside the world");
+        let (n, union) = cells.entry(cell).or_insert((0, Rect::EMPTY));
+        *n += 1;
+        *union = union.union(&env);
+    }
+    let farthest = |r: &Rect| {
+        let dx = (at.x - r.min_x).abs().max((at.x - r.max_x).abs());
+        let dy = (at.y - r.min_y).abs().max((at.y - r.max_y).abs());
+        dx.hypot(dy)
+    };
+    let mut by_reach: Vec<(f64, u64)> = cells.values().map(|(n, u)| (farthest(u), *n)).collect();
+    by_reach.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut seen = 0;
+    let bound = by_reach
+        .iter()
+        .find(|(_, n)| {
+            seen += n;
+            seen >= u64::from(k)
+        })
+        .map_or(f64::INFINITY, |(d, _)| d * (1.0 + 1e-9));
+    let mut ranks: Vec<usize> = cells
+        .iter()
+        .filter(|(_, (_, union))| union.linf_distance(at) <= bound)
+        .map(|(&cell, _)| sd.cell_to_rank(cell))
+        .collect();
+    ranks.sort_unstable();
+    ranks.dedup();
+    ranks
+}
+
+/// The ranks a range or point query is routed to: the owners of the
+/// cells its window overlaps. Ascending, duplicate-free.
+pub fn window_ranks(sd: &Decomposition, window: &Rect) -> Vec<usize> {
+    let mut ranks: Vec<usize> = sd
+        .cells_for_rect_vec(window)
+        .into_iter()
+        .map(|c| sd.cell_to_rank(c))
+        .collect();
+    ranks.sort_unstable();
+    ranks.dedup();
+    ranks
+}
+
 /// Flattens an engine answer into the oracle's comparable form.
 pub fn canon(a: &QueryAnswer) -> QueryAnswer {
     match a {
