@@ -12,10 +12,10 @@
 
 use super::{cost_scaled, gpfs_scaled, Scale};
 use crate::report::Table;
-use mvio_core::sptypes::{decode_rects, RECT_RECORD_BYTES};
+use mvio_core::sptypes::decode_rects;
 use mvio_datagen::write_rect_records;
 use mvio_geom::Rect;
-use mvio_msim::{Hints, MpiFile, Topology, Work, World, WorldConfig};
+use mvio_msim::{Datatype, Hints, MpiFile, Topology, Work, World, WorldConfig};
 use mvio_pfs::SimFs;
 
 /// Which datatype formulation the reader uses.
@@ -47,6 +47,12 @@ pub fn read_binary_rects(
         records,
         0xF16,
     );
+    // Both formulations describe the same 32-byte record.
+    let record_bytes = match datatype {
+        RectDatatype::Struct => Datatype::mpi_rect_struct(),
+        RectDatatype::Contiguous => Datatype::mpi_rect(),
+    }
+    .size() as u64;
     let cfg = WorldConfig::new(topo).with_cost(cost_scaled(scale));
     let times = World::run(cfg, |comm| {
         let f = MpiFile::open(&fs, "rects.bin", Hints::default()).unwrap();
@@ -54,8 +60,8 @@ pub fn read_binary_rects(
         let per = records.div_ceil(p);
         let my_first = comm.rank() as u64 * per;
         let my_count = per.min(records.saturating_sub(my_first));
-        let mut buf = vec![0u8; (my_count * RECT_RECORD_BYTES as u64) as usize];
-        f.read_at_all(comm, my_first * RECT_RECORD_BYTES as u64, &mut buf)
+        let mut buf = vec![0u8; (my_count * record_bytes) as usize];
+        f.read_at_all(comm, my_first * record_bytes, &mut buf)
             .unwrap();
 
         let rects = match datatype {

@@ -6,25 +6,29 @@ use mvio_core::spops::{
     support_matrix, MaxLine, MaxPoint, MaxRect, MinLine, MinPoint, MinRect, Segment, UnionRect,
 };
 use mvio_geom::{Point, Rect};
-use mvio_msim::{Topology, World, WorldConfig};
+use mvio_msim::{Datatype, Topology, World, WorldConfig};
 
 /// Renders Table 2 after actually running each supported (type, op)
 /// combination through an allreduce.
 pub fn run(_scale: Scale, _quick: bool) -> String {
-    // Exercise every supported combination across 4 ranks.
+    // Exercise every supported combination across 4 ranks, each value
+    // sized as its spatial datatype.
+    let rect_bytes = Datatype::mpi_rect().size() as u64;
+    let line_bytes = Datatype::mpi_line().size() as u64;
+    let point_bytes = Datatype::mpi_point().size() as u64;
     let results = World::run(WorldConfig::new(Topology::single_node(4)), |comm| {
         let r = comm.rank() as f64;
         let rect = Rect::new(r, 0.0, r + 1.0 + r, 1.0 + r); // size grows with rank
         let seg = Segment::new(Point::new(0.0, 0.0), Point::new(r + 1.0, 0.0));
         let pt = Point::new(r, 3.0 - r);
         (
-            comm.allreduce(rect, 32, &MinRect),
-            comm.allreduce(rect, 32, &MaxRect),
-            comm.allreduce(rect, 32, &UnionRect),
-            comm.allreduce(seg, 32, &MinLine).length(),
-            comm.allreduce(seg, 32, &MaxLine).length(),
-            comm.allreduce(pt, 16, &MinPoint),
-            comm.allreduce(pt, 16, &MaxPoint),
+            comm.allreduce(rect, rect_bytes, &MinRect),
+            comm.allreduce(rect, rect_bytes, &MaxRect),
+            comm.allreduce(rect, rect_bytes, &UnionRect),
+            comm.allreduce(seg, line_bytes, &MinLine).length(),
+            comm.allreduce(seg, line_bytes, &MaxLine).length(),
+            comm.allreduce(pt, point_bytes, &MinPoint),
+            comm.allreduce(pt, point_bytes, &MaxPoint),
         )
     });
     let (min_r, max_r, union_r, min_l, max_l, min_p, max_p) = results[0];

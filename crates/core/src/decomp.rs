@@ -112,7 +112,7 @@ pub trait SpatialDecomposition: Send + Sync + std::fmt::Debug {
 
 /// Cells an owner table may hold: the cap on the Hilbert and adaptive
 /// tables (one `u32` per cell, 16 MiB here) and on the adaptive histogram
-/// grid, which [`DecompConfig::effective_spec`] clamps below it.
+/// grid, which `DecompConfig::effective_spec` clamps below it.
 pub const MAX_TABLE_CELLS: u32 = 1 << 22;
 
 /// The one decomposition: a [`UniformGrid`] and the rank owning each of
@@ -138,7 +138,7 @@ impl Decomposition {
     /// Maps a grid, a policy and a histogram to the owner of every cell in
     /// a `ranks`-rank world — the one place a policy becomes a
     /// decomposition. `grid` is the grid the policy tiles
-    /// ([`DecompConfig::effective_spec`] already refined it for the
+    /// (`DecompConfig::effective_spec` already refined it for the
     /// adaptive policy); `histogram` holds one global feature count per
     /// cell and only the adaptive policy reads it. Pure and deterministic:
     /// the same inputs give the same decomposition on every rank.
@@ -568,7 +568,7 @@ impl DecompConfig {
     /// factor is clamped so the cell count stays inside the `u32` id
     /// space (and within [`MAX_TABLE_CELLS`], keeping the owner table
     /// small).
-    pub fn effective_spec(&self) -> GridSpec {
+    fn effective_spec(&self) -> GridSpec {
         match self.policy {
             DecompPolicy::Uniform(_) | DecompPolicy::Hilbert => self.grid,
             DecompPolicy::Adaptive { refine } => {

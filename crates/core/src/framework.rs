@@ -17,21 +17,8 @@ use mvio_geom::Rect;
 /// carried out later in the refinement phase", §4).
 ///
 /// Containment is half-open on the max edges so adjacent cells cannot
-/// both claim a shared boundary point. Prefer the grid-aware
-/// [`claims_reference`] in pipeline code: it additionally closes the
-/// grid's *outer* max edges, where no neighbouring cell exists to pick
-/// the point up.
-pub fn is_reference_cell(cell_rect: &Rect, a: &Rect, b: &Rect) -> bool {
-    let i = a.intersection(b);
-    if i.is_empty() {
-        return false;
-    }
-    let (x, y) = (i.min_x, i.min_y);
-    x >= cell_rect.min_x && x < cell_rect.max_x && y >= cell_rect.min_y && y < cell_rect.max_y
-}
-
-/// Decomposition-aware reference-point rule: like [`is_reference_cell`]
-/// but cells on the decomposition's outer max edges
+/// both claim a shared boundary point, except that cells on the
+/// decomposition's outer max edges
 /// ([`SpatialDecomposition::cell_on_max_edge`]) also claim points lying
 /// exactly on the global max boundary (otherwise results there would be
 /// silently dropped — no neighbouring cell exists to pick them up).
@@ -74,11 +61,17 @@ mod tests {
     use crate::decomp::DecompPolicy;
     use crate::grid::{CellMap, GridSpec, UniformGrid};
 
+    /// A round-robin decomposition of the `side`×`side` square into
+    /// `cells`×`cells` cells.
+    fn square(side: f64, cells: u32) -> Decomposition {
+        let grid = UniformGrid::new(Rect::new(0.0, 0.0, side, side), GridSpec::square(cells));
+        let rr = DecompPolicy::Uniform(CellMap::RoundRobin);
+        Decomposition::new(grid, rr, None, 2).unwrap()
+    }
+
     #[test]
     fn claims_reference_closes_only_the_outer_max_edges() {
-        let grid = UniformGrid::new(Rect::new(0.0, 0.0, 4.0, 4.0), GridSpec::square(4));
-        let rr = DecompPolicy::Uniform(CellMap::RoundRobin);
-        let decomp = Decomposition::new(grid, rr, None, 2).unwrap();
+        let decomp = square(4.0, 4);
         // Reference point exactly on the global max corner: only the last
         // cell claims it.
         let a = Rect::new(4.0, 4.0, 4.0, 4.0);
@@ -96,12 +89,12 @@ mod tests {
 
     #[test]
     fn reference_point_dedup_claims_exactly_one_cell() {
-        let grid = UniformGrid::new(Rect::new(0.0, 0.0, 4.0, 4.0), GridSpec::square(4));
+        let decomp = square(4.0, 4);
         // Two rects overlapping across cells (1,1)..(2,2).
         let a = Rect::new(0.5, 0.5, 2.5, 2.5);
         let b = Rect::new(1.5, 1.5, 3.5, 3.5);
         let claiming: Vec<u32> = (0..16)
-            .filter(|&c| is_reference_cell(&grid.cell_rect(c), &a, &b))
+            .filter(|&c| claims_reference(&decomp, c, &a, &b))
             .collect();
         // Intersection = (1.5,1.5)-(2.5,2.5); reference point (1.5,1.5)
         // lies in cell row 1, col 1 = id 5. Exactly one claimant.
@@ -110,12 +103,12 @@ mod tests {
 
     #[test]
     fn reference_point_on_cell_edge_is_unambiguous() {
-        let grid = UniformGrid::new(Rect::new(0.0, 0.0, 2.0, 2.0), GridSpec::square(2));
+        let decomp = square(2.0, 2);
         // Intersection reference point exactly on the shared corner (1,1).
         let a = Rect::new(1.0, 1.0, 2.0, 2.0);
         let b = Rect::new(1.0, 1.0, 1.5, 1.5);
         let claiming: Vec<u32> = (0..4)
-            .filter(|&c| is_reference_cell(&grid.cell_rect(c), &a, &b))
+            .filter(|&c| claims_reference(&decomp, c, &a, &b))
             .collect();
         assert_eq!(claiming.len(), 1, "exactly one cell claims an edge point");
         assert_eq!(claiming, vec![3]); // the NE cell, whose min corner it is
@@ -123,9 +116,9 @@ mod tests {
 
     #[test]
     fn disjoint_mbrs_claim_nothing() {
-        let cell = Rect::new(0.0, 0.0, 10.0, 10.0);
+        let decomp = square(10.0, 1);
         let a = Rect::new(0.0, 0.0, 1.0, 1.0);
         let b = Rect::new(5.0, 5.0, 6.0, 6.0);
-        assert!(!is_reference_cell(&cell, &a, &b));
+        assert!(!claims_reference(&decomp, 0, &a, &b));
     }
 }

@@ -40,7 +40,7 @@ pub(crate) fn post_blocked(
         ),
         AccessLevel::Level3 => {
             return Err(CoreError::Partition(
-                "Level 3 is a non-contiguous mode; use views::read for it".into(),
+                "Level 3 is a non-contiguous mode; read it through crate::views".into(),
             ))
         }
         _ => None,

@@ -259,6 +259,31 @@ mod tests {
     }
 
     #[test]
+    fn level3_is_rejected_on_every_rank_without_a_leaked_request() {
+        use mvio_msim::{AccessLevel, Topology, World, WorldConfig};
+        let fs = mvio_pfs::SimFs::new(mvio_pfs::FsConfig::gpfs_roger());
+        fs.create("x.wkt", None)
+            .unwrap()
+            .append(b"POINT (1 2)\ta\nPOINT (3 4)\tb\n");
+        for strategy in [BoundaryStrategy::Message, BoundaryStrategy::Overlap] {
+            let opts = ReadOptions {
+                strategy,
+                level: AccessLevel::Level3,
+                ..ReadOptions::default()
+            };
+            // The run verifies itself: a request dropped unwaited, or a
+            // collective some rank skipped, aborts it.
+            let out = World::run(WorldConfig::new(Topology::single_node(4)), |comm| {
+                match read_partition_text(comm, &fs, "x.wkt", &opts) {
+                    Err(crate::CoreError::Partition(msg)) => msg,
+                    other => panic!("expected a Partition error, got {other:?}"),
+                }
+            });
+            assert!(out.iter().all(|m| m.contains("crate::views")), "{out:?}");
+        }
+    }
+
+    #[test]
     fn a_tail_across_a_piece_boundary_leaves_in_the_first_round() {
         use mvio_msim::{Topology, World, WorldConfig};
         // Two 4196-byte blocks over 1 KiB stripes on one OST. Rank 0's

@@ -67,7 +67,7 @@ pub fn read_overlap(comm: &mut Comm, file: &MpiFile, opts: &ReadOptions) -> Resu
             AccessLevel::Level1 => file.read_at_all(comm, read_off, &mut buf)?,
             AccessLevel::Level3 => {
                 return Err(CoreError::Partition(
-                    "Level 3 is a non-contiguous mode; use views::read for it".into(),
+                    "Level 3 is a non-contiguous mode; read it through crate::views".into(),
                 ))
             }
         };

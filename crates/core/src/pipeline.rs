@@ -10,7 +10,7 @@
 //! 1. every layer's Level 0 read is **posted up front** as stripe pieces
 //!    (`crate::partition`); layer by layer its ring is finished and the
 //!    owned text split into record-aligned **chunks**
-//!    ([`split_record_chunks`]), so a later layer's read lands under an
+//!    (`split_record_chunks`), so a later layer's read lands under an
 //!    earlier layer's transcode (a read that cannot stream is issued
 //!    here, just before its own layer's transcode);
 //! 2. the chunks' records are transcoded, in order, straight from their
@@ -177,7 +177,7 @@ impl PipelineOptions {
 
     /// The worker count this configuration runs with: `workers`
     /// clamped to `1..=`[`MAX_WORKERS`].
-    pub fn effective_workers(&self) -> usize {
+    fn effective_workers(&self) -> usize {
         self.workers.clamp(1, MAX_WORKERS)
     }
 }
@@ -209,7 +209,7 @@ pub struct PipelineStats {
 /// chunks can be parsed independently. Boundaries depend only on the
 /// input and the target — never on the worker count — which is what makes
 /// the lane fold independent of how the chunks are grouped.
-pub fn split_record_chunks(text: &str, target_bytes: usize) -> Vec<&str> {
+fn split_record_chunks(text: &str, target_bytes: usize) -> Vec<&str> {
     let target = target_bytes.max(1);
     let mut out = Vec::new();
     let mut rest = text;

@@ -122,7 +122,7 @@ impl DriftTracker {
 
     /// Rebuilds the tracker from a resident replica set (used at engine
     /// construction and after a migration rewires cell ownership).
-    pub fn rebuild(sd: &Decomposition, store: &ResidentStore) -> Self {
+    fn rebuild(sd: &Decomposition, store: &ResidentStore) -> Self {
         let mut t = DriftTracker::new(sd.num_cells());
         for (cell, mbr) in store.replicas() {
             t.record(sd, cell, mbr, 1);

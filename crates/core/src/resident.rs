@@ -165,7 +165,7 @@ impl ResidentStore {
 
     /// Wire bytes of the live replicas — what shipping the whole
     /// partition would send.
-    pub fn live_bytes(&self) -> u64 {
+    fn live_bytes(&self) -> u64 {
         self.live_bytes as u64
     }
 

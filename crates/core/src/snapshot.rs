@@ -170,14 +170,6 @@ pub struct SnapshotReadOptions {
     pub chunk: ExchangeChunk,
 }
 
-impl SnapshotReadOptions {
-    /// Sets the routing-exchange chunk policy.
-    pub fn with_chunk(mut self, chunk: ExchangeChunk) -> Self {
-        self.chunk = chunk;
-        self
-    }
-}
-
 /// Per-rank result of a collective snapshot write.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotWriteReport {
@@ -359,9 +351,8 @@ fn decode_meta(bytes: &[u8], file_len: u64) -> Result<SnapshotMeta> {
 /// the bytes undecoded — short when the file is, for [`decode_meta`] to
 /// reject. The table allocation is bounded by the file's actual length
 /// *before* the header's section count is trusted, so a corrupt count
-/// becomes a typed error instead of a multi-gigabyte allocation. The one
-/// fetch behind [`read_meta`] (untimed `peek`) and [`read_meta_timed`]'s
-/// root (timed `read_at`).
+/// becomes a typed error instead of a multi-gigabyte allocation. The
+/// fetch behind [`read_meta_timed`]'s root (timed `read_at`).
 fn fetch_meta(
     file_len: u64,
     mut read: impl FnMut(u64, &mut [u8]) -> Result<usize>,
@@ -385,17 +376,10 @@ fn fetch_meta(
     Ok(head)
 }
 
-/// Reads and validates a snapshot's header + section table without
-/// timing (serial inspection: tooling, tests, dataset catalogs).
-pub fn read_meta(fs: &Arc<SimFs>, path: &str) -> Result<SnapshotMeta> {
-    let file = fs.open(path)?;
-    let bytes = fetch_meta(file.len(), |off, buf| Ok(file.peek(off, buf)))?;
-    decode_meta(&bytes, file.len())
-}
-
-/// [`read_meta`] as one collective, timed metadata read. Rank 0 reads
-/// the header and the section table through the independent
-/// [`MpiFile::read_at`] — two small reads, whatever the world size — and
+/// Reads and validates a snapshot's header + section table as one
+/// collective, timed metadata read. Rank 0 reads the header and the
+/// section table through the independent [`MpiFile::read_at`] — two
+/// small reads, whatever the world size — and
 /// broadcasts the bytes with the file length (`snapshot.read.meta`);
 /// every rank then validates the identical bytes, so acceptance is
 /// symmetric and nobody enters a later collective unless everybody does.
@@ -847,6 +831,13 @@ mod tests {
         Ok((pairs.collect(), report))
     }
 
+    /// The snapshot's metadata, read by a one-rank world.
+    fn read_meta(fs: &Arc<SimFs>, path: &str) -> Result<SnapshotMeta> {
+        let one = WorldConfig::new(Topology::single_node(1));
+        let mut out = World::run(one, |comm| read_meta_timed(comm, fs, path));
+        out.remove(0)
+    }
+
     fn decomp(cells: u32, ranks: usize) -> Decomposition {
         let grid = UniformGrid::new(
             Rect::new(0.0, 0.0, cells as f64, 1.0),
@@ -1209,7 +1200,7 @@ mod tests {
             let mut bad = good.clone();
             mutate(&mut bad);
             let fs2 = SimFs::new(FsConfig::lustre_comet());
-            fs2.create("bad.bin", None).unwrap().set_contents(bad);
+            fs2.create("bad.bin", None).unwrap().append(bad);
             let err = read_meta(&fs2, "bad.bin").unwrap_err();
             assert!(
                 matches!(err, CoreError::Snapshot(_)),
@@ -1442,8 +1433,8 @@ mod tests {
         (meta, file)
     }
 
-    /// [`read_meta`]'s path over in-memory file bytes: the fetch, through
-    /// a reader that stops short at the end like `peek`, then the decode.
+    /// [`read_meta_timed`]'s path over in-memory file bytes: the fetch,
+    /// through a reader that stops short at the end, then the decode.
     fn peek_meta(file: &[u8]) -> Result<SnapshotMeta> {
         let bytes = fetch_meta(file.len() as u64, |off, buf| {
             let rest = file.get(off as usize..).unwrap_or_default();

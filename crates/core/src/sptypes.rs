@@ -1,108 +1,17 @@
-//! Spatial derived datatypes (paper Table 2): `MPI_POINT`, `MPI_LINE`,
-//! `MPI_RECT`, and their wire encodings for binary record files.
+//! Spatial derived datatypes (paper Table 2): the wire encoding of
+//! `MPI_RECT` records in binary record files.
 //!
 //! Fixed-length spatial types (points, segments, MBRs) are stored in
 //! binary as plain structs so "MPI-IO functions then directly read the
 //! data as MPI datatypes" (§4.1) — regular, fast access, and easy custom
-//! file views. This module provides the datatype descriptions plus the
-//! encode/decode between those records and the geometry types.
+//! file views. The datatype descriptions are the `mpi_*` constructors
+//! of [`mvio_msim::Datatype`]; this module encodes and decodes the rect
+//! records the experiments read.
 
-use mvio_geom::{Point, Rect};
-use mvio_msim::Datatype;
+use mvio_geom::Rect;
 
-/// Byte width of one `MPI_POINT` record (2 doubles).
-pub const POINT_RECORD_BYTES: usize = 16;
-/// Byte width of one `MPI_LINE` (segment) record (4 doubles).
-pub const LINE_RECORD_BYTES: usize = 32;
 /// Byte width of one `MPI_RECT` record (4 doubles).
 pub const RECT_RECORD_BYTES: usize = 32;
-
-/// `MPI_POINT`: two contiguous doubles.
-pub fn mpi_point() -> Datatype {
-    Datatype::mpi_point()
-}
-
-/// `MPI_LINE`: two contiguous points (one segment).
-pub fn mpi_line() -> Datatype {
-    Datatype::mpi_line()
-}
-
-/// `MPI_RECT`: four contiguous doubles (paper §4.2.1).
-pub fn mpi_rect() -> Datatype {
-    Datatype::mpi_rect()
-}
-
-/// `MPI_RECT` as an explicit `MPI_Type_struct` — the variant Figure 12
-/// benchmarks.
-pub fn mpi_rect_struct() -> Datatype {
-    Datatype::mpi_rect_struct()
-}
-
-// ---- Compound spatial types (paper §4.2.1: "Additional compound types
-// such as multi-point, multi-line, and fixed-size polygon are defined by
-// nesting basic spatial types"). -----------------------------------------
-
-/// `MPI_MULTI_POINT(n)`: `n` nested `MPI_POINT`s.
-pub fn mpi_multi_point(n: usize) -> Datatype {
-    Datatype::contiguous(n, mpi_point())
-}
-
-/// `MPI_MULTI_LINE(n)`: `n` nested `MPI_LINE` segments.
-pub fn mpi_multi_line(n: usize) -> Datatype {
-    Datatype::contiguous(n, mpi_line())
-}
-
-/// `MPI_FIXED_POLYGON(n)`: a closed ring of exactly `n` vertices (the
-/// closing vertex stored explicitly, WKT-style), nested points.
-pub fn mpi_fixed_polygon(n: usize) -> Datatype {
-    Datatype::contiguous(n, mpi_point())
-}
-
-/// Encodes a fixed-size polygon's exterior ring into its record. The
-/// ring must have exactly `n` stored vertices (including the closing
-/// repeat); returns `None` on mismatch.
-pub fn encode_fixed_polygon(poly: &mvio_geom::Polygon, n: usize, out: &mut Vec<u8>) -> Option<()> {
-    let pts = poly.exterior().points();
-    if pts.len() != n {
-        return None;
-    }
-    for p in pts {
-        encode_point(p, out);
-    }
-    Some(())
-}
-
-/// Decodes a fixed-size polygon record of `n` vertices.
-pub fn decode_fixed_polygon(buf: &[u8], n: usize) -> mvio_geom::Result<mvio_geom::Polygon> {
-    let pts: Vec<Point> = (0..n)
-        .map(|i| decode_point(&buf[i * POINT_RECORD_BYTES..]))
-        .collect();
-    mvio_geom::Polygon::from_coords(pts, vec![])
-}
-
-/// Encodes a point into its little-endian record.
-pub fn encode_point(p: &Point, out: &mut Vec<u8>) {
-    out.extend_from_slice(&p.x.to_le_bytes());
-    out.extend_from_slice(&p.y.to_le_bytes());
-}
-
-/// Decodes a point record.
-pub fn decode_point(buf: &[u8]) -> Point {
-    debug_assert!(buf.len() >= POINT_RECORD_BYTES);
-    Point::new(f64_at(buf, 0), f64_at(buf, 8))
-}
-
-/// Encodes a segment `(a, b)` into its record.
-pub fn encode_line(a: &Point, b: &Point, out: &mut Vec<u8>) {
-    encode_point(a, out);
-    encode_point(b, out);
-}
-
-/// Decodes a segment record.
-pub fn decode_line(buf: &[u8]) -> (Point, Point) {
-    debug_assert!(buf.len() >= LINE_RECORD_BYTES);
-    (decode_point(buf), decode_point(&buf[16..]))
-}
 
 /// Encodes a rectangle into its record.
 pub fn encode_rect(r: &Rect, out: &mut Vec<u8>) {
@@ -112,7 +21,7 @@ pub fn encode_rect(r: &Rect, out: &mut Vec<u8>) {
 }
 
 /// Decodes a rectangle record.
-pub fn decode_rect(buf: &[u8]) -> Rect {
+fn decode_rect(buf: &[u8]) -> Rect {
     debug_assert!(buf.len() >= RECT_RECORD_BYTES);
     Rect::from_array([
         f64_at(buf, 0),
@@ -129,31 +38,6 @@ pub fn decode_rects(buf: &[u8]) -> Vec<Rect> {
         .collect()
 }
 
-/// Encodes a slice of rectangles into back-to-back records.
-pub fn encode_rects(rects: &[Rect]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(rects.len() * RECT_RECORD_BYTES);
-    for r in rects {
-        encode_rect(r, &mut out);
-    }
-    out
-}
-
-/// Decodes a whole buffer of back-to-back point records.
-pub fn decode_points(buf: &[u8]) -> Vec<Point> {
-    buf.chunks_exact(POINT_RECORD_BYTES)
-        .map(decode_point)
-        .collect()
-}
-
-/// Encodes a slice of points into back-to-back records.
-pub fn encode_points(points: &[Point]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(points.len() * POINT_RECORD_BYTES);
-    for p in points {
-        encode_point(p, &mut out);
-    }
-    out
-}
-
 #[inline]
 fn f64_at(buf: &[u8], off: usize) -> f64 {
     // audit: the range is exactly 8 bytes by construction.
@@ -163,30 +47,14 @@ fn f64_at(buf: &[u8], off: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mvio_msim::Datatype;
 
     #[test]
     fn datatype_sizes_match_record_widths() {
-        assert_eq!(mpi_point().size(), POINT_RECORD_BYTES);
-        assert_eq!(mpi_line().size(), LINE_RECORD_BYTES);
-        assert_eq!(mpi_rect().size(), RECT_RECORD_BYTES);
-        assert_eq!(mpi_rect_struct().size(), RECT_RECORD_BYTES);
-    }
-
-    #[test]
-    fn point_round_trip() {
-        let p = Point::new(1.5, -2.25);
-        let mut buf = Vec::new();
-        encode_point(&p, &mut buf);
-        assert_eq!(buf.len(), POINT_RECORD_BYTES);
-        assert_eq!(decode_point(&buf), p);
-    }
-
-    #[test]
-    fn line_round_trip() {
-        let (a, b) = (Point::new(0.0, 1.0), Point::new(2.0, 3.0));
-        let mut buf = Vec::new();
-        encode_line(&a, &b, &mut buf);
-        assert_eq!(decode_line(&buf), (a, b));
+        assert_eq!(Datatype::mpi_point().size(), 16);
+        assert_eq!(Datatype::mpi_line().size(), 32);
+        assert_eq!(Datatype::mpi_rect().size(), RECT_RECORD_BYTES);
+        assert_eq!(Datatype::mpi_rect_struct().size(), RECT_RECORD_BYTES);
     }
 
     #[test]
@@ -198,42 +66,12 @@ mod tests {
     }
 
     #[test]
-    fn compound_types_nest_basic_types() {
-        assert_eq!(mpi_multi_point(5).size(), 5 * POINT_RECORD_BYTES);
-        assert_eq!(mpi_multi_line(3).size(), 3 * LINE_RECORD_BYTES);
-        assert_eq!(mpi_fixed_polygon(4).size(), 4 * POINT_RECORD_BYTES);
-        assert!(mpi_multi_point(8).is_dense());
-        assert_eq!(mpi_fixed_polygon(4).fragments(), vec![(0, 64)]);
-    }
-
-    #[test]
-    fn fixed_polygon_round_trip() {
-        let poly = mvio_geom::Polygon::from_coords(
-            vec![
-                Point::new(0.0, 0.0),
-                Point::new(2.0, 0.0),
-                Point::new(1.0, 2.0),
-                Point::new(0.0, 0.0),
-            ],
-            vec![],
-        )
-        .unwrap();
-        let mut buf = Vec::new();
-        encode_fixed_polygon(&poly, 4, &mut buf).expect("4 stored vertices");
-        assert_eq!(buf.len(), 4 * POINT_RECORD_BYTES);
-        let back = decode_fixed_polygon(&buf, 4).unwrap();
-        assert_eq!(back, poly);
-        // Wrong arity is rejected, not mis-encoded.
-        assert!(encode_fixed_polygon(&poly, 5, &mut Vec::new()).is_none());
-    }
-
-    #[test]
     fn bulk_round_trips() {
         let rects: Vec<Rect> = (0..10)
             .map(|i| Rect::new(i as f64, 0.0, i as f64 + 1.0, 1.0))
             .collect();
-        assert_eq!(decode_rects(&encode_rects(&rects)), rects);
-        let points: Vec<Point> = (0..10).map(|i| Point::new(i as f64, -(i as f64))).collect();
-        assert_eq!(decode_points(&encode_points(&points)), points);
+        let mut buf = Vec::new();
+        rects.iter().for_each(|r| encode_rect(r, &mut buf));
+        assert_eq!(decode_rects(&buf), rects);
     }
 }

@@ -11,16 +11,16 @@
 //!   these auxiliary arrays, MPI_type_indexed derived data type is
 //!   created".
 
-use crate::sptypes::{decode_points, decode_rects, POINT_RECORD_BYTES, RECT_RECORD_BYTES};
+use crate::sptypes::{decode_rects, RECT_RECORD_BYTES};
 use crate::Result;
-use mvio_geom::{Point, Rect};
+use mvio_geom::Rect;
 use mvio_msim::io::FileView;
 use mvio_msim::{Comm, Datatype, MpiFile};
 
 /// Builds the Level-3 view for blocks of `records_per_block` fixed-size
 /// records of `record_bytes` each. Rank `r` of `p` reads block instances
 /// `r, r+p, r+2p, …` (Figure 4's round-robin layout).
-pub fn fixed_record_view(records_per_block: usize, record_bytes: usize) -> Result<FileView> {
+fn fixed_record_view(records_per_block: usize, record_bytes: usize) -> Result<FileView> {
     let record = Datatype::contiguous(record_bytes, Datatype::Byte);
     let block = Datatype::contiguous(records_per_block, record);
     Ok(FileView::new(0, block)?)
@@ -54,7 +54,6 @@ pub fn read_rects_level3(
     let p = comm.size() as u64;
     let rank = comm.rank() as u64;
     let blocks_total = total_records.div_ceil(records_per_block as u64);
-    let my_blocks = (rank..blocks_total).step_by(p as usize).count() as u64;
     let my_records = count_my_records(
         total_records,
         records_per_block as u64,
@@ -64,62 +63,9 @@ pub fn read_rects_level3(
     );
     file.set_view(fixed_record_view(records_per_block, RECT_RECORD_BYTES)?);
     let mut buf = vec![0u8; (my_records * RECT_RECORD_BYTES as u64) as usize];
-    let _ = my_blocks;
     let n = file.read_all(comm, rank, p, &mut buf)?;
     buf.truncate(n - n % RECT_RECORD_BYTES);
     Ok(decode_rects(&buf))
-}
-
-/// Point-record counterpart of [`read_rects_level3`].
-/// Collective: every rank must call it (Level-3 collective I/O over a
-/// shared file view).
-pub fn read_points_level3(
-    comm: &mut Comm,
-    file: &mut MpiFile,
-    total_records: u64,
-    records_per_block: usize,
-) -> Result<Vec<Point>> {
-    let p = comm.size() as u64;
-    let rank = comm.rank() as u64;
-    let blocks_total = total_records.div_ceil(records_per_block as u64);
-    let my_records = count_my_records(
-        total_records,
-        records_per_block as u64,
-        blocks_total,
-        rank,
-        p,
-    );
-    file.set_view(fixed_record_view(records_per_block, POINT_RECORD_BYTES)?);
-    let mut buf = vec![0u8; (my_records * POINT_RECORD_BYTES as u64) as usize];
-    let n = file.read_all(comm, rank, p, &mut buf)?;
-    buf.truncate(n - n % POINT_RECORD_BYTES);
-    Ok(decode_points(&buf))
-}
-
-/// Reads this rank's assigned *WKB* geometries through an indexed
-/// Level-3 view — the unformatted-binary counterpart of the WKT pipeline
-/// (the paper supports "both formatted as well as unformatted data").
-/// `lengths`/`offsets` come from the preprocessing step; `assigned`
-/// selects this rank's records.
-/// Collective: every rank must call it (Level-3 collective I/O over a
-/// shared file view).
-pub fn read_wkb_geometries_level3(
-    comm: &mut Comm,
-    file: &mut MpiFile,
-    lengths: &[u64],
-    offsets: &[u64],
-    assigned: &[usize],
-) -> Result<Vec<mvio_geom::Geometry>> {
-    let view = indexed_geometry_view(lengths, offsets, assigned)?;
-    let payload: usize = assigned.iter().map(|&i| lengths[i] as usize).sum();
-    file.set_view(view);
-    let mut buf = vec![0u8; payload];
-    let n = file.read_all(comm, 0, 1, &mut buf)?;
-    buf.truncate(n);
-    mvio_geom::wkb::decode_all(&buf).map_err(|source| crate::CoreError::Parse {
-        record: "<wkb stream>".into(),
-        source,
-    })
 }
 
 /// Records owned by `rank` under round-robin block distribution where the
@@ -138,7 +84,7 @@ fn count_my_records(total: u64, per_block: u64, blocks_total: u64, rank: u64, p:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sptypes::encode_rects;
+    use crate::sptypes::encode_rect;
     use mvio_msim::{Hints, Topology, World, WorldConfig};
     use mvio_pfs::{FsConfig, SimFs, StripeSpec};
 
@@ -153,9 +99,10 @@ mod tests {
     fn fixed_view_fragments_are_record_aligned() {
         let v = fixed_record_view(8, RECT_RECORD_BYTES).unwrap();
         assert_eq!(v.filetype.size(), 8 * 32);
-        // Rank 1 of 4 reads instance 1 at byte 8*32.
-        let frags = v.fragments(1, 4, 8 * 32);
-        assert_eq!(frags, vec![(8 * 32, 8 * 32_u64)]);
+        // One dense run per block, so rank 1 of 4 reads instance 1 at
+        // byte 8*32.
+        assert_eq!(v.filetype.fragments(), vec![(0, 8 * 32)]);
+        assert_eq!(v.filetype.extent(), 8 * 32);
     }
 
     #[test]
@@ -168,7 +115,9 @@ mod tests {
         let f = fs
             .create("rects.bin", Some(StripeSpec::new(4, 1 << 20)))
             .unwrap();
-        f.append(encode_rects(&rects));
+        let mut bytes = Vec::new();
+        rects.iter().for_each(|r| encode_rect(r, &mut bytes));
+        f.append(&bytes);
 
         let out = World::run(WorldConfig::new(Topology::new(2, 2)), |comm| {
             let mut file = MpiFile::open(&fs, "rects.bin", Hints::default()).unwrap();
@@ -186,47 +135,6 @@ mod tests {
         // (Figure 5b's fine-grained declustered partitioning).
         let r0: Vec<f64> = out[0].iter().map(|r| r.min_x).collect();
         assert!(r0.windows(2).any(|w| w[1] - w[0] > 1.0));
-    }
-
-    #[test]
-    fn wkb_stream_reads_round_robin_geometries() {
-        use mvio_geom::{wkb, wkt};
-        // A binary file of concatenated WKB geometries + offset index.
-        let geoms: Vec<mvio_geom::Geometry> = (0..6)
-            .map(|i| {
-                let x = i as f64 * 10.0;
-                wkt::parse(&format!(
-                    "POLYGON (({x} 0, {} 0, {} 1, {x} 0))",
-                    x + 1.0,
-                    x + 1.0
-                ))
-                .unwrap()
-            })
-            .collect();
-        let mut data = Vec::new();
-        let mut lengths = Vec::new();
-        let mut offsets = Vec::new();
-        for g in &geoms {
-            let bytes = wkb::encode(g);
-            offsets.push(data.len() as u64);
-            lengths.push(bytes.len() as u64);
-            data.extend_from_slice(&bytes);
-        }
-        let fs = SimFs::new(FsConfig::lustre_comet());
-        fs.create("geoms.wkb", None).unwrap().append(&data);
-
-        let geoms2 = geoms.clone();
-        let out = World::run(WorldConfig::new(Topology::single_node(2)), move |comm| {
-            let assigned: Vec<usize> = (comm.rank()..6).step_by(2).collect();
-            let mut file = MpiFile::open(&fs, "geoms.wkb", Hints::default()).unwrap();
-            let got =
-                read_wkb_geometries_level3(comm, &mut file, &lengths, &offsets, &assigned).unwrap();
-            for (j, g) in got.iter().enumerate() {
-                assert_eq!(*g, geoms2[assigned[j]], "geometry {j} round-trips");
-            }
-            got.len()
-        });
-        assert_eq!(out.iter().sum::<usize>(), 6);
     }
 
     #[test]

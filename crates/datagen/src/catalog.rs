@@ -55,7 +55,7 @@ pub enum DistPolicy {
 
 impl DistPolicy {
     /// Resolves the policy into a concrete distribution at a given scale.
-    pub fn at_scale(&self, denominator: u64) -> SpatialDistribution {
+    fn at_scale(&self, denominator: u64) -> SpatialDistribution {
         match *self {
             DistPolicy::Broad {
                 clusters,
@@ -104,7 +104,7 @@ pub struct DatasetSpec {
 impl DatasetSpec {
     /// Shape count at `1/denominator` scale (at least 16 so tiny scales
     /// stay non-trivial).
-    pub fn scaled_count(&self, denominator: u64) -> u64 {
+    fn scaled_count(&self, denominator: u64) -> u64 {
         (self.paper_count / denominator).max(16)
     }
 

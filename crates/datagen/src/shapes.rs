@@ -52,7 +52,7 @@ impl ShapeGen {
     /// Draws a vertex count: usually near `base_vertices`, occasionally a
     /// heavy-tail draw up to `max_vertices` with a power-law-ish decay —
     /// the "large polygons may have more than 100 K coordinates" property.
-    pub fn draw_vertices(&self, rng: &mut impl Rng) -> usize {
+    fn draw_vertices(&self, rng: &mut impl Rng) -> usize {
         if rng.gen::<f64>() < self.tail_probability && self.max_vertices > self.base_vertices {
             // Inverse-power sample in (base, max].
             let u: f64 = rng.gen_range(1e-9..1.0);
@@ -97,7 +97,7 @@ impl ShapeGen {
     }
 
     /// Generates a random-walk polyline from the sampler's next center.
-    pub fn polyline(&self, sampler: &mut PlacementSampler) -> LineString {
+    fn polyline(&self, sampler: &mut PlacementSampler) -> LineString {
         let start = sampler.next_center();
         let rng = sampler.rng();
         let k = self.draw_vertices(rng).max(2);

@@ -114,19 +114,6 @@ impl MovingHotspot {
         (0..self.steps).map(|s| self.step(s)).collect()
     }
 
-    /// Inserts still live after the final step (born within the last
-    /// `window` steps, or all of them when `window == 0`).
-    pub fn live_after_last_step(&self) -> Vec<(Point, String)> {
-        let first_live = if self.window == 0 {
-            0
-        } else {
-            self.steps.saturating_sub(self.window)
-        };
-        (first_live..self.steps)
-            .flat_map(|s| self.inserts_at(s))
-            .collect()
-    }
-
     fn half_extents(&self) -> (f64, f64) {
         (
             (self.spread * self.world.width() / 2.0).max(0.0),
@@ -208,23 +195,11 @@ mod tests {
     }
 
     #[test]
-    fn live_set_is_the_last_window_of_batches() {
-        let s = spec();
-        let live = s.live_after_last_step();
-        assert_eq!(live.len(), s.window * s.inserts_per_step);
-        let ids: HashSet<&str> = live.iter().map(|(_, id)| id.as_str()).collect();
-        assert!(ids.contains("hot=0004-00000"));
-        assert!(ids.contains("hot=0005-00039"));
-        assert!(!ids.contains("hot=0003-00000"), "expired batch still live");
-    }
-
-    #[test]
     fn zero_window_never_deletes() {
         let s = MovingHotspot {
             window: 0,
             ..spec()
         };
         assert!(s.stream().iter().all(|st| st.deletes.is_empty()));
-        assert_eq!(s.live_after_last_step().len(), s.steps * s.inserts_per_step);
     }
 }

@@ -1,6 +1,6 @@
 //! The OGC `intersects` predicate — the refine-phase test of the paper's
 //! spatial join ("returns true iff the geometries share any portion of
-//! space") — and the point and rectangle predicates beside it. Each has
+//! space") — and the rectangle predicates beside it. Each has
 //! one body, over [`Shape`], so owned geometries and zero-copy WKB views
 //! run the same code; the `&Geometry` entry points are thin wrappers.
 
@@ -10,16 +10,6 @@ use super::shape::{Coords, Form, Part, Shape};
 use crate::geometry::Geometry;
 use crate::point::Point;
 use crate::rect::Rect;
-
-/// `true` if the point lies on/in the geometry.
-pub fn point_in_geometry(p: Point, g: &Geometry) -> bool {
-    point_in_shape(p, g)
-}
-
-/// [`point_in_geometry`] over any [`Shape`].
-pub fn point_in_shape(p: Point, g: impl Shape) -> bool {
-    g.form().any_part(|part| point_in_part(p, part))
-}
 
 fn point_in_part<S: Shape>(p: Point, part: &Part<S>) -> bool {
     match part {

@@ -13,8 +13,8 @@ mod shape;
 
 pub use distance::{point_geometry_distance, point_segment_distance, point_shape_distance};
 pub use intersects::{
-    intersects, point_in_geometry, point_in_shape, rect_contains_any_vertex,
-    rect_contains_shape_vertex, rect_intersects_geometry, rect_intersects_shape, shapes_intersect,
+    intersects, rect_contains_any_vertex, rect_contains_shape_vertex, rect_intersects_geometry,
+    rect_intersects_shape, shapes_intersect,
 };
 pub use orient::{orientation, Orientation};
 pub(crate) use pip::locate_in_rings;

@@ -44,7 +44,7 @@ impl Ring {
 
     /// Signed area by the shoelace formula: positive for counter-clockwise
     /// rings, negative for clockwise.
-    pub fn signed_area(&self) -> f64 {
+    fn signed_area(&self) -> f64 {
         let mut acc = 0.0;
         for (a, b) in self.segments() {
             acc += a.x * b.y - b.x * a.y;

@@ -215,7 +215,7 @@ impl Rect {
 
     /// Grows the rectangle in place to cover `p`.
     #[inline]
-    pub fn expand_point(&mut self, p: &Point) {
+    fn expand_point(&mut self, p: &Point) {
         self.min_x = self.min_x.min(p.x);
         self.min_y = self.min_y.min(p.y);
         self.max_x = self.max_x.max(p.x);

@@ -25,7 +25,7 @@
 //! the views directly, so no geometry is built from the wire bytes.
 //!
 //! Every kernel is value-compatible with the owned path: envelopes use the
-//! same `f64::min`/`f64::max` folds as [`crate::Rect::expand_point`]. The
+//! same `f64::min`/`f64::max` folds as `Rect::expand_point`. The
 //! approximation step never contradicts [`crate::algo::intersects`]: it
 //! answers only outside a tie band around each of its thresholds, and its
 //! vertex step locates with the exact test's own point-in-polygon code.
@@ -42,7 +42,7 @@ use std::ops::{ControlFlow, Range};
 ///
 /// The lanes carry no sequential dependency across points, so the 4-wide
 /// body auto-vectorizes; the final merge unions the lanes. The folds are
-/// the same `f64::min`/`f64::max` as [`Rect::expand_point`], so the result
+/// the same `f64::min`/`f64::max` as `Rect::expand_point`, so the result
 /// equals (under `==`) the owned `Rect::from_points` over the same
 /// coordinates. An empty slice yields [`Rect::EMPTY`].
 pub fn coords_envelope(data: &[u8], be: bool) -> Rect {

@@ -120,21 +120,6 @@ pub fn decode(buf: &[u8]) -> Result<(Geometry, usize)> {
     Ok((g, cur.pos))
 }
 
-/// Decodes a back-to-back sequence of WKB geometries until `buf` is
-/// exhausted.
-pub fn decode_all(buf: &[u8]) -> Result<Vec<Geometry>> {
-    let mut out = Vec::new();
-    let mut cur = Cursor {
-        buf,
-        pos: 0,
-        depth: 0,
-    };
-    while cur.pos < buf.len() {
-        out.push(cur.geometry()?);
-    }
-    Ok(out)
-}
-
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -1021,8 +1006,11 @@ mod tests {
         let g2 = wkt::parse("LINESTRING (0 0, 5 5)").unwrap();
         let mut buf = encode(&g1);
         buf.extend_from_slice(&encode(&g2));
-        let all = decode_all(&buf).unwrap();
-        assert_eq!(all, vec![g1, g2]);
+        // Each decode reports its length, so a stream walks front to back.
+        let (first, used) = decode(&buf).unwrap();
+        let (second, rest) = decode(&buf[used..]).unwrap();
+        assert_eq!(used + rest, buf.len());
+        assert_eq!(vec![first, second], vec![g1, g2]);
     }
 
     #[test]

@@ -13,7 +13,7 @@ mod parse;
 mod transcode;
 mod write;
 
-pub use parse::{parse, parse_many, Parser};
+pub use parse::{parse, parse_many};
 pub use transcode::transcode;
 pub use write::{write, write_to};
 

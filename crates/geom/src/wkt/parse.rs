@@ -152,10 +152,7 @@ impl Sink for Objects {
 }
 
 /// A resumable WKT parser over a string slice.
-///
-/// Exposed publicly so the I/O layer can parse geometries one-by-one out of
-/// a file partition buffer without materializing per-line `String`s.
-pub struct Parser<'a> {
+pub(crate) struct Parser<'a> {
     src: &'a [u8],
     pos: usize,
     /// Nesting depth of the geometry being parsed, counted as WKB does.
@@ -164,7 +161,7 @@ pub struct Parser<'a> {
 
 impl<'a> Parser<'a> {
     /// Creates a parser positioned at the start of `input`.
-    pub fn new(input: &'a str) -> Self {
+    pub(crate) fn new(input: &'a str) -> Self {
         Parser {
             src: input.as_bytes(),
             pos: 0,
@@ -172,18 +169,13 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Current byte offset into the input.
-    pub fn offset(&self) -> usize {
-        self.pos
-    }
-
     /// `true` once the cursor has consumed all input.
-    pub fn at_end(&self) -> bool {
+    fn at_end(&self) -> bool {
         self.pos >= self.src.len()
     }
 
     /// Skips ASCII whitespace.
-    pub fn skip_ws(&mut self) {
+    pub(crate) fn skip_ws(&mut self) {
         while self.pos < self.src.len() && self.src[self.pos].is_ascii_whitespace() {
             self.pos += 1;
         }
@@ -352,11 +344,6 @@ impl<'a> Parser<'a> {
             s.ring(points)
         })?;
         Ok(s.polygon(rings))
-    }
-
-    /// Parses one complete geometry starting at the cursor.
-    pub fn parse_geometry(&mut self) -> Result<Geometry> {
-        self.geometry(&mut Objects)
     }
 
     /// Reads one complete geometry starting at the cursor into `s`.
@@ -607,9 +594,9 @@ mod tests {
     fn resumable_parser_tracks_offsets() {
         let src = "POINT (1 2)  POINT (3 4)";
         let mut p = Parser::new(src);
-        let g1 = p.parse_geometry().unwrap();
+        let g1 = p.geometry(&mut Objects).unwrap();
         assert_eq!(g1, Geometry::Point(Point::new(1.0, 2.0)));
-        let g2 = p.parse_geometry().unwrap();
+        let g2 = p.geometry(&mut Objects).unwrap();
         assert_eq!(g2, Geometry::Point(Point::new(3.0, 4.0)));
         p.skip_ws();
         assert!(p.at_end());

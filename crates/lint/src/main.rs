@@ -1,6 +1,6 @@
 //! Workspace source lint — `cargo run -p lint`.
 //!
-//! A zero-dependency scanner enforcing eight repo-specific rules that
+//! A zero-dependency scanner enforcing nine repo-specific rules that
 //! `rustc`/`clippy` cannot express. R1–R3 share one failure class: this
 //! codebase is SPMD over collectives, where a single rank panicking or
 //! diverging strands every peer at its next rendezvous.
@@ -24,8 +24,8 @@
 //!   of collective sequences is this repo's recurring bug class; the
 //!   contract belongs on the API surface.
 //! * **R4 `engine-reads-views`** — non-test code under `crates/sjoin/src`
-//!   builds no geometry from a wire frame (`.to_feature(`, `wkb::decode(`,
-//!   `wkb::decode_all(`): the engine reads frames as zero-copy views.
+//!   builds no geometry from a wire frame (`.to_feature(`, `wkb::decode(`):
+//!   the engine reads frames as zero-copy views.
 //! * **R5 `one-thread-per-rank`** — non-test library code spawns no
 //!   thread (`thread::spawn(`, `thread::scope(`, `thread::Builder`)
 //!   outside `crates/msim/src/world.rs`. MPI-Vector-IO runs one
@@ -48,6 +48,15 @@
 //!   every layer's Level 0 read is posted up front as stripe pieces and
 //!   finished under the transcode, so no layer pays read then parse back
 //!   to back.
+//! * **R9 `no-dead-pub-fn`** — a library `pub fn` (not `pub(crate)`)
+//!   whose name appears in no non-test code outside its own file fails,
+//!   unless [`rules::DEAD_PUB_FN_ALLOW`] names it with a reason. Callers
+//!   are searched in the scanned files and also in `crates/bench/src`,
+//!   `examples/` and `e2e/src`. Public API that nothing calls is code to
+//!   keep up and read for no behaviour: delete it, or make it private.
+//!   Matching is by name, not resolution, so a dead fn that shares its
+//!   name with a live one anywhere (`len`, `new`) is missed, and a
+//!   `pub use` re-export counts as a use.
 //!
 //! Scope: `src/` trees of the workspace library crates and the root
 //! crate. Excluded: `crates/bench` (experiment harness, panics are its
@@ -80,7 +89,7 @@ pub struct Finding {
     /// Rule identifier (`no-panic`, `checked-narrowing`,
     /// `collective-contract`, `engine-reads-views`, `one-thread-per-rank`,
     /// `serialize-charge-follows-encode`, `front-half-encodes-nothing`,
-    /// `front-half-posts-its-reads`).
+    /// `front-half-posts-its-reads`, `no-dead-pub-fn`).
     pub rule: &'static str,
     /// Human-readable description, including the offending snippet.
     pub message: String,
@@ -114,18 +123,10 @@ fn main() {
     files.sort();
 
     let mut findings: Vec<Finding> = Vec::new();
-    let mut scanned = 0usize;
+    let mut scanned: Vec<(PathBuf, MaskedFile)> = Vec::new();
     for path in &files {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("lint: cannot read {}: {e}", path.display());
-                std::process::exit(2);
-            }
-        };
-        scanned += 1;
         let rel = path.strip_prefix(&root).unwrap_or(path).to_path_buf();
-        let masked = MaskedFile::new(&text);
+        let masked = MaskedFile::new(&read(path));
         rules::no_panic(&rel, &masked, &mut findings);
         rules::checked_narrowing(&rel, &masked, &mut findings);
         rules::collective_contract(&rel, &masked, &mut findings);
@@ -134,7 +135,24 @@ fn main() {
         rules::serialize_charge_follows_encode(&rel, &masked, &mut findings);
         rules::front_half_encodes_nothing(&rel, &masked, &mut findings);
         rules::front_half_posts_its_reads(&rel, &masked, &mut findings);
+        scanned.push((rel, masked));
     }
+
+    // R9's callers also include the non-library code that calls the
+    // library: the experiment harness, the examples and the benchmark.
+    // A `tests.rs` is a test module gated in its parent, so it is no
+    // caller.
+    let mut caller_files: Vec<PathBuf> = Vec::new();
+    for dir in ["crates/bench/src", "examples", "e2e/src"] {
+        collect_rs(&root.join(dir), &mut caller_files);
+    }
+    caller_files.retain(|p| !p.ends_with("tests.rs"));
+    let callers: Vec<MaskedFile> = caller_files
+        .iter()
+        .map(|p| MaskedFile::new(&read(p)))
+        .collect();
+    rules::no_dead_pub_fn(&scanned, &callers, rules::DEAD_PUB_FN_ALLOW, &mut findings);
+    let scanned = scanned.len();
 
     for f in &findings {
         println!("{f}");
@@ -145,6 +163,14 @@ fn main() {
         println!("lint: {} finding(s) in {scanned} files", findings.len());
         std::process::exit(1);
     }
+}
+
+/// The text of `path`; exits with status 2 if it cannot be read.
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("lint: cannot read {}: {e}", path.display());
+        std::process::exit(2);
+    })
 }
 
 /// The workspace root: two levels above this crate's manifest, so the

@@ -1,10 +1,11 @@
-//! The six rule matchers. Each walks a [`MaskedFile`] and appends
-//! [`Finding`]s; test regions and `// audit:`-marked lines are exempt
-//! where the rule allows it.
+//! The nine rule matchers. Each walks a [`MaskedFile`] (R9 walks all of
+//! them at once) and appends [`Finding`]s; test regions and
+//! `// audit:`-marked lines are exempt where the rule allows it.
 
 use crate::mask::MaskedFile;
 use crate::Finding;
-use std::path::Path;
+use std::collections::HashSet;
+use std::path::{Path, PathBuf};
 
 /// R1: no `.unwrap()` / `.expect("…")` in non-test library code.
 ///
@@ -121,12 +122,12 @@ pub fn collective_contract(path: &Path, m: &MaskedFile, out: &mut Vec<Finding>) 
 }
 
 /// R4: the engine reads views — non-test code under `crates/sjoin/src`
-/// builds no geometry from a wire frame: no `.to_feature(`,
-/// `wkb::decode(` or `wkb::decode_all(`. Frames are read in place as
+/// builds no geometry from a wire frame: no `.to_feature(` or
+/// `wkb::decode(`. Frames are read in place as
 /// `wkb::decode_ref` views, which the exact predicates accept as they are.
 pub fn engine_reads_views(path: &Path, m: &MaskedFile, out: &mut Vec<Finding>) {
     if path.starts_with("crates/sjoin/src") {
-        const BUILDS: &[&str] = &[".to_feature(", "wkb::decode(", "wkb::decode_all("];
+        const BUILDS: &[&str] = &[".to_feature(", "wkb::decode("];
         let why = "builds owned geometry from a frame in the engine (read it as a \
                    `wkb::decode_ref` view instead)";
         flag_calls(path, m, BUILDS, "engine-reads-views", why, out);
@@ -173,6 +174,101 @@ pub fn front_half_posts_its_reads(path: &Path, m: &MaskedFile, out: &mut Vec<Fin
                    with `post_partition_text` and finish it under the parse)";
         flag_calls(path, m, READS, "front-half-posts-its-reads", why, out);
     }
+}
+
+/// The `pub fn`s R9 lets stand without a non-test caller in another
+/// file, each under its reason: tests in other crates or under `tests/`
+/// call them, and R9 counts no test as a caller.
+pub const DEAD_PUB_FN_ALLOW: &[&str] = &[
+    // SimFile: the corruption fixture of the snapshot and engine tests.
+    "poke",
+    // FsConfig: the small filesystem other crates' unit tests build on.
+    "test_tiny",
+    // The check record_frames requires; tests/common builds frames with it.
+    "validate_frames",
+    // ApproxTable: proptest_geom checks that the hull holds every left vertex.
+    "hull",
+    // DriftTracker: an engine test checks that each feature counts once.
+    "global_histogram",
+    // QueryEngine: the snapshot reload path that failure_injection sweeps.
+    "from_snapshot",
+    // proptest_decomp's oracle for the Hilbert cell order.
+    "hilbert_key_cells_order",
+    // proptest_exchange: fused equals unfused under every decomposition policy.
+    "partition_exchange_overlapped",
+];
+
+/// R9: no dead `pub fn` — a library `pub fn` (not `pub(crate)`) fails
+/// when its name appears in no non-test code outside its own file,
+/// unless `allow` names it. Definitions are read from `scanned`; callers
+/// are searched in the non-test code of `scanned` and of `callers` (the
+/// experiment harness, the examples and the benchmark). A name counts as
+/// used where it is a whole identifier in masked code — not in a comment
+/// or a string — outside a `fn` declaration.
+///
+/// Matching is by name, not resolution: a dead fn that shares its name
+/// with a live one elsewhere (`len`, `new`) is missed.
+pub fn no_dead_pub_fn(
+    scanned: &[(PathBuf, MaskedFile)],
+    callers: &[MaskedFile],
+    allow: &[&str],
+    out: &mut Vec<Finding>,
+) {
+    let used: Vec<HashSet<&str>> = scanned
+        .iter()
+        .map(|(_, m)| m)
+        .chain(callers)
+        .map(used_names)
+        .collect();
+    for (k, (path, m)) in scanned.iter().enumerate() {
+        for (i, line) in m.code.iter().enumerate() {
+            // `pub(crate)` and friends are the demoted form: reachable
+            // from a sibling file's tests without being public API.
+            if m.in_test[i] || !line.trim_start().starts_with("pub ") {
+                continue;
+            }
+            let Some(name) = pub_fn_name(line) else {
+                continue;
+            };
+            let called = used
+                .iter()
+                .enumerate()
+                .any(|(j, u)| j != k && u.contains(name.as_str()));
+            if !called && !allow.contains(&name.as_str()) {
+                out.push(Finding {
+                    path: path.clone(),
+                    line: i + 1,
+                    rule: "no-dead-pub-fn",
+                    message: format!(
+                        "pub fn `{name}` has no non-test caller outside this file (delete it, \
+                         make it private, or allow-list it with a reason)"
+                    ),
+                });
+            }
+        }
+    }
+}
+
+/// The identifiers in the non-test code of `m`, minus declared `fn`
+/// names.
+fn used_names(m: &MaskedFile) -> HashSet<&str> {
+    let mut names = HashSet::new();
+    for (i, line) in m.code.iter().enumerate() {
+        if m.in_test[i] {
+            continue;
+        }
+        let mut after_fn = false;
+        for tok in line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')) {
+            if tok.is_empty() {
+                continue;
+            }
+            if !after_fn {
+                names.insert(tok);
+            }
+            after_fn = tok == "fn";
+        }
+    }
+    names
 }
 
 /// Reports every non-test line of `m` that contains one of `calls`, as
@@ -497,6 +593,68 @@ mod tests {
         out.into_iter().map(|f| (f.line, f.rule)).collect()
     }
 
+    /// R9's findings over `files` (named `f0.rs`, `f1.rs`, …) with
+    /// `callers` as caller-only files, as `(file, line)`.
+    fn dead_fns(files: &[&str], callers: &[&str], allow: &[&str]) -> Vec<(String, usize)> {
+        let scanned: Vec<(PathBuf, MaskedFile)> = files
+            .iter()
+            .enumerate()
+            .map(|(i, src)| (PathBuf::from(format!("f{i}.rs")), MaskedFile::new(src)))
+            .collect();
+        let callers: Vec<MaskedFile> = callers.iter().map(|src| MaskedFile::new(src)).collect();
+        let mut out = Vec::new();
+        no_dead_pub_fn(&scanned, &callers, allow, &mut out);
+        assert!(out.iter().all(|f| f.rule == "no-dead-pub-fn"));
+        out.into_iter()
+            .map(|f| (f.path.display().to_string(), f.line))
+            .collect()
+    }
+
+    const LIB: &str = "pub fn helper() {}\nfn other() { helper(); }\n";
+
+    #[test]
+    fn a_fn_called_only_in_its_own_file_is_flagged() {
+        let user = "fn main() { run(); }\n";
+        assert_eq!(dead_fns(&[LIB, user], &[], &[]), vec![("f0.rs".into(), 1)]);
+        // The demoted form is not public API.
+        let demoted = LIB.replace("pub fn", "pub(crate) fn");
+        assert!(dead_fns(&[&demoted], &[], &[]).is_empty());
+    }
+
+    #[test]
+    fn a_caller_in_a_cfg_test_region_does_not_count() {
+        let tests = "fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() { super::helper(); }\n}\n";
+        assert_eq!(dead_fns(&[LIB, tests], &[], &[]), vec![("f0.rs".into(), 1)]);
+    }
+
+    #[test]
+    fn a_caller_in_a_second_file_passes() {
+        let user = "use crate::a::helper;\nfn run() { helper(); }\n";
+        assert!(dead_fns(&[LIB, user], &[], &[]).is_empty());
+        // Caller-only files (harness, examples, benchmark) count too, and
+        // their own `pub fn`s are not checked.
+        let bench = "pub fn unused() {}\nfn main() { mvio::helper(); }\n";
+        assert!(dead_fns(&[LIB], &[bench], &[]).is_empty());
+    }
+
+    #[test]
+    fn an_allow_listed_fn_passes() {
+        assert!(dead_fns(&[LIB], &[], &["helper"]).is_empty());
+        assert_eq!(dead_fns(&[LIB], &[], &["other"]), vec![("f0.rs".into(), 1)]);
+    }
+
+    #[test]
+    fn a_name_in_a_comment_or_a_string_is_no_caller() {
+        let prose = "// helper() is called by …\n/// See [`helper`].\nfn f() -> &'static str { \"helper\" }\n";
+        assert_eq!(dead_fns(&[LIB, prose], &[], &[]), vec![("f0.rs".into(), 1)]);
+        // Nor is a declaration of a namesake, or a longer identifier.
+        let namesake = "fn helper() {}\nfn g() { helper_two(); }\n";
+        assert_eq!(
+            dead_fns(&[LIB, namesake], &[], &[]),
+            vec![("f0.rs".into(), 1)]
+        );
+    }
+
     #[test]
     fn unwrap_in_library_code_is_flagged() {
         let f = findings_for("fn f() { x.unwrap(); }\n");
@@ -583,7 +741,7 @@ mod tests {
 
     #[test]
     fn comments_tests_and_other_crates_are_clean_for_r4() {
-        let src = "fn f() {\n    // wkb::decode( in a comment\n}\n#[cfg(test)]\nmod tests {\n    fn t() { wkb::decode_all(b); }\n}\n";
+        let src = "fn f() {\n    // wkb::decode( in a comment\n}\n#[cfg(test)]\nmod tests {\n    fn t() { wkb::decode(b); }\n}\n";
         assert!(findings_for(src).is_empty());
         let (mut out, core) = (Vec::new(), MaskedFile::new("fn f() { wkb::decode(b); }\n"));
         engine_reads_views(Path::new("crates/core/src/exchange.rs"), &core, &mut out);

@@ -406,16 +406,10 @@ impl Comm {
         (*result).clone()
     }
 
-    /// Fixed-count `MPI_Alltoall` over one `u64` per peer — the first round
-    /// of the paper's two-round exchange (peers swap buffer sizes before
-    /// the payload `Alltoallv`).
-    pub fn alltoall_u64(&mut self, sends: Vec<u64>) -> Vec<u64> {
-        let req = self.ialltoall_u64(sends);
-        self.wait(req)
-    }
-
-    /// Nonblocking [`Comm::alltoall_u64`] (`MPI_Ialltoall`): the exchange
-    /// is initiated at the current timestamp; the clock does not advance
+    /// Nonblocking fixed-count `MPI_Ialltoall` over one `u64` per peer —
+    /// the first round of the paper's two-round exchange (peers swap
+    /// buffer sizes before the payload `Alltoallv`). The exchange is
+    /// initiated at the current timestamp; the clock does not advance
     /// until the returned request completes, so compute charged in between
     /// overlaps the collective.
     pub fn ialltoall_u64(&mut self, sends: Vec<u64>) -> Request<Vec<u64>> {

@@ -8,8 +8,8 @@
 //!   vertex-count and displacement arrays (§4.1, Figure 16).
 //!
 //! A datatype describes a *byte layout*: [`Datatype::fragments`] flattens
-//! it into `(offset, len)` runs, which is what both the pack/unpack
-//! routines and the non-contiguous file views consume.
+//! it into `(offset, len)` runs, which is what the non-contiguous file
+//! views consume.
 
 use crate::MsimError;
 
@@ -50,10 +50,6 @@ pub enum Datatype {
         fields: Vec<StructField>,
         extent: usize,
     },
-    /// An inner type with an overridden extent
-    /// (`MPI_Type_create_resized`) — the standard way to tile a pattern
-    /// with trailing padding, e.g. "8 bytes every 16".
-    Resized { inner: Box<Datatype>, extent: usize },
 }
 
 /// One field of a [`Datatype::Struct`].
@@ -76,30 +72,12 @@ impl Datatype {
         }
     }
 
-    /// `MPI_Type_vector(count, blocklen, stride, inner)`.
-    pub fn vector(count: usize, blocklen: usize, stride: usize, inner: Datatype) -> Datatype {
-        Datatype::Vector {
-            count,
-            blocklen,
-            stride,
-            inner: Box::new(inner),
-        }
-    }
-
     /// `MPI_Type_indexed(blocklens, displs, inner)`.
     pub fn indexed(blocklens: Vec<usize>, displs: Vec<usize>, inner: Datatype) -> Datatype {
         Datatype::Indexed {
             blocklens,
             displs,
             inner: Box::new(inner),
-        }
-    }
-
-    /// `MPI_Type_create_resized(inner, extent)`.
-    pub fn resized(inner: Datatype, extent: usize) -> Datatype {
-        Datatype::Resized {
-            inner: Box::new(inner),
-            extent,
         }
     }
 
@@ -151,7 +129,6 @@ impl Datatype {
                 blocklens, inner, ..
             } => blocklens.iter().sum::<usize>() * inner.size(),
             Datatype::Struct { fields, .. } => fields.iter().map(|f| f.count * f.ty.size()).sum(),
-            Datatype::Resized { inner, .. } => inner.size(),
         }
     }
 
@@ -187,7 +164,6 @@ impl Datatype {
                 .max()
                 .unwrap_or(0),
             Datatype::Struct { extent, .. } => *extent,
-            Datatype::Resized { extent, .. } => *extent,
         }
     }
 
@@ -274,12 +250,11 @@ impl Datatype {
                     }
                 }
             }
-            Datatype::Resized { inner, .. } => inner.collect_fragments(base, out),
         }
     }
 
     /// `true` when size == extent, i.e. the layout has no gaps.
-    pub fn is_dense(&self) -> bool {
+    fn is_dense(&self) -> bool {
         self.size() == self.extent()
     }
 
@@ -315,15 +290,6 @@ impl Datatype {
                 inner.validate()
             }
             Datatype::Contiguous { inner, .. } => inner.validate(),
-            Datatype::Resized { inner, extent } => {
-                if *extent < inner.extent() {
-                    return Err(MsimError::BadDatatype(format!(
-                        "resized extent {extent} below inner extent {}",
-                        inner.extent()
-                    )));
-                }
-                inner.validate()
-            }
             Datatype::Struct { fields, extent } => {
                 for f in fields {
                     f.ty.validate()?;
@@ -339,30 +305,21 @@ impl Datatype {
             _ => Ok(()),
         }
     }
-
-    /// Gathers one instance's payload from `src` (which must cover the
-    /// extent) into a packed buffer.
-    pub fn pack(&self, src: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.size());
-        for (off, len) in self.fragments() {
-            out.extend_from_slice(&src[off..off + len]);
-        }
-        out
-    }
-
-    /// Scatters a packed buffer back into `dst` according to the layout.
-    pub fn unpack(&self, packed: &[u8], dst: &mut [u8]) {
-        let mut pos = 0;
-        for (off, len) in self.fragments() {
-            dst[off..off + len].copy_from_slice(&packed[pos..pos + len]);
-            pos += len;
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `MPI_Type_vector(count, blocklen, stride, inner)`.
+    fn vector(count: usize, blocklen: usize, stride: usize, inner: Datatype) -> Datatype {
+        Datatype::Vector {
+            count,
+            blocklen,
+            stride,
+            inner: Box::new(inner),
+        }
+    }
 
     #[test]
     fn primitive_sizes() {
@@ -389,7 +346,7 @@ mod tests {
     fn vector_with_gaps() {
         // 3 blocks of 2 doubles every 4 doubles: the column-of-a-matrix
         // pattern from the paper's background section.
-        let v = Datatype::vector(3, 2, 4, Datatype::Double);
+        let v = vector(3, 2, 4, Datatype::Double);
         assert_eq!(v.size(), 3 * 2 * 8);
         assert_eq!(v.extent(), (2 * 4 + 2) * 8);
         assert!(!v.is_dense());
@@ -398,7 +355,7 @@ mod tests {
 
     #[test]
     fn contiguous_of_vector_tiles_by_extent() {
-        let v = Datatype::vector(2, 1, 2, Datatype::Byte); // bytes at 0 and 2
+        let v = vector(2, 1, 2, Datatype::Byte); // bytes at 0 and 2
         assert_eq!(v.extent(), 3);
         let c = Datatype::contiguous(2, v);
         // Instance 1 tiles at base 3 (bytes 3 and 5); bytes 2 and 3 coalesce.
@@ -438,23 +395,10 @@ mod tests {
     }
 
     #[test]
-    fn pack_unpack_round_trip_with_gaps() {
-        let v = Datatype::vector(2, 1, 2, Datatype::Int32); // int at 0, int at 8
-        let src: Vec<u8> = (0u8..12).collect();
-        let packed = v.pack(&src);
-        assert_eq!(packed, vec![0, 1, 2, 3, 8, 9, 10, 11]);
-        let mut dst = vec![0xFFu8; 12];
-        v.unpack(&packed, &mut dst);
-        assert_eq!(&dst[0..4], &src[0..4]);
-        assert_eq!(&dst[8..12], &src[8..12]);
-        assert_eq!(&dst[4..8], &[0xFF; 4]); // gap untouched
-    }
-
-    #[test]
     fn validation_catches_inconsistencies() {
         let bad = Datatype::indexed(vec![1, 2], vec![0], Datatype::Byte);
         assert!(bad.validate().is_err());
-        let bad2 = Datatype::vector(2, 4, 2, Datatype::Byte);
+        let bad2 = vector(2, 4, 2, Datatype::Byte);
         assert!(bad2.validate().is_err());
         let bad3 = Datatype::Struct {
             fields: vec![StructField {

@@ -32,25 +32,6 @@ impl Default for Hints {
     }
 }
 
-impl Hints {
-    /// Default hints.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets `cb_nodes`.
-    pub fn with_cb_nodes(mut self, n: usize) -> Self {
-        self.cb_nodes = Some(n);
-        self
-    }
-
-    /// Sets `cb_buffer_size`.
-    pub fn with_cb_buffer_size(mut self, bytes: u64) -> Self {
-        self.cb_buffer_size = bytes;
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,13 +41,6 @@ mod tests {
         let h = Hints::default();
         assert_eq!(h.cb_buffer_size, 16 << 20);
         assert_eq!(h.cb_nodes, None);
-    }
-
-    #[test]
-    fn builders_set_fields() {
-        let h = Hints::new().with_cb_nodes(8).with_cb_buffer_size(1 << 20);
-        assert_eq!(h.cb_nodes, Some(8));
-        assert_eq!(h.cb_buffer_size, 1 << 20);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! | 0     | contiguous     | independent | [`MpiFile::read_at`]         | — (one timed pfs request)    |
 //! | 0     | contiguous     | independent | [`MpiFile::iread_at_together`] | — (concurrent stripe pieces) |
 //! | 1     | contiguous     | collective  | [`MpiFile::read_at_all`]     | the one `(offset, len)`      |
-//! | 3     | non-contiguous | collective  | [`MpiFile::read_all`] (view) | [`FileView::fragments`]      |
+//! | 3     | non-contiguous | collective  | [`MpiFile::read_all`] (view) | `FileView::fragments`        |
 //!
 //! An SPMD loop whose every rank reads at Level 0 in the same step uses
 //! [`MpiFile::read_at_together`]: the same independent read, but the
@@ -15,11 +15,11 @@
 //! nonblocking twin [`MpiFile::iread_at_together`] times stripe pieces
 //! and returns their [`Landing`] instead of moving the clock.
 //!
-//! The writes mirror the reads ([`MpiFile::write_at`],
-//! [`MpiFile::write_at_all`], [`MpiFile::write_all`]). Every collective
-//! call runs **one two-phase engine**, the ROMIO scheme of Thakur, Gropp
-//! and Lusk: the ranks allgather their file fragments, a subset of ranks
-//! (*aggregators*, at most one per node) own stripe-aligned contiguous
+//! The collective writes mirror the reads ([`MpiFile::write_at_all`],
+//! [`MpiFile::write_all`]). Every collective call runs **one two-phase
+//! engine**, the ROMIO scheme of Thakur, Gropp and Lusk: the ranks
+//! allgather their file fragments, a subset of ranks (*aggregators*, at
+//! most one per node) own stripe-aligned contiguous
 //! file domains over the fragments' union extent and read or flush them
 //! in `cb_buffer_size` cycles through one deterministic pfs batch, and
 //! the bytes travel between ranks and aggregators as real point-to-point
@@ -86,7 +86,7 @@ impl FileView {
     /// visible data, starting `skip_instances` filetype instances into the
     /// view (each rank typically skips `rank` instances for round-robin
     /// layouts).
-    pub fn fragments(
+    fn fragments(
         &self,
         skip_instances: u64,
         stride_instances: u64,
@@ -339,15 +339,6 @@ impl MpiFile {
             guard: Some(comm.leak_guard("iread_at_together")),
         };
         Ok((self.file.peek(offset, buf), landing))
-    }
-
-    /// `MPI_File_write_at`: independent contiguous write.
-    /// Independent (not collective): any rank may call it alone.
-    pub fn write_at(&self, comm: &mut Comm, offset: u64, buf: &[u8]) -> Result<usize> {
-        Self::check_count(buf.len() as u64)?;
-        let done = self.file.write_at(offset, buf, &comm.io_ctx())?;
-        comm.advance_to(done.completion);
-        Ok(done.bytes as usize)
     }
 
     // ----- Level 1: contiguous + collective -------------------------------
@@ -722,12 +713,7 @@ fn view_processing_seconds(cost: &CostModel, frags: &[(u64, u64)]) -> f64 {
 /// access pattern the paper recommends. Alignment can merge trailing
 /// domains, so fewer than `aggregators` entries may come back (never
 /// more, never empty ones).
-pub fn aggregator_domains(
-    lo: u64,
-    hi: u64,
-    stripe_size: u64,
-    aggregators: usize,
-) -> Vec<(u64, u64)> {
+fn aggregator_domains(lo: u64, hi: u64, stripe_size: u64, aggregators: usize) -> Vec<(u64, u64)> {
     if hi <= lo {
         return Vec::new();
     }
@@ -1064,9 +1050,8 @@ mod tests {
         let fs = make_fs_with_file(1024, StripeSpec::new(1, 1024));
         World::run(WorldConfig::new(Topology::single_node(1)), |comm| {
             let f = MpiFile::open(&fs, "data.bin", Hints::default()).unwrap();
-            // A >2 GiB buffer would be absurd to allocate; check the guard
-            // through write_at's length check with a fake huge slice is not
-            // possible, so validate the checker directly.
+            // A >2 GiB buffer would be absurd to allocate, so validate the
+            // checker directly.
             assert!(MpiFile::check_count(ROMIO_MAX_IO_BYTES).is_ok());
             assert!(matches!(
                 MpiFile::check_count(ROMIO_MAX_IO_BYTES + 1),
@@ -1404,7 +1389,12 @@ mod tests {
         let fs = SimFs::new(FsConfig::lustre_comet());
         let f = fs.create("view.bin", Some(StripeSpec::new(2, 64))).unwrap();
         f.append(vec![0xEE; 23 * 40]);
-        let filetype = Datatype::vector(2, 10, 13, Datatype::Byte);
+        let filetype = Datatype::Vector {
+            count: 2,
+            blocklen: 10,
+            stride: 13,
+            inner: Box::new(Datatype::Byte),
+        };
         let data = view_round_trip(&fs, filetype, |_| 20 * 10);
         for (at, &b) in data.iter().enumerate() {
             let in_block = at % 23 < 10 || (13..23).contains(&(at % 23));

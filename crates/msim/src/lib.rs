@@ -25,8 +25,8 @@
 //!   [`request::ProgressEngine`] extending the pipeline's per-lane
 //!   [`time::WorkTally`] accounting into overlap regions.
 //! * **Derived datatypes** — contiguous, vector, indexed and struct
-//!   ([`datatype::Datatype`]), with size/extent, pack/unpack, and
-//!   flattening into file-view fragments.
+//!   ([`datatype::Datatype`]), with size/extent and flattening into
+//!   file-view fragments.
 //! * **MPI-IO** — [`io::MpiFile`] implements the paper's three access
 //!   levels over an [`mvio_pfs::SimFs`]: Level 0 (contiguous +
 //!   independent), Level 1 (contiguous + collective) and Level 3
@@ -68,7 +68,7 @@ pub use check::{CollectiveKind, CollectiveSig, Label};
 pub use comm::Comm;
 pub use datatype::Datatype;
 pub use hints::Hints;
-pub use io::{aggregator_domains, select_readers, AccessLevel, Landing, MpiFile};
+pub use io::{select_readers, AccessLevel, Landing, MpiFile};
 pub use reduceop::ReduceOp;
 pub use request::{ProgressEngine, Request};
 pub use time::{CostModel, ShapeClass, Work, WorkTally};

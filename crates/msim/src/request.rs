@@ -290,23 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn ialltoall_u64_matches_blocking() {
-        let run = |nonblocking: bool| {
-            World::run(cfg(4), move |comm| {
-                let sends: Vec<u64> = (0..4).map(|d| (comm.rank() * 10 + d) as u64).collect();
-                let got = if nonblocking {
-                    let req = comm.ialltoall_u64(sends);
-                    comm.wait(req)
-                } else {
-                    comm.alltoall_u64(sends)
-                };
-                (got, comm.now())
-            })
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    #[test]
     fn waitall_is_order_independent_and_returns_in_request_order() {
         // Three tagged messages with very different flight times. Whatever
         // order the requests are listed in, waitall must land the clock at

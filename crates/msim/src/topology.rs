@@ -38,11 +38,6 @@ impl Topology {
         self.nodes
     }
 
-    /// Ranks per node.
-    pub fn ranks_per_node(&self) -> usize {
-        self.ranks_per_node
-    }
-
     /// Node hosting `rank` (block placement: ranks 0..ppn on node 0, etc.,
     /// matching the usual `--map-by node` default of slurm/OpenMPI).
     pub fn node_of(&self, rank: usize) -> usize {

@@ -260,7 +260,8 @@ mod tests {
         let out = World::run(cfg(1, 3), |comm| {
             // rank r sends value 10*r + dst to each dst.
             let sends: Vec<u64> = (0..3).map(|d| 10 * comm.rank() as u64 + d as u64).collect();
-            comm.alltoall_u64(sends)
+            let req = comm.ialltoall_u64(sends);
+            comm.wait(req)
         });
         // rank d receives [10*0 + d, 10*1 + d, 10*2 + d].
         for (d, got) in out.iter().enumerate() {

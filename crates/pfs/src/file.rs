@@ -68,11 +68,6 @@ impl SimFile {
         self.data.write().extend_from_slice(bytes.as_ref());
     }
 
-    /// Replaces the whole contents without timing.
-    pub fn set_contents(&self, bytes: Vec<u8>) {
-        *self.data.write() = bytes;
-    }
-
     /// Timed read of `buf.len()` bytes at `offset`. Short reads at EOF are
     /// allowed (mirrors POSIX/MPI-IO semantics): the returned completion
     /// carries the byte count actually read. Timed as a one-request
@@ -83,8 +78,9 @@ impl SimFile {
     }
 
     /// Timed write of `buf` at `offset`, extending the file if needed.
-    /// Timed as a one-request [`SimFile::write_batch`].
-    pub fn write_at(&self, offset: u64, buf: &[u8], ctx: &IoCtx) -> Result<IoCompletion> {
+    /// Timed as a one-request [`SimFile::write_batch`]; the tests' writer.
+    #[cfg(test)]
+    pub(crate) fn write_at(&self, offset: u64, buf: &[u8], ctx: &IoCtx) -> Result<IoCompletion> {
         let req = independent(ctx, offset, buf.len());
         Ok(self.write_batch(&[req], &[buf])?[0])
     }

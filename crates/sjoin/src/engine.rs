@@ -286,7 +286,7 @@ pub struct ServeReport {
 /// reject NaN coordinates in *data*, but nothing upstream guards
 /// *queries*, and a NaN rect silently matches nothing while looking like
 /// a valid empty answer.
-pub fn validate_query(q: &Query) -> Result<()> {
+fn validate_query(q: &Query) -> Result<()> {
     let bad = |msg: String| Err(CoreError::InvalidOptions(msg));
     match q {
         Query::Range(r) => {

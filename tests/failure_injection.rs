@@ -878,7 +878,7 @@ fn corrupt_snapshot_metadata_fails_every_rank_alike() {
                 if bad {
                     corrupt(&mut bytes);
                 }
-                fs.create(path, None).unwrap().set_contents(bytes);
+                fs.create(path, None).unwrap().append(bytes);
             }
             let cfg = WorldConfig::new(Topology::single_node(4));
             let out = World::run(cfg, move |comm| {

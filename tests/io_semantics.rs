@@ -1,12 +1,20 @@
 //! Cross-crate MPI-IO semantics: access-level equivalence, the ROMIO
 //! limit, file views, hints, and stats accounting.
 
-use mpi_vector_io::core::sptypes::{encode_rects, RECT_RECORD_BYTES};
+use mpi_vector_io::core::sptypes::{encode_rect, RECT_RECORD_BYTES};
 use mpi_vector_io::core::views::read_rects_level3;
+use mpi_vector_io::msim::datatype::StructField;
 use mpi_vector_io::msim::io::{select_readers, FileView};
 use mpi_vector_io::msim::MsimError;
 use mpi_vector_io::prelude::*;
 use std::sync::Arc;
+
+/// `rects` as back-to-back `MPI_RECT` records.
+fn encode_rects(rects: &[Rect]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(rects.len() * RECT_RECORD_BYTES);
+    rects.iter().for_each(|r| encode_rect(r, &mut out));
+    out
+}
 
 fn rect_file(n: u64, stripe: StripeSpec) -> (Arc<SimFs>, Vec<Rect>) {
     let fs = SimFs::new(FsConfig::lustre_comet());
@@ -57,10 +65,10 @@ fn romio_2gb_limit_is_enforced_per_operation() {
     let (fs, _) = rect_file(8, StripeSpec::new(1, 4096));
     World::run(WorldConfig::new(Topology::single_node(1)), move |comm| {
         let f = MpiFile::open(&fs, "rects.bin", Hints::default()).unwrap();
-        // Can't allocate >2 GiB in a test; validate through write_at whose
-        // length check runs before any allocation-dependent work.
+        // Can't allocate >2 GiB in a test; validate through write_at_all
+        // whose length check runs before any allocation-dependent work.
         let huge = vec![0u8; 64];
-        let ok = f.write_at(comm, 0, &huge);
+        let ok = f.write_at_all(comm, 0, &huge);
         assert!(ok.is_ok());
         // The checker itself is covered in unit tests; here confirm the
         // public error type round-trips.
@@ -127,7 +135,10 @@ fn cb_nodes_hint_caps_aggregators() {
         out.into_iter().fold(0.0, f64::max)
     };
     let free = run_with(Hints::default());
-    let capped = run_with(Hints::default().with_cb_nodes(1));
+    let capped = run_with(Hints {
+        cb_nodes: Some(1),
+        ..Default::default()
+    });
     assert!(
         capped > free,
         "1 aggregator ({capped}) must be slower than 4 ({free})"
@@ -142,8 +153,16 @@ fn file_views_tile_with_gaps() {
     let data: Vec<u8> = (0..128u8).collect();
     f.append(&data);
     World::run(WorldConfig::new(Topology::single_node(1)), move |comm| {
-        // 8 payload bytes tiled every 16 bytes: the resized-type idiom.
-        let filetype = Datatype::resized(Datatype::contiguous(8, Datatype::Byte), 16);
+        // 8 payload bytes tiled every 16 bytes: a struct padded past its
+        // one field.
+        let filetype = Datatype::Struct {
+            fields: vec![StructField {
+                offset: 0,
+                count: 8,
+                ty: Datatype::Byte,
+            }],
+            extent: 16,
+        };
         let view = FileView::new(0, filetype).unwrap();
         let mut file = MpiFile::open(&fs, "v.bin", Hints::default()).unwrap();
         file.set_view(view);

@@ -1,7 +1,7 @@
 //! Property-based tests of the derived-datatype machinery: fragment
-//! geometry invariants and pack/unpack round trips for arbitrary nested
-//! layouts.
+//! geometry invariants for arbitrary nested layouts.
 
+use mpi_vector_io::msim::datatype::StructField;
 use mpi_vector_io::msim::Datatype;
 use proptest::prelude::*;
 
@@ -18,8 +18,14 @@ fn arb_datatype() -> impl Strategy<Value = Datatype> {
             // Contiguous
             (1usize..5, inner.clone()).prop_map(|(n, t)| Datatype::contiguous(n, t)),
             // Vector with stride >= blocklen (validated form)
-            (1usize..4, 1usize..4, 0usize..4, inner.clone())
-                .prop_map(|(count, bl, extra, t)| { Datatype::vector(count, bl, bl + extra, t) }),
+            (1usize..4, 1usize..4, 0usize..4, inner.clone()).prop_map(|(count, bl, extra, t)| {
+                Datatype::Vector {
+                    count,
+                    blocklen: bl,
+                    stride: bl + extra,
+                    inner: Box::new(t),
+                }
+            }),
             // Indexed with strictly increasing, non-overlapping blocks
             (
                 proptest::collection::vec((1usize..4, 0usize..4), 1..4),
@@ -37,10 +43,14 @@ fn arb_datatype() -> impl Strategy<Value = Datatype> {
                     }
                     Datatype::indexed(lens, displs, t)
                 }),
-            // Resized with extent >= inner extent
-            (inner, 0usize..16).prop_map(|(t, pad)| {
-                let e = t.extent() + pad;
-                Datatype::resized(t, e)
+            // One-field struct padded to extent >= inner extent
+            (inner, 0usize..16).prop_map(|(t, pad)| Datatype::Struct {
+                extent: t.extent() + pad,
+                fields: vec![StructField {
+                    offset: 0,
+                    count: 1,
+                    ty: t,
+                }],
             }),
         ]
     })
@@ -74,27 +84,6 @@ proptest! {
     #[test]
     fn size_never_exceeds_extent(dt in arb_datatype()) {
         prop_assert!(dt.size() <= dt.extent(), "{dt:?}");
-        prop_assert_eq!(dt.is_dense(), dt.size() == dt.extent());
-    }
-
-    #[test]
-    fn pack_unpack_round_trips(dt in arb_datatype(), seed in any::<u64>()) {
-        let extent = dt.extent().max(1);
-        // Deterministic pseudo-random source buffer.
-        let src: Vec<u8> = (0..extent)
-            .map(|i| (seed.wrapping_mul(i as u64 + 1).wrapping_mul(2654435761) >> 24) as u8)
-            .collect();
-        let packed = dt.pack(&src);
-        prop_assert_eq!(packed.len(), dt.size());
-
-        let mut dst = vec![0u8; extent];
-        dt.unpack(&packed, &mut dst);
-        // Every payload byte must round-trip; gap bytes stay zero.
-        for (off, len) in dt.fragments() {
-            prop_assert_eq!(&dst[off..off + len], &src[off..off + len]);
-        }
-        // Re-packing the unpacked buffer reproduces the packed image.
-        prop_assert_eq!(dt.pack(&dst), packed);
     }
 
     #[test]

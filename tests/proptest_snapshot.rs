@@ -144,7 +144,10 @@ fn round_trip_case(
             // The hint moves bytes between aggregators, never records
             // between ranks: the heuristic's read is the same answer.
             if cb_nodes.is_some() {
-                let heuristic = SnapshotReadOptions::default().with_chunk(chunk);
+                let heuristic = SnapshotReadOptions {
+                    chunk,
+                    ..Default::default()
+                };
                 let (plain, _) =
                     snapshot::read_partitioned(comm, &fs, "s.bin", &meta, &d, &heuristic).unwrap();
                 assert!(
@@ -233,7 +236,10 @@ proptest! {
                         } else {
                             DecompPolicy::Uniform(CellMap::RoundRobin)
                         },
-                        read: SnapshotReadOptions::default().with_chunk(chunk),
+                        read: SnapshotReadOptions {
+                            chunk,
+                            ..Default::default()
+                        },
                     };
                     spatial_join_snapshots(comm, &fs, "l.bin", "r.bin", &opts).unwrap()
                 },
