@@ -51,6 +51,61 @@ pub fn join_run(
     (out[0].breakdown, pairs)
 }
 
+/// Renders one join-breakdown-vs-processes figure (Figures 18 and 19):
+/// `left ⋈ right` on a fixed grid over the process sweep (20 ranks per
+/// ROGER node), each row naming its largest phase, and the paper's
+/// expectation as the note.
+pub(crate) fn procs_breakdown(
+    scale: Scale,
+    quick: bool,
+    figure: u32,
+    (left, right): (&str, &str),
+    paper: &str,
+) -> String {
+    let cells = if quick { 8 } else { 32 };
+    let procs_sweep = if quick {
+        vec![4, 8]
+    } else {
+        vec![20, 40, 80, 160]
+    };
+    let mut t = Table::new(
+        format!(
+            "Figure {figure}: join breakdown vs processes, {left} ⋈ {right} ({cells}x{cells} cells, scaled 1/{})",
+            scale.denominator
+        ),
+        &[
+            "procs",
+            "partition (s)",
+            "comm (s)",
+            "join (s)",
+            "total (s)",
+            "dominant",
+        ],
+    );
+    let d = scale.denominator as f64;
+    for procs in procs_sweep {
+        let (b, _) = join_run(scale, left, right, procs, cells);
+        let phases = [
+            ("join", b.compute),
+            ("comm", b.communication),
+            ("partition", b.partition),
+        ];
+        let dominant = phases
+            .iter()
+            .fold(phases[0], |a, &p| if p.1 > a.1 { p } else { a });
+        t.row(vec![
+            procs.to_string(),
+            format!("{:.2}", b.partition * d),
+            format!("{:.2}", b.communication * d),
+            format!("{:.2}", b.compute * d),
+            format!("{:.2}", b.total * d),
+            dominant.0.to_string(),
+        ]);
+    }
+    t.note(paper);
+    t.render()
+}
+
 /// Max/mean over ranks of one per-rank load counter of a join.
 pub fn load_imbalance(reports: &[JoinReport], load: fn(&JoinReport) -> u64) -> f64 {
     let loads: Vec<u64> = reports.iter().map(load).collect();

@@ -1,62 +1,20 @@
 //! Figure 18: spatial-join breakdown vs process count for Lakes ⋈
 //! Cemetery (datasets #2 ⋈ #1) — the *join-dominated* workload.
 
-use super::fig17::join_run;
+use super::fig17::procs_breakdown;
 use super::Scale;
-use crate::report::Table;
-
-/// Process counts swept (20 ranks per ROGER node).
-pub fn procs_sweep(quick: bool) -> Vec<usize> {
-    if quick {
-        vec![4, 8]
-    } else {
-        vec![20, 40, 80, 160]
-    }
-}
 
 /// Runs the Figure 18 sweep and renders the table.
 pub fn run(scale: Scale, quick: bool) -> String {
-    let cells = if quick { 8 } else { 32 };
-    let mut t = Table::new(
-        format!(
-            "Figure 18: join breakdown vs processes, Lakes ⋈ Cemetery ({}x{} cells, scaled 1/{})",
-            cells, cells, scale.denominator
-        ),
-        &[
-            "procs",
-            "partition (s)",
-            "comm (s)",
-            "join (s)",
-            "total (s)",
-            "dominant",
-        ],
-    );
-    let d = scale.denominator as f64;
-    for procs in procs_sweep(quick) {
-        let (b, _) = join_run(scale, "Lakes", "Cemetery", procs, cells);
-        let dominant = if b.compute >= b.communication && b.compute >= b.partition {
-            "join"
-        } else if b.communication >= b.partition {
-            "comm"
-        } else {
-            "partition"
-        };
-        t.row(vec![
-            procs.to_string(),
-            format!("{:.2}", b.partition * d),
-            format!("{:.2}", b.communication * d),
-            format!("{:.2}", b.compute * d),
-            format!("{:.2}", b.total * d),
-            dominant.to_string(),
-        ]);
-    }
-    t.note("paper: the spatial join time dominates and decreases with increasing process count");
-    t.render()
+    let paper =
+        "paper: the spatial join time dominates and decreases with increasing process count";
+    procs_breakdown(scale, quick, 18, ("Lakes", "Cemetery"), paper)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::fig17::join_run;
 
     #[test]
     fn join_time_decreases_with_processes() {

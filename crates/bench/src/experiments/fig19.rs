@@ -5,54 +5,19 @@
 //! deserialization and the Alltoallv payload swamp the (cheap, tiny-pair)
 //! refine work, inverting Figure 18's profile.
 
-use super::fig17::join_run;
-use super::fig18::procs_sweep;
+use super::fig17::procs_breakdown;
 use super::Scale;
-use crate::report::Table;
 
 /// Runs the Figure 19 sweep and renders the table.
 pub fn run(scale: Scale, quick: bool) -> String {
-    let cells = if quick { 8 } else { 32 };
-    let mut t = Table::new(
-        format!(
-            "Figure 19: join breakdown vs processes, Roads ⋈ Cemetery ({}x{} cells, scaled 1/{})",
-            cells, cells, scale.denominator
-        ),
-        &[
-            "procs",
-            "partition (s)",
-            "comm (s)",
-            "join (s)",
-            "total (s)",
-            "dominant",
-        ],
-    );
-    let d = scale.denominator as f64;
-    for procs in procs_sweep(quick) {
-        let (b, _) = join_run(scale, "Roads", "Cemetery", procs, cells);
-        let dominant = if b.communication >= b.compute && b.communication >= b.partition {
-            "comm"
-        } else if b.compute >= b.partition {
-            "join"
-        } else {
-            "partition"
-        };
-        t.row(vec![
-            procs.to_string(),
-            format!("{:.2}", b.partition * d),
-            format!("{:.2}", b.communication * d),
-            format!("{:.2}", b.compute * d),
-            format!("{:.2}", b.total * d),
-            dominant.to_string(),
-        ]);
-    }
-    t.note("paper: the communication cost dominates the overall execution time for this pair");
-    t.render()
+    let paper = "paper: the communication cost dominates the overall execution time for this pair";
+    procs_breakdown(scale, quick, 19, ("Roads", "Cemetery"), paper)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::fig17::join_run;
 
     #[test]
     fn roads_cemetery_is_communication_heavy() {

@@ -26,12 +26,12 @@
 use super::{cost_scaled, full_seconds, Scale};
 use crate::report::{write_trajectory, Cell::*, Table};
 use mvio_core::decomp::{imbalance_ratio, DecompPolicy, Decomposition, SpatialDecomposition};
-use mvio_core::exchange::ExchangeChunk;
+use mvio_core::exchange::{serialize_record, ExchangeChunk};
 use mvio_core::grid::{GridSpec, UniformGrid};
-use mvio_core::Feature;
+use mvio_core::{Feature, ResidentStore};
 use mvio_datagen::MovingHotspot;
 use mvio_geom::{Geometry, Point, Rect};
-use mvio_msim::{Topology, World, WorldConfig};
+use mvio_msim::{Topology, Work, World, WorldConfig};
 use mvio_sjoin::{EngineOptions, QueryEngine, RebalancePolicy, ServeCache, Update};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -180,21 +180,27 @@ fn measure_one(scale: Scale, ranks: usize, mode: &'static str, policy: Rebalance
     let spec = stream_spec();
     let out = World::run(world, move |comm| {
         let (sd, base) = base_decomposition(comm.size());
-        let owned: Vec<(u32, Feature)> = base
-            .iter()
-            .flat_map(|f| {
-                sd.cells_for_rect_vec(&f.geometry.envelope())
-                    .into_iter()
-                    .map(|c| (c, f.clone()))
-            })
-            .filter(|(c, _)| sd.cell_to_rank(*c) == comm.rank())
-            .collect();
+        // The replicas this rank owns, encoded (and charged as the encode
+        // it is) and landed as one received round.
+        let (mut wire, mut n) = (Vec::new(), 0u64);
+        for f in &base {
+            for c in sd.cells_for_rect_vec(&f.geometry.envelope()) {
+                if sd.cell_to_rank(c) == comm.rank() {
+                    serialize_record(c, f, &mut Vec::new(), &mut wire).expect("small records");
+                    n += 1;
+                }
+            }
+        }
+        let bytes = wire.len() as u64;
+        comm.charge(Work::SerializeGeoms { n, bytes });
+        let mut store = ResidentStore::new();
+        store.append_round(comm, &[wire]).expect("valid records");
         let opts = EngineOptions {
             chunk: ExchangeChunk::Bytes(CHUNK),
             cache: ServeCache::Off,
             rebalance: policy,
         };
-        let mut eng = QueryEngine::from_parts(comm, sd, owned, &opts);
+        let mut eng = QueryEngine::from_store(comm, sd, store, &opts);
         let mut samples = Vec::with_capacity(spec.steps);
         let start = comm.now();
         for step in spec.stream() {

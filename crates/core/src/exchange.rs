@@ -120,7 +120,7 @@ pub struct ExchangeStats {
 /// the receiver would misparse as a corrupt stream.
 ///
 /// `scratch` is a caller-owned staging buffer reused across records: the
-/// geometry encodes into it behind a [`wkb::encoded_len`] size pre-pass
+/// geometry encodes into it behind an exact size pre-pass
 /// (one exact `reserve`, no growth checks in the coordinate loop), then
 /// lands in `out` as one bulk copy. Hot loops serialize millions of
 /// records; the old per-record `wkb::encode` allocated and dropped a
@@ -394,7 +394,7 @@ impl FrameStore {
 
 /// Per-destination payloads that were already serialized upstream — the
 /// batches the ingest pipeline's serialize stage writes chunk by chunk
-/// on the rank's own thread ([`crate::pipeline::partition_chunked`]).
+/// on the rank's own thread ([`crate::pipeline::ingest_layers`]).
 /// One buffer and one record count per destination rank.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SerializedBatch {
@@ -802,7 +802,7 @@ pub fn exchange_serialized(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decomp::{DecompPolicy, Decomposition};
+    use crate::decomp::{DecompPolicy, Decomposition, SpatialDecomposition};
     use crate::grid::{CellMap, GridSpec, UniformGrid};
     use mvio_geom::{wkt, Point, Rect};
     use mvio_msim::{Topology, World, WorldConfig};
@@ -871,7 +871,7 @@ mod tests {
     }
 
     /// Every `(cell, tag)` as a point at the centre of that cell of the
-    /// strip, run through the ingest pipeline's partition stage and
+    /// strip, serialized to the cell's owner and shipped by
     /// [`exchange_serialized`] under `chunk`; returns what arrived,
     /// decoded in store order.
     fn exchange_decoded(
@@ -880,13 +880,13 @@ mod tests {
         decomp: &Decomposition,
         chunk: ExchangeChunk,
     ) -> (Vec<(u32, Feature)>, ExchangeStats) {
-        use crate::pipeline::{partition_chunked, PipelineOptions};
-        let feats: Vec<Feature> = items
-            .iter()
-            .map(|(cell, tag)| feature(*cell as f64 + 0.5, 0.5, tag))
-            .collect();
-        let (batch, _) =
-            partition_chunked(comm, decomp, &feats, &PipelineOptions::default()).unwrap();
+        let mut batch = SerializedBatch::empty(comm.size());
+        for (cell, tag) in items {
+            let dst = decomp.cell_to_rank(*cell);
+            let f = feature(*cell as f64 + 0.5, 0.5, tag);
+            serialize_record(*cell, &f, &mut Vec::new(), &mut batch.bufs[dst]).unwrap();
+            batch.records[dst] += 1;
+        }
         let (store, stats) = exchange_serialized(comm, batch, chunk).unwrap();
         let mine = materialize(store.frames());
         assert_eq!(mine.len(), store.len());

@@ -515,17 +515,11 @@ mod tests {
         let out = World::run(WorldConfig::new(Topology::single_node(1)), |comm| {
             let policy = crate::decomp::DecompPolicy::Uniform(CellMap::RoundRobin);
             let decomp = crate::decomp::Decomposition::new(grid4(), policy, None, 1).unwrap();
-            let feats = vec![
-                Feature::with_userdata(mvio_geom::Geometry::Point(Point::new(0.5, 0.5)), "point"),
-                Feature::with_userdata(
-                    wkt::parse("POLYGON ((0.5 0.5, 2.5 0.5, 2.5 2.5, 0.5 2.5, 0.5 0.5))").unwrap(),
-                    "poly",
-                ),
-            ];
+            let text = "POINT (0.5 0.5)\tpoint\n\
+                        POLYGON ((0.5 0.5, 2.5 0.5, 2.5 2.5, 0.5 2.5, 0.5 0.5))\tpoly\n";
             let before = comm.now();
             let opts = crate::pipeline::PipelineOptions::default();
-            let (batch, _) =
-                crate::pipeline::partition_chunked(comm, &decomp, &feats, &opts).unwrap();
+            let (batch, _) = crate::pipeline::tests::partition_text(comm, &decomp, text, &opts);
             (batch.bufs.concat(), comm.now() - before)
         });
         let (buf, dt) = &out[0];

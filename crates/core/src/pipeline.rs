@@ -26,16 +26,18 @@
 //! 4. the staged exchange ships the buffers with the usual two-round
 //!    `Alltoall` + `Alltoallv` protocol — or, under a finite
 //!    [`crate::exchange::ExchangeChunk::Bytes`] cap (the memory bound of
-//!    the paper's "Handling large data exchange"), the partition and
-//!    exchange stages fuse into
-//!    [`partition_exchange_overlapped`] and stream through the chunked
+//!    the paper's "Handling large data exchange"), the cell-map, copy and
+//!    exchange stages fuse and stream through the chunked
 //!    [`crate::exchange::ExchangePlan`], each round's `ialltoallv`
-//!    overlapping the next round's serialization;
+//!    overlapping the next round's copies;
 //! 5. each rank keeps what it receives as the validated wire records it
 //!    arrived as ([`IngestOutput::owned`], a
 //!    [`crate::exchange::FrameStore`]) — nothing is decoded back into
 //!    features, and [`IngestOutput::write_partitioned`] persists those
 //!    records byte for byte.
+//!
+//! Text is the only way in: no stage takes a geometry object, and none
+//! encodes one.
 //!
 //! # Determinism
 //!
@@ -446,51 +448,16 @@ impl<'a> Partition<'a> {
     }
 }
 
-/// Parallel partition stage for features that are already objects:
-/// encodes each once (charged as the encode it is), maps the chunks onto
-/// the decomposition's cells, then copies every `(cell, feature)` replica
-/// into exactly sized per-destination wire buffers — the two steps
-/// [`ingest_layers`] splits across its partition and communication
-/// phases, each charged as its slowest lane. The [`SerializedBatch`] is
-/// byte-identical for any worker count: feature-major, cells ascending.
-/// Not collective — the communicator only charges the encode and the
-/// worker lanes.
-pub fn partition_chunked(
-    comm: &mut Comm,
-    decomp: &Decomposition,
-    features: &[Feature],
-    opts: &PipelineOptions,
-) -> Result<(SerializedBatch, PipelineStats)> {
-    let records = Records::encode(comm, features);
-    let part = Partition::new(decomp, &records);
-    let maps = part.map(comm, opts);
-    part.serialize(comm, &maps, opts)
-}
-
-/// Fused partition + exchange stage with communication/compute overlap,
-/// for features that are already objects: encodes each once (charged as
-/// the encode it is), then cell-maps and copies the replicas chunk by
-/// chunk and ships them through the chunked [`ExchangePlan`], so round
-/// `r`'s `ialltoallv` is in flight while round `r+1` is copied (and round
-/// `r-1`'s receives are validated). A round closes once any destination's
-/// buffer reaches `chunk_bytes`. The received frames are **bit-identical**
-/// to the unfused `partition_chunked` → `exchange_serialized` path (same
-/// chunks, same order); only the virtual time moves, because the chunks'
-/// lanes (the same `chunk % workers` rule) overlap the in-flight rounds.
+/// Fused partition + exchange stage with communication/compute overlap:
+/// cell-maps and copies the records' replicas chunk by chunk and ships
+/// them through the chunked [`ExchangePlan`], so round `r`'s `ialltoallv`
+/// is in flight while round `r+1` is copied (and round `r-1`'s receives
+/// are validated). A round closes once any destination's buffer reaches
+/// `chunk_bytes`. The received frames are **bit-identical** to the
+/// unfused map → serialize → [`exchange_serialized`] path (same chunks,
+/// same order); only the virtual time moves, because the chunks' lanes
+/// (the same `chunk % workers` rule) overlap the in-flight rounds.
 /// Collective: every rank must call it.
-pub fn partition_exchange_overlapped(
-    comm: &mut Comm,
-    decomp: &Decomposition,
-    features: &[Feature],
-    opts: &PipelineOptions,
-    chunk_bytes: u64,
-) -> Result<(FrameStore, PipelineStats, ExchangeStats)> {
-    let records = Records::encode(comm, features);
-    exchange_overlapped(comm, decomp, &records, opts, chunk_bytes)
-}
-
-/// The fused stage of [`partition_exchange_overlapped`] over transcoded
-/// records. Collective: every rank must call it.
 fn exchange_overlapped(
     comm: &mut Comm,
     decomp: &Decomposition,
@@ -655,8 +622,7 @@ pub struct IngestedLayers {
 /// partition phase ends with every layer cell-mapped; the communication
 /// phase serializes each layer and exchanges it into one [`FrameStore`]
 /// in one blocking round. A finite `chunk` instead streams cell-map and
-/// serialization into byte-capped exchange rounds
-/// ([`partition_exchange_overlapped`]), both then counting as
+/// serialization into byte-capped exchange rounds, both then counting as
 /// communication. The frames are bit-identical under every chunk policy.
 /// Collective: every rank must call it with the same paths and options.
 #[allow(clippy::too_many_arguments)]
@@ -736,7 +702,7 @@ pub fn ingest_layers(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::decomp::DecompPolicy;
     use crate::exchange::{exchange_serialized, serialize_record, ExchangeChunk, RecordFrame};
@@ -764,6 +730,23 @@ mod tests {
             }
         }
         batch
+    }
+
+    /// The partition stage of [`ingest_layers`] over WKT `text` that is
+    /// already in memory: transcodes it uncharged, then cell-maps and
+    /// copies every replica under `decomp`, charging both as the stage
+    /// does.
+    pub(crate) fn partition_text(
+        comm: &mut Comm,
+        decomp: &Decomposition,
+        text: &str,
+        opts: &PipelineOptions,
+    ) -> (SerializedBatch, PipelineStats) {
+        let mut records = Records::default();
+        records.parse(text, &WktLineParser, |_| {}).unwrap();
+        let part = Partition::new(decomp, &records);
+        let maps = part.map(comm, opts);
+        part.serialize(comm, &maps, opts).unwrap()
     }
 
     /// A deterministic synthetic WKT buffer mixing shapes and userdata.
@@ -1026,13 +1009,13 @@ mod tests {
             Decomposition::new(grid, DecompPolicy::Uniform(CellMap::RoundRobin), None, 3).unwrap()
         };
         let run = |workers: usize| {
-            let feats = feats.clone();
+            let text = text.clone();
             World::run(WorldConfig::new(Topology::single_node(3)), move |comm| {
                 let decomp = mk_decomp();
                 let opts = PipelineOptions::default()
                     .with_workers(workers)
                     .with_partition_chunk_records(17);
-                partition_chunked(comm, &decomp, &feats, &opts).unwrap()
+                partition_text(comm, &decomp, &text, &opts)
             })
         };
         let reference = sequential_batch(&mk_decomp(), &feats);

@@ -16,7 +16,7 @@ use crate::exchange::RecordFrame;
 use crate::partition::RECORD_DELIMITER;
 use crate::{CoreError, Feature, Result};
 use mvio_geom::{wkb, wkt, GeomError, Geometry, Point, Rect};
-use mvio_msim::{Comm, ShapeClass, Work};
+use mvio_msim::{ShapeClass, Work};
 use std::ops::Range;
 
 /// User-definable record parser: one input record → one geometry's WKB.
@@ -186,21 +186,6 @@ impl Records {
         Ok(())
     }
 
-    /// Encodes features that are already objects — the seam for callers
-    /// that hold [`Feature`]s — charged as the encode it is
-    /// ([`Work::SerializeGeoms`], once per feature).
-    /// Not collective — the communicator only charges the encode.
-    pub(crate) fn encode(comm: &mut Comm, features: &[Feature]) -> Self {
-        let mut out = Records::default();
-        for f in features {
-            wkb::encode_to(&f.geometry, &mut out.wkb);
-            out.push(f.geometry.envelope(), &f.userdata);
-        }
-        let (n, bytes) = (features.len() as u64, out.wkb.len() as u64);
-        comm.charge(Work::SerializeGeoms { n, bytes });
-        out
-    }
-
     /// Closes the record whose WKB was just written.
     fn push(&mut self, envelope: Rect, userdata: &str) {
         self.userdata.push_str(userdata);
@@ -247,7 +232,7 @@ pub fn parse_buffer_serial(text: &str, parser: &dyn GeometryParser) -> Result<Ve
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use mvio_msim::{Topology, World, WorldConfig};
+    use mvio_msim::{Comm, Topology, World, WorldConfig};
 
     /// Parses every newline-delimited record in `text`, charging the
     /// rank's clock per record as the pipeline's parse stage does

@@ -17,7 +17,7 @@
 //!   global view with one element-wise allreduce;
 //! * [`Rebalancer::maybe_rebalance`] recomputes the decomposition from
 //!   the drifted histogram when imbalance crosses its threshold, and
-//!   [`migrate_cells`] ships **only the replicas of cells whose owner
+//!   `migrate_cells` ships **only the replicas of cells whose owner
 //!   changed** between the old and new `cell_to_rank` maps — a diff, not
 //!   a full re-shuffle (generalizing the snapshot any-world re-route).
 //!
@@ -301,7 +301,7 @@ pub fn apply_updates(
     Ok(stats)
 }
 
-/// Per-rank outcome of one [`migrate_cells`] call.
+/// Per-rank outcome of one cell-diff migration.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MigrationStats {
     /// Cells whose owner differs between the two maps (identical on
@@ -339,7 +339,7 @@ pub struct MigrationStats {
 /// grid, same world size): the whole point of cell-granular rebalancing
 /// is that `(cell, feature)` pairs survive unchanged. A mismatch is
 /// rejected symmetrically with [`CoreError::InvalidOptions`].
-pub fn migrate_cells(
+fn migrate_cells(
     comm: &mut Comm,
     from: &Decomposition,
     to: &Decomposition,
@@ -454,7 +454,7 @@ impl Rebalancer {
     /// Measures the drifted load balance and, when the max/mean ratio
     /// has reached the threshold, re-bisects the histogram into a fresh
     /// adaptive [`Decomposition`] over the *same* cell tiling and migrates
-    /// the moved cells ([`migrate_cells`]), replacing `sd` in place.
+    /// the moved cells (`migrate_cells`), replacing `sd` in place.
     /// Collective — every rank must call it together: the decision is a
     /// pure function of the allreduced histogram, so all ranks take the
     /// same branch.
@@ -534,9 +534,16 @@ mod tests {
         owned
     }
 
-    /// [`fresh_owned`] as the store an engine would hold.
+    /// [`fresh_owned`] as the store an engine would hold, landed as one
+    /// received round.
     fn fresh_store(comm: &mut Comm, sd: &Decomposition, features: &[Feature]) -> ResidentStore {
-        ResidentStore::from_owned(comm, fresh_owned(sd, features, comm.rank())).unwrap()
+        let mut wire = Vec::new();
+        for (cell, f) in fresh_owned(sd, features, comm.rank()) {
+            serialize_record(cell, &f, &mut Vec::new(), &mut wire).unwrap();
+        }
+        let mut store = ResidentStore::new();
+        store.append_round(comm, &[wire]).unwrap();
+        store
     }
 
     /// The store's live `(cell, userdata)` pairs, sorted.

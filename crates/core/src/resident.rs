@@ -8,14 +8,13 @@
 //! keeps the `[u64 cell][u32 len][wkb][u32 len][userdata]` records as
 //! bytes, beside an index table with one entry per replica (cell, record
 //! offset, field lengths, cached envelope), so replica `i` is reached in
-//! O(1) and nothing is decoded into a [`Feature`] to land, to leave or to
-//! be found:
+//! O(1) and nothing is decoded into a [`crate::Feature`] to land, to
+//! leave or to be found:
 //!
 //! * **validated once** — bytes enter only through [`validate_round`]
-//!   ([`ResidentStore::append_round`]), from a [`FrameStore`] the
-//!   exchange already validated, or from this process's own encoder
-//!   ([`ResidentStore::from_owned`]); every later read walks them
-//!   infallibly;
+//!   ([`ResidentStore::append_round`]) or from a [`FrameStore`] the
+//!   exchange already validated ([`ResidentStore::from_frames`]); every
+//!   later read walks them infallibly;
 //! * **all or nothing** — a received round that fails validation leaves
 //!   the store exactly as it was;
 //! * **removal leaves a tombstone** — the index entry is marked dead and
@@ -27,10 +26,9 @@
 //!   the exact rule).
 
 use crate::exchange::{
-    record_frames, serialize_record, validate_round, FrameStore, RecordFrame, SerializedBatch,
-    RECORD_OVERHEAD,
+    record_frames, validate_round, FrameStore, RecordFrame, SerializedBatch, RECORD_OVERHEAD,
 };
-use crate::{Feature, Result};
+use crate::Result;
 use mvio_geom::{wkb, Rect};
 use mvio_msim::{Comm, Work};
 use std::collections::hash_map::RandomState;
@@ -108,32 +106,6 @@ impl ResidentStore {
         ResidentStore::default()
     }
 
-    /// Encodes owned `(cell, feature)` pairs into a store, in order — the
-    /// seam for callers whose replicas are still objects. This is the one
-    /// place the resident engine builds wire records itself, and it is
-    /// charged as that ([`Work::SerializeGeoms`] per replica, plus one
-    /// [`Work::MbrTests`] each for the cached envelope).
-    /// Not collective — the communicator only charges the encode.
-    pub fn from_owned(comm: &mut Comm, owned: Vec<(u32, Feature)>) -> Result<Self> {
-        let mut store = ResidentStore::new();
-        store.slots.reserve_exact(owned.len());
-        let mut scratch = Vec::new();
-        let n = owned.len() as u64;
-        for (cell, f) in owned {
-            let len = RECORD_OVERHEAD + wkb::encoded_len(&f.geometry) + f.userdata.len();
-            let (page, at) = store.place(len);
-            serialize_record(cell, &f, &mut scratch, &mut store.pages[page])?;
-            let envelope = f.geometry.envelope();
-            store.push_slot(page, at, cell, scratch.len(), f.userdata.len(), envelope);
-        }
-        comm.charge(Work::SerializeGeoms {
-            n,
-            bytes: store.live_bytes(),
-        });
-        comm.charge(Work::MbrTests { n });
-        Ok(store)
-    }
-
     /// Adopts what an exchange or a snapshot reload received, in
     /// source-rank order. The frames were validated on arrival and are
     /// not validated again; nothing is decoded beyond the envelope pass. Charges the byte copy
@@ -197,7 +169,7 @@ impl ResidentStore {
         RecordFrame {
             cell: slot.cell,
             wkb: &page[wkb_at..wkb_at + slot.wkb_len],
-            // audit: every record was validated (or encoded from a `String`) on entry.
+            // audit: every record was validated on entry.
             userdata: std::str::from_utf8(userdata).expect("validated userdata"),
         }
     }
@@ -457,7 +429,8 @@ fn same_geometry(a: &[u8], b: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CoreError;
+    use crate::exchange::serialize_record;
+    use crate::{CoreError, Feature};
     use mvio_geom::{wkt, Geometry, Point};
     use mvio_msim::{Topology, World, WorldConfig};
 
@@ -472,6 +445,13 @@ mod tests {
             serialize_record(*cell, f, &mut Vec::new(), &mut buf).unwrap();
         }
         buf
+    }
+
+    /// A store holding `records`, in order, landed as one received round.
+    fn stored(comm: &mut Comm, records: &[(u32, Feature)]) -> ResidentStore {
+        let mut store = ResidentStore::new();
+        store.append_round(comm, &[wire(records)]).unwrap();
+        store
     }
 
     /// The live replicas decoded, in slot order.
@@ -494,7 +474,7 @@ mod tests {
                 (3, feature("LINESTRING (0 0, 4 4, 8 0)", "road")),
                 (7, feature("POLYGON ((0 0, 4 0, 0 4, 0 0))", "")),
             ];
-            let mut store = ResidentStore::from_owned(comm, base.clone()).unwrap();
+            let mut store = stored(comm, &base);
             assert_eq!(decoded(&store), base);
             assert_eq!(store.live_bytes() as usize, wire(&base).len());
             for (i, (cell, f)) in base.iter().enumerate() {
@@ -561,7 +541,7 @@ mod tests {
                 .map(|i| (i % 5, polyline(1000, i as f64, &format!("l{i:02}"))))
                 .collect();
             base.insert(9, (2, polyline(5000, 0.5, "oversized")));
-            let mut store = ResidentStore::from_owned(comm, base.clone()).unwrap();
+            let mut store = stored(comm, &base);
             assert_eq!(decoded(&store), base);
             let pages = store.pages.len();
             assert!(pages >= 7, "{pages} pages");
@@ -611,7 +591,7 @@ mod tests {
                 (1, feature("POINT (0 5)", "z")),
                 (1, feature("LINESTRING (0 0, 2 2)", "l")),
             ];
-            let mut store = ResidentStore::from_owned(comm, resident.clone()).unwrap();
+            let mut store = stored(comm, &resident);
             let minus_zero = Feature::with_userdata(Geometry::Point(Point::new(-0.0, 5.0)), "z");
             let attempts = [
                 (2, minus_zero.clone()),                         // wrong cell
@@ -637,7 +617,7 @@ mod tests {
     fn a_rejected_round_changes_nothing() {
         on_one_rank(|comm| {
             let base = vec![(1, feature("POINT (1 1)", "keep"))];
-            let mut store = ResidentStore::from_owned(comm, base.clone()).unwrap();
+            let mut store = stored(comm, &base);
             let good = wire(&[
                 (2, feature("POINT (2 2)", "new")),
                 (1, feature("POINT (1 1)", "keep")),
@@ -666,7 +646,7 @@ mod tests {
             let base: Vec<(u32, Feature)> = (0..6)
                 .map(|i| (i % 3, feature(&format!("POINT ({i} 0)"), &format!("p{i}"))))
                 .collect();
-            let mut store = ResidentStore::from_owned(comm, base.clone()).unwrap();
+            let mut store = stored(comm, &base);
             let mut batch = SerializedBatch::empty(2);
             // Cell 0 stays, cell 1 goes to rank 0, cell 2 to rank 1.
             let taken = store.drain_to(|cell| cell.checked_sub(1).map(|d| d as usize), &mut batch);

@@ -37,6 +37,5 @@ pub use queries::{generate_queries, QueryShape, QueryWorkload};
 pub use shapes::ShapeGen;
 pub use workload::{MovingHotspot, UpdateStep};
 pub use writer::{
-    wkt_dataset_bytes, write_point_records, write_rect_records, write_wkt_dataset,
-    write_wkt_dataset_with_centers,
+    wkt_dataset_bytes, write_rect_records, write_wkt_dataset, write_wkt_dataset_with_centers,
 };

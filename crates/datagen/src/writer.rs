@@ -3,7 +3,7 @@
 use crate::catalog::ShapeKind;
 use crate::distributions::{PlacementSampler, SpatialDistribution};
 use crate::shapes::ShapeGen;
-use mvio_geom::{wkt, Point, Rect};
+use mvio_geom::{wkt, Rect};
 use mvio_pfs::SimFs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -151,38 +151,6 @@ pub fn write_rect_records(
     rects
 }
 
-/// Writes `count` random point records (2 doubles each).
-pub fn write_point_records(
-    fs: &Arc<SimFs>,
-    path: &str,
-    world: Rect,
-    count: u64,
-    seed: u64,
-) -> Vec<Point> {
-    let file = fs
-        .create(path, None)
-        // audit: create fails only when the file exists, so open succeeds.
-        .unwrap_or_else(|_| fs.open(path).expect("exists"));
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut points = Vec::with_capacity(count as usize);
-    let mut buf = Vec::with_capacity((count as usize * 16).min(8 << 20));
-    for _ in 0..count {
-        let p = Point::new(
-            rng.gen_range(world.min_x..world.max_x),
-            rng.gen_range(world.min_y..world.max_y),
-        );
-        buf.extend_from_slice(&p.x.to_le_bytes());
-        buf.extend_from_slice(&p.y.to_le_bytes());
-        points.push(p);
-        if buf.len() >= 8 << 20 {
-            file.append(&buf);
-            buf.clear();
-        }
-    }
-    file.append(&buf);
-    points
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,13 +221,5 @@ mod tests {
             assert_eq!(v, r.min_x);
         }
         assert!(rects.iter().all(|r| !r.is_empty()));
-    }
-
-    #[test]
-    fn point_records_have_fixed_width() {
-        let fs = SimFs::new(FsConfig::gpfs_roger());
-        let pts = write_point_records(&fs, "p.bin", world(), 64, 3);
-        assert_eq!(fs.open("p.bin").unwrap().len(), 64 * 16);
-        assert!(pts.iter().all(|p| world().contains_point(p)));
     }
 }

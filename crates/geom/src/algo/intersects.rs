@@ -117,13 +117,8 @@ pub fn rect_intersects_shape(r: &Rect, g: impl Shape) -> bool {
 /// true hit: [`rect_intersects_geometry`] holds without running it. The
 /// converse does not hold (a long segment can cross `r` with both ends
 /// outside), so `false` decides nothing. Empty geometries have no vertex
-/// and never hit.
-pub fn rect_contains_any_vertex(r: &Rect, g: &Geometry) -> (bool, u64) {
-    rect_contains_shape_vertex(r, g)
-}
-
-/// [`rect_contains_any_vertex`] over any [`Shape`]. Rings count their
-/// closing vertex, stored or virtual.
+/// and never hit. Works over any [`Shape`]; rings count their closing
+/// vertex, stored or virtual.
 pub fn rect_contains_shape_vertex(r: &Rect, g: impl Shape) -> (bool, u64) {
     let mut examined = 0u64;
     let mut inside = |p: Point| {

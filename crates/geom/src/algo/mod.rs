@@ -13,11 +13,11 @@ mod shape;
 
 pub use distance::{point_geometry_distance, point_segment_distance, point_shape_distance};
 pub use intersects::{
-    intersects, rect_contains_any_vertex, rect_contains_shape_vertex, rect_intersects_geometry,
-    rect_intersects_shape, shapes_intersect,
+    intersects, rect_contains_shape_vertex, rect_intersects_geometry, rect_intersects_shape,
+    shapes_intersect,
 };
 pub use orient::{orientation, Orientation};
 pub(crate) use pip::locate_in_rings;
 pub use pip::{point_in_polygon, PointLocation};
-pub use segint::{segment_intersection_point, segments_intersect};
+pub use segint::segments_intersect;
 pub use shape::{Coords, Form, Multi, Part, Shape};

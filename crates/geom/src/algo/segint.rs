@@ -45,26 +45,6 @@ pub fn segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool {
         || (o4 == Orientation::Collinear && on_segment(q1, q2, p2))
 }
 
-/// Returns the intersection point of two *properly* crossing segments, or
-/// `None` for disjoint, touching-at-endpoint-only-collinear, or parallel
-/// pairs where a unique crossing point does not exist.
-pub fn segment_intersection_point(p1: Point, p2: Point, q1: Point, q2: Point) -> Option<Point> {
-    let r = Point::new(p2.x - p1.x, p2.y - p1.y);
-    let s = Point::new(q2.x - q1.x, q2.y - q1.y);
-    let denom = r.x * s.y - r.y * s.x;
-    if denom == 0.0 {
-        return None; // parallel or collinear
-    }
-    let qp = Point::new(q1.x - p1.x, q1.y - p1.y);
-    let t = (qp.x * s.y - qp.y * s.x) / denom;
-    let u = (qp.x * r.y - qp.y * r.x) / denom;
-    if (0.0..=1.0).contains(&t) && (0.0..=1.0).contains(&u) {
-        Some(Point::new(p1.x + t * r.x, p1.y + t * r.y))
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,8 +61,6 @@ mod tests {
             p(0.0, 2.0),
             p(2.0, 0.0)
         ));
-        let ip = segment_intersection_point(p(0.0, 0.0), p(2.0, 2.0), p(0.0, 2.0), p(2.0, 0.0));
-        assert_eq!(ip, Some(p(1.0, 1.0)));
     }
 
     #[test]
@@ -93,10 +71,6 @@ mod tests {
             p(0.0, 1.0),
             p(1.0, 1.0)
         ));
-        assert_eq!(
-            segment_intersection_point(p(0.0, 0.0), p(1.0, 0.0), p(0.0, 1.0), p(1.0, 1.0)),
-            None
-        );
     }
 
     #[test]
@@ -128,11 +102,6 @@ mod tests {
             p(1.0, 0.0),
             p(4.0, 0.0)
         ));
-        // But no unique crossing point exists.
-        assert_eq!(
-            segment_intersection_point(p(0.0, 0.0), p(3.0, 0.0), p(1.0, 0.0), p(4.0, 0.0)),
-            None
-        );
     }
 
     #[test]

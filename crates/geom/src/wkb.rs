@@ -67,7 +67,7 @@ pub fn encode(g: &Geometry) -> Vec<u8> {
 }
 
 /// Encodes a geometry into a caller-owned scratch buffer: clears it,
-/// reserves the exact [`encoded_len`] footprint, then encodes. Hot
+/// reserves the exact encoded footprint, then encodes. Hot
 /// serialization loops reuse one scratch across millions of geometries
 /// instead of allocating (and dropping) a fresh [`encode`] `Vec` each
 /// time; the single-call shape keeps the whole traversal compiled as one
@@ -79,11 +79,9 @@ pub fn encode_into_scratch(g: &Geometry, scratch: &mut Vec<u8>) {
 }
 
 /// Exact byte length [`encode_to`] will append for `g`, computed without
-/// allocating: a size pre-pass for callers that place an object's
-/// encoding before they write it (reserve once, encode straight into the
-/// destination buffer). The text ingest path sizes its records from the
-/// bytes [`crate::wkt::transcode`] already wrote instead.
-pub fn encoded_len(g: &Geometry) -> usize {
+/// allocating: the size pre-pass of [`encode`] and
+/// [`encode_into_scratch`].
+fn encoded_len(g: &Geometry) -> usize {
     // 1 byte-order byte + 4 type-code bytes precede every geometry.
     5 + match g {
         Geometry::Point(_) => 16,

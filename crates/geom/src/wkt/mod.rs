@@ -13,7 +13,7 @@ mod parse;
 mod transcode;
 mod write;
 
-pub use parse::{parse, parse_many};
+pub use parse::parse;
 pub use transcode::transcode;
 pub use write::{write, write_to};
 
@@ -23,7 +23,7 @@ mod tests {
     //! is a fixed point (`write ∘ parse ∘ write = write`) and parsing
     //! recovers the exact geometry for every OGC type this crate models.
 
-    use super::{parse, parse_many, write};
+    use super::{parse, write};
 
     /// parse → write → parse must reproduce the geometry exactly, and a
     /// second write must reproduce the first text exactly (fixed point).
@@ -79,14 +79,5 @@ mod tests {
         ] {
             assert_round_trip(s);
         }
-    }
-
-    #[test]
-    fn parse_many_round_trips_line_by_line() {
-        let text = "POINT (1 2)\nLINESTRING (0 0, 3 4)\nPOLYGON ((0 0, 1 0, 1 1, 0 0))\n";
-        let geoms = parse_many(text).unwrap();
-        assert_eq!(geoms.len(), 3);
-        let rebuilt: String = geoms.iter().map(|g| write(g) + "\n").collect();
-        assert_eq!(parse_many(&rebuilt).unwrap(), geoms);
     }
 }

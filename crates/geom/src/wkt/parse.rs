@@ -34,21 +34,6 @@ pub(crate) fn whole<S: Sink>(input: &str, sink: &mut S) -> Result<S::Geom> {
     Ok(g)
 }
 
-/// Parses a newline-delimited sequence of WKT geometries (the layout of the
-/// paper's datasets: one geometry per line). Blank lines are skipped.
-/// Returns the geometries in input order.
-pub fn parse_many(input: &str) -> Result<Vec<Geometry>> {
-    let mut out = Vec::new();
-    for line in input.lines() {
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        out.push(parse(trimmed)?);
-    }
-    Ok(out)
-}
-
 /// Where the grammar's output goes, in reading order. A value is begun
 /// before its body is read and a list is opened before its first item, so
 /// a sink that writes bytes writes them as the text is read and backpatches
@@ -579,15 +564,6 @@ mod tests {
             .unwrap()
             .join()
             .unwrap();
-    }
-
-    #[test]
-    fn parse_many_splits_lines() {
-        let input = "POINT (1 2)\n\nLINESTRING (0 0, 1 1)\nPOINT (3 4)\n";
-        let geoms = parse_many(input).unwrap();
-        assert_eq!(geoms.len(), 3);
-        assert_eq!(geoms[0], Geometry::Point(Point::new(1.0, 2.0)));
-        assert_eq!(geoms[2], Geometry::Point(Point::new(3.0, 4.0)));
     }
 
     #[test]

@@ -55,8 +55,8 @@
 //!   `examples/` and `e2e/src`. Public API that nothing calls is code to
 //!   keep up and read for no behaviour: delete it, or make it private.
 //!   Matching is by name, not resolution, so a dead fn that shares its
-//!   name with a live one anywhere (`len`, `new`) is missed, and a
-//!   `pub use` re-export counts as a use.
+//!   name with a live one anywhere (`len`, `new`) is missed. A `pub use`
+//!   re-export passes a name on and is no use.
 //!
 //! Scope: `src/` trees of the workspace library crates and the root
 //! crate. Excluded: `crates/bench` (experiment harness, panics are its

@@ -194,8 +194,12 @@ pub const DEAD_PUB_FN_ALLOW: &[&str] = &[
     "from_snapshot",
     // proptest_decomp's oracle for the Hilbert cell order.
     "hilbert_key_cells_order",
-    // proptest_exchange: fused equals unfused under every decomposition policy.
-    "partition_exchange_overlapped",
+    // proptest_geom locates generated points in owned polygons with it.
+    "point_in_polygon",
+    // proptest_geom measures its inner-disc radii with it.
+    "point_segment_distance",
+    // failure_injection walks a received answer block with it.
+    "answer_entries",
 ];
 
 /// R9: no dead `pub fn` — a library `pub fn` (not `pub(crate)`) fails
@@ -204,7 +208,7 @@ pub const DEAD_PUB_FN_ALLOW: &[&str] = &[
 /// are searched in the non-test code of `scanned` and of `callers` (the
 /// experiment harness, the examples and the benchmark). A name counts as
 /// used where it is a whole identifier in masked code — not in a comment
-/// or a string — outside a `fn` declaration.
+/// or a string — outside a `fn` declaration and a `pub use` re-export.
 ///
 /// Matching is by name, not resolution: a dead fn that shares its name
 /// with a live one elsewhere (`len`, `new`) is missed.
@@ -250,11 +254,18 @@ pub fn no_dead_pub_fn(
 }
 
 /// The identifiers in the non-test code of `m`, minus declared `fn`
-/// names.
+/// names and the names a `pub use` re-exports: a re-export passes a
+/// name on, it does not call it.
 fn used_names(m: &MaskedFile) -> HashSet<&str> {
     let mut names = HashSet::new();
+    let mut in_re_export = false;
     for (i, line) in m.code.iter().enumerate() {
         if m.in_test[i] {
+            continue;
+        }
+        in_re_export |= is_re_export(line);
+        if in_re_export {
+            in_re_export = !line.contains(';');
             continue;
         }
         let mut after_fn = false;
@@ -269,6 +280,18 @@ fn used_names(m: &MaskedFile) -> HashSet<&str> {
         }
     }
     names
+}
+
+/// Whether `line` opens a re-export: `pub use …` or `pub(…) use …`.
+fn is_re_export(line: &str) -> bool {
+    let Some(rest) = line.trim_start().strip_prefix("pub") else {
+        return false;
+    };
+    let rest = match rest.strip_prefix('(') {
+        Some(scoped) => scoped.split_once(')').map_or("", |(_, after)| after),
+        None => rest,
+    };
+    rest.trim_start().starts_with("use ") && rest.starts_with(char::is_whitespace)
 }
 
 /// Reports every non-test line of `m` that contains one of `calls`, as
@@ -641,6 +664,30 @@ mod tests {
     fn an_allow_listed_fn_passes() {
         assert!(dead_fns(&[LIB], &[], &["helper"]).is_empty());
         assert_eq!(dead_fns(&[LIB], &[], &["other"]), vec![("f0.rs".into(), 1)]);
+    }
+
+    #[test]
+    fn a_re_export_is_no_caller() {
+        // Named only by a re-export (one line or several) and its own
+        // tests: dead.
+        let tests = "#[cfg(test)]\nmod tests {\n    fn t() { super::helper(); }\n}\n";
+        for re_export in [
+            "pub use a::helper;\n",
+            "pub(crate) use a::helper;\n",
+            "pub use a::{\n    helper,\n    other,\n};\n",
+        ] {
+            assert_eq!(
+                dead_fns(&[LIB, re_export, tests], &[], &[]),
+                vec![("f0.rs".into(), 1)],
+                "{re_export:?}"
+            );
+        }
+        // A call after the re-export still counts, and so does a plain
+        // `use` followed by one.
+        let called = "pub use a::{\n    helper,\n};\nfn run() { helper(); }\n";
+        assert!(dead_fns(&[LIB, called], &[], &[]).is_empty());
+        let imported = "use a::helper;\nfn run() { helper(); }\n";
+        assert!(dead_fns(&[LIB, imported], &[], &[]).is_empty());
     }
 
     #[test]

@@ -1,9 +1,11 @@
-//! MPI derived datatypes: contiguous, vector, indexed, struct.
+//! MPI derived datatypes: contiguous, indexed, struct.
 //!
 //! The paper leans on these in three places:
 //! * `MPI_Type_contiguous` / `MPI_Type_struct` for fixed-size spatial
 //!   records (Figure 12 compares their read performance);
-//! * `MPI_Type_vector` for strided, round-robin file views (Figure 4);
+//! * strided, round-robin file views (Figure 4), which tile one of these
+//!   by a per-rank skip and stride ([`crate::io::FileView`]); a gapped
+//!   filetype is an indexed one;
 //! * `MPI_type_indexed` for variable-length polygon views built from
 //!   vertex-count and displacement arrays (§4.1, Figure 16).
 //!
@@ -26,15 +28,6 @@ pub enum Datatype {
     Double,
     /// `count` copies of `inner`, back to back (`MPI_Type_contiguous`).
     Contiguous { count: usize, inner: Box<Datatype> },
-    /// `count` blocks of `blocklen` inner elements, starting `stride`
-    /// inner-element extents apart (`MPI_Type_vector`). `stride >=
-    /// blocklen` leaves gaps — the non-contiguous pattern of Figure 4.
-    Vector {
-        count: usize,
-        blocklen: usize,
-        stride: usize,
-        inner: Box<Datatype>,
-    },
     /// Blocks of varying length at varying displacements
     /// (`MPI_Type_indexed`); lengths and displacements are in inner-element
     /// units. This is the type the paper builds from vertex-count and
@@ -119,12 +112,6 @@ impl Datatype {
             Datatype::Int32 => 4,
             Datatype::Int64 | Datatype::Double => 8,
             Datatype::Contiguous { count, inner } => count * inner.size(),
-            Datatype::Vector {
-                count,
-                blocklen,
-                inner,
-                ..
-            } => count * blocklen * inner.size(),
             Datatype::Indexed {
                 blocklens, inner, ..
             } => blocklens.iter().sum::<usize>() * inner.size(),
@@ -140,19 +127,6 @@ impl Datatype {
             Datatype::Int32 => 4,
             Datatype::Int64 | Datatype::Double => 8,
             Datatype::Contiguous { count, inner } => count * inner.extent(),
-            Datatype::Vector {
-                count,
-                blocklen,
-                stride,
-                inner,
-            } => {
-                if *count == 0 {
-                    0
-                } else {
-                    // Last block starts at (count-1)*stride and spans blocklen.
-                    ((count - 1) * stride + blocklen) * inner.extent()
-                }
-            }
             Datatype::Indexed {
                 blocklens,
                 displs,
@@ -200,24 +174,6 @@ impl Datatype {
                 } else {
                     for i in 0..*count {
                         inner.collect_fragments(base + i * ext, out);
-                    }
-                }
-            }
-            Datatype::Vector {
-                count,
-                blocklen,
-                stride,
-                inner,
-            } => {
-                let ext = inner.extent();
-                for i in 0..*count {
-                    let start = base + i * stride * ext;
-                    if inner.is_dense() {
-                        out.push((start, blocklen * ext));
-                    } else {
-                        for j in 0..*blocklen {
-                            inner.collect_fragments(start + j * ext, out);
-                        }
                     }
                 }
             }
@@ -276,19 +232,6 @@ impl Datatype {
                 }
                 inner.validate()
             }
-            Datatype::Vector {
-                blocklen,
-                stride,
-                inner,
-                ..
-            } => {
-                if stride < blocklen {
-                    return Err(MsimError::BadDatatype(format!(
-                        "vector: stride {stride} < blocklen {blocklen}"
-                    )));
-                }
-                inner.validate()
-            }
             Datatype::Contiguous { inner, .. } => inner.validate(),
             Datatype::Struct { fields, extent } => {
                 for f in fields {
@@ -311,14 +254,11 @@ impl Datatype {
 mod tests {
     use super::*;
 
-    /// `MPI_Type_vector(count, blocklen, stride, inner)`.
+    /// The `MPI_Type_vector(count, blocklen, stride, inner)` layout as
+    /// an indexed type: `count` blocks of `blocklen`, `stride` apart.
     fn vector(count: usize, blocklen: usize, stride: usize, inner: Datatype) -> Datatype {
-        Datatype::Vector {
-            count,
-            blocklen,
-            stride,
-            inner: Box::new(inner),
-        }
+        let displs = (0..count).map(|i| i * stride).collect();
+        Datatype::indexed(vec![blocklen; count], displs, inner)
     }
 
     #[test]
@@ -398,9 +338,7 @@ mod tests {
     fn validation_catches_inconsistencies() {
         let bad = Datatype::indexed(vec![1, 2], vec![0], Datatype::Byte);
         assert!(bad.validate().is_err());
-        let bad2 = vector(2, 4, 2, Datatype::Byte);
-        assert!(bad2.validate().is_err());
-        let bad3 = Datatype::Struct {
+        let bad2 = Datatype::Struct {
             fields: vec![StructField {
                 offset: 12,
                 count: 1,
@@ -408,7 +346,7 @@ mod tests {
             }],
             extent: 16,
         };
-        assert!(bad3.validate().is_err());
+        assert!(bad2.validate().is_err());
     }
 
     #[test]

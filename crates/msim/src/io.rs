@@ -1389,12 +1389,7 @@ mod tests {
         let fs = SimFs::new(FsConfig::lustre_comet());
         let f = fs.create("view.bin", Some(StripeSpec::new(2, 64))).unwrap();
         f.append(vec![0xEE; 23 * 40]);
-        let filetype = Datatype::Vector {
-            count: 2,
-            blocklen: 10,
-            stride: 13,
-            inner: Box::new(Datatype::Byte),
-        };
+        let filetype = Datatype::indexed(vec![10, 10], vec![0, 13], Datatype::Byte);
         let data = view_round_trip(&fs, filetype, |_| 20 * 10);
         for (at, &b) in data.iter().enumerate() {
             let in_block = at % 23 < 10 || (13..23).contains(&(at % 23));

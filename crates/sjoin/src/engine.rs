@@ -3,8 +3,10 @@
 //!
 //! Everything else in the workspace is one-shot batch ingest→answer;
 //! [`QueryEngine`] is the long-lived counterpart. It is constructed once
-//! — from an [`IngestOutput`] or a binary snapshot — and keeps the
-//! per-rank R-tree and the global [`Decomposition`] resident
+//! — from an [`IngestOutput`], a binary snapshot, or a [`ResidentStore`]
+//! whose every record entered through [`validate_round`]; no constructor
+//! takes a geometry object — and keeps the per-rank R-tree and the
+//! global [`Decomposition`] resident
 //! across [`QueryEngine::serve`] calls, so a serving batch costs only
 //! routing + tree walks + two pipelined exchanges instead of a full
 //! read/partition/exchange pass per query.
@@ -42,7 +44,7 @@
 //!    window is a *true hit* (Brinkhoff et al., SIGMOD '94) and is
 //!    emitted without the exact test, and so is a straddler — an envelope
 //!    crossing the window's edge — with a vertex inside the window
-//!    ([`mvio_geom::algo::rect_contains_any_vertex`]); only straddlers with every
+//!    ([`mvio_geom::algo::rect_contains_shape_vertex`]); only straddlers with every
 //!    vertex outside are refined. A kNN query is a best-first walk of the
 //!    resident R-tree ([`mvio_geom::index::RTree::nearest_with`]; Hjaltason & Samet,
 //!    TODS '99) that computes exact distances only until the next box
@@ -86,27 +88,31 @@
 //!
 //! ```
 //! use mvio_core::decomp::{DecompPolicy, Decomposition, SpatialDecomposition};
+//! use mvio_core::exchange::serialize_record;
 //! use mvio_core::grid::{CellMap, GridSpec, UniformGrid};
 //! use mvio_core::rebalance::Update;
-//! use mvio_core::Feature;
+//! use mvio_core::{Feature, ResidentStore};
 //! use mvio_geom::{Geometry, Point, Rect};
 //! use mvio_msim::{Topology, World, WorldConfig};
 //! use mvio_sjoin::{EngineOptions, Query, QueryAnswer, QueryEngine};
 //!
 //! let out = World::run(WorldConfig::new(Topology::single_node(2)), |comm| {
-//!     // Every rank fabricates the same tiny dataset and keeps the
-//!     // replicas it owns — the state an ingest would have produced.
+//!     // Every rank fabricates the same tiny dataset and lands the
+//!     // replicas it owns as one received round — the state an ingest
+//!     // would have produced.
 //!     let grid = UniformGrid::new(Rect::new(0.0, 0.0, 4.0, 4.0), GridSpec::square(2));
 //!     let policy = DecompPolicy::Uniform(CellMap::RoundRobin);
 //!     let sd = Decomposition::new(grid, policy, None, comm.size()).unwrap();
 //!     let f = Feature::with_userdata(Geometry::Point(Point::new(1.0, 1.0)), "a");
-//!     let owned: Vec<(u32, Feature)> = sd
-//!         .cells_for_rect_vec(&f.geometry.envelope())
-//!         .into_iter()
-//!         .filter(|&c| sd.cell_to_rank(c) == comm.rank())
-//!         .map(|c| (c, f.clone()))
-//!         .collect();
-//!     let mut eng = QueryEngine::from_parts(comm, sd, owned, &EngineOptions::default());
+//!     let mut wire = Vec::new();
+//!     for cell in sd.cells_for_rect_vec(&f.geometry.envelope()) {
+//!         if sd.cell_to_rank(cell) == comm.rank() {
+//!             serialize_record(cell, &f, &mut Vec::new(), &mut wire).unwrap();
+//!         }
+//!     }
+//!     let mut store = ResidentStore::new();
+//!     store.append_round(comm, &[wire]).unwrap();
+//!     let mut eng = QueryEngine::from_store(comm, sd, store, &EngineOptions::default());
 //!     // Rank 0 submits a streaming insert; the batch is collective.
 //!     let updates = if comm.rank() == 0 {
 //!         vec![Update::Insert(Feature::with_userdata(
@@ -472,33 +478,6 @@ impl QueryEngine {
     pub fn from_ingest(comm: &mut Comm, out: IngestOutput, opts: &EngineOptions) -> Self {
         let store = ResidentStore::from_frames(comm, &out.owned);
         Self::from_store(comm, out.decomp, store, opts)
-    }
-
-    /// Builds the engine from an already-partitioned `(cell, feature)`
-    /// set and its decomposition — for callers that hold objects. The
-    /// engine keeps its replicas as wire records ([`ResidentStore`]), so
-    /// the owned pairs are encoded once here — charged
-    /// [`Work::SerializeGeoms`] per replica, the price of handing the
-    /// engine objects instead of the frames an exchange delivers
-    /// ([`QueryEngine::from_store`]) — and then indexed
-    /// ([`Work::RtreeInserts`]).
-    /// Collective: every rank must call it.
-    ///
-    /// # Panics
-    ///
-    /// If a replica's geometry or userdata exceeds the wire format's
-    /// `u32` length fields (4 GiB) — such a replica could never have
-    /// been exchanged either.
-    pub fn from_parts(
-        comm: &mut Comm,
-        sd: Decomposition,
-        owned: Vec<(u32, Feature)>,
-        opts: &EngineOptions,
-    ) -> Self {
-        let store = ResidentStore::from_owned(comm, owned)
-            // audit: documented panic; only a > 4 GiB field can fail the encode.
-            .expect("replica within the wire format's u32 length limits");
-        Self::from_store(comm, sd, store, opts)
     }
 
     /// Builds the engine over replicas that already are validated wire
@@ -1043,16 +1022,17 @@ mod tests {
         let grid = UniformGrid::new(Rect::new(0.0, 0.0, 8.0, 8.0), GridSpec::square(side));
         let rr = DecompPolicy::Uniform(CellMap::RoundRobin);
         let sd = Decomposition::new(grid, rr, None, comm.size()).unwrap();
-        let owned: Vec<(u32, Feature)> = features
-            .iter()
-            .flat_map(|f| {
-                sd.cells_for_rect_vec(&f.geometry.envelope())
-                    .into_iter()
-                    .map(|c| (c, f.clone()))
-            })
-            .filter(|(c, _)| sd.cell_to_rank(*c) == comm.rank())
-            .collect();
-        QueryEngine::from_parts(comm, sd, owned, &EngineOptions::default())
+        let mut wire = Vec::new();
+        for f in features {
+            for c in sd.cells_for_rect_vec(&f.geometry.envelope()) {
+                if sd.cell_to_rank(c) == comm.rank() {
+                    serialize_record(c, f, &mut Vec::new(), &mut wire).unwrap();
+                }
+            }
+        }
+        let mut store = ResidentStore::new();
+        store.append_round(comm, &[wire]).unwrap();
+        QueryEngine::from_store(comm, sd, store, &EngineOptions::default())
     }
 
     fn segment(x0: f64, y0: f64, x1: f64, y1: f64, label: &str) -> Feature {

@@ -37,10 +37,9 @@ pub struct JoinOptions {
     pub read: ReadOptions,
     /// Per-destination byte cap for each pipelined exchange round.
     /// Defaults to [`ExchangeChunk::Unlimited`]: one blocking round per
-    /// layer. A finite cap streams each layer's cell-map and
-    /// serialization into the exchange rounds
-    /// ([`mvio_core::pipeline::partition_exchange_overlapped`]): round
-    /// `r`'s transfer overlaps round `r + 1`'s serialization, and both
+    /// layer. A finite cap streams each layer's cell-map and copies into
+    /// the exchange rounds of [`mvio_core::pipeline::ingest_layers`]:
+    /// round `r`'s transfer overlaps round `r + 1`'s copies, and both
     /// steps count as communication. Refine starts after the last round;
     /// the join *answer* is identical for every chunk policy.
     pub chunk: ExchangeChunk,

@@ -10,6 +10,7 @@
 
 use mpi_vector_io::core::decomp::{DecompPolicy, Decomposition, SpatialDecomposition};
 use mpi_vector_io::core::exchange::{serialize_record, validate_frames, RecordFrame};
+use mpi_vector_io::core::resident::ResidentStore;
 use mpi_vector_io::datagen;
 use mpi_vector_io::geom::algo::{intersects, point_geometry_distance, rect_intersects_geometry};
 use mpi_vector_io::prelude::*;
@@ -102,6 +103,14 @@ pub fn wire(pairs: &[(u32, Feature)]) -> Vec<u8> {
     buf
 }
 
+/// `pairs` landed in a fresh store as one received round — the resident
+/// state an ingest's exchange leaves, entered through `append_round`.
+pub fn resident(comm: &mut Comm, pairs: &[(u32, Feature)]) -> ResidentStore {
+    let mut store = ResidentStore::new();
+    store.append_round(comm, &[wire(pairs)]).unwrap();
+    store
+}
+
 /// Received frames decoded, in order — the owned form the oracles
 /// compare against.
 pub fn materialize<'a>(frames: impl IntoIterator<Item = RecordFrame<'a>>) -> Vec<(u32, Feature)> {
@@ -111,19 +120,24 @@ pub fn materialize<'a>(frames: impl IntoIterator<Item = RecordFrame<'a>>) -> Vec
         .collect()
 }
 
-/// Builds one of the four decomposition variants over a `side × side`
-/// grid spanning `[0, extent]²`: the two cell maps, Hilbert runs, and an
-/// adaptive bisection over a deterministic synthetic histogram.
-pub fn mk_decomp(extent: f64, policy: u8, side: u32, ranks: usize) -> Decomposition {
-    let grid = UniformGrid::new(Rect::new(0.0, 0.0, extent, extent), GridSpec::square(side));
-    let counts: Vec<u64> = (0..grid.num_cells() as u64).map(|c| (c * 7) % 13).collect();
-    let policy = match policy {
+/// One of the four decomposition policies by index: the two cell maps,
+/// Hilbert runs, and adaptive bisection.
+pub fn mk_policy(policy: u8) -> DecompPolicy {
+    match policy {
         0 => DecompPolicy::Uniform(CellMap::RoundRobin),
         1 => DecompPolicy::Uniform(CellMap::Block),
         2 => DecompPolicy::Hilbert,
         _ => DecompPolicy::adaptive(),
-    };
-    Decomposition::new(grid, policy, Some(&counts), ranks).unwrap()
+    }
+}
+
+/// Builds one of the four decomposition variants ([`mk_policy`]) over a
+/// `side × side` grid spanning `[0, extent]²`; the adaptive bisection
+/// runs over a deterministic synthetic histogram.
+pub fn mk_decomp(extent: f64, policy: u8, side: u32, ranks: usize) -> Decomposition {
+    let grid = UniformGrid::new(Rect::new(0.0, 0.0, extent, extent), GridSpec::square(side));
+    let counts: Vec<u64> = (0..grid.num_cells() as u64).map(|c| (c * 7) % 13).collect();
+    Decomposition::new(grid, mk_policy(policy), Some(&counts), ranks).unwrap()
 }
 
 /// Expands generated `(x, y)` seeds into a mixed-geometry dataset —

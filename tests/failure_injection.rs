@@ -4,12 +4,11 @@
 
 mod common;
 
-use common::{fs_with, mk_decomp, mk_features, owned_replicas, read_share, wire, WORLD};
+use common::{fs_with, mk_decomp, mk_features, owned_replicas, read_share, resident, wire, WORLD};
 use mpi_vector_io::core::decomp::{Decomposition, SpatialDecomposition};
 use mpi_vector_io::core::exchange::{
     record_frames, serialize_record, validate_round, ExchangeRound, SerializedBatch,
 };
-use mpi_vector_io::core::resident::ResidentStore;
 use mpi_vector_io::core::CoreError;
 use mpi_vector_io::prelude::*;
 use mpi_vector_io::sjoin::engine::answer_entries;
@@ -366,7 +365,8 @@ fn malformed_queries_are_rejected_symmetrically_and_engine_survives() {
                 }
             }
         }
-        let mut eng = QueryEngine::from_parts(comm, sd, owned, &EngineOptions::default());
+        let store = resident(comm, &owned);
+        let mut eng = QueryEngine::from_store(comm, sd, store, &EngineOptions::default());
 
         let mut rejections = Vec::new();
         for batch in &bad_batches {
@@ -507,7 +507,8 @@ fn corrupted_answer_block_stays_on_its_rank() {
         let (rank, p) = (comm.rank(), comm.size());
         let sd = mk_decomp(WORLD, 0, 3, p);
         let owned = owned_replicas(&sd, &mk_features(&coords), rank);
-        let mut eng = QueryEngine::from_parts(comm, sd, owned, &EngineOptions::default());
+        let store = resident(comm, &owned);
+        let mut eng = QueryEngine::from_store(comm, sd, store, &EngineOptions::default());
         let batch = [
             Query::Range(Rect::new(2.0, 2.0, 14.0, 14.0)),
             Query::Knn {
@@ -617,8 +618,7 @@ fn corrupted_update_round_stays_on_its_rank() {
             let (rank, p) = (comm.rank(), comm.size());
             let sd = mk_decomp(WORLD, 0, 3, p);
             let base = points_per_cell(&sd);
-            let mut store =
-                ResidentStore::from_owned(comm, owned_replicas(&sd, &base, rank)).unwrap();
+            let mut store = resident(comm, &owned_replicas(&sd, &base, rank));
             // What `src` sends `dst` in `round`: a fresh point in one of
             // `dst`'s cells, or the delete of one of `dst`'s base points.
             let record = |round: usize, src: usize, dst: usize| -> (u32, Feature) {
@@ -732,8 +732,7 @@ fn corrupted_migration_round_stays_on_its_rank() {
         let (rank, p) = (comm.rank(), comm.size());
         let (from, to) = (mk_decomp(WORLD, 0, 3, p), mk_decomp(WORLD, 1, 3, p));
         let base = points_per_cell(&from);
-        let mut store =
-            ResidentStore::from_owned(comm, owned_replicas(&from, &base, rank)).unwrap();
+        let mut store = resident(comm, &owned_replicas(&from, &base, rank));
         let mut batch = SerializedBatch::empty(p);
         let new_owner = |cell| {
             let owner = to.cell_to_rank(cell);

@@ -17,14 +17,11 @@ fn arb_datatype() -> impl Strategy<Value = Datatype> {
         prop_oneof![
             // Contiguous
             (1usize..5, inner.clone()).prop_map(|(n, t)| Datatype::contiguous(n, t)),
-            // Vector with stride >= blocklen (validated form)
+            // Strided blocks (the `MPI_Type_vector` layout) with stride >=
+            // blocklen, as an indexed type
             (1usize..4, 1usize..4, 0usize..4, inner.clone()).prop_map(|(count, bl, extra, t)| {
-                Datatype::Vector {
-                    count,
-                    blocklen: bl,
-                    stride: bl + extra,
-                    inner: Box::new(t),
-                }
+                let displs = (0..count).map(|i| i * (bl + extra)).collect();
+                Datatype::indexed(vec![bl; count], displs, t)
             }),
             // Indexed with strictly increasing, non-overlapping blocks
             (

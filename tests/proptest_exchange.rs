@@ -4,13 +4,15 @@
 
 mod common;
 
-use common::{materialize, mk_decomp};
+use common::{fs_with, materialize, mk_decomp, mk_policy};
 use mpi_vector_io::core::exchange::{
-    exchange_serialized, ExchangeChunk, ExchangeStats, FrameStore, RecordFrame,
+    exchange_serialized, serialize_record, ExchangeChunk, ExchangeStats, FrameStore, RecordFrame,
+    SerializedBatch,
 };
-use mpi_vector_io::core::pipeline::{partition_chunked, partition_exchange_overlapped};
+use mpi_vector_io::core::pipeline::ingest_layers;
 use mpi_vector_io::prelude::*;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Every rank's received frames, compared byte for byte.
 fn frames(per_rank: &[FrameStore]) -> Vec<Vec<RecordFrame<'_>>> {
@@ -33,24 +35,22 @@ fn fabricated(rank: usize, items: usize, num_cells: u32) -> Vec<(u32, String)> {
         .collect()
 }
 
-/// Ships every fabricated pair as a point at the centre of its cell —
-/// which maps it to exactly that cell — through `partition_chunked` and
-/// `exchange_serialized`.
+/// Ships every fabricated pair as a point at the centre of its cell,
+/// serialized to the cell's owner, through `exchange_serialized`.
 fn exchange_items(
     comm: &mut Comm,
     decomp: &Decomposition,
     items: &[(u32, String)],
     chunk: ExchangeChunk,
 ) -> (FrameStore, ExchangeStats) {
-    let feats: Vec<Feature> = items
-        .iter()
-        .map(|(cell, tag)| {
-            Feature::with_userdata(Geometry::Point(decomp.cell_rect(*cell).center()), tag)
-        })
-        .collect();
-    let (batch, stats) =
-        partition_chunked(comm, decomp, &feats, &PipelineOptions::default()).unwrap();
-    assert_eq!(stats.pairs, items.len() as u64, "one replica per point");
+    let mut batch = SerializedBatch::empty(comm.size());
+    for (cell, tag) in items {
+        let centre = Geometry::Point(decomp.cell_rect(*cell).center());
+        let dst = decomp.cell_to_rank(*cell);
+        let f = Feature::with_userdata(centre, tag);
+        serialize_record(*cell, &f, &mut Vec::new(), &mut batch.bufs[dst]).unwrap();
+        batch.records[dst] += 1;
+    }
     exchange_serialized(comm, batch, chunk).unwrap()
 }
 
@@ -159,8 +159,9 @@ proptest! {
     }
 
     /// Same oracle for the fused partition+exchange overlap path: the
-    /// received frames match the unfused serialize-everything-then-block
-    /// pipeline for any chunk size, worker count and policy.
+    /// frames `ingest_layers` receives under a byte cap match its
+    /// unfused map-everything-then-block path for any chunk size, worker
+    /// count and decomposition policy.
     #[test]
     fn overlapped_partition_exchange_matches_unfused(
         ranks in 1usize..4,
@@ -170,40 +171,35 @@ proptest! {
         chunk in prop_oneof![1u64..64, 64u64..8192],
         features_per_rank in 0usize..25,
     ) {
-        let mk_features = |rank: usize| -> Vec<Feature> {
-            (0..features_per_rank)
-                .map(|i| {
-                    let x = ((rank * 17 + i * 3) % (side as usize * 10)) as f64 / 10.0;
-                    let y = ((rank * 5 + i * 11) % (side as usize * 10)) as f64 / 10.0;
-                    Feature::with_userdata(
-                        Geometry::Point(Point::new(x, y)),
-                        format!("r{rank}f{i}"),
-                    )
-                })
-                .collect()
+        let mut text = String::new();
+        for rank in 0..ranks {
+            for i in 0..features_per_rank {
+                let x = ((rank * 17 + i * 3) % (side as usize * 10)) as f64 / 10.0;
+                let y = ((rank * 5 + i * 11) % (side as usize * 10)) as f64 / 10.0;
+                text.push_str(&format!("POINT ({x} {y})\tr{rank}f{i}\n"));
+            }
+        }
+        let fs = fs_with(FsConfig::lustre_comet(), "d.wkt", &text);
+        fs.set_active_ranks(ranks);
+        let cfg = DecompConfig {
+            grid: GridSpec::square(side),
+            policy: mk_policy(policy),
         };
         let popts = PipelineOptions::default()
             .with_workers(workers)
             .with_partition_chunk_records(7);
-        let unfused = World::run(
-            WorldConfig::new(Topology::single_node(ranks)),
-            move |comm| {
-                let decomp = mk_decomp(side as f64, policy, side, comm.size());
-                let feats = mk_features(comm.rank());
-                let (batch, _) = partition_chunked(comm, &decomp, &feats, &popts).unwrap();
-                exchange_serialized(comm, batch, ExchangeChunk::Unlimited).unwrap().0
-            },
-        );
-        let fused = World::run(
-            WorldConfig::new(Topology::single_node(ranks)),
-            move |comm| {
-                let decomp = mk_decomp(side as f64, policy, side, comm.size());
-                let feats = mk_features(comm.rank());
-                partition_exchange_overlapped(comm, &decomp, &feats, &popts, chunk)
-                    .unwrap()
-                    .0
-            },
-        );
+        let run = |chunk: ExchangeChunk| {
+            let fs = Arc::clone(&fs);
+            World::run(WorldConfig::new(Topology::single_node(ranks)), move |comm| {
+                let read = ReadOptions::default().with_block_size(256);
+                let paths = ["d.wkt"];
+                let parser = &WktLineParser;
+                let out = ingest_layers(comm, &fs, &paths, &read, parser, &cfg, &popts, chunk);
+                out.unwrap().layers.pop().unwrap().owned
+            })
+        };
+        let unfused = run(ExchangeChunk::Unlimited);
+        let fused = run(ExchangeChunk::Bytes(chunk));
         prop_assert_eq!(frames(&fused), frames(&unfused));
     }
 

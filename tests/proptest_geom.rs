@@ -5,8 +5,8 @@ use mpi_vector_io::core::exchange::{record_frames, serialize_record, validate_fr
 use mpi_vector_io::core::Feature;
 use mpi_vector_io::geom::algo::{
     intersects, point_geometry_distance, point_in_polygon, point_shape_distance,
-    rect_contains_any_vertex, rect_contains_shape_vertex, rect_intersects_geometry,
-    rect_intersects_shape, segments_intersect, shapes_intersect, PointLocation,
+    rect_contains_shape_vertex, rect_intersects_geometry, rect_intersects_shape,
+    segments_intersect, shapes_intersect, PointLocation,
 };
 use mpi_vector_io::geom::index::RTree;
 use mpi_vector_io::geom::{
@@ -407,7 +407,7 @@ proptest! {
             prop_assert_eq!(shapes_intersect(vb, &a), intersects(&b, &a));
             for r in [free, a.envelope(), b.envelope()] {
                 prop_assert_eq!(rect_intersects_shape(&r, va), rect_intersects_geometry(&r, &a));
-                prop_assert_eq!(rect_contains_shape_vertex(&r, va), rect_contains_any_vertex(&r, &a));
+                prop_assert_eq!(rect_contains_shape_vertex(&r, va), rect_contains_shape_vertex(&r, &a));
             }
             let d = (point_shape_distance(&at, va), point_geometry_distance(&at, &a));
             prop_assert_eq!(d.0.to_bits(), d.1.to_bits());
@@ -600,7 +600,7 @@ proptest! {
                 _ => free,
             },
         };
-        let (hit, examined) = rect_contains_any_vertex(&window, &g);
+        let (hit, examined) = rect_contains_shape_vertex(&window, &g);
         let first_inside = all.iter().position(|p| window.contains_point(p));
         prop_assert_eq!(hit, first_inside.is_some(), "window {:?}", window);
         // Early exit: the scan stops on the first vertex inside.

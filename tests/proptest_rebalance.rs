@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::{canon, mk_decomp, mk_features, mk_queries, oracle, owned_replicas, WORLD};
+use common::{canon, mk_decomp, mk_features, mk_queries, oracle, owned_replicas, resident, WORLD};
 use mpi_vector_io::core::decomp::Decomposition;
 use mpi_vector_io::core::exchange::ExchangeChunk;
 use mpi_vector_io::geom::wkb;
@@ -205,7 +205,8 @@ proptest! {
                         RebalancePolicy::Off
                     },
                 };
-                let mut eng = QueryEngine::from_parts(comm, sd, owned, &opts);
+                let store = resident(comm, &owned);
+                let mut eng = QueryEngine::from_store(comm, sd, store, &opts);
                 let mut ghosts = 0u64;
                 let mut rebalances = 0u64;
                 for batch in batches.iter() {

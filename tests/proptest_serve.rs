@@ -7,7 +7,7 @@ mod common;
 
 use common::{
     canon, knn_reach_ranks, mk_decomp, mk_features, mk_queries, oracle, owned_replicas,
-    reference_counts, window_ranks, WORLD,
+    reference_counts, resident, window_ranks, WORLD,
 };
 use mpi_vector_io::core::exchange::ExchangeChunk;
 use mpi_vector_io::prelude::*;
@@ -97,7 +97,8 @@ fn check_serve(
                 },
                 ..Default::default()
             };
-            let mut eng = QueryEngine::from_parts(comm, sd, owned, &opts);
+            let store = resident(comm, &owned);
+            let mut eng = QueryEngine::from_store(comm, sd, store, &opts);
             let first = eng.serve(comm, &batch).unwrap();
             let second = eng.serve(comm, &batch).unwrap();
             let canon1: Vec<QueryAnswer> = first.answers.iter().map(canon).collect();
