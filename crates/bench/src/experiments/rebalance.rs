@@ -202,6 +202,9 @@ fn measure_one(scale: Scale, ranks: usize, mode: &'static str, policy: Rebalance
         };
         let mut eng = QueryEngine::from_store(comm, sd, store, &opts);
         let mut samples = Vec::with_capacity(spec.steps);
+        // The set-up above costs each rank differently; the clock times
+        // the stream alone, from a common start.
+        comm.barrier();
         let start = comm.now();
         for step in spec.stream() {
             // Each rank is a frontend submitting a disjoint shard of the

@@ -18,7 +18,10 @@
 //!   spatial joins", SIGMOD '94): per left polygon an inner disc and the
 //!   convex hull, which prove most surviving pairs to be hits or misses
 //!   with a few coordinate compares, then a right vertex located inside
-//!   the polygon, which proves most of the hits the disc leaves open, so
+//!   the polygon, which proves most of the hits the disc leaves open, and
+//!   last a raster of the polygon (Zimbrao & de Souza, "A raster
+//!   approximation for processing of spatial joins", VLDB '98), whose
+//!   interior and exterior cells settle about half of what is left, so
 //!   only the rest pay the exact test.
 //!
 //! The exact test needs no kernel: the [`crate::algo`] predicates read
@@ -28,7 +31,8 @@
 //! same `f64::min`/`f64::max` folds as `Rect::expand_point`. The
 //! approximation step never contradicts [`crate::algo::intersects`]: it
 //! answers only outside a tie band around each of its thresholds, and its
-//! vertex step locates with the exact test's own point-in-polygon code.
+//! vertex step and its raster's miss rule locate with the exact test's own
+//! point-in-polygon code.
 
 use crate::algo::{locate_in_rings, Coords, Part, PointLocation, Shape};
 use crate::point::Point;
@@ -136,6 +140,56 @@ struct Approx {
     envelope: Rect,
     /// The edges of every ring: what locating one right vertex may visit.
     edges: u64,
+    /// Index of the frame's raster in [`ApproxTable::rasters`], once a
+    /// pair has walked it since the table's rasters were last cleared.
+    raster: Option<u32>,
+}
+
+/// Rows, and columns, of a left polygon's raster.
+const CELLS: usize = 32;
+
+/// Steepest slope, `|dx| / |dy|`, at which a segment is clipped to a
+/// raster row by interpolating its x: past it the rounding of the
+/// interpolation could exceed the tie band, so a shallow segment counts
+/// with its whole x-extent where that only widens what it meets, and
+/// proves no hit in a row it does not lie in wholly.
+const SHALLOW: f64 = 1e3;
+
+/// A left polygon's raster: `CELLS × CELLS` cells over its envelope grown
+/// by the tie band, each row classified the first time a right segment
+/// reaches it. A cell within the tie band of a ring edge is *boundary*;
+/// every other cell lies wholly on one side of every ring, so the
+/// crossing parity of the row's centre line at it says whether it is
+/// *interior* (inside the shell and outside every hole) or *exterior*.
+/// A pair walks a few rows of a frame, so the classified rows live in
+/// one pool, [`ApproxTable::rows`], and the raster holds their places.
+#[derive(Debug, Clone, Copy)]
+struct Raster {
+    /// The frame whose raster this is.
+    frame: usize,
+    /// Per row, its place in the pool plus one; 0 until classified.
+    rows: [u16; CELLS],
+}
+
+/// One classified raster row.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    /// Bit `c` is set when cell `c` is interior.
+    interior: u32,
+    /// Bit `c` is set when cell `c` is boundary.
+    boundary: u32,
+}
+
+/// Where a raster's cells lie: `CELLS` columns from `x0`, `per_w` of
+/// them per unit, and `CELLS` rows of height `h` from `y0`, `per_h` per
+/// unit, so that locating a coordinate multiplies.
+#[derive(Debug, Clone, Copy)]
+struct Grid {
+    x0: f64,
+    y0: f64,
+    h: f64,
+    per_w: f64,
+    per_h: f64,
 }
 
 /// Per-frame approximations of one join side's left polygons, built
@@ -168,25 +222,57 @@ struct Approx {
 ///   so the first one located proves the hit, and none located proves
 ///   nothing. A right hole's vertex is not walked: nothing makes a hole
 ///   lie inside its shell;
+/// * **hit, when the vertex step leaves the pair open** — a right segment
+///   (for a right polygon, of its shell) that meets an interior cell of
+///   the left polygon's raster, shrunk by the tie band;
+/// * **miss, when the vertex step leaves the pair open** — every right
+///   point and segment, grown by the tie band, meets only exterior cells
+///   (or no cell); a right side with area also needs the left shell's
+///   first vertex, which is where the exact test looks for containment,
+///   located outside each of its polygons (and inside one, it proves the
+///   hit);
 /// * everything else — left sides that are not polygons, degenerate
 ///   rings, ties — returns `None` and goes to the exact test.
 ///
-/// Storage is three flat arrays (one slot per frame, the hulls, a sort
-/// buffer), so building costs no allocation per frame.
+/// Storage is five flat arrays (one slot per frame, the hulls, a sort
+/// buffer, the rasters and their rows), so building costs no allocation
+/// per frame. The rasters are a cache: [`ApproxTable::clear_rasters`]
+/// empties it, and the rows a later pair needs are classified again.
 #[derive(Debug, Default)]
 pub struct ApproxTable {
     slots: Vec<Option<Approx>>,
     hull: Vec<Point>,
     sorted: Vec<Point>,
+    rasters: Vec<Raster>,
+    rows: Vec<Row>,
+}
+
+/// What [`ApproxTable::decide`] found for one pair, and what it cost.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Decision {
+    /// `Some(true)` is a proven hit and `Some(false)` a proven miss,
+    /// both equal to what [`crate::algo::intersects`] returns; `None`
+    /// leaves the pair to the exact test.
+    pub outcome: Option<bool>,
+    /// The tests examined deciding: never more than the right side's
+    /// vertices times the left polygon's edges.
+    pub examined: u64,
+    /// The raster rows classified for this pair, which later pairs on
+    /// the frame reuse: each row's `CELLS` cells, and every left edge
+    /// once per pass that classifies rows. Paid once per row, like the
+    /// hull, so not under the bound of `examined`.
+    pub classified: u64,
 }
 
 impl ApproxTable {
-    /// A table for `frames` left frames, none built yet.
-    pub fn new(frames: usize) -> Self {
-        ApproxTable {
-            slots: vec![None; frames],
-            ..ApproxTable::default()
-        }
+    /// Empties the table for `frames` new left frames, none built yet,
+    /// keeping the capacity of its buffers.
+    pub fn reset(&mut self, frames: usize) {
+        self.slots.clear();
+        self.slots.resize(frames, None);
+        self.hull.clear();
+        self.rasters.clear();
+        self.rows.clear();
     }
 
     /// Builds the approximations of frame `i`, whose view is `left`,
@@ -262,45 +348,78 @@ impl ApproxTable {
             eps,
             envelope,
             edges: m - p.num_rings() as u64,
+            raster: None,
         };
         (approx, touched)
     }
 
     /// Decides the pair (frame `i`, `right`) from the approximations
-    /// [`ApproxTable::prepare`] built for frame `i`, whose view is `left`:
-    /// `Some(true)` is a proven hit and `Some(false)` a proven miss — both
-    /// equal to what [`crate::algo::intersects`] returns — and `None`
-    /// leaves the pair to the exact test. Also returns the tests examined:
-    /// one per right point or segment measured against the disc, per right
-    /// vertex placed against a hull edge, per hull vertex placed against a
-    /// right segment's line, per right vertex the left envelope rejects,
-    /// and per left edge visited locating a right vertex. The disc and the
-    /// hull give up with `None` where they would exceed the right side's
-    /// vertices times the hull's edges, and the whole decision, the vertex
-    /// step included, where it would exceed the right side's vertices
-    /// times the left polygon's edges — never more vertex pairs than the
-    /// exact test's own sweep compares. A vertex is located only when the
-    /// budget left pays for a walk over every left edge.
-    pub fn decide(&self, i: usize, left: &GeomRef<'_>, right: &GeomRef<'_>) -> (Option<bool>, u64) {
-        let Some(approx) = &self.slots[i] else {
-            return (None, 0);
+    /// [`ApproxTable::prepare`] built for frame `i`, whose view is `left`.
+    /// Examines one test per right point or segment measured against the
+    /// disc, per right vertex placed against a hull edge, per hull vertex
+    /// placed against a right segment's line, per right vertex the left
+    /// envelope rejects, per left edge visited locating a right vertex,
+    /// per right point or segment off the raster, per raster row a right
+    /// segment walks, and per right edge visited locating the left
+    /// vertex. The disc and the hull give up with `None` where they would
+    /// exceed the right side's vertices times the hull's edges, and the
+    /// whole decision, the vertex and raster steps included, where it
+    /// would exceed the right side's vertices times the left polygon's
+    /// edges — never more vertex pairs than the exact test's own sweep
+    /// compares. A vertex is located only when the budget left pays for a
+    /// walk over every left edge, and the left vertex only when it pays
+    /// for every right edge.
+    pub fn decide(&mut self, i: usize, left: &GeomRef<'_>, right: &GeomRef<'_>) -> Decision {
+        let Some(approx) = &mut self.slots[i] else {
+            return Decision::default();
         };
         let hull = &self.hull[approx.hull.clone()];
         let budget = right.num_points() as u64 * hull.len().saturating_sub(1) as u64;
         // No hull, or a right side without a vertex: nothing to decide on.
         if budget == 0 {
-            return (None, 0);
+            return Decision::default();
         }
         let mut meter = Meter {
             examined: 0,
             budget,
         };
+        let mut classified = 0;
         let mut outcome = approx.decide(hull, right, &mut meter);
         if let (None, GeomRef::Polygon(p)) = (outcome, left) {
             meter.budget = right.num_points() as u64 * approx.edges;
             outcome = approx.vertex_inside(p, right, &mut meter).then_some(true);
+            if outcome.is_none() {
+                let rasters = &mut self.rasters;
+                let k = *approx.raster.get_or_insert_with(|| {
+                    rasters.push(Raster {
+                        frame: i,
+                        rows: [0; CELLS],
+                    });
+                    // audit: one cell holds far fewer than 2^32 frames.
+                    (rasters.len() - 1) as u32
+                });
+                let (raster, rows) = (&mut rasters[k as usize], &mut self.rows);
+                (outcome, classified) = approx.raster_decides(raster, rows, p, right, &mut meter);
+            }
         }
-        (outcome, meter.examined)
+        Decision {
+            outcome,
+            examined: meter.examined,
+            classified,
+        }
+    }
+
+    /// Empties the raster cache: every frame's rows are classified again
+    /// when a later pair walks them. The join clears it between the
+    /// survivors of two cells, which share no left frame, so the cache
+    /// holds at most one cell's rasters.
+    pub fn clear_rasters(&mut self) {
+        for raster in self.rasters.drain(..) {
+            if let Some(approx) = &mut self.slots[raster.frame] {
+                approx.raster = None;
+            }
+        }
+        self.rows.clear();
     }
 }
 
@@ -313,6 +432,7 @@ impl Approx {
         eps: 0.0,
         envelope: Rect::EMPTY,
         edges: 0,
+        raster: None,
     };
 
     fn decide(&self, hull: &[Point], right: &GeomRef<'_>, meter: &mut Meter) -> Option<bool> {
@@ -459,6 +579,295 @@ impl Approx {
         });
         matches!(located, ControlFlow::Break(Stop::Hit))
     }
+
+    /// The raster step: walks every right point and segment over the rows
+    /// of `raster` it reaches, classifying each row the first time into
+    /// `rows` (and giving up should the pool outgrow the places). A
+    /// shell segment meeting an interior cell shrunk by the tie band is a
+    /// hit; grown by the band, every part meeting only exterior cells is a
+    /// miss, for a right side with area once the left vertex is located
+    /// outside each of its polygons. Charges a test per point or segment
+    /// off the raster, per row walked and per right edge visited
+    /// locating; returns the outcome and the cells and left edges it
+    /// classified.
+    fn raster_decides(
+        &self,
+        raster: &mut Raster,
+        rows: &mut Vec<Row>,
+        left: &PolygonRef<'_>,
+        right: &GeomRef<'_>,
+        meter: &mut Meter,
+    ) -> (Option<bool>, u64) {
+        let Some(grid) = Grid::over(&self.envelope, self.eps) else {
+            return (None, 0);
+        };
+        let (eps, mut classified, mut clear) = (self.eps, 0, true);
+        let mut walk = |p: Point, q: Point, shell: bool| {
+            // A hole's segment cannot prove a hit: past the first
+            // non-exterior cell there is nothing left for it to show.
+            if !(clear || shell) {
+                return ControlFlow::Continue(());
+            }
+            let reached = grid.rows(p.y.min(q.y) - eps, p.y.max(q.y) + eps);
+            if reached.is_empty() || grid.cols(p.x.min(q.x) - eps, p.x.max(q.x) + eps) == 0 {
+                return meter.tick();
+            }
+            // The rows the budget lets this segment walk, classified in
+            // one pass over the left edges where not classified before.
+            let walkable = reached.start..reached.end.min(reached.start + meter.left());
+            let need = walkable
+                .filter(|&r| raster.rows[r] == 0)
+                .fold(0u32, |m, r| m | 1 << r);
+            if need != 0 {
+                if rows.len() + need.count_ones() as usize > usize::from(u16::MAX) {
+                    return ControlFlow::Break(Stop::Spent);
+                }
+                classified += Row::classify(&grid, eps, left, need, |r, row| {
+                    rows.push(row);
+                    // audit: the pool holds at most u16::MAX rows (checked above).
+                    raster.rows[r] = rows.len() as u16;
+                });
+            }
+            for r in reached {
+                meter.tick()?;
+                let Row { interior, boundary } = rows[usize::from(raster.rows[r]) - 1];
+                let (lo, hi) = grid.row(r);
+                let met = band_x(p, q, lo - eps, hi + eps, true)
+                    .map_or(0, |(a, b)| grid.cols(a - eps, b + eps));
+                if met & (interior | boundary) == 0 {
+                    continue;
+                }
+                clear = false;
+                let inside = shell && met & interior != 0;
+                if let Some((a, b)) = band_x(p, q, lo + eps, hi - eps, false).filter(|_| inside) {
+                    if grid.cols(a + eps, b - eps) & interior != 0 {
+                        return ControlFlow::Break(Stop::Hit);
+                    }
+                }
+            }
+            ControlFlow::Continue(())
+        };
+        let swept = right.form().parts(&mut |part| match part {
+            Part::Point(v) => walk(*v, *v, true),
+            Part::Line(coords) => coords.segments().try_for_each(|(p, q)| walk(p, q, true)),
+            Part::Polygon(rings) => rings.clone().enumerate().try_for_each(|(k, ring)| {
+                ring.segments().try_for_each(|(p, q)| walk(p, q, k == 0))
+            }),
+        });
+        let outcome = match swept {
+            ControlFlow::Break(Stop::Hit) => Some(true),
+            ControlFlow::Break(_) => None,
+            ControlFlow::Continue(()) if !clear => None,
+            ControlFlow::Continue(()) if has_area(right) => {
+                self.vertex_in_right(left.exterior().point(0), right, meter)
+            }
+            ControlFlow::Continue(()) => Some(false),
+        };
+        (outcome, classified)
+    }
+
+    /// Where the exact test looks for a right polygon around the left
+    /// one: `v`, located in each polygon of `right` by the exact test's
+    /// point-in-polygon code. `Some(true)` when it lies inside or on one,
+    /// `Some(false)` when outside all, `None` when the budget left cannot
+    /// pay for every edge of the next one.
+    fn vertex_in_right(&self, v: Point, right: &GeomRef<'_>, meter: &mut Meter) -> Option<bool> {
+        let located = right.form().parts(&mut |part| {
+            let Part::Polygon(rings) = part else {
+                return ControlFlow::Continue(());
+            };
+            let edges = rings.clone().map(|r| r.num_points() as u64 - 1).sum();
+            meter.afford(edges)?;
+            meter.examined += edges;
+            match locate_in_rings(v, rings.clone().map(Coords::segments)) {
+                PointLocation::Outside => ControlFlow::Continue(()),
+                _ => ControlFlow::Break(Stop::Hit),
+            }
+        });
+        match located {
+            ControlFlow::Continue(()) => Some(false),
+            ControlFlow::Break(Stop::Hit) => Some(true),
+            ControlFlow::Break(_) => None,
+        }
+    }
+}
+
+impl Row {
+    /// Classifies the rows in the mask `need` in one pass over every edge
+    /// of `left`'s rings: a cell whose span, grown by `eps`, meets an edge
+    /// is boundary, and every other is interior when its centre's ray
+    /// along the row's centre line crosses the shell an odd number of
+    /// times and every hole an even number. Hands each row to `store`,
+    /// lowest first, and returns the cost: the rows' cells and the edges
+    /// scanned.
+    fn classify(
+        grid: &Grid,
+        eps: f64,
+        left: &PolygonRef<'_>,
+        need: u32,
+        mut store: impl FnMut(usize, Row),
+    ) -> u64 {
+        let (first, last) = (
+            need.trailing_zeros() as usize,
+            31 - need.leading_zeros() as usize,
+        );
+        let (lo, hi) = (grid.row(first).0 - eps, grid.row(last).1 + eps);
+        let (mut interior, mut boundary, mut odd) = ([0u32; CELLS], [0u32; CELLS], [0u32; CELLS]);
+        let mut scanned = 0;
+        for (k, ring) in left.rings().enumerate() {
+            for (a, b) in ring.segments() {
+                scanned += 1;
+                let (ylo, yhi) = (a.y.min(b.y), a.y.max(b.y));
+                if yhi < lo || ylo > hi {
+                    continue;
+                }
+                for r in bits(mask(grid.rows(ylo - eps, yhi + eps)) & need) {
+                    let (rlo, rhi) = grid.row(r);
+                    if let Some((xa, xb)) = band_x(a, b, rlo - eps, rhi + eps, true) {
+                        boundary[r] |= grid.cols(xa - eps, xb + eps);
+                    }
+                    // The crossing test of the exact point-in-polygon
+                    // code, its crossing kept on the edge: the cells
+                    // around it are boundary, so only its side of every
+                    // other cell counts.
+                    let centre = grid.y0 + (r as f64 + 0.5) * grid.h;
+                    if (a.y > centre) != (b.y > centre) {
+                        let x = a.x + (centre - a.y) / (b.y - a.y) * (b.x - a.x);
+                        odd[r] ^= grid.centred_left_of(x.clamp(a.x.min(b.x), a.x.max(b.x)));
+                    }
+                }
+            }
+            for r in bits(need) {
+                interior[r] = if k == 0 {
+                    odd[r]
+                } else {
+                    interior[r] & !odd[r]
+                };
+                odd[r] = 0;
+            }
+        }
+        for r in bits(need) {
+            let row = Row {
+                interior: interior[r] & !boundary[r],
+                boundary: boundary[r],
+            };
+            store(r, row);
+        }
+        scanned + CELLS as u64 * u64::from(need.count_ones())
+    }
+}
+
+impl Grid {
+    /// The grid over `envelope` grown by `eps` on every side, so that
+    /// nothing within the tie band of the polygon lies off it; `None`
+    /// when a coordinate so large overflows it, which no pair decides
+    /// on.
+    fn over(envelope: &Rect, eps: f64) -> Option<Grid> {
+        let w = (envelope.width() + 2.0 * eps) / CELLS as f64;
+        let h = (envelope.height() + 2.0 * eps) / CELLS as f64;
+        let grid = Grid {
+            x0: envelope.min_x - eps,
+            y0: envelope.min_y - eps,
+            h,
+            per_w: 1.0 / w,
+            per_h: 1.0 / h,
+        };
+        let finite = [grid.x0, grid.y0, w, h, grid.per_w, grid.per_h];
+        finite.iter().all(|v| v.is_finite()).then_some(grid)
+    }
+
+    /// The y-span of row `r`.
+    fn row(&self, r: usize) -> (f64, f64) {
+        (
+            self.y0 + r as f64 * self.h,
+            self.y0 + (r + 1) as f64 * self.h,
+        )
+    }
+
+    /// The rows whose y-span meets `lo..=hi`.
+    fn rows(&self, lo: f64, hi: f64) -> Range<usize> {
+        spans(self.y0, self.per_h, lo, hi)
+    }
+
+    /// The columns whose x-span meets `lo..=hi`, as a mask. With `lo >
+    /// hi`, the columns whose span holds `hi..=lo`.
+    fn cols(&self, lo: f64, hi: f64) -> u32 {
+        mask(spans(self.x0, self.per_w, lo, hi))
+    }
+
+    /// The columns whose centre lies left of `x`, as a mask.
+    fn centred_left_of(&self, x: f64) -> u32 {
+        let n = (-floor(0.5 - (x - self.x0) * self.per_w)).clamp(0, CELLS as i64);
+        // audit: clamped to 0..=CELLS above.
+        mask(0..n as usize)
+    }
+}
+
+/// The cells `range` (within `0..CELLS`) as a mask.
+fn mask(range: Range<usize>) -> u32 {
+    if range.is_empty() {
+        return 0;
+    }
+    // audit: a non-empty range within 0..CELLS has 1..=32 cells.
+    (u32::MAX >> (u32::BITS - range.len() as u32)) << range.start
+}
+
+/// The indices of the set bits of `m`, lowest first.
+fn bits(mut m: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let i = m.trailing_zeros() as usize;
+        m &= m.wrapping_sub(1);
+        (i < CELLS).then_some(i)
+    })
+}
+
+/// The indices `k` in `0..CELLS` of the spans `[o + k/f, o + (k+1)/f]`
+/// that reach `hi` from the left and `lo` from the right: for `lo ≤ hi`,
+/// the spans that meet `lo..=hi`.
+fn spans(o: f64, f: f64, lo: f64, hi: f64) -> Range<usize> {
+    // ⌈(lo − o)·f⌉ − 1 and ⌊(hi − o)·f⌋, within the grid.
+    let first = (-floor((o - lo) * f) - 1).max(0);
+    let last = floor((hi - o) * f).min(CELLS as i64 - 1);
+    if first > last {
+        return 0..0;
+    }
+    // audit: both lie in 0..CELLS here.
+    first as usize..last as usize + 1
+}
+
+/// `⌊v⌋`, saturating at the ends of `i64`: a conversion and a compare,
+/// where `f64::floor` is a library call on the baseline x86-64 target.
+fn floor(v: f64) -> i64 {
+    let t = v as i64;
+    t.saturating_sub(i64::from(t as f64 > v))
+}
+
+/// The x-extent of the part of the segment `p..q` in the band `lo ≤ y ≤
+/// hi`, or `None` when the segment misses the band. A shallow segment
+/// (see [`SHALLOW`]) only partly in the band counts with its whole
+/// x-extent when `widen`, and as `None` otherwise.
+fn band_x(p: Point, q: Point, lo: f64, hi: f64, widen: bool) -> Option<(f64, f64)> {
+    let (ylo, yhi) = (p.y.min(q.y), p.y.max(q.y));
+    if yhi < lo || ylo > hi {
+        return None;
+    }
+    let whole = (p.x.min(q.x), p.x.max(q.x));
+    if ylo >= lo && yhi <= hi {
+        return Some(whole);
+    }
+    let (dx, dy) = (q.x - p.x, q.y - p.y);
+    if dx.abs() > SHALLOW * dy.abs() {
+        return widen.then_some(whole);
+    }
+    let slope = dx / dy;
+    let at = |y: f64| p.x + (y.clamp(ylo, yhi) - p.y) * slope;
+    let (a, b) = (at(lo), at(hi));
+    // An overflow, on coordinates near the ends of `f64`, counts as
+    // shallow.
+    if !(a.is_finite() && b.is_finite()) {
+        return widen.then_some(whole);
+    }
+    Some((a.min(b), a.max(b)))
 }
 
 /// Calls `f` on every vertex of `g` — of every part, ring (or only the
@@ -505,6 +914,12 @@ impl Meter {
         }
         self.examined += 1;
         ControlFlow::Continue(())
+    }
+
+    /// The tests left in the budget, at most a raster's rows.
+    fn left(&self) -> usize {
+        // audit: at most CELLS.
+        (self.budget - self.examined).min(CELLS as u64) as usize
     }
 
     /// Breaks with [`Stop::Spent`] unless `n` more tests fit the budget.
@@ -644,10 +1059,12 @@ mod tests {
             wkb::encode(&wkt::parse(left).unwrap()),
             wkb::encode(&wkt::parse(right).unwrap()),
         );
-        let mut table = ApproxTable::new(1);
+        let mut table = ApproxTable::default();
+        table.reset(1);
         let left = wkb::decode_ref(&l).unwrap().0;
         table.prepare(0, &left);
-        table.decide(0, &left, &wkb::decode_ref(&r).unwrap().0)
+        let d = table.decide(0, &left, &wkb::decode_ref(&r).unwrap().0);
+        (d.outcome, d.examined)
     }
 
     /// An eight-pointed star around the origin: outer radius 4, inner 2.
@@ -694,13 +1111,78 @@ mod tests {
             decide(&star, "LINESTRING (4.3 -2.5, 4.6 0, 4.3 2.5)").0,
             Some(false)
         );
-        // Open: a spike crossing and a notch (inside the hull, outside
-        // the polygon), which only the exact test can tell apart.
+        // Open: a segment crossing a spike near its tip, where every
+        // cell is boundary, which only the exact test can settle.
         assert_eq!(decide(&star, "LINESTRING (3.5 -0.2, 4.5 0.2)").0, None);
-        assert_eq!(decide(&star, "POINT (2.4 1)").0, None);
-        // A polygon containing the hull is never a proven miss.
-        let around = "POLYGON ((-9 -9, 9 -9, 9 9, -9 9, -9 -9), (-5 -5, -5 5, 5 5, 5 -5, -5 -5))";
-        assert_eq!(decide(&star, around).0, None);
+    }
+
+    #[test]
+    fn the_raster_settles_what_the_vertex_step_leaves_open() {
+        let star = star();
+        for (right, hit) in [
+            // In a notch, inside the hull: its cells are exterior.
+            ("POINT (2.4 1)", false),
+            ("LINESTRING (2.5 0.9, 2.6 1.2)", false),
+            // Across a spike, both ends in the notches beside it: no
+            // vertex is inside, but the segment crosses interior cells.
+            ("LINESTRING (2.8 -0.6, 2.8 0.6)", true),
+            // A polygon around the star, with the star in its hole: no
+            // right edge reaches the raster, and the star's first vertex
+            // lies in the hole. Without the hole, that vertex proves the
+            // hit.
+            (
+                "POLYGON ((-9 -9, 9 -9, 9 9, -9 9, -9 -9), (-5 -5, -5 5, 5 5, 5 -5, -5 -5))",
+                false,
+            ),
+            ("POLYGON ((-9 -9, 9 -9, 9 9, -9 9, -9 -9))", true),
+        ] {
+            let exact =
+                crate::algo::intersects(&wkt::parse(&star).unwrap(), &wkt::parse(right).unwrap());
+            assert_eq!(exact, hit, "{right}");
+            assert_eq!(decide(&star, right).0, Some(hit), "{right}");
+        }
+    }
+
+    #[test]
+    fn a_grid_that_overflows_decides_nothing() {
+        // The square's width overflows to infinity: it gets no raster,
+        // and a line across it stays with the exact test.
+        let square =
+            "POLYGON ((-1e308 -1e308, 1e308 -1e308, 1e308 1e308, -1e308 1e308, -1e308 -1e308))";
+        assert_eq!(decide(square, "LINESTRING (-1.5e308 0, 1.5e308 1)").0, None);
+    }
+
+    #[test]
+    fn a_raster_row_is_classified_once_per_frame_until_cleared() {
+        let (star, right) = (star(), "LINESTRING (2.8 -0.6, 2.8 0.6)");
+        let (l, r) = (
+            wkb::encode(&wkt::parse(&star).unwrap()),
+            wkb::encode(&wkt::parse(right).unwrap()),
+        );
+        let (left, right) = (
+            wkb::decode_ref(&l).unwrap().0,
+            wkb::decode_ref(&r).unwrap().0,
+        );
+        let mut table = ApproxTable::default();
+        table.reset(1);
+        table.prepare(0, &left);
+        // The segment reaches six rows, classified in one pass over the
+        // star's 16 edges: the edges once, and each row's 32 cells.
+        let first = table.decide(0, &left, &right);
+        assert_eq!(first.outcome, Some(true));
+        assert_eq!(first.classified, 16 + 6 * 32, "{first:?}");
+        // The same rows again: walked and charged as tests, not built.
+        let second = table.decide(0, &left, &right);
+        assert_eq!(
+            second,
+            Decision {
+                classified: 0,
+                ..first
+            }
+        );
+        // Cleared, the rows are classified afresh.
+        table.clear_rasters();
+        assert_eq!(table.decide(0, &left, &right), first);
     }
 
     #[test]
@@ -713,15 +1195,19 @@ mod tests {
         );
         assert_eq!(decide(&star(), "GEOMETRYCOLLECTION EMPTY"), (None, 0));
         // The centroid sits in the hole: no disc, but the hull still
-        // proves a miss.
+        // proves a miss, and the raster's exterior cells one in the hole.
         let holed = "POLYGON ((-4 -4, 4 -4, 4 4, -4 4, -4 -4), (-1 -1, -1 1, 1 1, 1 -1, -1 -1))";
-        assert_eq!(decide(holed, "POINT (0 0)").0, None);
         assert_eq!(decide(holed, "POINT (5 0)").0, Some(false));
+        assert_eq!(decide(holed, "POINT (0 0)").0, Some(false));
         // The centroid is a vertex of a notched square: no disc, so a line
         // passing it at 0.5 with one end in the notch and one beyond the
-        // hull is left to the exact test.
+        // hull is left to the exact test: the hull's tests and one vertex
+        // located spend its budget before the raster walks a row.
         let notched = "POLYGON ((0 0, 3 -3, 3 3, -3 3, -3 -3, 0 0))";
-        assert_eq!(decide(notched, "LINESTRING (-0.5 -2.5, -0.5 5)").0, None);
+        assert_eq!(
+            decide(notched, "LINESTRING (-0.5 -2.5, -0.5 5)"),
+            (None, 10)
+        );
     }
 
     #[test]
@@ -736,9 +1222,12 @@ mod tests {
             decide(holed, "MULTIPOINT ((2 2), (9 9))"),
             (Some(true), 4 + 8)
         );
+        // A point in the hole: located outside, and then the raster
+        // proves the miss, walking the two rows its row edge touches, and
+        // one test for the point off the raster.
         assert_eq!(
             decide(holed, "MULTIPOINT ((0.5 0), (9 9))"),
-            (None, 4 + 8 + 1)
+            (Some(false), 4 + 8 + 1 + 2 + 1)
         );
         assert_eq!(
             decide(holed, "MULTIPOINT ((1 0), (9 9))"),
@@ -756,9 +1245,14 @@ mod tests {
         );
         // A vertex is located only when the budget left pays for all 8
         // edges: after the hull's 4, one point allows none, and two allow
-        // one location.
-        assert_eq!(decide(holed, "POINT (2 2)"), (None, 4));
-        assert_eq!(decide(holed, "MULTIPOINT ((0.5 0), (2 2))"), (None, 4 + 8));
+        // one location. The raster then walks each point's two rows, but
+        // (2, 2) lies within the tie band of a cell corner, so no interior
+        // cell shrunk by the band holds it.
+        assert_eq!(decide(holed, "POINT (2 2)"), (None, 4 + 2));
+        assert_eq!(
+            decide(holed, "MULTIPOINT ((0.5 0), (2 2))"),
+            (None, 4 + 8 + 2 + 2)
+        );
         // A spike of the star, entered from outside: the disc and hull
         // leave it open, the end inside the spike proves it, also as a
         // collection's last vertex.
@@ -789,7 +1283,8 @@ mod tests {
         let square =
             wkb::encode(&wkt::parse("POLYGON ((0 0, 1 0, 2 0, 2 2, 0 2, 0 1, 0 0))").unwrap());
         let view = wkb::decode_ref(&square).unwrap().0;
-        let mut table = ApproxTable::new(2);
+        let mut table = ApproxTable::default();
+        table.reset(2);
         assert!(table.hull(0).is_empty());
         // 7 hull candidates: sort 7·3, two chains 14, centroid 6,
         // point-in-polygon 7, radius 7.

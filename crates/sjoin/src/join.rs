@@ -426,28 +426,37 @@ fn test_cost(model: &CostModel, left: &Side<'_>, right: &Side<'_>, pair: (u32, u
 
 /// The refine step, in two: the approximation step ([`ApproxTable`]:
 /// the left polygon's inner disc proves hits, its convex hull proves
-/// misses, a right vertex located inside it proves hits), then the exact
-/// intersection test for the pairs it leaves open, run on the two
-/// frames' views as they are. Appends
-/// the userdata of every intersecting pair to `pairs` and returns the
-/// number of exact tests. Charges [`Work::MbrTests`] per vertex the
-/// approximations touched and per test they examined, and
-/// [`Work::RefinePair`] per exact test.
+/// misses, a right vertex located inside it proves hits, its raster's
+/// interior cells prove hits and its exterior cells misses), then the
+/// exact intersection test for the pairs it leaves open, run on the two
+/// frames' views as they are. Appends the userdata of every intersecting
+/// pair to `pairs` and returns the number of exact tests. Charges
+/// [`Work::MbrTests`] per vertex the approximations touched, per raster
+/// cell and left edge they classified and per test they examined, and
+/// [`Work::RefinePair`] per exact test. `survivors` come in cell order
+/// and a left frame belongs to one cell, so the rasters are dropped
+/// whenever the cell changes. `approx` is reset for `left`; one table
+/// serves every call of a join, so its buffers are allocated once.
 fn refine(
     comm: &mut Comm,
+    approx: &mut ApproxTable,
     left: &Side<'_>,
     right: &Side<'_>,
     survivors: &[(u32, u32)],
     pairs: &mut Vec<(String, String)>,
 ) -> u64 {
-    let mut approx = ApproxTable::new(left.refs.len());
-    let (mut examined, mut exact) = (0, 0);
+    approx.reset(left.refs.len());
+    let (mut examined, mut exact, mut cell) = (0, 0, None);
     for &pair in survivors {
         let (li, ri) = (pair.0 as usize, pair.1 as usize);
+        let at = left.frames[li].cell;
+        if cell.replace(at) != Some(at) {
+            approx.clear_rasters();
+        }
         examined += approx.prepare(li, &left.refs[li]);
-        let (decided, n) = approx.decide(li, &left.refs[li], &right.refs[ri]);
-        examined += n;
-        let hit = decided.unwrap_or_else(|| {
+        let decision = approx.decide(li, &left.refs[li], &right.refs[ri]);
+        examined += decision.examined + decision.classified;
+        let hit = decision.outcome.unwrap_or_else(|| {
             exact += 1;
             comm.charge(refine_work(left, right, pair));
             algo::shapes_intersect(left.refs[li], right.refs[ri])
@@ -656,13 +665,14 @@ fn run_refine_frames(
         breakdown: PhaseBreakdown::default(),
     };
     let pairs = &mut report.pairs;
-    report.exact_tests = refine(comm, &left, &right, &survivors[..kept], pairs);
+    let approx = &mut ApproxTable::default();
+    report.exact_tests = refine(comm, approx, &left, &right, &survivors[..kept], pairs);
     if let Some(((left_in, left_stats), (right_in, right_stats))) = incoming {
         report.balance_shipped_bytes = left_stats.bytes_sent + right_stats.bytes_sent;
         let left_in = Side::new(&left_in)?;
         let right_in = Side::new(&right_in)?;
         let (received, _) = filter(comm, sd, &left_in, &right_in);
-        report.exact_tests += refine(comm, &left_in, &right_in, &received, pairs);
+        report.exact_tests += refine(comm, approx, &left_in, &right_in, &received, pairs);
         report.refine_tests += received.len() as u64;
     }
     Ok(report)
@@ -1231,7 +1241,7 @@ mod tests {
     #[test]
     fn approximations_decide_most_pairs_and_the_answer_stays_exact() {
         // A 4 x 4 lattice of stars in cell 0 of a 4 x 4 grid over
-        // [0, 40]², each paired with short lines of five kinds, plus one
+        // [0, 40]², each paired with short lines of six kinds, plus one
         // star and one deep line in every other cell: the hot cell's owner
         // ships refine work at 4 and 16 ranks.
         let r = 0.9;
@@ -1266,14 +1276,24 @@ mod tests {
                 // Into a spike from outside: its end inside the spike
                 // proves the hit.
                 right.push_str(&line(format!("X{i}_{j}"), c, &[(0.8, -0.05), (1.2, 0.05)]));
-                // Straddlers: across a spike with both ends in the notches
-                // beside it (a hit), and through a notch inside the hull (a
-                // miss) — both for the exact test.
+                // Straddlers the disc, hull and vertex steps leave open:
+                // across a spike with both ends in the notches beside it (a
+                // hit), and through a notch inside the hull (a miss). The
+                // raster settles both: Y crosses interior cells of the
+                // spike, N meets only exterior cells of the notch.
                 right.push_str(&line(format!("Y{i}_{j}"), c, &[(0.7, -0.15), (0.7, 0.15)]));
                 right.push_str(&line(
                     format!("N{i}_{j}"),
                     c,
                     &[polar(0.75, 20.0), polar(0.75, 25.0)],
+                ));
+                // Across a spike near its tip, where the spike is narrower
+                // than a raster cell, so every cell it meets there is
+                // boundary: a hit only the exact test can settle.
+                right.push_str(&line(
+                    format!("T{i}_{j}"),
+                    c,
+                    &[(0.95, -0.05), (0.95, 0.05)],
                 ));
             }
         }
@@ -1290,8 +1310,8 @@ mod tests {
         left.push_str(&rect_wkt("Lmin", &Rect::new(0.0, 0.0, 0.5, 0.5), 1));
         left.push_str(&rect_wkt("Lmax", &Rect::new(39.5, 39.5, 40.0, 40.0), 1));
         let (expect, overlapping) = brute_force_wkt(&left, &right);
-        // 16 x (2 deep + 2 spike) + 15 background hits.
-        assert_eq!(expect.len(), 79);
+        // 16 x (2 deep + 3 spike) + 15 background hits.
+        assert_eq!(expect.len(), 95);
 
         let refine_fixed = CostModel::calibrated().refine_fixed;
         for topo in [
@@ -1306,14 +1326,14 @@ mod tests {
             // approximation step...
             assert_eq!(sum(|r| r.refine_tests), overlapping, "{topo:?}");
             assert_eq!(sum(|r| r.owned_refine_tests), overlapping, "{topo:?}");
-            // ...but only the straddlers, Y and N, reach the exact test.
-            assert_eq!(sum(|r| r.exact_tests), 32, "{topo:?}");
+            // ...but only the tip straddlers, T, reach the exact test.
+            assert_eq!(sum(|r| r.exact_tests), 16, "{topo:?}");
             if topo.ranks() > 1 {
                 assert!(out[0].balance_shipped_bytes > 0, "{topo:?}");
             }
             // The whole join phase costs less than the exact tests the
             // approximation step skipped would have cost on their own.
-            let decided = overlapping - 32;
+            let decided = overlapping - 16;
             let compute = out[0].breakdown.compute;
             assert!(
                 compute < refine_fixed * decided as f64,

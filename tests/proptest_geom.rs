@@ -156,8 +156,9 @@ fn wkb_variant(g: &Geometry, be: bool, unclose: bool) -> Vec<u8> {
 /// Left sides for the join's approximation step: stars with and without
 /// a centred hole (the holed star's vertex centroid mostly falls in the
 /// hole), a star with an off-centre hole that may cross or leave the
-/// shell, a zero-area ring, and a notched square whose vertex centroid is
-/// one of its vertices — a centre on the boundary.
+/// shell, a zero-area ring, a notched square whose vertex centroid is
+/// one of its vertices — a centre on the boundary — and an L whose inner
+/// horizontal edge lies on the centre line of a row of its raster.
 fn arb_left_polygon() -> impl Strategy<Value = Polygon> {
     let ring = |pts: &[(f64, f64)]| pts.iter().map(|&(x, y)| Point::new(x, y)).collect();
     prop_oneof![
@@ -185,6 +186,12 @@ fn arb_left_polygon() -> impl Strategy<Value = Polygon> {
         1 => (arb_point(), 0.5f64..5.0).prop_map(move |(o, s)| {
             let pts = [(0.0, 0.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (0.0, 0.0)]
                 .map(|(x, y)| (o.x + s * x, o.y + s * y));
+            Polygon::from_coords(ring(&pts), vec![]).unwrap()
+        }),
+        1 => (arb_point(), 0.1f64..5.0, 0usize..32).prop_map(move |(o, s, row)| {
+            let y = row as f64 + 0.5;
+            let pts = [(0.0, 0.0), (32.0, 0.0), (32.0, y), (16.0, y), (16.0, 32.0), (0.0, 32.0), (0.0, 0.0)]
+                .map(|(x, y)| (o.x + s * x / 32.0, o.y + s * y / 32.0));
             Polygon::from_coords(ring(&pts), vec![]).unwrap()
         }),
     ]
@@ -666,8 +673,11 @@ proptest! {
     /// on a hole's boundary, inside a hole or inside the shell outside
     /// every hole (as a point, a multipoint's first vertex, a line's
     /// second vertex, a right hole's vertex with its shell around the
-    /// left polygon or far from it, or a later collection member), and
-    /// nested in collections: whenever it decides a pair, `intersects`
+    /// left polygon or far from it, or a later collection member), aimed
+    /// at the raster (across a spike narrower than a cell, at or grazing
+    /// a cell corner, along a row's centre line, as a many-sided polygon
+    /// around the left one with or without it in a hole), and nested in
+    /// collections: whenever it decides a pair, `intersects`
     /// agrees, and a right shell vertex in or on a left polygon with a
     /// hull decides a hit unless the budget left could not pay for
     /// locating a vertex. Its hull holds every left vertex, and it never
@@ -676,7 +686,7 @@ proptest! {
     fn the_approximation_step_never_contradicts_the_exact_test(
         left in arb_left_polygon(),
         right in arb_geometry_full(),
-        placement in 0usize..11,
+        placement in 0usize..15,
         (ux, uy) in (-0.3f64..1.3, -0.3f64..1.3),
         (scale, offset) in (0usize..4, 0usize..7),
         pick in any::<usize>(),
@@ -690,7 +700,8 @@ proptest! {
         let offset = [0.0, 1e-13, -1e-13, 1e-10, 1e-7, 1e-3, 0.1][offset];
         let left_g = Geometry::Polygon(left.clone());
         let left_wkb = wkb::encode(&left_g);
-        let mut table = ApproxTable::new(1);
+        let mut table = ApproxTable::default();
+        table.reset(1);
         table.prepare(0, &wkb::decode_ref(&left_wkb).unwrap().0);
         prop_assert_eq!(table.prepare(0, &wkb::decode_ref(&left_wkb).unwrap().0), 0);
         let hull = table.hull(0).to_vec();
@@ -708,6 +719,11 @@ proptest! {
         let dir = Point::new(theta.cos(), theta.sin());
         let at = |d: f64| Point::new(c.x + d * dir.x, c.y + d * dir.y);
         let segment = |a: Point, b: Point| Geometry::LineString(LineString::new(vec![a, b]).unwrap());
+        // The left envelope grown by `h`, as a closed ring.
+        let square = |h: f64| {
+            let (x0, y0, x1, y1) = (env.min_x - h, env.min_y - h, env.max_x + h, env.max_y + h);
+            vec![Point::new(x0, y0), Point::new(x1, y0), Point::new(x1, y1), Point::new(x0, y1), Point::new(x0, y0)]
+        };
         // A hull edge, its unit outward normal, and a point along it.
         let edge = (!hull.is_empty()).then(|| {
             let k = pick % (hull.len() - 1);
@@ -744,10 +760,6 @@ proptest! {
             // A polygon around the hull, possibly with the left polygon
             // in its hole.
             (7, _) => {
-                let square = |h: f64| {
-                    let (x0, y0, x1, y1) = (env.min_x - h, env.min_y - h, env.max_x + h, env.max_y + h);
-                    vec![Point::new(x0, y0), Point::new(x1, y0), Point::new(x1, y1), Point::new(x0, y1), Point::new(x0, y0)]
-                };
                 let holes = if pick % 2 == 0 { vec![square(offset * size)] } else { vec![] };
                 Geometry::Polygon(Polygon::from_coords(square(size), holes).unwrap())
             }
@@ -803,6 +815,53 @@ proptest! {
                     ])),
                 }
             }
+            // Across the corner at a shell vertex where its two edges are
+            // half a raster cell apart (a spike narrower than a cell when
+            // the vertex is convex), moved along the edges by the offset.
+            (11, _) => {
+                let shell = left.exterior().points();
+                let n = shell.len() - 1;
+                let k = pick % n;
+                let (v, a, b) = (shell[k], shell[(k + n - 1) % n], shell[k + 1]);
+                let t = (size / 64.0 / a.distance(&b).max(1e-300)).min(1.0) * (1.0 + offset);
+                let on = |e: Point| Point::new(v.x + t * (e.x - v.x), v.y + t * (e.y - v.y));
+                let (pa, pb) = (on(a), on(b));
+                let (dx, dy) = ((pb.x - pa.x) / 2.0, (pb.y - pa.y) / 2.0);
+                segment(Point::new(pa.x - dx, pa.y - dy), Point::new(pb.x + dx, pb.y + dy))
+            }
+            // At a raster cell corner, or grazing it: a point, or a
+            // segment a cell long, moved off the corner by the offset.
+            (12, _) => {
+                let (i, j) = ((pick % 33) as f64 / 32.0, (pick / 33 % 33) as f64 / 32.0);
+                let d = offset * size;
+                let c = Point::new(env.min_x + i * env.width() - d * dir.y, env.min_y + j * env.height() + d * dir.x);
+                let half = size / 64.0;
+                if pick / 1089 % 2 == 0 {
+                    Geometry::Point(c)
+                } else {
+                    segment(Point::new(c.x - half * dir.x, c.y - half * dir.y), Point::new(c.x + half * dir.x, c.y + half * dir.y))
+                }
+            }
+            // Horizontal along the centre line of a raster row, moved
+            // off it by the offset.
+            (13, _) => {
+                let y = env.min_y + env.height() * ((pick % 32) as f64 + 0.5) / 32.0 + offset * size;
+                let x = |u: f64| env.min_x + u * env.width();
+                segment(Point::new(x(ux), y), Point::new(x(uy), y))
+            }
+            // A many-sided polygon around the left one, possibly with the
+            // left polygon in its hole: no right edge meets the raster.
+            (14, _) => {
+                let (m, c, r) = (8 * (1 + pick % 4), env.center(), size * (1.0 + offset));
+                let shell = (0..=m)
+                    .map(|i| {
+                        let a = theta + std::f64::consts::TAU * (i % m) as f64 / m as f64;
+                        Point::new(c.x + r * a.cos(), c.y + r * a.sin())
+                    })
+                    .collect();
+                let holes = if pick / 4 % 2 == 0 { vec![square(offset * size)] } else { vec![] };
+                Geometry::Polygon(Polygon::from_coords(shell, holes).unwrap())
+            }
             // Anywhere around the left polygon, at any scale.
             _ => {
                 let renv = right.envelope();
@@ -822,7 +881,8 @@ proptest! {
         };
         let right_wkb = wkb::encode(&right);
         let left_view = wkb::decode_ref(&left_wkb).unwrap().0;
-        let (decided, examined) = table.decide(0, &left_view, &wkb::decode_ref(&right_wkb).unwrap().0);
+        let decision = table.decide(0, &left_view, &wkb::decode_ref(&right_wkb).unwrap().0);
+        let (decided, examined) = (decision.outcome, decision.examined);
         if let Some(hit) = decided {
             prop_assert_eq!(hit, intersects(&left_g, &right), "placement {} right {:?}", placement, right);
         }
