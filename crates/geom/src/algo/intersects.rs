@@ -51,9 +51,11 @@ fn line_intersects_polygon<C: Coords>(
     {
         return true;
     }
-    // No crossing: the line is wholly inside or wholly outside; one vertex
-    // decides.
-    locate_in_polygon(l.point(0), rings, p_env) != PointLocation::Outside
+    // No crossing seen: the line is inside where any vertex is. One vertex
+    // would decide for exact crossings, but a line through a ring vertex
+    // can slip past every edge's collinearity tolerance there.
+    l.points()
+        .any(|v| locate_in_polygon(v, rings.clone(), p_env) != PointLocation::Outside)
 }
 
 /// `true` if two polygons, given as their rings shell first, share any
@@ -252,6 +254,31 @@ mod tests {
         assert!(intersects(&sq, &inside));
         let outside: Geometry = Geometry::LineString(line(&[(5.0, 5.0), (6.0, 6.0)]));
         assert!(!intersects(&sq, &outside));
+    }
+
+    #[test]
+    fn a_line_entering_at_a_fuzzy_corner_intersects() {
+        // A square notched to its centre, and a line that starts 4e-13
+        // outside its corner (x1, y0), where no edge test sees the
+        // crossing, and ends deep inside it.
+        let (x0, y0, x1, y1) = (
+            160.680_724_613_614_5,
+            -175.679_675_386_385_5,
+            167.020_875_386_385_48,
+            -169.339_524_613_614_51,
+        );
+        let notch = (163.8508, -172.5096);
+        let ring = [notch, (x1, y0), (x1, y1), (x0, y1), (x0, y0), notch];
+        let sq = Polygon::from_coords(pts(&ring), vec![]).unwrap();
+        let l = line(&[
+            (167.020_875_386_385_9, -175.679_675_386_385_98),
+            (162.778_864_753_075_4, -170.967_684_553_590_46),
+        ]);
+        let end = crate::algo::point_in_polygon(l.points()[1], &sq);
+        assert_eq!(end, PointLocation::Inside);
+        let (sq, l) = (Geometry::from(sq), Geometry::LineString(l));
+        assert!(intersects(&sq, &l));
+        assert!(intersects(&l, &sq));
     }
 
     #[test]

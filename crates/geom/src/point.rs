@@ -27,14 +27,6 @@ impl Point {
         (self.x - other.x).hypot(self.y - other.y)
     }
 
-    /// Squared Euclidean distance (avoids the square root on hot paths).
-    #[inline]
-    pub fn distance_sq(&self, other: &Point) -> f64 {
-        let dx = self.x - other.x;
-        let dy = self.y - other.y;
-        dx * dx + dy * dy
-    }
-
     /// The degenerate bounding rectangle covering just this point.
     #[inline]
     pub fn envelope(&self) -> Rect {
@@ -77,7 +69,6 @@ mod tests {
         let a = Point::new(0.0, 0.0);
         let b = Point::new(3.0, 4.0);
         assert_eq!(a.distance(&b), 5.0);
-        assert_eq!(a.distance_sq(&b), 25.0);
     }
 
     #[test]

@@ -425,9 +425,9 @@ fn test_cost(model: &CostModel, left: &Side<'_>, right: &Side<'_>, pair: (u32, u
 }
 
 /// The refine step, in two: the approximation step ([`ApproxTable`]:
-/// the left polygon's inner disc proves hits, its convex hull proves
-/// misses, a right vertex located inside it proves hits, its raster's
-/// interior cells prove hits and its exterior cells misses), then the
+/// one edge of the left polygon's convex hull proves misses, a right
+/// vertex located inside the polygon proves hits, its raster's interior
+/// cells prove hits and its exterior cells misses), then the
 /// exact intersection test for the pairs it leaves open, run on the two
 /// frames' views as they are. Appends the userdata of every intersecting
 /// pair to `pairs` and returns the number of exact tests. Charges
@@ -1261,7 +1261,7 @@ mod tests {
             for j in 0..4 {
                 let c = (1.5 + 2.3 * i as f64, 1.5 + 2.3 * j as f64);
                 left.push_str(&star_wkt(&format!("S{i}_{j}"), c, r));
-                // Deep inside: the disc proves the hit.
+                // Deep inside: a right vertex located inside proves the hit.
                 right.push_str(&line(format!("D{i}_{j}"), c, &[(-0.1, 0.05), (0.1, -0.05)]));
                 right.push_str(&line(format!("E{i}_{j}"), c, &[(0.2, -0.3), (0.05, 0.25)]));
                 // In each corner of the star's MBR, beyond its hull: the
@@ -1276,7 +1276,7 @@ mod tests {
                 // Into a spike from outside: its end inside the spike
                 // proves the hit.
                 right.push_str(&line(format!("X{i}_{j}"), c, &[(0.8, -0.05), (1.2, 0.05)]));
-                // Straddlers the disc, hull and vertex steps leave open:
+                // Straddlers the hull and vertex steps leave open:
                 // across a spike with both ends in the notches beside it (a
                 // hit), and through a notch inside the hull (a miss). The
                 // raster settles both: Y crosses interior cells of the

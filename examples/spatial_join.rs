@@ -67,7 +67,7 @@ fn main() {
     println!("\nfilter candidates : {candidates}");
     println!("refine tests       : {refined} (after reference-point dedup)");
     println!(
-        "exact tests        : {exact}, max/mean over ranks {:.3} (the rest decided by disc, hull and vertex)",
+        "exact tests        : {exact}, max/mean over ranks {:.3} (the rest decided by hull, vertex and raster)",
         exact_max as f64 * reports.len() as f64 / exact.max(1) as f64
     );
     println!("intersecting pairs : {pairs}");

@@ -227,7 +227,8 @@ fn map_points(g: &Geometry, f: &impl Fn(Point) -> Point) -> Geometry {
 }
 
 /// The vertex centroid of `poly`'s shell and its distance to the nearest
-/// segment of any ring: the inner disc before the tie margin.
+/// segment of any ring: a disc inside the polygon when the centroid is,
+/// whose circle the placements probe from inside and along tangents.
 fn inner_disc(poly: &Polygon) -> (Point, f64) {
     let shell = poly.exterior().points();
     let n = (shell.len() - 1) as f64;
