@@ -28,6 +28,7 @@ const EXPERIMENTS: &[(&str, Runner)] = &[
     ("io", ex::io::run),
     ("serve", ex::serve::run),
     ("rebalance", ex::rebalance::run),
+    ("ledger", ex::ledger::run),
     ("table1", ex::table1::run),
     ("table2", ex::table2::run),
     ("table3", ex::table3::run),

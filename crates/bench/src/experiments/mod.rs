@@ -19,6 +19,7 @@ pub mod fig19;
 pub mod fig20;
 pub mod gate;
 pub mod io;
+pub mod ledger;
 pub mod pipeline;
 pub mod rebalance;
 pub mod serve;

@@ -25,7 +25,7 @@ use mvio_core::pipeline::{ingest, PipelineOptions};
 use mvio_core::reader::WktLineParser;
 use mvio_datagen::{generate_queries, QueryShape, QueryWorkload, SpatialDistribution};
 use mvio_geom::Rect;
-use mvio_msim::{Topology, World, WorldConfig};
+use mvio_msim::{Ledger, Topology, World, WorldConfig};
 use mvio_pfs::SimFs;
 use mvio_sjoin::{EngineOptions, Query, QueryAnswer, QueryEngine, ServeCache};
 
@@ -133,8 +133,9 @@ fn to_query(s: &QueryShape) -> Query {
 
 /// Measures one query stream: ingest once, build the resident engine,
 /// then serve `queries` per-rank Zipf draws in `batch`-sized calls.
-/// Returns the row with `speedup` unfilled (1.0) and each rank's answers.
-fn measure_one(
+/// Returns the row with `speedup` unfilled (1.0), each rank's answers,
+/// and each rank's ledger over the stream (its virtual seconds by slot).
+pub(crate) fn measure_one(
     scale: Scale,
     bytes: &[u8],
     ranks: usize,
@@ -142,7 +143,7 @@ fn measure_one(
     queries: usize,
     batch: usize,
     cache: bool,
-) -> (Row, Vec<Vec<QueryAnswer>>) {
+) -> (Row, Vec<Vec<QueryAnswer>>, Vec<Ledger>) {
     let fs = SimFs::new(gpfs_scaled(scale));
     fs.set_active_ranks(ranks);
     fs.create("serve.wkt", None)
@@ -184,7 +185,7 @@ fn measure_one(
         let mut call_s: Vec<f64> = Vec::with_capacity(queries.div_ceil(batch));
         let mut hits = 0u64;
         let mut answers = Vec::with_capacity(queries);
-        let start = comm.now();
+        let (start, booked) = (comm.now(), comm.ledger());
         for chunk in qs.chunks(batch) {
             let t = comm.now();
             let rep = eng.serve(comm, chunk).unwrap();
@@ -192,7 +193,8 @@ fn measure_one(
             hits += rep.stats.answered_from_cache;
             answers.extend(rep.answers);
         }
-        (comm.now() - start, call_s, hits, answers)
+        let ledger = comm.ledger().since(&booked);
+        (comm.now() - start, call_s, hits, answers, ledger)
     });
     // A serve call's latency is its max over ranks; every rank makes the
     // same number of calls (same per-rank query count), so the per-call
@@ -222,7 +224,8 @@ fn measure_one(
         cache_hit_rate: hits as f64 / total_q,
         speedup: 1.0,
     };
-    (row, out.into_iter().map(|r| r.3).collect())
+    let ledgers = out.iter().map(|r| r.4).collect();
+    (row, out.into_iter().map(|r| r.3).collect(), ledgers)
 }
 
 /// Panics unless each rank's `answers` equal its `reference` query by
@@ -236,6 +239,14 @@ fn assert_same_answers(mode: &str, reference: &[Vec<QueryAnswer>], answers: &[Ve
     }
 }
 
+/// Each rank's ledger over the batched stream (cache off) at `ranks`:
+/// the scenario [`measure`]'s `batched` rows time.
+pub(crate) fn batched_ledgers(scale: Scale, ranks: usize) -> Vec<Ledger> {
+    let bytes = dataset_bytes(FEATURES);
+    let mode = "batched";
+    measure_one(scale, &bytes, ranks, mode, BATCHED_QUERIES, BATCH, false).2
+}
+
 /// Measures the three serving modes at every rank count, filling in the
 /// per-rank-count throughput speedups versus the naive mode. Panics if
 /// the modes answer any query differently.
@@ -243,9 +254,9 @@ pub fn measure(scale: Scale, rank_counts: &[usize]) -> Vec<Row> {
     let bytes = dataset_bytes(FEATURES);
     let mut rows = Vec::new();
     for &ranks in rank_counts {
-        let (naive, naive_answers) =
+        let (naive, naive_answers, _) =
             measure_one(scale, &bytes, ranks, "naive", NAIVE_QUERIES, 1, false);
-        let (mut batched, batched_answers) = measure_one(
+        let (mut batched, batched_answers, _) = measure_one(
             scale,
             &bytes,
             ranks,
@@ -255,7 +266,7 @@ pub fn measure(scale: Scale, rank_counts: &[usize]) -> Vec<Row> {
             false,
         );
         batched.speedup = batched.qps / naive.qps;
-        let (mut cached, cached_answers) = measure_one(
+        let (mut cached, cached_answers, _) = measure_one(
             scale,
             &bytes,
             ranks,

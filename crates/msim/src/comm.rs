@@ -3,6 +3,7 @@
 
 use crate::check::{CollectiveKind, CollectiveSig, Label};
 use crate::collective::Hub;
+use crate::ledger::{Ledger, Wait};
 use crate::reduceop::{fold_in_rank_order, scan_in_rank_order, ReduceOp};
 use crate::request::{LeakGuard, ReqInner, Request};
 use crate::time::{CostModel, Work};
@@ -49,6 +50,8 @@ pub struct Comm {
     stash: Vec<Envelope>,
     /// The open call-site label scopes ([`Comm::labeled`]).
     label: Label,
+    /// Where the clock's seconds went ([`Comm::ledger`]).
+    ledger: Ledger,
 }
 
 impl Comm {
@@ -61,6 +64,7 @@ impl Comm {
             rx,
             stash: Vec::new(),
             label: Label::default(),
+            ledger: Ledger::default(),
         }
     }
 
@@ -98,22 +102,45 @@ impl Comm {
         self.now
     }
 
+    /// This rank's virtual seconds so far, split by what moved the clock
+    /// (see [`Ledger`]); its slots sum to [`Comm::now`].
+    pub fn ledger(&self) -> Ledger {
+        self.ledger
+    }
+
     /// Advances the clock by `dt` seconds (dt ≥ 0).
     pub fn advance(&mut self, dt: f64) {
         debug_assert!(dt >= 0.0, "cannot advance clock backwards");
         self.now += dt;
+        self.ledger.advance += dt;
     }
 
-    /// Moves the clock forward to `t` if `t` is later.
+    /// Moves the clock forward to `t` if `t` is later: the wait for a
+    /// file access that completes at `t`, booked as the ledger's `io`.
     pub fn advance_to(&mut self, t: f64) {
+        self.wait_until(t, Wait::Io);
+    }
+
+    /// Moves the clock forward to `t` if `t` is later, booking the
+    /// advance as a wait of kind `wait`.
+    fn wait_until(&mut self, t: f64, wait: Wait) {
         if t > self.now {
-            self.now = t;
+            self.exit_at(t, wait);
         }
+    }
+
+    /// Sets the clock to a collective's exit time `t`, booking the move
+    /// as a wait of kind `wait`.
+    fn exit_at(&mut self, t: f64, wait: Wait) {
+        self.ledger.wait(wait, t - self.now);
+        self.now = t;
     }
 
     /// Charges a quantum of accountable compute work.
     pub fn charge(&mut self, work: Work) {
-        self.now += self.shared.cost.cost(work);
+        let dt = self.shared.cost.cost(work);
+        self.now += dt;
+        self.ledger.charge(&work, dt);
     }
 
     /// Charges a region of work executed by concurrent intra-rank worker
@@ -127,6 +154,7 @@ impl Comm {
         let max = lane_seconds.iter().fold(0.0f64, |a, &b| a.max(b));
         debug_assert!(max.is_finite() && max >= 0.0, "lane totals must be finite");
         self.now += max;
+        self.ledger.advance += max;
     }
 
     /// Context handed to the simulated filesystem for independent I/O.
@@ -230,7 +258,7 @@ impl Comm {
             })
             // audit: mailbox receivers live in `Shared`, which outlives every rank thread.
             .expect("receiver outlives the job");
-        Request::ready(done, (), self.leak_guard("isend"))
+        Request::ready(done, (), Wait::Message, self.leak_guard("isend"))
     }
 
     /// Blocking receive of the next message from `src` with `tag`
@@ -253,15 +281,16 @@ impl Comm {
 
     // ----- request completion ---------------------------------------------
 
-    /// Resolves a request to `(completion_time, value)` without touching
-    /// the clock.
-    fn resolve<T>(&mut self, mut req: Request<T>) -> (f64, T) {
+    /// Resolves a request to `(completion_time, value, wait kind)`
+    /// without touching the clock.
+    fn resolve<T>(&mut self, mut req: Request<T>) -> (f64, T, Wait) {
+        let wait = req.wait();
         match req.take_inner() {
-            ReqInner::Ready { at, value } => (at, value),
+            ReqInner::Ready { at, value } => (at, value, wait),
             ReqInner::PendingRecv { src, tag, wrap } => {
                 let env = self.take_matching(src, tag);
                 let arrival = env.send_time + self.shared.cost.p2p(env.data.len() as u64);
-                (arrival, wrap(env.data))
+                (arrival, wrap(env.data), wait)
             }
         }
     }
@@ -270,24 +299,27 @@ impl Comm {
     /// completion instant if that lies in the future (compute performed
     /// since initiation therefore overlaps the transfer).
     pub fn wait<T>(&mut self, req: Request<T>) -> T {
-        let (at, value) = self.resolve(req);
-        self.advance_to(at);
+        let (at, value, wait) = self.resolve(req);
+        self.wait_until(at, wait);
         value
     }
 
     /// `MPI_Waitall`: completes every request, advances the clock once to
     /// the latest completion, and returns the values in *request order*
     /// (never completion order). The final clock is independent of the
-    /// order requests are listed in.
+    /// order requests are listed in. The ledger books the advance as
+    /// the latest-completing request's kind of wait.
     pub fn waitall<T>(&mut self, reqs: impl IntoIterator<Item = Request<T>>) -> Vec<T> {
-        let mut latest = self.now;
+        let (mut latest, mut kind) = (self.now, Wait::Message);
         let mut out = Vec::new();
         for req in reqs {
-            let (at, value) = self.resolve(req);
-            latest = latest.max(at);
+            let (at, value, wait) = self.resolve(req);
+            if at > latest {
+                (latest, kind) = (at, wait);
+            }
             out.push(value);
         }
-        self.advance_to(latest);
+        self.wait_until(latest, kind);
         out
     }
 
@@ -354,7 +386,7 @@ impl Comm {
             (),
             |_: Vec<()>, times| ((), vec![max_time(times) + cost; times.len()]),
         );
-        self.now = exit;
+        self.exit_at(exit, Wait::Collective);
     }
 
     /// `MPI_Bcast`: `data` is significant at `root`, the returned buffer at
@@ -380,7 +412,7 @@ impl Comm {
                 (payload, vec![exit; times.len()])
             },
         );
-        self.now = exit;
+        self.exit_at(exit, Wait::Collective);
         (*result).clone()
     }
 
@@ -402,7 +434,7 @@ impl Comm {
                 (inputs, vec![exit; times.len()])
             },
         );
-        self.now = exit;
+        self.exit_at(exit, Wait::Collective);
         (*result).clone()
     }
 
@@ -436,7 +468,12 @@ impl Comm {
             },
         );
         let value = result[self.rank].clone();
-        Request::ready(exit, value, self.leak_guard("ialltoall_u64"))
+        Request::ready(
+            exit,
+            value,
+            Wait::Collective,
+            self.leak_guard("ialltoall_u64"),
+        )
     }
 
     /// `MPI_Alltoallv` over byte buffers: element `d` of `sends` goes to
@@ -491,7 +528,7 @@ impl Comm {
             },
         );
         let value = std::mem::take(&mut *result[self.rank].lock());
-        Request::ready(exit, value, self.leak_guard("ialltoallv"))
+        Request::ready(exit, value, Wait::Collective, self.leak_guard("ialltoallv"))
     }
 
     /// `MPI_Reduce` with a user-defined operator; the result is returned at
@@ -548,7 +585,7 @@ impl Comm {
                 (combined, vec![exit; times.len()])
             },
         );
-        self.now = exit;
+        self.exit_at(exit, Wait::Collective);
         (*result).clone()
     }
 
@@ -581,7 +618,7 @@ impl Comm {
                 (prefixes, vec![exit; times.len()])
             },
         );
-        self.now = exit;
+        self.exit_at(exit, Wait::Collective);
         result[self.rank].clone()
     }
 
@@ -601,7 +638,7 @@ impl Comm {
     {
         let kind = CollectiveKind::Custom(site);
         let (r, exit) = self.rendezvous(kind, None, None, None, input, combine);
-        self.now = exit;
+        self.exit_at(exit, Wait::Io);
         (r, exit)
     }
 }

@@ -58,6 +58,7 @@ pub mod comm;
 pub mod datatype;
 pub mod hints;
 pub mod io;
+pub mod ledger;
 pub mod reduceop;
 pub mod request;
 pub mod time;
@@ -69,6 +70,7 @@ pub use comm::Comm;
 pub use datatype::Datatype;
 pub use hints::Hints;
 pub use io::{select_readers, AccessLevel, Landing, MpiFile};
+pub use ledger::Ledger;
 pub use reduceop::ReduceOp;
 pub use request::{ProgressEngine, Request};
 pub use time::{CostModel, ShapeClass, Work, WorkTally};

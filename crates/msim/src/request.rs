@@ -31,6 +31,7 @@
 
 use crate::check::{Label, REPORT};
 use crate::comm::Comm;
+use crate::ledger::Wait;
 
 /// Handle for an in-flight nonblocking operation returning a `T` on
 /// completion. Produced by [`Comm::isend`], [`Comm::irecv`],
@@ -47,6 +48,8 @@ pub struct Request<T> {
     /// `None` once the request has been consumed by `wait`, so
     /// `Drop` can tell a completed handle from a leaked one.
     inner: Option<ReqInner<T>>,
+    /// The ledger slot that books the wait for this request.
+    wait: Wait,
     guard: LeakGuard,
 }
 
@@ -73,11 +76,17 @@ pub(crate) struct LeakGuard {
 }
 
 impl<T> Request<T> {
-    pub(crate) fn ready(at: f64, value: T, guard: LeakGuard) -> Self {
+    pub(crate) fn ready(at: f64, value: T, wait: Wait, guard: LeakGuard) -> Self {
         Request {
             inner: Some(ReqInner::Ready { at, value }),
+            wait,
             guard,
         }
+    }
+
+    /// The kind of wait completing this request is booked as.
+    pub(crate) fn wait(&self) -> Wait {
+        self.wait
     }
 
     /// Consumes the operation state, marking the request completed so
@@ -118,6 +127,7 @@ impl Request<Vec<u8>> {
                 tag,
                 wrap: |data| data,
             }),
+            wait: Wait::Message,
             guard,
         }
     }

@@ -20,6 +20,18 @@ use std::sync::Arc;
 /// live in.
 pub const WORLD: f64 = 16.0;
 
+/// Asserts that this rank's ledger accounts for its whole clock: the
+/// slots of [`Comm::ledger`] sum to [`Comm::now`] within 1e-9 relative.
+pub fn assert_ledger_balances(comm: &Comm) {
+    let (booked, now) = (comm.ledger().total(), comm.now());
+    assert!(
+        (booked - now).abs() <= 1e-9 * now.abs(),
+        "rank {}: the ledger books {booked} s of a {now} s clock: {:?}",
+        comm.rank(),
+        comm.ledger()
+    );
+}
+
 /// A filesystem holding one file `path` with contents `text`.
 pub fn fs_with(cfg: FsConfig, path: &str, text: &str) -> Arc<SimFs> {
     let fs = SimFs::new(cfg);

@@ -9,7 +9,7 @@
 
 mod common;
 
-use common::{brute_force_join, lcg, mk_chunk};
+use common::{assert_ledger_balances, brute_force_join, lcg, mk_chunk};
 use mpi_vector_io::core::reader::parse_buffer_serial;
 use mpi_vector_io::prelude::*;
 use proptest::prelude::*;
@@ -101,7 +101,9 @@ proptest! {
                     chunk,
                     ..Default::default()
                 };
-                spatial_join(comm, &fs, "l.wkt", right_path, &opts).unwrap()
+                let report = spatial_join(comm, &fs, "l.wkt", right_path, &opts).unwrap();
+                assert_ledger_balances(comm);
+                report
             })
         };
         let mut got: Vec<(String, String)> =

@@ -6,8 +6,8 @@
 mod common;
 
 use common::{
-    canon, knn_reach_ranks, mk_decomp, mk_features, mk_queries, oracle, owned_replicas,
-    reference_counts, resident, window_ranks, WORLD,
+    assert_ledger_balances, canon, knn_reach_ranks, mk_decomp, mk_features, mk_queries, oracle,
+    owned_replicas, reference_counts, resident, window_ranks, WORLD,
 };
 use mpi_vector_io::core::exchange::ExchangeChunk;
 use mpi_vector_io::prelude::*;
@@ -103,6 +103,7 @@ fn check_serve(
             let second = eng.serve(comm, &batch).unwrap();
             let canon1: Vec<QueryAnswer> = first.answers.iter().map(canon).collect();
             let canon2: Vec<QueryAnswer> = second.answers.iter().map(canon).collect();
+            assert_ledger_balances(comm);
             (canon1, canon2, first.stats, second.stats)
         },
     );

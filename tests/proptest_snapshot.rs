@@ -9,7 +9,8 @@
 mod common;
 
 use common::{
-    brute_force_join, dataset_text, fs_with, materialize, mk_chunk, owned_replicas, wire,
+    assert_ledger_balances, brute_force_join, dataset_text, fs_with, materialize, mk_chunk,
+    owned_replicas, wire,
 };
 use mpi_vector_io::core::decomp::{DecompConfig, DecompPolicy, Decomposition};
 use mpi_vector_io::core::exchange::{record_frames, RecordFrame};
@@ -115,6 +116,7 @@ fn round_trip_case(
             let decoded = wire(&pairs);
             let frames = record_frames(&decoded);
             snapshot::write_partitioned(comm, &fs, "r.bin", frames, &rep.decomp, &wopts).unwrap();
+            assert_ledger_balances(comm);
             pairs
         })
     };
@@ -241,7 +243,10 @@ proptest! {
                             ..Default::default()
                         },
                     };
-                    spatial_join_snapshots(comm, &fs, "l.bin", "r.bin", &opts).unwrap()
+                    let report =
+                        spatial_join_snapshots(comm, &fs, "l.bin", "r.bin", &opts).unwrap();
+                    assert_ledger_balances(comm);
+                    report
                 },
             )
         };
