@@ -10,7 +10,7 @@
 //! that hold the hot cells.
 
 use super::{serve, Scale};
-use mvio_msim::Ledger;
+use mvio_msim::{Ledger, Slot};
 
 /// Rank counts of the two column pairs.
 const RANKS: [usize; 2] = [16, 64];
@@ -19,10 +19,13 @@ const RANKS: [usize; 2] = [16, 64];
 /// directory.
 const OUT: &str = "docs/LEDGER.md";
 
-/// Seconds a rank spent working rather than waiting: every slot but
-/// the three waits.
+/// Seconds a rank spent working rather than waiting.
 fn busy(l: &Ledger) -> f64 {
-    l.total() - l.collective_wait - l.message_wait - l.io
+    Slot::ALL
+        .iter()
+        .filter(|s| !s.is_wait())
+        .map(|&s| l[s])
+        .sum()
 }
 
 /// The busiest rank's ledger (most [`busy`] seconds; the lowest rank on
@@ -35,13 +38,9 @@ fn busiest_and_mean(ledgers: &[Ledger]) -> (Ledger, Ledger) {
     let mut mean = Ledger::default();
     let n = ledgers.len().max(1) as f64;
     for l in ledgers {
-        for (slot, s) in mean.work.iter_mut().zip(l.work) {
-            *slot += s / n;
+        for slot in Slot::ALL {
+            mean.book(slot, l[slot] / n);
         }
-        mean.collective_wait += l.collective_wait / n;
-        mean.message_wait += l.message_wait / n;
-        mean.io += l.io / n;
-        mean.advance += l.advance / n;
     }
     (busiest, mean)
 }
@@ -74,14 +73,10 @@ fn render(scale: Scale, columns: &[(usize, Ledger, Ledger)]) -> String {
     }
     md.push_str(&format!("{header}\n{rule}\n"));
     let ms = |s: f64| format!("{:.4}", s * 1e3);
-    for (i, (name, _)) in Ledger::default().rows().into_iter().enumerate() {
-        md.push_str(&format!("| `{name}` |"));
+    for slot in Slot::ALL {
+        md.push_str(&format!("| `{}` |", slot.name()));
         for (_, busiest, mean) in columns {
-            md.push_str(&format!(
-                " {} | {} |",
-                ms(busiest.rows()[i].1),
-                ms(mean.rows()[i].1)
-            ));
+            md.push_str(&format!(" {} | {} |", ms(busiest[slot]), ms(mean[slot])));
         }
         md.push('\n');
     }
@@ -123,11 +118,11 @@ mod tests {
     #[test]
     fn mean_and_busiest_keep_the_slots_summing_to_the_total() {
         let mut a = Ledger::default();
-        a.work[3] = 2.0;
-        a.collective_wait = 3.0;
+        a.book(Slot::MbrTests, 2.0);
+        a.book(Slot::CollectiveWait, 3.0);
         let mut b = Ledger::default();
-        b.work[3] = 4.0;
-        b.io = 0.5;
+        b.book(Slot::MbrTests, 4.0);
+        b.book(Slot::Io, 0.5);
         let (busiest, mean) = busiest_and_mean(&[a, b]);
         assert_eq!(busiest, b);
         assert_eq!(mean.total(), (a.total() + b.total()) / 2.0);

@@ -5,7 +5,7 @@
 //!
 //! The paper's pipeline is write-once — ingest, decompose, join — but a
 //! resident deployment keeps serving while the data drifts. This module
-//! adds the three mutability primitives the serving layer composes:
+//! adds the four mutability primitives the serving layer composes:
 //!
 //! * [`apply_updates`] routes an [`Update`] batch through the staged
 //!   chunked [`ExchangePlan`] to the ranks owning the overlapping cells
@@ -15,6 +15,9 @@
 //!   histogram incrementally as updates arrive — the same histogram the
 //!   adaptive [`DecompPolicy`] bisects at ingest time — and produces the
 //!   global view with one element-wise allreduce;
+//! * [`balance`] evens out a freshly built partition once, before a
+//!   resident engine indexes it: the same re-bisection and migration,
+//!   taken whenever it lowers the max/mean;
 //! * [`Rebalancer::maybe_rebalance`] recomputes the decomposition from
 //!   the drifted histogram when imbalance crosses its threshold, and
 //!   `migrate_cells` ships **only the replicas of cells whose owner
@@ -120,8 +123,8 @@ impl DriftTracker {
         }
     }
 
-    /// Rebuilds the tracker from a resident replica set (used at engine
-    /// construction and after a migration rewires cell ownership).
+    /// Rebuilds the tracker from a resident replica set (used by
+    /// [`balance`] when an engine is built).
     fn rebuild(sd: &Decomposition, store: &ResidentStore) -> Self {
         let mut t = DriftTracker::new(sd.num_cells());
         for (cell, mbr) in store.replicas() {
@@ -416,6 +419,62 @@ fn per_rank_loads(sd: &Decomposition, hist: &[u64]) -> Vec<u64> {
     loads
 }
 
+/// The fresh adaptive bisection of `hist` over `sd`'s cell tiling, its
+/// rank labels aligned to `sd`'s owners, with its predicted max/mean —
+/// or `None` when that is not lower than `before`, the imbalance under
+/// `sd` (e.g. one cell holds everything): keep the current decomposition
+/// rather than pay a migration for nothing. A pure function of the
+/// allreduced histogram, so every rank gets the same verdict.
+fn rebisect(sd: &Decomposition, hist: &[u64], before: f64) -> Result<Option<(Decomposition, f64)>> {
+    // Align the fresh bisection's rank labels to the outgoing owner map
+    // before diffing: balance is label-invariant, but migration cost is
+    // not, and recursion-order labels would otherwise move cells whose
+    // region barely changed.
+    let (grid, policy) = (sd.grid().clone(), DecompPolicy::adaptive());
+    let next = Decomposition::new(grid, policy, Some(hist), sd.num_ranks())?.aligned_to(sd, hist);
+    let after = imbalance_ratio(&per_rank_loads(&next, hist));
+    Ok((after < before).then_some((next, after)))
+}
+
+/// Evens out a freshly landed resident partition once, before anything
+/// indexes or serves it: the drift histogram of `store` is allreduced,
+/// re-bisected adaptively over the same cell tiling
+/// ([`Rebalancer::maybe_rebalance`]'s step at threshold 1.0), and when
+/// that predicts a lower max/mean the moved cells migrate
+/// (`migrate_cells`) and `sd` becomes the new decomposition. Returns the
+/// drift tracker over the partition as it then stands, from which a
+/// [`Rebalancer`] can start.
+///
+/// Nothing moves when the re-bisection cannot improve the balance, or
+/// when [`Decomposition::new`] rejects it (an owner table past
+/// [`crate::decomp::MAX_TABLE_CELLS`]): the histogram is the same on
+/// every rank, and so is the verdict. The store comes back with the
+/// departed replicas' slots still in it; compacting is the caller's
+/// reindex.
+///
+/// Collective — every rank must call it together, with the same `sd`.
+pub fn balance(
+    comm: &mut Comm,
+    sd: &mut Decomposition,
+    store: &mut ResidentStore,
+    chunk: ExchangeChunk,
+) -> DriftTracker {
+    let mut tracker = DriftTracker::rebuild(sd, store);
+    let hist = tracker.global_histogram(comm);
+    let before = imbalance_ratio(&per_rank_loads(sd, &hist));
+    let Ok(Some((next, _))) = rebisect(sd, &hist, before) else {
+        return tracker;
+    };
+    migrate_cells(comm, sd, &next, store, chunk)
+        // audit: both maps tile `sd`'s grid for this world, and every
+        // shipped record is a byte copy of a validated resident record,
+        // so the receiving validation cannot reject it.
+        .expect("build-time migration of validated records");
+    *sd = next;
+    tracker.adopt(comm, sd, &hist);
+    tracker
+}
+
 /// The online-rebalance driver: owns the imbalance threshold and the
 /// live [`DriftTracker`], and decides — identically on every rank —
 /// when a drifted partition is worth re-decomposing.
@@ -426,23 +485,19 @@ pub struct Rebalancer {
 }
 
 impl Rebalancer {
-    /// Builds a rebalancer over an existing resident partition,
-    /// initializing the drift histogram from the resident replicas.
-    pub fn new(threshold: f64, sd: &Decomposition, store: &ResidentStore) -> Self {
+    /// A rebalancer at `threshold` whose drift histogram starts from
+    /// `tracker` (the one [`balance`] returns over the resident replicas).
+    pub fn new(threshold: f64, tracker: DriftTracker) -> Self {
         Rebalancer {
             threshold: threshold.max(1.0),
-            tracker: DriftTracker::rebuild(sd, store),
+            tracker,
         }
     }
 
     /// [`Rebalancer::new`] gated on a policy: `None` when the policy
     /// resolves to off.
-    pub fn from_policy(
-        policy: RebalancePolicy,
-        sd: &Decomposition,
-        store: &ResidentStore,
-    ) -> Option<Self> {
-        policy.resolve().map(|t| Self::new(t, sd, store))
+    pub fn from_policy(policy: RebalancePolicy, tracker: DriftTracker) -> Option<Self> {
+        policy.resolve().map(|t| Self::new(t, tracker))
     }
 
     /// The live drift histogram (updated by [`apply_updates`] via the
@@ -476,21 +531,9 @@ impl Rebalancer {
         if imbalance_before < self.threshold {
             return Ok(report);
         }
-        // Align the fresh bisection's rank labels to the outgoing owner
-        // map before diffing: balance is label-invariant, but migration
-        // cost is not, and recursion-order labels would otherwise move
-        // cells whose region barely changed.
-        let (grid, policy) = (sd.grid().clone(), DecompPolicy::adaptive());
-        let next =
-            Decomposition::new(grid, policy, Some(&hist), sd.num_ranks())?.aligned_to(sd, &hist);
-        let imbalance_after = imbalance_ratio(&per_rank_loads(&next, &hist));
-        if imbalance_after >= imbalance_before {
-            // The histogram offers no better cut (e.g. one cell holds
-            // everything); keep the current decomposition rather than
-            // paying a migration for nothing. Symmetric: same histogram,
-            // same verdict everywhere.
+        let Some((next, imbalance_after)) = rebisect(sd, &hist, imbalance_before)? else {
             return Ok(report);
-        }
+        };
         report.migration = migrate_cells(comm, sd, &next, store, chunk)?;
         *sd = next;
         self.tracker.adopt(comm, sd, &hist);
@@ -726,7 +769,7 @@ mod tests {
                 .collect();
             let mut sd = sd;
             let mut owned = fresh_store(comm, &sd, &base);
-            let mut reb = Rebalancer::new(1.5, &sd, &owned);
+            let mut reb = Rebalancer::new(1.5, DriftTracker::rebuild(&sd, &owned));
             // Pour a hotspot over the bottom-left 3×3-cell patch (rank
             // 0's block rows), spread in 2D so bisection has cuts to use.
             let hotspot: Vec<Update> = (0..128)
@@ -870,7 +913,7 @@ mod tests {
             let features = vec![pt(1.0, 1.0, "a"), pt(3.0, 3.0, "b")];
             let mut owned = fresh_store(comm, &sd, &features);
             let before = records(&owned);
-            let mut reb = Rebalancer::new(4.0, &sd, &owned);
+            let mut reb = Rebalancer::new(4.0, DriftTracker::rebuild(&sd, &owned));
             let report = reb
                 .maybe_rebalance(comm, &mut sd, &mut owned, ExchangeChunk::Unlimited)
                 .unwrap();

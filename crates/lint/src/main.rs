@@ -54,9 +54,12 @@
 //!   are searched in the scanned files and also in `crates/bench/src`,
 //!   `examples/` and `e2e/src`. Public API that nothing calls is code to
 //!   keep up and read for no behaviour: delete it, or make it private.
-//!   Matching is by name, not resolution, so a dead fn that shares its
-//!   name with a live one anywhere (`len`, `new`) is missed. A `pub use`
-//!   re-export passes a name on and is no use.
+//!   Matching is by name, not resolution, except for a free fn whose
+//!   name another fn also declares: that one counts only where a path
+//!   names it (`wkb::decode`, an import from `wkb`, or a path through a
+//!   `pub use` of it). A dead method that shares its name with a live
+//!   one anywhere (`len`, `new`) is still missed. A `pub use` re-export
+//!   passes a name on and is no use.
 //!
 //! Scope: `src/` trees of the workspace library crates and the root
 //! crate. Excluded: `crates/bench` (experiment harness, panics are its
@@ -147,9 +150,9 @@ fn main() {
         collect_rs(&root.join(dir), &mut caller_files);
     }
     caller_files.retain(|p| !p.ends_with("tests.rs"));
-    let callers: Vec<MaskedFile> = caller_files
+    let callers: Vec<(PathBuf, MaskedFile)> = caller_files
         .iter()
-        .map(|p| MaskedFile::new(&read(p)))
+        .map(|p| (p.clone(), MaskedFile::new(&read(p))))
         .collect();
     rules::no_dead_pub_fn(&scanned, &callers, rules::DEAD_PUB_FN_ALLOW, &mut findings);
     let scanned = scanned.len();

@@ -4,7 +4,7 @@
 
 use crate::mask::MaskedFile;
 use crate::Finding;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 
 /// R1: no `.unwrap()` / `.expect("…")` in non-test library code.
@@ -178,7 +178,8 @@ pub fn front_half_posts_its_reads(path: &Path, m: &MaskedFile, out: &mut Vec<Fin
 
 /// The `pub fn`s R9 lets stand without a non-test caller in another
 /// file, each under its reason: tests in other crates or under `tests/`
-/// call them, and R9 counts no test as a caller.
+/// call them, and R9 counts no test as a caller. A fn R9 matches by path
+/// is listed as `module::name`.
 pub const DEAD_PUB_FN_ALLOW: &[&str] = &[
     // SimFile: the corruption fixture of the snapshot and engine tests.
     "poke",
@@ -200,31 +201,45 @@ pub const DEAD_PUB_FN_ALLOW: &[&str] = &[
     "point_segment_distance",
     // failure_injection walks a received answer block with it.
     "answer_entries",
+    // The owned WKB decoder, kept as the independent oracle the view
+    // decoders are checked against: exchange::tests holds validate_frames
+    // to it and proptest_geom holds decode_ref to it.
+    "wkb::decode",
 ];
 
 /// R9: no dead `pub fn` — a library `pub fn` (not `pub(crate)`) fails
-/// when its name appears in no non-test code outside its own file,
-/// unless `allow` names it. Definitions are read from `scanned`; callers
-/// are searched in the non-test code of `scanned` and of `callers` (the
-/// experiment harness, the examples and the benchmark). A name counts as
-/// used where it is a whole identifier in masked code — not in a comment
-/// or a string — outside a `fn` declaration and a `pub use` re-export.
+/// when nothing outside its own file names it in non-test code, unless
+/// `allow` names it. Definitions are read from `scanned`; callers are
+/// searched in the non-test code of `scanned` and of `callers` (the
+/// experiment harness, the examples and the benchmark), outside `fn`
+/// declarations and `pub use` re-exports, and never in a comment or a
+/// string.
 ///
-/// Matching is by name, not resolution: a dead fn that shares its name
-/// with a live one elsewhere (`len`, `new`) is missed.
+/// Most fns are matched by name: a whole identifier equal to theirs is a
+/// use. A free fn (declared at the start of a line, so not a method)
+/// whose name another fn in `scanned` also declares is matched by path
+/// instead: only `module::name`, or a `use` that imports `name` from
+/// `module`, is a use of it, where `module` is its file's
+/// [`module_name`]; a `pub use` of it in file `f` makes `f`'s module
+/// reach it too, under its alias if the re-export renames it. Its
+/// `allow` entry is `module::name`. A method that shares its name with
+/// a live one elsewhere (`len`, `new`) is still missed.
 pub fn no_dead_pub_fn(
     scanned: &[(PathBuf, MaskedFile)],
-    callers: &[MaskedFile],
+    callers: &[(PathBuf, MaskedFile)],
     allow: &[&str],
     out: &mut Vec<Finding>,
 ) {
-    let used: Vec<HashSet<&str>> = scanned
-        .iter()
-        .map(|(_, m)| m)
-        .chain(callers)
-        .map(used_names)
-        .collect();
+    let files: Vec<&(PathBuf, MaskedFile)> = scanned.iter().chain(callers).collect();
+    let uses: Vec<Uses> = files.iter().map(|(_, m)| Uses::of(m)).collect();
+    let mut declared: HashMap<&str, usize> = HashMap::new();
+    for u in &uses[..scanned.len()] {
+        for name in &u.declared {
+            *declared.entry(name).or_default() += 1;
+        }
+    }
     for (k, (path, m)) in scanned.iter().enumerate() {
+        let module = module_name(path);
         for (i, line) in m.code.iter().enumerate() {
             // `pub(crate)` and friends are the demoted form: reachable
             // from a sibling file's tests without being public API.
@@ -234,17 +249,32 @@ pub fn no_dead_pub_fn(
             let Some(name) = pub_fn_name(line) else {
                 continue;
             };
-            let called = used
-                .iter()
-                .enumerate()
-                .any(|(j, u)| j != k && u.contains(name.as_str()));
-            if !called && !allow.contains(&name.as_str()) {
+            let by_path = line.starts_with("pub ") && declared.get(name.as_str()) > Some(&1);
+            let paths = if by_path {
+                reachable_as(module, &name, &files, &uses)
+            } else {
+                Vec::new()
+            };
+            let called = uses.iter().enumerate().any(|(j, u)| {
+                j != k
+                    && if by_path {
+                        paths.iter().any(|p| u.paths.contains(p))
+                    } else {
+                        u.names.contains(name.as_str())
+                    }
+            });
+            let entry = if by_path {
+                format!("{module}::{name}")
+            } else {
+                name.clone()
+            };
+            if !called && !allow.contains(&entry.as_str()) {
                 out.push(Finding {
                     path: path.clone(),
                     line: i + 1,
                     rule: "no-dead-pub-fn",
                     message: format!(
-                        "pub fn `{name}` has no non-test caller outside this file (delete it, \
+                        "pub fn `{entry}` has no non-test caller outside this file (delete it, \
                          make it private, or allow-list it with a reason)"
                     ),
                 });
@@ -253,33 +283,138 @@ pub fn no_dead_pub_fn(
     }
 }
 
-/// The identifiers in the non-test code of `m`, minus declared `fn`
-/// names and the names a `pub use` re-exports: a re-export passes a
-/// name on, it does not call it.
-fn used_names(m: &MaskedFile) -> HashSet<&str> {
-    let mut names = HashSet::new();
-    let mut in_re_export = false;
-    for (i, line) in m.code.iter().enumerate() {
-        if m.in_test[i] {
-            continue;
+/// The name other code reaches a file's items through: its stem, or
+/// its directory's name for a `mod.rs`.
+fn module_name(path: &Path) -> &str {
+    let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
+    let dir = path.parent().and_then(Path::file_name);
+    match (stem, dir.and_then(|d| d.to_str())) {
+        ("mod", Some(dir)) => dir,
+        _ => stem,
+    }
+}
+
+/// Every `(module, name)` path item `name` of `module` can be reached
+/// through: its own and, transitively, each `pub use` re-export of one
+/// of them (under the re-exporting file's module, and its alias if any).
+fn reachable_as<'a>(
+    module: &'a str,
+    name: &'a str,
+    files: &[&'a (PathBuf, MaskedFile)],
+    uses: &[Uses<'a>],
+) -> Vec<(&'a str, &'a str)> {
+    let mut paths = vec![(module, name)];
+    let mut i = 0;
+    while i < paths.len() {
+        for (f, u) in files.iter().zip(uses) {
+            for &(m, n, alias) in &u.exports {
+                let via = (module_name(&f.0), alias);
+                if (m, n) == paths[i] && !paths.contains(&via) {
+                    paths.push(via);
+                }
+            }
         }
-        in_re_export |= is_re_export(line);
-        if in_re_export {
-            in_re_export = !line.contains(';');
-            continue;
-        }
-        let mut after_fn = false;
-        for tok in line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')) {
-            if tok.is_empty() {
+        i += 1;
+    }
+    paths
+}
+
+/// What the non-test code of one file names. A `pub use` re-export
+/// passes a name on and does not call it, so its names go to `exports`
+/// alone.
+#[derive(Default)]
+struct Uses<'a> {
+    /// Every identifier but the names `fn` declares.
+    names: HashSet<&'a str>,
+    /// Every `(module, name)` a path spells out: `module::name` in code,
+    /// and each name a `use module::{a, b}` group imports (nested groups
+    /// included).
+    paths: HashSet<(&'a str, &'a str)>,
+    /// The `(module, name, exported as)` items `pub use` re-exports
+    /// spell out (`exported as` is `name` unless an `as` renames it).
+    exports: Vec<(&'a str, &'a str, &'a str)>,
+    /// The names `fn` declares.
+    declared: Vec<&'a str>,
+}
+
+impl<'a> Uses<'a> {
+    fn of(m: &'a MaskedFile) -> Self {
+        let mut u = Uses::default();
+        let mut in_re_export = false;
+        // The identifier a `::` may follow, and the module of each open
+        // `{` (`None` for a brace that opens no `use` group).
+        let mut head: Option<&str> = None;
+        let mut groups: Vec<Option<&str>> = Vec::new();
+        let mut last = "";
+        for (i, line) in m.code.iter().enumerate() {
+            if m.in_test[i] {
                 continue;
             }
-            if !after_fn {
-                names.insert(tok);
+            in_re_export |= is_re_export(line);
+            let re_export = in_re_export;
+            if in_re_export {
+                in_re_export = !line.contains(';');
             }
-            after_fn = tok == "fn";
+            for tok in tokens(line) {
+                match tok {
+                    "::" | "," => {}
+                    "{" => groups.push(if last == "::" { head } else { None }),
+                    "}" => {
+                        groups.pop();
+                    }
+                    t if t.starts_with(|c: char| c.is_ascii_alphanumeric() || c == '_') => {
+                        if last == "fn" {
+                            u.declared.push(t);
+                        } else if !re_export {
+                            u.names.insert(t);
+                        }
+                        let module = match last {
+                            "::" => head,
+                            "{" | "," => groups.last().copied().flatten(),
+                            _ => None,
+                        };
+                        match (module, re_export) {
+                            (Some(module), false) => {
+                                u.paths.insert((module, t));
+                            }
+                            (Some(module), true) => u.exports.push((module, t, t)),
+                            (None, true) if last == "as" => {
+                                if let Some(item) = u.exports.last_mut() {
+                                    item.2 = t;
+                                }
+                            }
+                            (None, _) => {}
+                        }
+                        head = Some(t);
+                    }
+                    _ => head = None,
+                }
+                last = tok;
+            }
         }
+        u
     }
-    names
+}
+
+/// The tokens of a masked code line: identifiers, `::`, and every other
+/// non-space character on its own.
+fn tokens(line: &str) -> impl Iterator<Item = &str> {
+    let mut rest = line;
+    std::iter::from_fn(move || {
+        rest = rest.trim_start();
+        let c = rest.chars().next()?;
+        let len = if c.is_ascii_alphanumeric() || c == '_' {
+            rest.find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .unwrap_or(rest.len())
+        } else if rest.starts_with("::") {
+            2
+        } else {
+            c.len_utf8()
+        };
+        let (tok, tail) = rest.split_at(len);
+        rest = tail;
+        Some(tok)
+    })
 }
 
 /// Whether `line` opens a re-export: `pub use …` or `pub(…) use …`.
@@ -617,14 +752,18 @@ mod tests {
     }
 
     /// R9's findings over `files` (named `f0.rs`, `f1.rs`, …) with
-    /// `callers` as caller-only files, as `(file, line)`.
+    /// `callers` as caller-only files (`c0.rs`, …), as `(file, line)`.
     fn dead_fns(files: &[&str], callers: &[&str], allow: &[&str]) -> Vec<(String, usize)> {
         let scanned: Vec<(PathBuf, MaskedFile)> = files
             .iter()
             .enumerate()
             .map(|(i, src)| (PathBuf::from(format!("f{i}.rs")), MaskedFile::new(src)))
             .collect();
-        let callers: Vec<MaskedFile> = callers.iter().map(|src| MaskedFile::new(src)).collect();
+        let callers: Vec<(PathBuf, MaskedFile)> = callers
+            .iter()
+            .enumerate()
+            .map(|(i, src)| (PathBuf::from(format!("c{i}.rs")), MaskedFile::new(src)))
+            .collect();
         let mut out = Vec::new();
         no_dead_pub_fn(&scanned, &callers, allow, &mut out);
         assert!(out.iter().all(|f| f.rule == "no-dead-pub-fn"));
@@ -688,6 +827,37 @@ mod tests {
         assert!(dead_fns(&[LIB, called], &[], &[]).is_empty());
         let imported = "use a::helper;\nfn run() { helper(); }\n";
         assert!(dead_fns(&[LIB, imported], &[], &[]).is_empty());
+    }
+
+    #[test]
+    fn a_free_fn_sharing_its_name_is_matched_by_path() {
+        // `helper` is declared twice, so a bare `helper()` is no use of
+        // f0's: the namesake in f1 may be the one called.
+        let namesake = "fn helper() {}\nfn g() { helper(); }\n";
+        let dead = vec![("f0.rs".to_string(), 1)];
+        assert_eq!(dead_fns(&[LIB, namesake], &[], &[]), dead);
+        // A path, an import, and a path through a (renaming) re-export
+        // each reach it.
+        for user in [
+            "fn u() { f0::helper(); }\n",
+            "use crate::f0::{self, helper};\nfn u() { helper(); }\n",
+            "use crate::{\n    f0::{helper, other},\n};\n",
+        ] {
+            assert!(
+                dead_fns(&[LIB, namesake, user], &[], &[]).is_empty(),
+                "{user:?}"
+            );
+        }
+        let re_export = "pub use crate::f0::helper as assist;\n";
+        let bench = "fn main() { mvio::f2::assist(); }\n";
+        assert!(dead_fns(&[LIB, namesake, re_export], &[bench], &[]).is_empty());
+        assert_eq!(dead_fns(&[LIB, namesake, re_export], &[], &[]), dead);
+        // Its allow entry carries the module; a bare name no longer does.
+        assert!(dead_fns(&[LIB, namesake], &[], &["f0::helper"]).is_empty());
+        assert_eq!(dead_fns(&[LIB, namesake], &[], &["helper"]), dead);
+        // A method is matched by name as before.
+        let method = "impl T {\n    pub fn helper() {}\n}\n";
+        assert!(dead_fns(&[method, namesake], &[], &[]).is_empty());
     }
 
     #[test]

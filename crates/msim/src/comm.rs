@@ -3,7 +3,7 @@
 
 use crate::check::{CollectiveKind, CollectiveSig, Label};
 use crate::collective::Hub;
-use crate::ledger::{Ledger, Wait};
+use crate::ledger::{Ledger, Slot};
 use crate::reduceop::{fold_in_rank_order, scan_in_rank_order, ReduceOp};
 use crate::request::{LeakGuard, ReqInner, Request};
 use crate::time::{CostModel, Work};
@@ -112,27 +112,27 @@ impl Comm {
     pub fn advance(&mut self, dt: f64) {
         debug_assert!(dt >= 0.0, "cannot advance clock backwards");
         self.now += dt;
-        self.ledger.advance += dt;
+        self.ledger.book(Slot::Advance, dt);
     }
 
     /// Moves the clock forward to `t` if `t` is later: the wait for a
-    /// file access that completes at `t`, booked as the ledger's `io`.
+    /// file access that completes at `t`, booked as [`Slot::Io`].
     pub fn advance_to(&mut self, t: f64) {
-        self.wait_until(t, Wait::Io);
+        self.wait_until(t, Slot::Io);
     }
 
     /// Moves the clock forward to `t` if `t` is later, booking the
-    /// advance as a wait of kind `wait`.
-    fn wait_until(&mut self, t: f64, wait: Wait) {
+    /// advance in `slot`.
+    fn wait_until(&mut self, t: f64, slot: Slot) {
         if t > self.now {
-            self.exit_at(t, wait);
+            self.exit_at(t, slot);
         }
     }
 
     /// Sets the clock to a collective's exit time `t`, booking the move
-    /// as a wait of kind `wait`.
-    fn exit_at(&mut self, t: f64, wait: Wait) {
-        self.ledger.wait(wait, t - self.now);
+    /// in `slot`.
+    fn exit_at(&mut self, t: f64, slot: Slot) {
+        self.ledger.book(slot, t - self.now);
         self.now = t;
     }
 
@@ -154,7 +154,7 @@ impl Comm {
         let max = lane_seconds.iter().fold(0.0f64, |a, &b| a.max(b));
         debug_assert!(max.is_finite() && max >= 0.0, "lane totals must be finite");
         self.now += max;
-        self.ledger.advance += max;
+        self.ledger.book(Slot::Advance, max);
     }
 
     /// Context handed to the simulated filesystem for independent I/O.
@@ -258,7 +258,7 @@ impl Comm {
             })
             // audit: mailbox receivers live in `Shared`, which outlives every rank thread.
             .expect("receiver outlives the job");
-        Request::ready(done, (), Wait::Message, self.leak_guard("isend"))
+        Request::ready(done, (), Slot::MessageWait, self.leak_guard("isend"))
     }
 
     /// Blocking receive of the next message from `src` with `tag`
@@ -281,9 +281,9 @@ impl Comm {
 
     // ----- request completion ---------------------------------------------
 
-    /// Resolves a request to `(completion_time, value, wait kind)`
+    /// Resolves a request to `(completion_time, value, ledger slot)`
     /// without touching the clock.
-    fn resolve<T>(&mut self, mut req: Request<T>) -> (f64, T, Wait) {
+    fn resolve<T>(&mut self, mut req: Request<T>) -> (f64, T, Slot) {
         let wait = req.wait();
         match req.take_inner() {
             ReqInner::Ready { at, value } => (at, value, wait),
@@ -310,7 +310,7 @@ impl Comm {
     /// order requests are listed in. The ledger books the advance as
     /// the latest-completing request's kind of wait.
     pub fn waitall<T>(&mut self, reqs: impl IntoIterator<Item = Request<T>>) -> Vec<T> {
-        let (mut latest, mut kind) = (self.now, Wait::Message);
+        let (mut latest, mut kind) = (self.now, Slot::MessageWait);
         let mut out = Vec::new();
         for req in reqs {
             let (at, value, wait) = self.resolve(req);
@@ -386,7 +386,7 @@ impl Comm {
             (),
             |_: Vec<()>, times| ((), vec![max_time(times) + cost; times.len()]),
         );
-        self.exit_at(exit, Wait::Collective);
+        self.exit_at(exit, Slot::CollectiveWait);
     }
 
     /// `MPI_Bcast`: `data` is significant at `root`, the returned buffer at
@@ -412,7 +412,7 @@ impl Comm {
                 (payload, vec![exit; times.len()])
             },
         );
-        self.exit_at(exit, Wait::Collective);
+        self.exit_at(exit, Slot::CollectiveWait);
         (*result).clone()
     }
 
@@ -434,7 +434,7 @@ impl Comm {
                 (inputs, vec![exit; times.len()])
             },
         );
-        self.exit_at(exit, Wait::Collective);
+        self.exit_at(exit, Slot::CollectiveWait);
         (*result).clone()
     }
 
@@ -471,7 +471,7 @@ impl Comm {
         Request::ready(
             exit,
             value,
-            Wait::Collective,
+            Slot::CollectiveWait,
             self.leak_guard("ialltoall_u64"),
         )
     }
@@ -528,7 +528,12 @@ impl Comm {
             },
         );
         let value = std::mem::take(&mut *result[self.rank].lock());
-        Request::ready(exit, value, Wait::Collective, self.leak_guard("ialltoallv"))
+        Request::ready(
+            exit,
+            value,
+            Slot::CollectiveWait,
+            self.leak_guard("ialltoallv"),
+        )
     }
 
     /// `MPI_Reduce` with a user-defined operator; the result is returned at
@@ -585,7 +590,7 @@ impl Comm {
                 (combined, vec![exit; times.len()])
             },
         );
-        self.exit_at(exit, Wait::Collective);
+        self.exit_at(exit, Slot::CollectiveWait);
         (*result).clone()
     }
 
@@ -618,7 +623,7 @@ impl Comm {
                 (prefixes, vec![exit; times.len()])
             },
         );
-        self.exit_at(exit, Wait::Collective);
+        self.exit_at(exit, Slot::CollectiveWait);
         result[self.rank].clone()
     }
 
@@ -638,7 +643,7 @@ impl Comm {
     {
         let kind = CollectiveKind::Custom(site);
         let (r, exit) = self.rendezvous(kind, None, None, None, input, combine);
-        self.exit_at(exit, Wait::Io);
+        self.exit_at(exit, Slot::Io);
         (r, exit)
     }
 }

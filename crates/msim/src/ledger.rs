@@ -5,126 +5,145 @@
 //! methods: charging a quantum of [`Work`], advancing by a duration or
 //! by the slowest of a set of worker lanes, and waiting for a completion
 //! (a collective's exit, a message's arrival, a file access). Each of
-//! them also adds the seconds it moved the clock into exactly one slot
-//! of the rank's [`Ledger`], so the slots sum to
+//! them also adds the seconds it moved the clock into exactly one
+//! [`Slot`] of the rank's [`Ledger`], so the slots sum to
 //! [`Comm::now`](crate::Comm::now) up to floating-point rounding. The
 //! ledger is a fixed array of `f64`s inside the communicator: keeping it
 //! allocates nothing, and reading it is a copy.
 
 use crate::time::Work;
+use std::ops::Index;
 
-/// Number of [`Work`] kinds; the ledger keeps one slot per kind.
-pub const WORK_KINDS: usize = 8;
-
-/// The kinds of wait the clock can make, each with its ledger slot.
+/// What moved a rank's clock: one slot per [`Work`] kind, named and
+/// ordered as the kinds are, then the three kinds of wait and the
+/// advances.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Wait {
-    /// A collective's exit time at the rendezvous.
-    Collective,
-    /// A point-to-point message's injection or arrival.
-    Message,
-    /// A file access's completion.
-    Io,
-}
-
-/// One rank's virtual seconds, split by what moved the clock. `Copy`:
-/// take one before and one after a region and [`Ledger::since`] gives
-/// the region's own split.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Ledger {
-    /// Seconds charged through [`Comm::charge`](crate::Comm::charge), one
-    /// slot per [`Work`] kind in declaration order
-    /// ([`Ledger::WORK_NAMES`]).
-    pub work: [f64; WORK_KINDS],
+pub enum Slot {
+    ParseWkt,
+    CopyBytes,
+    SerializeGeoms,
+    MbrTests,
+    RefinePair,
+    RtreeInserts,
+    RtreeQueries,
+    Seconds,
     /// Seconds a collective held the rank: exit − entry at the
     /// rendezvous for a blocking collective, and for a nonblocking one
     /// the part of that span its wait left exposed (the rest ran under
-    /// compute that the other slots already count).
-    pub collective_wait: f64,
+    /// compute that other slots already count).
+    CollectiveWait,
     /// Exposed waits for point-to-point messages: a send's injection, a
     /// receive's arrival.
-    pub message_wait: f64,
+    MessageWait,
     /// Waits for file accesses: the I/O layer's collectives (aggregation
     /// included) and every completion a rank waits for on its own.
-    pub io: f64,
+    Io,
     /// Explicit [`Comm::advance`](crate::Comm::advance)s and folded
     /// worker lanes ([`Comm::advance_parallel`](crate::Comm::advance_parallel)).
-    pub advance: f64,
+    Advance,
+}
+
+impl Slot {
+    /// Every slot, in ledger order.
+    pub const ALL: [Slot; 12] = [
+        Slot::ParseWkt,
+        Slot::CopyBytes,
+        Slot::SerializeGeoms,
+        Slot::MbrTests,
+        Slot::RefinePair,
+        Slot::RtreeInserts,
+        Slot::RtreeQueries,
+        Slot::Seconds,
+        Slot::CollectiveWait,
+        Slot::MessageWait,
+        Slot::Io,
+        Slot::Advance,
+    ];
+
+    /// The slot a quantum of `work` is booked in.
+    fn of(work: &Work) -> Slot {
+        match work {
+            Work::ParseWkt { .. } => Slot::ParseWkt,
+            Work::CopyBytes { .. } => Slot::CopyBytes,
+            Work::SerializeGeoms { .. } => Slot::SerializeGeoms,
+            Work::MbrTests { .. } => Slot::MbrTests,
+            Work::RefinePair { .. } => Slot::RefinePair,
+            Work::RtreeInserts { .. } => Slot::RtreeInserts,
+            Work::RtreeQueries { .. } => Slot::RtreeQueries,
+            Work::Seconds(_) => Slot::Seconds,
+        }
+    }
+
+    /// Whether the slot counts waiting rather than work.
+    pub fn is_wait(self) -> bool {
+        matches!(self, Slot::CollectiveWait | Slot::MessageWait | Slot::Io)
+    }
+
+    /// The slot's row name (`collective_wait`, `rtree_queries`, …).
+    pub fn name(self) -> &'static str {
+        [
+            "parse_wkt",
+            "copy_bytes",
+            "serialize_geoms",
+            "mbr_tests",
+            "refine_pair",
+            "rtree_inserts",
+            "rtree_queries",
+            "seconds",
+            "collective_wait",
+            "message_wait",
+            "io",
+            "advance",
+        ][self as usize]
+    }
+}
+
+/// One rank's virtual seconds, split by what moved the clock (index it
+/// with a [`Slot`]). `Copy`: take one before and one after a region and
+/// [`Ledger::since`] gives the region's own split.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Ledger {
+    seconds: [f64; Slot::ALL.len()],
+}
+
+impl Index<Slot> for Ledger {
+    type Output = f64;
+
+    fn index(&self, slot: Slot) -> &f64 {
+        &self.seconds[slot as usize]
+    }
 }
 
 impl Ledger {
-    /// Row names of the [`Ledger::work`] slots, in slot order.
-    pub const WORK_NAMES: [&'static str; WORK_KINDS] = [
-        "parse_wkt",
-        "copy_bytes",
-        "serialize_geoms",
-        "mbr_tests",
-        "refine_pair",
-        "rtree_inserts",
-        "rtree_queries",
-        "seconds",
-    ];
-
     /// Sum of every slot: the rank's clock, up to rounding.
     pub fn total(&self) -> f64 {
-        self.rows().iter().map(|&(_, s)| s).sum()
-    }
-
-    /// Every slot as `(name, seconds)`: the work kinds in slot order,
-    /// then `collective_wait`, `message_wait`, `io` and `advance`.
-    pub fn rows(&self) -> [(&'static str, f64); WORK_KINDS + 4] {
-        let mut rows = [("", 0.0); WORK_KINDS + 4];
-        for (row, (name, s)) in rows.iter_mut().zip(Self::WORK_NAMES.iter().zip(self.work)) {
-            *row = (name, s);
-        }
-        rows[WORK_KINDS] = ("collective_wait", self.collective_wait);
-        rows[WORK_KINDS + 1] = ("message_wait", self.message_wait);
-        rows[WORK_KINDS + 2] = ("io", self.io);
-        rows[WORK_KINDS + 3] = ("advance", self.advance);
-        rows
+        self.seconds.iter().sum()
     }
 
     /// The seconds booked since `earlier`, slot by slot.
     pub fn since(&self, earlier: &Ledger) -> Ledger {
         let mut d = *self;
-        for (slot, e) in d.work.iter_mut().zip(earlier.work) {
-            *slot -= e;
+        for (s, e) in d.seconds.iter_mut().zip(earlier.seconds) {
+            *s -= e;
         }
-        d.collective_wait -= earlier.collective_wait;
-        d.message_wait -= earlier.message_wait;
-        d.io -= earlier.io;
-        d.advance -= earlier.advance;
         d
+    }
+
+    /// Adds `dt` seconds to `slot`.
+    pub fn book(&mut self, slot: Slot, dt: f64) {
+        self.seconds[slot as usize] += dt;
     }
 
     /// Books `dt` seconds of `work`.
     pub(crate) fn charge(&mut self, work: &Work, dt: f64) {
-        let slot = match work {
-            Work::ParseWkt { .. } => 0,
-            Work::CopyBytes { .. } => 1,
-            Work::SerializeGeoms { .. } => 2,
-            Work::MbrTests { .. } => 3,
-            Work::RefinePair { .. } => 4,
-            Work::RtreeInserts { .. } => 5,
-            Work::RtreeQueries { .. } => 6,
-            Work::Seconds(_) => 7,
-        };
-        self.work[slot] += dt;
-    }
-
-    /// Books `dt` seconds of waiting of kind `wait`.
-    pub(crate) fn wait(&mut self, wait: Wait, dt: f64) {
-        *match wait {
-            Wait::Collective => &mut self.collective_wait,
-            Wait::Message => &mut self.message_wait,
-            Wait::Io => &mut self.io,
-        } += dt;
+        self.book(Slot::of(work), dt);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::{Ledger, Topology, Work, World, WorldConfig};
+    use crate::ledger::Slot;
+    use crate::{Topology, Work, World, WorldConfig};
 
     /// Every way the clock moves lands in one slot: skewed compute, an
     /// explicit advance, worker lanes, a barrier, a message ring, an
@@ -152,18 +171,28 @@ mod tests {
             (comm.now(), comm.ledger(), before)
         });
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs());
-        let seconds = Ledger::WORK_NAMES.iter().position(|&n| n == "seconds");
         for (rank, (now, l, before)) in out.into_iter().enumerate() {
             assert!(close(l.total(), now), "rank {rank}: {l:?} vs {now}");
-            assert_eq!(l.work[seconds.unwrap()], 1e-3 * rank as f64);
-            assert!(close(l.advance, 1.3e-4), "rank {rank}: {}", l.advance);
-            assert!(close(l.io, 0.5), "rank {rank}: {}", l.io);
-            assert!(l.message_wait > 0.0);
+            assert_eq!(l[Slot::Seconds], 1e-3 * rank as f64);
+            assert!(close(l[Slot::Advance], 1.3e-4), "rank {rank}: {l:?}");
+            assert!(close(l[Slot::Io], 0.5), "rank {rank}: {l:?}");
+            assert!(l[Slot::MessageWait] > 0.0);
             // The two faster ranks wait at the barrier for the slowest.
-            assert_eq!(before.collective_wait > 5e-4, rank < 2, "rank {rank}");
+            assert_eq!(before[Slot::CollectiveWait] > 5e-4, rank < 2, "rank {rank}");
             let d = l.since(&before);
-            assert_eq!(d.work[0], 0.0);
+            assert_eq!(d[Slot::MbrTests], 0.0);
             assert!(close(d.total(), now - before.total()));
         }
+    }
+
+    #[test]
+    fn slots_are_listed_in_ledger_order() {
+        assert!(Slot::ALL.iter().enumerate().all(|(i, &s)| s as usize == i));
+        let waits: Vec<&str> = Slot::ALL
+            .iter()
+            .filter(|s| s.is_wait())
+            .map(|s| s.name())
+            .collect();
+        assert_eq!(waits, ["collective_wait", "message_wait", "io"]);
     }
 }

@@ -37,7 +37,10 @@
 //! * **Virtual time** — every rank carries a clock; communication charges
 //!   an α–β model, collectives charge log-tree costs, compute phases
 //!   charge the calibrated [`time::CostModel`], and I/O charges the pfs
-//!   engine. Reported times are virtual seconds.
+//!   engine. Reported times are virtual seconds, and [`Comm::ledger`]
+//!   splits a rank's clock by what moved it ([`Ledger`]): one [`Slot`]
+//!   per [`Work`] kind, waits at collectives, for messages and for file
+//!   accesses, and lanes; the slots sum to [`Comm::now`].
 //!
 //! ## Example
 //!
@@ -70,7 +73,7 @@ pub use comm::Comm;
 pub use datatype::Datatype;
 pub use hints::Hints;
 pub use io::{select_readers, AccessLevel, Landing, MpiFile};
-pub use ledger::Ledger;
+pub use ledger::{Ledger, Slot};
 pub use reduceop::ReduceOp;
 pub use request::{ProgressEngine, Request};
 pub use time::{CostModel, ShapeClass, Work, WorkTally};

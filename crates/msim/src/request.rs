@@ -31,7 +31,7 @@
 
 use crate::check::{Label, REPORT};
 use crate::comm::Comm;
-use crate::ledger::Wait;
+use crate::ledger::Slot;
 
 /// Handle for an in-flight nonblocking operation returning a `T` on
 /// completion. Produced by [`Comm::isend`], [`Comm::irecv`],
@@ -49,7 +49,7 @@ pub struct Request<T> {
     /// `Drop` can tell a completed handle from a leaked one.
     inner: Option<ReqInner<T>>,
     /// The ledger slot that books the wait for this request.
-    wait: Wait,
+    wait: Slot,
     guard: LeakGuard,
 }
 
@@ -76,7 +76,7 @@ pub(crate) struct LeakGuard {
 }
 
 impl<T> Request<T> {
-    pub(crate) fn ready(at: f64, value: T, wait: Wait, guard: LeakGuard) -> Self {
+    pub(crate) fn ready(at: f64, value: T, wait: Slot, guard: LeakGuard) -> Self {
         Request {
             inner: Some(ReqInner::Ready { at, value }),
             wait,
@@ -84,8 +84,8 @@ impl<T> Request<T> {
         }
     }
 
-    /// The kind of wait completing this request is booked as.
-    pub(crate) fn wait(&self) -> Wait {
+    /// The ledger slot the wait completing this request is booked in.
+    pub(crate) fn wait(&self) -> Slot {
         self.wait
     }
 
@@ -127,7 +127,7 @@ impl Request<Vec<u8>> {
                 tag,
                 wrap: |data| data,
             }),
-            wait: Wait::Message,
+            wait: Slot::MessageWait,
             guard,
         }
     }

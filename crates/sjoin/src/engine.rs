@@ -5,7 +5,8 @@
 //! [`QueryEngine`] is the long-lived counterpart. It is constructed once
 //! — from an [`IngestOutput`], a binary snapshot, or a [`ResidentStore`]
 //! whose every record entered through [`validate_round`]; no constructor
-//! takes a geometry object — and keeps the per-rank R-tree and the
+//! takes a geometry object — balanced once before the first batch (see
+//! [`QueryEngine::from_store`]), and keeps the per-rank R-tree and the
 //! global [`Decomposition`] resident
 //! across [`QueryEngine::serve`] calls, so a serving batch costs only
 //! routing + tree walks + two pipelined exchanges instead of a full
@@ -472,8 +473,9 @@ pub struct QueryEngine {
 
 impl QueryEngine {
     /// Builds the engine from an ingest run's output: its decomposition,
-    /// and the frames its exchange received, adopted as they are
-    /// ([`QueryEngine::from_store`] over [`ResidentStore::from_frames`]).
+    /// and the frames its exchange received, adopted as they are, then
+    /// balanced ([`QueryEngine::from_store`] over
+    /// [`ResidentStore::from_frames`]).
     /// Collective: every rank must call it.
     pub fn from_ingest(comm: &mut Comm, out: IngestOutput, opts: &EngineOptions) -> Self {
         let store = ResidentStore::from_frames(comm, &out.owned);
@@ -482,17 +484,27 @@ impl QueryEngine {
 
     /// Builds the engine over replicas that already are validated wire
     /// records — what an exchange or a snapshot reload delivered
-    /// ([`ResidentStore::from_frames`]). Nothing is decoded; only the
-    /// index build is charged ([`Work::RtreeInserts`]).
+    /// ([`ResidentStore::from_frames`]) — and evens out the resident load
+    /// once before the first batch ([`rebalance::balance`]): `sd` is
+    /// re-bisected on the allreduced per-cell histogram, and if that
+    /// predicts a lower max/mean the cells whose owner changed migrate
+    /// over `opts.chunk`'s exchange. A serve call waits for the rank
+    /// holding the most replicas, so a partition skewed by its data
+    /// (clustered layers under a round-robin map) would slow every batch.
+    /// Nothing is decoded. Charged: the histogram allreduce, a migration
+    /// when one runs (the sender's byte copy, the receiver's validation
+    /// scan and the exchange), and one index build ([`Work::RtreeInserts`]).
+    /// The configured rebalancer starts from the balanced partition.
     /// Collective: every rank must call it.
     pub fn from_store(
         comm: &mut Comm,
-        sd: Decomposition,
-        store: ResidentStore,
+        mut sd: Decomposition,
+        mut store: ResidentStore,
         opts: &EngineOptions,
     ) -> Self {
+        let tracker = rebalance::balance(comm, &mut sd, &mut store, opts.chunk);
         let index = ResidentIndex::build(comm, sd, store);
-        let rebalancer = Rebalancer::from_policy(opts.rebalance, &index.sd, &index.store);
+        let rebalancer = Rebalancer::from_policy(opts.rebalance, tracker);
         QueryEngine {
             index,
             chunk: opts.chunk,
@@ -506,7 +518,8 @@ impl QueryEngine {
     /// metadata read ([`snapshot::read_meta_timed`]), decomposition
     /// rebuild under `policy` ([`snapshot::SnapshotMeta::decomposition`]),
     /// collective [`snapshot::read_partitioned`] over that metadata — the
-    /// routed records stay the wire frames they were persisted as. The
+    /// routed records stay the wire frames they were persisted as — then
+    /// the balanced build of [`QueryEngine::from_store`]. The
     /// adaptive policy is rejected with [`CoreError::InvalidOptions`] — a
     /// snapshot does not carry the feature histogram it needs (same
     /// contract as snapshot joins) — and so is a Hilbert owner table past

@@ -57,7 +57,40 @@ fn check_serve(
             distinct.push(*q);
         }
     }
-    let sd = mk_decomp(WORLD, policy, side, ranks);
+    let features = Arc::new(features);
+    let batch = Arc::new(queries);
+    let shared = Arc::clone(&features);
+    let out = World::run(
+        WorldConfig::new(Topology::single_node(ranks)),
+        move |comm| {
+            // Every rank holds the same global dataset and keeps the
+            // replicas it owns under the decomposition — the resident
+            // state an ingest would have produced.
+            let sd = mk_decomp(WORLD, policy, side, comm.size());
+            let owned = owned_replicas(&sd, &shared, comm.rank());
+            let opts = EngineOptions {
+                chunk,
+                cache: if cache {
+                    ServeCache::Entries(64)
+                } else {
+                    ServeCache::Off
+                },
+                ..Default::default()
+            };
+            let store = resident(comm, &owned);
+            let mut eng = QueryEngine::from_store(comm, sd, store, &opts);
+            let first = eng.serve(comm, &batch).unwrap();
+            let second = eng.serve(comm, &batch).unwrap();
+            let canon1: Vec<QueryAnswer> = first.answers.iter().map(canon).collect();
+            let canon2: Vec<QueryAnswer> = second.answers.iter().map(canon).collect();
+            assert_ledger_balances(comm);
+            let sd = eng.decomposition().clone();
+            (canon1, canon2, first.stats, second.stats, sd)
+        },
+    );
+    // The traffic follows the decomposition the engine serves under: the
+    // build may have re-balanced the one the replicas were landed with.
+    let sd = out[0].4.clone();
     let reference = reference_counts(&sd, &features);
     let (mut routed_matches, mut shipped) = (0u64, 0u64);
     for q in &distinct {
@@ -78,37 +111,8 @@ fn check_serve(
         routed_matches += matches;
     }
 
-    let features = Arc::new(features);
-    let batch = Arc::new(queries);
-    let out = World::run(
-        WorldConfig::new(Topology::single_node(ranks)),
-        move |comm| {
-            // Every rank holds the same global dataset and keeps the
-            // replicas it owns under the decomposition — the resident
-            // state an ingest would have produced.
-            let sd = mk_decomp(WORLD, policy, side, comm.size());
-            let owned = owned_replicas(&sd, &features, comm.rank());
-            let opts = EngineOptions {
-                chunk,
-                cache: if cache {
-                    ServeCache::Entries(64)
-                } else {
-                    ServeCache::Off
-                },
-                ..Default::default()
-            };
-            let store = resident(comm, &owned);
-            let mut eng = QueryEngine::from_store(comm, sd, store, &opts);
-            let first = eng.serve(comm, &batch).unwrap();
-            let second = eng.serve(comm, &batch).unwrap();
-            let canon1: Vec<QueryAnswer> = first.answers.iter().map(canon).collect();
-            let canon2: Vec<QueryAnswer> = second.answers.iter().map(canon).collect();
-            assert_ledger_balances(comm);
-            (canon1, canon2, first.stats, second.stats)
-        },
-    );
     let mut firsts = Vec::new();
-    for (rank, (first, second, stats1, stats2)) in out.into_iter().enumerate() {
+    for (rank, (first, second, stats1, stats2, _)) in out.into_iter().enumerate() {
         prop_assert_eq!(&first, &expected, "rank {}, {:?}", rank, setup);
         prop_assert_eq!(&second, &expected, "second serve diverged on rank {}", rank);
         // The cold pass routes each distinct query exactly once, to the
