@@ -1,19 +1,23 @@
-//! Where the serve scenario's virtual seconds go: every rank's clock over
-//! the batched query stream of the serve experiment (cache off), split
-//! into the [`Ledger`]'s slots, at 16 and 64 ranks. `repro ledger`
-//! prints the table and writes it to `docs/LEDGER.md`.
+//! Where a scenario's virtual seconds go: every rank's clock over a
+//! stream, split into the [`Ledger`]'s slots. `repro ledger` prints two
+//! tables and writes them to `docs/LEDGER.md`: the batched query stream
+//! of the serve experiment (cache off) at 16 and 64 ranks, and the
+//! rebalanced update stream of the rebalance experiment at 16 ranks.
 //!
 //! Not a paper figure. The paper reports each phase as its maximum over
-//! ranks (§5.2); this is the same rule one level down, for the one
-//! scenario where most ranks mostly wait: it shows how much of a serve
-//! call is work and how much is waiting at collectives for the ranks
-//! that hold the hot cells.
+//! ranks (§5.2); this is the same rule one level down, for the scenarios
+//! where most ranks mostly wait: it shows how much of a serve call, or of
+//! an update batch with its rebalance decision and migration, is work
+//! and how much is waiting at collectives for the busiest rank.
 
-use super::{serve, Scale};
+use super::{rebalance, serve, Scale};
 use mvio_msim::{Ledger, Slot};
 
-/// Rank counts of the two column pairs.
+/// Rank counts of the serve table's two column pairs.
 const RANKS: [usize; 2] = [16, 64];
+
+/// Rank count of the rebalance table's column pair.
+const REBALANCE_RANKS: usize = 16;
 
 /// Where `repro ledger` writes the table, relative to the working
 /// directory.
@@ -45,14 +49,18 @@ fn busiest_and_mean(ledgers: &[Ledger]) -> (Ledger, Ledger) {
     (busiest, mean)
 }
 
-/// The ledger table as Markdown: one row per slot, then the total; a
-/// busiest-rank and a mean column per rank count.
-fn render(scale: Scale, columns: &[(usize, Ledger, Ledger)]) -> String {
-    let mut md = String::from("# Serve ledger\n\n");
+/// The ledger document: the serve table, then the rebalance table.
+fn render(
+    scale: Scale,
+    serve: &[(usize, Ledger, Ledger)],
+    rebalance: &[(usize, Ledger, Ledger)],
+) -> String {
+    let mut md = String::from("# Ledger\n\n");
     md.push_str(&format!(
         "Generated by `repro ledger` (scale 1/{}); do not edit by hand.\n\n",
         scale.denominator
     ));
+    md.push_str("## Serve\n\n");
     md.push_str(
         "The serve experiment's batched stream (1 024 Zipf range/point/kNN \
          queries per rank in calls of 128, cache off, over 600 clustered \
@@ -65,13 +73,32 @@ fn render(scale: Scale, columns: &[(usize, Ledger, Ledger)]) -> String {
          most seconds outside the three waits: the rank the others wait \
          for at each call's collectives.\n\n",
     );
+    md.push_str(&table(serve));
+    md.push_str("\n## Rebalance\n\n");
+    md.push_str(
+        "The rebalance experiment's `rebalanced` stream (2 048 uniform base \
+         points, then 8 steps of 256 point inserts in a moving hotspot, each \
+         deleted again 2 steps later, with a rebalance check at threshold 1.5 \
+         after every step): each rank's virtual milliseconds from the first \
+         update batch to the last check, split as above. The time base is \
+         again the simulator's clock, not the ×1000 full-scale seconds of \
+         `BENCH_rebalance.json`. The histogram allreduce, the re-bisection \
+         and the migration are inside the stream.\n\n",
+    );
+    md.push_str(&table(rebalance));
+    md
+}
+
+/// One ledger table as Markdown: one row per slot, then the total; a
+/// busiest-rank and a mean column per rank count.
+fn table(columns: &[(usize, Ledger, Ledger)]) -> String {
     let mut header = String::from("| slot |");
     let mut rule = String::from("|---|");
     for (ranks, _, _) in columns {
         header.push_str(&format!(" {ranks} ranks: busiest | {ranks} ranks: mean |"));
         rule.push_str("---:|---:|");
     }
-    md.push_str(&format!("{header}\n{rule}\n"));
+    let mut md = format!("{header}\n{rule}\n");
     let ms = |s: f64| format!("{:.4}", s * 1e3);
     for slot in Slot::ALL {
         md.push_str(&format!("| `{}` |", slot.name()));
@@ -92,17 +119,20 @@ fn render(scale: Scale, columns: &[(usize, Ledger, Ledger)]) -> String {
     md
 }
 
-/// Runs the scenario at both rank counts, writes `docs/LEDGER.md`, and returns the
-/// table. `quick` keeps both rank counts: the table is the point.
+/// Runs both scenarios at their rank counts, writes `docs/LEDGER.md`,
+/// and returns the tables. `quick` keeps every rank count: the tables
+/// are the point.
 pub fn run(scale: Scale, _quick: bool) -> String {
-    let columns: Vec<(usize, Ledger, Ledger)> = RANKS
+    let serve: Vec<(usize, Ledger, Ledger)> = RANKS
         .iter()
         .map(|&ranks| {
             let (busiest, mean) = busiest_and_mean(&serve::batched_ledgers(scale, ranks));
             (ranks, busiest, mean)
         })
         .collect();
-    let md = render(scale, &columns);
+    let ledgers = rebalance::rebalanced_ledgers(scale, REBALANCE_RANKS);
+    let (busiest, mean) = busiest_and_mean(&ledgers);
+    let md = render(scale, &serve, &[(REBALANCE_RANKS, busiest, mean)]);
     let written = std::fs::create_dir_all("docs").and_then(|()| std::fs::write(OUT, &md));
     let note = match written {
         Ok(()) => format!("ledger written to {OUT}"),
@@ -125,8 +155,11 @@ mod tests {
         b.book(Slot::Io, 0.5);
         let (busiest, mean) = busiest_and_mean(&[a, b]);
         assert_eq!(busiest, b);
+        let (b, m) = (busiest, mean);
         assert_eq!(mean.total(), (a.total() + b.total()) / 2.0);
-        let md = render(Scale::default_repro(), &[(16, busiest, mean)]);
+        let doc = render(Scale::default_repro(), &[(16, b, m)], &[(16, b, m)]);
+        assert!(doc.contains("## Serve\n") && doc.contains("## Rebalance\n"));
+        let md = table(&[(16, busiest, mean)]);
         assert!(
             md.contains("| `mbr_tests` | 4000.0000 | 3000.0000 |"),
             "{md}"

@@ -12,10 +12,14 @@
 //! * **static** — rebalancing off; the bisection computed for the base
 //!   dataset serves the whole stream, and the drifting hotspot piles
 //!   onto whichever ranks happen to own its current position;
-//! * **rebalanced** — [`RebalancePolicy::Threshold`]: per-cell drift
-//!   counters are allreduced after every update batch, and when the
-//!   measured imbalance crosses the threshold the decomposition is
-//!   re-bisected and **only the cells whose owner changed** migrate.
+//! * **rebalanced** — [`RebalancePolicy::Threshold`]: after every update
+//!   batch the per-cell histogram of the resident replicas is allreduced,
+//!   and when the measured imbalance crosses the threshold the
+//!   decomposition is re-bisected and **only the cells whose owner
+//!   changed** migrate.
+//!
+//! Both modes build their engine through [`QueryEngine::from_store`],
+//! which takes the same rebalance step once, at threshold 1.0.
 //!
 //! Reported imbalance is max-over-mean of per-rank resident replica
 //! counts, sampled after each step. Migrated bytes are compared against
@@ -31,7 +35,7 @@ use mvio_core::grid::{GridSpec, UniformGrid};
 use mvio_core::{Feature, ResidentStore};
 use mvio_datagen::MovingHotspot;
 use mvio_geom::{Geometry, Point, Rect};
-use mvio_msim::{Topology, Work, World, WorldConfig};
+use mvio_msim::{Ledger, Topology, Work, World, WorldConfig};
 use mvio_sjoin::{EngineOptions, QueryEngine, RebalancePolicy, ServeCache, Update};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -172,8 +176,14 @@ struct StepSample {
 }
 
 /// Replays the stream against one engine configuration and aggregates
-/// the per-step samples into a row.
-fn measure_one(scale: Scale, ranks: usize, mode: &'static str, policy: RebalancePolicy) -> Row {
+/// the per-step samples into a row, with each rank's ledger over the
+/// stream.
+fn measure_one(
+    scale: Scale,
+    ranks: usize,
+    mode: &'static str,
+    policy: RebalancePolicy,
+) -> (Row, Vec<Ledger>) {
     let nodes = ranks.div_ceil(16).max(1);
     let topo = Topology::new(nodes, ranks.div_ceil(nodes));
     let world = WorldConfig::new(topo).with_cost(cost_scaled(scale));
@@ -205,7 +215,7 @@ fn measure_one(scale: Scale, ranks: usize, mode: &'static str, policy: Rebalance
         // The set-up above costs each rank differently; the clock times
         // the stream alone, from a common start.
         comm.barrier();
-        let start = comm.now();
+        let (start, booked) = (comm.now(), comm.ledger());
         for step in spec.stream() {
             // Each rank is a frontend submitting a disjoint shard of the
             // global stream (an update must enter the system exactly
@@ -240,7 +250,7 @@ fn measure_one(scale: Scale, ranks: usize, mode: &'static str, policy: Rebalance
                 partition_bytes: eng.resident().map(|fr| fr.wire_len() as u64).sum(),
             });
         }
-        (comm.now() - start, samples)
+        (comm.now() - start, samples, comm.ledger().since(&booked))
     });
 
     let mut peak = 0.0f64;
@@ -262,7 +272,7 @@ fn measure_one(scale: Scale, ranks: usize, mode: &'static str, policy: Rebalance
     }
     let updates = (STEPS * INSERTS_PER_STEP
         + STEPS.saturating_sub(WINDOW).min(STEPS) * INSERTS_PER_STEP) as u64;
-    Row {
+    let row = Row {
         mode,
         ranks,
         steps: STEPS,
@@ -278,20 +288,24 @@ fn measure_one(scale: Scale, ranks: usize, mode: &'static str, policy: Rebalance
             0.0
         },
         update_s: full_seconds(scale, out.iter().map(|r| r.0).fold(0.0, f64::max)),
-    }
+    };
+    (row, out.iter().map(|r| r.2).collect())
+}
+
+/// Each rank's ledger over the rebalanced stream at `ranks`: the
+/// scenario [`measure`]'s `rebalanced` rows time.
+pub(crate) fn rebalanced_ledgers(scale: Scale, ranks: usize) -> Vec<Ledger> {
+    let policy = RebalancePolicy::Threshold(REBALANCED_IMBALANCE_CEILING);
+    measure_one(scale, ranks, "rebalanced", policy).1
 }
 
 /// Measures both modes at every rank count.
 pub fn measure(scale: Scale, rank_counts: &[usize]) -> Vec<Row> {
     let mut rows = Vec::new();
     for &ranks in rank_counts {
-        rows.push(measure_one(scale, ranks, "static", RebalancePolicy::Off));
-        rows.push(measure_one(
-            scale,
-            ranks,
-            "rebalanced",
-            RebalancePolicy::Threshold(REBALANCED_IMBALANCE_CEILING),
-        ));
+        rows.push(measure_one(scale, ranks, "static", RebalancePolicy::Off).0);
+        let policy = RebalancePolicy::Threshold(REBALANCED_IMBALANCE_CEILING);
+        rows.push(measure_one(scale, ranks, "rebalanced", policy).0);
     }
     rows
 }

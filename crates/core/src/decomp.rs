@@ -97,17 +97,9 @@ pub trait SpatialDecomposition: Send + Sync + std::fmt::Debug {
 
     /// The single cell containing `rect`'s min corner (its *reference
     /// cell*, the anchor of the duplicate-avoidance rule), or `None` when
-    /// the corner lies outside the decomposition bounds.
-    fn reference_cell(&self, rect: &Rect) -> Option<u32> {
-        if rect.is_empty() {
-            return None;
-        }
-        let corner = Rect::new(rect.min_x, rect.min_y, rect.min_x, rect.min_y);
-        let mut cells = Vec::with_capacity(1);
-        self.cells_for_rect(&corner, &mut cells);
-        debug_assert!(cells.len() <= 1, "a point maps to at most one cell");
-        cells.first().copied()
-    }
+    /// `rect` is empty or the corner lies outside the decomposition
+    /// bounds.
+    fn reference_cell(&self, rect: &Rect) -> Option<u32>;
 }
 
 /// Cells an owner table may hold: the cap on the Hilbert and adaptive
@@ -321,6 +313,13 @@ impl SpatialDecomposition for Decomposition {
         }
     }
 
+    fn reference_cell(&self, rect: &Rect) -> Option<u32> {
+        if rect.is_empty() {
+            return None;
+        }
+        self.grid.cell_at(rect.min_x, rect.min_y)
+    }
+
     fn cell_on_max_edge(&self, cell: u32) -> (bool, bool) {
         let spec = self.grid.spec();
         let col = cell % spec.cells_x;
@@ -331,7 +330,7 @@ impl SpatialDecomposition for Decomposition {
 
 /// The length of an owner table for `grid`, refused past
 /// [`MAX_TABLE_CELLS`] so no header or option can size a huge one.
-fn table_size(grid: &UniformGrid) -> Result<usize> {
+pub(crate) fn table_size(grid: &UniformGrid) -> Result<usize> {
     let spec = grid.spec();
     if grid.num_cells() > MAX_TABLE_CELLS {
         return Err(CoreError::InvalidOptions(format!(
@@ -588,8 +587,9 @@ impl DecompConfig {
     }
 }
 
-/// Element-wise `u64` sum — the reduction behind the adaptive histogram.
-struct SumCounts;
+/// Element-wise `u64` sum — the reduction behind the adaptive and the
+/// rebalance histograms.
+pub(crate) struct SumCounts;
 
 impl ReduceOp<Vec<u64>> for SumCounts {
     fn combine(&self, a: &Vec<u64>, b: &Vec<u64>) -> Vec<u64> {
@@ -873,6 +873,42 @@ mod tests {
         assert_eq!(d.reference_cell(&Rect::new(3.5, 3.5, 9.0, 9.0)), Some(15));
         assert_eq!(d.reference_cell(&Rect::new(10.0, 10.0, 11.0, 11.0)), None);
         assert_eq!(d.reference_cell(&Rect::EMPTY), None);
+    }
+
+    /// The point lookup answers as the degenerate-rect overlap scan it
+    /// replaced did, on a grid that is neither square nor at the origin.
+    #[test]
+    fn reference_cell_matches_the_degenerate_rect_lookup() {
+        let g = UniformGrid::new(
+            Rect::new(-3.0, 2.0, 7.0, 8.0),
+            GridSpec {
+                cells_x: 5,
+                cells_y: 3,
+            },
+        );
+        let d = dec(g, RR, 2);
+        let scan = |r: &Rect| {
+            let corner = Rect::new(r.min_x, r.min_y, r.min_x, r.min_y);
+            (!r.is_empty())
+                .then(|| d.cells_for_rect_vec(&corner).first().copied())
+                .flatten()
+        };
+        let cases = [
+            ("interior", Rect::new(0.5, 4.1, 1.0, 5.0), Some(6)),
+            ("on an inner cut", Rect::new(1.0, 4.0, 2.0, 6.0), Some(7)),
+            ("max-x edge", Rect::new(7.0, 3.0, 7.0, 3.0), Some(4)),
+            ("max-y edge", Rect::new(-3.0, 8.0, -2.0, 9.0), Some(10)),
+            ("max corner", Rect::new(7.0, 8.0, 9.0, 9.0), Some(14)),
+            ("min corner", Rect::new(-3.0, 2.0, -3.0, 2.0), Some(0)),
+            ("outside, past max", Rect::new(7.5, 3.0, 8.0, 4.0), None),
+            ("outside, below min", Rect::new(-1.0, 1.0, 0.0, 3.0), None),
+            ("empty", Rect::EMPTY, None),
+            ("inverted", Rect::new(1.0, 4.0, 0.0, 5.0), None),
+        ];
+        for (what, r, want) in cases {
+            assert_eq!(d.reference_cell(&r), want, "{what}");
+            assert_eq!(d.reference_cell(&r), scan(&r), "{what}");
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub fn claims_reference(decomp: &Decomposition, cell: u32, a: &Rect, b: &Rect) -
 
 /// Whether the replica of a feature with envelope `mbr` held in `cell` is
 /// that feature's reference copy: the one that represents it in kNN scans
-/// and in the rebalancer's drift histogram, so each feature counts once
+/// and in the rebalance histogram, so each feature counts once
 /// globally. The reference cell holds the envelope's min corner; when
 /// that corner lies outside the bounds (an update whose envelope only
 /// intersects them), the lowest overlapping cell is the reference.

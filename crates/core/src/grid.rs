@@ -194,23 +194,8 @@ impl UniformGrid {
         if rect.is_empty() || !rect.intersects(&self.bounds) {
             return;
         }
-        let clamp = |v: f64, hi: u32| -> u32 { (v.max(0.0) as u32).min(hi - 1) };
-        let c0 = clamp(
-            (rect.min_x - self.bounds.min_x) / self.cell_w,
-            self.spec.cells_x,
-        );
-        let c1 = clamp(
-            (rect.max_x - self.bounds.min_x) / self.cell_w,
-            self.spec.cells_x,
-        );
-        let r0 = clamp(
-            (rect.min_y - self.bounds.min_y) / self.cell_h,
-            self.spec.cells_y,
-        );
-        let r1 = clamp(
-            (rect.max_y - self.bounds.min_y) / self.cell_h,
-            self.spec.cells_y,
-        );
+        let (c0, c1) = (self.col(rect.min_x), self.col(rect.max_x));
+        let (r0, r1) = (self.row(rect.min_y), self.row(rect.max_y));
         // Span product computed in u64: a rect covering most of a huge
         // grid would overflow the old u32 arithmetic.
         let span = (c1 - c0 + 1) as u64 * (r1 - r0 + 1) as u64;
@@ -221,6 +206,32 @@ impl UniformGrid {
             }
         }
     }
+
+    /// The cell containing the point `(x, y)`, or `None` outside the
+    /// bounds: the one cell [`UniformGrid::cells_overlapping_into`] yields
+    /// for the degenerate rect at that point, without a buffer.
+    pub fn cell_at(&self, x: f64, y: f64) -> Option<u32> {
+        let point = Rect::new(x, y, x, y);
+        if point.is_empty() || !point.intersects(&self.bounds) {
+            return None;
+        }
+        Some(self.row(y) * self.spec.cells_x + self.col(x))
+    }
+
+    /// The column holding abscissa `x`, clamped onto the grid.
+    fn col(&self, x: f64) -> u32 {
+        clamp_index((x - self.bounds.min_x) / self.cell_w, self.spec.cells_x)
+    }
+
+    /// The row holding ordinate `y`, clamped onto the grid.
+    fn row(&self, y: f64) -> u32 {
+        clamp_index((y - self.bounds.min_y) / self.cell_h, self.spec.cells_y)
+    }
+}
+
+/// A fractional cell index truncated into `0..n`.
+fn clamp_index(v: f64, n: u32) -> u32 {
+    (v.max(0.0) as u32).min(n - 1)
 }
 
 /// Cell → rank rules computed per lookup, with no per-cell state: the

@@ -66,8 +66,7 @@ pub use partition::{BoundaryStrategy, ReadOptions};
 pub use pipeline::{IngestOutput, PipelineOptions, PipelineStats};
 pub use reader::{CsvPointParser, GeometryParser, WktLineParser};
 pub use rebalance::{
-    apply_updates, DriftTracker, MigrationStats, RebalancePolicy, RebalanceReport, Rebalancer,
-    Update, UpdateStats,
+    apply_updates, MigrationStats, RebalancePolicy, RebalanceReport, Update, UpdateStats,
 };
 pub use snapshot::{
     read_partitioned, write_partitioned, SnapshotMeta, SnapshotReadOptions, SnapshotReadReport,

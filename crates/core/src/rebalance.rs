@@ -1,26 +1,21 @@
 //! Online rebalancing for mutable partitions (ROADMAP item 2): streaming
-//! inserts/deletes into an already-ingested partition, per-cell histogram
-//! drift tracking, and cell-diff migration when the measured load
-//! imbalance crosses a threshold.
+//! inserts/deletes into an already-ingested partition, and cell-diff
+//! migration when the resident load imbalance crosses a threshold.
 //!
 //! The paper's pipeline is write-once — ingest, decompose, join — but a
 //! resident deployment keeps serving while the data drifts. This module
-//! adds the four mutability primitives the serving layer composes:
+//! adds the three mutability primitives the serving layer composes:
 //!
 //! * [`apply_updates`] routes an [`Update`] batch through the staged
 //!   chunked [`ExchangePlan`] to the ranks owning the overlapping cells
 //!   (exactly the ingest pipeline's routing rule), applying received
 //!   inserts and deletes to the local replica set as rounds complete;
-//! * [`DriftTracker`] maintains the local per-cell reference-feature
-//!   histogram incrementally as updates arrive — the same histogram the
-//!   adaptive [`DecompPolicy`] bisects at ingest time — and produces the
-//!   global view with one element-wise allreduce;
-//! * [`balance`] evens out a freshly built partition once, before a
-//!   resident engine indexes it: the same re-bisection and migration,
-//!   taken whenever it lowers the max/mean;
-//! * [`Rebalancer::maybe_rebalance`] recomputes the decomposition from
-//!   the drifted histogram when imbalance crosses its threshold, and
-//!   `migrate_cells` ships **only the replicas of cells whose owner
+//! * [`rebalance`] reads the per-cell feature histogram off the resident
+//!   replicas — the same count-per-cell signal the adaptive
+//!   [`DecompPolicy`] bisects at ingest time — with one element-wise
+//!   allreduce, and when the max/mean per-rank load has reached its
+//!   threshold re-bisects it over the same cell tiling;
+//! * `migrate_cells` then ships **only the replicas of cells whose owner
 //!   changed** between the old and new `cell_to_rank` maps — a diff, not
 //!   a full re-shuffle (generalizing the snapshot any-world re-route).
 //!
@@ -31,17 +26,19 @@
 //! histogram (allreduced), hence the same decision, the same new
 //! decomposition, and the same moved-cell diff.
 //!
-//! Selected by [`RebalancePolicy`] (off by default).
+//! Selected by [`RebalancePolicy`] (off by default); a resident engine
+//! also takes the step once, at threshold 1.0, when it is built.
 
-use crate::decomp::{imbalance_ratio, DecompPolicy, Decomposition, SpatialDecomposition};
+use crate::decomp::{
+    imbalance_ratio, table_size, DecompPolicy, Decomposition, SpatialDecomposition, SumCounts,
+};
 use crate::exchange::{
     serialize_record, ExchangeChunk, ExchangePlan, ExchangeStats, SerializedBatch,
 };
 use crate::framework::is_reference_replica;
 use crate::resident::ResidentStore;
 use crate::{CoreError, Feature, Result};
-use mvio_geom::Rect;
-use mvio_msim::{Comm, ReduceOp, Work};
+use mvio_msim::{Comm, Work};
 
 /// Online-rebalance sizing policy.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -94,83 +91,6 @@ pub struct UpdateStats {
     pub delete_exchange: ExchangeStats,
 }
 
-/// Element-wise `i64` sum behind the drift-delta allreduce.
-struct SumDeltas;
-
-impl ReduceOp<Vec<i64>> for SumDeltas {
-    fn combine(&self, a: &Vec<i64>, b: &Vec<i64>) -> Vec<i64> {
-        a.iter().zip(b).map(|(x, y)| x + y).collect()
-    }
-}
-
-/// Incrementally-maintained local per-cell histogram of *reference*
-/// features — the same count-per-cell signal the adaptive policy
-/// bisects at ingest time, kept live across [`apply_updates`] calls so a
-/// rebalance decision never needs a full local rescan. Each feature is
-/// counted once globally, in the cell owning its reference corner, so
-/// the element-wise allreduce of every rank's tracker is the exact
-/// global feature histogram.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DriftTracker {
-    counts: Vec<i64>,
-}
-
-impl DriftTracker {
-    /// An all-zero tracker over `num_cells` cells.
-    pub fn new(num_cells: u32) -> Self {
-        DriftTracker {
-            counts: vec![0; num_cells as usize],
-        }
-    }
-
-    /// Rebuilds the tracker from a resident replica set (used by
-    /// [`balance`] when an engine is built).
-    fn rebuild(sd: &Decomposition, store: &ResidentStore) -> Self {
-        let mut t = DriftTracker::new(sd.num_cells());
-        for (cell, mbr) in store.replicas() {
-            t.record(sd, cell, mbr, 1);
-        }
-        t
-    }
-
-    /// Applies one replica arrival/removal: bumps the cell's count when
-    /// the replica (of envelope `mbr`) is its feature's reference copy.
-    fn record(&mut self, sd: &Decomposition, cell: u32, mbr: &Rect, delta: i64) {
-        if is_reference_replica(sd, cell, mbr) {
-            self.counts[cell as usize] += delta;
-        }
-    }
-
-    /// The global per-cell feature histogram: one element-wise allreduce
-    /// over every rank's local tracker. Collective — every rank must
-    /// call it together; all ranks receive the identical histogram
-    /// (negative transients clamp to zero).
-    pub fn global_histogram(&self, comm: &mut Comm) -> Vec<u64> {
-        let counts = comm.labeled("rebalance.histogram", |c| {
-            c.allreduce(
-                self.counts.clone(),
-                self.counts.len() as u64 * 8,
-                &SumDeltas,
-            )
-        });
-        counts.into_iter().map(|n| n.max(0) as u64).collect()
-    }
-
-    /// After a migration under `sd`, the local histogram is exactly the
-    /// global one restricted to the cells this rank now owns (reference
-    /// replicas moved with their cells).
-    fn adopt(&mut self, comm: &Comm, sd: &Decomposition, global: &[u64]) {
-        let me = comm.rank();
-        for (cell, slot) in self.counts.iter_mut().enumerate() {
-            *slot = if sd.cell_to_rank(cell as u32) == me {
-                global[cell] as i64
-            } else {
-                0
-            };
-        }
-    }
-}
-
 /// Applies a batch of streaming updates to a resident partition.
 /// Collective — every rank must call it together, each with its own
 /// (possibly empty) batch.
@@ -183,8 +103,8 @@ impl DriftTracker {
 /// flight, **as bytes**: a round is validated whole and then its records
 /// are appended ([`ResidentStore::append_round`]) or matched and removed
 /// ([`ResidentStore::delete_round`], which documents the match rule) —
-/// no [`Feature`] is built on the receiving side. `tracker`, when
-/// supplied, absorbs every applied reference-replica delta.
+/// no [`Feature`] is built on the receiving side. Nothing else is kept
+/// up to date: [`rebalance`] reads the histogram off the store.
 ///
 /// What is charged: the submitting rank pays [`Work::SerializeGeoms`] for
 /// every record it encodes from its `updates` (one per overlapped cell);
@@ -206,7 +126,6 @@ pub fn apply_updates(
     store: &mut ResidentStore,
     updates: &[Update],
     chunk: ExchangeChunk,
-    mut tracker: Option<&mut DriftTracker>,
 ) -> Result<UpdateStats> {
     let p = comm.size();
     let bounds = sd.bounds();
@@ -276,13 +195,7 @@ pub fn apply_updates(
     // Trip 1: inserts land as fresh replicas.
     stats.insert_exchange = comm.labeled("rebalance.inserts", |c| {
         plan.run(c, &mut inserts.into_feed(&plan), &mut |c, bufs| {
-            let landed = store.append_round(c, &bufs)?;
-            if let Some(t) = tracker.as_deref_mut() {
-                for i in landed.clone() {
-                    t.record(sd, store.cell(i), store.envelope(i), 1);
-                }
-            }
-            let records = landed.len() as u64;
+            let records = store.append_round(c, &bufs)?.len() as u64;
             stats.inserted_replicas += records;
             Ok(records)
         })
@@ -291,11 +204,7 @@ pub fn apply_updates(
     // Trip 2: each delete record removes one matching resident replica.
     stats.delete_exchange = comm.labeled("rebalance.deletes", |c| {
         plan.run(c, &mut deletes.into_feed(&plan), &mut |c, bufs| {
-            let out = store.delete_round(c, &bufs, &mut |cell, mbr| {
-                if let Some(t) = tracker.as_deref_mut() {
-                    t.record(sd, cell, mbr, -1);
-                }
-            })?;
+            let out = store.delete_round(c, &bufs)?;
             stats.deleted_replicas += out.records - out.missing;
             stats.missing_deletes += out.missing;
             Ok(out.records)
@@ -394,13 +303,13 @@ fn migrate_cells(
     Ok(stats)
 }
 
-/// Per-rank outcome of one [`Rebalancer::maybe_rebalance`] call.
+/// Per-rank outcome of one [`rebalance`] call.
 #[derive(Debug, Clone, Default)]
 pub struct RebalanceReport {
     /// Whether the threshold tripped and a migration ran.
     pub rebalanced: bool,
     /// Estimated max/mean per-rank load before the call (from the
-    /// allreduced drift histogram under the old decomposition).
+    /// allreduced histogram under the old decomposition).
     pub imbalance_before: f64,
     /// Estimated imbalance under the decomposition in force after the
     /// call (equal to `imbalance_before` when nothing tripped).
@@ -436,111 +345,60 @@ fn rebisect(sd: &Decomposition, hist: &[u64], before: f64) -> Result<Option<(Dec
     Ok((after < before).then_some((next, after)))
 }
 
-/// Evens out a freshly landed resident partition once, before anything
-/// indexes or serves it: the drift histogram of `store` is allreduced,
-/// re-bisected adaptively over the same cell tiling
-/// ([`Rebalancer::maybe_rebalance`]'s step at threshold 1.0), and when
-/// that predicts a lower max/mean the moved cells migrate
-/// (`migrate_cells`) and `sd` becomes the new decomposition. Returns the
-/// drift tracker over the partition as it then stands, from which a
-/// [`Rebalancer`] can start.
+/// One rebalance step over a resident partition. Each rank counts its
+/// reference replicas in `store` by cell — each feature once world-wide,
+/// in its reference cell ([`is_reference_replica`]) — and one
+/// element-wise allreduce makes that the global per-cell histogram. When
+/// the max/mean per-rank load under `sd` has reached `threshold`, the
+/// histogram is re-bisected adaptively over the same cell tiling, and
+/// when that predicts a lower max/mean the cells whose owner changed
+/// migrate (`migrate_cells`) and `sd` becomes the new decomposition.
+/// The store comes back with the departed replicas' slots still in it;
+/// compacting is the caller's reindex.
 ///
-/// Nothing moves when the re-bisection cannot improve the balance, or
-/// when [`Decomposition::new`] rejects it (an owner table past
-/// [`crate::decomp::MAX_TABLE_CELLS`]): the histogram is the same on
-/// every rank, and so is the verdict. The store comes back with the
-/// departed replicas' slots still in it; compacting is the caller's
-/// reindex.
+/// A grid past [`crate::decomp::MAX_TABLE_CELLS`] has no owner table to
+/// re-bisect into: the call returns [`CoreError::InvalidOptions`] before
+/// it allocates a histogram or enters a collective — on every rank,
+/// since every rank holds the same `sd`.
 ///
-/// Collective — every rank must call it together, with the same `sd`.
-pub fn balance(
+/// Collective — every rank must call it together, with the same `sd` and
+/// `threshold`: the decision is a pure function of the allreduced
+/// histogram, so all ranks take the same branch.
+pub fn rebalance(
     comm: &mut Comm,
+    threshold: f64,
     sd: &mut Decomposition,
     store: &mut ResidentStore,
     chunk: ExchangeChunk,
-) -> DriftTracker {
-    let mut tracker = DriftTracker::rebuild(sd, store);
-    let hist = tracker.global_histogram(comm);
-    let before = imbalance_ratio(&per_rank_loads(sd, &hist));
-    let Ok(Some((next, _))) = rebisect(sd, &hist, before) else {
-        return tracker;
+) -> Result<RebalanceReport> {
+    let mut counts = vec![0u64; table_size(sd.grid())?];
+    for (cell, mbr) in store.replicas() {
+        if is_reference_replica(sd, cell, mbr) {
+            counts[cell as usize] += 1;
+        }
+    }
+    let bytes = counts.len() as u64 * 8;
+    let hist = comm.labeled("rebalance.histogram", |c| {
+        c.allreduce(counts, bytes, &SumCounts)
+    });
+    let imbalance_before = imbalance_ratio(&per_rank_loads(sd, &hist));
+    let mut report = RebalanceReport {
+        rebalanced: false,
+        imbalance_before,
+        imbalance_after: imbalance_before,
+        migration: MigrationStats::default(),
     };
-    migrate_cells(comm, sd, &next, store, chunk)
-        // audit: both maps tile `sd`'s grid for this world, and every
-        // shipped record is a byte copy of a validated resident record,
-        // so the receiving validation cannot reject it.
-        .expect("build-time migration of validated records");
+    if imbalance_before < threshold {
+        return Ok(report);
+    }
+    let Some((next, imbalance_after)) = rebisect(sd, &hist, imbalance_before)? else {
+        return Ok(report);
+    };
+    report.migration = migrate_cells(comm, sd, &next, store, chunk)?;
     *sd = next;
-    tracker.adopt(comm, sd, &hist);
-    tracker
-}
-
-/// The online-rebalance driver: owns the imbalance threshold and the
-/// live [`DriftTracker`], and decides — identically on every rank —
-/// when a drifted partition is worth re-decomposing.
-#[derive(Debug)]
-pub struct Rebalancer {
-    threshold: f64,
-    tracker: DriftTracker,
-}
-
-impl Rebalancer {
-    /// A rebalancer at `threshold` whose drift histogram starts from
-    /// `tracker` (the one [`balance`] returns over the resident replicas).
-    pub fn new(threshold: f64, tracker: DriftTracker) -> Self {
-        Rebalancer {
-            threshold: threshold.max(1.0),
-            tracker,
-        }
-    }
-
-    /// [`Rebalancer::new`] gated on a policy: `None` when the policy
-    /// resolves to off.
-    pub fn from_policy(policy: RebalancePolicy, tracker: DriftTracker) -> Option<Self> {
-        policy.resolve().map(|t| Self::new(t, tracker))
-    }
-
-    /// The live drift histogram (updated by [`apply_updates`] via the
-    /// `tracker` parameter).
-    pub fn tracker_mut(&mut self) -> &mut DriftTracker {
-        &mut self.tracker
-    }
-
-    /// Measures the drifted load balance and, when the max/mean ratio
-    /// has reached the threshold, re-bisects the histogram into a fresh
-    /// adaptive [`Decomposition`] over the *same* cell tiling and migrates
-    /// the moved cells (`migrate_cells`), replacing `sd` in place.
-    /// Collective — every rank must call it together: the decision is a
-    /// pure function of the allreduced histogram, so all ranks take the
-    /// same branch.
-    pub fn maybe_rebalance(
-        &mut self,
-        comm: &mut Comm,
-        sd: &mut Decomposition,
-        store: &mut ResidentStore,
-        chunk: ExchangeChunk,
-    ) -> Result<RebalanceReport> {
-        let hist = self.tracker.global_histogram(comm);
-        let imbalance_before = imbalance_ratio(&per_rank_loads(sd, &hist));
-        let mut report = RebalanceReport {
-            rebalanced: false,
-            imbalance_before,
-            imbalance_after: imbalance_before,
-            migration: MigrationStats::default(),
-        };
-        if imbalance_before < self.threshold {
-            return Ok(report);
-        }
-        let Some((next, imbalance_after)) = rebisect(sd, &hist, imbalance_before)? else {
-            return Ok(report);
-        };
-        report.migration = migrate_cells(comm, sd, &next, store, chunk)?;
-        *sd = next;
-        self.tracker.adopt(comm, sd, &hist);
-        report.rebalanced = true;
-        report.imbalance_after = imbalance_after;
-        Ok(report)
-    }
+    report.rebalanced = true;
+    report.imbalance_after = imbalance_after;
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -624,7 +482,6 @@ mod tests {
             let sd = uniform(grid(4, 8.0), CellMap::RoundRobin, comm.size());
             let base: Vec<Feature> = vec![pt(1.0, 1.0, "a"), pt(6.5, 6.5, "b")];
             let mut owned = fresh_store(comm, &sd, &base);
-            let mut tracker = DriftTracker::rebuild(&sd, &owned);
             // Rank 0 inserts, rank 1 deletes; everyone participates.
             let updates: Vec<Update> = match comm.rank() {
                 0 => vec![
@@ -634,15 +491,8 @@ mod tests {
                 1 => vec![Update::Delete(pt(1.0, 1.0, "a"))],
                 _ => Vec::new(),
             };
-            let stats = apply_updates(
-                comm,
-                &sd,
-                &mut owned,
-                &updates,
-                ExchangeChunk::Bytes(64),
-                Some(&mut tracker),
-            )
-            .unwrap();
+            let stats =
+                apply_updates(comm, &sd, &mut owned, &updates, ExchangeChunk::Bytes(64)).unwrap();
             let want = fresh_store(
                 comm,
                 &sd,
@@ -650,7 +500,6 @@ mod tests {
             );
             assert_eq!(sorted(&owned), sorted(&want));
             assert_eq!(stats.missing_deletes, 0);
-            assert_eq!(tracker, DriftTracker::rebuild(&sd, &owned));
             stats.inserted_replicas + stats.deleted_replicas
         });
         // Point inserts land in exactly one cell each; the delete removed
@@ -671,15 +520,8 @@ mod tests {
             } else {
                 vec![Update::Insert(pt(2.0, 2.0, "fine"))]
             };
-            let err = apply_updates(
-                comm,
-                &sd,
-                &mut owned,
-                &updates,
-                ExchangeChunk::Unlimited,
-                None,
-            )
-            .err();
+            let err =
+                apply_updates(comm, &sd, &mut owned, &updates, ExchangeChunk::Unlimited).err();
             assert_eq!(records(&owned), before, "rejected batch must not mutate");
             matches!(err, Some(CoreError::InvalidOptions(_)))
         });
@@ -696,15 +538,8 @@ mod tests {
             } else {
                 Vec::new()
             };
-            let stats = apply_updates(
-                comm,
-                &sd,
-                &mut owned,
-                &updates,
-                ExchangeChunk::Unlimited,
-                None,
-            )
-            .unwrap();
+            let stats =
+                apply_updates(comm, &sd, &mut owned, &updates, ExchangeChunk::Unlimited).unwrap();
             (stats.missing_deletes, owned.len())
         });
         let missing: u64 = out.iter().map(|(m, _)| m).sum();
@@ -769,7 +604,6 @@ mod tests {
                 .collect();
             let mut sd = sd;
             let mut owned = fresh_store(comm, &sd, &base);
-            let mut reb = Rebalancer::new(1.5, DriftTracker::rebuild(&sd, &owned));
             // Pour a hotspot over the bottom-left 3×3-cell patch (rank
             // 0's block rows), spread in 2D so bisection has cuts to use.
             let hotspot: Vec<Update> = (0..128)
@@ -784,18 +618,9 @@ mod tests {
             } else {
                 Vec::new()
             };
-            apply_updates(
-                comm,
-                &sd,
-                &mut owned,
-                &mine,
-                ExchangeChunk::Bytes(256),
-                Some(reb.tracker_mut()),
-            )
-            .unwrap();
-            let report = reb
-                .maybe_rebalance(comm, &mut sd, &mut owned, ExchangeChunk::Bytes(256))
-                .unwrap();
+            apply_updates(comm, &sd, &mut owned, &mine, ExchangeChunk::Bytes(256)).unwrap();
+            let report =
+                rebalance(comm, 1.5, &mut sd, &mut owned, ExchangeChunk::Bytes(256)).unwrap();
             assert!(report.rebalanced, "hotspot must trip the 1.5 threshold");
             assert!(
                 report.imbalance_after < report.imbalance_before,
@@ -807,9 +632,6 @@ mod tests {
                 report.migration.moved_cells < sd.num_cells() as u64,
                 "cell-diff migration must not move every cell"
             );
-            // The tracker survives the migration exactly: a rebuild from
-            // the migrated replicas matches the adopted histogram.
-            assert_eq!(*reb.tracker_mut(), DriftTracker::rebuild(&sd, &owned));
             // Replicas still live on the ranks that own their cells.
             for (cell, _) in owned.replicas() {
                 assert_eq!(sd.cell_to_rank(cell), comm.rank());
@@ -854,15 +676,9 @@ mod tests {
                 };
                 let updates: Vec<Update> = batch.iter().cloned().map(make).collect();
                 let t = comm.now();
-                let stats = apply_updates(
-                    comm,
-                    &sd,
-                    &mut store,
-                    &updates,
-                    ExchangeChunk::Unlimited,
-                    None,
-                )
-                .unwrap();
+                let stats =
+                    apply_updates(comm, &sd, &mut store, &updates, ExchangeChunk::Unlimited)
+                        .unwrap();
                 let trip = if insert {
                     stats.insert_exchange
                 } else {
@@ -913,10 +729,8 @@ mod tests {
             let features = vec![pt(1.0, 1.0, "a"), pt(3.0, 3.0, "b")];
             let mut owned = fresh_store(comm, &sd, &features);
             let before = records(&owned);
-            let mut reb = Rebalancer::new(4.0, DriftTracker::rebuild(&sd, &owned));
-            let report = reb
-                .maybe_rebalance(comm, &mut sd, &mut owned, ExchangeChunk::Unlimited)
-                .unwrap();
+            let report =
+                rebalance(comm, 4.0, &mut sd, &mut owned, ExchangeChunk::Unlimited).unwrap();
             assert!(!report.rebalanced);
             assert_eq!(report.imbalance_before, report.imbalance_after);
             assert_eq!(records(&owned), before);

@@ -212,27 +212,19 @@ impl ResidentStore {
     /// same cell, the same userdata and an equal geometry — equal bytes,
     /// or, when the bytes differ, equal coordinates
     /// ([`wkb::GeomRef`]'s `==`: `-0.0` matches `0.0`, as the owned
-    /// `Feature` comparison did) — and reports it to `removed` as
-    /// `(cell, envelope)`; two identical replicas need two deletes, and a
-    /// record matching nothing is counted in [`DeleteOutcome::missing`].
+    /// `Feature` comparison did); two identical replicas need two
+    /// deletes, and a record matching nothing is counted in
+    /// [`DeleteOutcome::missing`].
     /// Charges the validation scan plus one [`Work::MbrTests`] per record
     /// for the keyed compare.
     /// Not collective — an [`crate::exchange::ExchangePlan::run`] sink.
-    pub fn delete_round(
-        &mut self,
-        comm: &mut Comm,
-        bufs: &[Vec<u8>],
-        removed: &mut dyn FnMut(u32, &Rect),
-    ) -> Result<DeleteOutcome> {
+    pub fn delete_round(&mut self, comm: &mut Comm, bufs: &[Vec<u8>]) -> Result<DeleteOutcome> {
         let records = validate_round(comm, bufs)?;
         self.link_pending();
         let mut missing = 0u64;
         for frame in bufs.iter().flat_map(|buf| record_frames(buf)) {
             match self.find(&frame) {
-                Some(i) => {
-                    self.kill(i);
-                    removed(frame.cell, &self.slots[i].envelope);
-                }
+                Some(i) => self.kill(i),
                 None => missing += 1,
             }
         }
@@ -495,21 +487,17 @@ mod tests {
             assert_eq!(store.len(), 5);
 
             // One delete takes one of the two identical `a` replicas.
-            let mut removed = Vec::new();
             let delete = wire(&[(3, feature("POINT (1 2)", "a"))]);
-            let mut del = |store: &mut ResidentStore, comm: &mut Comm| {
+            let del = |store: &mut ResidentStore, comm: &mut Comm| {
                 store
-                    .delete_round(comm, std::slice::from_ref(&delete), &mut |cell, env| {
-                        removed.push((cell, *env))
-                    })
+                    .delete_round(comm, std::slice::from_ref(&delete))
                     .unwrap()
             };
             assert_eq!(del(&mut store, comm).missing, 0);
             assert_eq!((store.len(), store.slots()), (4, 5));
             assert_eq!(del(&mut store, comm).missing, 0);
+            assert_eq!((store.len(), store.slots()), (3, 5));
             assert_eq!(del(&mut store, comm).missing, 1, "both are gone");
-            assert_eq!(removed.len(), 2);
-            assert_eq!(removed[0], (3, Point::new(1.0, 2.0).envelope()));
 
             let before = decoded(&store);
             assert!(store.compact(comm));
@@ -520,7 +508,7 @@ mod tests {
             assert_eq!(held as u64, store.live_bytes());
             // The keys survive the renumbering.
             let road = wire(&[(3, feature("LINESTRING (0 0, 4 4, 8 0)", "road"))]);
-            let out = store.delete_round(comm, &[road], &mut |_, _| {}).unwrap();
+            let out = store.delete_round(comm, &[road]).unwrap();
             assert_eq!((out.records, out.missing, store.len()), (1, 0, 2));
         });
     }
@@ -562,9 +550,7 @@ mod tests {
                     .map(|(_, r)| r.clone())
                     .collect();
                 live.retain(|r| !doomed.contains(r));
-                let out = store
-                    .delete_round(comm, &[wire(&doomed)], &mut |_, _| {})
-                    .unwrap();
+                let out = store.delete_round(comm, &[wire(&doomed)]).unwrap();
                 assert_eq!((out.records, out.missing), (doomed.len() as u64, 0));
                 assert_eq!(decoded(&store), live, "round {round}, before compaction");
                 assert!(store.compact(comm));
@@ -601,13 +587,13 @@ mod tests {
             ];
             for attempt in &attempts {
                 let out = store
-                    .delete_round(comm, &[wire(std::slice::from_ref(attempt))], &mut |_, _| {})
+                    .delete_round(comm, &[wire(std::slice::from_ref(attempt))])
                     .unwrap();
                 assert_eq!(out.missing, 1, "{attempt:?}");
             }
             assert_eq!(store.len(), 2);
             let out = store
-                .delete_round(comm, &[wire(&[(1, minus_zero)])], &mut |_, _| {})
+                .delete_round(comm, &[wire(&[(1, minus_zero)])])
                 .unwrap();
             assert_eq!((out.missing, store.len()), (0, 1), "-0.0 matches 0.0");
         });
@@ -632,7 +618,7 @@ mod tests {
                 Err(CoreError::Frame(_))
             ));
             assert!(matches!(
-                store.delete_round(comm, &round, &mut |_, _| panic!("nothing may be removed")),
+                store.delete_round(comm, &round),
                 Err(CoreError::Frame(_))
             ));
             assert_eq!(decoded(&store), base);

@@ -189,8 +189,6 @@ pub const DEAD_PUB_FN_ALLOW: &[&str] = &[
     "validate_frames",
     // ApproxTable: proptest_geom checks that the hull holds every left vertex.
     "hull",
-    // DriftTracker: an engine test checks that each feature counts once.
-    "global_histogram",
     // QueryEngine: the snapshot reload path that failure_injection sweeps.
     "from_snapshot",
     // proptest_decomp's oracle for the Hilbert cell order.
@@ -207,9 +205,14 @@ pub const DEAD_PUB_FN_ALLOW: &[&str] = &[
     "wkb::decode",
 ];
 
+/// The line of [`DEAD_PUB_FN_ALLOW`]'s closing bracket, where R9 reports
+/// a stale entry.
+const DEAD_PUB_FN_ALLOW_END: usize = line!() as usize - 4;
+
 /// R9: no dead `pub fn` — a library `pub fn` (not `pub(crate)`) fails
 /// when nothing outside its own file names it in non-test code, unless
-/// `allow` names it. Definitions are read from `scanned`; callers are
+/// `allow` names it. An `allow` entry that names no scanned `pub fn` is
+/// stale and fails too, reported at [`DEAD_PUB_FN_ALLOW`]. Definitions are read from `scanned`; callers are
 /// searched in the non-test code of `scanned` and of `callers` (the
 /// experiment harness, the examples and the benchmark), outside `fn`
 /// declarations and `pub use` re-exports, and never in a comment or a
@@ -238,6 +241,7 @@ pub fn no_dead_pub_fn(
             *declared.entry(name).or_default() += 1;
         }
     }
+    let mut listed: HashSet<String> = HashSet::new();
     for (k, (path, m)) in scanned.iter().enumerate() {
         let module = module_name(path);
         for (i, line) in m.code.iter().enumerate() {
@@ -268,7 +272,9 @@ pub fn no_dead_pub_fn(
             } else {
                 name.clone()
             };
-            if !called && !allow.contains(&entry.as_str()) {
+            if allow.contains(&entry.as_str()) {
+                listed.insert(entry);
+            } else if !called {
                 out.push(Finding {
                     path: path.clone(),
                     line: i + 1,
@@ -280,6 +286,16 @@ pub fn no_dead_pub_fn(
                 });
             }
         }
+    }
+    for entry in allow.iter().filter(|e| !listed.contains(**e)) {
+        out.push(Finding {
+            path: PathBuf::from(file!()),
+            line: DEAD_PUB_FN_ALLOW_END,
+            rule: "no-dead-pub-fn",
+            message: format!(
+                "allow-list entry `{entry}` names no pub fn (remove it from DEAD_PUB_FN_ALLOW)"
+            ),
+        });
     }
 }
 
@@ -802,7 +818,28 @@ mod tests {
     #[test]
     fn an_allow_listed_fn_passes() {
         assert!(dead_fns(&[LIB], &[], &["helper"]).is_empty());
-        assert_eq!(dead_fns(&[LIB], &[], &["other"]), vec![("f0.rs".into(), 1)]);
+        // `other` is no pub fn: `helper` is dead and the entry is stale.
+        let stale = (file!().to_string(), DEAD_PUB_FN_ALLOW_END);
+        assert_eq!(
+            dead_fns(&[LIB], &[], &["other"]),
+            vec![("f0.rs".into(), 1), stale]
+        );
+    }
+
+    #[test]
+    fn a_stale_allow_entry_is_flagged() {
+        // `helper` is declared, so its entry stands; `gone` names no fn.
+        let at = (file!().to_string(), DEAD_PUB_FN_ALLOW_END);
+        assert_eq!(dead_fns(&[LIB], &[], &["helper", "gone"]), vec![at]);
+        // An entry of a fn matched by path needs its module.
+        let namesake = "fn helper() {}\n";
+        let stale = dead_fns(&[LIB, namesake], &[], &["f0::helper", "helper"]);
+        assert_eq!(stale.len(), 1, "{stale:?}");
+        // The finding points at the list's closing bracket.
+        let line = include_str!("rules.rs")
+            .lines()
+            .nth(DEAD_PUB_FN_ALLOW_END - 1);
+        assert_eq!(line, Some("];"));
     }
 
     #[test]
@@ -854,7 +891,9 @@ mod tests {
         assert_eq!(dead_fns(&[LIB, namesake, re_export], &[], &[]), dead);
         // Its allow entry carries the module; a bare name no longer does.
         assert!(dead_fns(&[LIB, namesake], &[], &["f0::helper"]).is_empty());
-        assert_eq!(dead_fns(&[LIB, namesake], &[], &["helper"]), dead);
+        let stale = (file!().to_string(), DEAD_PUB_FN_ALLOW_END);
+        let dead_and_stale = [dead.clone(), vec![stale]].concat();
+        assert_eq!(dead_fns(&[LIB, namesake], &[], &["helper"]), dead_and_stale);
         // A method is matched by name as before.
         let method = "impl T {\n    pub fn helper() {}\n}\n";
         assert!(dead_fns(&[method, namesake], &[], &[]).is_empty());

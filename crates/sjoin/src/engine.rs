@@ -145,9 +145,7 @@ use mvio_core::exchange::{
     RecordFrame, SerializedBatch,
 };
 use mvio_core::pipeline::IngestOutput;
-use mvio_core::rebalance::{
-    self, RebalancePolicy, RebalanceReport, Rebalancer, Update, UpdateStats,
-};
+use mvio_core::rebalance::{self, RebalancePolicy, RebalanceReport, Update, UpdateStats};
 use mvio_core::resident::ResidentStore;
 use mvio_core::snapshot::{self, SnapshotReadOptions};
 use mvio_core::{CoreError, Feature, Result};
@@ -463,9 +461,9 @@ pub struct QueryEngine {
     index: ResidentIndex,
     chunk: ExchangeChunk,
     cache: Option<ResultCache>,
-    /// The online-rebalance driver (`None` when the policy resolves to
-    /// off); its drift tracker absorbs every applied update.
-    rebalancer: Option<Rebalancer>,
+    /// The online-rebalance threshold (`None` when the policy resolves
+    /// to off).
+    rebalance_threshold: Option<f64>,
     /// The kNN routing summary; `None` (stale) at construction and after
     /// every update batch or migration, calls every rank makes together.
     reach: Option<ReachSummary>,
@@ -485,16 +483,18 @@ impl QueryEngine {
     /// Builds the engine over replicas that already are validated wire
     /// records — what an exchange or a snapshot reload delivered
     /// ([`ResidentStore::from_frames`]) — and evens out the resident load
-    /// once before the first batch ([`rebalance::balance`]): `sd` is
-    /// re-bisected on the allreduced per-cell histogram, and if that
-    /// predicts a lower max/mean the cells whose owner changed migrate
-    /// over `opts.chunk`'s exchange. A serve call waits for the rank
-    /// holding the most replicas, so a partition skewed by its data
-    /// (clustered layers under a round-robin map) would slow every batch.
-    /// Nothing is decoded. Charged: the histogram allreduce, a migration
-    /// when one runs (the sender's byte copy, the receiver's validation
-    /// scan and the exchange), and one index build ([`Work::RtreeInserts`]).
-    /// The configured rebalancer starts from the balanced partition.
+    /// once before the first batch: [`rebalance::rebalance`] at threshold
+    /// 1.0, so `sd` is re-bisected on the per-cell histogram of the landed
+    /// replicas, and if that predicts a lower max/mean the cells whose
+    /// owner changed migrate over `opts.chunk`'s exchange. A serve call
+    /// waits for the rank holding the most replicas, so a partition
+    /// skewed by its data (clustered layers under a round-robin map) would
+    /// slow every batch. A grid past
+    /// [`mvio_core::decomp::MAX_TABLE_CELLS`] cannot be re-bisected and is
+    /// served as it was landed, with no histogram built. Nothing is
+    /// decoded. Charged: the histogram allreduce, a migration when one
+    /// runs (the sender's byte copy, the receiver's validation scan and
+    /// the exchange), and one index build ([`Work::RtreeInserts`]).
     /// Collective: every rank must call it.
     pub fn from_store(
         comm: &mut Comm,
@@ -502,14 +502,18 @@ impl QueryEngine {
         mut store: ResidentStore,
         opts: &EngineOptions,
     ) -> Self {
-        let tracker = rebalance::balance(comm, &mut sd, &mut store, opts.chunk);
-        let index = ResidentIndex::build(comm, sd, store);
-        let rebalancer = Rebalancer::from_policy(opts.rebalance, tracker);
+        let balanced = rebalance::rebalance(comm, 1.0, &mut sd, &mut store, opts.chunk);
+        if !matches!(balanced, Err(CoreError::InvalidOptions(_))) {
+            // audit: the re-bisection tiles `sd`'s grid for this world, and
+            // every shipped record is a byte copy of a validated resident
+            // record, so the receiving validation cannot reject it.
+            balanced.expect("build-time migration of validated records");
+        }
         QueryEngine {
-            index,
+            index: ResidentIndex::build(comm, sd, store),
             chunk: opts.chunk,
             cache: opts.cache.resolve().map(ResultCache::new),
-            rebalancer,
+            rebalance_threshold: opts.rebalance.resolve(),
             reach: None,
         }
     }
@@ -562,10 +566,10 @@ impl QueryEngine {
     /// Applies a batch of streaming [`Update`]s to the resident
     /// partition and drops the result cache and the kNN routing summary
     /// (cached answers may name deleted features or miss inserted ones;
-    /// see [`rebalance::apply_updates`] for the routing protocol, what each
-    /// side is charged, and the drift-histogram bookkeeping). A rank
-    /// whose replica set changed reindexes — which also compacts its
-    /// store; a rank that received nothing keeps its index as it is.
+    /// see [`rebalance::apply_updates`] for the routing protocol and what
+    /// each side is charged). A rank whose replica set changed reindexes —
+    /// which also compacts its store; a rank that received nothing keeps
+    /// its index as it is.
     /// Collective — every rank must call it together, each with its own
     /// (possibly empty) batch. Invalid updates anywhere in the world
     /// reject the whole call symmetrically with
@@ -579,7 +583,6 @@ impl QueryEngine {
             &mut self.index.store,
             updates,
             self.chunk,
-            self.rebalancer.as_mut().map(Rebalancer::tracker_mut),
         );
         // Also on the deferred-error path: the exchange applies whatever
         // arrived before winding down. An insert grows the slot table and
@@ -599,20 +602,24 @@ impl QueryEngine {
 
     /// Checks the drifted load balance and — when the configured
     /// threshold has tripped — re-decomposes over the same cell tiling
-    /// and migrates only the cells whose owner changed (see
-    /// [`Rebalancer::maybe_rebalance`]). A no-op all-zero report comes
-    /// back when rebalancing is off. The result cache survives: a
-    /// migration moves replicas between ranks without changing the
-    /// dataset, so cached answers stay exact.
+    /// and migrates only the cells whose owner changed (one
+    /// [`rebalance::rebalance`] step, the one the build takes at 1.0). A
+    /// no-op all-zero report comes back when rebalancing is off; a grid
+    /// past [`mvio_core::decomp::MAX_TABLE_CELLS`] returns
+    /// [`CoreError::InvalidOptions`] on every rank, and the engine keeps
+    /// serving as it was. The result cache survives: a migration moves
+    /// replicas between ranks without changing the dataset, so cached
+    /// answers stay exact.
     /// Collective — every rank must call it together (the construction
     /// contract requires the same policy on every rank, so all ranks
     /// take the same branch).
     pub fn maybe_rebalance(&mut self, comm: &mut Comm) -> Result<RebalanceReport> {
-        let Some(reb) = self.rebalancer.as_mut() else {
+        let Some(threshold) = self.rebalance_threshold else {
             return Ok(RebalanceReport::default());
         };
+        let index = &mut self.index;
         let report =
-            reb.maybe_rebalance(comm, &mut self.index.sd, &mut self.index.store, self.chunk);
+            rebalance::rebalance(comm, threshold, &mut index.sd, &mut index.store, self.chunk);
         // A failed migration may have moved replicas its peers report.
         if report.as_ref().map_or(true, |r| r.rebalanced) {
             self.reach = None;
@@ -853,6 +860,7 @@ mod tests {
     use crate::PhaseBreakdown;
     use mvio_core::decomp::DecompConfig;
     use mvio_core::exchange::serialize_record;
+    use mvio_core::framework::is_reference_replica;
     use mvio_core::grid::{CellMap, GridSpec, UniformGrid};
     use mvio_core::partition::ReadOptions;
     use mvio_core::pipeline::{ingest, ingest_layers, PipelineOptions};
@@ -1556,7 +1564,7 @@ mod tests {
 
     /// Inserts whose envelope starts left of or below the bounds have no
     /// in-bounds reference corner; the lowest overlapping cell stands in
-    /// (`is_reference_replica`), so each still counts once in the drift
+    /// (`is_reference_replica`), so each still counts once in the rebalance
     /// histogram and comes back once from kNN. A range window claims by
     /// its reference point clamped onto the bounds (`claims_reference`),
     /// so each also comes back once from a window that is the bounds and
@@ -1582,8 +1590,13 @@ mod tests {
                 _ => Vec::new(),
             };
             let stats = eng.apply_updates(comm, &updates).unwrap();
-            let reb = eng.rebalancer.as_mut().unwrap();
-            let histogram = reb.tracker_mut().global_histogram(comm);
+            // What the rebalance histogram counts on this rank.
+            let index = &eng.index;
+            let references = index
+                .store
+                .replicas()
+                .filter(|&(cell, mbr)| is_reference_replica(&index.sd, cell, mbr))
+                .count();
             let batch = [
                 Query::Knn {
                     at: Point::new(-1.0, -1.0),
@@ -1593,12 +1606,13 @@ mod tests {
                 Query::Range(Rect::new(-3.0, -3.0, 5.0, 5.0)),
             ];
             let answers = eng.serve(comm, &batch).unwrap().answers;
-            (stats.inserted_replicas, histogram, answers)
+            (stats.inserted_replicas, references, answers)
         });
         let replicas: u64 = out.iter().map(|o| o.0).sum();
         assert!(replicas > 2, "each insert spans several cells: {replicas}");
-        for (_, histogram, answers) in &out {
-            assert_eq!(histogram.iter().sum::<u64>(), 38, "{histogram:?}");
+        let references: usize = out.iter().map(|o| o.1).sum();
+        assert_eq!(references, 38, "each feature counts once");
+        for (_, _, answers) in &out {
             let QueryAnswer::Neighbors(nb) = &answers[0] else {
                 panic!("knn answer expected");
             };
@@ -1658,6 +1672,79 @@ mod tests {
         };
         let labels = nb.iter().map(|n| n.userdata.clone()).collect();
         (labels, report.stats.shipped_records)
+    }
+
+    /// A grid past the owner-table cap cannot be re-bisected: the build
+    /// migrates nothing and neither sizes nor allreduces a histogram of
+    /// one count per cell, and every `maybe_rebalance`, even below its
+    /// threshold, is refused on every rank while the engine keeps serving.
+    #[test]
+    fn a_grid_past_the_table_cap_builds_no_histogram() {
+        const SIDE: u32 = 2049;
+        let features: Vec<Feature> = (0..40)
+            .map(|i| {
+                let (x, y) = (0.1 + 0.19 * i as f64, 7.9 - 0.17 * i as f64);
+                point(x, y, &format!("f{i:02}"))
+            })
+            .collect();
+        let window = Rect::new(1.0, 4.0, 2.5, 6.5);
+        let at = Point::new(0.1 + 0.19 * 7.0, 7.9 - 0.17 * 7.0);
+        let scan = |hit: &dyn Fn(&Rect) -> bool| {
+            let labels = features.iter().filter(|f| hit(&f.geometry.envelope()));
+            QueryAnswer::Matches(labels.map(|f| f.userdata.clone()).collect())
+        };
+        let want = vec![
+            scan(&|env| env.intersects(&window)),
+            scan(&|env| env.contains_point(&at)),
+        ];
+        assert!(matches!(&want[0], QueryAnswer::Matches(m) if m.len() > 2));
+        let out = World::run(WorldConfig::new(Topology::single_node(2)), move |comm| {
+            let grid = UniformGrid::new(Rect::new(0.0, 0.0, 8.0, 8.0), GridSpec::square(SIDE));
+            let block = DecompPolicy::Uniform(CellMap::Block);
+            let sd = Decomposition::new(grid, block, None, comm.size()).unwrap();
+            let mut wire = Vec::new();
+            for (cell, f) in features.iter().flat_map(|f| {
+                let cells = sd.cells_for_rect_vec(&f.geometry.envelope());
+                cells.into_iter().map(move |c| (c, f))
+            }) {
+                if sd.cell_to_rank(cell) == comm.rank() {
+                    serialize_record(cell, f, &mut Vec::new(), &mut wire).unwrap();
+                }
+            }
+            let mut store = ResidentStore::new();
+            store.append_round(comm, &[wire]).unwrap();
+            let landed = store.len();
+            let opts = EngineOptions {
+                rebalance: RebalancePolicy::Threshold(f64::MAX),
+                ..Default::default()
+            };
+            let t = comm.now();
+            let mut eng = QueryEngine::from_store(comm, sd.clone(), store, &opts);
+            let built = comm.now() - t;
+            let histogram = comm.cost_model().reduce(2, SIDE as u64 * SIDE as u64 * 8);
+            assert!(
+                built < histogram,
+                "build {built} s, histogram {histogram} s"
+            );
+            assert_eq!(
+                (eng.decomposition(), eng.resident_replicas()),
+                (&sd, landed)
+            );
+            let refused = eng.maybe_rebalance(comm);
+            assert!(
+                matches!(refused, Err(CoreError::InvalidOptions(_))),
+                "{refused:?}"
+            );
+            let batch = [Query::Range(window), Query::Point(at)];
+            (landed, eng.serve(comm, &batch).unwrap().answers)
+        });
+        assert!(
+            out.iter().all(|(landed, _)| *landed > 0),
+            "both ranks hold replicas"
+        );
+        for (_, answers) in &out {
+            assert_eq!(answers, &want);
+        }
     }
 
     #[test]

@@ -653,7 +653,7 @@ fn corrupted_update_round_stays_on_its_rank() {
             let plan = ExchangePlan::new(comm, ExchangeChunk::Unlimited);
             let result = plan.run(comm, &mut feed, &mut |c, bufs| {
                 if deletes {
-                    let out = store.delete_round(c, &bufs, &mut |_, _| {})?;
+                    let out = store.delete_round(c, &bufs)?;
                     assert_eq!(out.missing, 0);
                     Ok(out.records)
                 } else {

@@ -7,8 +7,11 @@
 
 mod common;
 
-use common::{canon, mk_decomp, mk_features, mk_queries, oracle, owned_replicas, resident, WORLD};
-use mpi_vector_io::core::decomp::Decomposition;
+use common::{
+    canon, mk_decomp, mk_features, mk_queries, oracle, owned_replicas, reference_counts, resident,
+    WORLD,
+};
+use mpi_vector_io::core::decomp::{imbalance_ratio, Decomposition};
 use mpi_vector_io::core::exchange::ExchangeChunk;
 use mpi_vector_io::geom::wkb;
 use mpi_vector_io::prelude::*;
@@ -35,7 +38,7 @@ fn negate_zeros(g: &Geometry) -> Geometry {
 }
 
 /// Turns the generated op stream into concrete update batches, the
-/// model dataset they leave behind and the deletes that must find
+/// model dataset each batch leaves behind and the deletes that must find
 /// nothing, mirroring the engine's batch semantics exactly: within
 /// one batch all inserts apply before all deletes, each delete removes
 /// one instance equal to it (`Feature ==`), and a delete that finds none
@@ -50,12 +53,13 @@ fn negate_zeros(g: &Geometry) -> Geometry {
 fn mk_script(
     base: &[Feature],
     ops: &[Vec<(u8, f64, f64)>],
-) -> (Vec<Vec<Update>>, Vec<Feature>, Vec<Feature>) {
+) -> (Vec<Vec<Update>>, Vec<Vec<Feature>>, Vec<Feature>) {
     let mut model: Vec<Feature> = base.to_vec();
     let mut graveyard: Vec<Feature> = Vec::new();
     let mut next_id = 0usize;
     let mut ghosts: Vec<Feature> = Vec::new();
     let mut batches = Vec::new();
+    let mut models = Vec::new();
     for batch_ops in ops {
         let live = model.clone();
         let pick = |x: f64| (((x / WORLD) * live.len() as f64) as usize).min(live.len() - 1);
@@ -116,8 +120,9 @@ fn mk_script(
                 .chain(deletes.into_iter().map(Update::Delete))
                 .collect(),
         );
+        models.push(model.clone());
     }
-    (batches, model, ghosts)
+    (batches, models, ghosts)
 }
 
 /// The replicas `rank` would hold if `features` were freshly ingested
@@ -174,7 +179,8 @@ proptest! {
             ExchangeChunk::Bytes(1024),
         ][chunk_idx];
         let base = mk_features(&coords);
-        let (batches, final_model, ghosts) = mk_script(&base, &ops);
+        let (batches, models, ghosts) = mk_script(&base, &ops);
+        let final_model = models.last().expect("at least one batch").clone();
         // A delete is routed to every cell it overlaps, and each of those
         // records finds nothing.
         let tiling = mk_decomp(WORLD, policy, side, ranks);
@@ -188,6 +194,7 @@ proptest! {
         let base = Arc::new(base);
         let batches = Arc::new(batches);
         let final_model = Arc::new(final_model);
+        let models = Arc::new(models);
         let qseeds = Arc::new(qseeds);
         let out = World::run(
             WorldConfig::new(Topology::single_node(ranks)),
@@ -209,7 +216,7 @@ proptest! {
                 let mut eng = QueryEngine::from_store(comm, sd, store, &opts);
                 let mut ghosts = 0u64;
                 let mut rebalances = 0u64;
-                for batch in batches.iter() {
+                for (batch, model) in batches.iter().zip(models.iter()) {
                     // Each rank submits a disjoint shard: an update must
                     // enter the system exactly once.
                     let mine: Vec<Update> = batch
@@ -220,8 +227,22 @@ proptest! {
                         .collect();
                     let stats = eng.apply_updates(comm, &mine).unwrap();
                     ghosts += stats.missing_deletes;
+                    let before = eng.decomposition().clone();
                     let rep = eng.maybe_rebalance(comm).unwrap();
                     rebalances += rep.rebalanced as u64;
+                    // The step's histogram is the model's: each feature
+                    // counted once, in its reference cell, by the owner
+                    // of that cell under the decomposition it started from.
+                    if rebalance {
+                        let want = imbalance_ratio(&reference_counts(&before, model));
+                        assert_eq!(
+                            rep.imbalance_before.to_bits(),
+                            want.to_bits(),
+                            "imbalance {} from the store, {} from the model",
+                            rep.imbalance_before,
+                            want
+                        );
+                    }
                 }
                 let mut resident: Vec<(u32, String, Vec<u8>)> = eng
                     .resident()
