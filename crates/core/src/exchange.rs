@@ -59,7 +59,7 @@
 
 use crate::{CoreError, Feature, Result};
 use mvio_geom::wkb;
-use mvio_msim::{Comm, ProgressEngine, Work};
+use mvio_msim::{Comm, Request, Work};
 
 /// Fixed bytes of one wire record: the cell word and the two length
 /// fields around the geometry and userdata payloads.
@@ -105,11 +105,13 @@ pub struct ExchangeStats {
     /// Pipelined `Alltoallv` rounds executed (1 under the
     /// unlimited/blocking degenerate case).
     pub rounds: u32,
-    /// Virtual seconds of upstream compute folded into the exchange's
-    /// overlap engine (0 for the non-streamed paths).
+    /// Virtual seconds the feed advanced the clock while it produced
+    /// rounds: upstream compute overlapped with the rounds in flight
+    /// (exactly 0 for a [`SerializedBatch::into_feed`] feed).
     pub overlapped_compute_s: f64,
-    /// Virtual seconds of communication left exposed on the critical path
-    /// after overlap (the whole transfer time in the blocking case).
+    /// Virtual seconds the plan's waits advanced the clock: communication
+    /// left exposed on the critical path after overlap (the whole
+    /// transfer time in the blocking case).
     pub exposed_wait_s: f64,
 }
 
@@ -448,16 +450,14 @@ impl SerializedBatch {
     }
 }
 
-/// One staged round supplied to [`ExchangePlan::run`] by its feed.
+/// One staged round supplied to [`ExchangePlan::run`] by its feed. The
+/// feed charges the compute that produced it to the clock itself
+/// (worker lanes through [`Comm::advance_parallel`]), overlapped with
+/// the previous round's in-flight `ialltoallv`.
 #[derive(Debug)]
 pub struct ExchangeRound {
     /// Per-destination payloads of this round (`bufs.len()` = world size).
     pub batch: SerializedBatch,
-    /// Per-lane virtual seconds of the upstream compute that produced
-    /// this round; the plan folds them in *overlapped* with the previous
-    /// round's in-flight `ialltoallv` (slowest-lane rule, as
-    /// [`Comm::advance_parallel`]).
-    pub lanes: Vec<f64>,
     /// Whether the producer will supply another round after this one.
     pub more: bool,
 }
@@ -493,11 +493,15 @@ impl ExchangePlan {
     /// everything off the critical path that can come off it: round
     /// `r+1`'s production (`feed`) and its size exchange are posted while
     /// round `r`'s payload is in flight, and round `r-1`'s drain (`sink`)
-    /// runs before either wait completes. `feed` reports its compute
-    /// through [`ExchangeRound::lanes`], which the plan folds in
-    /// overlapped; returning `None` (or a round with `more = false`) ends
-    /// this rank's contribution, and the plan keeps posting empty rounds
-    /// until the continuation flags say every rank is done.
+    /// runs before either wait completes. `feed` charges its compute
+    /// through the passed `&mut Comm` (its worker lanes through
+    /// [`Comm::advance_parallel`]), so it overlaps the round in flight;
+    /// the clock advance inside the feed calls is
+    /// [`ExchangeStats::overlapped_compute_s`], and that of the plan's
+    /// waits [`ExchangeStats::exposed_wait_s`]. Returning `None` (or a
+    /// round with `more = false`) ends this rank's contribution, and the
+    /// plan keeps posting empty rounds until the continuation flags say
+    /// every rank is done.
     ///
     /// `sink` receives each completed round's **raw received buffers**,
     /// indexed by source rank, and returns how many records they held
@@ -528,7 +532,6 @@ impl ExchangePlan {
         let p = self.p;
         assert_eq!(comm.size(), p, "plan built for a different world size");
         let mut stats = ExchangeStats::default();
-        let mut engine = ProgressEngine::new();
         let mut local_done = false;
         // First per-rank error; once set, the rank winds the protocol
         // down with empty rounds instead of computing further.
@@ -538,11 +541,11 @@ impl ExchangePlan {
         // sequencing (sizes exchanged and completed before the payload is
         // posted) — with one round this is exactly the historic protocol.
         let (mut batch, more) =
-            produce_round(comm, &mut engine, feed, &mut local_done, p, &mut deferred);
+            produce_round(comm, feed, &mut local_done, p, &mut stats, &mut deferred);
         let sreq = comm.labeled_round("exchange.sizes", 0, |c| {
             c.ialltoall_u64(flagged_sizes(&batch, more))
         });
-        let incoming = engine.drive(comm, sreq);
+        let incoming = wait_exposed(comm, sreq, &mut stats);
         let mut any_more = incoming.iter().any(|&v| v & MORE_BIT != 0);
         let mut expected_sizes: Vec<u64> = incoming.iter().map(|v| v & !MORE_BIT).collect();
 
@@ -564,7 +567,7 @@ impl ExchangePlan {
             // exchange while round r's payload is in flight.
             let sreq_next = if any_more {
                 let (next, nmore) =
-                    produce_round(comm, &mut engine, feed, &mut local_done, p, &mut deferred);
+                    produce_round(comm, feed, &mut local_done, p, &mut stats, &mut deferred);
                 let req = comm.labeled_round("exchange.sizes", round + 1, |c| {
                     c.ialltoall_u64(flagged_sizes(&next, nmore))
                 });
@@ -576,16 +579,16 @@ impl ExchangePlan {
 
             // Drain round r-1 while round r (and r+1's sizes) fly.
             if let Some((req, expected)) = pending.take() {
-                let bufs = engine.drive(comm, req);
+                let bufs = wait_exposed(comm, req, &mut stats);
                 drain_round(comm, bufs, &expected, &mut stats, sink, &mut deferred);
             }
 
             let Some(req) = sreq_next else {
-                let bufs = engine.drive(comm, preq);
+                let bufs = wait_exposed(comm, preq, &mut stats);
                 drain_round(comm, bufs, &expected_sizes, &mut stats, sink, &mut deferred);
                 break;
             };
-            let incoming = engine.drive(comm, req);
+            let incoming = wait_exposed(comm, req, &mut stats);
             any_more = incoming.iter().any(|&v| v & MORE_BIT != 0);
             let next_sizes = incoming.iter().map(|v| v & !MORE_BIT).collect();
             pending = Some((preq, std::mem::replace(&mut expected_sizes, next_sizes)));
@@ -594,10 +597,17 @@ impl ExchangePlan {
         if let Some(err) = deferred {
             return Err(err);
         }
-        stats.overlapped_compute_s = engine.overlapped_compute();
-        stats.exposed_wait_s = engine.exposed_wait();
         Ok(stats)
     }
+}
+
+/// Completes `req`, adding the clock advance of the wait — what overlap
+/// left exposed — to [`ExchangeStats::exposed_wait_s`].
+fn wait_exposed<T>(comm: &mut Comm, req: Request<T>, stats: &mut ExchangeStats) -> T {
+    let before = comm.now();
+    let value = comm.wait(req);
+    stats.exposed_wait_s += comm.now() - before;
+    value
 }
 
 /// Hands one completed round's received buffers to the sink (whose decode
@@ -660,41 +670,38 @@ pub fn validate_round(comm: &mut Comm, bufs: &[Vec<u8>]) -> Result<u64> {
 }
 
 /// Pulls one round from the feed (empty once this rank is drained or has
-/// failed), folding its reported per-lane compute into the clock —
-/// overlapped with whatever requests are currently in flight. A feed
-/// error is parked in `deferred` and the rank continues with an empty
-/// final round, keeping the collective protocol matched across ranks.
+/// failed), adding the clock advance of the feed's own compute —
+/// overlapped with whatever requests are currently in flight — to
+/// [`ExchangeStats::overlapped_compute_s`]. A feed error is parked in
+/// `deferred` and the rank continues with an empty final round, keeping
+/// the collective protocol matched across ranks.
 fn produce_round(
     comm: &mut Comm,
-    engine: &mut ProgressEngine,
     feed: &mut dyn FnMut(&mut Comm) -> Result<Option<ExchangeRound>>,
     local_done: &mut bool,
     p: usize,
+    stats: &mut ExchangeStats,
     deferred: &mut Option<CoreError>,
 ) -> (SerializedBatch, bool) {
     let produced = if *local_done || deferred.is_some() {
         None
     } else {
-        match feed(comm) {
-            Ok(r) => r,
-            Err(e) => {
-                *deferred = Some(e);
-                None
-            }
-        }
+        let before = comm.now();
+        let produced = feed(comm);
+        stats.overlapped_compute_s += comm.now() - before;
+        produced.unwrap_or_else(|e| {
+            *deferred = Some(e);
+            None
+        })
     };
-    let (batch, lanes, more) = match produced {
+    let (batch, more) = match produced {
         Some(r) => {
             debug_assert_eq!(r.batch.bufs.len(), p, "round batch shape");
-            (r.batch, r.lanes, r.more)
+            (r.batch, r.more)
         }
-        None => (SerializedBatch::empty(p), Vec::new(), false),
+        None => (SerializedBatch::empty(p), false),
     };
     *local_done = !more;
-    for (lane, secs) in lanes.iter().enumerate() {
-        engine.charge(lane, *secs);
-    }
-    engine.flush(comm);
     (batch, more)
 }
 
@@ -734,7 +741,6 @@ impl BatchSplitter {
             // the shapeless batch left behind is never polled.
             return Ok(Some(ExchangeRound {
                 batch: std::mem::take(&mut self.batch),
-                lanes: Vec::new(),
                 more: false,
             }));
         };
@@ -770,11 +776,7 @@ impl BatchSplitter {
             .iter()
             .zip(&self.batch.bufs)
             .any(|(&off, buf)| off < buf.len());
-        Ok(Some(ExchangeRound {
-            batch: piece,
-            lanes: Vec::new(),
-            more,
-        }))
+        Ok(Some(ExchangeRound { batch: piece, more }))
     }
 }
 
@@ -805,7 +807,7 @@ mod tests {
     use crate::decomp::{DecompPolicy, Decomposition, SpatialDecomposition};
     use crate::grid::{CellMap, GridSpec, UniformGrid};
     use mvio_geom::{wkt, Point, Rect};
-    use mvio_msim::{Topology, World, WorldConfig};
+    use mvio_msim::{Slot, Topology, World, WorldConfig};
 
     fn feature(x: f64, y: f64, ud: &str) -> Feature {
         Feature::with_userdata(mvio_geom::Geometry::Point(Point::new(x, y)), ud)
@@ -1131,6 +1133,60 @@ mod tests {
         assert!(out[0]);
     }
 
+    /// The plan's time counters are the clock moves where the time
+    /// passes: a feed that folds its own lanes reports them as
+    /// `overlapped_compute_s` (booked as `Advance`), and the waits as
+    /// `exposed_wait_s` (booked as `CollectiveWait`). A batch feed
+    /// computes nothing.
+    #[test]
+    fn overlap_counters_are_the_feed_and_wait_clock_moves() {
+        let out = World::run(WorldConfig::new(Topology::single_node(3)), |comm| {
+            let (p, rank) = (comm.size(), comm.rank());
+            let batch_of = |round: u32| {
+                let mut batch = SerializedBatch::empty(p);
+                for (dst, buf) in batch.bufs.iter_mut().enumerate() {
+                    let f = feature(dst as f64, round as f64, "lane-fed");
+                    serialize_record(round, &f, &mut Vec::new(), buf).unwrap();
+                    batch.records[dst] = 1;
+                }
+                batch
+            };
+            let plan = ExchangePlan::new(comm, ExchangeChunk::Bytes(64));
+            let mut round = 0u32;
+            let mut feed = |c: &mut Comm| {
+                let batch = batch_of(round);
+                round += 1;
+                c.advance_parallel(&[1e-6, 3e-6 * (rank + 1) as f64 * round as f64]);
+                Ok(Some(ExchangeRound {
+                    batch,
+                    more: round < 4,
+                }))
+            };
+            let before = comm.ledger();
+            let stats = plan
+                .run(comm, &mut feed, &mut |c, bufs| validate_round(c, &bufs))
+                .unwrap();
+            let moved = comm.ledger().since(&before);
+            let fed = run_plan(comm, ExchangeChunk::Bytes(64), batch_of(0)).unwrap();
+            (stats, moved, fed)
+        });
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.abs().max(b.abs());
+        for (rank, (stats, moved, fed)) in out.into_iter().enumerate() {
+            assert_eq!(stats.rounds, 4, "rank {rank}");
+            let (compute, exposed) = (stats.overlapped_compute_s, stats.exposed_wait_s);
+            assert!(compute > 0.0 && exposed > 0.0, "rank {rank}: {stats:?}");
+            assert!(
+                close(compute, moved[Slot::Advance]),
+                "rank {rank}: {moved:?}"
+            );
+            assert!(
+                close(exposed, moved[Slot::CollectiveWait]),
+                "rank {rank}: {moved:?}"
+            );
+            assert_eq!(fed.overlapped_compute_s, 0.0, "rank {rank}");
+        }
+    }
+
     /// A per-rank failure mid-plan must propagate as a typed error on
     /// the failing rank while every other rank completes normally — not
     /// strand the peers at their next collective (which would hang the
@@ -1155,11 +1211,7 @@ mod tests {
                         )
                         .unwrap();
                         batch.records[0] = 1;
-                        Ok(Some(ExchangeRound {
-                            batch,
-                            lanes: vec![],
-                            more: true,
-                        }))
+                        Ok(Some(ExchangeRound { batch, more: true }))
                     } else {
                         Err(CoreError::Partition("injected feed failure".into()))
                     }

@@ -51,17 +51,20 @@
 //! as a correctness oracle for the pipeline.
 //!
 //! Virtual-time accounting is equally deterministic: each chunk's work
-//! is charged to its own [`WorkTally`] and added onto a lane by the
-//! fixed rule `lane = chunk_index % workers`, in chunk order; in the
+//! is priced by [`mvio_msim::CostModel::cost`] and added onto a lane by
+//! the fixed rule `lane = chunk_index % workers`, in chunk order; in the
 //! parse stage arrival gates each chunk, relative to the stage's start:
 //! `lane = max(lane, ready) + seconds`, where a chunk is ready when its
 //! last byte has landed (the landings come from one pfs batch per post).
 //! The rank clock then advances by the **slowest lane**
 //! ([`Comm::advance_parallel`]) — the virtual wall-time of a perfectly
-//! overlapped parallel region. Charges follow the work. The parse stage
-//! charges each record's calibrated parse (`Work::ParseWkt`) and the copy
-//! of the WKB it wrote (`Work::CopyBytes`); with one worker that is
-//! exactly what a record-by-record parse charges (the lane is the
+//! overlapped parallel region — where the stage runs: under a finite
+//! exchange cap, inside the exchange feed that produces each round, so
+//! the round's lanes overlap the previous round in flight. Charges
+//! follow the work. The parse stage charges each record's calibrated
+//! parse (`Work::ParseWkt`) and the copy of the WKB it wrote
+//! (`Work::CopyBytes`); with one worker that is exactly what a
+//! record-by-record parse charges (the lane is the
 //! sequential sum). The cell-map stage charges the grid-filter lookup
 //! (`Work::RtreeQueries`, the paper's cell-filter mechanism) and the copy
 //! stage `Work::CopyBytes` for every replica's record, each as its own
@@ -131,7 +134,7 @@ pub use crate::snapshot::{
 };
 use crate::{CoreError, Feature, Result};
 use mvio_geom::Rect;
-use mvio_msim::{Comm, Work, WorkTally};
+use mvio_msim::{Comm, Work};
 use mvio_pfs::SimFs;
 use std::sync::Arc;
 
@@ -281,9 +284,9 @@ pub(crate) fn parse_records(
     let mut records = Records::default();
     let (results, lanes) = fan_out(workers, chunks, |chunk: &&str| {
         let at = chunk.as_ptr() as usize - text.as_ptr() as usize;
-        let mut tally = WorkTally::new(cost);
-        let parsed = records.parse(chunk, parser, |work| tally.charge(work));
-        (parsed, ready(at..at + chunk.len()) - now, tally.seconds())
+        let mut seconds = 0.0;
+        let parsed = records.parse(chunk, parser, |work| seconds += cost.cost(work));
+        (parsed, ready(at..at + chunk.len()) - now, seconds)
     });
     let parse_chunks = results.len() as u64;
     // Error of the lowest-index failed chunk — what the sequential scan
@@ -347,10 +350,10 @@ impl<'a> Partition<'a> {
     }
 
     /// The cell-map step of one chunk: looks up the cells of every record's
-    /// envelope in `range` and sizes their wire records from the spans,
-    /// charging the lookup (`Work::RtreeQueries`, the paper's cell-filter
-    /// probe) to `tally`.
-    fn map_chunk(&self, range: std::ops::Range<usize>, tally: &mut WorkTally) -> ChunkCells {
+    /// envelope in `range` and sizes their wire records from the spans.
+    /// Returns the map and its work: the lookup (`Work::RtreeQueries`,
+    /// the paper's cell-filter probe).
+    fn map_chunk(&self, range: std::ops::Range<usize>) -> (ChunkCells, Work) {
         let mut map = ChunkCells {
             sizes: vec![0; self.decomp.num_ranks()],
             ..Default::default()
@@ -366,32 +369,26 @@ impl<'a> Partition<'a> {
                 map.replicas.push((i, cell));
             }
         }
-        tally.charge(Work::RtreeQueries {
+        let work = Work::RtreeQueries {
             n: range.len() as u64,
             results: map.replicas.len() as u64,
-        });
-        map
+        };
+        (map, work)
     }
 
     /// The serialize step of one mapped chunk, the one body behind every
     /// serializing path: appends one wire record per replica to `out`, a
-    /// copy of its record's transcoded bytes, charging the copied bytes
-    /// (`Work::CopyBytes`) to `tally`.
-    fn serialize_chunk(
-        &self,
-        map: &ChunkCells,
-        tally: &mut WorkTally,
-        out: &mut SerializedBatch,
-    ) -> Result<()> {
+    /// copy of its record's transcoded bytes. Returns its work: the
+    /// copied bytes (`Work::CopyBytes`).
+    fn serialize_chunk(&self, map: &ChunkCells, out: &mut SerializedBatch) -> Result<Work> {
         let n = map.sizes.iter().sum::<usize>() as u64;
-        tally.charge(Work::CopyBytes { n });
         for &(i, cell) in &map.replicas {
             let (wkb, userdata) = self.records.get(i);
             let dst = self.decomp.cell_to_rank(cell);
             emit_record(cell, wkb, userdata, &mut out.bufs[dst])?;
             out.records[dst] += 1;
         }
-        Ok(())
+        Ok(Work::CopyBytes { n })
     }
 
     /// The cell-map stage: maps record chunks onto cells in order on
@@ -402,12 +399,8 @@ impl<'a> Partition<'a> {
         let cost = *comm.cost_model();
         let ranges = partition_ranges(self.records.len(), opts.partition_chunk_records);
         let (maps, lanes) = fan_out(opts.effective_workers(), ranges, |range| {
-            let mut tally = WorkTally::new(cost);
-            (
-                self.map_chunk(range.clone(), &mut tally),
-                0.0,
-                tally.seconds(),
-            )
+            let (map, work) = self.map_chunk(range.clone());
+            (map, 0.0, cost.cost(work))
         });
         comm.advance_parallel(&lanes);
         maps
@@ -433,9 +426,7 @@ impl<'a> Partition<'a> {
         let mut lanes = vec![0.0f64; workers.min(maps.len()).max(1)];
         let n = lanes.len();
         for (k, map) in maps.iter().enumerate() {
-            let mut tally = WorkTally::new(cost);
-            self.serialize_chunk(map, &mut tally, &mut out)?;
-            lanes[k % n] += tally.seconds();
+            lanes[k % n] += cost.cost(self.serialize_chunk(map, &mut out)?);
         }
         comm.advance_parallel(&lanes);
         let stats = PipelineStats {
@@ -477,14 +468,14 @@ fn exchange_overlapped(
     let part = Partition::new(decomp, records);
 
     // Copies partition chunks into one exchange round until a
-    // destination fills up, reporting each chunk's work on its
-    // deterministic lane. Runs between the plan's post and wait, so the
-    // reported lane seconds overlap the in-flight round. A round always
+    // destination fills up, each chunk's work on its deterministic lane,
+    // and folds the lanes into the clock. Runs between the plan's post
+    // and wait, so the lanes overlap the in-flight round. A round always
     // carries at least one chunk per worker lane (when that many remain):
     // closing on the byte cap alone could shrink rounds to a single
     // chunk, copying on one lane what the unfused stage spreads over all
     // of them.
-    let mut feed = |_: &mut Comm| -> Result<Option<ExchangeRound>> {
+    let mut feed = |comm: &mut Comm| -> Result<Option<ExchangeRound>> {
         if next >= ranges.len() {
             return Ok(None);
         }
@@ -492,13 +483,12 @@ fn exchange_overlapped(
         let mut lanes = vec![0.0f64; workers];
         let mut chunks_in_round = 0usize;
         while next < ranges.len() {
-            let mut tally = WorkTally::new(cost);
-            let map = part.map_chunk(ranges[next].clone(), &mut tally);
+            let (map, work) = part.map_chunk(ranges[next].clone());
             for (buf, &n) in batch.bufs.iter_mut().zip(&map.sizes) {
                 buf.reserve(n);
             }
-            part.serialize_chunk(&map, &mut tally, &mut batch)?;
-            lanes[next % workers] += tally.seconds();
+            let copy = part.serialize_chunk(&map, &mut batch)?;
+            lanes[next % workers] += cost.cost(work) + cost.cost(copy);
             stats.partition_chunks += 1;
             stats.pairs += map.replicas.len() as u64;
             next += 1;
@@ -509,9 +499,9 @@ fn exchange_overlapped(
                 break;
             }
         }
+        comm.advance_parallel(&lanes);
         Ok(Some(ExchangeRound {
             batch,
-            lanes,
             more: next < ranges.len(),
         }))
     };
@@ -935,7 +925,6 @@ pub(crate) mod tests {
             })
             .collect();
         let (mut map, mut serialize, mut maps) = (Vec::new(), Vec::new(), Vec::new());
-        let cost = mvio_msim::CostModel::calibrated();
         for range in partition_ranges(records.len(), 17) {
             let sub_records = parse_lines(&lines[range.clone()]);
             let sub = Partition::new(&decomp, &sub_records);
@@ -943,13 +932,13 @@ pub(crate) mod tests {
             map.push(clock_after(&|c| {
                 sub.map(c, &one);
             }));
-            let cells = sub.map_chunk(0..range.len(), &mut WorkTally::new(cost));
+            let (cells, _) = sub.map_chunk(0..range.len());
             serialize.push(clock_after(&|c| {
                 sub.serialize(c, std::slice::from_ref(&cells), &one)
                     .unwrap();
             }));
             let part = Partition::new(&decomp, &records);
-            maps.push(part.map_chunk(range, &mut WorkTally::new(cost)));
+            maps.push(part.map_chunk(range).0);
         }
         assert!(parse.len() > 8 && map.len() > 8, "more chunks than lanes");
 
@@ -1156,12 +1145,11 @@ pub(crate) mod tests {
                 )
                 .unwrap();
                 let layer = rep.layers.into_iter().next().unwrap();
-                (
-                    layer.owned,
-                    layer.exchange.rounds,
-                    layer.stats.pairs,
-                    comm.now(),
-                )
+                // The streamed feed folds its lanes itself: every clock
+                // move is still booked exactly once.
+                let (booked, now) = (comm.ledger().total(), comm.now());
+                assert!((booked - now).abs() <= 1e-9 * now, "{booked} vs {now}");
+                (layer.owned, layer.exchange.rounds, layer.stats.pairs)
             })
         };
         let blocking = run(ExchangeChunk::Unlimited, 2);

@@ -30,7 +30,7 @@
 //! also takes the step once, at threshold 1.0, when it is built.
 
 use crate::decomp::{
-    imbalance_ratio, table_size, DecompPolicy, Decomposition, SpatialDecomposition, SumCounts,
+    imbalance_ratio, DecompPolicy, Decomposition, SpatialDecomposition, SumCounts, MAX_TABLE_CELLS,
 };
 use crate::exchange::{
     serialize_record, ExchangeChunk, ExchangePlan, ExchangeStats, SerializedBatch,
@@ -371,7 +371,16 @@ pub fn rebalance(
     store: &mut ResidentStore,
     chunk: ExchangeChunk,
 ) -> Result<RebalanceReport> {
-    let mut counts = vec![0u64; table_size(sd.grid())?];
+    let cells = sd.grid().num_cells();
+    if cells > MAX_TABLE_CELLS {
+        let spec = sd.grid().spec();
+        return Err(CoreError::InvalidOptions(format!(
+            "rebalancing a {}x{} grid needs a {cells}-cell histogram, over the \
+             {MAX_TABLE_CELLS}-cell cap; use a coarser grid",
+            spec.cells_x, spec.cells_y
+        )));
+    }
+    let mut counts = vec![0u64; cells as usize];
     for (cell, mbr) in store.replicas() {
         if is_reference_replica(sd, cell, mbr) {
             counts[cell as usize] += 1;

@@ -145,11 +145,12 @@ impl Comm {
 
     /// Charges a region of work executed by concurrent intra-rank worker
     /// lanes: the clock advances by the **slowest lane** (the virtual
-    /// wall-time of a perfectly overlapped parallel region). Lane totals
-    /// come from per-worker [`crate::WorkTally`] accounting; callers must
-    /// assign work to lanes deterministically (e.g. `chunk % lanes`) so
-    /// the charge is independent of OS scheduling. An empty slice charges
-    /// nothing.
+    /// wall-time of a perfectly overlapped parallel region). A lane's
+    /// total is the [`CostModel::cost`] of the work assigned to it;
+    /// callers must assign work to lanes deterministically (e.g.
+    /// `chunk % lanes`) so the charge is independent of OS scheduling.
+    /// This is the one place lanes reach the clock, booked in
+    /// [`Slot::Advance`]. An empty slice charges nothing.
     pub fn advance_parallel(&mut self, lane_seconds: &[f64]) {
         let max = lane_seconds.iter().fold(0.0f64, |a, &b| a.max(b));
         debug_assert!(max.is_finite() && max >= 0.0, "lane totals must be finite");

@@ -7,8 +7,8 @@
 //! * **SPMD execution** — [`World::run`] spawns one OS thread per rank and
 //!   hands each a [`Comm`], the analogue of `MPI_COMM_WORLD`. That thread
 //!   runs the rank's whole program: parallelism inside a rank is
-//!   modelled as lanes ([`time::WorkTally`], [`Comm::advance_parallel`]),
-//!   not executed.
+//!   modelled as lanes whose slowest one [`Comm::advance_parallel`]
+//!   folds into the clock, not executed.
 //! * **Point-to-point** — `send`/`recv` with tag and source matching
 //!   and message ordering per (source, tag) pair; the received buffer's
 //!   length is the `MPI_Get_count` value.
@@ -21,9 +21,8 @@
 //! * **Nonblocking operations** — `isend`/`irecv`/`ialltoall_u64`/
 //!   `ialltoallv` return [`request::Request`] handles completed by
 //!   `wait`/`waitall`; compute charged between initiation and
-//!   completion overlaps the transfer deterministically, with
-//!   [`request::ProgressEngine`] extending the pipeline's per-lane
-//!   [`time::WorkTally`] accounting into overlap regions.
+//!   completion, one quantum at a time or as a lane region, overlaps
+//!   the transfer deterministically.
 //! * **Derived datatypes** — contiguous, vector, indexed and struct
 //!   ([`datatype::Datatype`]), with size/extent and flattening into
 //!   file-view fragments.
@@ -75,8 +74,8 @@ pub use hints::Hints;
 pub use io::{select_readers, AccessLevel, Landing, MpiFile};
 pub use ledger::{Ledger, Slot};
 pub use reduceop::ReduceOp;
-pub use request::{ProgressEngine, Request};
-pub use time::{CostModel, ShapeClass, Work, WorkTally};
+pub use request::Request;
+pub use time::{CostModel, ShapeClass, Work};
 pub use topology::Topology;
 pub use world::{World, WorldConfig};
 

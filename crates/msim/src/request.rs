@@ -1,4 +1,4 @@
-//! Nonblocking operation handles and the overlap progress engine.
+//! Nonblocking operation handles.
 //!
 //! MPI programs hide communication latency behind compute by splitting
 //! every operation into an *initiation* (`MPI_Isend`, `MPI_Irecv`,
@@ -11,13 +11,13 @@
 //! Initiating an operation never advances the caller's clock. The
 //! operation's completion instant is fixed by the same cost models the
 //! blocking calls use, measured from the *initiation* time; compute
-//! charged between initiation and [`Comm::wait`] therefore overlaps the
-//! transfer, and `wait` advances the clock to
+//! charged between initiation and [`crate::Comm::wait`] therefore
+//! overlaps the transfer, and `wait` advances the clock to
 //! `max(clock, completion)` — the classic overlap identity. A blocking
 //! call is exactly its nonblocking twin followed by an immediate `wait`
-//! (and that is how [`Comm::send`], [`Comm::alltoallv`] and friends are
-//! implemented), so the degenerate no-overlap schedule is bit-identical
-//! in both data and virtual time.
+//! (and that is how `send`, `alltoallv` and friends are implemented),
+//! so the degenerate no-overlap schedule is bit-identical in both data
+//! and virtual time.
 //!
 //! ## Physical-time caveat
 //!
@@ -30,13 +30,12 @@
 //! blocking calls works.
 
 use crate::check::{Label, REPORT};
-use crate::comm::Comm;
 use crate::ledger::Slot;
 
 /// Handle for an in-flight nonblocking operation returning a `T` on
-/// completion. Produced by [`Comm::isend`], [`Comm::irecv`],
-/// [`Comm::ialltoall_u64`] and [`Comm::ialltoallv`]; consumed by
-/// [`Comm::wait`] or [`Comm::waitall`].
+/// completion. Produced by [`crate::Comm`]'s `isend`, `irecv`,
+/// `ialltoall_u64` and `ialltoallv`; consumed by its `wait` or
+/// `waitall`.
 ///
 /// Dropping a request without completing it is an MPI resource leak:
 /// the `Drop` impl aborts the job with a protocol-violation report (see
@@ -133,84 +132,10 @@ impl Request<Vec<u8>> {
     }
 }
 
-/// Deterministic progress engine for compute/communication overlap.
-///
-/// Overlapped regions charge per-lane compute seconds here (intra-rank
-/// workers are modelled lanes on the rank's own thread, assigned by the
-/// same fixed `work-item % lanes` rule as [`Comm::advance_parallel`]) while one or
-/// more [`Request`]s are in flight. [`ProgressEngine::drive`] then folds
-/// the slowest lane into the clock and completes the request, so the
-/// rank's time advances to `max(compute, communication)` — and the
-/// engine records how much communication was hidden under compute versus
-/// exposed on the critical path, the quantity the overlap benchmarks
-/// report.
-#[derive(Debug, Default)]
-pub struct ProgressEngine {
-    lanes: Vec<f64>,
-    overlapped_compute: f64,
-    exposed_wait: f64,
-}
-
-impl ProgressEngine {
-    /// An engine with no lanes and nothing folded yet; [`charge`] grows
-    /// the lane set on demand, and flushing no lanes folds exactly 0 s.
-    ///
-    /// [`charge`]: ProgressEngine::charge
-    pub fn new() -> Self {
-        ProgressEngine::default()
-    }
-
-    /// Charges `seconds` of overlapped compute to `lane`, growing the lane
-    /// set on demand (callers typically assign `work-item % workers`, the
-    /// same deterministic rule as [`Comm::advance_parallel`]).
-    pub fn charge(&mut self, lane: usize, seconds: f64) {
-        debug_assert!(seconds.is_finite() && seconds >= 0.0);
-        if lane >= self.lanes.len() {
-            self.lanes.resize(lane + 1, 0.0);
-        }
-        self.lanes[lane] += seconds;
-    }
-
-    /// Folds the pending lane totals into the clock (slowest lane, as
-    /// [`Comm::advance_parallel`]) and resets them.
-    /// Not itself a collective entry — folds local compute into the clock;
-    /// any collective matching happened when the operations were posted.
-    pub fn flush(&mut self, comm: &mut Comm) {
-        let max = self.lanes.iter().fold(0.0f64, |a, &b| a.max(b));
-        self.overlapped_compute += max;
-        comm.advance_parallel(&self.lanes);
-        self.lanes.iter_mut().for_each(|l| *l = 0.0);
-    }
-
-    /// Flushes pending compute, then completes `req`, accounting how much
-    /// of the communication was hidden under the compute charged so far
-    /// versus exposed (the clock advance `wait` itself caused).
-    /// Not itself a collective entry — completes an already-posted request;
-    /// the collective (if any) was recorded at post time.
-    pub fn drive<T>(&mut self, comm: &mut Comm, req: Request<T>) -> T {
-        self.flush(comm);
-        let before = comm.now();
-        let value = comm.wait(req);
-        self.exposed_wait += comm.now() - before;
-        value
-    }
-
-    /// Total compute seconds folded in through this engine.
-    pub fn overlapped_compute(&self) -> f64 {
-        self.overlapped_compute
-    }
-
-    /// Communication seconds that remained on the critical path (the
-    /// clock advance caused by `drive`'s waits after compute was folded
-    /// in). Zero means every driven transfer finished under compute.
-    pub fn exposed_wait(&self) -> f64 {
-        self.exposed_wait
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ledger::Ledger;
     use crate::time::Work;
     use crate::topology::Topology;
     use crate::world::{World, WorldConfig};
@@ -331,84 +256,94 @@ mod tests {
         assert!((t_fwd - t_rev).abs() < 1e-15 && (t_fwd - t_mix).abs() < 1e-15);
     }
 
+    /// Virtual seconds a 1 MiB message from rank 0 takes to reach a
+    /// rank that posts its receive at time 0.
+    fn flight_of_one_mib() -> f64 {
+        let out = World::run(cfg(2), |comm| {
+            if comm.rank() == 0 {
+                comm.send(1, 1, &vec![0u8; 1 << 20]);
+            } else {
+                let _ = comm.recv(0, 1);
+            }
+            comm.now()
+        });
+        out[1]
+    }
+
     #[test]
-    fn progress_engine_accounts_hidden_and_exposed_time() {
-        // Transfer takes ~latency + 1MiB/6GBps ~= 178us. Charging 1s of
-        // compute hides it completely; charging nothing exposes it fully.
-        let flight = {
-            let out = World::run(cfg(2), |comm| {
-                if comm.rank() == 0 {
-                    comm.send(1, 1, &vec![0u8; 1 << 20]);
-                    0.0
-                } else {
-                    let t0 = comm.now();
-                    let _ = comm.recv(0, 1);
-                    comm.now() - t0
-                }
-            });
-            out[1]
-        };
+    fn lanes_longer_than_the_flight_hide_the_wait() {
+        // The transfer takes ~latency + 1MiB/6GBps ~= 178us: 1s of
+        // two-lane compute hides it completely, none exposes it fully.
+        let flight = flight_of_one_mib();
         let out = World::run(cfg(2), move |comm| {
             if comm.rank() == 0 {
                 comm.send(1, 1, &vec![0u8; 1 << 20]);
-                // Catch up past the receiver's 1.25s of compute so the
+                // Catch up past the receiver's 1s of compute so the
                 // second message is genuinely still in flight at its wait.
                 comm.charge(Work::Seconds(2.0));
                 comm.send(1, 2, &vec![0u8; 1 << 20]);
-                (0.0, 0.0, 0.0)
+                (0.0, 0.0, 0.0, 0.0)
             } else {
-                // Round 1: fully hidden under 1s of 2-lane compute.
-                let mut eng = ProgressEngine::new();
                 let rx = comm.irecv(0, 1);
-                eng.charge(0, 1.0);
-                eng.charge(1, 0.25);
-                let _ = eng.drive(comm, rx);
-                let hidden_exposed = eng.exposed_wait();
-                // Round 2: no compute, the wait is fully exposed.
-                let rx = comm.irecv(0, 2);
+                comm.advance_parallel(&[1.0, 0.25]);
                 let t0 = comm.now();
-                let _ = eng.drive(comm, rx);
-                (hidden_exposed, eng.exposed_wait(), comm.now() - t0)
+                let _ = comm.wait(rx);
+                let hidden = comm.now() - t0;
+                let rx = comm.irecv(0, 2);
+                let (t1, before) = (comm.now(), comm.ledger());
+                let _ = comm.wait(rx);
+                let waited = comm.ledger().since(&before)[Slot::MessageWait];
+                (t0, hidden, comm.now() - t1, waited)
             }
         });
-        let (after_hidden, total_exposed, second_wait) = out[1];
+        let (region, hidden, exposed, waited) = out[1];
         assert!(
-            after_hidden < 1e-9,
-            "1s of compute must hide a {flight}s flight, exposed {after_hidden}"
+            flight < 1.0,
+            "the flight {flight}s must be shorter than the lanes"
         );
-        assert!(second_wait > 0.0, "uncovered wait must advance the clock");
+        assert_eq!(region, 1.0, "the region costs its slowest lane");
+        assert_eq!(hidden, 0.0, "a wait under longer lanes advances nothing");
+        assert!(exposed > 0.0, "an uncovered wait must advance the clock");
         assert!(
-            (total_exposed - second_wait).abs() < 1e-12,
-            "exposed_wait must equal the uncovered clock advance"
+            (waited - exposed).abs() <= 1e-12 * exposed,
+            "the uncovered advance is a message wait: {waited} vs {exposed}"
         );
     }
 
     #[test]
-    fn progress_engine_overlap_identity_max_of_compute_and_comm() {
-        // The driven clock advance is max(compute, comm) for compute both
-        // above and below the transfer time.
+    fn a_lane_region_costs_max_of_compute_and_flight() {
+        // Lanes shorter than the flight: the region under the receive
+        // costs the flight, the lanes fold as themselves, and the
+        // uncovered rest is booked as a message wait.
+        let flight = flight_of_one_mib();
         let out = World::run(cfg(2), |comm| {
             if comm.rank() == 0 {
-                comm.send(1, 1, &vec![0u8; 6_000_000]); // ~1ms transfer
-                ((0.0, 0.0), 0.0, 0.0)
+                comm.send(1, 1, &vec![0u8; 1 << 20]);
+                (0.0, Ledger::default(), 0.0)
             } else {
-                let mut eng = ProgressEngine::new();
                 let rx = comm.irecv(0, 1);
-                let t0 = comm.now();
-                // A fresh engine has no lanes: flushing it folds exactly 0 s.
-                eng.flush(comm);
-                let idle = (comm.now() - t0, eng.overlapped_compute());
-                // Lane 3 grows the empty lane set; less than the flight,
-                // so the region is comm-bound.
-                eng.charge(3, 1e-4);
-                let _ = eng.drive(comm, rx);
-                let commbound = comm.now() - t0;
-                (idle, commbound, eng.overlapped_compute())
+                let before = comm.ledger();
+                comm.advance_parallel(&[]);
+                let idle = comm.now();
+                comm.advance_parallel(&[0.0, 0.0, 0.0, 1e-5]);
+                let _ = comm.wait(rx);
+                (idle, comm.ledger().since(&before), comm.now())
             }
         });
-        let (idle, commbound, folded) = out[1];
-        assert_eq!(idle, (0.0, 0.0), "an empty engine folds nothing");
-        assert!(commbound > 9e-4, "comm-bound region is the transfer time");
-        assert_eq!(folded, 1e-4, "the grown lane folds exactly its charge");
+        let (idle, region, now) = out[1];
+        assert_eq!(idle, 0.0, "an empty lane set folds exactly 0 s");
+        assert!(1e-5 < flight, "the region must be comm-bound");
+        assert!((now - flight).abs() <= 1e-12 * flight, "{now} vs {flight}");
+        assert_eq!(
+            region[Slot::Advance],
+            1e-5,
+            "the lanes fold exactly their max"
+        );
+        let wait = region[Slot::MessageWait];
+        assert!(
+            (wait - (flight - 1e-5)).abs() <= 1e-12 * flight,
+            "the uncovered part of the flight is a message wait: {wait}"
+        );
+        assert!((region.total() - now).abs() <= 1e-12 * now);
     }
 }

@@ -166,37 +166,6 @@ impl CostModel {
     }
 }
 
-/// [`Work`] accumulator for one chunk of a modelled parallel region.
-///
-/// Intra-rank workers are modelled lanes, not threads: the rank runs
-/// every chunk on its own thread. A chunk's work is tallied apart from
-/// the [`crate::Comm`] clock — the same [`CostModel`] conversion a
-/// `Comm` would apply — so that the rank can assign its seconds to a
-/// lane (`chunk % lanes`) and fold the slowest lane into the clock with
-/// [`crate::Comm::advance_parallel`].
-#[derive(Debug, Clone, Copy)]
-pub struct WorkTally {
-    cost: CostModel,
-    seconds: f64,
-}
-
-impl WorkTally {
-    /// A zeroed tally converting work through `cost`.
-    pub fn new(cost: CostModel) -> Self {
-        WorkTally { cost, seconds: 0.0 }
-    }
-
-    /// Charges a quantum of work to this tally.
-    pub fn charge(&mut self, work: Work) {
-        self.seconds += self.cost.cost(work);
-    }
-
-    /// Total virtual seconds accumulated so far.
-    pub fn seconds(&self) -> f64 {
-        self.seconds
-    }
-}
-
 #[inline]
 fn ceil_log2(p: usize) -> f64 {
     if p <= 1 {
@@ -308,19 +277,5 @@ mod tests {
         assert!(b > a);
         let c = m.alltoall(16, 8 << 20, 8 << 20);
         assert!(c > a);
-    }
-
-    #[test]
-    fn work_tally_matches_direct_costing() {
-        let m = CostModel::calibrated();
-        let mut tally = WorkTally::new(m);
-        let w1 = Work::ParseWkt {
-            bytes: 512,
-            class: ShapeClass::Polygon,
-        };
-        let w2 = Work::SerializeGeoms { n: 7, bytes: 900 };
-        tally.charge(w1);
-        tally.charge(w2);
-        assert_eq!(tally.seconds(), m.cost(w1) + m.cost(w2));
     }
 }

@@ -1731,10 +1731,12 @@ mod tests {
                 (&sd, landed)
             );
             let refused = eng.maybe_rebalance(comm);
-            assert!(
-                matches!(refused, Err(CoreError::InvalidOptions(_))),
-                "{refused:?}"
-            );
+            let Err(CoreError::InvalidOptions(why)) = refused else {
+                panic!("{refused:?}");
+            };
+            let cap = mvio_core::decomp::MAX_TABLE_CELLS.to_string();
+            assert!(why.contains(&cap), "{why}");
+            assert!(!why.contains("uniform cell map"), "{why}");
             let batch = [Query::Range(window), Query::Point(at)];
             (landed, eng.serve(comm, &batch).unwrap().answers)
         });

@@ -64,8 +64,8 @@ pub mod prelude {
     pub use mvio_datagen::{table3, ShapeKind};
     pub use mvio_geom::{wkt, Geometry, LineString, Point, Polygon, Rect};
     pub use mvio_msim::{
-        AccessLevel, Comm, CostModel, Datatype, Hints, MpiFile, ProgressEngine, Request,
-        ShapeClass, Topology, Work, World, WorldConfig,
+        AccessLevel, Comm, CostModel, Datatype, Hints, MpiFile, Request, ShapeClass, Topology,
+        Work, World, WorldConfig,
     };
     pub use mvio_pfs::{FsConfig, FsKind, SimFs, StripeSpec};
     pub use mvio_sjoin::{

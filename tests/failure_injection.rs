@@ -450,7 +450,6 @@ fn sink_decode_error_stays_on_its_rank() {
             round += 1;
             Ok(Some(ExchangeRound {
                 batch,
-                lanes: Vec::new(),
                 more: round < 2,
             }))
         };
@@ -535,7 +534,6 @@ fn corrupted_answer_block_stays_on_its_rank() {
             round += 1;
             Ok(Some(ExchangeRound {
                 batch,
-                lanes: Vec::new(),
                 more: round < 2,
             }))
         };
@@ -646,7 +644,6 @@ fn corrupted_update_round_stays_on_its_rank() {
                 round += 1;
                 Ok(Some(ExchangeRound {
                     batch,
-                    lanes: Vec::new(),
                     more: round < 2,
                 }))
             };

@@ -8,8 +8,8 @@
 mod common;
 
 use common::{
-    canon, mk_decomp, mk_features, mk_queries, oracle, owned_replicas, reference_counts, resident,
-    WORLD,
+    assert_ledger_balances, canon, mk_decomp, mk_features, mk_queries, oracle, owned_replicas,
+    reference_counts, resident, WORLD,
 };
 use mpi_vector_io::core::decomp::{imbalance_ratio, Decomposition};
 use mpi_vector_io::core::exchange::ExchangeChunk;
@@ -258,6 +258,7 @@ proptest! {
                     .iter()
                     .map(canon)
                     .collect();
+                assert_ledger_balances(comm);
                 (resident, fresh, answers, ghosts, rebalances)
             },
         );
