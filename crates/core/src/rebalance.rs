@@ -353,8 +353,9 @@ fn rebisect(sd: &Decomposition, hist: &[u64], before: f64) -> Result<Option<(Dec
 /// histogram is re-bisected adaptively over the same cell tiling, and
 /// when that predicts a lower max/mean the cells whose owner changed
 /// migrate (`migrate_cells`) and `sd` becomes the new decomposition.
-/// The store comes back with the departed replicas' slots still in it;
-/// compacting is the caller's reindex.
+/// The store comes back with the departed replicas' slots still in it
+/// as tombstones and the landed ones appended; compacting is left to the
+/// caller (the engine's index compacts only when it rebuilds).
 ///
 /// A grid past [`crate::decomp::MAX_TABLE_CELLS`] has no owner table to
 /// re-bisect into: the call returns [`CoreError::InvalidOptions`] before

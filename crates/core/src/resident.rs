@@ -19,7 +19,9 @@
 //!   the store exactly as it was;
 //! * **removal leaves a tombstone** — the index entry is marked dead and
 //!   the record's bytes stay behind until [`ResidentStore::compact`]
-//!   squeezes them out (the engine does so when it reindexes);
+//!   squeezes them out (the engine's index does so when it rebuilds,
+//!   once the changes since its last build reach the live count; until
+//!   then its walks skip the dead slots, [`ResidentStore::is_live`]);
 //! * **deletes find their replica by key** — a hash of `(cell, userdata)`,
 //!   built when the first delete needs it, leads to the candidates, which
 //!   are confirmed by geometry (see [`ResidentStore::delete_round`] for
@@ -145,6 +147,12 @@ impl ResidentStore {
     /// [`ResidentStore::compact`] drops.
     pub fn slots(&self) -> usize {
         self.slots.len()
+    }
+
+    /// Whether slot `i` still holds a replica (no delete or departure has
+    /// tombstoned it).
+    pub fn is_live(&self, i: usize) -> bool {
+        self.slots[i].live
     }
 
     /// The cell of the replica in slot `i`.

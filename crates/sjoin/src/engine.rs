@@ -567,16 +567,19 @@ impl QueryEngine {
     /// partition and drops the result cache and the kNN routing summary
     /// (cached answers may name deleted features or miss inserted ones;
     /// see [`rebalance::apply_updates`] for the routing protocol and what
-    /// each side is charged). A rank whose replica set changed reindexes —
-    /// which also compacts its store; a rank that received nothing keeps
-    /// its index as it is.
+    /// each side is charged). The index follows in proportion to what
+    /// the batch changed: received replicas join its per-cell delta and
+    /// deleted ones stay in its tree as tombstones, and only once the
+    /// changes since its last build reach the live count does the rank
+    /// compact its store and repack the tree (`ResidentIndex::refresh`).
+    /// A rank this batch left unchanged does no index work, unless a
+    /// migration since the last build already brought the changes there.
     /// Collective — every rank must call it together, each with its own
     /// (possibly empty) batch. Invalid updates anywhere in the world
     /// reject the whole call symmetrically with
     /// [`CoreError::InvalidOptions`] before anything ships, leaving the
     /// engine untouched and usable for the next batch.
     pub fn apply_updates(&mut self, comm: &mut Comm, updates: &[Update]) -> Result<UpdateStats> {
-        let before = (self.index.store.len(), self.index.store.slots());
         let result = rebalance::apply_updates(
             comm,
             &self.index.sd,
@@ -585,12 +588,8 @@ impl QueryEngine {
             self.chunk,
         );
         // Also on the deferred-error path: the exchange applies whatever
-        // arrived before winding down. An insert grows the slot table and
-        // a delete shrinks the live count, so an unchanged pair means no
-        // replica arrived or left.
-        if (self.index.store.len(), self.index.store.slots()) != before {
-            self.index.reindex(comm);
-        }
+        // arrived before winding down.
+        self.index.refresh(comm);
         // Unconditional: a remote rank's updates can stale this rank's
         // cached answers and summary without shipping it a record.
         if let Some(cache) = self.cache.as_mut() {
@@ -607,9 +606,12 @@ impl QueryEngine {
     /// no-op all-zero report comes back when rebalancing is off; a grid
     /// past [`mvio_core::decomp::MAX_TABLE_CELLS`] returns
     /// [`CoreError::InvalidOptions`] on every rank, and the engine keeps
-    /// serving as it was. The result cache survives: a migration moves
-    /// replicas between ranks without changing the dataset, so cached
-    /// answers stay exact.
+    /// serving as it was. The index is never rebuilt here: landed
+    /// replicas join its per-cell delta and departed ones stay in its
+    /// tree as tombstones, so after the migration's last collective a
+    /// rank only flags what it received before the next batch. The
+    /// result cache survives: a migration moves replicas between ranks
+    /// without changing the dataset, so cached answers stay exact.
     /// Collective — every rank must call it together (the construction
     /// contract requires the same policy on every rank, so all ranks
     /// take the same branch).
@@ -623,12 +625,9 @@ impl QueryEngine {
         // A failed migration may have moved replicas its peers report.
         if report.as_ref().map_or(true, |r| r.rebalanced) {
             self.reach = None;
+            self.index.absorb(comm);
         }
-        let report = report?;
-        if report.rebalanced {
-            self.index.reindex(comm);
-        }
-        Ok(report)
+        report
     }
 
     /// Serves one batch of queries; collective — every rank must call it
@@ -866,7 +865,7 @@ mod tests {
     use mvio_core::pipeline::{ingest, ingest_layers, PipelineOptions};
     use mvio_core::reader::WktLineParser;
     use mvio_geom::algo;
-    use mvio_msim::{Topology, World, WorldConfig};
+    use mvio_msim::{Slot, Topology, World, WorldConfig};
     use mvio_pfs::FsConfig;
 
     fn lattice_fs(n: u32) -> Arc<SimFs> {
@@ -1422,6 +1421,10 @@ mod tests {
         assert_eq!(out, vec![Some(true), Some(true)]);
     }
 
+    /// Index upkeep follows the change: no rank packs a tree for one
+    /// insert, a rank that received nothing charges nothing for its
+    /// index, and the receiver charges one flag test per received replica
+    /// — not a rebuild of its whole store.
     #[test]
     fn a_rank_that_received_no_update_does_not_reindex() {
         let fs = lattice_fs(60);
@@ -1431,34 +1434,89 @@ mod tests {
             let before = local_matches(&eng, comm, &window);
             // One insert from rank 0; it lands on a single rank.
             let updates: Vec<Update> = (comm.rank() == 0)
-                .then(|| {
-                    Update::Insert(Feature::with_userdata(
-                        Geometry::Point(Point::new(20.25, 20.25)),
-                        "fresh",
-                    ))
-                })
+                .then(|| Update::Insert(point(20.25, 20.25, "fresh")))
                 .into_iter()
                 .collect();
-            let t = comm.now();
+            let (ledger, built) = (comm.ledger(), eng.index.built);
             let stats = eng.apply_updates(comm, &updates).unwrap();
-            let spent = comm.now() - t;
+            let spent = |comm: &Comm, slot| comm.ledger()[slot] - ledger[slot];
+            assert_eq!(spent(comm, Slot::RtreeInserts), 0.0, "no tree is packed");
+            assert_eq!(eng.index.built, built);
+            // The submitter's routing test per update, then per received
+            // replica the landing's envelope and the index's flag.
+            let received = stats.inserted_replicas;
+            let tests = updates.len() as u64 + 2 * received;
+            let want = comm.cost_model().cost(Work::MbrTests { n: tests });
+            let got = spent(comm, Slot::MbrTests);
+            assert!(
+                (got - want).abs() <= 1e-9 * ledger[Slot::MbrTests],
+                "{got} s of MBR tests, {want} s modelled"
+            );
             let rebuild = comm.cost_model().cost(Work::RtreeInserts {
                 n: eng.resident_replicas() as u64,
             });
+            assert!(
+                got < rebuild / 10.0,
+                "{got} s against a {rebuild} s rebuild"
+            );
+            let store = &eng.index.store;
+            assert_eq!(store.slots() - eng.index.built, received as usize);
             let after = local_matches(&eng, comm, &window);
-            if stats.inserted_replicas == 0 {
-                // The whole call — collectives included — costs an idle
-                // rank less than the rebuild it used to be charged.
-                assert!(spent < rebuild, "idle rank spent {spent} s of {rebuild} s");
+            if received == 0 {
                 assert_eq!(after, before);
             } else {
-                assert!(spent >= rebuild, "the receiver must reindex");
                 assert_eq!(after.len(), before.len() + 1);
                 assert!(after.contains(&"fresh".to_string()));
             }
-            stats.inserted_replicas
+            received
         });
         assert_eq!(landed.iter().sum::<u64>(), 1, "{landed:?}");
+    }
+
+    /// Global rebuilding: the tree is repacked in the update call where
+    /// dead plus appended slots first reach the live count — or the
+    /// count the tree was built over, when that is smaller — and not a
+    /// batch before.
+    #[test]
+    fn a_rebuild_trips_when_the_changes_reach_the_live_count() {
+        World::run(WorldConfig::new(Topology::single_node(1)), |comm| {
+            let label = |i: usize| format!("f{i:03}");
+            let feature = |i: usize| {
+                let (col, row) = ((i % 40) as f64, (i / 40) as f64);
+                point(0.1 + col * 0.19, 0.1 + row * 0.19, &label(i))
+            };
+            let mut eng = grid_engine(comm, 4, &(0..40).map(feature).collect::<Vec<_>>());
+            let mut live: Vec<String> = (0..40).map(label).collect();
+            // Inserts and deletes per step, and whether it rebuilds.
+            let steps = [
+                (40..79, 0..0, false), // 39 appended against 40 built
+                (79..80, 0..0, true),  // 40 against 40
+                (0..0, 0..39, false),  // 39 dead against 41 live
+                (0..0, 39..40, true),  // 40 against 40
+                (80..81, 40..41, false),
+            ];
+            for (step, (inserts, deletes, rebuilds)) in steps.into_iter().enumerate() {
+                let updates: Vec<Update> = deletes
+                    .clone()
+                    .map(|i| Update::Delete(feature(i)))
+                    .chain(inserts.clone().map(|i| Update::Insert(feature(i))))
+                    .collect();
+                live.retain(|l| !deletes.clone().any(|i| *l == label(i)));
+                live.extend(inserts.clone().map(label));
+                live.sort();
+                let (ledger, built) = (comm.ledger(), eng.index.built);
+                eng.apply_updates(comm, &updates).unwrap();
+                let packed = comm.ledger()[Slot::RtreeInserts] > ledger[Slot::RtreeInserts];
+                let store = &eng.index.store;
+                assert_eq!(packed, rebuilds, "step {step}");
+                assert_eq!(eng.index.built != built, rebuilds, "step {step}");
+                if rebuilds {
+                    assert_eq!((store.slots(), eng.index.built), (live.len(), live.len()));
+                }
+                let world = Rect::new(0.0, 0.0, 8.0, 8.0);
+                assert_eq!(local_matches(&eng, comm, &world), live, "step {step}");
+            }
+        });
     }
 
     #[test]
@@ -1807,8 +1865,17 @@ mod tests {
                 })
                 .collect();
             let before = eng.serve(comm, &batch).unwrap().answers;
+            let (ledger, built) = (comm.ledger(), eng.index.built);
+            let dead = eng.index.store.slots() - eng.index.store.len();
             let report = eng.maybe_rebalance(comm).unwrap();
             assert!(report.rebalanced && report.migration.shipped_bytes > 0);
+            // A migration only tombstones and appends: no tree is packed,
+            // and what departed stays behind until an update rebuilds.
+            let packed = comm.ledger()[Slot::RtreeInserts] - ledger[Slot::RtreeInserts];
+            assert_eq!((packed, eng.index.built), (0.0, built));
+            let shipped = report.migration.shipped_records as usize;
+            let store = &eng.index.store;
+            assert_eq!(store.slots() - store.len(), dead + shipped);
             (before, eng.serve(comm, &batch).unwrap().answers)
         });
         for (before, after) in &out {

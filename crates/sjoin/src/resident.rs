@@ -1,5 +1,6 @@
 //! The per-rank half of the resident engine: the replica store, the
-//! R-tree over it, and the owner-side answering of one query.
+//! index over it (an STR tree plus a per-cell delta), and the owner-side
+//! answering of one query.
 
 use crate::answer::write_answer_blocks;
 use mvio_core::decomp::{Decomposition, SpatialDecomposition};
@@ -12,14 +13,26 @@ use mvio_geom::wkb::{self, GeomRef};
 use mvio_geom::{algo, Point, Rect};
 use mvio_msim::{Comm, Work};
 use std::cmp::Ordering;
+use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 
 /// The per-rank resident state: the replicas as validated wire records
-/// ([`ResidentStore`], which also caches their envelopes), the R-tree
-/// over them, and the global decomposition. Split out from
+/// ([`ResidentStore`], which also caches their envelopes), the index over
+/// them, and the global decomposition. Split out from
 /// [`crate::QueryEngine`] so `serve` can walk it from inside exchange
 /// sinks while the cache (a sibling field) stays independently
 /// borrowable.
+///
+/// The index is a base STR tree plus a per-cell delta (an LSM-style
+/// split; O'Neil et al., *The log-structured merge-tree*, Acta
+/// Informatica 1996). The tree covers the slots that were live at its
+/// last build; a slot deleted or departed since stays in it as a
+/// tombstone, which every walk skips ([`ResidentStore::is_live`]). A
+/// slot appended since — an insert, or a replica a migration landed —
+/// goes to its cell's delta list, which queries overlapping that cell
+/// scan. So an update batch or a migration costs index work in
+/// proportion to what it changed, and only [`ResidentIndex::refresh`],
+/// once the changes outweigh the store, compacts and repacks it.
 ///
 /// No geometry object is resident, and none is built to answer: a
 /// straddler's vertex scan and exact test and a kNN candidate's distance
@@ -27,11 +40,17 @@ use std::ops::ControlFlow;
 pub(crate) struct ResidentIndex {
     pub(crate) sd: Decomposition,
     pub(crate) store: ResidentStore,
-    /// Over the store's slots, which [`ResidentIndex::reindex`] leaves
-    /// dense (`0..store.len()`).
     rtree: RTree<usize>,
+    /// The tree covers slots `0..built`, every one live when it was
+    /// packed.
+    pub(crate) built: usize,
+    /// The slots appended since the last build that were live when the
+    /// index took them in, by cell, in slot order. A cell the rank no
+    /// longer owns drops its list.
+    delta: BTreeMap<u32, Vec<usize>>,
     /// Whether slot `i` holds the replica in its feature's reference cell
-    /// — the one copy that represents the feature in kNN scans.
+    /// — the one copy that represents it in kNN scans. One entry per slot
+    /// the index has taken in.
     pub(crate) reference: Vec<bool>,
 }
 
@@ -50,19 +69,19 @@ impl ResidentIndex {
             sd,
             store,
             rtree: RTree::bulk_load(Vec::new()),
+            built: 0,
+            delta: BTreeMap::new(),
             reference: Vec::new(),
         };
-        index.reindex(comm);
+        index.rebuild(comm);
         index
     }
 
     /// Compacts the store (dropping what deletes and departures left
-    /// behind, [`ResidentStore::compact`]) and recomputes every derived
-    /// structure — R-tree and reference-replica flags — from the current
-    /// `sd` + `store`. Called at construction and again after updates or
-    /// a migration changed the replica set.
+    /// behind, [`ResidentStore::compact`]), STR-packs one tree over every
+    /// replica and recomputes every reference flag; the delta empties.
     /// Not collective — the communicator only charges.
-    pub(crate) fn reindex(&mut self, comm: &mut Comm) {
+    fn rebuild(&mut self, comm: &mut Comm) {
         self.store.compact(comm);
         let n = self.store.len();
         comm.charge(Work::RtreeInserts { n: n as u64 });
@@ -70,13 +89,63 @@ impl ResidentIndex {
         self.reference = (0..n)
             .map(|i| is_reference_replica(&self.sd, self.store.cell(i), self.store.envelope(i)))
             .collect();
+        self.built = n;
+        self.delta.clear();
+    }
+
+    /// Brings the index up to date after an update batch changed the
+    /// store. The changes since the last build — dead slots plus appended
+    /// ones — are counted against the live replicas, and against the
+    /// slots the tree was built over when those are fewer. Once they
+    /// reach that count the store is compacted and repacked
+    /// ([`ResidentIndex::rebuild`]; global rebuilding: each rebuild is
+    /// paid for by at least half as many changes as it packs, and a
+    /// delete-only or insert-only stream trips it too). Otherwise the
+    /// appended slots join the delta ([`ResidentIndex::absorb`]).
+    /// Not collective — the communicator only charges.
+    pub(crate) fn refresh(&mut self, comm: &mut Comm) {
+        let (live, slots) = (self.store.len(), self.store.slots());
+        let changes = (slots - live) + (slots - self.built);
+        if changes > 0 && changes >= live.min(self.built) {
+            self.rebuild(comm);
+        } else {
+            self.absorb(comm);
+        }
+    }
+
+    /// Takes in the slots appended since the index last looked: each gets
+    /// its reference flag (charged one [`Work::MbrTests`] per slot) and,
+    /// while live, a place in its cell's delta list. Lists of cells this
+    /// rank no longer owns — what a migration took away — are dropped.
+    /// Never touches the tree, so a migration costs no index build.
+    /// Not collective — the communicator only charges.
+    pub(crate) fn absorb(&mut self, comm: &mut Comm) {
+        let (first, slots) = (self.reference.len(), self.store.slots());
+        if first < slots {
+            comm.charge(Work::MbrTests {
+                n: (slots - first) as u64,
+            });
+        }
+        for i in first..slots {
+            let cell = self.store.cell(i);
+            let reference = is_reference_replica(&self.sd, cell, self.store.envelope(i));
+            self.reference.push(reference);
+            if self.store.is_live(i) {
+                self.delta.entry(cell).or_default().push(i);
+            }
+        }
+        let (sd, rank) = (&self.sd, comm.rank());
+        self.delta.retain(|&cell, _| sd.cell_to_rank(cell) == rank);
     }
 
     /// Filter + refine for one rectangle over the local replicas,
     /// returning the claimed matches' userdata **sorted**. The claiming
     /// rule: cell overlap, MBR overlap, reference-corner dedup
     /// ([`claims_reference`]), exact predicate — the last only where the
-    /// filter and the vertex scan left it open.
+    /// filter and the vertex scan left it open. The tree's live hits and
+    /// the delta lists of the cells whose rectangle meets the window (the
+    /// cell test every hit passes) are the candidates; each delta slot
+    /// scanned is charged one [`Work::MbrTests`].
     /// Not collective — the communicator only charges the walk.
     pub(crate) fn rect_matches(&self, comm: &mut Comm, query: &Rect) -> Vec<&str> {
         let mut hits: Vec<usize> = Vec::new();
@@ -85,6 +154,19 @@ impl ResidentIndex {
             n: 1,
             results: hits.len() as u64,
         });
+        hits.retain(|&i| self.store.is_live(i));
+        let mut scanned = 0u64;
+        for (&cell, slots) in &self.delta {
+            if self.sd.cell_rect(cell).intersects(query) {
+                scanned += slots.len() as u64;
+                let meets =
+                    |&i: &usize| self.store.is_live(i) && self.store.envelope(i).intersects(query);
+                hits.extend(slots.iter().copied().filter(meets));
+            }
+        }
+        if scanned > 0 {
+            comm.charge(Work::MbrTests { n: scanned });
+        }
         let mut out = Vec::new();
         for i in hits {
             let cell = self.store.cell(i);
@@ -127,17 +209,18 @@ impl ResidentIndex {
         out
     }
 
-    /// Local top-`k` by `(distance, userdata)` over the reference
+    /// Local top-`k` by `(distance, userdata)` over the live reference
     /// replicas (each feature counted exactly once globally), as
-    /// `(distance, slot)`: a best-first walk of the resident R-tree that
-    /// computes exact distances only until the next box is farther than
-    /// the k-th best candidate. Boxes at exactly that distance are still
-    /// opened — a tie can win on userdata.
+    /// `(distance, slot)`. The delta's candidates go first, nearest
+    /// envelope first; then a best-first walk of the tree. Both compute
+    /// exact distances only until the next envelope or box is farther
+    /// than the k-th best candidate; one at exactly that distance is
+    /// still opened — a tie can win on userdata.
     ///
     /// Only the owners [`ReachSummary::knn_owners`] selects walk. Charged
-    /// one [`Work::MbrTests`] per box examined and a single
-    /// [`Work::RefinePair`] per walk over the summed vertices of the
-    /// candidates whose exact distance was computed; pricing each
+    /// one [`Work::MbrTests`] per box examined and per delta slot scanned,
+    /// and a single [`Work::RefinePair`] per walk over the summed vertices
+    /// of the candidates whose exact distance was computed; pricing each
     /// candidate as its own refine would raise every walk by the fixed
     /// refine cost per extra candidate, so it waits for a measured change.
     /// Not collective.
@@ -147,11 +230,13 @@ impl ResidentIndex {
         // Sorted by `(distance, userdata)` and never longer than `k`;
         // grown on demand, since `k` may be `u32::MAX`.
         let mut best: Vec<(f64, usize)> = Vec::new();
-        let boxes = self.rtree.nearest_with(at, &mut |box_distance, &i| {
-            if best.len() == k && box_distance > best[k - 1].0 {
+        // Offers slot `i`, whose envelope or box lies `near` away, unless
+        // the k-th best is already nearer; `Break` once it is.
+        let mut offer = |near: f64, i: usize| {
+            if best.len() == k && near > best[k - 1].0 {
                 return ControlFlow::Break(());
             }
-            if !self.reference[i] {
+            if !self.store.is_live(i) || !self.reference[i] {
                 return ControlFlow::Continue(());
             }
             let frame = self.store.frame(i);
@@ -168,8 +253,24 @@ impl ResidentIndex {
                 best.truncate(k);
             }
             ControlFlow::Continue(())
-        });
-        comm.charge(Work::MbrTests { n: boxes });
+        };
+        let mut scanned = 0u64;
+        let mut pending: Vec<(f64, usize)> = Vec::new();
+        for slots in self.delta.values() {
+            scanned += slots.len() as u64;
+            let candidates = slots
+                .iter()
+                .filter(|&&i| self.store.is_live(i) && self.reference[i]);
+            pending.extend(candidates.map(|&i| (self.store.envelope(i).linf_distance(at), i)));
+        }
+        pending.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        for (near, i) in pending {
+            if offer(near, i).is_break() {
+                break;
+            }
+        }
+        let boxes = self.rtree.nearest_with(at, &mut |near, &i| offer(near, i));
+        comm.charge(Work::MbrTests { n: boxes + scanned });
         comm.charge(Work::RefinePair {
             verts_a: verts,
             verts_b: 1,
@@ -258,14 +359,17 @@ struct ReachCell {
 pub(crate) struct ReachSummary(Vec<ReachCell>);
 
 impl ReachSummary {
-    /// Summarizes this rank's cells from its store — charged one
-    /// [`Work::MbrTests`] per resident replica scanned — and allgathers
-    /// every rank's cells. Collective: every rank must call it.
+    /// Summarizes this rank's cells from the live slots of its store —
+    /// charged one [`Work::MbrTests`] per slot scanned, tombstones
+    /// included — and allgathers every rank's cells. Collective: every
+    /// rank must call it.
     pub(crate) fn gather(comm: &mut Comm, index: &ResidentIndex) -> Self {
-        let (store, n) = (&index.store, index.store.len() as u64);
-        comm.charge(Work::MbrTests { n });
-        let mut local: Vec<(u32, Rect)> = (0..store.len())
-            .filter(|&i| index.reference[i])
+        let store = &index.store;
+        comm.charge(Work::MbrTests {
+            n: store.slots() as u64,
+        });
+        let mut local: Vec<(u32, Rect)> = (0..store.slots())
+            .filter(|&i| store.is_live(i) && index.reference[i])
             .map(|i| (store.cell(i), *store.envelope(i)))
             .collect();
         local.sort_unstable_by_key(|&(cell, _)| cell);

@@ -14,6 +14,7 @@ use common::{
 use mpi_vector_io::core::decomp::{imbalance_ratio, Decomposition};
 use mpi_vector_io::core::exchange::ExchangeChunk;
 use mpi_vector_io::geom::wkb;
+use mpi_vector_io::msim::Slot;
 use mpi_vector_io::prelude::*;
 use mpi_vector_io::sjoin::{RebalancePolicy, Update};
 use proptest::prelude::*;
@@ -278,6 +279,149 @@ proptest! {
             if !rebalance {
                 prop_assert_eq!(*rebalances, 0u64, "rebalancing off must never migrate");
             }
+        }
+    }
+}
+
+/// `n` points a few thousandths apart around `at`, labelled `c00…`.
+fn cluster(at: Point, n: usize) -> Vec<Feature> {
+    (0..n)
+        .map(|i| {
+            let (dx, dy) = ((i % 8 + 1) as f64 * 1e-3, (i / 8 + 1) as f64 * 1e-3);
+            let p = Point::new(at.x + dx, at.y + dy);
+            Feature::with_userdata(Geometry::Point(p), format!("c{i:02}"))
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12).with_seed(0x6d76_696f_6465_6c74))]
+
+    /// Serving between updates and forced migrations answers exactly like
+    /// a full scan of the dataset as it stands, while the index holds
+    /// tombstones in its tree and replicas in its per-cell delta: range,
+    /// point and kNN batches after every update batch and after every
+    /// rebalance step (threshold 1.0, so every step that can lower the
+    /// imbalance migrates). A cluster of 64 points and two twins `a1`,
+    /// `a2` at a cell centre `P` keep `P`'s owner from rebuilding in the
+    /// first batch, which deletes `a2` (a tombstone in the tree) and
+    /// inserts `a0` at `P` (a delta replica): the kNN at `P` ties at
+    /// distance 0, and `a0` must win it on userdata (every other label
+    /// sorts after both).
+    #[test]
+    fn serving_over_tombstones_and_the_delta_matches_a_full_scan(
+        ranks_idx in 0usize..3,
+        side in 1u32..6,
+        policy in 0u8..4,
+        chunk_idx in 0usize..3,
+        centre in (0u32..5, 0u32..5),
+        coords in proptest::collection::vec((0.0..WORLD, 0.0..WORLD), 0..16),
+        ops in proptest::collection::vec(
+            proptest::collection::vec((0u8..8, 0.0..WORLD, 0.0..WORLD), 0..6),
+            1..4
+        ),
+        qseeds in proptest::collection::vec(
+            (0u8..6, 0.0..WORLD, 0.0..WORLD, 0.05f64..4.0),
+            1..6
+        ),
+    ) {
+        let ranks = [2usize, 4, 16][ranks_idx];
+        let chunk = [
+            ExchangeChunk::Unlimited,
+            ExchangeChunk::Bytes(64),
+            ExchangeChunk::Bytes(1024),
+        ][chunk_idx];
+        let width = WORLD / f64::from(side);
+        let at = |c: u32| (f64::from(c % side) + 0.5) * width;
+        let p = Point::new(at(centre.0), at(centre.1));
+        let twin = |tag: &str| Feature::with_userdata(Geometry::Point(p), tag);
+
+        let script_base = mk_features(&coords);
+        let (mut batches, mut models, _) = mk_script(&script_base, &ops);
+        let mut pinned = cluster(p, 64);
+        pinned.push(twin("a1"));
+        let mut base = script_base;
+        base.extend(pinned.iter().cloned());
+        base.push(twin("a2"));
+        batches[0].insert(0, Update::Insert(twin("a0")));
+        batches[0].push(Update::Delete(twin("a2")));
+        pinned.push(twin("a0"));
+        for model in &mut models {
+            model.extend(pinned.iter().cloned());
+        }
+        let mut queries = mk_queries(&qseeds);
+        queries.extend([
+            Query::Knn { at: p, k: 1 },
+            Query::Knn { at: p, k: 2 },
+            Query::Point(p),
+            Query::Range(Rect::new(p.x - 2e-3, p.y - 2e-3, p.x + 2e-3, p.y + 2e-3)),
+        ]);
+        let expected: Vec<Vec<QueryAnswer>> = models
+            .iter()
+            .map(|m| queries.iter().map(|q| oracle(m, q)).collect())
+            .collect();
+        let tie = oracle(&models[0], &Query::Knn { at: p, k: 1 });
+        prop_assert_eq!(tie, QueryAnswer::Matches(vec!["0.000000000:a0".into()]));
+
+        let final_model = Arc::new(models.last().expect("at least one batch").clone());
+        let (base, batches, queries) = (Arc::new(base), Arc::new(batches), Arc::new(queries));
+        let out = World::run(
+            WorldConfig::new(Topology::single_node(ranks)),
+            move |comm| {
+                let sd = mk_decomp(WORLD, policy, side, comm.size());
+                let owned = owned_replicas(&sd, &base, comm.rank());
+                let opts = EngineOptions {
+                    chunk,
+                    cache: ServeCache::Off,
+                    rebalance: RebalancePolicy::Threshold(1.0),
+                };
+                let store = resident(comm, &owned);
+                let mut eng = QueryEngine::from_store(comm, sd, store, &opts);
+                let mut served = Vec::new();
+                let mut serve = |eng: &mut QueryEngine, comm: &mut Comm| {
+                    let report = eng.serve(comm, &queries).unwrap();
+                    served.push(report.answers.iter().map(canon).collect::<Vec<_>>());
+                };
+                let mut owner_rebuilt = false;
+                for (step, batch) in batches.iter().enumerate() {
+                    let mine: Vec<Update> = batch
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| i % comm.size() == comm.rank())
+                        .map(|(_, u)| u.clone())
+                        .collect();
+                    let packed = comm.ledger()[Slot::RtreeInserts];
+                    eng.apply_updates(comm, &mine).unwrap();
+                    if step == 0 {
+                        let sd = eng.decomposition();
+                        let owner = sd.cell_to_rank(sd.reference_cell(&p.envelope()).unwrap());
+                        owner_rebuilt = owner == comm.rank()
+                            && comm.ledger()[Slot::RtreeInserts] != packed;
+                    }
+                    serve(&mut eng, comm);
+                    eng.maybe_rebalance(comm).unwrap();
+                    serve(&mut eng, comm);
+                }
+                let mut resident: Vec<(u32, String, Vec<u8>)> = eng
+                    .resident()
+                    .map(|fr| (fr.cell, fr.userdata.to_string(), fr.wkb.to_vec()))
+                    .collect();
+                resident.sort();
+                let fresh = fresh_partition(eng.decomposition(), &final_model, comm.rank());
+                assert_ledger_balances(comm);
+                (served, owner_rebuilt, resident, fresh)
+            },
+        );
+        for (rank, (served, owner_rebuilt, resident, fresh)) in out.iter().enumerate() {
+            prop_assert!(!owner_rebuilt, "P's owner rebuilt in the first batch");
+            for (i, answers) in served.iter().enumerate() {
+                prop_assert_eq!(
+                    answers, &expected[i / 2],
+                    "rank {}/{}, batch {}, {} the rebalance (policy {}, side {}, chunk {:?})",
+                    rank, ranks, i / 2, ["before", "after"][i % 2], policy, side, chunk
+                );
+            }
+            prop_assert_eq!(resident, fresh, "rank {} diverged from a fresh ingest", rank);
         }
     }
 }
