@@ -10,7 +10,6 @@ use mvio_core::grid::GridSpec;
 use mvio_core::partition::ReadOptions;
 use mvio_core::pipeline::{ingest_layers, PipelineOptions};
 use mvio_core::reader::WktLineParser;
-use mvio_core::resident::ResidentStore;
 use mvio_msim::{Topology, World, WorldConfig};
 use mvio_pfs::SimFs;
 use mvio_sjoin::breakdown::PhaseTimer;
@@ -30,12 +29,12 @@ pub fn index_run(scale: Scale, procs: usize, cells_per_side: u32) -> (PhaseBreak
         let cfg = DecompConfig::uniform(GridSpec::square(cells_per_side));
         let (read, pipe) = (ReadOptions::default(), PipelineOptions::default());
         let (paths, chunk) = (["roadnet.wkt"], ExchangeChunk::Unlimited);
-        let ingested =
+        let mut ingested =
             ingest_layers(comm, &fs, &paths, &read, &WktLineParser, &cfg, &pipe, chunk).unwrap();
         timer.end_partition(ingested.partition_end);
-        // Adopting the received frames is the last of the communication
-        // phase; the R-tree build is the indexing phase.
-        let store = ResidentStore::from_frames(comm, &ingested.layers[0].owned);
+        // The exchange landed the received records in the store the
+        // engine adopts; the R-tree build is the indexing phase.
+        let store = ingested.layers.swap_remove(0).owned;
         timer.end_communication(comm);
         let eng = QueryEngine::from_store(comm, ingested.decomp, store, &EngineOptions::default());
         timer.end_compute(comm);

@@ -33,12 +33,12 @@
 //! There is one protocol entry, [`ExchangePlan::run`]: it hands each
 //! completed round's raw received buffers to the caller's sink, and one
 //! receive helper, [`validate_round`]: received records are validated
-//! once and then borrowed in place through [`record_frames`] /
-//! [`FrameStore`] (what [`exchange_serialized`] returns, and what ingest,
-//! join, serve and the snapshot reload hold) or kept as they are by the
-//! resident engine ([`crate::resident::ResidentStore`]). Nothing on the
-//! receive side builds a [`Feature`]; a consumer that wants objects
-//! decodes a frame with [`RecordFrame::to_feature`].
+//! once and then borrowed in place through [`record_frames`], or landed
+//! as they are in a [`ResidentStore`] (`ResidentStore::land`: what
+//! [`exchange_serialized`] returns, and what ingest, join, serve and the
+//! snapshot reload hold). Nothing on the receive side builds a
+//! [`Feature`]; a consumer that wants objects decodes a frame with
+//! [`RecordFrame::to_feature`].
 //!
 //! The send side is [`SerializedBatch`]: per-destination buffers a caller
 //! already serialized. Text layers get theirs from the one front half,
@@ -57,6 +57,7 @@
 //! repository root, shared with the snapshot payload in
 //! [`crate::snapshot`].
 
+use crate::resident::ResidentStore;
 use crate::{CoreError, Feature, Result};
 use mvio_geom::wkb;
 use mvio_msim::{Comm, Request, Work};
@@ -329,71 +330,6 @@ impl<'a> Iterator for FrameIter<'a> {
     }
 }
 
-/// The raw, validated wire buffers one exchange received, kept per
-/// source rank so iteration follows source-rank order — the rule that
-/// keeps every chunk policy bit-identical to the single-round blocking
-/// protocol. Rounds append to their source's
-/// buffer; nothing is deserialized.
-#[derive(Debug, Clone, Default)]
-pub struct FrameStore {
-    per_src: Vec<Vec<u8>>,
-    len: usize,
-}
-
-impl FrameStore {
-    /// An empty store for a `p`-rank world.
-    pub fn new(p: usize) -> Self {
-        FrameStore {
-            per_src: vec![Vec::new(); p],
-            len: 0,
-        }
-    }
-
-    /// Lands one completed round (buffers indexed by source rank) —
-    /// the [`ExchangePlan::run`] sink of every exchange that keeps what
-    /// it receives. [`validate_round`] checks the whole round first, so a
-    /// rejected round leaves the store as it was. The first round per
-    /// source moves its buffer wholesale (the blocking single-round case
-    /// stays copy-free); later rounds append. Returns the round's record
-    /// count.
-    /// Not collective — the communicator only charges the validation.
-    pub(crate) fn append_round(&mut self, comm: &mut Comm, round: Vec<Vec<u8>>) -> Result<u64> {
-        debug_assert_eq!(round.len(), self.per_src.len());
-        let records = validate_round(comm, &round)?;
-        for (src, buf) in round.into_iter().enumerate() {
-            if self.per_src[src].is_empty() {
-                self.per_src[src] = buf;
-            } else {
-                self.per_src[src].extend_from_slice(&buf);
-            }
-        }
-        // Every record occupies at least `RECORD_OVERHEAD` bytes of a
-        // buffer in memory, so the count fits a `usize`.
-        self.len += records as usize;
-        Ok(records)
-    }
-
-    /// Total records across all sources.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the store holds no record.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The validated buffers, one per source rank.
-    pub(crate) fn buffers(&self) -> &[Vec<u8>] {
-        &self.per_src
-    }
-
-    /// Iterates every record frame in source-rank order.
-    pub fn frames(&self) -> impl Iterator<Item = RecordFrame<'_>> {
-        self.per_src.iter().flat_map(|buf| record_frames(buf))
-    }
-}
-
 /// Per-destination payloads that were already serialized upstream — the
 /// batches the ingest pipeline's serialize stage writes chunk by chunk
 /// on the rank's own thread ([`crate::pipeline::ingest_layers`]).
@@ -511,7 +447,7 @@ impl ExchangePlan {
     /// follow-up serialization) overlaps the rounds still in flight
     /// exactly like the validation does. To stay bit-identical across
     /// chunk policies, reassemble per-source streams in source-rank order
-    /// ([`FrameStore`] does).
+    /// (`ResidentStore::land` does).
     ///
     /// Collective: every rank must call it, with any feed — ranks may
     /// contribute different round counts, including none.
@@ -657,7 +593,7 @@ fn drain_round(
 /// charging the validation scan over the received bytes
 /// ([`Work::CopyBytes`]). Returns the round's record count; afterwards
 /// the buffers can be walked with [`record_frames`] or kept in a
-/// [`FrameStore`] or a [`crate::resident::ResidentStore`].
+/// [`ResidentStore`].
 /// Not collective — the communicator only charges the scan.
 pub fn validate_round(comm: &mut Comm, bufs: &[Vec<u8>]) -> Result<u64> {
     let (mut records, mut bytes) = (0u64, 0u64);
@@ -783,22 +719,19 @@ impl BatchSplitter {
 /// Exchange of pre-serialized per-destination buffers: the staged
 /// [`ExchangePlan`] protocol under `chunk` over a batch the caller (the
 /// ingest pipeline, the snapshot reader, the join's balance step)
-/// serialized and charged. Only the validation scan
-/// ([`Work::CopyBytes`]) is charged here. The received records stay
-/// validated wire buffers in a [`FrameStore`], in source-rank order —
-/// bit-identical for **any** chunk policy.
+/// serialized and charged, landed by `ResidentStore::land`: the
+/// validation scan ([`Work::CopyBytes`]) and one [`Work::MbrTests`] per
+/// record are charged here. The received records stay validated wire
+/// records, in source-rank order — bit-identical for **any** chunk
+/// policy.
 /// Collective: every rank must call it with its own batch.
 pub fn exchange_serialized(
     comm: &mut Comm,
     batch: SerializedBatch,
     chunk: ExchangeChunk,
-) -> Result<(FrameStore, ExchangeStats)> {
+) -> Result<(ResidentStore, ExchangeStats)> {
     let plan = ExchangePlan::new(comm, chunk);
-    let mut store = FrameStore::new(comm.size());
-    let stats = plan.run(comm, &mut batch.into_feed(&plan), &mut |c, bufs| {
-        store.append_round(c, bufs)
-    })?;
-    Ok((store, stats))
+    ResidentStore::land(comm, &plan, &mut batch.into_feed(&plan))
 }
 
 #[cfg(test)]

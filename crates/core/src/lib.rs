@@ -58,8 +58,7 @@ pub mod views;
 
 pub use decomp::{DecompConfig, DecompPolicy, Decomposition, SpatialDecomposition};
 pub use exchange::{
-    ExchangeChunk, ExchangePlan, ExchangeRound, ExchangeStats, FrameStore, RecordFrame,
-    SerializedBatch,
+    ExchangeChunk, ExchangePlan, ExchangeRound, ExchangeStats, RecordFrame, SerializedBatch,
 };
 pub use grid::{CellMap, GridSpec, UniformGrid};
 pub use partition::{BoundaryStrategy, ReadOptions};

@@ -31,8 +31,8 @@
 //!    [`crate::exchange::ExchangePlan`], each round's `ialltoallv`
 //!    overlapping the next round's copies;
 //! 5. each rank keeps what it receives as the validated wire records it
-//!    arrived as ([`IngestOutput::owned`], a
-//!    [`crate::exchange::FrameStore`]) — nothing is decoded back into
+//!    arrived as ([`IngestOutput::owned`], a [`ResidentStore`] that adopts
+//!    the received buffers as they are) — nothing is decoded back into
 //!    features, and [`IngestOutput::write_partitioned`] persists those
 //!    records byte for byte.
 //!
@@ -125,10 +125,11 @@ use crate::decomp::{DecompConfig, Decomposition, SpatialDecomposition};
 // under the same world size and decomposition).
 use crate::exchange::{
     emit_record, exchange_serialized, ExchangeChunk, ExchangePlan, ExchangeRound, ExchangeStats,
-    FrameStore, SerializedBatch, RECORD_OVERHEAD,
+    SerializedBatch, RECORD_OVERHEAD,
 };
 use crate::partition::{post_partition_text, ReadOptions, RECORD_DELIMITER};
 use crate::reader::{GeometryParser, Records};
+use crate::resident::ResidentStore;
 pub use crate::snapshot::{
     read_partitioned, write_partitioned, SnapshotReadOptions, SnapshotWriteOptions,
 };
@@ -455,7 +456,7 @@ fn exchange_overlapped(
     records: &Records,
     opts: &PipelineOptions,
     chunk_bytes: u64,
-) -> Result<(FrameStore, PipelineStats, ExchangeStats)> {
+) -> Result<(ResidentStore, PipelineStats, ExchangeStats)> {
     let (workers, p, cost) = (opts.effective_workers(), comm.size(), *comm.cost_model());
     debug_assert_eq!(decomp.num_ranks(), p, "decomposition for another world");
     let chunk_bytes = chunk_bytes.max(1);
@@ -507,8 +508,7 @@ fn exchange_overlapped(
     };
 
     let plan = ExchangePlan::new(comm, ExchangeChunk::Bytes(chunk_bytes));
-    let mut owned = FrameStore::new(p);
-    let ex_stats = plan.run(comm, &mut feed, &mut |c, bufs| owned.append_round(c, bufs))?;
+    let (owned, ex_stats) = ResidentStore::land(comm, &plan, &mut feed)?;
     Ok((owned, stats, ex_stats))
 }
 
@@ -520,7 +520,7 @@ pub struct IngestOutput {
     /// The `(cell, feature)` replicas this rank owns after the exchange,
     /// kept as the validated wire records they arrived as — bit-identical
     /// to the sequential parse→project→exchange path.
-    pub owned: FrameStore,
+    pub owned: ResidentStore,
     /// Features this rank parsed from its file partition.
     pub local_features: u64,
     /// Exchange counters.
@@ -582,7 +582,7 @@ pub fn ingest(
 #[derive(Debug)]
 pub struct IngestedLayer {
     /// The layer's replicas this rank owns, as validated wire records.
-    pub owned: FrameStore,
+    pub owned: ResidentStore,
     /// Features of the layer this rank parsed.
     pub local_features: u64,
     /// Exchange counters.
@@ -610,8 +610,8 @@ pub struct IngestedLayers {
 /// as their bytes land; then **one** decomposition over all layers
 /// ([`Decomposition::build_global`]), so joined layers share their cells. The
 /// partition phase ends with every layer cell-mapped; the communication
-/// phase serializes each layer and exchanges it into one [`FrameStore`]
-/// in one blocking round. A finite `chunk` instead streams cell-map and
+/// phase serializes each layer and exchanges it into one
+/// [`ResidentStore`] in one blocking round. A finite `chunk` instead streams cell-map and
 /// serialization into byte-capped exchange rounds, both then counting as
 /// communication. The frames are bit-identical under every chunk policy.
 /// Collective: every rank must call it with the same paths and options.
@@ -704,7 +704,7 @@ pub(crate) mod tests {
     use mvio_msim::{Topology, World, WorldConfig};
 
     /// A store's records in order, compared byte for byte.
-    fn frames(store: &FrameStore) -> Vec<RecordFrame<'_>> {
+    fn frames(store: &ResidentStore) -> Vec<RecordFrame<'_>> {
         store.frames().collect()
     }
 

@@ -33,11 +33,12 @@ use crate::decomp::{
     imbalance_ratio, DecompPolicy, Decomposition, SpatialDecomposition, SumCounts, MAX_TABLE_CELLS,
 };
 use crate::exchange::{
-    serialize_record, ExchangeChunk, ExchangePlan, ExchangeStats, SerializedBatch,
+    emit_record, ExchangeChunk, ExchangePlan, ExchangeStats, SerializedBatch, RECORD_OVERHEAD,
 };
 use crate::framework::is_reference_replica;
 use crate::resident::ResidentStore;
 use crate::{CoreError, Feature, Result};
+use mvio_geom::wkb;
 use mvio_msim::{Comm, Work};
 
 /// Online-rebalance sizing policy.
@@ -107,10 +108,11 @@ pub struct UpdateStats {
 /// up to date: [`rebalance`] reads the histogram off the store.
 ///
 /// What is charged: the submitting rank pays [`Work::SerializeGeoms`] for
-/// every record it encodes from its `updates` (one per overlapped cell);
-/// a receiving rank pays the validation scan ([`Work::CopyBytes`]) and
-/// one [`Work::MbrTests`] per record, for an insert's envelope and for a
-/// delete's keyed compare.
+/// every update it encodes — once, whatever the number of cells it
+/// overlaps — and [`Work::CopyBytes`] for the copies of that record to
+/// its further cells; a receiving rank pays the validation scan
+/// ([`Work::CopyBytes`]) and one [`Work::MbrTests`] per record, for an
+/// insert's envelope and for a delete's keyed compare.
 ///
 /// Validation is symmetric: an insert with a non-finite/empty envelope
 /// or one not intersecting the resident bounds (the fixed cell tiling
@@ -137,7 +139,7 @@ pub fn apply_updates(
     let mut deletes = SerializedBatch::empty(p);
     let mut scratch = Vec::new();
     let mut cells: Vec<u32> = Vec::new();
-    let mut routed_bytes = 0u64;
+    let (mut geoms, mut bytes) = (0u64, 0u64);
     'updates: for u in updates {
         let (f, batch) = match u {
             Update::Insert(f) => {
@@ -155,25 +157,29 @@ pub fn apply_updates(
             Update::Delete(f) => (f, &mut deletes),
         };
         sd.cells_for_rect(&f.geometry.envelope(), &mut cells);
+        if cells.is_empty() {
+            continue;
+        }
+        wkb::encode_into_scratch(&f.geometry, &mut scratch);
         for &cell in &cells {
             let dest = sd.cell_to_rank(cell);
-            if let Err(e) = serialize_record(cell, f, &mut scratch, &mut batch.bufs[dest]) {
+            if let Err(e) = emit_record(cell, &scratch, &f.userdata, &mut batch.bufs[dest]) {
                 local_err = Some(e);
                 break 'updates;
             }
             batch.records[dest] += 1;
         }
+        geoms += 1;
+        bytes += (RECORD_OVERHEAD + scratch.len() + f.userdata.len()) as u64;
     }
     comm.charge(Work::MbrTests {
         n: updates.len() as u64,
     });
-    for b in inserts.bufs.iter().chain(deletes.bufs.iter()) {
-        routed_bytes += b.len() as u64;
-    }
-    comm.charge(Work::SerializeGeoms {
-        n: inserts.records.iter().sum::<u64>() + deletes.records.iter().sum::<u64>(),
-        bytes: routed_bytes,
-    });
+    let routed: u64 = (inserts.bufs.iter().chain(&deletes.bufs))
+        .map(|b| b.len() as u64)
+        .sum();
+    comm.charge(Work::SerializeGeoms { n: geoms, bytes });
+    comm.charge(Work::CopyBytes { n: routed - bytes });
 
     let bad_ranks = comm.labeled("rebalance.status", |c| {
         c.allreduce_u64(u64::from(local_err.is_some()), |a, b| a + b)
@@ -414,6 +420,7 @@ pub fn rebalance(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exchange::serialize_record;
     use crate::grid::{CellMap, GridSpec, UniformGrid};
     use mvio_geom::{Geometry, Point, Rect};
     use mvio_msim::{Topology, World, WorldConfig};

@@ -1,20 +1,22 @@
-//! The resident frame store: a rank's replicas kept as the validated
-//! wire records the exchange delivered them as (`docs/FORMAT.md` §5).
+//! The resident frame store: a rank's received records kept as the
+//! validated wire records the exchange delivered (`docs/FORMAT.md` §5).
 //!
-//! [`crate::exchange::FrameStore`] holds what *one* exchange received and
-//! is read once; a resident engine's replica set outlives many exchanges
-//! and changes between them — updates arrive, deletes and migrations take
-//! replicas away. [`ResidentStore`] is that long-lived counterpart. It
-//! keeps the `[u64 cell][u32 len][wkb][u32 len][userdata]` records as
-//! bytes, beside an index table with one entry per replica (cell, record
-//! offset, field lengths, cached envelope), so replica `i` is reached in
-//! O(1) and nothing is decoded into a [`crate::Feature`] to land, to
-//! leave or to be found:
+//! [`ResidentStore`] is the one store of received records: an exchange
+//! lands into it (`ResidentStore::land`: ingest, the snapshot reload,
+//! the join's balance shipments), and a resident engine keeps and
+//! changes it — updates arrive, deletes and migrations take replicas
+//! away. It keeps the `[u64 cell][u32 len][wkb][u32 len][userdata]`
+//! records as bytes, beside an index table with one entry per replica
+//! (cell, record offset, field lengths, cached envelope), so replica `i`
+//! is reached in O(1) and nothing is decoded into a [`crate::Feature`]
+//! to land, to leave or to be found:
 //!
-//! * **validated once** — bytes enter only through [`validate_round`]
-//!   ([`ResidentStore::append_round`]) or from a [`FrameStore`] the
-//!   exchange already validated ([`ResidentStore::from_frames`]); every
-//!   later read walks them infallibly;
+//! * **validated once** — a round enters only through [`validate_round`],
+//!   which also gets each record's envelope ([`envelope_batch`]); every
+//!   later read walks the bytes infallibly. An exchange's buffers become
+//!   pages as they are (`ResidentStore::land`); a round reaching a
+//!   built store is copied into its pages
+//!   ([`ResidentStore::append_round`]: an insert trip, a migration);
 //! * **all or nothing** — a received round that fails validation leaves
 //!   the store exactly as it was;
 //! * **removal leaves a tombstone** — the index entry is marked dead and
@@ -28,10 +30,13 @@
 //!   the exact rule).
 
 use crate::exchange::{
-    record_frames, validate_round, FrameStore, RecordFrame, SerializedBatch, RECORD_OVERHEAD,
+    record_frames, validate_round, ExchangePlan, ExchangeRound, ExchangeStats, RecordFrame,
+    SerializedBatch, RECORD_OVERHEAD,
 };
 use crate::Result;
-use mvio_geom::{wkb, Rect};
+use mvio_geom::refkernel::envelope_batch;
+use mvio_geom::wkb::{self, GeomRef};
+use mvio_geom::Rect;
 use mvio_msim::{Comm, Work};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -41,15 +46,15 @@ use std::ops::Range;
 /// End-of-chain marker in [`Slot::next`].
 const NO_SLOT: usize = usize::MAX;
 
-/// Records are kept in pages of this many bytes (a larger record gets a
-/// page of its own). The store grows by adding a page and shrinks by
+/// Pages the store allocates hold this many bytes (a larger record gets
+/// a page of its own); pages adopted from an exchange keep their size,
+/// which may be more. The store grows by adding a page and shrinks by
 /// dropping one, so it never reallocates — and never holds, however
-/// briefly, two copies of — a buffer the size of the partition; what it
-/// frees is reusable page by page.
+/// briefly, two copies of — a buffer the size of the partition.
 const PAGE_BYTES: usize = 64 * 1024;
 
 /// One entry of the index table.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Slot {
     /// The record's page in [`ResidentStore::pages`] and offset in it.
     page: usize,
@@ -79,7 +84,7 @@ pub struct DeleteOutcome {
     pub missing: u64,
 }
 
-/// A rank's resident replicas as validated wire records plus an index
+/// A rank's received records as validated wire records plus an index
 /// table (see the [module docs](self)).
 ///
 /// Replicas are addressed by slot `0..slots()`. After
@@ -108,23 +113,65 @@ impl ResidentStore {
         ResidentStore::default()
     }
 
-    /// Adopts what an exchange or a snapshot reload received, in
-    /// source-rank order. The frames were validated on arrival and are
-    /// not validated again; nothing is decoded beyond the envelope pass. Charges the byte copy
-    /// ([`Work::CopyBytes`]) and one [`Work::MbrTests`] per record.
-    /// Not collective — the communicator only charges the copy.
-    pub fn from_frames(comm: &mut Comm, frames: &FrameStore) -> Self {
-        let mut store = ResidentStore::new();
-        let records: u64 = frames
-            .buffers()
-            .iter()
-            .map(|buf| store.append_validated(buf))
-            .sum();
-        comm.charge(Work::CopyBytes {
-            n: store.live_bytes(),
-        });
-        comm.charge(Work::MbrTests { n: records });
-        store
+    /// Runs `plan` over `feed` and lands everything the exchange receives
+    /// in a fresh store — the one landing path of ingest, the snapshot
+    /// reload and the join's balance shipments. Each completed round is
+    /// checked by [`validate_round`] and takes its envelope pass
+    /// ([`envelope_batch`], charged one [`Work::MbrTests`] per record) in
+    /// the plan's sink, so both overlap the rounds still in flight; its
+    /// buffers are then parked, moved and never copied. When the plan
+    /// returns, the store adopts the parked buffers whole as its pages in
+    /// (source, round) order: the record order of the single-round
+    /// blocking protocol, whatever the chunk policy. A rank whose round
+    /// fails validation returns the typed error once the exchange has
+    /// completed everywhere.
+    /// Collective: every rank must call it, as [`ExchangePlan::run`].
+    pub(crate) fn land(
+        comm: &mut Comm,
+        plan: &ExchangePlan,
+        feed: &mut dyn FnMut(&mut Comm) -> Result<Option<ExchangeRound>>,
+    ) -> Result<(Self, ExchangeStats)> {
+        let (mut parked, mut slots) = (Vec::new(), Vec::new());
+        let stats = plan.run(comm, feed, &mut |c, bufs| {
+            let records = validate_round(c, &bufs)?;
+            // audit: the round's records are in memory, so their count fits a `usize`.
+            slots.reserve(records as usize);
+            let mut at = slots.len();
+            index_round(&bufs, records, &mut slots);
+            c.charge(Work::MbrTests { n: records });
+            // `index_round` numbered each slot's page with its source.
+            for (src, buf) in bufs.into_iter().enumerate() {
+                let n = slots[at..].iter().take_while(|s| s.page == src).count();
+                parked.push((src, buf, at..at + n));
+                at += n;
+            }
+            Ok(records)
+        })?;
+        // Stable: a source's rounds stay in arrival order. A single round
+        // (the blocking protocol) arrived in this order already.
+        parked.retain(|(_, buf, _)| !buf.is_empty());
+        parked.sort_by_key(|&(src, ..)| src);
+        if parked.windows(2).any(|w| w[0].2.end != w[1].2.start) {
+            slots = (parked.iter())
+                .flat_map(|(_, _, of)| slots[of.clone()].iter().copied())
+                .collect();
+        }
+        let mut store = ResidentStore {
+            live: slots.len(),
+            slots,
+            ..ResidentStore::new()
+        };
+        let mut at = 0;
+        for (_, buf, of) in parked {
+            let page = store.pages.len();
+            store.slots[at..at + of.len()]
+                .iter_mut()
+                .for_each(|s| s.page = page);
+            at += of.len();
+            store.live_bytes += buf.len();
+            store.pages.push(buf);
+        }
+        Ok((store, stats))
     }
 
     /// Live replicas.
@@ -135,12 +182,6 @@ impl ResidentStore {
     /// Whether no replica is live.
     pub fn is_empty(&self) -> bool {
         self.live == 0
-    }
-
-    /// Wire bytes of the live replicas — what shipping the whole
-    /// partition would send.
-    fn live_bytes(&self) -> u64 {
-        self.live_bytes as u64
     }
 
     /// Size of the index table: live slots plus the dead ones the next
@@ -197,8 +238,9 @@ impl ResidentStore {
             .map(|i| self.frame(i))
     }
 
-    /// Lands one completed exchange round as fresh replicas — the receive
-    /// side of an insert trip or a migration. Validate-then-apply:
+    /// Lands one completed exchange round in this store as fresh
+    /// replicas — the receive side of an insert trip or a migration — by
+    /// copying its records into the store's pages. Validate-then-apply:
     /// [`validate_round`] runs over every source's buffer first, and a
     /// round it rejects appends nothing. Returns the new replicas' slot
     /// range. Charges the validation scan ([`Work::CopyBytes`]) plus one
@@ -207,8 +249,19 @@ impl ResidentStore {
     pub fn append_round(&mut self, comm: &mut Comm, bufs: &[Vec<u8>]) -> Result<Range<usize>> {
         let records = validate_round(comm, bufs)?;
         let first = self.slots.len();
-        for buf in bufs {
-            self.append_validated(buf);
+        index_round(bufs, records, &mut self.slots);
+        for i in first..self.slots.len() {
+            let Slot {
+                page: src,
+                at: from,
+                ..
+            } = self.slots[i];
+            let len = self.slots[i].record_len();
+            let (page, at) = self.place(len);
+            self.pages[page].extend_from_slice(&bufs[src][from..from + len]);
+            (self.slots[i].page, self.slots[i].at) = (page, at);
+            self.live += 1;
+            self.live_bytes += len;
         }
         comm.charge(Work::MbrTests { n: records });
         Ok(first..self.slots.len())
@@ -270,10 +323,10 @@ impl ResidentStore {
     /// Squeezes out what removals left behind: dead slots leave the index
     /// table (live replicas keep their relative order and are renumbered
     /// `0..len()`), the live records close up over the dead bytes — in
-    /// place, page by page; emptied pages are freed — and the delete keys
-    /// are dropped, to be rebuilt by the next delete. Returns whether anything was dead; when nothing was,
-    /// this is free. Charges the copy of the live bytes
-    /// ([`Work::CopyBytes`]).
+    /// place, page by page, over pages of any size; emptied pages are
+    /// freed — and the delete keys are dropped, to be rebuilt by the next
+    /// delete. Returns whether anything was dead; when nothing was, this
+    /// is free. Charges the copy of the live bytes ([`Work::CopyBytes`]).
     /// Not collective — the communicator only charges the copy.
     pub fn compact(&mut self, comm: &mut Comm) -> bool {
         if self.live == self.slots.len() {
@@ -282,13 +335,17 @@ impl ResidentStore {
         // Slots are in byte order (records are only ever appended), so
         // every live record moves toward the front: within its page, or
         // onto the end of an earlier page whose own live records have
-        // all moved already.
+        // all moved already. A page too small for the next record is
+        // closed and left behind, empty if nothing moved onto it; the
+        // record's own page always has room.
         self.slots.retain(|s| s.live);
-        let (mut page, mut end) = (0, 0);
+        // `kept`: the pages left behind holding records, which stay.
+        let (mut page, mut end, mut kept) = (0, 0, 0);
         for slot in &mut self.slots {
             let len = slot.record_len();
-            if self.pages[page].capacity() - end < len {
+            while page < slot.page && self.pages[page].capacity() - end < len {
                 self.pages[page].truncate(end);
+                kept += usize::from(end > 0);
                 (page, end) = (page + 1, 0);
             }
             if slot.page == page {
@@ -298,15 +355,12 @@ impl ResidentStore {
                 front[page].truncate(end);
                 front[page].extend_from_slice(&back[0][slot.at..slot.at + len]);
             }
-            (slot.page, slot.at) = (page, end);
+            (slot.page, slot.at) = (kept, end);
             end += len;
         }
-        if self.slots.is_empty() {
-            self.pages.clear();
-        } else {
-            self.pages[page].truncate(end);
-            self.pages.truncate(page + 1);
-        }
+        self.pages.truncate(page + 1);
+        self.pages[page].truncate(end);
+        self.pages.retain(|p| !p.is_empty());
         self.keys.clear();
         self.keyed = 0;
         comm.charge(Work::CopyBytes {
@@ -324,51 +378,6 @@ impl ResidentStore {
         }
         let page = self.pages.len() - 1;
         (page, self.pages[page].len())
-    }
-
-    /// Appends the records of one already-validated buffer; returns how
-    /// many there were.
-    fn append_validated(&mut self, buf: &[u8]) -> u64 {
-        let mut pos = 0;
-        let mut records = 0u64;
-        for frame in record_frames(buf) {
-            let len = frame.wire_len();
-            let (page, at) = self.place(len);
-            self.pages[page].extend_from_slice(&buf[pos..pos + len]);
-            let envelope = view(frame.wkb).envelope();
-            let (wkb_len, userdata_len) = (frame.wkb.len(), frame.userdata.len());
-            self.push_slot(page, at, frame.cell, wkb_len, userdata_len, envelope);
-            pos += len;
-            records += 1;
-        }
-        debug_assert_eq!(pos, buf.len());
-        records
-    }
-
-    /// Adds the index entry of the record already written at `at` of
-    /// page `page`.
-    fn push_slot(
-        &mut self,
-        page: usize,
-        at: usize,
-        cell: u32,
-        wkb_len: usize,
-        userdata_len: usize,
-        envelope: Rect,
-    ) {
-        let slot = Slot {
-            page,
-            at,
-            wkb_len,
-            userdata_len,
-            cell,
-            envelope,
-            next: NO_SLOT,
-            live: true,
-        };
-        self.live += 1;
-        self.live_bytes += slot.record_len();
-        self.slots.push(slot);
     }
 
     fn key(&self, cell: u32, userdata: &str) -> u64 {
@@ -414,6 +423,53 @@ impl ResidentStore {
     }
 }
 
+/// Records the envelope pass hands to one [`envelope_batch`] call, so
+/// its scratch stays small whatever the round's size.
+const ENVELOPE_BATCH: usize = 64;
+
+/// The envelope pass over one validated round of `records` records:
+/// appends one live slot per record to `out`, in (source, record) order,
+/// each on page `src` at its offset in its source's buffer, with its
+/// envelope from [`envelope_batch`] over runs of [`ENVELOPE_BATCH`]
+/// records. Charges nothing.
+fn index_round(bufs: &[Vec<u8>], records: u64, out: &mut Vec<Slot>) {
+    // audit: every record occupies at least `RECORD_OVERHEAD` bytes of a
+    // buffer in memory, so the count fits a `usize`.
+    let batch = ENVELOPE_BATCH.min(records as usize);
+    let mut views: Vec<GeomRef<'_>> = Vec::with_capacity(batch);
+    let mut envelopes = Vec::new();
+    let mut fill = |views: &mut Vec<GeomRef<'_>>, slots: &mut [Slot]| {
+        envelope_batch(views, &mut envelopes);
+        let from = slots.len() - views.len();
+        for (slot, envelope) in slots[from..].iter_mut().zip(&envelopes) {
+            slot.envelope = *envelope;
+        }
+        views.clear();
+    };
+    for (page, buf) in bufs.iter().enumerate() {
+        let mut at = 0;
+        for frame in record_frames(buf) {
+            let slot = Slot {
+                page,
+                at,
+                wkb_len: frame.wkb.len(),
+                userdata_len: frame.userdata.len(),
+                cell: frame.cell,
+                envelope: Rect::EMPTY,
+                next: NO_SLOT,
+                live: true,
+            };
+            at += slot.record_len();
+            out.push(slot);
+            views.push(view(frame.wkb));
+            if views.len() == ENVELOPE_BATCH {
+                fill(&mut views, out);
+            }
+        }
+    }
+    fill(&mut views, out);
+}
+
 /// The borrowed view of a validated record's geometry.
 fn view(wkb: &[u8]) -> wkb::GeomRef<'_> {
     // audit: the store only holds, and is only asked about, validated records.
@@ -429,7 +485,7 @@ fn same_geometry(a: &[u8], b: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exchange::serialize_record;
+    use crate::exchange::{serialize_record, ExchangeChunk};
     use crate::{CoreError, Feature};
     use mvio_geom::{wkt, Geometry, Point};
     use mvio_msim::{Topology, World, WorldConfig};
@@ -476,7 +532,7 @@ mod tests {
             ];
             let mut store = stored(comm, &base);
             assert_eq!(decoded(&store), base);
-            assert_eq!(store.live_bytes() as usize, wire(&base).len());
+            assert_eq!(store.live_bytes, wire(&base).len());
             for (i, (cell, f)) in base.iter().enumerate() {
                 assert_eq!(store.cell(i), *cell);
                 assert_eq!(*store.envelope(i), f.geometry.envelope());
@@ -513,7 +569,7 @@ mod tests {
             assert_eq!(decoded(&store), before);
             assert_eq!((store.len(), store.slots()), (3, 3));
             let held: usize = store.pages.iter().map(Vec::len).sum();
-            assert_eq!(held as u64, store.live_bytes());
+            assert_eq!(held, store.live_bytes);
             // The keys survive the renumbering.
             let road = wire(&[(3, feature("LINESTRING (0 0, 4 4, 8 0)", "road"))]);
             let out = store.delete_round(comm, &[road]).unwrap();
@@ -528,53 +584,103 @@ mod tests {
         Feature::with_userdata(Geometry::LineString(line), userdata)
     }
 
+    /// A store holding `records`, in order, whose first records an
+    /// exchange landed — one round per `(records, spare capacity)` of
+    /// `rounds`, each adopted whole as a page — and whose rest were
+    /// appended in one round after.
+    fn landed(
+        comm: &mut Comm,
+        records: &[(u32, Feature)],
+        rounds: &[(usize, usize)],
+    ) -> ResidentStore {
+        let (mut next, mut pending) = (0, rounds.iter());
+        let mut feed = |_: &mut Comm| -> Result<Option<ExchangeRound>> {
+            Ok(pending.next().map(|&(n, spare)| {
+                let bytes = wire(&records[next..next + n]);
+                next += n;
+                let mut buf = Vec::with_capacity(bytes.len() + spare);
+                buf.extend_from_slice(&bytes);
+                let batch = SerializedBatch {
+                    bufs: vec![buf],
+                    records: vec![n as u64],
+                };
+                let more = pending.len() > 0;
+                ExchangeRound { batch, more }
+            }))
+        };
+        let plan = ExchangePlan::new(comm, ExchangeChunk::Unlimited);
+        let (mut store, _) = ResidentStore::land(comm, &plan, &mut feed).unwrap();
+        assert_eq!(store.pages.len(), rounds.len(), "one page per round");
+        store.append_round(comm, &[wire(&records[next..])]).unwrap();
+        store
+    }
+
     #[test]
     fn compaction_closes_up_across_pages() {
         on_one_rank(|comm| {
-            // 16 KB records, four to a page, and one of 80 KB that gets a
-            // page of its own in the middle.
+            // 16 KB records, and one of 80 KB, which gets a page of its
+            // own when it is appended.
             let mut base: Vec<(u32, Feature)> = (0..24)
                 .map(|i| (i % 5, polyline(1000, i as f64, &format!("l{i:02}"))))
                 .collect();
             base.insert(9, (2, polyline(5000, 0.5, "oversized")));
-            let mut store = stored(comm, &base);
-            assert_eq!(decoded(&store), base);
-            let pages = store.pages.len();
-            assert!(pages >= 7, "{pages} pages");
+            // Appended: four records to a 64 KB page, the oversized one
+            // alone in the middle.
+            let appended = stored(comm, &base);
+            assert!(appended.pages.len() >= 7, "{} pages", appended.pages.len());
+            // Adopted: the first 13 records landed as five pages of the
+            // sizes the exchange delivered, two of them above 64 KB, and
+            // two too small for the oversized record, which must close up
+            // past them.
+            let rounds = [(1, 0), (5, 0), (2, 7), (1, 3), (4, 50_000)];
+            let adopted = landed(comm, &base, &rounds);
+            assert!(adopted.pages[1].capacity() > PAGE_BYTES);
+            assert!(adopted.pages[4].capacity() > PAGE_BYTES);
 
-            // Rounds of deletes, each followed by a compaction: every
-            // third record, then the oversized one and every second of
-            // what is left, then all but one.
-            let mut live = base.clone();
-            for round in 0..3 {
-                let doomed: Vec<(u32, Feature)> = live
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, (_, f))| match round {
-                        0 => i % 3 == 0 && f.userdata != "oversized",
-                        1 => i % 2 == 0 || f.userdata == "oversized",
-                        _ => *i > 0,
-                    })
-                    .map(|(_, r)| r.clone())
-                    .collect();
-                live.retain(|r| !doomed.contains(r));
-                let out = store.delete_round(comm, &[wire(&doomed)]).unwrap();
-                assert_eq!((out.records, out.missing), (doomed.len() as u64, 0));
-                assert_eq!(decoded(&store), live, "round {round}, before compaction");
-                assert!(store.compact(comm));
-                assert_eq!(decoded(&store), live, "round {round}");
-                assert_eq!((store.len(), store.slots()), (live.len(), live.len()));
-                let held: usize = store.pages.iter().map(Vec::len).sum();
-                assert_eq!(held as u64, store.live_bytes());
+            for (what, mut store) in [("appended", appended), ("adopted", adopted)] {
+                assert_eq!(decoded(&store), base, "{what}");
+                let capacities: Vec<usize> = store.pages.iter().map(Vec::capacity).collect();
+                // Rounds of deletes, each followed by a compaction: every
+                // third record, then the oversized one and every second
+                // of what is left, then all but one.
+                let mut live = base.clone();
+                for round in 0..3 {
+                    let doomed: Vec<(u32, Feature)> = live
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, (_, f))| match round {
+                            0 => i % 3 == 0 && f.userdata != "oversized",
+                            1 => i % 2 == 0 || f.userdata == "oversized",
+                            _ => *i > 0,
+                        })
+                        .map(|(_, r)| r.clone())
+                        .collect();
+                    live.retain(|r| !doomed.contains(r));
+                    let out = store.delete_round(comm, &[wire(&doomed)]).unwrap();
+                    assert_eq!((out.records, out.missing), (doomed.len() as u64, 0));
+                    let before = format!("{what}, round {round}, before compaction");
+                    assert_eq!(decoded(&store), live, "{before}");
+                    assert!(store.compact(comm));
+                    assert_eq!(decoded(&store), live, "{what}, round {round}");
+                    assert_eq!((store.len(), store.slots()), (live.len(), live.len()));
+                    let held: usize = store.pages.iter().map(Vec::len).sum();
+                    assert_eq!(held, store.live_bytes, "{what}, round {round}");
+                    assert!(store.pages.iter().all(|p| !p.is_empty()), "{what}");
+                    let kept = |p: &Vec<u8>| capacities.contains(&p.capacity());
+                    assert!(store.pages.iter().all(kept), "{what}: a page grew");
+                }
+                assert_eq!(store.pages.len(), 1, "{what}: emptied pages are freed");
+
+                // Appends after a compaction go on filling the last page
+                // while it has room.
+                let more = [(1, polyline(1000, 9.0, "late"))];
+                let page = &store.pages[0];
+                let fits = page.capacity() - page.len() >= wire(&more).len();
+                store.append_round(comm, &[wire(&more)]).unwrap();
+                live.extend(more);
+                assert_eq!(decoded(&store), live, "{what}");
+                assert_eq!(store.pages.len(), if fits { 1 } else { 2 }, "{what}");
             }
-            assert_eq!(store.pages.len(), 1, "emptied pages are freed");
-
-            // Appends after a compaction go on filling the last page.
-            let more = [(1, polyline(1000, 9.0, "late"))];
-            store.append_round(comm, &[wire(&more)]).unwrap();
-            live.extend(more);
-            assert_eq!(decoded(&store), live);
-            assert_eq!(store.pages.len(), 1);
         });
     }
 

@@ -68,10 +68,11 @@
 
 use crate::decomp::{DecompPolicy, Decomposition, SpatialDecomposition};
 use crate::exchange::{
-    exchange_serialized, record_len_at, serialize_frame, ExchangeChunk, ExchangeStats, FrameStore,
-    RecordFrame, SerializedBatch,
+    exchange_serialized, record_len_at, serialize_frame, ExchangeChunk, ExchangeStats, RecordFrame,
+    SerializedBatch,
 };
 use crate::grid::{GridSpec, UniformGrid};
+use crate::resident::ResidentStore;
 use crate::{CoreError, Result};
 use mvio_geom::Rect;
 use mvio_msim::hints::ROMIO_MAX_IO_BYTES;
@@ -424,8 +425,8 @@ pub fn read_meta_timed(comm: &mut Comm, fs: &Arc<SimFs>, path: &str) -> Result<S
 
 /// Collectively persists each rank's owned records as a binary snapshot
 /// at `path`, creating the file. `frames` are validated wire records —
-/// a [`FrameStore`], a [`crate::resident::ResidentStore::frames`], or a
-/// buffer [`crate::exchange::validate_frames`] accepted — and are copied
+/// a [`ResidentStore::frames`], or a buffer
+/// [`crate::exchange::validate_frames`] accepted — and are copied
 /// into the section as they are ([`serialize_frame`], charged
 /// [`Work::CopyBytes`]); nothing is re-encoded. The records of rank `r`
 /// become section `r`, in input order, so a later [`read_partitioned`]
@@ -626,7 +627,7 @@ fn covering_range(slice: &[SectionEntry]) -> (u64, u64) {
 /// written under (same grid resolution and bounds), reads the payload
 /// with the two-phase collective read (`snapshot.read.payload`), and
 /// routes it through the `snapshot.read.route` exchange. The routed
-/// records arrive as a [`FrameStore`] of validated wire buffers. With
+/// records land in a [`ResidentStore`] as validated wire records. With
 /// the writer's world size and decomposition the result is
 /// **bit-identical** to what was written — same records, same order,
 /// zero bytes exchanged; any other rank count re-routes through the
@@ -639,7 +640,7 @@ pub fn read_partitioned(
     meta: &SnapshotMeta,
     decomp: &Decomposition,
     opts: &SnapshotReadOptions,
-) -> Result<(FrameStore, SnapshotReadReport)> {
+) -> Result<(ResidentStore, SnapshotReadReport)> {
     let p = comm.size();
     debug_assert_eq!(
         decomp.num_ranks(),

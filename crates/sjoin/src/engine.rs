@@ -471,22 +471,20 @@ pub struct QueryEngine {
 
 impl QueryEngine {
     /// Builds the engine from an ingest run's output: its decomposition,
-    /// and the frames its exchange received, adopted as they are, then
-    /// balanced ([`QueryEngine::from_store`] over
-    /// [`ResidentStore::from_frames`]).
+    /// and the store its exchange landed, adopted as it is, then balanced
+    /// ([`QueryEngine::from_store`]).
     /// Collective: every rank must call it.
     pub fn from_ingest(comm: &mut Comm, out: IngestOutput, opts: &EngineOptions) -> Self {
-        let store = ResidentStore::from_frames(comm, &out.owned);
-        Self::from_store(comm, out.decomp, store, opts)
+        Self::from_store(comm, out.decomp, out.owned, opts)
     }
 
     /// Builds the engine over replicas that already are validated wire
-    /// records — what an exchange or a snapshot reload delivered
-    /// ([`ResidentStore::from_frames`]) — and evens out the resident load
-    /// once before the first batch: [`rebalance::rebalance`] at threshold
-    /// 1.0, so `sd` is re-bisected on the per-cell histogram of the landed
-    /// replicas, and if that predicts a lower max/mean the cells whose
-    /// owner changed migrate over `opts.chunk`'s exchange. A serve call
+    /// records — what an exchange or a snapshot reload landed — and
+    /// evens out the resident load once before the first batch:
+    /// [`rebalance::rebalance`] at threshold 1.0, so `sd` is re-bisected
+    /// on the per-cell histogram of the landed replicas, and if that
+    /// predicts a lower max/mean the cells whose owner changed migrate
+    /// over `opts.chunk`'s exchange. A serve call
     /// waits for the rank holding the most replicas, so a partition
     /// skewed by its data (clustered layers under a round-robin map) would
     /// slow every batch. A grid past
@@ -539,8 +537,7 @@ impl QueryEngine {
     ) -> Result<Self> {
         let meta = snapshot::read_meta_timed(comm, fs, path)?;
         let sd = meta.decomposition(policy, comm.size())?;
-        let (frames, _) = snapshot::read_partitioned(comm, fs, path, &meta, &sd, read)?;
-        let store = ResidentStore::from_frames(comm, &frames);
+        let (store, _) = snapshot::read_partitioned(comm, fs, path, &meta, &sd, read)?;
         Ok(Self::from_store(comm, sd, store, opts))
     }
 
@@ -1970,10 +1967,10 @@ mod tests {
         let cfg = DecompConfig::uniform(GridSpec::square(side));
         let (read, pipe) = (ReadOptions::default(), PipelineOptions::default());
         let (paths, chunk) = (["data.wkt"], ExchangeChunk::Unlimited);
-        let ingested =
+        let mut ingested =
             ingest_layers(comm, fs, &paths, &read, &WktLineParser, &cfg, &pipe, chunk).unwrap();
         timer.end_partition(ingested.partition_end);
-        let store = ResidentStore::from_frames(comm, &ingested.layers[0].owned);
+        let store = ingested.layers.swap_remove(0).owned;
         timer.end_communication(comm);
         let eng = QueryEngine::from_store(comm, ingested.decomp, store, &EngineOptions::default());
         timer.end_compute(comm);

@@ -3,17 +3,18 @@
 use crate::breakdown::{PhaseBreakdown, PhaseTimer};
 use mvio_core::decomp::{DecompConfig, DecompPolicy, Decomposition, SpatialDecomposition};
 use mvio_core::exchange::{
-    exchange_serialized, serialize_frame, ExchangeChunk, FrameStore, RecordFrame, SerializedBatch,
+    exchange_serialized, serialize_frame, ExchangeChunk, RecordFrame, SerializedBatch,
 };
 use mvio_core::framework::claims_reference;
 use mvio_core::grid::{CellMap, GridSpec};
 use mvio_core::partition::ReadOptions;
 use mvio_core::pipeline::{ingest_layers, PipelineOptions};
 use mvio_core::reader::WktLineParser;
+use mvio_core::resident::ResidentStore;
 use mvio_core::snapshot::{self, SnapshotReadOptions};
 use mvio_core::{CoreError, Result};
 use mvio_geom::index::RTree;
-use mvio_geom::refkernel::{envelope_batch, filter_pairs_batch, ApproxTable};
+use mvio_geom::refkernel::{filter_pairs_batch, ApproxTable};
 use mvio_geom::wkb::GeomRef;
 use mvio_geom::{algo, Rect};
 use mvio_msim::{Comm, CostModel, Work};
@@ -304,10 +305,12 @@ struct Side<'a> {
 }
 
 impl<'a> Side<'a> {
-    /// Takes the store's frames in source order — the exchange's record
-    /// order — and decodes each frame's borrowed view once.
-    fn new(store: &'a FrameStore) -> Result<Self> {
-        let frames: Vec<_> = store.frames().collect();
+    /// Takes the store's frames and the envelopes its landing cached, in
+    /// source order — the exchange's record order — and decodes each
+    /// frame's borrowed view once.
+    fn new(store: &'a ResidentStore) -> Result<Self> {
+        let mut frames = Vec::with_capacity(store.len());
+        frames.extend(store.frames());
         // Survivor lists index frames with u32.
         if u32::try_from(frames.len()).is_err() {
             return Err(CoreError::Partition(format!(
@@ -316,12 +319,12 @@ impl<'a> Side<'a> {
             )));
         }
         fn view(wkb: &[u8]) -> GeomRef<'_> {
-            // audit: FrameStore only holds buffers the exchange validated.
+            // audit: the store only holds records the exchange validated.
             mvio_geom::wkb::decode_ref(wkb).expect("validated frame").0
         }
         let refs: Vec<GeomRef<'a>> = frames.iter().map(|fr| view(fr.wkb)).collect();
-        let mut mbrs = Vec::new();
-        envelope_batch(&refs, &mut mbrs);
+        let mut mbrs = Vec::with_capacity(store.len());
+        mbrs.extend(store.replicas().map(|(_, mbr)| *mbr));
         Ok(Side { frames, refs, mbrs })
     }
 
@@ -584,8 +587,8 @@ fn cut_shipments(
 fn run_refine_frames(
     comm: &mut Comm,
     sd: &Decomposition,
-    left_store: &FrameStore,
-    right_store: &FrameStore,
+    left_store: &ResidentStore,
+    right_store: &ResidentStore,
     chunk: ExchangeChunk,
 ) -> Result<JoinReport> {
     let rank = comm.rank();

@@ -14,7 +14,7 @@
 //! cargo run --release --example pipeline
 //! ```
 
-use mpi_vector_io::core::FrameStore;
+use mpi_vector_io::core::ResidentStore;
 use mpi_vector_io::prelude::*;
 use std::sync::Arc;
 
@@ -53,7 +53,7 @@ fn dataset(ranks: usize) -> Arc<SimFs> {
 fn main() {
     let topo = Topology::new(2, 2);
     let read = ReadOptions::default().with_block_size(64 << 10);
-    let mut baseline: Option<Vec<FrameStore>> = None;
+    let mut baseline: Option<Vec<ResidentStore>> = None;
     let mut t1 = 0.0f64;
 
     println!("ingest of 4000 features on a 2x2 job, worker sweep:\n");
@@ -79,7 +79,7 @@ fn main() {
         });
         let stats = out[0].1;
         let time = out.iter().map(|(_, _, t)| *t).fold(0.0, f64::max);
-        let owned: Vec<FrameStore> = out.into_iter().map(|(o, _, _)| o).collect();
+        let owned: Vec<ResidentStore> = out.into_iter().map(|(o, _, _)| o).collect();
         if workers == 1 {
             t1 = time;
         }

@@ -4,13 +4,14 @@
 //! max/mean. These tests check that a skewed layer comes out more even
 //! than the decomposition it was landed under and still answers like a
 //! full scan, that a layer already even is left exactly as it landed,
-//! and that a snapshot reload takes the same path.
+//! with no byte copied, and that a snapshot reload takes the same path.
 
 mod common;
 
 use common::{canon, lcg, mk_features, mk_queries, oracle, WORLD};
 use mpi_vector_io::core::decomp::imbalance_ratio;
 use mpi_vector_io::core::exchange::RecordFrame;
+use mpi_vector_io::msim::Slot;
 use mpi_vector_io::prelude::*;
 use std::sync::Arc;
 
@@ -122,10 +123,10 @@ fn records<'a>(frames: impl Iterator<Item = RecordFrame<'a>>) -> Vec<(u32, Vec<u
         .collect()
 }
 
-#[test]
-fn a_layer_the_rebisection_cannot_improve_builds_unchanged() {
-    // An 8 × 8 lattice over [0, 7]² puts four points in every cell of a
-    // 4 × 4 grid, so the round-robin map is already exact: max/mean 1.
+/// An 8 × 8 lattice over [0, 7]² as `layer.wkt`: four points in every
+/// cell of a 4 × 4 grid, so the round-robin map is already exact
+/// (max/mean 1) and the build migrates nothing.
+fn lattice_fs() -> Arc<SimFs> {
     let mut text = String::new();
     for y in 0..8 {
         for x in 0..8 {
@@ -136,6 +137,12 @@ fn a_layer_the_rebisection_cannot_improve_builds_unchanged() {
     fs.create("layer.wkt", None)
         .unwrap()
         .append(text.as_bytes());
+    fs
+}
+
+#[test]
+fn a_layer_the_rebisection_cannot_improve_builds_unchanged() {
+    let fs = lattice_fs();
     let out = World::run(WorldConfig::new(Topology::single_node(4)), |comm| {
         let ing = ingest(comm, &fs, 4);
         let landed = ing.decomp.clone();
@@ -149,6 +156,28 @@ fn a_layer_the_rebisection_cannot_improve_builds_unchanged() {
         assert!(owners_kept, "rank {rank}: a cell changed owner");
         assert!(same_records, "rank {rank}: the resident records moved");
         assert_eq!(n, 16, "rank {rank}: four cells of four points each");
+    }
+}
+
+#[test]
+fn the_engine_build_adopts_the_landed_store_without_a_copy() {
+    // The exchange landed the records with their envelopes; a build that
+    // migrates nothing copies no byte and derives no envelope again.
+    let fs = lattice_fs();
+    let out = World::run(WorldConfig::new(Topology::single_node(4)), |comm| {
+        let ing = ingest(comm, &fs, 4);
+        let landed = ing.decomp.clone();
+        let before = comm.ledger();
+        let eng = QueryEngine::from_ingest(comm, ing, &EngineOptions::default());
+        let build = comm.ledger().since(&before);
+        let owners_kept = (0..landed.num_cells())
+            .all(|c| eng.decomposition().cell_to_rank(c) == landed.cell_to_rank(c));
+        (owners_kept, build[Slot::CopyBytes], build[Slot::MbrTests])
+    });
+    for (rank, (owners_kept, copy, mbr)) in out.into_iter().enumerate() {
+        assert!(owners_kept, "rank {rank}: the build migrated");
+        assert_eq!(copy, 0.0, "rank {rank}: the build copied bytes");
+        assert_eq!(mbr, 0.0, "rank {rank}: the build re-derived envelopes");
     }
 }
 

@@ -6,16 +6,17 @@ mod common;
 
 use common::{fs_with, materialize, mk_decomp, mk_policy};
 use mpi_vector_io::core::exchange::{
-    exchange_serialized, serialize_record, ExchangeChunk, ExchangeStats, FrameStore, RecordFrame,
+    exchange_serialized, serialize_record, ExchangeChunk, ExchangeStats, RecordFrame,
     SerializedBatch,
 };
 use mpi_vector_io::core::pipeline::ingest_layers;
+use mpi_vector_io::core::ResidentStore;
 use mpi_vector_io::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
 
 /// Every rank's received frames, compared byte for byte.
-fn frames(per_rank: &[FrameStore]) -> Vec<Vec<RecordFrame<'_>>> {
+fn frames(per_rank: &[ResidentStore]) -> Vec<Vec<RecordFrame<'_>>> {
     per_rank
         .iter()
         .map(|store| store.frames().collect())
@@ -42,7 +43,7 @@ fn exchange_items(
     decomp: &Decomposition,
     items: &[(u32, String)],
     chunk: ExchangeChunk,
-) -> (FrameStore, ExchangeStats) {
+) -> (ResidentStore, ExchangeStats) {
     let mut batch = SerializedBatch::empty(comm.size());
     for (cell, tag) in items {
         let centre = Geometry::Point(decomp.cell_rect(*cell).center());
