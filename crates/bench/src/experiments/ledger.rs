@@ -66,9 +66,9 @@ fn render(
          queries per rank in calls of 128, cache off, over 600 clustered \
          features): each rank's virtual milliseconds from the first serve \
          call to the last, split by what moved its clock (`mvio_msim::Ledger`). \
-         The time base is the simulator's clock at this scale, not the \
-         ×1000 full-scale seconds of `BENCH_serve.json`. The slots of every \
-         rank sum to its clock, so each column's total is that rank's \
+         The time base is the simulator's clock at this scale, the one \
+         `BENCH_serve.json` reports too. The slots of every rank sum to \
+         its clock, so each column's total is that rank's \
          (or the mean rank's) time. The busiest rank is the one with the \
          most seconds outside the three waits: the rank the others wait \
          for at each call's collectives.\n\n",
@@ -81,9 +81,9 @@ fn render(
          deleted again 2 steps later, with a rebalance check at threshold 1.5 \
          after every step): each rank's virtual milliseconds from the first \
          update batch to the last check, split as above. The time base is \
-         again the simulator's clock, not the ×1000 full-scale seconds of \
-         `BENCH_rebalance.json`. The histogram allreduce, the re-bisection \
-         and the migration are inside the stream.\n\n",
+         again the simulator's clock, as in `BENCH_rebalance.json`. The \
+         histogram allreduce, the re-bisection and the migration are \
+         inside the stream.\n\n",
     );
     md.push_str(&table(rebalance));
     md

@@ -141,11 +141,6 @@ pub fn cost_scaled(scale: Scale) -> mvio_msim::CostModel {
     c
 }
 
-/// Converts a scaled virtual time back to full-scale equivalent seconds.
-pub fn full_seconds(scale: Scale, scaled_time: f64) -> f64 {
-    scaled_time * scale.denominator as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -27,7 +27,7 @@
 //! (the whole partition each time). The trajectory is written to
 //! `BENCH_rebalance.json`.
 
-use super::{cost_scaled, full_seconds, Scale};
+use super::{cost_scaled, Scale};
 use crate::report::{write_trajectory, Cell::*, Table};
 use mvio_core::decomp::{imbalance_ratio, DecompPolicy, Decomposition, SpatialDecomposition};
 use mvio_core::exchange::{serialize_record, ExchangeChunk};
@@ -83,8 +83,8 @@ pub struct Row {
     pub reshuffle_bytes: u64,
     /// `migrated_bytes / reshuffle_bytes` (0 when nothing triggered).
     pub migrated_fraction: f64,
-    /// Max-over-ranks virtual seconds for the whole update stream
-    /// (full-scale equivalent).
+    /// Max-over-ranks virtual seconds for the whole update stream (the
+    /// simulator's clock at this scale).
     pub update_s: f64,
 }
 
@@ -287,7 +287,7 @@ fn measure_one(
         } else {
             0.0
         },
-        update_s: full_seconds(scale, out.iter().map(|r| r.0).fold(0.0, f64::max)),
+        update_s: out.iter().map(|r| r.0).fold(0.0, f64::max),
     };
     (row, out.iter().map(|r| r.2).collect())
 }
@@ -347,7 +347,7 @@ pub fn run(scale: Scale, quick: bool) -> String {
             } else {
                 "-".to_string()
             },
-            format!("{:.4}", r.update_s),
+            format!("{:.7}", r.update_s),
         ]);
     }
     t.note(
@@ -367,7 +367,7 @@ pub fn run(scale: Scale, quick: bool) -> String {
             ("migrated_bytes", Int(r.migrated_bytes)),
             ("reshuffle_bytes", Int(r.reshuffle_bytes)),
             ("migrated_fraction", Float(r.migrated_fraction, 4)),
-            ("update_s", Float(r.update_s, 6)),
+            ("update_s", Float(r.update_s, 9)),
         ]
     });
     t.render()

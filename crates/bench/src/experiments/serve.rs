@@ -15,7 +15,7 @@
 //! virtual seconds (max over ranks per serve call); the trajectory is
 //! written to `BENCH_serve.json` so future PRs can track it.
 
-use super::{cost_scaled, full_seconds, gpfs_scaled, Scale};
+use super::{cost_scaled, gpfs_scaled, Scale};
 use crate::report::{write_trajectory, Cell::*, Table};
 use mvio_core::decomp::{DecompConfig, SpatialDecomposition};
 use mvio_core::exchange::ExchangeChunk;
@@ -50,13 +50,12 @@ pub struct Row {
     pub queries: u64,
     /// Queries per serve call.
     pub batch: usize,
-    /// Max-over-ranks virtual seconds for the whole query stream
-    /// (full-scale equivalent).
+    /// Max-over-ranks virtual seconds for the whole query stream (the
+    /// simulator's clock at this scale).
     pub serve_s: f64,
     /// Global throughput: `ranks * queries / serve_s`.
     pub qps: f64,
-    /// 99th-percentile per-query virtual latency in full-scale
-    /// milliseconds (a query's latency is its serve call's
+    /// 99th-percentile per-query virtual latency in milliseconds (a query's latency is its serve call's
     /// max-over-ranks duration — batch completion, not first answer).
     pub p99_ms: f64,
     /// Fraction of queries answered from the LRU cache.
@@ -203,14 +202,14 @@ pub(crate) fn measure_one(
     let mut per_query_ms = Vec::with_capacity(queries);
     for call in 0..calls {
         let worst = out.iter().map(|r| r.1[call]).fold(0.0, f64::max);
-        let ms = full_seconds(scale, worst) * 1e3;
+        let ms = worst * 1e3;
         let in_call = batch.min(queries - call * batch);
         per_query_ms.resize(per_query_ms.len() + in_call, ms);
     }
     per_query_ms.sort_by(f64::total_cmp);
     let p99_idx =
         ((per_query_ms.len() as f64 * 0.99).ceil() as usize).clamp(1, per_query_ms.len()) - 1;
-    let serve_s = full_seconds(scale, out.iter().map(|r| r.0).fold(0.0, f64::max));
+    let serve_s = out.iter().map(|r| r.0).fold(0.0, f64::max);
     let total_q = (queries * ranks) as f64;
     let hits: u64 = out.iter().map(|r| r.2).sum();
     let row = Row {
@@ -313,9 +312,9 @@ pub fn run(scale: Scale, quick: bool) -> String {
             r.mode.to_string(),
             r.queries.to_string(),
             r.batch.to_string(),
-            format!("{:.4}", r.serve_s),
+            format!("{:.7}", r.serve_s),
             format!("{:.0}", r.qps),
-            format!("{:.4}", r.p99_ms),
+            format!("{:.7}", r.p99_ms),
             format!("{:.0}%", r.cache_hit_rate * 100.0),
             format!("{:.2}x", r.speedup),
         ]);
@@ -331,9 +330,9 @@ pub fn run(scale: Scale, quick: bool) -> String {
             ("ranks", Int(r.ranks as u64)),
             ("queries_per_rank", Int(r.queries)),
             ("batch", Int(r.batch as u64)),
-            ("serve_s", Float(r.serve_s, 6)),
+            ("serve_s", Float(r.serve_s, 9)),
             ("qps", Float(r.qps, 2)),
-            ("p99_ms", Float(r.p99_ms, 4)),
+            ("p99_ms", Float(r.p99_ms, 7)),
             ("cache_hit_rate", Float(r.cache_hit_rate, 4)),
             ("speedup", Float(r.speedup, 4)),
         ]

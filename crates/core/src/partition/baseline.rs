@@ -70,12 +70,13 @@ pub fn read_redundant(
     let file = MpiFile::open(fs, path, opts.hints)?;
     let len = file.len() as usize;
     let mut buf = vec![0u8; len];
-    // Every rank reads the same chunks, so each chunk's reads are timed
+    // Every rank reads the same chunks, so each chunk's reads are posted
     // together.
     let mut off = 0usize;
     while off < len {
         let take = (len - off).min(1 << 30);
-        file.read_at_together(comm, off as u64, &mut buf[off..off + take])?;
+        let (_, landing) = file.iread_at_together(comm, off as u64, &mut buf[off..off + take])?;
+        landing.wait(comm);
         off += take;
     }
     let shares = split_on_records(&buf, comm.size());

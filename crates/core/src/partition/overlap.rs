@@ -15,8 +15,8 @@ use mvio_msim::{AccessLevel, Comm, MpiFile, Work};
 /// per iteration, which is exactly why the paper found this strategy
 /// slower ("the overhead of reading 11 MB halo region by each process is
 /// greater than exchanging missing co-ordinates"). At Level 0 each
-/// iteration's independent reads are timed together
-/// ([`MpiFile::read_at_together`]).
+/// iteration's independent reads are posted together
+/// ([`MpiFile::iread_at_together`]) and waited on.
 /// Collective: every rank must call it with the same options.
 pub fn read_overlap(comm: &mut Comm, file: &MpiFile, opts: &ReadOptions) -> Result<String> {
     let n = comm.size() as u64;
@@ -60,10 +60,14 @@ pub fn read_overlap(comm: &mut Comm, file: &MpiFile, opts: &ReadOptions) -> Resu
 
         let mut buf = vec![0u8; read_len as usize];
         // Every rank calls the read, an idle one with an empty buffer:
-        // Level 1 is collective, and Level 0 times each iteration's
+        // Level 1 is collective, and Level 0 posts each iteration's
         // independent reads together.
         let got = match opts.level {
-            AccessLevel::Level0 => file.read_at_together(comm, read_off, &mut buf)?,
+            AccessLevel::Level0 => {
+                let (got, landing) = file.iread_at_together(comm, read_off, &mut buf)?;
+                landing.wait(comm);
+                got
+            }
             AccessLevel::Level1 => file.read_at_all(comm, read_off, &mut buf)?,
             AccessLevel::Level3 => {
                 return Err(CoreError::Partition(

@@ -12,11 +12,12 @@
 //! to land, to leave or to be found:
 //!
 //! * **validated once** — a round enters only through [`validate_round`],
-//!   which also gets each record's envelope ([`envelope_batch`]); every
-//!   later read walks the bytes infallibly. An exchange's buffers become
-//!   pages as they are (`ResidentStore::land`); a round reaching a
-//!   built store is copied into its pages
-//!   ([`ResidentStore::append_round`]: an insert trip, a migration);
+//!   and each record's envelope is taken from its decoded view as its
+//!   index entry is made; every later read walks the bytes infallibly.
+//!   An exchange's buffers become pages as they are
+//!   (`ResidentStore::land`); a round reaching a built store is copied
+//!   into its pages ([`ResidentStore::append_round`]: an insert trip, a
+//!   migration);
 //! * **all or nothing** — a received round that fails validation leaves
 //!   the store exactly as it was;
 //! * **removal leaves a tombstone** — the index entry is marked dead and
@@ -34,8 +35,7 @@ use crate::exchange::{
     SerializedBatch, RECORD_OVERHEAD,
 };
 use crate::Result;
-use mvio_geom::refkernel::envelope_batch;
-use mvio_geom::wkb::{self, GeomRef};
+use mvio_geom::wkb;
 use mvio_geom::Rect;
 use mvio_msim::{Comm, Work};
 use std::collections::hash_map::RandomState;
@@ -116,9 +116,10 @@ impl ResidentStore {
     /// Runs `plan` over `feed` and lands everything the exchange receives
     /// in a fresh store — the one landing path of ingest, the snapshot
     /// reload and the join's balance shipments. Each completed round is
-    /// checked by [`validate_round`] and takes its envelope pass
-    /// ([`envelope_batch`], charged one [`Work::MbrTests`] per record) in
-    /// the plan's sink, so both overlap the rounds still in flight; its
+    /// checked by [`validate_round`] and takes its envelope pass (each
+    /// record's envelope from its decoded view, charged one
+    /// [`Work::MbrTests`] per record) in the plan's sink, so both overlap
+    /// the rounds still in flight; its
     /// buffers are then parked, moved and never copied. When the plan
     /// returns, the store adopts the parked buffers whole as its pages in
     /// (source, round) order: the record order of the single-round
@@ -137,7 +138,7 @@ impl ResidentStore {
             // audit: the round's records are in memory, so their count fits a `usize`.
             slots.reserve(records as usize);
             let mut at = slots.len();
-            index_round(&bufs, records, &mut slots);
+            index_round(&bufs, &mut slots);
             c.charge(Work::MbrTests { n: records });
             // `index_round` numbered each slot's page with its source.
             for (src, buf) in bufs.into_iter().enumerate() {
@@ -249,7 +250,7 @@ impl ResidentStore {
     pub fn append_round(&mut self, comm: &mut Comm, bufs: &[Vec<u8>]) -> Result<Range<usize>> {
         let records = validate_round(comm, bufs)?;
         let first = self.slots.len();
-        index_round(bufs, records, &mut self.slots);
+        index_round(bufs, &mut self.slots);
         for i in first..self.slots.len() {
             let Slot {
                 page: src,
@@ -423,29 +424,11 @@ impl ResidentStore {
     }
 }
 
-/// Records the envelope pass hands to one [`envelope_batch`] call, so
-/// its scratch stays small whatever the round's size.
-const ENVELOPE_BATCH: usize = 64;
-
-/// The envelope pass over one validated round of `records` records:
-/// appends one live slot per record to `out`, in (source, record) order,
-/// each on page `src` at its offset in its source's buffer, with its
-/// envelope from [`envelope_batch`] over runs of [`ENVELOPE_BATCH`]
-/// records. Charges nothing.
-fn index_round(bufs: &[Vec<u8>], records: u64, out: &mut Vec<Slot>) {
-    // audit: every record occupies at least `RECORD_OVERHEAD` bytes of a
-    // buffer in memory, so the count fits a `usize`.
-    let batch = ENVELOPE_BATCH.min(records as usize);
-    let mut views: Vec<GeomRef<'_>> = Vec::with_capacity(batch);
-    let mut envelopes = Vec::new();
-    let mut fill = |views: &mut Vec<GeomRef<'_>>, slots: &mut [Slot]| {
-        envelope_batch(views, &mut envelopes);
-        let from = slots.len() - views.len();
-        for (slot, envelope) in slots[from..].iter_mut().zip(&envelopes) {
-            slot.envelope = *envelope;
-        }
-        views.clear();
-    };
+/// The envelope pass over one validated round: appends one live slot per
+/// record to `out`, in (source, record) order, each on page `src` at its
+/// offset in its source's buffer, with the envelope of its decoded view.
+/// Charges nothing.
+fn index_round(bufs: &[Vec<u8>], out: &mut Vec<Slot>) {
     for (page, buf) in bufs.iter().enumerate() {
         let mut at = 0;
         for frame in record_frames(buf) {
@@ -455,19 +438,14 @@ fn index_round(bufs: &[Vec<u8>], records: u64, out: &mut Vec<Slot>) {
                 wkb_len: frame.wkb.len(),
                 userdata_len: frame.userdata.len(),
                 cell: frame.cell,
-                envelope: Rect::EMPTY,
+                envelope: view(frame.wkb).envelope(),
                 next: NO_SLOT,
                 live: true,
             };
             at += slot.record_len();
             out.push(slot);
-            views.push(view(frame.wkb));
-            if views.len() == ENVELOPE_BATCH {
-                fill(&mut views, out);
-            }
         }
     }
-    fill(&mut views, out);
 }
 
 /// The borrowed view of a validated record's geometry.

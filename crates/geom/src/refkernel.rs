@@ -10,9 +10,7 @@
 //! * [`coords_envelope`] — min/max over a flat coordinate slice with four
 //!   independent accumulator lanes, so the compiler can keep the loop in
 //!   vector registers (the scalar remainder folds into the same lanes);
-//! * [`envelope_batch`] — MBRs for a whole received round at once;
-//! * [`filter_pairs_batch`] — rejects candidate pairs by MBR overlap and
-//!   the caller's reference-cell claim before any point-in-polygon work;
+//! * [`envelope_batch`] — MBRs for a batch of views at once;
 //! * [`ApproxTable`] — the approximation step between filter and refine
 //!   (Brinkhoff, Kriegel, Schneider & Seeger, "Multi-step processing of
 //!   spatial joins", SIGMOD '94): per left polygon the convex hull, one
@@ -81,37 +79,13 @@ pub fn coords_envelope(data: &[u8], be: bool) -> Rect {
     out
 }
 
-/// Computes the MBR of every view in `geoms` into `out` (cleared first) —
-/// one pass over a whole received round, feeding the R-tree build and the
-/// pair filter without any per-record geometry materialization.
+/// Computes the MBR of every view in `geoms` into `out` (cleared first):
+/// one pass over a batch, with no geometry materialized, of the same
+/// [`GeomRef::envelope`] the landing takes per record.
 pub fn envelope_batch(geoms: &[GeomRef<'_>], out: &mut Vec<Rect>) {
     out.clear();
     out.reserve(geoms.len());
     out.extend(geoms.iter().map(|g| g.envelope()));
-}
-
-/// Filters candidate `(left, right)` index pairs down to the ones whose
-/// MBRs overlap **and** pass the caller's reference-cell claim, appending
-/// survivors to `out` (cleared first) in input order. Everything rejected
-/// here never reaches a point-in-polygon test.
-///
-/// `claims` receives the two MBRs of a pair that already passed the
-/// overlap test — the duplicate-elimination hook
-/// (`claims_reference` in the join framework).
-pub fn filter_pairs_batch(
-    candidates: &[(usize, usize)],
-    left_mbrs: &[Rect],
-    right_mbrs: &[Rect],
-    mut claims: impl FnMut(&Rect, &Rect) -> bool,
-    out: &mut Vec<(usize, usize)>,
-) {
-    out.clear();
-    for &(li, ri) in candidates {
-        let (a, b) = (&left_mbrs[li], &right_mbrs[ri]);
-        if a.intersects(b) && claims(a, b) {
-            out.push((li, ri));
-        }
-    }
 }
 
 /// Relative width of the tie band of every approximation test: a point
@@ -886,23 +860,6 @@ mod tests {
             coords_envelope(&data, true),
             Rect::new(-2.0, -1.0, 3.0, 4.0)
         );
-    }
-
-    #[test]
-    fn filter_pairs_batch_rejects_by_mbr_then_claim() {
-        let left = [Rect::new(0.0, 0.0, 1.0, 1.0), Rect::new(5.0, 5.0, 6.0, 6.0)];
-        let right = [
-            Rect::new(0.5, 0.5, 2.0, 2.0),
-            Rect::new(9.0, 9.0, 10.0, 10.0),
-        ];
-        let candidates = [(0, 0), (0, 1), (1, 0), (1, 1)];
-        let mut out = Vec::new();
-        // Claim everything: only MBR overlap filters.
-        filter_pairs_batch(&candidates, &left, &right, |_, _| true, &mut out);
-        assert_eq!(out, vec![(0, 0)]);
-        // Claim nothing: the claim hook can veto an overlapping pair.
-        filter_pairs_batch(&candidates, &left, &right, |_, _| false, &mut out);
-        assert!(out.is_empty());
     }
 
     /// Decides `right` against `left` (both WKT) with a fresh table.

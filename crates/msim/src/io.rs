@@ -1,19 +1,19 @@
 //! MPI-IO over the simulated parallel filesystem: the paper's three access
 //! levels.
 //!
-//! | Level | Pattern        | Mode        | Entry point                  | Two-phase fragments          |
-//! |-------|----------------|-------------|------------------------------|------------------------------|
-//! | 0     | contiguous     | independent | [`MpiFile::read_at`]         | — (one timed pfs request)    |
-//! | 0     | contiguous     | independent | [`MpiFile::iread_at_together`] | — (concurrent stripe pieces) |
-//! | 1     | contiguous     | collective  | [`MpiFile::read_at_all`]     | the one `(offset, len)`      |
-//! | 3     | non-contiguous | collective  | [`MpiFile::read_all`] (view) | `FileView::fragments`        |
+//! | Level | Pattern        | Mode        | Entry point                                           | Two-phase fragments          |
+//! |-------|----------------|-------------|-------------------------------------------------------|------------------------------|
+//! | 0     | contiguous     | independent | [`MpiFile::read_at`]                                  | — (one timed pfs request)    |
+//! | 0     | contiguous     | independent | [`MpiFile::iread_at_together`], then [`Landing::wait`] | — (concurrent stripe pieces) |
+//! | 1     | contiguous     | collective  | [`MpiFile::read_at_all`]                              | the one `(offset, len)`      |
+//! | 3     | non-contiguous | collective  | [`MpiFile::read_all`] (view)                          | `FileView::fragments`        |
 //!
-//! An SPMD loop whose every rank reads at Level 0 in the same step uses
-//! [`MpiFile::read_at_together`]: the same independent read, but the
-//! step's requests are timed in one deterministic pfs batch instead of
-//! in the order host threads happen to reach the file servers. Its
-//! nonblocking twin [`MpiFile::iread_at_together`] times stripe pieces
-//! and returns their [`Landing`] instead of moving the clock.
+//! An SPMD loop whose every rank reads at Level 0 in the same step posts
+//! its reads with [`MpiFile::iread_at_together`]: the same independent
+//! read, but the step's requests are timed as stripe pieces in one
+//! deterministic pfs batch instead of in the order host threads happen to
+//! reach the file servers, and each rank gets a [`Landing`] to wait on
+//! instead of a moved clock.
 //!
 //! The collective writes mirror the reads ([`MpiFile::write_at_all`],
 //! [`MpiFile::write_all`]). Every collective call runs **one two-phase
@@ -235,51 +235,26 @@ impl MpiFile {
         Ok(done.bytes as usize)
     }
 
-    /// `MPI_File_read_at` timed together with the peers' reads of the
-    /// same step: the Level 0 read of an SPMD loop. Independent in
-    /// virtual time — each rank's clock moves to *its own* completion,
-    /// so no synchronization is charged — but collective on the host:
-    /// every rank must call it, the same number of times, an idle rank
-    /// with an empty `buf`. The ranks meet at one rendezvous and their
-    /// requests are timed in one pfs batch in `(now, rank)` order, so
-    /// the schedule never depends on which host thread reaches the file
-    /// servers first (conservative discrete-event simulation: no request
-    /// is admitted before every peer's request of the step is known).
-    /// Returns bytes read, short at end-of-file like [`MpiFile::read_at`].
-    /// The overlap strategy's halo reads and the baseline readers use it;
-    /// Algorithm 1 posts its reads with [`MpiFile::iread_at_together`].
-    pub fn read_at_together(&self, comm: &mut Comm, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        let (got, landing) = self.step_read(comm, false, offset, buf)?;
-        landing.wait(comm);
-        Ok(got)
-    }
-
     /// `MPI_File_iread_at` posted together with the peers' reads of the
-    /// same step: [`MpiFile::read_at_together`]'s rendezvous, checks and
-    /// calling rule, but each request is cut into stripe pieces, the step
-    /// is timed as one piece batch in `(now, round, rank)` order
+    /// same step: the Level 0 read of an SPMD loop. Independent in
+    /// virtual time — no synchronization is charged, and a rank's clock
+    /// moves only when it waits on its own [`Landing`] — but collective
+    /// on the host: every rank must call it, the same number of times, an
+    /// idle rank with an empty `buf`. The ranks meet at one rendezvous,
+    /// each request is cut into stripe pieces, and the step is timed as
+    /// one piece batch in `(now, round, rank)` order
     /// ([`mvio_pfs::TimingEngine::piece_batch`]: a request's last half
-    /// stripe first, a rank's pieces concurrent) and **no clock moves**. The
-    /// bytes are copied into `buf` at once (the count is short at
-    /// end-of-file); the caller acts on a byte only once the returned
-    /// [`Landing`] says it has landed. Collective on the host: every rank
-    /// must call it, an idle rank with an empty `buf`.
+    /// stripe first, a rank's pieces concurrent), so the schedule never
+    /// depends on which host thread reaches the file servers first
+    /// (conservative discrete-event simulation: no request is admitted
+    /// before every peer's request of the step is known). **No clock
+    /// moves**: the bytes are copied into `buf` at once (the count is
+    /// short at end-of-file, like [`MpiFile::read_at`]); the caller acts
+    /// on a byte only once the returned [`Landing`] says it has landed,
+    /// or waits on it whole.
     pub fn iread_at_together(
         &self,
         comm: &mut Comm,
-        offset: u64,
-        buf: &mut [u8],
-    ) -> Result<(usize, Landing)> {
-        self.step_read(comm, true, offset, buf)
-    }
-
-    /// The one body of both step reads: the checks, the rendezvous, and
-    /// the step's requests timed in one batch — whole, or as stripe
-    /// `pieces` — into a landing that has moved no clock yet.
-    fn step_read(
-        &self,
-        comm: &mut Comm,
-        pieces: bool,
         offset: u64,
         buf: &mut [u8],
     ) -> Result<(usize, Landing)> {
@@ -302,21 +277,10 @@ impl MpiFile {
             len: buf.len() as u64,
         });
         let file = Arc::clone(&self.file);
-        let site = if pieces {
-            "io.iread_at_together"
-        } else {
-            "io.read_at_together"
-        };
-        let (done, _) = comm.collective(site, request, move |inputs, times| {
+        let (done, _) = comm.collective("io.iread_at_together", request, move |inputs, times| {
             let reqs: Vec<IoRequest> = inputs.iter().flatten().copied().collect();
             let mut done = vec![Vec::new(); reqs.len()];
-            let timed = match pieces {
-                true => file.time_piece_reads(&reqs, &mut done),
-                false => file.time_reads(&reqs).map(|whole| {
-                    (done.iter_mut().zip(whole)).for_each(|(d, c)| d.push(c.completion))
-                }),
-            };
-            let by_rank = timed.map(|()| {
+            let by_rank = file.time_piece_reads(&reqs, &mut done).map(|()| {
                 let mut by_rank = vec![Vec::new(); times.len()];
                 for (r, d) in reqs.iter().zip(done) {
                     by_rank[r.rank] = d;
@@ -328,12 +292,7 @@ impl MpiFile {
         checked?;
         let by_rank = (*done).as_ref().map_err(|e| MsimError::Pfs(e.clone()))?;
         let landing = Landing {
-            // A request timed whole is one piece.
-            stripe: if pieces {
-                self.file.stripe().size
-            } else {
-                u64::MAX
-            },
+            stripe: self.file.stripe().size,
             offset,
             done: by_rank[comm.rank()].clone(),
             guard: Some(comm.leak_guard("iread_at_together")),
@@ -966,7 +925,12 @@ mod tests {
                 _ => ((1 << 20) + 1, 16),
             };
             let mut buf = vec![0u8; len];
-            let got = f.read_at_together(comm, off as u64, &mut buf);
+            let got = f
+                .iread_at_together(comm, off as u64, &mut buf)
+                .map(|(n, landing)| {
+                    landing.wait(comm);
+                    n
+                });
             if let Ok(n) = got {
                 assert!(buf[..n]
                     .iter()
@@ -986,32 +950,6 @@ mod tests {
             .1
             .as_ref()
             .is_err_and(|e| e.contains("invalid range")));
-    }
-
-    #[test]
-    fn posted_one_piece_reads_time_like_reads_timed_together() {
-        // Each rank reads inside one 64 KiB stripe: iread + wait lands
-        // every clock on the bit the blocking step read does.
-        let fs_of = || make_fs_with_file(1 << 20, StripeSpec::new(4, 64 << 10));
-        let run = |posted: bool| {
-            let fs = fs_of();
-            World::run(WorldConfig::new(Topology::new(2, 3)), move |comm| {
-                let f = MpiFile::open(&fs, "data.bin", Hints::default()).unwrap();
-                comm.advance((comm.rank() % 2) as f64 * 1e-3);
-                let off = comm.rank() * (128 << 10) + 100;
-                let mut buf = vec![0u8; 60 << 10];
-                if posted {
-                    let (n, landing) = f.iread_at_together(comm, off as u64, &mut buf).unwrap();
-                    assert_eq!(n, buf.len());
-                    landing.wait(comm);
-                } else {
-                    f.read_at_together(comm, off as u64, &mut buf).unwrap();
-                }
-                assert!(buf.iter().enumerate().all(|(i, &b)| b == pattern(off + i)));
-                comm.now().to_bits()
-            })
-        };
-        assert_eq!(run(true), run(false));
     }
 
     #[test]
@@ -1575,7 +1513,10 @@ mod tests {
                 if collective {
                     f.read_at_all(comm, off, &mut buf).unwrap();
                 } else {
-                    f.read_at_together(comm, off, &mut buf).unwrap();
+                    f.iread_at_together(comm, off, &mut buf)
+                        .unwrap()
+                        .1
+                        .wait(comm);
                 }
                 comm.now()
             });

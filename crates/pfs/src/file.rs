@@ -85,12 +85,13 @@ impl SimFile {
         Ok(self.write_batch(&[req], &[buf])?[0])
     }
 
-    /// Deterministic timed batch read used by collective I/O: all requests
-    /// are timed in `(now, rank)` order under one lock
-    /// ([`SimFile::time_reads`]), and the data for each is copied out.
-    /// Returns one completion per request, index aligned. A request
-    /// ending past EOF is clamped (a short read); one starting past EOF
-    /// is a [`PfsError::InvalidRange`] error.
+    /// Deterministic timed batch read used by collective I/O: each
+    /// request is clamped to EOF and accounted in the filesystem's stats,
+    /// all are timed in `(now, rank)` order under one engine lock, and
+    /// the data for each is copied out. Returns one completion per
+    /// request, index aligned. A request ending past EOF is clamped (a
+    /// short read); one starting past EOF is a [`PfsError::InvalidRange`]
+    /// error and times nothing.
     pub fn read_batch(
         &self,
         reqs: &[IoRequest],
@@ -105,28 +106,20 @@ impl SimFile {
                 ..*r
             })
             .collect();
-        let done = self.time_reads(&sized)?;
+        let clamped = self.account_reads(&sized)?;
+        let done = self.engine.io_batch(self.stripe, self.ost_base, &clamped);
         for ((r, buf), d) in sized.iter().zip(bufs.iter_mut()).zip(&done) {
             self.peek(r.offset, &mut buf[..d.bytes as usize]);
         }
         Ok(done)
     }
 
-    /// The timed half of [`SimFile::read_batch`]: clamps each request to
-    /// EOF, accounts it in the filesystem's stats and times the batch in
-    /// `(now, rank)` order under one engine lock, moving no bytes (the
-    /// requester copies its own with [`SimFile::peek`]). One completion
-    /// per request, index aligned; a request starting past EOF is a
-    /// [`PfsError::InvalidRange`] error and times nothing.
-    pub fn time_reads(&self, reqs: &[IoRequest]) -> Result<Vec<IoCompletion>> {
-        let clamped = self.account_reads(reqs)?;
-        Ok(self.engine.io_batch(self.stripe, self.ost_base, &clamped))
-    }
-
-    /// [`SimFile::time_reads`] for requests read as concurrent stripe
-    /// pieces ([`TimingEngine::piece_batch`]): `done[i]` is refilled with
+    /// Times requests read as concurrent stripe pieces
+    /// ([`TimingEngine::piece_batch`]), moving no bytes (the requester
+    /// copies its own with [`SimFile::peek`]): `done[i]` is refilled with
     /// request `i`'s piece completions in file order, after the request
-    /// is clamped to EOF and accounted exactly as in `time_reads`.
+    /// is clamped to EOF and accounted exactly as in
+    /// [`SimFile::read_batch`].
     pub fn time_piece_reads(&self, reqs: &[IoRequest], done: &mut [Vec<f64>]) -> Result<()> {
         let clamped = self.account_reads(reqs)?;
         self.engine

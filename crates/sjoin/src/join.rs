@@ -2,9 +2,7 @@
 
 use crate::breakdown::{PhaseBreakdown, PhaseTimer};
 use mvio_core::decomp::{DecompConfig, DecompPolicy, Decomposition, SpatialDecomposition};
-use mvio_core::exchange::{
-    exchange_serialized, serialize_frame, ExchangeChunk, RecordFrame, SerializedBatch,
-};
+use mvio_core::exchange::{exchange_serialized, serialize_frame, ExchangeChunk, SerializedBatch};
 use mvio_core::framework::claims_reference;
 use mvio_core::grid::{CellMap, GridSpec};
 use mvio_core::partition::ReadOptions;
@@ -14,7 +12,7 @@ use mvio_core::resident::ResidentStore;
 use mvio_core::snapshot::{self, SnapshotReadOptions};
 use mvio_core::{CoreError, Result};
 use mvio_geom::index::RTree;
-use mvio_geom::refkernel::{filter_pairs_batch, ApproxTable};
+use mvio_geom::refkernel::ApproxTable;
 use mvio_geom::wkb::GeomRef;
 use mvio_geom::{algo, Rect};
 use mvio_msim::{Comm, CostModel, Work};
@@ -295,57 +293,54 @@ fn plan(loads: &[u64]) -> Vec<Transfer> {
     transfers
 }
 
-/// One side of the join phase: borrowed frames in record order with their
-/// decoded views and MBRs.
-#[derive(Default)]
+/// One side of the join phase: the landed store, read by slot, and each
+/// record's decoded view.
 struct Side<'a> {
-    frames: Vec<RecordFrame<'a>>,
+    store: &'a ResidentStore,
     refs: Vec<GeomRef<'a>>,
-    mbrs: Vec<Rect>,
 }
 
 impl<'a> Side<'a> {
-    /// Takes the store's frames and the envelopes its landing cached, in
-    /// source order — the exchange's record order — and decodes each
-    /// frame's borrowed view once.
+    /// Decodes each of the store's records into its borrowed view once,
+    /// in slot order — the exchange's record order.
     fn new(store: &'a ResidentStore) -> Result<Self> {
-        let mut frames = Vec::with_capacity(store.len());
-        frames.extend(store.frames());
-        // Survivor lists index frames with u32.
-        if u32::try_from(frames.len()).is_err() {
+        // Survivor lists index slots with u32.
+        if u32::try_from(store.slots()).is_err() {
             return Err(CoreError::Partition(format!(
-                "join: {} frames on one rank exceed the u32 index space",
-                frames.len()
+                "join: {} records on one rank exceed the u32 index space",
+                store.slots()
             )));
         }
+        // A store the join gets is freshly landed, so every slot is live.
+        debug_assert_eq!(store.len(), store.slots(), "tombstone in a landed store");
         fn view(wkb: &[u8]) -> GeomRef<'_> {
             // audit: the store only holds records the exchange validated.
             mvio_geom::wkb::decode_ref(wkb).expect("validated frame").0
         }
-        let refs: Vec<GeomRef<'a>> = frames.iter().map(|fr| view(fr.wkb)).collect();
-        let mut mbrs = Vec::with_capacity(store.len());
-        mbrs.extend(store.replicas().map(|(_, mbr)| *mbr));
-        Ok(Side { frames, refs, mbrs })
+        let refs = (0..store.slots()).map(|i| view(store.frame(i).wkb));
+        Ok(Side {
+            store,
+            refs: refs.collect(),
+        })
     }
 
-    /// Frame indices grouped by cell: stable-sorted, so within a cell
-    /// they keep record order.
+    /// Slots grouped by cell: stable-sorted, so within a cell they keep
+    /// record order.
     fn by_cell(&self) -> Vec<u32> {
-        // audit: `new` checked that every index fits u32.
-        let mut order: Vec<u32> = (0..self.frames.len() as u32).collect();
-        order.sort_by_key(|&i| self.frames[i as usize].cell);
+        // audit: `new` checked that every slot fits u32.
+        let mut order: Vec<u32> = (0..self.refs.len() as u32).collect();
+        order.sort_by_key(|&i| self.store.cell(i as usize));
         order
     }
 }
 
-/// The filter step: for every cell holding frames of both sides, bulk-loads
-/// an R-tree over the left MBRs (the paper uses GEOS's STRtree the same
-/// way), probes it with each right MBR, and keeps the candidates whose
-/// MBRs overlap and whose reference point the cell claims
-/// ([`filter_pairs_batch`] + [`claims_reference`]). Returns the survivors
-/// as flat `(left, right)` frame indices in cell / probe-record / hit
-/// order — one right record's survivors are contiguous — plus the
-/// candidate count before the dedup.
+/// The filter step: for every cell holding records of both sides,
+/// bulk-loads an R-tree over the left MBRs (the paper uses GEOS's STRtree
+/// the same way), probes it with each right MBR, and keeps the candidates
+/// whose MBRs overlap and whose reference point the cell claims
+/// ([`claims_reference`]). Returns the survivors as flat `(left, right)`
+/// slots in cell / probe-record / hit order — one right record's
+/// survivors are contiguous — plus the candidate count before the dedup.
 fn filter(
     comm: &mut Comm,
     sd: &Decomposition,
@@ -353,11 +348,9 @@ fn filter(
     right: &Side<'_>,
 ) -> (Vec<(u32, u32)>, u64) {
     let (lorder, rorder) = (left.by_cell(), right.by_cell());
-    let cell_of = |side: &Side<'_>, i: u32| side.frames[i as usize].cell;
+    let cell_of = |side: &Side<'_>, i: u32| side.store.cell(i as usize);
     let mut survivors = Vec::new();
     let mut total_candidates = 0u64;
-    let mut candidates: Vec<(usize, usize)> = Vec::new();
-    let mut surviving: Vec<(usize, usize)> = Vec::new();
     let (mut l, mut r) = (0, 0);
     while l < lorder.len() && r < rorder.len() {
         let cell = cell_of(left, lorder[l]).min(cell_of(right, rorder[r]));
@@ -368,35 +361,32 @@ fn filter(
         if ls.is_empty() || rs.is_empty() {
             continue;
         }
-        let items: Vec<(Rect, usize)> = ls
+        let items: Vec<(Rect, u32)> = ls
             .iter()
-            .map(|&i| (left.mbrs[i as usize], i as usize))
+            .map(|&i| (*left.store.envelope(i as usize), i))
             .collect();
         comm.charge(Work::RtreeInserts { n: ls.len() as u64 });
         let index = RTree::bulk_load(items);
 
-        // Candidate enumeration in (right outer, hit inner) order, so the
-        // per-rank output order is deterministic.
-        candidates.clear();
+        // Candidates in (right outer, hit inner) order, so the per-rank
+        // output order is deterministic; each is kept only if the MBRs
+        // overlap and then only if the cell claims its reference point.
+        let mut candidates = 0u64;
         for &ri in rs {
-            index.query_with(&right.mbrs[ri as usize], &mut |&li| {
-                candidates.push((li, ri as usize))
+            let b = right.store.envelope(ri as usize);
+            index.query_with(b, &mut |&li| {
+                candidates += 1;
+                let a = left.store.envelope(li as usize);
+                if a.intersects(b) && claims_reference(sd, cell, a, b) {
+                    survivors.push((li, ri));
+                }
             });
         }
         comm.charge(Work::RtreeQueries {
             n: rs.len() as u64,
-            results: candidates.len() as u64,
+            results: candidates,
         });
-        total_candidates += candidates.len() as u64;
-        filter_pairs_batch(
-            &candidates,
-            &left.mbrs,
-            &right.mbrs,
-            |a, b| claims_reference(sd, cell, a, b),
-            &mut surviving,
-        );
-        // audit: `Side::new` checked that every index fits u32.
-        survivors.extend(surviving.iter().map(|&(li, ri)| (li as u32, ri as u32)));
+        total_candidates += candidates;
     }
     (survivors, total_candidates)
 }
@@ -452,7 +442,7 @@ fn refine(
     let (mut examined, mut exact, mut cell) = (0, 0, None);
     for &pair in survivors {
         let (li, ri) = (pair.0 as usize, pair.1 as usize);
-        let at = left.frames[li].cell;
+        let at = left.store.cell(li);
         if cell.replace(at) != Some(at) {
             approx.clear_rasters();
         }
@@ -466,8 +456,8 @@ fn refine(
         });
         if hit {
             pairs.push((
-                left.frames[li].userdata.to_string(),
-                right.frames[ri].userdata.to_string(),
+                left.store.frame(li).userdata.to_string(),
+                right.store.frame(ri).userdata.to_string(),
             ));
         }
     }
@@ -475,15 +465,15 @@ fn refine(
     exact
 }
 
-/// Copies the given frames of `side` into `buf` as wire records,
-/// allocated once at its exact size. Returns the record count.
-fn emit_frames(side: &Side<'_>, indices: &[u32], buf: &mut Vec<u8>) -> Result<u64> {
-    let frames = || indices.iter().map(|&i| &side.frames[i as usize]);
-    buf.reserve_exact(frames().map(RecordFrame::wire_len).sum());
+/// Copies the records in the given slots of `side` into `buf` as wire
+/// records, allocated once at its exact size. Returns the record count.
+fn emit_frames(side: &Side<'_>, slots: &[u32], buf: &mut Vec<u8>) -> Result<u64> {
+    let frames = || slots.iter().map(|&i| side.store.frame(i as usize));
+    buf.reserve_exact(frames().map(|frame| frame.wire_len()).sum());
     for frame in frames() {
-        serialize_frame(frame, buf)?;
+        serialize_frame(&frame, buf)?;
     }
-    Ok(indices.len() as u64)
+    Ok(slots.len() as u64)
 }
 
 /// Cuts the tail of `survivors` into this rank's planned shipments and
@@ -592,17 +582,23 @@ fn run_refine_frames(
     chunk: ExchangeChunk,
 ) -> Result<JoinReport> {
     let rank = comm.rank();
+    let none = ResidentStore::new();
     let sides = Side::new(left_store).and_then(|l| Ok((l, Side::new(right_store)?)));
     let (left, right, mut first_error) = match sides {
         Ok((left, right)) => (left, right, None),
-        Err(e) => (Side::default(), Side::default(), Some(e)),
+        Err(e) => {
+            let empty = || Side {
+                store: &none,
+                refs: Vec::new(),
+            };
+            (empty(), empty(), Some(e))
+        }
     };
     debug_assert!(
-        left.frames
-            .iter()
-            .chain(&right.frames)
-            .all(|fr| sd.cell_to_rank(fr.cell) == rank),
-        "frame misrouted"
+        (left.store.replicas())
+            .chain(right.store.replicas())
+            .all(|(cell, _)| sd.cell_to_rank(cell) == rank),
+        "record misrouted"
     );
     let (survivors, filter_candidates) = filter(comm, sd, &left, &right);
 
@@ -936,6 +932,60 @@ mod tests {
                 ("B".into(), "B".into()),
             ]
         );
+    }
+
+    /// A store landed from one round holding `(cell, name, MBR)` records,
+    /// each geometry its rectangle, in the given order.
+    fn landed(comm: &mut Comm, records: &[(u32, &str, Rect)]) -> ResidentStore {
+        let mut buf = Vec::new();
+        for &(cell, name, r) in records {
+            let line = rect_wkt(name, &r, 1);
+            let (text, _) = line.split_once('\t').unwrap();
+            let feature = mvio_core::Feature::with_userdata(wkt::parse(text).unwrap(), name);
+            mvio_core::exchange::serialize_record(cell, &feature, &mut Vec::new(), &mut buf)
+                .unwrap();
+        }
+        let mut store = ResidentStore::new();
+        store.append_round(comm, &[buf]).unwrap();
+        store
+    }
+
+    #[test]
+    fn filter_rejects_by_mbr_then_by_reference_cell() {
+        // 2 x 2 cells of side 2 over [0, 4]², all on one rank. L1 and R1
+        // straddle cells 0 and 3 and have a replica in each.
+        let grid =
+            mvio_core::grid::UniformGrid::new(Rect::new(0.0, 0.0, 4.0, 4.0), GridSpec::square(2));
+        let sd =
+            Decomposition::new(grid, DecompPolicy::Uniform(CellMap::RoundRobin), None, 1).unwrap();
+        let square = |lo: f64, hi: f64| Rect::new(lo, lo, hi, hi);
+        let l1 = square(1.5, 2.5);
+        let r1 = square(1.8, 3.0);
+        let left = [
+            (0, "L0", square(0.0, 1.0)),
+            (0, "L1", l1),
+            (3, "L1", l1),
+            (0, "L2", Rect::new(0.0, 1.6, 0.5, 1.9)),
+        ];
+        let right = [
+            // Overlaps L1 at (1.8, 1.8), which cell 0 claims and cell 3
+            // does not: kept once, from cell 0.
+            (0, "R1", r1),
+            (3, "R1", r1),
+            // In cell 0, its MBR disjoint from every left one: dropped.
+            (0, "R2", Rect::new(1.2, 0.1, 1.4, 0.3)),
+            // Overlaps L0 inside cell 0: kept, after R1's pair.
+            (0, "R0", square(0.5, 1.2)),
+        ];
+        let out = World::run(WorldConfig::new(Topology::single_node(1)), move |comm| {
+            let (left, right) = (landed(comm, &left), landed(comm, &right));
+            let (left, right) = (Side::new(&left).unwrap(), Side::new(&right).unwrap());
+            filter(comm, &sd, &left, &right)
+        });
+        // Survivors in probe order, as (left slot, right slot): the
+        // reference-cell rule drops the replica pair of cell 3, which the
+        // R-tree still counted as a candidate.
+        assert_eq!(out[0], (vec![(1, 0), (0, 3)], 3));
     }
 
     /// Per-rank loads after applying `transfers` to `loads`.
