@@ -23,23 +23,40 @@ use mvio_geom::Rect;
 /// exactly on the global max boundary (otherwise results there would be
 /// silently dropped — no neighbouring cell exists to pick them up).
 ///
-/// The reference point is clamped to the bounds' min corner: an update
-/// whose envelope starts left of or below the bounds, met by a window
-/// that does too, would otherwise have its point outside every cell.
-/// Ingested envelopes lie inside the bounds, so for them the clamp is a
-/// no-op.
+/// The reference point is clamped onto the bounds on both sides: an
+/// update whose envelope reaches out of the bounds, met by a window that
+/// does too, would otherwise have its point outside every cell. The
+/// cells that hold such an update are the ones that window is routed to
+/// ([`routing_window`]). Ingested envelopes lie inside the bounds, so for
+/// them, and for every join pair, the clamp is a no-op.
 pub fn claims_reference(decomp: &Decomposition, cell: u32, a: &Rect, b: &Rect) -> bool {
     let i = a.intersection(b);
     if i.is_empty() {
         return false;
     }
     let bounds = decomp.bounds();
-    let (x, y) = (i.min_x.max(bounds.min_x), i.min_y.max(bounds.min_y));
+    let x = i.min_x.max(bounds.min_x).min(bounds.max_x);
+    let y = i.min_y.max(bounds.min_y).min(bounds.max_y);
     let r = decomp.cell_rect(cell);
     let (max_col, max_row) = decomp.cell_on_max_edge(cell);
     let x_ok = x >= r.min_x && (x < r.max_x || (max_col && x <= r.max_x));
     let y_ok = y >= r.min_y && (y < r.max_y || (max_row && y <= r.max_y));
     x_ok && y_ok
+}
+
+/// The window a range or point query is routed by, and that the owners'
+/// cell tests use: `window` with each coordinate clamped onto the
+/// decomposition's bounds. A window that meets the bounds meets the same
+/// cells as before. One wholly outside them collapses onto the nearest
+/// edge or corner, whose cells hold every insert that reaches out there.
+pub fn routing_window(decomp: &Decomposition, window: &Rect) -> Rect {
+    let b = decomp.bounds();
+    Rect::new(
+        window.min_x.max(b.min_x).min(b.max_x),
+        window.min_y.max(b.min_y).min(b.max_y),
+        window.max_x.max(b.min_x).min(b.max_x),
+        window.max_y.max(b.min_y).min(b.max_y),
+    )
 }
 
 /// Whether the replica of a feature with envelope `mbr` held in `cell` is

@@ -34,9 +34,10 @@
 //!    beyond amortized collectives, and [`ServeStats::routed`] counts it.
 //! 3. **Route + ship**: each routed query is encoded once and its wire
 //!    record copied to every destination rank (the owners of the cells
-//!    overlapping a range/point query; for a kNN, only the owners that a
-//!    distance bound from the reach summary — per cell, feature count
-//!    and envelope union — says can hold one of its `k` neighbours),
+//!    a range/point query's window, clamped onto the bounds, overlaps;
+//!    for a kNN, only the owners that distance bounds from the reach
+//!    summary — per cell and per sub-cell, feature count and envelope
+//!    union — say can hold one of its `k` neighbours),
 //!    then shipped through the chunked nonblocking [`ExchangePlan`].
 //!    Received queries are answered in the exchange *sink*, so later
 //!    query rounds are still in flight while this rank walks its R-tree
@@ -144,6 +145,7 @@ use mvio_core::exchange::{
     record_frames, serialize_frame, validate_round, ExchangeChunk, ExchangePlan, ExchangeStats,
     RecordFrame, SerializedBatch,
 };
+use mvio_core::framework::routing_window;
 use mvio_core::pipeline::IngestOutput;
 use mvio_core::rebalance::{self, RebalancePolicy, RebalanceReport, Update, UpdateStats};
 use mvio_core::resident::ResidentStore;
@@ -451,6 +453,20 @@ fn wire_rect(r: &Rect) -> Feature {
     Feature::with_userdata(Geometry::LineString(diagonal), String::new())
 }
 
+/// Appends to `dests` the owners of the cells a range or point query's
+/// `window` is routed to — those its [`routing_window`] meets — and
+/// returns the window's wire feature.
+fn route_window(
+    sd: &Decomposition,
+    window: &Rect,
+    cells: &mut Vec<u32>,
+    dests: &mut Vec<usize>,
+) -> Feature {
+    sd.cells_for_rect(&routing_window(sd, window), cells);
+    dests.extend(cells.iter().map(|&c| sd.cell_to_rank(c)));
+    wire_rect(window)
+}
+
 /// A resident distributed query engine (see the [module docs](self)).
 ///
 /// Collective lifecycle: every rank constructs it together (the
@@ -711,15 +727,9 @@ impl QueryEngine {
             let q = &queries[qi];
             dests.clear();
             let feat = match q {
-                Query::Range(r) => {
-                    self.index.sd.cells_for_rect(r, &mut cells);
-                    dests.extend(cells.iter().map(|&c| self.index.sd.cell_to_rank(c)));
-                    wire_rect(r)
-                }
+                Query::Range(r) => route_window(&self.index.sd, r, &mut cells, &mut dests),
                 Query::Point(pt) => {
-                    self.index.sd.cells_for_rect(&pt.envelope(), &mut cells);
-                    dests.extend(cells.iter().map(|&c| self.index.sd.cell_to_rank(c)));
-                    wire_rect(&pt.envelope())
+                    route_window(&self.index.sd, &pt.envelope(), &mut cells, &mut dests)
                 }
                 Query::Knn { at, k } => {
                     // audit: this batch holds a kNN, so the summary was gathered above.
@@ -1801,6 +1811,46 @@ mod tests {
         );
         for (_, answers) in &out {
             assert_eq!(answers, &want);
+        }
+    }
+
+    /// An insert may reach out of the bounds, and a window wholly outside
+    /// them must still find it: the window is routed, and cell-tested, as
+    /// clamped onto the bounds, and claimed by its reference point clamped
+    /// on both sides. On 2-wide cells of [0, 8]², `east` reaches past the
+    /// max edge and `west` starts left of the min edge.
+    #[test]
+    fn a_window_outside_the_bounds_finds_the_inserts_reaching_there() {
+        let out = World::run(WorldConfig::new(Topology::single_node(4)), |comm| {
+            let mut eng = grid_engine(comm, 4, &[point(1.0, 1.0, "base")]);
+            let updates = match comm.rank() {
+                0 => vec![Update::Insert(segment(7.5, 2.5, 10.0, 2.5, "east"))],
+                1 => vec![Update::Insert(segment(-2.0, 5.0, 0.5, 5.0, "west"))],
+                _ => Vec::new(),
+            };
+            eng.apply_updates(comm, &updates).unwrap();
+            let batch = [
+                Query::Range(Rect::new(8.5, 2.0, 9.0, 3.0)),
+                Query::Range(Rect::new(7.75, 2.0, 9.0, 3.0)),
+                Query::Point(Point::new(9.0, 2.5)),
+                Query::Range(Rect::new(-1.5, 4.5, -1.0, 5.5)),
+                Query::Point(Point::new(-1.0, 5.0)),
+                Query::Range(Rect::new(20.0, 20.0, 21.0, 21.0)),
+            ];
+            eng.serve(comm, &batch).unwrap().answers
+        });
+        let matches =
+            |labels: &[&str]| QueryAnswer::Matches(labels.iter().map(|l| l.to_string()).collect());
+        for answers in out {
+            let want = [
+                matches(&["east"]),
+                matches(&["east"]),
+                matches(&["east"]),
+                matches(&["west"]),
+                matches(&["west"]),
+                matches(&[]),
+            ];
+            assert_eq!(answers, want);
         }
     }
 

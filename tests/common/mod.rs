@@ -266,14 +266,131 @@ pub fn reference_counts(sd: &Decomposition, features: &[Feature]) -> Vec<u64> {
     counts
 }
 
+/// The side of the engine's kNN reach split: each cell is summarized as
+/// `REACH_SPLIT × REACH_SPLIT` sub-cells.
+const REACH_SPLIT: usize = 4;
+
+/// The distance from `at` to the farthest corner of `r`, as a point
+/// feature there would measure.
+fn farthest_corner(at: &Point, r: &Rect) -> f64 {
+    let dx = (at.x - r.min_x).abs().max((at.x - r.max_x).abs());
+    let dy = (at.y - r.min_y).abs().max((at.y - r.max_y).abs());
+    dx.hypot(dy)
+}
+
+/// The distance at which `(farthest corner, count)` entries, nearest
+/// first, hold `k` features, times `1 + 1e-9`; infinite when they hold
+/// fewer.
+fn kth_bound(mut entries: Vec<(f64, u64)>, k: u32) -> f64 {
+    entries.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut seen = 0;
+    entries
+        .iter()
+        .find(|(_, n)| {
+            seen += n;
+            seen >= u64::from(k)
+        })
+        .map_or(f64::INFINITY, |(d, _)| d * (1.0 + 1e-9))
+}
+
+/// `r` rounded outward onto `f32` coordinates: the min corner to the
+/// nearest `f32` at or below it, the max corner at or above.
+fn round_outward(r: &Rect) -> Rect {
+    let down = |v: f64| {
+        let f = v as f32;
+        f64::from(if f64::from(f) > v { f.next_down() } else { f })
+    };
+    let up = |v: f64| {
+        let f = v as f32;
+        f64::from(if f64::from(f) < v { f.next_up() } else { f })
+    };
+    Rect::new(down(r.min_x), down(r.min_y), up(r.max_x), up(r.max_y))
+}
+
 /// The ranks a kNN at `at` for `k` neighbours is routed to, derived from
-/// the feature list alone: per reference cell, the features counted there
-/// and the union of their envelopes; the bound is the farthest-corner
-/// distance at which the cells, nearest farthest corner first, hold `k`
-/// features (times `1 + 1e-9`, infinite when the world holds fewer), and
-/// every owner of a cell whose union is within L∞ distance of the bound
-/// is asked. Ascending, duplicate-free.
+/// the feature list alone. Each feature is counted in its reference cell,
+/// in the sub-cell of a `REACH_SPLIT`² split holding its envelope's
+/// centre (clamped into the cell); a sub-cell's union is rounded outward
+/// to `f32`, and a cell's count and union are its sub-cells'. The coarse
+/// bound is [`knn_cell_reach_ranks`]'s over these cells; the fine bound
+/// is the same over the sub-cells of the cells within L∞ distance of the
+/// coarse one; every owner of a cell with a sub-cell within L∞ distance
+/// of the fine bound is asked. Ascending, duplicate-free.
 pub fn knn_reach_ranks(sd: &Decomposition, features: &[Feature], at: &Point, k: u32) -> Vec<usize> {
+    let mut subs: std::collections::BTreeMap<u32, std::collections::BTreeMap<usize, (u64, Rect)>> =
+        Default::default();
+    for f in features {
+        let env = f.geometry.envelope();
+        let cell = sd
+            .reference_cell(&env)
+            .expect("features lie inside the world");
+        let r = sd.cell_rect(cell);
+        let c = env.center();
+        let split = REACH_SPLIT as f64;
+        let col = (((c.x - r.min_x) / (r.max_x - r.min_x) * split).max(0.0) as usize)
+            .min(REACH_SPLIT - 1);
+        let row = (((c.y - r.min_y) / (r.max_y - r.min_y) * split).max(0.0) as usize)
+            .min(REACH_SPLIT - 1);
+        let (n, union) = subs
+            .entry(cell)
+            .or_default()
+            .entry(row * REACH_SPLIT + col)
+            .or_insert((0, Rect::EMPTY));
+        *n += 1;
+        *union = union.union(&env);
+    }
+    let cells: Vec<(u32, u64, Rect, Vec<(u64, Rect)>)> = subs
+        .into_iter()
+        .map(|(cell, subs)| {
+            let subs: Vec<(u64, Rect)> = subs
+                .into_values()
+                .map(|(n, u)| (n, round_outward(&u)))
+                .collect();
+            let n = subs.iter().map(|s| s.0).sum();
+            let union = subs.iter().fold(Rect::EMPTY, |u, s| u.union(&s.1));
+            (cell, n, union, subs)
+        })
+        .collect();
+    let coarse = kth_bound(
+        cells
+            .iter()
+            .map(|(_, n, u, _)| (farthest_corner(at, u), *n))
+            .collect(),
+        k,
+    );
+    let near: Vec<_> = cells
+        .iter()
+        .filter(|(_, _, u, _)| u.linf_distance(at) <= coarse)
+        .collect();
+    let fine = kth_bound(
+        near.iter()
+            .flat_map(|(_, _, _, subs)| subs.iter().map(|(n, u)| (farthest_corner(at, u), *n)))
+            .collect(),
+        k,
+    );
+    let mut ranks: Vec<usize> = near
+        .iter()
+        .filter(|(_, _, _, subs)| subs.iter().any(|(_, u)| u.linf_distance(at) <= fine))
+        .map(|(cell, ..)| sd.cell_to_rank(*cell))
+        .collect();
+    ranks.sort_unstable();
+    ranks.dedup();
+    ranks
+}
+
+/// The ranks the per-cell rule alone routes a kNN to: per reference cell,
+/// the features counted there and the exact union of their envelopes; the
+/// bound is the farthest-corner distance at which the cells, nearest
+/// farthest corner first, hold `k` features (times `1 + 1e-9`, infinite
+/// when the world holds fewer), and every owner of a cell whose union is
+/// within L∞ distance of the bound is asked. [`knn_reach_ranks`] must ask
+/// no rank outside these. Ascending, duplicate-free.
+pub fn knn_cell_reach_ranks(
+    sd: &Decomposition,
+    features: &[Feature],
+    at: &Point,
+    k: u32,
+) -> Vec<usize> {
     let mut cells: std::collections::BTreeMap<u32, (u64, Rect)> = Default::default();
     for f in features {
         let env = f.geometry.envelope();
@@ -284,21 +401,13 @@ pub fn knn_reach_ranks(sd: &Decomposition, features: &[Feature], at: &Point, k: 
         *n += 1;
         *union = union.union(&env);
     }
-    let farthest = |r: &Rect| {
-        let dx = (at.x - r.min_x).abs().max((at.x - r.max_x).abs());
-        let dy = (at.y - r.min_y).abs().max((at.y - r.max_y).abs());
-        dx.hypot(dy)
-    };
-    let mut by_reach: Vec<(f64, u64)> = cells.values().map(|(n, u)| (farthest(u), *n)).collect();
-    by_reach.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut seen = 0;
-    let bound = by_reach
-        .iter()
-        .find(|(_, n)| {
-            seen += n;
-            seen >= u64::from(k)
-        })
-        .map_or(f64::INFINITY, |(d, _)| d * (1.0 + 1e-9));
+    let bound = kth_bound(
+        cells
+            .values()
+            .map(|(n, u)| (farthest_corner(at, u), *n))
+            .collect(),
+        k,
+    );
     let mut ranks: Vec<usize> = cells
         .iter()
         .filter(|(_, (_, union))| union.linf_distance(at) <= bound)
@@ -309,11 +418,45 @@ pub fn knn_reach_ranks(sd: &Decomposition, features: &[Feature], at: &Point, k: 
     ranks
 }
 
+/// The owners of the reference cells of a kNN's true top-`k` features by
+/// `(distance, userdata)`: the ranks any exact routing must ask.
+/// Ascending, duplicate-free.
+pub fn knn_top_ranks(sd: &Decomposition, features: &[Feature], at: &Point, k: u32) -> Vec<usize> {
+    let mut by_distance: Vec<(f64, &Feature)> = features
+        .iter()
+        .map(|f| (point_geometry_distance(at, &f.geometry), f))
+        .collect();
+    by_distance.sort_by(|a, b| {
+        a.0.total_cmp(&b.0)
+            .then_with(|| a.1.userdata.cmp(&b.1.userdata))
+    });
+    let mut ranks: Vec<usize> = by_distance
+        .iter()
+        .take(k as usize)
+        .map(|(_, f)| {
+            let cell = sd.reference_cell(&f.geometry.envelope());
+            sd.cell_to_rank(cell.expect("features lie inside the world"))
+        })
+        .collect();
+    ranks.sort_unstable();
+    ranks.dedup();
+    ranks
+}
+
 /// The ranks a range or point query is routed to: the owners of the
-/// cells its window overlaps. Ascending, duplicate-free.
+/// cells its window, clamped onto the bounds, overlaps. Ascending,
+/// duplicate-free.
 pub fn window_ranks(sd: &Decomposition, window: &Rect) -> Vec<usize> {
+    let b = sd.bounds();
+    let clamp = |v: f64, lo: f64, hi: f64| v.max(lo).min(hi);
+    let window = Rect::new(
+        clamp(window.min_x, b.min_x, b.max_x),
+        clamp(window.min_y, b.min_y, b.max_y),
+        clamp(window.max_x, b.min_x, b.max_x),
+        clamp(window.max_y, b.min_y, b.max_y),
+    );
     let mut ranks: Vec<usize> = sd
-        .cells_for_rect_vec(window)
+        .cells_for_rect_vec(&window)
         .into_iter()
         .map(|c| sd.cell_to_rank(c))
         .collect();

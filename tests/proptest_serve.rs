@@ -6,8 +6,9 @@
 mod common;
 
 use common::{
-    assert_ledger_balances, canon, knn_reach_ranks, mk_decomp, mk_features, mk_queries, oracle,
-    owned_replicas, reference_counts, resident, window_ranks, WORLD,
+    assert_ledger_balances, canon, knn_cell_reach_ranks, knn_reach_ranks, knn_top_ranks, mk_decomp,
+    mk_features, mk_queries, oracle, owned_replicas, reference_counts, resident, window_ranks,
+    WORLD,
 };
 use mpi_vector_io::core::exchange::ExchangeChunk;
 use mpi_vector_io::prelude::*;
@@ -35,9 +36,9 @@ struct Setup {
 /// `ServeStats::result_records` counts matches, not the answer blocks
 /// that carry them: summed over the routed queries, the range/point
 /// answer sizes plus, for a kNN, the local top-k of every rank its
-/// reach bound selects ([`knn_reach_ranks`]) — the answer's size before
-/// the issuer truncates it. A feature counts on the rank owning its
-/// reference cell.
+/// sub-cell reach bounds select ([`knn_reach_ranks`]) — the answer's
+/// size before the issuer truncates it. A feature counts on the rank
+/// owning its reference cell.
 fn check_serve(
     setup: Setup,
     features: Vec<Feature>,
@@ -97,6 +98,14 @@ fn check_serve(
         let (dests, matches) = match *q {
             Query::Knn { at, k } => {
                 let dests = knn_reach_ranks(&sd, &features, &at, k);
+                // The sub-cell rule asks no owner the cell rule would not,
+                // and every owner of a true top-k feature.
+                let cell_rule = knn_cell_reach_ranks(&sd, &features, &at, k);
+                let outside: Vec<_> = dests.iter().filter(|r| !cell_rule.contains(r)).collect();
+                prop_assert!(outside.is_empty(), "{:?} beyond {:?}", q, cell_rule);
+                let needed = knn_top_ranks(&sd, &features, &at, k);
+                let missed: Vec<_> = needed.iter().filter(|r| !dests.contains(r)).collect();
+                prop_assert!(missed.is_empty(), "{:?} misses owners {:?}", q, missed);
                 let local = |r: &usize| reference[*r].min(u64::from(k));
                 let matches = dests.iter().map(local).sum();
                 (dests, matches)
